@@ -829,21 +829,20 @@ def bench_scale(tiny: bool = False) -> dict:
     Three sub-sections:
 
     * ``tiny`` — a 20k-request run of the scale configuration (streaming
-      trace, sketch statistics, batched admission, eager-get kernel).  Small
-      enough for CI; its fingerprint (digest, event count, final time) pins
-      the scale schedule byte for byte.
-    * ``fleet_1m`` — the headline 10^6-request run: ≥10× the cluster
-      section's requests/s, O(1)-memory statistics (the sketch bucket count
-      is the footprint and is fingerprinted), p50/p95/p99 from the quantile
-      sketch.  Skipped under ``--tiny``.
+      trace, sketch statistics, batched admission).  Small enough for CI;
+      its fingerprint (digest, event count, final time) pins the scale
+      schedule byte for byte.
+    * ``fleet_1m`` — the headline 10^6-request run: O(1)-memory statistics
+      (the sketch bucket count is the footprint and is fingerprinted),
+      p50/p95/p99 from the quantile sketch.  Skipped under ``--tiny``.
     * ``sharded`` — the same trace split across 2 worker processes with
       static-hash routing; records whether the merged schedule digest equals
       the single-process run's (``digest_match`` must stay ``True``).
 
-    The scale configuration trades admission latency for throughput
-    (``admission_batch=32`` coalesces front-door timer events) and runs the
-    kernel in ``eager_get`` mode — both opt-ins that leave every pre-existing
-    benchmark schedule untouched.
+    The scale configuration differs from ``build_fleet()`` defaults in two
+    model parameters only: ``stats_mode="sketch"`` and ``admission_batch=32``
+    (which trades admission latency for one front-door timer event per
+    group).
     """
     from repro.cluster.sharded import (
         ShardedRunConfig,
@@ -853,7 +852,6 @@ def bench_scale(tiny: bool = False) -> dict:
     from repro.core.builder import build_fleet
     from repro.core.config import SMALL_CONFIG
     from repro.functions.bank import build_small_bank
-    from repro.sim.kernel import Simulator as KernelSimulator
     from repro.workloads.multitenant import StreamingFleetTrace, default_tenant_mix
 
     bank = build_small_bank()
@@ -883,9 +881,7 @@ def bench_scale(tiny: bool = False) -> dict:
                 policy="affinity",
                 queue_depth=64,
                 stats_mode="sketch",
-                hit_fastpath=True,
                 admission_batch=32,
-                simulator=KernelSimulator(eager_get=True),
             )
             gc.collect()
             gc_was_enabled = gc.isenabled()
@@ -955,7 +951,6 @@ def bench_scale(tiny: bool = False) -> dict:
         config_seed=11,
         queue_depth=64,
         stats_mode="sketch",
-        hit_fastpath=True,
         epoch_ns=100_000_000.0,
     )
     single_fleet, single_trace = build_single_process_fleet(sharded_config)

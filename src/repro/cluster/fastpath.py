@@ -1,4 +1,4 @@
-"""Opt-in hit fast path: record/replay of a card's resident-hit serve.
+"""Hit fast path: record/replay of a card's resident-hit serve.
 
 Profiling the fleet hot path (``benchmarks/perf_smoke.py --profile``) shows
 ~70% of wall time inside ``PciBus.submit`` and the module pipeline under it —
@@ -29,7 +29,8 @@ invariant in the absolute start time (verified empirically and by
 construction: every stage charges cycle counts that depend only on payload
 bytes and card geometry), so replaying it is exact.
 
-Exactness contract (asserted by the differential tests):
+Exactness contract (asserted by ``tests/test_cluster_fastpath.py`` against
+the same fleet with every ``card.memo`` set to ``None``):
 
 * card clock trajectory, service times, fleet schedule digest, all integer
   counters, LRU/residency state, and minios statistics are **bit-identical**
@@ -41,19 +42,28 @@ Exactness contract (asserted by the differential tests):
   mean/percentile diagnostics only — nothing digested — and the drift is
   bounded by one rounding of each stage duration.
 
-Safety gate: the memo is consulted only while the card is in the plain
-serving regime — function resident, health ``up``, no scrubber, no
-scrub-on-execute, no hazard detector, no clock observers, and MCU/bus traces
-disabled.  Any fault machinery (or an eviction of the function) disables the
-fast path for that request, which falls back to the real, fully-modelled
-path.  The fleet only installs memos when ``hit_fastpath=True`` is requested,
-so every pre-existing experiment and benchmark runs the unmodified code.
+Every fleet card carries a memo; which path serves a request is decided per
+request by :meth:`ServeMemo._safe`, from the card's observable regime.  The
+memo is consulted only while the card is plainly serving — function
+resident, health ``up``, no scrubber, no scrub-on-execute, no hazard
+detector, no clock observers, and the device/bus trace recorders disabled.
+Any fault machinery, an eviction of the function, or tracing with
+``Observability(bridge_device=True)`` (which enables the device recorder)
+selects the real, fully-modelled path for that request.
+
+The cache is bounded: after :data:`MEMO_ENTRY_CAP` distinct
+``(function, payload)`` pairs a card stops recording, and pairs without an
+entry are served by the full path.  The shipped trace generators pool one
+payload per tenant and function, so they stay far below the cap; the bound
+is for caller-built traces whose payloads never repeat.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+#: Most ``(function, payload)`` entries one card's memo retains.
+MEMO_ENTRY_CAP = 4096
 
 # A memo entry is a flat tuple (unpacked in one bytecode on the replay hot
 # path):  (script, busy_addends, pci_addend, result, outcome, input_bytes,
@@ -81,16 +91,15 @@ class ServeMemo:
         self.device = self.copro.device
         self._entries: Dict[Tuple[str, bytes], _MemoEntry] = {}
         # Hot-path bindings (all created once per card, never replaced; the
-        # bound containers — replacement table, loaded-function dict, stats
-        # objects — are mutated in place, never reassigned).
+        # bound containers — replacement table, loaded-function dict — are
+        # mutated in place, never reassigned).  The two statistics objects
+        # are *not* bound here: a card RESET replaces them.
         self._mcu_trace = self.mcu.trace
         self._bus_trace = self.bus.trace
         self._is_resident = self.minios.table.__contains__
-        self._minios_stats = self.minios.stats
         self._minios_touch = self.minios.table.touch
         self._dma = driver.bridge.dma
         self._loaded_get = self.device._loaded.get
-        self._stats_record_replay = self.copro.stats.record_hit_replay
         self.replays = 0
         self.recordings = 0
 
@@ -107,6 +116,10 @@ class ServeMemo:
             and not self._bus_trace.enabled
             and self._is_resident(function)
         )
+
+    def can_record(self, function: str) -> bool:
+        """True when a serve of *function* now would be a recordable hit."""
+        return len(self._entries) < MEMO_ENTRY_CAP and self._safe(function)
 
     # -------------------------------------------------------------- recording
     def record_call(self, function: str, payload: bytes):
@@ -269,17 +282,7 @@ class ServeMemo:
         entry = self._entries.get((function, payload))
         if entry is None:
             return None
-        # _safe(), inlined (one call fewer on the per-request hot path).
-        if not (
-            self.fleet_card.health == "up"
-            and not self.clock._observers
-            and self.copro.scrubber is None
-            and not self.mcu.scrub_on_execute
-            and self.device.hazard_detector is None
-            and not self._mcu_trace.enabled
-            and not self._bus_trace.enabled
-            and self._is_resident(function)
-        ):
+        if not self._safe(function):
             return None
         (
             script,
@@ -339,7 +342,7 @@ class ServeMemo:
         data_out.transfers += data_out_transfers
         data_out.bytes_transferred += data_out_bytes
 
-        stats = self._minios_stats
+        stats = self.minios.stats
         stats.requests += 1
         stats.hits += 1
 
@@ -348,7 +351,7 @@ class ServeMemo:
         if loaded is not None:
             loaded.executions += 1
 
-        self._stats_record_replay(
+        self.copro.stats.record_hit_replay(
             outcome,
             function,
             input_bytes,
@@ -375,4 +378,4 @@ class ServeMemo:
         }
 
 
-__all__ = ["ServeMemo"]
+__all__ = ["MEMO_ENTRY_CAP", "ServeMemo"]

@@ -19,6 +19,15 @@ clocks therefore act as private service-time oracles (only their *deltas*
 matter), while ordering, queueing and concurrency across cards live entirely
 on the kernel clock — which is what keeps N-card schedules deterministic.
 
+A card serves a request one of two ways, chosen per request from the card's
+observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
+resident, healthy, untraced, unprotected card *replays* the recorded operation
+script of an earlier identical serve; anything else — a miss, a degraded or
+fault-protected card, an enabled device recorder (tracing with
+``Observability(bridge_device=True)``) — runs the full transaction-level
+model.  The two are bit-identical in schedule and counters
+(``tests/test_cluster_fastpath.py``).
+
 Admission control is at the dispatcher: a card with ``queue_depth``
 outstanding requests is inadmissible, and when every card is full the request
 is rejected and counted, not queued forever (the fleet serves an open system;
@@ -223,9 +232,11 @@ class FleetCard:
         self.scrub_pending = False
         #: True while a defrag order is queued/in service (one at a time).
         self.defrag_pending = False
-        #: Optional :class:`~repro.cluster.fastpath.ServeMemo` installed by
-        #: ``Fleet(hit_fastpath=True)``; ``None`` keeps the historical path.
-        self.memo = None
+        #: Record/replay cache of this card's resident-hit serves; it
+        #: replays only while :meth:`ServeMemo._safe` holds.  Set to ``None``
+        #: to run the full card model on every request (the differential
+        #: tests' reference).
+        self.memo: Optional[ServeMemo] = ServeMemo(self)
         #: The card's device :class:`~repro.sim.trace.TraceRecorder` when the
         #: fleet bridges device events into ``card.*`` sub-spans, else None.
         self._obs_trace = None
@@ -264,7 +275,7 @@ class FleetCard:
                 return service_ns, True
         clock = self.driver.clock
         before = clock.now
-        if memo is not None and memo._safe(request.function):
+        if memo is not None and memo.can_record(request.function):
             result = memo.record_call(request.function, request.payload)
         else:
             result = self.driver.call(request.function, request.payload)
@@ -347,7 +358,6 @@ class Fleet:
         simulator: Optional[Simulator] = None,
         queue_depth: int = 8,
         stats_mode: str = "reservoir",
-        hit_fastpath: bool = False,
         card_indices: Optional[Sequence[int]] = None,
         admission_batch: int = 1,
         observability=None,
@@ -419,10 +429,6 @@ class Fleet:
                     recorder = card.driver.coprocessor.trace
                     recorder.enabled = True
                     card._obs_trace = recorder
-        self.hit_fastpath = hit_fastpath
-        if hit_fastpath:
-            for card in self.cards:
-                card.memo = ServeMemo(card)
         if stats_mode == "sketch":
             # Per-card latency recording follows the fleet into O(1) memory.
             for card in self.cards:

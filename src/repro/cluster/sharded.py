@@ -37,9 +37,13 @@ per-shard sequence) is deterministic.  Sharded runs use ``admission_batch=1``:
 front-door admission groups are formed over the *global* arrival stream, so a
 shard — which sees only its own subset — would coalesce different groups.
 
-Epochs bound memory, not correctness: each worker pauses at every epoch
-horizon and ships its drained record log to the merger, so the parent holds
-O(records per epoch) from each shard instead of the whole run.
+Epochs bound each *worker's* memory, not the parent's and not correctness:
+a worker pauses at every epoch horizon and ships its drained record log, so
+it never holds more than one epoch of records.  The parent appends every
+epoch's records to a per-shard list and sorts the concatenation once at the
+end (:func:`merge_shard_records`), so it holds O(records in the whole run).
+ROADMAP open item 4 replaces this with free-running workers and a streaming
+k-way merge, which is what would make the parent O(records per epoch).
 """
 
 from __future__ import annotations
@@ -69,12 +73,8 @@ class ShardedRunConfig:
     config_seed: int = 11
     queue_depth: int = 64
     stats_mode: str = "sketch"
-    hit_fastpath: bool = True
     #: Lockstep epoch width in simulated nanoseconds.
     epoch_ns: float = 50_000_000.0
-    #: Kernel scheduling variant (see ``Simulator(eager_get=...)``).  Off by
-    #: default: sharding is the determinism story, not the speed story.
-    eager_get: bool = False
 
     def __post_init__(self) -> None:
         if self.total_cards < 1:
@@ -154,7 +154,6 @@ def _build_shard_fleet(config: ShardedRunConfig, card_indices: Sequence[int]):
     from repro.core.builder import build_fleet
     from repro.core.config import SMALL_CONFIG
     from repro.functions.bank import build_small_bank
-    from repro.sim.kernel import Simulator
     from repro.workloads.multitenant import StreamingFleetTrace, default_tenant_mix
 
     bank = build_small_bank()
@@ -173,9 +172,7 @@ def _build_shard_fleet(config: ShardedRunConfig, card_indices: Sequence[int]):
         policy=StaticHashPolicy(total_cards=config.total_cards),
         queue_depth=config.queue_depth,
         stats_mode=config.stats_mode,
-        hit_fastpath=config.hit_fastpath,
         card_indices=list(card_indices),
-        simulator=Simulator(eager_get=config.eager_get),
     )
     view = ShardTraceView(stream, card_indices, config.total_cards)
     return fleet, view

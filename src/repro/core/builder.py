@@ -100,7 +100,6 @@ def build_fleet(
     defrag_period_ns: Optional[float] = None,
     defrag_moves_per_order: Optional[int] = 1,
     stats_mode: str = "reservoir",
-    hit_fastpath: bool = False,
     card_indices: Optional[Sequence[int]] = None,
     admission_batch: int = 1,
     observability=None,
@@ -135,6 +134,13 @@ def build_fleet(
     counters and gauges on its metrics registry.  ``None`` (the default)
     keeps the fully uninstrumented, digest-frozen schedule.
 
+    Resident hits on a plainly serving card are replayed from a per-card
+    :class:`~repro.cluster.fastpath.ServeMemo`; fault tolerance, a wedged
+    port or device-level tracing (``bridge_device``, the ``Observability``
+    default) put a card on the full transaction-level model instead.  The
+    card decides per request — there is nothing to configure, and schedules
+    and counters are identical either way.
+
     ``slos`` accepts a sequence of :class:`repro.obs.SloSpec`: the specs are
     installed on *observability* (one is created when ``None``), turning on
     burn-rate alerting and the incident flight recorder.  SLO evaluation is
@@ -161,7 +167,6 @@ def build_fleet(
         simulator=simulator,
         queue_depth=queue_depth,
         stats_mode=stats_mode,
-        hit_fastpath=hit_fastpath,
         card_indices=card_indices,
         admission_batch=admission_batch,
         observability=observability,

@@ -64,7 +64,11 @@ class MatMulFunction(HardwareFunction):
         ]
 
     def behaviour(self, data: bytes) -> bytes:
-        """Multiply each pair of packed 8x8 int16 matrices in *data*."""
+        """Multiply each pair of packed 8x8 int16 matrices in *data*.
+
+        Eight int16 products can reach 2**33, so sums wrap to two's-complement
+        32 bits, as the int32 hardware accumulator does.
+        """
         pair_bytes = 2 * self.DIMENSION * self.DIMENSION * self.ELEMENT_BYTES
         padded = data + b"\x00" * ((-len(data)) % pair_bytes)
         out = bytearray()
@@ -75,5 +79,5 @@ class MatMulFunction(HardwareFunction):
             product = matrix_multiply(a, b)
             for row in product:
                 for value in row:
-                    out.extend(struct.pack("<i", value))
+                    out.extend(struct.pack("<I", value & 0xFFFFFFFF))
         return bytes(out)

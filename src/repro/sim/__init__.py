@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel used by the co-processor model.
 
 The kernel is intentionally small: a time base (:class:`~repro.sim.clock.Clock`),
-a heap-backed event queue (:class:`~repro.sim.events.EventQueue`), a process
+a two-tier event queue (:class:`~repro.sim.events.EventQueue`), a process
 oriented simulator (:class:`~repro.sim.kernel.Simulator`) with resources and
 stores, and a trace recorder (:class:`~repro.sim.trace.TraceRecorder`).  The
 co-processor's transaction-level components advance the shared clock directly;
@@ -10,7 +10,7 @@ reconfiguration) need to be interleaved.
 """
 
 from repro.sim.clock import Clock, TimeUnit, format_time
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Process, Resource, Simulator, Store, Timeout
 from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.rand import SeededRandom
@@ -19,7 +19,6 @@ __all__ = [
     "Clock",
     "TimeUnit",
     "format_time",
-    "Event",
     "EventQueue",
     "Simulator",
     "Process",

@@ -1,31 +1,25 @@
-"""Event primitives for the discrete-event kernel.
+"""The event queue of the discrete-event kernel.
 
-The queue has two scheduling paths sharing one sequence counter:
-
-* the :class:`Event` object path (``push`` / ``schedule``) for callers that
-  need named events, payloads or cancellation, and
-* an allocation-free fast path (``schedule_call``) that stores a bare
-  ``(time, priority, seq, None, fn, arg1, arg2)`` entry — no ``Event``,
-  no name string, no closure.  The simulator kernel uses this for every
-  continuation it schedules.
+Every scheduled occurrence is one bare-callback entry
+``(time, priority, seq, fn, arg1, arg2)`` — no event object, no name string,
+no closure.  Entries order by ``(time, priority, seq)``; ``seq`` comes from
+one monotonically increasing counter, so ties break by insertion order, the
+comparison never reaches the non-orderable payload fields, and two runs with
+the same inputs produce the same schedule.
 
 Storage is a **tiered scheduler**: a binary heap for future events plus a
 plain FIFO deque (``_fifo``) the kernel uses for same-timestamp, priority-0
-continuations — the dominant case when a card drains its queue (store grants,
-resource grants, zero-delay resumes all happen "now").  A deque append/popleft
-is a few times cheaper than a heap sift, and because the kernel only appends
-entries keyed at the current clock time with the globally increasing sequence
-counter, the deque is always sorted by the ``(time, priority, seq)`` key.
+continuations — the dominant case when a card drains its queue (resource
+grants, zero-delay resumes and wake-ups all happen "now").  A deque
+append/popleft is a few times cheaper than a heap sift, and because the
+kernel only appends entries keyed at the current clock time with the globally
+increasing sequence counter, the deque is always sorted by the entry key.
 Consumers merge the two tiers by comparing heads, so the dispatch order is
-identical to the single-heap implementation.
+identical to a single-heap implementation.
 
 (A calendar queue for the future tier was measured and rejected: bucket
  index arithmetic in Python loses to C ``heapq`` for the heap sizes the
  fleet produces — see docs/performance.md.)
-
-Because both tiers draw from the same monotonically increasing sequence
-counter and entries order by ``(time, priority, seq)``, schedules are
-deterministic and identical to the all-``Event`` implementation.
 """
 
 from __future__ import annotations
@@ -33,95 +27,24 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterator, List, Optional
-
-
-@dataclass(order=False)
-class Event:
-    """A scheduled occurrence in simulated time.
-
-    Events carry an arbitrary ``payload`` and an optional ``callback`` run when
-    the event is dispatched.  Ordering is by time, then by priority (lower is
-    earlier), then by insertion order so scheduling is deterministic.
-    """
-
-    time_ns: float
-    name: str = "event"
-    payload: Any = None
-    priority: int = 0
-    callback: Optional[Callable[["Event"], None]] = None
-    cancelled: bool = field(default=False, init=False)
-    sequence: int = field(default=-1, init=False)
-    #: True once a queue has settled its live count for this event — on pop,
-    #: on lazy removal, or on EventQueue.cancel — so the event is never
-    #: counted twice (and cancelling an already-popped event is a no-op for
-    #: the count).
-    live_discounted: bool = field(default=False, init=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when it is popped."""
-        self.cancelled = True
-
-    def fire(self) -> None:
-        """Invoke the callback, if any."""
-        if self.callback is not None and not self.cancelled:
-            self.callback(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        flag = " cancelled" if self.cancelled else ""
-        return f"Event({self.name!r} @ {self.time_ns}ns prio={self.priority}{flag})"
+from typing import Any, Callable, Deque, List, Optional
 
 
 class EventQueue:
-    """A deterministic priority queue of events and bare callbacks.
-
-    The queue breaks ties by priority and insertion sequence so that two runs
-    with the same inputs produce the same schedule.  ``len(queue)`` counts the
-    scheduled entries that have not been cancelled.
-    """
+    """A deterministic two-tier priority queue of bare callbacks."""
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         #: FIFO tier for same-timestamp continuations.  Only the simulator
         #: kernel appends here (it owns the clock and can prove the entry's
         #: key is >= every key already in the deque); everyone else goes
-        #: through the heap.  Entries have the same 7-tuple shape as heap
-        #: entries and the deque is always sorted by (time, priority, seq).
+        #: through the heap.  Entries have the same shape as heap entries
+        #: and the deque is always sorted by (time, priority, seq).
         self._fifo: Deque[tuple] = deque()
         self._counter = itertools.count()
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, event: Event) -> Event:
-        """Schedule *event*; returns it for chaining."""
-        if event.time_ns < 0:
-            raise ValueError("cannot schedule an event at negative time")
-        seq = next(self._counter)
-        event.sequence = seq
-        heapq.heappush(
-            self._heap, (event.time_ns, event.priority, seq, event, None, None, None)
-        )
-        self._live += 1
-        return event
-
-    def schedule(
-        self,
-        time_ns: float,
-        name: str = "event",
-        payload: Any = None,
-        priority: int = 0,
-        callback: Optional[Callable[[Event], None]] = None,
-    ) -> Event:
-        """Create and push an event in one call."""
-        return self.push(
-            Event(time_ns=time_ns, name=name, payload=payload, priority=priority, callback=callback)
-        )
+        return len(self._heap) + len(self._fifo)
 
     def schedule_call(
         self,
@@ -131,159 +54,55 @@ class EventQueue:
         arg2: Any = None,
         priority: int = 0,
     ) -> None:
-        """Fast path: schedule ``fn(arg1, arg2)`` with no Event allocation.
-
-        Entries scheduled this way cannot be cancelled or observed; they are
-        dispatched by :meth:`pop_entry` (or wrapped lazily by :meth:`pop`).
-        """
+        """Schedule ``fn(arg1, arg2)`` at *time_ns*."""
         if time_ns < 0:
             raise ValueError("cannot schedule an event at negative time")
         heapq.heappush(
-            self._heap, (time_ns, priority, next(self._counter), None, fn, arg1, arg2)
+            self._heap, (time_ns, priority, next(self._counter), fn, arg1, arg2)
         )
-        self._live += 1
 
-    def pop_entry(self) -> tuple:
-        """Remove and return the earliest live entry across both tiers.
-
-        The entry is ``(time_ns, priority, seq, event, fn, arg1, arg2)`` with
-        exactly one of ``event`` / ``fn`` set.  This is the kernel's dispatch
-        path; it skips cancelled events without allocating wrappers.  The two
-        tiers are merged by comparing heads — entry tuples compare by
-        ``(time, priority, seq)`` because sequence numbers are unique, so the
-        comparison never reaches the non-orderable payload fields.
-        """
+    def head(self) -> Optional[tuple]:
+        """The earliest entry across both tiers, not removed; ``None`` if empty."""
         heap = self._heap
         fifo = self._fifo
-        while True:
-            if heap:
-                if fifo and fifo[0] < heap[0]:
-                    entry = fifo.popleft()
-                else:
-                    entry = heapq.heappop(heap)
-            elif fifo:
-                entry = fifo.popleft()
-            else:
-                raise IndexError("pop from an empty EventQueue")
-            event = entry[3]
-            if event is not None:
-                if event.cancelled:
-                    if not event.live_discounted:
-                        # Cancelled directly via Event.cancel(); count it now.
-                        event.live_discounted = True
-                        self._live -= 1
-                    continue
-                event.live_discounted = True
-            self._live -= 1
-            return entry
+        if heap:
+            if fifo and fifo[0] < heap[0]:
+                return fifo[0]
+            return heap[0]
+        return fifo[0] if fifo else None
 
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Bare-callback entries are wrapped in an :class:`Event` for API
-        compatibility.  Raises :class:`IndexError` when the queue is empty.
-        """
-        entry = self.pop_entry()
-        event = entry[3]
-        if event is not None:
-            return event
-        time_ns, priority, seq, _, fn, arg1, arg2 = entry
-        wrapped = Event(
-            time_ns=time_ns,
-            priority=priority,
-            callback=lambda _event: fn(arg1, arg2),
-        )
-        wrapped.sequence = seq
-        wrapped.live_discounted = True  # already counted by pop_entry
-        return wrapped
-
-    def peek(self) -> Event:
-        """Return the earliest non-cancelled event without removing it.
-
-        A bare-callback entry is materialised into an :class:`Event` *in
-        place* (the queued entry is swapped for an equivalent Event entry,
-        same ordering key), so ``peek().cancel()`` affects the queued entry
-        and repeated peeks return the same object.
-        """
-        heap = self._heap
-        fifo = self._fifo
-        while True:
-            if heap:
-                use_fifo = bool(fifo) and fifo[0] < heap[0]
-                entry = fifo[0] if use_fifo else heap[0]
-            elif fifo:
-                use_fifo = True
-                entry = fifo[0]
-            else:
-                raise IndexError("peek on an empty EventQueue")
-            event = entry[3]
-            if event is not None and event.cancelled:
-                fifo.popleft() if use_fifo else heapq.heappop(heap)
-                if not event.live_discounted:
-                    event.live_discounted = True
-                    self._live -= 1
-                continue
-            if event is not None:
-                return event
-            time_ns, priority, seq, _, fn, arg1, arg2 = entry
-            wrapped = Event(
-                time_ns=time_ns,
-                priority=priority,
-                callback=lambda _event: fn(arg1, arg2),
-            )
-            wrapped.sequence = seq
-            replacement = (time_ns, priority, seq, wrapped, None, None, None)
-            if use_fifo:
-                fifo[0] = replacement
-            else:
-                heap[0] = replacement
-            return wrapped
+    @property
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest pending entry, or ``None`` when empty."""
+        head = self.head()
+        return None if head is None else head[0]
 
     def pop_ready_entries(self) -> List[tuple]:
         """Remove and return the whole ready set at the earliest key.
 
-        The ready set is every live entry whose ``(time, priority)`` equals
-        the minimum across both tiers, returned sorted by sequence number —
-        index 0 is the entry :meth:`pop_entry` would have returned.  This is
-        the schedule-exploration hook: with a
+        The ready set is every entry whose ``(time, priority)`` equals the
+        minimum across both tiers, returned sorted by sequence number —
+        index 0 is the entry the default dispatch order would run next.
+        This is the schedule-exploration hook: with a
         :class:`~repro.sim.schedule.SchedulePolicy` installed, the kernel
         gathers the ready set here, dispatches the policy's pick, and pushes
-        the rest back via :meth:`push_entry`.
-
-        Cancelled events encountered while gathering are dropped and their
-        live count settled; the returned entries remain *counted* (callers
-        dispatch or push back every one of them).  Returns ``[]`` when the
-        queue holds no live entries.
+        the rest back via :meth:`push_entry`.  Returns ``[]`` when the queue
+        is empty.
         """
+        head = self.head()
+        if head is None:
+            return []
+        time_ns, priority = head[0], head[1]
         heap = self._heap
         fifo = self._fifo
+        # Each tier is sorted by the full key, so its share of the ready set
+        # is a prefix; sorting the union by seq presents one canonical order.
         ready: List[tuple] = []
-        key: Optional[tuple] = None
-        while True:
-            if heap:
-                use_fifo = bool(fifo) and fifo[0] < heap[0]
-                entry = fifo[0] if use_fifo else heap[0]
-            elif fifo:
-                use_fifo = True
-                entry = fifo[0]
-            else:
-                break
-            if key is not None and (entry[0], entry[1]) != key:
-                break
-            fifo.popleft() if use_fifo else heapq.heappop(heap)
-            event = entry[3]
-            if event is not None and event.cancelled:
-                if not event.live_discounted:
-                    event.live_discounted = True
-                    self._live -= 1
-                continue
-            if key is None:
-                key = (entry[0], entry[1])
-            ready.append(entry)
-        # Both tiers are sorted by the full (time, priority, seq) key, so the
-        # gathered set arrives as a merge of two seq-sorted runs; sort by seq
-        # to present one canonical order to the policy.
-        ready.sort(key=lambda e: e[2])
+        while fifo and fifo[0][0] == time_ns and fifo[0][1] == priority:
+            ready.append(fifo.popleft())
+        while heap and heap[0][0] == time_ns and heap[0][1] == priority:
+            ready.append(heapq.heappop(heap))
+        ready.sort(key=lambda entry: entry[2])
         return ready
 
     def push_entry(self, entry: tuple) -> None:
@@ -291,52 +110,10 @@ class EventQueue:
 
         Always goes to the heap tier: a pushed-back entry's sequence number
         is *older* than anything appended to the FIFO afterwards, so the
-        FIFO's sorted-append invariant would not survive it.  The live count
-        is untouched — the entry was never discounted.
+        FIFO's sorted-append invariant would not survive it.
         """
         heapq.heappush(self._heap, entry)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazily removed).
-
-        The live count is settled exactly once per event: an event that was
-        already popped (or already cancelled) is not decremented again, and
-        the lazily-removed entry is not counted a second time by pop/peek.
-        """
-        event.cancel()
-        if not event.live_discounted:
-            event.live_discounted = True
-            self._live -= 1
 
     def clear(self) -> None:
         self._heap.clear()
         self._fifo.clear()
-        self._live = 0
-
-    def drain(self) -> Iterator[Event]:
-        """Yield events in order until the queue is empty."""
-        while self:
-            yield self.pop()
-
-    @property
-    def next_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` when empty."""
-        heap = self._heap
-        fifo = self._fifo
-        while True:
-            if heap:
-                use_fifo = bool(fifo) and fifo[0] < heap[0]
-                entry = fifo[0] if use_fifo else heap[0]
-            elif fifo:
-                use_fifo = True
-                entry = fifo[0]
-            else:
-                return None
-            event = entry[3]
-            if event is not None and event.cancelled:
-                fifo.popleft() if use_fifo else heapq.heappop(heap)
-                if not event.live_discounted:
-                    event.live_discounted = True
-                    self._live -= 1
-                continue
-            return entry[0]

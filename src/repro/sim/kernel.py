@@ -7,11 +7,11 @@ completes.  The co-processor model uses the simulator to interleave host
 request arrival, PCI transfers, reconfiguration and function execution.
 
 Every continuation the kernel schedules is the same shape — "resume process P
-with value V" — so the hot path pushes the bound method ``self._step`` with
-its two arguments straight onto the event queue (:meth:`EventQueue.
-schedule_call`): no per-event ``Event`` object, no closure, no f-string
-label.  Pass ``trace_enabled=True`` to get the old named-``Event`` behaviour
-for debugging; schedules are identical either way.
+with value V" — so it is queued as the bound method ``self._step`` with its
+two arguments (the :class:`~repro.sim.events.EventQueue` entry shape): no
+per-event object, no closure, no label.  :meth:`Simulator.run` is the one
+dispatch loop; a :class:`~repro.sim.schedule.SchedulePolicy` only changes
+which entry of a same-instant ready set it takes next.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Resource:
             self.in_use += 1
             simulator = self.simulator
             self.total_wait_ns += simulator.clock.now - requested_at
-            simulator._schedule_step(simulator.clock.now, process, None, "granted", self.name)
+            simulator._schedule_step(simulator.clock.now, process, None)
 
     @property
     def queue_length(self) -> int:
@@ -157,22 +157,15 @@ class Store:
             waiter = self._getters.popleft()
             waiter.triggered = True
             waiter.value = item
+            # Inlined _schedule_step: the grant is always at the current
+            # instant, so it goes straight to the FIFO tier.
             simulator = self.simulator
-            if simulator.trace_enabled:
-                now = simulator.clock.now
-                for process in waiter._waiters:
-                    simulator._schedule_step(now, process, item, "get", self.name)
-            else:
-                # Inlined _schedule_step fast path: the grant is always at
-                # the current instant, so it goes straight to the FIFO tier.
-                now = simulator.clock._now
-                next_seq = simulator._next_seq
-                step = simulator._step_bound
-                fifo = simulator._fifo
-                live_queue = simulator.queue
-                for process in waiter._waiters:
-                    fifo.append((now, 0, next_seq(), None, step, process, item))
-                    live_queue._live += 1
+            now = simulator.clock._now
+            next_seq = simulator._next_seq
+            step = simulator._step_bound
+            fifo = simulator._fifo
+            for process in waiter._waiters:
+                fifo.append((now, 0, next_seq(), step, process, item))
             waiter._waiters.clear()
             self._waiter_pool = waiter
         else:
@@ -205,94 +198,60 @@ class Simulator:
     it advances that clock, so transaction-level components that use the same
     clock observe a consistent timeline.
 
-    ``trace_enabled`` keeps the legacy behaviour of scheduling one named
-    :class:`Event` per continuation (useful when inspecting ``sim.queue``);
-    the default fast path schedules bare callbacks instead.  Both produce the
-    same deterministic schedule.
+    A ``StoreGet`` against a non-empty store resumes the getter
+    *synchronously*, inside the same dispatch: a queue hand-off — the
+    dominant yield in a saturated fleet — costs no kernel event.  Such grants
+    are continuations of the current dispatch, so they do not count against
+    ``run``'s ``max_events``; ``eager_chain_limit`` bounds them instead.
     """
 
-    #: Upper bound on synchronous ``eager_get`` grant chains within one
-    #: dispatch.  A self-feeding process (``get`` from a store it also
-    #: ``put``s back into) would otherwise spin forever *inside* ``_step``,
-    #: invisible to ``run``'s ``max_events`` bound because synchronous
-    #: grants are continuations, not dispatches.  Class attribute so tests
-    #: can tighten it; generous enough that no legitimate drain (bounded by
-    #: queued items plus puts from downstream work) ever trips it.
+    #: Upper bound on synchronous store-grant chains within one dispatch.  A
+    #: self-feeding process (``get`` from a store it also ``put``s back into)
+    #: would otherwise spin forever *inside* ``_step``, invisible to
+    #: ``run``'s ``max_events`` bound because synchronous grants are
+    #: continuations, not dispatches.  Class attribute so tests can tighten
+    #: it; generous enough that no legitimate drain (bounded by queued items
+    #: plus puts from downstream work) ever trips it.
     eager_chain_limit = 1_000_000
 
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        trace_enabled: bool = False,
-        eager_get: bool = False,
         schedule_policy: Optional[SchedulePolicy] = None,
     ) -> None:
         self.clock = clock if clock is not None else Clock()
         self.queue = EventQueue()
         self.processes: List[Process] = []
-        self.trace_enabled = trace_enabled
-        #: Opt-in scheduling variant: a ``StoreGet`` against a non-empty
-        #: store resumes the getter *synchronously* (inside the same
-        #: dispatch) instead of scheduling a same-instant FIFO continuation.
-        #: This removes one kernel event per queue hand-off — the dominant
-        #: event kind in a saturated fleet — at the cost of a different
-        #: (still deterministic) interleaving with other events at the same
-        #: timestamp.  Off by default so existing schedules stay
-        #: byte-identical; the million-request scale benchmarks turn it on.
-        #: Synchronous grants do not count against ``run``'s ``max_events``
-        #: (they are continuations of the current dispatch, not new events);
-        #: ``eager_chain_limit`` bounds the chain instead, because a process
-        #: that feeds its own store can otherwise loop forever inside one
-        #: dispatch where ``max_events`` never sees it.
-        self.eager_get = eager_get
         #: Optional tie-break strategy for same-``(time, priority)`` ready
-        #: sets.  ``None`` (the default) keeps the original merged-head
-        #: dispatch loop byte-identical; installing a policy routes ``run``
-        #: through the ready-set gather path in :meth:`_run_policy`.
+        #: sets.  ``None`` (the default) dispatches in ``(time, priority,
+        #: seq)`` order; with a policy installed :meth:`run` gathers the
+        #: ready set at every step and dispatches the policy's pick.
         self.schedule_policy = schedule_policy
         self.events_dispatched = 0
         # Hot-path bindings: one bound method shared by every continuation
         # (binding per schedule would allocate), plus direct references to
-        # the queue's heap and sequence counter.
+        # the queue's tiers and sequence counter.
         self._step_bound = self._step
         self._heap = self.queue._heap
         self._fifo = self.queue._fifo
         self._next_seq = self.queue._counter.__next__
 
     # --------------------------------------------------------- fast schedule
-    def _schedule_step(
-        self,
-        time_ns: float,
-        process: Process,
-        value: Any,
-        kind: str = "resume",
-        detail: Optional[str] = None,
-    ) -> None:
+    def _schedule_step(self, time_ns: float, process: Process, value: Any) -> None:
         """Schedule "resume *process* with *value*" at *time_ns*.
 
-        ``kind``/``detail`` only materialise into an event name when tracing
-        is on; the fast path never builds the label.
+        Inlined ``EventQueue.schedule_call``: continuation times derive from
+        the clock plus a validated non-negative delay, so the negative-time
+        check is unnecessary here.  Same-timestamp continuations (resource
+        grants, zero-delay resumes, wake-ups) go to the FIFO tier: the
+        entry's key (now, 0, fresh seq) is >= every key already queued, so a
+        plain append keeps the deque sorted and the merge deterministic.
         """
-        if self.trace_enabled:
-            self.queue.schedule(
-                time_ns,
-                name=f"{kind}:{detail if detail is not None else process.name}",
-                callback=lambda _event, p=process, v=value: self._step(p, v),
-            )
+        entry = (time_ns, 0, self._next_seq(), self._step_bound, process, value)
+        if time_ns == self.clock._now:
+            self._fifo.append(entry)
         else:
-            # Inlined EventQueue.schedule_call: continuation times derive from
-            # the clock plus a validated non-negative delay, so the negative-
-            # time check is unnecessary here.  Same-timestamp continuations
-            # (store/resource grants, zero-delay resumes — the card-queue
-            # drain pattern) go to the FIFO tier: the entry's key
-            # (now, 0, fresh seq) is >= every key already queued, so a plain
-            # append keeps the deque sorted and the merge deterministic.
-            entry = (time_ns, 0, self._next_seq(), None, self._step_bound, process, value)
-            if time_ns == self.clock._now:
-                self._fifo.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
-            self.queue._live += 1
+            heapq.heappush(self._heap, entry)
 
     # ------------------------------------------------------------- processes
     def spawn(self, generator: Generator, name: Optional[str] = None, delay_ns: float = 0.0) -> Process:
@@ -301,7 +260,7 @@ class Simulator:
             raise ValueError("cannot schedule an event at negative time")
         process = Process(generator, name=name)
         self.processes.append(process)
-        self._schedule_step(self.clock.now + delay_ns, process, None, "start")
+        self._schedule_step(self.clock.now + delay_ns, process, None)
         return process
 
     def trigger(self, wait_event: WaitEvent, value: Any = None) -> None:
@@ -311,7 +270,7 @@ class Simulator:
         now = self.clock.now
         resumed_value = wait_event.value
         for process in wait_event._waiters:
-            self._schedule_step(now, process, resumed_value, "resume")
+            self._schedule_step(now, process, resumed_value)
         wait_event._waiters.clear()
 
     # ------------------------------------------------------------------- run
@@ -323,13 +282,20 @@ class Simulator:
         FIFO now-bucket and the future-event heap); exceeding it raises
         :class:`SimulationError` deterministically, which is what stops a
         runaway zero-delay process loop from spinning forever.
+
+        With a schedule policy installed, the whole same-``(time, priority)``
+        ready set is gathered at every step, the policy picks one entry and
+        the rest go back on the heap tier.  Everything else — the horizon
+        peek, the clock advance, one ``max_events`` count per dispatched
+        entry — is shared, and a choice point only exists when the ready set
+        has >= 2 entries, so a policy that always answers 0 reproduces the
+        default schedule byte-for-byte.
         """
-        if self.schedule_policy is not None:
-            return self._run_policy(until_ns, max_events)
         queue = self.queue
         heap = queue._heap
         fifo = queue._fifo
         clock = self.clock
+        policy = self.schedule_policy
         heappop = heapq.heappop
         fifo_popleft = fifo.popleft
         limit = float("inf") if until_ns is None else until_ns
@@ -357,16 +323,13 @@ class Simulator:
                     # popped, so there is no push-back sift to pay.
                     clock.advance_to(until_ns)
                     return clock.now
-                entry = fifo_popleft() if from_fifo else heappop(heap)
-                event = entry[3]
-                if event is not None:
-                    if event.cancelled:
-                        if not event.live_discounted:
-                            event.live_discounted = True
-                            queue._live -= 1
-                        continue
-                    event.live_discounted = True  # count settled at dispatch
-                queue._live -= 1
+                if policy is None:
+                    entry = fifo_popleft() if from_fifo else heappop(heap)
+                else:
+                    ready = queue.pop_ready_entries()
+                    entry = ready.pop(policy.choose(ready) if len(ready) > 1 else 0)
+                    for other in ready:
+                        queue.push_entry(other)
                 # Inlined Clock.advance_to (events never move time backwards).
                 if time_ns > clock._now:
                     previous = clock._now
@@ -374,84 +337,7 @@ class Simulator:
                     if clock._observers:
                         for observer in clock._observers:
                             observer(previous, time_ns)
-                if event is None:
-                    fn = entry[4]
-                    fn(entry[5], entry[6])
-                else:
-                    event.fire()
-                dispatched += 1
-                if dispatched > max_events:
-                    raise SimulationError(
-                        f"dispatched more than {max_events} events; possible livelock"
-                    )
-        finally:
-            self.events_dispatched += dispatched
-        if until_ns is not None and until_ns > clock.now:
-            clock.advance_to(until_ns)
-        return clock.now
-
-    def _run_policy(self, until_ns: Optional[float], max_events: int) -> float:
-        """The ready-set dispatch loop used when a schedule policy is set.
-
-        Semantically identical to :meth:`run` except for the tie-break: at
-        every step the whole same-``(time, priority)`` ready set is gathered
-        (:meth:`EventQueue.pop_ready_entries`), the policy picks one entry,
-        and the rest are pushed back onto the heap tier.  Accounting matches
-        the default loop exactly — cancelled events never count, horizon
-        pauses peek before popping, and each dispatched entry counts once
-        against ``max_events`` regardless of which permutation the policy
-        chooses.  A choice point only exists when the ready set has >= 2
-        entries, so a policy that always answers 0 reproduces the default
-        schedule byte-for-byte.
-        """
-        queue = self.queue
-        heap = queue._heap
-        fifo = queue._fifo
-        clock = self.clock
-        policy = self.schedule_policy
-        limit = float("inf") if until_ns is None else until_ns
-        dispatched = 0
-        try:
-            while True:
-                # Horizon check on the raw head (cancelled or not) before
-                # anything is popped, mirroring run()'s peek-before-pop.
-                if heap:
-                    head = heap[0]
-                    if fifo and fifo[0] < head:
-                        head = fifo[0]
-                elif fifo:
-                    head = fifo[0]
-                else:
-                    break
-                if head[0] > limit:
-                    clock.advance_to(until_ns)
-                    return clock.now
-                ready = queue.pop_ready_entries()
-                if not ready:
-                    # Every entry at the earliest key was cancelled; their
-                    # live counts are already settled, nothing dispatched.
-                    continue
-                index = policy.choose(ready) if len(ready) > 1 else 0
-                entry = ready[index]
-                for position, other in enumerate(ready):
-                    if position != index:
-                        queue.push_entry(other)
-                time_ns = entry[0]
-                event = entry[3]
-                if event is not None:
-                    event.live_discounted = True  # count settled at dispatch
-                queue._live -= 1
-                if time_ns > clock._now:
-                    previous = clock._now
-                    clock._now = time_ns
-                    if clock._observers:
-                        for observer in clock._observers:
-                            observer(previous, time_ns)
-                if event is None:
-                    fn = entry[4]
-                    fn(entry[5], entry[6])
-                else:
-                    event.fire()
+                entry[3](entry[4], entry[5])
                 dispatched += 1
                 if dispatched > max_events:
                     raise SimulationError(
@@ -467,8 +353,8 @@ class Simulator:
     def _step(self, process: Process, send_value: Any) -> None:
         """Resume *process* with *send_value* and handle what it yields.
 
-        The body loops only in ``eager_get`` mode, where a satisfied store
-        get feeds its item straight back into the same generator.
+        The body loops only while a store get is satisfied on the spot: the
+        item is fed straight back into the same generator.
         """
         if process.finished:
             return
@@ -481,20 +367,18 @@ class Simulator:
                 process.result = stop.value
                 now = self.clock.now
                 for waiter in process.waiters:
-                    self._schedule_step(now, waiter, stop.value, "join", process.name)
+                    self._schedule_step(now, waiter, stop.value)
                 process.waiters.clear()
                 return
             # Fast path for the dominant yield kind; everything else
             # dispatches through _handle_yield (which also catches Timeout
             # subclasses).
-            if yielded.__class__ is Timeout and not self.trace_enabled:
+            if yielded.__class__ is Timeout:
                 delay = yielded.delay_ns
-                now = self.clock._now
                 entry = (
-                    now + delay,
+                    self.clock._now + delay,
                     0,
                     self._next_seq(),
-                    None,
                     self._step_bound,
                     process,
                     yielded.value,
@@ -503,72 +387,50 @@ class Simulator:
                     self._fifo.append(entry)
                 else:
                     heapq.heappush(self._heap, entry)
-                self.queue._live += 1
                 return
-            # Second-most-common yield: a queue get (one per fleet request) —
-            # inlined _handle_store_get with the same-instant continuation
-            # going straight onto the FIFO tier (or, in eager mode, handed
-            # back to the generator without touching the queue at all).
-            if yielded.__class__ is StoreGet and not self.trace_enabled:
+            # Second-most-common yield: a queue get (one per fleet request).
+            if yielded.__class__ is StoreGet:
                 store = yielded.store
                 items = store._items
                 if items:
-                    if self.eager_get:
-                        # Bound the synchronous chain: a process feeding its
-                        # own store would otherwise spin here forever without
-                        # consuming any of run()'s max_events budget.
-                        chained += 1
-                        if chained > self.eager_chain_limit:
-                            raise SimulationError(
-                                f"process {process.name!r} chained more than "
-                                f"{self.eager_chain_limit} synchronous store "
-                                f"grants; possible self-feeding livelock"
-                            )
-                        send_value = items.popleft()
-                        continue
-                    self._fifo.append(
-                        (
-                            self.clock._now,
-                            0,
-                            self._next_seq(),
-                            None,
-                            self._step_bound,
-                            process,
-                            items.popleft(),
+                    # Bound the synchronous chain: a process feeding its own
+                    # store would otherwise spin here forever without
+                    # consuming any of run()'s max_events budget.
+                    chained += 1
+                    if chained > self.eager_chain_limit:
+                        raise SimulationError(
+                            f"process {process.name!r} chained more than "
+                            f"{self.eager_chain_limit} synchronous store "
+                            f"grants; possible self-feeding livelock"
                         )
-                    )
-                    self.queue._live += 1
+                    send_value = items.popleft()
+                    continue
+                waiter = store._waiter_pool
+                if waiter is None:
+                    waiter = WaitEvent(name=f"get:{store.name}")
                 else:
-                    waiter = store._waiter_pool
-                    if waiter is None:
-                        waiter = WaitEvent(name=f"get:{store.name}")
-                    else:
-                        store._waiter_pool = None
-                        waiter.triggered = False
-                        waiter.value = None
-                    waiter._waiters.append(process)
-                    store._getters.append(waiter)
+                    store._waiter_pool = None
+                    waiter.triggered = False
+                    waiter.value = None
+                waiter._waiters.append(process)
+                store._getters.append(waiter)
                 return
             self._handle_yield(process, yielded)
             return
 
     def _handle_yield(self, process: Process, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
-            self._schedule_step(
-                self.clock.now + yielded.delay_ns, process, yielded.value, "timeout"
-            )
+            self._schedule_step(self.clock.now + yielded.delay_ns, process, yielded.value)
         elif isinstance(yielded, WaitEvent):
             if yielded.triggered:
-                self._schedule_step(self.clock.now, process, yielded.value, "ready")
+                self._schedule_step(self.clock.now, process, yielded.value)
             else:
                 yielded._waiters.append(process)
         elif isinstance(yielded, ResourceRequest):
             self._handle_resource_request(process, yielded)
-        elif isinstance(yielded, StoreGet):
-            self._handle_store_get(process, yielded)
         elif isinstance(yielded, Process):
             if yielded.finished:
-                self._schedule_step(self.clock.now, process, yielded.result, "joined")
+                self._schedule_step(self.clock.now, process, yielded.result)
             else:
                 yielded.waiters.append(process)
         else:
@@ -582,25 +444,9 @@ class Simulator:
         resource.total_acquisitions += 1
         if resource.in_use < resource.capacity:
             resource.in_use += 1
-            self._schedule_step(self.clock.now, process, None, "acquire", resource.name)
+            self._schedule_step(self.clock.now, process, None)
         else:
             resource._queue.append((process, self.clock.now))
-
-    def _handle_store_get(self, process: Process, get: StoreGet) -> None:
-        store = get.store
-        if store._items:
-            item = store._items.popleft()
-            self._schedule_step(self.clock.now, process, item, "get", store.name)
-        else:
-            waiter = store._waiter_pool
-            if waiter is None:
-                waiter = WaitEvent(name=f"get:{store.name}")
-            else:
-                store._waiter_pool = None
-                waiter.triggered = False
-                waiter.value = None
-            waiter._waiters.append(process)
-            store._getters.append(waiter)
 
     # --------------------------------------------------------------- helpers
     def resource(self, capacity: int = 1, name: str = "resource") -> Resource:

@@ -10,13 +10,13 @@ legal schedule of the modelled system.
 
 A :class:`SchedulePolicy` makes that tie-break a strategy object.  When a
 :class:`~repro.sim.kernel.Simulator` is given a policy, dispatch gathers the
-**ready set** — every live entry whose ``(time, priority)`` equals the
+**ready set** — every entry whose ``(time, priority)`` equals the
 minimum across both tiers, ordered by sequence number — and asks the policy
 to pick an index.  Index ``0`` is always "the entry the default kernel would
 have dispatched", so :class:`SchedulePolicy` itself (and a
 :class:`ScriptedPolicy` past the end of its script) reproduces the default
 schedule choice-for-choice.  Without a policy the kernel never gathers a
-ready set at all and runs the original head-comparison loop untouched.
+ready set at all: it pops the merged head directly.
 
 Policies *record* what they saw — the ready-set width (``branching``) and
 the chosen index (``choices``) at every choice point — which is exactly the
@@ -48,7 +48,7 @@ class SchedulePolicy:
     """Base policy: always index 0 — byte-identical to the default kernel.
 
     ``choose`` receives the ready set as a sequence of kernel entry tuples
-    ``(time, priority, seq, event, fn, arg1, arg2)`` sorted by ``seq`` and
+    ``(time, priority, seq, fn, arg1, arg2)`` sorted by ``seq`` and
     returns the index to dispatch.  The kernel only consults the policy when
     the ready set has at least two entries; singleton sets are dispatched
     directly (and not recorded as choice points).

@@ -156,43 +156,3 @@ class TestShardedEqualsSingleProcess:
         second = merge_shard_records([records_b, records_a])
         assert first.schedule_digest() == second.schedule_digest()
         assert first.completed == 2 and first.rejected == 1
-
-
-class TestEagerGetScheduleNeutrality:
-    def test_fleet_digest_identical_with_fewer_events(self):
-        """The scale configuration's kernel mode must not change the schedule.
-
-        ``eager_get`` collapses the dispatcher→card store hand-off into a
-        synchronous grant; the fleet workload's schedule digest must be
-        byte-identical to the default kernel's while dispatching fewer
-        events.
-        """
-        from repro.core.builder import build_fleet
-        from repro.core.config import SMALL_CONFIG
-        from repro.functions.bank import build_small_bank
-        from repro.sim.kernel import Simulator
-        from repro.workloads.multitenant import StreamingFleetTrace, default_tenant_mix
-
-        digests = {}
-        events = {}
-        for eager in (False, True):
-            bank = build_small_bank()
-            specs = default_tenant_mix(bank, tenants=3, skew=1.2)
-            stream = StreamingFleetTrace(
-                bank, specs, 800, mean_interarrival_ns=40_000.0, seed=11
-            )
-            fleet = build_fleet(
-                cards=3,
-                config=SMALL_CONFIG.with_overrides(seed=11),
-                bank=bank,
-                policy="affinity",
-                queue_depth=64,
-                stats_mode="sketch",
-                hit_fastpath=True,
-                simulator=Simulator(eager_get=eager),
-            )
-            stats = fleet.run(stream)
-            digests[eager] = stats.schedule_digest()
-            events[eager] = fleet.simulator.events_dispatched
-        assert digests[True] == digests[False]
-        assert events[True] < events[False]

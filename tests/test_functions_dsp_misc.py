@@ -109,6 +109,32 @@ class TestMatMul:
         expected = matrix_multiply(a, b)
         assert list(result) == [value for row in expected for value in row]
 
+    @staticmethod
+    def _wrapped_reference(payload):
+        """The product of one packed pair, each sum wrapped to int32."""
+        elements = struct.unpack("<128h", payload)
+        a = [list(elements[row * 8 : row * 8 + 8]) for row in range(8)]
+        b = [list(elements[64 + row * 8 : 64 + row * 8 + 8]) for row in range(8)]
+        return [
+            (value + 2**31) % 2**32 - 2**31
+            for row in matrix_multiply(a, b)
+            for value in row
+        ]
+
+    @given(st.binary(min_size=256, max_size=256))
+    @settings(max_examples=50, deadline=None)
+    def test_random_payloads_wrap_to_int32(self, payload):
+        output = MatMulFunction().behaviour(payload)
+        assert list(struct.unpack("<64i", output)) == self._wrapped_reference(payload)
+
+    @pytest.mark.parametrize("element", [0x7FFF, -0x8000])
+    def test_extreme_values_wrap_instead_of_raising(self, element):
+        payload = struct.pack("<128h", *([element] * 128))
+        output = MatMulFunction().behaviour(payload)
+        # 8 * element**2 is 2**33 - 2**19 + 8 or 2**33: both exceed int32.
+        assert 8 * element * element > 2**31
+        assert list(struct.unpack("<64i", output)) == self._wrapped_reference(payload)
+
 
 class TestCrc32Function:
     def test_matches_zlib(self):

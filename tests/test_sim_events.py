@@ -2,156 +2,63 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
+from repro.sim.kernel import Simulator, Timeout
+
+
+def schedule(queue, time_ns, tag=None, priority=0):
+    queue.schedule_call(time_ns, lambda a, b: None, tag, None, priority=priority)
+
+
+def drain_tags(queue):
+    """Pop everything in dispatch order; returns each entry's first argument."""
+    tags = []
+    while queue:
+        ready = queue.pop_ready_entries()
+        tags.extend(entry[4] for entry in ready)
+    return tags
 
 
 class TestEventQueue:
     def test_orders_by_time(self):
         queue = EventQueue()
-        queue.schedule(30.0, name="c")
-        queue.schedule(10.0, name="a")
-        queue.schedule(20.0, name="b")
-        assert [queue.pop().name for _ in range(3)] == ["a", "b", "c"]
+        schedule(queue, 30.0, "c")
+        schedule(queue, 10.0, "a")
+        schedule(queue, 20.0, "b")
+        assert drain_tags(queue) == ["a", "b", "c"]
 
     def test_ties_break_by_priority_then_insertion(self):
         queue = EventQueue()
-        queue.schedule(10.0, name="later", priority=5)
-        queue.schedule(10.0, name="first", priority=0)
-        queue.schedule(10.0, name="second", priority=0)
-        assert [queue.pop().name for _ in range(3)] == ["first", "second", "later"]
+        schedule(queue, 10.0, "later", priority=5)
+        schedule(queue, 10.0, "first")
+        schedule(queue, 10.0, "second")
+        assert drain_tags(queue) == ["first", "second", "later"]
 
     def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue
-        queue.schedule(1.0)
+        schedule(queue, 1.0)
         assert queue and len(queue) == 1
-        queue.pop()
+        queue.pop_ready_entries()
         assert not queue
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
 
     def test_peek_does_not_remove(self):
         queue = EventQueue()
-        queue.schedule(5.0, name="only")
-        assert queue.peek().name == "only"
+        assert queue.head() is None
+        schedule(queue, 5.0, "only")
+        assert queue.head()[4] == "only"
         assert len(queue) == 1
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        victim = queue.schedule(1.0, name="victim")
-        queue.schedule(2.0, name="keeper")
-        queue.cancel(victim)
-        assert queue.pop().name == "keeper"
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1.0)
-
-    def test_callbacks_fire(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, name="cb", callback=lambda event: fired.append(event.name))
-        queue.pop().fire()
-        assert fired == ["cb"]
-
-    def test_cancelled_event_does_not_fire(self):
-        fired = []
-        event = Event(1.0, name="x", callback=lambda e: fired.append(1))
-        event.cancel()
-        event.fire()
-        assert fired == []
-
-    def test_drain_yields_in_order(self):
-        queue = EventQueue()
-        for time in (3.0, 1.0, 2.0):
-            queue.schedule(time)
-        assert [event.time_ns for event in queue.drain()] == [1.0, 2.0, 3.0]
-        assert not queue
 
     def test_next_time(self):
         queue = EventQueue()
         assert queue.next_time is None
-        queue.schedule(7.0)
+        schedule(queue, 7.0)
         assert queue.next_time == 7.0
 
     def test_clear(self):
         queue = EventQueue()
-        queue.schedule(1.0)
+        schedule(queue, 1.0)
         queue.clear()
-        assert len(queue) == 0
-
-
-class TestLiveAccounting:
-    """Regression tests: a cancelled event must be counted exactly once.
-
-    The original implementation decremented the live count in ``cancel()``
-    *and* again when ``pop()``/``peek()`` discarded the lazily-removed entry,
-    so ``len(queue)`` drifted low.
-    """
-
-    def test_cancel_then_pop_counts_once(self):
-        queue = EventQueue()
-        victim = queue.schedule(1.0, name="victim")
-        queue.schedule(2.0, name="keeper")
-        queue.schedule(3.0, name="other")
-        assert len(queue) == 3
-        queue.cancel(victim)
-        assert len(queue) == 2
-        assert queue.pop().name == "keeper"  # discards the cancelled entry
-        assert len(queue) == 1
-        assert queue.pop().name == "other"
-        assert len(queue) == 0
-        assert not queue
-
-    def test_cancel_then_peek_counts_once(self):
-        queue = EventQueue()
-        victim = queue.schedule(1.0, name="victim")
-        queue.schedule(2.0, name="keeper")
-        queue.cancel(victim)
-        assert len(queue) == 1
-        assert queue.peek().name == "keeper"  # peek discards lazily too
-        assert len(queue) == 1
-
-    def test_double_cancel_counts_once(self):
-        queue = EventQueue()
-        victim = queue.schedule(1.0)
-        queue.schedule(2.0)
-        queue.cancel(victim)
-        queue.cancel(victim)
-        assert len(queue) == 1
-
-    def test_cancel_after_pop_does_not_corrupt_len(self):
-        # Cancelling an event that was already popped (e.g. a timeout that
-        # fired before the caller got around to cancelling it) must not
-        # drive the live count negative or disturb other entries.
-        queue = EventQueue()
-        done = queue.schedule(1.0, name="done")
-        queue.schedule(2.0, name="pending")
-        assert queue.pop() is done
-        queue.cancel(done)
-        assert len(queue) == 1
-        assert queue.pop().name == "pending"
-        assert len(queue) == 0
-
-    def test_cancel_after_peek_discard_counts_once(self):
-        queue = EventQueue()
-        victim = queue.schedule(1.0, name="victim")
-        queue.schedule(2.0, name="keeper")
-        victim.cancel()  # direct cancel, then peek discards the entry
-        assert queue.peek().name == "keeper"
-        queue.cancel(victim)  # late queue-cancel of the discarded event
-        assert len(queue) == 1
-
-    def test_direct_event_cancel_counts_once(self):
-        # Cancelling via Event.cancel() (bypassing the queue) is only
-        # observable at discard time; the count must still end correct.
-        queue = EventQueue()
-        victim = queue.schedule(1.0, name="victim")
-        queue.schedule(2.0, name="keeper")
-        victim.cancel()
-        assert queue.pop().name == "keeper"
         assert len(queue) == 0
 
 
@@ -163,61 +70,38 @@ class TestFastPathScheduling:
         queue.schedule_call(10.0, lambda a, b: fired.append((a, b)), "a", 1)
         queue.schedule_call(20.0, lambda a, b: fired.append((a, b)), "b", 2)
         while queue:
-            entry = queue.pop_entry()
-            entry[4](entry[5], entry[6])
+            for entry in queue.pop_ready_entries():
+                entry[3](entry[4], entry[5])
         assert fired == [("a", 1), ("b", 2), ("c", 3)]
 
     def test_schedule_call_interleaves_with_events(self):
-        queue = EventQueue()
+        # Heap-tier calls and the kernel's FIFO-tier continuations at the
+        # same instant dispatch in one insertion (sequence) order.
+        simulator = Simulator()
         order = []
-        queue.schedule(10.0, name="event", callback=lambda e: order.append("event"))
-        queue.schedule_call(10.0, lambda a, b: order.append("call"), None, None)
-        first = queue.pop_entry()
-        second = queue.pop_entry()
-        # Same time and priority: insertion order (sequence) breaks the tie.
-        assert first[3] is not None and second[3] is None
+
+        def process():
+            order.append("process")
+            yield Timeout(1.0)
+
+        simulator.queue.schedule_call(0.0, lambda a, b: order.append(a), "before")
+        simulator.spawn(process())
+        simulator.queue.schedule_call(0.0, lambda a, b: order.append(a), "after")
+        simulator.run()
+        assert order == ["before", "process", "after"]
 
     def test_schedule_call_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().schedule_call(-1.0, lambda a, b: None)
 
-    def test_pop_wraps_bare_callbacks_as_events(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule_call(5.0, lambda a, b: fired.append((a, b)), "x", "y")
-        event = queue.pop()
-        assert event.time_ns == 5.0
-        event.fire()
-        assert fired == [("x", "y")]
-
-    def test_cancel_of_popped_wrapper_does_not_corrupt_len(self):
-        queue = EventQueue()
-        queue.schedule_call(1.0, lambda a, b: None)
-        queue.schedule(2.0, name="keeper")
-        wrapped = queue.pop()
-        queue.cancel(wrapped)  # already popped: must not decrement again
-        assert len(queue) == 1
-        assert queue.pop().name == "keeper"
-
     def test_len_counts_both_kinds(self):
-        queue = EventQueue()
-        queue.schedule(1.0)
-        queue.schedule_call(2.0, lambda a, b: None)
-        assert len(queue) == 2
-        queue.pop()
-        queue.pop()
-        assert len(queue) == 0
-
-    def test_peek_materialises_bare_entries_for_cancel(self):
-        # peek() on a bare-callback entry must return an Event whose cancel()
-        # affects the queued entry (and repeated peeks return the same one).
-        queue = EventQueue()
-        fired = []
-        queue.schedule_call(1.0, lambda a, b: fired.append(1))
-        queue.schedule(2.0, name="keeper")
-        peeked = queue.peek()
-        assert queue.peek() is peeked
-        queue.cancel(peeked)
-        assert len(queue) == 1
-        assert queue.pop().name == "keeper"
-        assert fired == []
+        # One FIFO-tier entry (a start at the current instant) and one
+        # heap-tier entry (a delayed start).
+        simulator = Simulator()
+        simulator.spawn((x for x in ()))
+        simulator.spawn((x for x in ()), delay_ns=5.0)
+        assert len(simulator.queue._fifo) == 1 and len(simulator.queue._heap) == 1
+        assert len(simulator.queue) == 2
+        assert simulator.queue.next_time == 0.0
+        simulator.run()
+        assert len(simulator.queue) == 0

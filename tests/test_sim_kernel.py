@@ -242,73 +242,28 @@ class TestMaxEvents:
 
 
 class TestEagerGet:
-    """``Simulator(eager_get=True)``: synchronous store grants.
+    """Synchronous store grants.
 
     A get against a non-empty store resumes the getter inside the current
-    step instead of scheduling a same-instant FIFO event — same values, same
-    timestamps, fewer dispatched events.  Off by default so every historical
-    schedule (and its event count) is untouched.
+    step instead of scheduling a same-instant event.
     """
-
-    @staticmethod
-    def _producer_consumer(simulator, bursts=5, burst_size=4):
-        # Bursty puts leave the store non-empty at most gets — the case the
-        # eager path collapses into synchronous grants.
-        store = simulator.store()
-        received = []
-
-        def producer():
-            for burst in range(bursts):
-                yield Timeout(1.0)
-                for offset in range(burst_size):
-                    store.put(burst * burst_size + offset)
-
-        def consumer():
-            for _ in range(bursts * burst_size):
-                value = yield store.get()
-                received.append((value, simulator.clock.now))
-
-        simulator.spawn(producer())
-        simulator.spawn(consumer())
-        return received
-
-    def test_same_values_and_times_with_fewer_events(self):
-        default = Simulator()
-        default_received = self._producer_consumer(default)
-        default.run()
-
-        eager = Simulator(eager_get=True)
-        eager_received = self._producer_consumer(eager)
-        eager.run()
-
-        assert eager_received == default_received
-        assert eager.clock.now == default.clock.now
-        assert eager.events_dispatched < default.events_dispatched
 
     def test_synchronous_grants_do_not_count_against_max_events(self):
         def drain(store, count):
             for _ in range(count):
                 yield store.get()
 
-        eager = Simulator(eager_get=True)
-        store = eager.store()
+        simulator = Simulator()
+        store = simulator.store()
         for value in range(50):
             store.put(value)
-        eager.spawn(drain(store, 50))
+        simulator.spawn(drain(store, 50))
         # One dispatched start event; the 50 grants happen inside that step.
-        eager.run(max_events=2)
-        assert eager.events_dispatched == 1
-
-        default = Simulator()
-        store = default.store()
-        for value in range(50):
-            store.put(value)
-        default.spawn(drain(store, 50))
-        with pytest.raises(SimulationError):
-            default.run(max_events=2)
+        simulator.run(max_events=2)
+        assert simulator.events_dispatched == 1
 
     def test_empty_store_still_blocks_under_eager(self):
-        simulator = Simulator(eager_get=True)
+        simulator = Simulator()
         store = simulator.store()
         received = []
 
@@ -323,6 +278,3 @@ class TestEagerGet:
         simulator.spawn(producer())
         simulator.run()
         assert received == [("late", 7.0)]
-
-    def test_off_by_default(self):
-        assert Simulator().eager_get is False

@@ -4,7 +4,7 @@ Covers the SchedulePolicy contract (recording, scripting, divergence,
 seeded randomness), byte-identity of the policy path against the default
 merged-head loop, genuine permutation of conflicting same-instant events,
 ``max_events`` / ``until_ns`` accounting parity under permuted ready sets,
-and the eager-get synchronous-grant chain bound.
+and the synchronous store-grant chain bound.
 """
 
 import pytest
@@ -153,22 +153,10 @@ class TestPolicyDispatchPath:
         now = sim.run(until_ns=50.0)
         assert now == 50.0
 
-    def test_cancelled_events_do_not_count_under_policy(self):
-        for policy in (None, ScriptedPolicy(())):
-            sim = Simulator(schedule_policy=policy)
-            fired = []
-            keep = sim.queue.schedule(10.0, name="keep", callback=lambda e: fired.append("keep"))
-            drop = sim.queue.schedule(10.0, name="drop", callback=lambda e: fired.append("drop"))
-            sim.queue.cancel(drop)
-            sim.run()
-            assert fired == ["keep"]
-            assert sim.events_dispatched == 1
-            assert keep.live_discounted
-
 
 class TestEagerChainBound:
     def test_self_feeding_eager_loop_is_bounded(self, monkeypatch):
-        sim = Simulator(eager_get=True)
+        sim = Simulator()
         monkeypatch.setattr(Simulator, "eager_chain_limit", 100)
         store = sim.store("loop")
         store.put("token")
@@ -183,7 +171,7 @@ class TestEagerChainBound:
             sim.run(max_events=1_000)
 
     def test_legitimate_eager_drain_stays_unbounded(self):
-        sim = Simulator(eager_get=True)
+        sim = Simulator()
         store = sim.store("queue")
         for index in range(500):
             store.put(index)
@@ -211,7 +199,7 @@ class TestReadySetQueueApi:
         sim.spawn(sleeper(), name="later", delay_ns=5.0)
         ready = sim.queue.pop_ready_entries()
         assert len(ready) == 2  # the two t=0 starts; the t=5 start stays
-        assert len(sim.queue) == 3  # returned entries remain counted
+        assert len(sim.queue) == 1  # the gathered entries are out of the queue
 
     def test_pop_ready_entries_orders_by_sequence(self):
         sim = Simulator()
@@ -221,18 +209,16 @@ class TestReadySetQueueApi:
         assert [entry[2] for entry in ready] == sorted(entry[2] for entry in ready)
         assert len(ready) == 4
 
-    def test_pop_ready_entries_skips_cancelled_and_settles_counts(self):
+    def test_push_entry_requeues_a_gathered_entry(self):
         sim = Simulator()
         queue = sim.queue
-        kept = queue.schedule(10.0, name="kept")
-        dropped = queue.schedule(10.0, name="dropped")
-        dropped.cancel()
+        queue.schedule_call(10.0, lambda a, b: None, "first", None)
+        queue.schedule_call(10.0, lambda a, b: None, "second", None)
         ready = queue.pop_ready_entries()
-        assert [entry[3] for entry in ready] == [kept]
-        assert len(queue) == 1  # returned entries stay counted
-        queue.push_entry(ready[0])
-        assert queue.pop_entry()[3] is kept
         assert len(queue) == 0
+        queue.push_entry(ready[1])
+        assert len(queue) == 1
+        assert queue.pop_ready_entries() == [ready[1]]
 
     def test_pop_ready_entries_empty_queue(self):
         sim = Simulator()
