@@ -1,7 +1,7 @@
 """Bit-stream generation from a placed netlist.
 
 ``BitstreamGenerator`` renders each frame of a placement to configuration
-bytes (using scratch :class:`~repro.fpga.frame.Frame` objects, so generation
+bytes (through scratch CLB objects, the layout definition, so generation
 never touches a live device) and assembles them into the relocatable
 packetised :class:`~repro.bitstream.format.Bitstream`.
 
@@ -18,7 +18,8 @@ from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.bitstream.format import Bitstream, build_bitstream
-from repro.fpga.frame import Frame
+from repro.fpga.clb import ConfigurableLogicBlock
+from repro.fpga.frame import blank_clbs, encode_clbs
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 from repro.fpga.lut import LookUpTable
 from repro.fpga.netlist import Netlist
@@ -121,15 +122,15 @@ class BitstreamGenerator:
 
     def _render_frames(self, netlist: Netlist, placement: Placement) -> List[bytes]:
         frame_payloads: List[bytes] = []
-        for slot, address in enumerate(placement.region):
-            scratch = Frame(self.geometry, address)
+        for address in placement.region:
+            scratch = blank_clbs(self.geometry)
             self._render_frame(scratch, netlist, placement, address)
-            frame_payloads.append(scratch.to_config_bytes())
+            frame_payloads.append(encode_clbs(scratch))
         return frame_payloads
 
     def _render_frame(
         self,
-        scratch: Frame,
+        scratch: List[ConfigurableLogicBlock],
         netlist: Netlist,
         placement: Placement,
         address: FrameAddress,
@@ -139,7 +140,7 @@ class BitstreamGenerator:
             cell = netlist.cells[cell_name]
             if cell.lut is None:
                 continue
-            clb = scratch.clbs[site.clb_index]
+            clb = scratch[site.clb_index]
             clb.luts[site.lut_index] = cell.lut
             # Model the routing cost of the cell's fanin as switch-box bytes:
             # one byte per fanin pin, placed deterministically so identical
@@ -218,11 +219,11 @@ class BitstreamGenerator:
         pattern_pool = [rng.integer(1, (1 << 16) - 1) for _ in range(4)]
         routing_pool = [0x40 | rng.integer(0, 0x3F) for _ in range(4)]
         for frame_index in range(frame_count):
-            scratch = Frame(self.geometry, self.geometry.all_frames()[0])
+            scratch = blank_clbs(self.geometry)
             luts_here = min(remaining_luts, luts_per_frame)
             remaining_luts -= luts_here
             placed = 0
-            for clb_index, clb in enumerate(scratch.clbs):
+            for clb_index, clb in enumerate(scratch):
                 # Slices repeat in groups of four CLBs, as a bit-sliced
                 # datapath column would.
                 pool_slot = (frame_index + clb_index // 4) % len(pattern_pool)
@@ -237,5 +238,5 @@ class BitstreamGenerator:
                         break
                     clb.luts[lut_index] = LookUpTable(self.geometry.lut_inputs, pattern)
                     placed += 1
-            payloads.append(scratch.to_config_bytes())
+            payloads.append(encode_clbs(scratch))
         return payloads

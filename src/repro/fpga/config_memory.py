@@ -7,12 +7,12 @@ reconfiguration of one region never disturbs another.
 Ownership is indexed three ways — a per-frame owner map, a per-owner frame
 set and a free set — so ``owned_frames`` / ``unowned_frames`` /
 ``utilisation`` answer from the index instead of scanning every frame on the
-device, and region-granular operations update the index in one batch.
+device.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
 from repro.fpga.frame import Frame, FrameArray, FrameRegion
@@ -146,7 +146,7 @@ class ConfigurationMemory:
         function (this is how partial reconfiguration guarantees isolation).
         """
         frame = self.frames[address]
-        current = self.owner_of(address)
+        current = self._owners[address]
         if owner is not None and current is not None and current != owner:
             raise FrameCollisionError([address], current)
         frame.load_config_bytes(data)
@@ -155,40 +155,6 @@ class ConfigurationMemory:
         self.total_frame_writes += 1
         self.total_bytes_written += len(data)
         return frame
-
-    def write_region(
-        self,
-        region: FrameRegion,
-        payloads: Sequence[bytes],
-        owner: Optional[str] = None,
-    ) -> List[Frame]:
-        """Write one payload per frame of *region* in region order.
-
-        Ownership of the whole region is validated up front (so a collision
-        mid-region never leaves a half-written function) and the bookkeeping
-        is updated in one batch.
-        """
-        if len(payloads) != len(region):
-            raise ConfigurationError(
-                f"write_region got {len(payloads)} payloads for {len(region)} frames"
-            )
-        if owner is not None:
-            owners = self._owners
-            for address in region:
-                self.geometry.validate(address)
-                current = owners[address]
-                if current is not None and current != owner:
-                    raise FrameCollisionError([address], current)
-        written: List[Frame] = []
-        for address, data in zip(region, payloads):
-            frame = self.frames[address]
-            frame.load_config_bytes(data)
-            if owner is not None:
-                self._set_owner(address, owner)
-            self.total_frame_writes += 1
-            self.total_bytes_written += len(data)
-            written.append(frame)
-        return written
 
     def clear_frame(self, address: FrameAddress) -> None:
         """Erase one frame and drop its ownership."""
@@ -200,12 +166,7 @@ class ConfigurationMemory:
             self.clear_frame(address)
 
     def clear_device(self) -> None:
-        """Full-device erase (what a *full* reconfiguration starts with).
-
-        Frames that are still in their erased state are skipped (their clear
-        is a cached no-op), so erasing a mostly-empty device costs only the
-        frames that were actually configured.
-        """
+        """Full-device erase (what a *full* reconfiguration starts with)."""
         for frame in self.frames:
             frame.clear()
         for frames in self._owner_frames.values():

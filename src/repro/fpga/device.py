@@ -129,13 +129,13 @@ class FPGADevice:
         name = bitstream.header.function_name
         started = self.clock.now
         # Loading over frames owned by *other* live functions is refused; the
-        # controller must evict them first.
-        for address in region:
-            owner = self.memory.owner_of(address)
-            if owner is not None and owner != name:
-                raise FrameCollisionError([address], owner)
+        # controller must evict them first.  Claiming up front is the
+        # session's one whole-region ownership validation, and it fails
+        # before anything on the fabric is disturbed.
+        self.memory.claim(region, name)
         # Reloading an already-resident function releases its previous region
-        # first so stale frames never stay claimed.
+        # first so stale frames never stay claimed (frames shared with the new
+        # region are re-owned as the session writes them).
         if name in self._loaded and set(self._loaded[name].region) != set(region):
             self.unload(name)
         self.port.begin_session(name)
@@ -147,7 +147,6 @@ class FPGADevice:
             self.port.abort_session()
             self.memory.release(region, owner=name)
             raise
-        self.memory.claim(region, name)
         self._loaded[name] = LoadedFunction(
             name=name,
             function_id=bitstream.header.function_id,

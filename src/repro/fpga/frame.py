@@ -1,9 +1,12 @@
 """Frames and frame regions.
 
-A :class:`Frame` owns the CLBs (and their switch boxes) covered by one frame
-address and knows how to serialise / deserialise its configuration bytes.  A
-:class:`FrameRegion` is the set of frames assigned to one loaded function —
-the paper explicitly allows the set to be non-contiguous.
+A :class:`Frame` is one frame address worth of configuration SRAM: it stores
+the canonical byte image of the CLBs (and their switch boxes) it covers, and
+nothing else.  The CLB/LUT object model (:mod:`repro.fpga.clb`) defines the
+layout of those bytes; :meth:`Frame.decode_clbs` gives a decoded copy for
+inspection, and the bit-stream generator renders through the same objects
+into bytes.  A :class:`FrameRegion` is the set of frames assigned to one
+loaded function — the paper explicitly allows the set to be non-contiguous.
 
 Each frame also carries a stored CRC-32 *check word* over its configuration
 bytes, refreshed on every legitimate write (:meth:`Frame.load_config_bytes`,
@@ -17,22 +20,50 @@ configuration memories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bitstream.crc import crc32
 from repro.fpga.clb import ConfigurableLogicBlock
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 
-#: length -> CRC-32 of that many zero bytes (the erased-frame check word).
-_ZERO_CRC: Dict[int, int] = {}
+
+def blank_clbs(geometry: FabricGeometry) -> List[ConfigurableLogicBlock]:
+    """The erased CLBs of one frame, in frame layout order."""
+    return [
+        ConfigurableLogicBlock(
+            geometry.luts_per_clb, geometry.lut_inputs, geometry.switch_bytes_per_clb
+        )
+        for _ in range(geometry.clbs_per_frame)
+    ]
 
 
-def _zero_crc(length: int) -> int:
-    value = _ZERO_CRC.get(length)
-    if value is None:
-        value = crc32(bytes(length))
-        _ZERO_CRC[length] = value
-    return value
+def encode_clbs(clbs: Sequence[ConfigurableLogicBlock]) -> bytes:
+    """Serialise one frame's CLBs: the authoritative frame byte layout."""
+    return b"".join(clb.to_config_bytes() for clb in clbs)
+
+
+def decode_clbs(geometry: FabricGeometry, data: bytes) -> List[ConfigurableLogicBlock]:
+    """Inverse of :func:`encode_clbs` (padding bits are dropped by the parser)."""
+    clbs = blank_clbs(geometry)
+    per_clb = geometry.clb_config_bytes
+    for index, clb in enumerate(clbs):
+        clb.load_config_bytes(data[index * per_clb : (index + 1) * per_clb])
+    return clbs
+
+
+@lru_cache(maxsize=64)
+def _frame_layout(geometry: FabricGeometry) -> Tuple[int, bytes, int]:
+    """Per-geometry constants: (padding mask, erased image, erased check word).
+
+    The mask is what the CLB parser keeps of an all-ones frame, as a
+    little-endian integer: it clears LUT bits above ``2**lut_inputs`` and FF
+    bits above ``luts_per_clb``, so ``value & mask`` is the codec round trip.
+    """
+    length = geometry.frame_config_bytes
+    kept = encode_clbs(decode_clbs(geometry, b"\xff" * length))
+    erased = bytes(length)
+    return int.from_bytes(kept, "little"), erased, crc32(erased)
 
 
 class Frame:
@@ -42,117 +73,70 @@ class Frame:
         geometry.validate(address)
         self.geometry = geometry
         self.address = address
-        self.clbs: List[ConfigurableLogicBlock] = [
-            ConfigurableLogicBlock(
-                geometry.luts_per_clb, geometry.lut_inputs, geometry.switch_bytes_per_clb
-            )
-            for _ in range(geometry.clbs_per_frame)
-        ]
-        # Serialised configuration, kept in sync by load_config_bytes/clear.
-        # Callers that mutate CLB state directly (e.g. the bit-stream
-        # generator rendering into a scratch frame) must call
-        # invalidate_config_cache() before re-serialising.
-        self._config_cache: Optional[bytes] = None
-        # False only when the frame is known erased (a clear() nobody wrote
-        # over since); lets clear()/is_clear skip re-erasing such frames.
-        # Starts pessimistic because direct CLB mutation of a fresh frame is
-        # allowed without an invalidate call.
-        self._maybe_dirty = True
+        self.config_byte_length = geometry.frame_config_bytes
+        self._mask, self._erased, self._erased_crc = _frame_layout(geometry)
+        # The canonical byte image: the single source of truth.
+        self._data = self._erased
         #: CRC-32 check word over the frame's configuration bytes as written.
         #: Updated only on legitimate writes — never by inject_upset — so a
         #: scrubber can detect corruption by recomputing the CRC on readback.
-        self.stored_crc = _zero_crc(geometry.frame_config_bytes)
-        # CRC of the *current* canonical readback, invalidated alongside
-        # _config_cache: the hazard detector checks crc_ok per frame on
-        # every execution, which must not re-hash unchanged bytes.
-        self._crc_cache: Optional[int] = self.stored_crc
+        self.stored_crc = self._erased_crc
+        # CRC of _data, None until recomputed: the hazard detector checks
+        # crc_ok per frame on every execution, which must not re-hash
+        # unchanged bytes.
+        self._crc: Optional[int] = self._erased_crc
 
     @property
     def flat_index(self) -> int:
         return self.address.flat_index(self.geometry.tiles_per_column)
 
-    @property
-    def config_byte_length(self) -> int:
-        return self.geometry.frame_config_bytes
-
     def clear(self) -> None:
-        """Erase every CLB in the frame (the all-zero configuration).
-
-        A frame that was never written since construction or its last clear
-        only refreshes its cached zero serialisation — the CLB objects are
-        already in their erased state.
-        """
-        if self._maybe_dirty:
-            for clb in self.clbs:
-                clb.clear()
-            self._maybe_dirty = False
-        # Unconditionally: a stale non-zero serialisation cached before the
-        # clear must not survive into the next readback.
-        self._config_cache = bytes(self.config_byte_length)
-        self.stored_crc = _zero_crc(self.config_byte_length)
-        self._crc_cache = self.stored_crc
+        """Erase the frame (the all-zero configuration)."""
+        self._data = self._erased
+        self.stored_crc = self._crc = self._erased_crc
 
     @property
     def is_clear(self) -> bool:
-        if not self._maybe_dirty:
-            return True
-        cached = self._config_cache
-        if cached is not None:
-            return cached.count(0) == len(cached)
-        return all(clb.is_clear for clb in self.clbs)
-
-    def invalidate_config_cache(self) -> None:
-        """Drop the cached serialisation after direct CLB mutation."""
-        self._config_cache = None
-        self._crc_cache = None
-        self._maybe_dirty = True
+        return self._data == self._erased
 
     def to_config_bytes(self) -> bytes:
-        """Serialise the frame in CLB order.
+        """Configuration readback: the canonical byte image."""
+        return self._data
 
-        The result is cached: frames are re-serialised on every readback and
-        every bit-stream build, but only change on (infrequent) writes.
-        """
-        cached = self._config_cache
-        if cached is None:
-            cached = b"".join(clb.to_config_bytes() for clb in self.clbs)
-            self._config_cache = cached
-        return cached
+    def decode_clbs(self) -> List[ConfigurableLogicBlock]:
+        """A decoded copy of the frame's CLBs; mutating it does not write back."""
+        return decode_clbs(self.geometry, self._data)
 
     def load_config_bytes(self, data: bytes) -> None:
-        """Apply a frame-sized slice of configuration data to the CLBs."""
+        """Store a frame-sized slice of configuration data."""
         expected = self.config_byte_length
         if len(data) != expected:
             raise ValueError(
                 f"frame {self.address} expects {expected} config bytes, got {len(data)}"
             )
-        per_clb = self.geometry.clb_config_bytes
-        for index, clb in enumerate(self.clbs):
-            chunk = data[index * per_clb : (index + 1) * per_clb]
-            clb.load_config_bytes(chunk)
-        # Don't cache *data* itself: the CLB parser masks unused padding bits
-        # (FF/LUT bytes), so non-canonical input would make cached readback
-        # diverge from the real serialisation.  The next to_config_bytes
-        # recomputes once and caches the canonical form.
-        self._config_cache = None
-        self._crc_cache = None
-        self._maybe_dirty = True
         # The check word covers the bytes as written.  Canonical payloads
         # (everything the bit-stream generator renders) round-trip exactly;
         # a non-canonical write reads back differently and is treated as
         # corrupt by the scrubber, which then restores the canonical golden
         # image — the conservative direction.
         self.stored_crc = crc32(data)
+        value = int.from_bytes(data, "little")
+        canonical = value & self._mask
+        if canonical == value:
+            self._data = bytes(data)
+            self._crc = self.stored_crc
+        else:
+            self._data = canonical.to_bytes(expected, "little")
+            self._crc = None
 
     # ------------------------------------------------------------ fault model
     @property
     def crc_ok(self) -> bool:
         """Does the live configuration still match its stored check word?"""
-        cached = self._crc_cache
-        if cached is None:
-            cached = crc32(self.to_config_bytes())
-            self._crc_cache = cached
-        return cached == self.stored_crc
+        current = self._crc
+        if current is None:
+            current = self._crc = crc32(self._data)
+        return current == self.stored_crc
 
     def inject_upset(self, bit_index: int, bits: int = 1) -> bool:
         """Flip *bits* consecutive configuration bits starting at *bit_index*.
@@ -161,45 +145,20 @@ class Frame:
         stored check word is deliberately left untouched: detection is the
         scrubber's job.  Bit positions wrap within the frame.  Returns True
         when the canonical readback actually changed — flips landing in
-        padding bits are masked by the CLB parser, exactly like upsets in
-        unused configuration cells of a real device.
+        padding bits are masked, exactly like upsets in unused configuration
+        cells of a real device.
         """
         if bits <= 0:
             raise ValueError("an upset flips at least one bit")
         total_bits = self.config_byte_length * 8
-        before = self.to_config_bytes()
-        data = bytearray(before)
-        per_clb = self.geometry.clb_config_bytes
-        touched = set()
+        before = self._data
+        value = int.from_bytes(before, "little")
         for offset in range(bits):
-            position = (bit_index + offset) % total_bits
-            data[position >> 3] ^= 1 << (position & 7)
-            touched.add((position >> 3) // per_clb)
-        # Only the CLBs whose bytes the flip landed in are re-parsed: this is
-        # the fault hot path (tens of thousands of events per E10 cell), and
-        # reloading the whole frame for a 1-bit SEU would make it O(frame).
-        changed = False
-        for index in sorted(touched):
-            chunk = bytes(data[index * per_clb : (index + 1) * per_clb])
-            clb = self.clbs[index]
-            clb.load_config_bytes(chunk)
-            if clb.to_config_bytes() != before[index * per_clb : (index + 1) * per_clb]:
-                changed = True
-        self._config_cache = None
-        self._crc_cache = None
-        self._maybe_dirty = True
-        return changed
-
-    def lut_utilisation(self) -> float:
-        """Fraction of LUTs in this frame holding non-trivial logic."""
-        total = 0
-        used = 0
-        for clb in self.clbs:
-            for lut in clb.luts:
-                total += 1
-                if lut.as_integer() != 0:
-                    used += 1
-        return used / total if total else 0.0
+            value ^= 1 << ((bit_index + offset) % total_bits)
+        after = (value & self._mask).to_bytes(self.config_byte_length, "little")
+        self._data = after
+        self._crc = None
+        return after != before
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame({self.address}, {'clear' if self.is_clear else 'configured'})"
@@ -287,10 +246,6 @@ class FrameArray:
     def region(self, region: FrameRegion) -> List[Frame]:
         """The frame objects of a region, in region order."""
         return [self[address] for address in region]
-
-    def clear_region(self, region: FrameRegion) -> None:
-        for frame in self.region(region):
-            frame.clear()
 
     def snapshot(self) -> Dict[FrameAddress, bytes]:
         """Full configuration readback: address -> frame bytes."""

@@ -10,6 +10,7 @@ of allocation in the mini OS's free frame list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 
@@ -99,13 +100,16 @@ class FabricGeometry:
     def total_luts(self) -> int:
         return self.total_clbs * self.luts_per_clb
 
-    @property
+    # The three byte sizes below are read on every frame write, so each is
+    # computed once per instance: cached_property writes the instance dict
+    # directly, which a frozen dataclass allows, and stays out of eq/hash/repr.
+    @cached_property
     def lut_truth_table_bytes(self) -> int:
         """Bytes needed to store one LUT truth table (2**inputs bits)."""
         bits = 1 << self.lut_inputs
         return max(1, bits // 8)
 
-    @property
+    @cached_property
     def clb_config_bytes(self) -> int:
         """Configuration bytes for one CLB: LUT truth tables, FF init bits,
         and the switch-box routing bytes attributed to the CLB."""
@@ -113,7 +117,7 @@ class FabricGeometry:
         ff_bytes = max(1, self.luts_per_clb // 8)
         return lut_bytes + ff_bytes + self.switch_bytes_per_clb
 
-    @property
+    @cached_property
     def frame_config_bytes(self) -> int:
         """Configuration bytes for one full frame (the reconfiguration quantum)."""
         return self.clbs_per_frame * self.clb_config_bytes

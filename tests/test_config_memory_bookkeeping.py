@@ -40,7 +40,7 @@ class TestIndexConsistency:
         payload = bytes(TEST_GEOMETRY.frame_config_bytes)
         frame_count = TEST_GEOMETRY.frame_count
         for _ in range(300):
-            op = rng.randrange(5)
+            op = rng.randrange(4)
             indices = rng.sample(range(frame_count), rng.randrange(1, 6))
             region = _region(indices)
             owner = rng.choice(owners)
@@ -52,10 +52,8 @@ class TestIndexConsistency:
                 elif op == 2:
                     for address in region:
                         memory.write_frame(address, payload, owner=owner)
-                elif op == 3:
-                    memory.clear_region(region)
                 else:
-                    memory.write_region(region, [payload] * len(region), owner=owner)
+                    memory.clear_region(region)
             except (FrameCollisionError, ConfigurationError):
                 pass
             # The indexed answers must equal a full scan at every step.
@@ -88,7 +86,8 @@ class TestIndexConsistency:
 
     def test_clear_device_resets_everything(self, memory):
         payload = bytes([1] * TEST_GEOMETRY.frame_config_bytes)
-        memory.write_region(_region([1, 2, 3]), [payload] * 3, owner="aes")
+        for address in _region([1, 2, 3]):
+            memory.write_frame(address, payload, owner="aes")
         memory.claim(_region([10]), "sha1")  # owned but never written
         memory.clear_device()
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
@@ -126,31 +125,30 @@ class TestClaim:
         assert len(memory.owned_frames("aes")) == 3
 
 
-class TestWriteRegion:
-    def test_write_region_roundtrip_and_ownership(self, memory):
+class TestWriteFrame:
+    def test_write_frame_roundtrip_and_ownership(self, memory):
         payloads = [
             bytes([index + 1] * TEST_GEOMETRY.frame_config_bytes) for index in range(3)
         ]
         region = _region([8, 5, 11])
-        memory.write_region(region, payloads, owner="fir")
-        # Readback preserves region order and canonical serialisation length.
-        readback = memory.read_region(region)
-        assert [len(chunk) for chunk in readback] == [TEST_GEOMETRY.frame_config_bytes] * 3
+        for address, payload in zip(region, payloads):
+            memory.write_frame(address, payload, owner="fir")
+        # Readback preserves region order and returns the bytes written.
+        assert memory.read_region(region) == payloads
         assert memory.owned_frames("fir") == sorted(
             region, key=lambda a: a.flat_index(TEST_GEOMETRY.tiles_per_column)
         )
         assert memory.total_frame_writes == 3
+        assert memory.total_bytes_written == 3 * TEST_GEOMETRY.frame_config_bytes
 
-    def test_write_region_validates_before_writing(self, memory):
+    def test_refused_write_leaves_frame_owner_and_counters_untouched(self, memory):
+        address = TEST_GEOMETRY.frame_at(5)
         memory.claim(_region([5]), "aes")
-        payload = bytes(TEST_GEOMETRY.frame_config_bytes)
         with pytest.raises(FrameCollisionError):
-            memory.write_region(_region([4, 5]), [payload, payload], owner="fir")
-        # Frame 4 must not have been written before the collision was found.
+            memory.write_frame(address, bytes([9] * TEST_GEOMETRY.frame_config_bytes), owner="fir")
+        with pytest.raises(ValueError):
+            memory.write_frame(TEST_GEOMETRY.frame_at(4), b"\x00", owner="fir")
+        assert memory.frames[address].is_clear
+        assert memory.owner_of(address) == "aes"
         assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) is None
         assert memory.total_frame_writes == 0
-
-    def test_write_region_payload_count_mismatch(self, memory):
-        payload = bytes(TEST_GEOMETRY.frame_config_bytes)
-        with pytest.raises(ConfigurationError):
-            memory.write_region(_region([0, 1]), [payload])

@@ -2,23 +2,37 @@
 
 import pytest
 
-from repro.fpga.frame import Frame, FrameArray, FrameRegion
+from repro.fpga.frame import Frame, FrameArray, FrameRegion, blank_clbs, encode_clbs
 from repro.fpga.geometry import FrameAddress
 from repro.fpga.lut import LookUpTable
 
 
+def _one_lut_payload(geometry, clb_index, lut_index, lut):
+    """Frame bytes with a single configured LUT, built through the CLB codec."""
+    clbs = blank_clbs(geometry)
+    clbs[clb_index].luts[lut_index] = lut
+    return encode_clbs(clbs)
+
+
 class TestFrame:
     def test_serialisation_round_trip(self, tiny_geometry):
-        frame = Frame(tiny_geometry, FrameAddress(0, 0))
-        frame.clbs[0].luts[0] = LookUpTable.logic_xor(4)
-        frame.clbs[2].switch_box.state[1] = 0x55
-        data = frame.to_config_bytes()
+        clbs = blank_clbs(tiny_geometry)
+        clbs[0].luts[0] = LookUpTable.logic_xor(4)
+        clbs[2].switch_box.state[1] = 0x55
+        data = encode_clbs(clbs)
         assert len(data) == tiny_geometry.frame_config_bytes
 
         other = Frame(tiny_geometry, FrameAddress(1, 1))
         other.load_config_bytes(data)
-        assert other.clbs[0].luts[0] == LookUpTable.logic_xor(4)
-        assert other.clbs[2].switch_box.state[1] == 0x55
+        assert other.to_config_bytes() == data
+        decoded = other.decode_clbs()
+        assert decoded[0].luts[0] == LookUpTable.logic_xor(4)
+        assert decoded[2].switch_box.state[1] == 0x55
+
+    def test_decoded_view_is_a_copy(self, tiny_geometry):
+        frame = Frame(tiny_geometry, FrameAddress(0, 0))
+        frame.decode_clbs()[0].luts[0] = LookUpTable.constant(4, True)
+        assert frame.is_clear
 
     def test_wrong_payload_length_rejected(self, tiny_geometry):
         frame = Frame(tiny_geometry, FrameAddress(0, 0))
@@ -26,8 +40,8 @@ class TestFrame:
             frame.load_config_bytes(b"\x00")
 
     def test_non_canonical_payload_reads_back_canonical(self):
-        # The CLB parser masks unused padding bits (here the FF byte's upper
-        # nibble, with 4 LUTs per CLB); readback must return the canonical
+        # Unused padding bits (here the FF byte's upper nibble, with 4 LUTs
+        # per CLB) are not stored; readback must return the canonical
         # serialisation, not echo the raw written bytes.
         from repro.fpga.geometry import FabricGeometry
 
@@ -44,16 +58,13 @@ class TestFrame:
     def test_clear_and_is_clear(self, tiny_geometry):
         frame = Frame(tiny_geometry, FrameAddress(0, 0))
         assert frame.is_clear
-        frame.clbs[1].luts[3] = LookUpTable.constant(4, True)
+        frame.load_config_bytes(
+            _one_lut_payload(tiny_geometry, 1, 3, LookUpTable.constant(4, True))
+        )
         assert not frame.is_clear
         frame.clear()
         assert frame.is_clear
-
-    def test_lut_utilisation(self, tiny_geometry):
-        frame = Frame(tiny_geometry, FrameAddress(0, 0))
-        assert frame.lut_utilisation() == 0.0
-        frame.clbs[0].luts[0] = LookUpTable.constant(4, True)
-        assert frame.lut_utilisation() == pytest.approx(1 / tiny_geometry.luts_per_frame)
+        assert frame.to_config_bytes() == bytes(tiny_geometry.frame_config_bytes)
 
     def test_invalid_address_rejected(self, tiny_geometry):
         with pytest.raises(IndexError):
@@ -121,12 +132,16 @@ class TestFrameArray:
 
     def test_region_and_clear_region(self, tiny_geometry):
         array = FrameArray(tiny_geometry)
-        region = FrameRegion.from_addresses([tiny_geometry.frame_at(0), tiny_geometry.frame_at(1)])
+        region = FrameRegion.from_addresses([tiny_geometry.frame_at(1), tiny_geometry.frame_at(0)])
         frames = array.region(region)
-        frames[0].clbs[0].luts[0] = LookUpTable.constant(4, True)
-        assert not frames[0].is_clear
-        array.clear_region(region)
-        assert frames[0].is_clear
+        assert [frame.address for frame in frames] == list(region)
+        frames[0].load_config_bytes(
+            _one_lut_payload(tiny_geometry, 0, 0, LookUpTable.constant(4, True))
+        )
+        assert not array[tiny_geometry.frame_at(1)].is_clear
+        for frame in frames:
+            frame.clear()
+        assert array[tiny_geometry.frame_at(1)].is_clear
 
     def test_snapshot_covers_device(self, tiny_geometry):
         array = FrameArray(tiny_geometry)

@@ -107,7 +107,7 @@ class TestBitstreamGenerator:
             frame = Frame(tiny_geometry, address)
             frame.load_config_bytes(payloads[slot])
             configured_luts += sum(
-                1 for clb in frame.clbs for lut in clb.luts if lut.as_integer() != 0
+                1 for clb in frame.decode_clbs() for lut in clb.luts if lut.as_integer() != 0
             )
         # Every non-trivial LUT cell of the netlist appears in the frames.
         nontrivial = sum(1 for cell in netlist.lut_cells if cell.lut.as_integer() != 0)
@@ -139,7 +139,9 @@ class TestBitstreamGenerator:
         for payload in frames:
             frame = Frame(tiny_geometry, tiny_geometry.frame_at(0))
             frame.load_config_bytes(payload)
-            configured += sum(1 for clb in frame.clbs for lut in clb.luts if lut.as_integer() != 0)
+            configured += sum(
+                1 for clb in frame.decode_clbs() for lut in clb.luts if lut.as_integer() != 0
+            )
         assert configured == 10
 
     def test_synthetic_frames_validation(self, tiny_geometry):
