@@ -1100,7 +1100,9 @@ def bench_obs(
     must cost nothing, and the enabled stack must observe without
     perturbing (it spawns no kernel events and consumes no RNG).  The
     enabled run reports its wall-clock span-recording rate, a fingerprint
-    over the exported trace and a digest of the metrics snapshot; the SLO
+    over the exported trace, a digest of the metrics snapshot and how many of
+    its requests the cards served by hit replay (``replays``, an exact count:
+    tracing must not push hits back onto the full card model); the SLO
     run reports alert/incident counts, a fingerprint over the incident
     JSON and the tail sampler's retention accounting, so any drift in
     what gets traced, judged or retained fails ``--check``.
@@ -1184,6 +1186,7 @@ def bench_obs(
                 hashlib.sha256(
                     metrics_snapshot_json(observability.registry).encode()
                 ).hexdigest()[:16],
+                sum(card.memo.replays for card in frontdoor.fleet.cards),
             )
             if fingerprint is None:
                 fingerprint = run_print
@@ -1258,6 +1261,8 @@ def bench_obs(
             "trace_roots": fingerprint[3],
             "trace_fingerprint": fingerprint[4],
             "metrics_snapshot_sha": fingerprint[5],
+            "replays": fingerprint[6],
+            "replay_share": round(fingerprint[6] / trace_length, 4),
             "spans_per_s": round(best_rate, 1),
         },
         "slo": {

@@ -10,16 +10,29 @@ card-clock position.
 
 :class:`ServeMemo` exploits that: the first resident-hit serve of a
 ``(function, payload)`` pair runs the real path with thin instance-attribute
-wrappers around ``Clock.advance``, ``PciBus.submit``, ``MiniOs.touch`` and the
-driver's transfer helpers, recording the **operation script** — the exact
-sequence of clock increments, which of them were bus-busy time, where the
-replacement-table touch happened, and the integer counter deltas.  Every later
-serve of the same pair *replays* the script: the clock increments are folded
-in recorded order (floating-point addition is performed increment by
+wrappers around ``Clock.advance``, ``PciBus.submit``, ``MiniOs.touch``,
+``TraceRecorder.record`` and the driver's transfer helpers, recording the
+**operation script** — the exact sequence of clock increments, which of them
+were bus-busy time, where the replacement-table touch happened, the device
+events the card's recorder was handed, and the integer counter deltas.  Every
+later serve of the same pair *replays* the script: the clock increments are
+folded in recorded order (floating-point addition is performed increment by
 increment, so the card clock lands on the bit-identical position the real
 path would have produced), the LRU table is touched at the same point in the
 timeline, and the stored :class:`RequestOutcome` is re-recorded through
 ``CoprocessorStatistics.record``.
+
+Traced replay: every record site passes ``started = clock.now`` and
+``clock.now``, so both ends of a device event are positions of the increment
+sequence.  The script stores them as *indices* into it; when the card's
+recorder is enabled, replay appends the same :class:`TraceEvent` objects the
+full path would have left, their times read from the replayed positions and
+rounded exactly as ``TraceRecorder.record`` rounds, ``capacity``/``dropped``
+honoured.  The one attribute that is not a function of ``(function,
+payload)`` — the RAM staging label ``in:<n>``/``out:<n>``, numbered by
+``mcu.requests_handled`` — is stored as its prefix and rendered from the
+ordinal replay increments anyway.  An enabled recorder therefore does not
+select the full model.
 
 Why an op script and not a cached duration: float addition does not
 reassociate — ``(t + d1) + d2`` differs from ``t + (d1 + d2)`` in the last
@@ -46,10 +59,10 @@ Every fleet card carries a memo; which path serves a request is decided per
 request by :meth:`ServeMemo._safe`, from the card's observable regime.  The
 memo is consulted only while the card is plainly serving — function
 resident, health ``up``, no scrubber, no scrub-on-execute, no hazard
-detector, no clock observers, and the device/bus trace recorders disabled.
-Any fault machinery, an eviction of the function, or tracing with
-``Observability(bridge_device=True)`` (which enables the device recorder)
-selects the real, fully-modelled path for that request.
+detector and no clock observers.  Any fault machinery or an eviction of the
+function selects the real, fully-modelled path for that request.  A pair whose
+device events cannot be placed exactly on the increment sequence is never
+stored, so it keeps using the full model too.
 
 The cache is bounded: after :data:`MEMO_ENTRY_CAP` distinct
 ``(function, payload)`` pairs a card stops recording, and pairs without an
@@ -60,19 +73,47 @@ is for caller-built traces whose payloads never repeat.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.sim.trace import TraceEvent
 
 #: Most ``(function, payload)`` entries one card's memo retains.
 MEMO_ENTRY_CAP = 4096
 
 # A memo entry is a flat tuple (unpacked in one bytecode on the replay hot
-# path):  (script, busy_addends, pci_addend, result, outcome, input_bytes,
-#          bus_transactions, bus_bytes, dma_jobs, dma_bytes, commands_delta,
-#          data_in_transfers, data_in_bytes, data_out_transfers,
-#          data_out_bytes, output_bytes, total_time_ns, reconfig_time_ns,
-#          execute_time_ns, data_movement_ns) — the tail five are the
-# precomputed addends ``CoprocessorStatistics.record_hit_replay`` folds in.
+# path):  (script, events, busy_addends, pci_addend, result, outcome,
+#          input_bytes, bus_transactions, bus_bytes, dma_jobs, dma_bytes,
+#          commands_delta, data_in_transfers, data_in_bytes,
+#          data_out_transfers, data_out_bytes, output_bytes, total_time_ns,
+#          reconfig_time_ns, execute_time_ns, data_movement_ns) — the tail
+# five are the precomputed addends ``CoprocessorStatistics.record_hit_replay``
+# folds in.  ``script`` is ``((touched_names, increments), ...)`` and
+# ``events`` is ``((component, action, start_index, end_index, attributes,
+# label_prefix), ...)``; the indices point into the clock positions the
+# script's increments produce, position 0 being the clock at the call.
 _MemoEntry = tuple
+
+
+def _start_index(
+    positions: Sequence[float], increments: Sequence[float], start_ns: float, end_index: int
+) -> Optional[int]:
+    """Where *start_ns* sits on the recorded clock positions, if exactly.
+
+    ``None`` when no position at or before *end_index* equals it, or when two
+    that do are separated by a non-zero increment (absorbed at this clock
+    value, so the tie would not hold from another start time).
+    """
+    try:
+        first = positions.index(start_ns, 0, end_index + 1)
+    except ValueError:
+        return None
+    last = first
+    while last < end_index and positions[last + 1] == start_ns:
+        last += 1
+    if any(increments[first:last]):
+        return None
+    return first
 
 
 class ServeMemo:
@@ -94,8 +135,9 @@ class ServeMemo:
         # bound containers — replacement table, loaded-function dict — are
         # mutated in place, never reassigned).  The two statistics objects
         # are *not* bound here: a card RESET replaces them.
-        self._mcu_trace = self.mcu.trace
-        self._bus_trace = self.bus.trace
+        # The card's one device recorder (bus, MCU, ROM, RAM and fabric all
+        # record into it).
+        self._recorder = self.copro.trace
         self._is_resident = self.minios.table.__contains__
         self._minios_touch = self.minios.table.touch
         self._dma = driver.bridge.dma
@@ -112,8 +154,6 @@ class ServeMemo:
             and self.copro.scrubber is None
             and not self.mcu.scrub_on_execute
             and self.device.hazard_detector is None
-            and not self._mcu_trace.enabled
-            and not self._bus_trace.enabled
             and self._is_resident(function)
         )
 
@@ -126,7 +166,8 @@ class ServeMemo:
         """Run the real serve path while capturing its operation script.
 
         Returns the driver's :class:`HostCallResult`; stores a memo entry
-        only when the call was a clean hit (no evictions).
+        only when the call was a clean hit (no evictions) whose device events
+        all sit exactly on its clock positions.
         """
         driver = self.driver
         clock = self.clock
@@ -135,10 +176,12 @@ class ServeMemo:
         minios = self.minios
         data_in = self.mcu.data_in
         data_out = self.mcu.data_out
+        recorder = self._recorder
 
         advances: List[float] = []
         busy_indices: List[int] = []
         touches: List[Tuple[int, str]] = []
+        captured: List[tuple] = []
         pci = {}
 
         orig_advance = clock.advance
@@ -167,6 +210,14 @@ class ServeMemo:
             touches.append((len(advances), name))
             orig_touch(name, now_ns)
 
+        orig_record = recorder.record
+
+        def record(component: str, action: str, start_ns: float, end_ns: float, **attributes):
+            # Captured whether or not the recorder is enabled: the call sites
+            # hand over the event either way.
+            captured.append((component, action, start_ns, end_ns, len(advances), attributes))
+            return orig_record(component, action, start_ns, end_ns, **attributes)
+
         orig_write_input = driver._write_input
 
         def write_input(data: bytes) -> float:
@@ -181,6 +232,8 @@ class ServeMemo:
             pci["out"] = out[1]
             return out
 
+        start_ns = clock.now
+        ordinal = self.mcu.requests_handled
         counters_before = (
             self.pci_card.commands_processed,
             bus.transactions_completed,
@@ -198,6 +251,7 @@ class ServeMemo:
         clock.advance = advance
         bus.submit = submit
         minios.touch = touch
+        recorder.record = record
         driver._write_input = write_input
         driver._read_output = read_output
         try:
@@ -206,6 +260,7 @@ class ServeMemo:
             del clock.advance
             del bus.submit
             del minios.touch
+            del recorder.record
             del driver._write_input
             del driver._read_output
 
@@ -217,29 +272,38 @@ class ServeMemo:
             and "in" in pci
             and "out" in pci
         ):
+            # Place each captured device event on the clock positions of the
+            # serve — the same left-to-right float additions the clock made.
+            positions = list(accumulate(advances, initial=start_ns))
+            staging_labels = {f"in:{ordinal}": "in:", f"out:{ordinal}": "out:"}
+            events = []
+            for component, action, event_start, event_end, end_index, attributes in captured:
+                start_index = _start_index(positions, advances, event_start, end_index)
+                if start_index is None or event_end != positions[end_index]:
+                    return result
+                label_prefix = staging_labels.get(attributes.get("label"))
+                events.append((component, action, start_index, end_index, attributes, label_prefix))
             # Compile the raw capture into a replay script: segments of clock
             # increments separated by the points where a side effect fires
-            # (an LRU touch).  Each segment is folded with
-            # ``sum(segment, now)`` — the same left-to-right sequence of
-            # binary float additions the real path performs, so the clock
-            # trajectory stays bit-identical while the fold runs in C.
-            events_at: Dict[int, list] = {}
+            # (an LRU touch).
+            touched_at: Dict[int, list] = {}
             for idx, name in touches:
-                events_at.setdefault(idx, []).append(name)
+                touched_at.setdefault(idx, []).append(name)
             script = []
             prev = 0
-            boundaries = sorted(events_at)
+            boundaries = sorted(touched_at)
             for i, idx in enumerate(boundaries):
                 if idx > prev:
                     script.append(((), tuple(advances[prev:idx])))
                 nxt = boundaries[i + 1] if i + 1 < len(boundaries) else len(advances)
-                script.append((tuple(events_at[idx]), tuple(advances[idx:nxt])))
+                script.append((tuple(touched_at[idx]), tuple(advances[idx:nxt])))
                 prev = nxt
             if prev < len(advances):
                 script.append(((), tuple(advances[prev:])))
             outcome = card_result.outcome
             self._entries[(function, payload)] = (
                 tuple(script),
+                tuple(events),
                 tuple(advances[i] for i in busy_indices),
                 # Same grouping as the driver's ``input_ns + output_ns``;
                 # replay folds the recorded occurrence's addend (documented
@@ -286,6 +350,7 @@ class ServeMemo:
             return None
         (
             script,
+            events,
             busy_addends,
             pci_addend,
             result,
@@ -307,17 +372,36 @@ class ServeMemo:
             data_movement_ns,
         ) = entry
 
+        # The clock and the bus-busy total are folded by the same chain of
+        # binary float additions the real path performs (``Clock.advance``,
+        # ``busy_time_ns +=``), increment by increment.  Not ``sum()``: from
+        # CPython 3.12 it compensates float sums and lands on other last bits.
         clock = self.clock
         now = start = clock._now
         minios_touch = self._minios_touch
+        recorder = self._recorder
+        # With the recorder on, every clock position is kept: the device
+        # events are timed from them.
+        positions = [now] if recorder.enabled else None
         for names, segment in script:
             for name in names:
                 minios_touch(name, now)
-            now = sum(segment, now)
+            if positions is None:
+                for increment in segment:
+                    now += increment
+            else:
+                # ``accumulate`` starts at ``now``, which is the last position.
+                positions[-1:] = accumulate(segment, initial=now)
+                now = positions[-1]
         clock._now = now
+        if positions is not None:
+            self._replay_events(events, positions)
 
         bus = self.bus
-        bus.busy_time_ns = sum(busy_addends, bus.busy_time_ns)
+        busy_time_ns = bus.busy_time_ns
+        for addend in busy_addends:
+            busy_time_ns += addend
+        bus.busy_time_ns = busy_time_ns
         bus.transactions_completed += bus_transactions
         bus.bytes_transferred += bus_bytes
 
@@ -364,6 +448,24 @@ class ServeMemo:
 
         self.replays += 1
         return now - start
+
+    def _replay_events(self, events, positions: List[float]) -> None:
+        """Append what ``TraceRecorder.record`` would have, call by call."""
+        recorder = self._recorder
+        ticks = list(map(round, positions))
+        ordinal = self.mcu.requests_handled
+        recorded = recorder.events
+        capacity = recorder.capacity
+        for component, action, start_index, end_index, attributes, label_prefix in events:
+            if capacity is not None and len(recorded) >= capacity:
+                recorder.dropped += 1
+                continue
+            attributes = dict(attributes)
+            if label_prefix is not None:
+                attributes["label"] = f"{label_prefix}{ordinal}"
+            recorded.append(
+                TraceEvent(component, action, ticks[start_index], ticks[end_index], attributes)
+            )
 
     # ------------------------------------------------------------- reporting
     @property

@@ -21,12 +21,12 @@ on the kernel clock — which is what keeps N-card schedules deterministic.
 
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
-resident, healthy, untraced, unprotected card *replays* the recorded operation
-script of an earlier identical serve; anything else — a miss, a degraded or
-fault-protected card, an enabled device recorder (tracing with
-``Observability(bridge_device=True)``) — runs the full transaction-level
-model.  The two are bit-identical in schedule and counters
-(``tests/test_cluster_fastpath.py``).
+resident, healthy, unprotected card *replays* the recorded operation script
+of an earlier identical serve — device events included, when the card's
+recorder is enabled (tracing with ``Observability(bridge_device=True)``);
+anything else — a miss, a degraded or fault-protected card — runs the full
+transaction-level model.  The two are bit-identical in schedule, counters
+and spans (``tests/test_cluster_fastpath.py``).
 
 Admission control is at the dispatcher: a card with ``queue_depth``
 outstanding requests is inadmissible, and when every card is full the request

@@ -135,11 +135,12 @@ def build_fleet(
     keeps the fully uninstrumented, digest-frozen schedule.
 
     Resident hits on a plainly serving card are replayed from a per-card
-    :class:`~repro.cluster.fastpath.ServeMemo`; fault tolerance, a wedged
-    port or device-level tracing (``bridge_device``, the ``Observability``
-    default) put a card on the full transaction-level model instead.  The
-    card decides per request — there is nothing to configure, and schedules
-    and counters are identical either way.
+    :class:`~repro.cluster.fastpath.ServeMemo`; fault tolerance or a wedged
+    port put a card on the full transaction-level model instead.  Tracing
+    does not: with ``observability`` on, a replayed hit leaves the same
+    ``card.*`` device spans the full model leaves.  The card decides per
+    request — there is nothing to configure, and schedules, counters and
+    spans are identical either way.
 
     ``slos`` accepts a sequence of :class:`repro.obs.SloSpec`: the specs are
     installed on *observability* (one is created when ``None``), turning on

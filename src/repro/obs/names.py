@@ -18,6 +18,7 @@ component names like ``config-module`` into ``config_module``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 #: Every span/metric name must match this (the lint the registry enforces).
 NAME_PATTERN = r"^[a-z0-9_.]+$"
@@ -85,10 +86,13 @@ DEVICE_SPAN_PREFIX = "card."
 _SANITISE_RE = re.compile(r"[^a-z0-9_.]")
 
 
+@lru_cache(maxsize=None)
 def device_span_name(component: str, action: str) -> str:
     """Bridge a per-card trace event identity into the span namespace.
 
     ``("config-module", "reconfigure")`` → ``card.config_module.reconfigure``.
+    Memoised: the bridge asks once per device event, and the vocabulary is
+    the record sites in the card model (about fifteen pairs).
     """
     key = f"{component}.{action}".lower().replace("-", "_")
     return DEVICE_SPAN_PREFIX + _SANITISE_RE.sub("_", key)

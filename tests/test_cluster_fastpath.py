@@ -3,17 +3,23 @@
 Every fleet card carries a :class:`~repro.cluster.fastpath.ServeMemo`;
 setting ``card.memo = None`` runs the full transaction-level model on every
 request and is the reference here.  The differential tests serve one trace
-through both and require bit-identical schedules and card state; the gate
+through both and require bit-identical schedules and card state; the traced
+differential tests add the spans and the device recorder (an enabled recorder
+does not select the full model: the memo replays the events too); the gate
 tests check that the memo steps aside whenever the card leaves the plain
 serving regime, and comes back when the regime does.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.cluster import fastpath
-from repro.core.builder import build_fleet
+from repro.core.builder import build_fleet, build_frontdoor
+from repro.core.config import SMALL_CONFIG
+from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
+from repro.obs import Observability, trace_fingerprint
 from repro.workloads.multitenant import (
     FleetRequest,
     FleetTrace,
@@ -69,6 +75,19 @@ def card_state(card):
     }
 
 
+def zero_request(bank, function="crc32"):
+    return FleetRequest(
+        tenant="t0",
+        function=function,
+        payload=bytes(bank.by_name(function).spec.input_bytes),
+        arrival_ns=0.0,
+    )
+
+
+def replays(fleet):
+    return sum(card.memo.replays for card in fleet.cards)
+
+
 def without_memo(fleet):
     for card in fleet.cards:
         card.memo = None
@@ -89,8 +108,7 @@ class TestDifferential:
         for fleet in fleets:
             fleet.run(small_trace(small_bank, length=300))
         assert_same_run(*fleets)
-        replays = sum(card.memo.replays for card in fleets[0].cards)
-        assert replays > 200  # the comparison above was of the replay path
+        assert replays(fleets[0]) > 200  # the comparison above was of the replay path
 
     def test_evictions_between_hits_stay_bit_identical(
         self, default_bank, pressure_config, fleet_working_set
@@ -117,7 +135,7 @@ class TestDifferential:
         assert_same_run(*fleets)
         memo_fleet = fleets[0]
         assert sum(card.driver.coprocessor.minios.stats.evictions for card in memo_fleet.cards) > 0
-        assert sum(card.memo.replays for card in memo_fleet.cards) > 0
+        assert replays(memo_fleet) > 0
 
     def test_unique_payloads_stop_recording_at_the_cap(self, small_bank, small_fleet, monkeypatch):
         monkeypatch.setattr(fastpath, "MEMO_ENTRY_CAP", 8)
@@ -141,6 +159,205 @@ class TestDifferential:
         assert_same_run(*fleets)
 
 
+def recorder_state(card):
+    recorder = card.driver.coprocessor.trace
+    return [dataclasses.astuple(event) for event in recorder.events], recorder.dropped
+
+
+def traced_state(fleet, observability):
+    """What a traced run leaves behind: spans, schedule, outcomes, card time."""
+    stats = fleet.stats
+    return {
+        "trace_fingerprint": trace_fingerprint(observability.spans),
+        "spans": len(observability.spans),
+        "spans_dropped": observability.tracer.dropped,
+        "schedule_digest": stats.schedule_digest(),
+        "outcomes": (
+            stats.arrivals, stats.completed, stats.rejected, stats.expired,
+            stats.failovers, stats.hit_rate,
+        ),
+        "cards": [
+            (
+                card.driver.clock.now,
+                card.driver.bus.busy_time_ns,
+                card.busy_ns,
+                card.served,
+                card.driver.coprocessor.mcu.requests_handled,
+                recorder_state(card),
+            )
+            for card in fleet.cards
+        ],
+    }
+
+
+class TestTracedDifferential:
+    """``Observability()`` on: replayed hits leave the full model's spans."""
+
+    @staticmethod
+    def _run(bank, seed, memo, frontdoor):
+        """A plain traced fleet, or the e2e front-door stack on top of one."""
+        observability = Observability()
+        opt_ins = {"stats_mode": "sketch", "admission_batch": True} if frontdoor else {}
+        fleet = build_fleet(
+            cards=2,
+            config=SMALL_CONFIG.with_overrides(seed=seed),
+            bank=bank,
+            queue_depth=8,
+            observability=observability,
+            **opt_ins,
+        )
+        if not memo:
+            without_memo(fleet)
+        specs = default_tenant_mix(bank, tenants=3, skew=1.2)
+        trace = multi_tenant_trace(
+            bank, specs, length=300, mean_interarrival_ns=60_000.0, seed=seed
+        )
+        if frontdoor:
+            door = build_frontdoor(
+                fleet,
+                seed=seed,
+                gateways=2,
+                uplink=LinkSpec(latency_ns=20_000.0, loss=0.02, jitter_ns=4_000.0),
+                transport=TransportConfig(),
+                admission=AdmissionConfig(rate_per_s=14_000.0, burst=8.0),
+                priorities={specs[0].name: 1},
+                deadline_ns=30_000_000.0,
+            )
+            door.add_population(OpenLoopPopulation(trace))
+            door.run()
+        else:
+            fleet.run(trace)
+        return fleet, observability
+
+    @pytest.mark.parametrize("seed", [5, 11, 29])
+    @pytest.mark.parametrize("frontdoor", [False, True], ids=["fleet", "frontdoor"])
+    def test_traced_run_is_span_identical(self, small_bank, frontdoor, seed):
+        memo_run = self._run(small_bank, seed, memo=True, frontdoor=frontdoor)
+        reference_run = self._run(small_bank, seed, memo=False, frontdoor=frontdoor)
+        assert traced_state(*memo_run) == traced_state(*reference_run)
+        memo_fleet, memo_obs = memo_run
+        assert memo_obs.spans  # tracing was on ...
+        assert replays(memo_fleet) > 200  # ... and the hits were replayed
+
+    def test_traced_evictions_between_hits(self, default_bank, pressure_config, fleet_working_set):
+        # Replays interleave with misses that evict memoised functions and
+        # later reload them; the bridged card.* spans must not tell.
+        specs = default_tenant_mix(default_bank, tenants=3, skew=0.6, functions=fleet_working_set)
+        runs = []
+        for memo in (True, False):
+            observability = Observability()
+            fleet = build_fleet(
+                cards=2,
+                config=pressure_config,
+                bank=default_bank,
+                functions=fleet_working_set,
+                policy="round_robin",
+                observability=observability,
+            )
+            if not memo:
+                without_memo(fleet)
+            fleet.run(
+                multi_tenant_trace(
+                    default_bank, specs, length=240, mean_interarrival_ns=60_000.0, seed=5
+                )
+            )
+            runs.append((fleet, observability))
+        assert traced_state(*runs[0]) == traced_state(*runs[1])
+        memo_fleet = runs[0][0]
+        assert sum(card.driver.coprocessor.minios.stats.evictions for card in memo_fleet.cards) > 0
+        assert replays(memo_fleet) > 0
+
+    @staticmethod
+    def _traced_cards(small_bank, small_fleet, capacity=None):
+        """A memo card and a full-model card, device recorders enabled."""
+        cards = [small_fleet(small_bank, cards=1).cards[0] for _ in range(2)]
+        cards[1].memo = None
+        for card in cards:
+            recorder = card.driver.coprocessor.trace
+            recorder.clear()
+            recorder.capacity = capacity
+            recorder.enabled = True
+        return cards
+
+    def test_evict_reload_replay_and_card_reset(self, small_bank, small_fleet):
+        memo_card, reference_card = cards = self._traced_cards(small_bank, small_fleet)
+        crc32 = zero_request(small_bank)
+        parity = zero_request(small_bank, "parity32")
+        served = []
+        for card in cards:
+            log = [card.serve(request) for request in (crc32, crc32, crc32, parity, parity, crc32)]
+            card.driver.evict("crc32")
+            log += [card.serve(crc32), card.serve(crc32), card.serve(parity)]
+            # RESET clears the fabric but not the MCU's request ordinal the
+            # RAM staging labels are numbered by.
+            card.driver.reset_card()
+            log += [card.serve(crc32), card.serve(crc32), card.serve(crc32)]
+            served.append(log)
+        assert served[0] == served[1]
+        assert recorder_state(memo_card) == recorder_state(reference_card)
+        assert card_state(memo_card) == card_state(reference_card)
+        labels = [
+            event.attributes["label"]
+            for event in memo_card.driver.coprocessor.trace.events
+            if "label" in event.attributes
+        ]
+        assert labels[-4:] == ["in:11", "in:11", "out:11", "out:11"]
+        # Recorded: crc32, parity32.  Replayed: two crc32 before the
+        # eviction, one crc32 and one parity32 after the reload, two crc32
+        # after the reset.
+        assert (memo_card.memo.recordings, memo_card.memo.replays) == (2, 6)
+
+    def test_recorder_capacity_drops_like_the_full_path(self, small_bank, small_fleet):
+        # 40 slots: the capacity runs out in the middle of a replayed serve.
+        memo_card, reference_card = cards = self._traced_cards(small_bank, small_fleet, capacity=40)
+        request = zero_request(small_bank)
+        for card in cards:
+            for _ in range(6):
+                card.serve(request)
+        events, dropped = recorder_state(memo_card)
+        assert (events, dropped) == recorder_state(reference_card)
+        assert len(events) == 40 and dropped > 15
+        assert memo_card.memo.replays == 4
+        assert memo_card.driver.clock.now == reference_card.driver.clock.now
+
+
+class TestFold:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_replay_fold_is_the_sequential_sum(self, small_bank, small_fleet, traced):
+        # The clock and bus-busy folds must be the chain of binary additions
+        # ``Clock.advance`` and ``busy_time_ns +=`` perform — on every
+        # interpreter: ``sum()`` is not (it compensates float sums from
+        # CPython 3.12).  Replays a recorded entry whose increments and busy
+        # addends are swapped for seeded random ones, with the recorder off
+        # (plain loop) and on (positions kept by ``accumulate``).
+        _, card, request = TestGate._warm_card(small_bank, small_fleet)
+        memo = card.memo
+        key = (request.function, request.payload)
+        recorded = memo._entries[key]
+        clock, bus = card.driver.clock, card.driver.bus
+        card.driver.coprocessor.trace.enabled = traced
+        rng = random.Random(14)
+        for _ in range(10_000):
+            start = rng.uniform(0.0, 1e9)
+            script = [rng.uniform(0.0, 3_000.0) for _ in range(rng.randint(1, 16))]
+            cut = rng.randint(0, len(script))
+            busy_start = rng.uniform(0.0, 1e9)
+            busy = script[:cut]
+            memo._entries[key] = (
+                (((), tuple(script[:cut])), ((), tuple(script[cut:]))), (), tuple(busy)
+            ) + recorded[3:]
+            clock._now = position = start
+            bus.busy_time_ns = busy_position = busy_start
+            service_ns = memo.replay(*key)
+            for increment in script:
+                position += increment
+            for addend in busy:
+                busy_position += addend
+            assert clock.now == position
+            assert service_ns == position - start
+            assert bus.busy_time_ns == busy_position
+
+
 class TestGate:
     """Each regime change forces the full path; ``replays`` stands still."""
 
@@ -148,12 +365,7 @@ class TestGate:
     def _warm_card(small_bank, small_fleet):
         fleet = small_fleet(small_bank, cards=1)
         card = fleet.cards[0]
-        request = FleetRequest(
-            tenant="t0",
-            function="crc32",
-            payload=bytes(small_bank.by_name("crc32").spec.input_bytes),
-            arrival_ns=0.0,
-        )
+        request = zero_request(small_bank)
         assert card.serve(request)[1] is False  # miss: loads the function
         card.serve(request)  # first resident hit: recorded
         card.serve(request)  # replayed
@@ -188,15 +400,49 @@ class TestGate:
         assert (card.memo.recordings, card.memo.replays) == (1, 1)
 
     def test_enabled_device_recorder(self, small_bank, small_fleet):
+        # Not a gate any more: the serve replays and leaves the events the
+        # full path leaves.
         _, card, request = self._warm_card(small_bank, small_fleet)
-        recorder = card.driver.coprocessor.trace
-        recorder.enabled = True
-        _, hit = card.serve(request)
-        assert hit is True and card.memo.replays == 1
-        assert len(recorder.events) > 0  # the full path ran and was traced
-        recorder.enabled = False
-        card.serve(request)
+        _, reference, _ = self._warm_card(small_bank, small_fleet)
+        reference.memo = None
+        results = []
+        for traced in (card, reference):
+            traced.driver.coprocessor.trace.enabled = True
+            results.append(traced.serve(request))
+        assert results[0] == results[1] and results[0][1] is True
         assert card.memo.replays == 2
+        events, _ = recorder_state(card)
+        assert len(events) == 15
+        assert recorder_state(card) == recorder_state(reference)
+
+    def test_unplaceable_device_event_is_never_stored(self, small_bank, small_fleet):
+        # A record site whose start is not a clock position of the serve:
+        # replay could not time it exactly, so the pair stays on the full path.
+        fleet = small_fleet(small_bank, cards=1)
+        card = fleet.cards[0]
+        copro = card.driver.coprocessor
+        execute = copro.device.execute
+
+        def execute_and_record(name, payload):
+            started = copro.clock.now
+            result = execute(name, payload)
+            copro.trace.record("probe", "odd", started + 0.25, copro.clock.now)
+            return result
+
+        copro.device.execute = execute_and_record
+        request = zero_request(small_bank)
+        assert [card.serve(request)[1] for _ in range(4)] == [False, True, True, True]
+        assert (card.memo.entries, card.memo.recordings, card.memo.replays) == (0, 0, 0)
+
+    def test_start_index_places_only_exact_positions(self):
+        increments = [10.0, 0.0, 0.0, 5.0]
+        positions = [100.0, 110.0, 110.0, 110.0, 115.0]
+        assert fastpath._start_index(positions, increments, 100.0, 4) == 0
+        assert fastpath._start_index(positions, increments, 110.0, 4) == 1  # tied by zeros
+        assert fastpath._start_index(positions, increments, 112.0, 4) is None
+        assert fastpath._start_index(positions, increments, 115.0, 3) is None  # after the end
+        # 1e16 + 1.0 == 1e16: equal here, apart from any other start time.
+        assert fastpath._start_index([1e16, 1e16, 1e16 + 4.0], [1.0, 4.0], 1e16, 2) is None
 
     def test_card_reset_keeps_replays_on_the_live_statistics(self, small_bank, small_fleet):
         # RESET replaces the card's statistics objects; replays after it must
