@@ -113,10 +113,8 @@ def check_counter_conservation(fleet) -> List[str]:
     if fleet.migrating:
         violations.append(f"functions still marked migrating: {sorted(fleet.migrating)}")
     for card in fleet.cards:
-        if card.scrub_pending:
-            violations.append(f"{card.name}: scrub order still pending at idle")
-        if card.defrag_pending:
-            violations.append(f"{card.name}: defrag order still pending at idle")
+        for kind in sorted(kind.__name__ for kind in card.pending):
+            violations.append(f"{card.name}: {kind} still pending at idle")
     heals_settled = stats.heals_completed + stats.heals_skipped
     if heals_settled > stats.heal_orders:
         violations.append(

@@ -32,15 +32,14 @@ from repro.cluster.sharded import (
     partition_cards,
     run_sharded,
 )
-from repro.cluster.fleet import (
+from repro.cluster.fleet import Fleet, FleetCard, RetryEnvelope
+from repro.cluster.orders import (
     DefragOrder,
-    Fleet,
-    FleetCard,
     HealOrder,
     MigrateOrder,
+    Order,
     ReleaseOrder,
     RestoreOrder,
-    RetryEnvelope,
     ScrubOrder,
 )
 from repro.cluster.rebalance import MigrationOrder, Rebalancer
@@ -57,6 +56,7 @@ __all__ = [
     "HealOrder",
     "MigrateOrder",
     "MigrationOrder",
+    "Order",
     "Rebalancer",
     "ReleaseOrder",
     "RestoreOrder",

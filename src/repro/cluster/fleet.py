@@ -33,29 +33,35 @@ outstanding requests is inadmissible, and when every card is full the request
 is rejected and counted, not queued forever (the fleet serves an open system;
 unbounded queues would hide overload instead of surfacing it).
 
-Fault tolerance (PR 4)
-----------------------
+Card health and the control plane
+---------------------------------
 Cards carry a health state (``up`` / ``degraded`` / ``down``).  A *down* card
 is invisible to dispatch; its queued and in-flight requests are failed over —
 re-dispatched through the policy to a surviving card, or rejected when the
 fleet is full — never silently dropped.  A *degraded* card (wedged
 configuration port) still serves resident functions but cannot reconfigure;
-misses routed there fail and fail over.  With fault tolerance enabled
-(:meth:`Fleet.enable_fault_tolerance`), each card additionally runs a
-readback-scrub service on a configurable period, and a card failure triggers
-the recovery policy: the dead card's hottest resident functions are
-re-resident-ized (preloaded) on the surviving cards with the most free
-fabric.  Scrub and heal work flow through the same bounded card queues as
-requests, so reliability spends real card time — the trade-off E10 sweeps.
+misses routed there fail and fail over.
+
+Everything else the fleet does to its cards — scrub windows, heal preloads,
+defragmentation passes, the three phases of a migration — is an
+:class:`~repro.cluster.orders.Order` on the same bounded card queues as the
+requests, so reliability and rebalancing spend real card time (the trade-off
+E10 and E11 sweep).  This module only moves orders: ``_worker`` hands each to
+``_run_order``, the periodic services are ``_every(period, tick)`` with
+``_order_once`` keeping one order of a kind per card, and what an order does
+lives with its class in ``orders.py``.  ``docs/architecture.md`` ("Control
+plane") draws an order's life and has the recipe for adding one.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.arrivals import open_arrivals
 from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy, request_expired
 from repro.cluster.fastpath import ServeMemo
+from repro.cluster.orders import DefragOrder, HealOrder, MigrateOrder, Order, ScrubOrder
 from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
 from repro.core.host import HostDriver
@@ -97,88 +103,6 @@ class _ReqTrace:
         #: Re-stamped by every enqueue (fresh dispatch and failover alike),
         #: so each hop gets its own ``fleet.queue`` wait span.
         self.enqueued_ns = arrival_ns
-
-
-class ScrubOrder:
-    """Internal card-queue item: run one readback-scrub window."""
-
-    __slots__ = ("frames",)
-
-    def __init__(self, frames: Optional[int]) -> None:
-        self.frames = frames
-
-
-class HealOrder:
-    """Internal card-queue item: re-resident-ize a dead card's function."""
-
-    __slots__ = ("function", "failed_card", "killed_at_ns")
-
-    def __init__(self, function: str, failed_card: str, killed_at_ns: float) -> None:
-        self.function = function
-        self.failed_card = failed_card
-        self.killed_at_ns = killed_at_ns
-
-
-class DefragOrder:
-    """Internal card-queue item: run one bounded defragmentation pass."""
-
-    __slots__ = ("max_moves",)
-
-    def __init__(self, max_moves: Optional[int]) -> None:
-        self.max_moves = max_moves
-
-
-class MigrateOrder:
-    """Internal card-queue item (source side): capture a function for migration."""
-
-    __slots__ = ("function", "dest_index", "ordered_ns")
-
-    def __init__(self, function: str, dest_index: int, ordered_ns: float) -> None:
-        self.function = function
-        self.dest_index = dest_index
-        self.ordered_ns = ordered_ns
-
-
-class RestoreOrder:
-    """Internal card-queue item (destination side): restore a captured image."""
-
-    __slots__ = ("function", "blob", "source_index", "frames", "ordered_ns")
-
-    def __init__(
-        self,
-        function: str,
-        blob: bytes,
-        source_index: int,
-        frames: int,
-        ordered_ns: float,
-    ) -> None:
-        self.function = function
-        self.blob = blob
-        self.source_index = source_index
-        self.frames = frames
-        self.ordered_ns = ordered_ns
-
-
-class ReleaseOrder:
-    """Internal card-queue item (source side): release a migrated function."""
-
-    __slots__ = ("function", "dest_name", "blob_bytes", "frames", "ordered_ns", "byte_identical")
-
-    def __init__(
-        self,
-        function: str,
-        dest_name: str,
-        blob_bytes: int,
-        frames: int,
-        ordered_ns: float,
-        byte_identical: bool,
-    ) -> None:
-        self.function = function
-        self.dest_name = dest_name
-        self.blob_bytes = blob_bytes
-        self.frames = frames
-        self.ordered_ns = ordered_ns
-        self.byte_identical = byte_identical
 
 
 class RetryEnvelope:
@@ -228,10 +152,9 @@ class FleetCard:
         self.down_since_ns: Optional[float] = None
         self.degraded_until_ns = 0.0
         self.serve_failures = 0
-        #: True while a scrub order is queued/in service (one at a time).
-        self.scrub_pending = False
-        #: True while a defrag order is queued/in service (one at a time).
-        self.defrag_pending = False
+        #: Classes of the periodic orders queued or in service here — a
+        #: periodic service keeps at most one order of its kind per card.
+        self.pending: set = set()
         #: Record/replay cache of this card's resident-hit serves; it
         #: replays only while :meth:`ServeMemo._safe` holds.  Set to ``None``
         #: to run the full card model on every request (the differential
@@ -290,62 +213,38 @@ class FleetCard:
         """The card's executor-path hazard detector (``None`` unprotected)."""
         return self.driver.coprocessor.device.hazard_detector
 
-    def scrub_chunk(self, max_frames: Optional[int]) -> float:
-        """Run one scrub window on the card's private timeline; returns Δt."""
+    @property
+    def scrub_stats(self):
+        """The card's scrubber counters (``None`` without fault protection)."""
         scrubber = self.driver.coprocessor.scrubber
-        if scrubber is None:
-            return 0.0
-        clock = self.driver.clock
-        before = clock.now
-        scrubber.scrub_pass(max_frames=max_frames)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
+        return scrubber.stats if scrubber is not None else None
 
-    def preload_timed(self, function: str) -> float:
-        """Preload *function* through the PCI path; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.preload(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
+    @property
+    def defrag_stats(self):
+        """The card's defragmenter counters (``None`` until defrag is enabled)."""
+        defragmenter = self.driver.coprocessor.defragmenter
+        return defragmenter.stats if defragmenter is not None else None
 
-    def capture_timed(self, function: str) -> tuple:
-        """CAPTURE *function* through the PCI path; returns ``(blob, Δt)``."""
-        clock = self.driver.clock
-        before = clock.now
-        blob = self.driver.capture_function(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return blob, elapsed
+    def spend(self, operation, *args):
+        """Run ``operation(*args)`` on the card's private clock and spend the
+        time it took on the fleet timeline (a generator).
 
-    def restore_timed(self, function: str, blob: bytes) -> float:
-        """RESTORE *function* from a migration blob; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.restore_function(function, blob)
-        elapsed = clock.now - before
+        The Δt is charged to ``busy_ns`` whether or not the operation raised
+        :class:`CoprocessorError` — a refused command still moved its
+        registers and data over the bus.  Returns ``(result, error)``.
+        """
+        clock = self._card_clock
+        before = clock._now
+        result = error = None
+        try:
+            result = operation(*args)
+        except CoprocessorError as refused:
+            error = refused
+        elapsed = clock._now - before
         self.busy_ns += elapsed
-        return elapsed
-
-    def evict_timed(self, function: str) -> float:
-        """EVICT *function* through the PCI path; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.evict(function)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
-
-    def defrag_timed(self, max_moves: Optional[int]) -> float:
-        """Run one DEFRAG pass on the card; returns the card-local Δt."""
-        clock = self.driver.clock
-        before = clock.now
-        self.driver.defrag_card(max_moves if max_moves is not None else 0)
-        elapsed = clock.now - before
-        self.busy_ns += elapsed
-        return elapsed
+        if elapsed > 0:
+            yield Timeout(elapsed)
+        return result, error
 
 
 class Fleet:
@@ -436,16 +335,11 @@ class Fleet:
         self._workers_spawned = False
         self._arrivals_process = None
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
-        self.scrub_period_ns: Optional[float] = None
-        self.scrub_frames_per_order = 8
         self.heal_on_failure = False
         self.heal_limit = 4
         self.injector = None
         # Rebalancing / defragmentation (PR 5; off until enabled).
         self.rebalancer = None
-        self.rebalance_period_ns: Optional[float] = None
-        self.defrag_period_ns: Optional[float] = None
-        self.defrag_moves_per_order: Optional[int] = None
         #: Functions with a migration in flight (ordered, not yet released or
         #: failed) — the planner must not order the same function twice.
         self.migrating: set = set()
@@ -474,49 +368,23 @@ class Fleet:
         """Expose live fleet state as callback gauges (read at snapshot)."""
         cards = self.cards
         stats = self.stats
-
-        def _scrub_sum(field):
-            return lambda: sum(
-                getattr(card.driver.coprocessor.scrubber.stats, field)
-                for card in cards
-                if card.driver.coprocessor.scrubber is not None
-            )
-
-        def _defrag_sum(field):
-            return lambda: sum(
-                getattr(card.driver.coprocessor.defragmenter.stats, field)
-                for card in cards
-                if card.driver.coprocessor.defragmenter is not None
-            )
-
         names = _obs_names
-        registry.gauge(
-            names.GAUGE_CARDS_DOWN,
-            fn=lambda: sum(1 for card in cards if card.health == "down"),
-        )
+        registry.gauge(names.GAUGE_CARDS_DOWN, fn=self.cards_down)
         registry.gauge(
             names.GAUGE_QUEUE_OUTSTANDING,
             fn=lambda: sum(card.outstanding for card in cards),
         )
-        registry.gauge(names.GAUGE_SCRUB_PASSES, fn=_scrub_sum("passes"))
-        registry.gauge(
-            names.GAUGE_SCRUB_FRAMES_CHECKED, fn=_scrub_sum("frames_checked")
-        )
-        registry.gauge(names.GAUGE_SCRUB_DETECTED, fn=_scrub_sum("detected"))
-        registry.gauge(names.GAUGE_SCRUB_CORRECTED, fn=_scrub_sum("corrected"))
-        registry.gauge(
-            names.GAUGE_SCRUB_UNCORRECTABLE, fn=_scrub_sum("uncorrectable")
-        )
-        registry.gauge(
-            names.GAUGE_HAZARD_EXECUTIONS,
-            fn=lambda: sum(
-                card.hazard_detector.hazard_executions
-                for card in cards
-                if card.hazard_detector is not None
-            ),
-        )
-        registry.gauge(names.GAUGE_DEFRAG_PASSES, fn=_defrag_sum("passes"))
-        registry.gauge(names.GAUGE_DEFRAG_MOVES, fn=_defrag_sum("moves"))
+        for gauge, unit, field in (
+            (names.GAUGE_SCRUB_PASSES, "scrub_stats", "passes"),
+            (names.GAUGE_SCRUB_FRAMES_CHECKED, "scrub_stats", "frames_checked"),
+            (names.GAUGE_SCRUB_DETECTED, "scrub_stats", "detected"),
+            (names.GAUGE_SCRUB_CORRECTED, "scrub_stats", "corrected"),
+            (names.GAUGE_SCRUB_UNCORRECTABLE, "scrub_stats", "uncorrectable"),
+            (names.GAUGE_HAZARD_EXECUTIONS, "hazard_detector", "hazard_executions"),
+            (names.GAUGE_DEFRAG_PASSES, "defrag_stats", "passes"),
+            (names.GAUGE_DEFRAG_MOVES, "defrag_stats", "moves"),
+        ):
+            registry.gauge(gauge, fn=partial(self._total, unit, field))
         registry.gauge(
             names.GAUGE_SOJOURN_P50, fn=lambda: stats.latency_percentile(50)
         )
@@ -612,10 +480,10 @@ class Fleet:
     def _worker(self, card: FleetCard):
         """Drain one card's queue forever (idles when the queue is empty).
 
-        Besides tenant requests the queue carries OS-level work — scrub
-        windows and heal preloads — so reliability work contends for the same
-        card time as traffic.  A request popped on (or completed after) a
-        dead card is failed over, never dropped.
+        Besides tenant requests the queue carries control-plane orders, so
+        reliability work contends for the same card time as traffic.  A
+        request popped on (or completed after) a dead card is failed over,
+        never dropped.
         """
         # Steady-state allocation diet: the StoreGet is stateless (just a
         # queue reference) and the kernel never retains it, so one instance
@@ -639,15 +507,19 @@ class Fleet:
             if item.__class__ is FleetRequest:
                 tried = _NO_CARDS_TRIED
                 request = item
-            else:
-                order = yield from self._worker_order(card, item)
+            elif isinstance(item, Order):
+                yield from self._run_order(card, item)
                 if card_trace is not None:
                     # Orders' device events are not bridged; drop them so the
                     # enabled recorder cannot grow without bound.
                     del card_trace.events[:]
-                if order is None:
-                    continue
-                request, tried = order
+                continue
+            elif item.__class__ is RetryEnvelope:
+                tried = item.tried
+                request = item.request
+            else:  # a FleetRequest subclass (the front door's GatewayRequest)
+                tried = _NO_CARDS_TRIED
+                request = item
             if tracer is not None:
                 ctx = trace_ctx.get(id(request))
                 if ctx is not None:
@@ -670,7 +542,7 @@ class Fleet:
                 # result would be discarded by every real client anyway, so
                 # serving it would only burn card time and hide the overload.
                 card.outstanding -= 1
-                self._expire(request)
+                self._terminate(request, "expired")
                 continue
             if card.health == "down":
                 card.outstanding -= 1
@@ -759,247 +631,56 @@ class Fleet:
             if callback is not None:
                 callback(request, "completed", clock._now)
 
-    def _worker_order(self, card: FleetCard, item):
-        """Handle one non-request queue item (OS-level orders).
-
-        Returns ``None`` when the item was consumed, or ``(request, tried)``
-        when it unwrapped to a tenant request the caller must serve.  Split
-        out of :meth:`_worker` so the per-request loop pays one class check
-        in the common case instead of walking the whole order ladder.
-        """
-        if item.__class__ is ScrubOrder:
-            obs = self._obs_order_begin()
-            if card.health != "down":
-                elapsed = card.scrub_chunk(item.frames)
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            card.scrub_pending = False
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_SCRUB,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                )
-            return None
-        if item.__class__ is DefragOrder:
-            obs = self._obs_order_begin()
-            if card.health != "down":
-                clock_before = card.driver.clock.now
-                try:
-                    elapsed = card.defrag_timed(item.max_moves)
-                except CoprocessorError:
-                    # The port wedged mid-pass: functions are intact where
-                    # they were, but the compaction time already spent on
-                    # the card's clock is real.
-                    elapsed = card.driver.clock.now - clock_before
-                    card.busy_ns += elapsed
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            card.defrag_pending = False
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_DEFRAG,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                )
-            return None
-        if item.__class__ is MigrateOrder:
-            obs = self._obs_order_begin()
-            handed_off = False
-            function = item.function
-            dest = self.cards[item.dest_index]
-            if card.health == "down" or not card.driver.card.is_resident(function):
-                self.stats.record_migration_failed(
-                    function, card.name, "source-lost", self.clock.now
-                )
-            else:
-                frames = len(card.driver.coprocessor.device.region_of(function))
-                clock_before = card.driver.clock.now
-                try:
-                    blob, elapsed = card.capture_timed(function)
-                except CoprocessorError:
-                    failed_ns = card.driver.clock.now - clock_before
-                    card.busy_ns += failed_ns
-                    if failed_ns > 0:
-                        yield Timeout(failed_ns)
-                    self.stats.record_migration_failed(
-                        function, card.name, "capture-failed", self.clock.now
-                    )
-                else:
-                    if elapsed > 0:
-                        yield Timeout(elapsed)
-                    if dest.health == "down":
-                        self.stats.record_migration_failed(
-                            function, dest.name, "dest-down", self.clock.now
-                        )
-                    else:
-                        dest.outstanding += 1
-                        dest.queue.put(
-                            RestoreOrder(
-                                function, blob, card.index, frames, item.ordered_ns
-                            )
-                        )
-                        handed_off = True
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_CAPTURE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                    handed_off=handed_off,
-                )
-            if not handed_off:
-                self.migrating.discard(function)
-            return None
-        if item.__class__ is RestoreOrder:
-            obs = self._obs_order_begin()
-            function = item.function
-            restored = False
-            if card.health == "down":
-                self.stats.record_migration_failed(
-                    function, card.name, "dest-died", self.clock.now
-                )
-            else:
-                clock_before = card.driver.clock.now
-                try:
-                    elapsed = card.restore_timed(function, item.blob)
-                except CoprocessorError:
-                    # Wedged port or capacity on the destination: the
-                    # function is still resident (and serving) on the
-                    # source, so a failed restore costs time, not service.
-                    failed_ns = card.driver.clock.now - clock_before
-                    card.busy_ns += failed_ns
-                    if failed_ns > 0:
-                        yield Timeout(failed_ns)
-                    self.stats.record_migration_failed(
-                        function, card.name, "restore-failed", self.clock.now
-                    )
-                else:
-                    if elapsed > 0:
-                        yield Timeout(elapsed)
-                    restored = True
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_RESTORE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                    restored=restored,
-                )
-            if not restored:
-                self.migrating.discard(function)
-                return None
-            byte_identical = self._blob_matches_readback(card, function, item.blob)
-            source = self.cards[item.source_index]
-            if source.health != "down" and source.driver.card.is_resident(function):
-                source.outstanding += 1
-                source.queue.put(
-                    ReleaseOrder(
-                        function,
-                        card.name,
-                        len(item.blob),
-                        item.frames,
-                        item.ordered_ns,
-                        byte_identical,
-                    )
-                )
-            else:
-                # The source died (or already lost the frames) while the
-                # image was in flight — the restore itself completes the
-                # migration; there is nothing left to release.
-                self.migrating.discard(function)
-                self.stats.record_migration(
-                    function,
-                    source.name,
-                    card.name,
-                    item.ordered_ns,
-                    self.clock.now,
-                    item.frames,
-                    len(item.blob),
-                    byte_identical,
-                )
-            return None
-        if item.__class__ is ReleaseOrder:
-            obs = self._obs_order_begin()
-            function = item.function
-            if card.health != "down" and card.driver.card.is_resident(function):
-                elapsed = card.evict_timed(function)
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_MIGRATE_RELEASE,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=function,
-                )
-            self.migrating.discard(function)
-            self.stats.record_migration(
-                function,
-                card.name,
-                item.dest_name,
-                item.ordered_ns,
-                self.clock.now,
-                item.frames,
-                item.blob_bytes,
-                item.byte_identical,
+    def _run_order(self, card: FleetCard, order: Order):
+        """Run one control-plane order: work, slot release, span, settle."""
+        obs = self._obs_order_begin()
+        attributes = yield from order.work(self, card)
+        card.outstanding -= 1
+        if obs is not None:
+            self._tracer.record(
+                order.span,
+                obs[0],
+                None,
+                obs[1],
+                self.clock._now,
+                card=card.name,
+                **attributes,
             )
-            return None
-        tried = _NO_CARDS_TRIED
-        if item.__class__ is RetryEnvelope:
-            tried = item.tried
-            item = item.request
-        if item.__class__ is HealOrder:
-            obs = self._obs_order_begin()
-            healed = False
-            if card.health != "down":
-                try:
-                    elapsed = card.preload_timed(item.function)
-                    healed = True
-                except CoprocessorError:
-                    # Capacity or a (now) wedged port: the heal is best
-                    # effort — the function stays cold until requested.
-                    elapsed = 0.0
-                if elapsed > 0:
-                    yield Timeout(elapsed)
-            card.outstanding -= 1
-            if obs is not None:
-                self._tracer.record(
-                    _obs_names.SPAN_ORDER_HEAL,
-                    obs[0],
-                    None,
-                    obs[1],
-                    self.clock._now,
-                    card=card.name,
-                    function=item.function,
-                    healed=healed,
-                )
-            if healed:
-                self.stats.record_heal(
-                    item.function, card.name, item.killed_at_ns, self.clock.now
-                )
-            return None
-        return item, tried
+        order.settle(self, card)
+
+    def _enqueue(self, card: FleetCard, order: Order) -> None:
+        """Put *order* on *card*'s queue; it holds a queue slot until it ran."""
+        card.outstanding += 1
+        card.queue.put(order)
+
+    def _order_once(self, card: FleetCard, order: Order) -> None:
+        """Enqueue a periodic *order* unless the card is down or still has
+        one of its kind queued or in service."""
+        kind = order.__class__
+        if card.health != "down" and kind not in card.pending:
+            card.pending.add(kind)
+            self._enqueue(card, order)
+
+    def _every(self, period_ns: float, tick: Callable[[], None]):
+        """Periodic service body: call *tick* once per period until idle."""
+        while True:
+            yield Timeout(period_ns)
+            if self.is_idle:
+                return
+            tick()
+
+    def _terminate(self, request: FleetRequest, outcome: str) -> None:
+        """Count a request that will never complete (``"rejected"`` or
+        ``"expired"``), close its trace and tell the front door."""
+        now = self.clock.now
+        stats = self.stats
+        record = stats.record_expired if outcome == "expired" else stats.record_rejection
+        record(request.tenant, request.function, now)
+        if self._tracer is not None:
+            self._obs_end(request, outcome, now)
+        callback = self.on_request_outcome
+        if callback is not None:
+            callback(request, outcome, now)
 
     def _route(
         self,
@@ -1012,12 +693,7 @@ class Fleet:
         card = self.policy.choose(request, candidates)
         stats = self.stats
         if card is None:
-            stats.record_rejection(request.tenant, request.function, self.clock.now)
-            if self._tracer is not None:
-                self._obs_end(request, "rejected", self.clock._now)
-            callback = self.on_request_outcome
-            if callback is not None:
-                callback(request, "rejected", self.clock.now)
+            self._terminate(request, "rejected")
             return
         card.outstanding += 1
         # record_dispatch, inlined (once per admitted request).
@@ -1058,19 +734,9 @@ class Fleet:
         ):
             # Dead on arrival (e.g. delivered late by a congested front-door
             # link): never admitted, so no card time is spent on it.
-            self._expire(request)
+            self._terminate(request, "expired")
             return
         self._route(request, self.cards)
-
-    def _expire(self, request: FleetRequest) -> None:
-        """Fail a deadline-expired request fast and tell the front door."""
-        now = self.clock.now
-        self.stats.record_expired(request.tenant, request.function, now)
-        if self._tracer is not None:
-            self._obs_end(request, "expired", now)
-        callback = self.on_request_outcome
-        if callback is not None:
-            callback(request, "expired", now)
 
     def submit(self, request: FleetRequest) -> None:
         """Admit one externally-delivered request at the current instant.
@@ -1114,12 +780,7 @@ class Fleet:
         tried = tried | {failed.index}
         candidates = [card for card in self.cards if card.index not in tried]
         if not candidates:
-            self.stats.record_rejection(request.tenant, request.function, self.clock.now)
-            if self._tracer is not None:
-                self._obs_end(request, "rejected", self.clock._now)
-            callback = self.on_request_outcome
-            if callback is not None:
-                callback(request, "rejected", self.clock.now)
+            self._terminate(request, "rejected")
             return
         self._route(request, candidates, tried)
 
@@ -1154,6 +815,13 @@ class Fleet:
         """Register a named kernel service; run() (re)spawns finished ones."""
         self._services.append((name, factory))
 
+    def _add_order_service(self, name: str, period_ns: float, kind, budget) -> None:
+        """One periodic service per card: each period, one ``kind(budget)``
+        order on the card's queue unless the last one has not run yet."""
+        for card in self.cards:
+            tick = partial(self._order_once, card, kind(budget))
+            self.add_service(f"{card.name}-{name}", partial(self._every, period_ns, tick))
+
     def _spawn_services(self) -> None:
         for name, factory in self._services:
             process = self._service_processes.get(name)
@@ -1183,8 +851,6 @@ class Fleet:
             raise ValueError("a scrub order must cover at least one frame")
         for card in self.cards:
             card.driver.coprocessor.enable_fault_protection()
-        self.scrub_period_ns = scrub_period_ns
-        self.scrub_frames_per_order = scrub_frames_per_order
         self.heal_on_failure = heal_on_failure
         self.heal_limit = heal_limit
         if scrub_period_ns is not None:
@@ -1194,11 +860,9 @@ class Fleet:
                 for card in self.cards:
                     card.driver.coprocessor.mcu.scrub_on_execute = True
             else:
-                for card in self.cards:
-                    self.add_service(
-                        f"{card.name}-scrub",
-                        lambda card=card: self._scrub_service(card),
-                    )
+                self._add_order_service(
+                    "scrub", scrub_period_ns, ScrubOrder, scrub_frames_per_order
+                )
 
     # ---------------------------------------------------------- rebalancing
     def enable_rebalancing(
@@ -1230,34 +894,27 @@ class Fleet:
             keep_resident=keep_resident,
             cooldown_ns=int(10 * period_ns) if cooldown_ns is None else cooldown_ns,
         )
-        self.rebalance_period_ns = period_ns
-        self.add_service("fleet-rebalance", self._rebalance_service)
+        self.add_service(
+            "fleet-rebalance", partial(self._every, period_ns, self._rebalance)
+        )
         return self.rebalancer
 
-    def _rebalance_service(self):
-        """Plan and enqueue migrations once per period (idle-terminating)."""
-        period = self.rebalance_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if self.rebalancer is None:
-                return
-            for order in self.rebalancer.plan(self):
-                source = self.cards[order.source_index]
-                if source.health == "down" or not source.holds(order.function):
-                    continue
-                self.migrating.add(order.function)
-                source.outstanding += 1
-                self.stats.record_migration_order(
-                    order.function,
-                    source.name,
-                    self.cards[order.dest_index].name,
-                    self.clock.now,
-                )
-                source.queue.put(
-                    MigrateOrder(order.function, order.dest_index, self.clock.now)
-                )
+    def _rebalance(self) -> None:
+        """One planning cycle: order the rebalancer's migrations."""
+        for plan in self.rebalancer.plan(self):
+            if self.cards[plan.source_index].holds(plan.function):
+                self.order_migration(plan.function, plan.source_index, plan.dest_index)
+
+    def order_migration(self, function: str, source_index: int, dest_index: int) -> None:
+        """Order *function* moved between two cards (capture → restore →
+        release, each phase queued behind the card's traffic)."""
+        source = self.cards[source_index]
+        now = self.clock.now
+        self.migrating.add(function)
+        self.stats.record_migration_order(
+            function, source.name, self.cards[dest_index].name, now
+        )
+        self._enqueue(source, MigrateOrder(function, dest_index, now))
 
     def enable_defrag(
         self,
@@ -1279,53 +936,11 @@ class Fleet:
         if period_ns is not None:
             if period_ns <= 0:
                 raise ValueError("the defrag period must be positive")
-            self.defrag_period_ns = period_ns
-            self.defrag_moves_per_order = moves_per_order
-            for card in self.cards:
-                self.add_service(
-                    f"{card.name}-defrag",
-                    lambda card=card: self._defrag_service(card),
-                )
-
-    def _defrag_service(self, card: FleetCard):
-        """Enqueue one defrag order per period (skips while one is pending)."""
-        period = self.defrag_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if card.health == "down" or card.defrag_pending:
-                continue
-            card.defrag_pending = True
-            card.outstanding += 1
-            card.queue.put(DefragOrder(self.defrag_moves_per_order))
-
-    @staticmethod
-    def _blob_matches_readback(card: FleetCard, function: str, blob: bytes) -> bool:
-        """Does *card*'s live readback of *function* match the migration blob?
-
-        Host-side verification (no simulated time): decompress the blob and
-        compare against the destination's configuration readback.  Any
-        mismatch is a migration-induced byte diff — the safety property the
-        rebalance experiments assert stays at zero.
-        """
-        from repro.bitstream.format import parse_bitstream
-        from repro.bitstream.window import CompressedImage, WindowedDecompressor
-
-        image = CompressedImage.from_bytes(blob)
-        bitstream = parse_bitstream(WindowedDecompressor(image).decompress_all())
-        return card.driver.coprocessor.device.verify_readback(function, bitstream)
+            self._add_order_service("defrag", period_ns, DefragOrder, moves_per_order)
 
     def rebalance_summary(self) -> dict:
         """Aggregate migration/defrag picture across the whole fleet."""
         stats = self.stats
-        defrag_passes = defrag_moves = defrag_frames_moved = 0
-        for card in self.cards:
-            defragmenter = card.driver.coprocessor.defragmenter
-            if defragmenter is not None:
-                defrag_passes += defragmenter.stats.passes
-                defrag_moves += defragmenter.stats.moves
-                defrag_frames_moved += defragmenter.stats.frames_moved
         return {
             "migration_orders": stats.migration_orders,
             "migrations_completed": stats.migrations_completed,
@@ -1334,9 +949,9 @@ class Fleet:
             "migrated_bytes": stats.migrated_bytes,
             "migration_byte_diffs": stats.migration_byte_diffs,
             "mean_migration_latency_ns": stats.mean_migration_latency_ns,
-            "defrag_passes": defrag_passes,
-            "defrag_moves": defrag_moves,
-            "defrag_frames_moved": defrag_frames_moved,
+            "defrag_passes": self._total("defrag_stats", "passes"),
+            "defrag_moves": self._total("defrag_stats", "moves"),
+            "defrag_frames_moved": self._total("defrag_stats", "frames_moved"),
         }
 
     def install_faults(self, injector) -> None:
@@ -1344,19 +959,6 @@ class Fleet:
         self.injector = injector
         for name, factory in injector.processes(self):
             self.add_service(name, factory)
-
-    def _scrub_service(self, card: FleetCard):
-        """Enqueue one scrub window per period (skips while one is pending)."""
-        period = self.scrub_period_ns
-        while True:
-            yield Timeout(period)
-            if self.is_idle:
-                return
-            if card.health == "down" or card.scrub_pending:
-                continue
-            card.scrub_pending = True
-            card.outstanding += 1
-            card.queue.put(ScrubOrder(self.scrub_frames_per_order))
 
     def kill_card(self, index: int) -> bool:
         """Whole-card failure: mark *index* down and trigger recovery.
@@ -1431,9 +1033,8 @@ class Fleet:
                 candidates,
                 key=lambda card: (-card.free_frames, card.outstanding, card.index),
             )
-            target.outstanding += 1
             self.stats.record_heal_order(function, target.name, killed_at_ns)
-            target.queue.put(HealOrder(function, dead.name, killed_at_ns))
+            self._enqueue(target, HealOrder(function, dead.name, killed_at_ns))
 
     def availability(self) -> float:
         """Capacity availability: 1 − card-downtime share of the service window.
@@ -1504,6 +1105,17 @@ class Fleet:
             self.stats.schedule_digest(),
         )
 
+    def cards_down(self) -> int:
+        """How many cards are currently down."""
+        return sum(1 for card in self.cards if card.health == "down")
+
+    def _total(self, unit: str, field: str) -> int:
+        """Fleet-wide sum of one per-card counter: *field* of each card's
+        *unit* (``scrub_stats`` / ``defrag_stats`` / ``hazard_detector``),
+        skipping cards that do not have the unit installed."""
+        units = (getattr(card, unit) for card in self.cards)
+        return sum(getattr(found, field) for found in units if found is not None)
+
     def card_summaries(self) -> List[dict]:
         """Per-card utilisation/residency snapshot (for reports)."""
         span = self.stats.makespan_ns
@@ -1527,52 +1139,27 @@ class Fleet:
 
         Counter values come back through :meth:`MetricsRegistry.snapshot`
         (the counters *are* registry instruments, so the numbers are
-        identical) — drill reports and the registry cannot drift apart.  On
-        an observed fleet the scrub/hazard aggregates read from the callback
-        gauges registered at construction; unobserved fleets compute the
-        same sums directly.
+        identical) — drill reports and the registry cannot drift apart.  The
+        per-card scrub/hazard sums are the same :meth:`_total` an observed
+        fleet's callback gauges read.
         """
-        registry = self.stats.registry
-        snap = registry.snapshot()
-        if _obs_names.GAUGE_SCRUB_PASSES in registry:
-            passes = snap[_obs_names.GAUGE_SCRUB_PASSES]
-            frames_checked = snap[_obs_names.GAUGE_SCRUB_FRAMES_CHECKED]
-            detected = snap[_obs_names.GAUGE_SCRUB_DETECTED]
-            corrected = snap[_obs_names.GAUGE_SCRUB_CORRECTED]
-            uncorrectable = snap[_obs_names.GAUGE_SCRUB_UNCORRECTABLE]
-            hazard_executions = snap[_obs_names.GAUGE_HAZARD_EXECUTIONS]
-            cards_down = snap[_obs_names.GAUGE_CARDS_DOWN]
-        else:
-            detected = corrected = uncorrectable = passes = frames_checked = 0
-            hazard_executions = 0
-            for card in self.cards:
-                scrubber = card.driver.coprocessor.scrubber
-                if scrubber is not None:
-                    detected += scrubber.stats.detected
-                    corrected += scrubber.stats.corrected
-                    uncorrectable += scrubber.stats.uncorrectable
-                    passes += scrubber.stats.passes
-                    frames_checked += scrubber.stats.frames_checked
-                detector = card.hazard_detector
-                if detector is not None:
-                    hazard_executions += detector.hazard_executions
-            cards_down = sum(1 for card in self.cards if card.health == "down")
         stats = self.stats
+        snap = stats.registry.snapshot()
         return {
             "availability": self.availability(),
             "service_availability": stats.service_availability,
-            "cards_down": cards_down,
+            "cards_down": self.cards_down(),
             "card_failures": snap[_obs_names.METRIC_CARD_FAILURES],
             "failovers": snap[_obs_names.METRIC_FAILOVERS],
             "heal_orders": snap[_obs_names.METRIC_HEAL_ORDERS],
             "heals_completed": snap[_obs_names.METRIC_HEALS_COMPLETED],
             "mttr_ns": stats.mttr_ns,
-            "scrub_passes": passes,
-            "scrub_frames_checked": frames_checked,
-            "scrub_detected": detected,
-            "scrub_corrected": corrected,
-            "scrub_uncorrectable": uncorrectable,
-            "hazard_executions": hazard_executions,
+            "scrub_passes": self._total("scrub_stats", "passes"),
+            "scrub_frames_checked": self._total("scrub_stats", "frames_checked"),
+            "scrub_detected": self._total("scrub_stats", "detected"),
+            "scrub_corrected": self._total("scrub_stats", "corrected"),
+            "scrub_uncorrectable": self._total("scrub_stats", "uncorrectable"),
+            "hazard_executions": self._total("hazard_detector", "hazard_executions"),
             "hazard_completions": snap[_obs_names.METRIC_HAZARD_COMPLETIONS],
             "silent_corruption_rate": stats.silent_corruption_rate,
         }

@@ -24,11 +24,13 @@ import pytest
 from hypothesis import HealthCheck
 from hypothesis import settings as hypothesis_settings
 
+from repro.check.invariants import check_invariants
 from repro.core.builder import build_coprocessor, build_fleet, build_host_driver
 from repro.core.config import CoprocessorConfig, SMALL_CONFIG
 from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
 from repro.sim.clock import Clock
+from repro.sim.kernel import Timeout
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
 # --------------------------------------------------------------- hypothesis
@@ -156,6 +158,39 @@ def protected_fleet():
         )
 
     return make
+
+
+@pytest.fixture
+def order_drill():
+    """Run control-plane orders on an otherwise idle fleet.
+
+    ``order_drill(fleet, (card_index, order), ...)`` queues each order the
+    way the services do and runs the kernel dry.  ``when=(condition, action)``
+    polls *condition* every 100 ns of fleet time and fires *action* once it
+    holds — how a test kills or wedges a peer at a chosen point of an
+    order's life.  Returns the invariant pack's violations.
+    """
+
+    def run(fleet, *orders, when=None):
+        fleet._spawn_workers()
+        for index, order in orders:
+            fleet.cards[index].outstanding += 1
+            fleet.cards[index].queue.put(order)
+        if when is not None:
+            condition, action = when
+
+            def watch():
+                for _ in range(10_000):
+                    if condition():
+                        return action()
+                    yield Timeout(100.0)
+                raise AssertionError("the drill's condition never held")
+
+            fleet.simulator.spawn(watch(), name="drill-watch")
+        fleet.simulator.run()
+        return check_invariants(fleet, trace_length=0)
+
+    return run
 
 
 @pytest.fixture

@@ -9,10 +9,12 @@ byte-identically.
 
 import pytest
 
+from repro.cluster import DefragOrder, HealOrder, Order
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.faults import FaultSpec
 from repro.fpga.errors import ConfigurationError
+from repro.sim.kernel import Timeout
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
 
@@ -219,6 +221,20 @@ class TestHealing:
             resident_anywhere.update(card.resident_functions())
         assert resident_anywhere
 
+    def test_refused_heal_still_costs_card_time(self, small_bank, protected_fleet, order_drill):
+        """A wedged port refuses the preload, but the command and its
+        registers crossed the bus first: that time is charged like any
+        other failed operation's (it used to be dropped)."""
+        fleet = protected_fleet(small_bank, cards=2)
+        fleet.degrade_card(1, 50_000.0)
+        card = fleet.cards[1]
+        fleet.stats.record_heal_order("parity32", card.name, 0.0)
+        assert order_drill(fleet, (1, HealOrder("parity32", "card0", 0.0))) == []
+        assert fleet.stats.heals_completed == 0
+        assert not card.holds("parity32")
+        assert card.outstanding == 0
+        assert card.busy_ns == card.driver.clock.now > 0
+
     def test_availability_reflects_downtime(self, small_bank, small_trace, protected_fleet):
         trace = small_trace(small_bank, length=80, mean_interarrival_ns=15_000.0)
         fleet = protected_fleet(
@@ -345,3 +361,47 @@ class TestFaultDeterminism:
         clean.run(trace)
         faulty.run(trace)
         assert clean.fingerprint() != faulty.fingerprint()
+
+
+class TestOrders:
+    def test_refused_defrag_costs_time_and_moves_nothing(self, small_bank, protected_fleet, order_drill):
+        fleet = protected_fleet(small_bank, cards=2)
+        fleet.enable_defrag()
+        card = fleet.cards[0]
+        names = small_bank.names()
+        for name in names:
+            card.driver.preload(name)
+        for name in names[::2]:
+            card.driver.evict(name)
+        defragmenter = card.driver.coprocessor.defragmenter
+        fragmentation = defragmenter.fragmentation()
+        assert fragmentation > 0
+        resident = card.resident_functions()
+        fleet.degrade_card(0, 50_000.0)
+        card.pending.add(DefragOrder)  # as the periodic service marks it
+        assert order_drill(fleet, (0, DefragOrder(1))) == []
+        assert defragmenter.stats.moves == 0
+        assert defragmenter.fragmentation() == fragmentation
+        assert card.resident_functions() == resident
+        assert card.busy_ns > 0
+        assert card.outstanding == 0 and not card.pending
+
+    def test_a_new_order_is_one_class(self, small_bank, small_fleet, order_drill):
+        """The worker runs anything that is an Order: work spends card time,
+        the slot is released, then settle does the bookkeeping."""
+        seen = []
+
+        class Probe(Order):
+            span = "order.probe"
+
+            def work(self, fleet, card):
+                yield Timeout(250.0)
+                seen.append(("work", fleet.clock.now, card.outstanding))
+                return {}
+
+            def settle(self, fleet, card):
+                seen.append(("settle", fleet.clock.now, card.outstanding))
+
+        fleet = small_fleet(small_bank)
+        assert order_drill(fleet, (1, Probe())) == []
+        assert seen == [("work", 250.0, 1), ("settle", 250.0, 0)]

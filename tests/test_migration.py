@@ -9,6 +9,7 @@ service, and the fleet rebalancer's planning and order execution.
 import pytest
 
 from repro.bitstream.relocate import RelocationError, compatible_fabrics, rebase_region
+from repro.cluster import ScrubOrder
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.core.exceptions import CoprocessorError
@@ -466,3 +467,88 @@ class TestFleetRebalancing:
         assert summary["defrag_passes"] > 0
         assert summary["defrag_frames_moved"] > 0
         assert fleet.cards[0].driver.coprocessor.defragmenter.fragmentation() == 0.0
+
+
+class TestMigrationFailureBranches:
+    """One drill per way a migration can fail (or finish early): the reason
+    is recorded, nothing stays marked in flight, no queue slot leaks, the
+    card time a failed phase spent is charged, and the invariant pack holds."""
+
+    FUNCTION = "crc32"
+
+    def two_cards(self, bank):
+        fleet = build_fleet(
+            cards=2,
+            config=SMALL_CONFIG.with_overrides(seed=13),
+            bank=bank,
+            fault_tolerance=True,
+        )
+        fleet.cards[0].driver.preload(self.FUNCTION)
+        return fleet
+
+    def settled(self, fleet, violations, reason):
+        assert violations == []
+        assert dict(fleet.stats.migration_failure_reasons) == ({reason: 1} if reason else {})
+        assert fleet.stats.migrations_completed == (0 if reason else 1)
+        assert fleet.migrating == set()
+        assert all(card.outstanding == 0 for card in fleet.cards)
+
+    def test_source_lost(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        fleet.cards[0].driver.evict(self.FUNCTION)
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        self.settled(fleet, order_drill(fleet), "source-lost")
+        assert fleet.cards[0].busy_ns == 0.0
+
+    def test_capture_failed(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        card = fleet.cards[0].driver.card
+        # Too small an output half for the image: the card reads the frames
+        # back and compresses them, then has to refuse.
+        card.window_bytes = card.output_offset + 16
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        self.settled(fleet, order_drill(fleet), "capture-failed")
+        assert fleet.cards[0].busy_ns == fleet.clock.now > 0
+        assert fleet.cards[0].holds(self.FUNCTION)
+
+    def test_dest_down(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        mid_capture = (lambda: fleet.clock.now > 0, lambda: fleet.kill_card(1))
+        self.settled(fleet, order_drill(fleet, when=mid_capture), "dest-down")
+        assert fleet.cards[0].busy_ns == fleet.clock.now > 0
+        assert fleet.cards[0].holds(self.FUNCTION)
+
+    def test_dest_died(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        source = fleet.cards[0]
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        # Two whole-device scrubs keep the destination busy past the capture,
+        # so the image waits in its queue; it dies with the image queued.
+        image_queued = (lambda: source.outstanding == 0, lambda: fleet.kill_card(1))
+        violations = order_drill(
+            fleet, (1, ScrubOrder(None)), (1, ScrubOrder(None)), when=image_queued
+        )
+        self.settled(fleet, violations, "dest-died")
+        assert source.holds(self.FUNCTION)
+
+    def test_restore_failed(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        fleet.degrade_card(1, 1e9)
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        self.settled(fleet, order_drill(fleet), "restore-failed")
+        # The refused restore still staged the blob over the destination's bus.
+        assert fleet.cards[1].busy_ns > 0
+        assert fleet.cards[0].holds(self.FUNCTION)
+        assert not fleet.cards[1].driver.card.is_resident(self.FUNCTION)
+
+    def test_source_dying_in_flight_completes_at_the_restore(self, small_bank, order_drill):
+        fleet = self.two_cards(small_bank)
+        source, dest = fleet.cards
+        fleet.order_migration(self.FUNCTION, 0, 1)
+        restoring = (lambda: dest.outstanding == 1, lambda: fleet.kill_card(0))
+        self.settled(fleet, order_drill(fleet, when=restoring), None)
+        assert dest.holds(self.FUNCTION)
+        assert fleet.stats.migration_byte_diffs == 0
+        # Nothing was left to release: the kernel stopped when the restore did.
+        assert fleet.clock.now == source.busy_ns + dest.busy_ns
