@@ -231,7 +231,7 @@ def _bench_horizon_peek(pending: int = 2_000, pauses: int = 2_000) -> dict:
     # without dispatching anything.
     simulator.run(until_ns=0.0)
     start_dispatches = simulator.events_dispatched
-    step = 1_000_000.0 / (pauses + 1)
+    step = 1_000_000 // (pauses + 1)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

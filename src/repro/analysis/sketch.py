@@ -224,7 +224,7 @@ class WindowedTimeSeries:
     series recorded on different shards mergeable window-by-window.
     """
 
-    def __init__(self, window_ns: float = 1_000_000.0, max_windows: int = 256) -> None:
+    def __init__(self, window_ns: int = 1_000_000, max_windows: int = 256) -> None:
         if window_ns <= 0:
             raise ValueError("window width must be positive")
         if max_windows < 1:
@@ -240,7 +240,7 @@ class WindowedTimeSeries:
         self.total_value = 0.0
         self.dropped_windows = 0
 
-    def record(self, time_ns: float, value: float = 1.0) -> None:
+    def record(self, time_ns: int, value: float = 1.0) -> None:
         index = int(time_ns // self.window_ns)
         if index == self._last_index:
             window = self._last_window
@@ -297,7 +297,7 @@ class WindowedTimeSeries:
             for index, (count, total) in sorted(self._windows.items())
         ]
 
-    def trailing(self, now_ns: float, horizon_ns: float) -> Tuple[int, float]:
+    def trailing(self, now_ns: int, horizon_ns: int) -> Tuple[int, float]:
         """``(count, value_sum)`` over windows touching ``(now - horizon, now]``.
 
         Window-granular on purpose: the SLO engine trades sub-window

@@ -13,7 +13,7 @@ class BaselineResult:
 
     function: str
     output: bytes
-    latency_ns: float
+    latency_ns: int
     hit: bool = True
     offloaded: bool = False
     breakdown: Dict[str, float] = field(default_factory=dict)

@@ -37,7 +37,7 @@ class FullReconfigEngine:
     def clock(self):
         return self.coprocessor.clock
 
-    def _full_device_penalty_ns(self, function_frames: int) -> float:
+    def _full_device_penalty_ns(self, function_frames: int) -> int:
         """Extra configuration-port time to rewrite the rest of the device.
 
         The partial path already wrote ``function_frames`` frames; a full
@@ -65,7 +65,7 @@ class FullReconfigEngine:
             for loaded in copro.loaded_functions():
                 copro.evict(loaded)
         result = copro.execute(name, data)
-        extra = 0.0
+        extra = 0
         if not hit:
             frames = copro.bank.by_name(name).frames_required(copro.geometry)
             extra = self._full_device_penalty_ns(frames)

@@ -37,11 +37,11 @@ class HostOnlyEngine:
         self.calls = 0
         self.total_cycles = 0
 
-    def software_time_ns(self, name: str, input_length: int) -> float:
-        """Modelled host CPU time for one call."""
+    def software_time_ns(self, name: str, input_length: int) -> int:
+        """Modelled host CPU time for one call, in whole nanoseconds."""
         function = self.bank.by_name(name)
         cycles = function.software_cycles(input_length, self.software_slowdown)
-        return cycles / self.host_clock_hz * 1e9
+        return round(cycles / self.host_clock_hz * 1e9)
 
     def execute(self, name: str, data: bytes, future_requests=None) -> BaselineResult:
         """Run *name* on *data* in software (the result is bit-exact with the

@@ -84,11 +84,11 @@ def tiny_control_plane(
         queue_depth=8,
         simulator=simulator,
         fault_tolerance=True,
-        scrub_period_ns=20_000.0,
+        scrub_period_ns=20_000,
         scrub_frames_per_order=8,
-        defrag_period_ns=25_000.0,
+        defrag_period_ns=25_000,
         defrag_moves_per_order=1,
-        rebalance_period_ns=30_000.0,
+        rebalance_period_ns=30_000,
         rebalance_min_queue_skew=2,
         rebalance_min_frame_skew=2,
     )

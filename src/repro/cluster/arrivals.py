@@ -23,7 +23,7 @@ from repro.sim.kernel import Timeout
 from repro.workloads.multitenant import FleetRequest
 
 
-def _restamp(request: FleetRequest, offset: float) -> FleetRequest:
+def _restamp(request: FleetRequest, offset: int) -> FleetRequest:
     """Shift a request onto the current timeline (deadline included)."""
     if request.deadline_ns is not None:
         return replace(
@@ -54,7 +54,7 @@ def open_arrivals(
     bounded extra queueing delay for one kernel timer event per group.
     """
     offset = clock._now
-    arrival_timeout = Timeout(0.0)
+    arrival_timeout = Timeout(0)
     if batch <= 1:
         for request in trace:
             if offset:

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.workloads.multitenant import FleetRequest
 
 
-def request_expired(request: "FleetRequest", now_ns: float) -> bool:
+def request_expired(request: "FleetRequest", now_ns: int) -> bool:
     """Has *request*'s completion deadline already passed at *now_ns*?
 
     The single deadline test the dispatch layer shares: the dispatcher checks

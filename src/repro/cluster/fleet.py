@@ -18,15 +18,17 @@ service time the synchronous model measured is a kernel ``Timeout``.  Card
 clocks therefore act as private service-time oracles (only their *deltas*
 matter), while ordering, queueing and concurrency across cards live entirely
 on the kernel clock — which is what keeps N-card schedules deterministic.
+Both clocks count whole nanoseconds (:mod:`repro.sim.clock`), so a card-clock
+delta is the same ``int`` wherever on either timeline it is measured.
 
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
-resident, healthy, unprotected card *replays* the recorded operation script
-of an earlier identical serve — device events included, when the card's
+resident, healthy, unprotected card *replays* an earlier identical serve from
+its recorded duration and offsets — device events included, when the card's
 recorder is enabled (tracing with ``Observability(bridge_device=True)``);
 anything else — a miss, a degraded or fault-protected card — runs the full
-transaction-level model.  The two are bit-identical in schedule, counters
-and spans (``tests/test_cluster_fastpath.py``).
+transaction-level model.  The two are equal in schedule, counters, time
+totals and spans (``tests/test_cluster_fastpath.py``).
 
 Admission control is at the dispatcher: a card with ``queue_depth``
 outstanding requests is inadmissible, and when every card is full the request
@@ -94,7 +96,7 @@ class _ReqTrace:
     __slots__ = ("trace_id", "root_id", "own_root", "arrival_ns", "enqueued_ns")
 
     def __init__(
-        self, trace_id: int, root_id: int, own_root: bool, arrival_ns: float
+        self, trace_id: int, root_id: int, own_root: bool, arrival_ns: int
     ) -> None:
         self.trace_id = trace_id
         self.root_id = root_id
@@ -145,12 +147,12 @@ class FleetCard:
         #: (queued + the one in service).
         self.outstanding = 0
         self.served = 0
-        self.busy_ns = 0.0
+        self.busy_ns = 0
         #: Health state: "up", "degraded" (configuration port wedged — serves
         #: hits, cannot reconfigure) or "down" (invisible to dispatch).
         self.health = "up"
-        self.down_since_ns: Optional[float] = None
-        self.degraded_until_ns = 0.0
+        self.down_since_ns: Optional[int] = None
+        self.degraded_until_ns = 0
         self.serve_failures = 0
         #: Classes of the periodic orders queued or in service here — a
         #: periodic service keeps at most one order of its kind per card.
@@ -414,7 +416,7 @@ class Fleet:
         the incident flight recorder; no-op when none is installed."""
         recorder = self._recorder
         if recorder is not None:
-            recorder.on_fault(kind, card_name, int(self.clock._now), **attrs)
+            recorder.on_fault(kind, card_name, self.clock._now, **attrs)
 
     def _obs_register(self, request: FleetRequest, trace_id: int, parent_id: int) -> None:
         """Adopt a net-layer trace context for *request* (gateway admission).
@@ -427,7 +429,7 @@ class Fleet:
             trace_id, parent_id, False, self.clock._now
         )
 
-    def _obs_end(self, request: FleetRequest, outcome: str, now_ns: float) -> None:
+    def _obs_end(self, request: FleetRequest, outcome: str, now_ns: int) -> None:
         """Close *request*'s trace at a terminal outcome (tracer known set)."""
         ctx = self._trace_ctx.pop(id(request), None)
         if ctx is None:
@@ -492,7 +494,7 @@ class Fleet:
         # Everything consulted once per request is pre-bound (none of these
         # objects is ever swapped out for the life of the fleet).
         get_request = card.queue.get()
-        service_timeout = Timeout(0.0)
+        service_timeout = Timeout(0)
         clock = self.clock
         card_name = card.name
         device = card._device
@@ -661,7 +663,7 @@ class Fleet:
             card.pending.add(kind)
             self._enqueue(card, order)
 
-    def _every(self, period_ns: float, tick: Callable[[], None]):
+    def _every(self, period_ns: int, tick: Callable[[], None]):
         """Periodic service body: call *tick* once per period until idle."""
         while True:
             yield Timeout(period_ns)
@@ -815,7 +817,7 @@ class Fleet:
         """Register a named kernel service; run() (re)spawns finished ones."""
         self._services.append((name, factory))
 
-    def _add_order_service(self, name: str, period_ns: float, kind, budget) -> None:
+    def _add_order_service(self, name: str, period_ns: int, kind, budget) -> None:
         """One periodic service per card: each period, one ``kind(budget)``
         order on the card's queue unless the last one has not run yet."""
         for card in self.cards:
@@ -832,7 +834,7 @@ class Fleet:
 
     def enable_fault_tolerance(
         self,
-        scrub_period_ns: Optional[float] = None,
+        scrub_period_ns: Optional[int] = None,
         scrub_frames_per_order: int = 8,
         heal_on_failure: bool = True,
         heal_limit: int = 4,
@@ -867,12 +869,12 @@ class Fleet:
     # ---------------------------------------------------------- rebalancing
     def enable_rebalancing(
         self,
-        period_ns: float,
+        period_ns: int,
         min_queue_skew: int = 4,
         min_frame_skew: int = 4,
         max_orders_per_cycle: int = 2,
         keep_resident: int = 1,
-        cooldown_ns: Optional[float] = None,
+        cooldown_ns: Optional[int] = None,
     ):
         """Start the fleet's migration-planning service.
 
@@ -892,7 +894,7 @@ class Fleet:
             min_frame_skew=min_frame_skew,
             max_orders_per_cycle=max_orders_per_cycle,
             keep_resident=keep_resident,
-            cooldown_ns=int(10 * period_ns) if cooldown_ns is None else cooldown_ns,
+            cooldown_ns=10 * period_ns if cooldown_ns is None else cooldown_ns,
         )
         self.add_service(
             "fleet-rebalance", partial(self._every, period_ns, self._rebalance)
@@ -918,7 +920,7 @@ class Fleet:
 
     def enable_defrag(
         self,
-        period_ns: Optional[float] = None,
+        period_ns: Optional[int] = None,
         moves_per_order: Optional[int] = 1,
     ) -> None:
         """Install the defragmenter on every card (optionally as a service).
@@ -981,7 +983,7 @@ class Fleet:
             self._schedule_heals(card, now)
         return True
 
-    def degrade_card(self, index: int, duration_ns: float) -> bool:
+    def degrade_card(self, index: int, duration_ns: int) -> bool:
         """Wedge a card's configuration port for *duration_ns* of fleet time.
 
         A degraded card keeps serving resident functions; requests that need
@@ -994,7 +996,7 @@ class Fleet:
         card.driver.coprocessor.device.port.wedge()
         until = self.clock.now + duration_ns
         card.degraded_until_ns = max(card.degraded_until_ns, until)
-        self.record_fault_event("wedge", card.name, duration_ns=int(duration_ns))
+        self.record_fault_event("wedge", card.name, duration_ns=duration_ns)
         if card.health != "degraded":
             card.health = "degraded"
             self.stats.record_card_degraded(card.name, self.clock.now)
@@ -1003,7 +1005,7 @@ class Fleet:
         )
         return True
 
-    def _port_recovery(self, card: FleetCard, duration_ns: float):
+    def _port_recovery(self, card: FleetCard, duration_ns: int):
         yield Timeout(duration_ns)
         if card.health == "down" or self.clock.now < card.degraded_until_ns:
             return  # dead, or a later fault extended the degradation
@@ -1013,7 +1015,7 @@ class Fleet:
             self.stats.record_card_recovered(card.name, self.clock.now)
             self.record_fault_event("recover", card.name)
 
-    def _schedule_heals(self, dead: FleetCard, killed_at_ns: float) -> None:
+    def _schedule_heals(self, dead: FleetCard, killed_at_ns: int) -> None:
         """Re-resident-ize the dead card's hottest functions on survivors."""
         resident = dead.driver.card.resident_functions()
         per_function = dead.driver.coprocessor.stats.per_function_requests
@@ -1052,14 +1054,14 @@ class Fleet:
         span = end - start
         if span <= 0:
             return 1.0
-        down = 0.0
+        down = 0
         for card in self.cards:
             if card.down_since_ns is not None:
-                down += max(0.0, end - max(card.down_since_ns, start))
+                down += max(0, end - max(card.down_since_ns, start))
         return 1.0 - down / (len(self.cards) * span)
 
     # ------------------------------------------------------------------- run
-    def run(self, trace: FleetTrace, until_ns: Optional[float] = None) -> FleetStatistics:
+    def run(self, trace: FleetTrace, until_ns: Optional[int] = None) -> FleetStatistics:
         """Serve *trace* to completion (or *until_ns*); returns the statistics.
 
         Can be called repeatedly — statistics and residency accumulate, which

@@ -90,7 +90,7 @@ class HealOrder(Order):
     __slots__ = ("function", "failed_card", "killed_at_ns", "healed")
     span = _obs_names.SPAN_ORDER_HEAL
 
-    def __init__(self, function: str, failed_card: str, killed_at_ns: float) -> None:
+    def __init__(self, function: str, failed_card: str, killed_at_ns: int) -> None:
         self.function = function
         self.failed_card = failed_card
         self.killed_at_ns = killed_at_ns
@@ -115,7 +115,7 @@ class MigrateOrder(Order):
     __slots__ = ("function", "dest_index", "ordered_ns", "handed_off")
     span = _obs_names.SPAN_ORDER_MIGRATE_CAPTURE
 
-    def __init__(self, function: str, dest_index: int, ordered_ns: float) -> None:
+    def __init__(self, function: str, dest_index: int, ordered_ns: int) -> None:
         self.function = function
         self.dest_index = dest_index
         self.ordered_ns = ordered_ns
@@ -159,7 +159,7 @@ class RestoreOrder(Order):
         blob: bytes,
         source_index: int,
         frames: int,
-        ordered_ns: float,
+        ordered_ns: int,
     ) -> None:
         self.function = function
         self.blob = blob
@@ -219,7 +219,7 @@ class ReleaseOrder(Order):
         dest_name: str,
         blob_bytes: int,
         frames: int,
-        ordered_ns: float,
+        ordered_ns: int,
         byte_identical: bool,
     ) -> None:
         self.function = function

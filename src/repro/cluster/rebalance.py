@@ -29,29 +29,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
 from repro.bitstream.relocate import compatible_fabrics
+from repro.sim.clock import as_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.fleet import Fleet, FleetCard
-
-
-def _coerce_cooldown_ns(cooldown_ns) -> int:
-    """Validate and coerce a cooldown to integer nanoseconds.
-
-    The cluster layer standardized durations on int ns; an integral float
-    (the historical default was ``1_000_000.0``, and ``enable_rebalancing``
-    derives its default from a float period) is coerced, anything
-    fractional or negative is rejected.
-    """
-    if isinstance(cooldown_ns, bool) or not isinstance(cooldown_ns, (int, float)):
-        raise TypeError(f"cooldown_ns must be a number, got {cooldown_ns!r}")
-    if cooldown_ns < 0:
-        raise ValueError("the migration cooldown cannot be negative")
-    as_int = int(cooldown_ns)
-    if as_int != cooldown_ns:
-        raise ValueError(
-            f"cooldown_ns must be integral nanoseconds, got {cooldown_ns!r}"
-        )
-    return as_int
 
 
 @dataclass(frozen=True)
@@ -104,11 +85,16 @@ class Rebalancer:
             raise ValueError("a rebalance cycle must be able to order one migration")
         if keep_resident < 0:
             raise ValueError("keep_resident cannot be negative")
+        if isinstance(cooldown_ns, float) and not cooldown_ns.is_integer():
+            raise ValueError(f"cooldown_ns must be whole nanoseconds, got {cooldown_ns!r}")
+        cooldown_ns = as_ns(cooldown_ns)
+        if cooldown_ns < 0:
+            raise ValueError("the migration cooldown cannot be negative")
         self.min_queue_skew = min_queue_skew
         self.min_frame_skew = min_frame_skew
         self.max_orders_per_cycle = max_orders_per_cycle
         self.keep_resident = keep_resident
-        self.cooldown_ns = _coerce_cooldown_ns(cooldown_ns)
+        self.cooldown_ns = cooldown_ns
         self.cycles = 0
         self.orders_planned = 0
         self._last_ordered: dict = {}

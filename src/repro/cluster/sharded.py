@@ -29,20 +29,31 @@ Three properties carry the argument:
    seed, bit-identical stream) and filters it to its own cards' share, so no
    request objects — and no RNG state — ever cross a process boundary.
 
-The merge sorts per-shard record logs by timestamp (each shard's log is
-already time-ordered because kernel time is monotone) and replays them into a
-fresh ``FleetStatistics``; with continuous-valued timestamps, cross-shard
-ties have measure zero, and the remaining tie-break (shard order, then
-per-shard sequence) is deterministic.  Sharded runs use ``admission_batch=1``:
-front-door admission groups are formed over the *global* arrival stream, so a
-shard — which sees only its own subset — would coalesce different groups.
+The merge replays the per-shard record logs into a fresh
+``FleetStatistics`` in the total order ``(completed_ns, started_ns, shard,
+seq)``.  Time is whole nanoseconds, so two cards *do* complete at the same
+instant (on 25 of 120 trace seeds of the 4-card, 20 000-request sweep), and
+the key says which the single-process kernel ran first: a completion is the
+``Timeout`` its worker yielded at ``started_ns``, the kernel dispatches
+same-instant entries in the order they were scheduled, so equal-instant
+completions run in service-start order.  ``shard, seq`` keep each shard's own
+order and make the merge a function of its input.  What the key cannot
+order is two cards on different shards that both start **and** complete at
+the same two instants (and a rejection, which has no service start and sorts
+behind its instant's completions): the single-process order then depends on
+which worker the kernel resumed first.  :func:`merge_shard_records` counts
+those records (``stats.unordered_merge_ties``; 0 on every swept seed) and ROADMAP
+open item 3b, whose rewrite owns the merge, inherits them.  Sharded runs use
+``admission_batch=1``: front-door admission groups are formed over the
+*global* arrival stream, so a shard — which sees only its own subset — would
+coalesce different groups.
 
 Epochs bound each *worker's* memory, not the parent's and not correctness:
 a worker pauses at every epoch horizon and ships its drained record log, so
 it never holds more than one epoch of records.  The parent appends every
 epoch's records to a per-shard list and sorts the concatenation once at the
 end (:func:`merge_shard_records`), so it holds O(records in the whole run).
-ROADMAP open item 4 replaces this with free-running workers and a streaming
+ROADMAP open item 3b replaces this with free-running workers and a streaming
 k-way merge, which is what would make the parent O(records per epoch).
 """
 
@@ -74,7 +85,7 @@ class ShardedRunConfig:
     queue_depth: int = 64
     stats_mode: str = "sketch"
     #: Lockstep epoch width in simulated nanoseconds.
-    epoch_ns: float = 50_000_000.0
+    epoch_ns: int = 50_000_000
 
     def __post_init__(self) -> None:
         if self.total_cards < 1:
@@ -255,23 +266,30 @@ def merge_shard_records(
 ) -> FleetStatistics:
     """Replay per-shard record logs into one ``FleetStatistics``.
 
-    Each shard's log is time-ordered (kernel time is monotone within a
-    shard), so a stable sort of the concatenation by timestamp reproduces
-    the single-process emission order whenever timestamps are distinct —
-    which, on continuous-valued timelines, is always in practice.  Equal
-    timestamps fall back to shard order then per-shard sequence: still
-    deterministic, merely not guaranteed to match the single-process
-    interleaving of the tied records.
+    The order is ``(completed_ns, started_ns, shard, seq)``: a stable sort by
+    the first two over the shard-by-shard concatenation.  Same-instant
+    completions replay in service-start order, which is the order the
+    single-process kernel dispatched them in; a rejection sorts behind the
+    completions of its instant.  Records of *different* shards with an equal
+    ``(completed_ns, started_ns)`` are replayed in shard order, which the
+    single-process run need not match — they are counted in the returned
+    statistics' ``unordered_merge_ties``.
     """
-    decorated: List[Tuple[float, int, int, tuple]] = []
+    decorated: List[Tuple[Tuple[int, int], int, tuple]] = []
     for shard_id, records in enumerate(shard_records):
-        for sequence, record in enumerate(records):
-            decorated.append((record[1], shard_id, sequence, record))
+        for record in records:
+            # record[7] is a completion's started_ns.
+            started_ns = record[7] if record[0] == "done" else record[1]
+            decorated.append(((record[1], started_ns), shard_id, record))
     decorated.sort(key=lambda row: row[0])
     merged = FleetStatistics(mode=mode, sketch_relative_error=sketch_relative_error)
     record_completion = merged.record_completion
     record_rejection = merged.record_rejection
-    for _, _, _, record in decorated:
+    previous_key = previous_shard = None
+    for key, shard_id, record in decorated:
+        if key == previous_key and shard_id != previous_shard:
+            merged.unordered_merge_ties += 1
+        previous_key, previous_shard = key, shard_id
         if record[0] == "done":
             (_, completed_ns, tenant, function, card_name,
              hit, arrival_ns, started_ns, hazard) = record

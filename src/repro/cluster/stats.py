@@ -117,7 +117,7 @@ class FleetStatistics:
         seed: int = 0x0F1EE7,
         mode: str = "reservoir",
         sketch_relative_error: float = 0.01,
-        window_ns: float = 1_000_000.0,
+        window_ns: int = 1_000_000,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if mode not in ("reservoir", "sketch"):
@@ -157,11 +157,11 @@ class FleetStatistics:
         self.completed = 0
         self.hits = 0
         self.misses = 0
-        self.total_wait_ns = 0.0
-        self.total_service_ns = 0.0
-        self.total_sojourn_ns = 0.0
-        self.first_arrival_ns: Optional[float] = None
-        self.last_completion_ns = 0.0
+        self.total_wait_ns = 0
+        self.total_service_ns = 0
+        self.total_sojourn_ns = 0
+        self.first_arrival_ns: Optional[int] = None
+        self.last_completion_ns = 0
         self.per_tenant_arrivals: Dict[str, int] = defaultdict(int)
         self.per_tenant_completed: Dict[str, int] = defaultdict(int)
         self.per_tenant_dispatched: Dict[str, int] = defaultdict(int)
@@ -185,19 +185,23 @@ class FleetStatistics:
         # host saw as STATUS_OK) and the by-reason/by-tenant families are
         # registry instruments created above; only the non-counter state
         # lives here.
-        self.card_down_since: Dict[str, float] = {}
-        self.total_heal_latency_ns = 0.0
+        self.card_down_since: Dict[str, int] = {}
+        self.total_heal_latency_ns = 0
         # --- rebalancing (PR 5: live migration + defrag) -------------------
         # migration_* counters — including migration_byte_diffs, the
         # migration-safety property the E11 acceptance gate asserts stays
         # zero — are registry instruments created above.
-        self.total_migration_latency_ns = 0.0
+        self.total_migration_latency_ns = 0
         # --- deadlines + network front door (PR 7: repro.net) --------------
         # The client-visible counters (net_requests issues exactly once into
         # net_completed or net_failed-by-reason; expired requests failed
         # fast, never served late; gateway dedup suppressed/served) are
         # registry instruments created above.
-        self.total_net_latency_ns = 0.0
+        self.total_net_latency_ns = 0
+        #: Set by :func:`repro.cluster.sharded.merge_shard_records`: records
+        #: whose cross-shard order its merge key could not decide (the merged
+        #: digest is only guaranteed to equal the single-process one when 0).
+        self.unordered_merge_ties = 0
         #: Network-time-inclusive end-to-end latency recorder (first client
         #: send to response delivery).  Built lazily so fleets that never see
         #: network traffic keep their historical memory footprint.
@@ -230,13 +234,13 @@ class FleetStatistics:
         return drained
 
     # ------------------------------------------------------------- recording
-    def record_arrival(self, tenant: str, arrival_ns: float) -> None:
+    def record_arrival(self, tenant: str, arrival_ns: int) -> None:
         self.arrivals += 1
         self.per_tenant_arrivals[tenant] += 1
         if self.first_arrival_ns is None:
             self.first_arrival_ns = arrival_ns
 
-    def record_rejection(self, tenant: str, function: str, now_ns: float) -> None:
+    def record_rejection(self, tenant: str, function: str, now_ns: int) -> None:
         self.rejected += 1
         self.per_tenant_rejected[tenant] += 1
         self._note(f"reject|{tenant}|{function}|{now_ns!r}".encode())
@@ -250,21 +254,21 @@ class FleetStatistics:
         self.per_tenant_dispatched[tenant] += 1
         self.per_card_dispatched[card_name] += 1
 
-    def record_card_failure(self, card_name: str, now_ns: float) -> None:
+    def record_card_failure(self, card_name: str, now_ns: int) -> None:
         self.card_failures += 1
         self.card_down_since.setdefault(card_name, now_ns)
         self._note(f"kill|{card_name}|{now_ns!r}".encode())
 
-    def record_card_degraded(self, card_name: str, now_ns: float) -> None:
+    def record_card_degraded(self, card_name: str, now_ns: int) -> None:
         self.card_degradations += 1
         self._note(f"degrade|{card_name}|{now_ns!r}".encode())
 
-    def record_card_recovered(self, card_name: str, now_ns: float) -> None:
+    def record_card_recovered(self, card_name: str, now_ns: int) -> None:
         self.card_recoveries += 1
         self._note(f"recover|{card_name}|{now_ns!r}".encode())
 
     def record_failover(
-        self, tenant: str, function: str, card_name: str, reason: str, now_ns: float
+        self, tenant: str, function: str, card_name: str, reason: str, now_ns: int
     ) -> None:
         self.failovers += 1
         self.per_tenant_failovers[tenant] += 1
@@ -273,12 +277,12 @@ class FleetStatistics:
             f"failover|{tenant}|{function}|{card_name}|{reason}|{now_ns!r}".encode()
         )
 
-    def record_heal_order(self, function: str, card_name: str, killed_at_ns: float) -> None:
+    def record_heal_order(self, function: str, card_name: str, killed_at_ns: int) -> None:
         self.heal_orders += 1
         self._note(f"heal-order|{function}|{card_name}|{killed_at_ns!r}".encode())
 
     def record_heal(
-        self, function: str, card_name: str, killed_at_ns: float, completed_ns: float
+        self, function: str, card_name: str, killed_at_ns: int, completed_ns: int
     ) -> None:
         self.heals_completed += 1
         self.total_heal_latency_ns += completed_ns - killed_at_ns
@@ -287,13 +291,13 @@ class FleetStatistics:
         )
 
     def record_migration_order(
-        self, function: str, source: str, dest: str, now_ns: float
+        self, function: str, source: str, dest: str, now_ns: int
     ) -> None:
         self.migration_orders += 1
         self._note(f"mig-order|{function}|{source}|{dest}|{now_ns!r}".encode())
 
     def record_migration_failed(
-        self, function: str, card_name: str, reason: str, now_ns: float
+        self, function: str, card_name: str, reason: str, now_ns: int
     ) -> None:
         self.migrations_failed += 1
         self.migration_failure_reasons[reason] += 1
@@ -306,8 +310,8 @@ class FleetStatistics:
         function: str,
         source: str,
         dest: str,
-        ordered_ns: float,
-        completed_ns: float,
+        ordered_ns: int,
+        completed_ns: int,
         frames: int,
         blob_bytes: int,
         byte_identical: bool,
@@ -326,7 +330,7 @@ class FleetStatistics:
     # Deadline / network-front-door recording (PR 7).  Every digest line in
     # this block only occurs when deadlines or the net layer are in use, so
     # legacy runs keep the schedule digests they had before either existed.
-    def record_expired(self, tenant: str, function: str, now_ns: float) -> None:
+    def record_expired(self, tenant: str, function: str, now_ns: int) -> None:
         self.expired += 1
         self.per_tenant_expired[tenant] += 1
         self._note(f"expire|{tenant}|{function}|{now_ns!r}".encode())
@@ -353,8 +357,8 @@ class FleetStatistics:
         tenant: str,
         function: str,
         priority: int,
-        first_send_ns: float,
-        completed_ns: float,
+        first_send_ns: int,
+        completed_ns: int,
         attempts: int,
     ) -> None:
         self.net_completed += 1
@@ -372,7 +376,7 @@ class FleetStatistics:
             self.slo_engine.on_net_completion(completed_ns, latency_ns)
 
     def record_net_failure(
-        self, request_id: int, tenant: str, priority: int, reason: str, now_ns: float
+        self, request_id: int, tenant: str, priority: int, reason: str, now_ns: int
     ) -> None:
         self.net_failed += 1
         self.net_failure_reasons[reason] += 1
@@ -380,12 +384,12 @@ class FleetStatistics:
         if self.slo_engine is not None:
             self.slo_engine.on_net_bad(now_ns)
 
-    def record_shed(self, tenant: str, priority: int, now_ns: float) -> None:
+    def record_shed(self, tenant: str, priority: int, now_ns: int) -> None:
         self.shed_total += 1
         self.per_priority_shed[priority] += 1
         self._note(f"shed|{tenant}|{priority}|{now_ns!r}".encode())
 
-    def record_breaker_open(self, gateway_name: str, now_ns: float) -> None:
+    def record_breaker_open(self, gateway_name: str, now_ns: int) -> None:
         self.breaker_opens += 1
         self._note(f"breaker|{gateway_name}|{now_ns!r}".encode())
 
@@ -395,9 +399,9 @@ class FleetStatistics:
         function: str,
         card_name: str,
         hit: bool,
-        arrival_ns: float,
-        started_ns: float,
-        completed_ns: float,
+        arrival_ns: int,
+        started_ns: int,
+        completed_ns: int,
         hazard: bool = False,
     ) -> None:
         self.completed += 1
@@ -545,10 +549,10 @@ class FleetStatistics:
         )
 
     @property
-    def makespan_ns(self) -> float:
+    def makespan_ns(self) -> int:
         if self.first_arrival_ns is None:
-            return 0.0
-        return max(0.0, self.last_completion_ns - self.first_arrival_ns)
+            return 0
+        return max(0, self.last_completion_ns - self.first_arrival_ns)
 
     @property
     def throughput_requests_per_s(self) -> float:

@@ -88,16 +88,16 @@ def build_fleet(
     queue_depth: int = 8,
     simulator=None,
     fault_tolerance: bool = False,
-    scrub_period_ns: Optional[float] = None,
+    scrub_period_ns: Optional[int] = None,
     scrub_frames_per_order: int = 8,
     heal_on_failure: bool = True,
     heal_limit: int = 4,
     fault_spec=None,
-    rebalance_period_ns: Optional[float] = None,
+    rebalance_period_ns: Optional[int] = None,
     rebalance_max_orders: int = 2,
     rebalance_min_queue_skew: int = 4,
     rebalance_min_frame_skew: int = 4,
-    defrag_period_ns: Optional[float] = None,
+    defrag_period_ns: Optional[int] = None,
     defrag_moves_per_order: Optional[int] = 1,
     stats_mode: str = "reservoir",
     card_indices: Optional[Sequence[int]] = None,
@@ -206,8 +206,8 @@ def build_frontdoor(
     transport=None,
     admission=None,
     priorities=None,
-    deadline_ns: Optional[float] = None,
-    probe_period_ns: float = 1_000_000.0,
+    deadline_ns: Optional[int] = None,
+    probe_period_ns: int = 1_000_000,
     slos=None,
 ):
     """Put *fleet* behind a network front door (see :mod:`repro.net`).

@@ -78,13 +78,12 @@ class CoprocessorCard(PciDevice):
         except KeyError:
             return None
 
-    def _finish(self, status: int, output: bytes = b"", elapsed_ns: float = 0.0) -> None:
+    def _finish(self, status: int, output: bytes = b"", elapsed_ns: int = 0) -> None:
         if output:
             self.interface.write_window(self.output_offset, output)
         self.interface.write_register(REG_OUTPUT_LENGTH, len(output))
-        nanoseconds = int(elapsed_ns)
-        self.interface.write_register(REG_TIME_LOW, nanoseconds & 0xFFFFFFFF)
-        self.interface.write_register(REG_TIME_HIGH, (nanoseconds >> 32) & 0xFFFFFFFF)
+        self.interface.write_register(REG_TIME_LOW, elapsed_ns & 0xFFFFFFFF)
+        self.interface.write_register(REG_TIME_HIGH, (elapsed_ns >> 32) & 0xFFFFFFFF)
         self.interface.write_register(REG_STATUS, status)
 
     # -------------------------------------------------------------- handlers

@@ -44,7 +44,7 @@ class ExecutionResult:
     output: bytes
     hit: bool
     evictions: List[str]
-    latency_ns: float
+    latency_ns: int
     breakdown: Dict[str, float]
     outcome: RequestOutcome
 

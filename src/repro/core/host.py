@@ -36,17 +36,17 @@ class HostCallResult:
     function: str
     output: bytes
     card_result: Optional[ExecutionResult]
-    input_transfer_ns: float
-    output_transfer_ns: float
-    command_ns: float
-    total_ns: float
+    input_transfer_ns: int
+    output_transfer_ns: int
+    command_ns: int
+    total_ns: int
 
     @property
-    def card_latency_ns(self) -> float:
-        return self.card_result.latency_ns if self.card_result is not None else 0.0
+    def card_latency_ns(self) -> int:
+        return self.card_result.latency_ns if self.card_result is not None else 0
 
     @property
-    def pci_overhead_ns(self) -> float:
+    def pci_overhead_ns(self) -> int:
         return self.input_transfer_ns + self.output_transfer_ns + self.command_ns
 
 
@@ -62,7 +62,7 @@ class HostDriver:
         self.bridge = bridge
         self.card = card
         self.calls: int = 0
-        self.total_pci_ns: float = 0.0
+        self.total_pci_ns: int = 0
         bridge.enumerate()
 
     # ------------------------------------------------------------ plumbing
@@ -74,10 +74,10 @@ class HostDriver:
     def clock(self):
         return self.bus.clock
 
-    def _write_input(self, data: bytes) -> float:
+    def _write_input(self, data: bytes) -> int:
         started = self.clock.now
         if not data:
-            return 0.0
+            return 0
         if len(data) <= self.PIO_THRESHOLD_BYTES:
             self.bridge.write_window(self.card.name, 0, data)
         else:
@@ -87,14 +87,14 @@ class HostDriver:
     def _read_output(self, length: int) -> tuple:
         started = self.clock.now
         if length == 0:
-            return b"", 0.0
+            return b"", 0
         if length <= self.PIO_THRESHOLD_BYTES:
             data = self.bridge.read_window(self.card.name, self.card.output_offset, length)
         else:
             data = self.bridge.dma_from_card(self.card.name, self.card.output_offset, length).data
         return data, self.clock.now - started
 
-    def _issue_command(self, kind: CommandKind, function_id: int, input_length: int) -> float:
+    def _issue_command(self, kind: CommandKind, function_id: int, input_length: int) -> int:
         started = self.clock.now
         self.bridge.write_register(self.card.name, REG_FUNCTION_ID, function_id)
         self.bridge.write_register(self.card.name, REG_INPUT_LENGTH, input_length)
@@ -124,7 +124,7 @@ class HostDriver:
         # register-write transaction, so subtract the card time to leave only
         # the register/bus overhead in ``command_ns``.
         if self.card.last_result is not None:
-            command_ns = max(0.0, command_ns - self.card.last_result.latency_ns)
+            command_ns = max(0, command_ns - self.card.last_result.latency_ns)
         self.calls += 1
         self.total_pci_ns += input_ns + output_ns
         return HostCallResult(

@@ -30,7 +30,7 @@ class RequestRecord:
     index: int
     function: str
     payload_bytes: int
-    latency_ns: float
+    latency_ns: int
     hit: bool
     output_bytes: int
 
@@ -42,7 +42,7 @@ class TraceResult:
     trace_name: str
     engine_name: str
     records: List[RequestRecord] = field(default_factory=list)
-    total_time_ns: float = 0.0
+    total_time_ns: int = 0
 
     # -------------------------------------------------------------- derived
     @property
@@ -68,7 +68,7 @@ class TraceResult:
         return sum(record.latency_ns for record in self.records) / len(self.records)
 
     @property
-    def total_latency_ns(self) -> float:
+    def total_latency_ns(self) -> int:
         return sum(record.latency_ns for record in self.records)
 
     def latency_percentile(self, percentile: float) -> float:
@@ -119,7 +119,7 @@ class TraceRunner:
         result = TraceResult(trace_name=trace.name, engine_name=self.engine_name)
         requests = trace.requests if limit is None else trace.requests[:limit]
         clock = getattr(self.engine, "clock", None)
-        started_ns = clock.now if clock is not None else 0.0
+        started_ns = clock.now if clock is not None else 0
         function_sequence = [request.function for request in requests]
         for index, request in enumerate(requests):
             if clock is not None and request.arrival_offset_ns:
@@ -137,7 +137,7 @@ class TraceRunner:
                     index=index,
                     function=request.function,
                     payload_bytes=request.payload_bytes,
-                    latency_ns=float(getattr(outcome, "latency_ns")),
+                    latency_ns=getattr(outcome, "latency_ns"),
                     hit=bool(getattr(outcome, "hit", True)),
                     output_bytes=len(getattr(outcome, "output", b"")),
                 )

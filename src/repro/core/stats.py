@@ -75,13 +75,13 @@ class CoprocessorStatistics:
     evictions: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    total_latency_ns: float = 0.0
-    total_reconfig_ns: float = 0.0
-    total_execute_ns: float = 0.0
-    total_data_movement_ns: float = 0.0
+    total_latency_ns: int = 0
+    total_reconfig_ns: int = 0
+    total_execute_ns: int = 0
+    total_data_movement_ns: int = 0
     per_function_requests: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    per_function_latency_ns: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    latencies_ns: List[float] = field(default_factory=list)
+    per_function_latency_ns: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    latencies_ns: List[int] = field(default_factory=list)
     #: Cap on retained per-request latencies (percentiles stay meaningful while
     #: memory stays bounded for very long traces).
     max_recorded_latencies: int = 100_000
@@ -206,17 +206,16 @@ class CoprocessorStatistics:
         function: str,
         input_bytes: int,
         output_bytes: int,
-        total_time_ns: float,
-        reconfig_time_ns: float,
-        execute_time_ns: float,
-        data_movement_ns: float,
+        total_time_ns: int,
+        reconfig_time_ns: int,
+        execute_time_ns: int,
+        data_movement_ns: int,
     ) -> None:
         """Fold a replayed clean hit (no evictions) — the memo fast path.
 
-        Bit-identical to :meth:`record` for the same outcome: every addend is
-        precomputed once by the caller with the same left-to-right grouping
-        ``record`` uses (float addition folds identically), and the
-        hit/no-eviction branch outcomes are baked in.  Reservoir mode defers
+        Equal to :meth:`record` for the same outcome: every addend is
+        precomputed once by the caller and the hit/no-eviction branch
+        outcomes are baked in.  Reservoir mode defers
         to :meth:`record` so the sampler's rebind/cap bookkeeping stays in one
         place; sketch mode — the million-request configuration — takes the
         straight-line path.

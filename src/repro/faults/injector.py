@@ -110,7 +110,7 @@ class FaultInjector:
             alive = len(self._alive_cards(fleet))
             if not alive:
                 return
-            yield Timeout(rng.exponential(per_card_gap / alive))
+            yield Timeout(round(rng.exponential(per_card_gap / alive)))
             if fleet.is_idle:
                 return
             cards = self._alive_cards(fleet)
@@ -126,10 +126,10 @@ class FaultInjector:
 
     def _port_fault_process(self, fleet):
         rng = self._port_rng
-        duration = self.spec.port_fault_duration_ns
+        duration = round(self.spec.port_fault_duration_ns)
         stall = self.spec.port_fault_kind == "stall"
         while True:
-            yield Timeout(rng.exponential(self.spec.mean_port_fault_gap_ns))
+            yield Timeout(round(rng.exponential(self.spec.mean_port_fault_gap_ns)))
             if fleet.is_idle:
                 return
             cards = [card for card in self._alive_cards(fleet) if card.health == "up"]
@@ -141,15 +141,13 @@ class FaultInjector:
                 # absorbs the delay; no health change, nothing to recover.
                 card.driver.coprocessor.device.port.stall_for(duration)
                 self.port_faults += 1
-                fleet.record_fault_event(
-                    "stall", card.name, duration_ns=int(duration)
-                )
+                fleet.record_fault_event("stall", card.name, duration_ns=duration)
             elif fleet.degrade_card(card.index, duration):
                 self.port_faults += 1
 
     #: How often the kill scheduler wakes to check for fleet idleness while
     #: waiting for a distant kill time.
-    _KILL_IDLE_CHECK_NS = 250_000.0
+    _KILL_IDLE_CHECK_NS = 250_000
 
     def _kill_process(self, fleet):
         # Scheduled kills run in time order from the fleet-run's start.  The
@@ -159,7 +157,7 @@ class FaultInjector:
         # scheduler stops once the fleet is idle.
         started = fleet.clock.now
         for time_ns, index in sorted(self.spec.card_kill_times_ns):
-            target = started + time_ns
+            target = started + round(time_ns)
             while True:
                 remaining = target - fleet.clock.now
                 if remaining <= 0:

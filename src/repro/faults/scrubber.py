@@ -36,7 +36,7 @@ class ScrubStatistics:
     detected: int = 0
     corrected: int = 0
     uncorrectable: int = 0
-    scrub_time_ns: float = 0.0
+    scrub_time_ns: int = 0
 
 
 @dataclass
@@ -47,7 +47,7 @@ class ScrubPassResult:
     detected: int = 0
     corrected: int = 0
     uncorrectable: int = 0
-    elapsed_ns: float = 0.0
+    elapsed_ns: int = 0
 
 
 class Scrubber:

@@ -29,7 +29,11 @@ FAULT_PROCESSES = ("poisson", "burst", "targeted")
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """All tunable parameters of one fault environment."""
+    """All tunable parameters of one fault environment.
+
+    Durations and kill times are whole nanoseconds; a fractional value is
+    tolerated and rounded once, where the injector consumes the spec.
+    """
 
     # --- configuration-memory upsets ---------------------------------------
     process: str = "poisson"
@@ -43,7 +47,7 @@ class FaultSpec:
     port_fault_rate_per_s: float = 0.0
     #: How long a port fault lasts (kernel time for a wedge; card-local
     #: configuration time for a stall).
-    port_fault_duration_ns: float = 250_000.0
+    port_fault_duration_ns: int = 250_000
     #: ``"wedge"`` hard-fails the port until recovery (the card degrades and
     #: misses bounce); ``"stall"`` queues a transient delay the next
     #: configuration session silently absorbs (the card stays healthy, one
@@ -53,7 +57,7 @@ class FaultSpec:
     # --- whole-card failures -------------------------------------------------
     #: Scheduled kills: (kernel time ns, card index).  Deterministic by
     #: construction — reliability experiments want controlled failure points.
-    card_kill_times_ns: Tuple[Tuple[float, int], ...] = ()
+    card_kill_times_ns: Tuple[Tuple[int, int], ...] = ()
 
     # --- determinism ---------------------------------------------------------
     seed: int = 0xFA017

@@ -27,20 +27,20 @@ class PortStatistics:
     sessions: int = 0
     frames_written: int = 0
     bytes_written: int = 0
-    busy_time_ns: float = 0.0
+    busy_time_ns: int = 0
     crc_failures: int = 0
     stall_events: int = 0
-    stalled_time_ns: float = 0.0
+    stalled_time_ns: int = 0
     wedge_events: int = 0
 
     def reset(self) -> None:
         self.sessions = 0
         self.frames_written = 0
         self.bytes_written = 0
-        self.busy_time_ns = 0.0
+        self.busy_time_ns = 0
         self.crc_failures = 0
         self.stall_events = 0
-        self.stalled_time_ns = 0.0
+        self.stalled_time_ns = 0
         self.wedge_events = 0
 
 
@@ -86,10 +86,10 @@ class ConfigurationPort:
         self.wedged = False
         #: Fault model: pending transient stall, consumed (as configuration
         #: clock time) by the next session that opens.
-        self._pending_stall_ns = 0.0
+        self._pending_stall_ns = 0
 
     # --------------------------------------------------------------- timing
-    def write_time_ns(self, payload_bytes: int) -> float:
+    def write_time_ns(self, payload_bytes: int) -> int:
         """Time to push *payload_bytes* through the port, including setup."""
         cycles = self.frame_setup_cycles + -(-payload_bytes // self.port_width_bytes)
         return self.domain.cycles_to_ns(cycles)
@@ -109,7 +109,7 @@ class ConfigurationPort:
     def unwedge(self) -> None:
         self.wedged = False
 
-    def stall_for(self, duration_ns: float) -> None:
+    def stall_for(self, duration_ns: int) -> None:
         """Queue a transient stall consumed by the next configuration session."""
         if duration_ns < 0:
             raise ValueError("a stall cannot run backwards")
@@ -131,9 +131,9 @@ class ConfigurationPort:
             raise ConfigurationError(
                 f"configuration port is wedged; cannot open a session for {owner!r}"
             )
-        if self._pending_stall_ns > 0.0:
+        if self._pending_stall_ns:
             stall = self._pending_stall_ns
-            self._pending_stall_ns = 0.0
+            self._pending_stall_ns = 0
             self.stats.stalled_time_ns += stall
             self.stats.busy_time_ns += stall
             self.clock.advance(stall)

@@ -37,7 +37,7 @@ class LoadedFunction:
     function_id: int
     region: FrameRegion
     executor: FunctionExecutor
-    loaded_at_ns: float
+    loaded_at_ns: int
     executions: int = 0
     total_cycles: int = 0
     #: I/O metadata copied from the configuring bit-stream's header, so a
@@ -323,7 +323,7 @@ class FPGADevice:
                 f"got a {len(new_region)}-frame target"
             )
         if list(new_region) == list(old_region):
-            return 0.0
+            return 0
         new_set = set(new_region)
         for address in new_region:
             owner = self.memory.owner_of(address)

@@ -43,10 +43,10 @@ class ReconfigurationReport:
     frames: int
     compressed_bytes: int
     uncompressed_bytes: int
-    rom_time_ns: float = 0.0
-    decompress_time_ns: float = 0.0
-    config_time_ns: float = 0.0
-    total_time_ns: float = 0.0
+    rom_time_ns: int = 0
+    decompress_time_ns: int = 0
+    config_time_ns: int = 0
+    total_time_ns: int = 0
     overlapped: bool = False
 
     @property
@@ -228,7 +228,7 @@ class ConfigurationModule:
         the image arrived over the PCI instead.
         """
         image = self._decode_blob(name, blob)
-        return self._apply_image(name, image, rom_time=0.0, region=region, executor=executor)
+        return self._apply_image(name, image, rom_time=0, region=region, executor=executor)
 
     # -------------------------------------------------------------- configure
     def reconfigure(
@@ -245,7 +245,7 @@ class ConfigurationModule:
         self,
         name: str,
         image: CompressedImage,
-        rom_time: float,
+        rom_time: int,
         region: FrameRegion,
         executor: FunctionExecutor,
     ) -> ReconfigurationReport:

@@ -29,7 +29,7 @@ class TransferRecord:
     payload_bytes: int
     padded_bytes: int
     beats: int
-    elapsed_ns: float
+    elapsed_ns: int
 
 
 class _InterfaceBus:
@@ -58,7 +58,7 @@ class _InterfaceBus:
         beats = -(-payload_bytes // self.bus_width_bytes)
         return beats * self.bus_width_bytes
 
-    def transfer_time_ns(self, payload_bytes: int) -> Tuple[int, float]:
+    def transfer_time_ns(self, payload_bytes: int) -> Tuple[int, int]:
         """(beats, nanoseconds) for a transfer of *payload_bytes*."""
         beats = -(-payload_bytes // self.bus_width_bytes) if payload_bytes else 0
         cycles = self.setup_cycles + beats

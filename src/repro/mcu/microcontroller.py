@@ -33,14 +33,14 @@ class RequestOutcome:
     hit: bool
     evictions: List[str] = field(default_factory=list)
     reconfiguration: Optional[ReconfigurationReport] = None
-    decode_time_ns: float = 0.0
-    stage_input_time_ns: float = 0.0
-    reconfig_time_ns: float = 0.0
-    feed_time_ns: float = 0.0
-    execute_time_ns: float = 0.0
-    collect_time_ns: float = 0.0
-    readout_time_ns: float = 0.0
-    total_time_ns: float = 0.0
+    decode_time_ns: int = 0
+    stage_input_time_ns: int = 0
+    reconfig_time_ns: int = 0
+    feed_time_ns: int = 0
+    execute_time_ns: int = 0
+    collect_time_ns: int = 0
+    readout_time_ns: int = 0
+    total_time_ns: int = 0
 
     def breakdown(self) -> Dict[str, float]:
         """Per-phase nanoseconds, in pipeline order."""
@@ -96,7 +96,7 @@ class Microcontroller:
         self.scrub_on_execute = False
 
     # ----------------------------------------------------------- primitives
-    def _charge_cycles(self, cycles: float) -> float:
+    def _charge_cycles(self, cycles: float) -> int:
         elapsed = self.domain.cycles_to_ns(cycles)
         self.clock.advance(elapsed)
         return elapsed

@@ -45,7 +45,7 @@ class DefragStatistics:
     moves: int = 0
     frames_moved: int = 0
     blocked_moves: int = 0
-    defrag_time_ns: float = 0.0
+    defrag_time_ns: int = 0
 
 
 @dataclass
@@ -58,7 +58,7 @@ class DefragPassResult:
     fragmentation_after: float = 0.0
     largest_run_before: int = 0
     largest_run_after: int = 0
-    elapsed_ns: float = 0.0
+    elapsed_ns: int = 0
 
 
 class Defragmenter:

@@ -89,7 +89,7 @@ class MiniOs:
         """
         return sorted(self.table.names())
 
-    def touch(self, name: str, now_ns: float) -> None:
+    def touch(self, name: str, now_ns: int) -> None:
         """Record that *name* was just used (updates the replacement table)."""
         self.table.touch(name, now_ns)
 
@@ -98,7 +98,7 @@ class MiniOs:
         self,
         name: str,
         frames_needed: int,
-        now_ns: float,
+        now_ns: int,
         protect: Optional[Set[str]] = None,
         future_requests: Optional[Sequence[str]] = None,
     ) -> EvictionDecision:
@@ -160,7 +160,7 @@ class MiniOs:
         self.stats.frames_evicted += entry.frame_count
         return entry.region
 
-    def commit_load(self, name: str, region: FrameRegion, now_ns: float) -> None:
+    def commit_load(self, name: str, region: FrameRegion, now_ns: int) -> None:
         """Record that *name* is now resident in *region*."""
         self.free_frames.allocate(region)
         self.table.insert(name, region, now_ns)
@@ -172,7 +172,7 @@ class MiniOs:
         self.stats = MiniOsStatistics()
 
     # ------------------------------------------------------------ reporting
-    def describe(self, now_ns: Optional[float] = None) -> str:
+    def describe(self, now_ns: Optional[int] = None) -> str:
         return (
             f"policy={self.policy.name}\n"
             f"{self.free_frames.describe()}\n"

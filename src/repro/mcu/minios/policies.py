@@ -29,7 +29,7 @@ class ReplacementPolicy(abc.ABC):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         """Resident entries ordered from most to least evictable."""
@@ -39,7 +39,7 @@ class ReplacementPolicy(abc.ABC):
         table: FrameReplacementTable,
         frames_needed: int,
         free_frames: int,
-        now_ns: float,
+        now_ns: int,
         protect: Optional[Set[str]] = None,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
@@ -82,7 +82,7 @@ class LruPolicy(ReplacementPolicy):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.last_access_ns, entry.name))
@@ -96,7 +96,7 @@ class FifoPolicy(ReplacementPolicy):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.loaded_at_ns, entry.name))
@@ -110,7 +110,7 @@ class LfuPolicy(ReplacementPolicy):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.access_count, entry.last_access_ns, entry.name))
@@ -127,7 +127,7 @@ class RandomPolicy(ReplacementPolicy):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         return self._rng.shuffle(sorted(table, key=lambda entry: entry.name))
@@ -145,7 +145,7 @@ class BeladyPolicy(ReplacementPolicy):
     def rank_victims(
         self,
         table: FrameReplacementTable,
-        now_ns: float,
+        now_ns: int,
         future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         if not future_requests:

@@ -19,8 +19,8 @@ class FrameReplacementEntry:
 
     name: str
     region: FrameRegion
-    loaded_at_ns: float
-    last_access_ns: float
+    loaded_at_ns: int
+    last_access_ns: int
     access_count: int = 0
     load_count: int = 1
 
@@ -28,7 +28,7 @@ class FrameReplacementEntry:
     def frame_count(self) -> int:
         return len(self.region)
 
-    def touch(self, now_ns: float) -> None:
+    def touch(self, now_ns: int) -> None:
         """Record an access at *now_ns*."""
         self.last_access_ns = now_ns
         self.access_count += 1
@@ -63,7 +63,7 @@ class FrameReplacementTable:
         return sum(entry.frame_count for entry in self._entries.values())
 
     # ------------------------------------------------------------- mutation
-    def insert(self, name: str, region: FrameRegion, now_ns: float) -> FrameReplacementEntry:
+    def insert(self, name: str, region: FrameRegion, now_ns: int) -> FrameReplacementEntry:
         """Register a newly loaded algorithm."""
         if name in self._entries:
             raise ValueError(f"{name!r} is already in the replacement table")
@@ -83,11 +83,11 @@ class FrameReplacementTable:
         except KeyError:
             raise KeyError(f"{name!r} is not resident on the FPGA") from None
 
-    def touch(self, name: str, now_ns: float) -> None:
+    def touch(self, name: str, now_ns: int) -> None:
         """Update the access time stamp of *name*."""
         self.entry(name).touch(now_ns)
 
-    def record_reload(self, name: str, now_ns: float) -> None:
+    def record_reload(self, name: str, now_ns: int) -> None:
         """An already-resident function was reloaded (e.g. after relocation)."""
         entry = self.entry(name)
         entry.loaded_at_ns = now_ns
@@ -103,7 +103,7 @@ class FrameReplacementTable:
             return None
         return min(self._entries.values(), key=lambda entry: (entry.last_access_ns, entry.name))
 
-    def describe(self, now_ns: Optional[float] = None) -> str:
+    def describe(self, now_ns: Optional[int] = None) -> str:
         lines = []
         for entry in sorted(self._entries.values(), key=lambda e: e.last_access_ns):
             age = f", idle {now_ns - entry.last_access_ns:.0f}ns" if now_ns is not None else ""

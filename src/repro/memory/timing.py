@@ -24,7 +24,7 @@ class MemoryTiming:
         (1.0 = 1 GB/s, 0.05 = 50 MB/s).
     """
 
-    access_latency_ns: float = 50.0
+    access_latency_ns: int = 50
     bandwidth_bytes_per_ns: float = 0.05
 
     def __post_init__(self) -> None:
@@ -33,13 +33,13 @@ class MemoryTiming:
         if self.bandwidth_bytes_per_ns <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def transfer_time_ns(self, num_bytes: int) -> float:
-        """Time to read or write *num_bytes* in one burst."""
+    def transfer_time_ns(self, num_bytes: int) -> int:
+        """Whole nanoseconds to read or write *num_bytes* in one burst."""
         if num_bytes < 0:
             raise ValueError("cannot transfer a negative number of bytes")
         if num_bytes == 0:
-            return 0.0
-        return self.access_latency_ns + num_bytes / self.bandwidth_bytes_per_ns
+            return 0
+        return round(self.access_latency_ns + num_bytes / self.bandwidth_bytes_per_ns)
 
     def bandwidth_mbytes_per_s(self) -> float:
         """Convenience conversion used in reports."""
@@ -47,7 +47,7 @@ class MemoryTiming:
 
 
 #: Flash-style configuration ROM: 100 ns setup, ~50 MB/s sustained.
-ROM_TIMING = MemoryTiming(access_latency_ns=100.0, bandwidth_bytes_per_ns=0.05)
+ROM_TIMING = MemoryTiming(access_latency_ns=100, bandwidth_bytes_per_ns=0.05)
 
 #: On-card SRAM: 20 ns setup, ~400 MB/s sustained.
-RAM_TIMING = MemoryTiming(access_latency_ns=20.0, bandwidth_bytes_per_ns=0.4)
+RAM_TIMING = MemoryTiming(access_latency_ns=20, bandwidth_bytes_per_ns=0.4)

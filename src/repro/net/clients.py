@@ -106,4 +106,4 @@ class ClosedLoopPopulation:
             transport.submit(request, done)
             yield done
             if think_ns:
-                yield Timeout(rng.exponential(think_ns))
+                yield Timeout(round(rng.exponential(think_ns)))

@@ -26,6 +26,7 @@ from repro.cluster.fleet import Fleet
 from repro.net.gateway import AdmissionConfig, Gateway
 from repro.net.link import Link, LinkSpec
 from repro.net.transport import GatewayRequest, Transport, TransportConfig
+from repro.sim.clock import as_ns
 from repro.sim.rand import SeededRandom
 from repro.workloads.multitenant import FleetRequest
 
@@ -43,7 +44,7 @@ class FrontDoor:
         transport: Optional[TransportConfig] = None,
         admission: Optional[AdmissionConfig] = None,
         priorities: Optional[Dict[str, int]] = None,
-        deadline_ns: Optional[float] = None,
+        deadline_ns: Optional[int] = None,
         probe_period_ns: int = 1_000_000,
     ) -> None:
         if gateways < 1:
@@ -57,7 +58,7 @@ class FrontDoor:
         #: Per-tenant admission class (default 0 = bulk; >0 sheds last).
         self.priorities = dict(priorities) if priorities else {}
         #: Per-request deadline budget from first send (None = no deadlines).
-        self.deadline_ns = deadline_ns
+        self.deadline_ns = None if deadline_ns is None else as_ns(deadline_ns)
         self.gateways: List[Gateway] = []
         self.uplinks: List[Link] = []
         self.downlinks: List[Link] = []
@@ -168,7 +169,7 @@ class FrontDoor:
     def _on_response(self, packet) -> None:
         self.transport.on_response(packet)
 
-    def _on_fleet_outcome(self, request, outcome: str, now_ns: float) -> None:
+    def _on_fleet_outcome(self, request, outcome: str, now_ns: int) -> None:
         if isinstance(request, GatewayRequest):
             self.gateways[request.gateway_index].finish(request, outcome, now_ns)
 
@@ -198,7 +199,7 @@ class FrontDoor:
                     factory(), name=name
                 )
 
-    def run(self, until_ns: Optional[float] = None):
+    def run(self, until_ns: Optional[int] = None):
         """Serve every queued population to quiescence; returns fleet stats."""
         if not self._populations:
             raise ValueError("add at least one client population before run()")

@@ -60,9 +60,9 @@ class TokenBucket:
         self.burst = float(config.burst)
         self.reserve = config.reserve_fraction * config.burst
         self.tokens = self.burst
-        self.refilled_ns = 0.0
+        self.refilled_ns = 0
 
-    def admit(self, priority: int, now_ns: float) -> bool:
+    def admit(self, priority: int, now_ns: int) -> bool:
         tokens = min(
             self.burst, self.tokens + (now_ns - self.refilled_ns) * self.rate_per_ns
         )
@@ -173,7 +173,7 @@ class Gateway:
         )
 
     # ----------------------------------------------------------- fleet side
-    def finish(self, request: GatewayRequest, outcome: str, now_ns: float) -> None:
+    def finish(self, request: GatewayRequest, outcome: str, now_ns: int) -> None:
         """Terminal fleet verdict for a request this gateway admitted."""
         request_id = request.request_id
         if request_id not in self._entries:  # pragma: no cover - invariant

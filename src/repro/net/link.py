@@ -26,14 +26,18 @@ from repro.sim.rand import SeededRandom
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """The physics of one link direction."""
+    """The physics of one link direction.
+
+    Durations are whole nanoseconds; a fractional value is tolerated and
+    rounded once, where :meth:`Link.pump` consumes the spec.
+    """
 
     #: One-way propagation delay (ns).
-    latency_ns: float = 20_000.0
+    latency_ns: int = 20_000
     #: Serialisation bandwidth in Gbit/s (= bits per nanosecond).
     gbps: float = 10.0
     #: Maximum extra per-packet delay, drawn uniformly in [0, jitter_ns].
-    jitter_ns: float = 0.0
+    jitter_ns: int = 0
     #: Per-packet loss probability (drawn after serialisation).
     loss: float = 0.0
     #: Egress queue bound in packets; a full queue tail-drops.
@@ -79,7 +83,7 @@ class Packet:
         #: sends the packet on a traced request.
         self.trace = trace
         #: send() instant, for the delivered packet's transit span.
-        self.sent_ns = 0.0
+        self.sent_ns = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Packet({self.kind!r}, id={self.request_id}, {self.size_bytes}B)"
@@ -127,23 +131,24 @@ class Link:
         spec = self.spec
         gbps = spec.gbps
         loss = spec.loss
+        latency_ns = round(spec.latency_ns)
         jitter_ns = spec.jitter_ns
         rng = self.rng
         spawn = self.simulator.spawn
         get_packet = self._queue.get()
-        serialize_timeout = Timeout(0.0)
+        serialize_timeout = Timeout(0)
         while True:
             packet = yield get_packet
-            serialize_timeout.delay_ns = packet.size_bytes * 8.0 / gbps
+            serialize_timeout.delay_ns = round(packet.size_bytes * 8.0 / gbps)
             yield serialize_timeout
             # Draw order is fixed (loss then jitter, only when enabled) so a
             # spec change toggles exactly one draw per packet.
             if loss and rng.uniform() < loss:
                 self.lost += 1
                 continue
-            delay_ns = spec.latency_ns
+            delay_ns = latency_ns
             if jitter_ns:
-                delay_ns += rng.uniform(0.0, jitter_ns)
+                delay_ns += round(rng.uniform(0.0, jitter_ns))
             spawn(self._arrive(packet), name=f"{self.name}-fly", delay_ns=delay_ns)
 
     def _arrive(self, packet: Packet):

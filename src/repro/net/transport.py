@@ -55,21 +55,25 @@ class GatewayRequest(FleetRequest):
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Retry/timeout/breaker policy for one client population's transport."""
+    """Retry/timeout/breaker policy for one client population's transport.
+
+    Durations are whole nanoseconds; a fractional value is tolerated and
+    rounded once, where :class:`Transport` consumes the config.
+    """
 
     #: Per-attempt response timeout (ns).
-    per_hop_timeout_ns: float = 2_000_000.0
+    per_hop_timeout_ns: int = 2_000_000
     #: Retransmit budget after the first attempt; 0 = fail on first loss.
     max_retries: int = 3
     #: First backoff (ns); doubles per retry up to ``backoff_cap_ns``.
-    backoff_base_ns: float = 100_000.0
-    backoff_cap_ns: float = 2_000_000.0
+    backoff_base_ns: int = 100_000
+    backoff_cap_ns: int = 2_000_000
     #: Jitter fraction: each backoff is scaled by 1 + jitter * U[0, 1).
     backoff_jitter: float = 0.5
     #: Consecutive failures that open a gateway's circuit breaker.
     breaker_threshold: int = 8
     #: How long an open breaker rejects before probing again (ns).
-    breaker_open_ns: float = 10_000_000.0
+    breaker_open_ns: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.per_hop_timeout_ns <= 0:
@@ -91,14 +95,14 @@ class CircuitBreaker:
 
     __slots__ = ("threshold", "open_ns", "state", "failures", "opened_at_ns")
 
-    def __init__(self, threshold: int, open_ns: float) -> None:
+    def __init__(self, threshold: int, open_ns: int) -> None:
         self.threshold = threshold
         self.open_ns = open_ns
         self.state = "closed"
         self.failures = 0
-        self.opened_at_ns = 0.0
+        self.opened_at_ns = 0
 
-    def allow(self, now_ns: float) -> bool:
+    def allow(self, now_ns: int) -> bool:
         """May an attempt be sent now?  Open breakers admit one probe per
         open window (half-open); the probe's outcome decides what follows."""
         state = self.state
@@ -113,7 +117,7 @@ class CircuitBreaker:
         self.state = "closed"
         self.failures = 0
 
-    def record_failure(self, now_ns: float) -> bool:
+    def record_failure(self, now_ns: int) -> bool:
         """Count a failure; True when this one opens (or re-opens) the gate."""
         if self.state == "half-open":
             self.state = "open"
@@ -143,7 +147,7 @@ class _Pending:
 
     def __init__(self, request: GatewayRequest, done_event: Optional[WaitEvent]) -> None:
         self.request = request
-        self.first_send_ns = 0.0
+        self.first_send_ns = 0
         #: Attempt counter; bumping it stale-izes every armed timeout watcher
         #: and backoff sleeper for earlier attempts.
         self.attempt = 0
@@ -155,7 +159,7 @@ class _Pending:
         #: None — the trace id *is* the transport request id.
         self.trace = None
         #: When the current attempt's packet went up (its span's start).
-        self.attempt_sent_ns = 0.0
+        self.attempt_sent_ns = 0
 
 
 class Transport:
@@ -177,8 +181,9 @@ class Transport:
         self.uplinks = uplinks
         self.config = config
         self.rng = rng
+        self._hop_timeout_ns = round(config.per_hop_timeout_ns)
         self.breakers = [
-            CircuitBreaker(config.breaker_threshold, config.breaker_open_ns)
+            CircuitBreaker(config.breaker_threshold, round(config.breaker_open_ns))
             for _ in uplinks
         ]
         self._pending: Dict[int, _Pending] = {}
@@ -246,7 +251,7 @@ class Transport:
                 trace=pending.trace,
             )
         )
-        wait_ns = self.config.per_hop_timeout_ns
+        wait_ns = self._hop_timeout_ns
         if deadline is not None:
             wait_ns = min(wait_ns, deadline - now)
         self.simulator.spawn(
@@ -254,7 +259,7 @@ class Transport:
             name=f"net-timeout-{request.request_id}",
         )
 
-    def _timeout_watch(self, pending: _Pending, attempt: int, wait_ns: float):
+    def _timeout_watch(self, pending: _Pending, attempt: int, wait_ns: int):
         yield Timeout(wait_ns)
         if pending.done or pending.attempt != attempt:
             return  # a response or a newer attempt superseded this watcher
@@ -357,6 +362,7 @@ class Transport:
         )
         if config.backoff_jitter:
             backoff_ns *= 1.0 + config.backoff_jitter * self.rng.uniform()
+        backoff_ns = round(backoff_ns)
         now = self.clock._now
         deadline = pending.request.deadline_ns
         if deadline is not None and now + backoff_ns >= deadline:
@@ -367,7 +373,7 @@ class Transport:
             name=f"net-backoff-{pending.request.request_id}",
         )
 
-    def _resend(self, pending: _Pending, attempt: int, backoff_ns: float):
+    def _resend(self, pending: _Pending, attempt: int, backoff_ns: int):
         yield Timeout(backoff_ns)
         if pending.done or pending.attempt != attempt:
             return

@@ -143,7 +143,7 @@ class Observability:
             sampler.on_retain = self.recorder.on_retained_trace
 
     # -------------------------------------------------------------- teardown
-    def finish(self, now_ns: float) -> None:
+    def finish(self, now_ns: int) -> None:
         """End-of-run settlement: flush the tail sampler's rootless traces
         and close still-open incidents.  No-op without SLOs/tail (or when
         disabled), and safe to call more than once."""

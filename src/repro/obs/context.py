@@ -163,17 +163,16 @@ class Tracer:
         name: str,
         trace_id: int,
         parent_id: Optional[int],
-        start_ns: float,
-        end_ns: float,
+        start_ns: int,
+        end_ns: int,
         span_id: Optional[int] = None,
         **attrs: Any,
     ) -> int:
         """Record one completed span; returns its span id.
 
         ``span_id`` accepts an id pre-allocated with :meth:`next_span_id`;
-        otherwise a fresh one is drawn.  Fractional clock readings are
-        rounded to integer nanoseconds (rounding is monotonic, so the
-        ``end >= start`` invariant survives).
+        otherwise a fresh one is drawn.  Times are the kernel clock's whole
+        nanoseconds, stored as read.
         """
         if end_ns < start_ns:
             raise ValueError(f"span {name!r} ends before it starts")
@@ -187,26 +186,10 @@ class Tracer:
                 self.dropped += 1
                 return span_id
             self.spans.append(
-                Span(
-                    name,
-                    trace_id,
-                    span_id,
-                    parent_id,
-                    int(round(start_ns)),
-                    int(round(end_ns)),
-                    attrs,
-                )
+                Span(name, trace_id, span_id, parent_id, start_ns, end_ns, attrs)
             )
             return span_id
-        span = Span(
-            name,
-            trace_id,
-            span_id,
-            parent_id,
-            int(round(start_ns)),
-            int(round(end_ns)),
-            attrs,
-        )
+        span = Span(name, trace_id, span_id, parent_id, start_ns, end_ns, attrs)
         if self._observer is not None:
             self._observer(span)
         if tail is not None:
@@ -239,7 +222,7 @@ class Tracer:
         name: str,
         trace_id: int,
         parent_id: Optional[int],
-        at_ns: float,
+        at_ns: int,
         **attrs: Any,
     ) -> int:
         """A zero-duration span (an event that happened *at* an instant)."""

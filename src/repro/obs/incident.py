@@ -124,7 +124,7 @@ class FlightRecorder:
         max_incidents: int = 16,
         max_timeline_events: int = 256,
         max_traces_per_incident: int = 32,
-        lookback_ns: float = 2_000_000.0,
+        lookback_ns: int = 2_000_000,
     ) -> None:
         if max_incidents < 1:
             raise ValueError("max_incidents must be positive")
@@ -133,7 +133,7 @@ class FlightRecorder:
         self.max_incidents = max_incidents
         self.max_timeline_events = max_timeline_events
         self.max_traces_per_incident = max_traces_per_incident
-        self.lookback_ns = float(lookback_ns)
+        self.lookback_ns = lookback_ns
         self.incidents: List[Incident] = []
         self.overflowed_alerts = 0
         self._registry = registry
@@ -160,9 +160,9 @@ class FlightRecorder:
             if incident.open:
                 self._append_timeline(incident, self._span_event(span))
 
-    def on_fault(self, kind: str, card: str, now_ns: float, **attrs: Any) -> None:
+    def on_fault(self, kind: str, card: str, now_ns: int, **attrs: Any) -> None:
         """A fault-domain event: card kill, wedge, upset, port stall."""
-        event = {"t_ns": int(now_ns), "kind": "fault", "fault": kind, "card": card}
+        event = {"t_ns": now_ns, "kind": "fault", "fault": kind, "card": card}
         for key in sorted(attrs):
             event[key] = _json_safe(attrs[key])
         self._fault_ring.append(event)
@@ -238,11 +238,11 @@ class FlightRecorder:
             if end >= window_start and (window_end is None or start <= window_end):
                 incident.traces.append(dict(summary))
 
-    def flush(self, now_ns: float) -> None:
+    def flush(self, now_ns: int) -> None:
         """Close any still-open incidents (end of run)."""
         for incident in self.incidents:
             if incident.open:
-                self._close(incident, int(now_ns), "run_end")
+                self._close(incident, now_ns, "run_end")
 
     # -------------------------------------------------------------- plumbing
     def incident_windows(self) -> List[tuple]:

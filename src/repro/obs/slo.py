@@ -41,7 +41,7 @@ class BurnWindow:
     __slots__ = ("label", "fast_ns", "slow_ns", "burn_threshold")
 
     def __init__(
-        self, label: str, fast_ns: float, slow_ns: float, burn_threshold: float
+        self, label: str, fast_ns: int, slow_ns: int, burn_threshold: float
     ) -> None:
         if fast_ns <= 0 or slow_ns <= 0:
             raise ValueError("burn windows must be positive")
@@ -50,8 +50,8 @@ class BurnWindow:
         if burn_threshold <= 0:
             raise ValueError("burn threshold must be positive")
         self.label = label
-        self.fast_ns = float(fast_ns)
-        self.slow_ns = float(slow_ns)
+        self.fast_ns = fast_ns
+        self.slow_ns = slow_ns
         self.burn_threshold = float(burn_threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -93,7 +93,7 @@ class SloSpec:
         kind: str,
         objective: float,
         source: str = SOURCE_FLEET,
-        threshold_ns: Optional[float] = None,
+        threshold_ns: Optional[int] = None,
         windows: Sequence[BurnWindow] = (),
         min_events: int = 10,
     ) -> None:
@@ -121,7 +121,7 @@ class SloSpec:
         self.kind = kind
         self.objective = float(objective)
         self.source = source
-        self.threshold_ns = None if threshold_ns is None else float(threshold_ns)
+        self.threshold_ns = threshold_ns
         self.windows = tuple(windows)
         self.min_events = int(min_events)
 
@@ -136,8 +136,8 @@ class SloSpec:
         name: str,
         objective: float = 0.99,
         source: str = SOURCE_FLEET,
-        fast_ns: float = 200_000.0,
-        slow_ns: float = 1_000_000.0,
+        fast_ns: int = 200_000,
+        slow_ns: int = 1_000_000,
         burn_threshold: float = 4.0,
         min_events: int = 10,
     ) -> "SloSpec":
@@ -155,11 +155,11 @@ class SloSpec:
     def latency(
         cls,
         name: str,
-        threshold_ns: float,
+        threshold_ns: int,
         objective: float = 0.95,
         source: str = SOURCE_FLEET,
-        fast_ns: float = 200_000.0,
-        slow_ns: float = 1_000_000.0,
+        fast_ns: int = 200_000,
+        slow_ns: int = 1_000_000,
         burn_threshold: float = 4.0,
         min_events: int = 10,
     ) -> "SloSpec":
@@ -179,8 +179,8 @@ class SloSpec:
         cls,
         name: str,
         objective: float = 0.999,
-        fast_ns: float = 500_000.0,
-        slow_ns: float = 2_000_000.0,
+        fast_ns: int = 500_000,
+        slow_ns: int = 2_000_000,
         burn_threshold: float = 2.0,
         min_events: int = 10,
     ) -> "SloSpec":
@@ -257,9 +257,9 @@ class _SloState:
         # Quarter-fast grain gives the fast burn four samples of resolution;
         # the ring must retain the whole slow horizon (plus slack for the
         # window straddling `now`).
-        grain = max(1.0, fast / 4.0)
+        grain = max(1, fast // 4)
         self.series = WindowedTimeSeries(
-            window_ns=grain, max_windows=int(slow / grain) + 8
+            window_ns=grain, max_windows=slow // grain + 8
         )
         #: window label -> active Alert (hysteresis state).
         self.active: dict = {}
@@ -315,7 +315,7 @@ class SloEngine:
 
     # ----------------------------------------------------------------- feeds
     def on_fleet_completion(
-        self, now_ns: float, sojourn_ns: float, hazard: bool
+        self, now_ns: int, sojourn_ns: int, hazard: bool
     ) -> None:
         for state in self._fleet_states:
             spec = state.spec
@@ -328,7 +328,7 @@ class SloEngine:
             state.series.record(now_ns, bad)
             self._evaluate(state, now_ns)
 
-    def on_fleet_bad(self, now_ns: float) -> None:
+    def on_fleet_bad(self, now_ns: int) -> None:
         """A rejection or deadline expiry — bad for availability, invisible
         to latency/corruption SLOs (they judge completions only)."""
         for state in self._fleet_states:
@@ -336,7 +336,7 @@ class SloEngine:
                 state.series.record(now_ns, 1.0)
                 self._evaluate(state, now_ns)
 
-    def on_net_completion(self, now_ns: float, latency_ns: float) -> None:
+    def on_net_completion(self, now_ns: int, latency_ns: int) -> None:
         for state in self._net_states:
             spec = state.spec
             if spec.kind == KIND_LATENCY:
@@ -346,14 +346,14 @@ class SloEngine:
             state.series.record(now_ns, bad)
             self._evaluate(state, now_ns)
 
-    def on_net_bad(self, now_ns: float) -> None:
+    def on_net_bad(self, now_ns: int) -> None:
         for state in self._net_states:
             if state.spec.kind == KIND_AVAILABILITY:
                 state.series.record(now_ns, 1.0)
                 self._evaluate(state, now_ns)
 
     # ------------------------------------------------------------ evaluation
-    def _evaluate(self, state: _SloState, now_ns: float) -> None:
+    def _evaluate(self, state: _SloState, now_ns: int) -> None:
         spec = state.spec
         budget = spec.error_budget
         for window in spec.windows:
@@ -374,27 +374,21 @@ class SloEngine:
                     and burn_fast >= window.burn_threshold
                     and burn_slow >= window.burn_threshold
                 ):
-                    alert = Alert(
-                        spec.name,
-                        window.label,
-                        int(now_ns),
-                        burn_fast,
-                        burn_slow,
-                    )
+                    alert = Alert(spec.name, window.label, now_ns, burn_fast, burn_slow)
                     self.alerts.append(alert)
                     state.active[window.label] = alert
                     if self._alerts_total is not None:
                         self._alerts_total.inc()
                         self._alerts_by_slo.inc(spec.name)
                     if self.on_alert is not None:
-                        self.on_alert(alert, int(now_ns))
+                        self.on_alert(alert, now_ns)
             elif burn_fast < window.burn_threshold:
-                active.resolved_ns = int(now_ns)
+                active.resolved_ns = now_ns
                 del state.active[window.label]
                 if self._alerts_resolved is not None:
                     self._alerts_resolved.inc()
                 if self.on_resolve is not None:
-                    self.on_resolve(active, int(now_ns))
+                    self.on_resolve(active, now_ns)
 
     def _states(self):
         return self._fleet_states + self._net_states

@@ -51,7 +51,7 @@ class TailSampler:
 
     def __init__(
         self,
-        slow_ns: Optional[float] = None,
+        slow_ns: Optional[int] = None,
         keep_errors: bool = True,
         span_budget: int = 100_000,
         max_spans_per_trace: int = 512,
@@ -60,7 +60,7 @@ class TailSampler:
             raise ValueError("span budget must be positive")
         if max_spans_per_trace < 1:
             raise ValueError("max_spans_per_trace must be positive")
-        self.slow_ns = None if slow_ns is None else float(slow_ns)
+        self.slow_ns = slow_ns
         self.keep_errors = keep_errors
         self.span_budget = span_budget
         self.max_spans_per_trace = max_spans_per_trace

@@ -48,8 +48,8 @@ class PciBusTiming:
             + self.turnaround_cycles
         )
 
-    def time_ns(self, length_bytes: int) -> float:
-        return self.cycles_for(length_bytes) * 1e9 / self.clock_hz
+    def time_ns(self, length_bytes: int) -> int:
+        return round(self.cycles_for(length_bytes) * 1e9 / self.clock_hz)
 
     def bandwidth_mbytes_per_s(self) -> float:
         """Peak data bandwidth ignoring per-transaction overhead."""
@@ -71,7 +71,7 @@ class PciBus:
         self._devices: List["PciDeviceProtocol"] = []
         self.transactions_completed = 0
         self.bytes_transferred = 0
-        self.busy_time_ns = 0.0
+        self.busy_time_ns = 0
 
     # --------------------------------------------------------------- wiring
     def attach(self, device: "PciDeviceProtocol") -> None:
@@ -135,7 +135,7 @@ class PciBus:
         )
         return transaction.payload
 
-    def utilisation(self, since_ns: float = 0.0) -> float:
+    def utilisation(self, since_ns: int = 0) -> float:
         """Fraction of wall-clock the bus spent busy since *since_ns*."""
         window = self.clock.now - since_ns
         if window <= 0:

@@ -38,13 +38,13 @@ class DmaCompletion:
     descriptor: DmaDescriptor
     data: bytes
     transactions: int
-    elapsed_ns: float
+    elapsed_ns: int
 
 
 class DmaEngine:
     """Splits DMA jobs into burst transactions on the PCI bus."""
 
-    def __init__(self, bus: PciBus, max_burst_bytes: int = 256, setup_time_ns: float = 500.0) -> None:
+    def __init__(self, bus: PciBus, max_burst_bytes: int = 256, setup_time_ns: int = 500) -> None:
         if max_burst_bytes <= 0:
             raise ValueError("maximum burst size must be positive")
         if setup_time_ns < 0:

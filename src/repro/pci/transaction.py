@@ -28,7 +28,7 @@ class PciTransaction:
     length: int
     payload: bytes = b""
     completed: bool = False
-    latency_ns: float = 0.0
+    latency_ns: int = 0
 
     def __post_init__(self) -> None:
         if self.address < 0:

@@ -1,9 +1,26 @@
-"""Simulation time base.
+"""Simulation time base: whole nanoseconds.
 
-All latencies in the model are expressed in nanoseconds (floats).  The
-:class:`Clock` is shared by every component of a co-processor instance so that
-transaction-level operations (a PCI burst, a ROM read, a frame write) advance a
-single coherent notion of time.
+Every time value in the model — a clock reading, a delay, a timestamp in a
+record or a span — is a Python ``int`` of nanoseconds.  There is no second
+time type.  One rule keeps it that way:
+
+* a value is **rounded** (half-even, the builtin ``round``) only where it is
+  *computed* from a frequency, a rate or a random draw —
+  :meth:`ClockDomain.cycles_to_ns`, the PCI/memory/software timing models, a
+  link's serialise time and jitter, a backoff, a think time, an arrival or
+  fault gap;
+* it is **never** rounded where times are added or compared, so addition
+  reassociates: ``(t + d1) + d2 == t + (d1 + d2)``, a cached duration replays
+  exactly, and two processes that reach the same instant by different sums
+  agree on it;
+* at the kernel/clock boundary (:meth:`Clock.advance`, :meth:`Clock.advance_to`,
+  :meth:`Clock.reset`, ``Timeout`` dispatch, ``spawn(delay_ns=)``,
+  ``run(until_ns=)``) :func:`as_ns` converts an integral float and raises
+  :class:`TypeError` for a fractional one — a float can never reach a clock.
+
+The :class:`Clock` is shared by every component of a co-processor instance so
+that transaction-level operations (a PCI burst, a ROM read, a frame write)
+advance a single coherent notion of time.
 """
 
 from __future__ import annotations
@@ -29,6 +46,16 @@ class TimeUnit(enum.Enum):
             TimeUnit.MILLISECONDS: "ms",
             TimeUnit.SECONDS: "s",
         }[self]
+
+
+def as_ns(value) -> int:
+    """*value* as whole nanoseconds: an ``int`` as is, an integral float
+    converted; anything fractional (or not a number) is a :class:`TypeError`."""
+    if value.__class__ is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"time is whole nanoseconds; got {value!r}")
 
 
 def format_time(nanoseconds: float) -> str:
@@ -64,9 +91,9 @@ class ClockDomain:
         """Length of one cycle in nanoseconds."""
         return 1e9 / self.frequency_hz
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert a cycle count in this domain to nanoseconds."""
-        return cycles * self.period_ns
+    def cycles_to_ns(self, cycles: float) -> int:
+        """Convert a cycle count in this domain to whole nanoseconds."""
+        return round(cycles * self.period_ns)
 
     def ns_to_cycles(self, nanoseconds: float) -> float:
         """Convert nanoseconds to (possibly fractional) cycles in this domain."""
@@ -81,16 +108,16 @@ class Clock:
     registered to be notified on every advance (used by the trace recorder).
     """
 
-    def __init__(self, start_ns: float = 0.0) -> None:
+    def __init__(self, start_ns: int = 0) -> None:
         if start_ns < 0:
             raise ValueError("clock cannot start at a negative time")
-        self._now = float(start_ns)
-        self._observers: List[Callable[[float, float], None]] = []
+        self._now = as_ns(start_ns)
+        self._observers: List[Callable[[int, int], None]] = []
         self._domains: dict[str, ClockDomain] = {}
 
     # ------------------------------------------------------------------ time
     @property
-    def now(self) -> float:
+    def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
 
@@ -98,38 +125,40 @@ class Clock:
         """Current simulation time expressed in *unit*."""
         return self._now / unit.value
 
-    def advance(self, delta_ns: float) -> float:
+    def advance(self, delta_ns: int) -> int:
         """Advance the clock by *delta_ns* nanoseconds and return the new time."""
         if delta_ns < 0:
             raise ValueError(f"cannot advance clock by negative delta {delta_ns}")
+        if delta_ns.__class__ is not int:  # as_ns, inlined for the common case
+            delta_ns = as_ns(delta_ns)
         previous = self._now
-        self._now += float(delta_ns)
+        self._now += delta_ns
         self._notify(previous, self._now)
         return self._now
 
-    def advance_to(self, time_ns: float) -> float:
+    def advance_to(self, time_ns: int) -> int:
         """Advance the clock to the absolute time *time_ns* (no-op if in the past)."""
         if time_ns > self._now:
             previous = self._now
-            self._now = float(time_ns)
+            self._now = as_ns(time_ns)
             self._notify(previous, self._now)
         return self._now
 
-    def reset(self, start_ns: float = 0.0) -> None:
+    def reset(self, start_ns: int = 0) -> None:
         """Reset the clock (used between benchmark repetitions)."""
         if start_ns < 0:
             raise ValueError("clock cannot be reset to a negative time")
-        self._now = float(start_ns)
+        self._now = as_ns(start_ns)
 
     # ------------------------------------------------------------- observers
-    def add_observer(self, callback: Callable[[float, float], None]) -> None:
+    def add_observer(self, callback: Callable[[int, int], None]) -> None:
         """Register *callback(previous_ns, new_ns)* to run on every advance."""
         self._observers.append(callback)
 
-    def remove_observer(self, callback: Callable[[float, float], None]) -> None:
+    def remove_observer(self, callback: Callable[[int, int], None]) -> None:
         self._observers.remove(callback)
 
-    def _notify(self, previous: float, new: float) -> None:
+    def _notify(self, previous: int, new: int) -> None:
         for callback in self._observers:
             callback(previous, new)
 
@@ -162,28 +191,28 @@ class Stopwatch:
 
     >>> clock = Clock()
     >>> watch = Stopwatch(clock).start()
-    >>> _ = clock.advance(125.0)
+    >>> _ = clock.advance(125)
     >>> watch.elapsed_ns
-    125.0
+    125
     """
 
     clock: Clock
-    _start: Optional[float] = field(default=None, init=False)
-    _stop: Optional[float] = field(default=None, init=False)
+    _start: Optional[int] = field(default=None, init=False)
+    _stop: Optional[int] = field(default=None, init=False)
 
     def start(self) -> "Stopwatch":
         self._start = self.clock.now
         self._stop = None
         return self
 
-    def stop(self) -> float:
+    def stop(self) -> int:
         if self._start is None:
             raise RuntimeError("stopwatch was never started")
         self._stop = self.clock.now
         return self.elapsed_ns
 
     @property
-    def elapsed_ns(self) -> float:
+    def elapsed_ns(self) -> int:
         if self._start is None:
             raise RuntimeError("stopwatch was never started")
         end = self._stop if self._stop is not None else self.clock.now

@@ -29,6 +29,8 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
+from repro.sim.clock import as_ns
+
 
 class EventQueue:
     """A deterministic two-tier priority queue of bare callbacks."""
@@ -48,13 +50,14 @@ class EventQueue:
 
     def schedule_call(
         self,
-        time_ns: float,
+        time_ns: int,
         fn: Callable[[Any, Any], None],
         arg1: Any = None,
         arg2: Any = None,
         priority: int = 0,
     ) -> None:
         """Schedule ``fn(arg1, arg2)`` at *time_ns*."""
+        time_ns = as_ns(time_ns)
         if time_ns < 0:
             raise ValueError("cannot schedule an event at negative time")
         heapq.heappush(
@@ -72,7 +75,7 @@ class EventQueue:
         return fifo[0] if fifo else None
 
     @property
-    def next_time(self) -> Optional[float]:
+    def next_time(self) -> Optional[int]:
         """Time of the earliest pending entry, or ``None`` when empty."""
         head = self.head()
         return None if head is None else head[0]

@@ -20,7 +20,7 @@ import heapq
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional
 
-from repro.sim.clock import Clock
+from repro.sim.clock import Clock, as_ns
 from repro.sim.events import EventQueue
 from repro.sim.schedule import SchedulePolicy
 
@@ -30,15 +30,18 @@ class SimulationError(RuntimeError):
 
 
 class Timeout:
-    """Yielded by a process to sleep for ``delay_ns`` nanoseconds.
+    """Yielded by a process to sleep for ``delay_ns`` whole nanoseconds.
 
     A plain ``__slots__`` class rather than a dataclass: one is allocated per
     sleep, which makes construction cost part of the kernel's hot path.
+    ``delay_ns`` is re-stamped on reused instances, so the whole-nanosecond
+    check (:func:`~repro.sim.clock.as_ns`) sits where the kernel dispatches
+    the timeout, not here.
     """
 
     __slots__ = ("delay_ns", "value")
 
-    def __init__(self, delay_ns: float, value: Any = None) -> None:
+    def __init__(self, delay_ns: int, value: Any = None) -> None:
         if delay_ns < 0:
             raise ValueError("timeout delay must be non-negative")
         self.delay_ns = delay_ns
@@ -100,7 +103,7 @@ class Resource:
         self.in_use = 0
         self._queue: Deque[tuple] = deque()  # (process, requested_at_ns)
         self.total_acquisitions = 0
-        self.total_wait_ns = 0.0
+        self.total_wait_ns = 0
 
     def request(self) -> "ResourceRequest":
         """Return a yieldable request for one unit of the resource."""
@@ -130,7 +133,7 @@ class ResourceRequest:
 
     def __init__(self, resource: Resource) -> None:
         self.resource = resource
-        self.requested_at = 0.0
+        self.requested_at = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ResourceRequest({self.resource.name!r})"
@@ -237,7 +240,7 @@ class Simulator:
         self._next_seq = self.queue._counter.__next__
 
     # --------------------------------------------------------- fast schedule
-    def _schedule_step(self, time_ns: float, process: Process, value: Any) -> None:
+    def _schedule_step(self, time_ns: int, process: Process, value: Any) -> None:
         """Schedule "resume *process* with *value*" at *time_ns*.
 
         Inlined ``EventQueue.schedule_call``: continuation times derive from
@@ -254,8 +257,10 @@ class Simulator:
             heapq.heappush(self._heap, entry)
 
     # ------------------------------------------------------------- processes
-    def spawn(self, generator: Generator, name: Optional[str] = None, delay_ns: float = 0.0) -> Process:
+    def spawn(self, generator: Generator, name: Optional[str] = None, delay_ns: int = 0) -> Process:
         """Register *generator* as a process starting after *delay_ns*."""
+        if delay_ns.__class__ is not int:
+            delay_ns = as_ns(delay_ns)
         if delay_ns < 0:
             raise ValueError("cannot schedule an event at negative time")
         process = Process(generator, name=name)
@@ -274,7 +279,7 @@ class Simulator:
         wait_event._waiters.clear()
 
     # ------------------------------------------------------------------- run
-    def run(self, until_ns: Optional[float] = None, max_events: int = 10_000_000) -> float:
+    def run(self, until_ns: Optional[int] = None, max_events: int = 10_000_000) -> int:
         """Dispatch events until the queue empties or *until_ns* is reached.
 
         Returns the simulation time when the run stopped.  ``max_events``
@@ -298,7 +303,10 @@ class Simulator:
         policy = self.schedule_policy
         heappop = heapq.heappop
         fifo_popleft = fifo.popleft
-        limit = float("inf") if until_ns is None else until_ns
+        if until_ns is None:
+            limit = float("inf")
+        else:
+            limit = until_ns = as_ns(until_ns)
         dispatched = 0
         try:
             while True:
@@ -375,6 +383,8 @@ class Simulator:
             # subclasses).
             if yielded.__class__ is Timeout:
                 delay = yielded.delay_ns
+                if delay.__class__ is not int:
+                    delay = as_ns(delay)
                 entry = (
                     self.clock._now + delay,
                     0,
@@ -383,7 +393,7 @@ class Simulator:
                     process,
                     yielded.value,
                 )
-                if delay == 0.0:
+                if delay == 0:
                     self._fifo.append(entry)
                 else:
                     heapq.heappush(self._heap, entry)
@@ -420,7 +430,7 @@ class Simulator:
 
     def _handle_yield(self, process: Process, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
-            self._schedule_step(self.clock.now + yielded.delay_ns, process, yielded.value)
+            self._schedule_step(self.clock.now + as_ns(yielded.delay_ns), process, yielded.value)
         elif isinstance(yielded, WaitEvent):
             if yielded.triggered:
                 self._schedule_step(self.clock.now, process, yielded.value)

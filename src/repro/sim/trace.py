@@ -18,10 +18,7 @@ from repro.sim.clock import Clock, format_time
 class TraceEvent:
     """One recorded activity with a start/end time and free-form attributes.
 
-    Times are integer nanoseconds: component clocks tick in fractional
-    cycle-derived floats, so :meth:`TraceRecorder.record` rounds to the
-    nearest nanosecond at recording time.  Integral times compare stably
-    across platforms and serialise without float-repr noise.
+    Times are the clock's own whole nanoseconds, stored as read.
     """
 
     component: str
@@ -57,8 +54,8 @@ class TraceRecorder:
         self,
         component: str,
         action: str,
-        start_ns: float,
-        end_ns: float,
+        start_ns: int,
+        end_ns: int,
         **attributes: Any,
     ) -> Optional[TraceEvent]:
         """Record an event; returns it, or ``None`` when tracing is disabled."""
@@ -69,11 +66,7 @@ class TraceRecorder:
         if self.capacity is not None and len(self.events) >= self.capacity:
             self.dropped += 1
             return None
-        # Round fractional clock readings to integer nanoseconds; rounding is
-        # monotonic so the end >= start invariant survives.
-        event = TraceEvent(
-            component, action, int(round(start_ns)), int(round(end_ns)), dict(attributes)
-        )
+        event = TraceEvent(component, action, start_ns, end_ns, dict(attributes))
         self.events.append(event)
         return event
 
@@ -100,9 +93,9 @@ class TraceRecorder:
     def by_action(self, action: str) -> List[TraceEvent]:
         return [event for event in self.events if event.action == action]
 
-    def total_time(self, component: Optional[str] = None, action: Optional[str] = None) -> float:
+    def total_time(self, component: Optional[str] = None, action: Optional[str] = None) -> int:
         """Sum of durations matching the optional filters, in nanoseconds."""
-        total = 0.0
+        total = 0
         for event in self.events:
             if component is not None and event.component != component:
                 continue
@@ -111,12 +104,12 @@ class TraceRecorder:
             total += event.duration_ns
         return total
 
-    def breakdown(self) -> Dict[str, float]:
+    def breakdown(self) -> Dict[str, int]:
         """Total nanoseconds per ``component.action`` key."""
-        result: Dict[str, float] = {}
+        result: Dict[str, int] = {}
         for event in self.events:
             key = f"{event.component}.{event.action}"
-            result[key] = result.get(key, 0.0) + event.duration_ns
+            result[key] = result.get(key, 0) + event.duration_ns
         return result
 
     def report(self, limit: Optional[int] = None) -> str:
@@ -136,7 +129,7 @@ class TraceSpan:
         self.component = component
         self.action = action
         self.attributes = attributes
-        self._start: Optional[float] = None
+        self._start: Optional[int] = None
 
     def __enter__(self) -> "TraceSpan":
         assert self.recorder.clock is not None

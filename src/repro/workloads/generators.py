@@ -38,10 +38,10 @@ class TraceGenerator:
         spec = self.bank.by_name(function_name).spec
         return self.rng.fork(f"payload:{function_name}").bytes(spec.input_bytes * self.payload_blocks)
 
-    def _arrival(self) -> float:
+    def _arrival(self) -> int:
         if self.mean_interarrival_ns <= 0:
-            return 0.0
-        return self.rng.exponential(self.mean_interarrival_ns)
+            return 0
+        return round(self.rng.exponential(self.mean_interarrival_ns))
 
     def build(self, function_sequence: Sequence[str], name: str) -> Trace:
         """Turn a function-name sequence into a full trace."""

@@ -43,7 +43,7 @@ class FleetRequest:
     function: str
     payload: bytes
     #: Absolute arrival time on the fleet timeline (nanoseconds).
-    arrival_ns: float
+    arrival_ns: int
     #: Absolute completion deadline on the fleet timeline, or ``None`` for
     #: the historical no-deadline behaviour.  A request past its deadline is
     #: *expired* — failed fast with its own counter at dispatch and in the
@@ -51,7 +51,7 @@ class FleetRequest:
     #: pre-deadline schedule digest byte-identical; instances built without
     #: the field — e.g. the streaming trace's direct construction — fall back
     #: to this class-level ``None``.)
-    deadline_ns: Optional[float] = None
+    deadline_ns: Optional[int] = None
 
     @property
     def payload_bytes(self) -> int:
@@ -79,9 +79,9 @@ class FleetTrace:
         return list(self._requests)
 
     @property
-    def duration_ns(self) -> float:
+    def duration_ns(self) -> int:
         """Arrival time of the last request (0 for an empty trace)."""
-        return self._requests[-1].arrival_ns if self._requests else 0.0
+        return self._requests[-1].arrival_ns if self._requests else 0
 
     def tenants(self) -> List[str]:
         return sorted({request.tenant for request in self._requests})
@@ -234,7 +234,7 @@ def multi_tenant_trace(
     burst_speedup: float = 8.0,
     seed: int = 0,
     name: Optional[str] = None,
-    duration_ns: Optional[float] = None,
+    duration_ns: Optional[int] = None,
 ) -> FleetTrace:
     """An open-arrival request stream interleaving several tenants.
 
@@ -286,11 +286,11 @@ def multi_tenant_trace(
         cumulative.append(running)
 
     requests: List[FleetRequest] = []
-    now_ns = 0.0
+    now_ns = 0
     burst_remaining = 0
     while len(requests) < length:
         if arrival == "poisson":
-            now_ns += arrival_rng.exponential(mean_interarrival_ns)
+            now_ns += round(arrival_rng.exponential(mean_interarrival_ns))
         else:
             if burst_remaining == 0:
                 burst_remaining = arrival_rng.geometric(1.0 / burst_length)
@@ -304,9 +304,9 @@ def multi_tenant_trace(
                     * (burst_remaining - 1)
                     * (1.0 - 1.0 / burst_speedup)
                 )
-                now_ns += arrival_rng.exponential(idle_mean + mean_interarrival_ns)
+                now_ns += round(arrival_rng.exponential(idle_mean + mean_interarrival_ns))
             else:
-                now_ns += arrival_rng.exponential(mean_interarrival_ns / burst_speedup)
+                now_ns += round(arrival_rng.exponential(mean_interarrival_ns / burst_speedup))
             burst_remaining -= 1
         if duration_ns is not None and now_ns > duration_ns:
             break
@@ -439,9 +439,9 @@ class StreamingFleetTrace:
         # assignment; object.__setattr__ installs the attribute dict in one
         # call without it.
         set_dict = object.__setattr__
-        now_ns = 0.0
+        now_ns = 0
         for _ in range(self.length):
-            now_ns += -log(1.0 - arrival_random()) / lambd
+            now_ns += round(-log(1.0 - arrival_random()) / lambd)
             point = tenant_random()
             index = bisect_left(cumulative, point)
             if index > last_tenant:  # point beyond the last edge (rounding)

@@ -16,7 +16,7 @@ class Request:
 
     function: str
     payload: bytes
-    arrival_offset_ns: float = 0.0
+    arrival_offset_ns: int = 0
 
     @property
     def payload_bytes(self) -> int:

@@ -154,7 +154,7 @@ class TestFleetRun:
     ):
         fleet = small_fleet(small_bank)
         trace = small_trace(small_bank, length=30, mean_interarrival_ns=10_000.0)
-        fleet.run(trace, until_ns=trace.duration_ns / 4)
+        fleet.run(trace, until_ns=trace.duration_ns // 4)
         # Offering a new trace while the old arrivals are suspended would
         # flood the stale requests in one burst — refuse instead.
         with pytest.raises(RuntimeError):

@@ -14,6 +14,7 @@ from repro.cluster.dispatch import StaticHashPolicy
 from repro.cluster.sharded import (
     ShardTraceView,
     ShardedRunConfig,
+    _build_shard_fleet,
     build_single_process_fleet,
     merge_shard_records,
     partition_cards,
@@ -146,13 +147,68 @@ class TestShardedEqualsSingleProcess:
 
     def test_merge_shard_records_is_order_insensitive_across_shards(self):
         records_a = [
-            ("done", 100.0, "t0", "crc32", "card0", True, 50.0, 60.0, False),
-            ("reject", 300.0, "t0", "crc32"),
+            ("done", 100, "t0", "crc32", "card0", True, 50, 60, False),
+            ("reject", 300, "t0", "crc32"),
         ]
         records_b = [
-            ("done", 200.0, "t1", "fir16", "card1", False, 120.0, 130.0, False),
+            ("done", 200, "t1", "fir16", "card1", False, 120, 130, False),
         ]
         first = merge_shard_records([records_a, records_b])
         second = merge_shard_records([records_b, records_a])
         assert first.schedule_digest() == second.schedule_digest()
         assert first.completed == 2 and first.rejected == 1
+
+    def test_same_instant_completions_merge_in_service_start_order(self):
+        late = ("done", 500, "t0", "crc32", "card0", True, 90, 400, False)
+        early = ("done", 500, "t1", "fir16", "card1", True, 80, 300, False)
+        expected = merge_shard_records([[early, late]])
+        for shard_records in ([[late], [early]], [[early], [late]]):
+            merged = merge_shard_records(shard_records)
+            assert merged.schedule_digest() == expected.schedule_digest()
+            assert merged.unordered_merge_ties == 0
+        # Equal start *and* completion on two shards: replayed in shard
+        # order, and counted — the key cannot know the kernel's order.
+        twin = ("done", 500, "t1", "fir16", "card1", True, 80, 400, False)
+        assert merge_shard_records([[late], [twin]]).unordered_merge_ties == 1
+        assert merge_shard_records([[late, twin]]).unordered_merge_ties == 0
+
+
+def sweep_config(trace_seed):
+    return ShardedRunConfig(
+        total_cards=4, requests=20_000, trace_seed=trace_seed, epoch_ns=100_000_000
+    )
+
+
+def single_process_digest(config):
+    fleet, trace = build_single_process_fleet(config)
+    return fleet.run(trace).schedule_digest()
+
+
+class TestDigestSweep:
+    """ROADMAP item 3a's gate.  On float time the first seven seeds of the
+    first sweep diverged (one ``started_ns`` of 20 000 off in the last bit:
+    ``now + (arrival - now) != arrival``); the five seeds of the second
+    complete two cards at one instant, which a timestamp-only merge key
+    replays in the wrong order."""
+
+    @pytest.mark.parametrize("trace_seed", [20, 21, 32, 62, 63, 75, 77, 1, 2, 3, 5, 6])
+    def test_two_shard_digest_equals_single_process(self, trace_seed):
+        config = sweep_config(trace_seed)
+        result = run_sharded(config, shards=2)
+        assert result.stats.schedule_digest() == single_process_digest(config)
+        assert result.stats.unordered_merge_ties == 0
+
+    @pytest.mark.parametrize("trace_seed", [4, 37, 42, 44, 45])
+    def test_four_way_merge_with_cross_shard_ties(self, trace_seed):
+        config = sweep_config(trace_seed)
+        logs = []
+        for index in range(config.total_cards):
+            fleet, view = _build_shard_fleet(config, [index])
+            fleet.stats.enable_record_log()
+            fleet.run(view)
+            logs.append(fleet.stats.drain_record_log())
+        instants = [record[1] for log in logs for record in log]
+        assert len(set(instants)) < len(instants)  # the seed does tie
+        merged = merge_shard_records(logs, mode=config.stats_mode)
+        assert merged.schedule_digest() == single_process_digest(config)
+        assert merged.unordered_merge_ties == 0
