@@ -950,7 +950,6 @@ def bench_scale(tiny: bool = False) -> dict:
         trace_seed=11,
         config_seed=11,
         queue_depth=64,
-        stats_mode="sketch",
         epoch_ns=100_000_000.0,
     )
     single_fleet, single_trace = build_single_process_fleet(sharded_config)

@@ -187,41 +187,13 @@ class StreamingQuantileSketch:
     def percentiles(self, wanted: Sequence[float]) -> List[float]:
         return [self.percentile(p) for p in wanted]
 
-    def to_dict(self) -> Dict[str, object]:
-        """Picklable snapshot (used to ship shard sketches to the merger)."""
-        return {
-            "relative_error": self.relative_error,
-            "min_value": self.min_value,
-            "buckets": dict(self._buckets),
-            "low_count": self._low_count,
-            "seen": self.seen,
-            "min": self._min,
-            "max": self._max,
-            "sum": self._sum,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StreamingQuantileSketch":
-        sketch = cls(
-            relative_error=float(data["relative_error"]),
-            min_value=float(data["min_value"]),
-        )
-        sketch._buckets = {int(k): int(v) for k, v in dict(data["buckets"]).items()}
-        sketch._low_count = int(data["low_count"])
-        sketch.seen = int(data["seen"])
-        sketch._min = float(data["min"])
-        sketch._max = float(data["max"])
-        sketch._sum = float(data["sum"])
-        return sketch
-
 
 class WindowedTimeSeries:
     """Per-window (count, value-sum) over a monotone timestamp stream.
 
     Keeps at most ``max_windows`` recent windows plus lifetime totals, so a
     10^6-request run costs the same memory as a 10^2-request run.  Windows
-    are aligned to multiples of ``window_ns`` from time zero, which makes two
-    series recorded on different shards mergeable window-by-window.
+    are aligned to multiples of ``window_ns`` from time zero.
     """
 
     def __init__(self, window_ns: int = 1_000_000, max_windows: int = 256) -> None:
@@ -270,33 +242,6 @@ class WindowedTimeSeries:
         self.total_count += 1
         self.total_value += value
 
-    def merge(self, other: "WindowedTimeSeries") -> None:
-        if other.window_ns != self.window_ns:
-            raise ValueError("can only merge series with identical window width")
-        for index, (count, total) in other._windows.items():
-            window = self._windows.get(index)
-            if window is None:
-                self._windows[index] = [count, total]
-            else:
-                window[0] += count
-                window[1] += total
-        while len(self._windows) > self.max_windows:
-            del self._windows[min(self._windows)]
-            self.dropped_windows += 1
-        # Merging may have evicted or replaced the cached row.
-        self._last_index = None
-        self._last_window = None
-        self.total_count += other.total_count
-        self.total_value += other.total_value
-        self.dropped_windows += other.dropped_windows
-
-    def windows(self) -> List[Tuple[float, int, float]]:
-        """Sorted ``(window_start_ns, count, value_sum)`` rows."""
-        return [
-            (index * self.window_ns, int(count), total)
-            for index, (count, total) in sorted(self._windows.items())
-        ]
-
     def trailing(self, now_ns: int, horizon_ns: int) -> Tuple[int, float]:
         """``(count, value_sum)`` over windows touching ``(now - horizon, now]``.
 
@@ -315,16 +260,6 @@ class WindowedTimeSeries:
                 count += int(window_count)
                 value += window_value
         return count, value
-
-    def peak_rate_per_s(self) -> float:
-        """Highest per-window event rate, scaled to events/second."""
-        if not self._windows:
-            return 0.0
-        peak = max(count for count, _ in self._windows.values())
-        return peak / (self.window_ns / 1e9)
-
-    def mean_value(self) -> float:
-        return self.total_value / self.total_count if self.total_count else 0.0
 
 
 __all__ = ["StreamingQuantileSketch", "WindowedTimeSeries"]

@@ -27,8 +27,9 @@ from repro.cluster.sharded import (
     ShardedRunConfig,
     ShardedRunResult,
     ShardTraceView,
+    ShardWorkerError,
     build_single_process_fleet,
-    merge_shard_records,
+    merge_digest_lines,
     partition_cards,
     run_sharded,
 )
@@ -65,12 +66,13 @@ __all__ = [
     "LeastOutstandingPolicy",
     "RoundRobinPolicy",
     "ShardTraceView",
+    "ShardWorkerError",
     "ShardedRunConfig",
     "ShardedRunResult",
     "StaticHashPolicy",
     "build_dispatch_policy",
     "build_single_process_fleet",
-    "merge_shard_records",
+    "merge_digest_lines",
     "partition_cards",
     "run_sharded",
 ]

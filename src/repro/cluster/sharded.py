@@ -1,15 +1,16 @@
 """Sharded fleet execution: one logical fleet across many OS processes.
 
-A single-process fleet run is bounded by one Python interpreter.  This module
-splits a fleet's *cards* across worker processes, runs the shards in lockstep
-simulated-time epochs, and merges their completion/rejection streams into one
-:class:`~repro.cluster.stats.FleetStatistics` whose schedule digest equals the
-digest a single-process run of the same fleet produces.
+A single-process fleet run is bounded by one Python interpreter; this module
+splits a fleet's *cards* across worker processes.  A shard is an ordinary
+``Fleet.run`` on its card subset: every statistic it keeps is order-free
+(integers add, sketches add bucket counts — ``FleetStatistics.totals`` /
+``absorb``) and only the schedule digest needs an order.  So each worker
+streams its digest lines, the parent merges the streams, and the merged
+:class:`~repro.cluster.stats.FleetStatistics` equals — digest, counters, time
+totals, percentiles — what a single-process run of the same fleet produces.
 
 Why this is deterministic
 -------------------------
-
-Three properties carry the argument:
 
 1. **Static routing.**  Shards route with
    :class:`~repro.cluster.dispatch.StaticHashPolicy`: a request's card is
@@ -29,42 +30,53 @@ Three properties carry the argument:
    seed, bit-identical stream) and filters it to its own cards' share, so no
    request objects — and no RNG state — ever cross a process boundary.
 
-The merge replays the per-shard record logs into a fresh
-``FleetStatistics`` in the total order ``(completed_ns, started_ns, shard,
-seq)``.  Time is whole nanoseconds, so two cards *do* complete at the same
-instant (on 25 of 120 trace seeds of the 4-card, 20 000-request sweep), and
-the key says which the single-process kernel ran first: a completion is the
-``Timeout`` its worker yielded at ``started_ns``, the kernel dispatches
-same-instant entries in the order they were scheduled, so equal-instant
-completions run in service-start order.  ``shard, seq`` keep each shard's own
-order and make the merge a function of its input.  What the key cannot
-order is two cards on different shards that both start **and** complete at
-the same two instants (and a rejection, which has no service start and sorts
-behind its instant's completions): the single-process order then depends on
-which worker the kernel resumed first.  :func:`merge_shard_records` counts
-those records (``stats.unordered_merge_ties``; 0 on every swept seed) and ROADMAP
-open item 3b, whose rewrite owns the merge, inherits them.  Sharded runs use
-``admission_batch=1``: front-door admission groups are formed over the
-*global* arrival stream, so a shard — which sees only its own subset — would
-coalesce different groups.
+The merge folds the shards' digest lines into a fresh ``FleetStatistics`` in
+the total order ``(at_ns, started_ns, shard, seq)``; a line travels as
+``(at_ns, started_ns, line)``, its key and the bytes its shard hashed.  Time
+is whole nanoseconds, so two cards *do* complete at the same instant (on 25
+of 120 trace seeds of the 4-card, 20 000-request sweep), and the key says
+which the single-process kernel ran first: a completion is the ``Timeout``
+its worker yielded at ``started_ns``, the kernel dispatches same-instant
+entries in the order they were scheduled, so equal-instant completions run in
+service-start order.  ``shard, seq`` keep each shard's own order and make the
+merge a function of its input.  What the key cannot order is two cards on
+different shards that both start **and** complete at the same two instants
+(and a rejection or expiry, which has no service start, keys as ``(now,
+now)`` and sorts behind its instant's completions): the single-process order
+then depends on which worker the kernel resumed first.
+:func:`merge_digest_lines` counts those lines (``unordered_merge_ties``; 0 on
+every swept seed).  Sharded runs use ``admission_batch=1``: front-door
+admission groups are formed over the *global* arrival stream, so a shard —
+which sees only its own subset — would coalesce different groups.
 
-Epochs bound each *worker's* memory, not the parent's and not correctness:
-a worker pauses at every epoch horizon and ships its drained record log, so
-it never holds more than one epoch of records.  The parent appends every
-epoch's records to a per-shard list and sorts the concatenation once at the
-end (:func:`merge_shard_records`), so it holds O(records in the whole run).
-ROADMAP open item 3b replaces this with free-running workers and a streaming
-k-way merge, which is what would make the parent O(records per epoch).
+Memory: a worker ships its lines at every ``epoch_ns`` horizon, so it holds at
+most one epoch of them; the parent merges the streams as they arrive
+(:func:`heapq.merge`), reading a shard's next chunk only once it has folded
+the last, so it holds one chunk per shard and the pipe buffer is the
+back-pressure on a shard that runs ahead.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.cluster.dispatch import StaticHashPolicy
 from repro.cluster.stats import FleetStatistics
+from repro.sim.clock import as_ns
+
+#: Seconds the parent waits for a worker's next message before it calls the
+#: worker hung.  No epoch of a pinned cell takes more than a few seconds.
+WORKER_SILENCE_S = 300.0
+#: A digest line in flight: ``(at_ns, started_ns, line)``.
+DigestLine = Tuple[int, int, bytes]
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker raised, died or fell silent; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,7 @@ class ShardedRunConfig:
     trace_seed: int = 11
     config_seed: int = 11
     queue_depth: int = 64
-    stats_mode: str = "sketch"
-    #: Lockstep epoch width in simulated nanoseconds.
+    #: Simulated nanoseconds of digest lines a worker ships at a time.
     epoch_ns: int = 50_000_000
 
     def __post_init__(self) -> None:
@@ -108,7 +119,7 @@ class ShardedRunResult:
     shard_fingerprints: List[tuple]
     #: Kernel events dispatched, summed over shards.
     events_dispatched: int = 0
-    #: Lockstep epochs executed.
+    #: Epochs the shard that ran longest needed (its chunk count).
     epochs: int = 0
     #: Per-card summary rows gathered from the shards (global card order).
     card_summaries: List[dict] = field(default_factory=list)
@@ -123,9 +134,7 @@ def partition_cards(total_cards: int, shards: int) -> List[List[int]]:
     if shards < 1:
         raise ValueError("need at least one shard")
     if shards > total_cards:
-        raise ValueError(
-            f"cannot split {total_cards} cards across {shards} shards"
-        )
+        raise ValueError(f"cannot split {total_cards} cards across {shards} shards")
     return [list(range(worker, total_cards, shards)) for worker in range(shards)]
 
 
@@ -182,7 +191,7 @@ def _build_shard_fleet(config: ShardedRunConfig, card_indices: Sequence[int]):
         bank=bank,
         policy=StaticHashPolicy(total_cards=config.total_cards),
         queue_depth=config.queue_depth,
-        stats_mode=config.stats_mode,
+        stats_mode="sketch",  # reservoirs cannot merge
         card_indices=list(card_indices),
     )
     view = ShardTraceView(stream, card_indices, config.total_cards)
@@ -199,233 +208,143 @@ def build_single_process_fleet(config: ShardedRunConfig):
 
 
 def _shard_worker(connection, config: ShardedRunConfig, card_indices: List[int]) -> None:
-    """Worker-process body: serve one shard in lockstep epochs.
+    """Worker-process body: run one shard, streaming its digest lines.
 
-    Protocol (parent -> worker / worker -> parent):
-
-    * ``("advance", horizon_ns)`` -> ``("epoch", records, done)``
-    * ``("finish",)``             -> ``("final", records, snapshot)``
-
-    Any exception is shipped back as ``("error", repr)`` so the parent can
-    fail loudly instead of deadlocking on a dead pipe.
+    One way, worker -> parent: ``("lines", chunk)`` per epoch, sorted by
+    ``(at_ns, started_ns)`` — ``run(until_ns=h)`` dispatches everything
+    ``<= h``, so no instant straddles two chunks and their concatenation is
+    sorted too — then ``("final", snapshot)``, or ``("error", repr)``.
     """
     try:
         fleet, view = _build_shard_fleet(config, card_indices)
-        fleet.stats.enable_record_log()
-        started = False
+        lines = fleet.stats.digest_tap = []
+        horizon = epoch_ns = as_ns(config.epoch_ns)
+        fleet.run(view, until_ns=horizon)
         while True:
-            message = connection.recv()
-            kind = message[0]
-            if kind == "advance":
-                horizon = message[1]
-                if not started:
-                    fleet.run(view, until_ns=horizon)
-                    started = True
-                else:
-                    fleet.simulator.run(until_ns=horizon)
-                records = fleet.stats.drain_record_log()
-                done = (
-                    fleet._arrivals_process is not None
-                    and fleet._arrivals_process.finished
-                    and len(fleet.simulator.queue) == 0
-                )
-                connection.send(("epoch", records, done))
-            elif kind == "finish":
-                if not started:
-                    fleet.run(view)
-                else:
-                    fleet.simulator.run()
-                records = fleet.stats.drain_record_log()
-                stats = fleet.stats
-                snapshot = {
-                    "fingerprint": fleet.fingerprint(),
-                    "events_dispatched": fleet.simulator.events_dispatched,
-                    "arrivals": stats.arrivals,
-                    "per_tenant_arrivals": dict(stats.per_tenant_arrivals),
-                    "first_arrival_ns": stats.first_arrival_ns,
-                    "dispatched": stats.dispatched,
-                    "per_tenant_dispatched": dict(stats.per_tenant_dispatched),
-                    "per_card_dispatched": dict(stats.per_card_dispatched),
-                    "card_summaries": fleet.card_summaries(),
-                }
-                connection.send(("final", records, snapshot))
-                return
-            else:
-                raise ValueError(f"unknown shard command {kind!r}")
-    except Exception as error:  # pragma: no cover - worker crash path
+            lines.sort(key=itemgetter(0, 1))
+            connection.send(("lines", lines))
+            lines.clear()
+            if len(fleet.simulator.queue) == 0:
+                break
+            horizon += epoch_ns
+            fleet.simulator.run(until_ns=horizon)
+        snapshot = {
+            "totals": fleet.stats.totals(),
+            "fingerprint": fleet.fingerprint(),
+            "events_dispatched": fleet.simulator.events_dispatched,
+            "epochs": horizon // epoch_ns,
+            "card_summaries": fleet.card_summaries(),
+        }
+        connection.send(("final", snapshot))
+    except Exception as error:
+        connection.send(("error", repr(error)))
+
+
+def _shard_lines(shard: int, pipe, snapshots: List[dict]) -> Iterator[DigestLine]:
+    """One worker's digest lines, a chunk received at a time; its final
+    snapshot lands in ``snapshots[shard]``.  Every way a worker can fail
+    surfaces here as a :class:`ShardWorkerError`."""
+    while True:
         try:
-            connection.send(("error", repr(error)))
-        finally:
-            connection.close()
+            if not pipe.poll(WORKER_SILENCE_S):
+                raise ShardWorkerError(f"shard {shard} sent nothing for {WORKER_SILENCE_S:g} s")
+            kind, payload = pipe.recv()
+        except (EOFError, OSError) as error:
+            raise ShardWorkerError(f"shard {shard} died: {error!r}") from None
+        if kind == "error":
+            raise ShardWorkerError(f"shard {shard} failed: {payload}")
+        if kind == "final":
+            snapshots[shard] = payload
+            return
+        yield from payload
 
 
-def merge_shard_records(
-    shard_records: Sequence[Sequence[tuple]],
-    mode: str = "sketch",
-    sketch_relative_error: float = 0.01,
-) -> FleetStatistics:
-    """Replay per-shard record logs into one ``FleetStatistics``.
+def _tagged(shard: int, stream: Iterable[DigestLine]):
+    for at_ns, started_ns, line in stream:
+        yield at_ns, started_ns, shard, line
 
-    The order is ``(completed_ns, started_ns, shard, seq)``: a stable sort by
-    the first two over the shard-by-shard concatenation.  Same-instant
-    completions replay in service-start order, which is the order the
-    single-process kernel dispatched them in; a rejection sorts behind the
-    completions of its instant.  Records of *different* shards with an equal
-    ``(completed_ns, started_ns)`` are replayed in shard order, which the
-    single-process run need not match — they are counted in the returned
-    statistics' ``unordered_merge_ties``.
+
+def merge_digest_lines(
+    streams: Sequence[Iterable[DigestLine]], merged: FleetStatistics
+) -> None:
+    """Fold per-shard digest-line streams into *merged*'s schedule digest.
+
+    Each stream is sorted by ``(at_ns, started_ns)``; the fold order is
+    ``(at_ns, started_ns, shard, seq)`` (module docstring).  Lines of
+    *different* shards with an equal key fold in shard order, which the
+    single-process run need not match: ``merged.unordered_merge_ties`` counts
+    them.  Lazy: a stream is asked for a line only once its last is folded.
     """
-    decorated: List[Tuple[Tuple[int, int], int, tuple]] = []
-    for shard_id, records in enumerate(shard_records):
-        for record in records:
-            # record[7] is a completion's started_ns.
-            started_ns = record[7] if record[0] == "done" else record[1]
-            decorated.append(((record[1], started_ns), shard_id, record))
-    decorated.sort(key=lambda row: row[0])
-    merged = FleetStatistics(mode=mode, sketch_relative_error=sketch_relative_error)
-    record_completion = merged.record_completion
-    record_rejection = merged.record_rejection
-    previous_key = previous_shard = None
-    for key, shard_id, record in decorated:
-        if key == previous_key and shard_id != previous_shard:
+    note = merged._note
+    last_at = last_started = last_shard = None
+    # Two streams' entries differ at ``shard`` at the latest, so the tuple
+    # comparison never reaches the line bytes.
+    for at_ns, started_ns, shard, line in heapq.merge(
+        *(_tagged(shard, stream) for shard, stream in enumerate(streams))
+    ):
+        if at_ns == last_at and started_ns == last_started and shard != last_shard:
             merged.unordered_merge_ties += 1
-        previous_key, previous_shard = key, shard_id
-        if record[0] == "done":
-            (_, completed_ns, tenant, function, card_name,
-             hit, arrival_ns, started_ns, hazard) = record
-            record_completion(
-                tenant, function, card_name, hit,
-                arrival_ns, started_ns, completed_ns, hazard,
-            )
-        else:
-            _, now_ns, tenant, function = record
-            record_rejection(tenant, function, now_ns)
-    return merged
+        last_at, last_started, last_shard = at_ns, started_ns, shard
+        note(line)
 
 
-def run_sharded(
-    config: ShardedRunConfig,
-    shards: int,
-    max_epochs: int = 1_000_000,
-    mp_context: Optional[str] = None,
-) -> ShardedRunResult:
+def run_sharded(config: ShardedRunConfig, shards: int) -> ShardedRunResult:
     """Serve *config*'s trace across *shards* worker processes and merge.
 
-    The merged ``stats`` carries the replayed completion/rejection stream
-    (schedule digest, sojourn sketches, completion counters) plus the
-    arrival/dispatch counters overlaid from the shard snapshots — integer
-    sums, so they equal the single-process run's exactly.
+    ``stats`` carries the merged schedule digest and the sum of the shards'
+    ``totals()``.  A worker that raises, dies or sends nothing for
+    ``WORKER_SILENCE_S`` seconds raises :class:`ShardWorkerError` here, and
+    the other workers are terminated.
     """
     partitions = partition_cards(config.total_cards, shards)
-    context = (
-        multiprocessing.get_context(mp_context)
-        if mp_context is not None
-        else multiprocessing.get_context()
-    )
-    workers = []
-    pipes = []
+    workers, pipes = [], []
     for card_indices in partitions:
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=_shard_worker,
-            args=(child_end, config, card_indices),
-            daemon=True,
+        parent_end, child_end = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
+            target=_shard_worker, args=(child_end, config, card_indices), daemon=True
         )
         process.start()
         child_end.close()
         workers.append(process)
         pipes.append(parent_end)
 
-    shard_streams: List[List[tuple]] = [[] for _ in partitions]
-    snapshots: List[Optional[dict]] = [None] * len(partitions)
-    epochs = 0
+    merged = FleetStatistics(mode="sketch")
+    snapshots: List[dict] = [{} for _ in partitions]
     try:
-        # Lockstep epochs: every shard advances to the same simulated-time
-        # horizon, then the parent collects the epoch's records.
-        while True:
-            epochs += 1
-            if epochs > max_epochs:
-                raise RuntimeError(
-                    f"sharded run did not drain within {max_epochs} epochs"
-                )
-            horizon = epochs * config.epoch_ns
-            for pipe in pipes:
-                pipe.send(("advance", horizon))
-            all_done = True
-            for shard_id, pipe in enumerate(pipes):
-                reply = pipe.recv()
-                if reply[0] == "error":
-                    raise RuntimeError(f"shard {shard_id} failed: {reply[1]}")
-                _, records, done = reply
-                shard_streams[shard_id].extend(records)
-                all_done = all_done and done
-            if all_done:
-                break
-        for pipe in pipes:
-            pipe.send(("finish",))
-        for shard_id, pipe in enumerate(pipes):
-            reply = pipe.recv()
-            if reply[0] == "error":
-                raise RuntimeError(f"shard {shard_id} failed: {reply[1]}")
-            _, records, snapshot = reply
-            shard_streams[shard_id].extend(records)
-            snapshots[shard_id] = snapshot
+        streams = [_shard_lines(shard, pipe, snapshots) for shard, pipe in enumerate(pipes)]
+        merge_digest_lines(streams, merged)
+    except BaseException:
+        for process in workers:
+            process.terminate()
+        raise
     finally:
         for pipe in pipes:
             pipe.close()
         for process in workers:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join()
-
-    merged = merge_shard_records(shard_streams, mode=config.stats_mode)
-    # Arrival/dispatch attribution happens shard-locally (each request is
-    # admitted by exactly one shard), so the global counters are plain sums.
-    first_arrivals = []
+            process.join()
     for snapshot in snapshots:
-        assert snapshot is not None
-        merged.arrivals += snapshot["arrivals"]
-        merged.dispatched += snapshot["dispatched"]
-        for tenant, count in snapshot["per_tenant_arrivals"].items():
-            merged.per_tenant_arrivals[tenant] += count
-        for tenant, count in snapshot["per_tenant_dispatched"].items():
-            merged.per_tenant_dispatched[tenant] += count
-        for card, count in snapshot["per_card_dispatched"].items():
-            merged.per_card_dispatched[card] += count
-        if snapshot["first_arrival_ns"] is not None:
-            first_arrivals.append(snapshot["first_arrival_ns"])
-    if first_arrivals:
-        merged.first_arrival_ns = min(first_arrivals)
+        merged.absorb(snapshot["totals"])
 
-    summaries = [
-        row
-        for snapshot in snapshots
-        if snapshot is not None
-        for row in snapshot["card_summaries"]
-    ]
+    summaries = [row for snapshot in snapshots for row in snapshot["card_summaries"]]
     summaries.sort(key=lambda row: row["card"])
     return ShardedRunResult(
         stats=merged,
         shards=shards,
         partitions=partitions,
-        shard_fingerprints=[
-            snapshot["fingerprint"] for snapshot in snapshots if snapshot is not None
-        ],
-        events_dispatched=sum(
-            snapshot["events_dispatched"] for snapshot in snapshots if snapshot is not None
-        ),
-        epochs=epochs,
+        shard_fingerprints=[snapshot["fingerprint"] for snapshot in snapshots],
+        events_dispatched=sum(snapshot["events_dispatched"] for snapshot in snapshots),
+        epochs=max(snapshot["epochs"] for snapshot in snapshots),
         card_summaries=summaries,
     )
 
 
 __all__ = [
     "ShardTraceView",
+    "ShardWorkerError",
     "ShardedRunConfig",
     "ShardedRunResult",
     "build_single_process_fleet",
-    "merge_shard_records",
+    "merge_digest_lines",
     "partition_cards",
     "run_sharded",
 ]

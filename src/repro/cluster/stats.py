@@ -14,7 +14,7 @@ import hashlib
 from collections import defaultdict
 from typing import Dict, List, Optional
 
-from repro.analysis.sketch import StreamingQuantileSketch, WindowedTimeSeries
+from repro.analysis.sketch import StreamingQuantileSketch
 from repro.core.stats import ReservoirSampler
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
@@ -90,6 +90,17 @@ _MIGRATED_LABELED = (
     ("per_priority_shed", _names.METRIC_NET_SHED_BY_PRIORITY),
 )
 
+#: What :meth:`FleetStatistics.totals` carries and ``absorb`` adds: the plain
+#: integer attributes, and the per-tenant / per-card ``defaultdict(int)``s.
+_SUMMED = (
+    "arrivals", "dispatched", "rejected", "completed", "hits", "misses",
+    "total_wait_ns", "total_service_ns", "total_sojourn_ns",
+)
+_SUMMED_BY_KEY = (
+    "per_tenant_arrivals", "per_tenant_completed", "per_tenant_dispatched",
+    "per_tenant_rejected", "per_tenant_hits", "per_card_dispatched",
+)
+
 
 class FleetStatistics:
     """Aggregates over one fleet run.
@@ -100,11 +111,11 @@ class FleetStatistics:
       shorter than the capacity.  This is the historical behaviour; every
       pre-existing digest and report is produced in this mode.
     * ``"sketch"`` — O(1)-memory streaming quantile sketches
-      (:class:`~repro.analysis.sketch.StreamingQuantileSketch`) plus a
-      windowed completion time-series.  No RNG is consumed, percentiles are
-      within ``sketch_relative_error`` relative value error of exact mode,
-      and per-shard instances merge — the mode the 10^6-request scale runs
-      and the sharded runner use.
+      (:class:`~repro.analysis.sketch.StreamingQuantileSketch`).  No RNG is
+      consumed, percentiles are within ``sketch_relative_error`` relative
+      value error of exact mode, and per-shard instances merge
+      (:meth:`totals` / :meth:`absorb`) — the mode the 10^6-request scale
+      runs use and the only one the sharded runner can.
 
     The schedule digest is mode-independent: it hashes the completion and
     rejection streams only, so a sketch-mode run of the same schedule
@@ -117,7 +128,6 @@ class FleetStatistics:
         seed: int = 0x0F1EE7,
         mode: str = "reservoir",
         sketch_relative_error: float = 0.01,
-        window_ns: int = 1_000_000,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if mode not in ("reservoir", "sketch"):
@@ -136,18 +146,15 @@ class FleetStatistics:
         self.reservoir_capacity = reservoir_capacity
         self.sketch_relative_error = sketch_relative_error
         self._rng = SeededRandom(seed)
-        #: Completions per fixed time window (sketch mode only; reservoir
-        #: mode keeps the historical per-request cost untouched).
-        self.completions_over_time: Optional[WindowedTimeSeries] = (
-            WindowedTimeSeries(window_ns) if mode == "sketch" else None
-        )
-        #: When enabled (sharded execution), every completion/rejection is
-        #: also appended here as a compact tuple so shard streams can be
-        #: merged deterministically; drained per epoch to bound memory.
-        self._record_log: Optional[List[tuple]] = None
+        #: When a list (sharded execution), every completion, rejection and
+        #: expiry also appends ``(at_ns, started_ns, line)`` here: its digest
+        #: line under the key that orders it among other shards' lines (a
+        #: rejection or expiry has no service start and keys as ``(now,
+        #: now)``, behind its instant's completions).
+        self.digest_tap: Optional[list] = None
         #: Optional passive SLO evaluator (:class:`~repro.obs.slo.SloEngine`)
         #: fed from the record paths below — one ``is None`` check per
-        #: record, the same no-cost-when-absent shape as ``_record_log``.
+        #: record, the same no-cost-when-absent shape as ``digest_tap``.
         #: The engine never touches ``_note``, so schedule digests are
         #: byte-identical with SLOs on or off.
         self.slo_engine = None
@@ -198,7 +205,7 @@ class FleetStatistics:
         # fast, never served late; gateway dedup suppressed/served) are
         # registry instruments created above.
         self.total_net_latency_ns = 0
-        #: Set by :func:`repro.cluster.sharded.merge_shard_records`: records
+        #: Set by :func:`repro.cluster.sharded.merge_digest_lines`: lines
         #: whose cross-shard order its merge key could not decide (the merged
         #: digest is only guaranteed to equal the single-process one when 0).
         self.unordered_merge_ties = 0
@@ -222,16 +229,49 @@ class FleetStatistics:
             return StreamingQuantileSketch(relative_error=self.sketch_relative_error)
         return ReservoirSampler(self.reservoir_capacity, self._rng.fork(label))
 
-    def enable_record_log(self) -> None:
-        if self._record_log is None:
-            self._record_log = []
+    def totals(self) -> dict:
+        """Everything order-free this (sketch-mode) run accumulated, picklable.
 
-    def drain_record_log(self) -> List[tuple]:
-        """Return and clear the buffered record tuples (sharded execution)."""
-        if self._record_log is None:
-            return []
-        drained, self._record_log = self._record_log, []
-        return drained
+        The dispatch-path counters, time totals, per-key counts, first/last
+        instants and the sojourn sketches: what :meth:`absorb` adds up.  The
+        registry counters are not carried — a shard is a plain
+        static-routing fleet with no fault, migration or net layer.
+        """
+        totals = {name: getattr(self, name) for name in _SUMMED}
+        totals.update((name, dict(getattr(self, name))) for name in _SUMMED_BY_KEY)
+        totals["first_arrival_ns"] = self.first_arrival_ns
+        totals["last_completion_ns"] = self.last_completion_ns
+        totals["fleet_sojourn"] = self._fleet_sojourn
+        totals["per_tenant_sojourn"] = self._per_tenant_sojourn
+        return totals
+
+    def absorb(self, totals: dict) -> None:
+        """Add another run's :meth:`totals` to this one's.
+
+        Integers add and sketches add bucket counts, so absorbing every
+        shard's totals gives exactly what one run over all of them records.
+        """
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + totals[name])
+        for name in _SUMMED_BY_KEY:
+            mine = getattr(self, name)
+            for key, count in totals[name].items():
+                mine[key] += count
+        first = totals["first_arrival_ns"]
+        if first is not None and (
+            self.first_arrival_ns is None or first < self.first_arrival_ns
+        ):
+            self.first_arrival_ns = first
+        if totals["last_completion_ns"] > self.last_completion_ns:
+            self.last_completion_ns = totals["last_completion_ns"]
+        self._fleet_sojourn.merge(totals["fleet_sojourn"])
+        for tenant, sketch in totals["per_tenant_sojourn"].items():
+            mine = self._per_tenant_sojourn.get(tenant)
+            if mine is None:
+                mine = self._per_tenant_sojourn[tenant] = self._new_sojourn(
+                    f"tenant:{tenant}"
+                )
+            mine.merge(sketch)
 
     # ------------------------------------------------------------- recording
     def record_arrival(self, tenant: str, arrival_ns: int) -> None:
@@ -243,9 +283,10 @@ class FleetStatistics:
     def record_rejection(self, tenant: str, function: str, now_ns: int) -> None:
         self.rejected += 1
         self.per_tenant_rejected[tenant] += 1
-        self._note(f"reject|{tenant}|{function}|{now_ns!r}".encode())
-        if self._record_log is not None:
-            self._record_log.append(("reject", now_ns, tenant, function))
+        line = f"reject|{tenant}|{function}|{now_ns!r}".encode()
+        self._note(line)
+        if self.digest_tap is not None:
+            self.digest_tap.append((now_ns, now_ns, line))
         if self.slo_engine is not None:
             self.slo_engine.on_fleet_bad(now_ns)
 
@@ -333,9 +374,10 @@ class FleetStatistics:
     def record_expired(self, tenant: str, function: str, now_ns: int) -> None:
         self.expired += 1
         self.per_tenant_expired[tenant] += 1
-        self._note(f"expire|{tenant}|{function}|{now_ns!r}".encode())
-        if self._record_log is not None:
-            self._record_log.append(("expire", now_ns, tenant, function))
+        line = f"expire|{tenant}|{function}|{now_ns!r}".encode()
+        self._note(line)
+        if self.digest_tap is not None:
+            self.digest_tap.append((now_ns, now_ns, line))
         if self.slo_engine is not None:
             self.slo_engine.on_fleet_bad(now_ns)
 
@@ -421,12 +463,11 @@ class FleetStatistics:
         if sampler is None:
             sampler = self._new_sojourn(f"tenant:{tenant}")
             self._per_tenant_sojourn[tenant] = sampler
-        over_time = self.completions_over_time
-        if over_time is not None:
-            # Sketch mode: the tenant and fleet sojourn sketches share
-            # geometry, so the bucket index (the only log() on this path) is
-            # computed once and recorded into both.
-            fleet_sojourn = self._fleet_sojourn
+        fleet_sojourn = self._fleet_sojourn
+        if self.mode == "sketch":
+            # The tenant and fleet sojourn sketches share geometry, so the
+            # bucket index (the only log() on this path) is computed once
+            # and recorded into both.
             if sojourn_ns >= fleet_sojourn.min_value:
                 index = fleet_sojourn.bucket_index(sojourn_ns)
                 sampler.add_with_index(sojourn_ns, index)
@@ -434,10 +475,9 @@ class FleetStatistics:
             else:
                 sampler.add(sojourn_ns)
                 fleet_sojourn.add(sojourn_ns)
-            over_time.record(completed_ns)
         else:
             sampler.add(sojourn_ns)
-            self._fleet_sojourn.add(sojourn_ns)
+            fleet_sojourn.add(sojourn_ns)
         # The hazard marker is appended only when set, so fault-free runs keep
         # the schedule digests they had before the fault layer existed.
         if hazard:
@@ -445,28 +485,17 @@ class FleetStatistics:
             suffix = "|hz"
         else:
             suffix = ""
-        parts = self._digest_parts
-        parts.append(
+        line = (
             f"done|{tenant}|{function}|{card_name}|{1 if hit else 0}|"
             f"{arrival_ns!r}|{started_ns!r}|{completed_ns!r}{suffix}".encode()
         )
+        parts = self._digest_parts
+        parts.append(line)
         if len(parts) >= 256:
             self._digest.update(b"".join(parts))
             parts.clear()
-        if self._record_log is not None:
-            self._record_log.append(
-                (
-                    "done",
-                    completed_ns,
-                    tenant,
-                    function,
-                    card_name,
-                    hit,
-                    arrival_ns,
-                    started_ns,
-                    hazard,
-                )
-            )
+        if self.digest_tap is not None:
+            self.digest_tap.append((completed_ns, started_ns, line))
         if self.slo_engine is not None:
             self.slo_engine.on_fleet_completion(completed_ns, sojourn_ns, hazard)
 

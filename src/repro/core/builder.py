@@ -91,10 +91,8 @@ def build_fleet(
     scrub_period_ns: Optional[int] = None,
     scrub_frames_per_order: int = 8,
     heal_on_failure: bool = True,
-    heal_limit: int = 4,
     fault_spec=None,
     rebalance_period_ns: Optional[int] = None,
-    rebalance_max_orders: int = 2,
     rebalance_min_queue_skew: int = 4,
     rebalance_min_frame_skew: int = 4,
     defrag_period_ns: Optional[int] = None,
@@ -177,14 +175,12 @@ def build_fleet(
             scrub_period_ns=scrub_period_ns,
             scrub_frames_per_order=scrub_frames_per_order,
             heal_on_failure=heal_on_failure,
-            heal_limit=heal_limit,
         )
     if rebalance_period_ns is not None:
         fleet.enable_rebalancing(
             rebalance_period_ns,
             min_queue_skew=rebalance_min_queue_skew,
             min_frame_skew=rebalance_min_frame_skew,
-            max_orders_per_cycle=rebalance_max_orders,
         )
     if defrag_period_ns is not None:
         fleet.enable_defrag(
@@ -202,12 +198,10 @@ def build_frontdoor(
     seed: int = 0,
     gateways: int = 1,
     uplink=None,
-    downlink=None,
     transport=None,
     admission=None,
     priorities=None,
     deadline_ns: Optional[int] = None,
-    probe_period_ns: int = 1_000_000,
     slos=None,
 ):
     """Put *fleet* behind a network front door (see :mod:`repro.net`).
@@ -215,8 +209,8 @@ def build_frontdoor(
     ``seed`` roots the net layer's own randomness (link loss/jitter draws,
     backoff jitter) in a :class:`~repro.sim.rand.SeededRandom` fork tree that
     is independent of the workload's, so toggling network features never
-    perturbs trace generation.  ``uplink``/``downlink`` are
-    :class:`~repro.net.link.LinkSpec` (downlink defaults to the uplink spec),
+    perturbs trace generation.  ``uplink`` is the
+    :class:`~repro.net.link.LinkSpec` of both directions,
     ``transport`` a :class:`~repro.net.transport.TransportConfig`,
     ``admission`` an :class:`~repro.net.gateway.AdmissionConfig` (``None``
     admits everything), ``priorities`` a tenant→priority map and
@@ -245,10 +239,8 @@ def build_frontdoor(
         SeededRandom(seed).fork("net"),
         gateways=gateways,
         uplink=uplink,
-        downlink=downlink,
         transport=transport,
         admission=admission,
         priorities=priorities,
         deadline_ns=deadline_ns,
-        probe_period_ns=probe_period_ns,
     )

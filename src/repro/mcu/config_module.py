@@ -259,7 +259,7 @@ class ConfigurationModule:
             # A pipelined configuration module hides the shorter of the two
             # streaming phases behind the longer one (one window of fill
             # latency remains).  Rewind the clock to model the overlap.
-            window_fill = decompress_time / max(1, image.window_count)
+            window_fill = round(decompress_time / max(1, image.window_count))
             overlapped_total = rom_time + max(decompress_time, config_time) + window_fill
             saved = total - overlapped_total
             if saved > 0:

@@ -113,11 +113,35 @@ class Microcontroller:
         started = self.clock.now
         function = self.bank.by_name(name)
         decode_time = self._charge_cycles(self.command_decode_cycles)
-        frames_needed = function.frames_required(self.device.geometry)
-        decision = self.minios.plan_load(
-            name, frames_needed, self.clock.now, future_requests=future_requests
+        return self._load(
+            function, started, decode_time, self.config_module.reconfigure, future_requests
         )
-        outcome = RequestOutcome(function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time)
+
+    def _load(
+        self,
+        function,
+        started: int,
+        decode_time: int,
+        configure,
+        future_requests: Optional[Sequence[str]] = None,
+    ) -> RequestOutcome:
+        """The load tail PRELOAD and RESTORE share: plan, evict, configure.
+
+        ``configure(name, region, executor)`` is the
+        :class:`ConfigurationModule` method that writes the region — from the
+        ROM (:meth:`~ConfigurationModule.reconfigure`) or from a migration
+        blob.
+        """
+        name = function.name
+        decision = self.minios.plan_load(
+            name,
+            function.frames_required(self.device.geometry),
+            self.clock.now,
+            future_requests=future_requests,
+        )
+        outcome = RequestOutcome(
+            function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time
+        )
         if not decision.hit:
             assert decision.region is not None
             # A wedged configuration port (fault model) makes the load
@@ -134,9 +158,8 @@ class Microcontroller:
                 self.minios.commit_eviction(victim)
                 outcome.evictions.append(victim)
             executor = function.executor(self.device.geometry)
-            report = self.config_module.reconfigure(name, decision.region, executor)
+            outcome.reconfiguration = configure(name, decision.region, executor)
             self.minios.commit_load(name, decision.region, self.clock.now)
-            outcome.reconfiguration = report
             outcome.reconfig_time_ns = self.clock.now - reconfig_started
         self.minios.touch(name, self.clock.now)
         outcome.total_time_ns = self.clock.now - started
@@ -189,35 +212,13 @@ class Microcontroller:
         decode_time = self._charge_cycles(self.command_decode_cycles)
         # Validate the blob before any planning: a corrupted or mismatched
         # transfer must never cost the destination its resident functions
-        # (the eviction loop below is irreversible).
+        # (the eviction loop is irreversible).
         self.config_module.validate_transfer_blob(name, blob)
-        decision = self.minios.plan_load(
-            name, function.frames_required(self.device.geometry), self.clock.now
-        )
-        outcome = RequestOutcome(
-            function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time
-        )
-        if not decision.hit:
-            assert decision.region is not None
-            if self.device.port.wedged:
-                raise ConfigurationError(
-                    f"configuration port is wedged; cannot restore {name!r}"
-                )
-            reconfig_started = self.clock.now
-            for victim in decision.evictions:
-                self.device.unload(victim)
-                self.minios.commit_eviction(victim)
-                outcome.evictions.append(victim)
-            executor = function.executor(self.device.geometry)
-            report = self.config_module.restore_from_blob(
-                name, blob, decision.region, executor
-            )
-            self.minios.commit_load(name, decision.region, self.clock.now)
-            outcome.reconfiguration = report
-            outcome.reconfig_time_ns = self.clock.now - reconfig_started
-        self.minios.touch(name, self.clock.now)
-        outcome.total_time_ns = self.clock.now - started
-        return outcome
+
+        def configure(name, region, executor):
+            return self.config_module.restore_from_blob(name, blob, region, executor)
+
+        return self._load(function, started, decode_time, configure)
 
     def defrag(self, max_moves: Optional[int] = None):
         """DEFRAG command: one compaction pass by the mini OS's defragmenter.

@@ -81,7 +81,7 @@ class TestDeterminismAndMerge:
             first.add(value)
         for value in values:
             second.add(value)
-        assert first.to_dict() == second.to_dict()
+        assert vars(first) == vars(second)
 
     def test_merge_equals_single_sketch_over_whole_stream(self):
         values = latency_like_stream(11, 3_000)
@@ -118,14 +118,6 @@ class TestDeterminismAndMerge:
         assert plain._buckets == indexed._buckets
         assert plain.seen == indexed.seen
 
-    def test_dict_round_trip(self):
-        sketch = StreamingQuantileSketch(relative_error=0.02, min_value=2.0)
-        for value in (0.5, 3.0, 700.0, 700.0, 1e6):
-            sketch.add(value)
-        clone = StreamingQuantileSketch.from_dict(sketch.to_dict())
-        assert clone.to_dict() == sketch.to_dict()
-        assert clone.quantile(0.95) == sketch.quantile(0.95)
-
     def test_low_values_counted_not_bucketed(self):
         sketch = StreamingQuantileSketch(min_value=10.0)
         sketch.add(0.0)
@@ -145,10 +137,9 @@ class TestWindowedTimeSeries:
         series = WindowedTimeSeries(window_ns=100.0)
         for time_ns, value in ((10, 2.0), (20, 3.0), (150, 1.0), (260, 4.0)):
             series.record(time_ns, value)
-        assert series.windows() == [(0.0, 2, 5.0), (100.0, 1, 1.0), (200.0, 1, 4.0)]
+        assert series._windows == {0: [2.0, 5.0], 1: [1.0, 1.0], 2: [1.0, 4.0]}
         assert series.total_count == 4
         assert series.total_value == 10.0
-        assert series.peak_rate_per_s() == pytest.approx(2 / (100.0 / 1e9))
 
     def test_eviction_keeps_totals_and_bounds_memory(self):
         series = WindowedTimeSeries(window_ns=10.0, max_windows=4)
@@ -168,7 +159,7 @@ class TestWindowedTimeSeries:
         random.Random(5).shuffle(times)
         for time_ns in times:
             shuffled.record(time_ns, 0.5)
-        assert cached.windows() == shuffled.windows()
+        assert cached._windows == shuffled._windows
         assert cached.total_value == pytest.approx(shuffled.total_value)
 
     def test_backward_jump_does_not_cache_evicted_row(self):
@@ -184,73 +175,6 @@ class TestWindowedTimeSeries:
         assert sorted(series._windows) == [50, 60]
         series.record(600.0)  # must not resurrect the orphan row
         assert series._windows[60] == [2.0, 2.0]
-
-    def test_merge_window_by_window(self):
-        left = WindowedTimeSeries(window_ns=100.0)
-        right = WindowedTimeSeries(window_ns=100.0)
-        left.record(10.0, 1.0)
-        left.record(110.0, 2.0)
-        right.record(120.0, 3.0)
-        right.record(210.0, 4.0)
-        left.merge(right)
-        assert left.windows() == [(0.0, 1, 1.0), (100.0, 2, 5.0), (200.0, 1, 4.0)]
-        assert left.total_count == 4
-        left.record(110.0, 1.0)  # cache was reset by merge; row must update
-        assert left._windows[1] == [3.0, 6.0]
-
-    def test_merge_rejects_mismatched_width(self):
-        with pytest.raises(ValueError):
-            WindowedTimeSeries(window_ns=10.0).merge(WindowedTimeSeries(window_ns=20.0))
-
-    def test_merge_misaligned_window_boundaries(self):
-        # Same window width but the two streams' events straddle different
-        # boundaries: rows must combine by window *index*, never by event
-        # order, and the straddling row must sum both sides.
-        left = WindowedTimeSeries(window_ns=100.0)
-        right = WindowedTimeSeries(window_ns=100.0)
-        left.record(95.0, 1.0)  # window 0, just before the boundary
-        left.record(205.0, 2.0)  # window 2
-        right.record(105.0, 4.0)  # window 1, just after the boundary
-        right.record(199.0, 8.0)  # window 1, just before the next one
-        right.record(230.0, 16.0)  # window 2, overlaps left's row
-        left.merge(right)
-        assert left.windows() == [
-            (0.0, 1, 1.0),
-            (100.0, 2, 12.0),
-            (200.0, 2, 18.0),
-        ]
-        assert left.total_count == 5
-        assert left.total_value == 31.0
-
-    def test_merge_evicts_down_to_max_windows(self):
-        # Merging a wide series into a narrow ring must evict the *oldest*
-        # rows until the bound holds again, counting every eviction, while
-        # lifetime totals keep the evicted events.
-        narrow = WindowedTimeSeries(window_ns=10.0, max_windows=2)
-        wide = WindowedTimeSeries(window_ns=10.0)
-        narrow.record(0.0, 1.0)
-        for step in range(5):
-            wide.record(step * 10.0, 1.0)
-        narrow.merge(wide)
-        assert len(narrow._windows) == 2
-        assert sorted(narrow._windows) == [3, 4]
-        assert narrow.dropped_windows == 3
-        assert narrow.total_count == 6
-        assert narrow.total_value == 6.0
-
-    def test_merge_empty_into_nonempty_and_back(self):
-        # Empty-into-nonempty is a no-op on the rows; nonempty-into-empty
-        # copies them.  Both must leave the receiver's cache consistent.
-        series = WindowedTimeSeries(window_ns=100.0)
-        series.record(10.0, 2.0)
-        series.merge(WindowedTimeSeries(window_ns=100.0))
-        assert series.windows() == [(0.0, 1, 2.0)]
-        assert series.total_count == 1
-        empty = WindowedTimeSeries(window_ns=100.0)
-        empty.merge(series)
-        assert empty.windows() == series.windows()
-        empty.record(20.0, 3.0)  # cache reset by merge; row must update
-        assert empty._windows[0] == [2.0, 5.0]
 
     def test_trailing_counts_only_the_horizon_windows(self):
         series = WindowedTimeSeries(window_ns=100.0)

@@ -6,24 +6,68 @@ for shard counts {1, 2, 4} the merged schedule digest, the counters and the
 sojourn sketch must all equal the unsharded reference run.
 """
 
+import multiprocessing
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import sharded
 from repro.cluster.dispatch import StaticHashPolicy
 from repro.cluster.sharded import (
     ShardTraceView,
+    ShardWorkerError,
     ShardedRunConfig,
     _build_shard_fleet,
+    _shard_lines,
     build_single_process_fleet,
-    merge_shard_records,
+    merge_digest_lines,
     partition_cards,
     run_sharded,
 )
+from repro.cluster.stats import FleetStatistics
 
-#: Small enough for tier-1, long enough to exercise several lockstep epochs
-#: and every card (1500 requests over ~60 ms of simulated time).
+#: Small enough for tier-1, long enough to exercise several epochs and every
+#: card (1500 requests over ~60 ms of simulated time).
 TEST_CONFIG = ShardedRunConfig(total_cards=4, requests=1_500)
+
+
+def tapped(record, *arguments):
+    """The ``(at_ns, started_ns, line)`` one ``record_*`` call leaves in the tap."""
+    stats = FleetStatistics(mode="sketch")
+    stats.digest_tap = []
+    getattr(stats, record)(*arguments)
+    (entry,) = stats.digest_tap
+    return entry
+
+
+def done_line(*arguments):
+    return tapped("record_completion", *arguments)
+
+
+def merged_lines(streams):
+    merged = FleetStatistics(mode="sketch")
+    merge_digest_lines(streams, merged)
+    return merged
+
+
+def assert_equals_single_process(merged, single):
+    """Equality, not closeness: everything a run's statistics hold."""
+    assert merged.schedule_digest() == single.schedule_digest()
+    assert merged.unordered_merge_ties == 0
+    ours, theirs = merged.totals(), single.totals()
+    for name in ours:
+        if not name.endswith("_sojourn"):
+            assert ours[name] == theirs[name], name
+    assert merged._fleet_sojourn._sum == single._fleet_sojourn._sum
+    assert merged.tenants() == single.tenants()
+    for tenant in [None] + single.tenants():
+        for percentile in (50, 95, 99):
+            assert merged.latency_percentile(percentile, tenant) == (
+                single.latency_percentile(percentile, tenant)
+            ), (tenant, percentile)
 
 
 def fake_card(index, has_room=True):
@@ -120,25 +164,11 @@ class TestShardedEqualsSingleProcess:
     def test_merged_counters_and_sketch_equal_single_process(self, reference):
         single_fleet, single_stats = reference
         result = run_sharded(TEST_CONFIG, shards=2)
-        merged = result.stats
-        assert merged.completed == single_stats.completed
-        assert merged.rejected == single_stats.rejected
-        assert merged.arrivals == single_stats.arrivals
-        assert merged.dispatched == single_stats.dispatched
-        assert dict(merged.per_tenant_completed) == dict(
-            single_stats.per_tenant_completed
-        )
-        assert dict(merged.per_card_dispatched) == dict(
-            single_stats.per_card_dispatched
-        )
-        assert merged.first_arrival_ns == single_stats.first_arrival_ns
-        # The sojourn sketches are merged by replay: bit-identical sums and
-        # identical percentiles, not merely "close".
-        assert merged._fleet_sojourn._sum == single_stats._fleet_sojourn._sum
-        for percentile in (50, 95, 99):
-            assert merged.latency_percentile(percentile) == single_stats.latency_percentile(
-                percentile
-            )
+        # Counters, time totals and first/last instants add; the sojourn
+        # sketches merge by bucket-count addition: bit-identical sums and
+        # identical percentiles, per tenant too, not merely "close".
+        assert_equals_single_process(result.stats, single_stats)
+        assert result.stats.completed == TEST_CONFIG.requests
         # Card summaries come back in global card order.
         names = [row["card"] for row in result.card_summaries]
         assert names == sorted(names)
@@ -146,42 +176,137 @@ class TestShardedEqualsSingleProcess:
         assert result.events_dispatched > 0
 
     def test_merge_shard_records_is_order_insensitive_across_shards(self):
-        records_a = [
-            ("done", 100, "t0", "crc32", "card0", True, 50, 60, False),
-            ("reject", 300, "t0", "crc32"),
+        lines_a = [
+            done_line("t0", "crc32", "card0", True, 50, 60, 100),
+            tapped("record_rejection", "t0", "crc32", 300),
         ]
-        records_b = [
-            ("done", 200, "t1", "fir16", "card1", False, 120, 130, False),
-        ]
-        first = merge_shard_records([records_a, records_b])
-        second = merge_shard_records([records_b, records_a])
+        lines_b = [done_line("t1", "fir16", "card1", False, 120, 130, 200)]
+        first = merged_lines([lines_a, lines_b])
+        second = merged_lines([lines_b, lines_a])
         assert first.schedule_digest() == second.schedule_digest()
-        assert first.completed == 2 and first.rejected == 1
+        whole = FleetStatistics(mode="sketch")
+        for _, _, line in (lines_a[0], lines_b[0], lines_a[1]):
+            whole._note(line)
+        assert first.schedule_digest() == whole.schedule_digest()
 
     def test_same_instant_completions_merge_in_service_start_order(self):
-        late = ("done", 500, "t0", "crc32", "card0", True, 90, 400, False)
-        early = ("done", 500, "t1", "fir16", "card1", True, 80, 300, False)
-        expected = merge_shard_records([[early, late]])
-        for shard_records in ([[late], [early]], [[early], [late]]):
-            merged = merge_shard_records(shard_records)
+        late = done_line("t0", "crc32", "card0", True, 90, 400, 500)
+        early = done_line("t1", "fir16", "card1", True, 80, 300, 500)
+        expected = merged_lines([[early, late]])
+        for streams in ([[late], [early]], [[early], [late]]):
+            merged = merged_lines(streams)
             assert merged.schedule_digest() == expected.schedule_digest()
             assert merged.unordered_merge_ties == 0
-        # Equal start *and* completion on two shards: replayed in shard
+        # Equal start *and* completion on two shards: folded in shard
         # order, and counted — the key cannot know the kernel's order.
-        twin = ("done", 500, "t1", "fir16", "card1", True, 80, 400, False)
-        assert merge_shard_records([[late], [twin]]).unordered_merge_ties == 1
-        assert merge_shard_records([[late, twin]]).unordered_merge_ties == 0
+        twin = done_line("t1", "fir16", "card1", True, 80, 400, 500)
+        assert merged_lines([[late], [twin]]).unordered_merge_ties == 1
+        assert merged_lines([[late, twin]]).unordered_merge_ties == 0
+
+    def test_a_rejection_or_expiry_folds_behind_its_instants_completions(self):
+        done = done_line("t0", "crc32", "card0", True, 90, 400, 500)
+        for record in ("record_rejection", "record_expired"):
+            refusal = tapped(record, "t1", "fir16", 500)
+            assert refusal[:2] == (500, 500)
+            expected = merged_lines([[done, refusal]])
+            for streams in ([[refusal], [done]], [[done], [refusal]]):
+                merged = merged_lines(streams)
+                assert merged.schedule_digest() == expected.schedule_digest()
+                assert merged.unordered_merge_ties == 0
+
+    def test_the_merge_reads_a_chunk_only_when_it_needs_a_line(self):
+        asked = []
+
+        class ScriptedPipe:
+            def __init__(self, shard, messages):
+                self.shard, self.messages = shard, list(messages)
+
+            def poll(self, timeout):
+                return True
+
+            def recv(self):
+                asked.append(self.shard)
+                return self.messages.pop(0)
+
+        def chunk(*instants):
+            return "lines", [done_line("t0", "crc32", "card0", True, 0, at, at) for at in instants]
+
+        scripts = [
+            [chunk(10, 30), chunk(50), ("final", {"shard": 0})],
+            [chunk(20), chunk(40, 60), ("final", {"shard": 1})],
+        ]
+        snapshots = [{} for _ in scripts]
+        streams = [
+            _shard_lines(shard, ScriptedPipe(shard, script), snapshots)
+            for shard, script in enumerate(scripts)
+        ]
+        merged = FleetStatistics(mode="sketch")
+        folded = []
+        merged._note = lambda line: folded.append((line, sorted(asked)))
+        merge_digest_lines(streams, merged)
+        instants = [int(line.rsplit(b"|", 1)[1]) for line, _ in folded]
+        assert instants == [10, 20, 30, 40, 50, 60]
+        # What had been received when each line was folded: one chunk per
+        # stream for the first line, and a stream's next chunk only once the
+        # merge has folded the last line of the chunk before it.
+        assert [asked_then for _, asked_then in folded] == [
+            [0, 1],
+            [0, 1],
+            [0, 1, 1],
+            [0, 0, 1, 1],
+            [0, 0, 1, 1],
+            [0, 0, 0, 1, 1],
+        ]
+        assert snapshots == [{"shard": 0}, {"shard": 1}]
+
+
+class TestWorkerFailure:
+    """A worker that raises, dies or hangs is one typed, bounded error."""
+
+    @pytest.fixture(autouse=True)
+    def forked_and_bounded(self):
+        # The patched worker reaches the child by fork inheritance; the alarm
+        # keeps a parent that waits for ever from hanging the suite.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs the fork start method")
+
+        def hung(signum, frame):
+            raise TimeoutError("run_sharded did not return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        assert [child for child in multiprocessing.active_children() if child.is_alive()] == []
+
+    def test_a_worker_that_raises_is_named_with_its_error(self, monkeypatch):
+        def broken_build(config, card_indices):
+            raise ValueError(f"no bank for {card_indices}")
+
+        monkeypatch.setattr(sharded, "_build_shard_fleet", broken_build)
+        with pytest.raises(ShardWorkerError) as raised:
+            run_sharded(TEST_CONFIG, shards=2)
+        assert str(raised.value) == "shard 0 failed: " + repr(ValueError("no bank for [0, 2]"))
+
+    def test_a_killed_worker_is_a_shard_worker_error(self, monkeypatch):
+        monkeypatch.setattr(sharded, "_shard_worker", lambda *args: os._exit(3))
+        with pytest.raises(ShardWorkerError, match="shard 0 died"):
+            run_sharded(TEST_CONFIG, shards=2)
+
+    def test_a_silent_worker_is_bounded_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(sharded, "_shard_worker", lambda *args: time.sleep(60))
+        monkeypatch.setattr(sharded, "WORKER_SILENCE_S", 0.2)
+        began = time.monotonic()
+        with pytest.raises(ShardWorkerError, match="shard 0 sent nothing for 0.2 s"):
+            run_sharded(TEST_CONFIG, shards=2)
+        assert time.monotonic() - began < 10
 
 
 def sweep_config(trace_seed):
     return ShardedRunConfig(
         total_cards=4, requests=20_000, trace_seed=trace_seed, epoch_ns=100_000_000
     )
-
-
-def single_process_digest(config):
-    fleet, trace = build_single_process_fleet(config)
-    return fleet.run(trace).schedule_digest()
 
 
 class TestDigestSweep:
@@ -194,21 +319,33 @@ class TestDigestSweep:
     @pytest.mark.parametrize("trace_seed", [20, 21, 32, 62, 63, 75, 77, 1, 2, 3, 5, 6])
     def test_two_shard_digest_equals_single_process(self, trace_seed):
         config = sweep_config(trace_seed)
+        fleet, trace = build_single_process_fleet(config)
+        assert_equals_single_process(run_sharded(config, shards=2).stats, fleet.run(trace))
+
+    @pytest.mark.parametrize("trace_seed", [1, 2])
+    def test_overloaded_shards_reject_identically(self, trace_seed):
+        config = ShardedRunConfig(
+            total_cards=4, requests=6_000, trace_seed=trace_seed,
+            queue_depth=2, mean_interarrival_ns=1_500.0, epoch_ns=2_000_000,
+        )
+        fleet, trace = build_single_process_fleet(config)
+        single = fleet.run(trace)
+        assert single.rejected > config.requests // 10
         result = run_sharded(config, shards=2)
-        assert result.stats.schedule_digest() == single_process_digest(config)
-        assert result.stats.unordered_merge_ties == 0
+        assert result.epochs > 3
+        assert_equals_single_process(result.stats, single)
 
     @pytest.mark.parametrize("trace_seed", [4, 37, 42, 44, 45])
     def test_four_way_merge_with_cross_shard_ties(self, trace_seed):
         config = sweep_config(trace_seed)
-        logs = []
+        streams, merged = [], FleetStatistics(mode="sketch")
         for index in range(config.total_cards):
             fleet, view = _build_shard_fleet(config, [index])
-            fleet.stats.enable_record_log()
-            fleet.run(view)
-            logs.append(fleet.stats.drain_record_log())
-        instants = [record[1] for log in logs for record in log]
+            fleet.stats.digest_tap = []
+            merged.absorb(fleet.run(view).totals())
+            streams.append(sorted(fleet.stats.digest_tap, key=lambda entry: entry[:2]))
+        instants = [entry[0] for stream in streams for entry in stream]
         assert len(set(instants)) < len(instants)  # the seed does tie
-        merged = merge_shard_records(logs, mode=config.stats_mode)
-        assert merged.schedule_digest() == single_process_digest(config)
-        assert merged.unordered_merge_ties == 0
+        merge_digest_lines(streams, merged)
+        fleet, trace = build_single_process_fleet(config)
+        assert_equals_single_process(merged, fleet.run(trace))

@@ -1,8 +1,8 @@
 """Time is whole nanoseconds: no float leaks in, no float is declared.
 
 First half — one small scenario per layer, then ``type(...) is int`` on every
-time the run left behind: the kernel clock, every card clock, every record-log
-time, every span timestamp, and the time totals of ``FleetStatistics``,
+time the run left behind: the kernel clock, every card clock, every digest-tap
+key, every span timestamp, and the time totals of ``FleetStatistics``,
 ``CoprocessorStatistics``, ``PciBus``, the configuration port and the driver.
 The scenarios hand the specs what the frozen e2e shapes hand them: integral
 floats for periods and budgets, a fractional kill time, fractional link
@@ -21,15 +21,12 @@ import pytest
 
 import repro
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
-from repro.core.builder import build_fleet, build_frontdoor
+from repro.core.builder import build_coprocessor, build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.faults.spec import FaultSpec
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.obs import Observability
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
-
-#: Positions of the times in a ``FleetStatistics`` record-log tuple.
-RECORD_LOG_TIMES = {"done": (1, 6, 7), "reject": (1,), "expire": (1,)}
 
 
 def time_totals(stats):
@@ -47,7 +44,7 @@ def time_totals(stats):
     return times
 
 
-def assert_whole_ns(fleet, observability=None, records=()):
+def assert_whole_ns(fleet, observability=None, tapped=()):
     times = {"kernel clock": fleet.clock.now, "makespan": fleet.stats.makespan_ns}
     times.update({f"fleet stats {k}": v for k, v in time_totals(fleet.stats).items()})
     for card in fleet.cards:
@@ -79,9 +76,9 @@ def assert_whole_ns(fleet, observability=None, records=()):
         for entry in copro.minios.table:
             times[f"{card.name} {entry.name} last_access_ns"] = entry.last_access_ns
             times[f"{card.name} {entry.name} loaded_at_ns"] = entry.loaded_at_ns
-    for index, record in enumerate(records):
-        for position in RECORD_LOG_TIMES[record[0]]:
-            times[f"record {index} {record[0]}[{position}]"] = record[position]
+    for index, (at_ns, started_ns, _) in enumerate(tapped):
+        times[f"digest tap {index} at_ns"] = at_ns
+        times[f"digest tap {index} started_ns"] = started_ns
     if observability is not None:
         assert observability.spans
         for span in observability.spans:
@@ -108,12 +105,12 @@ class TestNoFloatLeaks:
             bank=small_bank,
             observability=observability,
         )
-        fleet.stats.enable_record_log()
+        fleet.stats.digest_tap = []
         _, trace = small_trace(small_bank, arrival=arrival)
         stats = fleet.run(trace)
         assert stats.hits and stats.misses
         assert sum(card.memo.replays for card in fleet.cards) > 0
-        assert_whole_ns(fleet, observability, fleet.stats.drain_record_log())
+        assert_whole_ns(fleet, observability, fleet.stats.digest_tap)
 
     def test_front_door_with_loss_jitter_retry_and_backoff(self, small_bank):
         observability = Observability()
@@ -123,7 +120,7 @@ class TestNoFloatLeaks:
             bank=small_bank,
             observability=observability,
         )
-        fleet.stats.enable_record_log()
+        fleet.stats.digest_tap = []
         specs, trace = small_trace(small_bank, length=300, seed=5)
         door = build_frontdoor(
             fleet,
@@ -140,7 +137,7 @@ class TestNoFloatLeaks:
         stats = fleet.stats
         assert stats.net_retries and stats.net_timeouts and stats.shed_total
         assert type(stats.total_net_latency_ns) is int
-        assert_whole_ns(fleet, observability, stats.drain_record_log())
+        assert_whole_ns(fleet, observability, stats.digest_tap)
 
     def test_poisson_upsets_and_a_card_kill(self, small_bank):
         _, trace = small_trace(small_bank, length=400)
@@ -176,6 +173,26 @@ class TestNoFloatLeaks:
         assert fleet.stats.migrations_completed == 1
         assert type(fleet.stats.mean_migration_latency_ns) is float  # a mean, not a time
         assert_whole_ns(fleet)
+
+    def test_an_overlapped_miss(self, small_bank):
+        # E2's third column: the pipelined configuration module reports
+        # rom + max(decompress, config) + one window of fill.
+        copro = build_coprocessor(
+            config=SMALL_CONFIG.with_overrides(overlap_decompress=True), bank=small_bank
+        )
+        copro.preload("crc32")
+        (report,) = copro.config_module.reports
+        assert report.overlapped
+        assert report.total_time_ns < (
+            report.rom_time_ns + report.decompress_time_ns + report.config_time_ns
+        )
+        times = {
+            field.name: getattr(report, field.name)
+            for field in dataclasses.fields(report)
+            if field.name.endswith("_ns")
+        }
+        assert len(times) == 4
+        assert {what: value for what, value in times.items() if type(value) is not int} == {}
 
     def test_a_two_shard_run(self):
         config = ShardedRunConfig(
