@@ -157,7 +157,8 @@ def _kernel_scenario(simulator: Simulator, workers: int, rounds: int) -> None:
 
     for pid in range(workers):
         delays = [float(10 + (pid * 7 + round_index) % 23) for round_index in range(rounds)]
-        simulator.spawn(producer(pid, delays), delay_ns=float(pid % 5))
+        delays[0] += pid % 5  # staggered starts, folded into the first sleep
+        simulator.spawn(producer(pid, delays))
     simulator.spawn(consumer(workers * rounds // 2))
     simulator.spawn(consumer(workers * rounds // 2))
 

@@ -747,7 +747,8 @@ class Fleet:
         requests one at a time as their packets arrive instead of through a
         paced arrival trace, so there is no arrivals process — workers are
         spawned on first use and periodic services are the front door's
-        responsibility (it spawns them alongside its own pumps).
+        responsibility (its ``run`` spawns them before its client
+        populations).
         """
         self._spawn_workers()
         self._dispatch(request)
@@ -1000,13 +1001,10 @@ class Fleet:
         if card.health != "degraded":
             card.health = "degraded"
             self.stats.record_card_degraded(card.name, self.clock.now)
-        self.simulator.spawn(
-            self._port_recovery(card, duration_ns), name=f"{card.name}-port-recovery"
-        )
+        self.simulator.queue.schedule_call(until, self._port_recovery, card)
         return True
 
-    def _port_recovery(self, card: FleetCard, duration_ns: int):
-        yield Timeout(duration_ns)
+    def _port_recovery(self, card: FleetCard, _) -> None:
         if card.health == "down" or self.clock.now < card.degraded_until_ns:
             return  # dead, or a later fault extended the degradation
         card.driver.coprocessor.device.port.unwedge()

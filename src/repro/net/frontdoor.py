@@ -5,7 +5,8 @@ per-gateway uplink/downlink :class:`~repro.net.link.Link` pairs, the
 :class:`~repro.net.gateway.Gateway` hosts, one
 :class:`~repro.net.transport.Transport` shared by every client population,
 the request-id counter, the tenant→priority map and the deadline budget.
-It installs two hooks on the fleet:
+It registers each gateway's health probe as a fleet service (the only net
+process besides the client populations) and installs two hooks on the fleet:
 
 * ``fleet.on_request_outcome`` — routes each terminal verdict (completed /
   rejected / expired) back to the admitting gateway's downlink.
@@ -84,6 +85,7 @@ class FrontDoor:
                 rng.fork(f"net.link.up{index}"),
                 name=f"up{index}",
             )
+            fleet.add_service(f"net-probe-{gateway.name}", gateway.probe)
             self.gateways.append(gateway)
             self.uplinks.append(up)
             self.downlinks.append(down)
@@ -108,7 +110,6 @@ class FrontDoor:
         self._next_id = 0
         self._populations: List[object] = []
         self._population_processes: List[object] = []
-        self._infra_processes: Dict[str, object] = {}
         fleet.on_request_outcome = self._on_fleet_outcome
         fleet.idle_hook = self._net_idle
 
@@ -184,21 +185,6 @@ class FrontDoor:
         """Queue a client population for the next :meth:`run`."""
         self._populations.append(population)
 
-    def _spawn_infrastructure(self) -> None:
-        factories = {}
-        for index, link in enumerate(self.uplinks):
-            factories[f"net-up{index}"] = link.pump
-        for index, link in enumerate(self.downlinks):
-            factories[f"net-down{index}"] = link.pump
-        for gateway in self.gateways:
-            factories[f"net-probe-{gateway.name}"] = gateway.probe
-        for name, factory in factories.items():
-            process = self._infra_processes.get(name)
-            if process is None or process.finished:
-                self._infra_processes[name] = self.fleet.simulator.spawn(
-                    factory(), name=name
-                )
-
     def run(self, until_ns: Optional[int] = None):
         """Serve every queued population to quiescence; returns fleet stats."""
         if not self._populations:
@@ -206,7 +192,6 @@ class FrontDoor:
         fleet = self.fleet
         fleet._spawn_workers()
         fleet._spawn_services()
-        self._spawn_infrastructure()
         for population in self._populations:
             for name, generator in population.processes(self):
                 self._population_processes.append(

@@ -1,4 +1,4 @@
-"""Point-to-point network links as bounded kernel queues.
+"""Point-to-point network links: a bounded egress queue in front of a wire.
 
 A :class:`Link` models one direction of a client↔gateway path with the four
 costs that matter to a front door: serialisation time (packet size over link
@@ -7,20 +7,21 @@ is bounded — a sender faster than the link tail-drops instead of building an
 unbounded backlog, which is what makes overload produce *drops the transport
 can react to* rather than silently-growing queueing delay.
 
-The pump process serialises packets one at a time (yielding the kernel for
-each packet's wire time), then hands the packet to a fire-and-forget arrival
-process after the propagation delay, so several packets can be "in the air"
-concurrently while the next one serialises — the standard
-store-and-forward pipeline.
+The wire is FIFO and store-and-forward — packets serialise one at a time and
+several can be "in the air" while the next one serialises — so a packet's
+whole trip is known the instant it is sent.  :meth:`Link.send` does that
+arithmetic: no process drains the queue and none is spawned per packet, so
+the only kernel event a packet costs is its arrival.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Deque
 
 from repro.obs import names as _obs_names
-from repro.sim.kernel import Simulator, Store, Timeout
+from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
 
 
@@ -29,7 +30,7 @@ class LinkSpec:
     """The physics of one link direction.
 
     Durations are whole nanoseconds; a fractional value is tolerated and
-    rounded once, where :meth:`Link.pump` consumes the spec.
+    rounded once, where :class:`Link` consumes the spec.
     """
 
     #: One-way propagation delay (ns).
@@ -38,9 +39,10 @@ class LinkSpec:
     gbps: float = 10.0
     #: Maximum extra per-packet delay, drawn uniformly in [0, jitter_ns].
     jitter_ns: int = 0
-    #: Per-packet loss probability (drawn after serialisation).
+    #: Per-packet loss probability (a lost packet still occupies the wire).
     loss: float = 0.0
-    #: Egress queue bound in packets; a full queue tail-drops.
+    #: Egress queue bound in packets; a full queue tail-drops.  The bound is
+    #: on packets *waiting*: the one on the wire is not in the queue.
     queue_packets: int = 64
 
     def __post_init__(self) -> None:
@@ -90,7 +92,7 @@ class Packet:
 
 
 class Link:
-    """One direction of a path: bounded queue + serialise/propagate pump."""
+    """One direction of a path: bounded egress queue + FIFO wire."""
 
     def __init__(
         self,
@@ -105,7 +107,12 @@ class Link:
         self.deliver = deliver
         self.rng = rng
         self.name = name
-        self._queue = Store(simulator, name=f"{name}-queue")
+        self._latency_ns = round(spec.latency_ns)
+        #: When the wire finishes serialising the last accepted packet.
+        self._wire_free_ns = 0
+        #: The egress queue, as the instants its entries leave it: the
+        #: serialise-start times of accepted packets not yet on the wire.
+        self._waiting: Deque[int] = deque()
         # Traffic accounting: offered = sent() calls, and every offered
         # packet ends up in exactly one of delivered / lost / dropped.
         self.offered = 0
@@ -116,43 +123,40 @@ class Link:
         self.tracer = None
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue *packet* for transmission; False = tail-dropped."""
+        """Put *packet* on the link and schedule its arrival; False = tail-dropped.
+
+        A packet whose serialisation starts at ``t`` has left the queue at
+        ``t``: a send at that exact instant does not count it against
+        ``queue_packets``.
+        """
         self.offered += 1
-        if len(self._queue) >= self.spec.queue_packets:
+        spec = self.spec
+        now = self.simulator.clock._now
+        waiting = self._waiting
+        while waiting and waiting[0] <= now:
+            waiting.popleft()
+        if len(waiting) >= spec.queue_packets:
             self.dropped += 1
             return False
         if self.tracer is not None and packet.trace is not None:
-            packet.sent_ns = self.simulator.clock._now
-        self._queue.put(packet)
+            packet.sent_ns = now
+        start = max(now, self._wire_free_ns)
+        if start > now:
+            waiting.append(start)
+        done = self._wire_free_ns = start + round(packet.size_bytes * 8.0 / spec.gbps)
+        # Draw order is fixed (loss then jitter, only when enabled) so a
+        # spec change toggles exactly one draw per packet; per link, send
+        # order is serialise order, so drawing here draws in wire order.
+        if spec.loss and self.rng.uniform() < spec.loss:
+            self.lost += 1  # it still occupied the wire
+            return True
+        if spec.jitter_ns:
+            done += round(self.rng.uniform(0.0, spec.jitter_ns))
+        self.simulator.queue.schedule_call(done + self._latency_ns, self._arrive, packet)
         return True
 
-    def pump(self):
-        """Kernel process: serialise queued packets onto the wire forever."""
-        spec = self.spec
-        gbps = spec.gbps
-        loss = spec.loss
-        latency_ns = round(spec.latency_ns)
-        jitter_ns = spec.jitter_ns
-        rng = self.rng
-        spawn = self.simulator.spawn
-        get_packet = self._queue.get()
-        serialize_timeout = Timeout(0)
-        while True:
-            packet = yield get_packet
-            serialize_timeout.delay_ns = round(packet.size_bytes * 8.0 / gbps)
-            yield serialize_timeout
-            # Draw order is fixed (loss then jitter, only when enabled) so a
-            # spec change toggles exactly one draw per packet.
-            if loss and rng.uniform() < loss:
-                self.lost += 1
-                continue
-            delay_ns = latency_ns
-            if jitter_ns:
-                delay_ns += round(rng.uniform(0.0, jitter_ns))
-            spawn(self._arrive(packet), name=f"{self.name}-fly", delay_ns=delay_ns)
-
-    def _arrive(self, packet: Packet):
-        """Fire-and-forget delivery at the far end of the propagation delay."""
+    def _arrive(self, packet: Packet, _) -> None:
+        """Delivery at the far end: serialised, jittered and propagated."""
         self.delivered += 1
         tracer = self.tracer
         if tracer is not None and packet.trace is not None:
@@ -167,5 +171,3 @@ class Link:
                 kind=packet.kind,
             )
         self.deliver(packet)
-        return
-        yield  # pragma: no cover - makes this a (never-resumed) process

@@ -1,13 +1,16 @@
 """Client-side request transport: deadlines, retries, circuit breaking.
 
 Every logical client request gets one :class:`_Pending` record for its whole
-lifetime.  The transport sends an attempt up a gateway link, arms a per-hop
-timeout watcher, and reacts to whichever comes back first: a response packet
-(complete), a shed packet (back off and retry — backpressure is not a
-gateway failure), an error packet or a timeout (count a failure against the
-gateway's circuit breaker, then retry with capped exponential backoff and
-seeded jitter).  The propagated ``deadline_ns`` bounds everything: an
-attempt is never sent, and a backoff never slept, past the deadline.
+lifetime.  The transport sends an attempt up a gateway link, schedules the
+attempt's per-hop timeout, and reacts to whichever comes first: a response
+packet (complete), a shed packet (back off and retry — backpressure is not a
+gateway failure), an error packet or the timeout (count a failure against
+the gateway's circuit breaker, then retry with capped exponential backoff
+and seeded jitter).  A timeout and a backoff are one kernel queue entry each
+(``schedule_call`` on a plain method that first checks it is still the
+current attempt) — there is no process per attempt.  The propagated
+``deadline_ns`` bounds everything: an attempt is never sent, and a backoff
+never scheduled, past the deadline.
 
 Retransmits are *sticky*: once a request has been sent to a gateway, every
 retry returns to that same gateway so its dedup cache can guarantee the
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.link import Link, Packet
 from repro.obs import names as _obs_names
-from repro.sim.kernel import Simulator, Timeout, WaitEvent
+from repro.sim.kernel import Simulator, WaitEvent
 from repro.sim.rand import SeededRandom
 from repro.workloads.multitenant import FleetRequest
 
@@ -143,13 +146,14 @@ class _Pending:
         "done_event",
         "trace",
         "attempt_sent_ns",
+        "backoff_from_ns",
     )
 
     def __init__(self, request: GatewayRequest, done_event: Optional[WaitEvent]) -> None:
         self.request = request
         self.first_send_ns = 0
-        #: Attempt counter; bumping it stale-izes every armed timeout watcher
-        #: and backoff sleeper for earlier attempts.
+        #: Attempt counter; bumping it stale-izes every scheduled timeout and
+        #: backoff entry of earlier attempts.
         self.attempt = 0
         #: Sticky serving gateway (None until the first send chooses one).
         self.gateway: Optional[int] = None
@@ -160,6 +164,8 @@ class _Pending:
         self.trace = None
         #: When the current attempt's packet went up (its span's start).
         self.attempt_sent_ns = 0
+        #: When the current backoff began (its span's start).
+        self.backoff_from_ns = 0
 
 
 class Transport:
@@ -254,15 +260,13 @@ class Transport:
         wait_ns = self._hop_timeout_ns
         if deadline is not None:
             wait_ns = min(wait_ns, deadline - now)
-        self.simulator.spawn(
-            self._timeout_watch(pending, attempt, wait_ns),
-            name=f"net-timeout-{request.request_id}",
+        self.simulator.queue.schedule_call(
+            now + wait_ns, self._on_timeout, pending, attempt
         )
 
-    def _timeout_watch(self, pending: _Pending, attempt: int, wait_ns: int):
-        yield Timeout(wait_ns)
+    def _on_timeout(self, pending: _Pending, attempt: int) -> None:
         if pending.done or pending.attempt != attempt:
-            return  # a response or a newer attempt superseded this watcher
+            return  # a response or a newer attempt superseded this timeout
         self.stats.record_net_timeout()
         self._obs_attempt_end(pending, "timeout")
         self._count_gateway_failure(pending)
@@ -368,26 +372,24 @@ class Transport:
         if deadline is not None and now + backoff_ns >= deadline:
             self._fail(pending, "deadline")
             return
-        self.simulator.spawn(
-            self._resend(pending, pending.attempt, backoff_ns),
-            name=f"net-backoff-{pending.request.request_id}",
+        pending.backoff_from_ns = now
+        self.simulator.queue.schedule_call(
+            now + backoff_ns, self._resend, pending, pending.attempt
         )
 
-    def _resend(self, pending: _Pending, attempt: int, backoff_ns: int):
-        yield Timeout(backoff_ns)
+    def _resend(self, pending: _Pending, attempt: int) -> None:
         if pending.done or pending.attempt != attempt:
             return
         trace = pending.trace
         if trace is not None:
-            # Recorded here (not at scheduling time) so a sleep superseded by
-            # a late verdict leaves no span dangling past the root.
-            now = self.clock._now
+            # Recorded here (not at scheduling time) so a backoff superseded
+            # by a late verdict leaves no span dangling past the root.
             self.tracer.record(
                 _obs_names.SPAN_NET_BACKOFF,
                 trace[0],
                 trace[1],
-                now - backoff_ns,
-                now,
+                pending.backoff_from_ns,
+                self.clock._now,
                 attempt=attempt,
             )
         self._send(pending)

@@ -14,7 +14,7 @@ time type.  One rule keeps it that way:
   exactly, and two processes that reach the same instant by different sums
   agree on it;
 * at the kernel/clock boundary (:meth:`Clock.advance`, :meth:`Clock.advance_to`,
-  :meth:`Clock.reset`, ``Timeout`` dispatch, ``spawn(delay_ns=)``,
+  :meth:`Clock.reset`, ``Timeout`` dispatch, ``schedule_call``,
   ``run(until_ns=)``) :func:`as_ns` converts an integral float and raises
   :class:`TypeError` for a fractional one — a float can never reach a clock.
 

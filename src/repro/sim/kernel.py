@@ -224,7 +224,6 @@ class Simulator:
     ) -> None:
         self.clock = clock if clock is not None else Clock()
         self.queue = EventQueue()
-        self.processes: List[Process] = []
         #: Optional tie-break strategy for same-``(time, priority)`` ready
         #: sets.  ``None`` (the default) dispatches in ``(time, priority,
         #: seq)`` order; with a policy installed :meth:`run` gathers the
@@ -257,15 +256,14 @@ class Simulator:
             heapq.heappush(self._heap, entry)
 
     # ------------------------------------------------------------- processes
-    def spawn(self, generator: Generator, name: Optional[str] = None, delay_ns: int = 0) -> Process:
-        """Register *generator* as a process starting after *delay_ns*."""
-        if delay_ns.__class__ is not int:
-            delay_ns = as_ns(delay_ns)
-        if delay_ns < 0:
-            raise ValueError("cannot schedule an event at negative time")
+    def spawn(self, generator: Generator, name: Optional[str] = None) -> Process:
+        """Register *generator* as a process starting now.
+
+        The kernel keeps no list of processes: one lives as long as a queue
+        entry, a waiter list or its spawner refers to it.
+        """
         process = Process(generator, name=name)
-        self.processes.append(process)
-        self._schedule_step(self.clock.now + delay_ns, process, None)
+        self._schedule_step(self.clock.now, process, None)
         return process
 
     def trigger(self, wait_event: WaitEvent, value: Any = None) -> None:

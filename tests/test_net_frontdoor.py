@@ -31,6 +31,7 @@ from repro.net import (
     TransportConfig,
 )
 from repro.net.link import Link, Packet
+from repro.net.transport import RESPONSE_BYTES
 from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
 from repro.workloads.multitenant import FleetRequest, default_tenant_mix, multi_tenant_trace
@@ -81,7 +82,7 @@ def make_trace(bank, length=80, mean_interarrival_ns=40_000.0, seed=5, tenants=2
 
 # ---------------------------------------------------------------------- links
 class TestLink:
-    def pump_through(self, spec, packets, seed=1):
+    def send_through(self, spec, packets, seed=1):
         simulator = Simulator()
         arrived = []
         link = Link(
@@ -92,14 +93,13 @@ class TestLink:
         )
         for packet in packets:
             link.send(packet)
-        simulator.spawn(link.pump(), name="pump")
         simulator.run(until_ns=1e9)
         return link, arrived
 
     def test_clean_link_delivers_in_order_with_wire_time(self):
         spec = LinkSpec(latency_ns=10_000.0, gbps=1.0, jitter_ns=0.0, loss=0.0)
         packets = [Packet("req", index, 125) for index in range(4)]
-        link, arrived = self.pump_through(spec, packets)
+        link, arrived = self.send_through(spec, packets)
         assert [packet.request_id for _, packet in arrived] == [0, 1, 2, 3]
         assert link.offered == link.delivered == 4
         assert link.lost == link.dropped == 0
@@ -111,19 +111,34 @@ class TestLink:
 
     def test_total_loss_drops_every_packet(self):
         spec = LinkSpec(loss=0.999999, jitter_ns=0.0)
-        link, arrived = self.pump_through(
+        link, arrived = self.send_through(
             spec, [Packet("req", index, 64) for index in range(32)]
         )
         assert arrived == []
         assert link.lost == 32
 
     def test_bounded_queue_tail_drops(self):
+        # The bound is on packets *waiting*: the first packet goes straight
+        # onto the idle wire, three wait behind it, the fifth is dropped.
+        # (Three accepted was only ever the answer for a link nothing
+        # drained; every running link accepted four.)
         spec = LinkSpec(queue_packets=3)
         simulator = Simulator()
         link = Link(simulator, spec, lambda packet: None, SeededRandom(1))
         results = [link.send(Packet("req", index, 64)) for index in range(5)]
-        assert results == [True, True, True, False, False]
-        assert link.offered == 5 and link.dropped == 2
+        assert results == [True, True, True, True, False]
+        assert link.offered == 5 and link.dropped == 1
+
+    def test_packet_starting_to_serialise_has_left_the_queue(self):
+        # 125 B at 1 Gbit/s = 1000 ns: packet 1 waits until t=1000.  A send
+        # at exactly t=1000 finds the one-packet queue empty again (<=).
+        simulator = Simulator()
+        link = Link(simulator, LinkSpec(gbps=1.0, queue_packets=1), lambda p: None, SeededRandom(1))
+        assert [link.send(Packet("req", index, 125)) for index in range(3)] == [True, True, False]
+        simulator.clock.advance_to(999)
+        assert not link.send(Packet("req", 3, 125))
+        simulator.clock.advance_to(1000)
+        assert link.send(Packet("req", 4, 125))
 
     def test_loss_probability_must_be_below_one(self):
         with pytest.raises(ValueError):
@@ -322,6 +337,57 @@ class TestFrontDoorEndToEnd:
         # afterwards fails fast at the gateway instead of timing out.
         assert stats.net_failed == stats.net_requests == 10
         assert stats.completed == 0
+
+
+class TestKernelWorkPerRequest:
+    def test_a_request_costs_six_kernel_events(self, small_bank):
+        """The admit path's deterministic work counter (ROADMAP aim 1).
+
+        On a lossless, jitter-free front door below every limit a request
+        costs six kernel events — its arrival, the uplink delivery, the
+        per-hop timeout entry (it always fires; a superseded one is a no-op),
+        the worker wake-up, the service time and the downlink delivery — and
+        nothing else dispatches but process starts and gateway probe ticks.
+        A per-packet or per-attempt process breaks the equality.
+        """
+        requests, cards, gateways = 500, 2, 2
+        spec = LinkSpec()
+        fleet = build_fleet(
+            cards=cards,
+            config=SMALL_CONFIG.with_overrides(seed=11),
+            bank=small_bank,
+            queue_depth=8,
+        )
+        frontdoor = build_frontdoor(fleet, seed=11, gateways=gateways, uplink=spec)
+        _, trace = make_trace(
+            small_bank, length=requests, mean_interarrival_ns=100_000.0, seed=11
+        )
+        frontdoor.add_population(OpenLoopPopulation(trace))
+        fleet.stats.digest_tap = served = []
+        stats = frontdoor.run()
+        assert stats.net_completed == stats.completed == requests
+        assert stats.net_retries == 0
+        starts = cards + gateways + 1  # workers, probes, the one population
+        # The population sleeps once per distinct arrival instant after t=0.
+        arrival_sleeps = len({request.arrival_ns for request in trace} - {0})
+        # A request that found its card busy is taken by the worker's next
+        # get, synchronously — no wake-up event.  A served digest line ends
+        # ...|arrival_ns|started_ns|completed_ns.
+        queued = sum(
+            started_ns > int(line.split(b"|")[5]) for _, started_ns, line in served
+        )
+        # Each probe ticks once a period up to the first tick that finds the
+        # last response delivered.
+        last_response_ns = (
+            stats.last_completion_ns
+            + round(RESPONSE_BYTES * 8.0 / spec.gbps)
+            + spec.latency_ns
+        )
+        period_ns = frontdoor.gateways[0].probe_period_ns
+        probe_ticks = gateways * -(-last_response_ns // period_ns)
+        assert fleet.simulator.events_dispatched == (
+            starts + arrival_sleeps + 5 * requests - queued + probe_ticks
+        )
 
 
 class TestDeterminism:

@@ -99,7 +99,7 @@ class TestKernelBoundary:
 
     def test_integral_float_delays_are_converted(self):
         simulator = Simulator()
-        simulator.spawn(self._sleeper(40.0), delay_ns=10.0)
+        simulator.spawn(self._sleeper(40.0))
         simulator.queue.schedule_call(70.0, lambda a, b: None)
         assert simulator.run(until_ns=60.0) == 60
         assert simulator.run() == 70
@@ -121,12 +121,10 @@ class TestKernelBoundary:
         with pytest.raises(TypeError):
             simulator.run()
 
-    def test_fractional_horizon_spawn_delay_and_schedule_time_raise(self):
+    def test_fractional_horizon_and_schedule_time_raise(self):
         simulator = Simulator()
         with pytest.raises(TypeError):
             simulator.run(until_ns=0.5)
-        with pytest.raises(TypeError):
-            simulator.spawn(self._sleeper(1), delay_ns=0.5)
         with pytest.raises(TypeError):
             simulator.queue.schedule_call(0.5, lambda a, b: None)
         assert simulator.clock.now == 0

@@ -95,11 +95,11 @@ class TestFastPathScheduling:
             EventQueue().schedule_call(-1.0, lambda a, b: None)
 
     def test_len_counts_both_kinds(self):
-        # One FIFO-tier entry (a start at the current instant) and one
-        # heap-tier entry (a delayed start).
+        # One FIFO-tier entry (a process start at the current instant) and
+        # one heap-tier entry (a scheduled call).
         simulator = Simulator()
         simulator.spawn((x for x in ()))
-        simulator.spawn((x for x in ()), delay_ns=5.0)
+        simulator.queue.schedule_call(5.0, lambda a, b: None)
         assert len(simulator.queue._fifo) == 1 and len(simulator.queue._heap) == 1
         assert len(simulator.queue) == 2
         assert simulator.queue.next_time == 0.0

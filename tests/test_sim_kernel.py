@@ -1,5 +1,8 @@
 """Tests for the process-oriented simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.clock import Clock
@@ -34,11 +37,6 @@ class TestTimeouts:
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1.0)
-
-    def test_negative_spawn_delay_rejected(self):
-        simulator = Simulator()
-        with pytest.raises(ValueError):
-            simulator.spawn((x for x in ()), delay_ns=-5.0)
 
     def test_process_result_recorded(self):
         simulator = Simulator()
@@ -178,6 +176,19 @@ class TestStores:
 
 
 class TestProcessJoin:
+    def test_finished_processes_are_not_retained(self):
+        # The kernel must not hold a process once it has run: a list of
+        # every process ever spawned is a leak sized by the run's length.
+        simulator = Simulator()
+
+        def sleeper():
+            yield Timeout(1)
+
+        alive = [weakref.ref(simulator.spawn(sleeper())) for _ in range(1000)]
+        simulator.run()
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+
     def test_waiting_on_a_process_returns_its_result(self):
         simulator = Simulator()
         results = []

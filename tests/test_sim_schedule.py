@@ -196,9 +196,9 @@ class TestReadySetQueueApi:
 
         sim.spawn(sleeper(), name="a")
         sim.spawn(sleeper(), name="b")
-        sim.spawn(sleeper(), name="later", delay_ns=5.0)
+        sim.queue.schedule_call(5.0, lambda a, b: None, "later")
         ready = sim.queue.pop_ready_entries()
-        assert len(ready) == 2  # the two t=0 starts; the t=5 start stays
+        assert len(ready) == 2  # the two t=0 starts; the t=5 entry stays
         assert len(sim.queue) == 1  # the gathered entries are out of the queue
 
     def test_pop_ready_entries_orders_by_sequence(self):
