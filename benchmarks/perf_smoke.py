@@ -1102,7 +1102,9 @@ def bench_obs(
     enabled run reports its wall-clock span-recording rate, a fingerprint
     over the exported trace, a digest of the metrics snapshot and how many of
     its requests the cards served by hit replay (``replays``, an exact count:
-    tracing must not push hits back onto the full card model); the SLO
+    tracing must not push hits back onto the full card model) and how many
+    log entries stand for its spans (``span_entries``, exact: one device
+    reference per traced serve, not one span per device event); the SLO
     run reports alert/incident counts, a fingerprint over the incident
     JSON and the tail sampler's retention accounting, so any drift in
     what gets traced, judged or retained fails ``--check``.
@@ -1187,6 +1189,7 @@ def bench_obs(
                     metrics_snapshot_json(observability.registry).encode()
                 ).hexdigest()[:16],
                 sum(card.memo.replays for card in frontdoor.fleet.cards),
+                len(spans.entries),
             )
             if fingerprint is None:
                 fingerprint = run_print
@@ -1263,6 +1266,7 @@ def bench_obs(
             "metrics_snapshot_sha": fingerprint[5],
             "replays": fingerprint[6],
             "replay_share": round(fingerprint[6] / trace_length, 4),
+            "span_entries": fingerprint[7],
             "spans_per_s": round(best_rate, 1),
         },
         "slo": {

@@ -19,13 +19,17 @@ jumps by the duration, the LRU table is touched at ``start + offset``, and
 the stored :class:`RequestOutcome` is re-recorded through
 ``CoprocessorStatistics.record_hit_replay``.
 
-Traced replay: with the card's recorder enabled, replay appends the same
-:class:`TraceEvent` objects the full path would have left, at ``start +
-offset``, ``capacity``/``dropped`` honoured.  The one attribute that is not a
-function of ``(function, payload)`` — the RAM staging label
-``in:<n>``/``out:<n>``, numbered by ``mcu.requests_handled`` — is stored as
-its prefix and rendered from the live ordinal.  An enabled recorder
-therefore does not select the full model.
+Traced replay: under a fleet that bridges device events into ``card.*``
+spans, a replay builds no event at all — it leaves the entry's own immutable
+``events`` tuple on ``FleetCard.device_events`` with how many of them the
+device recorder's ``capacity`` admits (the rest charged to ``dropped``) and
+the one thing that is not a function of ``(function, payload)``: the live
+``mcu.requests_handled`` ordinal that completes the RAM staging labels
+``in:<n>``/``out:<n>``, stored as their prefixes.  The fleet records that as
+one :class:`~repro.obs.context.DeviceSpans` reference, which yields the spans
+the full path's events would have become to whoever reads them.  A recorder
+someone enabled by hand, on a card no fleet bridges, is read as a device log:
+that selects the full model, like any other observer of the card.
 
 Exactness contract (``tests/test_cluster_fastpath.py``, against the same
 fleet with every ``card.memo`` set to ``None``): card clock trajectory,
@@ -37,9 +41,10 @@ and device events are **equal** to a memo-off run.
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
 consulted only while the card is plainly serving — function resident, health
-``up``, no scrubber, no scrub-on-execute, no hazard detector and no clock
-observers.  Any fault machinery or an eviction of the function selects the
-real, fully-modelled path for that request.
+``up``, no scrubber, no scrub-on-execute, no hazard detector, no clock
+observers and no device recorder enabled outside a bridging fleet.  Any fault
+machinery or an eviction of the function selects the real, fully-modelled
+path for that request.
 
 The cache is bounded: after :data:`MEMO_ENTRY_CAP` distinct pairs a card
 stops recording and serves unseen pairs by the full path.  The shipped trace
@@ -51,8 +56,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.trace import TraceEvent
-
 #: Most ``(function, payload)`` entries one card's memo retains.
 MEMO_ENTRY_CAP = 4096
 
@@ -62,6 +65,23 @@ MEMO_ENTRY_CAP = 4096
 # end_offset_ns, attributes, label_prefix), ...)``; offsets count from the
 # card clock at the call.
 _MemoEntry = tuple
+
+
+def drain_device_events(recorder, start_ns: int) -> tuple:
+    """Empty a bridged device *recorder* after a fully modelled serve.
+
+    Returns what a replay leaves on ``FleetCard.device_events`` —
+    ``(events, count, ordinal)`` — with the events the recorder's
+    ``capacity`` admitted re-based on the serve's start, the form a memo
+    entry keeps them in (labels already rendered: no prefix, no ordinal).
+    """
+    recorded = recorder.events
+    events = tuple(
+        (e.component, e.action, e.start_ns - start_ns, e.end_ns - start_ns, e.attributes, None)
+        for e in recorded
+    )
+    del recorded[:]
+    return events, len(events), 0
 
 
 class ServeMemo:
@@ -102,6 +122,7 @@ class ServeMemo:
             and not self.mcu.scrub_on_execute
             and self.device.hazard_detector is None
             and self._is_resident(function)
+            and (not self._recorder.enabled or self.fleet_card._obs_trace is not None)
         )
 
     def can_record(self, function: str) -> bool:
@@ -235,8 +256,15 @@ class ServeMemo:
         for name, offset_ns in touches:
             minios_touch(name, start + offset_ns)
         clock._now = start + duration_ns
-        if self._recorder.enabled:
-            self._replay_events(events, start)
+        recorder = self._recorder
+        if recorder.enabled:
+            # A bridging fleet (``_safe``), whose recorder is empty between
+            # serves: hand the events over unbuilt, its bound charged here.
+            count = len(events)
+            if recorder.capacity is not None and count > recorder.capacity:
+                recorder.dropped += count - recorder.capacity
+                count = recorder.capacity
+            self.fleet_card.device_events = (events, count, self.mcu.requests_handled)
 
         bus = self.bus
         bus.busy_time_ns += busy_ns
@@ -287,23 +315,6 @@ class ServeMemo:
         self.replays += 1
         return duration_ns
 
-    def _replay_events(self, events, start: int) -> None:
-        """Append what ``TraceRecorder.record`` would have, call by call."""
-        recorder = self._recorder
-        ordinal = self.mcu.requests_handled
-        recorded = recorder.events
-        capacity = recorder.capacity
-        for component, action, start_offset, end_offset, attributes, label_prefix in events:
-            if capacity is not None and len(recorded) >= capacity:
-                recorder.dropped += 1
-                continue
-            attributes = dict(attributes)
-            if label_prefix is not None:
-                attributes["label"] = f"{label_prefix}{ordinal}"
-            recorded.append(
-                TraceEvent(component, action, start + start_offset, start + end_offset, attributes)
-            )
-
     # ------------------------------------------------------------- reporting
     @property
     def entries(self) -> int:
@@ -317,4 +328,4 @@ class ServeMemo:
         }
 
 
-__all__ = ["MEMO_ENTRY_CAP", "ServeMemo"]
+__all__ = ["MEMO_ENTRY_CAP", "ServeMemo", "drain_device_events"]

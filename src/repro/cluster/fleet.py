@@ -24,11 +24,13 @@ delta is the same ``int`` wherever on either timeline it is measured.
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
 resident, healthy, unprotected card *replays* an earlier identical serve from
-its recorded duration and offsets — device events included, when the card's
-recorder is enabled (tracing with ``Observability(bridge_device=True)``);
-anything else — a miss, a degraded or fault-protected card — runs the full
-transaction-level model.  The two are equal in schedule, counters, time
-totals and spans (``tests/test_cluster_fastpath.py``).
+its recorded duration and offsets; anything else — a miss, a degraded or
+fault-protected card — runs the full transaction-level model.  The two are
+equal in schedule, counters, time totals and spans
+(``tests/test_cluster_fastpath.py``).  Either way a traced serve's device
+events (``Observability(bridge_device=True)``) reach the tracer as one
+``card.device_events`` reference, built into ``card.*`` spans only where the
+span log is read.
 
 Admission control is at the dispatcher: a card with ``queue_depth``
 outstanding requests is inadmissible, and when every card is full the request
@@ -62,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.arrivals import open_arrivals
 from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy, request_expired
-from repro.cluster.fastpath import ServeMemo
+from repro.cluster.fastpath import ServeMemo, drain_device_events
 from repro.cluster.orders import DefragOrder, HealOrder, MigrateOrder, Order, ScrubOrder
 from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
@@ -164,7 +166,13 @@ class FleetCard:
         self.memo: Optional[ServeMemo] = ServeMemo(self)
         #: The card's device :class:`~repro.sim.trace.TraceRecorder` when the
         #: fleet bridges device events into ``card.*`` sub-spans, else None.
+        #: A bridged recorder is empty between serves: every serve and order
+        #: drains it.
         self._obs_trace = None
+        #: The last serve's device activity on a bridged card, as
+        #: :meth:`Tracer.record_device <repro.obs.context.Tracer.
+        #: record_device>` takes it: ``(events, count, ordinal)``.
+        self.device_events: tuple = ((), 0, 0)
 
     # --------------------------------------------------------------- queries
     @property
@@ -200,10 +208,14 @@ class FleetCard:
                 return service_ns, True
         clock = self.driver.clock
         before = clock.now
-        if memo is not None and memo.can_record(request.function):
-            result = memo.record_call(request.function, request.payload)
-        else:
-            result = self.driver.call(request.function, request.payload)
+        try:
+            if memo is not None and memo.can_record(request.function):
+                result = memo.record_call(request.function, request.payload)
+            else:
+                result = self.driver.call(request.function, request.payload)
+        finally:
+            if self._obs_trace is not None:
+                self.device_events = drain_device_events(self._obs_trace, before)
         service_ns = clock.now - before
         hit = result.card_result.hit if result.card_result is not None else True
         self.served += 1
@@ -503,7 +515,6 @@ class Fleet:
         record_completion = self.stats.record_completion
         tracer = self._tracer
         trace_ctx = self._trace_ctx
-        card_trace = card._obs_trace
         while True:
             item = yield get_request
             if item.__class__ is FleetRequest:
@@ -511,10 +522,6 @@ class Fleet:
                 request = item
             elif isinstance(item, Order):
                 yield from self._run_order(card, item)
-                if card_trace is not None:
-                    # Orders' device events are not bridged; drop them so the
-                    # enabled recorder cannot grow without bound.
-                    del card_trace.events[:]
                 continue
             elif item.__class__ is RetryEnvelope:
                 tried = item.tried
@@ -554,7 +561,6 @@ class Fleet:
             detector = device.hazard_detector
             hazards_before = detector.hazard_executions if detector is not None else 0
             card_clock_before = card_clock._now
-            mark = len(card_trace.events) if card_trace is not None else 0
             try:
                 service_ns, hit = serve(request)
             except CoprocessorError:
@@ -566,8 +572,6 @@ class Fleet:
                 failed_ns = card_clock._now - card_clock_before
                 card.busy_ns += failed_ns
                 card.serve_failures += 1
-                if card_trace is not None:
-                    del card_trace.events[mark:]
                 if failed_ns > 0:
                     yield Timeout(failed_ns)
                 card.outstanding -= 1
@@ -576,14 +580,6 @@ class Fleet:
             hazard = (
                 detector is not None and detector.hazard_executions > hazards_before
             )
-            if card_trace is not None:
-                # Snapshot (and truncate) the device recorder now, while the
-                # serve's events are the tail — the kernel yield below may
-                # interleave other activity on this recorder.
-                bridged = card_trace.events[mark:] if ctx is not None else ()
-                del card_trace.events[mark:]
-            else:
-                bridged = ()
             service_timeout.delay_ns = service_ns
             yield service_timeout
             card.outstanding -= 1
@@ -597,16 +593,11 @@ class Fleet:
                     card=card_name,
                     hit=hit,
                 )
-                # Bridge device events (card-clock deltas) onto kernel time.
-                base = started_ns - card_clock_before
-                for event in bridged:
-                    tracer.record(
-                        _obs_names.device_span_name(event.component, event.action),
-                        ctx.trace_id,
-                        service_span,
-                        event.start_ns + base,
-                        event.end_ns + base,
-                        **event.attributes,
+                if card._obs_trace is not None:
+                    # Offsets from the serve's start, placed at its kernel
+                    # instant; no span is built until the log is read.
+                    tracer.record_device(
+                        ctx.trace_id, service_span, started_ns, *card.device_events
                     )
             if (
                 card.health == "down"
@@ -649,6 +640,10 @@ class Fleet:
                 **attributes,
             )
         order.settle(self, card)
+        if card._obs_trace is not None:
+            # Orders' device events are not bridged; drop them so the
+            # enabled recorder cannot grow without bound.
+            del card._obs_trace.events[:]
 
     def _enqueue(self, card: FleetCard, order: Order) -> None:
         """Put *order* on *card*'s queue; it holds a queue slot until it ran."""

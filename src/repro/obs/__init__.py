@@ -157,6 +157,8 @@ class Observability:
     # --------------------------------------------------------------- queries
     @property
     def spans(self):
+        """The tracer's :class:`~repro.obs.context.SpanLog`: reads as the
+        list of recorded spans; ``len`` is a running count."""
         return self.tracer.spans
 
     @property

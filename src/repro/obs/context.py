@@ -24,10 +24,15 @@ wall-clock tracing SDK:
 * **Bounded memory.**  ``capacity`` caps retained spans; later spans are
   counted in ``dropped`` instead of retained, which with sampling is what
   keeps 10^6-request runs affordable.
+* **Device sub-spans are built where they are read.**  A serve's ``card.*``
+  children are a pure function of the card's recorded device events and the
+  instant the serve started, so the log keeps them as one
+  :class:`DeviceSpans` reference per serve and a reader — an exporter, the
+  critical-path analyser, a kept tail-sampled tree — gets the spans.
 
-All timestamps are integer nanoseconds on whatever clock the recording site
-used (the shared kernel clock everywhere except bridged device sub-spans,
-which are re-based onto kernel time by the bridge before recording).
+All timestamps are integer nanoseconds on the shared kernel clock (device
+events carry offsets from their serve's start, and the reference its kernel
+instant).
 """
 
 from __future__ import annotations
@@ -35,11 +40,16 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.names import device_span_name
+
 
 class Span:
     """One completed, immutable-by-convention interval in a trace."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "start_ns", "end_ns", "attrs")
+
+    #: Spans this log entry stands for (a :class:`DeviceSpans` has its own).
+    count = 1
 
     def __init__(
         self,
@@ -69,6 +79,113 @@ class Span:
             f"Span({self.name!r}, trace={self.trace_id}, id={self.span_id}{parent}, "
             f"{self.start_ns}..{self.end_ns})"
         )
+
+
+class DeviceSpans:
+    """One serve's ``card.*`` device sub-spans, as one unbuilt log entry.
+
+    ``events`` is the serve's device activity as ``(component, action,
+    start_offset_ns, end_offset_ns, attributes, label_prefix)`` tuples,
+    offsets counted from the serve's start — a :class:`~repro.cluster.
+    fastpath.ServeMemo` entry's own immutable tuple for a replayed hit, the
+    drained device recorder for a fully modelled serve.  The first ``count``
+    of them are the children of span ``parent_id``, numbered from
+    ``first_id`` and placed at ``base_ns`` (the kernel instant the serve
+    started); a ``label_prefix`` is the RAM staging label ``in:``/``out:``,
+    completed with ``ordinal``.  The reference holds values only, so what
+    it yields does not change when the memo is dropped or the card is RESET.
+    """
+
+    __slots__ = ("trace_id", "parent_id", "first_id", "base_ns", "events", "count", "ordinal")
+
+    def __init__(
+        self,
+        trace_id: int,
+        parent_id: int,
+        first_id: int,
+        base_ns: int,
+        events: tuple,
+        count: int,
+        ordinal: int,
+    ) -> None:
+        self.trace_id = trace_id
+        self.parent_id = parent_id
+        self.first_id = first_id
+        self.base_ns = base_ns
+        self.events = events
+        self.count = count
+        self.ordinal = ordinal
+
+    def first(self, count: int) -> "DeviceSpans":
+        """The same reference cut to its first *count* children (a retention
+        bound fell inside it)."""
+        return DeviceSpans(
+            self.trace_id, self.parent_id, self.first_id, self.base_ns,
+            self.events, count, self.ordinal,
+        )
+
+    def __iter__(self) -> Iterator[Span]:
+        trace_id = self.trace_id
+        parent_id = self.parent_id
+        base_ns = self.base_ns
+        span_id = self.first_id
+        events = self.events[: self.count]
+        for component, action, start_ns, end_ns, attributes, label_prefix in events:
+            attrs = dict(attributes)
+            if label_prefix is not None:
+                attrs["label"] = f"{label_prefix}{self.ordinal}"
+            yield Span(
+                device_span_name(component, action),
+                trace_id,
+                span_id,
+                parent_id,
+                base_ns + start_ns,
+                base_ns + end_ns,
+                attrs,
+            )
+            span_id += 1
+
+
+class SpanLog:
+    """Retained spans in record order; device sub-spans held unbuilt.
+
+    Reads like the list of :class:`Span` it stands for — ``len`` (a running
+    count: it builds nothing), iteration, indexing, slicing — while
+    ``entries`` is what is actually stored: a :class:`Span`, or one
+    :class:`DeviceSpans` per traced serve.  A stored span is handed out as
+    itself (identity kept, mutations stick); a device sub-span is built anew
+    by every read, so it is a value: two reads give equal spans, and editing
+    one edits nothing.
+    """
+
+    __slots__ = ("entries", "_count")
+
+    def __init__(self) -> None:
+        self.entries: list = []
+        self._count = 0
+
+    def append(self, entry) -> None:
+        self.entries.append(entry)
+        self._count += entry.count
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Span]:
+        for entry in self.entries:
+            if entry.__class__ is Span:
+                yield entry
+            else:
+                yield from entry
+
+    def __getitem__(self, index):
+        if len(self.entries) == self._count:  # no device reference to expand
+            return self.entries[index]
+        return list(self)[index]
 
 
 class TraceContext:
@@ -104,7 +221,11 @@ class TraceContext:
 
 
 class Tracer:
-    """Collects spans for every sampled trace of one observed system."""
+    """Collects spans for every sampled trace of one observed system.
+
+    ``spans`` is a :class:`SpanLog`: plain spans keep their identity in it,
+    device sub-spans are values built by each read.
+    """
 
     def __init__(
         self,
@@ -119,7 +240,7 @@ class Tracer:
         self.sample_rate = sample_rate
         self.seed = seed
         self.capacity = capacity
-        self.spans: List[Span] = []
+        self.spans = SpanLog()
         self.dropped = 0
         self._next_span = 1
         self._next_trace = 1
@@ -131,7 +252,9 @@ class Tracer:
         #: whole trace is judged worth keeping.
         self.tail_sampler = None
         #: Optional per-span observer (the incident flight recorder's feed).
-        #: Sees every recorded span regardless of tail retention.
+        #: Sees every span handed to :meth:`record`, regardless of tail
+        #: retention; device sub-spans (:meth:`record_device`) are not
+        #: offered to it.
         self._observer = None
 
     # ------------------------------------------------------------- identity
@@ -181,41 +304,69 @@ class Tracer:
             self._next_span = span_id + 1
         tail = self.tail_sampler
         if tail is None and self._observer is None:
-            # Historical fast path: head sampling only.
-            if len(self.spans) >= self.capacity:
+            # Head sampling only: :meth:`_retain` for one span, inlined.
+            log = self.spans
+            if log._count >= self.capacity:
                 self.dropped += 1
                 return span_id
-            self.spans.append(
+            log.entries.append(
                 Span(name, trace_id, span_id, parent_id, start_ns, end_ns, attrs)
             )
+            log._count += 1
             return span_id
         span = Span(name, trace_id, span_id, parent_id, start_ns, end_ns, attrs)
         if self._observer is not None:
             self._observer(span)
         if tail is not None:
             tail.offer(self, span)
-        elif len(self.spans) >= self.capacity:
-            self.dropped += 1
         else:
-            self.spans.append(span)
+            self._retain(span)
         return span_id
 
-    def commit(self, spans: List[Span]) -> int:
-        """Retain already-constructed spans (the tail sampler's keep path).
+    def record_device(
+        self,
+        trace_id: int,
+        parent_id: int,
+        base_ns: int,
+        events: tuple,
+        count: int,
+        ordinal: int,
+    ) -> None:
+        """Record the first *count* of a serve's device *events* as children
+        of span *parent_id* — one :class:`DeviceSpans` entry, no span built.
 
-        Honours ``capacity`` the same way :meth:`record` does; returns how
-        many spans were actually retained.
+        Ids, ``capacity``, ``dropped`` and the tail sampler's bounds are
+        charged span by span, as *count* :meth:`record` calls would.
         """
-        room = self.capacity - len(self.spans)
-        if room <= 0:
-            self.dropped += len(spans)
-            return 0
-        kept = spans[:room]
-        self.spans.extend(kept)
-        overflow = len(spans) - len(kept)
-        if overflow > 0:
-            self.dropped += overflow
-        return len(kept)
+        if count <= 0:
+            return
+        entry = DeviceSpans(
+            trace_id, parent_id, self._next_span, base_ns, events, count, ordinal
+        )
+        self._next_span += count
+        if self.tail_sampler is not None:
+            self.tail_sampler.offer(self, entry)
+        else:
+            self._retain(entry)
+
+    def _retain(self, entry) -> int:
+        """Keep one log entry, ``capacity`` honoured span by span; returns
+        how many of its spans were retained."""
+        log = self.spans
+        count = entry.count
+        room = self.capacity - log._count
+        if count > room:
+            self.dropped += count - room
+            if room <= 0:
+                return 0
+            entry = entry.first(room)
+        log.append(entry)
+        return entry.count
+
+    def commit(self, entries) -> int:
+        """Retain already-recorded log entries (the tail sampler's keep
+        path); returns how many spans were actually retained."""
+        return sum(self._retain(entry) for entry in entries)
 
     def marker(
         self,
@@ -247,8 +398,4 @@ class Tracer:
 
     def trace_ids(self) -> List[int]:
         """Distinct trace ids in first-seen order."""
-        seen: Dict[int, None] = {}
-        for span in self.spans:
-            if span.trace_id not in seen:
-                seen[span.trace_id] = None
-        return list(seen)
+        return list(dict.fromkeys(entry.trace_id for entry in self.spans.entries))

@@ -14,11 +14,16 @@ the root span lands, then the complete tree is judged —
 * **incident** — the trace's time extent overlaps an open/closed incident
   window reported by the flight recorder's ``incident_windows`` hook.
 
-Kept traces are committed to the tracer's span list (so every exporter,
+Kept traces are committed to the tracer's span log (so every exporter,
 ``critical_path`` included, works unchanged); everything else is discarded
 and only counted.  A hard ``span_budget`` bounds total retained spans —
 whole traces are dropped once it's spent, never truncated mid-tree — and
 ``max_spans_per_trace`` bounds any single pathological trace while buffered.
+
+A trace is buffered as a :class:`~repro.obs.context.SpanLog`, so a serve's
+device sub-spans wait as one :class:`~repro.obs.context.DeviceSpans`
+reference that weighs its span count against both bounds: a discarded trace
+never builds them, a kept one builds them where it is read.
 
 Determinism: the sampler is a pure fold over the span stream.  No clocks
 read, no RNG, no kernel events — the keep/discard decision and the committed
@@ -27,10 +32,10 @@ span order are byte-reproducible for a fixed workload.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.obs import names
-from repro.obs.context import Span, Tracer
+from repro.obs.context import Span, SpanLog, Tracer
 
 #: Marker spans whose presence flags a trace as an error trace.
 _ERROR_MARKERS = frozenset(
@@ -64,8 +69,8 @@ class TailSampler:
         self.keep_errors = keep_errors
         self.span_budget = span_budget
         self.max_spans_per_trace = max_spans_per_trace
-        #: trace id -> buffered spans, in record order.
-        self._pending: Dict[int, List[Span]] = {}
+        #: trace id -> buffered log entries, in record order.
+        self._pending: Dict[int, SpanLog] = {}
         #: Hook returning ``[(start_ns, end_ns), ...]`` incident windows
         #: (installed by the flight recorder; ``end_ns`` may be ``None`` for
         #: still-open incidents).
@@ -83,21 +88,23 @@ class TailSampler:
         self.keep_reasons: Dict[str, int] = {}
 
     # -------------------------------------------------------------- pipeline
-    def offer(self, tracer: Tracer, span: Span) -> None:
-        """Buffer one recorded span; finalize its trace at the root."""
-        buffered = self._pending.get(span.trace_id)
+    def offer(self, tracer: Tracer, entry) -> None:
+        """Buffer one recorded log entry; finalize its trace at the root."""
+        buffered = self._pending.get(entry.trace_id)
         if buffered is None:
-            buffered = []
-            self._pending[span.trace_id] = buffered
-        if len(buffered) >= self.max_spans_per_trace:
-            self.truncated_spans += 1
+            buffered = self._pending[entry.trace_id] = SpanLog()
+        room = self.max_spans_per_trace - len(buffered)
+        if entry.count <= room:
+            buffered.append(entry)
         else:
-            buffered.append(span)
-        if span.parent_id is None:
+            self.truncated_spans += entry.count - room
+            if room > 0:
+                buffered.append(entry.first(room))
+        if entry.parent_id is None:
             # Every trace in the stack has exactly one root, recorded last
             # (fleet.request / client.request / a single order.* span).
-            del self._pending[span.trace_id]
-            self._finalize(tracer, span.trace_id, buffered, span)
+            del self._pending[entry.trace_id]
+            self._finalize(tracer, entry.trace_id, buffered, entry)
 
     def flush(self, tracer: Tracer) -> None:
         """Finalize rootless traces still buffered at end of run.
@@ -110,16 +117,17 @@ class TailSampler:
         self._pending = {}
         for trace_id, buffered in pending.items():
             root = None
-            for span in buffered:
-                if span.parent_id is None:
-                    root = span
+            for entry in buffered.entries:
+                if entry.parent_id is None:
+                    root = entry
                     break
             self._finalize(tracer, trace_id, buffered, root)
 
     # -------------------------------------------------------------- decision
-    def _keep_reason(
-        self, spans: List[Span], root: Optional[Span]
-    ) -> Optional[str]:
+    def _keep_reason(self, log: SpanLog, root: Optional[Span]) -> Optional[str]:
+        # Judged on the plain spans alone: device sub-spans are never
+        # markers and lie inside their ``card.service`` parent's interval.
+        spans = [entry for entry in log.entries if entry.__class__ is Span]
         if self.keep_errors:
             if root is not None and root.attrs.get("outcome", "completed") != "completed":
                 return REASON_ERROR
@@ -146,7 +154,7 @@ class TailSampler:
         self,
         tracer: Tracer,
         trace_id: int,
-        spans: List[Span],
+        spans: SpanLog,
         root: Optional[Span],
     ) -> None:
         reason = self._keep_reason(spans, root)
@@ -158,7 +166,7 @@ class TailSampler:
             # critical-path analyzer.
             self.budget_dropped_traces += 1
             return
-        kept = tracer.commit(spans)
+        kept = tracer.commit(spans.entries)
         self.retained_spans += kept
         self.retained_traces += 1
         self.keep_reasons[reason] = self.keep_reasons.get(reason, 0) + 1

@@ -4,13 +4,14 @@ Every fleet card carries a :class:`~repro.cluster.fastpath.ServeMemo`;
 setting ``card.memo = None`` runs the full transaction-level model on every
 request and is the reference here.  The differential tests serve one trace
 through both and require bit-identical schedules and card state; the traced
-differential tests add the spans and the device recorder (an enabled recorder
-does not select the full model: the memo replays the events too); the gate
-tests check that the memo steps aside whenever the card leaves the plain
+differential tests add the spans and the bridged device recorder (a bridging
+fleet does not select the full model: a replay hands its events over
+unbuilt); the gate tests check that the memo steps aside whenever the card leaves the plain
 serving regime, and comes back when the regime does.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.obs import Observability, trace_fingerprint
+from repro.obs.context import DeviceSpans
 from repro.workloads.multitenant import (
     FleetRequest,
     FleetTrace,
@@ -278,8 +280,9 @@ class TestTracedDifferential:
         assert replays(memo_fleet) > 0
 
     @staticmethod
-    def _traced_cards(small_bank, small_fleet, capacity=None):
-        """A memo card and a full-model card, device recorders enabled."""
+    def _bridged_cards(small_bank, small_fleet, capacity=None):
+        """A memo card and a full-model card, their device recorders bridged
+        the way a tracing fleet bridges them."""
         cards = [small_fleet(small_bank, cards=1).cards[0] for _ in range(2)]
         cards[1].memo = None
         for card in cards:
@@ -287,46 +290,57 @@ class TestTracedDifferential:
             recorder.clear()
             recorder.capacity = capacity
             recorder.enabled = True
+            card._obs_trace = recorder
         return cards
 
+    @staticmethod
+    def _serve(card, request):
+        """One serve, with the ``card.*`` spans its device events stand for."""
+        result = card.serve(request)
+        spans = DeviceSpans(1, 1, 1, 0, *card.device_events)
+        return result, [
+            (span.name, span.start_ns, span.end_ns, sorted(span.attrs.items()))
+            for span in spans
+        ]
+
     def test_evict_reload_replay_and_card_reset(self, small_bank, small_fleet):
-        memo_card, reference_card = cards = self._traced_cards(small_bank, small_fleet)
+        memo_card, reference_card = cards = self._bridged_cards(small_bank, small_fleet)
         crc32 = zero_request(small_bank)
         parity = zero_request(small_bank, "parity32")
         served = []
         for card in cards:
-            log = [card.serve(request) for request in (crc32, crc32, crc32, parity, parity, crc32)]
+            serve = functools.partial(self._serve, card)
+            log = [serve(request) for request in (crc32, crc32, crc32, parity, parity, crc32)]
             card.driver.evict("crc32")
-            log += [card.serve(crc32), card.serve(crc32), card.serve(parity)]
+            log += [serve(crc32), serve(crc32), serve(parity)]
             # RESET clears the fabric but not the MCU's request ordinal the
             # RAM staging labels are numbered by.
             card.driver.reset_card()
-            log += [card.serve(crc32), card.serve(crc32), card.serve(crc32)]
+            log += [serve(crc32), serve(crc32), serve(crc32)]
             served.append(log)
         assert served[0] == served[1]
-        assert recorder_state(memo_card) == recorder_state(reference_card)
+        # Every serve drained the recorder; no replay ever wrote to it.
+        assert recorder_state(memo_card) == recorder_state(reference_card) == ([], 0)
         assert card_state(memo_card) == card_state(reference_card)
-        labels = [
-            event.attributes["label"]
-            for event in memo_card.driver.coprocessor.trace.events
-            if "label" in event.attributes
-        ]
-        assert labels[-4:] == ["in:11", "in:11", "out:11", "out:11"]
+        _, last = served[0][-1]
+        labels = [dict(attrs)["label"] for *_, attrs in last if "label" in dict(attrs)]
+        assert len(last) == 15 and labels == ["in:11", "in:11", "out:11", "out:11"]
         # Recorded: crc32, parity32.  Replayed: two crc32 before the
         # eviction, one crc32 and one parity32 after the reload, two crc32
         # after the reset.
         assert (memo_card.memo.recordings, memo_card.memo.replays) == (2, 6)
 
     def test_recorder_capacity_drops_like_the_full_path(self, small_bank, small_fleet):
-        # 40 slots: the capacity runs out in the middle of a replayed serve.
-        memo_card, reference_card = cards = self._traced_cards(small_bank, small_fleet, capacity=40)
+        # 10 slots: the capacity runs out in the middle of every serve, the
+        # replayed ones too (their drops are charged without an event built).
+        memo_card, reference_card = cards = self._bridged_cards(small_bank, small_fleet, capacity=10)
         request = zero_request(small_bank)
-        for card in cards:
-            for _ in range(6):
-                card.serve(request)
-        events, dropped = recorder_state(memo_card)
-        assert (events, dropped) == recorder_state(reference_card)
-        assert len(events) == 40 and dropped > 15
+        served = [[self._serve(card, request) for _ in range(6)] for card in cards]
+        assert served[0] == served[1]
+        assert all(len(spans) == 10 for _, spans in served[0])
+        _, dropped = recorder_state(memo_card)
+        assert recorder_state(memo_card) == recorder_state(reference_card) == ([], dropped)
+        assert dropped > 6 * 5
         assert memo_card.memo.replays == 4
         assert memo_card.driver.clock.now == reference_card.driver.clock.now
 
@@ -373,8 +387,9 @@ class TestGate:
         assert (card.memo.recordings, card.memo.replays) == (1, 1)
 
     def test_enabled_device_recorder(self, small_bank, small_fleet):
-        # Not a gate any more: the serve replays and leaves the events the
-        # full path leaves.
+        # A recorder someone enabled by hand is read as a device log, and a
+        # replay writes none: the serve runs the full model.  Under a fleet
+        # that bridges the recorder it replays (TestTracedDifferential).
         _, card, request = self._warm_card(small_bank, small_fleet)
         _, reference, _ = self._warm_card(small_bank, small_fleet)
         reference.memo = None
@@ -383,10 +398,13 @@ class TestGate:
             traced.driver.coprocessor.trace.enabled = True
             results.append(traced.serve(request))
         assert results[0] == results[1] and results[0][1] is True
-        assert card.memo.replays == 2
+        assert (card.memo.recordings, card.memo.replays) == (1, 1)
         events, _ = recorder_state(card)
         assert len(events) == 15
         assert recorder_state(card) == recorder_state(reference)
+        card.driver.coprocessor.trace.enabled = False
+        card.serve(request)
+        assert card.memo.replays == 2
 
     def test_card_reset_keeps_replays_on_the_live_statistics(self, small_bank, small_fleet):
         # RESET replaces the card's statistics objects; replays after it must

@@ -24,7 +24,7 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 48
-FLEET_CODE_LINE_BUDGET = 756
+FLEET_CODE_LINE_BUDGET = 746
 
 _NOT_CODE = {
     tokenize.COMMENT,
