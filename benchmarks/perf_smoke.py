@@ -1,8 +1,8 @@
-"""Fast-path perf smoke harness: codecs, kernel, device, cluster, faults,
+"""Fast-path perf smoke harness: codecs, device, cluster, faults,
 rebalance, million-request scale, the network front door and observability.
 
 Runs in a few seconds (tens of seconds with the full scale section) and
-writes ``BENCH_codecs.json`` / ``BENCH_kernel.json`` / ``BENCH_device.json``
+writes ``BENCH_codecs.json`` / ``BENCH_device.json``
 / ``BENCH_cluster.json`` / ``BENCH_faults.json`` / ``BENCH_rebalance.json`` /
 ``BENCH_scale.json`` / ``BENCH_net.json`` / ``BENCH_obs.json`` at the repo
 root so successive PRs leave a perf trajectory to compare against.
@@ -22,8 +22,7 @@ exactly, and every rate field must reach ``baseline * (1 - tolerance)``.
 A non-zero exit code means a regression — wire it into CI next to the tests.
 
 The workload is deterministic: the codec corpus is CLB-structured /
-sparse / random data seeded with fixed RNG seeds, the kernel scenario is a
-fixed mix of timeout, resource and store traffic, and the device scenario is
+sparse / random data seeded with fixed RNG seeds, and the device scenario is
 a fixed request trace over the small function bank.  Besides throughput every
 section records a *workload fingerprint* (event counts, simulated end times,
 output digests) so determinism regressions show up as a changed fingerprint,
@@ -51,7 +50,6 @@ from repro.bitstream.codecs import (  # noqa: E402
     RunLengthCodec,
     SymmetryAwareCodec,
 )
-from repro.sim.kernel import Simulator, Timeout  # noqa: E402
 
 _MIN_SECONDS = 0.15
 
@@ -133,126 +131,6 @@ def bench_codecs() -> dict:
             "decompress_MBps": round(_throughput(lambda: codec.decompress(blob), len(payload)), 3),
         }
     return results
-
-
-# --------------------------------------------------------------------- kernel
-def _kernel_scenario(simulator: Simulator, workers: int, rounds: int) -> None:
-    # Delay sequences are precomputed so the timed region measures the
-    # kernel's dispatch cost, not the workload's arithmetic; the schedule is
-    # identical to computing them inline.
-    bus = simulator.resource(capacity=2, name="bus")
-    queue = simulator.store(name="jobs")
-
-    def producer(pid: int, delays):
-        for round_index, delay in enumerate(delays):
-            yield Timeout(delay)
-            queue.put((pid, round_index))
-
-    def consumer(jobs: int):
-        for _ in range(jobs):
-            yield queue.get()
-            yield bus.request()
-            yield Timeout(3.0)
-            bus.release()
-
-    for pid in range(workers):
-        delays = [float(10 + (pid * 7 + round_index) % 23) for round_index in range(rounds)]
-        delays[0] += pid % 5  # staggered starts, folded into the first sleep
-        simulator.spawn(producer(pid, delays))
-    simulator.spawn(consumer(workers * rounds // 2))
-    simulator.spawn(consumer(workers * rounds // 2))
-
-
-def bench_kernel(workers: int = 40, rounds: int = 250, repeats: int = 8) -> dict:
-    """Best-of-*repeats* event rate, plus the schedule fingerprint.
-
-    Repeats both warm the CPU (frequency governors distort single short runs)
-    and verify determinism: every repetition must dispatch the same number of
-    events and end at the same simulated time.
-    """
-    fingerprint = None
-    best_rate = 0.0
-    best_elapsed = 0.0
-    for _ in range(repeats):
-        simulator = Simulator()
-        _kernel_scenario(simulator, workers, rounds)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            final_time = simulator.run()
-            elapsed = time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        run_print = (simulator.events_dispatched, final_time)
-        if fingerprint is None:
-            fingerprint = run_print
-        elif run_print != fingerprint:
-            raise AssertionError(
-                f"non-deterministic schedule: {run_print} != {fingerprint}"
-            )
-        rate = simulator.events_dispatched / elapsed
-        if rate > best_rate:
-            best_rate = rate
-            best_elapsed = elapsed
-    return {
-        "workers": workers,
-        "rounds": rounds,
-        "repeats": repeats,
-        "events_dispatched": fingerprint[0],
-        "final_time_ns": fingerprint[1],
-        "elapsed_s": round(best_elapsed, 4),
-        "events_per_s": round(best_rate),
-        "horizon_peek": _bench_horizon_peek(),
-    }
-
-
-def _bench_horizon_peek(pending: int = 2_000, pauses: int = 2_000) -> dict:
-    """Micro-benchmark of pausing ``run(until_ns=...)`` short of the horizon.
-
-    Loads the future tier with *pending* timeouts, then calls ``run`` at
-    *pauses* horizons that all fall before the first event.  Each call peeks
-    the queue head, sees it is beyond the horizon and returns without popping
-    — so the measured rate is the cost of a pure peek-before-pop pause
-    (pre-optimisation, every pause paid a heap pop plus a push-back sift).
-    The fingerprint pins that no event is dispatched and nothing is lost:
-    the queue must still drain to the same schedule afterwards.
-    """
-
-    def sleeper(delay: float):
-        yield Timeout(delay)
-
-    simulator = Simulator()
-    for index in range(pending):
-        simulator.spawn(sleeper(float(1_000_000 + index)), name=f"sleeper-{index}")
-    # Deliver the process-start events (all at t=0) so the timed loop sees
-    # only the loaded future tier, then pause at horizons strictly below the
-    # earliest sleeper (1e6 ns): every run() call must stop on the peek
-    # without dispatching anything.
-    simulator.run(until_ns=0.0)
-    start_dispatches = simulator.events_dispatched
-    step = 1_000_000 // (pauses + 1)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for index in range(1, pauses + 1):
-            simulator.run(until_ns=index * step)
-        elapsed = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    paused_dispatches = simulator.events_dispatched - start_dispatches
-    final_time = simulator.run()  # drain: every sleeper must still fire
-    return {
-        "pending_events": pending,
-        "pauses": pauses,
-        "dispatched_during_pauses": paused_dispatches,
-        "events_after_drain": simulator.events_dispatched,
-        "final_time_ns": final_time,
-        "pauses_per_s": round(pauses / elapsed),
-    }
 
 
 # --------------------------------------------------------------------- device
@@ -863,7 +741,7 @@ def bench_scale(tiny: bool = False) -> dict:
 
         One repetition of a multi-second pure-Python run swings ±10% with the
         host's scheduling/frequency noise; best-of-N is the same treatment
-        ``bench_kernel`` and ``bench_cluster`` apply, and the repeats double
+        ``bench_cluster`` applies, and the repeats double
         as a determinism check on the whole scale schedule.
         """
         fingerprint = None
@@ -1368,7 +1246,6 @@ def _warm_up(seconds: float = 0.3) -> None:
 #: section name -> (bench callable, committed baseline file)
 SECTIONS = {
     "codecs": (bench_codecs, "BENCH_codecs.json"),
-    "kernel": (bench_kernel, "BENCH_kernel.json"),
     "device": (bench_device, "BENCH_device.json"),
     "cluster": (bench_cluster, "BENCH_cluster.json"),
     "faults": (bench_faults, "BENCH_faults.json"),

@@ -21,8 +21,9 @@ def check_request_conservation(fleet, trace_length: int) -> List[str]:
     """Nothing in flight, nothing dropped: the conservation law.
 
     Mirrors ``TestKilledCardConservation``: every arrival is completed,
-    rejected or expired; no card retains outstanding work; every card queue
-    drained; the per-tenant views balance the same way.
+    rejected or expired; no card retains outstanding work; every card is
+    idle with its queue drained and no kernel entry still naming it; the
+    per-tenant views balance the same way.
     """
     violations: List[str] = []
     stats = fleet.stats
@@ -41,6 +42,12 @@ def check_request_conservation(fleet, trace_length: int) -> List[str]:
             violations.append(f"{card.name}: outstanding {card.outstanding} != 0")
         if len(card.queue) != 0:
             violations.append(f"{card.name}: {len(card.queue)} items left queued")
+        kernel_queue = fleet.simulator.queue
+        named = sum(entry[4] is card for entry in (*kernel_queue._heap, *kernel_queue._fifo))
+        if card.busy or named:
+            violations.append(
+                f"{card.name}: not idle (busy={card.busy}, {named} kernel entries name it)"
+            )
     for tenant in stats.tenants():
         arrivals = stats.per_tenant_arrivals.get(tenant, 0)
         done = stats.per_tenant_completed.get(tenant, 0)

@@ -14,6 +14,7 @@ See ``docs/architecture.md`` for the design notes and experiment E9 for the
 measurements.
 """
 
+from repro.cluster.card import FleetCard
 from repro.cluster.dispatch import (
     POLICIES,
     ConfigAffinityPolicy,
@@ -33,7 +34,7 @@ from repro.cluster.sharded import (
     partition_cards,
     run_sharded,
 )
-from repro.cluster.fleet import Fleet, FleetCard, RetryEnvelope
+from repro.cluster.fleet import Fleet
 from repro.cluster.orders import (
     DefragOrder,
     HealOrder,
@@ -61,7 +62,6 @@ __all__ = [
     "Rebalancer",
     "ReleaseOrder",
     "RestoreOrder",
-    "RetryEnvelope",
     "ScrubOrder",
     "LeastOutstandingPolicy",
     "RoundRobinPolicy",

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from zlib import crc32
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cluster.fleet import FleetCard
+    from repro.cluster.card import FleetCard
     from repro.workloads.multitenant import FleetRequest
 
 
@@ -39,7 +39,7 @@ def request_expired(request: "FleetRequest", now_ns: int) -> bool:
     """Has *request*'s completion deadline already passed at *now_ns*?
 
     The single deadline test the dispatch layer shares: the dispatcher checks
-    it at admission and every card worker re-checks it when popping a queued
+    it at admission and every card re-checks it when starting a queued
     request, so an expired request fails fast (with its own counter) at
     whichever point it is first seen late — it is never silently served.
     Deadline-free requests (``deadline_ns is None``) never expire.

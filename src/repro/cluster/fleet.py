@@ -13,9 +13,12 @@ advances the card's own clock through every PCI burst, reconfiguration and
 fabric cycle, and returns the precise service time.  The fleet layer treats
 each card as a server in a queueing network: the shared kernel's clock is the
 fleet timeline, arrivals are kernel timeouts, each card's bounded queue is a
-kernel :class:`~repro.sim.kernel.Store`, and a card "being busy" for the
-service time the synchronous model measured is a kernel ``Timeout``.  Card
-clocks therefore act as private service-time oracles (only their *deltas*
+``deque`` and a busy flag (:class:`~repro.cluster.card.FleetCard`), and a card
+"being busy" for the service time the synchronous model measured is one
+kernel entry — ``_put`` queues the start of service at the instant an item
+reaches an idle card, ``_start`` serves it and queues ``_finish`` at
+``now + service_ns``, and ``_finish`` settles the item and starts the next.
+Card clocks therefore act as private service-time oracles (only their *deltas*
 matter), while ordering, queueing and concurrency across cards live entirely
 on the kernel clock — which is what keeps N-card schedules deterministic.
 Both clocks count whole nanoseconds (:mod:`repro.sim.clock`), so a card-clock
@@ -50,8 +53,8 @@ Everything else the fleet does to its cards — scrub windows, heal preloads,
 defragmentation passes, the three phases of a migration — is an
 :class:`~repro.cluster.orders.Order` on the same bounded card queues as the
 requests, so reliability and rebalancing spend real card time (the trade-off
-E10 and E11 sweep).  This module only moves orders: ``_worker`` hands each to
-``_run_order``, the periodic services are ``_every(period, tick)`` with
+E10 and E11 sweep).  This module only moves orders: ``_start`` hands each to
+``_run_order`` (stepped by ``_step_order``), the periodic services are ``_every(period, tick)`` with
 ``_order_once`` keeping one order of a kind per card, and what an order does
 lives with its class in ``orders.py``.  ``docs/architecture.md`` ("Control
 plane") draws an order's life and has the recipe for adding one.
@@ -60,22 +63,30 @@ plane") draws an order's life and has the recipe for adding one.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.arrivals import open_arrivals
+from repro.cluster.card import FleetCard
 from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy, request_expired
-from repro.cluster.fastpath import ServeMemo, drain_device_events
 from repro.cluster.orders import DefragOrder, HealOrder, MigrateOrder, Order, ScrubOrder
 from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
 from repro.core.host import HostDriver
 from repro.obs import names as _obs_names
-from repro.sim.kernel import Simulator, Store, Timeout
+from repro.sim.kernel import SimulationError, Simulator, Timeout
 from repro.workloads.multitenant import FleetRequest, FleetTrace
 
 #: Shared empty "cards already tried" set for fresh (non-failover) requests —
 #: one allocation instead of one per served request.
 _NO_CARDS_TRIED: frozenset = frozenset()
+
+#: Items one ``Fleet._start`` call may take that cost no card time.  An item
+#: that re-enqueues itself on its own card at no cost would otherwise spin
+#: inside one kernel dispatch, invisible to ``Simulator.run(max_events=)``;
+#: generous enough that no legitimate drain (bounded by what is queued plus
+#: what downstream work puts back) ever reaches it.
+ZERO_TIME_ITEM_LIMIT = 1_000_000
 
 #: Non-completion terminal outcome -> zero-duration marker span name.
 _OUTCOME_MARKERS = {
@@ -88,9 +99,9 @@ class _ReqTrace:
     """Per-request trace context while the request is inside the fleet.
 
     Keyed by ``id(request)`` in ``Fleet._trace_ctx`` — request objects are
-    referenced by queues/workers for their whole fleet lifetime and the
-    entry is popped at the terminal outcome, so identity keys cannot go
-    stale.  ``own_root`` marks traces born at the dispatcher (no front
+    referenced by card queues and kernel entries for their whole fleet
+    lifetime and the entry is popped at the terminal outcome, so identity
+    keys cannot go stale.  ``own_root`` marks traces born at the dispatcher (no front
     door): the fleet records their root span itself; net-admitted requests
     parent into the transport's ``client.request`` root instead.
     """
@@ -107,158 +118,6 @@ class _ReqTrace:
         #: Re-stamped by every enqueue (fresh dispatch and failover alike),
         #: so each hop gets its own ``fleet.queue`` wait span.
         self.enqueued_ns = arrival_ns
-
-
-class RetryEnvelope:
-    """Internal card-queue item: a failed-over request plus the cards tried.
-
-    The tried set is what bounds failover: each card is offered a request at
-    most once, so two wedged cards can never hand it back and forth at one
-    frozen kernel instant (queue hand-offs cost zero simulated time), and a
-    healthy card is never starved of its turn by the retry rotation.
-    """
-
-    __slots__ = ("request", "tried")
-
-    def __init__(self, request: FleetRequest, tried: frozenset) -> None:
-        self.request = request
-        self.tried = tried
-
-
-class FleetCard:
-    """One card in the fleet: a host driver plus its dispatch queue."""
-
-    def __init__(self, index: int, driver: HostDriver, queue: Store, queue_depth: int) -> None:
-        if queue_depth <= 0:
-            raise ValueError("queue depth must be positive")
-        self.index = index
-        self.name = f"card{index}"
-        self.driver = driver
-        self.queue = queue
-        self.queue_depth = queue_depth
-        # Dispatch-hot sideband query, bound through to the mini OS frame
-        # replacement table's own membership probe (the table is created once
-        # per card and only ever mutated in place): saves four attribute hops
-        # and a delegation call per residency probe on the affinity path.
-        self._is_resident = driver.card.coprocessor.mcu.minios.table.__contains__
-        # More per-request bindings for the worker loop (both objects are
-        # constructed once with the driver and never swapped out).
-        self._card_clock = driver.clock
-        self._device = driver.coprocessor.device
-        #: Requests dispatched to this card and not yet completed
-        #: (queued + the one in service).
-        self.outstanding = 0
-        self.served = 0
-        self.busy_ns = 0
-        #: Health state: "up", "degraded" (configuration port wedged — serves
-        #: hits, cannot reconfigure) or "down" (invisible to dispatch).
-        self.health = "up"
-        self.down_since_ns: Optional[int] = None
-        self.degraded_until_ns = 0
-        self.serve_failures = 0
-        #: Classes of the periodic orders queued or in service here — a
-        #: periodic service keeps at most one order of its kind per card.
-        self.pending: set = set()
-        #: Record/replay cache of this card's resident-hit serves; it
-        #: replays only while :meth:`ServeMemo._safe` holds.  Set to ``None``
-        #: to run the full card model on every request (the differential
-        #: tests' reference).
-        self.memo: Optional[ServeMemo] = ServeMemo(self)
-        #: The card's device :class:`~repro.sim.trace.TraceRecorder` when the
-        #: fleet bridges device events into ``card.*`` sub-spans, else None.
-        #: A bridged recorder is empty between serves: every serve and order
-        #: drains it.
-        self._obs_trace = None
-        #: The last serve's device activity on a bridged card, as
-        #: :meth:`Tracer.record_device <repro.obs.context.Tracer.
-        #: record_device>` takes it: ``(events, count, ordinal)``.
-        self.device_events: tuple = ((), 0, 0)
-
-    # --------------------------------------------------------------- queries
-    @property
-    def has_room(self) -> bool:
-        return self.health != "down" and self.outstanding < self.queue_depth
-
-    def holds(self, function: str) -> bool:
-        """Does this card's fabric currently hold *function*'s frames?"""
-        return self.health != "down" and self._is_resident(function)
-
-    @property
-    def free_frames(self) -> int:
-        """Unclaimed configuration frames on this card's fabric."""
-        return self.driver.card.free_frames
-
-    def resident_functions(self) -> List[str]:
-        return self.driver.card.resident_functions()
-
-    # --------------------------------------------------------------- service
-    def serve(self, request: FleetRequest) -> tuple:
-        """Run *request* synchronously on the card's private timeline.
-
-        Returns ``(service_ns, hit)``: the card-local time the full
-        PCI + reconfigure + execute path took, and whether the function was
-        already resident.
-        """
-        memo = self.memo
-        if memo is not None:
-            service_ns = memo.replay(request.function, request.payload)
-            if service_ns is not None:
-                self.served += 1
-                self.busy_ns += service_ns
-                return service_ns, True
-        clock = self.driver.clock
-        before = clock.now
-        try:
-            if memo is not None and memo.can_record(request.function):
-                result = memo.record_call(request.function, request.payload)
-            else:
-                result = self.driver.call(request.function, request.payload)
-        finally:
-            if self._obs_trace is not None:
-                self.device_events = drain_device_events(self._obs_trace, before)
-        service_ns = clock.now - before
-        hit = result.card_result.hit if result.card_result is not None else True
-        self.served += 1
-        self.busy_ns += service_ns
-        return service_ns, hit
-
-    @property
-    def hazard_detector(self):
-        """The card's executor-path hazard detector (``None`` unprotected)."""
-        return self.driver.coprocessor.device.hazard_detector
-
-    @property
-    def scrub_stats(self):
-        """The card's scrubber counters (``None`` without fault protection)."""
-        scrubber = self.driver.coprocessor.scrubber
-        return scrubber.stats if scrubber is not None else None
-
-    @property
-    def defrag_stats(self):
-        """The card's defragmenter counters (``None`` until defrag is enabled)."""
-        defragmenter = self.driver.coprocessor.defragmenter
-        return defragmenter.stats if defragmenter is not None else None
-
-    def spend(self, operation, *args):
-        """Run ``operation(*args)`` on the card's private clock and spend the
-        time it took on the fleet timeline (a generator).
-
-        The Δt is charged to ``busy_ns`` whether or not the operation raised
-        :class:`CoprocessorError` — a refused command still moved its
-        registers and data over the bus.  Returns ``(result, error)``.
-        """
-        clock = self._card_clock
-        before = clock._now
-        result = error = None
-        try:
-            result = operation(*args)
-        except CoprocessorError as refused:
-            error = refused
-        elapsed = clock._now - before
-        self.busy_ns += elapsed
-        if elapsed > 0:
-            yield Timeout(elapsed)
-        return result, error
 
 
 class Fleet:
@@ -308,12 +167,7 @@ class Fleet:
         # its completion records merge byte-identically with other shards'.
         indices = list(card_indices) if card_indices is not None else range(len(drivers))
         self.cards = [
-            FleetCard(
-                index,
-                driver,
-                self.simulator.store(name=f"card{index}-queue"),
-                queue_depth,
-            )
+            FleetCard(index, driver, queue_depth)
             for index, driver in zip(indices, drivers)
         ]
         # Observability (PR 8; all off until an Observability object is
@@ -346,7 +200,6 @@ class Fleet:
             # Per-card latency recording follows the fleet into O(1) memory.
             for card in self.cards:
                 card.driver.coprocessor.stats.use_sketch()
-        self._workers_spawned = False
         self._arrivals_process = None
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
         self.heal_on_failure = False
@@ -484,69 +337,64 @@ class Fleet:
             return None
         return trace_id, self.clock._now
 
-    def _spawn_workers(self) -> None:
-        if self._workers_spawned:
-            return
-        self._workers_spawned = True
-        for card in self.cards:
-            self.simulator.spawn(self._worker(card), name=f"{card.name}-worker")
+    # ------------------------------------------------------------ card server
+    def _put(self, card: FleetCard, item) -> None:
+        """Put *item* on *card* — the one way onto a card's queue.
 
-    def _worker(self, card: FleetCard):
-        """Drain one card's queue forever (idles when the queue is empty).
+        A busy card queues it.  An idle card turns busy and the start of
+        service is **one** same-instant kernel entry: nothing is served
+        inside the caller, so whoever routes the rest of a same-instant
+        group reads the card's residency as it was before this item ran.
+        """
+        if card.busy:
+            card.queue.append(item)
+        else:
+            card.busy = True
+            simulator = self.simulator
+            simulator._fifo.append(
+                (self.clock._now, 0, simulator._next_seq(), self._start, card, item)
+            )
+
+    def _start(self, card: FleetCard, item) -> None:
+        """Serve *item* (``None``: the head of the queue), then whatever is
+        queued behind it, until one takes card time; that one's end is
+        **one** kernel entry.
 
         Besides tenant requests the queue carries control-plane orders, so
         reliability work contends for the same card time as traffic.  A
-        request popped on (or completed after) a dead card is failed over,
-        never dropped.
+        request popped on a dead card is failed over, never dropped.
         """
-        # Steady-state allocation diet: the StoreGet is stateless (just a
-        # queue reference) and the kernel never retains it, so one instance
-        # serves every loop iteration; likewise one Timeout is re-stamped
-        # with each service time (the kernel consumes it synchronously).
-        # Everything consulted once per request is pre-bound (none of these
-        # objects is ever swapped out for the life of the fleet).
-        get_request = card.queue.get()
-        service_timeout = Timeout(0)
         clock = self.clock
-        card_name = card.name
-        device = card._device
-        card_clock = card._card_clock
-        serve = card.serve
-        record_completion = self.stats.record_completion
-        tracer = self._tracer
-        trace_ctx = self._trace_ctx
-        while True:
-            item = yield get_request
-            if item.__class__ is FleetRequest:
-                tried = _NO_CARDS_TRIED
-                request = item
-            elif isinstance(item, Order):
-                yield from self._run_order(card, item)
-                continue
-            elif item.__class__ is RetryEnvelope:
-                tried = item.tried
-                request = item.request
-            else:  # a FleetRequest subclass (the front door's GatewayRequest)
-                tried = _NO_CARDS_TRIED
-                request = item
-            if tracer is not None:
-                ctx = trace_ctx.get(id(request))
-                if ctx is not None:
-                    # Queue wait: last enqueue (dispatch or failover) to this
-                    # worker pop — re-stamped per hop, so each bounce gets
-                    # its own wait span.
-                    tracer.record(
-                        _obs_names.SPAN_FLEET_QUEUE,
-                        ctx.trace_id,
-                        ctx.root_id,
-                        ctx.enqueued_ns,
-                        clock._now,
-                        card=card_name,
-                    )
-            else:
-                ctx = None
-            deadline = request.deadline_ns
-            if deadline is not None and clock._now > deadline:
+        for taken in range(ZERO_TIME_ITEM_LIMIT):
+            if taken or item is None:
+                # The item before is done (or took no card time): the next
+                # starts at this instant, inside this dispatch.
+                if not card.queue:
+                    card.busy = False
+                    return
+                item = card.queue.popleft()
+            request, tried = item, _NO_CARDS_TRIED
+            if item.__class__ is not FleetRequest:  # else: the front door's subclass
+                if item.__class__ is tuple:  # failed over: (request, cards tried)
+                    request, tried = item
+                elif isinstance(item, Order):
+                    if self._step_order(card, self._run_order(card, item)):
+                        return
+                    continue
+            ctx = self._trace_ctx.get(id(request)) if self._tracer is not None else None
+            if ctx is not None:
+                # Queue wait: last enqueue (dispatch or failover) to this
+                # start of service — re-stamped per hop, so each bounce gets
+                # its own wait span.
+                self._tracer.record(
+                    _obs_names.SPAN_FLEET_QUEUE,
+                    ctx.trace_id,
+                    ctx.root_id,
+                    ctx.enqueued_ns,
+                    clock._now,
+                    card=card.name,
+                )
+            if request.deadline_ns is not None and request_expired(request, clock._now):
                 # Expired in queue: fail fast with its own counter — a late
                 # result would be discarded by every real client anyway, so
                 # serving it would only burn card time and hide the overload.
@@ -558,39 +406,67 @@ class Fleet:
                 self._failover(request, card, "dead-queue", tried)
                 continue
             started_ns = clock._now
-            detector = device.hazard_detector
+            detector = card._device.hazard_detector
             hazards_before = detector.hazard_executions if detector is not None else 0
-            card_clock_before = card_clock._now
+            card_clock_before = card._card_clock._now
             try:
-                service_ns, hit = serve(request)
+                service_ns, hit = card.serve(request)
             except CoprocessorError:
                 # The card refused (configuration failed on a degraded port,
                 # or capacity).  The refusal was not free: the input transfer
                 # and register traffic already advanced the card's private
                 # clock, so charge that time on the fleet timeline before
-                # handing the request back to the dispatcher.
-                failed_ns = card_clock._now - card_clock_before
-                card.busy_ns += failed_ns
+                # handing the request back to the dispatcher (``_finish``
+                # with ``hit is None``).
+                service_ns = card._card_clock._now - card_clock_before
+                card.busy_ns += service_ns
                 card.serve_failures += 1
-                if failed_ns > 0:
-                    yield Timeout(failed_ns)
-                card.outstanding -= 1
-                self._failover(request, card, "serve-failed", tried)
-                continue
-            hazard = (
-                detector is not None and detector.hazard_executions > hazards_before
+                if service_ns == 0:
+                    card.outstanding -= 1
+                    self._failover(request, card, "serve-failed", tried)
+                    continue
+                hit = None
+            hazard = detector is not None and detector.hazard_executions > hazards_before
+            simulator = self.simulator
+            entry = (
+                started_ns + service_ns,
+                0,
+                simulator._next_seq(),
+                self._finish,
+                card,
+                (request, tried, ctx, started_ns, hit, hazard),
             )
-            service_timeout.delay_ns = service_ns
-            yield service_timeout
-            card.outstanding -= 1
+            if service_ns == 0:
+                simulator._fifo.append(entry)
+            else:
+                heappush(simulator._heap, entry)
+            return
+        raise SimulationError(
+            f"{card.name} took {ZERO_TIME_ITEM_LIMIT} items in a row that cost "
+            f"no card time; possible self-feeding livelock"
+        )
+
+    def _finish(self, card: FleetCard, state: tuple) -> None:
+        """The request in service is done: settle it, start the next item.
+
+        A request completed after its card died is failed over, never
+        dropped; ``hit is None`` is a refused serve whose card time is spent.
+        """
+        request, tried, ctx, started_ns, hit, hazard = state
+        now = self.clock._now
+        card.outstanding -= 1
+        if hit is None:
+            self._failover(request, card, "serve-failed", tried)
+        else:
             if ctx is not None:
+                tracer = self._tracer
                 service_span = tracer.record(
                     _obs_names.SPAN_CARD_SERVICE,
                     ctx.trace_id,
                     ctx.root_id,
                     started_ns,
-                    clock._now,
-                    card=card_name,
+                    now,
+                    card=card.name,
                     hit=hit,
                 )
                 if card._obs_trace is not None:
@@ -602,27 +478,46 @@ class Fleet:
             if (
                 card.health == "down"
                 and card.down_since_ns is not None
-                and card.down_since_ns < clock._now
+                and card.down_since_ns < now
             ):
                 # The card died while this request was in flight: its result
                 # never reached the host.  Retry elsewhere.
                 self._failover(request, card, "died-in-service", tried)
-                continue
-            record_completion(
-                request.tenant,
-                request.function,
-                card_name,
-                hit,
-                request.arrival_ns,
-                started_ns,
-                clock._now,
-                hazard,
+            else:
+                self.stats.record_completion(
+                    request.tenant,
+                    request.function,
+                    card.name,
+                    hit,
+                    request.arrival_ns,
+                    started_ns,
+                    now,
+                    hazard,
+                )
+                if ctx is not None:
+                    self._obs_end(request, "completed", now)
+                callback = self.on_request_outcome
+                if callback is not None:
+                    callback(request, "completed", now)
+        if card.queue:
+            self._start(card, card.queue.popleft())
+        else:
+            card.busy = False
+
+    def _step_order(self, card: FleetCard, running) -> bool:
+        """The order trampoline: run *running* (a ``_run_order`` generator)
+        to its next ``Timeout`` and queue one entry to come back after it.
+        False once the order has finished."""
+        for timeout in running:
+            self.simulator.queue.schedule_call(
+                self.clock._now + timeout.delay_ns, self._resume_order, card, running
             )
-            if ctx is not None:
-                self._obs_end(request, "completed", clock._now)
-            callback = self.on_request_outcome
-            if callback is not None:
-                callback(request, "completed", clock._now)
+            return True
+        return False
+
+    def _resume_order(self, card: FleetCard, running) -> None:
+        if not self._step_order(card, running):
+            self._start(card, None)
 
     def _run_order(self, card: FleetCard, order: Order):
         """Run one control-plane order: work, slot release, span, settle."""
@@ -648,7 +543,7 @@ class Fleet:
     def _enqueue(self, card: FleetCard, order: Order) -> None:
         """Put *order* on *card*'s queue; it holds a queue slot until it ran."""
         card.outstanding += 1
-        card.queue.put(order)
+        self._put(card, order)
 
     def _order_once(self, card: FleetCard, order: Order) -> None:
         """Enqueue a periodic *order* unless the card is down or still has
@@ -701,7 +596,7 @@ class Fleet:
             ctx = self._trace_ctx.get(id(request))
             if ctx is not None:
                 ctx.enqueued_ns = self.clock._now
-        card.queue.put(request if not tried else RetryEnvelope(request, tried))
+        self._put(card, request if not tried else (request, tried))
 
     def _dispatch(self, request: FleetRequest) -> None:
         # record_arrival, inlined (once per arriving request).
@@ -740,12 +635,10 @@ class Fleet:
 
         The gateway-facing entry point: a network front door delivers
         requests one at a time as their packets arrive instead of through a
-        paced arrival trace, so there is no arrivals process — workers are
-        spawned on first use and periodic services are the front door's
-        responsibility (its ``run`` spawns them before its client
-        populations).
+        paced arrival trace, so there is no arrivals process, and periodic
+        services are the front door's responsibility (its ``run`` spawns them
+        before its client populations).
         """
-        self._spawn_workers()
         self._dispatch(request)
 
     def _failover(
@@ -1070,7 +963,6 @@ class Fleet:
                 "the previous trace still has undelivered arrivals "
                 "(truncated by until_ns); drain it before offering a new trace"
             )
-        self._spawn_workers()
         self._spawn_services()
         self._arrivals_process = self.simulator.spawn(
             self._arrivals(trace), name="fleet-arrivals"

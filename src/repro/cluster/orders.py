@@ -12,7 +12,7 @@ every order the same life::
     settle(fleet, card)  bookkeeping after the span: completion records and
                          the next phase's ``put``
 
-so the worker knows nothing about what an order does, and a new kind of
+so the fleet knows nothing about what an order does, and a new kind of
 control-plane work is one class here (``docs/architecture.md`` has the
 recipe).  A migration is three orders chained through two queues:
 :class:`MigrateOrder` (source captures) -> :class:`RestoreOrder` (destination

@@ -32,7 +32,8 @@ from repro.bitstream.relocate import compatible_fabrics
 from repro.sim.clock import as_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cluster.fleet import Fleet, FleetCard
+    from repro.cluster.card import FleetCard
+    from repro.cluster.fleet import Fleet
 
 
 @dataclass(frozen=True)

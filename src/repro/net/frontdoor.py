@@ -190,7 +190,6 @@ class FrontDoor:
         if not self._populations:
             raise ValueError("add at least one client population before run()")
         fleet = self.fleet
-        fleet._spawn_workers()
         fleet._spawn_services()
         for population in self._populations:
             for name, generator in population.processes(self):

@@ -2,16 +2,16 @@
 
 The kernel is intentionally small: a time base (:class:`~repro.sim.clock.Clock`),
 a two-tier event queue (:class:`~repro.sim.events.EventQueue`), a process
-oriented simulator (:class:`~repro.sim.kernel.Simulator`) with resources and
-stores, and a trace recorder (:class:`~repro.sim.trace.TraceRecorder`).  The
-co-processor's transaction-level components advance the shared clock directly;
+oriented simulator (:class:`~repro.sim.kernel.Simulator`) and a trace
+recorder (:class:`~repro.sim.trace.TraceRecorder`).  The co-processor's
+transaction-level components advance the shared clock directly;
 the simulator is used whenever several activities (host requests, DMA,
 reconfiguration) need to be interleaved.
 """
 
 from repro.sim.clock import Clock, TimeUnit, format_time
 from repro.sim.events import EventQueue
-from repro.sim.kernel import Process, Resource, Simulator, Store, Timeout
+from repro.sim.kernel import Process, Simulator, Timeout
 from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.rand import SeededRandom
 
@@ -22,8 +22,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "Process",
-    "Resource",
-    "Store",
     "Timeout",
     "TraceRecorder",
     "TraceEvent",

@@ -9,8 +9,8 @@ the same inputs produce the same schedule.
 
 Storage is a **tiered scheduler**: a binary heap for future events plus a
 plain FIFO deque (``_fifo``) the kernel uses for same-timestamp, priority-0
-continuations — the dominant case when a card drains its queue (resource
-grants, zero-delay resumes and wake-ups all happen "now").  A deque
+continuations — the dominant case when a card drains its queue (service
+starts, zero-delay resumes and wake-ups all happen "now").  A deque
 append/popleft is a few times cheaper than a heap sift, and because the
 kernel only appends entries keyed at the current clock time with the globally
 increasing sequence counter, the deque is always sorted by the entry key.
@@ -38,9 +38,9 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         #: FIFO tier for same-timestamp continuations.  Only the simulator
-        #: kernel appends here (it owns the clock and can prove the entry's
-        #: key is >= every key already in the deque); everyone else goes
-        #: through the heap.  Entries have the same shape as heap entries
+        #: kernel and the fleet's card server append here, and only entries
+        #: keyed (clock now, 0, fresh seq) — >= every key already in the
+        #: deque; everyone else goes through the heap.  Entries have the same shape as heap entries
         #: and the deque is always sorted by (time, priority, seq).
         self._fifo: Deque[tuple] = deque()
         self._counter = itertools.count()

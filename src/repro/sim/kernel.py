@@ -2,8 +2,8 @@
 
 The simulator follows the familiar generator-coroutine style: a *process* is a
 Python generator that yields scheduling primitives (:class:`Timeout`,
-:class:`WaitEvent`, resource/store requests) and is resumed when the primitive
-completes.  The co-processor model uses the simulator to interleave host
+:class:`WaitEvent`, another :class:`Process` to join) and is resumed when the
+primitive completes.  The co-processor model uses the simulator to interleave host
 request arrival, PCI transfers, reconfiguration and function execution.
 
 Every continuation the kernel schedules is the same shape — "resume process P
@@ -17,8 +17,7 @@ which entry of a same-instant ready set it takes next.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.sim.clock import Clock, as_ns
 from repro.sim.events import EventQueue
@@ -91,131 +90,13 @@ class Process:
         return f"Process({self.name!r}, {state})"
 
 
-class Resource:
-    """A counted resource with FIFO queuing (e.g. the single PCI bus)."""
-
-    def __init__(self, simulator: "Simulator", capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError("resource capacity must be at least 1")
-        self.simulator = simulator
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._queue: Deque[tuple] = deque()  # (process, requested_at_ns)
-        self.total_acquisitions = 0
-        self.total_wait_ns = 0
-
-    def request(self) -> "ResourceRequest":
-        """Return a yieldable request for one unit of the resource."""
-        return ResourceRequest(self)
-
-    def release(self) -> None:
-        """Release one unit, waking the next queued requester if any."""
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        self.in_use -= 1
-        if self._queue:
-            process, requested_at = self._queue.popleft()
-            self.in_use += 1
-            simulator = self.simulator
-            self.total_wait_ns += simulator.clock.now - requested_at
-            simulator._schedule_step(simulator.clock.now, process, None)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-
-class ResourceRequest:
-    """Yieldable acquisition of a :class:`Resource`."""
-
-    __slots__ = ("resource", "requested_at")
-
-    def __init__(self, resource: Resource) -> None:
-        self.resource = resource
-        self.requested_at = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ResourceRequest({self.resource.name!r})"
-
-
-class Store:
-    """An unbounded FIFO store of items with blocking ``get``."""
-
-    def __init__(self, simulator: "Simulator", name: str = "store") -> None:
-        self.simulator = simulator
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[WaitEvent] = deque()
-        # One-deep WaitEvent recycle bin: a store with a single long-lived
-        # consumer (every fleet card queue) otherwise allocates one event —
-        # and formats its name — per idle get.
-        self._waiter_pool: Optional[WaitEvent] = None
-
-    def put(self, item: Any) -> None:
-        """Add an item, waking one blocked getter if present."""
-        if self._getters:
-            # Inlined Simulator.trigger for the store's private one-waiter
-            # WaitEvent: succeed it and resume the blocked getter directly.
-            waiter = self._getters.popleft()
-            waiter.triggered = True
-            waiter.value = item
-            # Inlined _schedule_step: the grant is always at the current
-            # instant, so it goes straight to the FIFO tier.
-            simulator = self.simulator
-            now = simulator.clock._now
-            next_seq = simulator._next_seq
-            step = simulator._step_bound
-            fifo = simulator._fifo
-            for process in waiter._waiters:
-                fifo.append((now, 0, next_seq(), step, process, item))
-            waiter._waiters.clear()
-            self._waiter_pool = waiter
-        else:
-            self._items.append(item)
-
-    def get(self) -> "StoreGet":
-        """Return a yieldable get request."""
-        return StoreGet(self)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class StoreGet:
-    """Yieldable retrieval from a :class:`Store`."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: Store) -> None:
-        self.store = store
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"StoreGet({self.store.name!r})"
-
-
 class Simulator:
     """Drives processes forward in simulated time.
 
     The simulator owns (or shares) a :class:`~repro.sim.clock.Clock`; running
     it advances that clock, so transaction-level components that use the same
     clock observe a consistent timeline.
-
-    A ``StoreGet`` against a non-empty store resumes the getter
-    *synchronously*, inside the same dispatch: a queue hand-off — the
-    dominant yield in a saturated fleet — costs no kernel event.  Such grants
-    are continuations of the current dispatch, so they do not count against
-    ``run``'s ``max_events``; ``eager_chain_limit`` bounds them instead.
     """
-
-    #: Upper bound on synchronous store-grant chains within one dispatch.  A
-    #: self-feeding process (``get`` from a store it also ``put``s back into)
-    #: would otherwise spin forever *inside* ``_step``, invisible to
-    #: ``run``'s ``max_events`` bound because synchronous grants are
-    #: continuations, not dispatches.  Class attribute so tests can tighten
-    #: it; generous enough that no legitimate drain (bounded by queued items
-    #: plus puts from downstream work) ever trips it.
-    eager_chain_limit = 1_000_000
 
     def __init__(
         self,
@@ -244,8 +125,8 @@ class Simulator:
 
         Inlined ``EventQueue.schedule_call``: continuation times derive from
         the clock plus a validated non-negative delay, so the negative-time
-        check is unnecessary here.  Same-timestamp continuations (resource
-        grants, zero-delay resumes, wake-ups) go to the FIFO tier: the
+        check is unnecessary here.  Same-timestamp continuations (zero-delay
+        resumes, wake-ups) go to the FIFO tier: the
         entry's key (now, 0, fresh seq) is >= every key already queued, so a
         plain append keeps the deque sorted and the merge deterministic.
         """
@@ -357,74 +238,39 @@ class Simulator:
 
     # ------------------------------------------------------------- stepping
     def _step(self, process: Process, send_value: Any) -> None:
-        """Resume *process* with *send_value* and handle what it yields.
-
-        The body loops only while a store get is satisfied on the spot: the
-        item is fed straight back into the same generator.
-        """
+        """Resume *process* with *send_value* and handle what it yields."""
         if process.finished:
             return
-        chained = 0
-        while True:
-            try:
-                yielded = process.generator.send(send_value)
-            except StopIteration as stop:
-                process.finished = True
-                process.result = stop.value
-                now = self.clock.now
-                for waiter in process.waiters:
-                    self._schedule_step(now, waiter, stop.value)
-                process.waiters.clear()
-                return
-            # Fast path for the dominant yield kind; everything else
-            # dispatches through _handle_yield (which also catches Timeout
-            # subclasses).
-            if yielded.__class__ is Timeout:
-                delay = yielded.delay_ns
-                if delay.__class__ is not int:
-                    delay = as_ns(delay)
-                entry = (
-                    self.clock._now + delay,
-                    0,
-                    self._next_seq(),
-                    self._step_bound,
-                    process,
-                    yielded.value,
-                )
-                if delay == 0:
-                    self._fifo.append(entry)
-                else:
-                    heapq.heappush(self._heap, entry)
-                return
-            # Second-most-common yield: a queue get (one per fleet request).
-            if yielded.__class__ is StoreGet:
-                store = yielded.store
-                items = store._items
-                if items:
-                    # Bound the synchronous chain: a process feeding its own
-                    # store would otherwise spin here forever without
-                    # consuming any of run()'s max_events budget.
-                    chained += 1
-                    if chained > self.eager_chain_limit:
-                        raise SimulationError(
-                            f"process {process.name!r} chained more than "
-                            f"{self.eager_chain_limit} synchronous store "
-                            f"grants; possible self-feeding livelock"
-                        )
-                    send_value = items.popleft()
-                    continue
-                waiter = store._waiter_pool
-                if waiter is None:
-                    waiter = WaitEvent(name=f"get:{store.name}")
-                else:
-                    store._waiter_pool = None
-                    waiter.triggered = False
-                    waiter.value = None
-                waiter._waiters.append(process)
-                store._getters.append(waiter)
-                return
-            self._handle_yield(process, yielded)
+        try:
+            yielded = process.generator.send(send_value)
+        except StopIteration as stop:
+            process.finished = True
+            process.result = stop.value
+            now = self.clock.now
+            for waiter in process.waiters:
+                self._schedule_step(now, waiter, stop.value)
+            process.waiters.clear()
             return
+        # Fast path for the dominant yield kind; everything else dispatches
+        # through _handle_yield (which also catches Timeout subclasses).
+        if yielded.__class__ is Timeout:
+            delay = yielded.delay_ns
+            if delay.__class__ is not int:
+                delay = as_ns(delay)
+            entry = (
+                self.clock._now + delay,
+                0,
+                self._next_seq(),
+                self._step_bound,
+                process,
+                yielded.value,
+            )
+            if delay == 0:
+                self._fifo.append(entry)
+            else:
+                heapq.heappush(self._heap, entry)
+            return
+        self._handle_yield(process, yielded)
 
     def _handle_yield(self, process: Process, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
@@ -434,8 +280,6 @@ class Simulator:
                 self._schedule_step(self.clock.now, process, yielded.value)
             else:
                 yielded._waiters.append(process)
-        elif isinstance(yielded, ResourceRequest):
-            self._handle_resource_request(process, yielded)
         elif isinstance(yielded, Process):
             if yielded.finished:
                 self._schedule_step(self.clock.now, process, yielded.result)
@@ -445,20 +289,3 @@ class Simulator:
             raise SimulationError(
                 f"process {process.name!r} yielded unsupported object {yielded!r}"
             )
-
-    def _handle_resource_request(self, process: Process, request: ResourceRequest) -> None:
-        resource = request.resource
-        request.requested_at = self.clock.now
-        resource.total_acquisitions += 1
-        if resource.in_use < resource.capacity:
-            resource.in_use += 1
-            self._schedule_step(self.clock.now, process, None)
-        else:
-            resource._queue.append((process, self.clock.now))
-
-    # --------------------------------------------------------------- helpers
-    def resource(self, capacity: int = 1, name: str = "resource") -> Resource:
-        return Resource(self, capacity=capacity, name=name)
-
-    def store(self, name: str = "store") -> Store:
-        return Store(self, name=name)

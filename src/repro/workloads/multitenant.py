@@ -47,7 +47,7 @@ class FleetRequest:
     #: Absolute completion deadline on the fleet timeline, or ``None`` for
     #: the historical no-deadline behaviour.  A request past its deadline is
     #: *expired* — failed fast with its own counter at dispatch and in the
-    #: card workers, never silently served late.  (The default keeps every
+    #: card queues, never silently served late.  (The default keeps every
     #: pre-deadline schedule digest byte-identical; instances built without
     #: the field — e.g. the streaming trace's direct construction — fall back
     #: to this class-level ``None``.)

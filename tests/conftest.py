@@ -172,10 +172,8 @@ def order_drill():
     """
 
     def run(fleet, *orders, when=None):
-        fleet._spawn_workers()
         for index, order in orders:
-            fleet.cards[index].outstanding += 1
-            fleet.cards[index].queue.put(order)
+            fleet._enqueue(fleet.cards[index], order)
         if when is not None:
             condition, action = when
 

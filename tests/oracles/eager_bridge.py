@@ -1,20 +1,28 @@
-"""The pre-PR-21 eager device bridge: events built at replay, spans at settle.
+"""The pre-PR-21 eager device bridge and the pre-PR-22 card worker process.
 
-Kept as the independent reference for the lazy bridge
+Kept as the independent reference for two replacements.  The lazy bridge
 (``tests/test_obs_lazy_bridge.py``): :class:`repro.obs.context.DeviceSpans`
 records one reference per traced serve and builds the ``card.*`` spans where
-the log is read; this is the design it replaced, moved here unchanged.
+the log is read; this is the design it replaced, moved here unchanged.  The
+card server (``tests/test_cluster_card_server.py``): ``Fleet._put`` /
+``_start`` / ``_finish`` replaced one generator per card blocked on a kernel
+``Store``; :func:`worker` is that generator, draining the test-side
+``oracles.store.Store``.
 
 * :class:`EagerServeMemo` — ``ServeMemo.replay`` as it was, appending one
   :class:`TraceEvent` per recorded device event to the card's recorder
   (``_replay_events``), ``capacity`` / ``dropped`` honoured call by call;
 * :func:`serve` — ``FleetCard.serve`` as it was, leaving the recorder alone;
-* :func:`worker` — ``Fleet._worker`` as it was, slicing the serve's events
-  off the recorder (``mark`` / ``bridged``) and recording one span per event
-  through ``Tracer.record``, so ids, ``capacity``, ``dropped``, the tail
-  sampler's bounds and the observer are all charged span by span.
+* :func:`worker` — the fleet's per-card worker process as it was before
+  PR 21, slicing the serve's events off the recorder (``mark`` /
+  ``bridged``) and recording one span per event through ``Tracer.record``,
+  so ids, ``capacity``, ``dropped``, the tail sampler's bounds and the
+  observer are all charged span by span.
 
-:func:`install` swaps the three into a fleet before its workers spawn.
+:func:`install` swaps the three into a fleet before it first runs: every
+card gets a store, ``fleet._put`` puts to it, and one spawned :func:`worker`
+per card drains it — ``len(fleet.cards)`` kernel entries the server form
+does not have, and no other difference in any run.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ import types
 from typing import Optional
 
 from repro.cluster.fastpath import ServeMemo
-from repro.cluster.fleet import _NO_CARDS_TRIED, FleetCard, RetryEnvelope
+from oracles.store import Store
+from repro.cluster.card import FleetCard
+from repro.cluster.fleet import _NO_CARDS_TRIED
 from repro.cluster.orders import Order
 from repro.core.exceptions import CoprocessorError
 from repro.obs import names as _obs_names
@@ -34,9 +44,11 @@ from repro.workloads.multitenant import FleetRequest
 
 def install(fleet) -> None:
     """Make *fleet* bridge device events eagerly (call before it runs)."""
-    assert not fleet._workers_spawned, "install the oracle before the first run"
-    fleet._worker = types.MethodType(worker, fleet)
+    assert fleet.simulator.events_dispatched == 0, "install the oracle before the first run"
+    stores = {card: Store(fleet.simulator) for card in fleet.cards}
+    fleet._put = lambda card, item: stores[card].put(item)
     for card in fleet.cards:
+        fleet.simulator.spawn(worker(fleet, card, stores[card]), name=f"{card.name}-worker")
         card.serve = types.MethodType(serve, card)
         if card.memo is not None:
             card.memo = EagerServeMemo(card)
@@ -181,7 +193,7 @@ def serve(self, request: FleetRequest) -> tuple:
     return service_ns, hit
 
 
-def worker(self, card: FleetCard):
+def worker(self, card: FleetCard, store: Store):
     """Drain one card's queue forever (idles when the queue is empty).
 
     Besides tenant requests the queue carries control-plane orders, so
@@ -189,13 +201,10 @@ def worker(self, card: FleetCard):
     request popped on (or completed after) a dead card is failed over,
     never dropped.
     """
-    # Steady-state allocation diet: the StoreGet is stateless (just a
-    # queue reference) and the kernel never retains it, so one instance
-    # serves every loop iteration; likewise one Timeout is re-stamped
-    # with each service time (the kernel consumes it synchronously).
-    # Everything consulted once per request is pre-bound (none of these
-    # objects is ever swapped out for the life of the fleet).
-    get_request = card.queue.get()
+    # Steady-state allocation diet: one Timeout is re-stamped with each
+    # service time (the kernel consumes it synchronously).  Everything
+    # consulted once per request is pre-bound (none of these objects is
+    # ever swapped out for the life of the fleet).
     service_timeout = Timeout(0)
     clock = self.clock
     card_name = card.name
@@ -207,7 +216,7 @@ def worker(self, card: FleetCard):
     trace_ctx = self._trace_ctx
     card_trace = card._obs_trace
     while True:
-        item = yield get_request
+        item = yield from store.get()
         if item.__class__ is FleetRequest:
             tried = _NO_CARDS_TRIED
             request = item
@@ -218,9 +227,8 @@ def worker(self, card: FleetCard):
                 # enabled recorder cannot grow without bound.
                 del card_trace.events[:]
             continue
-        elif item.__class__ is RetryEnvelope:
-            tried = item.tried
-            request = item.request
+        elif item.__class__ is tuple:  # failed over: (request, cards tried)
+            request, tried = item
         else:  # a FleetRequest subclass (the front door's GatewayRequest)
             tried = _NO_CARDS_TRIED
             request = item

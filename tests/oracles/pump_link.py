@@ -2,9 +2,11 @@
 
 Kept as the independent reference for ``repro.net.link.Link``'s send-time
 arithmetic (``tests/test_net_link_oracle.py``).  It is the old class moved
-here unchanged except for two things the kernel no longer offers or the
-oracle does not need: the arrival process sleeps its own propagation delay
-(``Simulator.spawn(delay_ns=)`` is gone) and there is no tracer.
+here unchanged except for what the kernel no longer offers or the oracle
+does not need: the arrival process sleeps its own propagation delay
+(``Simulator.spawn(delay_ns=)`` is gone), the ``Store`` is the test-side one
+(``tests/oracles/store.py``; the kernel's went in PR 22) and there is no
+tracer.
 
 Each packet costs a ``Store`` hand-off, a pump wake-up when the wire was
 idle, a serialise ``Timeout`` and a spawned arrival process; the pump must be
@@ -13,7 +15,8 @@ spawned (``simulator.spawn(link.pump())``) before the first ``send``.
 
 from __future__ import annotations
 
-from repro.sim.kernel import Store, Timeout
+from oracles.store import Store
+from repro.sim.kernel import Timeout
 
 
 class PumpLink:
@@ -25,7 +28,7 @@ class PumpLink:
         self.deliver = deliver
         self.rng = rng
         self.name = name
-        self._queue = Store(simulator, name=f"{name}-queue")
+        self._queue = Store(simulator)
         self.offered = 0
         self.delivered = 0
         self.lost = 0
@@ -45,7 +48,7 @@ class PumpLink:
         spec = self.spec
         latency_ns = round(spec.latency_ns)
         while True:
-            packet = yield self._queue.get()
+            packet = yield from self._queue.get()
             yield Timeout(round(packet.size_bytes * 8.0 / spec.gbps))
             # Draw order is fixed (loss then jitter, only when enabled).
             if spec.loss and self.rng.uniform() < spec.loss:

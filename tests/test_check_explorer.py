@@ -1,7 +1,7 @@
 """The schedule-space model checker: traces, exploration, replay, invariants.
 
 The raw-kernel conflict scenario proves the harness *detects* divergence
-(same-instant puts to one store are observably order-dependent); the tiny
+(same-instant writes to one list are observably order-dependent); the tiny
 control-plane scenario proves the fleet *has none* — every explored
 interleaving of migrate+scrub+defrag+heal is observationally equivalent to
 the default schedule, with the full invariant pack clean.  Three pinned
@@ -22,7 +22,7 @@ from repro.check import (
     tiny_scenario_factory,
 )
 from repro.check.scenarios import ScenarioRun
-from repro.sim.kernel import Simulator, StoreGet, Timeout
+from repro.sim.kernel import Simulator, Timeout, WaitEvent
 from repro.sim.schedule import RandomTieBreakPolicy, ScriptedPolicy
 
 
@@ -64,19 +64,21 @@ class TestScheduleTrace:
 
 # ------------------------------------------------- divergence-sensitive model
 def _conflict_scenario(policy):
-    """Same-instant puts from two producers: schedule-order observable."""
+    """Same-instant writes from two producers: schedule-order observable."""
     sim = Simulator(schedule_policy=policy)
-    store = sim.store("shared")
+    written = []
+    both_written = WaitEvent("both-written")
     log = []
 
     def producer(tag):
         yield Timeout(10.0)
-        store.put(tag)
+        written.append(tag)
+        if len(written) == 2:
+            sim.trigger(both_written)
 
     def consumer():
-        for _ in range(2):
-            item = yield StoreGet(store)
-            log.append(item)
+        yield both_written
+        log.extend(written)
 
     sim.spawn(producer("a"), name="pa")
     sim.spawn(producer("b"), name="pb")
@@ -220,13 +222,17 @@ class TestControlPlaneExploration:
 
 
 #: Satellite: no race was found, so the three highest-branching explored
-#: schedules are pinned instead — one DFS sibling of the widest (8-wide,
-#: the t=0 spawn burst) choice point and two deep random-sampled scrambles
-#: that permute nearly every tie-break of the run.
+#: schedules are pinned instead — the first DFS sibling of the root schedule
+#: (whose widest choice point is the 6-wide t=0 spawn burst) and two deep
+#: random-sampled scrambles that permute nearly every tie-break of the run.
+#: Regenerate after a change to the scenario's ready sets (last: PR 22, the
+#: burst lost its two card-worker spawns): ``control_plane_exploration``'s
+#: ``traces[1].seed()``, then the ``choices`` of ``RandomTieBreakPolicy(seed=1)``
+#: and ``(seed=3)`` after ``tiny_control_plane(policy)``.
 PINNED_SCHEDULE_SEEDS = [
-    "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.0.0.0.0.0",
-    "2.4.0.2.0.1.1.1.1.0.0.1.0.1.1.0.1.2.2.0.2.0.1.0.0.0.0.1",
-    "3.4.4.1.2.2.1.0.0.1.1.0.0.1.1.1.1.0.0.2.1.0.0.0.2.0.1.0.1",
+    "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.0.0",
+    "1.4.0.1.0.1.1.1.1.0.0.1.0.1.3.2.0.2.1.1.0.0.1.0.0.0",
+    "1.4.1.1.1.0.0.1.1.0.0.1.1.1.1.0.0.2.1.0.0.0.2.0.1.0.1",
 ]
 
 
@@ -265,8 +271,8 @@ class TestSchedulePermutationProperties:
         )
         assert explorer.replay(trace).digest == run.digest
 
-    @given(first=st.integers(min_value=0, max_value=7))
-    @settings(max_examples=8, deadline=None)
+    @given(first=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=6, deadline=None)
     def test_any_first_choice_is_observationally_equivalent(self, first):
         run = tiny_control_plane(ScriptedPolicy((first,)))
         assert isinstance(run, ScenarioRun)

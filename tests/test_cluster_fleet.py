@@ -252,6 +252,36 @@ class TestFleetStatistics:
             assert tenant in text
 
 
+class TestKernelWorkPerRequest:
+    def test_a_request_costs_its_service_and_at_most_a_start(
+        self, small_bank, small_fleet, small_trace
+    ):
+        """``fleet.run``'s deterministic work counter (ROADMAP aim 1), the
+        twin of the front door's in ``tests/test_net_frontdoor.py``.
+
+        A card is a server, not a process: nothing dispatches but the one
+        arrivals process (its start, then one sleep per distinct arrival
+        instant), one ``_finish`` per served request, and one ``_start`` for
+        each request that found its card idle — a request that queued is
+        started by the ``_finish`` before it, inside that dispatch.
+        """
+        requests, cards = 400, 2
+        fleet = small_fleet(small_bank, cards=cards, queue_depth=64)
+        trace = small_trace(small_bank, length=requests, mean_interarrival_ns=4_000.0)
+        fleet.stats.digest_tap = served = []
+        stats = fleet.run(trace)
+        assert stats.completed == requests
+        arrival_sleeps = len({request.arrival_ns for request in trace} - {0})
+        # A served digest line ends ...|arrival_ns|started_ns|completed_ns.
+        idle_starts = sum(
+            started_ns == int(line.split(b"|")[5]) for _, started_ns, line in served
+        )
+        assert 0 < idle_starts < requests  # both kinds of start occur
+        assert fleet.simulator.events_dispatched == (
+            1 + arrival_sleeps + requests + idle_starts
+        )
+
+
 class TestDeterminism:
     @staticmethod
     def build_and_run(bank, small_fleet, small_trace, policy="affinity"):

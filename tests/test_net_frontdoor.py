@@ -346,8 +346,9 @@ class TestKernelWorkPerRequest:
         On a lossless, jitter-free front door below every limit a request
         costs six kernel events — its arrival, the uplink delivery, the
         per-hop timeout entry (it always fires; a superseded one is a no-op),
-        the worker wake-up, the service time and the downlink delivery — and
-        nothing else dispatches but process starts and gateway probe ticks.
+        the start of service on an idle card, the service time and the
+        downlink delivery — and nothing else dispatches but process starts
+        (a card is not a process) and gateway probe ticks.
         A per-packet or per-attempt process breaks the equality.
         """
         requests, cards, gateways = 500, 2, 2
@@ -367,12 +368,12 @@ class TestKernelWorkPerRequest:
         stats = frontdoor.run()
         assert stats.net_completed == stats.completed == requests
         assert stats.net_retries == 0
-        starts = cards + gateways + 1  # workers, probes, the one population
+        starts = gateways + 1  # probes, the one population
         # The population sleeps once per distinct arrival instant after t=0.
         arrival_sleeps = len({request.arrival_ns for request in trace} - {0})
-        # A request that found its card busy is taken by the worker's next
-        # get, synchronously — no wake-up event.  A served digest line ends
-        # ...|arrival_ns|started_ns|completed_ns.
+        # A request that found its card busy is started by the ``_finish``
+        # before it, synchronously — no start entry.  A served digest line
+        # ends ...|arrival_ns|started_ns|completed_ns.
         queued = sum(
             started_ns > int(line.split(b"|")[5]) for _, started_ns, line in served
         )

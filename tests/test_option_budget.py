@@ -1,13 +1,15 @@
-"""Ratchets: settable options and ``fleet.py``'s size may only shrink.
+"""Ratchets: settable options, ``fleet.py`` and the kernel may only shrink.
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budget below is the count at the last PR that
 touched it; lower it when you delete an option, and do not raise it.
 
-``FLEET_CODE_LINE_BUDGET`` is the same ratchet for ROADMAP item 3 (split
-``Fleet``; target < 600).  ``python tests/test_option_budget.py PATH...``
-prints :func:`code_lines` for files and directories — the counter a PR's
-before/after table should quote.
+``FLEET_CODE_LINE_BUDGET`` is the same ratchet for ``cluster/fleet.py``
+(ROADMAP: split ``Fleet``; target < 600 — PR 22 took the first cut, the card
+itself, to ``cluster/card.py``) and ``KERNEL_CODE_LINE_BUDGET`` for
+``sim/kernel.py``: a primitive no model code yields does not come back.
+``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
+files and directories — the counter a PR's before/after table should quote.
 """
 
 import ast
@@ -24,7 +26,8 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 48
-FLEET_CODE_LINE_BUDGET = 746
+FLEET_CODE_LINE_BUDGET = 680
+KERNEL_CODE_LINE_BUDGET = 178
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -87,6 +90,16 @@ def test_fleet_module_does_not_grow():
         f"cluster/fleet.py has {count} code lines, budget is "
         f"{FLEET_CODE_LINE_BUDGET}: new control-plane behaviour belongs in an "
         "Order (cluster/orders.py) or a strategy object, not in Fleet."
+    )
+
+
+def test_kernel_module_does_not_grow():
+    count = code_lines(inspect.getsourcefile(Simulator))
+    assert count <= KERNEL_CODE_LINE_BUDGET, (
+        f"sim/kernel.py has {count} code lines, budget is "
+        f"{KERNEL_CODE_LINE_BUDGET}: the kernel is Timeout, WaitEvent, process "
+        "join and the FIFO tier — schedule a fact with schedule_call instead "
+        "of adding a primitive."
     )
 
 

@@ -25,11 +25,6 @@ class TestSectionsRunTiny:
             assert entry["compress_MBps"] > 0
             assert entry["decompress_MBps"] > 0
 
-    def test_kernel_section_tiny(self):
-        results = perf_smoke.bench_kernel(workers=4, rounds=10, repeats=2)
-        assert results["events_dispatched"] > 0
-        assert results["events_per_s"] > 0
-
     def test_device_section_tiny(self):
         results = perf_smoke.bench_device(
             netlist_bits=8, pipeline_rounds=2, replay_requests=8
@@ -114,13 +109,6 @@ class TestSectionsRunTiny:
             "schedule_digest",
         ):
             assert first["frontdoor"][key] == second["frontdoor"][key], key
-
-    def test_kernel_horizon_peek_subsection(self):
-        results = perf_smoke._bench_horizon_peek(pending=64, pauses=50)
-        assert results["dispatched_during_pauses"] == 0
-        assert results["events_after_drain"] == 2 * 64  # starts + timeouts
-        assert results["final_time_ns"] == 1_000_000.0 + 63
-        assert results["pauses_per_s"] > 0
 
     def test_scale_section_tiny(self):
         results = perf_smoke.bench_scale(tiny=True)
@@ -256,7 +244,7 @@ class TestCheckMode:
 
     def test_tiny_write_mode_refused(self):
         with pytest.raises(SystemExit):
-            perf_smoke.main(["--tiny", "--sections", "kernel"])
+            perf_smoke.main(["--tiny", "--sections", "device"])
 
     def test_missing_key_is_flagged(self):
         problems = []

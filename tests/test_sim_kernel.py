@@ -59,6 +59,26 @@ class TestTimeouts:
         end = simulator.run(until_ns=100.0)
         assert end == pytest.approx(100.0)
 
+    def test_run_until_pops_nothing_beyond_the_horizon(self):
+        # A pause short of the queue head is a peek: nothing is dispatched
+        # (or popped and pushed back), and the drain afterwards still fires
+        # every sleeper.
+        simulator = Simulator()
+
+        def sleeper(delay_ns):
+            yield Timeout(delay_ns)
+
+        for index in range(2_000):
+            simulator.spawn(sleeper(1_000_000 + index))
+        simulator.run(until_ns=0)  # the 2 000 process starts, all at t=0
+        assert simulator.events_dispatched == 2_000
+        for pause in range(1, 2_001):
+            assert simulator.run(until_ns=pause * 499) == pause * 499
+        assert simulator.events_dispatched == 2_000
+        assert len(simulator.queue) == 2_000
+        assert simulator.run() == 1_001_999
+        assert simulator.events_dispatched == 4_000
+
 
 class TestWaitEvents:
     def test_trigger_wakes_waiter(self):
@@ -84,95 +104,6 @@ class TestWaitEvents:
         gate.succeed()
         with pytest.raises(SimulationError):
             gate.succeed()
-
-
-class TestResources:
-    def test_serialises_access(self):
-        simulator = Simulator()
-        resource = simulator.resource(capacity=1, name="bus")
-        log = []
-
-        def user(name):
-            yield resource.request()
-            log.append((name, simulator.clock.now, "acquire"))
-            yield Timeout(10.0)
-            resource.release()
-
-        simulator.spawn(user("a"))
-        simulator.spawn(user("b"))
-        simulator.run()
-        acquire_times = [entry[1] for entry in log]
-        assert acquire_times == [0.0, 10.0]
-
-    def test_capacity_two_allows_parallelism(self):
-        simulator = Simulator()
-        resource = simulator.resource(capacity=2)
-        acquired = []
-
-        def user():
-            yield resource.request()
-            acquired.append(simulator.clock.now)
-            yield Timeout(5.0)
-            resource.release()
-
-        for _ in range(2):
-            simulator.spawn(user())
-        simulator.run()
-        assert acquired == [0.0, 0.0]
-
-    def test_release_of_idle_resource_raises(self):
-        simulator = Simulator()
-        resource = simulator.resource()
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_wait_time_accounted(self):
-        simulator = Simulator()
-        resource = simulator.resource(capacity=1)
-
-        def user():
-            yield resource.request()
-            yield Timeout(20.0)
-            resource.release()
-
-        simulator.spawn(user())
-        simulator.spawn(user())
-        simulator.run()
-        assert resource.total_wait_ns == pytest.approx(20.0)
-        assert resource.total_acquisitions == 2
-
-
-class TestStores:
-    def test_put_then_get(self):
-        simulator = Simulator()
-        store = simulator.store()
-        received = []
-
-        def producer():
-            yield Timeout(5.0)
-            store.put("item")
-
-        def consumer():
-            item = yield store.get()
-            received.append((item, simulator.clock.now))
-
-        simulator.spawn(consumer())
-        simulator.spawn(producer())
-        simulator.run()
-        assert received == [("item", 5.0)]
-
-    def test_get_from_nonempty_store_is_immediate(self):
-        simulator = Simulator()
-        store = simulator.store()
-        store.put(1)
-        received = []
-
-        def consumer():
-            received.append((yield store.get()))
-
-        simulator.spawn(consumer())
-        simulator.run()
-        assert received == [1]
 
 
 class TestProcessJoin:
@@ -250,42 +181,3 @@ class TestMaxEvents:
 
         simulator.spawn(worker())
         assert simulator.run(max_events=1_000) == pytest.approx(5.0)
-
-
-class TestEagerGet:
-    """Synchronous store grants.
-
-    A get against a non-empty store resumes the getter inside the current
-    step instead of scheduling a same-instant event.
-    """
-
-    def test_synchronous_grants_do_not_count_against_max_events(self):
-        def drain(store, count):
-            for _ in range(count):
-                yield store.get()
-
-        simulator = Simulator()
-        store = simulator.store()
-        for value in range(50):
-            store.put(value)
-        simulator.spawn(drain(store, 50))
-        # One dispatched start event; the 50 grants happen inside that step.
-        simulator.run(max_events=2)
-        assert simulator.events_dispatched == 1
-
-    def test_empty_store_still_blocks_under_eager(self):
-        simulator = Simulator()
-        store = simulator.store()
-        received = []
-
-        def producer():
-            yield Timeout(7.0)
-            store.put("late")
-
-        def consumer():
-            received.append(((yield store.get()), simulator.clock.now))
-
-        simulator.spawn(consumer())
-        simulator.spawn(producer())
-        simulator.run()
-        assert received == [("late", 7.0)]

@@ -3,13 +3,13 @@
 Covers the SchedulePolicy contract (recording, scripting, divergence,
 seeded randomness), byte-identity of the policy path against the default
 merged-head loop, genuine permutation of conflicting same-instant events,
-``max_events`` / ``until_ns`` accounting parity under permuted ready sets,
-and the synchronous store-grant chain bound.
+and ``max_events`` / ``until_ns`` accounting parity under permuted ready
+sets.
 """
 
 import pytest
 
-from repro.sim.kernel import Simulator, SimulationError, StoreGet, Timeout
+from repro.sim.kernel import Simulator, SimulationError, Timeout, WaitEvent
 from repro.sim.schedule import (
     RandomTieBreakPolicy,
     ScheduleDivergenceError,
@@ -19,19 +19,24 @@ from repro.sim.schedule import (
 
 
 def _conflict_scenario(policy, producers=2):
-    """Two same-instant puts to one store: order is policy-observable."""
+    """Same-instant writes to one shared list: order is policy-observable.
+
+    The consumer sleeps on a ``WaitEvent`` the last writer triggers and
+    reads the list as it was written."""
     sim = Simulator(schedule_policy=policy)
-    store = sim.store("shared")
+    written = []
+    all_written = WaitEvent("all-written")
     log = []
 
     def producer(tag):
         yield Timeout(10.0)
-        store.put(tag)
+        written.append(tag)
+        if len(written) == producers:
+            sim.trigger(all_written)
 
     def consumer():
-        for _ in range(producers):
-            item = yield StoreGet(store)
-            log.append(item)
+        yield all_written
+        log.extend(written)
 
     for index in range(producers):
         sim.spawn(producer(chr(ord("a") + index)), name=f"p{index}")
@@ -152,39 +157,6 @@ class TestPolicyDispatchPath:
         sim.spawn(once(), name="once")
         now = sim.run(until_ns=50.0)
         assert now == 50.0
-
-
-class TestEagerChainBound:
-    def test_self_feeding_eager_loop_is_bounded(self, monkeypatch):
-        sim = Simulator()
-        monkeypatch.setattr(Simulator, "eager_chain_limit", 100)
-        store = sim.store("loop")
-        store.put("token")
-
-        def feeder():
-            while True:
-                item = yield StoreGet(store)
-                store.put(item)  # feeds itself: the store never drains
-
-        sim.spawn(feeder(), name="feeder")
-        with pytest.raises(SimulationError, match="self-feeding"):
-            sim.run(max_events=1_000)
-
-    def test_legitimate_eager_drain_stays_unbounded(self):
-        sim = Simulator()
-        store = sim.store("queue")
-        for index in range(500):
-            store.put(index)
-        seen = []
-
-        def drainer():
-            for _ in range(500):
-                item = yield StoreGet(store)
-                seen.append(item)
-
-        sim.spawn(drainer(), name="drainer")
-        sim.run()
-        assert seen == list(range(500))
 
 
 class TestReadySetQueueApi:
