@@ -1,53 +1,24 @@
 """CRC-32 (IEEE 802.3 polynomial).
 
 The configuration port verifies a CRC over every bit-stream before committing
-the configuration, exactly as real devices do.  The table-driven
-:func:`crc32_reference` models the hardware CRC engine explicitly (it is also
-one of the functions offered by the co-processor's function bank), while the
-:func:`crc32` used on the image-integrity hot path delegates to
-:func:`zlib.crc32` — the two are bit-compatible, which the test suite checks.
+the configuration, exactly as real devices do (CRC-32 is also one of the
+functions offered by the co-processor's function bank).  :func:`crc32`
+delegates to :func:`zlib.crc32`; the byte-at-a-time table model of the
+hardware engine is a test oracle (``tests/oracles/crc_table.py``) and the
+test suite holds the two bit-compatible.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List
-
-#: Reflected polynomial for IEEE CRC-32.
-_POLYNOMIAL = 0xEDB88320
-
-
-def _build_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        value = byte
-        for _ in range(8):
-            if value & 1:
-                value = (value >> 1) ^ _POLYNOMIAL
-            else:
-                value >>= 1
-        table.append(value)
-    return table
-
-
-_TABLE = _build_table()
-
-
-def crc32_reference(data: bytes, initial: int = 0) -> int:
-    """Table-driven CRC-32, byte at a time: the hardware-engine model."""
-    crc = (initial ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    for byte in data:
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return (crc ^ 0xFFFFFFFF) & 0xFFFFFFFF
 
 
 def crc32(data: bytes, initial: int = 0) -> int:
-    """CRC-32 of *data*; bit-compatible with :func:`crc32_reference`.
+    """CRC-32 of *data* (IEEE 802.3); delegates to :func:`zlib.crc32`.
 
     ``initial`` accepts the running value returned by a previous call so large
     images can be checksummed incrementally (the configuration module does
-    this window by window).  Delegates to :func:`zlib.crc32` for speed; the
-    explicit table model above stays authoritative for the hardware function.
+    this window by window).
     """
     return zlib.crc32(data, initial & 0xFFFFFFFF)
 

@@ -88,10 +88,6 @@ class BitstreamHeader:
     def is_partial(self) -> bool:
         return bool(self.flags & self.FLAG_PARTIAL)
 
-    @property
-    def total_frame_bytes(self) -> int:
-        return self.frame_count * self.frame_payload_bytes
-
     def pack(self) -> bytes:
         name_bytes = self.function_name.encode("ascii", errors="replace")[:16].ljust(16, b"\x00")
         return _HEADER_STRUCT.pack(

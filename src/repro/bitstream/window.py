@@ -46,11 +46,6 @@ class CompressedImage:
     windows: List[bytes] = field(default_factory=list)
 
     @property
-    def compressed_length(self) -> int:
-        """Total compressed payload bytes (excluding per-window headers)."""
-        return sum(len(window) for window in self.windows)
-
-    @property
     def stored_length(self) -> int:
         """Bytes the image occupies in the ROM, headers included."""
         return _IMAGE_HEADER.size + sum(

@@ -1,7 +1,9 @@
 """Hit fast path: record/replay of a card's resident-hit serve.
 
-A hit spends ~70% of its wall time inside ``PciBus.submit`` and the module
-pipeline under it (``benchmarks/perf_smoke.py --profile``) — all of it a
+A hit spends most of its wall time inside ``PciBus.submit`` and the module
+pipeline under it (~70% under cProfile when this path was written; the
+``pci`` / ``mcu`` / ``core`` rows of ``benchmarks/e2e/run.py --workload
+fleet_hit_default --trace 1`` are today's profiler) — all of it a
 *pure function of (function, payload) and the card's resident state*.  Once
 a function is resident and healthy, serving the same payload again takes the
 same time and does the same things at the same offsets from its start.

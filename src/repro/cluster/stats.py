@@ -651,35 +651,6 @@ class FleetStatistics:
             "p99_sojourn_us": p99 / 1e3,
         }
 
-    def net_summary(self) -> Dict[str, float]:
-        """Client-visible front-door picture (all zeros when the net layer
-        is unused).
-
-        Counter values are read back through :meth:`MetricsRegistry.snapshot`
-        rather than the attribute descriptors — the counters *are* the
-        registry instruments, so the values are identical, but routing the
-        report through the snapshot means drill output and the registry can
-        never drift apart.
-        """
-        snap = self.registry.snapshot()
-        return {
-            "net_requests": float(snap[_names.METRIC_NET_REQUESTS]),
-            "net_completed": float(snap[_names.METRIC_NET_COMPLETED]),
-            "net_failed": float(snap[_names.METRIC_NET_FAILED]),
-            "net_attempts": float(snap[_names.METRIC_NET_ATTEMPTS]),
-            "net_retries": float(snap[_names.METRIC_NET_RETRIES]),
-            "net_timeouts": float(snap[_names.METRIC_NET_TIMEOUTS]),
-            "shed_total": float(snap[_names.METRIC_NET_SHED]),
-            "expired": float(snap[_names.METRIC_EXPIRED]),
-            "breaker_opens": float(snap[_names.METRIC_BREAKER_OPENS]),
-            "breaker_fast_fails": float(snap[_names.METRIC_BREAKER_FAST_FAILS]),
-            "duplicates_suppressed": float(snap[_names.METRIC_DUPLICATES_SUPPRESSED]),
-            "duplicates_served": float(snap[_names.METRIC_DUPLICATES_SERVED]),
-            "client_availability": self.client_availability,
-            "mean_net_latency_us": self.mean_net_latency_ns / 1e3,
-            "p95_net_latency_us": self.net_latency_percentile(95) / 1e3,
-        }
-
     def describe(self) -> str:
         p50, p95, p99 = self._fleet_sojourn.percentiles((50, 95, 99))
         lines = [

@@ -315,10 +315,6 @@ class AgileCoprocessor:
         self.minios.register_service("scrubber", self.scrubber)
         return self.scrubber
 
-    @property
-    def fault_protected(self) -> bool:
-        return self.scrubber is not None
-
     def scrub(self, max_frames: Optional[int] = None):
         """One readback-scrub pass (``None`` when protection is disabled)."""
         return self.mcu.scrub(max_frames=max_frames)

@@ -9,7 +9,3 @@ class CoprocessorError(Exception):
 
 class UnknownFunctionError(CoprocessorError, KeyError):
     """The host requested a function that is not in the downloaded bank."""
-
-
-class CardNotReadyError(CoprocessorError):
-    """A command was issued before the function bank was downloaded."""

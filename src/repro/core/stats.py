@@ -241,10 +241,6 @@ class CoprocessorStatistics:
         return self.hits / self.requests if self.requests else 0.0
 
     @property
-    def miss_rate(self) -> float:
-        return self.misses / self.requests if self.requests else 0.0
-
-    @property
     def mean_latency_ns(self) -> float:
         return self.total_latency_ns / self.requests if self.requests else 0.0
 

@@ -16,10 +16,10 @@ Two executor kinds implement the same small protocol (``run(input_bytes) ->
   gate-level mapping is out of scope but whose *timing footprint* — cycles as
   a function of input size — is what the co-processor experiments need.
 
-:class:`ReferenceNetlistExecutor` keeps the original cell-by-cell dictionary
-evaluator; the equivalence test suite runs randomized netlists through both
-and asserts identical ``(output_bytes, cycles)``, and the perf harness uses it
-as the speedup baseline.
+The original cell-by-cell dictionary evaluator lives on as a test oracle
+(``tests/oracles/reference_executor.py``); the equivalence test suite runs
+randomized netlists through both and asserts identical ``(output_bytes,
+cycles)``.
 """
 
 from __future__ import annotations
@@ -54,73 +54,6 @@ def bits_to_bytes(bits: Sequence[bool]) -> bytes:
     return value.to_bytes((len(bits) + 7) // 8, "little")
 
 
-class ReferenceNetlistExecutor:
-    """Cycle-by-cycle evaluation of a mapped netlist, one dict lookup per net.
-
-    This is the original (unoptimised) evaluator.  It stays as the oracle the
-    compiled :class:`NetlistExecutor` is equivalence-tested against and as the
-    baseline the device perf harness measures speedups from.
-    """
-
-    def __init__(self, netlist: Netlist, cycles: int = 1) -> None:
-        if cycles < 1:
-            raise ValueError("a netlist executes for at least one cycle")
-        netlist.validate()
-        self.netlist = netlist
-        self.cycles = cycles
-        self._order = netlist.topological_lut_order()
-        self._state: Dict[str, bool] = {
-            cell.output_net: False for cell in netlist.flip_flop_cells if cell.output_net
-        }
-
-    @property
-    def input_bits(self) -> int:
-        return len(self.netlist.inputs)
-
-    @property
-    def output_bits(self) -> int:
-        return len(self.netlist.outputs)
-
-    def reset(self) -> None:
-        """Clear all flip-flop state."""
-        for key in self._state:
-            self._state[key] = False
-
-    def _evaluate_once(self, input_values: Dict[str, bool]) -> Dict[str, bool]:
-        values: Dict[str, bool] = dict(self._state)
-        values.update(input_values)
-        for cell in self._order:
-            assert cell.lut is not None and cell.output_net is not None
-            inputs = [values.get(source, False) for source in cell.fanin]
-            values[cell.output_net] = cell.lut.evaluate(inputs)
-        return values
-
-    def step(self, input_values: Dict[str, bool]) -> Dict[str, bool]:
-        """Advance one clock cycle; returns the net values after the cycle."""
-        values = self._evaluate_once(input_values)
-        for cell in self.netlist.flip_flop_cells:
-            assert cell.output_net is not None
-            data_net = cell.fanin[0]
-            self._state[cell.output_net] = values.get(data_net, False)
-        return values
-
-    def run(self, input_bytes: bytes) -> Tuple[bytes, int]:
-        expected_bytes = (self.input_bits + 7) // 8
-        if len(input_bytes) != expected_bytes:
-            raise ExecutionError(
-                f"netlist {self.netlist.name!r} expects {expected_bytes} input bytes, "
-                f"got {len(input_bytes)}"
-            )
-        self.reset()
-        input_bits = bytes_to_bits(input_bytes, self.input_bits)
-        input_values = dict(zip(self.netlist.inputs, input_bits))
-        values: Dict[str, bool] = {}
-        for _ in range(self.cycles):
-            values = self.step(input_values)
-        output_bits = [values.get(net, False) for net in self.netlist.outputs]
-        return bits_to_bytes(output_bits), self.cycles
-
-
 def _compile_eval(ops: Sequence[Tuple[int, Tuple[int, ...], int]]) -> Callable[[List[int]], None]:
     """Generate one flat function evaluating every LUT op over a values list.
 
@@ -149,8 +82,8 @@ class NetlistExecutor:
     evaluates the combinational LUT network in topological order, clocks the
     flip-flops once per cycle for ``cycles`` cycles, and samples the primary
     outputs.  Purely combinational netlists use a single evaluation.  Output
-    bytes and cycle counts are bit-identical to
-    :class:`ReferenceNetlistExecutor`.
+    bytes and cycle counts are bit-identical to the dict-walking oracle
+    (``tests/oracles/reference_executor.py``).
     """
 
     def __init__(self, netlist: Netlist, cycles: int = 1) -> None:

@@ -96,10 +96,6 @@ class FabricGeometry:
     def luts_per_frame(self) -> int:
         return self.clbs_per_frame * self.luts_per_clb
 
-    @property
-    def total_luts(self) -> int:
-        return self.total_clbs * self.luts_per_clb
-
     # The three byte sizes below are read on every frame write, so each is
     # computed once per instance: cached_property writes the instance dict
     # directly, which a frozen dataclass allows, and stays out of eq/hash/repr.

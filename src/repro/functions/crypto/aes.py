@@ -9,7 +9,7 @@ as a constant, so the model is self-contained and auditable.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.fpga.executor import CycleModel
 from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
@@ -78,7 +78,7 @@ for _index, _value in enumerate(_SBOX):
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 # Byte-level multiplication tables for the MixColumns matrices, derived from
-# the same finite-field routines the reference path uses.  The fast block
+# the same finite-field routines the step-by-step test oracle uses.  The block
 # functions below index these instead of re-running the bitwise GF multiply
 # per state byte per round.
 _MUL2 = [_xtime(value) for value in range(256)]
@@ -125,95 +125,12 @@ class Aes128:
             round_keys.append(round_key)
         return round_keys
 
-    # ------------------------------------------------------------ primitives
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> List[int]:
-        return [_SBOX[b] for b in state]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> List[int]:
-        return [_INV_SBOX[b] for b in state]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        # State is column-major (FIPS-197): byte index = row + 4*col.
-        out = list(state)
-        for row in range(1, 4):
-            values = [state[row + 4 * col] for col in range(4)]
-            values = values[row:] + values[:row]
-            for col in range(4):
-                out[row + 4 * col] = values[col]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> List[int]:
-        out = list(state)
-        for row in range(1, 4):
-            values = [state[row + 4 * col] for col in range(4)]
-            values = values[-row:] + values[:-row]
-            for col in range(4):
-                out[row + 4 * col] = values[col]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for col in range(4):
-            column = state[4 * col : 4 * col + 4]
-            out[4 * col + 0] = (
-                _gf_multiply(column[0], 2) ^ _gf_multiply(column[1], 3) ^ column[2] ^ column[3]
-            )
-            out[4 * col + 1] = (
-                column[0] ^ _gf_multiply(column[1], 2) ^ _gf_multiply(column[2], 3) ^ column[3]
-            )
-            out[4 * col + 2] = (
-                column[0] ^ column[1] ^ _gf_multiply(column[2], 2) ^ _gf_multiply(column[3], 3)
-            )
-            out[4 * col + 3] = (
-                _gf_multiply(column[0], 3) ^ column[1] ^ column[2] ^ _gf_multiply(column[3], 2)
-            )
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for col in range(4):
-            column = state[4 * col : 4 * col + 4]
-            out[4 * col + 0] = (
-                _gf_multiply(column[0], 14)
-                ^ _gf_multiply(column[1], 11)
-                ^ _gf_multiply(column[2], 13)
-                ^ _gf_multiply(column[3], 9)
-            )
-            out[4 * col + 1] = (
-                _gf_multiply(column[0], 9)
-                ^ _gf_multiply(column[1], 14)
-                ^ _gf_multiply(column[2], 11)
-                ^ _gf_multiply(column[3], 13)
-            )
-            out[4 * col + 2] = (
-                _gf_multiply(column[0], 13)
-                ^ _gf_multiply(column[1], 9)
-                ^ _gf_multiply(column[2], 14)
-                ^ _gf_multiply(column[3], 11)
-            )
-            out[4 * col + 3] = (
-                _gf_multiply(column[0], 11)
-                ^ _gf_multiply(column[1], 13)
-                ^ _gf_multiply(column[2], 9)
-                ^ _gf_multiply(column[3], 14)
-            )
-        return out
-
-    @staticmethod
-    def _add_round_key(state: List[int], round_key: Sequence[int]) -> List[int]:
-        return [a ^ b for a, b in zip(state, round_key)]
-
     # ----------------------------------------------------------- block level
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one block via the table-driven datapath.
 
-        Bit-identical to :meth:`_encrypt_block_reference` (golden-tested);
+        Bit-identical to the seed's step-by-step SubBytes / ShiftRows /
+        MixColumns chain (``tests/oracles/crypto_reference.py``, golden-tested);
         SubBytes+ShiftRows collapse into one gather through ``_SHIFT_MAP`` and
         MixColumns reads the precomputed ``_MUL2``/``_MUL3`` tables.
         """
@@ -270,36 +187,6 @@ class Aes128:
                 state.append(mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3])
         key = round_keys[0]
         return bytes(inv_sbox[state[inv_shift[i]]] ^ key[i] for i in range(16))
-
-    # The original step-by-step block functions stay as the reference the
-    # fast datapath is golden-tested against.
-    def _encrypt_block_reference(self, block: bytes) -> bytes:
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError("AES blocks are 16 bytes")
-        state = self._add_round_key(list(block), self._round_keys[0])
-        for round_index in range(1, self.ROUNDS):
-            state = self._sub_bytes(state)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            state = self._add_round_key(state, self._round_keys[round_index])
-        state = self._sub_bytes(state)
-        state = self._shift_rows(state)
-        state = self._add_round_key(state, self._round_keys[self.ROUNDS])
-        return bytes(state)
-
-    def _decrypt_block_reference(self, block: bytes) -> bytes:
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError("AES blocks are 16 bytes")
-        state = self._add_round_key(list(block), self._round_keys[self.ROUNDS])
-        for round_index in range(self.ROUNDS - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            state = self._inv_sub_bytes(state)
-            state = self._add_round_key(state, self._round_keys[round_index])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        state = self._inv_sub_bytes(state)
-        state = self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
 
     # ------------------------------------------------------------- messages
     def encrypt_ecb(self, data: bytes) -> bytes:

@@ -63,11 +63,6 @@ _H0 = [_fractional_bits(prime, 0.5) for prime in _PRIMES_64[:8]]
 _K = [_fractional_bits(prime, 1.0 / 3.0) for prime in _PRIMES_64]
 
 
-def _rotate_right(value: int, amount: int) -> int:
-    value &= 0xFFFFFFFF
-    return ((value >> amount) | (value << (32 - amount))) & 0xFFFFFFFF
-
-
 class Sha256:
     """SHA-256 message digest."""
 
@@ -86,7 +81,8 @@ class Sha256:
     def _compress(cls, state: List[int], block: bytes) -> List[int]:
         """One compression round with the rotations inlined.
 
-        Bit-identical to :meth:`_compress_reference` (golden-tested); the
+        Bit-identical to the seed's helper-based compression
+        (``tests/oracles/crypto_reference.py``, golden-tested); the
         helper-function calls per rotation are replaced with shift/or
         expressions and the round constants are bound to a local.
         """
@@ -122,42 +118,6 @@ class Sha256:
             b = a
             a = (temp1 + temp2) & mask
         return [(value + update) & mask for value, update in zip(state, [a, b, c, d, e, f, g, h])]
-
-    @classmethod
-    def _compress_reference(cls, state: List[int], block: bytes) -> List[int]:
-        """The original helper-based compression, kept as the golden oracle."""
-        schedule = list(struct.unpack(">16I", block))
-        for index in range(16, 64):
-            s0 = (
-                _rotate_right(schedule[index - 15], 7)
-                ^ _rotate_right(schedule[index - 15], 18)
-                ^ (schedule[index - 15] >> 3)
-            )
-            s1 = (
-                _rotate_right(schedule[index - 2], 17)
-                ^ _rotate_right(schedule[index - 2], 19)
-                ^ (schedule[index - 2] >> 10)
-            )
-            schedule.append((schedule[index - 16] + s0 + schedule[index - 7] + s1) & 0xFFFFFFFF)
-        a, b, c, d, e, f, g, h = state
-        for index in range(64):
-            s1 = _rotate_right(e, 6) ^ _rotate_right(e, 11) ^ _rotate_right(e, 25)
-            ch = (e & f) ^ (~e & g)
-            temp1 = (h + s1 + ch + _K[index] + schedule[index]) & 0xFFFFFFFF
-            s0 = _rotate_right(a, 2) ^ _rotate_right(a, 13) ^ _rotate_right(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            temp2 = (s0 + maj) & 0xFFFFFFFF
-            h, g, f, e, d, c, b, a = (
-                g,
-                f,
-                e,
-                (d + temp1) & 0xFFFFFFFF,
-                c,
-                b,
-                a,
-                (temp1 + temp2) & 0xFFFFFFFF,
-            )
-        return [(value + update) & 0xFFFFFFFF for value, update in zip(state, [a, b, c, d, e, f, g, h])]
 
     @classmethod
     def digest(cls, message: bytes) -> bytes:

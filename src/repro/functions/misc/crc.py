@@ -1,14 +1,13 @@
 """CRC-32 hardware function.
 
-Reuses the table-driven CRC-32 engine (:func:`repro.bitstream.crc.crc32_reference`)
-so the hardware function offered to the host models the same per-byte engine the
-bit-stream checker is tested against; the checker's fast path delegates to zlib,
-which the test suite proves bit-compatible.
+Computes the same :func:`repro.bitstream.crc.crc32` the bit-stream checker
+uses; the test suite holds it bit-compatible with the byte-at-a-time table
+model of the hardware engine (``tests/oracles/crc_table.py``).
 """
 
 from __future__ import annotations
 
-from repro.bitstream.crc import crc32_reference
+from repro.bitstream.crc import crc32
 from repro.fpga.executor import CycleModel
 from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
 
@@ -30,4 +29,4 @@ class Crc32Function(HardwareFunction):
         super().__init__(spec)
 
     def behaviour(self, data: bytes) -> bytes:
-        return crc32_reference(data).to_bytes(4, "big")
+        return crc32(data).to_bytes(4, "big")

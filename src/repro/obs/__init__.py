@@ -18,7 +18,8 @@ one ``is None`` check, no RNG is consumed, no kernel event is spawned, and
 every schedule digest and BENCH fingerprint is byte-identical to the
 pre-observability repo.  With it enabled, tracing still spawns no kernel
 work and consumes no randomness, so even *traced* runs keep their schedule
-digests — the property the perf-smoke ``obs`` section asserts.
+digests — the property the ``obs`` section of ``benchmarks/fingerprints.py``
+asserts.
 
 Usage::
 

@@ -395,7 +395,3 @@ class Tracer:
 
     def by_trace(self, trace_id: int) -> List[Span]:
         return [span for span in self.spans if span.trace_id == trace_id]
-
-    def trace_ids(self) -> List[int]:
-        """Distinct trace ids in first-seen order."""
-        return list(dict.fromkeys(entry.trace_id for entry in self.spans.entries))

@@ -85,7 +85,7 @@ def trace_fingerprint(spans: Iterable[Span], limit: Optional[int] = None) -> str
     Hashes every span (or the first *limit* in canonical order) plus the
     total count, so reorderings, attribute drift and silent truncation all
     change the fingerprint.  The cross-process byte-identity tests and the
-    perf-smoke ``obs`` section compare these.
+    ``obs`` section of ``benchmarks/fingerprints.py`` compare these.
     """
     import hashlib
 

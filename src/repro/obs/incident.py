@@ -285,11 +285,6 @@ class FlightRecorder:
             incident.metric_deltas = deltas
             incident._snapshot_at_open = {}
 
-    # --------------------------------------------------------------- queries
-    @property
-    def open_incidents(self) -> List[Incident]:
-        return [incident for incident in self.incidents if incident.open]
-
 
 def _flatten_snapshot(snapshot: Dict[str, object]) -> Dict[str, float]:
     """Reduce a registry snapshot to flat numeric ``name[.label]`` keys."""

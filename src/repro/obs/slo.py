@@ -8,8 +8,8 @@ the silent-corruption budget — and a :class:`SloEngine` evaluates it
 passively as those records flow past.  No kernel events, no RNG, no calls
 into the schedule-digest path: the engine is pure arithmetic over a
 :class:`~repro.analysis.sketch.WindowedTimeSeries` on the simulated clock,
-so enabling SLOs can never perturb a workload (the perf-smoke ``obs``
-section asserts exactly that).
+so enabling SLOs can never perturb a workload (the ``obs`` section of
+``benchmarks/fingerprints.py`` asserts exactly that).
 
 Burn-rate semantics follow SRE practice: with error budget
 ``1 - objective``, the *burn rate* over a trailing window is

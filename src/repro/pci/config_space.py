@@ -69,10 +69,6 @@ class PciConfigSpace:
     def memory_enabled(self) -> bool:
         return bool(self.command & self.COMMAND_MEMORY_ENABLE)
 
-    @property
-    def bus_master_enabled(self) -> bool:
-        return bool(self.command & self.COMMAND_BUS_MASTER)
-
     def assign_bar(self, index: int, base_address: int) -> None:
         """What the host's enumeration code does: program a BAR base address."""
         if index not in self.bars:

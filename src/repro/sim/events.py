@@ -19,7 +19,7 @@ identical to a single-heap implementation.
 
 (A calendar queue for the future tier was measured and rejected: bucket
  index arithmetic in Python loses to C ``heapq`` for the heap sizes the
- fleet produces — see docs/performance.md.)
+ fleet produces — see the Kernel design note in docs/performance.md.)
 """
 
 from __future__ import annotations

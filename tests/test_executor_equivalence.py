@@ -1,7 +1,8 @@
 """Equivalence of the compiled netlist executor against the seed evaluator.
 
 The compiled :class:`NetlistExecutor` must produce identical
-``(output_bytes, cycles)`` to :class:`ReferenceNetlistExecutor` on any placed
+``(output_bytes, cycles)`` to the seed's dict-walking evaluator
+(``tests/oracles/reference_executor.py``) on any placed
 netlist — combinational or clocked — for any input.  These property tests
 drive both through randomized netlists, the generator-built netlists, and the
 bank's real functions — including functions whose frames have been
@@ -13,10 +14,11 @@ import random
 
 import pytest
 
+from oracles.reference_executor import ReferenceNetlistExecutor
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.core.host import build_host_system
-from repro.fpga.executor import NetlistExecutor, ReferenceNetlistExecutor
+from repro.fpga.executor import NetlistExecutor
 from repro.fpga.geometry import TEST_GEOMETRY
 from repro.fpga.lut import LookUpTable
 from repro.fpga.netlist import Netlist

@@ -2,10 +2,11 @@
 
 ``SeededRandom.fork`` is process-stable (FNV-1a, not salted ``hash()``), so a
 fault environment — upset times, targets, kills, scrub schedules — must
-reproduce byte-identically in a fresh interpreter.  These tests actually
-spawn fresh interpreters and compare: one for the E10 cell machinery, one for
-the perf-smoke ``faults`` section, both at tiny sizes.  A same-process rerun
-would not catch salted-hash regressions; only a second process does.
+reproduce byte-identically in a fresh interpreter.  This test actually spawns
+two fresh interpreters on the E10 cell machinery at a tiny size and compares
+(``tests/test_fingerprints.py`` does the same for the ``faults`` fingerprint
+section, against the committed values).  A same-process rerun would not catch
+salted-hash regressions; only a second process does.
 """
 
 import pathlib
@@ -29,26 +30,6 @@ print(json.dumps(fleet.fault_summary(), sort_keys=True))
 print(repr((stats.failovers, stats.hazard_completions, stats.heals_completed)))
 """
 
-_SMOKE_SNIPPET = """
-import sys
-sys.path.insert(0, "src")
-sys.path.insert(0, "benchmarks")
-import perf_smoke
-
-results = perf_smoke.bench_faults(
-    upsets_per_round=4, scrub_rounds=2, fleet_cards=2, fleet_trace_length=16
-)
-sweep = results["scrub_sweep"]
-fleet = results["fault_fleet"]
-# Everything except the wall-clock rate fields must be process-invariant.
-print(repr((sweep["frames_checked"], sweep["detected"], sweep["corrected"],
-            sweep["uncorrectable"], sweep["final_time_ns"])))
-print(repr((fleet["events_dispatched"], fleet["final_time_ns"], fleet["completed"],
-            fleet["rejected"], fleet["failovers"], fleet["card_failures"],
-            fleet["hazard_completions"], fleet["scrub_detected"],
-            fleet["scrub_corrected"], fleet["schedule_digest"])))
-"""
-
 
 def run_snippet(snippet: str) -> str:
     result = subprocess.run(
@@ -66,11 +47,5 @@ class TestCrossProcessDeterminism:
     def test_e10_cell_is_byte_identical_across_processes(self):
         first = run_snippet(_E10_SNIPPET)
         second = run_snippet(_E10_SNIPPET)
-        assert first == second
-        assert first.strip()
-
-    def test_faults_smoke_fingerprints_are_byte_identical_across_processes(self):
-        first = run_snippet(_SMOKE_SNIPPET)
-        second = run_snippet(_SMOKE_SNIPPET)
         assert first == second
         assert first.strip()

@@ -2,9 +2,10 @@
 
 The front door adds three new sources of per-run randomness (link loss and
 jitter draws, backoff jitter) and two new digest record kinds (net verdicts,
-sheds), all rooted in ``SeededRandom`` forks — so an E12 cell and the
-perf-smoke ``net`` section must reproduce byte-identically in a fresh
-interpreter.  Same pattern as ``test_rebalance_determinism``: only a second
+sheds), all rooted in ``SeededRandom`` forks — so an E12 cell must reproduce
+byte-identically in a fresh interpreter (``tests/test_fingerprints.py`` holds
+the ``net`` fingerprint section to the same standard, against the committed
+values).  Same pattern as ``test_rebalance_determinism``: only a second
 process catches salted-hash or dict-order regressions.
 
 The E12 snippet runs one reference overload cell and one kill-drill cell
@@ -40,23 +41,6 @@ print(repr((stats.card_failures, stats.heals_completed, stats.failovers,
             stats.duplicates_served, stats.duplicates_suppressed)))
 """
 
-_SMOKE_SNIPPET = """
-import sys
-sys.path.insert(0, "src")
-sys.path.insert(0, "benchmarks")
-import perf_smoke
-
-results = perf_smoke.bench_net(trace_length=120)
-frontdoor = results["frontdoor"]
-# Everything except the wall-clock rate fields must be process-invariant.
-print(repr((frontdoor["events_dispatched"], frontdoor["final_time_ns"],
-            frontdoor["net_requests"], frontdoor["net_completed"],
-            frontdoor["net_failed"], frontdoor["net_retries"],
-            frontdoor["shed"], frontdoor["expired"],
-            frontdoor["duplicates_served"], frontdoor["packets_lost"],
-            frontdoor["schedule_digest"])))
-"""
-
 
 def run_snippet(snippet: str) -> str:
     result = subprocess.run(
@@ -74,11 +58,5 @@ class TestCrossProcessDeterminism:
     def test_e12_cells_are_byte_identical_across_processes(self):
         first = run_snippet(_E12_SNIPPET)
         second = run_snippet(_E12_SNIPPET)
-        assert first == second
-        assert first.strip()
-
-    def test_net_smoke_fingerprints_are_byte_identical_across_processes(self):
-        first = run_snippet(_SMOKE_SNIPPET)
-        second = run_snippet(_SMOKE_SNIPPET)
         assert first == second
         assert first.strip()

@@ -3,9 +3,10 @@
 Migration schedules fold into the fleet's completion-stream digest (order,
 capture, restore, release records all hash in), so an E11 cell — warm-up,
 skewed residency, migrations, defrag passes — must reproduce byte-identically
-in a fresh interpreter, and so must the perf-smoke ``rebalance`` section's
-fingerprints.  Same pattern as ``test_faults_determinism``: only a second
-process catches salted-hash or dict-order regressions.
+in a fresh interpreter (``tests/test_fingerprints.py`` holds the ``rebalance``
+fingerprint section to the same standard, against the committed values).
+Same pattern as ``test_faults_determinism``: only a second process catches
+salted-hash or dict-order regressions.
 """
 
 import pathlib
@@ -31,26 +32,6 @@ print(repr((stats.migration_orders, stats.migrations_completed,
 print(json.dumps(defrag_drill(), sort_keys=True))
 """
 
-_SMOKE_SNIPPET = """
-import sys
-sys.path.insert(0, "src")
-sys.path.insert(0, "benchmarks")
-import perf_smoke
-
-results = perf_smoke.bench_rebalance(
-    fleet_cards=2, fleet_trace_length=24, defrag_cycles=2
-)
-sweep = results["defrag_sweep"]
-fleet = results["rebalance_fleet"]
-# Everything except the wall-clock rate fields must be process-invariant.
-print(repr((sweep["moves"], sweep["frames_moved"], sweep["frag_before_first"],
-            sweep["frag_after_last"], sweep["final_time_ns"])))
-print(repr((fleet["events_dispatched"], fleet["final_time_ns"], fleet["completed"],
-            fleet["rejected"], fleet["migration_orders"],
-            fleet["migrations_completed"], fleet["migrations_failed"],
-            fleet["migration_byte_diffs"], fleet["schedule_digest"])))
-"""
-
 
 def run_snippet(snippet: str) -> str:
     result = subprocess.run(
@@ -68,11 +49,5 @@ class TestCrossProcessDeterminism:
     def test_e11_cell_is_byte_identical_across_processes(self):
         first = run_snippet(_E11_SNIPPET)
         second = run_snippet(_E11_SNIPPET)
-        assert first == second
-        assert first.strip()
-
-    def test_rebalance_smoke_fingerprints_are_byte_identical_across_processes(self):
-        first = run_snippet(_SMOKE_SNIPPET)
-        second = run_snippet(_SMOKE_SNIPPET)
         assert first == second
         assert first.strip()
