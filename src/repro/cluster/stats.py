@@ -203,7 +203,11 @@ class FleetStatistics:
         # The client-visible counters (net_requests issues exactly once into
         # net_completed or net_failed-by-reason; expired requests failed
         # fast, never served late; gateway dedup suppressed/served) are
-        # registry instruments created above.
+        # registry instruments created above.  A counter with no digest line
+        # (requests, attempts, retries, timeouts, fast fails, duplicates) is
+        # written by the net hop that observes the fact, on the instrument
+        # itself; this class reads it and records only what also owes a
+        # digest line or a latency.
         self.total_net_latency_ns = 0
         #: Set by :func:`repro.cluster.sharded.merge_digest_lines`: lines
         #: whose cross-shard order its merge key could not decide (the merged
@@ -381,18 +385,6 @@ class FleetStatistics:
         if self.slo_engine is not None:
             self.slo_engine.on_fleet_bad(now_ns)
 
-    def record_net_request(self, priority: int) -> None:
-        self.net_requests += 1
-        self.per_priority_requests[priority] += 1
-
-    def record_net_attempt(self, retry: bool) -> None:
-        self.net_attempts += 1
-        if retry:
-            self.net_retries += 1
-
-    def record_net_timeout(self) -> None:
-        self.net_timeouts += 1
-
     def record_net_completion(
         self,
         request_id: int,
@@ -403,7 +395,7 @@ class FleetStatistics:
         completed_ns: int,
         attempts: int,
     ) -> None:
-        self.net_completed += 1
+        self._c_net_completed.value += 1
         self.per_priority_completed[priority] += 1
         latency_ns = completed_ns - first_send_ns
         self.total_net_latency_ns += latency_ns
@@ -420,19 +412,19 @@ class FleetStatistics:
     def record_net_failure(
         self, request_id: int, tenant: str, priority: int, reason: str, now_ns: int
     ) -> None:
-        self.net_failed += 1
+        self._c_net_failed.value += 1
         self.net_failure_reasons[reason] += 1
         self._note(f"net-fail|{request_id}|{tenant}|{reason}|{now_ns!r}".encode())
         if self.slo_engine is not None:
             self.slo_engine.on_net_bad(now_ns)
 
     def record_shed(self, tenant: str, priority: int, now_ns: int) -> None:
-        self.shed_total += 1
+        self._c_shed_total.value += 1
         self.per_priority_shed[priority] += 1
         self._note(f"shed|{tenant}|{priority}|{now_ns!r}".encode())
 
     def record_breaker_open(self, gateway_name: str, now_ns: int) -> None:
-        self.breaker_opens += 1
+        self._c_breaker_opens.value += 1
         self._note(f"breaker|{gateway_name}|{now_ns!r}".encode())
 
     def record_completion(

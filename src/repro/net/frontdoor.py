@@ -67,7 +67,7 @@ class FrontDoor:
             down = Link(
                 fleet.simulator,
                 downlink,
-                self._on_response,
+                None,  # the transport's on_response, once it exists (below)
                 rng.fork(f"net.link.down{index}"),
                 name=f"down{index}",
             )
@@ -96,6 +96,8 @@ class FrontDoor:
             transport if transport is not None else TransportConfig(),
             rng.fork("net.backoff"),
         )
+        for down in self.downlinks:
+            down.deliver = self.transport.on_response
         # Observability: the fleet carries the Observability object; the
         # front door threads its tracer through every net-layer hop and
         # contributes the net-side callback gauges.
@@ -153,22 +155,15 @@ class FrontDoor:
         self._next_id = request_id + 1
         now = self.fleet.clock._now
         return GatewayRequest(
-            tenant=base.tenant,
-            function=base.function,
-            payload=base.payload,
-            arrival_ns=now,
-            deadline_ns=None if self.deadline_ns is None else now + self.deadline_ns,
-            request_id=request_id,
-            priority=(
-                priority
-                if priority is not None
-                else self.priorities.get(base.tenant, 0)
-            ),
-            gateway_index=request_id % len(self.gateways),
+            base.tenant,
+            base.function,
+            base.payload,
+            now,
+            None if self.deadline_ns is None else now + self.deadline_ns,
+            request_id,
+            priority if priority is not None else self.priorities.get(base.tenant, 0),
+            request_id % len(self.gateways),
         )
-
-    def _on_response(self, packet) -> None:
-        self.transport.on_response(packet)
 
     def _on_fleet_outcome(self, request, outcome: str, now_ns: int) -> None:
         if isinstance(request, GatewayRequest):
@@ -190,6 +185,11 @@ class FrontDoor:
         if not self._populations:
             raise ValueError("add at least one client population before run()")
         fleet = self.fleet
+        # Earlier runs' populations are finished; the idle veto polls this
+        # list, so it holds the current run's processes only.
+        self._population_processes = [
+            process for process in self._population_processes if not process.finished
+        ]
         fleet._spawn_services()
         for population in self._populations:
             for name, generator in population.processes(self):

@@ -15,7 +15,7 @@ retransmit deserves a fresh try), ``shed`` for admission refusals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.net.link import Link, Packet
@@ -109,6 +109,11 @@ class Gateway:
         #: optimistic; the probe refreshes it every period.
         self.cards_up = True
         self.admitted = 0
+        # The dedup instruments ``stats.duplicates_*`` reads: the gateway
+        # observes a retransmit, so it writes them.
+        registry = fleet.stats.registry
+        self._duplicates_suppressed = registry.get(_obs_names.METRIC_DUPLICATES_SUPPRESSED)
+        self._duplicates_served = registry.get(_obs_names.METRIC_DUPLICATES_SERVED)
         #: Observability tracer installed by the front door (None = untraced).
         self.tracer = None
         #: request_id -> propagated trace context for in-flight admissions,
@@ -126,17 +131,17 @@ class Gateway:
             if entry is _IN_FLIGHT:
                 # Retransmit of a request the fleet is still serving: drop
                 # it; the verdict will go out when the fleet finishes.
-                self.stats.duplicates_suppressed += 1
+                self._duplicates_suppressed.value += 1
                 self._obs_admission(trace, "duplicate_inflight")
             else:
                 # Already served: replay the cached verdict, execute nothing.
-                self.stats.duplicates_served += 1
+                self._duplicates_served.value += 1
                 self._obs_admission(trace, "duplicate_served")
                 self.downlink.send(entry)
             return
         now = self.clock._now
         if self.bucket is not None and not self.bucket.admit(request.priority, now):
-            self.stats.record_shed(request.tenant, request.priority, self.clock.now)
+            self.stats.record_shed(request.tenant, request.priority, now)
             self._obs_admission(trace, "shed")
             self.downlink.send(Packet("shed", request_id, RESPONSE_BYTES, trace=trace))
             return
@@ -150,7 +155,11 @@ class Gateway:
             return
         self._entries[request_id] = _IN_FLIGHT
         self.admitted += 1
-        admitted = replace(request, arrival_ns=now, gateway_index=self.index)
+        # Re-stamped onto the fleet timeline: arrival is now, here.
+        admitted = GatewayRequest(
+            request.tenant, request.function, request.payload, now,
+            request.deadline_ns, request_id, request.priority, self.index,
+        )
         if trace is not None:
             self._obs_admission(trace, "admitted")
             self._trace_ctx[request_id] = trace

@@ -105,8 +105,12 @@ class Link:
         self.simulator = simulator
         self.spec = spec
         self.deliver = deliver
-        self.rng = rng
         self.name = name
+        # Bound once, so a packet costs one clock read, one call per draw
+        # and one call to schedule its arrival.
+        self._clock = simulator.clock
+        self._schedule_call = simulator.queue.schedule_call
+        self._random = rng.random
         self._latency_ns = round(spec.latency_ns)
         #: When the wire finishes serialising the last accepted packet.
         self._wire_free_ns = 0
@@ -131,28 +135,33 @@ class Link:
         """
         self.offered += 1
         spec = self.spec
-        now = self.simulator.clock._now
+        now = self._clock._now
         waiting = self._waiting
-        while waiting and waiting[0] <= now:
-            waiting.popleft()
-        if len(waiting) >= spec.queue_packets:
-            self.dropped += 1
-            return False
+        if waiting:
+            while waiting and waiting[0] <= now:
+                waiting.popleft()
+            if len(waiting) >= spec.queue_packets:
+                self.dropped += 1
+                return False
         if self.tracer is not None and packet.trace is not None:
             packet.sent_ns = now
-        start = max(now, self._wire_free_ns)
+        start = self._wire_free_ns
         if start > now:
             waiting.append(start)
+        else:
+            start = now
         done = self._wire_free_ns = start + round(packet.size_bytes * 8.0 / spec.gbps)
         # Draw order is fixed (loss then jitter, only when enabled) so a
         # spec change toggles exactly one draw per packet; per link, send
         # order is serialise order, so drawing here draws in wire order.
-        if spec.loss and self.rng.uniform() < spec.loss:
+        # ``random()`` is ``uniform()`` and ``j * random()`` is
+        # ``uniform(0.0, j)``, bit for bit.
+        if spec.loss and self._random() < spec.loss:
             self.lost += 1  # it still occupied the wire
             return True
         if spec.jitter_ns:
-            done += round(self.rng.uniform(0.0, spec.jitter_ns))
-        self.simulator.queue.schedule_call(done + self._latency_ns, self._arrive, packet)
+            done += round(spec.jitter_ns * self._random())
+        self._schedule_call(done + self._latency_ns, self._arrive, packet)
         return True
 
     def _arrive(self, packet: Packet, _) -> None:
@@ -166,7 +175,7 @@ class Link:
                 trace_id,
                 parent_id,
                 packet.sent_ns,
-                self.simulator.clock._now,
+                self._clock._now,
                 link=self.name,
                 kind=packet.kind,
             )

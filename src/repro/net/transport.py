@@ -183,6 +183,7 @@ class Transport:
             raise ValueError("a transport needs at least one gateway uplink")
         self.simulator = simulator
         self.clock = simulator.clock
+        self._schedule_call = simulator.queue.schedule_call
         self.stats = stats
         self.uplinks = uplinks
         self.config = config
@@ -192,6 +193,15 @@ class Transport:
             CircuitBreaker(config.breaker_threshold, round(config.breaker_open_ns))
             for _ in uplinks
         ]
+        # The instruments ``stats.net_*`` reads: the transport observes these
+        # facts, so it writes them where they happen.
+        instrument = stats.registry.get
+        self._requests = instrument(_obs_names.METRIC_NET_REQUESTS)
+        self._requests_by_priority = instrument(_obs_names.METRIC_NET_REQUESTS_BY_PRIORITY)
+        self._attempts = instrument(_obs_names.METRIC_NET_ATTEMPTS)
+        self._retries = instrument(_obs_names.METRIC_NET_RETRIES)
+        self._timeouts = instrument(_obs_names.METRIC_NET_TIMEOUTS)
+        self._fast_fails = instrument(_obs_names.METRIC_BREAKER_FAST_FAILS)
         self._pending: Dict[int, _Pending] = {}
         #: Observability tracer installed by the front door (None = untraced).
         self.tracer = None
@@ -208,7 +218,8 @@ class Transport:
         """Take ownership of one logical request until it completes or dies."""
         if request.request_id in self._pending:
             raise ValueError(f"duplicate request_id {request.request_id}")
-        self.stats.record_net_request(request.priority)
+        self._requests.value += 1
+        self._requests_by_priority[request.priority] += 1
         pending = _Pending(request, done_event)
         pending.first_send_ns = self.clock._now
         tracer = self.tracer
@@ -226,48 +237,53 @@ class Transport:
         if deadline is not None and now > deadline:
             self._fail(pending, "deadline")
             return
-        if pending.gateway is None:
-            # First send: scan from the home hint for a breaker-admissible
-            # gateway.  This is the only point of gateway failover — see the
-            # module docstring for why retries are sticky.
-            count = len(self.uplinks)
-            for step in range(count):
-                index = (request.gateway_index + step) % count
-                if self.breakers[index].allow(now):
-                    pending.gateway = index
-                    break
-            if pending.gateway is None:
-                self.stats.breaker_fast_fails += 1
-                self._fail(pending, "breaker-open")
-                return
-        elif not self.breakers[pending.gateway].allow(now):
-            self.stats.breaker_fast_fails += 1
+        breakers = self.breakers
+        gateway = pending.gateway
+        if gateway is None:
+            # First send: the home gateway when its breaker is closed, else
+            # scan on from the home hint for a breaker-admissible one.  This
+            # is the only point of gateway failover — see the module
+            # docstring for why retries are sticky.
+            count = len(breakers)
+            gateway = home = request.gateway_index % count
+            if breakers[home].state != "closed":
+                for step in range(count):
+                    gateway = (home + step) % count
+                    if breakers[gateway].allow(now):
+                        break
+                else:
+                    self._fast_fails.value += 1
+                    self._fail(pending, "breaker-open")
+                    return
+            pending.gateway = gateway
+        elif not breakers[gateway].allow(now):
+            self._fast_fails.value += 1
             self._fail(pending, "breaker-open")
             return
         attempt = pending.attempt
-        self.stats.record_net_attempt(retry=attempt > 0)
+        self._attempts.value += 1
+        if attempt:
+            self._retries.value += 1
         if pending.trace is not None:
             pending.attempt_sent_ns = now
-        self.uplinks[pending.gateway].send(
+        self.uplinks[gateway].send(
             Packet(
                 "req",
                 request.request_id,
-                REQUEST_HEADER_BYTES + request.payload_bytes,
+                REQUEST_HEADER_BYTES + len(request.payload),
                 request,
                 trace=pending.trace,
             )
         )
-        wait_ns = self._hop_timeout_ns
-        if deadline is not None:
-            wait_ns = min(wait_ns, deadline - now)
-        self.simulator.queue.schedule_call(
-            now + wait_ns, self._on_timeout, pending, attempt
-        )
+        expiry_ns = now + self._hop_timeout_ns
+        if deadline is not None and deadline < expiry_ns:
+            expiry_ns = deadline
+        self._schedule_call(expiry_ns, self._on_timeout, pending, attempt)
 
     def _on_timeout(self, pending: _Pending, attempt: int) -> None:
         if pending.done or pending.attempt != attempt:
             return  # a response or a newer attempt superseded this timeout
-        self.stats.record_net_timeout()
+        self._timeouts.value += 1
         self._obs_attempt_end(pending, "timeout")
         self._count_gateway_failure(pending)
         self._retry_or_fail(pending, "timeout")
@@ -293,7 +309,7 @@ class Transport:
     def _complete(self, pending: _Pending) -> None:
         pending.done = True
         request = pending.request
-        now = self.clock.now
+        now = self.clock._now
         self.stats.record_net_completion(
             request.request_id,
             request.tenant,
@@ -303,7 +319,9 @@ class Transport:
             now,
             pending.attempt + 1,
         )
-        self.breakers[pending.gateway].record_success()
+        breaker = self.breakers[pending.gateway]
+        if breaker.failures or breaker.state != "closed":
+            breaker.record_success()
         del self._pending[request.request_id]
         if pending.trace is not None:
             self._obs_attempt_end(pending, "resp")
@@ -373,9 +391,7 @@ class Transport:
             self._fail(pending, "deadline")
             return
         pending.backoff_from_ns = now
-        self.simulator.queue.schedule_call(
-            now + backoff_ns, self._resend, pending, pending.attempt
-        )
+        self._schedule_call(now + backoff_ns, self._resend, pending, pending.attempt)
 
     def _resend(self, pending: _Pending, attempt: int) -> None:
         if pending.done or pending.attempt != attempt:

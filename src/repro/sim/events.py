@@ -57,7 +57,8 @@ class EventQueue:
         priority: int = 0,
     ) -> None:
         """Schedule ``fn(arg1, arg2)`` at *time_ns*."""
-        time_ns = as_ns(time_ns)
+        if time_ns.__class__ is not int:  # as_ns, inlined for the common case
+            time_ns = as_ns(time_ns)
         if time_ns < 0:
             raise ValueError("cannot schedule an event at negative time")
         heapq.heappush(

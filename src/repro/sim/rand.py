@@ -48,6 +48,13 @@ class SeededRandom:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return self._rng.uniform(low, high)
 
+    @property
+    def random(self):
+        """The generator's own ``random``, for a caller that draws per packet
+        and binds it once: ``uniform()`` is exactly ``random()`` and
+        ``uniform(0.0, j)`` exactly ``j * random()``, to the bit."""
+        return self._rng.random
+
     def exponential(self, mean: float) -> float:
         """Exponentially distributed value with the given mean."""
         if mean <= 0:

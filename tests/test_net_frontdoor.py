@@ -17,14 +17,20 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import collections
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.net import (
     AdmissionConfig,
     CircuitBreaker,
     ClosedLoopPopulation,
+    FrontDoor,
     LinkSpec,
     OpenLoopPopulation,
     TokenBucket,
@@ -35,6 +41,10 @@ from repro.net.transport import RESPONSE_BYTES
 from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
 from repro.workloads.multitenant import FleetRequest, default_tenant_mix, multi_tenant_trace
+
+
+#: Where ``src/repro/`` is, for counting the frames entered under it.
+REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 
 def make_frontdoor(
@@ -389,6 +399,144 @@ class TestKernelWorkPerRequest:
         assert fleet.simulator.events_dispatched == (
             starts + arrival_sleeps + 5 * requests - queued + probe_ticks
         )
+
+
+    @staticmethod
+    def _frames(bank, requests):
+        """``{code object: Python frames entered}`` under ``src/repro/`` for
+        one clean front-door run of *requests* requests."""
+        fleet = build_fleet(
+            cards=2,
+            config=SMALL_CONFIG.with_overrides(seed=5),
+            bank=bank,
+            policy="affinity",
+            queue_depth=8,
+            stats_mode="sketch",
+        )
+        frontdoor = FrontDoor(
+            fleet,
+            SeededRandom(5).fork("net"),
+            gateways=2,
+            uplink=LinkSpec(latency_ns=20_000),
+            deadline_ns=30_000_000,
+            probe_period_ns=10**12,
+        )
+        _, trace = make_trace(bank, length=requests, mean_interarrival_ns=100_000.0)
+        frontdoor.add_population(OpenLoopPopulation(trace))
+        frames = collections.Counter()
+
+        def count_calls(frame, event, _):
+            if event == "call" and frame.f_code.co_filename.startswith(REPRO_ROOT):
+                frames[frame.f_code] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count_calls)
+        try:
+            stats = frontdoor.run()
+        finally:
+            sys.setprofile(previous)
+        assert stats.net_completed == stats.completed == requests
+        assert stats.net_retries == stats.net_timeouts == 0
+        return frames
+
+    def test_a_clean_request_enters_49_frames(self, small_bank):
+        """The admit path's host-side work counter (ROADMAP item 3).
+
+        Python frames entered under ``src/repro/`` per request, by package,
+        on a lossless, jitter-free, unadmitted front door in sketch mode —
+        ``(frames(4 000) - frames(2 000)) / 2 000``, an exact integer because
+        every request takes the same path.  Hop by hop:
+
+        * **launch** — the kernel steps the population (``sim`` 1), which
+          resumes ``open_arrivals`` (``cluster`` 1); ``launch``,
+          ``make_request``, ``Transport.submit``, ``_Pending()``, ``_send``,
+          ``Packet()`` and the uplink's ``Link.send`` (``net`` 7) call
+          ``schedule_call`` twice, for the arrival and the timeout
+          (``sim`` 2).
+        * **uplink arrival** — ``Link._arrive``, ``Gateway.on_request``
+          (``net`` 2); ``Fleet.submit``, ``_dispatch``, ``request_expired``,
+          ``_route``, ``policy.choose``, ``_put`` (``cluster`` 6).
+        * **start of service** — ``_start``, ``request_expired``,
+          ``card.serve``, ``ServeMemo.replay``, ``_safe`` (``cluster`` 5);
+          the replacement policy's three ``__contains__``, two ``touch`` and
+          one ``entry`` (``mcu`` 6); ``record_hit_replay`` (``core`` 1) and
+          its latency sketch's ``add`` (``analysis`` 1).
+        * **end of service** — ``_finish``, ``record_completion``
+          (``cluster`` 2); ``bucket_index`` once, ``add_with_index`` for the
+          tenant and the fleet (``analysis`` 3); ``_on_fleet_outcome``,
+          ``Gateway.finish``, ``Packet()``, the downlink's ``Link.send``
+          (``net`` 4) and its ``schedule_call`` (``sim`` 1).
+        * **downlink arrival** — ``Link._arrive``, ``Transport.on_response``,
+          ``_complete`` (``net`` 3); ``record_net_completion`` and ``_note``
+          (``cluster`` 2); the net latency sketch's ``add`` (``analysis`` 1).
+        * **the timeout entry**, superseded — ``_on_timeout`` (``net`` 1).
+
+        65 before each hop did its job in one call: a counter bumped through
+        ``FleetStatistics`` cost ``cluster`` a ``record_net_*`` frame and a
+        descriptor ``__get__`` + ``__set__`` (8), every ``schedule_call`` an
+        ``as_ns`` and the completion a ``clock.now`` (``sim`` 4), a closed or
+        clean breaker an ``allow`` and a ``record_success`` and the downlink
+        a forwarding ``_on_response`` (``net`` 3), the packet size a
+        ``payload_bytes`` property (``workloads`` 1).  A frozen dataclass's
+        ``__init__`` is generated code outside ``src/repro/`` and is not
+        counted; comprehension frames would differ across Python versions,
+        so none may be on the path.
+        """
+        small = self._frames(small_bank, 2_000)
+        large = self._frames(small_bank, 4_000)
+        per_request = collections.Counter()
+        for code in large:
+            extra = large[code] - small[code]
+            if extra:
+                assert code.co_name not in ("<listcomp>", "<genexpr>"), code
+                package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
+                per_request[package] += extra / 2_000
+        assert dict(per_request) == {
+            "net": 17,
+            "cluster": 16,
+            "mcu": 6,
+            "analysis": 5,
+            "sim": 4,
+            "core": 1,
+        }
+        assert sum(per_request.values()) <= 50
+
+
+class TestReusedFrontDoor:
+    #: ``fingerprint()`` after each of three runs of one front door, as the
+    #: tree before the pruning fix produces them: forgetting finished
+    #: populations changes no schedule.
+    FINGERPRINTS = [
+        (48, 48, 0, 11, 0, 0, 7150926,
+         "e4723902c9cae2f2d566cc0f04fcd77f58e0003395e7f4179e3e25382c101a0d"),
+        (96, 96, 0, 18, 0, 0, 16067045,
+         "87ccf41c68cf21c9b47d09fb876979a1cc7518c9353666e1c35dfd8356337f34"),
+        (144, 144, 0, 20, 0, 0, 20746522,
+         "47cfd8459c89a878e7712900f2cb02419be9bc0387d93108c6c336158f94ef93"),
+    ]
+
+    def test_run_forgets_finished_populations(self, small_bank):
+        """``_net_idle`` is polled by every probe and service tick; it walks
+        the current run's processes, not every process the door ever ran."""
+        _, trace = make_trace(small_bank, length=48)
+        frontdoor = make_frontdoor(small_bank, loss=0.05)
+        fingerprints = []
+        for run in range(3):
+            frontdoor.add_population(
+                ClosedLoopPopulation(
+                    trace,
+                    clients=8,
+                    requests_per_client=6,
+                    think_ns=50_000,
+                    rng=SeededRandom(9).fork(f"think-{run}"),
+                )
+            )
+            frontdoor.run()
+            assert len(frontdoor._population_processes) == 8
+            assert frontdoor._net_idle()
+            fingerprints.append(frontdoor.fingerprint())
+        assert fingerprints[-1][0] == 3 * 8 * 6
+        assert fingerprints == self.FINGERPRINTS
 
 
 class TestDeterminism:

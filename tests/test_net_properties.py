@@ -28,6 +28,7 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.functions.bank import build_small_bank
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
+from repro.obs import names
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
 _BANK = build_small_bank()
@@ -90,3 +91,39 @@ def test_requests_are_conserved_and_execute_at_most_once(
     # Quiescence: nothing in flight, no orphaned dedup entries pointing at
     # work the fleet still owes a verdict for.
     assert frontdoor.transport.in_flight == 0
+
+
+def test_net_counters_are_the_registry_instruments_the_hops_write():
+    """``stats.net_*`` reads the instruments the transport bumps in place.
+
+    Lossy and overloaded (5 % loss, admission at half the offered rate), so
+    retries, timeouts and sheds all happen: the descriptors and the registry
+    snapshot are one set of numbers, every attempt is one uplink packet, and
+    at quiescence every request has exactly one fate.
+    """
+    tenants = default_tenant_mix(_BANK, tenants=2)
+    trace = multi_tenant_trace(
+        _BANK, tenants, length=400, mean_interarrival_ns=20_000.0, seed=7
+    )
+    fleet = build_fleet(cards=2, config=SMALL_CONFIG.with_overrides(seed=7), bank=_BANK)
+    frontdoor = build_frontdoor(
+        fleet,
+        seed=7,
+        gateways=2,
+        uplink=LinkSpec(latency_ns=20_000, loss=0.05, jitter_ns=4_000),
+        admission=AdmissionConfig(rate_per_s=25_000.0, burst=4.0),
+        deadline_ns=30_000_000,
+    )
+    frontdoor.add_population(OpenLoopPopulation(trace))
+    stats = frontdoor.run()
+    assert frontdoor.transport.in_flight == 0
+
+    snapshot = stats.registry.snapshot()
+    assert stats.net_requests == snapshot[names.METRIC_NET_REQUESTS] == len(trace)
+    assert stats.net_attempts == snapshot[names.METRIC_NET_ATTEMPTS]
+    assert stats.net_retries == snapshot[names.METRIC_NET_RETRIES] > 0
+    assert stats.net_timeouts == snapshot[names.METRIC_NET_TIMEOUTS] > 0
+    assert stats.shed_total == snapshot[names.METRIC_NET_SHED] > 0
+    assert sum(stats.per_priority_requests.values()) == stats.net_requests
+    assert stats.net_attempts == sum(up.offered for up in frontdoor.uplinks)
+    assert stats.net_requests == stats.net_completed + stats.net_failed

@@ -1,4 +1,4 @@
-"""Ratchets: settable options, ``fleet.py`` and the kernel may only shrink.
+"""Ratchets: options, ``fleet.py``, the kernel, ``stats.py`` and ``net/`` may only shrink.
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budget below is the count at the last PR that
@@ -8,6 +8,11 @@ touched it; lower it when you delete an option, and do not raise it.
 (ROADMAP: split ``Fleet``; target < 600 — PR 22 took the first cut, the card
 itself, to ``cluster/card.py``) and ``KERNEL_CODE_LINE_BUDGET`` for
 ``sim/kernel.py``: a primitive no model code yields does not come back.
+``STATS_CODE_LINE_BUDGET`` (``cluster/stats.py``) and ``NET_CODE_LINE_BUDGET``
+(all of ``src/repro/net/``) are what PR 24 shipped — the three ``record_net_*``
+methods whose counters the net hops now write themselves are gone from the
+first, the bound instruments and the common-case checks are in the second;
+ROADMAP item 7 Step B (``FleetSpec``) is expected to lower both.
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote.
 """
@@ -20,14 +25,18 @@ import pathlib
 import sys
 import tokenize
 
+import repro.net
 from repro.cluster.fleet import Fleet
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
+from repro.cluster.stats import FleetStatistics
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 48
 FLEET_CODE_LINE_BUDGET = 680
 KERNEL_CODE_LINE_BUDGET = 178
+STATS_CODE_LINE_BUDGET = 480
+NET_CODE_LINE_BUDGET = 829
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -103,8 +112,31 @@ def test_kernel_module_does_not_grow():
     )
 
 
+def tree_code_lines(path) -> int:
+    """:func:`code_lines` of one file, or of every ``*.py`` under a directory."""
+    root = pathlib.Path(path)
+    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    return sum(code_lines(file) for file in files)
+
+
+def test_stats_module_does_not_grow():
+    count = code_lines(inspect.getsourcefile(FleetStatistics))
+    assert count <= STATS_CODE_LINE_BUDGET, (
+        f"cluster/stats.py has {count} code lines, budget is "
+        f"{STATS_CODE_LINE_BUDGET}: a counter with no digest line is written by "
+        "the layer that observes the fact, on the registry instrument — not "
+        "through a new record_* method here."
+    )
+
+
+def test_net_package_does_not_grow():
+    count = tree_code_lines(pathlib.Path(repro.net.__file__).parent)
+    assert count <= NET_CODE_LINE_BUDGET, (
+        f"src/repro/net/ has {count} code lines, budget is {NET_CODE_LINE_BUDGET}: "
+        "say what the new code deletes, in the same PR."
+    )
+
+
 if __name__ == "__main__":
     for argument in sys.argv[1:]:
-        root = pathlib.Path(argument)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        print(f"{sum(code_lines(file) for file in files):7d}  {argument}")
+        print(f"{tree_code_lines(argument):7d}  {argument}")

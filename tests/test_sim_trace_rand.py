@@ -80,6 +80,18 @@ class TestSeededRandom:
         b = SeededRandom(42)
         assert [a.integer(0, 100) for _ in range(10)] == [b.integer(0, 100) for _ in range(10)]
 
+    @pytest.mark.parametrize("jitter", [4_000, 4_000.0, 1])
+    def test_random_is_the_uniform_draw_to_the_bit(self, jitter):
+        # The link draws ``random() < loss`` and ``jitter * random()`` where it
+        # used to call ``uniform()`` and ``uniform(0.0, jitter)``; the oracle
+        # (tests/oracles/pump_link.py) still does.  ``==``, not approx.
+        for seed in range(10):
+            a, b = SeededRandom(seed), SeededRandom(seed)
+            random = b.random
+            for _ in range(1_000):
+                assert a.uniform() == random()
+                assert a.uniform(0.0, jitter) == jitter * random()
+
     def test_fork_is_deterministic_and_independent(self):
         a = SeededRandom(1).fork("x")
         b = SeededRandom(1).fork("x")
