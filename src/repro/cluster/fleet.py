@@ -53,8 +53,9 @@ Everything else the fleet does to its cards — scrub windows, heal preloads,
 defragmentation passes, the three phases of a migration — is an
 :class:`~repro.cluster.orders.Order` on the same bounded card queues as the
 requests, so reliability and rebalancing spend real card time (the trade-off
-E10 and E11 sweep).  This module only moves orders: ``_start`` hands each to
-``_run_order`` (stepped by ``_step_order``), the periodic services are ``_every(period, tick)`` with
+E10 and E11 sweep).  This module only moves orders: ``_start`` runs each
+``_run_order`` generator's first step and ``Simulator.resume`` the rest, the
+periodic services are ``_every(period, tick)`` with
 ``_order_once`` keeping one order of a kind per card, and what an order does
 lives with its class in ``orders.py``.  ``docs/architecture.md`` ("Control
 plane") draws an order's life and has the recipe for adding one.
@@ -200,7 +201,8 @@ class Fleet:
             # Per-card latency recording follows the fleet into O(1) memory.
             for card in self.cards:
                 card.driver.coprocessor.stats.use_sketch()
-        self._arrivals_process = None
+        #: True while a run's arrivals generator has requests left to deliver.
+        self._arrivals_running = False
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
         self.heal_on_failure = False
         self.heal_limit = 4
@@ -213,7 +215,8 @@ class Fleet:
         #: Named kernel services (scrub timers, fault processes): factories
         #: producing fresh generators; re-spawned by run() when finished.
         self._services: List[Tuple[str, Callable]] = []
-        self._service_processes: Dict[str, object] = {}
+        #: Names of the services whose generator has not ended yet.
+        self._services_running: set = set()
         # Network front door (PR 7; both None until a FrontDoor installs them).
         #: Called as ``callback(request, outcome, now_ns)`` with outcome one of
         #: ``"completed"`` / ``"rejected"`` / ``"expired"`` — how a gateway
@@ -378,7 +381,16 @@ class Fleet:
                 if item.__class__ is tuple:  # failed over: (request, cards tried)
                     request, tried = item
                 elif isinstance(item, Order):
-                    if self._step_order(card, self._run_order(card, item)):
+                    # The order's first step runs here; the kernel steps the
+                    # rest and serves the queue behind it when it ends.
+                    running = self._run_order(card, item)
+                    for timeout in running:
+                        self.simulator.queue.schedule_call(
+                            clock._now + timeout.delay_ns,
+                            self.simulator.resume,
+                            running,
+                            partial(self._start, card, None),
+                        )
                         return
                     continue
             ctx = self._trace_ctx.get(id(request)) if self._tracer is not None else None
@@ -504,21 +516,6 @@ class Fleet:
         else:
             card.busy = False
 
-    def _step_order(self, card: FleetCard, running) -> bool:
-        """The order trampoline: run *running* (a ``_run_order`` generator)
-        to its next ``Timeout`` and queue one entry to come back after it.
-        False once the order has finished."""
-        for timeout in running:
-            self.simulator.queue.schedule_call(
-                self.clock._now + timeout.delay_ns, self._resume_order, card, running
-            )
-            return True
-        return False
-
-    def _resume_order(self, card: FleetCard, running) -> None:
-        if not self._step_order(card, running):
-            self._start(card, None)
-
     def _run_order(self, card: FleetCard, order: Order):
         """Run one control-plane order: work, slot release, span, settle."""
         obs = self._obs_order_begin()
@@ -588,7 +585,7 @@ class Fleet:
             self._terminate(request, "rejected")
             return
         card.outstanding += 1
-        # record_dispatch, inlined (once per admitted request).
+        # Count the admission: fleet-wide, per tenant and per card.
         stats.dispatched += 1
         stats.per_tenant_dispatched[request.tenant] += 1
         stats.per_card_dispatched[card.name] += 1
@@ -599,7 +596,8 @@ class Fleet:
         self._put(card, request if not tried else (request, tried))
 
     def _dispatch(self, request: FleetRequest) -> None:
-        # record_arrival, inlined (once per arriving request).
+        # Count the arrival, fleet-wide and per tenant; the first one opens
+        # the availability window.
         stats = self.stats
         stats.arrivals += 1
         stats.per_tenant_arrivals[request.tenant] += 1
@@ -687,6 +685,9 @@ class Fleet:
             trace, self.clock, self._dispatch, batch=self.admission_batch
         )
 
+    def _arrivals_ended(self) -> None:
+        self._arrivals_running = False
+
     # ------------------------------------------------------- fault tolerance
     @property
     def is_idle(self) -> bool:
@@ -696,7 +697,7 @@ class Fleet:
         processes) checks so the kernel's event queue can drain once the
         trace is served.
         """
-        if self._arrivals_process is not None and not self._arrivals_process.finished:
+        if self._arrivals_running:
             return False
         if self.idle_hook is not None and not self.idle_hook():
             return False
@@ -714,12 +715,11 @@ class Fleet:
             self.add_service(f"{card.name}-{name}", partial(self._every, period_ns, tick))
 
     def _spawn_services(self) -> None:
+        running = self._services_running
         for name, factory in self._services:
-            process = self._service_processes.get(name)
-            if process is None or process.finished:
-                self._service_processes[name] = self.simulator.spawn(
-                    factory(), name=name
-                )
+            if name not in running:
+                running.add(name)
+                self.simulator.spawn(factory(), then=partial(running.discard, name))
 
     def enable_fault_tolerance(
         self,
@@ -958,15 +958,14 @@ class Fleet:
         before a new trace is offered; interleaving a half-delivered trace
         with a freshly re-stamped one would tangle the two timelines.
         """
-        if self._arrivals_process is not None and not self._arrivals_process.finished:
+        if self._arrivals_running:
             raise RuntimeError(
                 "the previous trace still has undelivered arrivals "
                 "(truncated by until_ns); drain it before offering a new trace"
             )
         self._spawn_services()
-        self._arrivals_process = self.simulator.spawn(
-            self._arrivals(trace), name="fleet-arrivals"
-        )
+        self._arrivals_running = True
+        self.simulator.spawn(self._arrivals(trace), then=self._arrivals_ended)
         self.simulator.run(until_ns=until_ns)
         # End-of-run observability settlement: flush the tail sampler's
         # rootless traces and close open incidents — but only at quiescence.

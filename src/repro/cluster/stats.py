@@ -278,12 +278,6 @@ class FleetStatistics:
             mine.merge(sketch)
 
     # ------------------------------------------------------------- recording
-    def record_arrival(self, tenant: str, arrival_ns: int) -> None:
-        self.arrivals += 1
-        self.per_tenant_arrivals[tenant] += 1
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = arrival_ns
-
     def record_rejection(self, tenant: str, function: str, now_ns: int) -> None:
         self.rejected += 1
         self.per_tenant_rejected[tenant] += 1
@@ -293,11 +287,6 @@ class FleetStatistics:
             self.digest_tap.append((now_ns, now_ns, line))
         if self.slo_engine is not None:
             self.slo_engine.on_fleet_bad(now_ns)
-
-    def record_dispatch(self, tenant: str, card_name: str) -> None:
-        self.dispatched += 1
-        self.per_tenant_dispatched[tenant] += 1
-        self.per_card_dispatched[card_name] += 1
 
     def record_card_failure(self, card_name: str, now_ns: int) -> None:
         self.card_failures += 1

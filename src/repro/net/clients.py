@@ -15,15 +15,16 @@ Two standard shapes:
 Both draw their requests from a :class:`~repro.workloads.multitenant.
 FleetTrace` (the deterministic tenant-mix machinery) and stamp them into
 :class:`~repro.net.transport.GatewayRequest` via the front door, which owns
-the request-id counter, priority map and deadline budget.
+the request-id counter, priority map and deadline budget.  ``start`` queues a
+population's clients on the kernel and returns how many it started; each
+calls ``frontdoor._client_ended`` once it has nothing left to send.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING
 
 from repro.cluster.arrivals import open_arrivals
-from repro.sim.kernel import Timeout, WaitEvent
 from repro.sim.rand import SeededRandom
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,23 +35,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class OpenLoopPopulation:
     """Launch the trace's requests at their arrival instants, fire-and-forget."""
 
-    def __init__(self, trace: "FleetTrace", name: str = "open-clients") -> None:
+    def __init__(self, trace: "FleetTrace") -> None:
         self.trace = trace
-        self.name = name
 
-    def processes(self, frontdoor: "FrontDoor") -> List[Tuple[str, object]]:
+    def start(self, frontdoor: "FrontDoor") -> int:
         transport = frontdoor.transport
         make_request = frontdoor.make_request
 
         def launch(request):
             transport.submit(make_request(request))
 
-        return [
-            (
-                self.name,
-                open_arrivals(self.trace, frontdoor.fleet.clock, launch),
-            )
-        ]
+        fleet = frontdoor.fleet
+        fleet.simulator.spawn(
+            open_arrivals(self.trace, fleet.clock, launch), then=frontdoor._client_ended
+        )
+        return 1
 
 
 class ClosedLoopPopulation:
@@ -70,7 +69,6 @@ class ClosedLoopPopulation:
         requests_per_client: int,
         think_ns: float,
         rng: SeededRandom,
-        name: str = "closed-clients",
     ) -> None:
         if clients < 1:
             raise ValueError("a closed-loop population needs at least one client")
@@ -85,25 +83,44 @@ class ClosedLoopPopulation:
         self.requests_per_client = requests_per_client
         self.think_ns = think_ns
         self.rng = rng
-        self.name = name
 
-    def processes(self, frontdoor: "FrontDoor") -> List[Tuple[str, object]]:
-        return [
-            (f"{self.name}-{index}", self._client(frontdoor, index))
-            for index in range(self.clients)
-        ]
+    def start(self, frontdoor: "FrontDoor") -> int:
+        queue = frontdoor.fleet.simulator.queue
+        for index in range(self.clients):
+            queue.schedule_call(frontdoor.fleet.clock._now, _Client(self, frontdoor, index).send)
+        return self.clients
 
-    def _client(self, frontdoor: "FrontDoor", index: int):
-        rng = self.rng.fork(f"client-{index}")
-        transport = frontdoor.transport
-        trace = self.trace
-        trace_len = len(trace)
-        think_ns = self.think_ns
-        for sequence in range(self.requests_per_client):
-            base = trace[(index + sequence * self.clients) % trace_len]
-            request = frontdoor.make_request(base)
-            done = WaitEvent(name=f"net-done-{request.request_id}")
-            transport.submit(request, done)
-            yield done
-            if think_ns:
-                yield Timeout(round(rng.exponential(think_ns)))
+
+class _Client:
+    """One closed-loop client as three kernel entries: :meth:`send` sends a
+    request, its verdict queues :meth:`wake` at the same instant, which
+    thinks and queues the next :meth:`send`."""
+
+    def __init__(self, population: ClosedLoopPopulation, frontdoor: "FrontDoor", index: int):
+        self.population = population
+        self.frontdoor = frontdoor
+        self.index = index
+        self.sent = 0
+        self.rng = population.rng.fork(f"client-{index}")
+        self.simulator = frontdoor.fleet.simulator
+
+    def send(self, _=None, __=None) -> None:
+        population = self.population
+        if self.sent == population.requests_per_client:
+            self.frontdoor._client_ended()
+            return
+        trace = population.trace
+        base = trace[(self.index + self.sent * population.clients) % len(trace)]
+        self.sent += 1
+        self.frontdoor.transport.submit(self.frontdoor.make_request(base), self.verdict)
+
+    def verdict(self, _outcome: str) -> None:
+        self.simulator.queue.schedule_call(self.simulator.clock._now, self.wake)
+
+    def wake(self, _, __) -> None:
+        think_ns = self.population.think_ns
+        if think_ns:
+            think = round(self.rng.exponential(think_ns))
+            self.simulator.queue.schedule_call(self.simulator.clock._now + think, self.send)
+        else:
+            self.send()

@@ -5,13 +5,13 @@ per-gateway uplink/downlink :class:`~repro.net.link.Link` pairs, the
 :class:`~repro.net.gateway.Gateway` hosts, one
 :class:`~repro.net.transport.Transport` shared by every client population,
 the request-id counter, the tenant→priority map and the deadline budget.
-It registers each gateway's health probe as a fleet service (the only net
-process besides the client populations) and installs two hooks on the fleet:
+It registers each gateway's health probe as a fleet service and installs two
+hooks on the fleet:
 
 * ``fleet.on_request_outcome`` — routes each terminal verdict (completed /
   rejected / expired) back to the admitting gateway's downlink.
-* ``fleet.idle_hook`` — vetoes fleet idleness while client populations are
-  still running or requests are still in flight, so periodic services
+* ``fleet.idle_hook`` — vetoes fleet idleness while clients are still
+  sending or requests are still in flight, so periodic services
   (scrubbers, healers, fault injectors, gateway probes) keep running
   between packets instead of self-terminating at the first quiet instant.
 
@@ -111,7 +111,8 @@ class FrontDoor:
             self._register_net_gauges(fleet.obs.registry)
         self._next_id = 0
         self._populations: List[object] = []
-        self._population_processes: List[object] = []
+        #: Clients started and not yet done sending (see ``_client_ended``).
+        self._live_clients = 0
         fleet.on_request_outcome = self._on_fleet_outcome
         fleet.idle_hook = self._net_idle
 
@@ -171,9 +172,11 @@ class FrontDoor:
 
     def _net_idle(self) -> bool:
         """Idle veto for the fleet: traffic in flight means *not* idle."""
-        if self.transport.in_flight:
-            return False
-        return all(process.finished for process in self._population_processes)
+        return not self.transport.in_flight and not self._live_clients
+
+    def _client_ended(self) -> None:
+        """A population's client has sent everything it ever will."""
+        self._live_clients -= 1
 
     # ------------------------------------------------------------------ run
     def add_population(self, population) -> None:
@@ -185,17 +188,9 @@ class FrontDoor:
         if not self._populations:
             raise ValueError("add at least one client population before run()")
         fleet = self.fleet
-        # Earlier runs' populations are finished; the idle veto polls this
-        # list, so it holds the current run's processes only.
-        self._population_processes = [
-            process for process in self._population_processes if not process.finished
-        ]
         fleet._spawn_services()
         for population in self._populations:
-            for name, generator in population.processes(self):
-                self._population_processes.append(
-                    fleet.simulator.spawn(generator, name=name)
-                )
+            self._live_clients += population.start(self)
         self._populations = []
         fleet.simulator.run(until_ns)
         # Same end-of-run observability settlement as Fleet.run (this path

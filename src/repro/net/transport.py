@@ -23,11 +23,11 @@ execution elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.link import Link, Packet
 from repro.obs import names as _obs_names
-from repro.sim.kernel import Simulator, WaitEvent
+from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
 from repro.workloads.multitenant import FleetRequest
 
@@ -143,13 +143,13 @@ class _Pending:
         "attempt",
         "gateway",
         "done",
-        "done_event",
+        "on_done",
         "trace",
         "attempt_sent_ns",
         "backoff_from_ns",
     )
 
-    def __init__(self, request: GatewayRequest, done_event: Optional[WaitEvent]) -> None:
+    def __init__(self, request: GatewayRequest, on_done: Optional[Callable]) -> None:
         self.request = request
         self.first_send_ns = 0
         #: Attempt counter; bumping it stale-izes every scheduled timeout and
@@ -158,7 +158,8 @@ class _Pending:
         #: Sticky serving gateway (None until the first send chooses one).
         self.gateway: Optional[int] = None
         self.done = False
-        self.done_event = done_event
+        #: Called with the verdict (``"completed"`` or the failure reason).
+        self.on_done = on_done
         #: ``(trace_id, root_span_id)`` when this request is traced, else
         #: None — the trace id *is* the transport request id.
         self.trace = None
@@ -181,7 +182,6 @@ class Transport:
     ) -> None:
         if not uplinks:
             raise ValueError("a transport needs at least one gateway uplink")
-        self.simulator = simulator
         self.clock = simulator.clock
         self._schedule_call = simulator.queue.schedule_call
         self.stats = stats
@@ -212,15 +212,14 @@ class Transport:
         return len(self._pending)
 
     # ---------------------------------------------------------------- submit
-    def submit(
-        self, request: GatewayRequest, done_event: Optional[WaitEvent] = None
-    ) -> None:
-        """Take ownership of one logical request until it completes or dies."""
+    def submit(self, request: GatewayRequest, on_done: Optional[Callable] = None) -> None:
+        """Take ownership of one logical request until it completes or dies;
+        ``on_done(outcome)`` is called at that verdict."""
         if request.request_id in self._pending:
             raise ValueError(f"duplicate request_id {request.request_id}")
         self._requests.value += 1
         self._requests_by_priority[request.priority] += 1
-        pending = _Pending(request, done_event)
+        pending = _Pending(request, on_done)
         pending.first_send_ns = self.clock._now
         tracer = self.tracer
         if tracer is not None and tracer.sampled(request.request_id):
@@ -326,8 +325,8 @@ class Transport:
         if pending.trace is not None:
             self._obs_attempt_end(pending, "resp")
             self._obs_root_end(pending, "completed")
-        if pending.done_event is not None:
-            self.simulator.trigger(pending.done_event, "completed")
+        if pending.on_done is not None:
+            pending.on_done("completed")
 
     # --------------------------------------------------------- observability
     def _obs_attempt_end(self, pending: _Pending, verdict: str) -> None:
@@ -423,5 +422,5 @@ class Transport:
         del self._pending[request.request_id]
         if pending.trace is not None:
             self._obs_root_end(pending, reason)
-        if pending.done_event is not None:
-            self.simulator.trigger(pending.done_event, reason)
+        if pending.on_done is not None:
+            pending.on_done(reason)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.obs import names
-from repro.obs.context import Span, TraceContext, Tracer
+from repro.obs.context import Span, Tracer
 from repro.obs.export import (
     chrome_trace_json,
     export_chrome_trace,
@@ -189,7 +189,6 @@ __all__ = [
     "SloSpec",
     "Span",
     "TailSampler",
-    "TraceContext",
     "Tracer",
     "chrome_trace_json",
     "export_chrome_trace",

@@ -1,4 +1,4 @@
-"""Distributed-trace primitives: spans, trace contexts and the tracer.
+"""Distributed-trace primitives: spans and the tracer.
 
 The tracing model is deliberately simulator-shaped rather than a clone of a
 wall-clock tracing SDK:
@@ -186,38 +186,6 @@ class SpanLog:
         if len(self.entries) == self._count:  # no device reference to expand
             return self.entries[index]
         return list(self)[index]
-
-
-class TraceContext:
-    """The propagated identity of one trace: trace id + parent span id.
-
-    Carried across hops (transport → packet → gateway → fleet) by whatever
-    side channel the hop already has; equality/ordering are value-based so
-    contexts can key dicts in tests.
-    """
-
-    __slots__ = ("trace_id", "parent_id")
-
-    def __init__(self, trace_id: int, parent_id: Optional[int]) -> None:
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-
-    def child(self, parent_id: int) -> "TraceContext":
-        """The context a child hop should propagate onward."""
-        return TraceContext(self.trace_id, parent_id)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and self.trace_id == other.trace_id
-            and self.parent_id == other.parent_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.parent_id))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceContext(trace={self.trace_id}, parent={self.parent_id})"
 
 
 class Tracer:

@@ -1,9 +1,10 @@
 """Discrete-event simulation kernel used by the co-processor model.
 
 The kernel is intentionally small: a time base (:class:`~repro.sim.clock.Clock`),
-a two-tier event queue (:class:`~repro.sim.events.EventQueue`), a process
-oriented simulator (:class:`~repro.sim.kernel.Simulator`) and a trace
-recorder (:class:`~repro.sim.trace.TraceRecorder`).  The co-processor's
+a two-tier event queue (:class:`~repro.sim.events.EventQueue`), a simulator
+that steps generators from one ``Timeout`` to the next
+(:class:`~repro.sim.kernel.Simulator`) and a trace recorder
+(:class:`~repro.sim.trace.TraceRecorder`).  The co-processor's
 transaction-level components advance the shared clock directly;
 the simulator is used whenever several activities (host requests, DMA,
 reconfiguration) need to be interleaved.
@@ -11,7 +12,7 @@ reconfiguration) need to be interleaved.
 
 from repro.sim.clock import Clock, TimeUnit, format_time
 from repro.sim.events import EventQueue
-from repro.sim.kernel import Process, Simulator, Timeout
+from repro.sim.kernel import Simulator, Timeout
 from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.rand import SeededRandom
 
@@ -21,7 +22,6 @@ __all__ = [
     "format_time",
     "EventQueue",
     "Simulator",
-    "Process",
     "Timeout",
     "TraceRecorder",
     "TraceEvent",

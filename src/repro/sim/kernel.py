@@ -1,15 +1,17 @@
-"""Process-oriented discrete-event simulator.
+"""Discrete-event simulator.
 
-The simulator follows the familiar generator-coroutine style: a *process* is a
-Python generator that yields scheduling primitives (:class:`Timeout`,
-:class:`WaitEvent`, another :class:`Process` to join) and is resumed when the
-primitive completes.  The co-processor model uses the simulator to interleave host
-request arrival, PCI transfers, reconfiguration and function execution.
+The simulator follows the generator-coroutine style: a *process* is a plain
+Python generator that yields :class:`Timeout` to sleep, and nothing else.
+:meth:`Simulator.resume` is the one stepper — it runs a generator to its next
+``Timeout`` and queues itself to come back after the delay, or calls the
+generator's ``then`` continuation once it has ended.  There is no process
+object: what is queued is the generator.  The co-processor model uses the
+simulator to interleave host request arrival, PCI transfers, reconfiguration
+and function execution.
 
-Every continuation the kernel schedules is the same shape — "resume process P
-with value V" — so it is queued as the bound method ``self._step`` with its
-two arguments (the :class:`~repro.sim.events.EventQueue` entry shape): no
-per-event object, no closure, no label.  :meth:`Simulator.run` is the one
+Every entry the kernel queues is the same shape — ``(time, 0, seq, resume,
+generator, then)``, the :class:`~repro.sim.events.EventQueue` entry shape:
+no per-event object, no closure, no label.  :meth:`Simulator.run` is the one
 dispatch loop; a :class:`~repro.sim.schedule.SchedulePolicy` only changes
 which entry of a same-instant ready set it takes next.
 """
@@ -17,7 +19,7 @@ which entry of a same-instant ready set it takes next.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional
+from typing import Callable, Generator, Optional
 
 from repro.sim.clock import Clock, as_ns
 from repro.sim.events import EventQueue
@@ -25,7 +27,7 @@ from repro.sim.schedule import SchedulePolicy
 
 
 class SimulationError(RuntimeError):
-    """Raised when a process misbehaves (e.g. yields an unknown primitive)."""
+    """Raised when a process misbehaves (e.g. yields something not a Timeout)."""
 
 
 class Timeout:
@@ -38,56 +40,15 @@ class Timeout:
     the timeout, not here.
     """
 
-    __slots__ = ("delay_ns", "value")
+    __slots__ = ("delay_ns",)
 
-    def __init__(self, delay_ns: int, value: Any = None) -> None:
+    def __init__(self, delay_ns: int) -> None:
         if delay_ns < 0:
             raise ValueError("timeout delay must be non-negative")
         self.delay_ns = delay_ns
-        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Timeout({self.delay_ns!r}, value={self.value!r})"
-
-
-class WaitEvent:
-    """A one-shot condition a process can wait on and another can trigger."""
-
-    def __init__(self, name: str = "wait-event") -> None:
-        self.name = name
-        self.triggered = False
-        self.value: Any = None
-        self._waiters: List["Process"] = []
-
-    def succeed(self, value: Any = None) -> None:
-        """Trigger the event, waking every waiting process."""
-        if self.triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        self.triggered = True
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "triggered" if self.triggered else "pending"
-        return f"WaitEvent({self.name!r}, {state})"
-
-
-class Process:
-    """A running generator registered with the simulator."""
-
-    _ids = 0
-
-    def __init__(self, generator: Generator, name: Optional[str] = None) -> None:
-        Process._ids += 1
-        self.pid = Process._ids
-        self.name = name or f"process-{self.pid}"
-        self.generator = generator
-        self.finished = False
-        self.result: Any = None
-        self.waiters: List["Process"] = []
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "finished" if self.finished else "running"
-        return f"Process({self.name!r}, {state})"
+        return f"Timeout({self.delay_ns!r})"
 
 
 class Simulator:
@@ -111,51 +72,28 @@ class Simulator:
         #: ready set at every step and dispatches the policy's pick.
         self.schedule_policy = schedule_policy
         self.events_dispatched = 0
-        # Hot-path bindings: one bound method shared by every continuation
+        # Hot-path bindings: one bound method shared by every queued step
         # (binding per schedule would allocate), plus direct references to
         # the queue's tiers and sequence counter.
-        self._step_bound = self._step
+        self._resume = self.resume
         self._heap = self.queue._heap
         self._fifo = self.queue._fifo
         self._next_seq = self.queue._counter.__next__
 
-    # --------------------------------------------------------- fast schedule
-    def _schedule_step(self, time_ns: int, process: Process, value: Any) -> None:
-        """Schedule "resume *process* with *value*" at *time_ns*.
-
-        Inlined ``EventQueue.schedule_call``: continuation times derive from
-        the clock plus a validated non-negative delay, so the negative-time
-        check is unnecessary here.  Same-timestamp continuations (zero-delay
-        resumes, wake-ups) go to the FIFO tier: the
-        entry's key (now, 0, fresh seq) is >= every key already queued, so a
-        plain append keeps the deque sorted and the merge deterministic.
-        """
-        entry = (time_ns, 0, self._next_seq(), self._step_bound, process, value)
-        if time_ns == self.clock._now:
-            self._fifo.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-
     # ------------------------------------------------------------- processes
-    def spawn(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Register *generator* as a process starting now.
+    def spawn(
+        self,
+        generator: Generator,
+        name: Optional[str] = None,
+        then: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Start *generator* now; ``then()`` runs once it has ended.
 
-        The kernel keeps no list of processes: one lives as long as a queue
-        entry, a waiter list or its spawner refers to it.
+        *name* is accepted for callers that label their processes and is not
+        kept: the kernel keeps no list of processes, so a generator lives as
+        long as its queue entry (or its spawner) refers to it.
         """
-        process = Process(generator, name=name)
-        self._schedule_step(self.clock.now, process, None)
-        return process
-
-    def trigger(self, wait_event: WaitEvent, value: Any = None) -> None:
-        """Trigger *wait_event* now, scheduling its waiters to resume."""
-        if not wait_event.triggered:
-            wait_event.succeed(value if value is not None else wait_event.value)
-        now = self.clock.now
-        resumed_value = wait_event.value
-        for process in wait_event._waiters:
-            self._schedule_step(now, process, resumed_value)
-        wait_event._waiters.clear()
+        self._fifo.append((self.clock._now, 0, self._next_seq(), self._resume, generator, then))
 
     # ------------------------------------------------------------------- run
     def run(self, until_ns: Optional[int] = None, max_events: int = 10_000_000) -> int:
@@ -237,55 +175,29 @@ class Simulator:
         return clock.now
 
     # ------------------------------------------------------------- stepping
-    def _step(self, process: Process, send_value: Any) -> None:
-        """Resume *process* with *send_value* and handle what it yields."""
-        if process.finished:
-            return
-        try:
-            yielded = process.generator.send(send_value)
-        except StopIteration as stop:
-            process.finished = True
-            process.result = stop.value
-            now = self.clock.now
-            for waiter in process.waiters:
-                self._schedule_step(now, waiter, stop.value)
-            process.waiters.clear()
-            return
-        # Fast path for the dominant yield kind; everything else dispatches
-        # through _handle_yield (which also catches Timeout subclasses).
-        if yielded.__class__ is Timeout:
-            delay = yielded.delay_ns
-            if delay.__class__ is not int:
-                delay = as_ns(delay)
-            entry = (
-                self.clock._now + delay,
-                0,
-                self._next_seq(),
-                self._step_bound,
-                process,
-                yielded.value,
-            )
-            if delay == 0:
-                self._fifo.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
-            return
-        self._handle_yield(process, yielded)
+    def resume(self, generator: Generator, then: Optional[Callable[[], None]]) -> None:
+        """Run *generator* to its next ``Timeout`` and queue the step after
+        it, or call ``then()`` (when given) once the generator has ended.
 
-    def _handle_yield(self, process: Process, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self._schedule_step(self.clock.now + as_ns(yielded.delay_ns), process, yielded.value)
-        elif isinstance(yielded, WaitEvent):
-            if yielded.triggered:
-                self._schedule_step(self.clock.now, process, yielded.value)
-            else:
-                yielded._waiters.append(process)
-        elif isinstance(yielded, Process):
-            if yielded.finished:
-                self._schedule_step(self.clock.now, process, yielded.result)
-            else:
-                yielded.waiters.append(process)
-        else:
+        One frame per step: the ``Timeout`` is handled inline.  A zero delay
+        goes to the FIFO tier — its key (now, 0, fresh seq) is >= every key
+        already queued, so a plain append keeps the deque sorted.
+        """
+        try:
+            yielded = generator.send(None)
+        except StopIteration:
+            if then is not None:
+                then()
+            return
+        if yielded.__class__ is not Timeout:
             raise SimulationError(
-                f"process {process.name!r} yielded unsupported object {yielded!r}"
+                f"process {generator.__qualname__!r} yielded {yielded!r}, not a Timeout"
             )
+        delay = yielded.delay_ns
+        if delay.__class__ is not int:
+            delay = as_ns(delay)
+        entry = (self.clock._now + delay, 0, self._next_seq(), self._resume, generator, then)
+        if delay == 0:
+            self._fifo.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)

@@ -48,7 +48,7 @@ def install(fleet) -> None:
     stores = {card: Store(fleet.simulator) for card in fleet.cards}
     fleet._put = lambda card, item: stores[card].put(item)
     for card in fleet.cards:
-        fleet.simulator.spawn(worker(fleet, card, stores[card]), name=f"{card.name}-worker")
+        stores[card].spawn(worker(fleet, card, stores[card]))
         card.serve = types.MethodType(serve, card)
         if card.memo is not None:
             card.memo = EagerServeMemo(card)

@@ -9,8 +9,9 @@ does not need: the arrival process sleeps its own propagation delay
 tracer.
 
 Each packet costs a ``Store`` hand-off, a pump wake-up when the wire was
-idle, a serialise ``Timeout`` and a spawned arrival process; the pump must be
-spawned (``simulator.spawn(link.pump())``) before the first ``send``.
+idle, a serialise ``Timeout`` and a spawned arrival process; the pump drains
+the store, so it runs under the store's stepper and must be started
+(``link._queue.spawn(link.pump())``) before the first ``send``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.check import (
     tiny_scenario_factory,
 )
 from repro.check.scenarios import ScenarioRun
-from repro.sim.kernel import Simulator, Timeout, WaitEvent
+from repro.sim.kernel import Simulator, Timeout
 from repro.sim.schedule import RandomTieBreakPolicy, ScriptedPolicy
 
 
@@ -67,22 +67,17 @@ def _conflict_scenario(policy):
     """Same-instant writes from two producers: schedule-order observable."""
     sim = Simulator(schedule_policy=policy)
     written = []
-    both_written = WaitEvent("both-written")
     log = []
 
     def producer(tag):
         yield Timeout(10.0)
         written.append(tag)
         if len(written) == 2:
-            sim.trigger(both_written)
+            # The last writer queues the read at its own instant.
+            sim.queue.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
 
-    def consumer():
-        yield both_written
-        log.extend(written)
-
-    sim.spawn(producer("a"), name="pa")
-    sim.spawn(producer("b"), name="pb")
-    sim.spawn(consumer(), name="consumer")
+    sim.spawn(producer("a"))
+    sim.spawn(producer("b"))
     sim.run()
     return _KernelRun(tuple(log))
 

@@ -516,8 +516,8 @@ class TestReusedFrontDoor:
     ]
 
     def test_run_forgets_finished_populations(self, small_bank):
-        """``_net_idle`` is polled by every probe and service tick; it walks
-        the current run's processes, not every process the door ever ran."""
+        """``_net_idle`` is polled by every probe and service tick; it reads
+        a count of the clients still sending, which every run drains to 0."""
         _, trace = make_trace(small_bank, length=48)
         frontdoor = make_frontdoor(small_bank, loss=0.05)
         fingerprints = []
@@ -532,7 +532,7 @@ class TestReusedFrontDoor:
                 )
             )
             frontdoor.run()
-            assert len(frontdoor._population_processes) == 8
+            assert frontdoor._live_clients == 0
             assert frontdoor._net_idle()
             fingerprints.append(frontdoor.fingerprint())
         assert fingerprints[-1][0] == 3 * 8 * 6

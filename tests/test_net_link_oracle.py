@@ -41,7 +41,7 @@ def drive(link_class, spec, schedule, seed):
         SeededRandom(seed),
     )
     if link_class is PumpLink:
-        simulator.spawn(link.pump())
+        link._queue.spawn(link.pump())
     accepted = []
 
     def sender():

@@ -9,10 +9,10 @@ touched it; lower it when you delete an option, and do not raise it.
 itself, to ``cluster/card.py``) and ``KERNEL_CODE_LINE_BUDGET`` for
 ``sim/kernel.py``: a primitive no model code yields does not come back.
 ``STATS_CODE_LINE_BUDGET`` (``cluster/stats.py``) and ``NET_CODE_LINE_BUDGET``
-(all of ``src/repro/net/``) are what PR 24 shipped — the three ``record_net_*``
-methods whose counters the net hops now write themselves are gone from the
-first, the bound instruments and the common-case checks are in the second;
-ROADMAP item 7 Step B (``FleetSpec``) is expected to lower both.
+(all of ``src/repro/net/``) are what ships — the ``record_*`` methods
+whose counters the layers now write themselves are gone from the first, the
+closed-loop client is three kernel entries in the second; ROADMAP item 7
+Step B (``FleetSpec``) is expected to lower both.
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote.
 """
@@ -33,10 +33,10 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 48
-FLEET_CODE_LINE_BUDGET = 680
-KERNEL_CODE_LINE_BUDGET = 178
-STATS_CODE_LINE_BUDGET = 480
-NET_CODE_LINE_BUDGET = 829
+FLEET_CODE_LINE_BUDGET = 677
+KERNEL_CODE_LINE_BUDGET = 110
+STATS_CODE_LINE_BUDGET = 471
+NET_CODE_LINE_BUDGET = 827
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -106,9 +106,10 @@ def test_kernel_module_does_not_grow():
     count = code_lines(inspect.getsourcefile(Simulator))
     assert count <= KERNEL_CODE_LINE_BUDGET, (
         f"sim/kernel.py has {count} code lines, budget is "
-        f"{KERNEL_CODE_LINE_BUDGET}: the kernel is Timeout, WaitEvent, process "
-        "join and the FIFO tier — schedule a fact with schedule_call instead "
-        "of adding a primitive."
+        f"{KERNEL_CODE_LINE_BUDGET}: the kernel is Timeout, one stepper "
+        "(resume: a generator to its next Timeout, then its continuation) and "
+        "the FIFO tier — schedule a fact with schedule_call instead of adding "
+        "a primitive."
     )
 
 

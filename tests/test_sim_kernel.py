@@ -1,4 +1,4 @@
-"""Tests for the process-oriented simulator."""
+"""Tests for the simulator: generators stepped from one ``Timeout`` to the next."""
 
 import gc
 import weakref
@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.sim.clock import Clock
-from repro.sim.kernel import Simulator, SimulationError, Timeout, WaitEvent
+from repro.sim.kernel import Simulator, SimulationError, Timeout
 
 
 class TestTimeouts:
@@ -37,17 +37,6 @@ class TestTimeouts:
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1.0)
-
-    def test_process_result_recorded(self):
-        simulator = Simulator()
-
-        def worker():
-            yield Timeout(1.0)
-            return 42
-
-        process = simulator.spawn(worker())
-        simulator.run()
-        assert process.finished and process.result == 42
 
     def test_run_until_limits_time(self):
         simulator = Simulator()
@@ -80,61 +69,25 @@ class TestTimeouts:
         assert simulator.events_dispatched == 4_000
 
 
-class TestWaitEvents:
-    def test_trigger_wakes_waiter(self):
-        simulator = Simulator()
-        gate = WaitEvent("gate")
-        log = []
-
-        def waiter():
-            value = yield gate
-            log.append(value)
-
-        def opener():
-            yield Timeout(10.0)
-            simulator.trigger(gate, "opened")
-
-        simulator.spawn(waiter())
-        simulator.spawn(opener())
-        simulator.run()
-        assert log == ["opened"]
-
-    def test_double_trigger_raises(self):
-        gate = WaitEvent("gate")
-        gate.succeed()
-        with pytest.raises(SimulationError):
-            gate.succeed()
-
-
 class TestProcessJoin:
+    """How a process ends: nothing joins it, nothing keeps it."""
+
     def test_finished_processes_are_not_retained(self):
-        # The kernel must not hold a process once it has run: a list of
+        # The kernel must not hold a generator once it has run: a list of
         # every process ever spawned is a leak sized by the run's length.
         simulator = Simulator()
 
         def sleeper():
             yield Timeout(1)
 
-        alive = [weakref.ref(simulator.spawn(sleeper())) for _ in range(1000)]
+        generators = [sleeper() for _ in range(1000)]
+        alive = [weakref.ref(generator) for generator in generators]
+        for generator in generators:
+            simulator.spawn(generator)
+        del generators, generator
         simulator.run()
         gc.collect()
         assert all(ref() is None for ref in alive)
-
-    def test_waiting_on_a_process_returns_its_result(self):
-        simulator = Simulator()
-        results = []
-
-        def child():
-            yield Timeout(10.0)
-            return "done"
-
-        def parent():
-            value = yield simulator.spawn(child())
-            results.append((value, simulator.clock.now))
-
-        simulator.spawn(parent())
-        simulator.run()
-        assert results == [("done", 10.0)]
 
     def test_unknown_yield_raises(self):
         simulator = Simulator()
@@ -143,7 +96,7 @@ class TestProcessJoin:
             yield 123
 
         simulator.spawn(bad())
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="bad"):
             simulator.run()
 
     def test_shared_clock(self):
@@ -156,6 +109,66 @@ class TestProcessJoin:
         simulator.spawn(worker())
         simulator.run()
         assert clock.now == pytest.approx(30.0)
+
+
+class TestContinuations:
+    def test_then_runs_once_at_the_last_step_after_its_effects(self):
+        simulator = Simulator()
+        log = []
+
+        def worker():
+            yield Timeout(5)
+            log.append(("step", simulator.clock.now))
+            yield Timeout(7)
+            log.append(("last step", simulator.clock.now))
+
+        simulator.spawn(worker(), then=lambda: log.append(("then", simulator.clock.now)))
+        simulator.queue.schedule_call(20, lambda _a, _b: log.append(("later", 20)))
+        simulator.run()
+        assert log == [("step", 5), ("last step", 12), ("then", 12), ("later", 20)]
+        # The end is the last step's dispatch, not an entry of its own.
+        assert simulator.events_dispatched == 4
+
+    def test_a_generator_that_never_yields_ends_at_its_spawn_instant(self):
+        simulator = Simulator()
+        ended = []
+
+        def idle():
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        def spawn_idle(_a, _b):
+            simulator.spawn(idle(), then=lambda: ended.append(simulator.clock.now))
+
+        simulator.queue.schedule_call(30, spawn_idle)
+        simulator.run()
+        assert ended == [30]
+        assert simulator.events_dispatched == 2
+
+    def test_a_non_timeout_yield_names_the_generator(self):
+        simulator = Simulator()
+
+        class Misbehaving:
+            @staticmethod
+            def waits_on_an_event():
+                yield object()
+
+        simulator.spawn(Misbehaving.waits_on_an_event(), then=pytest.fail)
+        with pytest.raises(SimulationError) as raised:
+            simulator.run()
+        assert "Misbehaving.waits_on_an_event" in str(raised.value)
+
+    def test_a_named_spawn_with_a_float_timeout_runs(self):
+        # The form the benchmark's kernel round uses: name= and a float delay.
+        simulator = Simulator()
+
+        def ticker():
+            for _ in range(3):
+                yield Timeout(10.0)
+
+        simulator.spawn(ticker(), name="x")
+        assert simulator.run() == 30
+        assert simulator.events_dispatched == 4
 
 
 class TestMaxEvents:

@@ -9,7 +9,7 @@ sets.
 
 import pytest
 
-from repro.sim.kernel import Simulator, SimulationError, Timeout, WaitEvent
+from repro.sim.kernel import Simulator, SimulationError, Timeout
 from repro.sim.schedule import (
     RandomTieBreakPolicy,
     ScheduleDivergenceError,
@@ -21,26 +21,20 @@ from repro.sim.schedule import (
 def _conflict_scenario(policy, producers=2):
     """Same-instant writes to one shared list: order is policy-observable.
 
-    The consumer sleeps on a ``WaitEvent`` the last writer triggers and
-    reads the list as it was written."""
+    The last writer queues the read at its own instant, and the read sees
+    the list as it was written."""
     sim = Simulator(schedule_policy=policy)
     written = []
-    all_written = WaitEvent("all-written")
     log = []
 
     def producer(tag):
         yield Timeout(10.0)
         written.append(tag)
         if len(written) == producers:
-            sim.trigger(all_written)
-
-    def consumer():
-        yield all_written
-        log.extend(written)
+            sim.queue.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
 
     for index in range(producers):
-        sim.spawn(producer(chr(ord("a") + index)), name=f"p{index}")
-    sim.spawn(consumer(), name="consumer")
+        sim.spawn(producer(chr(ord("a") + index)))
     sim.run()
     return sim, log
 
@@ -103,10 +97,11 @@ class TestPolicyDispatchPath:
     def test_choice_points_cascade_through_the_ready_set(self):
         policy = ScriptedPolicy(())
         _conflict_scenario(policy, producers=3)
-        # The t=0 spawn burst is a 4-wide ready set (3 producers + consumer)
-        # which shrinks by one per dispatch; singleton sets never consult
-        # the policy.
-        assert policy.branching[:3] == [4, 3, 2]
+        # The t=0 spawn burst and the t=10 wake burst are each a 3-wide
+        # ready set (the producers) which shrinks by one per dispatch;
+        # singleton sets — the last producer, the read — never consult the
+        # policy.
+        assert policy.branching == [3, 2, 3, 2]
 
     def test_permutation_preserves_dispatch_count(self):
         sims = [
