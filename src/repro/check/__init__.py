@@ -3,7 +3,7 @@
 Determinism makes every test reproducible — and makes every test explore
 exactly one interleaving.  This package searches the others: a
 :class:`~repro.sim.schedule.SchedulePolicy` turns the kernel's
-same-``(time, priority)`` tie-breaks into explicit choice points, the
+same-time tie-breaks into explicit choice points, the
 :class:`Explorer` enumerates choice sequences by bounded DFS and seeded
 random sampling (stateless re-execution, in the spirit of simsched/dPOR),
 and the invariant pack asserts after every explored schedule what the

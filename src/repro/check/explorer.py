@@ -10,7 +10,7 @@ frontier: each run exposes its untaken siblings
 (``choices[:i] + (alt,)`` for every ``alt`` the branch bound admits), and
 DFS over those prefixes enumerates the schedule tree without ever
 snapshotting simulator state — the simsched recipe, adapted to the kernel's
-same-``(time, priority)`` ready sets.
+same-time ready sets.
 
 Exploration is bounded three ways (schedule trees are exponential):
 

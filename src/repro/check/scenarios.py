@@ -12,7 +12,7 @@ the whole working set preloaded on card 0 (maximal residency skew, so the
 rebalancer orders migrations), periodic scrub and defrag services on both
 cards, healing enabled, and a short two-tenant trace whose zero-delay queue
 hand-offs collide with the service timers at shared timestamps — exactly
-where same-``(time, priority)`` ready sets grow past one entry and
+where same-time ready sets grow past one entry and
 schedules branch.
 """
 

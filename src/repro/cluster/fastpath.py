@@ -43,8 +43,8 @@ and device events are **equal** to a memo-off run.
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
 consulted only while the card is plainly serving — function resident, health
-``up``, no scrubber, no scrub-on-execute, no hazard detector, no clock
-observers and no device recorder enabled outside a bridging fleet.  Any fault
+``up``, no scrubber, no scrub-on-execute, no hazard detector and no
+device recorder enabled outside a bridging fleet.  Any fault
 machinery or an eviction of the function selects the real, fully-modelled
 path for that request.
 
@@ -119,7 +119,6 @@ class ServeMemo:
         """True when the card is in the plain regime a memo entry models."""
         return (
             self.fleet_card.health == "up"
-            and not self.clock._observers
             and self.copro.scrubber is None
             and not self.mcu.scrub_on_execute
             and self.device.hazard_detector is None

@@ -355,7 +355,7 @@ class Fleet:
             card.busy = True
             simulator = self.simulator
             simulator._fifo.append(
-                (self.clock._now, 0, simulator._next_seq(), self._start, card, item)
+                (self.clock._now, simulator._next_seq(), self._start, card, item)
             )
 
     def _start(self, card: FleetCard, item) -> None:
@@ -385,7 +385,7 @@ class Fleet:
                     # rest and serves the queue behind it when it ends.
                     running = self._run_order(card, item)
                     for timeout in running:
-                        self.simulator.queue.schedule_call(
+                        self.simulator.schedule_call(
                             clock._now + timeout.delay_ns,
                             self.simulator.resume,
                             running,
@@ -442,7 +442,6 @@ class Fleet:
             simulator = self.simulator
             entry = (
                 started_ns + service_ns,
-                0,
                 simulator._next_seq(),
                 self._finish,
                 card,
@@ -889,7 +888,7 @@ class Fleet:
         if card.health != "degraded":
             card.health = "degraded"
             self.stats.record_card_degraded(card.name, self.clock.now)
-        self.simulator.queue.schedule_call(until, self._port_recovery, card)
+        self.simulator.schedule_call(until, self._port_recovery, card)
         return True
 
     def _port_recovery(self, card: FleetCard, _) -> None:

@@ -224,7 +224,7 @@ def _shard_worker(connection, config: ShardedRunConfig, card_indices: List[int])
             lines.sort(key=itemgetter(0, 1))
             connection.send(("lines", lines))
             lines.clear()
-            if len(fleet.simulator.queue) == 0:
+            if len(fleet.simulator) == 0:
                 break
             horizon += epoch_ns
             fleet.simulator.run(until_ns=horizon)

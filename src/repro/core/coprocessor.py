@@ -65,7 +65,7 @@ class AgileCoprocessor:
         self.config = config
         self.bank = bank
         self.clock = clock if clock is not None else Clock()
-        self.trace = TraceRecorder(self.clock, enabled=config.enable_trace)
+        self.trace = TraceRecorder(enabled=config.enable_trace)
         geometry = config.geometry()
         self.geometry = geometry
 

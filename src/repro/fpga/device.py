@@ -74,7 +74,7 @@ class FPGADevice:
             config_clock_hz=config_clock_hz,
             port_width_bytes=config_port_width_bytes,
         )
-        self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._loaded: Dict[str, LoadedFunction] = {}
         self.total_configurations = 0
         self.total_partial_configurations = 0

@@ -82,7 +82,7 @@ class ConfigurationModule:
         self.decompress_cycles_per_byte = decompress_cycles_per_byte
         self.rom_chunk_bytes = rom_chunk_bytes
         self.overlap_decompress = overlap_decompress
-        self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.reports: List[ReconfigurationReport] = []
         # blob -> parsed CompressedImage; repeated reconfigurations of the
         # same function re-read the ROM (timed) but skip re-parsing and

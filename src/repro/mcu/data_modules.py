@@ -79,7 +79,7 @@ class DataInputModule:
         self.ram = ram
         self.bus = _InterfaceBus(clock, bus_width_bytes, bus_clock_hz)
         self.clock = clock
-        self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.transfers = 0
         self.bytes_transferred = 0
 
@@ -120,7 +120,7 @@ class OutputCollectionModule:
         self.ram = ram
         self.bus = _InterfaceBus(clock, bus_width_bytes, bus_clock_hz)
         self.clock = clock
-        self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.transfers = 0
         self.bytes_transferred = 0
 

@@ -84,7 +84,7 @@ class Microcontroller:
         self.clock = clock
         self.domain = ClockDomain("mcu", mcu_clock_hz)
         self.command_decode_cycles = command_decode_cycles
-        self.trace = trace if trace is not None else TraceRecorder(clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.requests_handled = 0
         self.outcomes: List[RequestOutcome] = []
         #: Cap kept so long traces do not grow memory without bound.

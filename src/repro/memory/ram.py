@@ -45,7 +45,7 @@ class LocalRam:
         self.capacity_bytes = capacity_bytes
         self.clock = clock if clock is not None else Clock()
         self.timing = timing
-        self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._data = bytearray(capacity_bytes)
         self._allocations: Dict[str, RamAllocation] = {}
         self.total_reads = 0

@@ -33,7 +33,7 @@ class ConfigurationRom:
         self.capacity_bytes = capacity_bytes
         self.clock = clock if clock is not None else Clock()
         self.timing = timing
-        self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._data = bytearray(capacity_bytes)
         self._table = RecordTable()
         self._next_bitstream_address = 0       # grows upward from address 0

@@ -85,9 +85,9 @@ class ClosedLoopPopulation:
         self.rng = rng
 
     def start(self, frontdoor: "FrontDoor") -> int:
-        queue = frontdoor.fleet.simulator.queue
+        simulator = frontdoor.fleet.simulator
         for index in range(self.clients):
-            queue.schedule_call(frontdoor.fleet.clock._now, _Client(self, frontdoor, index).send)
+            simulator.schedule_call(frontdoor.fleet.clock._now, _Client(self, frontdoor, index).send)
         return self.clients
 
 
@@ -115,12 +115,12 @@ class _Client:
         self.frontdoor.transport.submit(self.frontdoor.make_request(base), self.verdict)
 
     def verdict(self, _outcome: str) -> None:
-        self.simulator.queue.schedule_call(self.simulator.clock._now, self.wake)
+        self.simulator.schedule_call(self.simulator.clock._now, self.wake)
 
     def wake(self, _, __) -> None:
         think_ns = self.population.think_ns
         if think_ns:
             think = round(self.rng.exponential(think_ns))
-            self.simulator.queue.schedule_call(self.simulator.clock._now + think, self.send)
+            self.simulator.schedule_call(self.simulator.clock._now + think, self.send)
         else:
             self.send()

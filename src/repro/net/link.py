@@ -109,7 +109,7 @@ class Link:
         # Bound once, so a packet costs one clock read, one call per draw
         # and one call to schedule its arrival.
         self._clock = simulator.clock
-        self._schedule_call = simulator.queue.schedule_call
+        self._schedule_call = simulator.schedule_call
         self._random = rng.random
         self._latency_ns = round(spec.latency_ns)
         #: When the wire finishes serialising the last accepted packet.

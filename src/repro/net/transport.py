@@ -183,7 +183,7 @@ class Transport:
         if not uplinks:
             raise ValueError("a transport needs at least one gateway uplink")
         self.clock = simulator.clock
-        self._schedule_call = simulator.queue.schedule_call
+        self._schedule_call = simulator.schedule_call
         self.stats = stats
         self.uplinks = uplinks
         self.config = config

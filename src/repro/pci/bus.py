@@ -67,7 +67,7 @@ class PciBus:
     ) -> None:
         self.clock = clock if clock is not None else Clock()
         self.timing = timing if timing is not None else PciBusTiming()
-        self.trace = trace if trace is not None else TraceRecorder(self.clock, enabled=False)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._devices: List["PciDeviceProtocol"] = []
         self.transactions_completed = 0
         self.bytes_transferred = 0

@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel used by the co-processor model.
 
 The kernel is intentionally small: a time base (:class:`~repro.sim.clock.Clock`),
-a two-tier event queue (:class:`~repro.sim.events.EventQueue`), a simulator
-that steps generators from one ``Timeout`` to the next
+a simulator that keeps a heap, a deque and a counter of ``(time, seq, fn, a,
+b)`` entries and steps generators from one ``Timeout`` to the next
 (:class:`~repro.sim.kernel.Simulator`) and a trace recorder
 (:class:`~repro.sim.trace.TraceRecorder`).  The co-processor's
 transaction-level components advance the shared clock directly;
@@ -10,17 +10,14 @@ the simulator is used whenever several activities (host requests, DMA,
 reconfiguration) need to be interleaved.
 """
 
-from repro.sim.clock import Clock, TimeUnit, format_time
-from repro.sim.events import EventQueue
+from repro.sim.clock import Clock, format_time
 from repro.sim.kernel import Simulator, Timeout
 from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.rand import SeededRandom
 
 __all__ = [
     "Clock",
-    "TimeUnit",
     "format_time",
-    "EventQueue",
     "Simulator",
     "Timeout",
     "TraceRecorder",

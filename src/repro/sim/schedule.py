@@ -1,17 +1,17 @@
 """Schedule policies: controllable tie-breaks for the kernel's ready set.
 
-The kernel's dispatch order is a total order over ``(time, priority, seq)``
-entry keys, merged across the two scheduler tiers (same-timestamp FIFO deque
-+ future-event heap).  Sequence numbers make the order *deterministic*, but
+The kernel's dispatch order is a total order over ``(time, seq)`` entry
+keys, merged across the two scheduler tiers (same-timestamp FIFO deque +
+future-event heap).  Sequence numbers make the order *deterministic*, but
 they also make it *singular*: every run explores exactly one interleaving of
 the control-plane actors (scrubber, defragmenter, rebalancer, heal orders)
-even though any permutation of the same-``(time, priority)`` ready set is a
-legal schedule of the modelled system.
+even though any permutation of the same-time ready set is a legal schedule
+of the modelled system.
 
 A :class:`SchedulePolicy` makes that tie-break a strategy object.  When a
 :class:`~repro.sim.kernel.Simulator` is given a policy, dispatch gathers the
-**ready set** — every entry whose ``(time, priority)`` equals the
-minimum across both tiers, ordered by sequence number — and asks the policy
+**ready set** — every entry at the earliest time across both tiers,
+ordered by sequence number — and asks the policy
 to pick an index.  Index ``0`` is always "the entry the default kernel would
 have dispatched", so :class:`SchedulePolicy` itself (and a
 :class:`ScriptedPolicy` past the end of its script) reproduces the default
@@ -48,7 +48,7 @@ class SchedulePolicy:
     """Base policy: always index 0 — byte-identical to the default kernel.
 
     ``choose`` receives the ready set as a sequence of kernel entry tuples
-    ``(time, priority, seq, fn, arg1, arg2)`` sorted by ``seq`` and
+    ``(time, seq, fn, arg1, arg2)`` sorted by ``seq`` and
     returns the index to dispatch.  The kernel only consults the policy when
     the ready set has at least two entries; singleton sets are dispatched
     directly (and not recorded as choice points).
@@ -69,11 +69,6 @@ class SchedulePolicy:
     def choose(self, ready: Sequence[tuple]) -> int:
         """Return the ready-set index to dispatch next (default: 0)."""
         return 0
-
-    def reset(self) -> None:
-        """Clear the recorded choice log (for policy reuse across runs)."""
-        self.choices.clear()
-        self.branching.clear()
 
 
 class ScriptedPolicy(SchedulePolicy):
@@ -119,7 +114,6 @@ class RandomTieBreakPolicy(SchedulePolicy):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def choose(self, ready: Sequence[tuple]) -> int:
@@ -127,7 +121,3 @@ class RandomTieBreakPolicy(SchedulePolicy):
         self.choices.append(index)
         self.branching.append(len(ready))
         return index
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed)

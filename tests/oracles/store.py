@@ -58,7 +58,6 @@ class Store:
         simulator = self.simulator
         entry = (
             simulator.clock._now + delay_ns,
-            0,
             simulator._next_seq(),
             self._step,
             consumer,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks import bench_e4_compression, bench_e7_rom_layout
 from repro.bitstream.codecs import (
     CodecError,
     FrameDifferentialCodec,
@@ -133,6 +134,12 @@ class TestRegistry:
         names = available_codecs()
         for expected in ("null", "rle", "lz77", "huffman", "golomb", "framediff", "symmetry"):
             assert expected in names
+
+    def test_the_rom_experiment_measures_the_compression_experiments_codecs(self):
+        # E7 reports the ROM size "with the best codec", a minimum over its
+        # own list: only E4's whole list makes that E4's best codec.
+        assert bench_e7_rom_layout.CODECS == bench_e4_compression.CODECS
+        assert "lz77" in bench_e7_rom_layout.CODECS
 
     def test_get_codec_instantiates(self):
         assert get_codec("rle").name == "rle"

@@ -74,7 +74,7 @@ def _conflict_scenario(policy):
         written.append(tag)
         if len(written) == 2:
             # The last writer queues the read at its own instant.
-            sim.queue.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
+            sim.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
 
     sim.spawn(producer("a"))
     sim.spawn(producer("b"))

@@ -24,7 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eager_bridge
-from repro.check.invariants import check_invariants, check_request_conservation
+from repro.check.invariants import (
+    check_counter_conservation,
+    check_invariants,
+    check_request_conservation,
+)
 from repro.cluster import fleet as fleet_module
 from repro.cluster.orders import Order
 from repro.core.builder import build_fleet, build_frontdoor
@@ -121,9 +125,9 @@ def observed(fleet, door):
         "faults": fleet.fault_summary(),
         "rebalance": fleet.rebalance_summary(),
         "net": door.fingerprint() if door is not None else None,
-        # Not the whole pack: the fault cell's injector upsets frames (the
-        # memory lockstep) and skips heals it never ordered (the counters).
-        "violations": check_request_conservation(fleet, stats.arrivals),
+        # Not the memory lockstep: the fault cell's injector upsets frames.
+        "violations": check_request_conservation(fleet, stats.arrivals)
+        + check_counter_conservation(fleet),
     }
 
 
@@ -194,13 +198,13 @@ def test_put_on_an_idle_card_serves_nothing_in_the_caller(small_bank, small_flee
     fleet.submit(request)
     (card,) = fleet.cards
     assert card.busy and card.served == 0 and len(card.queue) == 0
-    kernel_queue = fleet.simulator.queue
-    entries = [*kernel_queue._heap, *kernel_queue._fifo]
-    assert [entry[4] for entry in entries] == [card]
-    assert entries[0][:2] == (0, 0) and entries[0][5] is request
+    simulator = fleet.simulator
+    entries = [*simulator._heap, *simulator._fifo]
+    assert [entry[3] for entry in entries] == [card]
+    assert entries[0][0] == 0 and entries[0][4] is request
     # A second put at the same instant waits behind it: still one entry.
     fleet.submit(request)
-    assert len(fleet.simulator.queue) == 1 and list(card.queue) == [request]
+    assert len(fleet.simulator) == 1 and list(card.queue) == [request]
     fleet.simulator.run()
     assert card.served == 2 and not card.busy
     assert check_invariants(fleet, trace_length=2) == []
@@ -266,7 +270,7 @@ def test_a_zero_time_drain_is_one_dispatch(small_bank, small_fleet):
     orders = [NoTimeOrder() for _ in range(500)]
     for order in orders:
         fleet._enqueue(fleet.cards[0], order)
-    assert len(fleet.simulator.queue) == 1 and len(fleet.cards[0].queue) == 499
+    assert len(fleet.simulator) == 1 and len(fleet.cards[0].queue) == 499
     fleet.simulator.run(max_events=2)
     assert fleet.simulator.events_dispatched == 1
     assert all(order.settled == 1 for order in orders)

@@ -9,6 +9,7 @@ byte-identically.
 
 import pytest
 
+from repro.check.invariants import check_counter_conservation
 from repro.cluster import DefragOrder, HealOrder, Order
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
@@ -234,6 +235,15 @@ class TestHealing:
         assert not card.holds("parity32")
         assert card.outstanding == 0
         assert card.busy_ns == card.driver.clock.now > 0
+
+    def test_a_skipped_heal_is_not_a_counter_violation(self, small_bank, protected_fleet):
+        """The last up card dies holding a function: its heal has no target,
+        so it is counted as skipped and never ordered — which balances."""
+        fleet = protected_fleet(small_bank, cards=1)
+        fleet.cards[0].driver.preload("parity32")
+        fleet.kill_card(0)
+        assert (fleet.stats.heals_skipped, fleet.stats.heal_orders) == (1, 0)
+        assert check_counter_conservation(fleet) == []
 
     def test_availability_reflects_downtime(self, small_bank, small_trace, protected_fleet):
         trace = small_trace(small_bank, length=80, mean_interarrival_ns=15_000.0)

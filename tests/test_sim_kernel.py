@@ -1,12 +1,36 @@
 """Tests for the simulator: generators stepped from one ``Timeout`` to the next."""
 
+import collections
 import gc
+import os
+import sys
 import weakref
 
 import pytest
 
+import repro.sim
 from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator, SimulationError, Timeout
+
+SIM_ROOT = os.path.dirname(repro.sim.__file__) + os.sep
+
+
+def sim_frames(action):
+    """``{function name: Python frames entered}`` under ``src/repro/sim/``
+    while *action* runs."""
+    frames = collections.Counter()
+
+    def count_calls(frame, event, _):
+        if event == "call" and frame.f_code.co_filename.startswith(SIM_ROOT):
+            frames[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return dict(frames)
 
 
 class TestTimeouts:
@@ -64,7 +88,7 @@ class TestTimeouts:
         for pause in range(1, 2_001):
             assert simulator.run(until_ns=pause * 499) == pause * 499
         assert simulator.events_dispatched == 2_000
-        assert len(simulator.queue) == 2_000
+        assert len(simulator) == 2_000
         assert simulator.run() == 1_001_999
         assert simulator.events_dispatched == 4_000
 
@@ -123,7 +147,7 @@ class TestContinuations:
             log.append(("last step", simulator.clock.now))
 
         simulator.spawn(worker(), then=lambda: log.append(("then", simulator.clock.now)))
-        simulator.queue.schedule_call(20, lambda _a, _b: log.append(("later", 20)))
+        simulator.schedule_call(20, lambda _a, _b: log.append(("later", 20)))
         simulator.run()
         assert log == [("step", 5), ("last step", 12), ("then", 12), ("later", 20)]
         # The end is the last step's dispatch, not an entry of its own.
@@ -140,7 +164,7 @@ class TestContinuations:
         def spawn_idle(_a, _b):
             simulator.spawn(idle(), then=lambda: ended.append(simulator.clock.now))
 
-        simulator.queue.schedule_call(30, spawn_idle)
+        simulator.schedule_call(30, spawn_idle)
         simulator.run()
         assert ended == [30]
         assert simulator.events_dispatched == 2
@@ -194,3 +218,29 @@ class TestMaxEvents:
 
         simulator.spawn(worker())
         assert simulator.run(max_events=1_000) == pytest.approx(5.0)
+
+
+class TestWorkCounters:
+    """The clock's and the stepper's host-side work, counted exactly."""
+
+    def test_a_clock_advance_enters_one_frame(self):
+        # Nothing watches the clock: an advance calls no one.
+        clock = Clock()
+        assert sim_frames(lambda: clock.advance(5)) == {"advance": 1}
+        assert clock.now == 5
+
+    def test_a_ticker_step_is_one_resume_frame(self):
+        # One reused Timeout, as the fleet's services re-stamp theirs: a
+        # fresh one per sleep would add a ``Timeout.__init__`` frame a step.
+        steps = 1_000
+        tick = Timeout(10)
+
+        def ticker():
+            for _ in range(steps - 1):
+                yield tick
+
+        simulator = Simulator()
+        simulator.spawn(ticker())
+        assert sim_frames(simulator.run) == {"run": 1, "resume": steps}
+        assert simulator.events_dispatched == steps
+        assert simulator.clock.now == 10 * (steps - 1)

@@ -31,7 +31,7 @@ def _conflict_scenario(policy, producers=2):
         yield Timeout(10.0)
         written.append(tag)
         if len(written) == producers:
-            sim.queue.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
+            sim.schedule_call(sim.clock.now, lambda _a, _b: log.extend(written))
 
     for index in range(producers):
         sim.spawn(producer(chr(ord("a") + index)))
@@ -47,7 +47,7 @@ class TestPolicyObjects:
 
     def test_scripted_policy_records_choices_and_branching(self):
         policy = ScriptedPolicy((1,))
-        ready = [(0, 0, i) for i in range(3)]
+        ready = [(0, i) for i in range(3)]
         assert policy.choose(ready) == 1
         assert policy.choose(ready[:2]) == 0  # past the prefix: default
         assert policy.choices == [1, 0]
@@ -62,21 +62,13 @@ class TestPolicyObjects:
         with pytest.raises(ScheduleDivergenceError):
             policy.choose([(0,), (1,)])
 
-    def test_random_policy_is_seed_deterministic_and_resettable(self):
-        ready = [(0, 0, i) for i in range(4)]
+    def test_random_policy_is_seed_deterministic(self):
+        ready = [(0, i) for i in range(4)]
         first = RandomTieBreakPolicy(seed=42)
         picks = [first.choose(ready) for _ in range(8)]
         again = RandomTieBreakPolicy(seed=42)
         assert [again.choose(ready) for _ in range(8)] == picks
-        first.reset()
-        assert first.choices == [] and first.branching == []
-        assert [first.choose(ready) for _ in range(8)] == picks
-
-    def test_policy_reset_clears_recordings(self):
-        policy = ScriptedPolicy((1,))
-        policy.choose([(0,), (1,)])
-        policy.reset()
-        assert policy.choices == [] and policy.branching == []
+        assert first.choices == picks and first.branching == [4] * 8
 
 
 class TestPolicyDispatchPath:
@@ -163,30 +155,29 @@ class TestReadySetQueueApi:
 
         sim.spawn(sleeper(), name="a")
         sim.spawn(sleeper(), name="b")
-        sim.queue.schedule_call(5.0, lambda a, b: None, "later")
-        ready = sim.queue.pop_ready_entries()
+        sim.schedule_call(5.0, lambda a, b: None, "later")
+        ready = sim.pop_ready_entries()
         assert len(ready) == 2  # the two t=0 starts; the t=5 entry stays
-        assert len(sim.queue) == 1  # the gathered entries are out of the queue
+        assert len(sim) == 1  # the gathered entries are out of the queue
 
     def test_pop_ready_entries_orders_by_sequence(self):
         sim = Simulator()
         for index in range(4):
-            sim.queue.schedule_call(10.0, lambda a, b: None, index, None)
-        ready = sim.queue.pop_ready_entries()
-        assert [entry[2] for entry in ready] == sorted(entry[2] for entry in ready)
+            sim.schedule_call(10.0, lambda a, b: None, index, None)
+        ready = sim.pop_ready_entries()
+        assert [entry[1] for entry in ready] == sorted(entry[1] for entry in ready)
         assert len(ready) == 4
 
     def test_push_entry_requeues_a_gathered_entry(self):
         sim = Simulator()
-        queue = sim.queue
-        queue.schedule_call(10.0, lambda a, b: None, "first", None)
-        queue.schedule_call(10.0, lambda a, b: None, "second", None)
-        ready = queue.pop_ready_entries()
-        assert len(queue) == 0
-        queue.push_entry(ready[1])
-        assert len(queue) == 1
-        assert queue.pop_ready_entries() == [ready[1]]
+        sim.schedule_call(10.0, lambda a, b: None, "first", None)
+        sim.schedule_call(10.0, lambda a, b: None, "second", None)
+        ready = sim.pop_ready_entries()
+        assert len(sim) == 0
+        sim.push_entry(ready[1])
+        assert len(sim) == 1
+        assert sim.pop_ready_entries() == [ready[1]]
 
     def test_pop_ready_entries_empty_queue(self):
         sim = Simulator()
-        assert sim.queue.pop_ready_entries() == []
+        assert sim.pop_ready_entries() == []

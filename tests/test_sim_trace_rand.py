@@ -13,7 +13,7 @@ class TestTraceRecorder:
         recorder.record("rom", "read", 0.0, 10.0, length=4)
         recorder.record("rom", "read", 10.0, 30.0, length=8)
         assert len(recorder) == 2
-        assert recorder.total_time("rom", "read") == pytest.approx(30.0)
+        assert [event.duration_ns for event in recorder] == [10.0, 20.0]
 
     def test_rejects_negative_duration(self):
         recorder = TraceRecorder()
@@ -31,47 +31,18 @@ class TestTraceRecorder:
             recorder.record("c", "a", index, index + 1)
         assert len(recorder) == 2
         assert recorder.dropped == 2
-        assert "dropped" in recorder.report()
 
     def test_clock_readings_are_stored_as_whole_ns(self):
         # Recorded times are the clock's own ints (the obs bridge re-exports
         # them as span timestamps): nothing is rounded at the recorder.
         clock = Clock()
-        recorder = TraceRecorder(clock)
-        clock.advance(1)
-        with recorder.span("rom", "read"):
-            clock.advance(2)
-        (event,) = recorder.events
+        recorder = TraceRecorder()
+        start = clock.advance(1)
+        clock.advance(2)
+        event = recorder.record("rom", "read", start, clock.now)
         assert (event.start_ns, event.end_ns, event.duration_ns) == (1, 3, 2)
         assert type(event.start_ns) is int and type(event.end_ns) is int
-        assert type(recorder.total_time()) is int
-
-    def test_span_context_manager(self):
-        clock = Clock()
-        recorder = TraceRecorder(clock)
-        with recorder.span("pci", "burst", length=16) as span:
-            clock.advance(50.0)
-            span.annotate(status="ok")
-        event = recorder.events[0]
-        assert event.duration_ns == pytest.approx(50.0)
-        assert event.attributes == {"length": 16, "status": "ok"}
-
-    def test_span_requires_clock(self):
-        with pytest.raises(RuntimeError):
-            TraceRecorder().span("a", "b")
-
-    def test_breakdown_and_filters(self):
-        recorder = TraceRecorder()
-        recorder.record("rom", "read", 0.0, 5.0)
-        recorder.record("ram", "write", 5.0, 6.0)
-        assert recorder.breakdown() == {"rom.read": 5.0, "ram.write": 1.0}
-        assert len(recorder.by_component("rom")) == 1
-        assert len(recorder.by_action("write")) == 1
-
-    def test_describe_mentions_component(self):
-        recorder = TraceRecorder()
-        event = recorder.record("fpga", "configure", 0.0, 100.0, frames=3)
-        assert "fpga.configure" in event.describe()
+        assert type(event.duration_ns) is int
 
 
 class TestSeededRandom:
