@@ -2,8 +2,9 @@
 
 The paper's mini OS evicts the algorithm with the oldest access time stamp
 (per-algorithm LRU).  This experiment runs the same traces through the same
-card configured with LRU, FIFO, LFU, Random and Belady's clairvoyant optimum,
-on a fabric deliberately smaller than the working set, and reports hit rate,
+card configured with LRU, FIFO, LFU, Random and Belady's farthest-next-use
+heuristic (clairvoyant, but not optimal here: functions span different frame
+counts and placement is contiguous), on a fabric deliberately smaller than the working set, and reports hit rate,
 evictions and mean service latency per (policy, trace) pair.
 
 The timed kernel is one full LRU trace run (the steady-state decision loop of
@@ -79,8 +80,8 @@ def test_e3_replacement_policies(benchmark, bank):
     belady_mean = sum(hit_rates[(trace, "belady")] for trace in ("zipf(1.2)", "phased", "round-robin")) / 3
     report.observe(
         f"The paper's LRU policy averages a {lru_mean:.2f} hit rate across traces, "
-        f"versus {random_mean:.2f} for random eviction and {belady_mean:.2f} for the "
-        f"clairvoyant optimum."
+        f"versus {random_mean:.2f} for random eviction and {belady_mean:.2f} for "
+        f"Belady's farthest-next-use heuristic."
     )
     report.record_metric("lru_mean_hit_rate", lru_mean)
     report.record_metric("random_mean_hit_rate", random_mean)

@@ -1,19 +1,19 @@
-"""E4 — Bit-stream compression: ratio and windowed decompression throughput.
+"""E4 — Bit-stream compression ratio.
 
 The ROM stores *compressed* bit-streams and the configuration module
 decompresses them window by window; the paper's conclusion calls for codecs
 that exploit CLB symmetry.  This experiment compresses every function's
-bit-stream with every codec in the library and reports the compression ratio,
-the ROM bytes saved, and the windowed decompression throughput; the
+bit-stream with every codec in the library, checks the windowed round trip,
+and reports the compression ratio and the ROM bytes saved; the
 symmetry-aware codec is the answer to the paper's open problem.
 
-The timed kernel is windowed decompression of the AES bit-stream with the
-default codec.
+The report holds simulated and exact values only, so two runs write the same
+bytes.  Host decompression speed is not part of it: the pytest-benchmark
+kernel below times windowed LZ77 decompression of the AES bit-stream, and the
+e2e ledger (``bitstream.lz77_decompress_MBps``) tracks it over time.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -52,29 +52,23 @@ def _codec_for(name, geometry):
 
 def test_e4_compression(benchmark, default_config, bank, raw_bitstreams):
     geometry = default_config.geometry()
-    report = ExperimentReport("E4", "Bit-stream compression ratio and decompression throughput")
+    report = ExperimentReport("E4", "Bit-stream compression ratio")
     table = Table(
-        "Mean compression ratio and windowed decompression throughput per codec",
-        ["codec", "mean_ratio", "best_ratio", "worst_ratio", "total_rom_KiB", "decompress_MBps"],
+        "Mean compression ratio per codec",
+        ["codec", "mean_ratio", "best_ratio", "worst_ratio", "total_rom_KiB"],
     )
     ratios_chart = {}
     total_raw = sum(len(data) for data in raw_bitstreams.values())
     for codec_name in CODECS:
         ratios = []
         stored_total = 0
-        decompress_seconds = 0.0
-        decompressed_bytes = 0
         for function_name, raw in raw_bitstreams.items():
             codec = _codec_for(codec_name, geometry)
             image = WindowedCompressor(codec, WINDOW_BYTES).compress(raw)
             ratios.append(image.compression_ratio)
             stored_total += image.stored_length
-            started = time.perf_counter()
             restored = WindowedDecompressor(image, _codec_for(codec_name, geometry)).decompress_all()
-            decompress_seconds += time.perf_counter() - started
-            decompressed_bytes += len(restored)
             assert restored == raw
-        throughput = decompressed_bytes / decompress_seconds / 1e6 if decompress_seconds else 0.0
         mean_ratio = sum(ratios) / len(ratios)
         ratios_chart[codec_name] = mean_ratio
         table.add_row(
@@ -83,7 +77,6 @@ def test_e4_compression(benchmark, default_config, bank, raw_bitstreams):
             max(ratios),
             min(ratios),
             stored_total / 1024.0,
-            throughput,
         )
     report.add_table(table)
     report.add_figure(ascii_bar_chart("Mean compression ratio (higher is better)", ratios_chart, unit="x"))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 
 def format_value(value: Any) -> str:
@@ -43,10 +43,6 @@ class Table:
             )
         self.rows.append([format_value(value) for value in values])
 
-    def add_dict_rows(self, rows: Sequence[Dict[str, Any]]) -> None:
-        for row in rows:
-            self.add_row(**row)
-
     def sort_by(self, column: str, reverse: bool = False, numeric: bool = True) -> None:
         """Sort rows by a column (best effort numeric parsing)."""
         index = self.columns.index(column)
@@ -72,13 +68,6 @@ class Table:
         for row in self.rows:
             lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
         return "\n".join(lines)
-
-    def to_dicts(self) -> List[Dict[str, str]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column_values(self, column: str) -> List[str]:
-        index = self.columns.index(column)
-        return [row[index] for row in self.rows]
 
     def __str__(self) -> str:
         return self.render()

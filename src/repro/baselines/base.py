@@ -17,7 +17,3 @@ class BaselineResult:
     hit: bool = True
     offloaded: bool = False
     breakdown: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def reconfigured(self) -> bool:
-        return not self.hit

@@ -12,7 +12,6 @@ configuration port.  This package provides:
 """
 
 from repro.bitstream.crc import crc32
-from repro.bitstream.bitio import BitReader, BitWriter
 from repro.bitstream.format import (
     Bitstream,
     BitstreamHeader,
@@ -47,8 +46,6 @@ from repro.bitstream.window import (
 
 __all__ = [
     "crc32",
-    "BitReader",
-    "BitWriter",
     "Bitstream",
     "BitstreamHeader",
     "FrameDataPacket",

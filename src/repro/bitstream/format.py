@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.bitstream.crc import crc32
 
@@ -83,10 +83,6 @@ class BitstreamHeader:
             raise ValueError("frame payload size must be positive")
         if self.input_bytes < 0 or self.output_bytes < 0:
             raise ValueError("I/O sizes cannot be negative")
-
-    @property
-    def is_partial(self) -> bool:
-        return bool(self.flags & self.FLAG_PARTIAL)
 
     def pack(self) -> bytes:
         name_bytes = self.function_name.encode("ascii", errors="replace")[:16].ljust(16, b"\x00")
@@ -194,10 +190,6 @@ class Bitstream:
         parts.append(_PACKET_STRUCT.pack(PacketType.END, 0, 4))
         parts.append(struct.pack(">I", crc_value))
         return b"".join(parts)
-
-    def iter_packets(self) -> Iterator[FrameDataPacket]:
-        for slot, payload in enumerate(self.frames):
-            yield FrameDataPacket(slot, payload)
 
     def __len__(self) -> int:
         return self.raw_size

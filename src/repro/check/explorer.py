@@ -30,7 +30,7 @@ into a one-line regression seed via ``trace.seed()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.check.invariants import check_invariants
 from repro.check.trace import ScheduleTrace
@@ -161,20 +161,3 @@ class Explorer:
             if trace.violations:
                 report.violations.append(trace)
         return report
-
-    def first_violation(self) -> Optional[ScheduleTrace]:
-        """DFS until the first invariant violation (or None when clean)."""
-        report = ExplorationReport()
-        stack: List[Tuple[int, ...]] = [()]
-        while stack and len(report.traces) < self.max_schedules:
-            prefix = stack.pop()
-            trace = self.run_prefix(prefix)
-            report.traces.append(trace)
-            if trace.violations:
-                return trace
-            for point in range(len(prefix), min(trace.depth, self.max_depth)):
-                chosen = trace.choices[point]
-                width = min(trace.branching[point], self.max_branch)
-                for alternative in range(width - 1, chosen, -1):
-                    stack.append(trace.choices[:point] + (alternative,))
-        return None

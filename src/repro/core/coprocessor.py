@@ -48,10 +48,6 @@ class ExecutionResult:
     breakdown: Dict[str, float]
     outcome: RequestOutcome
 
-    @property
-    def reconfigured(self) -> bool:
-        return not self.hit
-
 
 class AgileCoprocessor:
     """Card-level model of the FPGA-based agile algorithm-on-demand co-processor."""

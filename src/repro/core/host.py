@@ -41,14 +41,6 @@ class HostCallResult:
     command_ns: int
     total_ns: int
 
-    @property
-    def card_latency_ns(self) -> int:
-        return self.card_result.latency_ns if self.card_result is not None else 0
-
-    @property
-    def pci_overhead_ns(self) -> int:
-        return self.input_transfer_ns + self.output_transfer_ns + self.command_ns
-
 
 class HostDriver:
     """Drives a :class:`CoprocessorCard` across the PCI model."""

@@ -82,10 +82,6 @@ class TraceResult:
             return 0.0
         return self.requests / (self.total_time_ns / 1e9)
 
-    def mean_latency_for(self, function: str) -> float:
-        latencies = [record.latency_ns for record in self.records if record.function == function]
-        return sum(latencies) / len(latencies) if latencies else 0.0
-
     def summary(self) -> Dict[str, float]:
         return {
             "requests": float(self.requests),
@@ -147,16 +143,3 @@ class TraceRunner:
         else:
             result.total_time_ns = result.total_latency_ns
         return result
-
-
-def compare_engines(
-    trace: Trace,
-    engines: Dict[str, ExecutionEngine],
-    provide_future: bool = False,
-) -> Dict[str, TraceResult]:
-    """Run the same trace against several engines; returns results by name."""
-    results: Dict[str, TraceResult] = {}
-    for name, engine in engines.items():
-        runner = TraceRunner(engine, engine_name=name)
-        results[name] = runner.run(trace, provide_future=provide_future)
-    return results

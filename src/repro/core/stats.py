@@ -124,13 +124,6 @@ class CoprocessorStatistics:
         self.latency_mode = "sketch"
         self._latency_sketch = StreamingQuantileSketch(relative_error=relative_error)
 
-    @property
-    def latencies_seen(self) -> int:
-        """How many latencies were offered to the sample (>= len(latencies_ns))."""
-        if self.latency_mode == "sketch":
-            return self._latency_sketch.seen
-        return self._latency_sample.seen
-
     # ------------------------------------------------------------- recording
     def record(self, outcome: RequestOutcome, input_bytes: int) -> None:
         """Fold one request outcome into the aggregates."""
@@ -253,12 +246,6 @@ class CoprocessorStatistics:
         if self.latency_mode == "sketch":
             return self._latency_sketch.percentile(percentile)
         return percentile_of(sorted(self.latencies_ns), percentile)
-
-    def mean_latency_for(self, function: str) -> float:
-        count = self.per_function_requests.get(function, 0)
-        if not count:
-            return 0.0
-        return self.per_function_latency_ns[function] / count
 
     def reset(self) -> None:
         self.__init__()  # type: ignore[misc]

@@ -44,11 +44,6 @@ class FrameHazardDetector:
         self.last_was_hazard = False
         return False
 
-    @property
-    def hazard_rate(self) -> float:
-        """Fraction of observed executions that ran over corrupted frames."""
-        return self.hazard_executions / self.checks if self.checks else 0.0
-
     def reset(self) -> None:
         self.checks = 0
         self.hazard_executions = 0

@@ -9,7 +9,7 @@ layout of the per-frame configuration data that bit-streams carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from repro.fpga.lut import LookUpTable
 
@@ -134,13 +134,6 @@ class ConfigurableLogicBlock:
         self.ff_init = [(ff_value >> index) & 1 == 1 for index in range(len(self.luts))]
         offset += ff_width
         self.switch_box.load_config_bytes(data[offset:])
-
-    # ------------------------------------------------------------ evaluation
-    def evaluate_lut(self, lut_index: int, inputs: Sequence[bool]) -> bool:
-        """Evaluate one LUT in the CLB (used by the netlist executor)."""
-        if not 0 <= lut_index < len(self.luts):
-            raise IndexError(f"LUT index {lut_index} out of range")
-        return self.luts[lut_index].evaluate(inputs)
 
     def __repr__(self) -> str:  # pragma: no cover
         used = sum(1 for lut in self.luts if lut.as_integer() != 0)

@@ -165,16 +165,6 @@ class ConfigurationMemory:
         for address in region:
             self.clear_frame(address)
 
-    def clear_device(self) -> None:
-        """Full-device erase (what a *full* reconfiguration starts with)."""
-        for frame in self.frames:
-            frame.clear()
-        for frames in self._owner_frames.values():
-            for address in frames:
-                self._owners[address] = None
-        self._owner_frames.clear()
-        self._free = set(self._owners)
-
     # ------------------------------------------------------------ fault model
     def corrupt_bit(self, address: FrameAddress, bit_index: int, bits: int = 1) -> bool:
         """Flip configuration bits in one frame without updating its check word.
@@ -197,9 +187,6 @@ class ConfigurationMemory:
 
     def read_region(self, region: FrameRegion) -> List[bytes]:
         return [self.read_frame(address) for address in region]
-
-    def readback_device(self) -> Dict[FrameAddress, bytes]:
-        return self.frames.snapshot()
 
     # ------------------------------------------------------------ statistics
     def utilisation(self) -> float:

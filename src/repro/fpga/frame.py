@@ -191,22 +191,8 @@ class FrameRegion:
     def __contains__(self, address: FrameAddress) -> bool:
         return address in self.addresses
 
-    def flat_indices(self, geometry: FabricGeometry) -> List[int]:
-        return [address.flat_index(geometry.tiles_per_column) for address in self.addresses]
-
-    def is_contiguous(self, geometry: FabricGeometry) -> bool:
-        """True when the flat indices form a single run with no gaps."""
-        indices = sorted(self.flat_indices(geometry))
-        if not indices:
-            return True
-        return indices[-1] - indices[0] + 1 == len(indices)
-
     def overlaps(self, other: "FrameRegion") -> bool:
         return bool(set(self.addresses) & set(other.addresses))
-
-    def intersection(self, other: "FrameRegion") -> Tuple[FrameAddress, ...]:
-        mine = set(self.addresses)
-        return tuple(addr for addr in other.addresses if addr in mine)
 
     def union(self, other: "FrameRegion") -> "FrameRegion":
         combined = list(self.addresses)
@@ -240,13 +226,6 @@ class FrameArray:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def by_flat_index(self, index: int) -> Frame:
-        return self[self.geometry.frame_at(index)]
-
     def region(self, region: FrameRegion) -> List[Frame]:
         """The frame objects of a region, in region order."""
         return [self[address] for address in region]
-
-    def snapshot(self) -> Dict[FrameAddress, bytes]:
-        """Full configuration readback: address -> frame bytes."""
-        return {address: frame.to_config_bytes() for address, frame in self._frames.items()}

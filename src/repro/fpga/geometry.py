@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Tuple
+from typing import List
 
 
 @dataclass(frozen=True, order=True)
@@ -89,10 +89,6 @@ class FabricGeometry:
         return self.clb_rows_per_frame
 
     @property
-    def total_clbs(self) -> int:
-        return self.columns * self.rows
-
-    @property
     def luts_per_frame(self) -> int:
         return self.clbs_per_frame * self.luts_per_clb
 
@@ -146,13 +142,6 @@ class FabricGeometry:
         if not (0 <= address.column < self.columns and 0 <= address.tile < self.tiles_per_column):
             raise IndexError(f"{address} does not exist on a {self.columns}x{self.rows} fabric")
         return address
-
-    def clb_positions(self, address: FrameAddress) -> Iterator[Tuple[int, int]]:
-        """Yield the (column, row) coordinates of the CLBs inside a frame."""
-        self.validate(address)
-        base_row = address.tile * self.clb_rows_per_frame
-        for offset in range(self.clb_rows_per_frame):
-            yield (address.column, base_row + offset)
 
     def frames_needed_for_luts(self, lut_count: int) -> int:
         """Minimum number of frames able to host *lut_count* LUTs."""

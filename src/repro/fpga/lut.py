@@ -79,10 +79,6 @@ class LookUpTable:
         """Inverse of :meth:`to_bytes`."""
         return cls(inputs, int.from_bytes(data, "little"))
 
-    def is_constant(self) -> bool:
-        """True when the LUT ignores its inputs entirely."""
-        return self._tt == 0 or self._tt == (1 << self.size) - 1
-
     # ------------------------------------------------------------- builders
     @classmethod
     def constant(cls, inputs: int, value: bool) -> "LookUpTable":
@@ -102,18 +98,6 @@ class LookUpTable:
             if function(bits):
                 value |= 1 << index
         return cls(inputs, value)
-
-    @classmethod
-    def logic_and(cls, inputs: int) -> "LookUpTable":
-        return cls.from_function(inputs, all)
-
-    @classmethod
-    def logic_or(cls, inputs: int) -> "LookUpTable":
-        return cls.from_function(inputs, any)
-
-    @classmethod
-    def logic_xor(cls, inputs: int) -> "LookUpTable":
-        return cls.from_function(inputs, lambda bits: sum(bits) % 2 == 1)
 
     @classmethod
     def passthrough(cls, inputs: int, which: int = 0) -> "LookUpTable":

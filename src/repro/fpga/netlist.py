@@ -1,12 +1,14 @@
 """Technology-mapped netlists.
 
 A :class:`Netlist` is the representation a function's logic takes before it is
-placed onto frames: LUT cells (with truth tables), flip-flop cells, primary
-inputs and outputs, connected by nets.  Small functions (CRC, parity, adders)
-are expressed as real netlists that the fabric genuinely evaluates; large
-functions (AES, FFT, ...) are expressed as *synthetic* netlists whose size and
-structure match the function's resource estimate, which is what matters to
-placement, bit-stream size and reconfiguration latency.
+placed onto frames: LUT cells (with truth tables), primary inputs and outputs,
+connected by nets.  Netlists are combinational: every function the bank maps
+is one pass through its LUTs, so there are no flip-flop cells.  Small
+functions (CRC, parity, adders) are expressed as real netlists that the fabric
+genuinely evaluates; large functions (AES, FFT, ...) are expressed as
+*synthetic* netlists whose size and structure match the function's resource
+estimate, which is what matters to placement, bit-stream size and
+reconfiguration latency.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ class CellKind(enum.Enum):
     """Kinds of cells a mapped netlist may contain."""
 
     LUT = "lut"
-    FLIP_FLOP = "ff"
     INPUT = "input"
     OUTPUT = "output"
 
@@ -44,8 +45,8 @@ class Cell:
     def __post_init__(self) -> None:
         if self.kind is CellKind.LUT and self.lut is None:
             raise ValueError(f"LUT cell {self.name!r} needs a truth table")
-        if self.kind in (CellKind.LUT, CellKind.FLIP_FLOP) and self.output_net is None:
-            raise ValueError(f"cell {self.name!r} must drive a net")
+        if self.kind is CellKind.LUT and self.output_net is None:
+            raise ValueError(f"LUT cell {self.name!r} must drive a net")
         if self.kind is CellKind.INPUT and self.fanin:
             raise ValueError(f"input cell {self.name!r} cannot have fanin")
 
@@ -116,34 +117,14 @@ class Netlist:
             source_net.sinks.append(name)
         return out_net
 
-    def add_flip_flop(self, name: str, data_net: str, output_net: Optional[str] = None) -> str:
-        """Add a D flip-flop cell clocked by the (implicit) fabric clock."""
-        if name in self.cells:
-            raise ValueError(f"cell {name!r} already exists")
-        out_net = output_net or f"q:{name}"
-        cell = Cell(name, CellKind.FLIP_FLOP, (data_net,), out_net)
-        self.cells[name] = cell
-        net = self.nets.setdefault(out_net, Net(out_net))
-        net.driver = name
-        self.nets.setdefault(data_net, Net(data_net)).sinks.append(name)
-        return out_net
-
     # -------------------------------------------------------------- queries
     @property
     def lut_cells(self) -> List[Cell]:
         return [cell for cell in self.cells.values() if cell.kind is CellKind.LUT]
 
     @property
-    def flip_flop_cells(self) -> List[Cell]:
-        return [cell for cell in self.cells.values() if cell.kind is CellKind.FLIP_FLOP]
-
-    @property
     def lut_count(self) -> int:
         return len(self.lut_cells)
-
-    @property
-    def flip_flop_count(self) -> int:
-        return len(self.flip_flop_cells)
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on problems."""
@@ -159,10 +140,10 @@ class Netlist:
                 raise ValueError(f"primary output {net_name!r} is not a net")
 
     def topological_lut_order(self) -> List[Cell]:
-        """LUT cells ordered so every combinational fanin is computed first.
+        """LUT cells ordered so every fanin is computed first.
 
-        Flip-flop outputs and primary inputs are treated as already available.
-        Raises ``ValueError`` if the combinational logic contains a cycle.
+        Primary inputs are available from the start.  Raises ``ValueError``
+        if the logic contains a cycle.
 
         The order is computed wave by wave (all cells whose fanin is satisfied,
         sorted by name, then the cells they unlock) with a single pass over the
@@ -171,7 +152,6 @@ class Netlist:
         original quadratic scan.
         """
         available: Set[str] = set(self.inputs)
-        available.update(cell.output_net for cell in self.flip_flop_cells if cell.output_net)
         lut_cells = self.lut_cells
         pending: Dict[str, int] = {}
         dependents: Dict[str, List[Cell]] = {}
@@ -207,22 +187,8 @@ class Netlist:
             )
         return ordered
 
-    def logic_depth(self) -> int:
-        """Longest combinational LUT chain (a crude critical-path proxy)."""
-        depth: Dict[str, int] = {net: 0 for net in self.inputs}
-        for cell in self.flip_flop_cells:
-            if cell.output_net:
-                depth[cell.output_net] = 0
-        longest = 0
-        for cell in self.topological_lut_order():
-            cell_depth = 1 + max((depth.get(source, 0) for source in cell.fanin), default=0)
-            assert cell.output_net is not None
-            depth[cell.output_net] = cell_depth
-            longest = max(longest, cell_depth)
-        return longest
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"Netlist({self.name!r}, luts={self.lut_count}, ffs={self.flip_flop_count}, "
+            f"Netlist({self.name!r}, luts={self.lut_count}, "
             f"inputs={len(self.inputs)}, outputs={len(self.outputs)})"
         )

@@ -58,11 +58,6 @@ class Placement:
     def cells_in_frame(self, address: FrameAddress) -> List[str]:
         return [name for name, site in self.sites.items() if site.frame == address]
 
-    def lut_utilisation(self, geometry: FabricGeometry) -> float:
-        """Fraction of the region's LUT capacity actually used."""
-        capacity = self.frame_count * geometry.luts_per_frame
-        return len(self.sites) / capacity if capacity else 0.0
-
 
 class Placer:
     """Places netlists onto free frames of a fabric."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.functions.base import FunctionCategory, HardwareFunction
+from repro.functions.base import HardwareFunction
 from repro.functions.crypto.aes import AesFunction
 from repro.functions.crypto.des import DesFunction
 from repro.functions.crypto.modexp import ModExpFunction
@@ -66,9 +66,6 @@ class FunctionBank:
     def names(self) -> List[str]:
         return [function.name for function in self._functions]
 
-    def by_category(self, category: FunctionCategory) -> List[HardwareFunction]:
-        return [function for function in self._functions if function.spec.category is category]
-
     def subset(self, names: Sequence[str]) -> "FunctionBank":
         """A new bank containing only *names* (in the given order).
 
@@ -76,15 +73,6 @@ class FunctionBank:
         netlist/executor memoisation carries over.
         """
         return FunctionBank([self.by_name(name) for name in names])
-
-    def prepare(self, geometry) -> None:
-        """Warm every function's per-geometry caches (netlist, sizing,
-        compiled executor) so the first on-demand request pays no one-time
-        compilation cost.  Purely an optimisation: the cached artefacts are
-        exactly what the lazy path would build."""
-        for function in self._functions:
-            function.frames_required(geometry)
-            function.executor(geometry)
 
     def describe(self) -> str:
         lines = []

@@ -59,8 +59,8 @@ class HardwareFunction(abc.ABC):
     per geometry: the microcontroller asks for all three on *every* on-demand
     request, and rebuilding (and re-compiling) a netlist per miss dominated
     the reconfiguration pipeline.  A netlist/executor is deterministic in
-    (function, geometry), and executors reset their flip-flop state on every
-    ``run``, so reuse is observationally identical.
+    (function, geometry), and an executor keeps no state between ``run``
+    calls, so reuse is observationally identical.
     """
 
     def __init__(self, spec: FunctionSpec) -> None:

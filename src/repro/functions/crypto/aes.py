@@ -71,31 +71,27 @@ def _build_sbox() -> List[int]:
 
 
 _SBOX = _build_sbox()
-_INV_SBOX = [0] * 256
-for _index, _value in enumerate(_SBOX):
-    _INV_SBOX[_value] = _index
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-# Byte-level multiplication tables for the MixColumns matrices, derived from
-# the same finite-field routines the step-by-step test oracle uses.  The block
-# functions below index these instead of re-running the bitwise GF multiply
+# Byte-level multiplication tables for the MixColumns matrix, derived from
+# the same finite-field routine the step-by-step test oracle uses.  The block
+# function below indexes these instead of re-running the bitwise GF multiply
 # per state byte per round.
 _MUL2 = [_xtime(value) for value in range(256)]
 _MUL3 = [_MUL2[value] ^ value for value in range(256)]
-_MUL9 = [_gf_multiply(value, 9) for value in range(256)]
-_MUL11 = [_gf_multiply(value, 11) for value in range(256)]
-_MUL13 = [_gf_multiply(value, 13) for value in range(256)]
-_MUL14 = [_gf_multiply(value, 14) for value in range(256)]
 
 # ShiftRows as a gather: output byte i (= row + 4*col, column-major) reads
-# input byte row + 4*((col + row) % 4); the inverse map rotates the other way.
+# input byte row + 4*((col + row) % 4).
 _SHIFT_MAP = [(i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16)]
-_INV_SHIFT_MAP = [(i % 4) + 4 * (((i // 4) - (i % 4)) % 4) for i in range(16)]
 
 
 class Aes128:
-    """AES-128 block cipher (encrypt and decrypt a single 16-byte block)."""
+    """AES-128 block cipher, encryption only (the hardware datapath).
+
+    The inverse cipher is a test oracle (``tests/oracles/crypto_reference.py``):
+    nothing on the card decrypts.
+    """
 
     BLOCK_BYTES = 16
     ROUNDS = 10
@@ -159,35 +155,6 @@ class Aes128:
         key = round_keys[self.ROUNDS]
         return bytes(sbox[state[shift[i]]] ^ key[i] for i in range(16))
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Inverse of :meth:`encrypt_block`, same table-driven structure."""
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError("AES blocks are 16 bytes")
-        round_keys = self._round_keys
-        inv_sbox = _INV_SBOX
-        mul9 = _MUL9
-        mul11 = _MUL11
-        mul13 = _MUL13
-        mul14 = _MUL14
-        inv_shift = _INV_SHIFT_MAP
-        key = round_keys[self.ROUNDS]
-        state = [block[i] ^ key[i] for i in range(16)]
-        for round_index in range(self.ROUNDS - 1, 0, -1):
-            key = round_keys[round_index]
-            subbed = [inv_sbox[state[inv_shift[i]]] ^ key[i] for i in range(16)]
-            state = []
-            for column in (0, 4, 8, 12):
-                a0 = subbed[column]
-                a1 = subbed[column + 1]
-                a2 = subbed[column + 2]
-                a3 = subbed[column + 3]
-                state.append(mul14[a0] ^ mul11[a1] ^ mul13[a2] ^ mul9[a3])
-                state.append(mul9[a0] ^ mul14[a1] ^ mul11[a2] ^ mul13[a3])
-                state.append(mul13[a0] ^ mul9[a1] ^ mul14[a2] ^ mul11[a3])
-                state.append(mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3])
-        key = round_keys[0]
-        return bytes(inv_sbox[state[inv_shift[i]]] ^ key[i] for i in range(16))
-
     # ------------------------------------------------------------- messages
     def encrypt_ecb(self, data: bytes) -> bytes:
         """ECB over zero-padded data (the hardware datapath's behaviour)."""
@@ -195,14 +162,6 @@ class Aes128:
         out = bytearray()
         for start in range(0, len(padded), self.BLOCK_BYTES):
             out.extend(self.encrypt_block(padded[start : start + self.BLOCK_BYTES]))
-        return bytes(out)
-
-    def decrypt_ecb(self, data: bytes) -> bytes:
-        if len(data) % self.BLOCK_BYTES:
-            raise ValueError("ECB ciphertext must be a whole number of blocks")
-        out = bytearray()
-        for start in range(0, len(data), self.BLOCK_BYTES):
-            out.extend(self.decrypt_block(data[start : start + self.BLOCK_BYTES]))
         return bytes(out)
 
 

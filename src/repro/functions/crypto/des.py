@@ -172,24 +172,11 @@ class Des:
             raise ValueError("DES blocks are 8 bytes")
         return self._crypt_block(block, self._subkeys)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError("DES blocks are 8 bytes")
-        return self._crypt_block(block, list(reversed(self._subkeys)))
-
     def encrypt_ecb(self, data: bytes) -> bytes:
         padded = data + b"\x00" * ((-len(data)) % self.BLOCK_BYTES)
         out = bytearray()
         for start in range(0, len(padded), self.BLOCK_BYTES):
             out.extend(self.encrypt_block(padded[start : start + self.BLOCK_BYTES]))
-        return bytes(out)
-
-    def decrypt_ecb(self, data: bytes) -> bytes:
-        if len(data) % self.BLOCK_BYTES:
-            raise ValueError("ECB ciphertext must be a whole number of blocks")
-        out = bytearray()
-        for start in range(0, len(data), self.BLOCK_BYTES):
-            out.extend(self.decrypt_block(data[start : start + self.BLOCK_BYTES]))
         return bytes(out)
 
 

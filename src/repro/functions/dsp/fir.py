@@ -27,10 +27,6 @@ class FirFilter:
                 raise ValueError("coefficients must fit in int16 (Q15)")
         self.coefficients = list(coefficients)
 
-    @property
-    def taps(self) -> int:
-        return len(self.coefficients)
-
     @staticmethod
     def _saturate(value: int) -> int:
         return max(-32768, min(32767, value))

@@ -38,14 +38,6 @@ def bitonic_sort(values: Sequence[int]) -> List[int]:
     return data
 
 
-def compare_exchange_count(length: int) -> int:
-    """Number of compare-exchange operations the network performs."""
-    if length <= 1:
-        return 0
-    stages = length.bit_length() - 1
-    return (length // 2) * stages * (stages + 1) // 2
-
-
 class BitonicSortFunction(HardwareFunction):
     """Sort 64 unsigned 16-bit keys with a bitonic network."""
 

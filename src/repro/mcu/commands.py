@@ -51,13 +51,12 @@ class CommandKind(enum.IntEnum):
 REG_COMMAND = 0x00      # write triggers command execution
 REG_FUNCTION_ID = 0x04  # function the command applies to
 REG_INPUT_LENGTH = 0x08
-REG_STATUS = 0x0C       # 0 = idle/ok, 1 = busy, >=2 = error codes
+REG_STATUS = 0x0C       # 0 = ok, >=2 = error codes (1, busy, is never reported)
 REG_OUTPUT_LENGTH = 0x10
 REG_TIME_LOW = 0x14     # busy time of the last command, ns (low 32 bits)
 REG_TIME_HIGH = 0x18
 
 STATUS_OK = 0
-STATUS_BUSY = 1
 STATUS_UNKNOWN_FUNCTION = 2
 STATUS_CONFIG_FAILED = 3
 STATUS_BAD_COMMAND = 4

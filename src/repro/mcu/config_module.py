@@ -49,13 +49,6 @@ class ReconfigurationReport:
     total_time_ns: int = 0
     overlapped: bool = False
 
-    @property
-    def effective_bandwidth_mbytes_per_s(self) -> float:
-        """Uncompressed configuration bytes per second of total latency."""
-        if self.total_time_ns <= 0:
-            return 0.0
-        return self.uncompressed_bytes / self.total_time_ns * 1e3
-
 
 class ConfigurationModule:
     """Streams compressed bit-streams from the ROM onto the fabric."""

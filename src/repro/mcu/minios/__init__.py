@@ -11,7 +11,8 @@ here:
   moment at which it was accessed";
 * the **Frame Replacement Policy** — the paper evicts the algorithm with the
   oldest time stamp (least recently used); the policy is pluggable here so
-  experiment E3 can compare it with FIFO, LFU, Random and Belady's optimal.
+  experiment E3 can compare it with FIFO, LFU, Random and Belady's
+  farthest-next-use heuristic.
 """
 
 from repro.mcu.minios.defrag import DefragPassResult, Defragmenter, DefragStatistics

@@ -55,10 +55,6 @@ class FreeFrameList:
     def free_count(self) -> int:
         return len(self._free)
 
-    def can_host(self, frames_needed: int) -> bool:
-        """True when enough free frames exist (contiguity not required)."""
-        return frames_needed <= len(self._free)
-
     def largest_contiguous_run(self) -> int:
         """Length of the longest run of consecutive free frames."""
         tiles = self.geometry.tiles_per_column

@@ -59,9 +59,6 @@ class FrameReplacementTable:
     def names(self) -> List[str]:
         return list(self._entries)
 
-    def resident_frame_count(self) -> int:
-        return sum(entry.frame_count for entry in self._entries.values())
-
     # ------------------------------------------------------------- mutation
     def insert(self, name: str, region: FrameRegion, now_ns: int) -> FrameReplacementEntry:
         """Register a newly loaded algorithm."""
@@ -97,12 +94,6 @@ class FrameReplacementTable:
         self._entries.clear()
 
     # ------------------------------------------------------------ reporting
-    def oldest_by_last_access(self) -> Optional[FrameReplacementEntry]:
-        """The entry the paper's policy would evict first."""
-        if not self._entries:
-            return None
-        return min(self._entries.values(), key=lambda entry: (entry.last_access_ns, entry.name))
-
     def describe(self, now_ns: Optional[int] = None) -> str:
         lines = []
         for entry in sorted(self._entries.values(), key=lambda e: e.last_access_ns):

@@ -99,9 +99,6 @@ class LocalRam:
         except KeyError:
             raise RamAllocationError(f"no allocation labelled {label!r}") from None
 
-    def free_all(self) -> None:
-        self._allocations.clear()
-
     # ----------------------------------------------------------------- I/O
     def write(self, allocation: RamAllocation, data: bytes, offset: int = 0) -> float:
         """Timed write of *data* into *allocation* at *offset*; returns the time."""

@@ -151,21 +151,6 @@ class ConfigurationRom:
             yield self.read(offset, length)
             offset += length
 
-    def read_record_table(self) -> RecordTable:
-        """Timed read of the packed record table (what the mini OS boots from)."""
-        size = self._table.packed_size
-        if size == 0:
-            return RecordTable()
-        raw = self.read(self._record_area_bottom, size)
-        # Records were appended top-down, so the packed order in memory is the
-        # reverse of insertion order; rebuild in insertion order.
-        count = len(self._table)
-        record_size = FunctionRecord.packed_size()
-        table = RecordTable()
-        for index in range(count - 1, -1, -1):
-            table.add(FunctionRecord.unpack(raw[index * record_size : (index + 1) * record_size]))
-        return table
-
     # ------------------------------------------------------------ reporting
     def layout_summary(self) -> Dict[str, int]:
         """Occupancy summary used by the E7 experiment."""

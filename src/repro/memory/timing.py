@@ -41,10 +41,6 @@ class MemoryTiming:
             return 0
         return round(self.access_latency_ns + num_bytes / self.bandwidth_bytes_per_ns)
 
-    def bandwidth_mbytes_per_s(self) -> float:
-        """Convenience conversion used in reports."""
-        return self.bandwidth_bytes_per_ns * 1e3
-
 
 #: Flash-style configuration ROM: 100 ns setup, ~50 MB/s sustained.
 ROM_TIMING = MemoryTiming(access_latency_ns=100, bandwidth_bytes_per_ns=0.05)

@@ -360,6 +360,3 @@ class Tracer:
 
     def by_name(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
-
-    def by_trace(self, trace_id: int) -> List[Span]:
-        return [span for span in self.spans if span.trace_id == trace_id]

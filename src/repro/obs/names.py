@@ -186,8 +186,3 @@ METRIC_NAMES = tuple(
     for key, value in sorted(globals().items())
     if key.startswith(("METRIC_", "GAUGE_"))
 )
-
-
-def all_names() -> tuple:
-    """Every canonical name (spans + metrics) — what the lint test sweeps."""
-    return SPAN_NAMES + METRIC_NAMES

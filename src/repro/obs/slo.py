@@ -28,7 +28,7 @@ across processes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.sketch import WindowedTimeSeries
 from repro.obs import names
@@ -394,10 +394,6 @@ class SloEngine:
         return self._fleet_states + self._net_states
 
     # --------------------------------------------------------------- queries
-    @property
-    def active_alerts(self) -> List[Alert]:
-        return [alert for alert in self.alerts if alert.active]
-
     def status(self) -> List[dict]:
         """One burn-rate table row per (spec, window) — deterministic order."""
         rows = []

@@ -174,10 +174,6 @@ class TailSampler:
             self.on_retain(trace_id, spans, reason, root)
 
     # --------------------------------------------------------------- queries
-    @property
-    def pending_traces(self) -> int:
-        return len(self._pending)
-
     def summary(self) -> Dict[str, object]:
         return {
             "retained_traces": self.retained_traces,

@@ -51,10 +51,6 @@ class PciBusTiming:
     def time_ns(self, length_bytes: int) -> int:
         return round(self.cycles_for(length_bytes) * 1e9 / self.clock_hz)
 
-    def bandwidth_mbytes_per_s(self) -> float:
-        """Peak data bandwidth ignoring per-transaction overhead."""
-        return self.clock_hz * self.bus_width_bytes / 1e6
-
 
 class PciBus:
     """Routes transactions from the host bridge to the devices on the bus."""

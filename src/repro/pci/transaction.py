@@ -63,7 +63,3 @@ class PciTransaction:
     @property
     def is_write(self) -> bool:
         return self.kind in (TransactionKind.MEMORY_WRITE, TransactionKind.CONFIG_WRITE)
-
-    @property
-    def is_read(self) -> bool:
-        return not self.is_write

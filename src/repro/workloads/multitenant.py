@@ -92,11 +92,6 @@ class FleetTrace:
     def per_tenant_counts(self) -> Dict[str, int]:
         return dict(Counter(request.tenant for request in self._requests))
 
-    def mean_arrival_rate_per_s(self) -> float:
-        if len(self._requests) < 2 or self.duration_ns <= 0:
-            return 0.0
-        return (len(self._requests) - 1) / (self.duration_ns / 1e9)
-
     def describe(self) -> str:
         tenants = self.per_tenant_counts()
         mix = ", ".join(f"{tenant}:{count}" for tenant, count in sorted(tenants.items()))

@@ -53,12 +53,6 @@ class Trace:
             counts[request.function] = counts.get(request.function, 0) + 1
         return counts
 
-    def distinct_functions(self) -> List[str]:
-        return sorted(self.function_counts())
-
-    def total_payload_bytes(self) -> int:
-        return sum(request.payload_bytes for request in self._requests)
-
     def switches(self) -> int:
         """Number of adjacent request pairs that change function — the
         quantity that stresses on-demand reconfiguration."""

@@ -1,6 +1,6 @@
 """Table-driven CRC-32 (IEEE 802.3), a byte at a time: the seed's model of the
 hardware CRC engine, moved here from ``repro.bitstream.crc``.  ``crc32`` there
-delegates to :func:`zlib.crc32`; ``tests/test_bitstream_crc_bitio.py`` holds
+delegates to :func:`zlib.crc32`; ``tests/test_bitstream_crc.py`` holds
 the two bit-compatible.
 """
 

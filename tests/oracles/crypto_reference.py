@@ -4,6 +4,9 @@ moved here unchanged from ``repro.functions.crypto`` (where they were private
 the table-driven / rotation-inlined datapaths bit-identical to.  They share the
 S-box, the GF(2^8) multiply, the key schedule and the round constants with the
 code under test; FIPS / hashlib vectors in the same test file pin those.
+
+The inverse ciphers live here too: the card only encrypts, so AES and DES
+decryption exist to check the encryption datapaths round-trip.
 """
 
 from __future__ import annotations
@@ -11,12 +14,18 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
-from repro.functions.crypto.aes import _INV_SBOX, _SBOX, Aes128, _gf_multiply
+from repro.functions.crypto.aes import _SBOX, Aes128, _gf_multiply
+from repro.functions.crypto.des import Des
 from repro.functions.crypto.sha256 import _K
+
+_INV_SBOX = [0] * 256
+for _index, _value in enumerate(_SBOX):
+    _INV_SBOX[_value] = _index
 
 
 class ReferenceAes128(Aes128):
-    """``Aes128`` plus the SubBytes / ShiftRows / MixColumns / AddRoundKey chain."""
+    """``Aes128`` plus the SubBytes / ShiftRows / MixColumns / AddRoundKey chain
+    and its inverse."""
 
     # ------------------------------------------------------------ primitives
     @staticmethod
@@ -117,7 +126,7 @@ class ReferenceAes128(Aes128):
         state = self._add_round_key(state, self._round_keys[self.ROUNDS])
         return bytes(state)
 
-    def _decrypt_block_reference(self, block: bytes) -> bytes:
+    def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != self.BLOCK_BYTES:
             raise ValueError("AES blocks are 16 bytes")
         state = self._add_round_key(list(block), self._round_keys[self.ROUNDS])
@@ -130,6 +139,23 @@ class ReferenceAes128(Aes128):
         state = self._inv_sub_bytes(state)
         state = self._add_round_key(state, self._round_keys[0])
         return bytes(state)
+
+
+class ReferenceDes(Des):
+    """``Des`` plus decryption: the Feistel network with the subkeys reversed."""
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        if len(block) != self.BLOCK_BYTES:
+            raise ValueError("DES blocks are 8 bytes")
+        return self._crypt_block(block, list(reversed(self._subkeys)))
+
+
+def decrypt_ecb(cipher, data: bytes) -> bytes:
+    """ECB decryption with either reference cipher; a partial block raises."""
+    size = cipher.BLOCK_BYTES
+    return b"".join(
+        cipher.decrypt_block(data[start : start + size]) for start in range(0, len(data), size)
+    )
 
 
 def _rotate_right(value: int, amount: int) -> int:

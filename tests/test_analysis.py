@@ -30,7 +30,7 @@ class TestTable:
         table.add_row(name="b", value=2.0)
         rendered = table.render()
         assert "demo" in rendered and "a" in rendered and "b" in rendered
-        assert table.column_values("name") == ["a", "b"]
+        assert table.rows == [["a", "1.00"], ["b", "2.00"]]
 
     def test_row_length_checked(self):
         table = Table("demo", ["a", "b"])
@@ -48,14 +48,9 @@ class TestTable:
         table.add_row("big", 10.0)
         table.add_row("small", 2.0)
         table.sort_by("value")
-        assert table.column_values("name") == ["small", "big"]
+        assert [row[0] for row in table.rows] == ["small", "big"]
         table.sort_by("value", reverse=True)
-        assert table.column_values("name") == ["big", "small"]
-
-    def test_dict_rows_and_export(self):
-        table = Table("demo", ["x", "y"])
-        table.add_dict_rows([{"x": 1, "y": 2}, {"x": 3, "y": 4}])
-        assert table.to_dicts()[0] == {"x": "1", "y": "2"}
+        assert [row[0] for row in table.rows] == ["big", "small"]
 
     def test_alignment_in_render(self):
         table = Table("demo", ["column"])

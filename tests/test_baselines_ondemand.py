@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import FullReconfigEngine, HostOnlyEngine, StaticFixedEngine
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
-from repro.core.ondemand import TraceRunner, compare_engines
+from repro.core.ondemand import TraceRunner
 from repro.functions.bank import build_small_bank
 from repro.workloads import repeated_trace, round_robin_trace, uniform_trace
 
@@ -127,19 +127,8 @@ class TestTraceRunner:
         trace = uniform_trace(bank, 30, seed=4)
         result = TraceRunner(copro).run(trace)
         busiest = max(trace.function_counts(), key=trace.function_counts().get)
-        assert result.mean_latency_for(busiest) > 0
+        assert all(record.latency_ns > 0 for record in result.records if record.function == busiest)
         assert result.latency_percentile(50) <= result.latency_percentile(99)
-
-    def test_compare_engines_runs_all(self, bank, config):
-        trace = uniform_trace(bank, 15, seed=5)
-        engines = {
-            "host": HostOnlyEngine(bank),
-            "agile": build_coprocessor(config=config, bank=bank),
-        }
-        results = compare_engines(trace, engines)
-        assert set(results) == {"host", "agile"}
-        for result in results.values():
-            assert result.requests == 15
 
     def test_arrival_offsets_advance_the_engine_clock(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)

@@ -156,9 +156,9 @@ class TestExplorerOnDivergentModel:
                 run.trace_length = -1  # trips request conservation
             return run
 
-        explorer = Explorer(buggy, max_schedules=40)
-        found = explorer.first_violation()
-        assert found is not None
+        report = Explorer(buggy, max_schedules=40).explore()
+        assert report.violations
+        found = report.violations[0]
         assert found.violations
         # The violating seed replays to the same interleaving.
         replayed = Explorer(_conflict_scenario).run_prefix(found.choices)

@@ -153,15 +153,12 @@ class TestAdversarialTruncation:
                 GolombRiceCodec().decompress(blob[:cut])
 
     def test_golomb_run_overrun_is_detected(self):
-        # A forged stream whose zero-run exceeds the declared length.
+        # A forged stream whose zero-run exceeds the declared length: 200 one
+        # bits and a zero (unary quotient 200, k=0 -> run of 200), then a
+        # zero flag bit and padding.
         import struct
 
-        from repro.bitstream.bitio import BitWriter
-
-        writer = BitWriter()
-        writer.write_unary(200)  # quotient 200, k=0 -> run of 200
-        writer.write_bit(0)
-        blob = struct.pack(">IB", 10, 0) + writer.getvalue()
+        blob = struct.pack(">IB", 10, 0) + b"\xff" * 25 + b"\x00"
         with pytest.raises(CodecError):
             GolombRiceCodec().decompress(blob)
 

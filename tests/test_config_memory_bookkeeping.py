@@ -89,7 +89,7 @@ class TestIndexConsistency:
         for address in _region([1, 2, 3]):
             memory.write_frame(address, payload, owner="aes")
         memory.claim(_region([10]), "sha1")  # owned but never written
-        memory.clear_device()
+        memory.clear_region(_region(range(TEST_GEOMETRY.frame_count)))
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
         assert memory.owners() == {}
         assert memory.utilisation() == 0.0

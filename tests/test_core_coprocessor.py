@@ -73,8 +73,8 @@ class TestExecution:
     def test_hit_miss_accounting(self, small_coprocessor):
         first = small_coprocessor.execute("crc32", b"x")
         second = small_coprocessor.execute("crc32", b"x")
-        assert not first.hit and first.reconfigured
-        assert second.hit and not second.reconfigured
+        assert not first.hit
+        assert second.hit
         stats = small_coprocessor.stats
         assert stats.requests == 2 and stats.hits == 1 and stats.misses == 1
         assert 0.0 < stats.hit_rate < 1.0
@@ -135,8 +135,10 @@ class TestStatistics:
     def test_per_function_latency(self, small_coprocessor):
         small_coprocessor.execute("crc32", b"abc")
         small_coprocessor.execute("parity32", bytes(4))
-        assert small_coprocessor.stats.mean_latency_for("crc32") > 0
-        assert small_coprocessor.stats.mean_latency_for("ghost") == 0.0
+        stats = small_coprocessor.stats
+        assert stats.per_function_requests == {"crc32": 1, "parity32": 1}
+        assert stats.per_function_latency_ns["crc32"] > 0
+        assert "ghost" not in stats.per_function_latency_ns
 
     def test_empty_statistics_are_zero(self):
         stats = CoprocessorStatistics()

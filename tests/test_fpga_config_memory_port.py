@@ -64,14 +64,16 @@ class TestConfigurationMemory:
 
     def test_readback_device(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
-        snapshot = memory.readback_device()
-        assert len(snapshot) == tiny_geometry.frame_count
+        readback = memory.read_region(FrameRegion.from_addresses(tiny_geometry.all_frames()))
+        assert len(readback) == tiny_geometry.frame_count
+        assert {len(data) for data in readback} == {tiny_geometry.frame_config_bytes}
 
     def test_clear_device(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         memory.write_frame(tiny_geometry.frame_at(0), _payload(tiny_geometry), owner="aes")
-        memory.clear_device()
+        memory.clear_region(FrameRegion.from_addresses(tiny_geometry.all_frames()))
         assert memory.unowned_frames() == tiny_geometry.all_frames()
+        assert memory.frames[tiny_geometry.frame_at(0)].is_clear
 
 
 class TestConfigurationPort:

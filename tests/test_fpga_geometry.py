@@ -51,14 +51,6 @@ class TestFabricGeometry:
         with pytest.raises(IndexError):
             tiny_geometry.validate(FrameAddress(99, 0))
 
-    def test_clb_positions_cover_the_frame(self, tiny_geometry):
-        address = FrameAddress(1, 2)
-        positions = list(tiny_geometry.clb_positions(address))
-        assert len(positions) == tiny_geometry.clbs_per_frame
-        assert all(column == 1 for column, _ in positions)
-        rows = [row for _, row in positions]
-        assert rows == list(range(8, 12))
-
     def test_frames_needed_for_luts(self, tiny_geometry):
         per_frame = tiny_geometry.luts_per_frame
         assert tiny_geometry.frames_needed_for_luts(0) == 0

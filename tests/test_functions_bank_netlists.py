@@ -62,7 +62,7 @@ class TestFunctionBank:
             bank.add(AdderFunction(function_id=1))
 
     def test_by_category(self, default_bank):
-        crypto = default_bank.by_category(FunctionCategory.CRYPTO)
+        crypto = [f for f in default_bank if f.spec.category is FunctionCategory.CRYPTO]
         assert {function.name for function in crypto} == {"aes128", "des", "modexp512"}
 
     def test_subset_preserves_order(self, default_bank):

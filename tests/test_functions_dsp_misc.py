@@ -11,7 +11,7 @@ from repro.functions.dsp.fft import FftFunction, fft_radix2
 from repro.functions.dsp.fir import FirFilter, FirFunction
 from repro.functions.dsp.matmul import MatMulFunction, matrix_multiply
 from repro.functions.misc.crc import Crc32Function
-from repro.functions.misc.sort import BitonicSortFunction, bitonic_sort, compare_exchange_count
+from repro.functions.misc.sort import BitonicSortFunction, bitonic_sort
 from repro.functions.misc.strmatch import StringMatchFunction, count_occurrences
 
 
@@ -156,10 +156,6 @@ class TestBitonicSort:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             bitonic_sort([1, 2, 3])
-
-    def test_compare_exchange_count(self):
-        assert compare_exchange_count(1) == 0
-        assert compare_exchange_count(8) == 4 * 3 * 4 // 2
 
     def test_hardware_function_sorts_keys(self):
         function = BitonicSortFunction()

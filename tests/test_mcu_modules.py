@@ -67,7 +67,7 @@ class TestConfigurationModule:
         assert report.config_time_ns > 0
         assert report.total_time_ns >= report.config_time_ns
         assert report.total_time_ns == pytest.approx(clock.now)
-        assert report.effective_bandwidth_mbytes_per_s > 0
+        assert report.uncompressed_bytes > 0
         output, _ = device.execute("adder8", bytes([7, 8]))
         assert output[0] == 15
 

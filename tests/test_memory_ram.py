@@ -58,7 +58,8 @@ class TestAllocator:
         ram = LocalRam(1024)
         ram.allocate("a", 400)
         ram.allocate("b", 300)
-        ram.free_all()
+        ram.free("a")
+        ram.free("b")
         assert ram.bytes_allocated == 0
         assert ram.peak_bytes_allocated == 700
 

@@ -139,18 +139,6 @@ class TestConfigurationRom:
         with pytest.raises(RomLookupError):
             rom.record_for("ghost")
 
-    def test_record_table_readback_preserves_order(self):
-        rom = self._rom()
-        rom.download(1, "first", b"\x01" * 10, 30, 1, 1, 1, "rle")
-        rom.download(2, "second", b"\x02" * 10, 30, 1, 1, 1, "rle")
-        rom.download(3, "third", b"\x03" * 10, 30, 1, 1, 1, "rle")
-        table = rom.read_record_table()
-        assert table.names() == ["first", "second", "third"]
-
-    def test_empty_record_table_readback(self):
-        rom = self._rom()
-        assert len(rom.read_record_table()) == 0
-
     def test_layout_summary(self):
         rom = self._rom()
         rom.download(1, "a", b"\x00" * 64, 128, 1, 1, 1, "rle")

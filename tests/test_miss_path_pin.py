@@ -56,14 +56,13 @@ def _observe_churn() -> dict:
         for request in zipf_trace(bank, 300, skew=0.8, seed=11)
     ]
     device = driver.coprocessor.device
-    readback = device.memory.readback_device()
     return {
         "total_ns_sha": _sha(b"%d" % result.total_ns for result in results),
         "frames_written": device.port.stats.frames_written,
         "bytes_written": device.port.stats.bytes_written,
         "busy_time_ns": device.port.stats.busy_time_ns,
         "clock_now": driver.coprocessor.clock.now,
-        "readback_sha": _sha(readback[address] for address in device.geometry.all_frames()),
+        "readback_sha": _sha(device.memory.read_frame(address) for address in device.geometry.all_frames()),
         "stored_crcs": [frame.stored_crc for frame in device.memory.frames],
     }
 

@@ -105,7 +105,7 @@ class TestBurnRateAlerting:
             engine.on_fleet_completion(200.0 + step * 10.0, 100.0, False)
         assert not alert.active
         assert alert.resolved_ns is not None
-        assert engine.active_alerts == []
+        assert not any(alert.active for alert in engine.alerts)
         # No re-fire after resolution while healthy.
         assert len(engine.alerts) == 1
 
@@ -276,9 +276,9 @@ class TestTailSampler:
         sampler = tracer.tail_sampler
         # A failover marker lands but the run is cut before the root.
         sampler.offer(tracer, Span("fleet.failover", 9, 2, 1, 0, 5, {}))
-        assert sampler.pending_traces == 1
+        assert len(sampler._pending) == 1
         sampler.flush(tracer)
-        assert sampler.pending_traces == 0
+        assert not sampler._pending
         assert sampler.retained_traces == 1
         assert sampler.keep_reasons == {"error": 1}
 

@@ -1,4 +1,5 @@
-"""Ratchets: options, ``fleet.py``, ``sim/``, ``stats.py`` and ``net/`` may only shrink.
+"""Ratchets: options, ``src/repro`` and its ``fleet.py``, ``sim/``, ``stats.py`` and
+``net/`` may only shrink, and no definition there is reached only by the tests.
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budget below is the count at the last PR that
@@ -12,17 +13,29 @@ primitive or a clock feature no model code uses does not come back.
 ``STATS_CODE_LINE_BUDGET`` (``cluster/stats.py``) and ``NET_CODE_LINE_BUDGET``
 (all of ``src/repro/net/``) are what ships — the ``record_*`` methods
 whose counters the layers now write themselves are gone from the first, the
-closed-loop client is three kernel entries in the second; ROADMAP item 7
-Step B (``FleetSpec``) is expected to lower both.
+closed-loop client is three kernel entries in the second; ROADMAP item 2
+Step B (``FleetSpec``) is expected to lower both.  ``SRC_CODE_LINE_BUDGET``
+covers all of ``src/repro``.
+
+:func:`test_no_definition_is_reached_only_by_tests` finds every ``def`` and
+``class`` in ``src/repro`` whose name occurs as a word in ``src/``,
+``benchmarks/`` and ``examples/`` only at its own definition(s): code that no
+model, benchmark or example calls.  Each one is deleted, moved to
+``tests/oracles/`` if a test uses it as a reference model, or listed in
+``KEPT`` with the reason a user is meant to call it.  A name shared with
+another definition hides from the scan, so judge those by hand.
+
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote.
 """
 
 import ast
+import collections
 import dataclasses
 import inspect
 import io
 import pathlib
+import re
 import sys
 import tokenize
 
@@ -39,6 +52,18 @@ FLEET_CODE_LINE_BUDGET = 676
 SIM_CODE_LINE_BUDGET = 340
 STATS_CODE_LINE_BUDGET = 471
 NET_CODE_LINE_BUDGET = 827
+SRC_CODE_LINE_BUDGET = 13_483
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+
+#: Definitions no code outside ``tests/`` calls, kept because a user calls them.
+KEPT = {
+    "check/trace.py:ScheduleTrace.from_seed": "replays a saved schedule from its seed string",
+    "check/trace.py:ScheduleTrace.to_json": "saves a schedule for replay",
+    "check/trace.py:ScheduleTrace.from_json": "loads a saved schedule for replay",
+    "core/builder.py:clear_bitstream_cache": "lets a benchmark time cold bit-stream generation",
+}
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -129,6 +154,47 @@ def test_stats_module_does_not_grow():
         f"{STATS_CODE_LINE_BUDGET}: a counter with no digest line is written by "
         "the layer that observes the fact, on the registry instrument — not "
         "through a new record_* method here."
+    )
+
+
+def test_src_does_not_grow():
+    count = tree_code_lines(SRC)
+    assert count <= SRC_CODE_LINE_BUDGET, (
+        f"src/repro has {count} code lines, budget is {SRC_CODE_LINE_BUDGET}: "
+        "say what the new code deletes, in the same PR."
+    )
+
+
+def definitions(root: pathlib.Path) -> dict:
+    """``{"path:Qualified.name": name}`` for every def/class under *root*, dunders aside."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not child.name.startswith("__"):
+                    found[f"{path}:{prefix}{child.name}"] = child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for file in sorted(root.rglob("*.py")):
+        visit(ast.parse(file.read_text()), file.relative_to(root).as_posix(), "")
+    return found
+
+
+def test_no_definition_is_reached_only_by_tests():
+    defined = definitions(SRC)
+    words = collections.Counter()
+    for directory in ("src", "benchmarks", "examples"):
+        for file in (REPO / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", file.read_text()))
+    definition_count = collections.Counter(defined.values())
+    unreached = {key for key, name in defined.items() if words[name] == definition_count[name]}
+    assert unreached == set(KEPT), (
+        f"reached only by tests: {sorted(unreached - set(KEPT))} — delete it, move a "
+        "reference model to tests/oracles/, or add it to KEPT with the reason a user "
+        f"calls it; KEPT but no longer unreached: {sorted(set(KEPT) - unreached)}."
     )
 
 

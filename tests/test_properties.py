@@ -48,7 +48,7 @@ class TestMiniOsAccountingInvariant:
                 minios.commit_eviction(victim)
             minios.commit_load(name, decision.region, clock_ns)
             minios.touch(name, clock_ns)
-            resident = minios.table.resident_frame_count()
+            resident = sum(entry.frame_count for entry in minios.table)
             assert resident + minios.free_frames.free_count == _GEOMETRY.frame_count
             # No frame is both free and resident.
             resident_addresses = {

@@ -78,7 +78,7 @@ class TestReservoirSampler:
         # The statistics counterpart: a valid memory-saving configuration.
         stats = CoprocessorStatistics(max_recorded_latencies=0)
         stats.record(outcome(5.0), input_bytes=0)
-        assert stats.latencies_ns == [] and stats.latencies_seen == 1
+        assert stats.latencies_ns == [] and stats._latency_sample.seen == 1
         assert stats.latency_percentile(95) == 0.0
 
     def test_percentile_of_empty(self):
@@ -92,14 +92,14 @@ class TestCoprocessorStatisticsReservoir:
         for latency in latencies:
             stats.record(outcome(latency), input_bytes=1)
         assert stats.latencies_ns == latencies
-        assert stats.latencies_seen == 500
+        assert stats._latency_sample.seen == 500
 
     def test_long_trace_tail_is_sampled(self):
         stats = CoprocessorStatistics(max_recorded_latencies=200)
         for value in range(20_000):
             stats.record(outcome(float(value)), input_bytes=0)
         assert len(stats.latencies_ns) == 200
-        assert stats.latencies_seen == 20_000
+        assert stats._latency_sample.seen == 20_000
         tail = [value for value in stats.latencies_ns if value >= 10_000]
         assert tail, "long-trace percentiles still head-biased"
         # The head-biased p95 would be ~190 (95% of the first 200 requests);
@@ -157,6 +157,6 @@ class TestCoprocessorStatisticsReservoir:
             stats.record(outcome(float(value)), input_bytes=0)
         stats.reset()
         assert stats.latencies_ns == []
-        assert stats.latencies_seen == 0
+        assert stats._latency_sample.seen == 0
         stats.record(outcome(1.0), input_bytes=0)
         assert stats.latencies_ns == [1.0]

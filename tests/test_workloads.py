@@ -29,9 +29,8 @@ class TestTrace:
         )
         assert len(trace) == 3
         assert trace.function_counts() == {"crc32": 2, "parity32": 1}
-        assert trace.distinct_functions() == ["crc32", "parity32"]
         assert trace.switches() == 1
-        assert trace.total_payload_bytes() == 4
+        assert sum(request.payload_bytes for request in trace) == 4
         assert trace.function_sequence() == ["crc32", "crc32", "parity32"]
         assert "demo" in trace.describe()
 
@@ -57,7 +56,7 @@ class TestGenerators:
             bursty_trace(small_bank, 50, seed=1),
         ):
             assert len(trace) == 50
-            assert set(trace.distinct_functions()) <= set(small_bank.names())
+            assert set(trace.function_counts()) <= set(small_bank.names())
 
     def test_seed_determinism(self, small_bank):
         first = zipf_trace(small_bank, 100, seed=5)
