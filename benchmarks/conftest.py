@@ -1,11 +1,12 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Each ``bench_e<N>_*.py`` module regenerates one experiment from DESIGN.md's
-per-experiment index (E1..E9).  Every experiment produces an
+Each ``bench_e<N>_*.py`` module regenerates one experiment (E1..E12; the
+module docstring says what it reproduces).  Every experiment produces an
 :class:`~repro.analysis.report.ExperimentReport`; the report is printed to the
-captured stdout and written to ``benchmarks/reports/<id>.txt`` so the numbers
-recorded in EXPERIMENTS.md can be regenerated with
-``pytest benchmarks/ --benchmark-only``.
+captured stdout and written to ``benchmarks/reports/<id>.txt``.  The twelve
+committed reports are regenerated byte for byte with::
+
+    PYTHONPATH=src:. python -m pytest benchmarks/bench_e*.py --benchmark-disable
 """
 
 from __future__ import annotations

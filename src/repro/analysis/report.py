@@ -1,9 +1,9 @@
 """Experiment reports: the artefact each benchmark produces.
 
-An :class:`ExperimentReport` bundles an experiment id (E1..E9), a headline
-observation, any number of tables and figures, and renders them as one text
-block.  The benchmark harness prints these, and EXPERIMENTS.md records the
-headline numbers.
+An :class:`ExperimentReport` bundles an experiment id (E1..E12), its headline
+observations, any number of tables and figures, and a ``metrics:`` block, and
+renders them as one text block.  The benchmark harness prints these and
+commits them under ``benchmarks/reports/<id>.txt``.
 """
 
 from __future__ import annotations

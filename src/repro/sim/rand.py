@@ -23,7 +23,11 @@ class SeededRandom:
 
     def __init__(self, seed: Optional[int] = 0) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = rng = random.Random(seed)
+        #: The generator's own ``random``, for a caller that draws per request
+        #: and binds it once: ``uniform()`` is exactly ``random()`` and
+        #: ``uniform(0.0, j)`` exactly ``j * random()``, to the bit.
+        self.random = rng.random
 
     def fork(self, label: str) -> "SeededRandom":
         """Create an independent stream derived from this one and *label*.
@@ -47,13 +51,6 @@ class SeededRandom:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return self._rng.uniform(low, high)
-
-    @property
-    def random(self):
-        """The generator's own ``random``, for a caller that draws per packet
-        and binds it once: ``uniform()`` is exactly ``random()`` and
-        ``uniform(0.0, j)`` exactly ``j * random()``, to the bit."""
-        return self._rng.random
 
     def exponential(self, mean: float) -> float:
         """Exponentially distributed value with the given mean."""
@@ -81,32 +78,11 @@ class SeededRandom:
             raise ValueError("byte count must be non-negative")
         return bytes(self._rng.getrandbits(8) for _ in range(count))
 
-    def zipf_index(self, n: int, skew: float = 1.0) -> int:
-        """Draw an index in [0, n) following a Zipf distribution with *skew*.
-
-        Used by the workload generators: a small set of "hot" algorithms
-        receive most requests, which is the regime where the paper's
-        frame-replacement policy matters.
-        """
-        if n <= 0:
-            raise ValueError("population size must be positive")
-        if skew < 0:
-            raise ValueError("zipf skew must be non-negative")
-        weights = [1.0 / ((rank + 1) ** skew) for rank in range(n)]
-        total = sum(weights)
-        point = self._rng.uniform(0.0, total)
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if point <= cumulative:
-                return index
-        return n - 1
-
     def geometric(self, p: float) -> int:
         """Number of Bernoulli(p) trials until the first success (>= 1)."""
         if not 0.0 < p <= 1.0:
             raise ValueError("geometric probability must be in (0, 1]")
         count = 1
-        while self._rng.random() > p:
+        while self.random() > p:
             count += 1
         return count

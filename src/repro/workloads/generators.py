@@ -3,15 +3,92 @@
 All generators are deterministic given their seed, and size each request's
 payload from the target function's nominal input size (times an optional
 multiplier) so the traces remain realistic as the bank changes.
+
+:class:`FunctionChooser` is the one popularity model: the Zipf, phased and
+uniform closed-loop traces draw their functions from it, and so does every
+tenant of a :mod:`multi-tenant <repro.workloads.multitenant>` arrival stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from bisect import bisect_left
+from functools import partial
+from itertools import accumulate, count
+from typing import Iterator, List, Optional, Sequence
 
 from repro.functions.bank import FunctionBank
 from repro.sim.rand import SeededRandom
 from repro.workloads.trace import Request, Trace
+
+
+def synthesize_payload(bank: FunctionBank, rng: SeededRandom, function_name: str, blocks: int) -> bytes:
+    """*blocks* inputs' worth of bytes for *function_name*, from ``rng.fork("payload:<name>")``.
+
+    A fork draws nothing from *rng*, so the payload depends only on the seed
+    and the name: a stream computes it once per function and reuses it.
+    """
+    size = bank.by_name(function_name).spec.input_bytes * blocks
+    return rng.fork(f"payload:{function_name}").bytes(size)
+
+
+class FunctionChooser:
+    """Draws an index into *names* per request, and keeps one payload per name.
+
+    ``mix`` is the popularity model:
+
+    * ``"zipf"`` — the function of rank *r* has weight ``1 / (r + 1) ** skew``;
+      a draw is one ``random()`` scaled by the total and matched against the
+      running-sum ``cumulative`` table (a small set of hot functions takes most
+      requests: the regime where frame replacement matters);
+    * ``"phased"`` — every ``phase_length`` draws, ``rng.fork("phase:<i>")``
+      samples a working set of ``working_set`` functions, and each draw picks
+      one of them;
+    * ``"uniform"`` — every function equally likely.
+    """
+
+    def __init__(
+        self,
+        bank: FunctionBank,
+        names: Sequence[str],
+        rng: SeededRandom,
+        mix: str = "uniform",
+        skew: float = 1.0,
+        phase_length: int = 50,
+        working_set: int = 3,
+        payload_blocks: int = 1,
+    ) -> None:
+        if not names:
+            raise ValueError("cannot choose from an empty function list")
+        if mix == "zipf" and skew < 0:
+            raise ValueError("zipf skew must be non-negative")
+        if mix == "phased" and (phase_length <= 0 or working_set <= 0):
+            raise ValueError("phase length and working set size must be positive")
+        self.names = list(names)
+        self.payloads = [synthesize_payload(bank, rng, name, payload_blocks) for name in self.names]
+        self.rng = rng
+        self.random = rng.random
+        self.indices = range(len(self.names))
+        #: Zipf only: running sums of the rank weights, and their total.
+        self.cumulative: Optional[List[float]] = None
+        self.total = 0.0
+        if mix == "zipf":
+            self.cumulative = list(accumulate(1.0 / ((rank + 1) ** skew) for rank in self.indices))
+            self.total = self.cumulative[-1]
+            self.next_index = self._zipf
+        elif mix == "phased":
+            self.next_index = self._phases(phase_length, min(working_set, len(self.names))).__next__
+        else:
+            self.next_index = partial(rng.choice, self.indices)
+
+    def _zipf(self) -> int:
+        # total * random() <= total == cumulative[-1]: always in range.
+        return bisect_left(self.cumulative, self.total * self.random())
+
+    def _phases(self, phase_length: int, working_set: int) -> Iterator[int]:
+        for phase in count():
+            active = self.rng.fork(f"phase:{phase}").sample(self.indices, working_set)
+            for _ in range(phase_length):
+                yield self.rng.choice(active)
 
 
 class TraceGenerator:
@@ -33,11 +110,6 @@ class TraceGenerator:
         self.payload_blocks = payload_blocks
         self.mean_interarrival_ns = mean_interarrival_ns
 
-    def payload_for(self, function_name: str) -> bytes:
-        """A deterministic pseudo-random payload sized for *function_name*."""
-        spec = self.bank.by_name(function_name).spec
-        return self.rng.fork(f"payload:{function_name}").bytes(spec.input_bytes * self.payload_blocks)
-
     def _arrival(self) -> int:
         if self.mean_interarrival_ns <= 0:
             return 0
@@ -45,14 +117,18 @@ class TraceGenerator:
 
     def build(self, function_sequence: Sequence[str], name: str) -> Trace:
         """Turn a function-name sequence into a full trace."""
-        requests = [
-            Request(
-                function=function_name,
-                payload=self.payload_for(function_name),
-                arrival_offset_ns=self._arrival(),
-            )
-            for function_name in function_sequence
-        ]
+        payloads = {
+            function: synthesize_payload(self.bank, self.rng, function, self.payload_blocks)
+            for function in set(function_sequence)
+        }
+        requests = [Request(function, payloads[function], self._arrival()) for function in function_sequence]
+        return Trace(requests, name=name)
+
+    def choose(self, names: Sequence[str], length: int, name: str, **mix) -> Trace:
+        """A *length*-request trace whose functions a :class:`FunctionChooser` draws."""
+        chooser = FunctionChooser(self.bank, names, self.rng, payload_blocks=self.payload_blocks, **mix)
+        chosen = [chooser.next_index() for _ in range(length)]
+        requests = [Request(chooser.names[i], chooser.payloads[i], self._arrival()) for i in chosen]
         return Trace(requests, name=name)
 
 
@@ -73,10 +149,8 @@ def uniform_trace(
     mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Every request picks a function uniformly at random."""
-    names = _function_names(bank, functions)
     generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
-    sequence = [generator.rng.choice(names) for _ in range(length)]
-    return generator.build(sequence, name=f"uniform-{length}")
+    return generator.choose(_function_names(bank, functions), length, f"uniform-{length}")
 
 
 def zipf_trace(
@@ -91,8 +165,7 @@ def zipf_trace(
     """Zipf-skewed popularity: a few hot functions dominate the request mix."""
     names = _function_names(bank, functions)
     generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
-    sequence = [names[generator.rng.zipf_index(len(names), skew)] for _ in range(length)]
-    return generator.build(sequence, name=f"zipf{skew:.1f}-{length}")
+    return generator.choose(names, length, f"zipf{skew:.1f}-{length}", mix="zipf", skew=skew)
 
 
 def phased_trace(
@@ -110,20 +183,12 @@ def phased_trace(
     This is the regime where replacement policy differences are largest —
     within a phase the working set fits the fabric, across phases it does not.
     """
-    if phase_length <= 0 or working_set <= 0:
-        raise ValueError("phase length and working set size must be positive")
     names = _function_names(bank, functions)
-    working_set = min(working_set, len(names))
     generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
-    sequence: List[str] = []
-    phase_index = 0
-    while len(sequence) < length:
-        phase_rng = generator.rng.fork(f"phase:{phase_index}")
-        active = phase_rng.sample(names, working_set)
-        for _ in range(min(phase_length, length - len(sequence))):
-            sequence.append(generator.rng.choice(active))
-        phase_index += 1
-    return generator.build(sequence, name=f"phased-{working_set}x{phase_length}-{length}")
+    label = f"phased-{min(working_set, len(names))}x{phase_length}-{length}"
+    return generator.choose(
+        names, length, label, mix="phased", phase_length=phase_length, working_set=working_set
+    )
 
 
 def round_robin_trace(
@@ -144,13 +209,7 @@ def round_robin_trace(
         raise ValueError("repeats_per_function must be positive")
     names = _function_names(bank, functions)
     generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
-    sequence: List[str] = []
-    index = 0
-    while len(sequence) < length:
-        name = names[index % len(names)]
-        for _ in range(min(repeats_per_function, length - len(sequence))):
-            sequence.append(name)
-        index += 1
+    sequence = [names[(index // repeats_per_function) % len(names)] for index in range(length)]
     return generator.build(sequence, name=f"roundrobin-r{repeats_per_function}-{length}")
 
 
@@ -171,10 +230,8 @@ def bursty_trace(
     sequence: List[str] = []
     while len(sequence) < length:
         name = generator.rng.choice(names)
-        burst = generator.rng.geometric(1.0 / mean_burst)
-        for _ in range(min(burst, length - len(sequence))):
-            sequence.append(name)
-    return generator.build(sequence, name=f"bursty-{mean_burst}-{length}")
+        sequence += [name] * generator.rng.geometric(1.0 / mean_burst)
+    return generator.build(sequence[:length], name=f"bursty-{mean_burst}-{length}")
 
 
 def repeated_trace(

@@ -10,9 +10,14 @@ A :class:`FleetRequest` therefore carries an **absolute** arrival time and a
 tenant label on top of the usual function/payload pair, and a
 :class:`FleetTrace` keeps the requests sorted by arrival.  Tenants are
 described by :class:`TenantSpec`: each has a traffic weight, its own function
-mix (Zipf-skewed, phased or uniform over its function subset) and its own
+mix (Zipf-skewed, phased or uniform over its function subset, drawn by a
+:class:`~repro.workloads.generators.FunctionChooser`) and its own
 deterministic sub-stream of randomness, so the same seed reproduces the same
 trace byte for byte across processes.
+
+One loop, :func:`_arrivals`, generates every open-arrival request:
+:func:`multi_tenant_trace` materialises it into a :class:`FleetTrace`, and
+:class:`StreamingFleetTrace` replays it lazily for runs too long to hold.
 
 Why per-tenant *rotated* Zipf ranks: when every tenant is hottest on the same
 function there is nothing for an affinity dispatcher to exploit — any card
@@ -29,10 +34,12 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat, takewhile
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.functions.bank import FunctionBank
 from repro.sim.rand import SeededRandom
+from repro.workloads.generators import FunctionChooser
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,9 @@ class FleetRequest:
     #: the historical no-deadline behaviour.  A request past its deadline is
     #: *expired* — failed fast with its own counter at dispatch and in the
     #: card queues, never silently served late.  (The default keeps every
-    #: pre-deadline schedule digest byte-identical; instances built without
-    #: the field — e.g. the streaming trace's direct construction — fall back
-    #: to this class-level ``None``.)
+    #: pre-deadline schedule digest byte-identical; the generated requests of
+    #: :func:`_arrivals` are built without the field and read this
+    #: class-level ``None``.)
     deadline_ns: Optional[int] = None
 
     @property
@@ -168,55 +175,101 @@ def default_tenant_mix(
     ]
 
 
-class _TenantStream:
-    """Per-tenant deterministic function-choice and payload machinery."""
+def _check_stream(tenants: Sequence[TenantSpec], length: int, mean_interarrival_ns: float) -> None:
+    if not tenants:
+        raise ValueError("need at least one tenant")
+    if length < 0:
+        raise ValueError("trace length cannot be negative")
+    if mean_interarrival_ns <= 0:
+        raise ValueError("the mean inter-arrival time must be positive")
 
-    def __init__(self, bank: FunctionBank, spec: TenantSpec, rng: SeededRandom) -> None:
-        self.spec = spec
+
+def _burst_rates(
+    rng: SeededRandom, mean_interarrival_ns: float, burst_length: int, burst_speedup: float
+) -> Iterator[float]:
+    """The bursty model's rate (``1 / mean``) for each successive arrival gap."""
+    in_burst = 1.0 / (mean_interarrival_ns / burst_speedup)
+    while True:
+        burst = rng.geometric(1.0 / burst_length)
+        # The idle gap between bursts restores the long-run rate the fast
+        # in-burst gaps run ahead of: a burst of L requests must average
+        # L * mean in total, and its L-1 in-burst gaps only consume
+        # (L-1) * mean / speedup, so the leading gap carries the
+        # (L-1) * mean * (1 - 1/speedup) remainder.
+        idle_mean = mean_interarrival_ns * (burst - 1) * (1.0 - 1.0 / burst_speedup)
+        yield 1.0 / (idle_mean + mean_interarrival_ns)
+        for _ in range(burst - 1):
+            yield in_burst
+
+
+def _arrivals(
+    bank: FunctionBank,
+    tenants: Sequence[TenantSpec],
+    length: int,
+    mean_interarrival_ns: float,
+    seed: int,
+    arrival: str = "poisson",
+    burst_length: int = 8,
+    burst_speedup: float = 8.0,
+) -> Iterator[FleetRequest]:
+    """The open-arrival loop: *length* requests from *tenants*.
+
+    Per request: one arrival gap, one ``random()`` for the tenant (matched
+    against the weights' running sums), then the tenant's chooser.  Each gap
+    is ``-log(1 - random()) / lambd``, which is ``expovariate(lambd)`` to the
+    bit; the arrival model is only the sequence of ``lambd`` values.  A Zipf
+    tenant's draw is inlined rather than a ``next_index()`` call: the
+    streaming fleet workloads generate inside their timed run, where a
+    Python call per request is a measurable share of the cost.
+    """
+    root = SeededRandom(seed)
+    arrivals = root.fork("arrivals")
+    arrival_random = arrivals.random
+    tenant_random = root.fork("tenant-choice").random
+    draws = []
+    for spec in tenants:
         names = list(spec.functions) if spec.functions is not None else bank.names()
-        for name in names:
-            bank.by_name(name)  # raises on unknown names
         # Rotate the popularity ranking so rank_offset decides which function
         # this tenant hammers hardest.
         offset = spec.rank_offset % len(names)
-        self.names = names[offset:] + names[:offset]
-        self.rng = rng
-        self.requests_drawn = 0
-        self._phase_index = -1
-        self._phase_active: List[str] = []
-        # Payloads are deterministic per (tenant, function) and reused across
-        # requests; regenerating identical bytes per request would dominate
-        # trace-construction time for long traces.
-        self._payloads: Dict[str, bytes] = {}
-        self._bank = bank
-
-    def next_function(self) -> str:
-        spec = self.spec
-        if spec.mix == "zipf":
-            index = self.rng.zipf_index(len(self.names), spec.skew)
-            name = self.names[index]
-        elif spec.mix == "phased":
-            phase = self.requests_drawn // spec.phase_length
-            if phase != self._phase_index:
-                self._phase_index = phase
-                phase_rng = self.rng.fork(f"phase:{phase}")
-                size = min(spec.working_set, len(self.names))
-                self._phase_active = phase_rng.sample(self.names, size)
-            name = self.rng.choice(self._phase_active)
-        else:  # uniform
-            name = self.rng.choice(self.names)
-        self.requests_drawn += 1
-        return name
-
-    def payload_for(self, function_name: str) -> bytes:
-        payload = self._payloads.get(function_name)
-        if payload is None:
-            spec = self._bank.by_name(function_name).spec
-            payload = self.rng.fork(f"payload:{function_name}").bytes(
-                spec.input_bytes * self.spec.payload_blocks
-            )
-            self._payloads[function_name] = payload
-        return payload
+        chooser = FunctionChooser(
+            bank, names[offset:] + names[:offset], root.fork(f"tenant:{spec.name}"),
+            spec.mix, spec.skew, spec.phase_length, spec.working_set, spec.payload_blocks,
+        )
+        draws.append((spec.name, chooser.names, chooser.payloads, chooser.cumulative,
+                      chooser.total, chooser.random, chooser.next_index))
+    total_weight = sum(spec.weight for spec in tenants)
+    cumulative = list(accumulate(spec.weight / total_weight for spec in tenants))
+    last_tenant = len(cumulative) - 1
+    if arrival == "poisson":
+        rates = repeat(1.0 / mean_interarrival_ns, length)
+    else:
+        rates = islice(_burst_rates(arrivals, mean_interarrival_ns, burst_length, burst_speedup), length)
+    log = math.log
+    # The frozen dataclass's __init__ costs ~2x these four object.__setattr__
+    # calls.  Installing one fresh __dict__ instead would be ~0.2 us faster
+    # per request, but on CPython 3.11 it leaves each request at ~280 bytes
+    # instead of the class's shared-key ~150: +13 % peak RSS on a
+    # 50k-request materialised trace.
+    new = FleetRequest.__new__
+    set_attr = object.__setattr__
+    now_ns = 0
+    for lambd in rates:
+        now_ns += round(-log(1.0 - arrival_random()) / lambd)
+        index = bisect_left(cumulative, tenant_random())
+        if index > last_tenant:  # beyond the last edge (rounding)
+            index = last_tenant
+        tenant, names, payloads, zipf_cumulative, zipf_total, zipf_random, next_index = draws[index]
+        if zipf_cumulative is None:
+            function = next_index()
+        else:
+            function = bisect_left(zipf_cumulative, zipf_total * zipf_random())
+        request = new(FleetRequest)
+        set_attr(request, "tenant", tenant)
+        set_attr(request, "function", names[function])
+        set_attr(request, "payload", payloads[function])
+        set_attr(request, "arrival_ns", now_ns)
+        yield request
 
 
 def multi_tenant_trace(
@@ -254,83 +307,29 @@ def multi_tenant_trace(
     the arrivals a duration-bounded trace shares with the count-bounded one
     are byte-identical (the draw order does not change).
     """
-    if not tenants:
-        raise ValueError("need at least one tenant")
-    if length < 0:
-        raise ValueError("trace length cannot be negative")
+    _check_stream(tenants, length, mean_interarrival_ns)
     if duration_ns is not None and duration_ns < 0:
         raise ValueError("trace duration cannot be negative")
-    if mean_interarrival_ns <= 0:
-        raise ValueError("the mean inter-arrival time must be positive")
     if arrival not in ("poisson", "bursty"):
         raise ValueError(f"unknown arrival model {arrival!r}")
     if arrival == "bursty" and (burst_length <= 0 or burst_speedup <= 1.0):
         raise ValueError("bursts need burst_length >= 1 and burst_speedup > 1")
-
-    root = SeededRandom(seed)
-    arrival_rng = root.fork("arrivals")
-    tenant_rng = root.fork("tenant-choice")
-    streams = [
-        _TenantStream(bank, spec, root.fork(f"tenant:{spec.name}")) for spec in tenants
-    ]
-    total_weight = sum(spec.weight for spec in tenants)
-    cumulative: List[float] = []
-    running = 0.0
-    for spec in tenants:
-        running += spec.weight / total_weight
-        cumulative.append(running)
-
-    requests: List[FleetRequest] = []
-    now_ns = 0
-    burst_remaining = 0
-    while len(requests) < length:
-        if arrival == "poisson":
-            now_ns += round(arrival_rng.exponential(mean_interarrival_ns))
-        else:
-            if burst_remaining == 0:
-                burst_remaining = arrival_rng.geometric(1.0 / burst_length)
-                # The idle gap between bursts restores the long-run rate the
-                # fast in-burst gaps run ahead of: a burst of L requests must
-                # average L * mean in total, and its L-1 in-burst gaps only
-                # consume (L-1) * mean / speedup, so the leading gap carries
-                # the (L-1) * mean * (1 - 1/speedup) remainder.
-                idle_mean = (
-                    mean_interarrival_ns
-                    * (burst_remaining - 1)
-                    * (1.0 - 1.0 / burst_speedup)
-                )
-                now_ns += round(arrival_rng.exponential(idle_mean + mean_interarrival_ns))
-            else:
-                now_ns += round(arrival_rng.exponential(mean_interarrival_ns / burst_speedup))
-            burst_remaining -= 1
-        if duration_ns is not None and now_ns > duration_ns:
-            break
-        point = tenant_rng.uniform(0.0, 1.0)
-        index = len(cumulative) - 1  # guards the point > last-edge rounding case
-        for position, edge in enumerate(cumulative):
-            if point <= edge:
-                index = position
-                break
-        stream = streams[index]
-        function = stream.next_function()
-        requests.append(
-            FleetRequest(
-                tenant=stream.spec.name,
-                function=function,
-                payload=stream.payload_for(function),
-                arrival_ns=now_ns,
-            )
-        )
+    requests = _arrivals(
+        bank, tenants, length, mean_interarrival_ns, seed, arrival, burst_length, burst_speedup
+    )
+    if duration_ns is not None:
+        requests = takewhile(lambda request: request.arrival_ns <= duration_ns, requests)
     label = name or f"multitenant-{arrival}-{len(tenants)}t-{length}"
-    return FleetTrace(requests, name=label)
+    return FleetTrace(list(requests), name=label)
 
 
 class StreamingFleetTrace:
     """An O(1)-memory, restartable multi-tenant arrival stream.
 
-    Draw-for-draw identical to ``multi_tenant_trace(..., arrival="poisson")``
-    for the same parameters (asserted by the property tests) but with two
-    properties a million-request run needs:
+    The same loop as ``multi_tenant_trace(..., arrival="poisson")`` for the
+    same parameters, so the two yield equal requests
+    (``tests/test_workload_pins.py`` asserts it), with two properties a
+    million-request run needs:
 
     * **Streaming** — requests are produced as the fleet consumes them; no
       10^6-element list is ever materialised.  Memory is O(tenants).
@@ -338,13 +337,6 @@ class StreamingFleetTrace:
       stream from the start.  The sharded runner leans on this: each worker
       process regenerates the same stream locally and serves only its own
       cards' share, so no request objects ever cross a process boundary.
-
-    The per-request cost is also trimmed for scale (precomputed Zipf
-    cumulative tables instead of per-draw weight rebuilding, bound RNG
-    methods, pooled payload bytes, and direct construction of the frozen
-    :class:`FleetRequest` — ``object.__new__`` plus a dict, skipping the
-    frozen-dataclass ``__setattr__`` detour, which is the single largest
-    cost of a naive generator at this scale).
     """
 
     def __init__(
@@ -356,18 +348,7 @@ class StreamingFleetTrace:
         seed: int = 0,
         name: Optional[str] = None,
     ) -> None:
-        if not tenants:
-            raise ValueError("need at least one tenant")
-        if length < 0:
-            raise ValueError("trace length cannot be negative")
-        if mean_interarrival_ns <= 0:
-            raise ValueError("the mean inter-arrival time must be positive")
-        for spec in tenants:
-            if spec.mix != "zipf":
-                raise ValueError(
-                    "StreamingFleetTrace supports zipf tenants only "
-                    f"(tenant {spec.name!r} uses {spec.mix!r})"
-                )
+        _check_stream(tenants, length, mean_interarrival_ns)
         self.bank = bank
         self.tenants = list(tenants)
         self.length = length
@@ -379,82 +360,4 @@ class StreamingFleetTrace:
         return self.length
 
     def __iter__(self) -> Iterator[FleetRequest]:
-        root = SeededRandom(self.seed)
-        arrival_rng = root.fork("arrivals")
-        tenant_rng = root.fork("tenant-choice")
-        streams = [
-            _TenantStream(self.bank, spec, root.fork(f"tenant:{spec.name}"))
-            for spec in self.tenants
-        ]
-        total_weight = sum(spec.weight for spec in self.tenants)
-        cumulative: List[float] = []
-        running = 0.0
-        for spec in self.tenants:
-            running += spec.weight / total_weight
-            cumulative.append(running)
-        last_tenant = len(cumulative) - 1
-
-        # Per-tenant fast-path tables.  The Zipf cumulative sums are built
-        # with the same running addition zipf_index performs, so the bisect
-        # below lands on the identical index for the identical uniform draw.
-        compiled = []
-        for stream in streams:
-            skew = stream.spec.skew
-            weights = [1.0 / ((rank + 1) ** skew) for rank in range(len(stream.names))]
-            zipf_cum: List[float] = []
-            acc = 0.0
-            for weight in weights:
-                acc += weight
-                zipf_cum.append(acc)
-            payloads = [stream.payload_for(function) for function in stream.names]
-            compiled.append(
-                (
-                    stream.spec.name,
-                    stream.names,
-                    payloads,
-                    zipf_cum,
-                    zipf_cum[-1],
-                    stream.rng._rng.random,
-                )
-            )
-
-        # ``expovariate(lambd)`` is ``-log(1 - random()) / lambd`` and
-        # ``uniform(0, x)`` is ``0 + x * random()`` — both consume exactly one
-        # underlying draw and the inlined expressions are bit-identical
-        # (``0.0 + y == y`` and ``1.0 * y == y`` exactly), so the stream stays
-        # draw-for-draw equal to ``multi_tenant_trace`` while skipping two
-        # Python-level calls per request.
-        arrival_random = arrival_rng._rng.random
-        tenant_random = tenant_rng._rng.random
-        log = math.log
-        lambd = 1.0 / self.mean_interarrival_ns
-        new = FleetRequest.__new__
-        cls = FleetRequest
-        # The frozen-dataclass __setattr__ guard also intercepts __dict__
-        # assignment; object.__setattr__ installs the attribute dict in one
-        # call without it.
-        set_dict = object.__setattr__
-        now_ns = 0
-        for _ in range(self.length):
-            now_ns += round(-log(1.0 - arrival_random()) / lambd)
-            point = tenant_random()
-            index = bisect_left(cumulative, point)
-            if index > last_tenant:  # point beyond the last edge (rounding)
-                index = last_tenant
-            tenant_name, names, payloads, zipf_cum, zipf_total, random_ = compiled[index]
-            zipf_point = zipf_total * random_()
-            function_index = bisect_left(zipf_cum, zipf_point)
-            if function_index >= len(names):
-                function_index = len(names) - 1
-            request = new(cls)
-            set_dict(
-                request,
-                "__dict__",
-                {
-                    "tenant": tenant_name,
-                    "function": names[function_index],
-                    "payload": payloads[function_index],
-                    "arrival_ns": now_ns,
-                },
-            )
-            yield request
+        return _arrivals(self.bank, self.tenants, self.length, self.mean_interarrival_ns, self.seed)

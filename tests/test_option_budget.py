@@ -49,10 +49,10 @@ from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 48
 FLEET_CODE_LINE_BUDGET = 676
-SIM_CODE_LINE_BUDGET = 340
+SIM_CODE_LINE_BUDGET = 324
 STATS_CODE_LINE_BUDGET = 471
 NET_CODE_LINE_BUDGET = 827
-SRC_CODE_LINE_BUDGET = 13_483
+SRC_CODE_LINE_BUDGET = 13_400
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"

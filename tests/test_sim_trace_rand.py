@@ -102,25 +102,6 @@ class TestSeededRandom:
         with pytest.raises(ValueError):
             SeededRandom().choice([])
 
-    def test_zipf_skew_prefers_low_indices(self):
-        rng = SeededRandom(7)
-        draws = [rng.zipf_index(10, skew=1.5) for _ in range(2000)]
-        low = sum(1 for value in draws if value < 3)
-        assert low / len(draws) > 0.6
-        assert all(0 <= value < 10 for value in draws)
-
-    def test_zipf_zero_skew_is_roughly_uniform(self):
-        rng = SeededRandom(11)
-        draws = [rng.zipf_index(4, skew=0.0) for _ in range(4000)]
-        counts = [draws.count(index) for index in range(4)]
-        assert min(counts) > 700
-
-    def test_zipf_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            SeededRandom().zipf_index(0)
-        with pytest.raises(ValueError):
-            SeededRandom().zipf_index(5, skew=-1)
-
     def test_exponential_mean(self):
         rng = SeededRandom(13)
         samples = [rng.exponential(100.0) for _ in range(4000)]

@@ -1,0 +1,190 @@
+"""Every workload generator, pinned to the byte.
+
+Each case below is one generator at fixed arguments.  Its digest is SHA-256
+over one ``repr`` line per request: ``(tenant, function, arrival_ns,
+deadline_ns, payload)`` for a fleet request, ``(function, arrival_offset_ns,
+payload)`` for a closed-loop one.  The values are frozen: a change to
+``repro.workloads`` that moves one draw, one arrival instant or one payload
+byte fails here by name, before any report or schedule digest moves.
+
+``test_the_stream_is_the_materialised_trace`` is the check the
+:class:`~repro.workloads.multitenant.StreamingFleetTrace` docstring cites: the
+stream and ``multi_tenant_trace(..., arrival="poisson")`` are one loop.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.workloads import (
+    FleetRequest,
+    TenantSpec,
+    bursty_trace,
+    default_tenant_mix,
+    dsp_pipeline_trace,
+    hash_server_trace,
+    ipsec_gateway_trace,
+    multi_tenant_trace,
+    phased_trace,
+    repeated_trace,
+    round_robin_trace,
+    uniform_trace,
+    zipf_trace,
+)
+from repro.workloads.multitenant import StreamingFleetTrace
+
+
+def trace_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for request in trace:
+        if isinstance(request, FleetRequest):
+            row = (
+                request.tenant,
+                request.function,
+                request.arrival_ns,
+                request.deadline_ns,
+                request.payload,
+            )
+        else:
+            row = (request.function, request.arrival_offset_ns, request.payload)
+        digest.update(repr(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def mixed_tenants(bank):
+    """Every tenant knob: weights, all three mixes, rotation, payload blocks."""
+    names = tuple(bank.names())
+    return [
+        TenantSpec("hot", weight=3.0, skew=0.9, functions=names, rank_offset=2, payload_blocks=2),
+        TenantSpec("phase", weight=1.5, mix="phased", functions=names, phase_length=7, working_set=2),
+        TenantSpec("flat", mix="uniform", functions=names[:3], payload_blocks=3),
+        TenantSpec("tail", weight=0.5, skew=1.6, rank_offset=5),
+    ]
+
+
+def fleet_trace(bank, arrival, tenants, bound):
+    specs = default_tenant_mix(bank, tenants=3) if tenants == "default" else mixed_tenants(bank)
+    if bound == "count":
+        return multi_tenant_trace(
+            bank, specs, length=300, mean_interarrival_ns=20_000.0, arrival=arrival, seed=5
+        )
+    return multi_tenant_trace(
+        bank,
+        specs,
+        length=10_000,
+        mean_interarrival_ns=20_000.0,
+        arrival=arrival,
+        seed=5,
+        duration_ns=6_000_000,
+    )
+
+
+def closed_loop_trace(bank, generator):
+    if generator == "uniform":
+        return uniform_trace(bank, 200, seed=3, payload_blocks=2, mean_interarrival_ns=5_000.0)
+    if generator == "zipf":
+        return zipf_trace(bank, 200, skew=0.8, seed=3, mean_interarrival_ns=5_000.0)
+    if generator == "phased":
+        return phased_trace(bank, 200, phase_length=30, working_set=2, seed=3)
+    if generator == "round_robin":
+        return round_robin_trace(bank, 200, repeats_per_function=3, seed=3)
+    if generator == "bursty":
+        return bursty_trace(bank, 200, mean_burst=5, seed=3, mean_interarrival_ns=5_000.0)
+    return repeated_trace(bank, bank.names()[-1], 50, seed=3, payload_blocks=4)
+
+
+APPS = {"ipsec": ipsec_gateway_trace, "hash_server": hash_server_trace, "dsp": dsp_pipeline_trace}
+
+PINS = {
+    "multi_tenant-small-poisson-default-count": "7c0f653822dd747371c710940591e3e61c0c9047731245755d1b327b07bab793",
+    "multi_tenant-small-poisson-default-duration": "f4223d5c8b7ed60d66a242ca0e4005644aad0829821edce714f79ecc43d0df75",
+    "multi_tenant-small-poisson-mixed-count": "4bed6726c81683b93bedd4555517760037264a95bcca81114e0d9230ab34ecfe",
+    "multi_tenant-small-poisson-mixed-duration": "7d156cd4347974a3638efd47b9336b703ceb631310679537e120e18c9affd298",
+    "multi_tenant-small-bursty-default-count": "37406b0483278b71820222d4ec20f56d290cfb4e97754965fce3e56906f5c480",
+    "multi_tenant-small-bursty-default-duration": "7efc14a6a64cbbeaf09c9da78c1479642581812772186e5145122de818837957",
+    "multi_tenant-small-bursty-mixed-count": "a7868a809409a6dde1e5b5a8b20566e41f52379d79cd95ea983c0000fe21da58",
+    "multi_tenant-small-bursty-mixed-duration": "d102cd6f6a8bd37620b49715251872415ca5b1892e8b3fe44e48090065b79a6d",
+    "multi_tenant-default-poisson-default-count": "930a0fb6a9fcbb347b6b4058d575f11bd0ed0aaa39af7a62a07d1f4ae9d9df54",
+    "multi_tenant-default-poisson-default-duration": "41e6083d7d9ccbd6af6546e378fa90d28dc1c5ad7f323203e50e71612e4b21ac",
+    "multi_tenant-default-poisson-mixed-count": "a003e8189bf9518d56245732ca713de6a3581fc3b177dcfe99a7f6572926ce34",
+    "multi_tenant-default-poisson-mixed-duration": "e639e412c8444a4716392fcc84d300e05819906b52806dad441a6cb5096b2697",
+    "multi_tenant-default-bursty-default-count": "6afd63caf80c3a5a49a99c326353fbbaf15b56af4c03ae0735afe1187bc98b4e",
+    "multi_tenant-default-bursty-default-duration": "1c4b16242d0d9644030fde117c160a35611451f4ad6cf14cfb1bd2ecd55af406",
+    "multi_tenant-default-bursty-mixed-count": "fabb2bf58fc0cdd3c5a9b2b4d179e0c9912dda9027259bc5dcdcd535e8eb272f",
+    "multi_tenant-default-bursty-mixed-duration": "4519ea6c73668103a4ce99eeb9378c4afc6b398c5f079170d3972948a4a8054c",
+    "streaming-small-seed11": "55aaa39a6233b7df760b49de2c1de30e60225c20747a98b73ffe726a7ffc5a30",
+    "closed-small-uniform": "412adf80c201d9cc649e92ac53f25ebf40efbccc7882b395979eadb47c97b820",
+    "closed-small-zipf": "0b4d407fe155085e37b38c6bfbb7f53e29cb6033464bcc925433f20635e61d0a",
+    "closed-small-phased": "bbe9f2c03c3d90d3cf380ac432c7d1b2804e538325144a70115a22d8d87334f6",
+    "closed-small-round_robin": "b0b787a72f0f9d3e770a5e5b79cdf25100e71658a2930e4a8f027a08e73ae32b",
+    "closed-small-bursty": "27da50a3f3a5a5544aad7981f5a51b44af676f24ee606891db38565cc2446ad2",
+    "closed-small-repeated": "5d8251ef03fc3f837a938063c4d29d8a96fe84295533f36cc96b8aaa28558b51",
+    "closed-default-uniform": "dca8fdf19dcbbc7ad135c02d2982c7db431a5c3da872bb3d10a613f4fcb940a5",
+    "closed-default-zipf": "6771208ae7232a7d5dd50e83805f75a8675419f7c91ca79c2a1091dae4a34bdb",
+    "closed-default-phased": "b9bc852762eac93d7899c5dd6c213b90cd286e2757f17035a2fac49e34446429",
+    "closed-default-round_robin": "1143de5dcbb13cd0ff1231a1f189cf76f3002c6d9be06de2a17cbe791df33853",
+    "closed-default-bursty": "73cfa8c94a9d6940bf7cc77cba1b40c2da19afadef5cf852d759299f7142874d",
+    # Both banks end on popcount8, so the two repeated traces are one trace.
+    "closed-default-repeated": "5d8251ef03fc3f837a938063c4d29d8a96fe84295533f36cc96b8aaa28558b51",
+    "app-default-ipsec": "2f639ee72268d8c07fb6de2c7562dd814ba2db4610008765c800d58f8aa77971",
+    "app-default-hash_server": "5fc226ce52eedef16fb556e5cb3d88a5acb3bf81a25f5b5b93004793e069de7e",
+    "app-default-dsp": "8ea332069354940cbd5abf604706cc07416175ea5fc0df35fa88f6ff739a8014",
+}
+
+
+def build_case(case, request):
+    kind, bank_name, *rest = case.split("-")
+    bank = request.getfixturevalue(f"{bank_name}_bank")
+    if kind == "multi_tenant":
+        return fleet_trace(bank, *rest)
+    if kind == "streaming":
+        tenants = default_tenant_mix(bank, tenants=4)
+        return StreamingFleetTrace(bank, tenants, 2_000, mean_interarrival_ns=40_000.0, seed=11)
+    if kind == "app":
+        return APPS[rest[0]](bank, seed=2)
+    return closed_loop_trace(bank, rest[0])
+
+
+CASES = (
+    [
+        f"multi_tenant-{bank}-{arrival}-{tenants}-{bound}"
+        for bank in ("small", "default")
+        for arrival in ("poisson", "bursty")
+        for tenants in ("default", "mixed")
+        for bound in ("count", "duration")
+    ]
+    + ["streaming-small-seed11"]
+    + [
+        f"closed-{bank}-{generator}"
+        for bank in ("small", "default")
+        for generator in ("uniform", "zipf", "phased", "round_robin", "bursty", "repeated")
+    ]
+    + [f"app-default-{app}" for app in APPS]
+)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generator_is_pinned(case, request):
+    assert trace_digest(build_case(case, request)) == PINS[case]
+
+
+def test_every_case_is_pinned():
+    assert set(PINS) == set(CASES)
+
+
+def test_the_stream_is_the_materialised_trace(small_bank):
+    tenants = default_tenant_mix(small_bank, tenants=4)
+    stream = StreamingFleetTrace(small_bank, tenants, 2_000, mean_interarrival_ns=40_000.0, seed=11)
+    trace = multi_tenant_trace(
+        small_bank, tenants, length=2_000, mean_interarrival_ns=40_000.0, seed=11
+    )
+    assert list(stream) == list(trace)
+    assert list(stream) == list(trace)  # restartable: a second pass replays it
+
+
+def test_a_stream_takes_every_tenant_mix(default_bank):
+    tenants = mixed_tenants(default_bank)
+    stream = StreamingFleetTrace(default_bank, tenants, 500, mean_interarrival_ns=20_000.0, seed=5)
+    trace = multi_tenant_trace(default_bank, tenants, length=500, mean_interarrival_ns=20_000.0, seed=5)
+    assert list(stream) == list(trace)
+    assert {request.tenant for request in stream} == {"hot", "phase", "flat", "tail"}

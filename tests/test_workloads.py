@@ -15,6 +15,8 @@ from repro.workloads import (
     uniform_trace,
     zipf_trace,
 )
+from repro.sim.rand import SeededRandom
+from repro.workloads.generators import FunctionChooser
 
 
 class TestTrace:
@@ -105,6 +107,27 @@ class TestGenerators:
             phased_trace(small_bank, 10, phase_length=0)
         with pytest.raises(ValueError):
             bursty_trace(small_bank, 10, mean_burst=0)
+
+
+class TestFunctionChooser:
+    def test_zipf_skew_prefers_low_indices(self, default_bank):
+        chooser = FunctionChooser(default_bank, default_bank.names()[:10], SeededRandom(7), "zipf", 1.5)
+        draws = [chooser.next_index() for _ in range(2000)]
+        low = sum(1 for value in draws if value < 3)
+        assert low / len(draws) > 0.6
+        assert all(0 <= value < 10 for value in draws)
+
+    def test_zipf_zero_skew_is_roughly_uniform(self, small_bank):
+        chooser = FunctionChooser(small_bank, small_bank.names(), SeededRandom(11), "zipf", 0.0)
+        draws = [chooser.next_index() for _ in range(4000)]
+        counts = [draws.count(index) for index in range(4)]
+        assert min(counts) > 700
+
+    def test_zipf_invalid_inputs(self, small_bank):
+        with pytest.raises(ValueError):
+            FunctionChooser(small_bank, [], SeededRandom(), "zipf")
+        with pytest.raises(ValueError):
+            FunctionChooser(small_bank, small_bank.names(), SeededRandom(), "zipf", skew=-1)
 
 
 class TestApplicationModels:
