@@ -4,7 +4,7 @@
 Everything earlier examples print — counters, percentile tables, traces — is
 what an engineer reads *after* deciding something is wrong.  This example
 shows the layer that makes that decision: declarative SLOs evaluated over
-the simulated clock with multi-window burn-rate alerting, tail-based trace
+the simulated clock with fast/slow-window burn-rate alerting, tail-based trace
 sampling that keeps the interesting traces, and an incident flight recorder
 that snapshots the evidence the moment an alert fires.
 

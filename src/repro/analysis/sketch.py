@@ -45,19 +45,19 @@ class StreamingQuantileSketch:
     hundred integers — independent of how many values are added.
     """
 
-    def __init__(self, relative_error: float = 0.01, min_value: float = 1.0) -> None:
+    #: Values below this (incl. zero) are counted separately and reported as
+    #: it — latencies that small are noise here.
+    min_value = 1.0
+
+    def __init__(self, relative_error: float = 0.01) -> None:
         if not 0.0 < relative_error < 1.0:
             raise ValueError("relative_error must be in (0, 1)")
-        if min_value <= 0.0:
-            raise ValueError("min_value must be positive")
         self.relative_error = relative_error
-        self.min_value = min_value
         self.gamma = (1.0 + relative_error) / (1.0 - relative_error)
         self._log_gamma = math.log(self.gamma)
         #: bucket index -> count; sparse because latency streams are clumpy.
         self._buckets: Dict[int, int] = {}
-        #: values below ``min_value`` (incl. zero) are counted separately and
-        #: reported as ``min_value`` — latencies that small are noise here.
+        #: Values below ``min_value``, counted but not bucketed.
         self._low_count = 0
         self.seen = 0
         self._min = math.inf

@@ -15,6 +15,9 @@ from repro.baselines.base import BaselineResult
 from repro.functions.bank import FunctionBank
 from repro.sim.clock import Clock
 
+#: The host CPU's clock.
+HOST_CLOCK_HZ = 1e9
+
 
 class HostOnlyEngine:
     """Executes every request as software on the host CPU."""
@@ -22,16 +25,12 @@ class HostOnlyEngine:
     def __init__(
         self,
         bank: FunctionBank,
-        host_clock_hz: float = 1e9,
         software_slowdown: float = 20.0,
         clock: Optional[Clock] = None,
     ) -> None:
-        if host_clock_hz <= 0:
-            raise ValueError("the host clock must be positive")
         if software_slowdown <= 0:
             raise ValueError("the software slowdown must be positive")
         self.bank = bank
-        self.host_clock_hz = host_clock_hz
         self.software_slowdown = software_slowdown
         self.clock = clock if clock is not None else Clock()
         self.calls = 0
@@ -41,7 +40,7 @@ class HostOnlyEngine:
         """Modelled host CPU time for one call, in whole nanoseconds."""
         function = self.bank.by_name(name)
         cycles = function.software_cycles(input_length, self.software_slowdown)
-        return round(cycles / self.host_clock_hz * 1e9)
+        return round(cycles / HOST_CLOCK_HZ * 1e9)
 
     def execute(self, name: str, data: bytes, future_requests=None) -> BaselineResult:
         """Run *name* on *data* in software (the result is bit-exact with the

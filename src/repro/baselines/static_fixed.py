@@ -27,15 +27,11 @@ class StaticFixedEngine:
         config: CoprocessorConfig,
         bank: FunctionBank,
         resident_functions: Optional[Sequence[str]] = None,
-        host_clock_hz: float = 1e9,
     ) -> None:
         self.coprocessor = AgileCoprocessor(config, bank)
         self.bank = bank
         self.fallback = HostOnlyEngine(
-            bank,
-            host_clock_hz=host_clock_hz,
-            software_slowdown=config.software_slowdown,
-            clock=self.coprocessor.clock,
+            bank, software_slowdown=config.software_slowdown, clock=self.coprocessor.clock
         )
         self.coprocessor.download_bank()
         self.resident: List[str] = []

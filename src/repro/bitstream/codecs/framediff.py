@@ -10,7 +10,7 @@ bit-stream rather than between two full device images.
 The codec is *context dependent*: the windowed layer passes the previous raw
 window to :meth:`compress_window` / :meth:`decompress_window`.  When used on a
 whole buffer (no context), it chunks the buffer internally using
-``frame_size`` as the window.
+:data:`FRAME_SIZE` as the window.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from typing import Optional
 
 from repro.bitstream.codecs.base import Codec, register_codec
 from repro.bitstream.codecs.rle import RunLengthCodec
+
+#: Bytes per frame when a whole buffer is compressed without context.
+FRAME_SIZE = 1024
 
 
 def _xor_bytes(data: bytes, reference: bytes) -> bytes:
@@ -43,10 +46,7 @@ class FrameDifferentialCodec(Codec):
 
     name = "framediff"
 
-    def __init__(self, frame_size: int = 1024) -> None:
-        if frame_size <= 0:
-            raise ValueError("frame size must be positive")
-        self.frame_size = frame_size
+    def __init__(self) -> None:
         self._inner = RunLengthCodec()
 
     # --------------------------------------------------------- whole buffer
@@ -58,7 +58,7 @@ class FrameDifferentialCodec(Codec):
         if not size:
             return self._inner.compress(b"")
         value = int.from_bytes(data, "big")
-        transformed = value ^ (value >> (8 * self.frame_size))
+        transformed = value ^ (value >> (8 * FRAME_SIZE))
         return self._inner.compress(transformed.to_bytes(size, "big"))
 
     def decompress(self, blob: bytes) -> bytes:
@@ -69,7 +69,7 @@ class FrameDifferentialCodec(Codec):
         # Inverse of the shifted XOR: a strided prefix-XOR, computed with the
         # doubling trick (each pass folds in frames twice as far back).
         value = int.from_bytes(transformed, "big")
-        shift = 8 * self.frame_size
+        shift = 8 * FRAME_SIZE
         total_bits = 8 * size
         while shift < total_bits:
             value ^= value >> shift

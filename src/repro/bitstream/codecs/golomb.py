@@ -48,13 +48,8 @@ class GolombRiceCodec(Codec):
 
     name = "golomb"
 
-    def __init__(self, k: int | None = None) -> None:
-        if k is not None and not 0 <= k <= 15:
-            raise ValueError("Rice parameter k must be in 0..15")
-        self.k = k
-
     def compress(self, data: bytes) -> bytes:
-        k = self.k if self.k is not None else _choose_k(data)
+        k = _choose_k(data)
         k_mask = (1 << k) - 1
         out = bytearray()
         acc = 0

@@ -17,7 +17,7 @@ optimisations make it fast without changing a single output byte relative to
 the per-byte reference encoder:
 
 * *dead-work elimination*: of a long match's interior positions, only the
-  last ``window`` can ever be reached by a later search (older ones would hit
+  last :data:`WINDOW` can ever be reached by a later search (older ones would hit
   the distance bound first), so only those are inserted into the chains;
 * *early rejection*: a candidate can only beat the current best match if it
   also matches at offset ``best_length``, so one byte probe skips hopeless
@@ -38,6 +38,9 @@ _MATCH = 0x01
 _MAX_LITERAL = 255
 _MIN_MATCH = 4
 _MAX_MATCH = 0xFFFF
+#: Farthest back (bytes) a match may reach, and candidates tried per position.
+WINDOW = 4096
+MAX_CHAIN = 32
 
 
 class LZ77Codec(Codec):
@@ -45,21 +48,13 @@ class LZ77Codec(Codec):
 
     name = "lz77"
 
-    def __init__(self, window: int = 4096, max_chain: int = 32) -> None:
-        if window <= 0 or window > 0xFFFF:
-            raise ValueError("LZ77 window must be in 1..65535")
-        if max_chain <= 0:
-            raise ValueError("max_chain must be positive")
-        self.window = window
-        self.max_chain = max_chain
-
     # ------------------------------------------------------------- compress
     def compress(self, data: bytes) -> bytes:
         data = bytes(data)
         length = len(data)
         out = bytearray()
-        window = self.window
-        max_chain = self.max_chain
+        window = WINDOW
+        max_chain = MAX_CHAIN
         prefix_limit = length - 3  # positions with a full 4-byte prefix
         # Chains: head[key] = most recent position with that 4-byte prefix,
         # prev[pos] = previous position on pos's chain (-1 terminates).

@@ -117,17 +117,14 @@ class LeastOutstandingPolicy(DispatchPolicy):
 class ConfigAffinityPolicy(DispatchPolicy):
     """Route to a card whose fabric already holds the function's frames.
 
-    ``imbalance_limit`` bounds how much longer a resident card's queue may be
-    than the fleet's shortest before affinity yields to load balancing
-    (``None`` disables the escape hatch — pure affinity).
+    Pure affinity: a resident card with room wins however long its queue is
+    against the others' (load spreads by migration, not by dispatch —
+    :mod:`repro.cluster.rebalance`).
     """
 
     name = "affinity"
 
-    def __init__(self, imbalance_limit: Optional[int] = None) -> None:
-        if imbalance_limit is not None and imbalance_limit < 0:
-            raise ValueError("imbalance limit cannot be negative")
-        self.imbalance_limit = imbalance_limit
+    def __init__(self) -> None:
         self.affinity_hits = 0
         self.affinity_misses = 0
 
@@ -179,14 +176,6 @@ class ConfigAffinityPolicy(DispatchPolicy):
                     choice_outstanding = outstanding
                     choice_index = card.index
         if choice is not None:
-            if self.imbalance_limit is not None:
-                fallback = self._least_outstanding(cards)
-                if (
-                    fallback is not None
-                    and choice.outstanding - fallback.outstanding > self.imbalance_limit
-                ):
-                    self.affinity_misses += 1
-                    return fallback
             self.affinity_hits += 1
             return choice
         fallback = self._spread_fallback(cards)
@@ -252,7 +241,7 @@ POLICIES = {
 }
 
 
-def build_dispatch_policy(name: str, **kwargs) -> DispatchPolicy:
+def build_dispatch_policy(name: str) -> DispatchPolicy:
     """Instantiate a dispatch policy by name (see :data:`POLICIES`)."""
     try:
         factory = POLICIES[name]
@@ -260,4 +249,4 @@ def build_dispatch_policy(name: str, **kwargs) -> DispatchPolicy:
         raise ValueError(
             f"unknown dispatch policy {name!r}; choose from {sorted(POLICIES)}"
         ) from None
-    return factory(**kwargs)
+    return factory()

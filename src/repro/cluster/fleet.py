@@ -31,9 +31,8 @@ its recorded duration and offsets; anything else — a miss, a degraded or
 fault-protected card — runs the full transaction-level model.  The two are
 equal in schedule, counters, time totals and spans
 (``tests/test_cluster_fastpath.py``).  Either way a traced serve's device
-events (``Observability(bridge_device=True)``) reach the tracer as one
-``card.device_events`` reference, built into ``card.*`` spans only where the
-span log is read.
+events reach the tracer as one ``card.device_events`` reference, built into
+``card.*`` spans only where the span log is read.
 
 Admission control is at the dispatcher: a card with ``queue_depth``
 outstanding requests is inadmissible, and when every card is full the request
@@ -75,6 +74,7 @@ from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
 from repro.core.host import HostDriver
 from repro.obs import names as _obs_names
+from repro.sim.clock import as_ns
 from repro.sim.kernel import SimulationError, Simulator, Timeout
 from repro.workloads.multitenant import FleetRequest, FleetTrace
 
@@ -88,6 +88,9 @@ _NO_CARDS_TRIED: frozenset = frozenset()
 #: generous enough that no legitimate drain (bounded by what is queued plus
 #: what downstream work puts back) ever reaches it.
 ZERO_TIME_ITEM_LIMIT = 1_000_000
+
+#: A dead card's hottest resident functions that healing re-homes.
+HEAL_LIMIT = 4
 
 #: Non-completion terminal outcome -> zero-duration marker span name.
 _OUTCOME_MARKERS = {
@@ -192,11 +195,10 @@ class Fleet:
         self._bind_obs_watchers()
         if self._tracer is not None:
             self._register_fleet_gauges(observability.registry)
-            if observability.bridge_device:
-                for card in self.cards:
-                    recorder = card.driver.coprocessor.trace
-                    recorder.enabled = True
-                    card._obs_trace = recorder
+            for card in self.cards:
+                recorder = card.driver.coprocessor.trace
+                recorder.enabled = True
+                card._obs_trace = recorder
         if stats_mode == "sketch":
             # Per-card latency recording follows the fleet into O(1) memory.
             for card in self.cards:
@@ -205,7 +207,6 @@ class Fleet:
         self._arrivals_running = False
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
         self.heal_on_failure = False
-        self.heal_limit = 4
         self.injector = None
         # Rebalancing / defragmentation (PR 5; off until enabled).
         self.rebalancer = None
@@ -725,7 +726,6 @@ class Fleet:
         scrub_period_ns: Optional[int] = None,
         scrub_frames_per_order: int = 8,
         heal_on_failure: bool = True,
-        heal_limit: int = 4,
     ) -> None:
         """Install fault protection on every card and the fleet's services.
 
@@ -742,7 +742,6 @@ class Fleet:
         for card in self.cards:
             card.driver.coprocessor.enable_fault_protection()
         self.heal_on_failure = heal_on_failure
-        self.heal_limit = heal_limit
         if scrub_period_ns is not None:
             if scrub_period_ns < 0:
                 raise ValueError("the scrub period cannot be negative")
@@ -756,34 +755,22 @@ class Fleet:
 
     # ---------------------------------------------------------- rebalancing
     def enable_rebalancing(
-        self,
-        period_ns: int,
-        min_queue_skew: int = 4,
-        min_frame_skew: int = 4,
-        max_orders_per_cycle: int = 2,
-        keep_resident: int = 1,
-        cooldown_ns: Optional[int] = None,
+        self, period_ns: int, min_queue_skew: int = 4, min_frame_skew: int = 4
     ):
         """Start the fleet's migration-planning service.
 
         Every *period_ns* the :class:`~repro.cluster.rebalance.Rebalancer`
         inspects queue depths and configuration residency and, when the fleet
         is skewed, orders MIGRATE work (capture → transfer → restore →
-        release) through the card queues.  ``cooldown_ns`` defaults to ten
-        periods, so one function migrates at most once per ten cycles.
-        Returns the rebalancer.
+        release) through the card queues.  Its cooldown is ten periods, so
+        one function migrates at most once per ten cycles.  Returns the
+        rebalancer.
         """
         if period_ns <= 0:
             raise ValueError("the rebalance period must be positive")
         from repro.cluster.rebalance import Rebalancer
 
-        self.rebalancer = Rebalancer(
-            min_queue_skew=min_queue_skew,
-            min_frame_skew=min_frame_skew,
-            max_orders_per_cycle=max_orders_per_cycle,
-            keep_resident=keep_resident,
-            cooldown_ns=10 * period_ns if cooldown_ns is None else cooldown_ns,
-        )
+        self.rebalancer = Rebalancer(min_queue_skew, min_frame_skew, as_ns(10 * period_ns))
         self.add_service(
             "fleet-rebalance", partial(self._every, period_ns, self._rebalance)
         )
@@ -905,7 +892,7 @@ class Fleet:
         resident = dead.driver.card.resident_functions()
         per_function = dead.driver.coprocessor.stats.per_function_requests
         hot = sorted(resident, key=lambda fn: (-per_function.get(fn, 0), fn))
-        for function in hot[: self.heal_limit]:
+        for function in hot[:HEAL_LIMIT]:
             if any(card.holds(function) for card in self.cards):
                 continue  # already covered elsewhere
             candidates = [

@@ -29,11 +29,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
 from repro.bitstream.relocate import compatible_fabrics
-from repro.sim.clock import as_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.card import FleetCard
     from repro.cluster.fleet import Fleet
+
+#: Migrations planned per rebalance period at most, so residency moves in
+#: measured steps instead of thrashing.
+MAX_ORDERS_PER_CYCLE = 2
+#: Functions a donor always keeps: its own traffic still needs a working set.
+KEEP_RESIDENT = 1
 
 
 @dataclass(frozen=True)
@@ -57,44 +62,17 @@ class Rebalancer:
         Occupied-frame gap that triggers residency-driven migration even when
         queues are momentarily drained — the "one card holds everything"
         regime a freshly warmed or freshly healed fleet sits in.
-    max_orders_per_cycle:
-        Upper bound on migrations planned per rebalance period, so residency
-        moves in measured steps instead of thrashing.
-    keep_resident:
-        Functions the donor always keeps, preventing the planner from
-        stripping a card bare (its own traffic still needs a working set).
     cooldown_ns:
-        Minimum fleet time between two migrations of the *same* function —
-        the anti-thrash guard that stops a function ping-ponging between two
-        cards whose queues trade places every period.  Integer nanoseconds
-        (an integral float is accepted and coerced; fractional values are
-        rejected — durations standardized on int ns in the observability
-        layer).
+        Minimum fleet time (whole nanoseconds) between two migrations of the
+        *same* function — the anti-thrash guard that stops a function
+        ping-ponging between two cards whose queues trade places every period.
     """
 
-    def __init__(
-        self,
-        min_queue_skew: int = 4,
-        min_frame_skew: int = 4,
-        max_orders_per_cycle: int = 2,
-        keep_resident: int = 1,
-        cooldown_ns: int = 1_000_000,
-    ) -> None:
+    def __init__(self, min_queue_skew: int, min_frame_skew: int, cooldown_ns: int) -> None:
         if min_queue_skew < 1 or min_frame_skew < 1:
             raise ValueError("skew thresholds must be at least 1")
-        if max_orders_per_cycle < 1:
-            raise ValueError("a rebalance cycle must be able to order one migration")
-        if keep_resident < 0:
-            raise ValueError("keep_resident cannot be negative")
-        if isinstance(cooldown_ns, float) and not cooldown_ns.is_integer():
-            raise ValueError(f"cooldown_ns must be whole nanoseconds, got {cooldown_ns!r}")
-        cooldown_ns = as_ns(cooldown_ns)
-        if cooldown_ns < 0:
-            raise ValueError("the migration cooldown cannot be negative")
         self.min_queue_skew = min_queue_skew
         self.min_frame_skew = min_frame_skew
-        self.max_orders_per_cycle = max_orders_per_cycle
-        self.keep_resident = keep_resident
         self.cooldown_ns = cooldown_ns
         self.cycles = 0
         self.orders_planned = 0
@@ -147,10 +125,7 @@ class Rebalancer:
         # Hottest first: moving the functions that attract the most traffic
         # moves the most load per migration paid for.
         movable.sort(key=lambda name: (-per_function.get(name, 0), name))
-        budget = min(
-            self.max_orders_per_cycle,
-            max(0, len(resident) - self.keep_resident),
-        )
+        budget = min(MAX_ORDERS_PER_CYCLE, max(0, len(resident) - KEEP_RESIDENT))
         orders: List[MigrationOrder] = []
         donor_used = self._frames_used(donor)
         planned_frames = {card.index: 0 for card in others}

@@ -90,6 +90,12 @@ _MIGRATED_LABELED = (
     ("per_priority_shed", _names.METRIC_NET_SHED_BY_PRIORITY),
 )
 
+#: Sojourns each reservoir keeps (exact below it), and the seed of their forks.
+RESERVOIR_CAPACITY = 50_000
+RESERVOIR_SEED = 0x0F1EE7
+#: Relative value error of the sketch-mode percentiles.
+SKETCH_RELATIVE_ERROR = 0.01
+
 #: What :meth:`FleetStatistics.totals` carries and ``absorb`` adds: the plain
 #: integer attributes, and the per-tenant / per-card ``defaultdict(int)``s.
 _SUMMED = (
@@ -112,7 +118,7 @@ class FleetStatistics:
       pre-existing digest and report is produced in this mode.
     * ``"sketch"`` — O(1)-memory streaming quantile sketches
       (:class:`~repro.analysis.sketch.StreamingQuantileSketch`).  No RNG is
-      consumed, percentiles are within ``sketch_relative_error`` relative
+      consumed, percentiles are within :data:`SKETCH_RELATIVE_ERROR` relative
       value error of exact mode, and per-shard instances merge
       (:meth:`totals` / :meth:`absorb`) — the mode the 10^6-request scale
       runs use and the only one the sharded runner can.
@@ -123,12 +129,7 @@ class FleetStatistics:
     """
 
     def __init__(
-        self,
-        reservoir_capacity: int = 50_000,
-        seed: int = 0x0F1EE7,
-        mode: str = "reservoir",
-        sketch_relative_error: float = 0.01,
-        registry: Optional[MetricsRegistry] = None,
+        self, mode: str = "reservoir", registry: Optional[MetricsRegistry] = None
     ) -> None:
         if mode not in ("reservoir", "sketch"):
             raise ValueError(f"unknown statistics mode {mode!r}")
@@ -143,9 +144,7 @@ class FleetStatistics:
             instruments["_c_" + attr] = self.registry.counter(metric)
         for attr, metric in _MIGRATED_LABELED:
             instruments[attr] = self.registry.labeled_counter(metric)
-        self.reservoir_capacity = reservoir_capacity
-        self.sketch_relative_error = sketch_relative_error
-        self._rng = SeededRandom(seed)
+        self._rng = SeededRandom(RESERVOIR_SEED)
         #: When a list (sharded execution), every completion, rejection and
         #: expiry also appends ``(at_ns, started_ns, line)`` here: its digest
         #: line under the key that orders it among other shards' lines (a
@@ -230,8 +229,8 @@ class FleetStatistics:
     def _new_sojourn(self, label: str):
         """One sojourn recorder — a reservoir or a sketch, same `.add` API."""
         if self.mode == "sketch":
-            return StreamingQuantileSketch(relative_error=self.sketch_relative_error)
-        return ReservoirSampler(self.reservoir_capacity, self._rng.fork(label))
+            return StreamingQuantileSketch(relative_error=SKETCH_RELATIVE_ERROR)
+        return ReservoirSampler(RESERVOIR_CAPACITY, self._rng.fork(label))
 
     def totals(self) -> dict:
         """Everything order-free this (sketch-mode) run accumulated, picklable.

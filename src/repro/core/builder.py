@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.config import CoprocessorConfig, SMALL_CONFIG
+from repro.core.config import CoprocessorConfig
 from repro.core.coprocessor import AgileCoprocessor
 from repro.fpga.bitgen import BitstreamCache, bitstream_cache
 from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
@@ -59,14 +59,10 @@ def build_coprocessor(
     return coprocessor
 
 
-def build_default_coprocessor(seed: int = 0, small: bool = False) -> AgileCoprocessor:
-    """A ready-to-use co-processor with default configuration and bank.
-
-    ``small=True`` builds the reduced configuration/bank used in fast tests.
-    """
-    config = (SMALL_CONFIG if small else CoprocessorConfig()).with_overrides(seed=seed)
-    bank = build_function_bank(small=small)
-    return build_coprocessor(config=config, bank=bank)
+def build_default_coprocessor(seed: int = 0) -> AgileCoprocessor:
+    """A ready-to-use co-processor with default configuration and bank."""
+    config = CoprocessorConfig().with_overrides(seed=seed)
+    return build_coprocessor(config=config, bank=build_default_bank())
 
 
 def build_host_driver(

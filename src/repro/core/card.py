@@ -31,6 +31,9 @@ from repro.mcu.minios.policies import CapacityError
 from repro.fpga.errors import ConfigurationError, ExecutionError, PlacementError
 from repro.pci.device import PciDevice, PciFunctionInterface
 
+#: Bytes of the BAR1 data window: input in the first half, output in the second.
+WINDOW_BYTES = 128 * 1024
+
 
 class CoprocessorCard(PciDevice):
     """PCI personality of the agile co-processor.
@@ -39,12 +42,11 @@ class CoprocessorCard(PciDevice):
     the second half receives output data.
     """
 
-    def __init__(self, coprocessor: AgileCoprocessor, window_bytes: int = 128 * 1024) -> None:
-        interface = PciFunctionInterface(window_bytes=window_bytes)
-        super().__init__(name="agile-coprocessor", interface=interface, window_bar_size=window_bytes)
+    def __init__(self, coprocessor: AgileCoprocessor) -> None:
+        interface = PciFunctionInterface(window_bytes=WINDOW_BYTES)
+        super().__init__(name="agile-coprocessor", interface=interface, window_bar_size=WINDOW_BYTES)
         self.coprocessor = coprocessor
-        self.window_bytes = window_bytes
-        self.output_offset = window_bytes // 2
+        self.output_offset = WINDOW_BYTES // 2
         self.last_result: Optional[ExecutionResult] = None
         self.commands_processed = 0
         interface.on_register_write(REG_COMMAND, self._on_command)
@@ -160,10 +162,10 @@ class CoprocessorCard(PciDevice):
         except ExecutionError:
             self._finish(STATUS_NOT_RESIDENT)
             return
-        if len(blob) > self.window_bytes - self.output_offset:
+        if len(blob) > WINDOW_BYTES - self.output_offset:
             # A migration image must fit the output half of the data window;
-            # with realistic window sizes this is unreachable, but a tiny
-            # window must fail loudly rather than truncate the image.
+            # the bank's images fit 64 KiB easily, but one that does not must
+            # fail loudly rather than truncate.
             self._finish(STATUS_BAD_COMMAND)
             return
         self._finish(STATUS_OK, output=blob, elapsed_ns=self.coprocessor.clock.now - before)

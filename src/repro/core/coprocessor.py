@@ -52,15 +52,10 @@ class ExecutionResult:
 class AgileCoprocessor:
     """Card-level model of the FPGA-based agile algorithm-on-demand co-processor."""
 
-    def __init__(
-        self,
-        config: CoprocessorConfig,
-        bank: FunctionBank,
-        clock: Optional[Clock] = None,
-    ) -> None:
+    def __init__(self, config: CoprocessorConfig, bank: FunctionBank) -> None:
         self.config = config
         self.bank = bank
-        self.clock = clock if clock is not None else Clock()
+        self.clock = Clock()
         self.trace = TraceRecorder(enabled=config.enable_trace)
         geometry = config.geometry()
         self.geometry = geometry
@@ -282,7 +277,7 @@ class AgileCoprocessor:
         return self.mcu.defrag(max_moves=max_moves)
 
     # ----------------------------------------------------- fault protection
-    def enable_fault_protection(self, check_cycles_per_byte: float = 0.25):
+    def enable_fault_protection(self):
         """Install the golden store, hazard detector and scrub service.
 
         Idempotent.  Functions already live on the fabric are assumed clean
@@ -302,11 +297,7 @@ class AgileCoprocessor:
         device.golden = golden
         device.hazard_detector = FrameHazardDetector(device.memory)
         self.scrubber = Scrubber(
-            device,
-            golden,
-            clock=self.clock,
-            scrub_clock_hz=self.config.config_clock_hz,
-            check_cycles_per_byte=check_cycles_per_byte,
+            device, golden, clock=self.clock, scrub_clock_hz=self.config.config_clock_hz
         )
         self.minios.register_service("scrubber", self.scrubber)
         return self.scrubber
@@ -316,9 +307,10 @@ class AgileCoprocessor:
         return self.mcu.scrub(max_frames=max_frames)
 
     def reset(self) -> None:
-        """Clear the fabric, the mini OS and the statistics (keeps the ROM)."""
+        """Clear the fabric, the mini OS and the statistics (keeps the ROM
+        and the statistics' latency mode)."""
         self.mcu.reset()
-        self.stats = CoprocessorStatistics()
+        self.stats.reset()
 
     # --------------------------------------------------------------- queries
     def loaded_functions(self) -> List[str]:

@@ -212,7 +212,7 @@ class HostDriver:
         return self.bridge.read_register(self.card.name, REG_OUTPUT_LENGTH)
 
 
-def build_host_system(coprocessor: AgileCoprocessor, window_bytes: int = 128 * 1024) -> HostDriver:
+def build_host_system(coprocessor: AgileCoprocessor) -> HostDriver:
     """Wire a co-processor card onto a PCI bus and return a ready driver.
 
     The bus shares the co-processor's clock so card-side and host-side times
@@ -228,7 +228,7 @@ def build_host_system(coprocessor: AgileCoprocessor, window_bytes: int = 128 * 1
         ),
         trace=coprocessor.trace,
     )
-    card = CoprocessorCard(coprocessor, window_bytes=window_bytes)
+    card = CoprocessorCard(coprocessor)
     bus.attach(card)
     bridge = HostBridge(bus, dma_burst_bytes=coprocessor.config.dma_burst_bytes)
     return HostDriver(bus, bridge, card)

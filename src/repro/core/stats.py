@@ -65,9 +65,20 @@ class ReservoirSampler:
         return sum(self.values) / len(self.values) if self.values else 0.0
 
 
+#: Latencies a reservoir-mode card keeps: past it, a uniform sample of the stream.
+MAX_RECORDED_LATENCIES = 100_000
+
+
 @dataclass
 class CoprocessorStatistics:
-    """Counters and per-phase time totals across every request served."""
+    """Counters and per-phase time totals across every request served.
+
+    Latencies go to a seeded uniform sample of at most
+    :data:`MAX_RECORDED_LATENCIES` (``latency_mode`` ``"reservoir"``), or,
+    after :meth:`use_sketch`, to an O(1)-memory streaming quantile sketch — no
+    retained list, no RNG — for million-request runs.  :meth:`reset` keeps
+    the mode.
+    """
 
     requests: int = 0
     hits: int = 0
@@ -81,39 +92,15 @@ class CoprocessorStatistics:
     total_data_movement_ns: int = 0
     per_function_requests: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     per_function_latency_ns: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    latencies_ns: List[int] = field(default_factory=list)
-    #: Cap on retained per-request latencies (percentiles stay meaningful while
-    #: memory stays bounded for very long traces).
-    max_recorded_latencies: int = 100_000
-    #: ``"reservoir"`` (default, historical behaviour) keeps a seeded uniform
-    #: sample of latencies; ``"sketch"`` records them into an O(1)-memory
-    #: streaming quantile sketch instead — no retained list, no RNG — for
-    #: million-request runs.  Switch with :meth:`use_sketch` before the first
-    #: request.
-    latency_mode: str = "reservoir"
-    _latency_sample: ReservoirSampler = field(init=False, repr=False, compare=False)
+    latency_mode: str = field(default="reservoir", init=False)
 
     def __post_init__(self) -> None:
-        if self.latency_mode not in ("reservoir", "sketch"):
-            raise ValueError(f"unknown latency mode {self.latency_mode!r}")
         # The fixed seed keeps percentile results identical across runs and
-        # processes; the sampler shares the latencies_ns list so the public
-        # field keeps working, and counts any pre-populated values as seen.
-        if len(self.latencies_ns) > self.max_recorded_latencies:
-            raise ValueError(
-                "pre-populated latencies_ns exceeds max_recorded_latencies; "
-                "entries past the cap could never be displaced by the sampler"
-            )
-        self._latency_sample = ReservoirSampler(
-            self.max_recorded_latencies, SeededRandom(0x51A7)
-        )
-        self._latency_sample.values = self.latencies_ns
-        self._latency_sample.seen = len(self.latencies_ns)
-        self._latency_sketch = (
-            StreamingQuantileSketch() if self.latency_mode == "sketch" else None
-        )
+        # processes.
+        self._latency_sample = ReservoirSampler(MAX_RECORDED_LATENCIES, SeededRandom(0x51A7))
+        self._latency_sketch: Optional[StreamingQuantileSketch] = None
 
-    def use_sketch(self, relative_error: float = 0.01) -> None:
+    def use_sketch(self) -> None:
         """Switch latency recording to the O(1)-memory sketch.
 
         Only valid before the first request: mixing a half-filled reservoir
@@ -122,7 +109,7 @@ class CoprocessorStatistics:
         if self.requests:
             raise ValueError("cannot switch latency mode after recording began")
         self.latency_mode = "sketch"
-        self._latency_sketch = StreamingQuantileSketch(relative_error=relative_error)
+        self._latency_sketch = StreamingQuantileSketch()
 
     # ------------------------------------------------------------- recording
     def record(self, outcome: RequestOutcome, input_bytes: int) -> None:
@@ -148,50 +135,8 @@ class CoprocessorStatistics:
         self.per_function_latency_ns[outcome.function] += outcome.total_time_ns
         if self.latency_mode == "sketch":
             self._latency_sketch.add(outcome.total_time_ns)
-            return
-        # Reservoir sampling: below the cap this appends exactly as before;
-        # past the cap each new latency displaces a random retained one, so
-        # the sample stays uniform over the full trace instead of freezing on
-        # the first max_recorded_latencies requests.
-        sample = self._latency_sample
-        if sample.values is not self.latencies_ns:
-            # The public field was rebound (e.g. ``stats.latencies_ns = []``):
-            # re-attach the sampler and restart its stream on the new list,
-            # under the same cap contract the constructor enforces.  Runs
-            # before the cap check below so a rebind-plus-cap change is
-            # judged against the new stream, not the abandoned one.
-            if len(self.latencies_ns) > self.max_recorded_latencies:
-                raise ValueError(
-                    "rebound latencies_ns exceeds max_recorded_latencies; "
-                    "entries past the cap could never be displaced by the sampler"
-                )
-            sample.values = self.latencies_ns
-            sample.seen = len(self.latencies_ns)
-        if sample.capacity != self.max_recorded_latencies:
-            # The cap is a public field callers may adjust after construction
-            # (the pre-reservoir code consulted it on every record call);
-            # shrinking below the current sample size trims the sample.
-            if self.max_recorded_latencies < 0:
-                raise ValueError("reservoir capacity cannot be negative")
-            if (
-                self.max_recorded_latencies > sample.capacity
-                and sample.seen > len(sample.values)
-            ):
-                # Freshly-opened slots would fill with only recent values,
-                # over-representing the tail — the sample is no longer uniform.
-                raise ValueError(
-                    "cannot grow max_recorded_latencies after the reservoir "
-                    "overflowed; reset() the statistics first"
-                )
-            sample.capacity = self.max_recorded_latencies
-            while len(self.latencies_ns) > self.max_recorded_latencies:
-                # Swap-remove a uniformly-chosen survivor: trimming the list
-                # tail instead would keep only the stream's head — the same
-                # bias the grow branch above refuses to introduce.
-                index = sample.rng.integer(0, len(self.latencies_ns) - 1)
-                self.latencies_ns[index] = self.latencies_ns[-1]
-                self.latencies_ns.pop()
-        sample.add(outcome.total_time_ns)
+        else:
+            self._latency_sample.add(outcome.total_time_ns)
 
     def record_hit_replay(
         self,
@@ -208,9 +153,8 @@ class CoprocessorStatistics:
 
         Equal to :meth:`record` for the same outcome: every addend is
         precomputed once by the caller and the hit/no-eviction branch
-        outcomes are baked in.  Reservoir mode defers
-        to :meth:`record` so the sampler's rebind/cap bookkeeping stays in one
-        place; sketch mode — the million-request configuration — takes the
+        outcomes are baked in.  Reservoir mode defers to :meth:`record`;
+        sketch mode — the million-request configuration — takes the
         straight-line path.
         """
         if self.latency_mode != "sketch":
@@ -245,10 +189,14 @@ class CoprocessorStatistics:
         """Latency percentile (0..100) over the sampled requests."""
         if self.latency_mode == "sketch":
             return self._latency_sketch.percentile(percentile)
-        return percentile_of(sorted(self.latencies_ns), percentile)
+        return self._latency_sample.percentile(percentile)
 
     def reset(self) -> None:
+        """Zero every counter and drop the latencies; the latency mode stays."""
+        sketch = self.latency_mode == "sketch"
         self.__init__()  # type: ignore[misc]
+        if sketch:
+            self.use_sketch()
 
     # ------------------------------------------------------------ reporting
     def summary(self) -> Dict[str, float]:

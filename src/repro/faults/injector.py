@@ -31,9 +31,9 @@ from repro.sim.rand import SeededRandom
 class FaultInjector:
     """Turns a :class:`FaultSpec` into deterministic fault events."""
 
-    def __init__(self, spec: FaultSpec, rng: Optional[SeededRandom] = None) -> None:
+    def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
-        root = rng if rng is not None else SeededRandom(spec.seed)
+        root = SeededRandom(spec.seed)
         # Independent sub-streams per fault class: varying the upset rate in
         # a sweep must not perturb the kill/stall schedules and vice versa.
         self._upset_rng = root.fork("upsets")

@@ -8,7 +8,7 @@ corruption; repair rewrites the frame from the golden image captured at
 configure time and verifies the rewrite (a repaired frame must read back
 byte-identical to golden).
 
-Timing: checking a frame charges ``check_cycles_per_byte`` configuration-
+Timing: checking a frame charges :data:`CHECK_CYCLES_PER_BYTE` configuration-
 clock cycles per configuration byte (modelling an internal readback port that
 is wider/faster than the external SelectMAP interface), and a repair
 additionally charges the external port's write time for the frame.  Scrub
@@ -24,6 +24,9 @@ from typing import Optional
 from repro.faults.golden import GoldenImageStore
 from repro.fpga.device import FPGADevice
 from repro.sim.clock import Clock, ClockDomain
+
+#: Readback-port cycles to check one configuration byte.
+CHECK_CYCLES_PER_BYTE = 0.25
 
 
 @dataclass
@@ -59,16 +62,12 @@ class Scrubber:
         golden: GoldenImageStore,
         clock: Optional[Clock] = None,
         scrub_clock_hz: float = 50e6,
-        check_cycles_per_byte: float = 0.25,
     ) -> None:
-        if check_cycles_per_byte <= 0:
-            raise ValueError("checking a byte must cost some cycles")
         self.device = device
         self.memory = device.memory
         self.golden = golden
         self.clock = clock if clock is not None else device.clock
         self.domain = ClockDomain("scrubber", scrub_clock_hz)
-        self.check_cycles_per_byte = check_cycles_per_byte
         self.stats = ScrubStatistics()
         self._frames = device.geometry.all_frames()
         self._cursor = 0
@@ -79,7 +78,7 @@ class Scrubber:
         frame = self.memory.frames[address]
         length = frame.config_byte_length
         self.clock.advance(
-            self.domain.cycles_to_ns(self.check_cycles_per_byte * length)
+            self.domain.cycles_to_ns(CHECK_CYCLES_PER_BYTE * length)
         )
         self.stats.frames_checked += 1
         self.stats.bytes_checked += length

@@ -36,6 +36,10 @@ def _stable_hash(text: str) -> int:
     return value
 
 
+#: Entries a :class:`BitstreamCache` keeps before evicting the least recent.
+MAX_ENTRIES = 1024
+
+
 class BitstreamCache:
     """Process-wide memoisation of rendered frames and compressed images.
 
@@ -44,10 +48,7 @@ class BitstreamCache:
     keeps long parameter sweeps from growing memory without limit.
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError("the bitstream cache needs room for at least one entry")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -63,7 +64,7 @@ class BitstreamCache:
         self.misses += 1
         value = compute()
         entries[key] = value
-        if len(entries) > self.max_entries:
+        if len(entries) > MAX_ENTRIES:
             entries.popitem(last=False)
         return value
 
@@ -110,9 +111,9 @@ def _placement_render_key(
 class BitstreamGenerator:
     """Turns placements into configuration bit-streams."""
 
-    def __init__(self, geometry: FabricGeometry, cache: Optional[BitstreamCache] = None) -> None:
+    def __init__(self, geometry: FabricGeometry) -> None:
         self.geometry = geometry
-        self.cache = cache if cache is not None else _CACHE
+        self.cache = _CACHE
 
     # ----------------------------------------------------------- rendering
     def render_frames(self, netlist: Netlist, placement: Placement) -> List[bytes]:

@@ -19,6 +19,10 @@ from repro.fpga.errors import ConfigurationError
 from repro.fpga.geometry import FrameAddress
 from repro.sim.clock import Clock, ClockDomain
 
+#: Fixed per-frame overhead in configuration cycles (address register load,
+#: frame flush).
+FRAME_SETUP_CYCLES = 12
+
 
 @dataclass
 class PortStatistics:
@@ -57,8 +61,6 @@ class ConfigurationPort:
         Configuration clock frequency (e.g. 50 MHz SelectMAP).
     port_width_bytes:
         Bytes accepted per configuration clock cycle (1 for a byte-wide port).
-    frame_setup_cycles:
-        Fixed per-frame overhead (address register load, frame flush).
     """
 
     def __init__(
@@ -67,17 +69,13 @@ class ConfigurationPort:
         clock: Clock,
         config_clock_hz: float = 50e6,
         port_width_bytes: int = 1,
-        frame_setup_cycles: int = 12,
     ) -> None:
         if port_width_bytes <= 0:
             raise ValueError("port width must be at least one byte")
-        if frame_setup_cycles < 0:
-            raise ValueError("frame setup cycles cannot be negative")
         self.memory = memory
         self.clock = clock
         self.domain = ClockDomain("config-port", config_clock_hz)
         self.port_width_bytes = port_width_bytes
-        self.frame_setup_cycles = frame_setup_cycles
         self.stats = PortStatistics()
         self._session_owner: Optional[str] = None
         self._session_crc: Optional[IncrementalCrc32] = None
@@ -91,7 +89,7 @@ class ConfigurationPort:
     # --------------------------------------------------------------- timing
     def write_time_ns(self, payload_bytes: int) -> int:
         """Time to push *payload_bytes* through the port, including setup."""
-        cycles = self.frame_setup_cycles + -(-payload_bytes // self.port_width_bytes)
+        cycles = FRAME_SETUP_CYCLES + -(-payload_bytes // self.port_width_bytes)
         return self.domain.cycles_to_ns(cycles)
 
     # ---------------------------------------------------------- fault model

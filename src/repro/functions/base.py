@@ -154,20 +154,9 @@ class CallableFunction(HardwareFunction):
     b'ABC'
     """
 
-    def __init__(
-        self,
-        spec: FunctionSpec,
-        callable_behaviour: Callable[[bytes], bytes],
-        netlist_builder: Optional[Callable[[FabricGeometry], Netlist]] = None,
-    ) -> None:
+    def __init__(self, spec: FunctionSpec, callable_behaviour: Callable[[bytes], bytes]) -> None:
         super().__init__(spec)
         self._callable = callable_behaviour
-        self._netlist_builder = netlist_builder
 
     def behaviour(self, data: bytes) -> bytes:
         return self._callable(data)
-
-    def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        if self._netlist_builder is None:
-            return None
-        return self._netlist_builder(geometry)

@@ -172,7 +172,7 @@ DEFAULT_AES_KEY = bytes(range(16))
 class AesFunction(HardwareFunction):
     """AES-128 ECB encryption as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 1, key: bytes = DEFAULT_AES_KEY) -> None:
+    def __init__(self, function_id: int = 1) -> None:
         spec = FunctionSpec(
             name="aes128",
             function_id=function_id,
@@ -184,7 +184,7 @@ class AesFunction(HardwareFunction):
             cycle_model=CycleModel(base_cycles=12, cycles_per_byte=11.0 / 16.0, pipeline_depth=10),
         )
         super().__init__(spec)
-        self.cipher = Aes128(key)
+        self.cipher = Aes128(DEFAULT_AES_KEY)
 
     def behaviour(self, data: bytes) -> bytes:
         return self.cipher.encrypt_ecb(data)

@@ -187,7 +187,7 @@ DEFAULT_DES_KEY = bytes.fromhex("133457799BBCDFF1")
 class DesFunction(HardwareFunction):
     """DES ECB encryption as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 2, key: bytes = DEFAULT_DES_KEY) -> None:
+    def __init__(self, function_id: int = 2) -> None:
         spec = FunctionSpec(
             name="des",
             function_id=function_id,
@@ -199,7 +199,7 @@ class DesFunction(HardwareFunction):
             cycle_model=CycleModel(base_cycles=16, cycles_per_byte=2.0, pipeline_depth=16),
         )
         super().__init__(spec)
-        self.cipher = Des(key)
+        self.cipher = Des(DEFAULT_DES_KEY)
 
     def behaviour(self, data: bytes) -> bytes:
         return self.cipher.encrypt_ecb(data)

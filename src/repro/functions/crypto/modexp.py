@@ -43,12 +43,7 @@ class ModExpFunction(HardwareFunction):
 
     OPERAND_BYTES = 64
 
-    def __init__(
-        self,
-        function_id: int = 5,
-        modulus: int = DEFAULT_MODULUS,
-        exponent: int = DEFAULT_EXPONENT,
-    ) -> None:
+    def __init__(self, function_id: int = 5) -> None:
         spec = FunctionSpec(
             name="modexp512",
             function_id=function_id,
@@ -62,8 +57,6 @@ class ModExpFunction(HardwareFunction):
             cycle_model=CycleModel(base_cycles=9000, cycles_per_byte=4.0, pipeline_depth=32),
         )
         super().__init__(spec)
-        self.modulus = modulus
-        self.exponent = exponent
 
     def behaviour(self, data: bytes) -> bytes:
         """Interpret each 64-byte block as a big-endian operand and exponentiate."""
@@ -71,6 +64,6 @@ class ModExpFunction(HardwareFunction):
         out = bytearray()
         for start in range(0, len(padded), self.OPERAND_BYTES):
             operand = int.from_bytes(padded[start : start + self.OPERAND_BYTES], "big")
-            result = modular_exponentiation(operand, self.exponent, self.modulus)
+            result = modular_exponentiation(operand, DEFAULT_EXPONENT, DEFAULT_MODULUS)
             out.extend(result.to_bytes(self.OPERAND_BYTES, "big"))
         return bytes(out)

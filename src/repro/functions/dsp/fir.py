@@ -61,7 +61,7 @@ DEFAULT_COEFFICIENTS = [
 class FirFunction(HardwareFunction):
     """16-tap FIR filter as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 6, coefficients: Sequence[int] = tuple(DEFAULT_COEFFICIENTS)) -> None:
+    def __init__(self, function_id: int = 6) -> None:
         spec = FunctionSpec(
             name="fir16",
             function_id=function_id,
@@ -73,7 +73,7 @@ class FirFunction(HardwareFunction):
             cycle_model=CycleModel(base_cycles=16, cycles_per_byte=0.5, pipeline_depth=16),
         )
         super().__init__(spec)
-        self.filter = FirFilter(coefficients)
+        self.filter = FirFilter(DEFAULT_COEFFICIENTS)
 
     def behaviour(self, data: bytes) -> bytes:
         return self.filter.filter_bytes(data)

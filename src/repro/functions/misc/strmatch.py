@@ -33,21 +33,18 @@ DEFAULT_PATTERN = b"AGILE"
 class StringMatchFunction(HardwareFunction):
     """Count occurrences of a fixed pattern; 4-byte big-endian count out."""
 
-    def __init__(self, function_id: int = 11, pattern: bytes = DEFAULT_PATTERN) -> None:
-        if not pattern:
-            raise ValueError("the matcher needs a non-empty pattern")
+    def __init__(self, function_id: int = 11) -> None:
         spec = FunctionSpec(
             name="strmatch",
             function_id=function_id,
-            description=f"Systolic matcher counting occurrences of a {len(pattern)}-byte pattern",
+            description=f"Systolic matcher counting occurrences of a {len(DEFAULT_PATTERN)}-byte pattern",
             category=FunctionCategory.MISC,
             input_bytes=256,
             output_bytes=4,
             lut_estimate=350,
-            cycle_model=CycleModel(base_cycles=8, cycles_per_byte=1.0, pipeline_depth=len(pattern)),
+            cycle_model=CycleModel(base_cycles=8, cycles_per_byte=1.0, pipeline_depth=len(DEFAULT_PATTERN)),
         )
         super().__init__(spec)
-        self.pattern = pattern
 
     def behaviour(self, data: bytes) -> bytes:
-        return struct.pack(">I", count_occurrences(data, self.pattern))
+        return struct.pack(">I", count_occurrences(data, DEFAULT_PATTERN))

@@ -20,6 +20,9 @@ from repro.memory.ram import LocalRam, RamAllocation
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
 
+#: Bus cycles every transfer pays before its first beat.
+SETUP_CYCLES = 4
+
 
 @dataclass
 class TransferRecord:
@@ -40,16 +43,12 @@ class _InterfaceBus:
         clock: Clock,
         bus_width_bytes: int = 4,
         bus_clock_hz: float = 66e6,
-        setup_cycles: int = 4,
     ) -> None:
         if bus_width_bytes <= 0:
             raise ValueError("interface bus width must be positive")
-        if setup_cycles < 0:
-            raise ValueError("setup cycles cannot be negative")
         self.clock = clock
         self.bus_width_bytes = bus_width_bytes
         self.domain = ClockDomain("interface-bus", bus_clock_hz)
-        self.setup_cycles = setup_cycles
 
     def padded_length(self, payload_bytes: int) -> int:
         """Round *payload_bytes* up to a whole number of bus beats."""
@@ -61,7 +60,7 @@ class _InterfaceBus:
     def transfer_time_ns(self, payload_bytes: int) -> Tuple[int, int]:
         """(beats, nanoseconds) for a transfer of *payload_bytes*."""
         beats = -(-payload_bytes // self.bus_width_bytes) if payload_bytes else 0
-        cycles = self.setup_cycles + beats
+        cycles = SETUP_CYCLES + beats
         return beats, self.domain.cycles_to_ns(cycles)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import FabricGeometry, FrameAddress
@@ -19,14 +19,9 @@ class FreeFrameList:
     fragmentation reporting) stop re-sorting the whole set every time.
     """
 
-    def __init__(self, geometry: FabricGeometry, initially_free: Optional[Iterable[FrameAddress]] = None) -> None:
+    def __init__(self, geometry: FabricGeometry) -> None:
         self.geometry = geometry
-        if initially_free is None:
-            initially_free = geometry.all_frames()
-        self._free: Set[FrameAddress] = set()
-        for address in initially_free:
-            geometry.validate(address)
-            self._free.add(address)
+        self._free: Set[FrameAddress] = set(geometry.all_frames())
         self._sorted_cache: Optional[List[FrameAddress]] = None
 
     # --------------------------------------------------------------- queries

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.memory.errors import RamAllocationError
-from repro.memory.timing import MemoryTiming, RAM_TIMING
+from repro.memory.timing import RAM_TIMING
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
 
@@ -37,14 +37,12 @@ class LocalRam:
         self,
         capacity_bytes: int,
         clock: Optional[Clock] = None,
-        timing: MemoryTiming = RAM_TIMING,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("RAM capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.clock = clock if clock is not None else Clock()
-        self.timing = timing
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._data = bytearray(capacity_bytes)
         self._allocations: Dict[str, RamAllocation] = {}
@@ -108,7 +106,7 @@ class LocalRam:
                 f"{allocation.label!r} ({allocation.length} bytes)"
             )
         started = self.clock.now
-        elapsed = self.timing.transfer_time_ns(len(data))
+        elapsed = RAM_TIMING.transfer_time_ns(len(data))
         self.clock.advance(elapsed)
         address = allocation.address + offset
         self._data[address : address + len(data)] = data
@@ -126,7 +124,7 @@ class LocalRam:
                 f"{allocation.label!r} ({allocation.length} bytes)"
             )
         started = self.clock.now
-        elapsed = self.timing.transfer_time_ns(length)
+        elapsed = RAM_TIMING.transfer_time_ns(length)
         self.clock.advance(elapsed)
         address = allocation.address + offset
         self.total_reads += 1

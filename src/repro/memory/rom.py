@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.memory.errors import RomFullError, RomLookupError
 from repro.memory.records import FunctionRecord, RecordTable
-from repro.memory.timing import MemoryTiming, ROM_TIMING
+from repro.memory.timing import ROM_TIMING
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
 
@@ -25,14 +25,12 @@ class ConfigurationRom:
         self,
         capacity_bytes: int,
         clock: Optional[Clock] = None,
-        timing: MemoryTiming = ROM_TIMING,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("ROM capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.clock = clock if clock is not None else Clock()
-        self.timing = timing
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._data = bytearray(capacity_bytes)
         self._table = RecordTable()
@@ -119,7 +117,7 @@ class ConfigurationRom:
                 f"ROM read of {length} bytes at {address} exceeds capacity {self.capacity_bytes}"
             )
         started = self.clock.now
-        self.clock.advance(self.timing.transfer_time_ns(length))
+        self.clock.advance(ROM_TIMING.transfer_time_ns(length))
         self.total_reads += 1
         self.total_bytes_read += length
         self.trace.record("rom", "read", started, self.clock.now, address=address, length=length)

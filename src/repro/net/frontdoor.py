@@ -41,12 +41,10 @@ class FrontDoor:
         rng: SeededRandom,
         gateways: int = 1,
         uplink: Optional[LinkSpec] = None,
-        downlink: Optional[LinkSpec] = None,
         transport: Optional[TransportConfig] = None,
         admission: Optional[AdmissionConfig] = None,
         priorities: Optional[Dict[str, int]] = None,
         deadline_ns: Optional[int] = None,
-        probe_period_ns: int = 1_000_000,
     ) -> None:
         if gateways < 1:
             raise ValueError("a front door needs at least one gateway")
@@ -55,7 +53,6 @@ class FrontDoor:
         self.fleet = fleet
         self.rng = rng
         uplink = uplink if uplink is not None else LinkSpec()
-        downlink = downlink if downlink is not None else uplink
         #: Per-tenant admission class (default 0 = bulk; >0 sheds last).
         self.priorities = dict(priorities) if priorities else {}
         #: Per-request deadline budget from first send (None = no deadlines).
@@ -66,18 +63,12 @@ class FrontDoor:
         for index in range(gateways):
             down = Link(
                 fleet.simulator,
-                downlink,
+                uplink,
                 None,  # the transport's on_response, once it exists (below)
                 rng.fork(f"net.link.down{index}"),
                 name=f"down{index}",
             )
-            gateway = Gateway(
-                index,
-                fleet,
-                down,
-                admission=admission,
-                probe_period_ns=probe_period_ns,
-            )
+            gateway = Gateway(index, fleet, down, admission=admission)
             up = Link(
                 fleet.simulator,
                 uplink,

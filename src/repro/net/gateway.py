@@ -78,6 +78,9 @@ class TokenBucket:
 #: Cache sentinel: the request reached the dispatcher and has no verdict yet.
 _IN_FLIGHT = object()
 
+#: How often a gateway's health probe refreshes its live-card view.
+PROBE_PERIOD_NS = 1_000_000
+
 
 class Gateway:
     """One gateway host: uplink sink, dedup cache, admission, fleet feeder."""
@@ -88,10 +91,7 @@ class Gateway:
         fleet: "Fleet",
         downlink: Link,
         admission: Optional[AdmissionConfig] = None,
-        probe_period_ns: int = 1_000_000,
     ) -> None:
-        if probe_period_ns <= 0:
-            raise ValueError("probe period must be positive")
         self.index = index
         self.name = f"gw{index}"
         self.fleet = fleet
@@ -99,7 +99,6 @@ class Gateway:
         self.clock = fleet.clock
         self.downlink = downlink
         self.bucket = TokenBucket(admission) if admission is not None else None
-        self.probe_period_ns = probe_period_ns
         #: request_id -> _IN_FLIGHT or the cached response packet.  Served
         #: entries are kept for the run's lifetime so a straggling retransmit
         #: (in the air when the response left) can never re-execute; at
@@ -205,7 +204,7 @@ class Gateway:
         """Kernel process: refresh the live-card view every probe period."""
         cards = self.fleet.cards
         fleet = self.fleet
-        probe_timeout = Timeout(self.probe_period_ns)
+        probe_timeout = Timeout(PROBE_PERIOD_NS)
         while True:
             self.cards_up = any(card.health != "down" for card in cards)
             tracer = self.tracer

@@ -60,7 +60,7 @@ from repro.obs.registry import (
     LabeledCounter,
     MetricsRegistry,
 )
-from repro.obs.slo import Alert, BurnWindow, SloEngine, SloSpec
+from repro.obs.slo import Alert, SloEngine, SloSpec
 from repro.obs.tail import TailSampler
 
 
@@ -72,18 +72,12 @@ class Observability:
         enabled: bool = True,
         sample_rate: float = 1.0,
         seed: int = 0,
-        capacity: int = 1_000_000,
-        bridge_device: bool = True,
-        registry: Optional[MetricsRegistry] = None,
         slos: Optional[Sequence[SloSpec]] = None,
         tail: Optional[TailSampler] = None,
     ) -> None:
         self.enabled = enabled
-        #: Bridge per-card device trace events (PCI/MCU/reconfig/codec
-        #: activity) into ``card.*`` sub-spans of each service span.
-        self.bridge_device = bridge_device
-        self.tracer = Tracer(sample_rate=sample_rate, seed=seed, capacity=capacity)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.tracer = Tracer(sample_rate=sample_rate, seed=seed)
+        self.registry = MetricsRegistry()
         self.slo_engine: Optional[SloEngine] = None
         self.recorder: Optional[FlightRecorder] = None
         self.tail: Optional[TailSampler] = None
@@ -176,7 +170,6 @@ class Observability:
 
 __all__ = [
     "Alert",
-    "BurnWindow",
     "Counter",
     "FlightRecorder",
     "Gauge",

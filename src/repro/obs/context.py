@@ -21,9 +21,9 @@ wall-clock tracing SDK:
   sample rate — no RNG stream is consumed, so enabling tracing can never
   perturb a workload's randomness, and the same (seed, rate) pair samples
   the same requests in every process.
-* **Bounded memory.**  ``capacity`` caps retained spans; later spans are
-  counted in ``dropped`` instead of retained, which with sampling is what
-  keeps 10^6-request runs affordable.
+* **Bounded memory.**  ``capacity`` (:data:`CAPACITY` spans) caps retained
+  spans; later spans are counted in ``dropped`` instead of retained, which
+  with sampling is what keeps 10^6-request runs affordable.
 * **Device sub-spans are built where they are read.**  A serve's ``card.*``
   children are a pure function of the card's recorded device events and the
   instant the serve started, so the log keeps them as one
@@ -41,6 +41,9 @@ import zlib
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.names import device_span_name
+
+#: Spans a tracer retains; later ones are only counted in ``dropped``.
+CAPACITY = 1_000_000
 
 
 class Span:
@@ -195,19 +198,12 @@ class Tracer:
     device sub-spans are values built by each read.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        seed: int = 0,
-        capacity: int = 1_000_000,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0, seed: int = 0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be within [0, 1]")
-        if capacity < 1:
-            raise ValueError("tracer capacity must be positive")
         self.sample_rate = sample_rate
         self.seed = seed
-        self.capacity = capacity
+        self.capacity = CAPACITY
         self.spans = SpanLog()
         self.dropped = 0
         self._next_span = 1

@@ -48,6 +48,17 @@ _TIMELINE_MARKERS = frozenset(
 )
 _ORDER_PREFIX = "order."
 
+#: Always-on ring sizes: recent marker spans and fault events.
+SPAN_RING = 512
+FAULT_RING = 256
+#: Incidents kept per run; later alerts are only counted.
+MAX_INCIDENTS = 16
+#: Per-incident bounds: timeline events and attached trace summaries.
+MAX_TIMELINE_EVENTS = 256
+MAX_TRACES_PER_INCIDENT = 32
+#: How far before the alert an incident's evidence window opens.
+LOOKBACK_NS = 2_000_000
+
 
 def _json_safe(value: Any) -> Any:
     if isinstance(value, (bool, int, float, str)) or value is None:
@@ -116,38 +127,19 @@ class Incident:
 class FlightRecorder:
     """Bounded always-on rings + per-alert incident capture."""
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        span_ring: int = 512,
-        fault_ring: int = 256,
-        max_incidents: int = 16,
-        max_timeline_events: int = 256,
-        max_traces_per_incident: int = 32,
-        lookback_ns: int = 2_000_000,
-    ) -> None:
-        if max_incidents < 1:
-            raise ValueError("max_incidents must be positive")
-        self._span_ring: deque = deque(maxlen=span_ring)
-        self._fault_ring: deque = deque(maxlen=fault_ring)
-        self.max_incidents = max_incidents
-        self.max_timeline_events = max_timeline_events
-        self.max_traces_per_incident = max_traces_per_incident
-        self.lookback_ns = lookback_ns
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._span_ring: deque = deque(maxlen=SPAN_RING)
+        self._fault_ring: deque = deque(maxlen=FAULT_RING)
         self.incidents: List[Incident] = []
         self.overflowed_alerts = 0
         self._registry = registry
-        if registry is not None:
-            self._opened = registry.counter(names.METRIC_INCIDENTS_OPENED)
-            self._overflowed = registry.counter(names.METRIC_INCIDENTS_OVERFLOWED)
-            recorder = self
-            registry.gauge(
-                names.GAUGE_INCIDENTS_OPEN,
-                fn=lambda: sum(1 for incident in recorder.incidents if incident.open),
-            )
-        else:
-            self._opened = None
-            self._overflowed = None
+        self._opened = registry.counter(names.METRIC_INCIDENTS_OPENED)
+        self._overflowed = registry.counter(names.METRIC_INCIDENTS_OVERFLOWED)
+        recorder = self
+        registry.gauge(
+            names.GAUGE_INCIDENTS_OPEN,
+            fn=lambda: sum(1 for incident in recorder.incidents if incident.open),
+        )
 
     # ----------------------------------------------------------------- feeds
     def on_span(self, span: Span) -> None:
@@ -172,13 +164,12 @@ class FlightRecorder:
 
     def on_alert(self, alert: Alert, now_ns: int) -> None:
         """SLO engine hook: open an incident and seed it from the rings."""
-        if len(self.incidents) >= self.max_incidents:
+        if len(self.incidents) >= MAX_INCIDENTS:
             self.overflowed_alerts += 1
-            if self._overflowed is not None:
-                self._overflowed.inc()
+            self._overflowed.inc()
             return
         incident = Incident(len(self.incidents) + 1, alert, now_ns)
-        horizon = now_ns - self.lookback_ns
+        horizon = now_ns - LOOKBACK_NS
         events: List[Dict[str, Any]] = []
         for fault in self._fault_ring:
             if fault["t_ns"] >= horizon:
@@ -198,11 +189,9 @@ class FlightRecorder:
         )
         for event in events:
             self._append_timeline(incident, event)
-        if self._registry is not None:
-            incident._snapshot_at_open = _flatten_snapshot(self._registry.snapshot())
+        incident._snapshot_at_open = _flatten_snapshot(self._registry.snapshot())
         self.incidents.append(incident)
-        if self._opened is not None:
-            self._opened.inc()
+        self._opened.inc()
 
     def on_resolved(self, alert: Alert, now_ns: int) -> None:
         """SLO engine hook: close the matching open incident."""
@@ -231,9 +220,9 @@ class FlightRecorder:
             else _json_safe(root.attrs.get("outcome")),
         }
         for incident in self.incidents:
-            if len(incident.traces) >= self.max_traces_per_incident:
+            if len(incident.traces) >= MAX_TRACES_PER_INCIDENT:
                 continue
-            window_start = incident.opened_ns - self.lookback_ns
+            window_start = incident.opened_ns - LOOKBACK_NS
             window_end = incident.closed_ns
             if end >= window_start and (window_end is None or start <= window_end):
                 incident.traces.append(dict(summary))
@@ -249,7 +238,7 @@ class FlightRecorder:
         """``(opened_ns - lookback, closed_ns | None)`` windows for the
         tail sampler's incident-overlap retention check."""
         return [
-            (incident.opened_ns - self.lookback_ns, incident.closed_ns)
+            (incident.opened_ns - LOOKBACK_NS, incident.closed_ns)
             for incident in self.incidents
         ]
 
@@ -266,7 +255,7 @@ class FlightRecorder:
         return event
 
     def _append_timeline(self, incident: Incident, event: Dict[str, Any]) -> None:
-        if len(incident.timeline) >= self.max_timeline_events:
+        if len(incident.timeline) >= MAX_TIMELINE_EVENTS:
             incident.dropped_timeline_events += 1
             return
         incident.timeline.append(event)
@@ -274,16 +263,15 @@ class FlightRecorder:
     def _close(self, incident: Incident, now_ns: int, why: str) -> None:
         incident.closed_ns = now_ns
         self._append_timeline(incident, {"t_ns": now_ns, "kind": why})
-        if self._registry is not None and incident._snapshot_at_open:
-            after = _flatten_snapshot(self._registry.snapshot())
-            before = incident._snapshot_at_open
-            deltas: Dict[str, float] = {}
-            for key, value in after.items():
-                delta = value - before.get(key, 0.0)
-                if delta:
-                    deltas[key] = round(delta, 6)
-            incident.metric_deltas = deltas
-            incident._snapshot_at_open = {}
+        after = _flatten_snapshot(self._registry.snapshot())
+        before = incident._snapshot_at_open
+        deltas: Dict[str, float] = {}
+        for key, value in after.items():
+            delta = value - before.get(key, 0.0)
+            if delta:
+                deltas[key] = round(delta, 6)
+        incident.metric_deltas = deltas
+        incident._snapshot_at_open = {}
 
 
 def _flatten_snapshot(snapshot: Dict[str, object]) -> Dict[str, float]:

@@ -1,4 +1,4 @@
-"""Declarative SLOs with multi-window burn-rate alerting.
+"""Declarative SLOs with two-window burn-rate alerting.
 
 PR 8 gave the stack senses; this module gives it judgement.  A
 :class:`SloSpec` declares an objective over one of the record streams the
@@ -14,7 +14,7 @@ so enabling SLOs can never perturb a workload (the ``obs`` section of
 Burn-rate semantics follow SRE practice: with error budget
 ``1 - objective``, the *burn rate* over a trailing window is
 ``(bad / total) / budget`` — 1.0 means "spending budget exactly as fast as
-the objective allows".  Each :class:`BurnWindow` pairs a fast window (quick
+the objective allows".  Each :class:`SloSpec` pairs a fast window (quick
 detection, noisy) with a slow window (confirmation, stable); an
 :class:`Alert` fires only when **both** trailing burns clear the threshold,
 and resolves with hysteresis once the fast burn drops back under it.  A
@@ -35,30 +35,9 @@ from repro.obs import names
 from repro.obs.registry import MetricsRegistry
 
 
-class BurnWindow:
-    """One fast/slow trailing-window pair with a shared burn threshold."""
-
-    __slots__ = ("label", "fast_ns", "slow_ns", "burn_threshold")
-
-    def __init__(
-        self, label: str, fast_ns: int, slow_ns: int, burn_threshold: float
-    ) -> None:
-        if fast_ns <= 0 or slow_ns <= 0:
-            raise ValueError("burn windows must be positive")
-        if fast_ns >= slow_ns:
-            raise ValueError("the fast window must be shorter than the slow one")
-        if burn_threshold <= 0:
-            raise ValueError("burn threshold must be positive")
-        self.label = label
-        self.fast_ns = fast_ns
-        self.slow_ns = slow_ns
-        self.burn_threshold = float(burn_threshold)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BurnWindow({self.label!r}, fast={self.fast_ns:.0f}ns, "
-            f"slow={self.slow_ns:.0f}ns, x{self.burn_threshold:g})"
-        )
+#: The label every alert and status row carries: each SLO has one
+#: fast/slow window pair.
+WINDOW = "burn"
 
 
 #: What the SLO measures.
@@ -83,7 +62,9 @@ class SloSpec:
         "objective",
         "source",
         "threshold_ns",
-        "windows",
+        "fast_ns",
+        "slow_ns",
+        "burn_threshold",
         "min_events",
     )
 
@@ -92,10 +73,12 @@ class SloSpec:
         name: str,
         kind: str,
         objective: float,
-        source: str = SOURCE_FLEET,
+        source: str,
+        fast_ns: int,
+        slow_ns: int,
+        burn_threshold: float,
+        min_events: int,
         threshold_ns: Optional[int] = None,
-        windows: Sequence[BurnWindow] = (),
-        min_events: int = 10,
     ) -> None:
         if not names.NAME_RE.match(name):
             raise ValueError(
@@ -113,8 +96,12 @@ class SloSpec:
                 raise ValueError("latency SLOs need a positive threshold_ns")
         elif threshold_ns is not None:
             raise ValueError(f"threshold_ns only applies to {KIND_LATENCY!r} SLOs")
-        if not windows:
-            raise ValueError("an SLO needs at least one burn window")
+        if fast_ns <= 0 or slow_ns <= 0:
+            raise ValueError("burn windows must be positive")
+        if fast_ns >= slow_ns:
+            raise ValueError("the fast window must be shorter than the slow one")
+        if burn_threshold <= 0:
+            raise ValueError("burn threshold must be positive")
         if min_events < 1:
             raise ValueError("min_events must be positive")
         self.name = name
@@ -122,7 +109,9 @@ class SloSpec:
         self.objective = float(objective)
         self.source = source
         self.threshold_ns = threshold_ns
-        self.windows = tuple(windows)
+        self.fast_ns = fast_ns
+        self.slow_ns = slow_ns
+        self.burn_threshold = float(burn_threshold)
         self.min_events = int(min_events)
 
     @property
@@ -143,12 +132,7 @@ class SloSpec:
     ) -> "SloSpec":
         """Fraction of requests reaching a successful terminal outcome."""
         return cls(
-            name,
-            KIND_AVAILABILITY,
-            objective,
-            source=source,
-            windows=(BurnWindow("burn", fast_ns, slow_ns, burn_threshold),),
-            min_events=min_events,
+            name, KIND_AVAILABILITY, objective, source, fast_ns, slow_ns, burn_threshold, min_events
         )
 
     @classmethod
@@ -168,10 +152,12 @@ class SloSpec:
             name,
             KIND_LATENCY,
             objective,
-            source=source,
+            source,
+            fast_ns,
+            slow_ns,
+            burn_threshold,
+            min_events,
             threshold_ns=threshold_ns,
-            windows=(BurnWindow("burn", fast_ns, slow_ns, burn_threshold),),
-            min_events=min_events,
         )
 
     @classmethod
@@ -187,12 +173,7 @@ class SloSpec:
         """Fraction of completions *not* flagged as silent-corruption
         hazards (fleet source only — the net tier can't see hazards)."""
         return cls(
-            name,
-            KIND_CORRUPTION,
-            objective,
-            source=SOURCE_FLEET,
-            windows=(BurnWindow("burn", fast_ns, slow_ns, burn_threshold),),
-            min_events=min_events,
+            name, KIND_CORRUPTION, objective, SOURCE_FLEET, fast_ns, slow_ns, burn_threshold, min_events
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -252,20 +233,18 @@ class _SloState:
 
     def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
-        fast = min(window.fast_ns for window in spec.windows)
-        slow = max(window.slow_ns for window in spec.windows)
         # Quarter-fast grain gives the fast burn four samples of resolution;
         # the ring must retain the whole slow horizon (plus slack for the
         # window straddling `now`).
-        grain = max(1, fast // 4)
+        grain = max(1, spec.fast_ns // 4)
         self.series = WindowedTimeSeries(
-            window_ns=grain, max_windows=slow // grain + 8
+            window_ns=grain, max_windows=spec.slow_ns // grain + 8
         )
-        #: window label -> active Alert (hysteresis state).
-        self.active: dict = {}
+        #: The firing alert, if any (hysteresis state).
+        self.active: Optional[Alert] = None
         self.worst_burn = 0.0
-        #: window label -> (burn_fast, burn_slow) from the last evaluation.
-        self.last_burns: dict = {}
+        #: ``(burn_fast, burn_slow)`` from the last evaluation.
+        self.last_burns = (0.0, 0.0)
 
 
 class SloEngine:
@@ -277,11 +256,7 @@ class SloEngine:
     follows.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[SloSpec],
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, specs: Sequence[SloSpec], registry: MetricsRegistry) -> None:
         specs = list(specs)
         seen = set()
         for spec in specs:
@@ -299,19 +274,10 @@ class SloEngine:
         #: Hooks the flight recorder installs.
         self.on_alert: Optional[Callable[[Alert, int], None]] = None
         self.on_resolve: Optional[Callable[[Alert, int], None]] = None
-        self._registry = registry
-        if registry is not None:
-            self._alerts_total = registry.counter(names.METRIC_SLO_ALERTS)
-            self._alerts_by_slo = registry.labeled_counter(
-                names.METRIC_SLO_ALERTS_BY_SLO
-            )
-            self._alerts_resolved = registry.counter(names.METRIC_SLO_ALERTS_RESOLVED)
-            self._worst_burn = registry.gauge(names.GAUGE_SLO_WORST_BURN)
-        else:
-            self._alerts_total = None
-            self._alerts_by_slo = None
-            self._alerts_resolved = None
-            self._worst_burn = None
+        self._alerts_total = registry.counter(names.METRIC_SLO_ALERTS)
+        self._alerts_by_slo = registry.labeled_counter(names.METRIC_SLO_ALERTS_BY_SLO)
+        self._alerts_resolved = registry.counter(names.METRIC_SLO_ALERTS_RESOLVED)
+        self._worst_burn = registry.gauge(names.GAUGE_SLO_WORST_BURN)
 
     # ----------------------------------------------------------------- feeds
     def on_fleet_completion(
@@ -356,74 +322,66 @@ class SloEngine:
     def _evaluate(self, state: _SloState, now_ns: int) -> None:
         spec = state.spec
         budget = spec.error_budget
-        for window in spec.windows:
-            fast_count, fast_bad = state.series.trailing(now_ns, window.fast_ns)
-            slow_count, slow_bad = state.series.trailing(now_ns, window.slow_ns)
-            burn_fast = (fast_bad / fast_count / budget) if fast_count else 0.0
-            burn_slow = (slow_bad / slow_count / budget) if slow_count else 0.0
-            state.last_burns[window.label] = (burn_fast, burn_slow)
-            if burn_fast > state.worst_burn:
-                state.worst_burn = burn_fast
-                if self._worst_burn is not None:
-                    worst = max(s.worst_burn for s in self._states())
-                    self._worst_burn.set(round(worst, 6))
-            active = state.active.get(window.label)
-            if active is None:
-                if (
-                    fast_count >= spec.min_events
-                    and burn_fast >= window.burn_threshold
-                    and burn_slow >= window.burn_threshold
-                ):
-                    alert = Alert(spec.name, window.label, now_ns, burn_fast, burn_slow)
-                    self.alerts.append(alert)
-                    state.active[window.label] = alert
-                    if self._alerts_total is not None:
-                        self._alerts_total.inc()
-                        self._alerts_by_slo.inc(spec.name)
-                    if self.on_alert is not None:
-                        self.on_alert(alert, now_ns)
-            elif burn_fast < window.burn_threshold:
-                active.resolved_ns = now_ns
-                del state.active[window.label]
-                if self._alerts_resolved is not None:
-                    self._alerts_resolved.inc()
-                if self.on_resolve is not None:
-                    self.on_resolve(active, now_ns)
+        fast_count, fast_bad = state.series.trailing(now_ns, spec.fast_ns)
+        slow_count, slow_bad = state.series.trailing(now_ns, spec.slow_ns)
+        burn_fast = (fast_bad / fast_count / budget) if fast_count else 0.0
+        burn_slow = (slow_bad / slow_count / budget) if slow_count else 0.0
+        state.last_burns = (burn_fast, burn_slow)
+        if burn_fast > state.worst_burn:
+            state.worst_burn = burn_fast
+            worst = max(s.worst_burn for s in self._states())
+            self._worst_burn.set(round(worst, 6))
+        active = state.active
+        if active is None:
+            if (
+                fast_count >= spec.min_events
+                and burn_fast >= spec.burn_threshold
+                and burn_slow >= spec.burn_threshold
+            ):
+                alert = Alert(spec.name, WINDOW, now_ns, burn_fast, burn_slow)
+                self.alerts.append(alert)
+                state.active = alert
+                self._alerts_total.inc()
+                self._alerts_by_slo.inc(spec.name)
+                if self.on_alert is not None:
+                    self.on_alert(alert, now_ns)
+        elif burn_fast < spec.burn_threshold:
+            active.resolved_ns = now_ns
+            state.active = None
+            self._alerts_resolved.inc()
+            if self.on_resolve is not None:
+                self.on_resolve(active, now_ns)
 
     def _states(self):
         return self._fleet_states + self._net_states
 
     # --------------------------------------------------------------- queries
     def status(self) -> List[dict]:
-        """One burn-rate table row per (spec, window) — deterministic order."""
+        """One burn-rate table row per spec — deterministic order."""
         rows = []
         for state in self._states():
             spec = state.spec
-            total = state.series.total_count
-            bad = state.series.total_value
-            for window in spec.windows:
-                burn_fast, burn_slow = state.last_burns.get(window.label, (0.0, 0.0))
-                rows.append(
-                    {
-                        "slo": spec.name,
-                        "kind": spec.kind,
-                        "objective": spec.objective,
-                        "window": window.label,
-                        "events": int(total),
-                        "bad": int(bad),
-                        "burn_fast": round(burn_fast, 4),
-                        "burn_slow": round(burn_slow, 4),
-                        "threshold": window.burn_threshold,
-                        "alerting": window.label in state.active,
-                        "worst_burn": round(state.worst_burn, 4),
-                    }
-                )
+            burn_fast, burn_slow = state.last_burns
+            rows.append(
+                {
+                    "slo": spec.name,
+                    "kind": spec.kind,
+                    "objective": spec.objective,
+                    "window": WINDOW,
+                    "events": int(state.series.total_count),
+                    "bad": int(state.series.total_value),
+                    "burn_fast": round(burn_fast, 4),
+                    "burn_slow": round(burn_slow, 4),
+                    "threshold": spec.burn_threshold,
+                    "alerting": state.active is not None,
+                    "worst_burn": round(state.worst_burn, 4),
+                }
+            )
         return rows
 
 
 __all__ = [
     "Alert",
-    "BurnWindow",
     "SloEngine",
     "SloSpec",
 ]

@@ -16,9 +16,10 @@ the root span lands, then the complete tree is judged —
 
 Kept traces are committed to the tracer's span log (so every exporter,
 ``critical_path`` included, works unchanged); everything else is discarded
-and only counted.  A hard ``span_budget`` bounds total retained spans —
+and only counted.  A hard :data:`SPAN_BUDGET` bounds total retained spans —
 whole traces are dropped once it's spent, never truncated mid-tree — and
-``max_spans_per_trace`` bounds any single pathological trace while buffered.
+:data:`MAX_SPANS_PER_TRACE` bounds any single pathological trace while
+buffered.
 
 A trace is buffered as a :class:`~repro.obs.context.SpanLog`, so a serve's
 device sub-spans wait as one :class:`~repro.obs.context.DeviceSpans`
@@ -50,25 +51,17 @@ REASON_ERROR = "error"
 REASON_SLOW = "slow"
 REASON_INCIDENT = "incident"
 
+#: Total spans a sampler commits over a run; later kept traces are dropped whole.
+SPAN_BUDGET = 100_000
+#: Spans buffered per trace; the rest are counted in ``truncated_spans``.
+MAX_SPANS_PER_TRACE = 512
+
 
 class TailSampler:
     """Buffer complete trace trees; retain error/slow/incident traces."""
 
-    def __init__(
-        self,
-        slow_ns: Optional[int] = None,
-        keep_errors: bool = True,
-        span_budget: int = 100_000,
-        max_spans_per_trace: int = 512,
-    ) -> None:
-        if span_budget < 1:
-            raise ValueError("span budget must be positive")
-        if max_spans_per_trace < 1:
-            raise ValueError("max_spans_per_trace must be positive")
+    def __init__(self, slow_ns: Optional[int] = None) -> None:
         self.slow_ns = slow_ns
-        self.keep_errors = keep_errors
-        self.span_budget = span_budget
-        self.max_spans_per_trace = max_spans_per_trace
         #: trace id -> buffered log entries, in record order.
         self._pending: Dict[int, SpanLog] = {}
         #: Hook returning ``[(start_ns, end_ns), ...]`` incident windows
@@ -93,7 +86,7 @@ class TailSampler:
         buffered = self._pending.get(entry.trace_id)
         if buffered is None:
             buffered = self._pending[entry.trace_id] = SpanLog()
-        room = self.max_spans_per_trace - len(buffered)
+        room = MAX_SPANS_PER_TRACE - len(buffered)
         if entry.count <= room:
             buffered.append(entry)
         else:
@@ -128,12 +121,11 @@ class TailSampler:
         # Judged on the plain spans alone: device sub-spans are never
         # markers and lie inside their ``card.service`` parent's interval.
         spans = [entry for entry in log.entries if entry.__class__ is Span]
-        if self.keep_errors:
-            if root is not None and root.attrs.get("outcome", "completed") != "completed":
+        if root is not None and root.attrs.get("outcome", "completed") != "completed":
+            return REASON_ERROR
+        for span in spans:
+            if span.name in _ERROR_MARKERS:
                 return REASON_ERROR
-            for span in spans:
-                if span.name in _ERROR_MARKERS:
-                    return REASON_ERROR
         if (
             self.slow_ns is not None
             and root is not None
@@ -161,7 +153,7 @@ class TailSampler:
         if reason is None:
             self.discarded_traces += 1
             return
-        if self.retained_spans + len(spans) > self.span_budget:
+        if self.retained_spans + len(spans) > SPAN_BUDGET:
             # Whole-trace budget drop — a truncated tree would lie to the
             # critical-path analyzer.
             self.budget_dropped_traces += 1

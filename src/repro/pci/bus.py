@@ -131,13 +131,6 @@ class PciBus:
         )
         return transaction.payload
 
-    def utilisation(self, since_ns: int = 0) -> float:
-        """Fraction of wall-clock the bus spent busy since *since_ns*."""
-        window = self.clock.now - since_ns
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_time_ns / window)
-
 
 class PciDeviceProtocol:
     """Interface the bus expects of attached devices (duck-typed)."""

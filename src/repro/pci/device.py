@@ -7,6 +7,10 @@ from typing import Callable, Dict, Optional
 from repro.pci.bus import PciDeviceProtocol
 from repro.pci.config_space import BaseAddressRegister, PciConfigSpace
 
+#: Bytes of the register file behind BAR0, and BAR0's decoded size.
+REGISTER_BYTES = 256
+REGISTER_BAR_SIZE = 4096
+
 
 class PciFunctionInterface:
     """Register-level interface a card exposes through a BAR.
@@ -15,12 +19,11 @@ class PciFunctionInterface:
     the device dispatches memory reads/writes landing in the BAR to them.
     """
 
-    def __init__(self, register_bytes: int = 256, window_bytes: int = 64 * 1024) -> None:
-        if register_bytes <= 0 or window_bytes < 0:
-            raise ValueError("interface sizes must be positive")
-        self.register_bytes = register_bytes
+    def __init__(self, window_bytes: int = 64 * 1024) -> None:
+        if window_bytes < 0:
+            raise ValueError("the window size cannot be negative")
         self.window_bytes = window_bytes
-        self._registers = bytearray(register_bytes)
+        self._registers = bytearray(REGISTER_BYTES)
         self._window = bytearray(window_bytes)
         self._write_hooks: Dict[int, Callable[[int], None]] = {}
 
@@ -42,7 +45,7 @@ class PciFunctionInterface:
         self._write_hooks[offset] = hook
 
     def _check_register(self, offset: int) -> None:
-        if offset % 4 != 0 or not 0 <= offset < self.register_bytes:
+        if offset % 4 != 0 or not 0 <= offset < REGISTER_BYTES:
             raise ValueError(f"register offset 0x{offset:x} is invalid")
 
     # --------------------------------------------------------------- window
@@ -64,7 +67,6 @@ class PciDevice(PciDeviceProtocol):
         self,
         name: str,
         interface: Optional[PciFunctionInterface] = None,
-        register_bar_size: int = 4096,
         window_bar_size: int = 64 * 1024,
     ) -> None:
         self.name = name
@@ -73,7 +75,7 @@ class PciDevice(PciDeviceProtocol):
         )
         self.config_space = PciConfigSpace(
             bars=[
-                BaseAddressRegister(0, register_bar_size),
+                BaseAddressRegister(0, REGISTER_BAR_SIZE),
                 BaseAddressRegister(1, window_bar_size, prefetchable=True),
             ]
         )

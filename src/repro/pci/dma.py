@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from repro.pci.bus import PciBus
 from repro.pci.transaction import PciTransaction, TransactionKind
 
+#: Descriptor fetch and doorbell time charged once per DMA job.
+SETUP_TIME_NS = 500
+
 
 @dataclass
 class DmaDescriptor:
@@ -44,14 +47,11 @@ class DmaCompletion:
 class DmaEngine:
     """Splits DMA jobs into burst transactions on the PCI bus."""
 
-    def __init__(self, bus: PciBus, max_burst_bytes: int = 256, setup_time_ns: int = 500) -> None:
+    def __init__(self, bus: PciBus, max_burst_bytes: int = 256) -> None:
         if max_burst_bytes <= 0:
             raise ValueError("maximum burst size must be positive")
-        if setup_time_ns < 0:
-            raise ValueError("setup time cannot be negative")
         self.bus = bus
         self.max_burst_bytes = max_burst_bytes
-        self.setup_time_ns = setup_time_ns
         self.jobs_completed = 0
         self.bytes_moved = 0
 
@@ -59,7 +59,7 @@ class DmaEngine:
         """Run one DMA job to completion; returns data read (card->host jobs)."""
         started = self.bus.clock.now
         # Descriptor fetch / doorbell overhead.
-        self.bus.clock.advance(self.setup_time_ns)
+        self.bus.clock.advance(SETUP_TIME_NS)
         transactions = 0
         collected = bytearray()
         offset = 0

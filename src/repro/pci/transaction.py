@@ -40,8 +40,6 @@ class PciTransaction:
         address: int,
         length: int,
         payload: bytes = b"",
-        completed: bool = False,
-        latency_ns: int = 0,
     ) -> None:
         if address < 0:
             raise ValueError("transaction address cannot be negative")
@@ -57,8 +55,8 @@ class PciTransaction:
         self.address = address
         self.length = length
         self.payload = payload
-        self.completed = completed
-        self.latency_ns = latency_ns
+        self.completed = False
+        self.latency_ns = 0
 
     @property
     def is_write(self) -> bool:

@@ -82,10 +82,8 @@ class Clock:
     :meth:`advance_to` jumps forward to an absolute time.
     """
 
-    def __init__(self, start_ns: int = 0) -> None:
-        if start_ns < 0:
-            raise ValueError("clock cannot start at a negative time")
-        self._now = as_ns(start_ns)
+    def __init__(self) -> None:
+        self._now = 0
 
     @property
     def now(self) -> int:

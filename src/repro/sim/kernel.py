@@ -70,17 +70,13 @@ class Timeout:
 class Simulator:
     """Drives processes forward in simulated time.
 
-    The simulator owns (or shares) a :class:`~repro.sim.clock.Clock`; running
-    it advances that clock, so transaction-level components that use the same
-    clock observe a consistent timeline.
+    The simulator owns a :class:`~repro.sim.clock.Clock`; running it advances
+    that clock, so transaction-level components that use the same clock
+    observe a consistent timeline.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        schedule_policy: Optional[SchedulePolicy] = None,
-    ) -> None:
-        self.clock = clock if clock is not None else Clock()
+    def __init__(self, schedule_policy: Optional[SchedulePolicy] = None) -> None:
+        self.clock = Clock()
         #: Optional tie-break strategy for same-time ready sets.  ``None``
         #: (the default) dispatches in ``(time, seq)`` order; with a policy
         #: installed :meth:`run` gathers the ready set at every step and

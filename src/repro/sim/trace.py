@@ -34,9 +34,11 @@ class TraceEvent:
 class TraceRecorder:
     """Collects trace events; can be disabled to avoid overhead in benchmarks."""
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.capacity = capacity
+        #: Events kept before the rest are only counted in ``dropped``
+        #: (``None``: no bound).
+        self.capacity: Optional[int] = None
         self.events: List[TraceEvent] = []
         self.dropped = 0
 

@@ -346,7 +346,6 @@ class StreamingFleetTrace:
         length: int,
         mean_interarrival_ns: float = 50_000.0,
         seed: int = 0,
-        name: Optional[str] = None,
     ) -> None:
         _check_stream(tenants, length, mean_interarrival_ns)
         self.bank = bank
@@ -354,7 +353,7 @@ class StreamingFleetTrace:
         self.length = length
         self.mean_interarrival_ns = mean_interarrival_ns
         self.seed = seed
-        self.name = name or f"multitenant-stream-{len(tenants)}t-{length}"
+        self.name = f"multitenant-stream-{len(tenants)}t-{length}"
 
     def __len__(self) -> int:
         return self.length

@@ -119,7 +119,8 @@ class TestDeterminismAndMerge:
         assert plain.seen == indexed.seen
 
     def test_low_values_counted_not_bucketed(self):
-        sketch = StreamingQuantileSketch(min_value=10.0)
+        sketch = StreamingQuantileSketch()
+        sketch.min_value = 10.0
         sketch.add(0.0)
         sketch.add(5.0)
         sketch.add(100.0)

@@ -39,8 +39,6 @@ class TestHostOnlyEngine:
 
     def test_invalid_parameters(self, bank):
         with pytest.raises(ValueError):
-            HostOnlyEngine(bank, host_clock_hz=0)
-        with pytest.raises(ValueError):
             HostOnlyEngine(bank, software_slowdown=0)
 
 

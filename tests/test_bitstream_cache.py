@@ -11,6 +11,7 @@ from repro.bitstream.codecs import get_codec
 from repro.bitstream.window import WindowedCompressor
 from repro.core.builder import build_coprocessor, clear_bitstream_cache
 from repro.core.config import SMALL_CONFIG
+from repro.fpga import bitgen
 from repro.fpga.bitgen import BitstreamCache, BitstreamGenerator, bitstream_cache
 from repro.fpga.geometry import TEST_GEOMETRY
 from repro.fpga.placer import Placer
@@ -18,15 +19,22 @@ from repro.functions.bank import build_small_bank
 from repro.functions.netgen import build_adder_netlist
 
 
+def generator_with_own_cache():
+    """A generator on a fresh cache instead of the process-wide one."""
+    generator = BitstreamGenerator(TEST_GEOMETRY)
+    generator.cache = BitstreamCache()
+    return generator
+
+
 class TestRenderCache:
     def test_cached_render_is_byte_identical_to_cold_render(self):
         netlist = build_adder_netlist(TEST_GEOMETRY, 8)
         placer = Placer(TEST_GEOMETRY)
         placement = placer.place(netlist, TEST_GEOMETRY.all_frames())
-        cold = BitstreamGenerator(TEST_GEOMETRY, cache=BitstreamCache())
+        cold = generator_with_own_cache()
         cold_payloads = cold.render_frames(netlist, placement)
-        warm_cache = BitstreamCache()
-        warm = BitstreamGenerator(TEST_GEOMETRY, cache=warm_cache)
+        warm = generator_with_own_cache()
+        warm_cache = warm.cache
         first = warm.render_frames(netlist, placement)
         second = warm.render_frames(netlist, placement)
         assert first == cold_payloads
@@ -34,8 +42,8 @@ class TestRenderCache:
         assert warm_cache.hits == 1 and warm_cache.misses == 1
 
     def test_synthetic_frames_cached_and_identical(self):
-        cache = BitstreamCache()
-        generator = BitstreamGenerator(TEST_GEOMETRY, cache=cache)
+        generator = generator_with_own_cache()
+        cache = generator.cache
         first = generator.synthetic_frames(frame_count=3, lut_count=40, seed=9)
         second = generator.synthetic_frames(frame_count=3, lut_count=40, seed=9)
         different_seed = generator.synthetic_frames(frame_count=3, lut_count=40, seed=10)
@@ -43,8 +51,9 @@ class TestRenderCache:
         assert first != different_seed
         assert cache.hits == 1
 
-    def test_cache_bounded(self):
-        cache = BitstreamCache(max_entries=2)
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(bitgen, "MAX_ENTRIES", 2)
+        cache = BitstreamCache()
         for index in range(5):
             cache.lookup(("key", index), lambda: index)
         assert cache.stats()["entries"] == 2

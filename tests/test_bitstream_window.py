@@ -45,9 +45,9 @@ class TestWindowedDecompressor:
         assert all(len(window) <= 512 for window in windows)
 
     def test_context_dependent_codec_streams_correctly(self):
-        frame = bytes([3, 1, 4, 1, 5, 9, 2, 6] * 32)
+        frame = bytes([3, 1, 4, 1, 5, 9, 2, 6] * 128)  # one FRAME_SIZE frame
         data = frame * 10
-        codec = FrameDifferentialCodec(frame_size=len(frame))
+        codec = FrameDifferentialCodec()
         image = WindowedCompressor(codec, window_bytes=len(frame)).compress(data)
         assert WindowedDecompressor(image, codec).decompress_all() == data
 

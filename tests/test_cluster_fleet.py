@@ -32,10 +32,6 @@ class TestDispatchPolicies:
         with pytest.raises(ValueError):
             build_dispatch_policy("nonsense")
 
-    def test_affinity_rejects_negative_imbalance_limit(self):
-        with pytest.raises(ValueError):
-            ConfigAffinityPolicy(imbalance_limit=-1)
-
     def test_round_robin_rotates(self, small_bank, small_fleet):
         fleet = small_fleet(small_bank, policy="round_robin", cards=3)
         request = FleetRequest(tenant="t", function="crc32", payload=b"", arrival_ns=0.0)
@@ -66,18 +62,19 @@ class TestDispatchPolicies:
         assert fleet.policy.choose(request, fleet.cards).index == 2
         assert fleet.policy.affinity_hits == 1
 
-    def test_affinity_imbalance_limit_falls_back_to_load(
+    def test_affinity_stays_on_a_busier_resident_card(
         self, small_bank, host_driver_factory
     ):
         fleet = Fleet(
             [host_driver_factory(small_bank) for _ in range(2)],
-            policy=ConfigAffinityPolicy(imbalance_limit=1),
+            policy=ConfigAffinityPolicy(),
             queue_depth=8,
         )
         fleet.cards[0].driver.preload("crc32")
-        fleet.cards[0].outstanding = 5  # far busier than the cold card
+        fleet.cards[0].outstanding = 5  # far busier than the cold card, but has room
         request = FleetRequest(tenant="t", function="crc32", payload=b"", arrival_ns=0.0)
-        assert fleet.policy.choose(request, fleet.cards).index == 1
+        assert fleet.policy.choose(request, fleet.cards).index == 0
+        assert (fleet.policy.affinity_hits, fleet.policy.affinity_misses) == (1, 0)
 
 
 class TestFleetRun:
@@ -198,7 +195,7 @@ class TestFleetRun:
     def test_policy_instances_cannot_be_shared_across_fleets(
         self, small_bank, host_driver_factory
     ):
-        policy = ConfigAffinityPolicy(imbalance_limit=2)
+        policy = ConfigAffinityPolicy()
         drivers = [host_driver_factory(small_bank)]
         # A failed construction must not poison the policy instance ...
         with pytest.raises(ValueError):

@@ -121,10 +121,17 @@ class TestStructuredRoundTrips:
         assert codec.decompress(codec.compress(data)) == data
 
     def test_golomb_explicit_parameters_round_trip(self):
-        data = b"\x00" * 500 + bytes(range(1, 64)) + b"\x00" * 300
-        for k in (0, 1, 7, 15):
-            codec = GolombRiceCodec(k=k)
-            assert codec.decompress(codec.compress(data)) == data
+        # The Rice parameter follows the mean zero run: drive it from 0 to 15.
+        codec = GolombRiceCodec()
+        for k, data in (
+            (0, bytes(range(1, 64))),
+            (1, b"\x00\x00\x00\x07" * 100),
+            (7, (b"\x00" * 200 + b"\x07") * 10),
+            (15, b"\x00" * 70_000 + b"\x07"),
+        ):
+            blob = codec.compress(data)
+            assert blob[4] == k
+            assert codec.decompress(blob) == data
 
 
 class TestAdversarialTruncation:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core.builder import build_coprocessor, build_default_coprocessor
+from repro.core.builder import build_coprocessor
 from repro.core.config import CoprocessorConfig, SMALL_CONFIG
 from repro.core.exceptions import UnknownFunctionError
 from repro.core.stats import CoprocessorStatistics
+from repro.functions.bank import build_small_bank
+from repro.mcu.microcontroller import RequestOutcome
 
 
 class TestCoprocessorConfig:
@@ -129,7 +131,9 @@ class TestStatistics:
     def test_invalid_percentile(self):
         with pytest.raises(ValueError):
             stats = CoprocessorStatistics()
-            stats.latencies_ns.append(1.0)
+            stats.record(
+                RequestOutcome(function="f", output=b"", hit=True, total_time_ns=1), input_bytes=0
+            )
             stats.latency_percentile(150)
 
     def test_per_function_latency(self, small_coprocessor):
@@ -149,7 +153,7 @@ class TestStatistics:
 
 class TestDefaultBuilder:
     def test_small_default_coprocessor(self):
-        copro = build_default_coprocessor(seed=1, small=True)
+        copro = build_coprocessor(config=SMALL_CONFIG.with_overrides(seed=1), bank=build_small_bank())
         assert copro.bank_downloaded
         assert len(copro.bank) == 4
 

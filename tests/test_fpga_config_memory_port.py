@@ -136,5 +136,3 @@ class TestConfigurationPort:
         memory = ConfigurationMemory(tiny_geometry)
         with pytest.raises(ValueError):
             ConfigurationPort(memory, Clock(), port_width_bytes=0)
-        with pytest.raises(ValueError):
-            ConfigurationPort(memory, Clock(), frame_setup_cycles=-1)

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from oracles.crypto_reference import ReferenceAes128, ReferenceDes, compress_reference, decrypt_ecb
 from repro.functions.crypto.aes import Aes128, AesFunction, DEFAULT_AES_KEY
 from repro.functions.crypto.des import Des, DesFunction, DEFAULT_DES_KEY
-from repro.functions.crypto.modexp import ModExpFunction, modular_exponentiation
+from repro.functions.crypto.modexp import (
+    DEFAULT_EXPONENT,
+    DEFAULT_MODULUS,
+    ModExpFunction,
+    modular_exponentiation,
+)
 from repro.functions.crypto.sha1 import Sha1, Sha1Function
 from repro.functions.crypto.sha256 import Sha256, Sha256Function
 
@@ -162,7 +167,7 @@ class TestModExp:
     def test_hardware_function_block_semantics(self):
         function = ModExpFunction()
         operand = (42).to_bytes(64, "big")
-        expected = pow(42, function.exponent, function.modulus).to_bytes(64, "big")
+        expected = pow(42, DEFAULT_EXPONENT, DEFAULT_MODULUS).to_bytes(64, "big")
         assert function.behaviour(operand) == expected
         # Two blocks are processed independently.
         double = function.behaviour(operand * 2)

@@ -58,7 +58,10 @@ class TestFreeFrameList:
         assert free.free_count == tiny_geometry.frame_count
 
     def test_as_list_is_sorted(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry, initially_free=[tiny_geometry.frame_at(9), tiny_geometry.frame_at(2)])
+        free = FreeFrameList(tiny_geometry)
+        free.allocate(_region(tiny_geometry, range(tiny_geometry.frame_count)))
+        free.release(_region(tiny_geometry, [9]))
+        free.release(_region(tiny_geometry, [2]))
         indices = [address.flat_index(tiny_geometry.tiles_per_column) for address in free.as_list()]
         assert indices == [2, 9]
 

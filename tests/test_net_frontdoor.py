@@ -20,10 +20,12 @@ from __future__ import annotations
 import collections
 import os
 import sys
+from unittest import mock
 
 import pytest
 
 import repro
+import repro.net.gateway as gateway_module
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.net import (
@@ -394,7 +396,7 @@ class TestKernelWorkPerRequest:
             + round(RESPONSE_BYTES * 8.0 / spec.gbps)
             + spec.latency_ns
         )
-        period_ns = frontdoor.gateways[0].probe_period_ns
+        period_ns = gateway_module.PROBE_PERIOD_NS
         probe_ticks = gateways * -(-last_response_ns // period_ns)
         assert fleet.simulator.events_dispatched == (
             starts + arrival_sleeps + 5 * requests - queued + probe_ticks
@@ -419,7 +421,6 @@ class TestKernelWorkPerRequest:
             gateways=2,
             uplink=LinkSpec(latency_ns=20_000),
             deadline_ns=30_000_000,
-            probe_period_ns=10**12,
         )
         _, trace = make_trace(bank, length=requests, mean_interarrival_ns=100_000.0)
         frontdoor.add_population(OpenLoopPopulation(trace))
@@ -430,11 +431,13 @@ class TestKernelWorkPerRequest:
                 frames[frame.f_code] += 1
 
         previous = sys.getprofile()
-        sys.setprofile(count_calls)
-        try:
-            stats = frontdoor.run()
-        finally:
-            sys.setprofile(previous)
+        # One probe tick per gateway for the whole run.
+        with mock.patch.object(gateway_module, "PROBE_PERIOD_NS", 10**12):
+            sys.setprofile(count_calls)
+            try:
+                stats = frontdoor.run()
+            finally:
+                sys.setprofile(previous)
         assert stats.net_completed == stats.completed == requests
         assert stats.net_retries == stats.net_timeouts == 0
         return frames

@@ -19,6 +19,8 @@ the spans where they are read.  Four contracts are pinned here:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from repro.core.config import SMALL_CONFIG
 from repro.faults import FaultSpec
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.obs import Observability, SloSpec, TailSampler, incidents_json
+from repro.obs import tail as tail_module
 from repro.obs.context import DeviceSpans, Span
 from repro.sim.trace import TraceEvent
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
@@ -70,13 +73,17 @@ def build_cell(
     lossless=False,
     requests=REQUESTS,
 ):
-    """One traced cell, not yet run: ``(run, fleet, observability, trace)``."""
+    """One traced cell, not yet run: ``(run, fleet, observability, trace)``.
+
+    *tail* is ``{"slow_ns", "max_spans_per_trace", "span_budget"}``; the two
+    bounds are module constants, which :func:`run_cell` patches for the run.
+    """
     observability = Observability(
         sample_rate=sample_rate,
         seed=seed,
-        capacity=capacity,
-        tail=TailSampler(**tail) if tail is not None else None,
+        tail=TailSampler(tail["slow_ns"]) if tail is not None else None,
     )
+    observability.tracer.capacity = capacity
     tenants = default_tenant_mix(bank, tenants=3, skew=1.2)
     trace = multi_tenant_trace(
         bank, tenants, length=requests, mean_interarrival_ns=40_000.0, seed=seed
@@ -142,8 +149,14 @@ def probe_spans(log):
 
 
 def run_cell(bank, seed, **cell):
-    run, fleet, observability, _ = build_cell(bank, seed, **cell)
-    run()
+    tail = cell.get("tail") or {}
+    bounds = {
+        "MAX_SPANS_PER_TRACE": tail.get("max_spans_per_trace", tail_module.MAX_SPANS_PER_TRACE),
+        "SPAN_BUDGET": tail.get("span_budget", tail_module.SPAN_BUDGET),
+    }
+    with mock.patch.multiple(tail_module, **bounds):
+        run, fleet, observability, _ = build_cell(bank, seed, **cell)
+        run()
     return fleet, observability
 
 

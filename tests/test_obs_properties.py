@@ -40,7 +40,8 @@ def run_traced(loss, retries, kill, seed, sample_rate=1.0, capacity=1_000_000):
     trace = multi_tenant_trace(
         bank, tenants, length=REQUESTS, mean_interarrival_ns=30_000.0, seed=seed
     )
-    observability = Observability(sample_rate=sample_rate, seed=seed, capacity=capacity)
+    observability = Observability(sample_rate=sample_rate, seed=seed)
+    observability.tracer.capacity = capacity
     fleet = build_fleet(
         cards=2,
         config=SMALL_CONFIG.with_overrides(seed=seed),

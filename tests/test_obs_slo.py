@@ -13,7 +13,6 @@ import pytest
 
 from repro.obs import (
     Alert,
-    BurnWindow,
     FlightRecorder,
     Observability,
     SloEngine,
@@ -22,6 +21,8 @@ from repro.obs import (
     incidents_fingerprint,
     incidents_json,
 )
+from repro.obs import incident as incident_module
+from repro.obs import tail as tail_module
 from repro.obs.context import Span, Tracer
 from repro.obs.registry import MetricsRegistry
 
@@ -38,12 +39,16 @@ def availability_spec(**overrides):
     return SloSpec.availability("fleet.availability", **base)
 
 
+def engine_for(*specs):
+    return SloEngine(specs, MetricsRegistry())
+
+
 class TestSloSpecValidation:
     def test_shorthands_build_valid_specs(self):
         spec = SloSpec.availability("fleet.availability", objective=0.99)
         assert spec.kind == "availability"
         assert spec.error_budget == pytest.approx(0.01)
-        assert len(spec.windows) == 1
+        assert (spec.fast_ns, spec.slow_ns, spec.burn_threshold) == (200_000, 1_000_000, 4.0)
         latency = SloSpec.latency("fleet.latency.p95", threshold_ns=1_000.0)
         assert latency.threshold_ns == 1_000.0
         corruption = SloSpec.corruption("fleet.corruption")
@@ -60,36 +65,34 @@ class TestSloSpecValidation:
 
     def test_latency_requires_threshold_and_others_reject_it(self):
         with pytest.raises(ValueError, match="threshold_ns"):
-            SloSpec("fleet.latency.p95", "latency", 0.95,
-                    windows=(BurnWindow("burn", 100.0, 1_000.0, 2.0),))
+            SloSpec("fleet.latency.p95", "latency", 0.95, "fleet", 100.0, 1_000.0, 2.0, 10)
         with pytest.raises(ValueError, match="threshold_ns"):
-            SloSpec("fleet.availability", "availability", 0.99,
-                    threshold_ns=5.0,
-                    windows=(BurnWindow("burn", 100.0, 1_000.0, 2.0),))
+            SloSpec("fleet.availability", "availability", 0.99, "fleet", 100.0, 1_000.0, 2.0, 10,
+                    threshold_ns=5.0)
 
     def test_burn_window_fast_must_be_shorter_than_slow(self):
         with pytest.raises(ValueError, match="shorter"):
-            BurnWindow("burn", 1_000.0, 1_000.0, 2.0)
+            availability_spec(fast_ns=1_000.0, slow_ns=1_000.0)
         with pytest.raises(ValueError, match="positive"):
-            BurnWindow("burn", -1.0, 1_000.0, 2.0)
+            availability_spec(fast_ns=-1.0)
         with pytest.raises(ValueError, match="threshold"):
-            BurnWindow("burn", 100.0, 1_000.0, 0.0)
+            availability_spec(burn_threshold=0.0)
 
     def test_engine_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SloEngine([availability_spec(), availability_spec()])
+            engine_for(availability_spec(), availability_spec())
 
 
 class TestBurnRateAlerting:
     def test_all_good_never_fires(self):
-        engine = SloEngine([availability_spec()])
+        engine = engine_for(availability_spec())
         for step in range(50):
             engine.on_fleet_completion(step * 10.0, 100.0, False)
         assert engine.alerts == []
         assert engine.status()[0]["alerting"] is False
 
     def test_fires_when_both_windows_burn_and_resolves_with_recovery(self):
-        engine = SloEngine([availability_spec()])
+        engine = engine_for(availability_spec())
         # Burn hard: every event bad -> burn = 1/0.1 = 10x in both windows.
         for step in range(10):
             engine.on_fleet_bad(step * 10.0)
@@ -110,7 +113,7 @@ class TestBurnRateAlerting:
         assert len(engine.alerts) == 1
 
     def test_min_events_gates_the_fast_window(self):
-        engine = SloEngine([availability_spec(min_events=8)])
+        engine = engine_for(availability_spec(min_events=8))
         for step in range(5):  # enough burn, too few events
             engine.on_fleet_bad(step * 10.0)
         assert engine.alerts == []
@@ -121,7 +124,7 @@ class TestBurnRateAlerting:
     def test_slow_window_vetoes_a_fast_blip(self):
         # A long healthy history keeps the slow burn low; a short bad burst
         # alone must not page.
-        engine = SloEngine([availability_spec(min_events=2)])
+        engine = engine_for(availability_spec(min_events=2))
         for step in range(90):
             engine.on_fleet_completion(step * 10.0, 100.0, False)
         for step in range(4):
@@ -131,26 +134,24 @@ class TestBurnRateAlerting:
         assert engine.alerts == []
 
     def test_latency_and_corruption_judge_completions(self):
-        engine = SloEngine(
-            [
-                SloSpec.latency(
-                    "fleet.latency.p95",
-                    threshold_ns=500.0,
-                    objective=0.5,
-                    fast_ns=100.0,
-                    slow_ns=1_000.0,
-                    burn_threshold=1.5,
-                    min_events=4,
-                ),
-                SloSpec.corruption(
-                    "fleet.corruption",
-                    objective=0.5,
-                    fast_ns=100.0,
-                    slow_ns=1_000.0,
-                    burn_threshold=1.5,
-                    min_events=4,
-                ),
-            ]
+        engine = engine_for(
+            SloSpec.latency(
+                "fleet.latency.p95",
+                threshold_ns=500.0,
+                objective=0.5,
+                fast_ns=100.0,
+                slow_ns=1_000.0,
+                burn_threshold=1.5,
+                min_events=4,
+            ),
+            SloSpec.corruption(
+                "fleet.corruption",
+                objective=0.5,
+                fast_ns=100.0,
+                slow_ns=1_000.0,
+                burn_threshold=1.5,
+                min_events=4,
+            ),
         )
         for step in range(10):  # slow AND hazardous completions
             engine.on_fleet_completion(step * 10.0, 900.0, True)
@@ -162,19 +163,17 @@ class TestBurnRateAlerting:
         assert len(engine.alerts) == before
 
     def test_net_source_feeds_only_net_specs(self):
-        engine = SloEngine(
-            [
-                availability_spec(),
-                SloSpec.availability(
-                    "net.availability",
-                    objective=0.9,
-                    source="net",
-                    fast_ns=100.0,
-                    slow_ns=1_000.0,
-                    burn_threshold=2.0,
-                    min_events=4,
-                ),
-            ]
+        engine = engine_for(
+            availability_spec(),
+            SloSpec.availability(
+                "net.availability",
+                objective=0.9,
+                source="net",
+                fast_ns=100.0,
+                slow_ns=1_000.0,
+                burn_threshold=2.0,
+                min_events=4,
+            ),
         )
         for step in range(10):
             engine.on_net_bad(step * 10.0)
@@ -182,7 +181,7 @@ class TestBurnRateAlerting:
 
     def test_registry_counters_track_fire_and_resolve(self):
         registry = MetricsRegistry()
-        engine = SloEngine([availability_spec()], registry=registry)
+        engine = SloEngine([availability_spec()], registry)
         for step in range(10):
             engine.on_fleet_bad(step * 10.0)
         for step in range(60):
@@ -250,8 +249,9 @@ class TestTailSampler:
         assert retained == [(1, "incident")]
         assert tracer.tail_sampler.discarded_traces == 1
 
-    def test_span_budget_drops_whole_traces(self):
-        tracer = self._tracer(span_budget=3)
+    def test_span_budget_drops_whole_traces(self, monkeypatch):
+        monkeypatch.setattr(tail_module, "SPAN_BUDGET", 3)
+        tracer = self._tracer()
         make_trace(tracer, 1, [("fleet.queue", 0, 1), ("fleet.request", 0, 10)],
                    root_attrs={"outcome": "rejected"})
         make_trace(tracer, 2, [("fleet.queue", 0, 1), ("fleet.request", 0, 10)],
@@ -262,8 +262,9 @@ class TestTailSampler:
         # Never a partial tree: both spans of trace 1, none of trace 2.
         assert [span.trace_id for span in tracer.spans] == [1, 1]
 
-    def test_max_spans_per_trace_truncates_while_buffering(self):
-        tracer = self._tracer(max_spans_per_trace=2)
+    def test_max_spans_per_trace_truncates_while_buffering(self, monkeypatch):
+        monkeypatch.setattr(tail_module, "MAX_SPANS_PER_TRACE", 2)
+        tracer = self._tracer()
         children = [("fleet.queue", 0, i + 1) for i in range(4)]
         make_trace(tracer, 1, children + [("fleet.request", 0, 10)],
                    root_attrs={"outcome": "rejected"})
@@ -303,9 +304,14 @@ def fire_alert(recorder, now_ns=1_000, slo="fleet.availability"):
     return alert
 
 
+def recorder_with_lookback(monkeypatch, lookback_ns):
+    monkeypatch.setattr(incident_module, "LOOKBACK_NS", lookback_ns)
+    return FlightRecorder(MetricsRegistry())
+
+
 class TestFlightRecorder:
     def test_alert_seeds_timeline_from_the_rings(self):
-        recorder = FlightRecorder(lookback_ns=2_000.0)
+        recorder = FlightRecorder(MetricsRegistry())
         recorder.on_fault("kill", "card0", 500.0)
         recorder.on_span(Span("order.heal", -1, 1, None, 600, 700, {"card": "card0"}))
         recorder.on_span(Span("fleet.queue", -1, 2, 1, 0, 10, {}))  # not a marker
@@ -323,15 +329,15 @@ class TestFlightRecorder:
         assert timeline[2]["frame"] == "f(0,1)"
         assert timeline[2]["effective"] is True
 
-    def test_lookback_excludes_stale_ring_entries(self):
-        recorder = FlightRecorder(lookback_ns=100.0)
+    def test_lookback_excludes_stale_ring_entries(self, monkeypatch):
+        recorder = recorder_with_lookback(monkeypatch, 100.0)
         recorder.on_fault("kill", "card0", 10.0)  # far before the horizon
         fire_alert(recorder, now_ns=1_000)
         kinds = [event["kind"] for event in recorder.incidents[0].timeline]
         assert kinds == ["alert"]
 
-    def test_open_incident_receives_live_events_and_close_stops_them(self):
-        recorder = FlightRecorder(lookback_ns=100.0)
+    def test_open_incident_receives_live_events_and_close_stops_them(self, monkeypatch):
+        recorder = recorder_with_lookback(monkeypatch, 100.0)
         alert = fire_alert(recorder, now_ns=1_000)
         recorder.on_fault("wedge", "card1", 1_100.0, duration_ns=50)
         recorder.on_resolved(alert, 1_200)
@@ -347,7 +353,7 @@ class TestFlightRecorder:
         counter = registry.counter("fleet.failovers")
         steady = registry.counter("fleet.heal.orders")
         steady.inc()
-        recorder = FlightRecorder(registry=registry)
+        recorder = FlightRecorder(registry)
         alert = fire_alert(recorder)
         counter.inc()
         counter.inc()
@@ -359,15 +365,16 @@ class TestFlightRecorder:
         # it is numeric registry state like any other.
         assert registry.snapshot()["incident.opened"] == 1
 
-    def test_max_incidents_overflow_is_counted_not_grown(self):
-        recorder = FlightRecorder(max_incidents=1)
+    def test_max_incidents_overflow_is_counted_not_grown(self, monkeypatch):
+        monkeypatch.setattr(incident_module, "MAX_INCIDENTS", 1)
+        recorder = FlightRecorder(MetricsRegistry())
         fire_alert(recorder, slo="fleet.availability")
         fire_alert(recorder, now_ns=2_000, slo="fleet.latency.p95")
         assert len(recorder.incidents) == 1
         assert recorder.overflowed_alerts == 1
 
-    def test_retained_trace_attaches_only_on_overlap(self):
-        recorder = FlightRecorder(lookback_ns=100.0)
+    def test_retained_trace_attaches_only_on_overlap(self, monkeypatch):
+        recorder = recorder_with_lookback(monkeypatch, 100.0)
         alert = fire_alert(recorder, now_ns=1_000)
         recorder.on_resolved(alert, 2_000)
         span_in = Span("fleet.request", 5, 1, None, 950, 1_500,
@@ -382,18 +389,18 @@ class TestFlightRecorder:
         assert traces[0]["outcome"] == "rejected"
 
     def test_flush_closes_open_incidents_with_run_end(self):
-        recorder = FlightRecorder()
+        recorder = FlightRecorder(MetricsRegistry())
         fire_alert(recorder)
         recorder.flush(9_000.0)
         incident = recorder.incidents[0]
         assert incident.closed_ns == 9_000
         assert incident.timeline[-1]["kind"] == "run_end"
         assert recorder.incident_windows() == [
-            (1_000 - recorder.lookback_ns, 9_000)
+            (1_000 - incident_module.LOOKBACK_NS, 9_000)
         ]
 
-    def test_incident_json_is_canonical_and_fingerprinted(self):
-        recorder = FlightRecorder(lookback_ns=100.0)
+    def test_incident_json_is_canonical_and_fingerprinted(self, monkeypatch):
+        recorder = recorder_with_lookback(monkeypatch, 100.0)
         recorder.on_fault("kill", "card0", 950.0)
         alert = fire_alert(recorder)
         recorder.on_resolved(alert, 2_000)

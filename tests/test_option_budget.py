@@ -1,5 +1,6 @@
 """Ratchets: options, ``src/repro`` and its ``fleet.py``, ``sim/``, ``stats.py`` and
-``net/`` may only shrink, and no definition there is reached only by the tests.
+``net/`` may only shrink, no definition there is reached only by the tests, and
+no option there is set only by the tests.
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budget below is the count at the last PR that
@@ -25,8 +26,21 @@ model, benchmark or example calls.  Each one is deleted, moved to
 ``KEPT`` with the reason a user is meant to call it.  A name shared with
 another definition hides from the scan, so judge those by hand.
 
+:func:`test_no_option_is_set_only_by_tests` is its parameter-level sibling:
+every defaulted parameter of an ``__init__``, ``build_*``, ``enable_*``,
+``install_*`` or ``use_*`` in ``src/repro`` must be set — by keyword, by
+position or through ``*args`` / ``**kwargs`` — by some call in ``src/``,
+``benchmarks/`` or ``examples/``, or be listed in ``KEPT_OPTIONS`` with the
+reason a user sets it.  An option only the tests turn is a configuration no
+workload runs: it becomes the constant it always is (a memory bound, a module
+constant the tests monkeypatch).  Dataclass fields and options behind a shared
+name hide from it, so judge those by hand.
+
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
-files and directories — the counter a PR's before/after table should quote.
+files and directories — the counter a PR's before/after table should quote —
+and ``python tests/test_option_budget.py --options PATH...`` prints each
+in-scope definition's options under ``src/repro`` paths, marking with ``*``
+those no code outside ``tests/`` sets, and their total.
 """
 
 import ast
@@ -47,12 +61,12 @@ from repro.cluster.stats import FleetStatistics
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
-OPTION_BUDGET = 48
-FLEET_CODE_LINE_BUDGET = 676
-SIM_CODE_LINE_BUDGET = 324
-STATS_CODE_LINE_BUDGET = 471
-NET_CODE_LINE_BUDGET = 827
-SRC_CODE_LINE_BUDGET = 13_400
+OPTION_BUDGET = 47
+FLEET_CODE_LINE_BUDGET = 662
+SIM_CODE_LINE_BUDGET = 318
+STATS_CODE_LINE_BUDGET = 467
+NET_CODE_LINE_BUDGET = 815
+SRC_CODE_LINE_BUDGET = 13_136
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -206,6 +220,184 @@ def test_net_package_does_not_grow():
     )
 
 
+_OPTION_DEFINITION = re.compile(r"__init__$|(build|enable|install|use)_\w+$")
+
+
+def module_trees(directory: str) -> list:
+    """``(file, parsed module)`` for every ``*.py`` under ``<repo>/<directory>``."""
+    return [(file, ast.parse(file.read_text())) for file in sorted((REPO / directory).rglob("*.py"))]
+
+
+def option_definitions(src_trees) -> dict:
+    """``{"path:Qualified.name": (called_as, [(option, position or None), ...])}``.
+
+    One entry per ``__init__`` / ``build_*`` / ``enable_*`` / ``install_*`` /
+    ``use_*`` in ``src/repro``, listing its parameters that have a default.
+    ``called_as`` is the name a call uses (the class, for an ``__init__``);
+    a position counts from the first argument a caller passes, so a method's
+    ``self`` has none and a keyword-only option is ``None``.
+    """
+    found = {}
+
+    def visit(node, path, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _OPTION_DEFINITION.match(child.name):
+                    arguments = child.args
+                    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                    if owner and not static:
+                        positional = positional[1:]
+                    first_default = len(positional) - len(arguments.defaults)
+                    options = [(name, i) for i, name in enumerate(positional) if i >= first_default]
+                    options += [
+                        (a.arg, None)
+                        for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                        if default is not None
+                    ]
+                    called_as = owner if child.name == "__init__" else child.name
+                    found[f"{path}:{prefix}{child.name}"] = (called_as, options)
+                visit(child, path, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, path, prefix, owner)
+
+    for file, tree in src_trees:
+        if SRC in file.parents:
+            visit(tree, file.relative_to(SRC).as_posix(), "", None)
+    return found
+
+
+def calls_outside_tests(trees) -> dict:
+    """``{called name: [(positional arguments, keywords, starred), ...]}`` for
+    every call in *trees*.
+
+    ``cls(...)`` calls the enclosing class, ``super().__init__(...)`` each of
+    its bases and ``Base.__init__(self, ...)`` ``Base``; ``starred`` is a call
+    with ``*args`` or ``**kwargs``, which may set any option.
+    """
+    calls = collections.defaultdict(list)
+
+    def visit(node, owner, bases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                names = [getattr(base, "id", getattr(base, "attr", None)) for base in child.bases]
+                visit(child, child.name, names)
+                continue
+            if isinstance(child, ast.Call):
+                function, targets, skipped = child.func, [], 0
+                if isinstance(function, ast.Name):
+                    targets = [owner if function.id == "cls" and owner else function.id]
+                elif isinstance(function, ast.Attribute):
+                    value = function.value
+                    if function.attr != "__init__":
+                        targets = [function.attr]
+                    elif isinstance(value, ast.Call) and getattr(value.func, "id", None) == "super":
+                        targets = bases
+                    elif isinstance(value, ast.Name):
+                        targets, skipped = [value.id], 1
+                starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                    k.arg is None for k in child.keywords
+                )
+                keywords = {k.arg for k in child.keywords}
+                for target in targets:
+                    calls[target].append((len(child.args) - skipped, keywords, starred))
+            visit(child, owner, bases)
+
+    for _, tree in trees:
+        visit(tree, None, [])
+    return calls
+
+
+def option_scan():
+    """``(definitions, unset)``: :func:`option_definitions`, and
+    ``{"path:Qualified.name": [option, ...]}`` for the options no call in
+    ``src/``, ``benchmarks/`` or ``examples/`` sets.  Calls match definitions
+    by name alone, so a name two definitions share only hides an option."""
+    src_trees = module_trees("src")
+    definitions = option_definitions(src_trees)
+    calls = calls_outside_tests(src_trees + module_trees("benchmarks") + module_trees("examples"))
+    unset = {}
+    for key, (called_as, options) in definitions.items():
+        missing = [
+            name
+            for name, position in options
+            if not any(
+                starred or name in keywords or (position is not None and position < count)
+                for count, keywords, starred in calls.get(called_as, ())
+            )
+        ]
+        if missing:
+            unset[key] = missing
+    return definitions, unset
+
+
+#: Options no code outside ``tests/`` sets, kept because a user sets them.
+KEPT_OPTIONS = {}
+
+
+def test_no_option_is_set_only_by_tests():
+    _, unset = option_scan()
+    found = {f"{key}({name})" for key, names in unset.items() for name in names}
+    assert found == set(KEPT_OPTIONS), (
+        f"set only by tests, or by nothing: {sorted(found - set(KEPT_OPTIONS))} — make it "
+        "the constant it always is (a memory bound becomes a module constant the tests "
+        "monkeypatch), or add it to KEPT_OPTIONS with the reason a user sets it; "
+        f"KEPT_OPTIONS but set outside tests/: {sorted(set(KEPT_OPTIONS) - found)}."
+    )
+
+
+def print_options(paths) -> None:
+    """Print the defaulted options of each in-scope definition under *paths*
+    (files or directories in ``src/repro``), ``*`` marking one that no code
+    outside ``tests/`` sets, then the totals."""
+    definitions, unset = option_scan()
+    total = marked = 0
+    for argument in paths:
+        prefix = pathlib.Path(argument).resolve().relative_to(SRC).as_posix()
+        for key, (_, options) in definitions.items():
+            path = key.split(":")[0]
+            if options and (prefix == "." or path == prefix or path.startswith(prefix + "/")):
+                names = [name + "*" if name in unset.get(key, ()) else name for name, _ in options]
+                total += len(names)
+                marked += len(unset.get(key, ()))
+                print(f"{key}({', '.join(names)})")
+    print(f"{total} options, {marked} set by no code outside tests/ (*)")
+
+
+#: The scale opt-ins each ledger workload applies (its ``optins_applied``).
+#: ``benchmarks/e2e/shapes.py`` passes an opt-in only while the builder still
+#: accepts it, so deleting an option the ledger uses changes the benchmark
+#: silently; this pins the list.
+LEDGER_OPTINS = {
+    "fleet_hit_scale": ["stats_mode", "admission_batch"],
+    "fleet_hit_default": [],
+    "card_reconfig_churn": [],
+    "frontdoor_steady": ["stats_mode", "admission_batch"],
+    "frontdoor_overload": ["stats_mode", "admission_batch"],
+    "frontdoor_traced": ["stats_mode", "admission_batch"],
+    "fleet_control_plane": [],
+    "fleet_sharded_2": [],
+}
+
+
+def test_the_ledger_applies_the_pinned_opt_ins(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "benchmarks" / "e2e"))
+    import shapes
+
+    applied = {}
+    for shape_type in shapes.SHAPES:
+        shape = shape_type()
+        bank = shape.build_bank()
+        shape.build_system(bank, shape.make_trace(bank, 11, shape.min_ops), 11)
+        applied[shape.name] = shape.optins_applied
+    assert applied == LEDGER_OPTINS
+
+
 if __name__ == "__main__":
-    for argument in sys.argv[1:]:
-        print(f"{tree_code_lines(argument):7d}  {argument}")
+    if sys.argv[1:2] == ["--options"]:
+        print_options(sys.argv[2:])
+    else:
+        for argument in sys.argv[1:]:
+            print(f"{tree_code_lines(argument):7d}  {argument}")

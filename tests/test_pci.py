@@ -137,18 +137,13 @@ class TestBusAndDevice:
         assert bus.bytes_transferred >= 64
 
     def test_interface_bounds_checked(self):
-        interface = PciFunctionInterface(register_bytes=16, window_bytes=32)
+        interface = PciFunctionInterface(window_bytes=32)
         with pytest.raises(ValueError):
-            interface.read_register(20)
+            interface.read_register(256)
         with pytest.raises(ValueError):
             interface.read_register(3)  # unaligned
         with pytest.raises(ValueError):
             interface.write_window(30, b"abcdef")
-
-    def test_bus_utilisation(self):
-        clock, bus, _, bridge = _system()
-        bridge.write_window("card", 0, b"\x00" * 256)
-        assert 0.0 < bus.utilisation() <= 1.0
 
 
 class TestDma:
@@ -172,8 +167,6 @@ class TestDma:
         bus = PciBus()
         with pytest.raises(ValueError):
             DmaEngine(bus, max_burst_bytes=0)
-        with pytest.raises(ValueError):
-            DmaEngine(bus, setup_time_ns=-1)
 
     def test_dma_faster_than_pio_for_large_transfers(self):
         # DMA bursts amortise per-transaction overhead compared to 4-byte PIO.

@@ -10,13 +10,6 @@ class TestClock:
     def test_starts_at_zero_by_default(self):
         assert Clock().now == 0.0
 
-    def test_starts_at_given_time(self):
-        assert Clock(125.0).now == 125.0
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            Clock(-1.0)
-
     def test_advance_accumulates(self):
         clock = Clock()
         clock.advance(10)
@@ -24,11 +17,12 @@ class TestClock:
         assert clock.now == 15
 
     def test_integral_float_is_converted_at_the_boundary(self):
-        clock = Clock(2.0)
+        clock = Clock()
+        assert clock.advance(2.0) == 2
         assert clock.advance(125.0) == 127
         assert clock.advance_to(300.0) == 300
         assert clock.advance(40.0) == 340
-        assert [type(t) for t in (Clock(2.0).now, clock.now, as_ns(7.0))] == [int] * 3
+        assert [type(t) for t in (Clock().now, clock.now, as_ns(7.0))] == [int] * 3
 
     @pytest.mark.parametrize(
         "call",
@@ -36,7 +30,7 @@ class TestClock:
             lambda clock: clock.advance(5.5),
             lambda clock: clock.advance_to(5.5),
             lambda clock: clock.advance_to(float("inf")),
-            lambda clock: Clock(5.5),
+            lambda clock: clock.advance(float("nan")),
             lambda clock: clock.advance("5"),
             lambda clock: clock.advance(True),
         ],

@@ -1,4 +1,4 @@
-"""Tests for the simulator's event queue: ``(time, seq, fn, a, b)`` entries."""
+"""Tests for the simulator's queue: ``(time, seq, fn, a, b)`` entries on a heap and a FIFO."""
 
 import pytest
 
@@ -18,7 +18,7 @@ def drain_tags(simulator):
     return tags
 
 
-class TestEventQueue:
+class TestSimulatorQueue:
     def test_orders_by_time(self):
         simulator = Simulator()
         schedule(simulator, 30.0, "c")

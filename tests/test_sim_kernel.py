@@ -124,8 +124,8 @@ class TestProcessJoin:
             simulator.run()
 
     def test_shared_clock(self):
-        clock = Clock()
-        simulator = Simulator(clock)
+        simulator = Simulator()
+        clock = simulator.clock
 
         def worker():
             yield Timeout(30.0)

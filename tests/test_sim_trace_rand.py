@@ -26,7 +26,8 @@ class TestTraceRecorder:
         assert len(recorder) == 0
 
     def test_capacity_limits_retention(self):
-        recorder = TraceRecorder(capacity=2)
+        recorder = TraceRecorder()
+        recorder.capacity = 2
         for index in range(4):
             recorder.record("c", "a", index, index + 1)
         assert len(recorder) == 2

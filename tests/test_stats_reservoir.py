@@ -1,7 +1,7 @@
 """Reservoir sampling in the statistics layer.
 
 The old behaviour silently stopped appending latencies after
-``max_recorded_latencies``, so percentiles on long traces only ever saw the
+``MAX_RECORDED_LATENCIES``, so percentiles on long traces only ever saw the
 head of the run.  The reservoir keeps a uniform sample of the *whole* stream;
 these tests pin down that tail samples are represented and that the sampling
 is deterministic.
@@ -9,6 +9,9 @@ is deterministic.
 
 import pytest
 
+from repro.core import stats as core_stats
+from repro.core.builder import build_fleet
+from repro.core.config import SMALL_CONFIG
 from repro.core.stats import CoprocessorStatistics, ReservoirSampler, percentile_of
 from repro.mcu.microcontroller import RequestOutcome
 from repro.sim.rand import SeededRandom
@@ -69,20 +72,26 @@ class TestReservoirSampler:
         with pytest.raises(ValueError):
             ReservoirSampler(-1)
 
-    def test_zero_capacity_counts_but_retains_nothing(self):
+    def test_zero_capacity_counts_but_retains_nothing(self, monkeypatch):
         sampler = ReservoirSampler(0, SeededRandom(0))
         for value in range(10):
             sampler.add(float(value))
         assert sampler.values == [] and sampler.seen == 10
         assert sampler.percentile(95) == 0.0
         # The statistics counterpart: a valid memory-saving configuration.
-        stats = CoprocessorStatistics(max_recorded_latencies=0)
+        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 0)
+        stats = CoprocessorStatistics()
         stats.record(outcome(5.0), input_bytes=0)
-        assert stats.latencies_ns == [] and stats._latency_sample.seen == 1
+        assert stats._latency_sample.values == [] and stats._latency_sample.seen == 1
         assert stats.latency_percentile(95) == 0.0
 
     def test_percentile_of_empty(self):
         assert percentile_of([], 95) == 0.0
+
+
+def recorded(stats):
+    """The latencies a reservoir-mode statistics object currently keeps."""
+    return stats._latency_sample.values
 
 
 class TestCoprocessorStatisticsReservoir:
@@ -91,72 +100,65 @@ class TestCoprocessorStatisticsReservoir:
         latencies = [float(value) for value in range(500)]
         for latency in latencies:
             stats.record(outcome(latency), input_bytes=1)
-        assert stats.latencies_ns == latencies
+        assert recorded(stats) == latencies
         assert stats._latency_sample.seen == 500
 
-    def test_long_trace_tail_is_sampled(self):
-        stats = CoprocessorStatistics(max_recorded_latencies=200)
+    def test_long_trace_tail_is_sampled(self, monkeypatch):
+        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 200)
+        stats = CoprocessorStatistics()
         for value in range(20_000):
             stats.record(outcome(float(value)), input_bytes=0)
-        assert len(stats.latencies_ns) == 200
+        assert len(recorded(stats)) == 200
         assert stats._latency_sample.seen == 20_000
-        tail = [value for value in stats.latencies_ns if value >= 10_000]
+        tail = [value for value in recorded(stats) if value >= 10_000]
         assert tail, "long-trace percentiles still head-biased"
         # The head-biased p95 would be ~190 (95% of the first 200 requests);
         # the uniform sample's p95 must track the full stream (~19000).
         assert stats.latency_percentile(95) > 10_000
 
-    def test_sampling_is_deterministic_across_instances(self):
+    def test_sampling_is_deterministic_across_instances(self, monkeypatch):
+        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 50)
+
         def fill():
-            stats = CoprocessorStatistics(max_recorded_latencies=50)
+            stats = CoprocessorStatistics()
             for value in range(5000):
                 stats.record(outcome(float(value)), input_bytes=0)
-            return list(stats.latencies_ns)
+            return list(recorded(stats))
 
         assert fill() == fill()
 
     def test_fresh_instances_compare_equal(self):
         assert CoprocessorStatistics() == CoprocessorStatistics()
 
-    def test_oversized_initial_latencies_rejected(self):
-        # Entries past the cap could never be displaced, permanently biasing
-        # percentiles — refuse the construction outright.
-        with pytest.raises(ValueError):
-            CoprocessorStatistics(latencies_ns=[1.0, 2.0], max_recorded_latencies=1)
-
-    def test_oversized_rebound_latencies_rejected(self):
-        # The same cap contract holds when the public field is rebound later.
-        stats = CoprocessorStatistics(max_recorded_latencies=2)
-        stats.latencies_ns = [9.0, 8.0, 7.0]
-        with pytest.raises(ValueError):
-            stats.record(outcome(1.0), input_bytes=0)
-
-    def test_rebinding_latencies_reattaches_the_sampler(self):
-        stats = CoprocessorStatistics(max_recorded_latencies=10)
-        for value in range(5):
-            stats.record(outcome(float(value)), input_bytes=0)
-        stats.latencies_ns = []
-        stats.record(outcome(99.0), input_bytes=0)
-        assert stats.latencies_ns == [99.0]
-        assert stats.latency_percentile(95) == 99.0
-
-    def test_shrinking_cap_trims_and_growing_after_overflow_rejected(self):
-        stats = CoprocessorStatistics(max_recorded_latencies=10)
-        for value in range(50):
-            stats.record(outcome(float(value)), input_bytes=0)
-        stats.max_recorded_latencies = 4
-        stats.record(outcome(99.0), input_bytes=0)
-        assert len(stats.latencies_ns) <= 4
-        stats.max_recorded_latencies = 100  # grow after overflow: refused
-        with pytest.raises(ValueError):
-            stats.record(outcome(1.0), input_bytes=0)
-
-    def test_reset_restarts_the_stream(self):
-        stats = CoprocessorStatistics(max_recorded_latencies=10)
+    def test_reset_restarts_the_stream(self, monkeypatch):
+        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 10)
+        stats = CoprocessorStatistics()
         for value in range(100):
             stats.record(outcome(float(value)), input_bytes=0)
         stats.reset()
-        assert stats.latencies_ns == []
+        assert recorded(stats) == []
         assert stats._latency_sample.seen == 0
         stats.record(outcome(1.0), input_bytes=0)
-        assert stats.latencies_ns == [1.0]
+        assert recorded(stats) == [1.0]
+
+
+class TestLatencyModeSurvivesReset:
+    def test_statistics_reset_keeps_the_sketch(self):
+        stats = CoprocessorStatistics()
+        stats.use_sketch()
+        stats.record(outcome(5.0), input_bytes=0)
+        stats.reset()
+        assert (stats.latency_mode, stats.requests) == ("sketch", 0)
+        assert recorded(stats) == [] and stats._latency_sketch.seen == 0
+        stats.record(outcome(7.0), input_bytes=0)
+        assert recorded(stats) == [] and stats._latency_sketch.seen == 1
+
+    def test_a_card_reset_keeps_sketch_recording(self, small_bank):
+        fleet = build_fleet(cards=1, config=SMALL_CONFIG, bank=small_bank, stats_mode="sketch")
+        driver = fleet.cards[0].driver
+        assert driver.coprocessor.stats.latency_mode == "sketch"
+        driver.reset_card()
+        stats = driver.coprocessor.stats
+        assert stats.latency_mode == "sketch"
+        driver.call("crc32", b"abc")
+        assert recorded(stats) == [] and stats.latency_percentile(50) > 0
