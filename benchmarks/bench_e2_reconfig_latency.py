@@ -27,8 +27,7 @@ from repro.core.builder import build_coprocessor
 def _miss_latency(config, bank, name):
     """Reconfiguration report for one cold load of *name*."""
     copro = build_coprocessor(config=config, bank=bank, functions=[name])
-    copro.preload(name)
-    return copro.config_module.reports[-1]
+    return copro.preload(name).reconfiguration
 
 
 def _full_device_time(copro, frames):
@@ -84,8 +83,7 @@ def test_e2_reconfiguration_latency(benchmark, default_config, bank):
 
     def reconfigure_once():
         copro = build_coprocessor(config=config, bank=bank, functions=["sha1"])
-        copro.preload("sha1")
-        return copro.config_module.reports[-1]
+        return copro.preload("sha1").reconfiguration
 
     result = benchmark.pedantic(reconfigure_once, rounds=3, iterations=1)
     assert result.frames > 0

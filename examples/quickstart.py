@@ -58,8 +58,7 @@ def main(tiny: bool = False) -> None:
     print(coprocessor.stats.describe())
     print()
     print("Where did the time go on the last request?")
-    last = coprocessor.mcu.outcomes[-1]
-    for phase, nanoseconds in last.breakdown().items():
+    for phase, nanoseconds in result.breakdown.items():
         print(f"  {phase:<12} {format_time(nanoseconds)}")
 
 

@@ -1,10 +1,10 @@
 """Streaming, mergeable statistics sketches for million-request runs.
 
-The reservoir samplers in :mod:`repro.core.stats` / :mod:`repro.cluster.stats`
-are *exact* for short traces but keep up to 50k–100k floats per tenant — fine
-for the 10^2–10^4 requests of E1–E11, hopeless for a day of production
-traffic.  This module provides the O(1)-memory alternatives the scale
-experiments run on:
+The fleet's reservoir samplers (:mod:`repro.cluster.stats`) are *exact* for
+short traces but keep up to 50k floats per tenant — fine for the 10^2–10^4
+requests of E1–E11, hopeless for a day of production traffic.  This module
+provides the O(1)-memory alternatives the scale experiments run on, and the
+only latency recorder a card has (:mod:`repro.core.stats`):
 
 * :class:`StreamingQuantileSketch` — a deterministic log-bucketed quantile
   sketch (DDSketch-style).  Values are counted in geometrically spaced
@@ -52,7 +52,6 @@ class StreamingQuantileSketch:
     def __init__(self, relative_error: float = 0.01) -> None:
         if not 0.0 < relative_error < 1.0:
             raise ValueError("relative_error must be in (0, 1)")
-        self.relative_error = relative_error
         self.gamma = (1.0 + relative_error) / (1.0 - relative_error)
         self._log_gamma = math.log(self.gamma)
         #: bucket index -> count; sparse because latency streams are clumpy.
@@ -210,7 +209,6 @@ class WindowedTimeSeries:
         self._last_window: Optional[List[float]] = None
         self.total_count = 0
         self.total_value = 0.0
-        self.dropped_windows = 0
 
     def record(self, time_ns: int, value: float = 1.0) -> None:
         index = int(time_ns // self.window_ns)
@@ -224,7 +222,6 @@ class WindowedTimeSeries:
                 if len(self._windows) > self.max_windows:
                     oldest = min(self._windows)
                     del self._windows[oldest]
-                    self.dropped_windows += 1
                     if oldest == index:
                         # A backward jump past every retained window evicts
                         # the row it just created; don't cache an orphan.

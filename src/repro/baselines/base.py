@@ -15,5 +15,4 @@ class BaselineResult:
     output: bytes
     latency_ns: int
     hit: bool = True
-    offloaded: bool = False
     breakdown: Dict[str, float] = field(default_factory=dict)

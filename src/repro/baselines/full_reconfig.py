@@ -26,7 +26,6 @@ class FullReconfigEngine:
         self.coprocessor = AgileCoprocessor(config, bank)
         self.config = config
         self.bank = bank
-        self.full_reconfigurations = 0
         # frame count -> penalty; the port timing parameters never change
         # after construction, so the per-switch penalty is a pure function of
         # the incoming function's frame footprint.
@@ -70,7 +69,6 @@ class FullReconfigEngine:
             frames = copro.bank.by_name(name).frames_required(copro.geometry)
             extra = self._full_device_penalty_ns(frames)
             copro.clock.advance(extra)
-            self.full_reconfigurations += 1
         breakdown = dict(result.breakdown)
         breakdown["full_device_penalty"] = extra
         return BaselineResult(
@@ -78,6 +76,5 @@ class FullReconfigEngine:
             output=result.output,
             latency_ns=result.latency_ns + extra,
             hit=hit,
-            offloaded=True,
             breakdown=breakdown,
         )

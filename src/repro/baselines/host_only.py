@@ -33,8 +33,6 @@ class HostOnlyEngine:
         self.bank = bank
         self.software_slowdown = software_slowdown
         self.clock = clock if clock is not None else Clock()
-        self.calls = 0
-        self.total_cycles = 0
 
     def software_time_ns(self, name: str, input_length: int) -> int:
         """Modelled host CPU time for one call, in whole nanoseconds."""
@@ -45,17 +43,13 @@ class HostOnlyEngine:
     def execute(self, name: str, data: bytes, future_requests=None) -> BaselineResult:
         """Run *name* on *data* in software (the result is bit-exact with the
         hardware because both use the same reference behaviour)."""
-        function = self.bank.by_name(name)
         elapsed = self.software_time_ns(name, len(data))
-        output = function.behaviour(data)
+        output = self.bank.by_name(name).behaviour(data)
         self.clock.advance(elapsed)
-        self.calls += 1
-        self.total_cycles += function.software_cycles(len(data), self.software_slowdown)
         return BaselineResult(
             function=name,
             output=output,
             latency_ns=elapsed,
             hit=True,
-            offloaded=False,
             breakdown={"software": elapsed},
         )

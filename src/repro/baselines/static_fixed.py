@@ -36,8 +36,6 @@ class StaticFixedEngine:
         self.coprocessor.download_bank()
         self.resident: List[str] = []
         self._load_static_set(resident_functions)
-        self.offloaded_calls = 0
-        self.fallback_calls = 0
 
     # ----------------------------------------------------------- residency
     def _load_static_set(self, requested: Optional[Sequence[str]]) -> None:
@@ -68,14 +66,11 @@ class StaticFixedEngine:
         """Execute on the fabric when resident, otherwise in host software."""
         if name in self.resident:
             result = self.coprocessor.execute(name, data)
-            self.offloaded_calls += 1
             return BaselineResult(
                 function=name,
                 output=result.output,
                 latency_ns=result.latency_ns,
                 hit=True,
-                offloaded=True,
                 breakdown=dict(result.breakdown),
             )
-        self.fallback_calls += 1
         return self.fallback.execute(name, data)

@@ -9,9 +9,10 @@ passes its dispatcher as the sink, a client population passes its transport.
 The pacing discipline is digest-frozen: requests are re-stamped by the clock
 offset at process start (zero on a fresh kernel, so first runs are
 bit-identical to the historical loops), one re-used :class:`Timeout` carries
-every sleep, and ``batch > 1`` releases requests in front-door groups at the
-group's *last* member's arrival instant (the interrupt-coalescing behaviour
-the million-request scale runs rely on).
+every sleep, and requests are released in front-door groups of ``batch`` at
+the group's *last* member's arrival instant (``batch > 1`` is the
+interrupt-coalescing behaviour the million-request scale runs rely on; the
+default group of one delivers each request at its own arrival).
 """
 
 from __future__ import annotations
@@ -55,17 +56,8 @@ def open_arrivals(
     """
     offset = clock._now
     arrival_timeout = Timeout(0)
-    if batch <= 1:
-        for request in trace:
-            if offset:
-                request = _restamp(request, offset)
-            delay = request.arrival_ns - clock._now
-            if delay > 0:
-                # Reused Timeout (consumed synchronously by the kernel).
-                arrival_timeout.delay_ns = delay
-                yield arrival_timeout
-            deliver(request)
-        return
+    # One loop for every group size: unbatched (``batch <= 1``) is a group
+    # of one, delivered at its own arrival.
     pending = []
     append = pending.append
     for request in trace:
@@ -76,6 +68,7 @@ def open_arrivals(
             continue
         delay = request.arrival_ns - clock._now
         if delay > 0:
+            # Reused Timeout (consumed synchronously by the kernel).
             arrival_timeout.delay_ns = delay
             yield arrival_timeout
         for queued in pending:

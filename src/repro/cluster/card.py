@@ -56,7 +56,6 @@ class FleetCard:
         self.health = "up"
         self.down_since_ns: Optional[int] = None
         self.degraded_until_ns = 0
-        self.serve_failures = 0
         #: Classes of the periodic orders queued or in service here — a
         #: periodic service keeps at most one order of its kind per card.
         self.pending: set = set()

@@ -124,10 +124,6 @@ class ConfigAffinityPolicy(DispatchPolicy):
 
     name = "affinity"
 
-    def __init__(self) -> None:
-        self.affinity_hits = 0
-        self.affinity_misses = 0
-
     @classmethod
     def _spread_fallback(cls, cards: Sequence["FleetCard"]) -> Optional["FleetCard"]:
         """Where a function resident nowhere should load.
@@ -176,14 +172,8 @@ class ConfigAffinityPolicy(DispatchPolicy):
                     choice_outstanding = outstanding
                     choice_index = card.index
         if choice is not None:
-            self.affinity_hits += 1
             return choice
-        fallback = self._spread_fallback(cards)
-        if fallback is not None:
-            # Only routed requests count toward the hit/miss ratio; a full
-            # fleet (admission rejection) is not an affinity failure.
-            self.affinity_misses += 1
-        return fallback
+        return self._spread_fallback(cards)
 
 
 class StaticHashPolicy(DispatchPolicy):

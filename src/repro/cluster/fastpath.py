@@ -13,13 +13,13 @@ same time and does the same things at the same offsets from its start.
 ``TraceRecorder.record`` shadowed for that one call, so the memo sees when
 the replacement table was touched and which device events the card's
 recorder was handed — and stores the serve as *offsets from its start*: the
-duration, the touch and event offsets, the bus-busy and PCI time, and the
-integer counter deltas.  Time is whole nanoseconds (:mod:`repro.sim.clock`),
+duration, the touch and event offsets, and the deltas of the three bus
+counters someone reads.  Time is whole nanoseconds (:mod:`repro.sim.clock`),
 so ``start + duration_ns`` *is* where the real path's chain of advances
 lands.  Every later serve of the pair *replays* the entry: the card clock
-jumps by the duration, the LRU table is touched at ``start + offset``, and
-the stored :class:`RequestOutcome` is re-recorded through
-``CoprocessorStatistics.record_hit_replay``.
+jumps by the duration, the LRU table is touched at ``start + offset``, the
+stored :class:`ExecutionResult` becomes the card's ``last_result`` again, and
+its latency is re-recorded through ``CoprocessorStatistics.record_hit_replay``.
 
 Traced replay: under a fleet that bridges device events into ``card.*``
 spans, a replay builds no event at all — it leaves the entry's own immutable
@@ -35,10 +35,11 @@ that selects the full model, like any other observer of the card.
 
 Exactness contract (``tests/test_cluster_fastpath.py``, against the same
 fleet with every ``card.memo`` set to ``None``): card clock trajectory,
-service times, fleet schedule digest, every counter, every time total
-(``bus.busy_time_ns``, ``driver.total_pci_ns``, ``copro.stats.total_*_ns``),
-every ``RequestOutcome`` duration, LRU/residency state, minios statistics
-and device events are **equal** to a memo-off run.
+service times, fleet schedule digest, every counter the model keeps, every
+time total (``bus.busy_time_ns``, ``copro.stats.total_latency_ns`` /
+``total_reconfig_ns``), the card's latency percentiles and last
+``ExecutionResult``, LRU/residency state, minios statistics and device events
+are **equal** to a memo-off run.
 
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
@@ -109,7 +110,6 @@ class ServeMemo:
         self._recorder = self.copro.trace
         self._is_resident = self.minios.table.__contains__
         self._minios_touch = self.minios.table.touch
-        self._dma = driver.bridge.dma
         self._loaded_get = self.device._loaded.get
         self.replays = 0
         self.recordings = 0
@@ -132,24 +132,9 @@ class ServeMemo:
 
     # -------------------------------------------------------------- recording
     def _totals(self) -> tuple:
-        """The time totals and counters a serve moves, in entry order."""
+        """The bus counters a serve moves, in entry order."""
         bus = self.bus
-        dma = self._dma
-        data_in = self.mcu.data_in
-        data_out = self.mcu.data_out
-        return (
-            bus.busy_time_ns,
-            self.driver.total_pci_ns,
-            bus.transactions_completed,
-            bus.bytes_transferred,
-            dma.jobs_completed,
-            dma.bytes_moved,
-            self.pci_card.commands_processed,
-            data_in.transfers,
-            data_in.bytes_transferred,
-            data_out.transfers,
-            data_out.bytes_transferred,
-        )
+        return (bus.busy_time_ns, bus.transactions_completed, bus.bytes_transferred)
 
     def record_call(self, function: str, payload: bytes):
         """Run the real serve path while capturing what it did, and when.
@@ -194,25 +179,13 @@ class ServeMemo:
 
         card_result = result.card_result
         if card_result is not None and card_result.hit and not card_result.evictions:
-            outcome = card_result.outcome
             self._entries[(function, payload)] = (
                 clock.now - start_ns,
                 tuple(touches),
                 tuple(events),
                 *(now - was for now, was in zip(self._totals(), before)),
                 card_result,
-                outcome,
-                len(payload),
-                len(outcome.output),
-                outcome.total_time_ns,
-                outcome.reconfig_time_ns,
-                outcome.execute_time_ns,
-                (
-                    outcome.stage_input_time_ns
-                    + outcome.feed_time_ns
-                    + outcome.collect_time_ns
-                    + outcome.readout_time_ns
-                ),
+                card_result.outcome.total_time_ns,
             )
             self.recordings += 1
         return result
@@ -231,24 +204,10 @@ class ServeMemo:
             touches,
             events,
             busy_ns,
-            pci_ns,
             bus_transactions,
             bus_bytes,
-            dma_jobs,
-            dma_bytes,
-            commands_delta,
-            data_in_transfers,
-            data_in_bytes,
-            data_out_transfers,
-            data_out_bytes,
             result,
-            outcome,
-            input_bytes,
-            output_bytes,
             total_time_ns,
-            reconfig_time_ns,
-            execute_time_ns,
-            data_movement_ns,
         ) = entry
 
         clock = self.clock
@@ -271,47 +230,17 @@ class ServeMemo:
         bus.busy_time_ns += busy_ns
         bus.transactions_completed += bus_transactions
         bus.bytes_transferred += bus_bytes
+        self.pci_card.last_result = result
+        self.mcu.requests_handled += 1
 
-        driver = self.driver
-        driver.calls += 1
-        driver.total_pci_ns += pci_ns
-        dma = self._dma
-        dma.jobs_completed += dma_jobs
-        dma.bytes_moved += dma_bytes
-        pci_card = self.pci_card
-        pci_card.commands_processed += commands_delta
-        pci_card.last_result = result
-
-        mcu = self.mcu
-        mcu.requests_handled += 1
-        if len(mcu.outcomes) < mcu.max_recorded_outcomes:
-            mcu.outcomes.append(outcome)
-        data_in = mcu.data_in
-        data_in.transfers += data_in_transfers
-        data_in.bytes_transferred += data_in_bytes
-        data_out = mcu.data_out
-        data_out.transfers += data_out_transfers
-        data_out.bytes_transferred += data_out_bytes
-
-        stats = self.minios.stats
-        stats.requests += 1
-        stats.hits += 1
+        self.minios.stats.hits += 1
 
         self.device.total_executions += 1
         loaded = self._loaded_get(function)
         if loaded is not None:
             loaded.executions += 1
 
-        self.copro.stats.record_hit_replay(
-            outcome,
-            function,
-            input_bytes,
-            output_bytes,
-            total_time_ns,
-            reconfig_time_ns,
-            execute_time_ns,
-            data_movement_ns,
-        )
+        self.copro.stats.record_hit_replay(function, total_time_ns)
 
         self.replays += 1
         return duration_ns

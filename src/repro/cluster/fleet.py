@@ -149,9 +149,9 @@ class Fleet:
         self.policy = (
             build_dispatch_policy(policy) if isinstance(policy, str) else policy
         )
-        # Policies carry per-fleet mutable state (rotation pointers, hit
-        # counters): sharing one instance across fleets would merge that
-        # state and silently break schedule determinism.
+        # Policies carry per-fleet mutable state (rotation pointers): sharing
+        # one instance across fleets would merge that state and silently
+        # break schedule determinism.
         if getattr(self.policy, "_fleet_bound", False):
             raise ValueError(
                 "dispatch policy instances hold per-fleet state; "
@@ -199,15 +199,10 @@ class Fleet:
                 recorder = card.driver.coprocessor.trace
                 recorder.enabled = True
                 card._obs_trace = recorder
-        if stats_mode == "sketch":
-            # Per-card latency recording follows the fleet into O(1) memory.
-            for card in self.cards:
-                card.driver.coprocessor.stats.use_sketch()
         #: True while a run's arrivals generator has requests left to deliver.
         self._arrivals_running = False
         # Fault tolerance (all off until enable_fault_tolerance/install_faults).
         self.heal_on_failure = False
-        self.injector = None
         # Rebalancing / defragmentation (PR 5; off until enabled).
         self.rebalancer = None
         #: Functions with a migration in flight (ordered, not yet released or
@@ -433,7 +428,6 @@ class Fleet:
                 # with ``hit is None``).
                 service_ns = card._card_clock._now - card_clock_before
                 card.busy_ns += service_ns
-                card.serve_failures += 1
                 if service_ns == 0:
                     card.outstanding -= 1
                     self._failover(request, card, "serve-failed", tried)
@@ -833,7 +827,6 @@ class Fleet:
 
     def install_faults(self, injector) -> None:
         """Attach a :class:`~repro.faults.injector.FaultInjector`'s processes."""
-        self.injector = injector
         for name, factory in injector.processes(self):
             self.add_service(name, factory)
 
@@ -908,7 +901,7 @@ class Fleet:
                 key=lambda card: (-card.free_frames, card.outstanding, card.index),
             )
             self.stats.record_heal_order(function, target.name, killed_at_ns)
-            self._enqueue(target, HealOrder(function, dead.name, killed_at_ns))
+            self._enqueue(target, HealOrder(function, killed_at_ns))
 
     def availability(self) -> float:
         """Capacity availability: 1 − card-downtime share of the service window.

@@ -87,12 +87,11 @@ class HealOrder(Order):
     """Re-resident-ize a dead card's function (best effort: a refused
     preload costs its card time and the function stays cold)."""
 
-    __slots__ = ("function", "failed_card", "killed_at_ns", "healed")
+    __slots__ = ("function", "killed_at_ns", "healed")
     span = _obs_names.SPAN_ORDER_HEAL
 
-    def __init__(self, function: str, failed_card: str, killed_at_ns: int) -> None:
+    def __init__(self, function: str, killed_at_ns: int) -> None:
         self.function = function
-        self.failed_card = failed_card
         self.killed_at_ns = killed_at_ns
         self.healed = False
 

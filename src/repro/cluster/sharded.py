@@ -113,10 +113,6 @@ class ShardedRunResult:
 
     stats: FleetStatistics
     shards: int
-    #: Global card indices hosted by each shard.
-    partitions: List[List[int]]
-    #: Per-shard ``Fleet.fingerprint()`` tuples (shard-local digests).
-    shard_fingerprints: List[tuple]
     #: Kernel events dispatched, summed over shards.
     events_dispatched: int = 0
     #: Epochs the shard that ran longest needed (its chunk count).
@@ -230,7 +226,6 @@ def _shard_worker(connection, config: ShardedRunConfig, card_indices: List[int])
             fleet.simulator.run(until_ns=horizon)
         snapshot = {
             "totals": fleet.stats.totals(),
-            "fingerprint": fleet.fingerprint(),
             "events_dispatched": fleet.simulator.events_dispatched,
             "epochs": horizon // epoch_ns,
             "card_summaries": fleet.card_summaries(),
@@ -330,8 +325,6 @@ def run_sharded(config: ShardedRunConfig, shards: int) -> ShardedRunResult:
     return ShardedRunResult(
         stats=merged,
         shards=shards,
-        partitions=partitions,
-        shard_fingerprints=[snapshot["fingerprint"] for snapshot in snapshots],
         events_dispatched=sum(snapshot["events_dispatched"] for snapshot in snapshots),
         epochs=max(snapshot["epochs"] for snapshot in snapshots),
         card_summaries=summaries,

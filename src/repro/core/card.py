@@ -48,7 +48,6 @@ class CoprocessorCard(PciDevice):
         self.coprocessor = coprocessor
         self.output_offset = WINDOW_BYTES // 2
         self.last_result: Optional[ExecutionResult] = None
-        self.commands_processed = 0
         interface.on_register_write(REG_COMMAND, self._on_command)
 
     # ---------------------------------------------------------------- hooks
@@ -71,7 +70,6 @@ class CoprocessorCard(PciDevice):
             CommandKind.DEFRAG: self._handle_defrag,
         }[kind]
         handler()
-        self.commands_processed += 1
 
     def _function_name(self) -> Optional[str]:
         function_id = self.interface.read_register(REG_FUNCTION_ID)

@@ -211,7 +211,7 @@ class AgileCoprocessor:
         started = self.clock.now
         outcome = self.mcu.handle_execute(name, data, future_requests=future_requests)
         latency = self.clock.now - started
-        self.stats.record(outcome, input_bytes=len(data))
+        self.stats.record(outcome)
         return ExecutionResult(
             function=name,
             output=outcome.output,
@@ -307,8 +307,7 @@ class AgileCoprocessor:
         return self.mcu.scrub(max_frames=max_frames)
 
     def reset(self) -> None:
-        """Clear the fabric, the mini OS and the statistics (keeps the ROM
-        and the statistics' latency mode)."""
+        """Clear the fabric, the mini OS and the statistics (keeps the ROM)."""
         self.mcu.reset()
         self.stats.reset()
 

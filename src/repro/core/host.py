@@ -31,14 +31,11 @@ from repro.pci.bus import PciBus
 
 @dataclass
 class HostCallResult:
-    """Result of one host-visible call, with the PCI costs broken out."""
+    """Result of one host-visible call."""
 
     function: str
     output: bytes
     card_result: Optional[ExecutionResult]
-    input_transfer_ns: int
-    output_transfer_ns: int
-    command_ns: int
     total_ns: int
 
 
@@ -53,8 +50,6 @@ class HostDriver:
         self.bus = bus
         self.bridge = bridge
         self.card = card
-        self.calls: int = 0
-        self.total_pci_ns: int = 0
         bridge.enumerate()
 
     # ------------------------------------------------------------ plumbing
@@ -66,35 +61,28 @@ class HostDriver:
     def clock(self):
         return self.bus.clock
 
-    def _write_input(self, data: bytes) -> int:
-        started = self.clock.now
+    def _write_input(self, data: bytes) -> None:
         if not data:
-            return 0
+            return
         if len(data) <= self.PIO_THRESHOLD_BYTES:
             self.bridge.write_window(self.card.name, 0, data)
         else:
             self.bridge.dma_to_card(self.card.name, 0, data)
-        return self.clock.now - started
 
-    def _read_output(self, length: int) -> tuple:
-        started = self.clock.now
+    def _read_output(self, length: int) -> bytes:
         if length == 0:
-            return b"", 0
+            return b""
         if length <= self.PIO_THRESHOLD_BYTES:
-            data = self.bridge.read_window(self.card.name, self.card.output_offset, length)
-        else:
-            data = self.bridge.dma_from_card(self.card.name, self.card.output_offset, length).data
-        return data, self.clock.now - started
+            return self.bridge.read_window(self.card.name, self.card.output_offset, length)
+        return self.bridge.dma_from_card(self.card.name, self.card.output_offset, length)
 
-    def _issue_command(self, kind: CommandKind, function_id: int, input_length: int) -> int:
-        started = self.clock.now
+    def _issue_command(self, kind: CommandKind, function_id: int, input_length: int) -> None:
         self.bridge.write_register(self.card.name, REG_FUNCTION_ID, function_id)
         self.bridge.write_register(self.card.name, REG_INPUT_LENGTH, input_length)
         self.bridge.write_register(self.card.name, REG_COMMAND, int(kind))
         status = self.bridge.read_register(self.card.name, REG_STATUS)
         if status != STATUS_OK:
             raise CoprocessorError(f"card returned status {status} for {kind.name}")
-        return self.clock.now - started
 
     # ------------------------------------------------------------------ API
     def download_bank(self) -> None:
@@ -107,26 +95,15 @@ class HostDriver:
             raise UnknownFunctionError(name)
         function = self.coprocessor.bank.by_name(name)
         started = self.clock.now
-        input_ns = self._write_input(data)
-        command_ns = self._issue_command(CommandKind.EXECUTE, function.function_id, len(data))
+        self._write_input(data)
+        self._issue_command(CommandKind.EXECUTE, function.function_id, len(data))
         output_length = self.bridge.read_register(self.card.name, REG_OUTPUT_LENGTH)
-        output, output_ns = self._read_output(output_length)
-        total = self.clock.now - started
-        # The command phase is synchronous: the card executes inside the
-        # register-write transaction, so subtract the card time to leave only
-        # the register/bus overhead in ``command_ns``.
-        if self.card.last_result is not None:
-            command_ns = max(0, command_ns - self.card.last_result.latency_ns)
-        self.calls += 1
-        self.total_pci_ns += input_ns + output_ns
+        output = self._read_output(output_length)
         return HostCallResult(
             function=name,
             output=output,
             card_result=self.card.last_result,
-            input_transfer_ns=input_ns,
-            output_transfer_ns=output_ns,
-            command_ns=command_ns,
-            total_ns=total,
+            total_ns=self.clock.now - started,
         )
 
     def preload(self, name: str) -> None:
@@ -162,8 +139,7 @@ class HostDriver:
         function = self.coprocessor.bank.by_name(name)
         self._issue_command(CommandKind.CAPTURE, function.function_id, 0)
         length = self.bridge.read_register(self.card.name, REG_OUTPUT_LENGTH)
-        blob, _ = self._read_output(length)
-        return blob
+        return self._read_output(length)
 
     def restore_function(self, name: str, blob: bytes) -> None:
         """RESTORE: make *name* resident from a migration blob.

@@ -39,7 +39,6 @@ class RequestRecord:
 class TraceResult:
     """Aggregate results of one trace run."""
 
-    trace_name: str
     engine_name: str
     records: List[RequestRecord] = field(default_factory=list)
     total_time_ns: int = 0
@@ -112,7 +111,7 @@ class TraceRunner:
         (only meaningful for the Belady replacement policy); engines that do
         not accept the keyword are called without it.
         """
-        result = TraceResult(trace_name=trace.name, engine_name=self.engine_name)
+        result = TraceResult(engine_name=self.engine_name)
         requests = trace.requests if limit is None else trace.requests[:limit]
         clock = getattr(self.engine, "clock", None)
         started_ns = clock.now if clock is not None else 0

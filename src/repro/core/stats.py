@@ -65,54 +65,27 @@ class ReservoirSampler:
         return sum(self.values) / len(self.values) if self.values else 0.0
 
 
-#: Latencies a reservoir-mode card keeps: past it, a uniform sample of the stream.
-MAX_RECORDED_LATENCIES = 100_000
-
-
 @dataclass
 class CoprocessorStatistics:
-    """Counters and per-phase time totals across every request served.
+    """Counters and time totals across every request served.
 
-    Latencies go to a seeded uniform sample of at most
-    :data:`MAX_RECORDED_LATENCIES` (``latency_mode`` ``"reservoir"``), or,
-    after :meth:`use_sketch`, to an O(1)-memory streaming quantile sketch — no
-    retained list, no RNG — for million-request runs.  :meth:`reset` keeps
-    the mode.
+    Latencies go to an O(1)-memory streaming quantile sketch: no retained
+    list, no RNG, the same on a ten-request test and a million-request run.
     """
 
     requests: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
     total_latency_ns: int = 0
     total_reconfig_ns: int = 0
-    total_execute_ns: int = 0
-    total_data_movement_ns: int = 0
     per_function_requests: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    per_function_latency_ns: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    latency_mode: str = field(default="reservoir", init=False)
 
     def __post_init__(self) -> None:
-        # The fixed seed keeps percentile results identical across runs and
-        # processes.
-        self._latency_sample = ReservoirSampler(MAX_RECORDED_LATENCIES, SeededRandom(0x51A7))
-        self._latency_sketch: Optional[StreamingQuantileSketch] = None
-
-    def use_sketch(self) -> None:
-        """Switch latency recording to the O(1)-memory sketch.
-
-        Only valid before the first request: mixing a half-filled reservoir
-        with a half-filled sketch would make the percentiles meaningless.
-        """
-        if self.requests:
-            raise ValueError("cannot switch latency mode after recording began")
-        self.latency_mode = "sketch"
         self._latency_sketch = StreamingQuantileSketch()
 
     # ------------------------------------------------------------- recording
-    def record(self, outcome: RequestOutcome, input_bytes: int) -> None:
+    def record(self, outcome: RequestOutcome) -> None:
         """Fold one request outcome into the aggregates."""
         self.requests += 1
         if outcome.hit:
@@ -120,56 +93,18 @@ class CoprocessorStatistics:
         else:
             self.misses += 1
         self.evictions += len(outcome.evictions)
-        self.bytes_in += input_bytes
-        self.bytes_out += len(outcome.output)
         self.total_latency_ns += outcome.total_time_ns
         self.total_reconfig_ns += outcome.reconfig_time_ns
-        self.total_execute_ns += outcome.execute_time_ns
-        self.total_data_movement_ns += (
-            outcome.stage_input_time_ns
-            + outcome.feed_time_ns
-            + outcome.collect_time_ns
-            + outcome.readout_time_ns
-        )
         self.per_function_requests[outcome.function] += 1
-        self.per_function_latency_ns[outcome.function] += outcome.total_time_ns
-        if self.latency_mode == "sketch":
-            self._latency_sketch.add(outcome.total_time_ns)
-        else:
-            self._latency_sample.add(outcome.total_time_ns)
+        self._latency_sketch.add(outcome.total_time_ns)
 
-    def record_hit_replay(
-        self,
-        outcome: RequestOutcome,
-        function: str,
-        input_bytes: int,
-        output_bytes: int,
-        total_time_ns: int,
-        reconfig_time_ns: int,
-        execute_time_ns: int,
-        data_movement_ns: int,
-    ) -> None:
-        """Fold a replayed clean hit (no evictions) — the memo fast path.
-
-        Equal to :meth:`record` for the same outcome: every addend is
-        precomputed once by the caller and the hit/no-eviction branch
-        outcomes are baked in.  Reservoir mode defers to :meth:`record`;
-        sketch mode — the million-request configuration — takes the
-        straight-line path.
-        """
-        if self.latency_mode != "sketch":
-            self.record(outcome, input_bytes)
-            return
+    def record_hit_replay(self, function: str, total_time_ns: int) -> None:
+        """Fold a replayed clean hit (no evictions, no reconfiguration) — the
+        memo fast path.  Equal to :meth:`record` for the same outcome."""
         self.requests += 1
         self.hits += 1
-        self.bytes_in += input_bytes
-        self.bytes_out += output_bytes
         self.total_latency_ns += total_time_ns
-        self.total_reconfig_ns += reconfig_time_ns
-        self.total_execute_ns += execute_time_ns
-        self.total_data_movement_ns += data_movement_ns
         self.per_function_requests[function] += 1
-        self.per_function_latency_ns[function] += total_time_ns
         self._latency_sketch.add(total_time_ns)
 
     # -------------------------------------------------------------- derived
@@ -186,32 +121,14 @@ class CoprocessorStatistics:
         return self.total_reconfig_ns / self.misses if self.misses else 0.0
 
     def latency_percentile(self, percentile: float) -> float:
-        """Latency percentile (0..100) over the sampled requests."""
-        if self.latency_mode == "sketch":
-            return self._latency_sketch.percentile(percentile)
-        return self._latency_sample.percentile(percentile)
+        """Latency percentile (0..100), within the sketch's relative error."""
+        return self._latency_sketch.percentile(percentile)
 
     def reset(self) -> None:
-        """Zero every counter and drop the latencies; the latency mode stays."""
-        sketch = self.latency_mode == "sketch"
+        """Zero every counter and drop the latencies."""
         self.__init__()  # type: ignore[misc]
-        if sketch:
-            self.use_sketch()
 
     # ------------------------------------------------------------ reporting
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary used by the analysis/report helpers."""
-        return {
-            "requests": float(self.requests),
-            "hit_rate": self.hit_rate,
-            "evictions": float(self.evictions),
-            "mean_latency_ns": self.mean_latency_ns,
-            "p95_latency_ns": self.latency_percentile(95),
-            "mean_reconfig_ns": self.mean_reconfig_ns,
-            "total_execute_ns": self.total_execute_ns,
-            "total_data_movement_ns": self.total_data_movement_ns,
-        }
-
     def describe(self) -> str:
         lines = [
             f"requests           : {self.requests}",

@@ -14,9 +14,6 @@ so hazard counting never perturbs results or schedules; it only observes.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict
-
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.frame import FrameRegion
 
@@ -28,8 +25,6 @@ class FrameHazardDetector:
         self.memory = memory
         self.checks = 0
         self.hazard_executions = 0
-        self.per_function: Dict[str, int] = defaultdict(int)
-        self.last_was_hazard = False
 
     def observe_execution(self, name: str, region: FrameRegion) -> bool:
         """Record one execution of *name*; True when a frame was corrupt."""
@@ -38,17 +33,12 @@ class FrameHazardDetector:
         for address in region:
             if not frames[address].crc_ok:
                 self.hazard_executions += 1
-                self.per_function[name] += 1
-                self.last_was_hazard = True
                 return True
-        self.last_was_hazard = False
         return False
 
     def reset(self) -> None:
         self.checks = 0
         self.hazard_executions = 0
-        self.per_function.clear()
-        self.last_was_hazard = False
 
     def describe(self) -> str:
         return (

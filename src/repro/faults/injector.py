@@ -19,8 +19,7 @@ kill/degrade entry points) so this module never imports :mod:`repro.cluster`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults.spec import FaultSpec
 from repro.fpga.config_memory import ConfigurationMemory
@@ -35,17 +34,15 @@ class FaultInjector:
         self.spec = spec
         root = SeededRandom(spec.seed)
         # Independent sub-streams per fault class: varying the upset rate in
-        # a sweep must not perturb the kill/stall schedules and vice versa.
+        # a sweep must not perturb the stall schedule and vice versa (kills
+        # are scheduled, not drawn).
         self._upset_rng = root.fork("upsets")
         self._port_rng = root.fork("port-faults")
-        self._kill_rng = root.fork("card-kills")
         self.upsets = 0
-        self.bits_flipped = 0
         self.effective_upsets = 0
         self.masked_upsets = 0
         self.port_faults = 0
         self.cards_killed = 0
-        self.per_card_upsets: Dict[str, int] = defaultdict(int)
 
     # ----------------------------------------------------------- manual face
     def upset_memory(
@@ -71,7 +68,6 @@ class FaultInjector:
         bits = spec.burst_bits if spec.process == "burst" else 1
         changed = memory.corrupt_bit(address, bit_index, bits=bits)
         self.upsets += 1
-        self.bits_flipped += bits
         if changed:
             self.effective_upsets += 1
         else:
@@ -119,7 +115,6 @@ class FaultInjector:
             card = cards[rng.integer(0, len(cards) - 1)]
             memory = card.driver.coprocessor.device.memory
             address, changed = self.upset_memory(memory, rng=rng)
-            self.per_card_upsets[card.name] += 1
             fleet.record_fault_event(
                 "upset", card.name, frame=str(address), effective=changed
             )

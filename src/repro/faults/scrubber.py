@@ -35,11 +35,9 @@ class ScrubStatistics:
 
     passes: int = 0
     frames_checked: int = 0
-    bytes_checked: int = 0
     detected: int = 0
     corrected: int = 0
     uncorrectable: int = 0
-    scrub_time_ns: int = 0
 
 
 @dataclass
@@ -76,12 +74,10 @@ class Scrubber:
     def scrub_frame(self, address) -> bool:
         """Check (and repair if needed) one frame; True when repaired."""
         frame = self.memory.frames[address]
-        length = frame.config_byte_length
         self.clock.advance(
-            self.domain.cycles_to_ns(CHECK_CYCLES_PER_BYTE * length)
+            self.domain.cycles_to_ns(CHECK_CYCLES_PER_BYTE * frame.config_byte_length)
         )
         self.stats.frames_checked += 1
-        self.stats.bytes_checked += length
         if frame.crc_ok:
             return False
         self.stats.detected += 1
@@ -114,7 +110,6 @@ class Scrubber:
         result.corrected = self.stats.corrected - corrected_before
         result.uncorrectable = self.stats.uncorrectable - uncorrectable_before
         result.elapsed_ns = self.clock.now - started
-        self.stats.scrub_time_ns += result.elapsed_ns
         return result
 
     # -------------------------------------------------------- demand scrub

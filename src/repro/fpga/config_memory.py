@@ -40,8 +40,6 @@ class ConfigurationMemory:
         self._flat_order: Dict[FrameAddress, int] = {
             address: index for index, address in enumerate(all_frames)
         }
-        self.total_frame_writes = 0
-        self.total_bytes_written = 0
 
     # ------------------------------------------------------------ ownership
     def _set_owner(self, address: FrameAddress, owner: Optional[str]) -> None:
@@ -152,8 +150,6 @@ class ConfigurationMemory:
         frame.load_config_bytes(data)
         if owner is not None:
             self._set_owner(address, owner)
-        self.total_frame_writes += 1
-        self.total_bytes_written += len(data)
         return frame
 
     def clear_frame(self, address: FrameAddress) -> None:

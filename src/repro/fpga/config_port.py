@@ -28,24 +28,9 @@ FRAME_SETUP_CYCLES = 12
 class PortStatistics:
     """Counters the configuration port accumulates over its lifetime."""
 
-    sessions: int = 0
     frames_written: int = 0
     bytes_written: int = 0
     busy_time_ns: int = 0
-    crc_failures: int = 0
-    stall_events: int = 0
-    stalled_time_ns: int = 0
-    wedge_events: int = 0
-
-    def reset(self) -> None:
-        self.sessions = 0
-        self.frames_written = 0
-        self.bytes_written = 0
-        self.busy_time_ns = 0
-        self.crc_failures = 0
-        self.stall_events = 0
-        self.stalled_time_ns = 0
-        self.wedge_events = 0
 
 
 class ConfigurationPort:
@@ -100,9 +85,7 @@ class ConfigurationPort:
         port's own state machine).  Functions already on the fabric keep
         executing — only *re*configuration is lost.
         """
-        if not self.wedged:
-            self.wedged = True
-            self.stats.wedge_events += 1
+        self.wedged = True
 
     def unwedge(self) -> None:
         self.wedged = False
@@ -112,7 +95,6 @@ class ConfigurationPort:
         if duration_ns < 0:
             raise ValueError("a stall cannot run backwards")
         self._pending_stall_ns += duration_ns
-        self.stats.stall_events += 1
 
     # ------------------------------------------------------------- sessions
     @property
@@ -132,13 +114,11 @@ class ConfigurationPort:
         if self._pending_stall_ns:
             stall = self._pending_stall_ns
             self._pending_stall_ns = 0
-            self.stats.stalled_time_ns += stall
             self.stats.busy_time_ns += stall
             self.clock.advance(stall)
         self._session_owner = owner
         self._session_crc = IncrementalCrc32()
         self._session_frames = []
-        self.stats.sessions += 1
 
     def write_frame(self, address: FrameAddress, payload: bytes) -> float:
         """Write one frame within the open session; returns the time spent."""
@@ -178,7 +158,6 @@ class ConfigurationPort:
         self._session_crc = None
         self._session_frames = []
         if expected_crc is not None and computed != expected_crc:
-            self.stats.crc_failures += 1
             for address in frames:
                 self.memory.clear_frame(address)
             raise ConfigurationError(

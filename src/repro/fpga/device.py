@@ -39,7 +39,6 @@ class LoadedFunction:
     executor: FunctionExecutor
     loaded_at_ns: int
     executions: int = 0
-    total_cycles: int = 0
     #: I/O metadata copied from the configuring bit-stream's header, so a
     #: readback capture can rebuild a relocatable bit-stream without
     #: consulting the function bank.
@@ -76,11 +75,7 @@ class FPGADevice:
         )
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._loaded: Dict[str, LoadedFunction] = {}
-        self.total_configurations = 0
-        self.total_partial_configurations = 0
         self.total_executions = 0
-        self.total_captures = 0
-        self.total_relocations = 0
         #: Optional fault-tolerance hooks (see :mod:`repro.faults`): a golden
         #: image store capturing each region's clean readback at configure
         #: time, and a hazard detector consulted on every execute.  Both
@@ -108,6 +103,25 @@ class FPGADevice:
         return self.memory.unowned_frames()
 
     # -------------------------------------------------------- configuration
+    def _bind(
+        self, bitstream: Bitstream, region: FrameRegion, executor: FunctionExecutor
+    ) -> None:
+        """Bind *executor* to the freshly written *region* and, on a protected
+        device, capture the region's clean readback as golden."""
+        header = bitstream.header
+        self._loaded[header.function_name] = LoadedFunction(
+            name=header.function_name,
+            function_id=header.function_id,
+            region=region,
+            executor=executor,
+            loaded_at_ns=self.clock.now,
+            input_bytes=header.input_bytes,
+            output_bytes=header.output_bytes,
+            lut_count=header.lut_count,
+        )
+        if self.golden is not None:
+            self.golden.capture(region, [self.memory.read_frame(a) for a in region])
+
     def configure_partial(
         self,
         bitstream: Bitstream,
@@ -147,20 +161,7 @@ class FPGADevice:
             self.port.abort_session()
             self.memory.release(region, owner=name)
             raise
-        self._loaded[name] = LoadedFunction(
-            name=name,
-            function_id=bitstream.header.function_id,
-            region=region,
-            executor=executor,
-            loaded_at_ns=self.clock.now,
-            input_bytes=bitstream.header.input_bytes,
-            output_bytes=bitstream.header.output_bytes,
-            lut_count=bitstream.header.lut_count,
-        )
-        if self.golden is not None:
-            self.golden.capture(region, [self.memory.read_frame(a) for a in region])
-        self.total_configurations += 1
-        self.total_partial_configurations += 1
+        self._bind(bitstream, region, executor)
         elapsed = self.clock.now - started
         self.trace.record("fpga", "configure_partial", started, self.clock.now, function=name, frames=len(region))
         return elapsed
@@ -200,21 +201,9 @@ class FPGADevice:
         if blank_addresses:
             self.memory.release(FrameRegion.from_addresses(blank_addresses))
         self.memory.claim(region, name)
-        self._loaded[name] = LoadedFunction(
-            name=name,
-            function_id=bitstream.header.function_id,
-            region=region,
-            executor=executor,
-            loaded_at_ns=self.clock.now,
-            input_bytes=bitstream.header.input_bytes,
-            output_bytes=bitstream.header.output_bytes,
-            lut_count=bitstream.header.lut_count,
-        )
-        if self.golden is not None:
-            self.golden.capture(region, [self.memory.read_frame(a) for a in region])
-            if blank_addresses:
-                self.golden.release(FrameRegion.from_addresses(blank_addresses))
-        self.total_configurations += 1
+        self._bind(bitstream, region, executor)
+        if self.golden is not None and blank_addresses:
+            self.golden.release(FrameRegion.from_addresses(blank_addresses))
         elapsed = self.clock.now - started
         self.trace.record("fpga", "configure_full", started, self.clock.now, function=name)
         return elapsed
@@ -260,12 +249,21 @@ class FPGADevice:
         elapsed = self.fabric_domain.cycles_to_ns(cycles)
         self.clock.advance(elapsed)
         loaded.executions += 1
-        loaded.total_cycles += cycles
         self.total_executions += 1
         self.trace.record("fpga", "execute", started, self.clock.now, function=name, cycles=cycles)
         return output, elapsed
 
     # ----------------------------------------------------------- relocation
+    def _timed_readback(self, region: FrameRegion) -> List[bytes]:
+        """Read *region*'s frames back, each charged at the configuration
+        port's transfer rate (SelectMAP-style readback runs at write speed)."""
+        payloads = []
+        for address in region:
+            payload = self.memory.read_frame(address)
+            self.clock.advance(self.port.write_time_ns(len(payload)))
+            payloads.append(payload)
+        return payloads
+
     def capture_function(self, name: str) -> Bitstream:
         """Readback-capture *name* into a relocatable bit-stream.
 
@@ -280,11 +278,7 @@ class FPGADevice:
         except KeyError:
             raise ExecutionError(f"cannot capture {name!r}: it is not loaded") from None
         started = self.clock.now
-        payloads = []
-        for address in loaded.region:
-            payload = self.memory.read_frame(address)
-            self.clock.advance(self.port.write_time_ns(len(payload)))
-            payloads.append(payload)
+        payloads = self._timed_readback(loaded.region)
         from repro.bitstream.format import build_bitstream
 
         bitstream = build_bitstream(
@@ -295,7 +289,6 @@ class FPGADevice:
             output_bytes=loaded.output_bytes,
             lut_count=loaded.lut_count,
         )
-        self.total_captures += 1
         self.trace.record(
             "fpga", "capture", started, self.clock.now, function=name, frames=len(payloads)
         )
@@ -334,11 +327,7 @@ class FPGADevice:
                 f"configuration port is wedged; cannot relocate {name!r}"
             )
         started = self.clock.now
-        payloads = []
-        for address in old_region:
-            payload = self.memory.read_frame(address)
-            self.clock.advance(self.port.write_time_ns(len(payload)))
-            payloads.append(payload)
+        payloads = self._timed_readback(old_region)
         from repro.bitstream.crc import crc32
 
         expected = 0
@@ -366,7 +355,6 @@ class FPGADevice:
             if stale:
                 self.golden.release(stale)
             self.golden.capture(new_region, payloads)
-        self.total_relocations += 1
         elapsed = self.clock.now - started
         self.trace.record(
             "fpga",

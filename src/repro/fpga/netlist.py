@@ -14,7 +14,7 @@ reconfiguration latency.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fpga.lut import LookUpTable
@@ -53,11 +53,10 @@ class Cell:
 
 @dataclass
 class Net:
-    """A named signal with one driver and any number of sinks."""
+    """A named signal and the cell that drives it."""
 
     name: str
     driver: Optional[str] = None
-    sinks: List[str] = field(default_factory=list)
 
 
 class Netlist:
@@ -87,7 +86,6 @@ class Netlist:
             raise ValueError(f"cannot mark unknown net {net_name!r} as an output")
         cell_name = f"out:{net_name}"
         self.cells[cell_name] = Cell(cell_name, CellKind.OUTPUT, fanin=(net_name,))
-        self.nets[net_name].sinks.append(cell_name)
         self.outputs.append(net_name)
         return net_name
 
@@ -113,8 +111,7 @@ class Netlist:
         net = self.nets.setdefault(out_net, Net(out_net))
         net.driver = name
         for source in fanin:
-            source_net = self.nets.setdefault(source, Net(source))
-            source_net.sinks.append(name)
+            self.nets.setdefault(source, Net(source))
         return out_net
 
     # -------------------------------------------------------------- queries

@@ -47,7 +47,6 @@ class CellSite:
 class Placement:
     """Result of placing a netlist: the region plus per-cell sites."""
 
-    netlist_name: str
     region: FrameRegion
     sites: Dict[str, CellSite] = field(default_factory=dict)
 
@@ -128,7 +127,7 @@ class Placer:
         needed = frames_needed if frames_needed is not None else self.frames_required(netlist)
         chosen = self.choose_frames(needed, free_frames)
         region = FrameRegion.from_addresses(chosen)
-        placement = Placement(netlist_name=netlist.name, region=region)
+        placement = Placement(region=region)
         lut_cells = sorted(netlist.lut_cells, key=lambda cell: cell.name)
         capacity = needed * self.geometry.luts_per_frame
         if len(lut_cells) > capacity:

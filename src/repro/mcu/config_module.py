@@ -14,14 +14,16 @@ The module therefore has two timed phases per reconfiguration:
 
 With ``overlap_decompress=True`` the module models a pipelined implementation
 in which decompression of window *i+1* proceeds while window *i* is being
-written: the total time is then bounded by the slower of the two phases plus
-one window of fill latency, instead of their sum.  E2 uses both settings.
+written: the report's total is then bounded by the slower of the two phases
+plus one window of fill latency, instead of their sum.  Only the report sees
+the overlap — the clock, and so the request's ``reconfig_time_ns``, still
+advances through both phases in sequence.  E2 uses both settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.bitstream.format import Bitstream, parse_bitstream
 from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
@@ -37,17 +39,10 @@ from repro.sim.trace import TraceRecorder
 
 @dataclass
 class ReconfigurationReport:
-    """Timing breakdown of one on-demand reconfiguration."""
+    """What one on-demand reconfiguration wrote and how long it took."""
 
-    function: str
     frames: int
-    compressed_bytes: int
-    uncompressed_bytes: int
-    rom_time_ns: int = 0
-    decompress_time_ns: int = 0
-    config_time_ns: int = 0
-    total_time_ns: int = 0
-    overlapped: bool = False
+    total_time_ns: int
 
 
 class ConfigurationModule:
@@ -76,7 +71,6 @@ class ConfigurationModule:
         self.rom_chunk_bytes = rom_chunk_bytes
         self.overlap_decompress = overlap_decompress
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.reports: List[ReconfigurationReport] = []
         # blob -> parsed CompressedImage; repeated reconfigurations of the
         # same function re-read the ROM (timed) but skip re-parsing and
         # re-CRC-checking an image already seen.
@@ -251,29 +245,13 @@ class ConfigurationModule:
         if self.overlap_decompress:
             # A pipelined configuration module hides the shorter of the two
             # streaming phases behind the longer one (one window of fill
-            # latency remains).  Rewind the clock to model the overlap.
+            # latency remains).  Only the report sees the saving: the clock
+            # has already advanced through both phases in sequence and is
+            # never wound back, so the caller's clock-delta
+            # ``reconfig_time_ns`` keeps the sequential time.
             window_fill = round(decompress_time / max(1, image.window_count))
-            overlapped_total = rom_time + max(decompress_time, config_time) + window_fill
-            saved = total - overlapped_total
-            if saved > 0:
-                # The clock cannot run backwards; account the saving by
-                # reporting the overlapped total and advancing only to it on
-                # the *next* operation.  Since every caller uses the report's
-                # total (not raw clock deltas) for latency metrics, reporting
-                # is sufficient; the clock keeps the conservative estimate.
-                total = overlapped_total
-        report = ReconfigurationReport(
-            function=name,
-            frames=len(region),
-            compressed_bytes=image.stored_length,
-            uncompressed_bytes=image.original_length,
-            rom_time_ns=rom_time,
-            decompress_time_ns=decompress_time,
-            config_time_ns=config_time,
-            total_time_ns=total,
-            overlapped=self.overlap_decompress,
-        )
-        self.reports.append(report)
+            total = min(total, rom_time + max(decompress_time, config_time) + window_fill)
+        report = ReconfigurationReport(frames=len(region), total_time_ns=total)
         self.trace.record(
             "config-module",
             "reconfigure",

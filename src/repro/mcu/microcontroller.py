@@ -86,9 +86,6 @@ class Microcontroller:
         self.command_decode_cycles = command_decode_cycles
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.requests_handled = 0
-        self.outcomes: List[RequestOutcome] = []
-        #: Cap kept so long traces do not grow memory without bound.
-        self.max_recorded_outcomes = 10_000
         #: Demand scrubbing ("readback-before-use"): when True and a scrubber
         #: service is registered, every execute first scrubs the function's
         #: region — the hazard window closes completely, every request pays
@@ -282,7 +279,7 @@ class Microcontroller:
 
         try:
             feed_started = self.clock.now
-            payload, _ = self.data_in.feed(input_allocation, len(data))
+            payload = self.data_in.feed(input_allocation, len(data))
             outcome.feed_time_ns = self.clock.now - feed_started
 
             execute_started = self.clock.now
@@ -305,8 +302,6 @@ class Microcontroller:
         outcome.output = result
         outcome.total_time_ns = self.clock.now - started
         self.requests_handled += 1
-        if len(self.outcomes) < self.max_recorded_outcomes:
-            self.outcomes.append(outcome)
         self.trace.record(
             "mcu",
             "execute",

@@ -45,7 +45,6 @@ class DefragStatistics:
     moves: int = 0
     frames_moved: int = 0
     blocked_moves: int = 0
-    defrag_time_ns: int = 0
 
 
 @dataclass
@@ -54,10 +53,7 @@ class DefragPassResult:
 
     moves: int = 0
     frames_moved: int = 0
-    fragmentation_before: float = 0.0
     fragmentation_after: float = 0.0
-    largest_run_before: int = 0
-    largest_run_after: int = 0
     elapsed_ns: int = 0
 
 
@@ -145,10 +141,7 @@ class Defragmenter:
 
     def defrag_pass(self, max_moves: Optional[int] = None) -> DefragPassResult:
         """Run one compaction pass (bounded to *max_moves* relocations)."""
-        result = DefragPassResult(
-            fragmentation_before=self.fragmentation(),
-            largest_run_before=self.minios.free_frames.largest_contiguous_run(),
-        )
+        result = DefragPassResult()
         started = self.clock.now
         budget = max_moves if max_moves is not None else float("inf")
         progress = True
@@ -163,9 +156,7 @@ class Defragmenter:
                     progress = True
         result.elapsed_ns = self.clock.now - started
         result.fragmentation_after = self.fragmentation()
-        result.largest_run_after = self.minios.free_frames.largest_contiguous_run()
         self.stats.passes += 1
-        self.stats.defrag_time_ns += result.elapsed_ns
         return result
 
     # ------------------------------------------------------------ reporting

@@ -19,7 +19,6 @@ class EvictionDecision:
     """The plan for bringing one function onto the fabric."""
 
     function: str
-    frames_needed: int
     hit: bool
     evictions: List[str] = field(default_factory=list)
     region: Optional[FrameRegion] = None
@@ -29,16 +28,10 @@ class EvictionDecision:
 class MiniOsStatistics:
     """Counters the mini OS keeps across a run."""
 
-    requests: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     frames_evicted: int = 0
-    capacity_failures: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
 
 
 class MiniOs:
@@ -110,32 +103,26 @@ class MiniOs:
         :class:`~repro.mcu.minios.policies.CapacityError` when the fabric can
         never host the function.
         """
-        self.stats.requests += 1
         if frames_needed > self.geometry.frame_count:
-            self.stats.capacity_failures += 1
             raise CapacityError(
                 f"{name!r} needs {frames_needed} frames but the device only has "
                 f"{self.geometry.frame_count}"
             )
         if self.is_resident(name):
             self.stats.hits += 1
-            return EvictionDecision(function=name, frames_needed=frames_needed, hit=True)
+            return EvictionDecision(function=name, hit=True)
 
         self.stats.misses += 1
         protect = set(protect or set())
         protect.add(name)
-        try:
-            victims = self.policy.select_victims(
-                self.table,
-                frames_needed,
-                self.free_frames.free_count,
-                now_ns,
-                protect=protect,
-                future_requests=future_requests,
-            )
-        except CapacityError:
-            self.stats.capacity_failures += 1
-            raise
+        victims = self.policy.select_victims(
+            self.table,
+            frames_needed,
+            self.free_frames.free_count,
+            now_ns,
+            protect=protect,
+            future_requests=future_requests,
+        )
         # Frames available once the victims are gone.
         candidate_frames = list(self.free_frames.as_list())
         for victim in victims:
@@ -145,7 +132,6 @@ class MiniOs:
         )
         return EvictionDecision(
             function=name,
-            frames_needed=frames_needed,
             hit=False,
             evictions=[victim.name for victim in victims],
             region=region,

@@ -22,7 +22,6 @@ class FrameReplacementEntry:
     loaded_at_ns: int
     last_access_ns: int
     access_count: int = 0
-    load_count: int = 1
 
     @property
     def frame_count(self) -> int:
@@ -86,9 +85,7 @@ class FrameReplacementTable:
 
     def record_reload(self, name: str, now_ns: int) -> None:
         """An already-resident function was reloaded (e.g. after relocation)."""
-        entry = self.entry(name)
-        entry.loaded_at_ns = now_ns
-        entry.load_count += 1
+        self.entry(name).loaded_at_ns = now_ns
 
     def clear(self) -> None:
         self._entries.clear()

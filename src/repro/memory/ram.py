@@ -46,10 +46,6 @@ class LocalRam:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._data = bytearray(capacity_bytes)
         self._allocations: Dict[str, RamAllocation] = {}
-        self.total_reads = 0
-        self.total_writes = 0
-        self.total_bytes_moved = 0
-        self.peak_bytes_allocated = 0
 
     # ------------------------------------------------------------ allocator
     @property
@@ -87,7 +83,6 @@ class LocalRam:
             )
         allocation = RamAllocation(label=label, address=cursor, length=length)
         self._allocations[label] = allocation
-        self.peak_bytes_allocated = max(self.peak_bytes_allocated, self.bytes_allocated)
         return allocation
 
     def free(self, label: str) -> None:
@@ -110,8 +105,6 @@ class LocalRam:
         self.clock.advance(elapsed)
         address = allocation.address + offset
         self._data[address : address + len(data)] = data
-        self.total_writes += 1
-        self.total_bytes_moved += len(data)
         self.trace.record("ram", "write", started, self.clock.now, label=allocation.label, length=len(data))
         return elapsed
 
@@ -127,8 +120,6 @@ class LocalRam:
         elapsed = RAM_TIMING.transfer_time_ns(length)
         self.clock.advance(elapsed)
         address = allocation.address + offset
-        self.total_reads += 1
-        self.total_bytes_moved += length
         self.trace.record("ram", "read", started, self.clock.now, label=allocation.label, length=length)
         return bytes(self._data[address : address + length])
 

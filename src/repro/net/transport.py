@@ -197,7 +197,6 @@ class Transport:
         # facts, so it writes them where they happen.
         instrument = stats.registry.get
         self._requests = instrument(_obs_names.METRIC_NET_REQUESTS)
-        self._requests_by_priority = instrument(_obs_names.METRIC_NET_REQUESTS_BY_PRIORITY)
         self._attempts = instrument(_obs_names.METRIC_NET_ATTEMPTS)
         self._retries = instrument(_obs_names.METRIC_NET_RETRIES)
         self._timeouts = instrument(_obs_names.METRIC_NET_TIMEOUTS)
@@ -218,7 +217,7 @@ class Transport:
         if request.request_id in self._pending:
             raise ValueError(f"duplicate request_id {request.request_id}")
         self._requests.value += 1
-        self._requests_by_priority[request.priority] += 1
+        self.stats.per_priority_requests[request.priority] += 1
         pending = _Pending(request, on_done)
         pending.first_send_ns = self.clock._now
         tracer = self.tracer

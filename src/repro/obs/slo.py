@@ -263,7 +263,6 @@ class SloEngine:
             if spec.name in seen:
                 raise ValueError(f"duplicate SLO name {spec.name!r}")
             seen.add(spec.name)
-        self.specs = specs
         self._fleet_states = [
             _SloState(spec) for spec in specs if spec.source == SOURCE_FLEET
         ]

@@ -82,7 +82,7 @@ class HostBridge:
         return self.bus.read(address, length)
 
     # ------------------------------------------------------------------ DMA
-    def dma_to_card(self, device_name: str, offset: int, payload: bytes):
+    def dma_to_card(self, device_name: str, offset: int, payload: bytes) -> None:
         """DMA a host buffer into the card's data window."""
         descriptor = DmaDescriptor(
             card_address=self.window_base(device_name) + offset,
@@ -90,9 +90,9 @@ class HostBridge:
             to_card=True,
             host_buffer=payload,
         )
-        return self.dma.transfer(descriptor)
+        self.dma.transfer(descriptor)
 
-    def dma_from_card(self, device_name: str, offset: int, length: int):
+    def dma_from_card(self, device_name: str, offset: int, length: int) -> bytes:
         """DMA from the card's data window into a host buffer."""
         descriptor = DmaDescriptor(
             card_address=self.window_base(device_name) + offset,

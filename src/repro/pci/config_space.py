@@ -19,7 +19,6 @@ class BaseAddressRegister:
     index: int
     size_bytes: int
     base_address: int = 0
-    prefetchable: bool = False
 
     def __post_init__(self) -> None:
         if self.index < 0 or self.index > 5:

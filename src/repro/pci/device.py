@@ -76,7 +76,7 @@ class PciDevice(PciDeviceProtocol):
         self.config_space = PciConfigSpace(
             bars=[
                 BaseAddressRegister(0, REGISTER_BAR_SIZE),
-                BaseAddressRegister(1, window_bar_size, prefetchable=True),
+                BaseAddressRegister(1, window_bar_size),
             ]
         )
 

@@ -34,16 +34,6 @@ class DmaDescriptor:
             raise ValueError("host buffer length must match the descriptor length")
 
 
-@dataclass
-class DmaCompletion:
-    """Result of one DMA job."""
-
-    descriptor: DmaDescriptor
-    data: bytes
-    transactions: int
-    elapsed_ns: int
-
-
 class DmaEngine:
     """Splits DMA jobs into burst transactions on the PCI bus."""
 
@@ -52,15 +42,12 @@ class DmaEngine:
             raise ValueError("maximum burst size must be positive")
         self.bus = bus
         self.max_burst_bytes = max_burst_bytes
-        self.jobs_completed = 0
-        self.bytes_moved = 0
 
-    def transfer(self, descriptor: DmaDescriptor) -> DmaCompletion:
-        """Run one DMA job to completion; returns data read (card->host jobs)."""
-        started = self.bus.clock.now
+    def transfer(self, descriptor: DmaDescriptor) -> bytes:
+        """Run one DMA job to completion; returns the data read (``b""`` for
+        a host->card job)."""
         # Descriptor fetch / doorbell overhead.
         self.bus.clock.advance(SETUP_TIME_NS)
-        transactions = 0
         collected = bytearray()
         offset = 0
         while offset < descriptor.length:
@@ -76,13 +63,5 @@ class DmaEngine:
                     PciTransaction(TransactionKind.MEMORY_READ, address, burst)
                 )
                 collected.extend(transaction.payload)
-            transactions += 1
             offset += burst
-        self.jobs_completed += 1
-        self.bytes_moved += descriptor.length
-        return DmaCompletion(
-            descriptor=descriptor,
-            data=bytes(collected),
-            transactions=transactions,
-            elapsed_ns=self.bus.clock.now - started,
-        )
+        return bytes(collected)

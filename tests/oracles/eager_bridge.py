@@ -70,24 +70,10 @@ class EagerServeMemo(ServeMemo):
             touches,
             events,
             busy_ns,
-            pci_ns,
             bus_transactions,
             bus_bytes,
-            dma_jobs,
-            dma_bytes,
-            commands_delta,
-            data_in_transfers,
-            data_in_bytes,
-            data_out_transfers,
-            data_out_bytes,
             result,
-            outcome,
-            input_bytes,
-            output_bytes,
             total_time_ns,
-            reconfig_time_ns,
-            execute_time_ns,
-            data_movement_ns,
         ) = entry
 
         clock = self.clock
@@ -103,47 +89,17 @@ class EagerServeMemo(ServeMemo):
         bus.busy_time_ns += busy_ns
         bus.transactions_completed += bus_transactions
         bus.bytes_transferred += bus_bytes
+        self.pci_card.last_result = result
+        self.mcu.requests_handled += 1
 
-        driver = self.driver
-        driver.calls += 1
-        driver.total_pci_ns += pci_ns
-        dma = self._dma
-        dma.jobs_completed += dma_jobs
-        dma.bytes_moved += dma_bytes
-        pci_card = self.pci_card
-        pci_card.commands_processed += commands_delta
-        pci_card.last_result = result
-
-        mcu = self.mcu
-        mcu.requests_handled += 1
-        if len(mcu.outcomes) < mcu.max_recorded_outcomes:
-            mcu.outcomes.append(outcome)
-        data_in = mcu.data_in
-        data_in.transfers += data_in_transfers
-        data_in.bytes_transferred += data_in_bytes
-        data_out = mcu.data_out
-        data_out.transfers += data_out_transfers
-        data_out.bytes_transferred += data_out_bytes
-
-        stats = self.minios.stats
-        stats.requests += 1
-        stats.hits += 1
+        self.minios.stats.hits += 1
 
         self.device.total_executions += 1
         loaded = self._loaded_get(function)
         if loaded is not None:
             loaded.executions += 1
 
-        self.copro.stats.record_hit_replay(
-            outcome,
-            function,
-            input_bytes,
-            output_bytes,
-            total_time_ns,
-            reconfig_time_ns,
-            execute_time_ns,
-            data_movement_ns,
-        )
+        self.copro.stats.record_hit_replay(function, total_time_ns)
 
         self.replays += 1
         return duration_ns
@@ -275,7 +231,6 @@ def worker(self, card: FleetCard, store: Store):
             # handing the request back to the dispatcher.
             failed_ns = card_clock._now - card_clock_before
             card.busy_ns += failed_ns
-            card.serve_failures += 1
             if card_trace is not None:
                 del card_trace.events[mark:]
             if failed_ns > 0:

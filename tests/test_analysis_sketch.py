@@ -147,7 +147,6 @@ class TestWindowedTimeSeries:
         for step in range(100):
             series.record(step * 10.0)
         assert len(series._windows) == 4
-        assert series.dropped_windows == 96
         assert series.total_count == 100
 
     def test_monotone_cache_matches_dict_path(self):
@@ -172,7 +171,6 @@ class TestWindowedTimeSeries:
         # point at the orphan.
         series.record(0.0)
         assert series.total_count == 3
-        assert series.dropped_windows == 1
         assert sorted(series._windows) == [50, 60]
         series.record(600.0)  # must not resurrect the orphan row
         assert series._windows[60] == [2.0, 2.0]

@@ -26,8 +26,8 @@ class TestHostOnlyEngine:
         data = bytes(range(32))
         result = engine.execute("crc32", data)
         assert result.output == bank.by_name("crc32").behaviour(data)
-        assert result.hit and not result.offloaded
-        assert result.latency_ns > 0
+        assert result.hit
+        assert result.breakdown == {"software": result.latency_ns} and result.latency_ns > 0
 
     def test_latency_scales_with_input_and_slowdown(self, bank):
         engine = HostOnlyEngine(bank, software_slowdown=20.0)
@@ -53,7 +53,7 @@ class TestFullReconfigEngine:
         assert repeat.breakdown["full_device_penalty"] == 0
         switch = full.execute("parity32", bytes(4))
         assert not switch.hit
-        assert full.full_reconfigurations == 2
+        assert switch.breakdown["full_device_penalty"] > 0
 
     def test_only_one_function_resident(self, bank, config):
         full = FullReconfigEngine(config, bank)
@@ -72,9 +72,8 @@ class TestStaticFixedEngine:
         static = StaticFixedEngine(config, bank, resident_functions=["crc32", "adder8"])
         offloaded = static.execute("crc32", b"xyz")
         fallback = static.execute("parity32", bytes(4))
-        assert offloaded.offloaded and offloaded.hit
-        assert not fallback.offloaded
-        assert static.offloaded_calls == 1 and static.fallback_calls == 1
+        assert offloaded.hit and "execute" in offloaded.breakdown
+        assert list(fallback.breakdown) == ["software"]
         assert fallback.output == bank.by_name("parity32").behaviour(bytes(4))
 
     def test_greedy_fill_when_no_set_given(self, bank, config):

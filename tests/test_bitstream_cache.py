@@ -5,8 +5,6 @@ produce, and the reconfiguration-path decode memo must not perturb simulated
 timing.
 """
 
-import pytest
-
 from repro.bitstream.codecs import get_codec
 from repro.bitstream.window import WindowedCompressor
 from repro.core.builder import build_coprocessor, clear_bitstream_cache
@@ -93,15 +91,9 @@ class TestDownloadAndReconfigureCaching:
         config = SMALL_CONFIG.with_overrides(seed=3)
         copro = build_coprocessor(config=config, bank=build_small_bank())
         name = copro.bank.names()[0]
-        copro.preload(name)
-        first = copro.config_module.reports[-1]
+        first = copro.preload(name)
         copro.evict(name)
-        copro.preload(name)  # decode memo hit
-        second = copro.config_module.reports[-1]
-        # Exact equality up to float accumulation: `elapsed = now - started`
-        # rounds differently at different absolute clock positions, with or
-        # without the memo (the seed path had the same jitter).
-        assert second.rom_time_ns == pytest.approx(first.rom_time_ns, rel=1e-12)
-        assert second.decompress_time_ns == pytest.approx(first.decompress_time_ns, rel=1e-12)
-        assert second.config_time_ns == pytest.approx(first.config_time_ns, rel=1e-12)
-        assert second.total_time_ns == pytest.approx(first.total_time_ns, rel=1e-12)
+        second = copro.preload(name)  # decode memo hit
+        # Whole nanoseconds: the replayed per-window advances land exactly.
+        assert second.reconfiguration == first.reconfiguration
+        assert second.reconfig_time_ns == first.reconfig_time_ns

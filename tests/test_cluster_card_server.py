@@ -119,7 +119,7 @@ def observed(fleet, door):
         ],
         "expired": stats.expired,
         "cards": [
-            (card.served, card.busy_ns, card.health, card.serve_failures, card.outstanding)
+            (card.served, card.busy_ns, card.health, card.outstanding)
             for card in fleet.cards
         ],
         "faults": fleet.fault_summary(),

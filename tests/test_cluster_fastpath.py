@@ -31,35 +31,21 @@ from repro.workloads.multitenant import (
 
 def card_state(card):
     """Everything the exactness contract promises, for one card: counters,
-    LRU state, and every time total and per-request duration."""
+    LRU state, every time total, the latency percentiles and the last
+    result the card handed the host."""
     driver = card.driver
     copro = driver.coprocessor
-    mcu = copro.mcu
     bus = driver.bus
-    dma = driver.bridge.dma
     stats = copro.stats
     lru = sorted(copro.minios.table, key=lambda entry: (entry.last_access_ns, entry.name))
     return {
         "clock_ns": driver.clock.now,
         "served": card.served,
         "busy_ns": card.busy_ns,
-        "driver_calls": driver.calls,
-        "total_pci_ns": driver.total_pci_ns,
         "bus": (bus.transactions_completed, bus.bytes_transferred, bus.busy_time_ns),
-        "dma": (dma.jobs_completed, dma.bytes_moved),
-        "commands": driver.card.commands_processed,
-        "mcu": (
-            mcu.requests_handled,
-            mcu.data_in.transfers,
-            mcu.data_in.bytes_transferred,
-            mcu.data_out.transfers,
-            mcu.data_out.bytes_transferred,
-        ),
+        "requests_handled": copro.mcu.requests_handled,
         "minios": dataclasses.astuple(copro.minios.stats),
-        "lru": [
-            (entry.name, entry.last_access_ns, entry.access_count, entry.load_count)
-            for entry in lru
-        ],
+        "lru": [(entry.name, entry.last_access_ns, entry.access_count) for entry in lru],
         "executions": copro.device.total_executions,
         "per_function_executions": {
             name: loaded.executions
@@ -67,7 +53,6 @@ def card_state(card):
         },
         "copro": (
             stats.requests, stats.hits, stats.misses, stats.evictions,
-            stats.bytes_in, stats.bytes_out,
             dict(stats.per_function_requests),
         ),
         "copro_time_totals": {
@@ -75,15 +60,8 @@ def card_state(card):
             for field in dataclasses.fields(stats)
             if field.name.startswith("total_") and field.name.endswith("_ns")
         },
-        "per_function_latency_ns": dict(stats.per_function_latency_ns),
-        "outcome_durations": [
-            tuple(
-                getattr(outcome, field.name)
-                for field in dataclasses.fields(outcome)
-                if field.name.endswith("_ns")
-            )
-            for outcome in mcu.outcomes
-        ],
+        "latency_percentiles": [stats.latency_percentile(p) for p in (0, 50, 95, 99, 100)],
+        "last_result": driver.card.last_result,
     }
 
 
@@ -416,4 +394,4 @@ class TestGate:
         card.serve(request)
         assert card.memo.replays == 2
         assert (copro.stats.requests, copro.stats.hits) == (2, 1)
-        assert (copro.minios.stats.requests, copro.minios.stats.hits) == (2, 1)
+        assert (copro.minios.stats.hits, copro.minios.stats.misses) == (1, 1)

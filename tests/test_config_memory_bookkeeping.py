@@ -138,8 +138,6 @@ class TestWriteFrame:
         assert memory.owned_frames("fir") == sorted(
             region, key=lambda a: a.flat_index(TEST_GEOMETRY.tiles_per_column)
         )
-        assert memory.total_frame_writes == 3
-        assert memory.total_bytes_written == 3 * TEST_GEOMETRY.frame_config_bytes
 
     def test_refused_write_leaves_frame_owner_and_counters_untouched(self, memory):
         address = TEST_GEOMETRY.frame_at(5)
@@ -151,4 +149,3 @@ class TestWriteFrame:
         assert memory.frames[address].is_clear
         assert memory.owner_of(address) == "aes"
         assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) is None
-        assert memory.total_frame_writes == 0

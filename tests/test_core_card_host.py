@@ -34,22 +34,27 @@ class TestHostDriver:
 
     def test_pci_overhead_is_separated_from_card_time(self, driver):
         result = driver.call("crc32", bytes(200))
-        pci_overhead_ns = result.input_transfer_ns + result.output_transfer_ns + result.command_ns
         card_latency_ns = result.card_result.latency_ns
-        assert pci_overhead_ns > 0
         assert card_latency_ns > 0
-        assert result.total_ns == pytest.approx(pci_overhead_ns + card_latency_ns, rel=0.05)
+        # What the host waited beyond the card's own time is PCI transfer
+        # and register traffic.
+        assert result.total_ns > card_latency_ns
 
     def test_second_call_benefits_from_residency(self, driver):
         first = driver.call("parity32", bytes(4))
         second = driver.call("parity32", bytes(4))
         assert second.total_ns < first.total_ns
 
-    def test_small_payload_uses_pio_and_large_uses_dma(self, driver):
+    def test_small_payload_uses_pio_and_large_uses_dma(self, driver, monkeypatch):
+        jobs = []
+        transfer = driver.bridge.dma.transfer
+        monkeypatch.setattr(
+            driver.bridge.dma, "transfer", lambda descriptor: jobs.append(descriptor) or transfer(descriptor)
+        )
         driver.call("crc32", bytes(8))
-        pio_jobs = driver.bridge.dma.jobs_completed
+        assert jobs == []
         driver.call("crc32", bytes(4096))
-        assert driver.bridge.dma.jobs_completed > pio_jobs
+        assert [job.length for job in jobs] == [4096]
 
     def test_unknown_function_rejected_before_touching_the_bus(self, driver):
         transactions = driver.bus.transactions_completed
@@ -74,7 +79,7 @@ class TestHostDriver:
     def test_call_counter_and_clock_sharing(self, driver):
         driver.call("crc32", b"a")
         driver.call("crc32", b"b")
-        assert driver.calls == 2
+        assert driver.coprocessor.stats.requests == 2
         assert driver.clock is driver.coprocessor.clock
 
 
@@ -113,10 +118,3 @@ class TestCardRegisterInterface:
         card.interface.write_register(REG_COMMAND, int(CommandKind.RESET))
         assert card.interface.read_register(REG_STATUS) == STATUS_OK
         assert coprocessor.loaded_functions() == []
-
-    def test_commands_processed_counter(self, small_config, small_bank):
-        coprocessor = build_coprocessor(config=small_config, bank=small_bank)
-        card = CoprocessorCard(coprocessor)
-        card.interface.write_register(REG_COMMAND, int(CommandKind.NOP))
-        card.interface.write_register(REG_COMMAND, int(CommandKind.NOP))
-        assert card.commands_processed == 2

@@ -14,6 +14,7 @@ from repro.cluster import DefragOrder, HealOrder, Order
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.faults import FaultSpec
+from repro.fpga.config_port import ConfigurationPort
 from repro.fpga.errors import ConfigurationError
 from repro.sim.kernel import Timeout
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
@@ -81,8 +82,17 @@ class TestCardHealth:
         assert stats.completed == stats.arrivals
         assert stats.per_card_dispatched["card2"] > 0
 
-    def test_stall_port_faults_delay_without_degrading(self, small_bank, small_trace, protected_fleet):
+    def test_stall_port_faults_delay_without_degrading(
+        self, small_bank, small_trace, protected_fleet, monkeypatch
+    ):
         """port_fault_kind='stall': reconfigs slow down, health never changes."""
+        stalls = []
+        stall_for = ConfigurationPort.stall_for
+        monkeypatch.setattr(
+            ConfigurationPort,
+            "stall_for",
+            lambda port, duration_ns: stalls.append(duration_ns) or stall_for(port, duration_ns),
+        )
         trace = small_trace(small_bank, length=60, mean_interarrival_ns=10_000.0)
         fleet = protected_fleet(
             small_bank,
@@ -98,7 +108,7 @@ class TestCardHealth:
         assert stats.completed == stats.arrivals
         assert stats.card_degradations == 0
         assert all(card.health == "up" for card in fleet.cards)
-        assert fleet.injector.port_faults > 0
+        assert stalls and all(duration == 20_000 for duration in stalls)
         # A stall is consumed by the next configuration session; pending
         # stalls on cards that never reconfigured again are drained here.
         for card in fleet.cards:
@@ -107,12 +117,10 @@ class TestCardHealth:
                 name = copro.bank.names()[0]
                 if copro.is_loaded(name):
                     copro.evict(name)
+                before = copro.clock.now
                 copro.preload(name)
-        stalled = sum(
-            card.driver.coprocessor.device.port.stats.stalled_time_ns
-            for card in fleet.cards
-        )
-        assert stalled > 0
+                assert copro.clock.now - before >= 20_000
+            assert copro.device.port._pending_stall_ns == 0
 
     def test_degrade_then_recover_restores_health(self, small_bank, protected_fleet):
         fleet = protected_fleet(small_bank)
@@ -230,7 +238,7 @@ class TestHealing:
         fleet.degrade_card(1, 50_000.0)
         card = fleet.cards[1]
         fleet.stats.record_heal_order("parity32", card.name, 0.0)
-        assert order_drill(fleet, (1, HealOrder("parity32", "card0", 0.0))) == []
+        assert order_drill(fleet, (1, HealOrder("parity32", 0.0))) == []
         assert fleet.stats.heals_completed == 0
         assert not card.holds("parity32")
         assert card.outstanding == 0

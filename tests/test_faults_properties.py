@@ -150,7 +150,7 @@ class TestKilledCardConservation:
         # scheduled after the fleet drained legitimately never fire), and
         # dispatch counters only name real cards.
         cards_down = sum(1 for card in fleet.cards if card.health == "down")
-        assert cards_down == fleet.injector.cards_killed
+        assert cards_down == stats.card_failures
         assert cards_down <= len({index for _, index in kills})
         card_names = {card.name for card in fleet.cards}
         assert set(stats.per_card_dispatched) <= card_names

@@ -131,7 +131,7 @@ class TestConfigurationPortFaults:
         copro = build_coprocessor(config=SMALL_CONFIG, bank=build_small_bank())
         port = copro.device.port
         port.wedge()
-        assert port.stats.wedge_events == 1
+        assert port.wedged
         with pytest.raises(ConfigurationError):
             copro.preload("crc32")
         port.unwedge()
@@ -144,8 +144,6 @@ class TestConfigurationPortFaults:
         port.stall_for(5_000.0)
         before = copro.clock.now
         copro.preload("crc32")
-        assert port.stats.stall_events == 1
-        assert port.stats.stalled_time_ns == 5_000.0
         assert copro.clock.now - before >= 5_000.0
         # Consumed: a second preload pays no further stall.
         assert port._pending_stall_ns == 0.0
@@ -189,11 +187,16 @@ class TestFaultInjectorManual:
             address, _ = injector.upset_memory(memory)
             assert address in owned
 
-    def test_burst_flips_multiple_bits(self):
+    def test_burst_flips_multiple_bits(self, monkeypatch):
         memory = ConfigurationMemory(TEST_GEOMETRY)
+        flips = []
+        corrupt_bit = memory.corrupt_bit
+        monkeypatch.setattr(
+            memory, "corrupt_bit", lambda *args, bits: flips.append(bits) or corrupt_bit(*args, bits=bits)
+        )
         injector = FaultInjector(FaultSpec(process="burst", burst_bits=6))
         injector.upset_memory(memory)
-        assert injector.bits_flipped == 6
+        assert flips == [6]
         assert injector.upsets == 1
 
     def test_counters_split_effective_and_masked(self):
@@ -311,8 +314,6 @@ class TestHazardDetector:
         copro.device.memory.corrupt_bit(region[0], 1)
         copro.execute("crc32", bytes(4))
         assert detector.hazard_executions == 1
-        assert detector.per_function["crc32"] == 1
-        assert detector.last_was_hazard
         # Scrub, then the hazard stops.
         copro.scrubber.scrub_pass()
         copro.execute("crc32", bytes(4))

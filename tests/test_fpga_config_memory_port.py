@@ -21,7 +21,6 @@ class TestConfigurationMemory:
         memory.write_frame(address, _payload(tiny_geometry), owner="aes")
         assert memory.owner_of(address) == "aes"
         assert memory.read_frame(address) == _payload(tiny_geometry)
-        assert memory.total_frame_writes == 1
 
     def test_write_over_other_owner_rejected(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
@@ -109,7 +108,7 @@ class TestConfigurationPort:
             port.end_session(expected_crc=0xDEADBEEF)
         assert memory.owner_of(tiny_geometry.frame_at(0)) is None
         assert memory.frames[tiny_geometry.frame_at(0)].is_clear
-        assert port.stats.crc_failures == 1
+        assert not port.in_session
 
     def test_nested_sessions_rejected(self, tiny_geometry):
         port, _, _ = self._port(tiny_geometry)

@@ -1,10 +1,37 @@
 """Tests for the microcontroller's end-to-end request handling."""
 
+import collections
+
 import pytest
 
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
+from repro.core.host import build_host_system
 from repro.functions.bank import build_small_bank
+
+
+def container_lengths(*roots) -> dict:
+    """``{attribute path: len}`` of every list, dict, set and deque reachable
+    from *roots* through attributes of ``repro`` objects."""
+    lengths, seen = {}, set()
+
+    def visit(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        fields = dict(vars(obj)) if hasattr(obj, "__dict__") else {}
+        for slot in getattr(type(obj), "__slots__", ()):
+            if hasattr(obj, slot):
+                fields[slot] = getattr(obj, slot)
+        for name, value in fields.items():
+            if isinstance(value, (list, dict, set, collections.deque)):
+                lengths[f"{path}.{name}"] = len(value)
+            elif type(value).__module__.startswith("repro."):
+                visit(value, f"{path}.{name}")
+
+    for root in roots:
+        visit(root, type(root).__name__)
+    return lengths
 
 
 @pytest.fixture
@@ -91,13 +118,28 @@ class TestHandleExecute:
         with pytest.raises(KeyError):
             mcu.handle_execute("ghost", b"")
 
-    def test_outcome_recording_is_bounded(self, system):
-        mcu, _ = system
-        mcu.max_recorded_outcomes = 3
-        for _ in range(6):
-            mcu.handle_execute("crc32", b"abc")
-        assert len(mcu.outcomes) == 3
-        assert mcu.requests_handled == 6
+    def test_a_card_keeps_no_per_request_history(self, small_config, small_bank):
+        """Past warm-up, more requests grow no list, dict or set the card's
+        MCU, configuration module or statistics hold: what the card reports
+        is a return value or a counter, never a per-request log."""
+        driver = build_host_system(build_coprocessor(config=small_config, bank=small_bank))
+        copro = driver.coprocessor
+        payloads = {
+            name: bytes(range(copro.bank.by_name(name).spec.input_bytes)) for name in small_bank.names()
+        }
+
+        def requests(count):
+            # Every request a full-path miss: ROM, decompress, port, execute.
+            for index in range(count):
+                name = small_bank.names()[index % len(payloads)]
+                driver.call(name, payloads[name])
+                driver.evict(name)
+
+        requests(2 * len(payloads))
+        before = container_lengths(copro.mcu, copro.config_module, copro.stats)
+        requests(200)
+        assert copro.mcu.requests_handled == 200 + 2 * len(payloads)
+        assert container_lengths(copro.mcu, copro.config_module, copro.stats) == before
 
 
 class TestEvictionUnderPressure:

@@ -17,6 +17,7 @@ from repro.core.host import build_host_system
 from repro.fpga.errors import ConfigurationError, ExecutionError, FrameCollisionError
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import TEST_GEOMETRY, FabricGeometry
+from repro.mcu.commands import REG_STATUS, STATUS_NOT_RESIDENT
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
 
@@ -76,7 +77,6 @@ class TestDeviceCaptureRelocate:
         assert device.clock.now > before_ns  # readback costs port time
         assert bitstream.header.function_name == "crc32"
         assert bitstream.frames == device.readback("crc32")
-        assert device.total_captures == 1
 
     def test_capture_unloaded_raises(self):
         driver = protected_driver()
@@ -176,7 +176,8 @@ class TestCaptureRestorePci:
         driver = protected_driver()
         with pytest.raises(CoprocessorError):
             driver.capture_function("crc32")
-        assert driver.card.commands_processed == 1  # the card answered, not crashed
+        # The card answered, not crashed.
+        assert driver.card.interface.read_register(REG_STATUS) == STATUS_NOT_RESIDENT
 
     def test_restore_refuses_wrong_function_blob(self):
         source, dest = protected_driver(), protected_driver()

@@ -1,6 +1,6 @@
 """Ratchets: options, ``src/repro`` and its ``fleet.py``, ``sim/``, ``stats.py`` and
-``net/`` may only shrink, no definition there is reached only by the tests, and
-no option there is set only by the tests.
+``net/`` may only shrink, no definition there is reached only by the tests, no
+option there is set only by the tests, and no field there is only written.
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budget below is the count at the last PR that
@@ -36,11 +36,21 @@ workload runs: it becomes the constant it always is (a memory bound, a module
 constant the tests monkeypatch).  Dataclass fields and options behind a shared
 name hide from it, so judge those by hand.
 
+:func:`test_no_field_is_written_only` is the state-level sibling: every
+``self.x = ...`` store and every annotated dataclass field in ``src/repro``
+must be read somewhere in ``src/``, ``benchmarks/`` or ``examples/`` — a
+counter only ``+=`` touches, a history only ``.append`` grows, is state no
+model, benchmark or example looks at.  It is deleted, or listed in
+``KEPT_FIELDS`` as an exception's payload, a safety counter a test asserts as
+an invariant, or a field of a serialised format.  A name another class reads
+hides a field, so judge those by hand.
+
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote —
-and ``python tests/test_option_budget.py --options PATH...`` prints each
+``python tests/test_option_budget.py --options PATH...`` prints each
 in-scope definition's options under ``src/repro`` paths, marking with ``*``
-those no code outside ``tests/`` sets, and their total.
+those no code outside ``tests/`` sets, and their total, and ``--fields
+PATH...`` does the same for fields, ``*`` marking those nothing reads.
 """
 
 import ast
@@ -62,11 +72,11 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 47
-FLEET_CODE_LINE_BUDGET = 662
+FLEET_CODE_LINE_BUDGET = 656
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 467
-NET_CODE_LINE_BUDGET = 815
-SRC_CODE_LINE_BUDGET = 13_136
+NET_CODE_LINE_BUDGET = 814
+SRC_CODE_LINE_BUDGET = 12_741
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -348,6 +358,16 @@ def test_no_option_is_set_only_by_tests():
     )
 
 
+def _src_relative(argument) -> str:
+    return pathlib.Path(argument).resolve().relative_to(SRC).as_posix()
+
+
+def _under(key: str, prefix: str) -> bool:
+    """Is the ``"path:Qualified.name"`` *key* in the file or directory *prefix*?"""
+    path = key.split(":")[0]
+    return prefix == "." or path == prefix or path.startswith(prefix + "/")
+
+
 def print_options(paths) -> None:
     """Print the defaulted options of each in-scope definition under *paths*
     (files or directories in ``src/repro``), ``*`` marking one that no code
@@ -355,15 +375,170 @@ def print_options(paths) -> None:
     definitions, unset = option_scan()
     total = marked = 0
     for argument in paths:
-        prefix = pathlib.Path(argument).resolve().relative_to(SRC).as_posix()
+        prefix = _src_relative(argument)
         for key, (_, options) in definitions.items():
-            path = key.split(":")[0]
-            if options and (prefix == "." or path == prefix or path.startswith(prefix + "/")):
+            if options and _under(key, prefix):
                 names = [name + "*" if name in unset.get(key, ()) else name for name, _ in options]
                 total += len(names)
                 marked += len(unset.get(key, ()))
                 print(f"{key}({', '.join(names)})")
     print(f"{total} options, {marked} set by no code outside tests/ (*)")
+
+
+#: Fields no code outside ``tests/`` reads, kept for the reason given: an
+#: exception's payload, a safety counter a test asserts as an invariant, or a
+#: field of a serialised format.
+KEPT_FIELDS = {
+    "fpga/errors.py:FrameCollisionError.owner": "the exception's payload: who holds the frames",
+    "cluster/stats.py:FleetStatistics.unordered_merge_ties": (
+        "safety counter: the sharded merge's digest equals the single-process one only "
+        "while it is 0 (ROADMAP 4(c))"
+    ),
+}
+
+#: Calls that write a container without reading it.
+_WRITE_ONLY_METHODS = {"append", "extend", "clear"}
+#: ``(path under src/repro, function names)`` whose reads of other objects'
+#: fields do not count: the hit memo's snapshot and replay copy the model's
+#: counters forward, they do not read them.  Their reads of the memo's own
+#: ``self.*`` bindings do count.
+_COPIERS = ("cluster/fastpath.py", {"_totals", "replay"})
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def field_stores(src_trees) -> dict:
+    """``{"path:Class.field": field}`` for every ``self.x = ...`` store and every
+    annotated dataclass field in ``src/repro``."""
+    found = {}
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for element in node.elts:
+                yield from targets(element)
+        else:
+            yield node
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    for statement in child.body:
+                        if (
+                            isinstance(statement, ast.AnnAssign)
+                            and isinstance(statement.target, ast.Name)
+                            and "ClassVar" not in ast.unparse(statement.annotation)
+                        ):
+                            found[f"{path}:{child.name}.{statement.target.id}"] = statement.target.id
+                visit(child, path, child.name)
+                continue
+            if owner and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                for target in child.targets if isinstance(child, ast.Assign) else [child.target]:
+                    for store in targets(target):
+                        if isinstance(store, ast.Attribute) and getattr(store.value, "id", None) == "self":
+                            found[f"{path}:{owner}.{store.attr}"] = store.attr
+            visit(child, path, owner)
+
+    for file, tree in src_trees:
+        if SRC in file.parents:
+            visit(tree, file.relative_to(SRC).as_posix(), None)
+    return found
+
+
+def field_loads(trees) -> set:
+    """Every attribute name *trees* read, and every string constant in them.
+
+    Not reads: ``+=`` on the attribute or on an item of it, ``.append`` /
+    ``.extend`` / ``.clear`` on it, a read on the right of an assignment to
+    the same attribute, the names in a ``__slots__``, and reads of anything
+    but ``self`` inside :data:`_COPIERS`.
+    """
+    loads = set()
+
+    def writes(node):
+        """The attribute loads *node* makes that only write."""
+        if isinstance(node, ast.Assign):
+            # ``self.peak = max(self.peak, n)`` reads the field only to write it.
+            stored = {(ast.dump(t.value), t.attr) for t in node.targets if isinstance(t, ast.Attribute)}
+            for load in ast.walk(node.value):
+                if isinstance(load, ast.Attribute) and (ast.dump(load.value), load.attr) in stored:
+                    yield load
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+            while isinstance(target, ast.Subscript):
+                target = target.value
+                if isinstance(target, ast.Attribute):
+                    yield target
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _WRITE_ONLY_METHODS
+            and isinstance(node.func.value, ast.Attribute)
+        ):
+            yield node.func.value
+
+    def visit(node, skipped, copiers, copying):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+            return
+        copying = copying or (isinstance(node, ast.FunctionDef) and node.name in copiers)
+        skipped = skipped | {id(write) for write in writes(node)}
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped
+            and not (copying and getattr(node.value, "id", None) != "self")
+        ):
+            loads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            loads.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, skipped, copiers, copying)
+
+    for file, tree in trees:
+        in_src = SRC in file.parents
+        copiers = _COPIERS[1] if in_src and file.relative_to(SRC).as_posix() == _COPIERS[0] else set()
+        visit(tree, frozenset(), copiers, False)
+    return loads
+
+
+def field_scan():
+    """``(stores, unread)``: :func:`field_stores`, and the keys of those whose
+    field no code in ``src/``, ``benchmarks/`` or ``examples/`` reads.  Reads
+    match stores by name alone, so a name two classes share only hides a field."""
+    src_trees = module_trees("src")
+    stores = field_stores(src_trees)
+    loads = field_loads(src_trees + module_trees("benchmarks") + module_trees("examples"))
+    return stores, {key for key, name in stores.items() if name not in loads}
+
+
+def test_no_field_is_written_only():
+    _, unread = field_scan()
+    assert unread == set(KEPT_FIELDS), (
+        f"written but read by no code outside tests/: {sorted(unread - set(KEPT_FIELDS))} — "
+        "delete the field and its writes, or add it to KEPT_FIELDS with the reason it is "
+        f"kept; KEPT_FIELDS but read outside tests/: {sorted(set(KEPT_FIELDS) - unread)}."
+    )
+
+
+def print_fields(paths) -> None:
+    """Print the fields stored under *paths* (files or directories in
+    ``src/repro``), ``*`` marking one that no code outside ``tests/`` reads,
+    then the totals."""
+    stores, unread = field_scan()
+    total = marked = 0
+    for argument in paths:
+        prefix = _src_relative(argument)
+        for key in stores:
+            if _under(key, prefix):
+                total += 1
+                marked += key in unread
+                print(key + ("*" if key in unread else ""))
+    print(f"{total} fields, {marked} read by no code outside tests/ (*)")
 
 
 #: The scale opt-ins each ledger workload applies (its ``optins_applied``).
@@ -398,6 +573,8 @@ def test_the_ledger_applies_the_pinned_opt_ins(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--options"]:
         print_options(sys.argv[2:])
+    elif sys.argv[1:2] == ["--fields"]:
+        print_fields(sys.argv[2:])
     else:
         for argument in sys.argv[1:]:
             print(f"{tree_code_lines(argument):7d}  {argument}")

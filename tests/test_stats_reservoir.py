@@ -1,15 +1,14 @@
-"""Reservoir sampling in the statistics layer.
+"""Latency recording in the statistics layer.
 
-The old behaviour silently stopped appending latencies after
-``MAX_RECORDED_LATENCIES``, so percentiles on long traces only ever saw the
-head of the run.  The reservoir keeps a uniform sample of the *whole* stream;
-these tests pin down that tail samples are represented and that the sampling
-is deterministic.
+The old behaviour silently stopped appending latencies after a cap, so
+percentiles on long traces only ever saw the head of the run.  The fleet's
+reservoir keeps a uniform sample of the *whole* stream, and a card's one
+streaming sketch folds every value; these tests pin down that tail samples
+are represented and that recording is deterministic.
 """
 
 import pytest
 
-from repro.core import stats as core_stats
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.core.stats import CoprocessorStatistics, ReservoirSampler, percentile_of
@@ -72,93 +71,74 @@ class TestReservoirSampler:
         with pytest.raises(ValueError):
             ReservoirSampler(-1)
 
-    def test_zero_capacity_counts_but_retains_nothing(self, monkeypatch):
+    def test_zero_capacity_counts_but_retains_nothing(self):
         sampler = ReservoirSampler(0, SeededRandom(0))
         for value in range(10):
             sampler.add(float(value))
         assert sampler.values == [] and sampler.seen == 10
         assert sampler.percentile(95) == 0.0
-        # The statistics counterpart: a valid memory-saving configuration.
-        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 0)
-        stats = CoprocessorStatistics()
-        stats.record(outcome(5.0), input_bytes=0)
-        assert stats._latency_sample.values == [] and stats._latency_sample.seen == 1
-        assert stats.latency_percentile(95) == 0.0
 
     def test_percentile_of_empty(self):
         assert percentile_of([], 95) == 0.0
 
 
-def recorded(stats):
-    """The latencies a reservoir-mode statistics object currently keeps."""
-    return stats._latency_sample.values
+class TestCoprocessorStatisticsSketch:
+    """A card records latencies in one streaming sketch: no retained list."""
 
-
-class TestCoprocessorStatisticsReservoir:
-    def test_short_traces_identical_to_plain_append(self):
+    def test_short_traces_match_plain_append_within_relative_error(self):
         stats = CoprocessorStatistics()
-        latencies = [float(value) for value in range(500)]
+        latencies = [float(value) for value in range(1, 501)]
         for latency in latencies:
-            stats.record(outcome(latency), input_bytes=1)
-        assert recorded(stats) == latencies
-        assert stats._latency_sample.seen == 500
+            stats.record(outcome(latency))
+        for percentile in (0, 50, 95, 99, 100):
+            exact = percentile_of(latencies, percentile)
+            assert abs(stats.latency_percentile(percentile) - exact) <= 0.01 * exact
+        assert stats._latency_sketch.seen == 500
 
-    def test_long_trace_tail_is_sampled(self, monkeypatch):
-        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 200)
+    def test_long_trace_tail_is_sampled(self):
         stats = CoprocessorStatistics()
         for value in range(20_000):
-            stats.record(outcome(float(value)), input_bytes=0)
-        assert len(recorded(stats)) == 200
-        assert stats._latency_sample.seen == 20_000
-        tail = [value for value in recorded(stats) if value >= 10_000]
-        assert tail, "long-trace percentiles still head-biased"
-        # The head-biased p95 would be ~190 (95% of the first 200 requests);
-        # the uniform sample's p95 must track the full stream (~19000).
+            stats.record(outcome(float(value)))
+        # A head-biased recorder would put p95 near the start of the stream;
+        # the sketch's p95 tracks the full stream (~19000).
         assert stats.latency_percentile(95) > 10_000
+        assert stats._latency_sketch.bucket_count < 1_000
 
-    def test_sampling_is_deterministic_across_instances(self, monkeypatch):
-        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 50)
-
+    def test_sampling_is_deterministic_across_instances(self):
         def fill():
             stats = CoprocessorStatistics()
             for value in range(5000):
-                stats.record(outcome(float(value)), input_bytes=0)
-            return list(recorded(stats))
+                stats.record(outcome(float(value)))
+            return [stats.latency_percentile(p) for p in (50, 95, 99)]
 
         assert fill() == fill()
 
     def test_fresh_instances_compare_equal(self):
         assert CoprocessorStatistics() == CoprocessorStatistics()
 
-    def test_reset_restarts_the_stream(self, monkeypatch):
-        monkeypatch.setattr(core_stats, "MAX_RECORDED_LATENCIES", 10)
+    def test_reset_restarts_the_stream(self):
         stats = CoprocessorStatistics()
         for value in range(100):
-            stats.record(outcome(float(value)), input_bytes=0)
+            stats.record(outcome(float(value)))
         stats.reset()
-        assert recorded(stats) == []
-        assert stats._latency_sample.seen == 0
-        stats.record(outcome(1.0), input_bytes=0)
-        assert recorded(stats) == [1.0]
+        assert (stats.requests, stats._latency_sketch.seen) == (0, 0)
+        stats.record(outcome(7.0))
+        assert stats.latency_percentile(50) == 7.0
 
 
 class TestLatencyModeSurvivesReset:
     def test_statistics_reset_keeps_the_sketch(self):
         stats = CoprocessorStatistics()
-        stats.use_sketch()
-        stats.record(outcome(5.0), input_bytes=0)
+        stats.record(outcome(5.0))
         stats.reset()
-        assert (stats.latency_mode, stats.requests) == ("sketch", 0)
-        assert recorded(stats) == [] and stats._latency_sketch.seen == 0
-        stats.record(outcome(7.0), input_bytes=0)
-        assert recorded(stats) == [] and stats._latency_sketch.seen == 1
+        assert stats.requests == 0 and stats._latency_sketch.seen == 0
+        stats.record(outcome(7.0))
+        assert stats._latency_sketch.seen == 1
 
     def test_a_card_reset_keeps_sketch_recording(self, small_bank):
         fleet = build_fleet(cards=1, config=SMALL_CONFIG, bank=small_bank, stats_mode="sketch")
         driver = fleet.cards[0].driver
-        assert driver.coprocessor.stats.latency_mode == "sketch"
         driver.reset_card()
         stats = driver.coprocessor.stats
-        assert stats.latency_mode == "sketch"
         driver.call("crc32", b"abc")
-        assert recorded(stats) == [] and stats.latency_percentile(50) > 0
+        assert stats._latency_sketch.seen == 1 and stats.latency_percentile(50) > 0

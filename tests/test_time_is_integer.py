@@ -3,7 +3,8 @@
 First half — one small scenario per layer, then ``type(...) is int`` on every
 time the run left behind: the kernel clock, every card clock, every digest-tap
 key, every span timestamp, and the time totals of ``FleetStatistics``,
-``CoprocessorStatistics``, ``PciBus``, the configuration port and the driver.
+``CoprocessorStatistics``, ``PciBus``, the configuration port and the card's
+last result.
 The scenarios hand the specs what the frozen e2e shapes hand them: integral
 floats for periods and budgets, a fractional kill time, fractional link
 numbers — each is converted or rounded once (``repro.sim.clock``).
@@ -23,6 +24,7 @@ import repro
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
 from repro.core.builder import build_coprocessor, build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.obs import Observability
@@ -57,9 +59,7 @@ def assert_whole_ns(fleet, observability=None, tapped=()):
                 f"{card.name} busy_ns": card.busy_ns,
                 f"{card.name} degraded_until_ns": card.degraded_until_ns,
                 f"{card.name} bus.busy_time_ns": driver.bus.busy_time_ns,
-                f"{card.name} total_pci_ns": driver.total_pci_ns,
                 f"{card.name} port.busy_time_ns": port.busy_time_ns,
-                f"{card.name} port.stalled_time_ns": port.stalled_time_ns,
             }
         )
         if card.down_since_ns is not None:
@@ -67,11 +67,13 @@ def assert_whole_ns(fleet, observability=None, tapped=()):
         times.update(
             {f"{card.name} copro {k}": v for k, v in time_totals(copro.stats).items()}
         )
-        for index, outcome in enumerate(copro.mcu.outcomes):
-            for field in dataclasses.fields(outcome):
+        last = driver.card.last_result
+        if last is not None:
+            times[f"{card.name} last latency_ns"] = last.latency_ns
+            for field in dataclasses.fields(last.outcome):
                 if field.name.endswith("_ns"):
-                    times[f"{card.name} outcome {index} {field.name}"] = getattr(
-                        outcome, field.name
+                    times[f"{card.name} last outcome {field.name}"] = getattr(
+                        last.outcome, field.name
                     )
         for entry in copro.minios.table:
             times[f"{card.name} {entry.name} last_access_ns"] = entry.last_access_ns
@@ -149,16 +151,19 @@ class TestNoFloatLeaks:
             scrub_period_ns=60_000.0,
             defrag_period_ns=200_000.0,
             rebalance_period_ns=40_000.0,
-            fault_spec=FaultSpec(
+        )
+        injector = FaultInjector(
+            FaultSpec(
                 upset_rate_per_s=30_000.0,
                 port_fault_rate_per_s=300.0,
                 port_fault_duration_ns=90_000.5,
                 card_kill_times_ns=((trace.duration_ns * 0.45, 0),),
-            ),
+            )
         )
+        fleet.install_faults(injector)
         fleet.run(trace)
-        assert fleet.injector.upsets and fleet.injector.cards_killed == 1
-        assert fleet.injector.port_faults
+        assert injector.upsets and injector.cards_killed == 1
+        assert injector.port_faults
         assert type(fleet.rebalancer.cooldown_ns) is int
         assert_whole_ns(fleet)
 
@@ -180,18 +185,16 @@ class TestNoFloatLeaks:
         copro = build_coprocessor(
             config=SMALL_CONFIG.with_overrides(overlap_decompress=True), bank=small_bank
         )
-        copro.preload("crc32")
-        (report,) = copro.config_module.reports
-        assert report.overlapped
-        assert report.total_time_ns < (
-            report.rom_time_ns + report.decompress_time_ns + report.config_time_ns
-        )
+        outcome = copro.preload("crc32")
+        report = outcome.reconfiguration
+        # The clock ran the phases in sequence; only the report overlaps them.
+        assert report.total_time_ns < outcome.reconfig_time_ns
         times = {
             field.name: getattr(report, field.name)
             for field in dataclasses.fields(report)
             if field.name.endswith("_ns")
         }
-        assert len(times) == 4
+        assert len(times) == 1
         assert {what: value for what, value in times.items() if type(value) is not int} == {}
 
     def test_a_two_shard_run(self):
@@ -201,10 +204,7 @@ class TestNoFloatLeaks:
         result = run_sharded(config, shards=2)
         assert result.epochs > 1
         times = time_totals(result.stats)
-        times.update(
-            {f"shard {index} final time": fingerprint[1]
-             for index, fingerprint in enumerate(result.shard_fingerprints)}
-        )
+        times["last completion"] = result.stats.last_completion_ns
         assert {what: value for what, value in times.items() if type(value) is not int} == {}
 
 
