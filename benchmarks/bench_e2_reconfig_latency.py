@@ -4,7 +4,7 @@ For every function in the bank the experiment measures the card-side
 reconfiguration latency (ROM fetch + windowed decompression + configuration
 port writes) in four variants:
 
-* partial reconfiguration with the default RLE-compressed bit-stream,
+* partial reconfiguration with the default LZ77-compressed bit-stream,
 * partial reconfiguration with an uncompressed (null codec) bit-stream,
 * partial reconfiguration with a pipelined (overlapped) configuration module,
 * the full-device reconfiguration a non-partially-reconfigurable co-processor

@@ -47,7 +47,7 @@ def _run(bank, policy, trace, provide_future):
 
     config = CoprocessorConfig(**config_small_fabric)
     copro = build_coprocessor(config=config, bank=bank.subset(WORKING_SET))
-    result = TraceRunner(copro, policy).run(trace, provide_future=provide_future)
+    result = TraceRunner(copro).run(trace, provide_future=provide_future)
     return result, copro
 
 

@@ -54,9 +54,9 @@ def test_e6_agility(benchmark, bank):
         agile = build_coprocessor(config=_config(), bank=subset)
         full = FullReconfigEngine(_config(), subset)
         static = StaticFixedEngine(_config(), subset)
-        agile_result = TraceRunner(agile, "agile").run(trace)
-        full_result = TraceRunner(full, "full").run(trace)
-        static_result = TraceRunner(static, "static").run(trace)
+        agile_result = TraceRunner(agile).run(trace)
+        full_result = TraceRunner(full).run(trace)
+        static_result = TraceRunner(static).run(trace)
         table.add_row(
             interval,
             agile_result.mean_latency_ns / 1e3,
@@ -89,7 +89,7 @@ def test_e6_agility(benchmark, bank):
 
     def run_agile():
         agile = build_coprocessor(config=_config(), bank=subset)
-        return TraceRunner(agile, "agile").run(trace)
+        return TraceRunner(agile).run(trace)
 
     result = benchmark.pedantic(run_agile, rounds=3, iterations=1)
     assert result.requests == TRACE_LENGTH

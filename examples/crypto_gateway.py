@@ -57,7 +57,7 @@ def main(tiny: bool = False) -> None:
     print(f"{'engine':<40} {'mean latency':<14} {'p95':<12} {'hit rate':<9} throughput")
     print("-" * 95)
     for name, engine in engines.items():
-        result = TraceRunner(engine, name).run(trace)
+        result = TraceRunner(engine).run(trace)
         print(
             f"{name:<40} {format_time(result.mean_latency_ns):<14} "
             f"{format_time(result.latency_percentile(95)):<12} "

@@ -251,7 +251,7 @@ def _print_incidents(recorder, max_events: int = 12) -> None:
             print(f"    ... {hidden} more events")
 
 
-def _print_tail(tail) -> None:
+def _print_tail(tail: TailSampler) -> None:
     summary = tail.summary()
     reasons = ", ".join(
         f"{reason}={count}" for reason, count in sorted(summary["keep_reasons"].items())

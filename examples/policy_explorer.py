@@ -41,7 +41,7 @@ def sweep_policies(bank, trace_length: int = 250) -> None:
                 replacement_policy=policy, seed=7,
             )
             coprocessor = build_coprocessor(config=config, bank=bank)
-            result = TraceRunner(coprocessor, policy).run(
+            result = TraceRunner(coprocessor).run(
                 trace, provide_future=(policy == "belady")
             )
             table.add_row(policy, trace_name, result.hit_rate, result.mean_latency_ns / 1e3)
@@ -64,7 +64,7 @@ def sweep_frame_granularity(bank, trace_length: int = 250) -> None:
             fabric_columns=8, fabric_rows=32, clb_rows_per_frame=height, seed=7,
         )
         coprocessor = build_coprocessor(config=config, bank=bank)
-        result = TraceRunner(coprocessor, f"h{height}").run(
+        result = TraceRunner(coprocessor).run(
             zipf_trace(bank, trace_length, skew=1.1, seed=9)
         )
         table.add_row(height, coprocessor.geometry.frame_count, result.hit_rate, result.mean_latency_ns / 1e3)

@@ -61,7 +61,6 @@ class StreamingQuantileSketch:
         self.seen = 0
         self._min = math.inf
         self._max = -math.inf
-        self._sum = 0.0
         # value -> bucket memo: latency streams repeat values heavily (a
         # resident hit of the same payload costs the same nanoseconds), and
         # the log() is the only non-trivial arithmetic on the add path.  The
@@ -74,7 +73,6 @@ class StreamingQuantileSketch:
         if value < 0.0:
             raise ValueError("sketch values must be non-negative")
         self.seen += 1
-        self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -113,7 +111,6 @@ class StreamingQuantileSketch:
         on a sketch with identical geometry.
         """
         self.seen += 1
-        self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -130,7 +127,6 @@ class StreamingQuantileSketch:
             buckets[index] = buckets.get(index, 0) + count
         self._low_count += other._low_count
         self.seen += other.seen
-        self._sum += other._sum
         if other._min < self._min:
             self._min = other._min
         if other._max > self._max:
@@ -141,10 +137,6 @@ class StreamingQuantileSketch:
         # Parity with ReservoirSampler.__len__: "how many values back the
         # percentiles" — for a sketch that is the whole stream.
         return self.seen
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self.seen if self.seen else 0.0
 
     @property
     def bucket_count(self) -> int:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -11,8 +10,6 @@ class BaselineResult:
     """Result shape shared by the baselines (duck-compatible with
     :class:`~repro.core.coprocessor.ExecutionResult` for the trace runner)."""
 
-    function: str
     output: bytes
     latency_ns: int
     hit: bool = True
-    breakdown: Dict[str, float] = field(default_factory=dict)

@@ -24,7 +24,6 @@ class FullReconfigEngine:
     def __init__(self, config: CoprocessorConfig, bank: FunctionBank) -> None:
         # The underlying card is identical; only the loading discipline changes.
         self.coprocessor = AgileCoprocessor(config, bank)
-        self.config = config
         self.bank = bank
         # frame count -> penalty; the port timing parameters never change
         # after construction, so the per-switch penalty is a pure function of
@@ -69,12 +68,8 @@ class FullReconfigEngine:
             frames = copro.bank.by_name(name).frames_required(copro.geometry)
             extra = self._full_device_penalty_ns(frames)
             copro.clock.advance(extra)
-        breakdown = dict(result.breakdown)
-        breakdown["full_device_penalty"] = extra
         return BaselineResult(
-            function=name,
             output=result.output,
             latency_ns=result.latency_ns + extra,
             hit=hit,
-            breakdown=breakdown,
         )

@@ -47,9 +47,7 @@ class HostOnlyEngine:
         output = self.bank.by_name(name).behaviour(data)
         self.clock.advance(elapsed)
         return BaselineResult(
-            function=name,
             output=output,
             latency_ns=elapsed,
             hit=True,
-            breakdown={"software": elapsed},
         )

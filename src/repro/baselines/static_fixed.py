@@ -67,10 +67,8 @@ class StaticFixedEngine:
         if name in self.resident:
             result = self.coprocessor.execute(name, data)
             return BaselineResult(
-                function=name,
                 output=result.output,
                 latency_ns=result.latency_ns,
                 hit=True,
-                breakdown=dict(result.breakdown),
             )
         return self.fallback.execute(name, data)

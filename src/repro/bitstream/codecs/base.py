@@ -40,14 +40,6 @@ class Codec(abc.ABC):
         """Decompress one window given the previous *raw* window as context."""
         return self.decompress(blob)
 
-    # ---------------------------------------------------------------- extras
-    def ratio(self, data: bytes) -> float:
-        """Compression ratio (original / compressed); > 1 means it shrank."""
-        if not data:
-            return 1.0
-        compressed = self.compress(data)
-        return len(data) / max(1, len(compressed))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(name={self.name!r})"
 

@@ -41,6 +41,3 @@ class IncrementalCrc32:
     @property
     def value(self) -> int:
         return self._value
-
-    def reset(self) -> None:
-        self._value = 0

@@ -1,40 +1,22 @@
-"""Relocatable bit-stream helpers: rebase a frame region onto new addresses.
+"""Frame compatibility: may a frame's payload move between two fabrics?
 
 The bit-stream format is already *slot*-indexed (packets carry the frame's
 position within the function's region, never an absolute device address), so
 a captured readback image can be restored anywhere — on a different region of
 the same fabric, or on a different card entirely — as long as the physical
-frames are interchangeable.  This module provides the two primitives the
-migration and defragmentation paths share:
+frames are interchangeable, which :func:`compatible_fabrics` decides.
 
-* :func:`compatible_fabrics` — are two fabric geometries frame-compatible,
-  i.e. does a frame's configuration payload mean the same thing on both?
-* :func:`rebase_region` — map a region onto a new base frame, preserving the
-  region's *shape* (the relative flat-index offsets between its frames), so a
-  scattered region stays scattered the same way after the move.
-
-Live migration gates on ``compatible_fabrics`` wherever both geometries are
-in hand — the fleet :class:`~repro.cluster.rebalance.Rebalancer` when
-choosing a destination card, and
-:meth:`~repro.core.host.HostDriver.migrate_function_to` before capturing —
-because the wire format itself can only check frame *sizes*.  The
+Live migration gates on it wherever both geometries are in hand — the fleet
+:class:`~repro.cluster.rebalance.Rebalancer` when choosing a destination
+card — because the wire format itself can only check frame *sizes*.  The
 destination's mini OS then chooses the new region from its own free frame
-list (the in-card rebase).  ``rebase_region`` is the explicit shape-preserving
-rebase used by device-level relocations and the property suite; note the
-defragmenter deliberately does **not** preserve shape — compaction turns
-scattered regions into contiguous ones.
+list; the defragmenter deliberately does **not** preserve a region's shape —
+compaction turns scattered regions into contiguous ones.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.fpga.frame import FrameRegion
-from repro.fpga.geometry import FabricGeometry, FrameAddress
-
-
-class RelocationError(ValueError):
-    """Raised when a region cannot be rebased onto the requested target."""
+from repro.fpga.geometry import FabricGeometry
 
 
 def compatible_fabrics(source: FabricGeometry, target: FabricGeometry) -> bool:
@@ -51,43 +33,3 @@ def compatible_fabrics(source: FabricGeometry, target: FabricGeometry) -> bool:
         and source.switch_bytes_per_clb == target.switch_bytes_per_clb
     )
 
-
-def rebase_region(
-    source: FabricGeometry,
-    region: FrameRegion,
-    target: FabricGeometry,
-    target_start: int,
-) -> FrameRegion:
-    """Rebase *region* so its lowest frame lands at flat index *target_start*.
-
-    The relative flat-index offsets between the region's frames are preserved
-    (a contiguous region stays contiguous, a scattered one keeps its gaps) and
-    the region's *order* — which is the bit-stream's slot order — is kept, so
-    payload slot *i* still belongs to the *i*-th frame of the result.
-
-    Raises :class:`RelocationError` when the fabrics are frame-incompatible
-    or any rebased frame falls outside the target fabric.
-    """
-    if not compatible_fabrics(source, target):
-        raise RelocationError(
-            f"fabrics are frame-incompatible: {source.frame_config_bytes}-byte "
-            f"frames with {source.clbs_per_frame} CLBs vs "
-            f"{target.frame_config_bytes}-byte frames with {target.clbs_per_frame} CLBs"
-        )
-    if len(region) == 0:
-        raise RelocationError("cannot rebase an empty region")
-    if target_start < 0:
-        raise RelocationError("target start index cannot be negative")
-    source_tiles = source.tiles_per_column
-    indices = [address.flat_index(source_tiles) for address in region]
-    base = min(indices)
-    rebased: List[FrameAddress] = []
-    for index in indices:
-        flat = target_start + (index - base)
-        if flat >= target.frame_count:
-            raise RelocationError(
-                f"rebased frame index {flat} falls off a "
-                f"{target.frame_count}-frame fabric"
-            )
-        rebased.append(target.frame_at(flat))
-    return FrameRegion.from_addresses(rebased)

@@ -112,7 +112,6 @@ class ServeMemo:
         self._minios_touch = self.minios.table.touch
         self._loaded_get = self.device._loaded.get
         self.replays = 0
-        self.recordings = 0
 
     # ---------------------------------------------------------------- gating
     def _safe(self, function: str) -> bool:
@@ -187,7 +186,6 @@ class ServeMemo:
                 card_result,
                 card_result.outcome.total_time_ns,
             )
-            self.recordings += 1
         return result
 
     # ---------------------------------------------------------------- replay
@@ -249,13 +247,6 @@ class ServeMemo:
     @property
     def entries(self) -> int:
         return len(self._entries)
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "recordings": self.recordings,
-            "replays": self.replays,
-        }
 
 
 __all__ = ["MEMO_ENTRY_CAP", "ServeMemo", "drain_device_events"]

@@ -157,7 +157,6 @@ class Fleet:
                 "dispatch policy instances hold per-fleet state; "
                 "build a fresh policy for each fleet"
             )
-        self.queue_depth = queue_depth
         #: Front-door admission group size.  1 (default) admits every request
         #: at its own arrival instant — the historical, digest-frozen
         #: behaviour.  Larger values model an interrupt-coalescing front door:
@@ -1028,17 +1027,3 @@ class Fleet:
             "hazard_completions": snap[_obs_names.METRIC_HAZARD_COMPLETIONS],
             "silent_corruption_rate": stats.silent_corruption_rate,
         }
-
-    def describe(self) -> str:
-        lines = [
-            f"Fleet: {len(self.cards)} cards, policy={self.policy.name}, "
-            f"queue_depth={self.queue_depth}",
-            self.stats.describe(),
-        ]
-        for row in self.card_summaries():
-            lines.append(
-                f"  {row['card']:<7} served={row['served']:<6} "
-                f"hit_rate={row['hit_rate']:.3f} util={row['utilisation']:.2f} "
-                f"resident=[{row['resident']}]"
-            )
-        return "\n".join(lines)

@@ -74,8 +74,6 @@ class Rebalancer:
         self.min_queue_skew = min_queue_skew
         self.min_frame_skew = min_frame_skew
         self.cooldown_ns = cooldown_ns
-        self.cycles = 0
-        self.orders_planned = 0
         self._last_ordered: dict = {}
 
     # --------------------------------------------------------------- helpers
@@ -101,7 +99,6 @@ class Rebalancer:
         the same orders — which is what keeps rebalanced schedules
         byte-reproducible.
         """
-        self.cycles += 1
         alive = [card for card in fleet.cards if card.health == "up"]
         if len(alive) < 2:
             return []
@@ -172,12 +169,4 @@ class Rebalancer:
             donor_used -= frames_needed
             self._last_ordered[name] = now
             orders.append(MigrationOrder(name, donor.index, dest.index))
-        self.orders_planned += len(orders)
         return orders
-
-    def describe(self) -> str:
-        return (
-            f"Rebalancer(queue_skew>={self.min_queue_skew}, "
-            f"frame_skew>={self.min_frame_skew}, "
-            f"{self.orders_planned} orders over {self.cycles} cycles)"
-        )

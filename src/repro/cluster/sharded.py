@@ -67,6 +67,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from repro.cluster.dispatch import StaticHashPolicy
 from repro.cluster.stats import FleetStatistics
 from repro.sim.clock import as_ns
+from repro.workloads.multitenant import FleetRequest
 
 #: Seconds the parent waits for a worker's next message before it calls the
 #: worker hung.  No epoch of a pinned cell takes more than a few seconds.
@@ -112,7 +113,6 @@ class ShardedRunResult:
     """What :func:`run_sharded` hands back."""
 
     stats: FleetStatistics
-    shards: int
     #: Kernel events dispatched, summed over shards.
     events_dispatched: int = 0
     #: Epochs the shard that ran longest needed (its chunk count).
@@ -144,7 +144,9 @@ class ShardTraceView:
     other shards' requests (which its cards never see) removed.
     """
 
-    def __init__(self, trace, card_indices: Sequence[int], total_cards: int) -> None:
+    def __init__(
+        self, trace: Iterable[FleetRequest], card_indices: Sequence[int], total_cards: int
+    ) -> None:
         self._trace = trace
         self._homes = frozenset(card_indices)
         self._total_cards = total_cards
@@ -324,7 +326,6 @@ def run_sharded(config: ShardedRunConfig, shards: int) -> ShardedRunResult:
     summaries.sort(key=lambda row: row["card"])
     return ShardedRunResult(
         stats=merged,
-        shards=shards,
         events_dispatched=sum(snapshot["events_dispatched"] for snapshot in snapshots),
         epochs=max(snapshot["epochs"] for snapshot in snapshots),
         card_summaries=summaries,

@@ -27,11 +27,10 @@ class _CounterAttr:
     ``stats.heals_skipped += 1``) keeps working unchanged while the value
     lives on the metrics registry."""
 
-    __slots__ = ("key", "metric")
+    __slots__ = ("key",)
 
-    def __init__(self, attr: str, metric: str) -> None:
+    def __init__(self, attr: str) -> None:
         self.key = "_c_" + attr
-        self.metric = metric
 
     def __get__(self, obj, objtype=None):
         if obj is None:
@@ -485,17 +484,9 @@ class FleetStatistics:
         return self.hits / self.completed if self.completed else 0.0
 
     @property
-    def rejection_rate(self) -> float:
-        return self.rejected / self.arrivals if self.arrivals else 0.0
-
-    @property
     def reconfigurations(self) -> int:
         """Completed requests that paid an on-card reconfiguration (misses)."""
         return self.misses
-
-    @property
-    def mean_wait_ns(self) -> float:
-        return self.total_wait_ns / self.completed if self.completed else 0.0
 
     @property
     def mean_sojourn_ns(self) -> float:
@@ -595,23 +586,6 @@ class FleetStatistics:
         return self._digest.hexdigest()
 
     # ------------------------------------------------------------ reporting
-    def summary(self) -> Dict[str, float]:
-        p50, p95, p99 = self._fleet_sojourn.percentiles((50, 95, 99))
-        return {
-            "arrivals": float(self.arrivals),
-            "dispatched": float(self.dispatched),
-            "completed": float(self.completed),
-            "rejected": float(self.rejected),
-            "hit_rate": self.hit_rate,
-            "reconfigurations": float(self.reconfigurations),
-            "mean_wait_us": self.mean_wait_ns / 1e3,
-            "mean_sojourn_us": self.mean_sojourn_ns / 1e3,
-            "p50_sojourn_us": p50 / 1e3,
-            "p95_sojourn_us": p95 / 1e3,
-            "p99_sojourn_us": p99 / 1e3,
-            "throughput_rps": self.throughput_requests_per_s,
-        }
-
     def per_tenant_summary(self, tenant: str) -> Dict[str, float]:
         completed = self.per_tenant_completed.get(tenant, 0)
         arrivals = self.per_tenant_arrivals.get(tenant, 0)
@@ -631,35 +605,9 @@ class FleetStatistics:
             "p99_sojourn_us": p99 / 1e3,
         }
 
-    def describe(self) -> str:
-        p50, p95, p99 = self._fleet_sojourn.percentiles((50, 95, 99))
-        lines = [
-            f"arrivals / completed / rejected : {self.arrivals} / {self.completed} / {self.rejected}",
-            f"fleet hit rate                  : {self.hit_rate:.3f}",
-            f"reconfigurations                : {self.reconfigurations}",
-            f"mean wait / sojourn             : {self.mean_wait_ns / 1e3:.2f} / {self.mean_sojourn_ns / 1e3:.2f} us",
-            f"p50 / p95 / p99 sojourn         : {p50 / 1e3:.2f} / {p95 / 1e3:.2f} / {p99 / 1e3:.2f} us",
-            f"throughput                      : {self.throughput_requests_per_s:.1f} req/s",
-        ]
-        if self.net_requests:
-            lines.append(
-                f"front door                      : {self.net_completed}/{self.net_requests} "
-                f"completed (availability {self.client_availability:.3f}), "
-                f"{self.net_retries} retries, {self.shed_total} shed, "
-                f"{self.expired} expired, p95 e2e "
-                f"{self.net_latency_percentile(95) / 1e3:.2f} us"
-            )
-        for tenant in self.tenants():
-            row = self.per_tenant_summary(tenant)
-            lines.append(
-                f"  {tenant:<12} completed={int(row['completed']):<6} "
-                f"hit_rate={row['hit_rate']:.3f} p95={row['p95_sojourn_us']:.2f}us"
-            )
-        return "\n".join(lines)
-
 
 # Install the registry-backed attribute descriptors (after the class body so
 # the mapping above stays the single source of truth for the migration).
 for _attr, _metric in _MIGRATED_COUNTERS:
-    setattr(FleetStatistics, _attr, _CounterAttr(_attr, _metric))
+    setattr(FleetStatistics, _attr, _CounterAttr(_attr))
 del _attr, _metric

@@ -40,7 +40,6 @@ from repro.sim.trace import TraceRecorder
 class ExecutionResult:
     """What the host gets back from one on-demand execution."""
 
-    function: str
     output: bytes
     hit: bool
     evictions: List[str]
@@ -213,7 +212,6 @@ class AgileCoprocessor:
         latency = self.clock.now - started
         self.stats.record(outcome)
         return ExecutionResult(
-            function=name,
             output=outcome.output,
             hit=outcome.hit,
             evictions=list(outcome.evictions),

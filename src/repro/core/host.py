@@ -33,7 +33,6 @@ from repro.pci.bus import PciBus
 class HostCallResult:
     """Result of one host-visible call."""
 
-    function: str
     output: bytes
     card_result: Optional[ExecutionResult]
     total_ns: int
@@ -85,10 +84,6 @@ class HostDriver:
             raise CoprocessorError(f"card returned status {status} for {kind.name}")
 
     # ------------------------------------------------------------------ API
-    def download_bank(self) -> None:
-        """One-time setup: generate and download the function bank to the ROM."""
-        self.coprocessor.download_bank()
-
     def call(self, name: str, data: bytes) -> HostCallResult:
         """Execute *name* on *data*, end to end through the PCI."""
         if name not in self.coprocessor.bank:
@@ -100,7 +95,6 @@ class HostDriver:
         output_length = self.bridge.read_register(self.card.name, REG_OUTPUT_LENGTH)
         output = self._read_output(output_length)
         return HostCallResult(
-            function=name,
             output=output,
             card_result=self.card.last_result,
             total_ns=self.clock.now - started,
@@ -153,29 +147,6 @@ class HostDriver:
         function = self.coprocessor.bank.by_name(name)
         self._write_input(blob)
         self._issue_command(CommandKind.RESTORE, function.function_id, len(blob))
-
-    def migrate_function_to(self, name: str, destination: "HostDriver") -> bytes:
-        """Capture *name* here, restore it on *destination*, release it here.
-
-        The single-host convenience wrapper over the migration protocol (the
-        fleet's rebalancer drives the same three commands through its card
-        queues instead, so each phase contends for card time).  Refuses
-        frame-incompatible destination fabrics up front — the wire format can
-        only check frame *sizes*, but the hosts hold both geometries.
-        Returns the migration blob that moved.
-        """
-        from repro.bitstream.relocate import compatible_fabrics
-
-        if not compatible_fabrics(
-            self.coprocessor.geometry, destination.coprocessor.geometry
-        ):
-            raise CoprocessorError(
-                f"cannot migrate {name!r}: destination fabric is frame-incompatible"
-            )
-        blob = self.capture_function(name)
-        destination.restore_function(name, blob)
-        self.evict(name)
-        return blob
 
     def defrag_card(self, max_moves: int = 0) -> int:
         """DEFRAG: one compaction pass; returns the frames moved.

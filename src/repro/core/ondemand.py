@@ -3,15 +3,15 @@
 The :class:`TraceRunner` drives a :class:`~repro.workloads.trace.Trace`
 through any *execution engine* — the agile co-processor, one of the baselines
 in :mod:`repro.baselines`, or anything else exposing
-``execute(name, data) -> result`` where the result has ``latency_ns``,
-``hit`` and ``output`` attributes.  It produces a :class:`TraceResult` with
+``execute(name, data) -> result`` where the result has ``latency_ns`` and
+``hit`` attributes.  It produces a :class:`TraceResult` with
 per-request records and the aggregate metrics the experiments report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, List, Optional, Protocol
 
 from repro.workloads.trace import Trace
 
@@ -27,19 +27,14 @@ class ExecutionEngine(Protocol):
 class RequestRecord:
     """Outcome of one trace request."""
 
-    index: int
-    function: str
-    payload_bytes: int
     latency_ns: int
     hit: bool
-    output_bytes: int
 
 
 @dataclass
 class TraceResult:
     """Aggregate results of one trace run."""
 
-    engine_name: str
     records: List[RequestRecord] = field(default_factory=list)
     total_time_ns: int = 0
 
@@ -81,23 +76,12 @@ class TraceResult:
             return 0.0
         return self.requests / (self.total_time_ns / 1e9)
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "requests": float(self.requests),
-            "hit_rate": self.hit_rate,
-            "mean_latency_ns": self.mean_latency_ns,
-            "p95_latency_ns": self.latency_percentile(95),
-            "total_time_ns": self.total_time_ns,
-            "throughput_rps": self.throughput_requests_per_s,
-        }
-
 
 class TraceRunner:
     """Runs traces against execution engines."""
 
-    def __init__(self, engine: ExecutionEngine, engine_name: Optional[str] = None) -> None:
+    def __init__(self, engine: ExecutionEngine) -> None:
         self.engine = engine
-        self.engine_name = engine_name or type(engine).__name__
 
     def run(
         self,
@@ -111,7 +95,7 @@ class TraceRunner:
         (only meaningful for the Belady replacement policy); engines that do
         not accept the keyword are called without it.
         """
-        result = TraceResult(engine_name=self.engine_name)
+        result = TraceResult()
         requests = trace.requests if limit is None else trace.requests[:limit]
         clock = getattr(self.engine, "clock", None)
         started_ns = clock.now if clock is not None else 0
@@ -129,12 +113,8 @@ class TraceRunner:
                 outcome = self.engine.execute(request.function, request.payload)
             result.records.append(
                 RequestRecord(
-                    index=index,
-                    function=request.function,
-                    payload_bytes=request.payload_bytes,
                     latency_ns=getattr(outcome, "latency_ns"),
                     hit=bool(getattr(outcome, "hit", True)),
-                    output_bytes=len(getattr(outcome, "output", b"")),
                 )
             )
         if clock is not None:

@@ -60,10 +60,6 @@ class ReservoirSampler:
         ordered = sorted(self.values)
         return [percentile_of(ordered, percentile) for percentile in wanted]
 
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
 
 @dataclass
 class CoprocessorStatistics:

@@ -23,7 +23,6 @@ class GoldenImageStore:
         self.frame_config_bytes = frame_config_bytes
         self._images: Dict[FrameAddress, bytes] = {}
         self._erased = bytes(frame_config_bytes)
-        self.captures = 0
 
     def __len__(self) -> int:
         return len(self._images)
@@ -45,7 +44,6 @@ class GoldenImageStore:
                     f"bytes, got {len(payload)}"
                 )
             self._images[address] = payload
-            self.captures += 1
 
     def release(self, region: Iterable[FrameAddress]) -> None:
         """Forget the frames of *region* (they are expected erased again)."""
@@ -55,9 +53,3 @@ class GoldenImageStore:
     def payload_for(self, address: FrameAddress) -> bytes:
         """The clean image for *address* (all zeros when never captured)."""
         return self._images.get(address, self._erased)
-
-    def describe(self) -> str:
-        return (
-            f"GoldenImageStore({len(self._images)} frames captured, "
-            f"{self.captures} captures total)"
-        )

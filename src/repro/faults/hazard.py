@@ -23,25 +23,13 @@ class FrameHazardDetector:
 
     def __init__(self, memory: ConfigurationMemory) -> None:
         self.memory = memory
-        self.checks = 0
         self.hazard_executions = 0
 
     def observe_execution(self, name: str, region: FrameRegion) -> bool:
         """Record one execution of *name*; True when a frame was corrupt."""
-        self.checks += 1
         frames = self.memory.frames
         for address in region:
             if not frames[address].crc_ok:
                 self.hazard_executions += 1
                 return True
         return False
-
-    def reset(self) -> None:
-        self.checks = 0
-        self.hazard_executions = 0
-
-    def describe(self) -> str:
-        return (
-            f"FrameHazardDetector({self.hazard_executions}/{self.checks} "
-            f"executions over corrupted frames)"
-        )

@@ -40,9 +40,6 @@ class FaultInjector:
         self._port_rng = root.fork("port-faults")
         self.upsets = 0
         self.effective_upsets = 0
-        self.masked_upsets = 0
-        self.port_faults = 0
-        self.cards_killed = 0
 
     # ----------------------------------------------------------- manual face
     def upset_memory(
@@ -70,8 +67,6 @@ class FaultInjector:
         self.upsets += 1
         if changed:
             self.effective_upsets += 1
-        else:
-            self.masked_upsets += 1
         return address, changed
 
     # ------------------------------------------------------------ fleet face
@@ -135,10 +130,9 @@ class FaultInjector:
                 # Transient: the next configuration session on this card
                 # absorbs the delay; no health change, nothing to recover.
                 card.driver.coprocessor.device.port.stall_for(duration)
-                self.port_faults += 1
                 fleet.record_fault_event("stall", card.name, duration_ns=duration)
-            elif fleet.degrade_card(card.index, duration):
-                self.port_faults += 1
+            else:
+                fleet.degrade_card(card.index, duration)
 
     #: How often the kill scheduler wakes to check for fleet idleness while
     #: waiting for a distant kill time.
@@ -160,13 +154,5 @@ class FaultInjector:
                 yield Timeout(min(remaining, self._KILL_IDLE_CHECK_NS))
                 if fleet.is_idle:
                     return
-            if 0 <= index < len(fleet.cards) and fleet.kill_card(index):
-                self.cards_killed += 1
-
-    # ------------------------------------------------------------ reporting
-    def describe(self) -> str:
-        return (
-            f"FaultInjector({self.spec.process}): {self.upsets} upsets "
-            f"({self.effective_upsets} effective, {self.masked_upsets} masked), "
-            f"{self.port_faults} port faults, {self.cards_killed} cards killed"
-        )
+            if 0 <= index < len(fleet.cards):
+                fleet.kill_card(index)

@@ -48,10 +48,6 @@ class SwitchBox:
             )
         self.state = bytearray(data)
 
-    @property
-    def is_clear(self) -> bool:
-        return all(byte == 0 for byte in self.state)
-
 
 #: Shared all-zero LUTs keyed by input width.  LookUpTable instances are
 #: immutable (callers replace, never mutate, the objects), so every erased
@@ -88,12 +84,6 @@ class ConfigurableLogicBlock:
         self.luts = [_zero_lut(self.lut_inputs)] * len(self.luts)
         self.ff_init = [False] * len(self.luts)
         self.switch_box.clear()
-
-    @property
-    def is_clear(self) -> bool:
-        luts_clear = all(lut.as_integer() == 0 for lut in self.luts)
-        ffs_clear = not any(self.ff_init)
-        return luts_clear and ffs_clear and self.switch_box.is_clear
 
     # --------------------------------------------------------- configuration
     def config_byte_length(self) -> int:

@@ -189,10 +189,3 @@ class ConfigurationMemory:
         """Fraction of frames currently owned by some function."""
         owned = self.geometry.frame_count - len(self._free)
         return owned / self.geometry.frame_count
-
-    def describe(self) -> str:
-        owned = self.owners()
-        parts = [f"{name}:{len(frames)}f" for name, frames in sorted(owned.items())]
-        free = self.geometry.frame_count - sum(len(frames) for frames in owned.values())
-        parts.append(f"free:{free}f")
-        return ", ".join(parts)

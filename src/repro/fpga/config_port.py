@@ -120,7 +120,7 @@ class ConfigurationPort:
         self._session_crc = IncrementalCrc32()
         self._session_frames = []
 
-    def write_frame(self, address: FrameAddress, payload: bytes) -> float:
+    def write_frame(self, address: FrameAddress, payload: bytes) -> int:
         """Write one frame within the open session; returns the time spent."""
         if not self.in_session:
             raise ConfigurationError("write_frame outside a configuration session")
@@ -135,7 +135,7 @@ class ConfigurationPort:
         self.clock.advance(elapsed)
         return elapsed
 
-    def end_session(self, expected_crc: Optional[int] = None) -> Tuple[List[FrameAddress], float]:
+    def end_session(self, expected_crc: Optional[int] = None) -> Tuple[List[FrameAddress], int]:
         """Close the session, optionally verifying the payload CRC.
 
         On CRC mismatch the freshly written frames are rolled back (cleared

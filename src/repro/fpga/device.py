@@ -37,7 +37,6 @@ class LoadedFunction:
     function_id: int
     region: FrameRegion
     executor: FunctionExecutor
-    loaded_at_ns: int
     executions: int = 0
     #: I/O metadata copied from the configuring bit-stream's header, so a
     #: readback capture can rebuild a relocatable bit-stream without
@@ -114,7 +113,6 @@ class FPGADevice:
             function_id=header.function_id,
             region=region,
             executor=executor,
-            loaded_at_ns=self.clock.now,
             input_bytes=header.input_bytes,
             output_bytes=header.output_bytes,
             lut_count=header.lut_count,
@@ -127,7 +125,7 @@ class FPGADevice:
         bitstream: Bitstream,
         region: FrameRegion,
         executor: FunctionExecutor,
-    ) -> float:
+    ) -> int:
         """Apply a partial bit-stream to *region* and bind *executor* to it.
 
         Returns the time spent on the configuration port.  Raises
@@ -166,48 +164,6 @@ class FPGADevice:
         self.trace.record("fpga", "configure_partial", started, self.clock.now, function=name, frames=len(region))
         return elapsed
 
-    def configure_full(self, bitstream: Bitstream, executor: FunctionExecutor) -> float:
-        """Full reconfiguration: erase the whole device, then load one function.
-
-        Used by the full-reconfiguration baseline — every previously loaded
-        function is lost, which is precisely the cost the paper's partial
-        approach avoids.
-        """
-        started = self.clock.now
-        self.unload_all()
-        # A full configuration rewrites every frame on the device: the ones
-        # carrying the function plus the erased remainder.
-        region_addresses = [
-            self.geometry.frame_at(index) for index in range(bitstream.header.frame_count)
-        ]
-        region = FrameRegion.from_addresses(region_addresses)
-        name = bitstream.header.function_name
-        blank = bytes(self.geometry.frame_config_bytes)
-        self.port.begin_session(name)
-        try:
-            for address, payload in zip(region, bitstream.frames):
-                self.port.write_frame(address, payload)
-            for index in range(bitstream.header.frame_count, self.geometry.frame_count):
-                self.port.write_frame(self.geometry.frame_at(index), blank)
-            self.port.end_session(expected_crc=None)
-        except ConfigurationError:
-            self.port.abort_session()
-            raise
-        # The blank remainder of the device is not owned by the function.
-        blank_addresses = [
-            self.geometry.frame_at(index)
-            for index in range(bitstream.header.frame_count, self.geometry.frame_count)
-        ]
-        if blank_addresses:
-            self.memory.release(FrameRegion.from_addresses(blank_addresses))
-        self.memory.claim(region, name)
-        self._bind(bitstream, region, executor)
-        if self.golden is not None and blank_addresses:
-            self.golden.release(FrameRegion.from_addresses(blank_addresses))
-        elapsed = self.clock.now - started
-        self.trace.record("fpga", "configure_full", started, self.clock.now, function=name)
-        return elapsed
-
     # --------------------------------------------------------------- unload
     def unload(self, name: str) -> FrameRegion:
         """Unbind *name* and release (and erase) its frames.
@@ -228,7 +184,7 @@ class FPGADevice:
             self.unload(name)
 
     # -------------------------------------------------------------- execute
-    def execute(self, name: str, input_bytes: bytes) -> Tuple[bytes, float]:
+    def execute(self, name: str, input_bytes: bytes) -> Tuple[bytes, int]:
         """Run the loaded function *name* on *input_bytes*.
 
         Returns (output bytes, fabric time in ns) and advances the clock by
@@ -294,7 +250,7 @@ class FPGADevice:
         )
         return bitstream
 
-    def relocate_function(self, name: str, new_region: FrameRegion) -> float:
+    def relocate_function(self, name: str, new_region: FrameRegion) -> int:
         """Move *name*'s frames to *new_region* on this fabric; returns Δt.
 
         The relocation is capture-and-restore in place: the old frames are
@@ -378,12 +334,3 @@ class FPGADevice:
     # ------------------------------------------------------------ reporting
     def utilisation(self) -> float:
         return self.memory.utilisation()
-
-    def describe(self) -> str:
-        lines = [self.geometry.describe()]
-        for name, loaded in sorted(self._loaded.items()):
-            lines.append(
-                f"  {name}: {loaded.frame_count} frames, {loaded.executions} executions"
-            )
-        lines.append(f"  free frames: {len(self.free_frames())}/{self.geometry.frame_count}")
-        return "\n".join(lines)

@@ -3,7 +3,7 @@
 A :class:`Frame` is one frame address worth of configuration SRAM: it stores
 the canonical byte image of the CLBs (and their switch boxes) it covers, and
 nothing else.  The CLB/LUT object model (:mod:`repro.fpga.clb`) defines the
-layout of those bytes; :meth:`Frame.decode_clbs` gives a decoded copy for
+layout of those bytes; :func:`decode_clbs` gives a decoded copy for
 inspection, and the bit-stream generator renders through the same objects
 into bytes.  A :class:`FrameRegion` is the set of frames assigned to one
 loaded function — the paper explicitly allows the set to be non-contiguous.
@@ -86,10 +86,6 @@ class Frame:
         # unchanged bytes.
         self._crc: Optional[int] = self._erased_crc
 
-    @property
-    def flat_index(self) -> int:
-        return self.address.flat_index(self.geometry.tiles_per_column)
-
     def clear(self) -> None:
         """Erase the frame (the all-zero configuration)."""
         self._data = self._erased
@@ -102,10 +98,6 @@ class Frame:
     def to_config_bytes(self) -> bytes:
         """Configuration readback: the canonical byte image."""
         return self._data
-
-    def decode_clbs(self) -> List[ConfigurableLogicBlock]:
-        """A decoded copy of the frame's CLBs; mutating it does not write back."""
-        return decode_clbs(self.geometry, self._data)
 
     def load_config_bytes(self, data: bytes) -> None:
         """Store a frame-sized slice of configuration data."""
@@ -190,19 +182,6 @@ class FrameRegion:
 
     def __contains__(self, address: FrameAddress) -> bool:
         return address in self.addresses
-
-    def overlaps(self, other: "FrameRegion") -> bool:
-        return bool(set(self.addresses) & set(other.addresses))
-
-    def union(self, other: "FrameRegion") -> "FrameRegion":
-        combined = list(self.addresses)
-        for address in other.addresses:
-            if address not in combined:
-                combined.append(address)
-        return FrameRegion(tuple(combined))
-
-    def describe(self) -> str:
-        return "{" + ", ".join(str(address) for address in self.addresses) + "}"
 
 
 class FrameArray:

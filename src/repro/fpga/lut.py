@@ -1,20 +1,19 @@
 """Look-up table model.
 
 LUTs are the unit of programmable logic inside a CLB: a ``k``-input LUT stores
-``2**k`` truth-table bits and evaluates any boolean function of its inputs.
-The netlist executor uses these objects to actually evaluate small mapped
+``2**k`` truth-table bits and so realises any boolean function of its inputs.
+The netlist executor compiles these objects to actually evaluate small mapped
 designs, which is how the tests prove the fabric realises real logic rather
 than merely storing bytes.
 
 The truth table is stored as a single integer (bit ``i`` = output for input
 vector ``i``), so evaluation is one shift-and-mask and serialisation is one
-``int.to_bytes`` call.  The list-of-bools view the original model exposed is
-still available through :attr:`truth_table` for callers that want it.
+``int.to_bytes`` call.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 
 class LookUpTable:
@@ -48,23 +47,6 @@ class LookUpTable:
             self._tt = value
 
     # -------------------------------------------------------------- queries
-    def evaluate(self, input_bits: Sequence[bool]) -> bool:
-        """Evaluate the LUT for the given input vector."""
-        if len(input_bits) != self.inputs:
-            raise ValueError(
-                f"expected {self.inputs} input bits, got {len(input_bits)}"
-            )
-        index = 0
-        for position, bit in enumerate(input_bits):
-            if bit:
-                index |= 1 << position
-        return (self._tt >> index) & 1 == 1
-
-    @property
-    def truth_table(self) -> List[bool]:
-        tt = self._tt
-        return [(tt >> index) & 1 == 1 for index in range(self.size)]
-
     def as_integer(self) -> int:
         """Truth table packed into an integer (bit i = output for input i)."""
         return self._tt
@@ -88,9 +70,8 @@ class LookUpTable:
     def from_function(cls, inputs: int, function) -> "LookUpTable":
         """Build a LUT by evaluating *function(bits)* over every input vector.
 
-        >>> lut = LookUpTable.from_function(2, lambda bits: bits[0] ^ bits[1])
-        >>> lut.evaluate([True, False])
-        True
+        >>> LookUpTable.from_function(2, lambda bits: bits[0] ^ bits[1]).as_integer()
+        6
         """
         value = 0
         for index in range(1 << inputs):
@@ -98,13 +79,6 @@ class LookUpTable:
             if function(bits):
                 value |= 1 << index
         return cls(inputs, value)
-
-    @classmethod
-    def passthrough(cls, inputs: int, which: int = 0) -> "LookUpTable":
-        """A LUT that copies input *which* to its output."""
-        if not 0 <= which < inputs:
-            raise ValueError("passthrough input index out of range")
-        return cls.from_function(inputs, lambda bits: bits[which])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LookUpTable):

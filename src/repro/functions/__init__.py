@@ -18,11 +18,10 @@ algorithm-agile co-processors (the paper's references [1] and [2] are both
 cryptographic engines).
 """
 
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
 
 __all__ = [
-    "FunctionCategory",
     "FunctionSpec",
     "HardwareFunction",
     "FunctionBank",

@@ -74,16 +74,6 @@ class FunctionBank:
         """
         return FunctionBank([self.by_name(name) for name in names])
 
-    def describe(self) -> str:
-        lines = []
-        for function in self._functions:
-            spec = function.spec
-            lines.append(
-                f"{spec.name:<12} id={spec.function_id:<3} {spec.category.value:<10} "
-                f"in={spec.input_bytes:<5} out={spec.output_bytes:<5} luts={spec.lut_estimate}"
-            )
-        return "\n".join(lines)
-
 
 def build_default_bank() -> FunctionBank:
     """The full 14-function bank used by the examples and benchmarks.

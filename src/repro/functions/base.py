@@ -3,23 +3,12 @@
 from __future__ import annotations
 
 import abc
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.fpga.executor import BehaviouralExecutor, CycleModel, FunctionExecutor, NetlistExecutor
 from repro.fpga.geometry import FabricGeometry
 from repro.fpga.netlist import Netlist
-
-
-class FunctionCategory(enum.Enum):
-    """Broad domain of a hardware function (used in reports and workloads)."""
-
-    CRYPTO = "crypto"
-    HASH = "hash"
-    DSP = "dsp"
-    ARITHMETIC = "arithmetic"
-    MISC = "misc"
 
 
 @dataclass(frozen=True)
@@ -34,8 +23,6 @@ class FunctionSpec:
 
     name: str
     function_id: int
-    description: str
-    category: FunctionCategory
     input_bytes: int
     output_bytes: int
     lut_estimate: int
@@ -73,10 +60,6 @@ class HardwareFunction(abc.ABC):
     @abc.abstractmethod
     def behaviour(self, data: bytes) -> bytes:
         """Reference model: what the hardware computes for *data*."""
-
-    def reference(self, data: bytes) -> bytes:
-        """Alias used by tests/baselines: the software oracle."""
-        return self.behaviour(data)
 
     # --------------------------------------------------------------- mapping
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
@@ -141,22 +124,3 @@ class HardwareFunction(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(name={self.spec.name!r}, luts={self.spec.lut_estimate})"
 
-
-class CallableFunction(HardwareFunction):
-    """Adapter turning a plain callable into a :class:`HardwareFunction`.
-
-    Handy in tests and examples:
-
-    >>> from repro.fpga.executor import CycleModel
-    >>> spec = FunctionSpec("upper", 99, "uppercase", FunctionCategory.MISC, 8, 8, 32)
-    >>> function = CallableFunction(spec, lambda data: data.upper())
-    >>> function.behaviour(b"abc")
-    b'ABC'
-    """
-
-    def __init__(self, spec: FunctionSpec, callable_behaviour: Callable[[bytes], bytes]) -> None:
-        super().__init__(spec)
-        self._callable = callable_behaviour
-
-    def behaviour(self, data: bytes) -> bytes:
-        return self._callable(data)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def _xtime(value: int) -> int:
@@ -99,7 +99,6 @@ class Aes128:
     def __init__(self, key: bytes) -> None:
         if len(key) != 16:
             raise ValueError("AES-128 needs a 16-byte key")
-        self.key = key
         self._round_keys = self._expand_key(key)
 
     # ---------------------------------------------------------- key schedule
@@ -176,8 +175,6 @@ class AesFunction(HardwareFunction):
         spec = FunctionSpec(
             name="aes128",
             function_id=function_id,
-            description="AES-128 ECB encryption with a configuration-time key",
-            category=FunctionCategory.CRYPTO,
             input_bytes=16,
             output_bytes=16,
             lut_estimate=2400,

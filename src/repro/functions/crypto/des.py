@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 # Initial permutation and its inverse (bit positions are 1-based per FIPS 46-3).
 _IP = [
@@ -132,7 +132,6 @@ class Des:
     def __init__(self, key: bytes) -> None:
         if len(key) != 8:
             raise ValueError("DES needs an 8-byte key")
-        self.key = key
         self._subkeys = self._key_schedule(key)
 
     @staticmethod
@@ -191,8 +190,6 @@ class DesFunction(HardwareFunction):
         spec = FunctionSpec(
             name="des",
             function_id=function_id,
-            description="Single-DES ECB encryption with a configuration-time key",
-            category=FunctionCategory.CRYPTO,
             input_bytes=8,
             output_bytes=8,
             lut_estimate=900,

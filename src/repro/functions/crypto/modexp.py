@@ -10,7 +10,7 @@ and configuration-time modulus.
 from __future__ import annotations
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def modular_exponentiation(base: int, exponent: int, modulus: int) -> int:
@@ -47,8 +47,6 @@ class ModExpFunction(HardwareFunction):
         spec = FunctionSpec(
             name="modexp512",
             function_id=function_id,
-            description="512-bit modular exponentiation (RSA public operation)",
-            category=FunctionCategory.CRYPTO,
             input_bytes=self.OPERAND_BYTES,
             output_bytes=self.OPERAND_BYTES,
             lut_estimate=3200,

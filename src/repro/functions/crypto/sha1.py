@@ -6,7 +6,7 @@ import struct
 from typing import List
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def _rotate_left(value: int, amount: int) -> int:
@@ -87,8 +87,6 @@ class Sha1Function(HardwareFunction):
         spec = FunctionSpec(
             name="sha1",
             function_id=function_id,
-            description="SHA-1 message digest (20-byte output)",
-            category=FunctionCategory.HASH,
             input_bytes=64,
             output_bytes=20,
             lut_estimate=1100,

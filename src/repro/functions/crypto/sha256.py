@@ -11,7 +11,7 @@ import struct
 from typing import List
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def _primes(count: int) -> List[int]:
@@ -139,8 +139,6 @@ class Sha256Function(HardwareFunction):
         spec = FunctionSpec(
             name="sha256",
             function_id=function_id,
-            description="SHA-256 message digest (32-byte output)",
-            category=FunctionCategory.HASH,
             input_bytes=64,
             output_bytes=32,
             lut_estimate=1500,

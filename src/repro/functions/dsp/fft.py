@@ -14,7 +14,7 @@ import struct
 from typing import List, Sequence
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def _bit_reverse_indices(length: int) -> List[int]:
@@ -67,8 +67,6 @@ class FftFunction(HardwareFunction):
         spec = FunctionSpec(
             name="fft256",
             function_id=function_id,
-            description="256-point radix-2 FFT over int16 samples",
-            category=FunctionCategory.DSP,
             input_bytes=self.POINTS * self.SAMPLE_BYTES,
             output_bytes=self.POINTS * self.SAMPLE_BYTES * 2,
             lut_estimate=2000,

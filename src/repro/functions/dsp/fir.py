@@ -6,7 +6,7 @@ import struct
 from typing import List, Sequence
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 class FirFilter:
@@ -65,8 +65,6 @@ class FirFunction(HardwareFunction):
         spec = FunctionSpec(
             name="fir16",
             function_id=function_id,
-            description="16-tap Q15 FIR filter over int16 samples",
-            category=FunctionCategory.DSP,
             input_bytes=256,
             output_bytes=256,
             lut_estimate=800,

@@ -6,7 +6,7 @@ import struct
 from typing import List, Sequence
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -47,8 +47,6 @@ class MatMulFunction(HardwareFunction):
         spec = FunctionSpec(
             name="matmul8",
             function_id=function_id,
-            description="8x8 int16 matrix multiplication with int32 accumulation",
-            category=FunctionCategory.ARITHMETIC,
             input_bytes=2 * elements * self.ELEMENT_BYTES,
             output_bytes=elements * self.RESULT_ELEMENT_BYTES,
             lut_estimate=1800,

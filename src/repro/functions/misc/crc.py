@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.bitstream.crc import crc32
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 class Crc32Function(HardwareFunction):
@@ -19,8 +19,6 @@ class Crc32Function(HardwareFunction):
         spec = FunctionSpec(
             name="crc32",
             function_id=function_id,
-            description="CRC-32 (IEEE 802.3) checksum of the input buffer",
-            category=FunctionCategory.MISC,
             input_bytes=64,
             output_bytes=4,
             lut_estimate=220,

@@ -13,7 +13,7 @@ from typing import Optional
 from repro.fpga.executor import CycleModel
 from repro.fpga.geometry import FabricGeometry
 from repro.fpga.netlist import Netlist
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 from repro.functions.netgen import (
     build_adder_netlist,
     build_parity_netlist,
@@ -30,8 +30,6 @@ class ParityFunction(HardwareFunction):
         spec = FunctionSpec(
             name="parity32",
             function_id=function_id,
-            description="Odd-parity of a 32-bit word (netlist-backed)",
-            category=FunctionCategory.ARITHMETIC,
             input_bytes=self.INPUT_BITS // 8,
             output_bytes=1,
             lut_estimate=16,
@@ -57,8 +55,6 @@ class AdderFunction(HardwareFunction):
         spec = FunctionSpec(
             name="adder8",
             function_id=function_id,
-            description="8-bit ripple-carry adder (netlist-backed)",
-            category=FunctionCategory.ARITHMETIC,
             input_bytes=2,
             output_bytes=2,
             lut_estimate=16,
@@ -84,8 +80,6 @@ class PopcountFunction(HardwareFunction):
         spec = FunctionSpec(
             name="popcount8",
             function_id=function_id,
-            description="Population count of one byte (netlist-backed)",
-            category=FunctionCategory.ARITHMETIC,
             input_bytes=1,
             output_bytes=1,
             lut_estimate=12,

@@ -12,7 +12,7 @@ import struct
 from typing import List, Sequence
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def bitonic_sort(values: Sequence[int]) -> List[int]:
@@ -48,8 +48,6 @@ class BitonicSortFunction(HardwareFunction):
         spec = FunctionSpec(
             name="bitonic64",
             function_id=function_id,
-            description="Bitonic sorting network over 64 uint16 keys",
-            category=FunctionCategory.MISC,
             input_bytes=self.KEYS * self.KEY_BYTES,
             output_bytes=self.KEYS * self.KEY_BYTES,
             lut_estimate=1400,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 
 from repro.fpga.executor import CycleModel
-from repro.functions.base import FunctionCategory, FunctionSpec, HardwareFunction
+from repro.functions.base import FunctionSpec, HardwareFunction
 
 
 def count_occurrences(haystack: bytes, needle: bytes) -> int:
@@ -37,8 +37,6 @@ class StringMatchFunction(HardwareFunction):
         spec = FunctionSpec(
             name="strmatch",
             function_id=function_id,
-            description=f"Systolic matcher counting occurrences of a {len(DEFAULT_PATTERN)}-byte pattern",
-            category=FunctionCategory.MISC,
             input_bytes=256,
             output_bytes=4,
             lut_estimate=350,

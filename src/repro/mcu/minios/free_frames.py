@@ -88,9 +88,3 @@ class FreeFrameList:
         """Mark every frame free (device reset)."""
         self._free = set(self.geometry.all_frames())
         self._sorted_cache = None
-
-    def describe(self) -> str:
-        return (
-            f"FreeFrameList({self.free_count}/{self.geometry.frame_count} free, "
-            f"largest run {self.largest_contiguous_run()})"
-        )

@@ -18,7 +18,6 @@ from repro.mcu.minios.replacement import FrameReplacementTable
 class EvictionDecision:
     """The plan for bringing one function onto the fabric."""
 
-    function: str
     hit: bool
     evictions: List[str] = field(default_factory=list)
     region: Optional[FrameRegion] = None
@@ -110,7 +109,7 @@ class MiniOs:
             )
         if self.is_resident(name):
             self.stats.hits += 1
-            return EvictionDecision(function=name, hit=True)
+            return EvictionDecision(hit=True)
 
         self.stats.misses += 1
         protect = set(protect or set())
@@ -131,7 +130,6 @@ class MiniOs:
             self.placer.choose_frames(frames_needed, candidate_frames)
         )
         return EvictionDecision(
-            function=name,
             hit=False,
             evictions=[victim.name for victim in victims],
             region=region,
@@ -156,11 +154,3 @@ class MiniOs:
         self.free_frames.clear()
         self.table.clear()
         self.stats = MiniOsStatistics()
-
-    # ------------------------------------------------------------ reporting
-    def describe(self, now_ns: Optional[int] = None) -> str:
-        return (
-            f"policy={self.policy.name}\n"
-            f"{self.free_frames.describe()}\n"
-            f"{self.table.describe(now_ns)}"
-        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.fpga.frame import FrameRegion
 
@@ -89,14 +89,3 @@ class FrameReplacementTable:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    # ------------------------------------------------------------ reporting
-    def describe(self, now_ns: Optional[int] = None) -> str:
-        lines = []
-        for entry in sorted(self._entries.values(), key=lambda e: e.last_access_ns):
-            age = f", idle {now_ns - entry.last_access_ns:.0f}ns" if now_ns is not None else ""
-            lines.append(
-                f"{entry.name:<12} frames={entry.frame_count:<3} "
-                f"accesses={entry.access_count:<5} last={entry.last_access_ns:.0f}ns{age}"
-            )
-        return "\n".join(lines) or "(empty)"

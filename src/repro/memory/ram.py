@@ -93,7 +93,7 @@ class LocalRam:
             raise RamAllocationError(f"no allocation labelled {label!r}") from None
 
     # ----------------------------------------------------------------- I/O
-    def write(self, allocation: RamAllocation, data: bytes, offset: int = 0) -> float:
+    def write(self, allocation: RamAllocation, data: bytes, offset: int = 0) -> int:
         """Timed write of *data* into *allocation* at *offset*; returns the time."""
         if offset < 0 or offset + len(data) > allocation.length:
             raise ValueError(
@@ -122,11 +122,3 @@ class LocalRam:
         address = allocation.address + offset
         self.trace.record("ram", "read", started, self.clock.now, label=allocation.label, length=length)
         return bytes(self._data[address : address + length])
-
-    # ------------------------------------------------------------ reporting
-    def describe(self) -> str:
-        parts = [
-            f"{allocation.label}@{allocation.address}+{allocation.length}"
-            for allocation in sorted(self._allocations.values(), key=lambda a: a.address)
-        ]
-        return f"LocalRam({self.bytes_allocated}/{self.capacity_bytes} bytes: {', '.join(parts) or 'empty'})"

@@ -129,19 +129,8 @@ class RecordTable:
         except KeyError:
             raise KeyError(f"no function record named {name!r}") from None
 
-    def by_id(self, function_id: int) -> FunctionRecord:
-        try:
-            return self._by_id[function_id]
-        except KeyError:
-            raise KeyError(f"no function record with id {function_id}") from None
-
     def names(self) -> List[str]:
         return [record.name for record in self._records]
-
-    @property
-    def packed_size(self) -> int:
-        """Bytes the whole table occupies in the ROM."""
-        return len(self._records) * FunctionRecord.packed_size()
 
     def pack(self) -> bytes:
         return b"".join(record.pack() for record in self._records)

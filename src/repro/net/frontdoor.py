@@ -51,7 +51,6 @@ class FrontDoor:
         if deadline_ns is not None and deadline_ns <= 0:
             raise ValueError("the deadline budget must be positive")
         self.fleet = fleet
-        self.rng = rng
         uplink = uplink if uplink is not None else LinkSpec()
         #: Per-tenant admission class (default 0 = bulk; >0 sheds last).
         self.priorities = dict(priorities) if priorities else {}

@@ -56,7 +56,6 @@ from repro.obs.incident import (
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     LabeledCounter,
     MetricsRegistry,
 )
@@ -173,7 +172,6 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "Incident",
     "LabeledCounter",
     "MetricsRegistry",

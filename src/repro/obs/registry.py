@@ -1,5 +1,5 @@
-"""A small typed metrics registry: counters, gauges, labeled counters and
-sketch-backed histograms under one naming discipline.
+"""A small typed metrics registry: counters, gauges and labeled counters under
+one naming discipline.
 
 Before this module the repo had five hand-rolled accounting schemes
 (``FleetStatistics`` scalars, link packet counters, gateway/breaker tallies,
@@ -20,18 +20,16 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.analysis.sketch import StreamingQuantileSketch
 from repro.obs.names import NAME_RE
 
 
 class Counter:
     """A monotonically-meant scalar (writable, so migrations stay drop-in)."""
 
-    __slots__ = ("name", "description", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, description: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.description = description
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -44,13 +42,10 @@ class Counter:
 class Gauge:
     """A point-in-time scalar: either set explicitly or read via callback."""
 
-    __slots__ = ("name", "description", "fn", "value")
+    __slots__ = ("name", "fn", "value")
 
-    def __init__(
-        self, name: str, fn: Optional[Callable[[], float]] = None, description: str = ""
-    ) -> None:
+    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None) -> None:
         self.name = name
-        self.description = description
         self.fn = fn
         self.value = 0
 
@@ -74,54 +69,23 @@ class LabeledCounter(defaultdict):
     while the family participates in registry snapshots.
     """
 
-    def __init__(self, name: str = "", description: str = "") -> None:
+    def __init__(self, name: str = "") -> None:
         super().__init__(int)
         self.name = name
-        self.description = description
 
     def inc(self, label: Any, amount: int = 1) -> None:
         self[label] += amount
 
     def __reduce__(self):
         # defaultdict's default __reduce__ would replay our __init__ with the
-        # factory as first argument; rebuild from (name, description) + items.
-        return (_rebuild_labeled, (self.name, self.description, dict(self)))
+        # factory as first argument; rebuild from the name + items.
+        return (_rebuild_labeled, (self.name, dict(self)))
 
 
-def _rebuild_labeled(name: str, description: str, items: dict) -> "LabeledCounter":
-    counter = LabeledCounter(name, description)
+def _rebuild_labeled(name: str, items: dict) -> "LabeledCounter":
+    counter = LabeledCounter(name)
     counter.update(items)
     return counter
-
-
-class Histogram:
-    """A distribution instrument over a deterministic streaming sketch."""
-
-    __slots__ = ("name", "description", "sketch", "count", "total")
-
-    def __init__(
-        self, name: str, description: str = "", relative_error: float = 0.01
-    ) -> None:
-        self.name = name
-        self.description = description
-        self.sketch = StreamingQuantileSketch(relative_error=relative_error)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.sketch.add(value)
-
-    def percentile(self, percentile: float) -> float:
-        return self.sketch.percentile(percentile)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name!r}, n={self.count})"
 
 
 class MetricsRegistry:
@@ -144,24 +108,14 @@ class MetricsRegistry:
         self._instruments[name] = instrument
         return instrument
 
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._register(name, Counter(name, description))
+    def counter(self, name: str) -> Counter:
+        return self._register(name, Counter(name))
 
-    def gauge(
-        self,
-        name: str,
-        fn: Optional[Callable[[], float]] = None,
-        description: str = "",
-    ) -> Gauge:
-        return self._register(name, Gauge(name, fn, description))
+    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> Gauge:
+        return self._register(name, Gauge(name, fn))
 
-    def labeled_counter(self, name: str, description: str = "") -> LabeledCounter:
-        return self._register(name, LabeledCounter(name, description))
-
-    def histogram(
-        self, name: str, description: str = "", relative_error: float = 0.01
-    ) -> Histogram:
-        return self._register(name, Histogram(name, description, relative_error))
+    def labeled_counter(self, name: str) -> LabeledCounter:
+        return self._register(name, LabeledCounter(name))
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -180,8 +134,7 @@ class MetricsRegistry:
         """A flat, deterministic picture of every instrument.
 
         Counters/gauges flatten to scalars; labeled counters to
-        ``{str(label): count}`` dicts (sorted); histograms to their summary
-        statistics.  Key order is sorted, so ``json.dumps(..., sort_keys=
+        ``{str(label): count}`` dicts (sorted).  Key order is sorted, so ``json.dumps(..., sort_keys=
         True)`` of a snapshot is byte-stable for a fixed seed.
         """
         out: Dict[str, object] = {}
@@ -191,20 +144,11 @@ class MetricsRegistry:
                 out[name] = instrument.value
             elif isinstance(instrument, Gauge):
                 out[name] = instrument.read()
-            elif isinstance(instrument, LabeledCounter):
+            else:  # LabeledCounter
                 out[name] = {
                     str(label): count
                     for label, count in sorted(
                         instrument.items(), key=lambda item: str(item[0])
                     )
-                }
-            else:  # Histogram
-                out[name] = {
-                    "count": instrument.count,
-                    "total": instrument.total,
-                    "mean": instrument.mean,
-                    "p50": instrument.percentile(50),
-                    "p95": instrument.percentile(95),
-                    "p99": instrument.percentile(99),
                 }
         return out

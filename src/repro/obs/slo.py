@@ -211,16 +211,6 @@ class Alert:
     def active(self) -> bool:
         return self.resolved_ns is None
 
-    def to_dict(self) -> dict:
-        return {
-            "slo": self.slo,
-            "window": self.window,
-            "fired_ns": self.fired_ns,
-            "resolved_ns": self.resolved_ns,
-            "burn_fast": round(self.burn_fast, 6),
-            "burn_slow": round(self.burn_slow, 6),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else f"resolved@{self.resolved_ns}"
         return f"Alert({self.slo!r} @{self.fired_ns} x{self.burn_fast:.1f}, {state})"

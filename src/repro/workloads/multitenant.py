@@ -60,10 +60,6 @@ class FleetRequest:
     #: class-level ``None``.)
     deadline_ns: Optional[int] = None
 
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.payload)
-
 
 class FleetTrace:
     """An arrival-ordered sequence of :class:`FleetRequest`."""
@@ -89,9 +85,6 @@ class FleetTrace:
     def duration_ns(self) -> int:
         """Arrival time of the last request (0 for an empty trace)."""
         return self._requests[-1].arrival_ns if self._requests else 0
-
-    def tenants(self) -> List[str]:
-        return sorted({request.tenant for request in self._requests})
 
     def function_counts(self) -> Dict[str, int]:
         return dict(Counter(request.function for request in self._requests))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -17,10 +17,6 @@ class Request:
     function: str
     payload: bytes
     arrival_offset_ns: int = 0
-
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.payload)
 
 
 class Trace:
@@ -43,10 +39,6 @@ class Trace:
     def requests(self) -> List[Request]:
         return list(self._requests)
 
-    def function_sequence(self) -> List[str]:
-        """The function names in order (what the Belady policy consumes)."""
-        return [request.function for request in self._requests]
-
     def function_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for request in self._requests:
@@ -61,12 +53,6 @@ class Trace:
             for previous, current in zip(self._requests, self._requests[1:])
             if previous.function != current.function
         )
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
-        return Trace(self._requests[start:stop], name=f"{self.name}[{start}:{stop}]")
-
-    def concatenate(self, other: "Trace") -> "Trace":
-        return Trace(self._requests + other.requests, name=f"{self.name}+{other.name}")
 
     def describe(self) -> str:
         counts = self.function_counts()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from oracles.luts import evaluate
 from repro.fpga.errors import ExecutionError
 from repro.fpga.netlist import Netlist
 
@@ -53,6 +54,6 @@ class ReferenceNetlistExecutor:
         for cell in self._order:
             assert cell.lut is not None and cell.output_net is not None
             inputs = [values.get(source, False) for source in cell.fanin]
-            values[cell.output_net] = cell.lut.evaluate(inputs)
+            values[cell.output_net] = evaluate(cell.lut, inputs)
         output_bits = [values.get(net, False) for net in self.netlist.outputs]
         return bits_to_bytes(output_bits), 1

@@ -86,11 +86,6 @@ class TestCompressionQuality:
         codec = FrameDifferentialCodec()
         assert len(codec.compress(data)) < len(RunLengthCodec().compress(data))
 
-    def test_ratio_helper(self):
-        codec = RunLengthCodec()
-        assert codec.ratio(b"\x00" * 1000) > 10.0
-        assert codec.ratio(b"") == 1.0
-
 
 class TestErrorHandling:
     def test_rle_rejects_garbage(self):

@@ -31,13 +31,6 @@ class TestCrc32:
         accumulator.update(data[:10]).update(data[10:])
         assert accumulator.value == crc32(data)
 
-    def test_incremental_reset(self):
-        accumulator = IncrementalCrc32()
-        accumulator.update(b"junk")
-        accumulator.reset()
-        accumulator.update(b"abc")
-        assert accumulator.value == crc32(b"abc")
-
     def test_initial_parameter_chains(self):
         data = b"abcdef"
         assert crc32(data[3:], crc32(data[:3])) == crc32(data)

@@ -145,7 +145,6 @@ class TestDifferential:
             fleet.run(FleetTrace(requests))
         memo = fleets[0].cards[0].memo
         assert memo.entries == 8
-        assert memo.recordings == 8
         assert_same_run(*fleets)
 
 
@@ -306,7 +305,7 @@ class TestTracedDifferential:
         # Recorded: crc32, parity32.  Replayed: two crc32 before the
         # eviction, one crc32 and one parity32 after the reload, two crc32
         # after the reset.
-        assert (memo_card.memo.recordings, memo_card.memo.replays) == (2, 6)
+        assert (memo_card.memo.entries, memo_card.memo.replays) == (2, 6)
 
     def test_recorder_capacity_drops_like_the_full_path(self, small_bank, small_fleet):
         # 10 slots: the capacity runs out in the middle of every serve, the
@@ -334,7 +333,7 @@ class TestGate:
         assert card.serve(request)[1] is False  # miss: loads the function
         card.serve(request)  # first resident hit: recorded
         card.serve(request)  # replayed
-        assert (card.memo.recordings, card.memo.replays) == (1, 1)
+        assert (card.memo.entries, card.memo.replays) == (1, 1)
         return fleet, card, request
 
     def test_eviction_between_two_serves(self, small_bank, small_fleet):
@@ -362,7 +361,7 @@ class TestGate:
         for _ in range(2):
             _, hit = card.serve(request)
             assert hit is True
-        assert (card.memo.recordings, card.memo.replays) == (1, 1)
+        assert (card.memo.entries, card.memo.replays) == (1, 1)
 
     def test_enabled_device_recorder(self, small_bank, small_fleet):
         # A recorder someone enabled by hand is read as a device log, and a
@@ -376,7 +375,7 @@ class TestGate:
             traced.driver.coprocessor.trace.enabled = True
             results.append(traced.serve(request))
         assert results[0] == results[1] and results[0][1] is True
-        assert (card.memo.recordings, card.memo.replays) == (1, 1)
+        assert (card.memo.entries, card.memo.replays) == (1, 1)
         events, _ = recorder_state(card)
         assert len(events) == 15
         assert recorder_state(card) == recorder_state(reference)

@@ -94,8 +94,8 @@ class TestFleetRun:
         trace = small_trace(small_bank, length=50, mean_interarrival_ns=500.0)
         stats = small_fleet(small_bank, cards=1).run(trace)
         # With arrivals far faster than service, waits dominate.
-        assert stats.mean_wait_ns > 0
-        assert stats.mean_sojourn_ns >= stats.mean_wait_ns
+        assert stats.total_wait_ns > 0
+        assert stats.total_sojourn_ns >= stats.total_wait_ns
         assert stats.latency_percentile(95) >= stats.latency_percentile(50)
 
     def test_admission_control_rejects_on_overload(
@@ -105,10 +105,10 @@ class TestFleetRun:
         stats = small_fleet(small_bank, cards=1, queue_depth=2).run(trace)
         assert stats.rejected > 0
         assert stats.completed + stats.rejected == 80
-        assert 0 < stats.rejection_rate < 1
+        assert 0 < stats.rejected < stats.arrivals
         # Tenants stay visible in the per-tenant reports even when most of
         # their traffic was rejected, and the rates add up.
-        for tenant in trace.tenants():
+        for tenant in trace.per_tenant_counts():
             assert tenant in stats.tenants()
             row = stats.per_tenant_summary(tenant)
             # The run drained fully, so every arrival either completed or
@@ -205,13 +205,6 @@ class TestFleetRun:
         with pytest.raises(ValueError):
             Fleet(drivers, policy=policy)
 
-    def test_describe_mentions_every_card(self, small_bank, small_fleet, small_trace):
-        fleet = small_fleet(small_bank, cards=2)
-        fleet.run(small_trace(small_bank, length=10))
-        text = fleet.describe()
-        assert "card0" in text and "card1" in text
-        assert "policy=affinity" in text
-
 
 class TestFleetStatistics:
     def test_empty_statistics(self):
@@ -224,27 +217,10 @@ class TestFleetStatistics:
 
     def test_summary_keys(self, small_bank, small_fleet, small_trace):
         stats = small_fleet(small_bank).run(small_trace(small_bank, length=30))
-        summary = stats.summary()
-        for key in (
-            "arrivals",
-            "completed",
-            "rejected",
-            "hit_rate",
-            "p95_sojourn_us",
-            "p99_sojourn_us",
-            "throughput_rps",
-        ):
-            assert key in summary
         for tenant in stats.tenants():
             row = stats.per_tenant_summary(tenant)
             assert row["completed"] > 0
             assert row["p95_sojourn_us"] >= row["p50_sojourn_us"] or row["completed"] < 3
-
-    def test_describe_lists_tenants(self, small_bank, small_fleet, small_trace):
-        stats = small_fleet(small_bank).run(small_trace(small_bank, length=30))
-        text = stats.describe()
-        for tenant in stats.tenants():
-            assert tenant in text
 
 
 class TestKernelWorkPerRequest:

@@ -61,7 +61,7 @@ def assert_equals_single_process(merged, single):
     for name in ours:
         if not name.endswith("_sojourn"):
             assert ours[name] == theirs[name], name
-    assert merged._fleet_sojourn._sum == single._fleet_sojourn._sum
+    assert merged._fleet_sojourn._buckets == single._fleet_sojourn._buckets
     assert merged.tenants() == single.tenants()
     for tenant in [None] + single.tenants():
         for percentile in (50, 95, 99):
@@ -157,7 +157,6 @@ class TestShardedEqualsSingleProcess:
     def test_merged_digest_equals_single_process(self, reference, shards):
         _, single_stats = reference
         result = run_sharded(TEST_CONFIG, shards=shards)
-        assert result.shards == shards
         assert result.epochs >= 1
         assert result.stats.schedule_digest() == single_stats.schedule_digest()
 

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from oracles.migration import migrate
 from oracles.reference_executor import ReferenceNetlistExecutor
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
@@ -160,7 +161,7 @@ class TestRelocatedFunctionEquivalence:
         rng = random.Random(41)
         for function in self._netlist_functions(source.coprocessor):
             source.preload(function.name)
-            source.migrate_function_to(function.name, dest)
+            migrate(source, dest, function.name)
             assert dest.card.is_resident(function.name)
             self._assert_card_matches_reference(dest.coprocessor, function, rng)
 
@@ -178,8 +179,8 @@ class TestRelocatedFunctionEquivalence:
             f for f in self._netlist_functions(cards[0].coprocessor)
         )
         cards[0].preload(function.name)
-        cards[0].migrate_function_to(function.name, cards[1])
-        cards[1].migrate_function_to(function.name, cards[0])
+        migrate(cards[0], cards[1], function.name)
+        migrate(cards[1], cards[0], function.name)
         assert cards[0].card.is_resident(function.name)
         self._assert_card_matches_reference(cards[0].coprocessor, function, rng)
 

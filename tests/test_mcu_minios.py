@@ -95,7 +95,6 @@ class TestFrameReplacementTable:
         table.insert("a", _region(tiny_geometry, [0, 1]), 0.0)
         table.insert("b", _region(tiny_geometry, [2]), 1.0)
         assert sum(entry.frame_count for entry in table) == 3
-        assert "a" in table.describe(now_ns=10.0)
 
 
 class TestPolicies:
@@ -223,7 +222,3 @@ class TestMiniOs:
         assert not minios.is_resident("x")
         assert minios.free_frames.free_count == tiny_geometry.frame_count
         assert minios.stats.misses == 0
-
-    def test_describe(self, tiny_geometry):
-        minios = MiniOs(tiny_geometry)
-        assert "policy=lru" in minios.describe()

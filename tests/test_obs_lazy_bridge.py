@@ -265,13 +265,13 @@ def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch, 
     # Load and record every (function, payload) pair first, straight at the
     # fleet, so the counted front-door run is replays only.
     fleet.run(trace)
-    recordings = sum(card.memo.recordings for card in fleet.cards)
+    entries = sum(card.memo.entries for card in fleet.cards)
     replays = sum(card.memo.replays for card in fleet.cards)
     observability.tracer.clear()
     built = Constructions(monkeypatch)
     run()
     assert sum(card.memo.replays for card in fleet.cards) == replays + REQUESTS
-    assert sum(card.memo.recordings for card in fleet.cards) == recordings
+    assert sum(card.memo.entries for card in fleet.cards) == entries
     assert (built.events, built.device_spans) == (0, 0)
     log = observability.spans
     sampled = REQUESTS if sample_rate == 1.0 else 0

@@ -99,15 +99,10 @@ class TestMetricsRegistry:
         live = registry.gauge("g.live", fn=lambda: 11)
         with pytest.raises(RuntimeError):
             live.set(1)
-        histogram = registry.histogram("h.latency")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
         snapshot = registry.snapshot()
         assert snapshot["c.total"] == 5
         assert snapshot["g.level"] == 7
         assert snapshot["g.live"] == 11
-        assert snapshot["h.latency"]["count"] == 4
-        assert snapshot["h.latency"]["mean"] == pytest.approx(2.5)
 
     def test_labeled_counter_is_a_dropin_defaultdict(self):
         registry = MetricsRegistry()
@@ -119,11 +114,11 @@ class TestMetricsRegistry:
         assert registry.snapshot()["f.by_reason"] == {"crash": 1, "timeout": 2}
 
     def test_labeled_counter_pickles(self):
-        reasons = MetricsRegistry().labeled_counter("f.by_reason", "why")
+        reasons = MetricsRegistry().labeled_counter("f.by_reason")
         reasons["x"] += 3
         clone = pickle.loads(pickle.dumps(reasons))
         assert dict(clone) == {"x": 3}
-        assert (clone.name, clone.description) == ("f.by_reason", "why")
+        assert clone.name == "f.by_reason"
         clone["new"] += 1  # default factory survives the round-trip
         assert clone["new"] == 1
 

@@ -3,59 +3,63 @@
 option there is set only by the tests, and no field there is only written.
 
 Every independently settable option doubles the configurations the tests and
-benchmarks have to cover.  The budget below is the count at the last PR that
-touched it; lower it when you delete an option, and do not raise it.
+benchmarks have to cover.  The budgets below are the counts at the last PR
+that touched them; lower one when you delete code or an option, never raise
+it.  The code-line budgets cover ``cluster/fleet.py`` (ROADMAP: split
+``Fleet``; target < 600), ``sim/`` (a heap, a deque and a counter),
+``cluster/stats.py``, ``net/`` and all of ``src/repro``.
 
-``FLEET_CODE_LINE_BUDGET`` is the same ratchet for ``cluster/fleet.py``
-(ROADMAP: split ``Fleet``; target < 600 — PR 22 took the first cut, the card
-itself, to ``cluster/card.py``) and ``SIM_CODE_LINE_BUDGET`` for all of
-``src/repro/sim/``: the kernel is a heap, a deque and a counter, and a
-primitive or a clock feature no model code uses does not come back.
-``STATS_CODE_LINE_BUDGET`` (``cluster/stats.py``) and ``NET_CODE_LINE_BUDGET``
-(all of ``src/repro/net/``) are what ships — the ``record_*`` methods
-whose counters the layers now write themselves are gone from the first, the
-closed-loop client is three kernel entries in the second; ROADMAP item 2
-Step B (``FleetSpec``) is expected to lower both.  ``SRC_CODE_LINE_BUDGET``
-covers all of ``src/repro``.
+Three reachability scans share one :class:`Index` of ``src/``, ``benchmarks/``
+and ``examples/``, built once per session from files :func:`parse` reads once
+(the code-line ratchets use the same parse).  Each fails unless its ``KEPT*``
+dict names the exception with a reason:
 
-:func:`test_no_definition_is_reached_only_by_tests` finds every ``def`` and
-``class`` in ``src/repro`` whose name occurs as a word in ``src/``,
-``benchmarks/`` and ``examples/`` only at its own definition(s): code that no
-model, benchmark or example calls.  Each one is deleted, moved to
-``tests/oracles/`` if a test uses it as a reference model, or listed in
-``KEPT`` with the reason a user is meant to call it.  A name shared with
-another definition hides from the scan, so judge those by hand.
+- :func:`test_no_definition_is_reached_only_by_tests`: a ``def`` or ``class``
+  in ``src/repro`` no model, benchmark or example uses is deleted, moved to
+  ``tests/oracles/`` if a test uses it as a reference model, or kept in
+  ``KEPT`` because a user is meant to call it.
+- :func:`test_no_option_is_set_only_by_tests`: a defaulted parameter of an
+  ``__init__``, ``build_*``, ``enable_*``, ``install_*`` or ``use_*`` that no
+  call sets (by keyword, by position or through ``*args`` / ``**kwargs``) is
+  a configuration no workload runs: it becomes the constant it always is.
+- :func:`test_no_field_is_written_only`: a ``self.x = ...`` store or annotated
+  dataclass field nothing reads — a counter only ``+=`` touches, a history
+  only ``.append`` grows — is deleted, unless it is an exception's payload, a
+  safety counter a test asserts as an invariant, or a serialised field.
 
-:func:`test_no_option_is_set_only_by_tests` is its parameter-level sibling:
-every defaulted parameter of an ``__init__``, ``build_*``, ``enable_*``,
-``install_*`` or ``use_*`` in ``src/repro`` must be set — by keyword, by
-position or through ``*args`` / ``**kwargs`` — by some call in ``src/``,
-``benchmarks/`` or ``examples/``, or be listed in ``KEPT_OPTIONS`` with the
-reason a user sets it.  An option only the tests turn is a configuration no
-workload runs: it becomes the constant it always is (a memory bound, a module
-constant the tests monkeypatch).  Dataclass fields and options behind a shared
-name hide from it, so judge those by hand.
-
-:func:`test_no_field_is_written_only` is the state-level sibling: every
-``self.x = ...`` store and every annotated dataclass field in ``src/repro``
-must be read somewhere in ``src/``, ``benchmarks/`` or ``examples/`` — a
-counter only ``+=`` touches, a history only ``.append`` grows, is state no
-model, benchmark or example looks at.  It is deleted, or listed in
-``KEPT_FIELDS`` as an exception's payload, a safety counter a test asserts as
-an invariant, or a field of a serialised format.  A name another class reads
-hides a field, so judge those by hand.
+Uses resolve by owner: ``recv.x`` reaches an ``x`` defined or stored in the
+classes related to ``recv``'s class — that class, its ancestors and its
+subclasses.  ``recv``'s class is known for ``self`` / ``cls``; a name or
+``self.attr`` bound by ``C(...)`` or annotated ``C`` (``"C"``,
+``Optional[C]``); a call of a function, method or property annotated
+``-> C``; and a name bound to any expression that resolves
+(``defragmenter = copro.defragmenter``).  A value annotated ``Sequence[C]``
+(or built by ``[C(...) for ...]``, ``list(...)``, ``sorted(...)``, a slice)
+yields ``C`` when indexed, iterated — also through ``zip`` / ``enumerate``
+and a class whose ``__iter__`` is annotated ``-> Iterator[C]`` — or passed to
+``min`` / ``max``, and a lambda passed beside it
+(``min(cards, key=lambda card: ...)``) takes ``C``.  A name that still does
+not resolve is an instance of the classes that have every attribute it is
+used with in its function (attributes no class has aside); if none has them
+all, ``recv.x`` reaches every ``x``.  A bare name reaches a definition outside
+a class.  A string constant where it can name an attribute — a call argument
+(but a ``setattr`` name), an element of an assigned or iterated tuple, list
+or set — reaches anything of its name (``getattr`` dispatch).  A use inside a
+definition that is itself unreached does not count, to a fixed point, nor
+does a definition's use of itself.  ``C(...)`` sets ``C.__init__``'s options,
+``super().__init__`` each base's.
 
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote —
-``python tests/test_option_budget.py --options PATH...`` prints each
-in-scope definition's options under ``src/repro`` paths, marking with ``*``
-those no code outside ``tests/`` sets, and their total, and ``--fields
-PATH...`` does the same for fields, ``*`` marking those nothing reads.
+and ``--scan PATH...`` prints the definitions, options and fields under
+``src/repro`` paths, ``*`` marking each one nothing outside ``tests/``
+reaches, sets or reads, then the three totals.
 """
 
 import ast
 import collections
 import dataclasses
+import functools
 import inspect
 import io
 import pathlib
@@ -63,20 +67,17 @@ import re
 import sys
 import tokenize
 
-import repro.net
-import repro.sim
 from repro.cluster.fleet import Fleet
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
-from repro.cluster.stats import FleetStatistics
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 47
-FLEET_CODE_LINE_BUDGET = 656
+FLEET_CODE_LINE_BUDGET = 642
 SIM_CODE_LINE_BUDGET = 318
-STATS_CODE_LINE_BUDGET = 467
-NET_CODE_LINE_BUDGET = 814
-SRC_CODE_LINE_BUDGET = 12_741
+STATS_CODE_LINE_BUDGET = 419
+NET_CODE_LINE_BUDGET = 813
+SRC_CODE_LINE_BUDGET = 12_281
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -89,42 +90,40 @@ KEPT = {
     "core/builder.py:clear_bitstream_cache": "lets a benchmark time cold bit-stream generation",
 }
 
-_NOT_CODE = {
-    tokenize.COMMENT,
-    tokenize.NL,
-    tokenize.NEWLINE,
-    tokenize.INDENT,
-    tokenize.DEDENT,
-    tokenize.ENCODING,
-    tokenize.ENDMARKER,
-}
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+_NOT_CODE |= {tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+@functools.lru_cache(maxsize=None)
+def parse(path: pathlib.Path):
+    """``(source, module)`` of the file at the absolute *path*, read and parsed once."""
+    source = path.read_text()
+    return source, ast.parse(source)
 
 
 def code_lines(path) -> int:
     """Lines of *path* holding code: not blank, not comment-only, not docstring."""
-    source = pathlib.Path(path).read_text()
+    source, tree = parse(pathlib.Path(path).resolve())
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if (
-                isinstance(first, ast.Expr)
-                and isinstance(first.value, ast.Constant)
-                and isinstance(first.value.value, str)
-            ):
-                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    for node in ast.walk(tree):
+        first = (node.body or [None])[0] if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) else None
+        if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+            lines.difference_update(range(first.lineno, first.end_lineno + 1))
     return len(lines)
 
 
+def tree_code_lines(path) -> int:
+    """:func:`code_lines` of one file, or of every ``*.py`` under a directory."""
+    root = pathlib.Path(path)
+    return sum(code_lines(file) for file in (sorted(root.rglob("*.py")) if root.is_dir() else [root]))
+
+
 def optional_parameters(callable_):
-    return [
-        name
-        for name, parameter in inspect.signature(callable_).parameters.items()
-        if parameter.default is not inspect.Parameter.empty
-    ]
+    parameters = inspect.signature(callable_).parameters.items()
+    return [name for name, parameter in parameters if parameter.default is not inspect.Parameter.empty]
 
 
 def test_option_count_does_not_grow():
@@ -137,210 +136,368 @@ def test_option_count_does_not_grow():
         "run_sharded": optional_parameters(run_sharded),
     }
     total = sum(len(names) for names in options.values())
-    assert total <= OPTION_BUDGET, (
-        f"{total} settable options, budget is {OPTION_BUDGET}: {options}. "
-        'ROADMAP: "A PR that adds a flag, mode or subsystem must say what it '
-        'deletes" — remove an option in the same PR instead of raising the budget.'
-    )
+    assert total <= OPTION_BUDGET, f"{total} settable options, budget is {OPTION_BUDGET}: {options}. " \
+        "A PR that adds a flag, mode or subsystem must say what it deletes: remove an option instead."
 
 
 def test_fleet_module_does_not_grow():
-    count = code_lines(inspect.getsourcefile(Fleet))
-    assert count <= FLEET_CODE_LINE_BUDGET, (
-        f"cluster/fleet.py has {count} code lines, budget is "
-        f"{FLEET_CODE_LINE_BUDGET}: new control-plane behaviour belongs in an "
-        "Order (cluster/orders.py) or a strategy object, not in Fleet."
-    )
-
-
-def tree_code_lines(path) -> int:
-    """:func:`code_lines` of one file, or of every ``*.py`` under a directory."""
-    root = pathlib.Path(path)
-    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-    return sum(code_lines(file) for file in files)
+    assert code_lines(SRC / "cluster/fleet.py") <= FLEET_CODE_LINE_BUDGET, "add Orders, not Fleet code"
 
 
 def test_kernel_module_does_not_grow():
-    count = tree_code_lines(pathlib.Path(repro.sim.__file__).parent)
-    assert count <= SIM_CODE_LINE_BUDGET, (
-        f"src/repro/sim/ has {count} code lines, budget is {SIM_CODE_LINE_BUDGET}: "
-        "the kernel is (time, seq, fn, a, b) entries on a heap and a deque, one "
-        "stepper (resume) and an integer clock — schedule a fact with "
-        "schedule_call instead of adding a primitive, and delete what only the "
-        "tests call."
-    )
+    assert tree_code_lines(SRC / "sim") <= SIM_CODE_LINE_BUDGET, "use schedule_call, add no kernel primitive"
 
 
 def test_stats_module_does_not_grow():
-    count = code_lines(inspect.getsourcefile(FleetStatistics))
-    assert count <= STATS_CODE_LINE_BUDGET, (
-        f"cluster/stats.py has {count} code lines, budget is "
-        f"{STATS_CODE_LINE_BUDGET}: a counter with no digest line is written by "
-        "the layer that observes the fact, on the registry instrument — not "
-        "through a new record_* method here."
-    )
+    assert code_lines(SRC / "cluster/stats.py") <= STATS_CODE_LINE_BUDGET, "count on the registry, not here"
 
 
 def test_src_does_not_grow():
-    count = tree_code_lines(SRC)
-    assert count <= SRC_CODE_LINE_BUDGET, (
-        f"src/repro has {count} code lines, budget is {SRC_CODE_LINE_BUDGET}: "
-        "say what the new code deletes, in the same PR."
-    )
-
-
-def definitions(root: pathlib.Path) -> dict:
-    """``{"path:Qualified.name": name}`` for every def/class under *root*, dunders aside."""
-    found = {}
-
-    def visit(node, path, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not child.name.startswith("__"):
-                    found[f"{path}:{prefix}{child.name}"] = child.name
-                visit(child, path, f"{prefix}{child.name}.")
-            else:
-                visit(child, path, prefix)
-
-    for file in sorted(root.rglob("*.py")):
-        visit(ast.parse(file.read_text()), file.relative_to(root).as_posix(), "")
-    return found
-
-
-def test_no_definition_is_reached_only_by_tests():
-    defined = definitions(SRC)
-    words = collections.Counter()
-    for directory in ("src", "benchmarks", "examples"):
-        for file in (REPO / directory).rglob("*.py"):
-            words.update(re.findall(r"\w+", file.read_text()))
-    definition_count = collections.Counter(defined.values())
-    unreached = {key for key, name in defined.items() if words[name] == definition_count[name]}
-    assert unreached == set(KEPT), (
-        f"reached only by tests: {sorted(unreached - set(KEPT))} — delete it, move a "
-        "reference model to tests/oracles/, or add it to KEPT with the reason a user "
-        f"calls it; KEPT but no longer unreached: {sorted(set(KEPT) - unreached)}."
-    )
+    assert tree_code_lines(SRC) <= SRC_CODE_LINE_BUDGET, "say what the new code deletes, in the same PR"
 
 
 def test_net_package_does_not_grow():
-    count = tree_code_lines(pathlib.Path(repro.net.__file__).parent)
-    assert count <= NET_CODE_LINE_BUDGET, (
-        f"src/repro/net/ has {count} code lines, budget is {NET_CODE_LINE_BUDGET}: "
-        "say what the new code deletes, in the same PR."
-    )
+    assert tree_code_lines(SRC / "net") <= NET_CODE_LINE_BUDGET, "say what the new code deletes, in the same PR"
 
 
 _OPTION_DEFINITION = re.compile(r"__init__$|(build|enable|install|use)_\w+$")
+#: Calls that write a container without reading it.
+_WRITE_ONLY_METHODS = {"append", "extend", "clear"}
+#: ``(path under src/repro, function names)`` whose reads of other objects'
+#: fields do not count: the hit memo's snapshot and replay copy the model's
+#: counters forward, they do not read them.  Their reads of the memo's own
+#: ``self.*`` bindings do count.
+_COPIERS = ("cluster/fastpath.py", {"_totals", "replay"})
+#: Calls whose result holds what their first argument holds, or is one element of it.
+_SAME_TYPE, _ONE_OF = {"list", "tuple", "set", "sorted", "reversed"}, {"min", "max"}
+#: Builtin types an annotation may name: a value of one has no attribute of ours.
+_BUILTIN = {"str", "int", "float", "bool", "bytes", "bytearray", "list", "dict", "set", "tuple"}
+#: Generic types whose parameters are what indexing or iterating one gives.
+_CONTAINERS = {"List", "Sequence", "Iterable", "Iterator", "Tuple", "Deque", "Set", "FrozenSet"}
+_CONTAINERS |= {"Collection", "Generator", "list", "tuple", "set", "frozenset", "deque"}
+_UNKNOWN = ("class", None, None)
 
 
-def module_trees(directory: str) -> list:
-    """``(file, parsed module)`` for every ``*.py`` under ``<repo>/<directory>``."""
-    return [(file, ast.parse(file.read_text())) for file in sorted((REPO / directory).rglob("*.py"))]
+def _writes(node):
+    """The attribute loads *node* makes only to write: ``+=`` on the attribute
+    or an item of it, ``.append`` / ``.extend`` / ``.clear`` on it, and a read
+    on the right of an assignment to the same attribute (``self.peak =
+    max(self.peak, n)``)."""
+    if isinstance(node, ast.Assign):
+        stored = {(ast.dump(t.value), t.attr) for t in node.targets if isinstance(t, ast.Attribute)}
+        loads = (n for n in ast.walk(node.value) if isinstance(n, ast.Attribute)) if stored else ()
+        yield from (n for n in loads if (ast.dump(n.value), n.attr) in stored)
+    elif isinstance(node, ast.AugAssign):
+        target = node.target
+        while isinstance(target, ast.Subscript):
+            target = target.value
+            if isinstance(target, ast.Attribute):
+                yield target
+    elif getattr(getattr(node, "func", None), "attr", None) in _WRITE_ONLY_METHODS:
+        if isinstance(node.func.value, ast.Attribute):
+            yield node.func.value
 
 
-def option_definitions(src_trees) -> dict:
-    """``{"path:Qualified.name": (called_as, [(option, position or None), ...])}``.
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
 
-    One entry per ``__init__`` / ``build_*`` / ``enable_*`` / ``install_*`` /
-    ``use_*`` in ``src/repro``, listing its parameters that have a default.
-    ``called_as`` is the name a call uses (the class, for an ``__init__``);
-    a position counts from the first argument a caller passes, so a method's
-    ``self`` has none and a keyword-only option is ``None``.
-    """
-    found = {}
 
-    def visit(node, path, prefix, owner):
+def _flat(target):
+    return [s for e in target.elts for s in _flat(e)] if isinstance(target, (ast.Tuple, ast.List)) else [target]
+
+
+def _closure(name, edges, seen=frozenset()) -> set:
+    return {name}.union(*(_closure(e, edges, seen | {name}) for e in edges.get(name, ()) if e not in seen))
+
+
+#: What one module, class body or function binds: ``owner`` is the class
+#: ``self`` is an instance of, ``body`` whether it is a class body and
+#: ``bindings`` each name's ``("class", annotation or class name, None)``,
+#: ``("value", expression, scope)`` or ``("element", iterated expression, scope)``.
+Scope = collections.namedtuple("Scope", "parent owner body dataclass bindings")
+
+
+def _scope(parent, owner, body=False, dataclass=False):
+    return Scope(parent, owner, body, dataclass, collections.defaultdict(list))
+
+
+class Index:
+    """The definitions, options and fields of the files under *root*, and
+    every use of a name, attribute or string in *trees*, ``(file, module)``
+    pairs."""
+
+    def __init__(self, trees, root=SRC):
+        self._family, self._memo, self.uses, self.calls = {}, {}, [], []
+        self._typed, self._named, self._skipped = set(), set(), set()  # ids of bound, named and write-only nodes
+        #: class -> its bases' names, base -> its subclasses', (scope, name) -> attributes read from it
+        self.bases, self.subclasses, self._used = {}, collections.defaultdict(set), collections.defaultdict(set)
+        #: ``(class or None, name)`` -> the bindings of a call's result / of an attribute
+        self.returns, self.stores = collections.defaultdict(list), collections.defaultdict(list)
+        #: ``{"path:Qualified.name": (name, class it is in or None)}``; an option
+        #: definition's is ``(called as, class, [(position, option)])``.  ``uses``
+        #: holds ``(name, receiver, scope, chain, kind)``, ``calls`` ``(called
+        #: names, receiver, scope, chain, positional arguments, keywords, starred)``
+        self.definitions, self.fields, self.options = {}, {}, {}
+        for file, tree in trees:
+            self._path = file.relative_to(root).as_posix() if root in file.parents else None
+            self._copiers = _COPIERS[1] if self._path == _COPIERS[0] else set()
+            self._visit(tree, _scope(None, None), (), self._path and self._path + ":", False)
+
+    def _visit(self, node, scope, chain, prefix, copying):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.", child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _OPTION_DEFINITION.match(child.name):
-                    arguments = child.args
-                    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
-                    static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
-                    if owner and not static:
-                        positional = positional[1:]
-                    first_default = len(positional) - len(arguments.defaults)
-                    options = [(name, i) for i, name in enumerate(positional) if i >= first_default]
-                    options += [
-                        (a.arg, None)
-                        for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
-                        if default is not None
-                    ]
-                    called_as = owner if child.name == "__init__" else child.name
-                    found[f"{path}:{prefix}{child.name}"] = (called_as, options)
-                visit(child, path, f"{prefix}{child.name}.", None)
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.Call)):
+                self._skipped.update(map(id, _writes(child)))
+            self._node(child, scope, chain, prefix, copying)
+
+    def _node(self, node, scope, chain, prefix, copying):
+        """Index *node* inside the definitions *chain*, ``copying`` inside a
+        :data:`_COPIERS` function."""
+        if isinstance(node, ast.expr_context):
+            return
+        klass = scope.owner if scope.body else None
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            key = prefix and prefix + node.name
+            if key and not node.name.startswith("__"):
+                self.definitions[key] = (node.name, klass)
+            scope.bindings[node.name].append(("class", node.name, None))
+            if isinstance(node, ast.ClassDef):
+                self.bases.setdefault(node.name, set()).update(map(_name, node.bases))
+                for base in map(_name, node.bases):
+                    self.subclasses[base].add(node.name)
+                dataclass = key and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                inner = _scope(scope, node.name, body=True, dataclass=dataclass)
             else:
-                visit(child, path, prefix, owner)
+                copying = copying or node.name in self._copiers
+                decorators = {_name(d) for d in node.decorator_list}
+                table = self.stores if klass and decorators & {"property", "cached_property"} else self.returns
+                table[(klass, node.name)].append(("class", node.returns, None))
+                inner = _scope(scope.parent if scope.body else scope, klass or scope.owner)
+                arguments = node.args
+                for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+                    self._typed.add(id(argument))
+                    if argument.arg not in ("self", "cls"):
+                        inner.bindings[argument.arg].append(("class", argument.annotation, None))
+                if key and _OPTION_DEFINITION.match(node.name):
+                    # A position counts from the first argument a caller passes.
+                    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
+                    positional = positional[bool(klass) and "staticmethod" not in decorators:]
+                    options = list(enumerate(positional))[len(positional) - len(arguments.defaults):]
+                    options += [(None, a.arg) for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d]
+                    self.options[key] = (klass if node.name == "__init__" else node.name, klass, options)
+            return self._visit(node, inner, chain + (key,), key and key + ".", copying)
+        if isinstance(node, ast.Assign):
+            if "__slots__" in map(_name, node.targets):
+                return
+            self._named.update(map(id, getattr(node.value, "elts", ())))
+            for target in node.targets:
+                self._bind(scope, target, ("value", node.value, scope))
+        elif isinstance(node, ast.AnnAssign):
+            self._bind(scope, node.target, ("class", node.annotation, None))
+            if scope.dataclass and "ClassVar" not in ast.unparse(node.annotation):
+                self.fields[f"{self._path}:{scope.owner}.{node.target.id}"] = (node.target.id, scope.owner)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            self._named.update(map(id, getattr(node.iter, "elts", ())))
+            iterated, targets, call = [node.iter], [node.target], _name(getattr(node.iter, "func", None))
+            if call in ("zip", "enumerate") and _flat(node.target)[1:]:  # ``enumerate`` counts, unknown
+                iterated, targets = [node.iter] * (call == "enumerate") + node.iter.args, node.target.elts
+            for each, target in zip(iterated, targets):
+                self._bind(scope, target, ("element", each, scope))
+        elif isinstance(node, ast.Call):
+            self._call(node, scope, chain)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read = id(node) not in self._skipped and not (copying and _name(node.value) != "self")
+            self.uses.append((node.attr, node.value, scope, chain, "read" if read else "write"))
+            if isinstance(node.value, ast.Name):
+                self._used[(id(scope), node.value.id)].add(node.attr)
+        elif isinstance(node, (ast.Name, ast.arg)) and id(node) not in self._typed:
+            if isinstance(node, ast.arg) or isinstance(node.ctx, ast.Store):
+                scope.bindings[_name(node) or node.arg].append(_UNKNOWN)
+            else:
+                self.uses.append((node.id, None, scope, chain, "name"))
+        elif isinstance(node, ast.alias):
+            scope.bindings[(node.asname or node.name).split(".")[0]].append(("class", node.name, None))
+            self.uses.append((node.name, None, scope, chain, "name"))
+        elif isinstance(node, ast.Constant) and id(node) in self._named and isinstance(node.value, str):
+            self.uses.append((node.value, None, scope, chain, "string"))
+        self._visit(node, scope, chain, prefix, copying)
 
-    for file, tree in src_trees:
-        if SRC in file.parents:
-            visit(tree, file.relative_to(SRC).as_posix(), "", None)
-    return found
+    def _bind(self, scope, target, binding):
+        """Bind each name and ``self.x`` in an assignment target; one of several unpacked is unknown."""
+        stores = _flat(target)
+        for store in stores:
+            self._typed.add(id(store))
+            binding = binding if len(stores) == 1 else _UNKNOWN
+            if isinstance(store, ast.Name):
+                scope.bindings[store.id].append(binding)
+            owner = scope.owner if scope.body or _name(getattr(store, "value", None)) == "self" else None
+            if owner and isinstance(store, (ast.Name, ast.Attribute)):
+                self.stores[(owner, _name(store))].append(binding)
+                if self._path and isinstance(store, ast.Attribute):
+                    self.fields[f"{self._path}:{owner}.{store.attr}"] = (store.attr, owner)
 
+    def _call(self, node, scope, chain):
+        """Record the call *node*: ``cls(...)`` calls the enclosing class,
+        ``super().__init__(...)`` each of its bases and ``Base.__init__(self,
+        ...)`` ``Base``; ``*args`` or ``**kwargs`` may set any option."""
+        function, receiver, targets, skipped = node.func, None, [], 0
+        arguments = node.args + [k.value for k in node.keywords]
+        if "setattr" not in str(_name(function)).replace("_", ""):
+            self._named.update(map(id, arguments))
+        for key in (a for a in arguments[1:] if isinstance(a, ast.Lambda)):
+            for argument in key.args.args:  # ``min(cards, key=lambda card: ...)``
+                self._typed.add(id(argument))
+                scope.bindings[argument.arg].append(("element", node.args[0], scope))
+        value = function.value if isinstance(function, ast.Attribute) else None
+        if isinstance(function, ast.Name):
+            targets = [scope.owner if function.id == "cls" and scope.owner else function.id]
+        elif value is not None and function.attr != "__init__":
+            targets, receiver = [function.attr], value
+        elif _name(getattr(value, "func", None)) == "super":
+            targets = self.bases.get(scope.owner, ())
+        elif isinstance(value, ast.Name):
+            targets, skipped = [value.id], 1
+        starred = any(isinstance(a, ast.Starred) for a in node.args) or None in {k.arg for k in node.keywords}
+        keywords = {k.arg for k in node.keywords}
+        self.calls.append((targets, receiver, scope, chain, len(node.args) - skipped, keywords, starred))
 
-def calls_outside_tests(trees) -> dict:
-    """``{called name: [(positional arguments, keywords, starred), ...]}`` for
-    every call in *trees*.
+    def type_of(self, node, scope):
+        """The classes *node* evaluates to an instance of, or None if unknowable."""
+        key = (id(node), id(scope))
+        if key not in self._memo:
+            self._memo[key] = frozenset()  # a binding that leads back here adds nothing
+            self._memo[key] = self._resolve(node, scope)
+        return self._memo[key]
 
-    ``cls(...)`` calls the enclosing class, ``super().__init__(...)`` each of
-    its bases and ``Base.__init__(self, ...)`` ``Base``; ``starred`` is a call
-    with ``*args`` or ``**kwargs``, which may set any option.
-    """
-    calls = collections.defaultdict(list)
+    def _resolve(self, node, scope):
+        if isinstance(node, (ast.Subscript, ast.ListComp)):
+            types = self.type_of(getattr(node, "value", getattr(node, "elt", None)), scope)
+            if isinstance(node, ast.ListComp):
+                return types and frozenset(name + "[]" for name in types)
+            return types if isinstance(node.slice, ast.Slice) else self._element(types)
+        call = isinstance(node, ast.Call)
+        function = node.func if call else node
+        if isinstance(function, ast.Attribute):
+            types = self.type_of(function.value, scope)
+            table = self.returns if call else self.stores
+            return types and self._union([b for c in self.related(types) for b in table[(c, function.attr)]])
+        if not isinstance(function, ast.Name):
+            return None
+        if function.id in ("self", "cls") and scope.owner:
+            return frozenset({scope.owner})
+        if call and function.id in _SAME_TYPE | _ONE_OF and node.args:
+            types = self.type_of(node.args[0], scope)
+            return self._element(types) if function.id in _ONE_OF else types
+        if call and function.id not in self.bases:
+            return self._union(self.returns[(None, function.id)])
+        while scope and function.id not in scope.bindings:
+            scope = scope.parent
+        return scope and self._union(scope.bindings[function.id])
 
-    def visit(node, owner, bases):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                names = [getattr(base, "id", getattr(base, "attr", None)) for base in child.bases]
-                visit(child, child.name, names)
-                continue
-            if isinstance(child, ast.Call):
-                function, targets, skipped = child.func, [], 0
-                if isinstance(function, ast.Name):
-                    targets = [owner if function.id == "cls" and owner else function.id]
-                elif isinstance(function, ast.Attribute):
-                    value = function.value
-                    if function.attr != "__init__":
-                        targets = [function.attr]
-                    elif isinstance(value, ast.Call) and getattr(value.func, "id", None) == "super":
-                        targets = bases
-                    elif isinstance(value, ast.Name):
-                        targets, skipped = [value.id], 1
-                starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
-                    k.arg is None for k in child.keywords
-                )
-                keywords = {k.arg for k in child.keywords}
-                for target in targets:
-                    calls[target].append((len(child.args) - skipped, keywords, starred))
-            visit(child, owner, bases)
+    def _union(self, bindings):
+        found = None
+        for kind, node, scope in bindings:
+            if kind == "value" and isinstance(node, ast.Constant) and node.value is None:
+                continue  # ``self.x = None`` until it is bound
+            types = self._annotated(node) if kind == "class" else self.type_of(node, scope)
+            types = self._element(types) if kind == "element" else types
+            if types is None:
+                return None
+            found = (found or frozenset()) | types
+        return found
 
-    for _, tree in trees:
-        visit(tree, None, [])
-    return calls
+    def _annotated(self, node):
+        """The classes a class name or an annotation gives: ``C``, ``"C"``,
+        ``Optional[C]``, and ``C[]`` (holds ``C``) for ``Sequence[C]`` and the like."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.Subscript):
+            outer, parts = _name(node.value), getattr(node.slice, "elts", [node.slice])
+            if outer != "Optional" and outer not in _CONTAINERS:
+                return None
+            types = self._union([("class", p, None) for p in parts if getattr(p, "value", 0) is not Ellipsis])
+            return types if outer == "Optional" else types and frozenset(name + "[]" for name in types)
+        name = node if isinstance(node, str) else _name(node)
+        return frozenset({name}) if name in self.bases or name in _BUILTIN else None
 
+    def _element(self, types):
+        """What indexing or iterating a value of *types* gives: ``C`` from
+        ``C[]``, and from a class whose ``__iter__`` is annotated ``-> Iterator[C]``."""
+        found = frozenset()
+        for name in types if types is not None else [""]:
+            iterated = name.endswith("[]") and [name] or self._union(self.returns[(name, "__iter__")]) or [""]
+            if not all(held.endswith("[]") for held in iterated):
+                return None
+            found |= {held[:-2] for held in iterated}
+        return found
 
-def option_scan():
-    """``(definitions, unset)``: :func:`option_definitions`, and
-    ``{"path:Qualified.name": [option, ...]}`` for the options no call in
-    ``src/``, ``benchmarks/`` or ``examples/`` sets.  Calls match definitions
-    by name alone, so a name two definitions share only hides an option."""
-    src_trees = module_trees("src")
-    definitions = option_definitions(src_trees)
-    calls = calls_outside_tests(src_trees + module_trees("benchmarks") + module_trees("examples"))
-    unset = {}
-    for key, (called_as, options) in definitions.items():
-        missing = [
-            name
-            for name, position in options
-            if not any(
-                starred or name in keywords or (position is not None and position < count)
-                for count, keywords, starred in calls.get(called_as, ())
-            )
+    def related(self, types) -> set:
+        """*types*, their ancestors and their subclasses."""
+        if types not in self._family:
+            self._family[types] = set().union(*(_closure(n, self.bases) | _closure(n, self.subclasses) for n in types))
+        return self._family[types]
+
+    def _family_of(self, receiver, scope):
+        types = receiver and self.type_of(receiver, scope)
+        types = types or isinstance(receiver, ast.Name) and self._ducks.get((id(scope), receiver.id))
+        return types and self.related(types)
+
+    def _duck_types(self):
+        """``{(scope, name): classes}``: the classes that have every attribute a
+        name is used with in its function, among the attributes some class has."""
+        members, holders = collections.defaultdict(set), collections.defaultdict(set)
+        for owner, name in [*self.returns, *self.stores]:
+            members[owner].add(name)
+        for c in self.bases:  # attribute -> the classes that have or inherit it
+            for name in set().union(*(members[a] for a in _closure(c, self.bases))):
+                holders[name].add(c)
+        return {key: frozenset.intersection(*(frozenset(holders[n]) for n in names if n in holders)) or None
+                for key, names in self._used.items() if not holders.keys().isdisjoint(names)}
+
+    def scan(self):
+        """``(unreached, unset, unread)``: the definitions nothing reaches,
+        ``{option definition: [option no call sets]}`` and the fields nothing
+        reads, counting no use inside an unreached definition."""
+        self._ducks, named = self._duck_types(), collections.defaultdict(list)
+        for key, (name, owner) in [*self.definitions.items(), *self.fields.items()]:
+            kinds = {"read", "string"} if key in self.fields else {"read", "write", "string", owner or "name"}
+            named[name].append((key, owner, kinds))
+        reaches = [
+            (chain, [k for k, owner, kinds in named[name] if kind in kinds and (not family or owner in family)])
+            for name, receiver, scope, chain, kind in self.uses if name in named
+            for family in [self._family_of(receiver, scope)]
         ]
-        if missing:
-            unset[key] = missing
-    return definitions, unset
+        called, sets = collections.defaultdict(list), collections.defaultdict(list)
+        for key, (called_as, owner, _) in self.options.items():
+            called[called_as].append((key, owner))
+        for targets, receiver, scope, chain, *call in self.calls:
+            family = self._family_of(receiver, scope)
+            for key, owner in (found for target in targets for found in called[target]):
+                if not family or owner in family:
+                    sets[key].append((chain, *call))
+        unreached, found = None, set()
+        while found != unreached:
+            unreached = found
+            live = {k for chain, keys in reaches if unreached.isdisjoint(chain) for k in keys if k not in chain}
+            found = (self.definitions.keys() | self.fields.keys()) - live
+        unset = {}
+        for key, (*_, options) in self.options.items():
+            calls = [call for chain, *call in sets[key] if unreached.isdisjoint(chain)]
+            unset[key] = [name for position, name in options if not any(
+                star or name in words or position is not None and position < n for n, words, star in calls)]
+        return unreached & self.definitions.keys(), unset, unreached & self.fields.keys()
+
+
+@functools.lru_cache(maxsize=None)
+def index():
+    """The :class:`Index` of ``src/``, ``benchmarks/`` and ``examples/``, and its scan."""
+    files = [file for part in ("src", "benchmarks", "examples") for file in sorted((REPO / part).rglob("*.py"))]
+    built = Index([(file, parse(file)[1]) for file in files])
+    return built, built.scan()
+
+
+def test_no_definition_is_reached_only_by_tests():
+    assert index()[1][0] == set(KEPT), "reached only by tests: delete it, move a reference model to " \
+        "tests/oracles/, or add it to KEPT with the reason a user calls it"
 
 
 #: Options no code outside ``tests/`` sets, kept because a user sets them.
@@ -348,41 +505,9 @@ KEPT_OPTIONS = {}
 
 
 def test_no_option_is_set_only_by_tests():
-    _, unset = option_scan()
-    found = {f"{key}({name})" for key, names in unset.items() for name in names}
-    assert found == set(KEPT_OPTIONS), (
-        f"set only by tests, or by nothing: {sorted(found - set(KEPT_OPTIONS))} — make it "
-        "the constant it always is (a memory bound becomes a module constant the tests "
-        "monkeypatch), or add it to KEPT_OPTIONS with the reason a user sets it; "
-        f"KEPT_OPTIONS but set outside tests/: {sorted(set(KEPT_OPTIONS) - found)}."
-    )
-
-
-def _src_relative(argument) -> str:
-    return pathlib.Path(argument).resolve().relative_to(SRC).as_posix()
-
-
-def _under(key: str, prefix: str) -> bool:
-    """Is the ``"path:Qualified.name"`` *key* in the file or directory *prefix*?"""
-    path = key.split(":")[0]
-    return prefix == "." or path == prefix or path.startswith(prefix + "/")
-
-
-def print_options(paths) -> None:
-    """Print the defaulted options of each in-scope definition under *paths*
-    (files or directories in ``src/repro``), ``*`` marking one that no code
-    outside ``tests/`` sets, then the totals."""
-    definitions, unset = option_scan()
-    total = marked = 0
-    for argument in paths:
-        prefix = _src_relative(argument)
-        for key, (_, options) in definitions.items():
-            if options and _under(key, prefix):
-                names = [name + "*" if name in unset.get(key, ()) else name for name, _ in options]
-                total += len(names)
-                marked += len(unset.get(key, ()))
-                print(f"{key}({', '.join(names)})")
-    print(f"{total} options, {marked} set by no code outside tests/ (*)")
+    unset = {f"{key}({name})" for key, names in index()[1][1].items() for name in names}
+    assert unset == set(KEPT_OPTIONS), "set only by tests, or by nothing: make it the constant it always " \
+        "is (a memory bound becomes a module constant), or add it to KEPT_OPTIONS with the reason a user sets it"
 
 
 #: Fields no code outside ``tests/`` reads, kept for the reason given: an
@@ -396,149 +521,25 @@ KEPT_FIELDS = {
     ),
 }
 
-#: Calls that write a container without reading it.
-_WRITE_ONLY_METHODS = {"append", "extend", "clear"}
-#: ``(path under src/repro, function names)`` whose reads of other objects'
-#: fields do not count: the hit memo's snapshot and replay copy the model's
-#: counters forward, they do not read them.  Their reads of the memo's own
-#: ``self.*`` bindings do count.
-_COPIERS = ("cluster/fastpath.py", {"_totals", "replay"})
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(
-        getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
-        for d in node.decorator_list
-    )
-
-
-def field_stores(src_trees) -> dict:
-    """``{"path:Class.field": field}`` for every ``self.x = ...`` store and every
-    annotated dataclass field in ``src/repro``."""
-    found = {}
-
-    def targets(node):
-        if isinstance(node, (ast.Tuple, ast.List)):
-            for element in node.elts:
-                yield from targets(element)
-        else:
-            yield node
-
-    def visit(node, path, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                if _is_dataclass(child):
-                    for statement in child.body:
-                        if (
-                            isinstance(statement, ast.AnnAssign)
-                            and isinstance(statement.target, ast.Name)
-                            and "ClassVar" not in ast.unparse(statement.annotation)
-                        ):
-                            found[f"{path}:{child.name}.{statement.target.id}"] = statement.target.id
-                visit(child, path, child.name)
-                continue
-            if owner and isinstance(child, (ast.Assign, ast.AnnAssign)):
-                for target in child.targets if isinstance(child, ast.Assign) else [child.target]:
-                    for store in targets(target):
-                        if isinstance(store, ast.Attribute) and getattr(store.value, "id", None) == "self":
-                            found[f"{path}:{owner}.{store.attr}"] = store.attr
-            visit(child, path, owner)
-
-    for file, tree in src_trees:
-        if SRC in file.parents:
-            visit(tree, file.relative_to(SRC).as_posix(), None)
-    return found
-
-
-def field_loads(trees) -> set:
-    """Every attribute name *trees* read, and every string constant in them.
-
-    Not reads: ``+=`` on the attribute or on an item of it, ``.append`` /
-    ``.extend`` / ``.clear`` on it, a read on the right of an assignment to
-    the same attribute, the names in a ``__slots__``, and reads of anything
-    but ``self`` inside :data:`_COPIERS`.
-    """
-    loads = set()
-
-    def writes(node):
-        """The attribute loads *node* makes that only write."""
-        if isinstance(node, ast.Assign):
-            # ``self.peak = max(self.peak, n)`` reads the field only to write it.
-            stored = {(ast.dump(t.value), t.attr) for t in node.targets if isinstance(t, ast.Attribute)}
-            for load in ast.walk(node.value):
-                if isinstance(load, ast.Attribute) and (ast.dump(load.value), load.attr) in stored:
-                    yield load
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            while isinstance(target, ast.Subscript):
-                target = target.value
-                if isinstance(target, ast.Attribute):
-                    yield target
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _WRITE_ONLY_METHODS
-            and isinstance(node.func.value, ast.Attribute)
-        ):
-            yield node.func.value
-
-    def visit(node, skipped, copiers, copying):
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
-            return
-        copying = copying or (isinstance(node, ast.FunctionDef) and node.name in copiers)
-        skipped = skipped | {id(write) for write in writes(node)}
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and id(node) not in skipped
-            and not (copying and getattr(node.value, "id", None) != "self")
-        ):
-            loads.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            loads.add(node.value)
-        for child in ast.iter_child_nodes(node):
-            visit(child, skipped, copiers, copying)
-
-    for file, tree in trees:
-        in_src = SRC in file.parents
-        copiers = _COPIERS[1] if in_src and file.relative_to(SRC).as_posix() == _COPIERS[0] else set()
-        visit(tree, frozenset(), copiers, False)
-    return loads
-
-
-def field_scan():
-    """``(stores, unread)``: :func:`field_stores`, and the keys of those whose
-    field no code in ``src/``, ``benchmarks/`` or ``examples/`` reads.  Reads
-    match stores by name alone, so a name two classes share only hides a field."""
-    src_trees = module_trees("src")
-    stores = field_stores(src_trees)
-    loads = field_loads(src_trees + module_trees("benchmarks") + module_trees("examples"))
-    return stores, {key for key, name in stores.items() if name not in loads}
-
 
 def test_no_field_is_written_only():
-    _, unread = field_scan()
-    assert unread == set(KEPT_FIELDS), (
-        f"written but read by no code outside tests/: {sorted(unread - set(KEPT_FIELDS))} — "
-        "delete the field and its writes, or add it to KEPT_FIELDS with the reason it is "
-        f"kept; KEPT_FIELDS but read outside tests/: {sorted(set(KEPT_FIELDS) - unread)}."
-    )
+    assert index()[1][2] == set(KEPT_FIELDS), "written but read by no code outside tests/: delete the " \
+        "field and its writes, or add it to KEPT_FIELDS with the reason it is kept"
 
 
-def print_fields(paths) -> None:
-    """Print the fields stored under *paths* (files or directories in
-    ``src/repro``), ``*`` marking one that no code outside ``tests/`` reads,
-    then the totals."""
-    stores, unread = field_scan()
-    total = marked = 0
-    for argument in paths:
-        prefix = _src_relative(argument)
-        for key in stores:
-            if _under(key, prefix):
-                total += 1
-                marked += key in unread
-                print(key + ("*" if key in unread else ""))
-    print(f"{total} fields, {marked} read by no code outside tests/ (*)")
+def print_scan(paths) -> None:
+    """Print the definitions, options and fields in the files or directories
+    *paths* under ``src/repro``, ``*`` marking each one no code outside
+    ``tests/`` reaches, sets or reads, then the three totals."""
+    built, (unreached, unset, unread) = index()
+    paths = [pathlib.Path(p).resolve().relative_to(SRC).as_posix() for p in paths]
+    found = {"definitions": [(k, k in unreached) for k in built.definitions],
+             "options": [(f"{k}({o})", o in unset[k]) for k, (*_, os) in built.options.items() for _, o in os],
+             "fields": [(k, k in unread) for k in built.fields]}
+    for what, keys in found.items():
+        found[what] = [(k, m) for k, m in keys if any(p in (".", k.split(":")[0]) or k.startswith(f"{p}/") for p in paths)]
+        print("".join(f"{key}{'*' * marked}\n" for key, marked in found[what]), end="")
+    print("; ".join(f"{len(keys)} {what} ({sum(m for _, m in keys)} *)" for what, keys in found.items()))
 
 
 #: The scale opt-ins each ledger workload applies (its ``optins_applied``).
@@ -571,10 +572,8 @@ def test_the_ledger_applies_the_pinned_opt_ins(monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--options"]:
-        print_options(sys.argv[2:])
-    elif sys.argv[1:2] == ["--fields"]:
-        print_fields(sys.argv[2:])
+    if sys.argv[1:2] == ["--scan"]:
+        print_scan(sys.argv[2:])
     else:
         for argument in sys.argv[1:]:
             print(f"{tree_code_lines(argument):7d}  {argument}")

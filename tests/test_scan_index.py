@@ -1,0 +1,148 @@
+"""The owner-resolving index behind the reachability scans in
+``test_option_budget.py``, fed a small inline module, and its ``--scan``
+printer run as a command."""
+
+import ast
+import os
+import subprocess
+import sys
+
+import test_option_budget as scans
+
+SOURCE = '''
+class Geometry:
+    def ping(self):
+        return 0
+
+
+class Port:
+    def ping(self):
+        return 1
+
+
+class Card:
+    def __init__(self, geometry: Geometry):
+        self.port = Port()
+        self.geometry = geometry
+
+    @property
+    def main_port(self) -> Port:
+        return self.port
+
+    def fabric(self) -> Geometry:
+        return self.geometry
+
+    def ping(self):
+        return 2
+
+    def run(self):
+        self.ping()
+        self.port.ping()
+        self.main_port.ping()
+        self.fabric().ping()
+
+
+class Unused:
+    def ping(self):
+        return 3
+
+    def pong(self):
+        return 4
+
+
+class Other:
+    def pong(self):
+        return 5
+
+
+class Stats:
+    def describe(self):
+        return "stats"
+
+
+class Fleet:
+    def __init__(self):
+        self.stats = Stats()
+
+    def describe(self):
+        return self.stats.describe()
+
+
+def build_card() -> Card:
+    return Card(Geometry())
+
+
+def duck(thing):
+    thing.fabric()
+    return thing.ping()
+
+
+def main(port: Port, things):
+    card = Card(Geometry())
+    card.run()
+    made = build_card()
+    geometry = made.geometry
+    geometry.ping()
+    port.ping()
+    things[0].pong()
+    duck(card)
+    return Fleet()
+
+
+main(Port(), [])
+'''
+
+
+def built_index(tmp_path):
+    index = scans.Index([(tmp_path / "m.py", ast.parse(SOURCE))], root=tmp_path)
+    return index, index.scan()
+
+
+def test_each_receiver_form_resolves_to_its_class(tmp_path):
+    index, _ = built_index(tmp_path)
+    families = {
+        ast.unparse(receiver): sorted(index._family_of(receiver, scope) or ["every class"])
+        for name, receiver, scope, _, _ in index.uses
+        if receiver is not None and name in ("ping", "pong", "run", "geometry", "fabric")
+    }
+    assert families == {
+        "self": ["Card"],  # ``self`` in a class
+        "self.port": ["Port"],  # ``self.attr`` bound by ``C(...)``
+        "self.main_port": ["Port"],  # a property annotated ``-> C``
+        "self.fabric()": ["Geometry"],  # a method annotated ``-> C``
+        "card": ["Card"],  # a name bound by ``C(...)``
+        "made": ["Card"],  # a function annotated ``-> C``
+        "geometry": ["Geometry"],  # a local bound to an attribute that resolves
+        "port": ["Port"],  # an annotation ``: C``
+        "thing": ["Card"],  # the one class with both attributes ``thing`` is used with
+        "things[0]": ["every class"],  # unresolvable: the name match
+    }
+
+
+def test_the_scan_reaches_by_owner_to_a_fixed_point(tmp_path):
+    _, (unreached, unset, unread) = built_index(tmp_path)
+    # Every typed ``.ping()`` resolved, so none reached ``Unused.ping``; the
+    # untyped ``.pong()`` reached both.  ``Fleet.describe`` has no caller, so
+    # neither its callee ``Stats.describe`` nor its read of ``stats`` counts.
+    assert unreached == {"m.py:Unused", "m.py:Unused.ping", "m.py:Other", "m.py:Fleet.describe", "m.py:Stats.describe"}
+    assert unread == {"m.py:Fleet.stats"}
+    assert not any(unset.values())
+
+
+def test_scan_prints_each_item_then_the_totals():
+    result = subprocess.run(
+        [sys.executable, "tests/test_option_budget.py", "--scan", "src/repro/faults"],
+        cwd=scans.REPO,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(scans.REPO / "src"), os.environ.get("PYTHONPATH", "")])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    built, (unreached, unset, unread) = scans.index()
+    definitions = [key for key in built.definitions if key.startswith("faults/")]
+    options = [f"{key}({name})" for key, (*_, names) in built.options.items() if key.startswith("faults/")
+               for _, name in names]
+    fields = [key for key in built.fields if key.startswith("faults/")]
+    *items, totals = result.stdout.splitlines()
+    assert items == definitions + options + fields
+    assert totals == f"{len(definitions)} definitions (0 *); {len(options)} options (0 *); {len(fields)} fields (0 *)"

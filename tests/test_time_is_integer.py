@@ -10,8 +10,10 @@ floats for periods and budgets, a fractional kill time, fractional link
 numbers — each is converted or rounded once (``repro.sim.clock``).
 
 Second half — an AST scan of ``src/repro``: no float literal and no ``float``
-annotation may be bound to a name ending ``_ns``.  The allow-list is the
-handful of names that are means or ratios, not times.
+annotation may be bound to a name ending ``_ns``, and no function whose
+``return`` hands back ``elapsed`` or a ``*_ns`` name (alone or in a tuple) may
+be annotated to return a ``float``.  The allow-list is the handful of names
+that are means or ratios, not times.
 """
 
 import ast
@@ -162,8 +164,8 @@ class TestNoFloatLeaks:
         )
         fleet.install_faults(injector)
         fleet.run(trace)
-        assert injector.upsets and injector.cards_killed == 1
-        assert injector.port_faults
+        assert injector.upsets and fleet.stats.card_failures == 1
+        assert fleet.stats.card_degradations
         assert type(fleet.rebalancer.cooldown_ns) is int
         assert_whole_ns(fleet)
 
@@ -242,13 +244,30 @@ def _float_literal(node) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
+def _returns_a_time(function) -> bool:
+    """Does a ``return`` of *function* itself (not of a nested function) hand
+    back ``elapsed`` or a ``*_ns`` name, alone or as a tuple element?"""
+    nodes = list(ast.iter_child_nodes(function))
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Return) and node.value is not None:
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            names = [_bound_name(value) or "" for value in values]
+            if any(name == "elapsed" or name.endswith("_ns") and not not_a_time(name) for name in names):
+                return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def float_time_bindings(source: str):
     """``(line, name, what)`` for every float literal or ``float`` annotation
-    bound to a name ending ``_ns`` in *source*."""
+    bound to a name ending ``_ns`` in *source*, and every function annotated
+    to return a ``float`` that returns a time."""
     found = []
 
     def flag(name, node, what):
-        if name and name.endswith("_ns") and not not_a_time(name):
+        if name and (what == "returned time" or name.endswith("_ns") and not not_a_time(name)):
             found.append((node.lineno, name, what))
 
     for node in ast.walk(ast.parse(source)):
@@ -265,6 +284,8 @@ def float_time_bindings(source: str):
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if _says_float(node.returns):
                 flag(node.name, node, "return annotation")
+                if _returns_a_time(node):
+                    flag(node.name, node, "returned time")
             arguments = node.args
             positional = arguments.posonlyargs + arguments.args
             defaults = [None] * (len(positional) - len(arguments.defaults)) + arguments.defaults
@@ -292,6 +313,15 @@ class TestNoFloatIsDeclared:
             "mean_latency_ns: float = 0.0\n"
             "count = 0.0\n"
             "wait_ns = 5\n"
+            "def write(data) -> float:\n"
+            "    elapsed = cost(data)\n"
+            "    return elapsed\n"
+            "def end() -> Tuple[list, float]:\n"
+            "    def inner() -> float:\n"
+            "        return 1.5\n"
+            "    return [], spent_ns\n"
+            "def ratio() -> float:\n"
+            "    return hits / total\n"
         )
         assert sorted(float_time_bindings(source)) == [
             (2, "latency_ns", "annotation"),
@@ -302,6 +332,8 @@ class TestNoFloatIsDeclared:
             (4, "busy_ns", "literal"),
             (5, "busy_ns", "literal"),
             (6, "delay_ns", "keyword"),
+            (10, "write", "returned time"),
+            (13, "end", "returned time"),
         ]
 
     def test_no_float_is_bound_to_a_time_in_src(self):

@@ -32,16 +32,9 @@ class TestTrace:
         assert len(trace) == 3
         assert trace.function_counts() == {"crc32": 2, "parity32": 1}
         assert trace.switches() == 1
-        assert sum(request.payload_bytes for request in trace) == 4
-        assert trace.function_sequence() == ["crc32", "crc32", "parity32"]
+        assert sum(len(request.payload) for request in trace) == 4
+        assert [request.function for request in trace] == ["crc32", "crc32", "parity32"]
         assert "demo" in trace.describe()
-
-    def test_slice_and_concatenate(self, small_bank):
-        trace = repeated_trace(small_bank, "crc32", 10)
-        head = trace.slice(0, 4)
-        assert len(head) == 4
-        combined = head.concatenate(trace.slice(4))
-        assert len(combined) == 10
 
     def test_indexing(self, small_bank):
         trace = repeated_trace(small_bank, "crc32", 3)
@@ -64,14 +57,14 @@ class TestGenerators:
         first = zipf_trace(small_bank, 100, seed=5)
         second = zipf_trace(small_bank, 100, seed=5)
         third = zipf_trace(small_bank, 100, seed=6)
-        assert first.function_sequence() == second.function_sequence()
-        assert first.function_sequence() != third.function_sequence()
+        assert first.requests == second.requests
+        assert [r.function for r in first] != [r.function for r in third]
 
     def test_payload_sizes_follow_function_spec(self, small_bank):
         trace = uniform_trace(small_bank, 30, seed=2, payload_blocks=3)
         for request in trace:
             expected = small_bank.by_name(request.function).spec.input_bytes * 3
-            assert request.payload_bytes == expected
+            assert len(request.payload) == expected
 
     def test_zipf_is_skewed(self, default_bank):
         trace = zipf_trace(default_bank, 600, skew=1.4, seed=3)

@@ -136,7 +136,7 @@ class TestMultiTenantTrace:
         trace = multi_tenant_trace(bank, [spec], length=40, seed=10)
         for request in trace:
             expected = bank.by_name(request.function).spec.input_bytes * 2
-            assert request.payload_bytes == expected
+            assert len(request.payload) == expected
 
     def test_validation_errors(self, bank):
         specs = default_tenant_mix(bank, tenants=1)
@@ -170,7 +170,7 @@ class TestFleetTrace:
         trace = FleetTrace(requests, name="t")
         assert len(trace) == 2
         assert trace[0].tenant == "a"  # sorted by arrival
-        assert trace.tenants() == ["a", "b"]
+        assert trace.per_tenant_counts() == {"a": 1, "b": 1}
         assert trace.function_counts() == {"crc32": 2}
         assert "2 requests" in trace.describe()
         assert trace.duration_ns == 20.0
