@@ -36,7 +36,7 @@ def raw_bitstreams(default_config, bank):
     raw = {}
     for function in bank:
         record = copro.rom.record_table.by_name(function.name)
-        image_bytes = b"".join(copro.rom.read_bitstream(function.name))
+        image_bytes = copro.rom.read_bitstream(function.name)
         from repro.bitstream.window import CompressedImage
 
         raw[function.name] = WindowedDecompressor(CompressedImage.from_bytes(image_bytes)).decompress_all()

@@ -17,27 +17,8 @@ def crc32(data: bytes, initial: int = 0) -> int:
     """CRC-32 of *data* (IEEE 802.3); delegates to :func:`zlib.crc32`.
 
     ``initial`` accepts the running value returned by a previous call so large
-    images can be checksummed incrementally (the configuration module does
-    this window by window).
+    images can be checksummed incrementally (the configuration port does so
+    frame by frame).
     """
     return zlib.crc32(data, initial & 0xFFFFFFFF)
 
-
-class IncrementalCrc32:
-    """Stateful CRC-32 accumulator.
-
-    >>> acc = IncrementalCrc32()
-    >>> acc.update(b"hello ").update(b"world").value == crc32(b"hello world")
-    True
-    """
-
-    def __init__(self) -> None:
-        self._value = 0
-
-    def update(self, data: bytes) -> "IncrementalCrc32":
-        self._value = crc32(data, self._value)
-        return self
-
-    @property
-    def value(self) -> int:
-        return self._value

@@ -127,7 +127,7 @@ class FaultInjector:
                 continue
             card = cards[rng.integer(0, len(cards) - 1)]
             if stall:
-                # Transient: the next configuration session on this card
+                # Transient: the next configuration transfer on this card
                 # absorbs the delay; no health change, nothing to recover.
                 card.driver.coprocessor.device.port.stall_for(duration)
                 fleet.record_fault_event("stall", card.name, duration_ns=duration)

@@ -50,7 +50,7 @@ class FaultSpec:
     port_fault_duration_ns: int = 250_000
     #: ``"wedge"`` hard-fails the port until recovery (the card degrades and
     #: misses bounce); ``"stall"`` queues a transient delay the next
-    #: configuration session silently absorbs (the card stays healthy, one
+    #: configuration transfer silently absorbs (the card stays healthy, one
     #: reconfiguration just takes longer).
     port_fault_kind: str = "wedge"
 

@@ -141,26 +141,21 @@ class FPGADevice:
         name = bitstream.header.function_name
         started = self.clock.now
         # Loading over frames owned by *other* live functions is refused; the
-        # controller must evict them first.  Claiming up front is the
-        # session's one whole-region ownership validation, and it fails
-        # before anything on the fabric is disturbed.
+        # controller must evict them first.  Claiming up front validates the
+        # whole region's ownership once, before anything on the fabric is
+        # disturbed.
         self.memory.claim(region, name)
         # Reloading an already-resident function releases its previous region
         # first so stale frames never stay claimed (frames shared with the new
-        # region are re-owned as the session writes them).
+        # region are re-owned as the transfer writes them).
         if name in self._loaded and set(self._loaded[name].region) != set(region):
             self.unload(name)
-        self.port.begin_session(name)
         try:
-            for address, payload in zip(region, bitstream.frames):
-                self.port.write_frame(address, payload)
-            self.port.end_session(expected_crc=bitstream.payload_crc)
+            elapsed = self.port.configure(name, region, bitstream.frames, bitstream.payload_crc)
         except ConfigurationError:
-            self.port.abort_session()
             self.memory.release(region, owner=name)
             raise
         self._bind(bitstream, region, executor)
-        elapsed = self.clock.now - started
         self.trace.record("fpga", "configure_partial", started, self.clock.now, function=name, frames=len(region))
         return elapsed
 
@@ -213,11 +208,8 @@ class FPGADevice:
     def _timed_readback(self, region: FrameRegion) -> List[bytes]:
         """Read *region*'s frames back, each charged at the configuration
         port's transfer rate (SelectMAP-style readback runs at write speed)."""
-        payloads = []
-        for address in region:
-            payload = self.memory.read_frame(address)
-            self.clock.advance(self.port.write_time_ns(len(payload)))
-            payloads.append(payload)
+        payloads = [self.memory.read_frame(address) for address in region]
+        self.clock.advance(sum(self.port.write_time_ns(len(payload)) for payload in payloads))
         return payloads
 
     def capture_function(self, name: str) -> Bitstream:
@@ -254,8 +246,8 @@ class FPGADevice:
         """Move *name*'s frames to *new_region* on this fabric; returns Δt.
 
         The relocation is capture-and-restore in place: the old frames are
-        read back (charged at port speed), pushed through a configuration
-        session into the new region (real write time, CRC-verified), and the
+        read back (charged at port speed), pushed through one configuration
+        transfer into the new region (real write time, CRC-verified), and the
         frames left behind are erased.  Ownership bookkeeping, the golden
         image store and each frame's CRC check word all move in lockstep; the
         executor binding survives because only the *placement* changed, not
@@ -289,17 +281,13 @@ class FPGADevice:
         expected = 0
         for payload in payloads:
             expected = crc32(payload, expected)
-        self.port.begin_session(name)
         try:
-            for address, payload in zip(new_region, payloads):
-                self.port.write_frame(address, payload)
-            self.port.end_session(expected_crc=expected)
+            self.port.configure(name, new_region, payloads, expected)
         except ConfigurationError:
             # Unreachable in practice (the CRC is computed from the very
             # payloads just written and the wedge check ran up front), but a
             # relocation must never leave the function half-moved: restore
             # the old region's contents and ownership before re-raising.
-            self.port.abort_session()
             for address, payload in zip(old_region, payloads):
                 self.memory.write_frame(address, payload, owner=name)
             raise

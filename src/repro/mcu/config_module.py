@@ -3,21 +3,23 @@
 "The configuration module decompresses the compressed bit-stream window by
 window and passes the configuration bit-stream to the FPGA to configure it."
 
-The module therefore has two timed phases per reconfiguration:
+A reconfiguration has three timed phases, and each is one advance of the
+shared clock:
 
-1. **Fetch + decompress** — the compressed image is read from the ROM chunk by
-   chunk (timed ROM accesses) and decompressed window by window; each window
-   charges decompression time on the microcontroller clock proportional to the
-   bytes processed.
-2. **Frame writes** — the reconstructed bit-stream's frame payloads are pushed
-   through the FPGA configuration port into the target region.
+1. **ROM fetch** — the compressed image is read from the ROM in
+   ``rom_chunk_bytes`` bursts (:meth:`ConfigurationRom.read`).
+2. **Decompress** — window by window on the microcontroller clock; a window
+   costs ``decompress_cycles_per_byte`` cycles per byte of the mean of its
+   compressed and raw lengths, rounded to whole nanoseconds per window.
+3. **Port** — the frame payloads go through the configuration port in one
+   CRC-checked transfer (:meth:`ConfigurationPort.configure`).
 
-With ``overlap_decompress=True`` the module models a pipelined implementation
-in which decompression of window *i+1* proceeds while window *i* is being
-written: the report's total is then bounded by the slower of the two phases
-plus one window of fill latency, instead of their sum.  Only the report sees
-the overlap — the clock, and so the request's ``reconfig_time_ns``, still
-advances through both phases in sequence.  E2 uses both settings.
+With ``overlap_decompress=True`` the module is a pipeline: window *i+1*
+decompresses while window *i* is written, so only the decompression the
+port's transfer cannot hide stays on the clock, and the reconfiguration takes
+``rom + max(decompress, port) + one window fill`` (never more than the serial
+sum).  ``tests/oracles/miss_formula.py`` writes the same sums from the stored
+image and the configuration alone; tier-1 holds the two equal.
 """
 
 from __future__ import annotations
@@ -39,9 +41,17 @@ from repro.sim.trace import TraceRecorder
 
 @dataclass
 class ReconfigurationReport:
-    """What one on-demand reconfiguration wrote and how long it took."""
+    """What one on-demand reconfiguration wrote and how long each phase took.
+
+    ``total_time_ns`` is the clock's advance over the whole reconfiguration:
+    the three phases' sum, or less when a pipelined module hides part of the
+    decompression behind the port's transfer.
+    """
 
     frames: int
+    rom_time_ns: int
+    decompress_time_ns: int
+    port_time_ns: int
     total_time_ns: int
 
 
@@ -76,81 +86,60 @@ class ConfigurationModule:
         # re-CRC-checking an image already seen.
         self._image_cache: dict = {}
 
-    # ----------------------------------------------------------------- fetch
-    def fetch_compressed_image(self, name: str) -> tuple:
-        """Timed chunked read of the compressed image from the ROM.
-
-        Returns ``(image, rom_time_ns)``.
-        """
-        started = self.clock.now
-        chunks = list(self.rom.read_bitstream(name, chunk_bytes=self.rom_chunk_bytes))
-        rom_time = self.clock.now - started
-        blob = b"".join(chunks)
+    # ------------------------------------------------------------ decompress
+    def _image(self, blob: bytes) -> CompressedImage:
+        """*blob* parsed; a blob seen before skips re-parsing and re-CRC-checking."""
         image = self._image_cache.get(blob)
         if image is None:
-            image = CompressedImage.from_bytes(blob)
-            self._image_cache[blob] = image
-        return image, rom_time
+            image = self._image_cache[blob] = CompressedImage.from_bytes(blob)
+        return image
 
-    # ------------------------------------------------------------ decompress
     def _decode(self, image: CompressedImage) -> tuple:
-        """Decompress and parse *image* once; returns (raw, lengths, bitstream).
+        """Decompress and parse *image* once; returns (window lengths, bitstream).
 
         The memo rides on the image object itself, so its lifetime (and the
-        cache's) is exactly the image's.  The timed phases replay the same
-        per-window clock advances from the recorded lengths, so simulated
-        time is bit-identical with or without a memo hit; only the host-side
-        byte crunching is skipped.
+        cache's) is exactly the image's.  The decompression time is a sum
+        over the recorded window lengths, so simulated time is the same with
+        or without a memo hit; only the host-side byte crunching is skipped.
         """
         memo = getattr(image, "_decoded_memo", None)
         if memo is not None:
             return memo
         decompressor = WindowedDecompressor(image, get_codec(image.codec_name))
         raw_windows = list(decompressor.windows())
-        raw = b"".join(raw_windows)
         lengths = tuple(len(window) for window in raw_windows)
-        bitstream = parse_bitstream(raw)
-        memo = (raw, lengths, bitstream)
+        memo = (lengths, parse_bitstream(b"".join(raw_windows)))
         image._decoded_memo = memo
         return memo
 
-    def decompress_image(self, image: CompressedImage) -> tuple:
-        """Windowed decompression, charging MCU time per window.
-
-        Returns ``(raw_bitstream_bytes, decompress_time_ns)``.
-        """
-        raw, lengths, _ = self._decode(image)
-        started = self.clock.now
-        for compressed_window, raw_length in zip(image.windows, lengths):
-            # The window-by-window cost covers reading the compressed bytes and
-            # producing the raw bytes.
-            cycles = self.decompress_cycles_per_byte * (len(compressed_window) + raw_length) / 2.0
-            self.clock.advance(self.domain.cycles_to_ns(cycles))
-        elapsed = self.clock.now - started
-        return raw, elapsed
+    def _window_time_ns(self, compressed_bytes: int, raw_bytes: int) -> int:
+        """MCU time to turn one window between its compressed and raw forms:
+        the cost covers reading the one and producing the other."""
+        cycles = self.decompress_cycles_per_byte * (compressed_bytes + raw_bytes) / 2.0
+        return self.domain.cycles_to_ns(cycles)
 
     # ------------------------------------------------------------- transfer
     def compress_for_transfer(
         self, bitstream: Bitstream, codec_name: str, window_bytes: int
-    ) -> tuple:
+    ) -> bytes:
         """Compress a captured bit-stream for a host-side migration transfer.
 
         The mirror image of the decompression path: the serialised bit-stream
         is windowed and compressed with the card's codec, charging the same
         per-byte MCU cycle cost as decompression (the model treats the two
-        directions as symmetric).  Returns ``(blob_bytes, elapsed_ns)`` where
-        the blob is a self-describing :class:`CompressedImage` serialisation —
-        exactly what :meth:`restore_from_blob` consumes on the destination.
+        directions as symmetric).  Returns the blob, a self-describing
+        :class:`CompressedImage` serialisation — exactly what
+        :meth:`restore_from_blob` consumes on the destination.
         """
         raw = bitstream.to_bytes()
         compressor = WindowedCompressor(get_codec(codec_name), window_bytes)
         image = compressor.compress(raw)
-        started = self.clock.now
-        for index, compressed_window in enumerate(image.windows):
-            raw_length = min(window_bytes, len(raw) - index * window_bytes)
-            cycles = self.decompress_cycles_per_byte * (len(compressed_window) + raw_length) / 2.0
-            self.clock.advance(self.domain.cycles_to_ns(cycles))
-        return image.to_bytes(), self.clock.now - started
+        elapsed = sum(
+            self._window_time_ns(len(compressed), min(window_bytes, len(raw) - index * window_bytes))
+            for index, compressed in enumerate(image.windows)
+        )
+        self.clock.advance(elapsed)
+        return image.to_bytes()
 
     def _decode_blob(self, name: str, blob: bytes) -> CompressedImage:
         """Parse and sanity-check a migration blob; side-effect free.
@@ -167,11 +156,8 @@ class ConfigurationModule:
         from repro.bitstream.format import BitstreamFormatError
 
         try:
-            image = self._image_cache.get(blob)
-            if image is None:
-                image = CompressedImage.from_bytes(blob)
-                self._image_cache[blob] = image
-            _, _, bitstream = self._decode(image)
+            image = self._image(blob)
+            _, bitstream = self._decode(image)
         except (CodecError, BitstreamFormatError) as error:
             # A truncated or corrupted transfer fails like a bad bit-stream,
             # not like a programming error: the card answers CONFIG_FAILED
@@ -215,7 +201,7 @@ class ConfigurationModule:
         the image arrived over the PCI instead.
         """
         image = self._decode_blob(name, blob)
-        return self._apply_image(name, image, rom_time=0, region=region, executor=executor)
+        return self._apply_image(name, image, self.clock.now, region, executor)
 
     # -------------------------------------------------------------- configure
     def reconfigure(
@@ -225,33 +211,43 @@ class ConfigurationModule:
         executor: FunctionExecutor,
     ) -> ReconfigurationReport:
         """Full on-demand reconfiguration path: ROM → decompress → config port."""
-        image, rom_time = self.fetch_compressed_image(name)
-        return self._apply_image(name, image, rom_time=rom_time, region=region, executor=executor)
+        started = self.clock.now
+        blob = self.rom.read_bitstream(name, chunk_bytes=self.rom_chunk_bytes)
+        return self._apply_image(name, self._image(blob), started, region, executor)
 
     def _apply_image(
         self,
         name: str,
         image: CompressedImage,
-        rom_time: int,
+        started: int,
         region: FrameRegion,
         executor: FunctionExecutor,
     ) -> ReconfigurationReport:
-        """Shared decompress-and-configure tail of reconfigure/restore."""
-        started = self.clock.now - rom_time
-        raw, decompress_time = self.decompress_image(image)
-        _, _, bitstream = self._decode(image)
-        config_time = self.device.configure_partial(bitstream, region, executor)
-        total = self.clock.now - started
+        """Shared decompress-and-configure tail of reconfigure/restore; the
+        image's fetch (if any) ran from *started* to now."""
+        rom_time = self.clock.now - started
+        lengths, bitstream = self._decode(image)
+        decompress_time = sum(
+            self._window_time_ns(len(compressed), raw_length)
+            for compressed, raw_length in zip(image.windows, lengths)
+        )
+        exposed = decompress_time
         if self.overlap_decompress:
-            # A pipelined configuration module hides the shorter of the two
-            # streaming phases behind the longer one (one window of fill
-            # latency remains).  Only the report sees the saving: the clock
-            # has already advanced through both phases in sequence and is
-            # never wound back, so the caller's clock-delta
-            # ``reconfig_time_ns`` keeps the sequential time.
+            # A pipeline: window i+1 decompresses while window i is written,
+            # so the port's transfer hides all but the decompression it
+            # cannot cover, and one window of fill latency remains.
+            transfer = self.device.port.transfer_time_ns(bitstream.frames)
             window_fill = round(decompress_time / max(1, image.window_count))
-            total = min(total, rom_time + max(decompress_time, config_time) + window_fill)
-        report = ReconfigurationReport(frames=len(region), total_time_ns=total)
+            exposed = min(decompress_time, max(decompress_time - transfer, 0) + window_fill)
+        self.clock.advance(exposed)
+        port_time = self.device.configure_partial(bitstream, region, executor)
+        report = ReconfigurationReport(
+            frames=len(region),
+            rom_time_ns=rom_time,
+            decompress_time_ns=decompress_time,
+            port_time_ns=port_time,
+            total_time_ns=self.clock.now - started,
+        )
         self.trace.record(
             "config-module",
             "reconfigure",

@@ -190,10 +190,7 @@ class Microcontroller:
         """
         self._charge_cycles(self.command_decode_cycles)
         bitstream = self.device.capture_function(name)
-        blob, _ = self.config_module.compress_for_transfer(
-            bitstream, codec_name, window_bytes
-        )
-        return blob
+        return self.config_module.compress_for_transfer(bitstream, codec_name, window_bytes)
 
     def restore(self, name: str, blob: bytes) -> RequestOutcome:
         """RESTORE command: make *name* resident from a migration blob.

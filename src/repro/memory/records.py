@@ -43,11 +43,6 @@ class FunctionRecord:
         if len(self.codec_name.encode("ascii", errors="replace")) > 12:
             raise ValueError("codec names are limited to 12 ASCII bytes")
 
-    @property
-    def end_address(self) -> int:
-        """First ROM address past the compressed bit-stream."""
-        return self.start_address + self.compressed_size
-
     # -------------------------------------------------------------- packing
     @staticmethod
     def packed_size() -> int:

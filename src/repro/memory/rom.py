@@ -110,17 +110,31 @@ class ConfigurationRom:
         return record
 
     # ----------------------------------------------------------------- read
-    def read(self, address: int, length: int) -> bytes:
-        """Timed read of *length* bytes starting at *address*."""
+    def read(self, address: int, length: int, chunk_bytes: Optional[int] = None) -> bytes:
+        """Timed read of *length* bytes at *address*, in bursts of at most
+        *chunk_bytes* (``None``: one burst).
+
+        Every burst is one access with its own setup latency.  The clock
+        advances once, by the bursts' summed transfer times; a recorder sees
+        each burst at the instants that running sum reaches.
+        """
         if address < 0 or address + length > self.capacity_bytes:
             raise ValueError(
                 f"ROM read of {length} bytes at {address} exceeds capacity {self.capacity_bytes}"
             )
-        started = self.clock.now
-        self.clock.advance(ROM_TIMING.transfer_time_ns(length))
-        self.total_reads += 1
+        if chunk_bytes is None:
+            chunk_bytes = max(1, length)
+        elif chunk_bytes <= 0:
+            raise ValueError("chunk size must be positive")
+        started = now = self.clock.now
+        for offset in range(0, length, chunk_bytes):
+            burst = min(chunk_bytes, length - offset)
+            end = now + ROM_TIMING.transfer_time_ns(burst)
+            self.trace.record("rom", "read", now, end, address=address + offset, length=burst)
+            now = end
+            self.total_reads += 1
         self.total_bytes_read += length
-        self.trace.record("rom", "read", started, self.clock.now, address=address, length=length)
+        self.clock.advance(now - started)
         return bytes(self._data[address : address + length])
 
     def record_for(self, name: str) -> FunctionRecord:
@@ -130,24 +144,14 @@ class ConfigurationRom:
         except KeyError:
             raise RomLookupError(name) from None
 
-    def read_bitstream(self, name: str, chunk_bytes: Optional[int] = None):
-        """Yield the compressed bit-stream of *name* in timed chunks.
+    def read_bitstream(self, name: str, chunk_bytes: Optional[int] = None) -> bytes:
+        """Timed read of *name*'s compressed bit-stream (see :meth:`read`).
 
-        The configuration module consumes the image chunk by chunk; reading
-        the whole image in one burst is modelled by passing ``chunk_bytes=None``.
+        The configuration module reads the image in ``rom_chunk_bytes``
+        bursts; ``chunk_bytes=None`` models one burst.
         """
         record = self.record_for(name)
-        if chunk_bytes is None:
-            yield self.read(record.start_address, record.compressed_size)
-            return
-        if chunk_bytes <= 0:
-            raise ValueError("chunk size must be positive")
-        offset = record.start_address
-        end = record.end_address
-        while offset < end:
-            length = min(chunk_bytes, end - offset)
-            yield self.read(offset, length)
-            offset += length
+        return self.read(record.start_address, record.compressed_size, chunk_bytes)
 
     # ------------------------------------------------------------ reporting
     def layout_summary(self) -> Dict[str, int]:

@@ -1,0 +1,171 @@
+"""The card's timing model as one page of arithmetic.
+
+Every simulated duration on the card is a sum of terms, each rounded to whole
+nanoseconds where it is computed, so a request's time can be written down
+from its inputs alone: the configuration, the compressed image the ROM
+stores, the payload, and the function's output and fabric cycles.  This
+module does that without running the card; tier-1 holds it equal to the
+simulator (``tests/test_miss_formula.py``).
+
+A cold reconfiguration (ROM → decompress → configuration port):
+
+    rom        = Σ over ROM bursts b   round(100 + |b| / 0.05)             bursts of rom_chunk_bytes
+    decompress = Σ over windows w      mcu(cpb · (|compressed_w| + |raw_w|) / 2)
+    port       = Σ over frames f       cfg(12 + ⌈|f| / port width⌉)
+               + cfg(4 · max(1, frames))                                   the closing CRC check
+
+where ``mcu(c)`` and ``cfg(c)`` turn cycles into whole nanoseconds at the
+microcontroller and configuration clocks.  A serial module takes
+``rom + decompress + port``; a pipelined one takes
+``rom + min(decompress + port, max(decompress, port) + fill)`` with
+``fill = round(decompress / windows)``.
+
+A host call (:meth:`HostDriver.call`) adds, in order: the input's PCI
+transfer, three register writes and a status read, the card's command
+decode, the miss (if any), staging the input in RAM, feeding it to the
+fabric, executing, collecting the output into RAM, reading it back, the
+output-length register read and the output's PCI transfer.  Evicting a
+victim erases its frames and costs no time.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
+
+from repro.bitstream.format import parse_bitstream
+from repro.bitstream.window import CompressedImage, WindowedDecompressor
+
+#: Programmed I/O up to this many bytes; DMA above it.
+PIO_THRESHOLD_BYTES = 64
+#: Descriptor fetch and doorbell time of one DMA job.
+DMA_SETUP_NS = 500
+
+
+def _ns(cycles: float, hz: float) -> int:
+    return round(cycles * (1e9 / hz))
+
+
+def _ceil(numerator: int, denominator: int) -> int:
+    return -(-numerator // denominator)
+
+
+def rom_ns(length: int) -> int:
+    """One ROM burst: 100 ns setup, 50 MB/s."""
+    return round(100 + length / 0.05) if length else 0
+
+
+def ram_ns(length: int) -> int:
+    """One local-RAM access: 20 ns setup, 400 MB/s."""
+    return round(20 + length / 0.4) if length else 0
+
+
+@dataclass(frozen=True)
+class MissTerms:
+    """The three phases of one cold reconfiguration, in nanoseconds."""
+
+    rom_ns: int
+    decompress_ns: int
+    port_ns: int
+    windows: int
+
+    @property
+    def serial_ns(self) -> int:
+        return self.rom_ns + self.decompress_ns + self.port_ns
+
+    @property
+    def pipelined_ns(self) -> int:
+        fill = round(self.decompress_ns / max(1, self.windows))
+        return self.rom_ns + min(
+            self.decompress_ns + self.port_ns, max(self.decompress_ns, self.port_ns) + fill
+        )
+
+
+def miss_terms(config, blob: bytes) -> MissTerms:
+    """The formula's terms for loading the stored image *blob* under *config*."""
+    image = CompressedImage.from_bytes(blob)
+    raw_windows = list(WindowedDecompressor(image).windows())
+    frames = parse_bitstream(b"".join(raw_windows)).frames
+    chunk = config.rom_chunk_bytes
+    rom = sum(rom_ns(min(chunk, len(blob) - offset)) for offset in range(0, len(blob), chunk))
+    decompress = sum(
+        _ns(config.decompress_cycles_per_byte * (len(compressed) + len(raw)) / 2.0, config.mcu_clock_hz)
+        for compressed, raw in zip(image.windows, raw_windows)
+    )
+    width = config.config_port_width_bytes
+    port = sum(_ns(12 + _ceil(len(frame), width), config.config_clock_hz) for frame in frames)
+    port += _ns(4 * max(1, len(frames)), config.config_clock_hz)
+    return MissTerms(rom, decompress, port, len(image.windows))
+
+
+def pci_ns(config, length: int) -> int:
+    """One PCI transaction: arbitration 2, address 1, wait states 3, the data
+    phases and turnaround 2, in bus cycles."""
+    data_phases = _ceil(length, config.pci_bus_width_bytes)
+    return round((2 + 1 + 3 + data_phases + 2) * 1e9 / config.pci_clock_hz)
+
+
+def host_transfer_ns(config, length: int) -> int:
+    """Moving *length* bytes between host and card window: PIO or DMA bursts."""
+    if length == 0:
+        return 0
+    if length <= PIO_THRESHOLD_BYTES:
+        return pci_ns(config, length)
+    burst = config.dma_burst_bytes
+    return DMA_SETUP_NS + sum(
+        pci_ns(config, min(burst, length - offset)) for offset in range(0, length, burst)
+    )
+
+
+def interface_ns(config, length: int) -> int:
+    """The data modules' bus between local RAM and fabric: 4 setup cycles
+    plus whole beats."""
+    return _ns(4 + _ceil(length, config.interface_bus_width_bytes), config.mcu_clock_hz)
+
+
+def call_ns(config, input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) -> int:
+    """One :meth:`HostDriver.call`, end to end."""
+    host = (
+        host_transfer_ns(config, input_bytes)
+        + 5 * pci_ns(config, 4)
+        + host_transfer_ns(config, output_bytes)
+    )
+    card = (
+        _ns(config.command_decode_cycles, config.mcu_clock_hz)
+        + miss_ns
+        + 2 * ram_ns(input_bytes) + interface_ns(config, input_bytes)
+        + _ns(cycles, config.fabric_clock_hz)
+        + interface_ns(config, output_bytes) + 2 * ram_ns(output_bytes)
+    )
+    return host + card
+
+
+def lru_calls_ns(
+    config,
+    bank,
+    blobs: Dict[str, bytes],
+    calls: Iterable[Tuple[str, bytes]],
+) -> List[int]:
+    """Each call's ``total_ns`` on a fresh card with the LRU policy.
+
+    Residency is the only state: a miss evicts the least recently used
+    functions until the newcomer's frames fit (any free frames will do, as
+    under contiguous-first-fit placement with its scattered fallback).
+    """
+    geometry = config.geometry()
+    resident: List[str] = []  # least recently used first
+    totals = []
+    for name, payload in calls:
+        function = bank.by_name(name)
+        output, cycles = function.executor(geometry).run(payload)
+        miss = 0
+        if name in resident:
+            resident.remove(name)
+        else:
+            need = function.frames_required(geometry)
+            while need + sum(bank.by_name(r).frames_required(geometry) for r in resident) > geometry.frame_count:
+                resident.pop(0)
+            miss = miss_terms(config, blobs[name]).serial_ns
+        resident.append(name)
+        totals.append(call_ns(config, len(payload), len(output), cycles, miss))
+    return totals

@@ -88,47 +88,35 @@ class TestConfigurationPort:
 
     def test_session_writes_frames_and_advances_clock(self, tiny_geometry):
         port, memory, clock = self._port(tiny_geometry)
-        payload = _payload(tiny_geometry)
-        port.begin_session("aes")
-        elapsed = port.write_frame(tiny_geometry.frame_at(0), payload)
-        frames, _ = port.end_session(expected_crc=crc32(payload))
-        assert frames == [tiny_geometry.frame_at(0)]
-        assert clock.now > 0
-        assert elapsed == pytest.approx(port.write_time_ns(len(payload)))
-        assert memory.owner_of(tiny_geometry.frame_at(0)) == "aes"
-        assert port.stats.frames_written == 1
+        payloads = [_payload(tiny_geometry), _payload(tiny_geometry, 0x22)]
+        addresses = [tiny_geometry.frame_at(0), tiny_geometry.frame_at(1)]
+        elapsed = port.configure("aes", addresses, payloads, crc32(payloads[1], crc32(payloads[0])))
+        assert elapsed == clock.now == port.transfer_time_ns(payloads) == (
+            2 * port.write_time_ns(len(payloads[0])) + port.domain.cycles_to_ns(4 * 2)
+        )
+        assert [memory.owner_of(address) for address in addresses] == ["aes", "aes"]
+        assert port.stats.frames_written == 2
 
     def test_crc_mismatch_rolls_back(self, tiny_geometry):
-        port, memory, _ = self._port(tiny_geometry)
+        port, memory, clock = self._port(tiny_geometry)
         payload = _payload(tiny_geometry)
-        port.begin_session("aes")
-        port.write_frame(tiny_geometry.frame_at(0), payload)
         with pytest.raises(ConfigurationError):
-            port.end_session(expected_crc=0xDEADBEEF)
+            port.configure("aes", [tiny_geometry.frame_at(0)], [payload], 0xDEADBEEF)
         assert memory.owner_of(tiny_geometry.frame_at(0)) is None
         assert memory.frames[tiny_geometry.frame_at(0)].is_clear
-        assert not port.in_session
-
-    def test_nested_sessions_rejected(self, tiny_geometry):
-        port, _, _ = self._port(tiny_geometry)
-        port.begin_session("aes")
-        with pytest.raises(ConfigurationError):
-            port.begin_session("des")
-
-    def test_write_outside_session_rejected(self, tiny_geometry):
-        port, _, _ = self._port(tiny_geometry)
-        with pytest.raises(ConfigurationError):
-            port.write_frame(tiny_geometry.frame_at(0), _payload(tiny_geometry))
-        with pytest.raises(ConfigurationError):
-            port.end_session()
+        # The transfer happened before the check failed: its time is spent.
+        assert clock.now == port.transfer_time_ns([payload])
 
     def test_abort_session_rolls_back(self, tiny_geometry):
         port, memory, _ = self._port(tiny_geometry)
-        port.begin_session("aes")
-        port.write_frame(tiny_geometry.frame_at(3), _payload(tiny_geometry))
-        port.abort_session()
+        memory.write_frame(tiny_geometry.frame_at(4), _payload(tiny_geometry), owner="des")
+        payloads = [_payload(tiny_geometry)] * 2
+        with pytest.raises(FrameCollisionError):
+            port.configure(
+                "aes", [tiny_geometry.frame_at(3), tiny_geometry.frame_at(4)], payloads, 0
+            )
         assert memory.owner_of(tiny_geometry.frame_at(3)) is None
-        assert not port.in_session
+        assert memory.owner_of(tiny_geometry.frame_at(4)) == "des"
 
     def test_invalid_construction(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)

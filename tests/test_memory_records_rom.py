@@ -5,8 +5,9 @@ import pytest
 from repro.memory.errors import RomFullError, RomLookupError
 from repro.memory.records import FunctionRecord, RecordTable
 from repro.memory.rom import ConfigurationRom
-from repro.memory.timing import MemoryTiming
+from repro.memory.timing import ROM_TIMING, MemoryTiming
 from repro.sim.clock import Clock
+from repro.sim.trace import TraceRecorder
 
 
 def _record(name="aes128", function_id=1, start=0, size=128):
@@ -29,9 +30,6 @@ class TestFunctionRecord:
         rebuilt = FunctionRecord.unpack(record.pack())
         assert rebuilt == record
         assert len(record.pack()) == FunctionRecord.packed_size()
-
-    def test_end_address(self):
-        assert _record(start=100, size=28).end_address == 128
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,11 +123,29 @@ class TestConfigurationRom:
         rom = self._rom()
         image = bytes((index * 13) % 256 for index in range(1000))
         rom.download(5, "fir16", image, 2000, 256, 256, 3, "lz77")
-        whole = b"".join(rom.read_bitstream("fir16"))
-        chunked = b"".join(rom.read_bitstream("fir16", chunk_bytes=128))
+        whole = rom.read_bitstream("fir16")
+        one_burst = rom.clock.now
+        chunked = rom.read_bitstream("fir16", chunk_bytes=128)
         assert whole == image and chunked == image
+        assert rom.total_reads == 1 + 8
+        # Each burst pays its own setup latency: eight bursts of <= 128 bytes.
+        assert rom.clock.now - one_burst == 7 * ROM_TIMING.transfer_time_ns(128) + ROM_TIMING.transfer_time_ns(104)
         with pytest.raises(ValueError):
-            list(rom.read_bitstream("fir16", chunk_bytes=0))
+            rom.read_bitstream("fir16", chunk_bytes=0)
+
+    def test_a_chunked_read_traces_each_burst_at_its_running_sum(self):
+        rom = ConfigurationRom(64 * 1024, clock=Clock(), trace=TraceRecorder())
+        rom.download(5, "fir16", bytes(300), 600, 1, 1, 1, "lz77")
+        rom.clock.advance(7)
+        rom.read_bitstream("fir16", chunk_bytes=128)
+        bursts = [ROM_TIMING.transfer_time_ns(length) for length in (128, 128, 44)]
+        spans = [(event.start_ns, event.end_ns, event.attributes["length"]) for event in rom.trace]
+        assert spans == [
+            (7, 7 + bursts[0], 128),
+            (7 + bursts[0], 7 + bursts[0] + bursts[1], 128),
+            (7 + bursts[0] + bursts[1], 7 + sum(bursts), 44),
+        ]
+        assert rom.clock.now == 7 + sum(bursts)
 
     def test_unknown_function_lookup(self):
         rom = self._rom()

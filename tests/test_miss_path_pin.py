@@ -1,7 +1,8 @@
 """Pins of the paper's miss path (ROM → decompress → configuration port → execute).
 
 Every simulated time, every port counter, the device readback and each
-frame's stored check word; none may move for a simulator-only change.  The
+frame's stored check word; none may move for a simulator-only change.
+``test_miss_formula.py`` reproduces ``total_ns_sha`` from the formula alone.  The
 counters, readback and check words were recorded at the parent of PR 13
 (object-backed frames); the three times were re-pinned once, as ints, when
 time became whole nanoseconds (docs/rebaseline-int-ns.md: ``clock_now``
@@ -43,13 +44,19 @@ def _sha(chunks) -> str:
     return digest.hexdigest()
 
 
-def _observe_churn() -> dict:
-    """300 Zipf-0.8 calls on the 64-frame card_reconfig_churn card, seed 11."""
+def churn_config():
+    """The 64-frame card_reconfig_churn card and its 13-function bank."""
     bank = build_default_bank()
     bank = bank.subset([name for name in bank.names() if name != "matmul8"])
     config = CoprocessorConfig(
         fabric_columns=8, fabric_rows=64, clb_rows_per_frame=8, codec_name="lz77", seed=11
     )
+    return config, bank
+
+
+def _observe_churn() -> dict:
+    """300 Zipf-0.8 calls on the churn card, seed 11."""
+    config, bank = churn_config()
     driver = build_host_driver(config=config, bank=bank)
     results = [
         driver.call(request.function, request.payload)

@@ -77,7 +77,7 @@ FLEET_CODE_LINE_BUDGET = 642
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 813
-SRC_CODE_LINE_BUDGET = 12_281
+SRC_CODE_LINE_BUDGET = 12_229
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"

@@ -182,21 +182,22 @@ class TestNoFloatLeaks:
         assert_whole_ns(fleet)
 
     def test_an_overlapped_miss(self, small_bank):
-        # E2's third column: the pipelined configuration module reports
-        # rom + max(decompress, config) + one window of fill.
+        # E2's overlap column: the pipelined configuration module takes
+        # rom + max(decompress, port) + one window of fill, on the clock.
         copro = build_coprocessor(
             config=SMALL_CONFIG.with_overrides(overlap_decompress=True), bank=small_bank
         )
         outcome = copro.preload("crc32")
         report = outcome.reconfiguration
-        # The clock ran the phases in sequence; only the report overlaps them.
-        assert report.total_time_ns < outcome.reconfig_time_ns
+        assert report.total_time_ns == outcome.reconfig_time_ns < (
+            report.rom_time_ns + report.decompress_time_ns + report.port_time_ns
+        )
         times = {
             field.name: getattr(report, field.name)
             for field in dataclasses.fields(report)
             if field.name.endswith("_ns")
         }
-        assert len(times) == 1
+        assert len(times) == 4
         assert {what: value for what, value in times.items() if type(value) is not int} == {}
 
     def test_a_two_shard_run(self):
