@@ -1,8 +1,14 @@
 """Tests for the PCI card personality and the host driver."""
 
+import collections
+import os
+import sys
+
 import pytest
 
-from repro.core.builder import build_coprocessor
+import repro
+from repro.core.builder import build_coprocessor, build_host_driver
+from repro.core.config import SMALL_CONFIG
 from repro.core.card import CoprocessorCard
 from repro.core.exceptions import UnknownFunctionError
 from repro.core.host import build_host_system
@@ -81,6 +87,65 @@ class TestHostDriver:
         driver.call("crc32", b"b")
         assert driver.coprocessor.stats.requests == 2
         assert driver.clock is driver.coprocessor.clock
+
+
+REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
+
+
+class TestHostCallWork:
+    @staticmethod
+    def _frames(bank, calls):
+        """``{code object: Python frames entered}`` under ``src/repro/`` for
+        *calls* resident hits of ``crc32`` on 16 bytes."""
+        driver = build_host_driver(config=SMALL_CONFIG, bank=bank)
+        payload = bytes(range(16))
+        driver.call("crc32", payload)
+        frames = collections.Counter()
+
+        def count_calls(frame, event, _):
+            if event == "call" and frame.f_code.co_filename.startswith(REPRO_ROOT):
+                frames[frame.f_code] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count_calls)
+        try:
+            for _ in range(calls):
+                driver.call("crc32", payload)
+        finally:
+            sys.setprofile(previous)
+        return frames
+
+    def test_a_resident_hit_enters_326_frames(self, small_bank):
+        """The host call's work counter: Python frames entered under
+        ``src/repro/`` per resident hit through :meth:`HostDriver.call`, by
+        package — ``(frames(2 000) - frames(1 000)) / 1 000``, an exact
+        integer because every call takes the same path.  Seven bus
+        transactions (input PIO, FUNCTION_ID, INPUT_LENGTH and COMMAND
+        writes, STATUS and OUTPUT_LENGTH reads, output PIO), each a
+        ``PciTransaction`` routed through the bus, the BAR decode and the
+        card's register file.
+        """
+        small = self._frames(small_bank, 1_000)
+        large = self._frames(small_bank, 2_000)
+        per_call = collections.Counter()
+        for code in large:
+            extra = large[code] - small[code]
+            if extra:
+                assert code.co_name not in ("<listcomp>", "<genexpr>"), code
+                package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
+                per_call[package] += extra / 1_000
+        assert dict(per_call) == {
+            "pci": 170,
+            "sim": 94,
+            "mcu": 16,
+            "memory": 15,
+            "core": 14,
+            "functions": 10,
+            "fpga": 5,
+            "bitstream": 1,
+            "analysis": 1,
+        }
+        assert sum(per_call.values()) == 326
 
 
 class TestCardRegisterInterface:
