@@ -7,7 +7,7 @@ The package models, in pure Python, every block of the paper's architecture:
 * a packetised configuration bit-stream format with a suite of compression
   codecs and windowed decompression (:mod:`repro.bitstream`),
 * the ROM / local RAM memory subsystem (:mod:`repro.memory`),
-* a transaction-level PCI interconnect (:mod:`repro.pci`),
+* the PCI bus between host and card, as its timing and trace (:mod:`repro.pci`),
 * the PCI microcontroller with its mini OS — free frame list, frame
   replacement table and replacement policies (:mod:`repro.mcu`),
 * a bank of hardware functions the co-processor can load on demand

@@ -117,7 +117,7 @@ class FleetCard:
             if self._obs_trace is not None:
                 self.device_events = drain_device_events(self._obs_trace, before)
         service_ns = clock.now - before
-        hit = result.card_result.hit if result.card_result is not None else True
+        hit = result.card_result.hit
         self.served += 1
         self.busy_ns += service_ns
         return service_ns, hit

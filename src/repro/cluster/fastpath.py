@@ -1,9 +1,9 @@
 """Hit fast path: record/replay of a card's resident-hit serve.
 
-A hit spends most of its wall time inside ``PciBus.submit`` and the module
-pipeline under it (~70% under cProfile when this path was written; the
-``pci`` / ``mcu`` / ``core`` rows of ``benchmarks/e2e/run.py --workload
-fleet_hit_default --trace 1`` are today's profiler) — all of it a
+A hit spends most of its wall time in the host's bus transactions and the
+module pipeline behind the COMMAND write (~70% under cProfile when this path
+was written; the ``pci`` / ``mcu`` / ``core`` rows of ``benchmarks/e2e/run.py
+--workload fleet_hit_default --trace 1`` are today's profiler) — all of it a
 *pure function of (function, payload) and the card's resident state*.  Once
 a function is resident and healthy, serving the same payload again takes the
 same time and does the same things at the same offsets from its start.
@@ -18,8 +18,8 @@ counters someone reads.  Time is whole nanoseconds (:mod:`repro.sim.clock`),
 so ``start + duration_ns`` *is* where the real path's chain of advances
 lands.  Every later serve of the pair *replays* the entry: the card clock
 jumps by the duration, the LRU table is touched at ``start + offset``, the
-stored :class:`ExecutionResult` becomes the card's ``last_result`` again, and
-its latency is re-recorded through ``CoprocessorStatistics.record_hit_replay``.
+bus counters move by the recorded deltas, and the card's latency is
+re-recorded through ``CoprocessorStatistics.record_hit_replay``.
 
 Traced replay: under a fleet that bridges device events into ``card.*``
 spans, a replay builds no event at all — it leaves the entry's own immutable
@@ -37,9 +37,8 @@ Exactness contract (``tests/test_cluster_fastpath.py``, against the same
 fleet with every ``card.memo`` set to ``None``): card clock trajectory,
 service times, fleet schedule digest, every counter the model keeps, every
 time total (``bus.busy_time_ns``, ``copro.stats.total_latency_ns`` /
-``total_reconfig_ns``), the card's latency percentiles and last
-``ExecutionResult``, LRU/residency state, minios statistics and device events
-are **equal** to a memo-off run.
+``total_reconfig_ns``), the card's latency percentiles, LRU/residency state,
+minios statistics and device events are **equal** to a memo-off run.
 
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
@@ -96,7 +95,6 @@ class ServeMemo:
         self.driver = driver
         self.clock = driver.clock
         self.bus = driver.bus
-        self.pci_card = driver.card
         self.copro = driver.coprocessor
         self.mcu = self.copro.mcu
         self.minios = self.mcu.minios
@@ -177,13 +175,12 @@ class ServeMemo:
             del recorder.record
 
         card_result = result.card_result
-        if card_result is not None and card_result.hit and not card_result.evictions:
+        if card_result.hit and not card_result.evictions:
             self._entries[(function, payload)] = (
                 clock.now - start_ns,
                 tuple(touches),
                 tuple(events),
                 *(now - was for now, was in zip(self._totals(), before)),
-                card_result,
                 card_result.outcome.total_time_ns,
             )
         return result
@@ -204,7 +201,6 @@ class ServeMemo:
             busy_ns,
             bus_transactions,
             bus_bytes,
-            result,
             total_time_ns,
         ) = entry
 
@@ -228,7 +224,6 @@ class ServeMemo:
         bus.busy_time_ns += busy_ns
         bus.transactions_completed += bus_transactions
         bus.bytes_transferred += bus_bytes
-        self.pci_card.last_result = result
         self.mcu.requests_handled += 1
 
         self.minios.stats.hits += 1

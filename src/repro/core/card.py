@@ -1,24 +1,17 @@
-"""The PCI card: the co-processor packaged behind a PCI register interface.
+"""The PCI card: the co-processor behind the host's command protocol.
 
 The card maps a small command register file in BAR0 and a data window in
-BAR1.  The host driver stages input data into the window, writes the command
-registers, and the register-write hook runs the co-processor; results are
-placed back into the window for the driver to read out.
+BAR1: the host stages input in the window's first half, writes the command
+registers, and the card's answer to the COMMAND write — a status and the
+command's result — is what the host reads back from the STATUS register and
+the window's second half.  :meth:`CoprocessorCard.command` is that answer;
+the bus time of each access is :class:`~repro.core.host.HostDriver`'s.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.coprocessor import AgileCoprocessor, ExecutionResult
+from repro.core.coprocessor import AgileCoprocessor
 from repro.mcu.commands import (
-    REG_COMMAND,
-    REG_FUNCTION_ID,
-    REG_INPUT_LENGTH,
-    REG_OUTPUT_LENGTH,
-    REG_STATUS,
-    REG_TIME_HIGH,
-    REG_TIME_LOW,
     STATUS_BAD_COMMAND,
     STATUS_CAPACITY,
     STATUS_CONFIG_FAILED,
@@ -29,199 +22,88 @@ from repro.mcu.commands import (
 )
 from repro.mcu.minios.policies import CapacityError
 from repro.fpga.errors import ConfigurationError, ExecutionError, PlacementError
-from repro.pci.device import PciDevice, PciFunctionInterface
 
 #: Bytes of the BAR1 data window: input in the first half, output in the second.
 WINDOW_BYTES = 128 * 1024
+OUTPUT_OFFSET = WINDOW_BYTES // 2
+#: The opcodes that name a function in FUNCTION_ID.
+_FUNCTION_COMMANDS = frozenset(
+    {CommandKind.EXECUTE, CommandKind.PRELOAD, CommandKind.EVICT, CommandKind.CAPTURE, CommandKind.RESTORE}
+)
 
 
-class CoprocessorCard(PciDevice):
-    """PCI personality of the agile co-processor.
-
-    Window layout (BAR1): the first half holds input data staged by the host,
-    the second half receives output data.
-    """
+class CoprocessorCard:
+    """PCI personality of the agile co-processor."""
 
     def __init__(self, coprocessor: AgileCoprocessor) -> None:
-        interface = PciFunctionInterface(window_bytes=WINDOW_BYTES)
-        super().__init__(name="agile-coprocessor", interface=interface, window_bar_size=WINDOW_BYTES)
         self.coprocessor = coprocessor
-        self.output_offset = WINDOW_BYTES // 2
-        self.last_result: Optional[ExecutionResult] = None
-        interface.on_register_write(REG_COMMAND, self._on_command)
 
-    # ---------------------------------------------------------------- hooks
-    def _on_command(self, value: int) -> None:
-        try:
-            kind = CommandKind(value & 0xFF)
-        except ValueError:
-            self.interface.write_register(REG_STATUS, STATUS_BAD_COMMAND)
-            return
-        handler = {
-            CommandKind.NOP: self._handle_nop,
-            CommandKind.EXECUTE: self._handle_execute,
-            CommandKind.PRELOAD: self._handle_preload,
-            CommandKind.EVICT: self._handle_evict,
-            CommandKind.STATUS: self._handle_nop,
-            CommandKind.RESET: self._handle_reset,
-            CommandKind.SCRUB: self._handle_scrub,
-            CommandKind.CAPTURE: self._handle_capture,
-            CommandKind.RESTORE: self._handle_restore,
-            CommandKind.DEFRAG: self._handle_defrag,
-        }[kind]
-        handler()
+    def command(self, kind: int, function_id: int, length: int, data: bytes) -> tuple:
+        """Run the command the host wrote; returns ``(status, result)``.
 
-    def _function_name(self) -> Optional[str]:
-        function_id = self.interface.read_register(REG_FUNCTION_ID)
+        *function_id* and *length* are the FUNCTION_ID and INPUT_LENGTH
+        registers (for DEFRAG, INPUT_LENGTH is the move budget, 0 for an
+        unbounded pass) and *data* the input the window holds.  The result is
+        the :class:`~repro.core.coprocessor.ExecutionResult` of an EXECUTE, the
+        blob of a CAPTURE, the frames repaired by a SCRUB or moved by a DEFRAG,
+        and ``None`` otherwise or on any status but ``STATUS_OK``.
+        """
+        copro = self.coprocessor
+        if kind == CommandKind.RESET:
+            copro.reset()
+            return STATUS_OK, None
+        if kind == CommandKind.SCRUB:
+            scrubbed = copro.scrub()
+            if scrubbed is None:  # no fault protection
+                return STATUS_BAD_COMMAND, None
+            return STATUS_OK, scrubbed.corrected
+        if kind == CommandKind.DEFRAG:
+            try:
+                defragged = copro.defrag(max_moves=length or None)
+            except ConfigurationError:
+                # A wedged configuration port stops the pass mid-compaction;
+                # the functions are all intact where they were.
+                return STATUS_CONFIG_FAILED, None
+            if defragged is None:  # no defragmenter
+                return STATUS_BAD_COMMAND, None
+            return STATUS_OK, defragged.frames_moved
+        if kind not in _FUNCTION_COMMANDS:
+            return STATUS_BAD_COMMAND, None
         try:
-            return self.coprocessor.bank.by_id(function_id).name
+            name = copro.bank.by_id(function_id).name
         except KeyError:
-            return None
-
-    def _finish(self, status: int, output: bytes = b"", elapsed_ns: int = 0) -> None:
-        if output:
-            self.interface.write_window(self.output_offset, output)
-        self.interface.write_register(REG_OUTPUT_LENGTH, len(output))
-        self.interface.write_register(REG_TIME_LOW, elapsed_ns & 0xFFFFFFFF)
-        self.interface.write_register(REG_TIME_HIGH, (elapsed_ns >> 32) & 0xFFFFFFFF)
-        self.interface.write_register(REG_STATUS, status)
-
-    # -------------------------------------------------------------- handlers
-    def _handle_nop(self) -> None:
-        self._finish(STATUS_OK)
-
-    def _handle_execute(self) -> None:
-        name = self._function_name()
-        if name is None:
-            self._finish(STATUS_UNKNOWN_FUNCTION)
-            return
-        length = self.interface.read_register(REG_INPUT_LENGTH)
-        if length > self.output_offset:
-            self._finish(STATUS_BAD_COMMAND)
-            return
-        data = self.interface.read_window(0, length)
-        try:
-            result = self.coprocessor.execute(name, data)
-        except CapacityError:
-            self._finish(STATUS_CAPACITY)
-            return
-        except ConfigurationError:
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        except PlacementError:
-            # Enough free frames but no admissible placement (a fragmented
-            # CONTIGUOUS_ONLY fabric): the load fails like a wedged port
-            # would, and the host can DEFRAG and retry.
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        self.last_result = result
-        self._finish(STATUS_OK, output=result.output, elapsed_ns=result.latency_ns)
-
-    def _handle_preload(self) -> None:
-        name = self._function_name()
-        if name is None:
-            self._finish(STATUS_UNKNOWN_FUNCTION)
-            return
-        try:
-            outcome = self.coprocessor.preload(name)
-        except CapacityError:
-            self._finish(STATUS_CAPACITY)
-            return
-        except ConfigurationError:
-            # A wedged/stalled configuration port (fault model) fails the
-            # preload the same way it fails an on-demand load.
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        except PlacementError:
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        self._finish(STATUS_OK, elapsed_ns=outcome.total_time_ns)
-
-    def _handle_scrub(self) -> None:
-        """Run one readback-scrub pass; corrected count lands in OUTPUT_LENGTH."""
-        result = self.coprocessor.scrub()
-        if result is None:
-            self._finish(STATUS_BAD_COMMAND)
-            return
-        self._finish(STATUS_OK, elapsed_ns=result.elapsed_ns)
-        # No data payload: reuse the output-length register to report how many
-        # frames the pass repaired (the driver's scrub_card returns it).
-        self.interface.write_register(REG_OUTPUT_LENGTH, result.corrected)
-
-    def _handle_capture(self) -> None:
-        """Readback-capture a resident function; the blob lands in the window."""
-        name = self._function_name()
-        if name is None:
-            self._finish(STATUS_UNKNOWN_FUNCTION)
-            return
-        before = self.coprocessor.clock.now
-        try:
-            blob = self.coprocessor.capture_function(name)
-        except ExecutionError:
-            self._finish(STATUS_NOT_RESIDENT)
-            return
-        if len(blob) > WINDOW_BYTES - self.output_offset:
-            # A migration image must fit the output half of the data window;
-            # the bank's images fit 64 KiB easily, but one that does not must
-            # fail loudly rather than truncate.
-            self._finish(STATUS_BAD_COMMAND)
-            return
-        self._finish(STATUS_OK, output=blob, elapsed_ns=self.coprocessor.clock.now - before)
-
-    def _handle_restore(self) -> None:
-        """Configure a function from a migration blob staged in the window."""
-        name = self._function_name()
-        if name is None:
-            self._finish(STATUS_UNKNOWN_FUNCTION)
-            return
-        length = self.interface.read_register(REG_INPUT_LENGTH)
-        if length == 0 or length > self.output_offset:
-            self._finish(STATUS_BAD_COMMAND)
-            return
-        blob = self.interface.read_window(0, length)
-        try:
-            outcome = self.coprocessor.restore_function(name, blob)
-        except CapacityError:
-            self._finish(STATUS_CAPACITY)
-            return
-        except (ConfigurationError, PlacementError):
-            # Wedged port, CRC mismatch, a frame-incompatible blob or no
-            # admissible placement on a fragmented contiguous-only fabric:
-            # the restore failed the same way a failed on-demand load would.
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        self._finish(STATUS_OK, elapsed_ns=outcome.total_time_ns)
-
-    def _handle_defrag(self) -> None:
-        """Run one defrag pass; frames moved land in OUTPUT_LENGTH."""
-        # INPUT_LENGTH doubles as the move budget (0 = unbounded pass).
-        budget = self.interface.read_register(REG_INPUT_LENGTH)
-        try:
-            result = self.coprocessor.defrag(max_moves=budget if budget else None)
-        except ConfigurationError:
-            # A wedged configuration port stops the pass mid-compaction; the
-            # functions are all intact where they were.
-            self._finish(STATUS_CONFIG_FAILED)
-            return
-        if result is None:
-            self._finish(STATUS_BAD_COMMAND)
-            return
-        self._finish(STATUS_OK, elapsed_ns=result.elapsed_ns)
-        # No data payload: reuse the output-length register to report how
-        # many frames the pass moved (mirrors the SCRUB convention).
-        self.interface.write_register(REG_OUTPUT_LENGTH, result.frames_moved)
-
-    def _handle_evict(self) -> None:
-        name = self._function_name()
-        if name is None:
-            self._finish(STATUS_UNKNOWN_FUNCTION)
-            return
-        self.coprocessor.evict(name)
-        self._finish(STATUS_OK)
-
-    def _handle_reset(self) -> None:
-        self.coprocessor.reset()
-        self._finish(STATUS_OK)
+            return STATUS_UNKNOWN_FUNCTION, None
+        if kind == CommandKind.EVICT:
+            copro.evict(name)
+            return STATUS_OK, None
+        if kind == CommandKind.CAPTURE:
+            try:
+                result = output = copro.capture_function(name)
+            except ExecutionError:
+                return STATUS_NOT_RESIDENT, None
+        else:
+            try:
+                if kind == CommandKind.PRELOAD:
+                    copro.preload(name)
+                    return STATUS_OK, None
+                if kind == CommandKind.RESTORE:
+                    copro.restore_function(name, data)
+                    return STATUS_OK, None
+                result = copro.execute(name, data)
+            except CapacityError:
+                return STATUS_CAPACITY, None
+            except (ConfigurationError, PlacementError):
+                # A wedged port, a CRC mismatch, a frame-incompatible blob,
+                # or enough free frames but no admissible placement on a
+                # fragmented contiguous-only fabric: the host can DEFRAG
+                # and retry.
+                return STATUS_CONFIG_FAILED, None
+            output = result.output
+        if len(output) > WINDOW_BYTES - OUTPUT_OFFSET:
+            # A result must fit the window's output half; one that does not
+            # fails loudly rather than truncate.
+            return STATUS_BAD_COMMAND, None
+        return STATUS_OK, result
 
     # -------------------------------------------------------------- queries
     def resident_functions(self) -> list:

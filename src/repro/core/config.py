@@ -71,6 +71,8 @@ class CoprocessorConfig:
             raise ValueError("the compression window must be positive")
         if self.software_slowdown <= 0:
             raise ValueError("the software slowdown factor must be positive")
+        if self.dma_burst_bytes <= 0:
+            raise ValueError("the DMA burst must be positive")
 
     # ------------------------------------------------------------------ views
     def geometry(self) -> FabricGeometry:

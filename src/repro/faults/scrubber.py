@@ -48,7 +48,6 @@ class ScrubPassResult:
     detected: int = 0
     corrected: int = 0
     uncorrectable: int = 0
-    elapsed_ns: int = 0
 
 
 class Scrubber:
@@ -97,9 +96,8 @@ class Scrubber:
         return False
 
     def _scrub_addresses(self, addresses) -> ScrubPassResult:
-        """Check-and-repair *addresses*, returning the timed delta result."""
+        """Check-and-repair *addresses*, returning what this pass found and fixed."""
         result = ScrubPassResult()
-        started = self.clock.now
         detected_before = self.stats.detected
         corrected_before = self.stats.corrected
         uncorrectable_before = self.stats.uncorrectable
@@ -109,7 +107,6 @@ class Scrubber:
         result.detected = self.stats.detected - detected_before
         result.corrected = self.stats.corrected - corrected_before
         result.uncorrectable = self.stats.uncorrectable - uncorrectable_before
-        result.elapsed_ns = self.clock.now - started
         return result
 
     # -------------------------------------------------------- demand scrub

@@ -9,7 +9,7 @@ free frame list, the frame replacement table and the frame replacement
 policy of Section 2.5 of the paper.
 """
 
-from repro.mcu.commands import CommandKind, Command, CommandError
+from repro.mcu.commands import CommandKind
 from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
 from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
 from repro.mcu.microcontroller import Microcontroller, RequestOutcome
@@ -29,8 +29,6 @@ from repro.mcu.minios import (
 
 __all__ = [
     "CommandKind",
-    "Command",
-    "CommandError",
     "ConfigurationModule",
     "ReconfigurationReport",
     "DataInputModule",

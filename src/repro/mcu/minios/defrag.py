@@ -54,7 +54,6 @@ class DefragPassResult:
     moves: int = 0
     frames_moved: int = 0
     fragmentation_after: float = 0.0
-    elapsed_ns: int = 0
 
 
 class Defragmenter:
@@ -142,7 +141,6 @@ class Defragmenter:
     def defrag_pass(self, max_moves: Optional[int] = None) -> DefragPassResult:
         """Run one compaction pass (bounded to *max_moves* relocations)."""
         result = DefragPassResult()
-        started = self.clock.now
         budget = max_moves if max_moves is not None else float("inf")
         progress = True
         while progress and result.moves < budget:
@@ -154,7 +152,6 @@ class Defragmenter:
                     result.moves += 1
                     result.frames_moved += len(target)
                     progress = True
-        result.elapsed_ns = self.clock.now - started
         result.fragmentation_after = self.fragmentation()
         self.stats.passes += 1
         return result

@@ -41,7 +41,6 @@ from repro.obs.context import Span, Tracer
 from repro.obs.export import (
     chrome_trace_json,
     export_chrome_trace,
-    export_metrics_snapshot,
     metrics_snapshot_json,
     to_chrome_trace,
     trace_fingerprint,
@@ -184,7 +183,6 @@ __all__ = [
     "chrome_trace_json",
     "export_chrome_trace",
     "export_incidents",
-    "export_metrics_snapshot",
     "incidents_fingerprint",
     "incidents_json",
     "metrics_snapshot_json",

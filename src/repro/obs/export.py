@@ -71,14 +71,6 @@ def metrics_snapshot_json(registry) -> str:
     return json.dumps(registry.snapshot(), sort_keys=True, indent=2)
 
 
-def export_metrics_snapshot(registry, path) -> int:
-    """Write the flat metrics snapshot to *path*; returns the byte count."""
-    text = metrics_snapshot_json(registry) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return len(text)
-
-
 def trace_fingerprint(spans: Iterable[Span], limit: Optional[int] = None) -> str:
     """A short content hash over the canonical span stream.
 

@@ -72,7 +72,6 @@ class EagerServeMemo(ServeMemo):
             busy_ns,
             bus_transactions,
             bus_bytes,
-            result,
             total_time_ns,
         ) = entry
 
@@ -89,7 +88,6 @@ class EagerServeMemo(ServeMemo):
         bus.busy_time_ns += busy_ns
         bus.transactions_completed += bus_transactions
         bus.bytes_transferred += bus_bytes
-        self.pci_card.last_result = result
         self.mcu.requests_handled += 1
 
         self.minios.stats.hits += 1
@@ -143,7 +141,7 @@ def serve(self, request: FleetRequest) -> tuple:
     else:
         result = self.driver.call(request.function, request.payload)
     service_ns = clock.now - before
-    hit = result.card_result.hit if result.card_result is not None else True
+    hit = result.card_result.hit
     self.served += 1
     self.busy_ns += service_ns
     return service_ns, hit

@@ -31,8 +31,7 @@ from repro.workloads.multitenant import (
 
 def card_state(card):
     """Everything the exactness contract promises, for one card: counters,
-    LRU state, every time total, the latency percentiles and the last
-    result the card handed the host."""
+    LRU state, every time total and the latency percentiles."""
     driver = card.driver
     copro = driver.coprocessor
     bus = driver.bus
@@ -61,7 +60,6 @@ def card_state(card):
             if field.name.startswith("total_") and field.name.endswith("_ns")
         },
         "latency_percentiles": [stats.latency_percentile(p) for p in (0, 50, 95, 99, 100)],
-        "last_result": driver.card.last_result,
     }
 
 

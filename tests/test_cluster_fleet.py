@@ -90,6 +90,18 @@ class TestFleetRun:
         for card in fleet.cards:
             assert card.outstanding == 0
 
+    def test_an_input_beyond_the_card_window_is_rejected_not_raised(self, small_bank, small_fleet):
+        # The host refuses it before any bus time, as a card refusal: the
+        # fleet fails it over once and rejects it, and serves the next one.
+        fleet = small_fleet(small_bank, cards=2)
+        trace = FleetTrace([
+            FleetRequest(tenant="t", function="crc32", payload=bytes(200_000), arrival_ns=0),
+            FleetRequest(tenant="t", function="crc32", payload=bytes(64), arrival_ns=10),
+        ])
+        stats = fleet.run(trace)
+        assert (stats.rejected, stats.completed) == (1, 1)
+        assert sum(card.busy_ns for card in fleet.cards) == stats.total_service_ns
+
     def test_sojourn_includes_queueing(self, small_bank, small_fleet, small_trace):
         trace = small_trace(small_bank, length=50, mean_interarrival_ns=500.0)
         stats = small_fleet(small_bank, cards=1).run(trace)

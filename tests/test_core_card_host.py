@@ -10,17 +10,9 @@ import repro
 from repro.core.builder import build_coprocessor, build_host_driver
 from repro.core.config import SMALL_CONFIG
 from repro.core.card import CoprocessorCard
-from repro.core.exceptions import UnknownFunctionError
+from repro.core.exceptions import CoprocessorError, UnknownFunctionError
 from repro.core.host import build_host_system
-from repro.mcu.commands import (
-    REG_COMMAND,
-    REG_FUNCTION_ID,
-    REG_OUTPUT_LENGTH,
-    REG_STATUS,
-    STATUS_OK,
-    STATUS_UNKNOWN_FUNCTION,
-    CommandKind,
-)
+from repro.mcu.commands import STATUS_OK, STATUS_UNKNOWN_FUNCTION, CommandKind
 
 
 @pytest.fixture
@@ -53,20 +45,32 @@ class TestHostDriver:
 
     def test_small_payload_uses_pio_and_large_uses_dma(self, driver, monkeypatch):
         jobs = []
-        transfer = driver.bridge.dma.transfer
+        dma = driver.bus.dma
         monkeypatch.setattr(
-            driver.bridge.dma, "transfer", lambda descriptor: jobs.append(descriptor) or transfer(descriptor)
+            driver.bus, "dma", lambda action, address, length, burst: jobs.append(length) or dma(action, address, length, burst)
         )
         driver.call("crc32", bytes(8))
         assert jobs == []
         driver.call("crc32", bytes(4096))
-        assert [job.length for job in jobs] == [4096]
+        assert jobs == [4096]
 
     def test_unknown_function_rejected_before_touching_the_bus(self, driver):
         transactions = driver.bus.transactions_completed
         with pytest.raises(UnknownFunctionError):
             driver.call("ghost", b"")
         assert driver.bus.transactions_completed == transactions
+
+    @pytest.mark.parametrize("size", [65_537, 70_000, 200_000])
+    def test_an_input_beyond_the_window_is_refused_before_the_bus(self, driver, size):
+        """The window's input half holds 64 KiB: a larger input or RESTORE
+        blob is refused with ``CoprocessorError`` before any bus time."""
+        driver.call("crc32", bytes(16))
+        before = (driver.clock.now, driver.bus.transactions_completed, driver.bus.busy_time_ns)
+        with pytest.raises(CoprocessorError):
+            driver.call("crc32", bytes(size))
+        with pytest.raises(CoprocessorError):
+            driver.restore_function("crc32", bytes(size))
+        assert (driver.clock.now, driver.bus.transactions_completed, driver.bus.busy_time_ns) == before
 
     def test_preload_then_call_hits(self, driver):
         driver.preload("adder8")
@@ -115,15 +119,40 @@ class TestHostCallWork:
             sys.setprofile(previous)
         return frames
 
-    def test_a_resident_hit_enters_326_frames(self, small_bank):
+    def test_a_resident_hit_enters_165_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
-        ``src/repro/`` per resident hit through :meth:`HostDriver.call`, by
-        package — ``(frames(2 000) - frames(1 000)) / 1 000``, an exact
-        integer because every call takes the same path.  Seven bus
-        transactions (input PIO, FUNCTION_ID, INPUT_LENGTH and COMMAND
-        writes, STATUS and OUTPUT_LENGTH reads, output PIO), each a
-        ``PciTransaction`` routed through the bus, the BAR decode and the
-        card's register file.
+        ``src/repro/`` per resident hit through :meth:`HostDriver.call`
+        (``crc32`` on 16 bytes, ``SMALL_CONFIG``), by package —
+        ``(frames(2 000) - frames(1 000)) / 1 000``, an exact integer because
+        every call takes the same path.  Hop by hop:
+
+        * **the host** — ``call``, ``_write_input``, ``_command``,
+          ``_read_output`` and ``_move`` for the input and the output
+          (``core`` 6); the bank's ``__contains__``, ``by_name`` and the
+          function's ``function_id`` (``functions`` 3); ``clock.now`` at the
+          start and the end (``sim`` 2).
+        * **seven bus transactions** — the input by programmed I/O, the
+          FUNCTION_ID, INPUT_LENGTH and COMMAND writes, the STATUS and
+          OUTPUT_LENGTH reads and the output by programmed I/O: each one
+          ``PciBus.transfer``, ``PciBusTiming.time_ns`` and ``cycles_for``
+          (``pci`` 21), two ``clock.now``, one ``advance`` and one
+          ``TraceRecorder.record`` (``sim`` 28).
+        * **the COMMAND write's delivery** — ``CoprocessorCard.command``,
+          ``AgileCoprocessor.execute`` and ``CoprocessorStatistics.record``
+          (``core`` 3); the microcontroller's decode, residency check, RAM
+          staging, data modules and fabric run (``mcu`` 16, ``memory`` 15,
+          ``fpga`` 5, ``functions`` 7 — ``by_id``, two ``name``, the bank's
+          second ``__contains__`` and ``by_name``, ``frames_required`` and
+          the behaviour model — ``bitstream`` 1, ``analysis`` 1 and ``sim``
+          57: 33 ``clock.now``, 8 ``advance``, 8 ``record``, 4 ``period_ns``
+          and 4 ``cycles_to_ns``).
+
+        326 before the host called the card directly: each transaction was a
+        ``PciTransaction`` routed by ``PciBus._route`` and ``claims``,
+        decoded by ``PciConfigSpace.decode`` and the BAR's ``offset_of`` and
+        landed in the register file, whose COMMAND hook ran the card, and the
+        driver reached the bus through ``HostBridge``'s base lookups
+        (``pci`` 170, ``sim`` 94, ``core`` 14).
         """
         small = self._frames(small_bank, 1_000)
         large = self._frames(small_bank, 2_000)
@@ -135,51 +164,46 @@ class TestHostCallWork:
                 package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
                 per_call[package] += extra / 1_000
         assert dict(per_call) == {
-            "pci": 170,
-            "sim": 94,
+            "sim": 87,
+            "pci": 21,
             "mcu": 16,
             "memory": 15,
-            "core": 14,
             "functions": 10,
+            "core": 9,
             "fpga": 5,
             "bitstream": 1,
             "analysis": 1,
         }
-        assert sum(per_call.values()) == 326
+        assert sum(per_call.values()) == 165
 
 
 class TestCardRegisterInterface:
+    """The card's answer to the registers the host writes: FUNCTION_ID,
+    INPUT_LENGTH and the window's input, then the opcode in COMMAND."""
+
     def test_direct_register_protocol(self, small_config, small_bank):
         coprocessor = build_coprocessor(config=small_config, bank=small_bank)
         card = CoprocessorCard(coprocessor)
         function = coprocessor.bank.by_name("crc32")
         payload = b"register level"
-        card.interface.write_window(0, payload)
-        card.interface.write_register(REG_FUNCTION_ID, function.function_id)
-        card.interface.write_register(0x08, len(payload))  # REG_INPUT_LENGTH
-        card.interface.write_register(REG_COMMAND, int(CommandKind.EXECUTE))
-        assert card.interface.read_register(REG_STATUS) == STATUS_OK
-        output_length = card.interface.read_register(REG_OUTPUT_LENGTH)
-        output = card.interface.read_window(card.output_offset, output_length)
-        assert output == function.behaviour(payload)
+        status, result = card.command(CommandKind.EXECUTE, function.function_id, len(payload), payload)
+        assert status == STATUS_OK
+        assert result.output == function.behaviour(payload)
 
     def test_unknown_function_id_sets_error_status(self, small_config, small_bank):
         coprocessor = build_coprocessor(config=small_config, bank=small_bank)
         card = CoprocessorCard(coprocessor)
-        card.interface.write_register(REG_FUNCTION_ID, 250)
-        card.interface.write_register(REG_COMMAND, int(CommandKind.EXECUTE))
-        assert card.interface.read_register(REG_STATUS) == STATUS_UNKNOWN_FUNCTION
+        assert card.command(CommandKind.EXECUTE, 250, 0, b"") == (STATUS_UNKNOWN_FUNCTION, None)
 
     def test_bad_opcode_sets_error_status(self, small_config, small_bank):
         coprocessor = build_coprocessor(config=small_config, bank=small_bank)
         card = CoprocessorCard(coprocessor)
-        card.interface.write_register(REG_COMMAND, 0x99)
-        assert card.interface.read_register(REG_STATUS) != STATUS_OK
+        status, _ = card.command(0x99, 0, 0, b"")
+        assert status != STATUS_OK
 
     def test_reset_command_clears_fabric(self, small_config, small_bank):
         coprocessor = build_coprocessor(config=small_config, bank=small_bank)
         card = CoprocessorCard(coprocessor)
         coprocessor.execute("crc32", b"x")
-        card.interface.write_register(REG_COMMAND, int(CommandKind.RESET))
-        assert card.interface.read_register(REG_STATUS) == STATUS_OK
+        assert card.command(CommandKind.RESET, 0, 0, b"") == (STATUS_OK, None)
         assert coprocessor.loaded_functions() == []

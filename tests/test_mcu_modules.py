@@ -1,4 +1,4 @@
-"""Tests for the configuration module, the data modules and the command codec."""
+"""Tests for the configuration module and the data modules."""
 
 import pytest
 
@@ -10,31 +10,12 @@ from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.device import FPGADevice
 from repro.fpga.placer import Placer
 from repro.functions.misc.logic import AdderFunction
-from repro.mcu.commands import Command, CommandError, CommandKind
 from repro.mcu.config_module import ConfigurationModule
 from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
 from repro.memory.ram import LocalRam
 from repro.memory.rom import ConfigurationRom
 from repro.memory.timing import ROM_TIMING
 from repro.sim.clock import Clock
-
-
-class TestCommands:
-    def test_pack_unpack_round_trip(self):
-        command = Command(CommandKind.EXECUTE, function_id=7, input_length=128)
-        rebuilt = Command.unpack(command.pack())
-        assert rebuilt == command
-        assert "EXECUTE" in str(rebuilt)
-
-    def test_unknown_opcode_rejected(self):
-        data = bytearray(Command(CommandKind.EXECUTE, 1, 1).pack())
-        data[0] = 0xEE
-        with pytest.raises(CommandError):
-            Command.unpack(bytes(data))
-
-    def test_short_block_rejected(self):
-        with pytest.raises(CommandError):
-            Command.unpack(b"\x01")
 
 
 def _configured_system(geometry, codec_name="rle", overlap=False):

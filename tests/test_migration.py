@@ -18,7 +18,7 @@ from repro.core.host import build_host_system
 from repro.fpga.errors import ConfigurationError, ExecutionError, FrameCollisionError
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import TEST_GEOMETRY, FabricGeometry
-from repro.mcu.commands import REG_STATUS, STATUS_NOT_RESIDENT
+from repro.mcu.commands import STATUS_NOT_RESIDENT, CommandKind
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
 
@@ -178,7 +178,8 @@ class TestCaptureRestorePci:
         with pytest.raises(CoprocessorError):
             driver.capture_function("crc32")
         # The card answered, not crashed.
-        assert driver.card.interface.read_register(REG_STATUS) == STATUS_NOT_RESIDENT
+        crc32 = driver.coprocessor.bank.by_name("crc32").function_id
+        assert driver.card.command(CommandKind.CAPTURE, crc32, 0, b"") == (STATUS_NOT_RESIDENT, None)
 
     def test_restore_refuses_wrong_function_blob(self):
         source, dest = protected_driver(), protected_driver()
@@ -494,10 +495,9 @@ class TestMigrationFailureBranches:
         from repro.core import card as card_module
 
         fleet = self.two_cards(small_bank)
-        card = fleet.cards[0].driver.card
         # Too small an output half for the image: the card reads the frames
         # back and compresses them, then has to refuse.
-        monkeypatch.setattr(card_module, "WINDOW_BYTES", card.output_offset + 16)
+        monkeypatch.setattr(card_module, "WINDOW_BYTES", card_module.OUTPUT_OFFSET + 16)
         fleet.order_migration(self.FUNCTION, 0, 1)
         self.settled(fleet, order_drill(fleet), "capture-failed")
         assert fleet.cards[0].busy_ns == fleet.clock.now > 0

@@ -129,6 +129,21 @@ def test_the_scan_reaches_by_owner_to_a_fixed_point(tmp_path):
     assert not any(unset.values())
 
 
+def test_a_re_export_is_not_a_use(tmp_path):
+    """A package ``__init__.py``'s ``from ... import`` lines and ``__all__``
+    reach nothing; the same import in any other module does."""
+    package = tmp_path / "pkg"
+    trees = [
+        (package / "impl.py", ast.parse("def exported():\n    return 1\n\n\ndef used():\n    return 2\n")),
+        (package / "__init__.py", ast.parse(
+            "from pkg.impl import exported, used\n\n__all__ = ['exported', 'used']\n"
+        )),
+        (package / "caller.py", ast.parse("from pkg.impl import used\n")),
+    ]
+    unreached = scans.Index(trees, root=tmp_path).scan()[0]
+    assert unreached == {"pkg/impl.py:exported"}
+
+
 def test_scan_prints_each_item_then_the_totals():
     result = subprocess.run(
         [sys.executable, "tests/test_option_budget.py", "--scan", "src/repro/faults"],

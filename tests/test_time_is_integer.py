@@ -3,8 +3,7 @@
 First half — one small scenario per layer, then ``type(...) is int`` on every
 time the run left behind: the kernel clock, every card clock, every digest-tap
 key, every span timestamp, and the time totals of ``FleetStatistics``,
-``CoprocessorStatistics``, ``PciBus``, the configuration port and the card's
-last result.
+``CoprocessorStatistics``, ``PciBus`` and the configuration port.
 The scenarios hand the specs what the frozen e2e shapes hand them: integral
 floats for periods and budgets, a fractional kill time, fractional link
 numbers — each is converted or rounded once (``repro.sim.clock``).
@@ -69,14 +68,6 @@ def assert_whole_ns(fleet, observability=None, tapped=()):
         times.update(
             {f"{card.name} copro {k}": v for k, v in time_totals(copro.stats).items()}
         )
-        last = driver.card.last_result
-        if last is not None:
-            times[f"{card.name} last latency_ns"] = last.latency_ns
-            for field in dataclasses.fields(last.outcome):
-                if field.name.endswith("_ns"):
-                    times[f"{card.name} last outcome {field.name}"] = getattr(
-                        last.outcome, field.name
-                    )
         for entry in copro.minios.table:
             times[f"{card.name} {entry.name} last_access_ns"] = entry.last_access_ns
             times[f"{card.name} {entry.name} loaded_at_ns"] = entry.loaded_at_ns
