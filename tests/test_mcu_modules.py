@@ -1,21 +1,34 @@
-"""Tests for the configuration module and the data modules."""
+"""Tests for the configuration module, the data modules and the command opcodes."""
 
 import pytest
 
 from repro.bitstream.codecs import get_codec
 from repro.bitstream.window import WindowedCompressor
 from repro.core.builder import build_coprocessor
+from repro.core.card import CoprocessorCard
 from repro.core.config import CoprocessorConfig
 from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.device import FPGADevice
 from repro.fpga.placer import Placer
 from repro.functions.misc.logic import AdderFunction
+from repro.mcu.commands import STATUS_BAD_COMMAND, CommandKind
 from repro.mcu.config_module import ConfigurationModule
 from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
 from repro.memory.ram import LocalRam
 from repro.memory.rom import ConfigurationRom
 from repro.memory.timing import ROM_TIMING
 from repro.sim.clock import Clock
+
+
+class TestCommands:
+    def test_unknown_opcode_rejected(self, small_config, small_bank):
+        with pytest.raises(ValueError):
+            CommandKind(0xEE)
+        coprocessor = build_coprocessor(config=small_config, bank=small_bank)
+        function = coprocessor.bank.by_name("crc32")
+        card = CoprocessorCard(coprocessor)
+        assert card.command(0xEE, function.function_id, 1, b"x") == (STATUS_BAD_COMMAND, None)
+        assert coprocessor.loaded_functions() == []
 
 
 def _configured_system(geometry, codec_name="rle", overlap=False):
