@@ -1,10 +1,12 @@
 """Hit fast path: record/replay of a card's resident-hit serve.
 
 A hit spends most of its wall time in the host's bus transactions and the
-module pipeline behind the COMMAND write (~70% under cProfile when this path
-was written; the ``pci`` / ``mcu`` / ``core`` rows of ``benchmarks/e2e/run.py
---workload fleet_hit_default --trace 1`` are today's profiler) — all of it a
-*pure function of (function, payload) and the card's resident state*.  Once
+card's work behind the COMMAND write — decode, residency check, RAM and
+interface-bus timing, the fabric run (``tests/test_core_card_host.py::
+TestHostCallWork`` counts its frames; the ``pci`` / ``mcu`` / ``core`` rows of
+``benchmarks/e2e/run.py --workload fleet_hit_default --trace 1`` are the
+profiler) — all of it a *pure function of (function, payload) and the card's
+resident state*.  Once
 a function is resident and healthy, serving the same payload again takes the
 same time and does the same things at the same offsets from its start.
 
@@ -181,7 +183,7 @@ class ServeMemo:
                 tuple(touches),
                 tuple(events),
                 *(now - was for now, was in zip(self._totals(), before)),
-                card_result.outcome.total_time_ns,
+                card_result.latency_ns,
             )
         return result
 

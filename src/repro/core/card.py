@@ -21,6 +21,7 @@ from repro.mcu.commands import (
     CommandKind,
 )
 from repro.mcu.minios.policies import CapacityError
+from repro.memory.errors import RamCapacityError
 from repro.fpga.errors import ConfigurationError, ExecutionError, PlacementError
 
 #: Bytes of the BAR1 data window: input in the first half, output in the second.
@@ -90,7 +91,9 @@ class CoprocessorCard:
                     copro.restore_function(name, data)
                     return STATUS_OK, None
                 result = copro.execute(name, data)
-            except CapacityError:
+            except (CapacityError, RamCapacityError):
+                # The function's frames, or its input and output buffers,
+                # do not fit the card.
                 return STATUS_CAPACITY, None
             except (ConfigurationError, PlacementError):
                 # A wedged port, a CRC mismatch, a frame-incompatible blob,

@@ -50,7 +50,6 @@ class CoprocessorConfig:
     pci_clock_hz: float = 33e6
     pci_bus_width_bytes: int = 4
     dma_burst_bytes: int = 256
-    interface_bus_width_bytes: int = 4
 
     # --- baselines / workloads -----------------------------------------------
     #: Host-CPU cycles per hardware cycle for the software baseline.  With the

@@ -12,7 +12,6 @@ directly when an experiment only cares about card-internal behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bitstream.codecs import get_codec
@@ -25,8 +24,7 @@ from repro.core.config import CoprocessorConfig
 from repro.core.exceptions import UnknownFunctionError
 from repro.core.stats import CoprocessorStatistics
 from repro.mcu.config_module import ConfigurationModule
-from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
-from repro.mcu.microcontroller import Microcontroller, RequestOutcome
+from repro.mcu.microcontroller import ExecutionResult, Microcontroller
 from repro.mcu.minios.minios import MiniOs
 from repro.mcu.minios.policies import build_policy
 from repro.memory.ram import LocalRam
@@ -34,18 +32,6 @@ from repro.memory.records import FunctionRecord
 from repro.memory.rom import ConfigurationRom
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
-
-
-@dataclass
-class ExecutionResult:
-    """What the host gets back from one on-demand execution."""
-
-    output: bytes
-    hit: bool
-    evictions: List[str]
-    latency_ns: int
-    breakdown: Dict[str, float]
-    outcome: RequestOutcome
 
 
 class AgileCoprocessor:
@@ -60,7 +46,7 @@ class AgileCoprocessor:
         self.geometry = geometry
 
         self.rom = ConfigurationRom(config.rom_capacity_bytes, clock=self.clock, trace=self.trace)
-        self.ram = LocalRam(config.ram_capacity_bytes, clock=self.clock, trace=self.trace)
+        self.ram = LocalRam(config.ram_capacity_bytes)
         self.device = FPGADevice(
             geometry,
             clock=self.clock,
@@ -84,29 +70,12 @@ class AgileCoprocessor:
             overlap_decompress=config.overlap_decompress,
             trace=self.trace,
         )
-        self.data_in = DataInputModule(
-            self.ram,
-            self.clock,
-            bus_width_bytes=config.interface_bus_width_bytes,
-            bus_clock_hz=config.mcu_clock_hz,
-            trace=self.trace,
-        )
-        self.data_out = OutputCollectionModule(
-            self.ram,
-            self.clock,
-            bus_width_bytes=config.interface_bus_width_bytes,
-            bus_clock_hz=config.mcu_clock_hz,
-            trace=self.trace,
-        )
         self.mcu = Microcontroller(
             bank=bank,
-            rom=self.rom,
             ram=self.ram,
             device=self.device,
             minios=self.minios,
             config_module=self.config_module,
-            data_in=self.data_in,
-            data_out=self.data_out,
             clock=self.clock,
             mcu_clock_hz=config.mcu_clock_hz,
             command_decode_cycles=config.command_decode_cycles,
@@ -207,20 +176,11 @@ class AgileCoprocessor:
             self.download_bank()
         if name not in self.bank:
             raise UnknownFunctionError(name)
-        started = self.clock.now
-        outcome = self.mcu.handle_execute(name, data, future_requests=future_requests)
-        latency = self.clock.now - started
-        self.stats.record(outcome)
-        return ExecutionResult(
-            output=outcome.output,
-            hit=outcome.hit,
-            evictions=list(outcome.evictions),
-            latency_ns=latency,
-            breakdown=outcome.breakdown(),
-            outcome=outcome,
-        )
+        result = self.mcu.handle_execute(name, data, future_requests=future_requests)
+        self.stats.record(result)
+        return result
 
-    def preload(self, name: str) -> RequestOutcome:
+    def preload(self, name: str) -> ExecutionResult:
         """Bring *name* onto the fabric without executing it."""
         if not self._bank_downloaded:
             self.download_bank()
@@ -246,7 +206,7 @@ class AgileCoprocessor:
             name, self.config.codec_name, self.config.compression_window_bytes
         )
 
-    def restore_function(self, name: str, blob: bytes) -> RequestOutcome:
+    def restore_function(self, name: str, blob: bytes) -> ExecutionResult:
         """Make *name* resident from a migration blob (live migration restore)."""
         if not self._bank_downloaded:
             self.download_bank()

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.sketch import StreamingQuantileSketch
-from repro.mcu.microcontroller import RequestOutcome
+from repro.mcu.microcontroller import ExecutionResult
 from repro.sim.rand import SeededRandom
 
 
@@ -81,22 +81,22 @@ class CoprocessorStatistics:
         self._latency_sketch = StreamingQuantileSketch()
 
     # ------------------------------------------------------------- recording
-    def record(self, outcome: RequestOutcome) -> None:
-        """Fold one request outcome into the aggregates."""
+    def record(self, result: ExecutionResult) -> None:
+        """Fold one request's result into the aggregates."""
         self.requests += 1
-        if outcome.hit:
+        if result.hit:
             self.hits += 1
         else:
             self.misses += 1
-        self.evictions += len(outcome.evictions)
-        self.total_latency_ns += outcome.total_time_ns
-        self.total_reconfig_ns += outcome.reconfig_time_ns
-        self.per_function_requests[outcome.function] += 1
-        self._latency_sketch.add(outcome.total_time_ns)
+        self.evictions += len(result.evictions)
+        self.total_latency_ns += result.latency_ns
+        self.total_reconfig_ns += result.reconfig_time_ns
+        self.per_function_requests[result.function] += 1
+        self._latency_sketch.add(result.latency_ns)
 
     def record_hit_replay(self, function: str, total_time_ns: int) -> None:
         """Fold a replayed clean hit (no evictions, no reconfiguration) — the
-        memo fast path.  Equal to :meth:`record` for the same outcome."""
+        memo fast path.  Equal to :meth:`record` for the same result."""
         self.requests += 1
         self.hits += 1
         self.total_latency_ns += total_time_ns

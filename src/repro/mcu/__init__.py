@@ -3,16 +3,16 @@
 The microcontroller is the card's orchestrator: it accepts commands from the
 host over PCI, fetches compressed bit-streams from the ROM, drives the
 configuration module (windowed decompression into the FPGA configuration
-port), moves input/output data through the data modules and the local RAM,
-and runs the mini OS that decides *where* a requested function goes — the
+port), stages input and output in the local RAM and moves them over the
+interface bus to and from the fabric (timing only: the payload the function
+gets is the host's), and runs the mini OS that decides *where* a requested function goes — the
 free frame list, the frame replacement table and the frame replacement
 policy of Section 2.5 of the paper.
 """
 
 from repro.mcu.commands import CommandKind
 from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
-from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
-from repro.mcu.microcontroller import Microcontroller, RequestOutcome
+from repro.mcu.microcontroller import ExecutionResult, Microcontroller
 from repro.mcu.minios import (
     BeladyPolicy,
     FifoPolicy,
@@ -31,10 +31,8 @@ __all__ = [
     "CommandKind",
     "ConfigurationModule",
     "ReconfigurationReport",
-    "DataInputModule",
-    "OutputCollectionModule",
     "Microcontroller",
-    "RequestOutcome",
+    "ExecutionResult",
     "FreeFrameList",
     "FrameReplacementEntry",
     "FrameReplacementTable",

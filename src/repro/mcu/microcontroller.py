@@ -2,8 +2,8 @@
 
 Orchestrates one on-demand request end to end on the card side: decode the
 command, consult the mini OS (hit or miss), evict and reconfigure if needed,
-stage the input in local RAM, stream it to the fabric through the data input
-module, execute, collect the output and return it — exactly the sequence of
+stage the input in local RAM, stream it to the fabric over the interface bus,
+execute, collect the output and return it — exactly the sequence of
 responsibilities Section 2.3 of the paper assigns to the microcontroller.
 """
 
@@ -16,17 +16,26 @@ from repro.fpga.device import FPGADevice
 from repro.fpga.errors import ConfigurationError
 from repro.functions.bank import FunctionBank
 from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
-from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
 from repro.mcu.minios.minios import MiniOs
 from repro.memory.ram import LocalRam
-from repro.memory.rom import ConfigurationRom
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
 
+#: The interface bus between the local RAM and the fabric, on the MCU clock:
+#: "each data transfer is a multiple of the width of the interface bus", and
+#: every transfer pays its setup cycles before the first beat.
+INTERFACE_BUS_WIDTH_BYTES = 4
+INTERFACE_SETUP_CYCLES = 4
+
 
 @dataclass
-class RequestOutcome:
-    """Everything the card knows about one completed request."""
+class ExecutionResult:
+    """What the card did for one command and how long each phase took.
+
+    An EXECUTE fills every phase; a PRELOAD or RESTORE only the decode and
+    the reconfiguration, with an empty ``output``.  ``latency_ns`` is the
+    card time of the whole command.
+    """
 
     function: str
     output: bytes
@@ -40,9 +49,10 @@ class RequestOutcome:
     execute_time_ns: int = 0
     collect_time_ns: int = 0
     readout_time_ns: int = 0
-    total_time_ns: int = 0
+    latency_ns: int = 0
 
-    def breakdown(self) -> Dict[str, float]:
+    @property
+    def breakdown(self) -> Dict[str, int]:
         """Per-phase nanoseconds, in pipeline order."""
         return {
             "decode": self.decode_time_ns,
@@ -61,26 +71,20 @@ class Microcontroller:
     def __init__(
         self,
         bank: FunctionBank,
-        rom: ConfigurationRom,
         ram: LocalRam,
         device: FPGADevice,
         minios: MiniOs,
         config_module: ConfigurationModule,
-        data_in: DataInputModule,
-        data_out: OutputCollectionModule,
         clock: Clock,
         mcu_clock_hz: float = 66e6,
         command_decode_cycles: int = 40,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.bank = bank
-        self.rom = rom
         self.ram = ram
         self.device = device
         self.minios = minios
         self.config_module = config_module
-        self.data_in = data_in
-        self.data_out = data_out
         self.clock = clock
         self.domain = ClockDomain("mcu", mcu_clock_hz)
         self.command_decode_cycles = command_decode_cycles
@@ -98,14 +102,19 @@ class Microcontroller:
         self.clock.advance(elapsed)
         return elapsed
 
+    def interface_ns(self, length: int) -> int:
+        """One transfer of *length* bytes over the interface bus: setup plus
+        whole beats, so the payload is exact and the time is padded."""
+        return self.domain.cycles_to_ns(INTERFACE_SETUP_CYCLES + -(-length // INTERFACE_BUS_WIDTH_BYTES))
+
     def ensure_loaded(
         self,
         name: str,
         future_requests: Optional[Sequence[str]] = None,
-    ) -> RequestOutcome:
+    ) -> ExecutionResult:
         """Make *name* resident without executing it (the PRELOAD command).
 
-        Returns a partial :class:`RequestOutcome` (no output / data phases).
+        Returns a partial :class:`ExecutionResult` (no output / data phases).
         """
         started = self.clock.now
         function = self.bank.by_name(name)
@@ -121,7 +130,7 @@ class Microcontroller:
         decode_time: int,
         configure,
         future_requests: Optional[Sequence[str]] = None,
-    ) -> RequestOutcome:
+    ) -> ExecutionResult:
         """The load tail PRELOAD and RESTORE share: plan, evict, configure.
 
         ``configure(name, region, executor)`` is the
@@ -136,7 +145,7 @@ class Microcontroller:
             self.clock.now,
             future_requests=future_requests,
         )
-        outcome = RequestOutcome(
+        outcome = ExecutionResult(
             function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time
         )
         if not decision.hit:
@@ -159,7 +168,7 @@ class Microcontroller:
             self.minios.commit_load(name, decision.region, self.clock.now)
             outcome.reconfig_time_ns = self.clock.now - reconfig_started
         self.minios.touch(name, self.clock.now)
-        outcome.total_time_ns = self.clock.now - started
+        outcome.latency_ns = self.clock.now - started
         return outcome
 
     def resident_functions(self) -> List[str]:
@@ -192,7 +201,7 @@ class Microcontroller:
         bitstream = self.device.capture_function(name)
         return self.config_module.compress_for_transfer(bitstream, codec_name, window_bytes)
 
-    def restore(self, name: str, blob: bytes) -> RequestOutcome:
+    def restore(self, name: str, blob: bytes) -> ExecutionResult:
         """RESTORE command: make *name* resident from a migration blob.
 
         The blob replaces the ROM as the image source; everything else — the
@@ -251,60 +260,68 @@ class Microcontroller:
         name: str,
         data: bytes,
         future_requests: Optional[Sequence[str]] = None,
-    ) -> RequestOutcome:
-        """Run *name* on *data*, loading it on demand first if necessary."""
-        started = self.clock.now
+    ) -> ExecutionResult:
+        """Run *name* on *data*, loading it on demand first if necessary.
+
+        The card serves one command at a time, so the local RAM holds just
+        this input and, beside it, this output, and reading a buffer back
+        returns what was written.  Past the load the clock advances once for
+        staging and feeding the input and once for collecting and reading out
+        the output; the ``ram``, ``data-in`` and ``data-out`` events are
+        recorded at the instants those running sums reach.  Raises
+        :class:`~repro.memory.errors.RamCapacityError` when a buffer does not
+        fit.
+        """
+        clock = self.clock
+        started = clock.now
         outcome = self.ensure_loaded(name, future_requests=future_requests)
 
         if self.scrub_on_execute:
             scrubber = self.minios.service("scrubber")
             if scrubber is not None:
                 # Readback-before-use: repair the function's frames before
-                # they execute.  Charged outside breakdown() (whose keys are
-                # part of committed report formats); total_time_ns covers it.
+                # they execute.  Charged outside breakdown (whose keys are
+                # part of committed report formats); latency_ns covers it.
                 scrubber.scrub_region(self.minios.table.entry(name).region)
 
         # Stage the input in local RAM (the paper: inputs from the host are
-        # stored in the local RAM before being passed to the data input module).
-        stage_started = self.clock.now
+        # stored in the local RAM before being passed to the data input
+        # module), read it back and stream it to the fabric.
+        record = self.trace.record
         input_label = f"in:{self.requests_handled}"
-        output_label = f"out:{self.requests_handled}"
-        input_allocation = self.ram.allocate(input_label, max(1, len(data)))
+        length = len(data)
+        access_ns = self.ram.access_ns(length)
+        staging = clock.now
+        staged = staging + access_ns
         if data:
-            self.ram.write(input_allocation, data)
-        outcome.stage_input_time_ns = self.clock.now - stage_started
+            record("ram", "write", staging, staged, label=input_label, length=length)
+        record("ram", "read", staged, staged + access_ns, label=input_label, length=length)
+        fed = staged + access_ns + self.interface_ns(length)
+        record("data-in", "feed", staged, fed, bytes=length)
+        clock.advance(fed - staging)
+        outcome.stage_input_time_ns = access_ns
+        outcome.feed_time_ns = fed - staged
 
-        try:
-            feed_started = self.clock.now
-            payload = self.data_in.feed(input_allocation, len(data))
-            outcome.feed_time_ns = self.clock.now - feed_started
+        output, outcome.execute_time_ns = self.device.execute(name, data)
 
-            execute_started = self.clock.now
-            output, _ = self.device.execute(name, payload)
-            outcome.execute_time_ns = self.clock.now - execute_started
+        # Collect the output into RAM beside the input and read it out.
+        output_label = f"out:{self.requests_handled}"
+        length = len(output)
+        access_ns = self.ram.access_ns(length, beside=max(1, len(data)))
+        collecting = fed + outcome.execute_time_ns
+        writing = collecting + self.interface_ns(length)
+        collected = writing + access_ns
+        done = collected + access_ns
+        record("ram", "write", writing, collected, label=output_label, length=length)
+        record("data-out", "collect", collecting, collected, bytes=length)
+        if output:
+            record("ram", "read", collected, done, label=output_label, length=length)
+        clock.advance(done - collecting)
+        outcome.collect_time_ns = collected - collecting
+        outcome.readout_time_ns = access_ns
 
-            collect_started = self.clock.now
-            output_allocation = self.ram.allocate(output_label, max(1, len(output)))
-            self.data_out.collect(output_allocation, output)
-            outcome.collect_time_ns = self.clock.now - collect_started
-
-            readout_started = self.clock.now
-            result = self.ram.read(output_allocation, len(output)) if output else b""
-            outcome.readout_time_ns = self.clock.now - readout_started
-        finally:
-            self.ram.free(input_label)
-            if output_label in self.ram.allocations:
-                self.ram.free(output_label)
-
-        outcome.output = result
-        outcome.total_time_ns = self.clock.now - started
+        outcome.output = output
+        outcome.latency_ns = done - started
         self.requests_handled += 1
-        self.trace.record(
-            "mcu",
-            "execute",
-            started,
-            self.clock.now,
-            function=name,
-            hit=outcome.hit,
-        )
+        record("mcu", "execute", started, done, function=name, hit=outcome.hit)
         return outcome

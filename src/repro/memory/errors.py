@@ -19,5 +19,5 @@ class RomLookupError(MemoryError_, KeyError):
     """A requested function has no record in the ROM's record table."""
 
 
-class RamAllocationError(MemoryError_):
-    """The local RAM cannot satisfy an allocation request."""
+class RamCapacityError(MemoryError_):
+    """A command's input and output buffers do not fit the local RAM."""

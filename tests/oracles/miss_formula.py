@@ -40,6 +40,8 @@ from repro.bitstream.window import CompressedImage, WindowedDecompressor
 PIO_THRESHOLD_BYTES = 64
 #: Descriptor fetch and doorbell time of one DMA job.
 DMA_SETUP_NS = 500
+#: Bytes per beat of the interface bus between local RAM and fabric.
+INTERFACE_BUS_WIDTH_BYTES = 4
 
 
 def _ns(cycles: float, hz: float) -> int:
@@ -118,9 +120,9 @@ def host_transfer_ns(config, length: int) -> int:
 
 
 def interface_ns(config, length: int) -> int:
-    """The data modules' bus between local RAM and fabric: 4 setup cycles
-    plus whole beats."""
-    return _ns(4 + _ceil(length, config.interface_bus_width_bytes), config.mcu_clock_hz)
+    """The interface bus between local RAM and fabric: 4 setup cycles plus
+    whole beats, on the microcontroller clock."""
+    return _ns(4 + _ceil(length, INTERFACE_BUS_WIDTH_BYTES), config.mcu_clock_hz)
 
 
 def call_ns(config, input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) -> int:

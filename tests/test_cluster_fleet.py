@@ -16,6 +16,7 @@ from repro.cluster import (
     build_dispatch_policy,
 )
 from repro.core.builder import build_fleet
+from repro.core.config import SMALL_CONFIG
 from repro.workloads.multitenant import (
     FleetRequest,
     FleetTrace,
@@ -101,6 +102,21 @@ class TestFleetRun:
         stats = fleet.run(trace)
         assert (stats.rejected, stats.completed) == (1, 1)
         assert sum(card.busy_ns for card in fleet.cards) == stats.total_service_ns
+
+    def test_a_request_the_card_ram_cannot_hold_is_rejected_not_raised(self, small_bank):
+        # Every card's 4 KiB RAM refuses the 5 000-byte input: the fleet fails
+        # it over once and rejects it, and serves the next one.  Each card
+        # spent the refused attempt's bus and load time.
+        config = SMALL_CONFIG.with_overrides(seed=3, ram_capacity_bytes=4096)
+        fleet = build_fleet(cards=2, config=config, bank=small_bank)
+        trace = FleetTrace([
+            FleetRequest(tenant="t", function="crc32", payload=bytes(5_000), arrival_ns=0),
+            FleetRequest(tenant="t", function="crc32", payload=bytes(64), arrival_ns=10),
+        ])
+        stats = fleet.run(trace)
+        assert (stats.rejected, stats.completed) == (1, 1)
+        assert all(card.busy_ns > 0 for card in fleet.cards)
+        assert sum(card.busy_ns for card in fleet.cards) > stats.total_service_ns
 
     def test_sojourn_includes_queueing(self, small_bank, small_fleet, small_trace):
         trace = small_trace(small_bank, length=50, mean_interarrival_ns=500.0)

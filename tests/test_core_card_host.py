@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.core.builder import build_coprocessor, build_host_driver
-from repro.core.config import SMALL_CONFIG
+from repro.core.config import SMALL_CONFIG, CoprocessorConfig
 from repro.core.card import CoprocessorCard
 from repro.core.exceptions import CoprocessorError, UnknownFunctionError
 from repro.core.host import build_host_system
@@ -72,6 +72,18 @@ class TestHostDriver:
             driver.restore_function("crc32", bytes(size))
         assert (driver.clock.now, driver.bus.transactions_completed, driver.bus.busy_time_ns) == before
 
+    @pytest.mark.parametrize("name, size", [("crc32", 5_000), ("aes128", 3_000)])
+    def test_a_ram_refusal_is_a_typed_card_error(self, default_bank, name, size):
+        """A 4 KiB RAM holds neither a 5 000-byte input nor aes128's 3 000-byte
+        input beside its 3 000-byte output: the card answers STATUS_CAPACITY,
+        the host raises ``CoprocessorError``, and the card serves the next call."""
+        driver = build_host_driver(config=CoprocessorConfig(ram_capacity_bytes=4096), bank=default_bank)
+        with pytest.raises(CoprocessorError, match="status 5 "):
+            driver.call(name, bytes(size))
+        assert driver.coprocessor.stats.requests == 0
+        payload = bytes(16)
+        assert driver.call(name, payload).output == default_bank.by_name(name).behaviour(payload)
+
     def test_preload_then_call_hits(self, driver):
         driver.preload("adder8")
         result = driver.call("adder8", bytes([2, 3]))
@@ -119,7 +131,7 @@ class TestHostCallWork:
             sys.setprofile(previous)
         return frames
 
-    def test_a_resident_hit_enters_165_frames(self, small_bank):
+    def test_a_resident_hit_enters_122_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
         ``src/repro/`` per resident hit through :meth:`HostDriver.call`
         (``crc32`` on 16 bytes, ``SMALL_CONFIG``), by package —
@@ -139,20 +151,29 @@ class TestHostCallWork:
           ``TraceRecorder.record`` (``sim`` 28).
         * **the COMMAND write's delivery** — ``CoprocessorCard.command``,
           ``AgileCoprocessor.execute`` and ``CoprocessorStatistics.record``
-          (``core`` 3); the microcontroller's decode, residency check, RAM
-          staging, data modules and fabric run (``mcu`` 16, ``memory`` 15,
-          ``fpga`` 5, ``functions`` 7 — ``by_id``, two ``name``, the bank's
-          second ``__contains__`` and ``by_name``, ``frames_required`` and
-          the behaviour model — ``bitstream`` 1, ``analysis`` 1 and ``sim``
-          57: 33 ``clock.now``, 8 ``advance``, 8 ``record``, 4 ``period_ns``
-          and 4 ``cycles_to_ns``).
+          (``core`` 3); the microcontroller's ``handle_execute``,
+          ``ensure_loaded``, ``_load``, the decode's ``_charge_cycles`` and
+          ``interface_ns`` for the input and the output, and the mini OS's
+          residency check and LRU touch (``mcu`` 13: ``is_resident``,
+          ``plan_load``, ``touch`` and the replacement table's
+          ``__contains__``, ``entry``, ``touch`` and the entry's ``touch``);
+          ``LocalRam.access_ns`` and ``MemoryTiming.transfer_time_ns`` once
+          per buffer (``memory`` 4); the fabric run (``fpga`` 5); ``by_id``,
+          two ``name``, the bank's second ``__contains__`` and ``by_name``,
+          ``frames_required`` and the behaviour model (``functions`` 7);
+          ``bitstream`` 1, ``analysis`` 1 and ``sim`` 28: 8 ``clock.now``,
+          4 ``advance`` (decode, staging and feed, fabric, collect and
+          readout), 8 ``record`` (a ``ram`` write and read per buffer,
+          ``data-in``, ``fpga``, ``data-out`` and ``mcu``), 4
+          ``cycles_to_ns`` and 4 ``period_ns``.
 
-        326 before the host called the card directly: each transaction was a
-        ``PciTransaction`` routed by ``PciBus._route`` and ``claims``,
-        decoded by ``PciConfigSpace.decode`` and the BAR's ``offset_of`` and
-        landed in the register file, whose COMMAND hook ran the card, and the
-        driver reached the bus through ``HostBridge``'s base lookups
-        (``pci`` 170, ``sim`` 94, ``core`` 14).
+        165 while a first-fit allocator with labelled allocations and a byte
+        image backed the RAM and two data-module objects moved each buffer
+        (``memory`` 15, ``mcu`` 16, ``sim`` 87: 33 ``clock.now`` in the
+        delivery alone); 326 before the host called the card directly, when
+        each transaction was a ``PciTransaction`` routed, BAR-decoded and
+        landed in a register file whose COMMAND hook ran the card (``pci``
+        170, ``sim`` 94, ``core`` 14).
         """
         small = self._frames(small_bank, 1_000)
         large = self._frames(small_bank, 2_000)
@@ -164,17 +185,17 @@ class TestHostCallWork:
                 package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
                 per_call[package] += extra / 1_000
         assert dict(per_call) == {
-            "sim": 87,
+            "sim": 58,
             "pci": 21,
-            "mcu": 16,
-            "memory": 15,
+            "mcu": 13,
             "functions": 10,
             "core": 9,
             "fpga": 5,
+            "memory": 4,
             "bitstream": 1,
             "analysis": 1,
         }
-        assert sum(per_call.values()) == 165
+        assert sum(per_call.values()) == 122
 
 
 class TestCardRegisterInterface:

@@ -7,7 +7,7 @@ from repro.core.config import CoprocessorConfig, SMALL_CONFIG
 from repro.core.exceptions import UnknownFunctionError
 from repro.core.stats import CoprocessorStatistics
 from repro.functions.bank import build_small_bank
-from repro.mcu.microcontroller import RequestOutcome
+from repro.mcu.microcontroller import ExecutionResult
 
 
 class TestCoprocessorConfig:
@@ -131,7 +131,7 @@ class TestStatistics:
         with pytest.raises(ValueError):
             stats = CoprocessorStatistics()
             stats.record(
-                RequestOutcome(function="f", output=b"", hit=True, total_time_ns=1)
+                ExecutionResult(function="f", output=b"", hit=True, latency_ns=1)
             )
             stats.latency_percentile(150)
 

@@ -24,7 +24,7 @@ class TestFigure1Architecture:
         # Memory block: ROM with two-ended layout + local RAM.
         assert copro.rom.capacity_bytes > 0 and copro.ram.capacity_bytes > 0
         assert len(copro.rom.record_table) == len(copro.bank)
-        # Microcontroller block with config/data modules and the mini OS.
+        # Microcontroller block with the config module and the mini OS.
         assert copro.mcu.config_module is copro.config_module
         assert copro.mcu.minios is copro.minios
         # Partially reconfigurable FPGA.

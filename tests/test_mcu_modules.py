@@ -1,4 +1,4 @@
-"""Tests for the configuration module, the data modules and the command opcodes."""
+"""Tests for the configuration module, the data modules' interface bus and the command opcodes."""
 
 import pytest
 
@@ -13,10 +13,8 @@ from repro.fpga.placer import Placer
 from repro.functions.misc.logic import AdderFunction
 from repro.mcu.commands import STATUS_BAD_COMMAND, CommandKind
 from repro.mcu.config_module import ConfigurationModule
-from repro.mcu.data_modules import DataInputModule, OutputCollectionModule
-from repro.memory.ram import LocalRam
 from repro.memory.rom import ConfigurationRom
-from repro.memory.timing import ROM_TIMING
+from repro.memory.timing import RAM_TIMING, ROM_TIMING
 from repro.sim.clock import Clock
 
 
@@ -110,51 +108,23 @@ class TestConfigurationModule:
 
 
 class TestDataModules:
-    def test_feed_returns_exact_payload_with_padded_timing(self):
-        clock = Clock()
-        ram = LocalRam(4096, clock=clock)
-        module = DataInputModule(ram, clock, bus_width_bytes=4)
-        allocation = ram.allocate("in", 64)
-        ram.write(allocation, b"0123456789")
-        assert module.feed(allocation, 10) == b"0123456789"
+    """The paper's data input and output modules: the interface bus between
+    the local RAM and the fabric, timed on the microcontroller clock."""
+
+    def test_feed_returns_exact_payload_with_padded_timing(self, small_config, small_bank):
+        copro = build_coprocessor(config=small_config, bank=small_bank)
+        payload = b"0123456789"
+        result = copro.execute("crc32", payload)
+        assert result.output == small_bank.by_name("crc32").behaviour(payload)
         # Rounded up to whole 4-byte beats: 10 bytes cost what 12 do.
-        bus = module.bus
-        assert bus.transfer_time_ns(10) == bus.transfer_time_ns(12) < bus.transfer_time_ns(13)
+        mcu = copro.mcu
+        assert mcu.interface_ns(10) == mcu.interface_ns(12) < mcu.interface_ns(13)
+        assert result.feed_time_ns == RAM_TIMING.transfer_time_ns(10) + mcu.interface_ns(10)
 
-    def test_collect_stores_payload(self):
-        clock = Clock()
-        ram = LocalRam(4096, clock=clock)
-        module = OutputCollectionModule(ram, clock, bus_width_bytes=4)
-        allocation = ram.allocate("out", 32)
-        module.collect(allocation, b"result!")
-        collected_ns = clock.now
-        assert ram.read(allocation, 7) == b"result!"
-        assert collected_ns >= module.bus.transfer_time_ns(8) > 0
-
-    def test_zero_length_transfers(self):
-        clock = Clock()
-        ram = LocalRam(1024, clock=clock)
-        in_module = DataInputModule(ram, clock)
-        allocation = ram.allocate("in", 8)
-        assert in_module.feed(allocation, 0) == b""
-        assert in_module.bus.transfer_time_ns(0) < in_module.bus.transfer_time_ns(1)
-
-    def test_wider_bus_is_faster(self):
-        clock_narrow = Clock()
-        ram_narrow = LocalRam(65536, clock=clock_narrow)
-        narrow = DataInputModule(ram_narrow, clock_narrow, bus_width_bytes=1)
-        allocation_narrow = ram_narrow.allocate("in", 4096)
-        narrow.feed(allocation_narrow, 4096)
-
-        clock_wide = Clock()
-        ram_wide = LocalRam(65536, clock=clock_wide)
-        wide = DataInputModule(ram_wide, clock_wide, bus_width_bytes=8)
-        allocation_wide = ram_wide.allocate("in", 4096)
-        wide.feed(allocation_wide, 4096)
-        assert clock_wide.now < clock_narrow.now
-
-    def test_invalid_bus_width(self):
-        clock = Clock()
-        ram = LocalRam(64, clock=clock)
-        with pytest.raises(ValueError):
-            DataInputModule(ram, clock, bus_width_bytes=0)
+    def test_zero_length_transfers(self, small_config, small_bank):
+        copro = build_coprocessor(config=small_config, bank=small_bank)
+        result = copro.execute("crc32", b"")
+        assert result.output == small_bank.by_name("crc32").behaviour(b"")
+        # An empty transfer still pays the bus setup cycles.
+        mcu = copro.mcu
+        assert result.feed_time_ns == mcu.interface_ns(0) < mcu.interface_ns(1)

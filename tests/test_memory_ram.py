@@ -1,98 +1,45 @@
-"""Tests for the local RAM allocator and timed access."""
+"""Tests for the local RAM: its capacity check and its access time."""
 
 import pytest
 
-from repro.memory.errors import RamAllocationError
+from repro.core.builder import build_coprocessor
+from repro.memory.errors import RamCapacityError
 from repro.memory.ram import LocalRam
-from repro.sim.clock import Clock
+from repro.memory.timing import RAM_TIMING
 
 
-class TestAllocator:
-    def test_allocate_and_free(self):
-        ram = LocalRam(1024)
-        allocation = ram.allocate("input", 256)
-        assert allocation.address == 0 and allocation.length == 256
-        assert ram.bytes_allocated == 256
-        ram.free("input")
-        assert ram.bytes_allocated == 0
-
-    def test_allocations_do_not_overlap(self):
-        ram = LocalRam(1024)
-        first = ram.allocate("a", 100)
-        second = ram.allocate("b", 200)
-        assert second.address >= first.end
-        assert ram.bytes_free == 1024 - 300
-
-    def test_first_fit_reuses_gaps(self):
-        ram = LocalRam(1024)
-        ram.allocate("a", 100)
-        ram.allocate("b", 100)
-        ram.allocate("c", 100)
-        ram.free("b")
-        gap_fill = ram.allocate("d", 80)
-        assert gap_fill.address == 100
-
-    def test_duplicate_label_rejected(self):
-        ram = LocalRam(256)
-        ram.allocate("x", 10)
-        with pytest.raises(RamAllocationError):
-            ram.allocate("x", 10)
-
+class TestCapacity:
     def test_exhaustion_rejected(self):
+        # The output buffer sits beside the input: 100 + 64 bytes do not fit 128.
         ram = LocalRam(128)
-        ram.allocate("a", 100)
-        with pytest.raises(RamAllocationError):
-            ram.allocate("b", 64)
-
-    def test_free_unknown_label_rejected(self):
-        with pytest.raises(RamAllocationError):
-            LocalRam(64).free("ghost")
+        ram.access_ns(100)
+        assert ram.access_ns(28, beside=100) == RAM_TIMING.transfer_time_ns(28)
+        with pytest.raises(RamCapacityError):
+            ram.access_ns(64, beside=100)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             LocalRam(0)
         with pytest.raises(ValueError):
-            LocalRam(64).allocate("x", 0)
-
-    def test_free_all_returns_every_byte(self):
-        ram = LocalRam(1024)
-        ram.allocate("a", 400)
-        ram.allocate("b", 300)
-        assert ram.bytes_allocated == 700
-        ram.free("a")
-        ram.free("b")
-        assert ram.bytes_allocated == 0
+            LocalRam(-64)
 
 
 class TestTimedAccess:
-    def test_write_then_read_round_trips(self):
-        ram = LocalRam(1024, clock=Clock())
-        allocation = ram.allocate("buffer", 64)
-        elapsed = ram.write(allocation, b"hello world")
-        assert elapsed > 0
-        assert ram.read(allocation, 11) == b"hello world"
-
-    def test_offsets(self):
-        ram = LocalRam(1024)
-        allocation = ram.allocate("buffer", 16)
-        ram.write(allocation, b"abcd", offset=4)
-        assert ram.read(allocation, 4, offset=4) == b"abcd"
-
     def test_out_of_bounds_rejected(self):
-        ram = LocalRam(1024)
-        allocation = ram.allocate("buffer", 8)
-        with pytest.raises(ValueError):
-            ram.write(allocation, b"123456789")
-        with pytest.raises(ValueError):
-            ram.read(allocation, 9)
-        with pytest.raises(ValueError):
-            ram.read(allocation, 4, offset=6)
+        ram = LocalRam(8)
+        assert ram.access_ns(8) == RAM_TIMING.transfer_time_ns(8)
+        with pytest.raises(RamCapacityError):
+            ram.access_ns(9)
+        # An empty buffer still takes a byte.
+        with pytest.raises(RamCapacityError):
+            ram.access_ns(0, beside=8)
 
-    def test_clock_advances_with_transfer_size(self):
-        clock = Clock()
-        ram = LocalRam(64 * 1024, clock=clock)
-        allocation = ram.allocate("buffer", 32 * 1024)
-        ram.write(allocation, b"\x00" * 1024)
-        small = clock.now
-        ram.write(allocation, b"\x00" * 16 * 1024)
-        assert clock.now - small > small
+    def test_clock_advances_with_transfer_size(self, small_config, small_bank):
+        copro = build_coprocessor(config=small_config, bank=small_bank)
+        copro.preload("crc32")
+        staged = []
+        for size in (0, 1024, 16 * 1024):
+            result = copro.execute("crc32", bytes(size))
+            staged.append(result.stage_input_time_ns)
+        assert staged == [0, RAM_TIMING.transfer_time_ns(1024), RAM_TIMING.transfer_time_ns(16 * 1024)]
+        assert staged[2] - staged[1] > staged[1] > 0

@@ -22,6 +22,9 @@ dict names the exception with a reason:
   ``__init__``, ``build_*``, ``enable_*``, ``install_*`` or ``use_*`` that no
   call sets (by keyword, by position or through ``*args`` / ``**kwargs``) is
   a configuration no workload runs: it becomes the constant it always is.
+  So is a field of ``CoprocessorConfig`` that no ``CoprocessorConfig(...)``,
+  ``with_overrides(...)`` or ``replace(...)`` sets by keyword or by a key of
+  a dict passed with ``**`` (:func:`config_fields_set`).
 - :func:`test_no_field_is_written_only`: a ``self.x = ...`` store or annotated
   dataclass field nothing reads — a counter only ``+=`` touches, a history
   only ``.append`` grows — is deleted, unless it is an exception's payload, a
@@ -70,6 +73,7 @@ import tokenize
 from repro.cluster.fleet import Fleet
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
 from repro.core.builder import build_fleet, build_frontdoor
+from repro.core.config import CoprocessorConfig
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 47
@@ -77,7 +81,7 @@ FLEET_CODE_LINE_BUDGET = 642
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 813
-SRC_CODE_LINE_BUDGET = 11_730
+SRC_CODE_LINE_BUDGET = 11_561
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -496,12 +500,51 @@ class Index:
         return unreached & self.definitions.keys(), unset, unreached & self.fields.keys()
 
 
+#: The calls that set a ``CoprocessorConfig`` field: the constructor and the
+#: two copy-with-changes helpers.
+_CONFIG_SETTERS = {"CoprocessorConfig", "with_overrides", "replace"}
+_CONFIG_KEY = "core/config.py:CoprocessorConfig"
+
+
+def _dict_keys(node):
+    """The keys a dict display or ``dict(...)`` call *node* builds, else None."""
+    if isinstance(node, ast.Dict):
+        return {key.value for key in node.keys if isinstance(key, ast.Constant)}
+    if isinstance(node, ast.Call) and _name(node.func) == "dict":
+        return {keyword.arg for keyword in node.keywords if keyword.arg}
+    return None
+
+
+def config_fields_set(trees) -> set:
+    """The names a :data:`_CONFIG_SETTERS` call in *trees* sets: its keywords,
+    and the keys of a dict it takes with ``**`` — built in the call or bound
+    to the name it passes anywhere in the same module."""
+    found = set()
+    for _, tree in trees:
+        bound = collections.defaultdict(set)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _dict_keys(node.value) is not None:
+                for target in node.targets:
+                    bound[_name(target)] |= _dict_keys(node.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) in _CONFIG_SETTERS:
+                for keyword in node.keywords:
+                    found |= {keyword.arg} if keyword.arg else _dict_keys(keyword.value) or bound[_name(keyword.value)]
+    return found
+
+
 @functools.lru_cache(maxsize=None)
 def index():
-    """The :class:`Index` of ``src/``, ``benchmarks/`` and ``examples/``, and its scan."""
+    """The :class:`Index` of ``src/``, ``benchmarks/`` and ``examples/``, and
+    its scan, whose options include ``CoprocessorConfig``'s fields."""
     files = [file for part in ("src", "benchmarks", "examples") for file in sorted((REPO / part).rglob("*.py"))]
-    built = Index([(file, parse(file)[1]) for file in files])
-    return built, built.scan()
+    trees = [(file, parse(file)[1]) for file in files]
+    built = Index(trees)
+    unreached, unset, unread = built.scan()
+    fields = [field.name for field in dataclasses.fields(CoprocessorConfig)]
+    built.options[_CONFIG_KEY] = ("CoprocessorConfig", None, [(None, name) for name in fields])
+    unset[_CONFIG_KEY] = sorted(set(fields) - config_fields_set(trees), key=fields.index)
+    return built, (unreached, unset, unread)
 
 
 def test_no_definition_is_reached_only_by_tests():
@@ -512,11 +555,36 @@ def test_no_definition_is_reached_only_by_tests():
 #: Options no code outside ``tests/`` sets, kept because a user sets them.
 KEPT_OPTIONS = {}
 
+#: ``CoprocessorConfig`` fields no code outside ``tests/`` sets: each is the
+#: constant it always is, kept as a field until ROADMAP item 10 turns it into
+#: one.  This list may only shrink.
+KEPT_CONFIG_FIELDS = {
+    f"{_CONFIG_KEY}({name})": reason
+    for name, reason in {
+        "luts_per_clb": "a FabricGeometry parameter: the CLB's LUT count",
+        "lut_inputs": "a FabricGeometry parameter: the LUT's input count",
+        "switch_bytes_per_clb": "a FabricGeometry parameter: configuration bytes per switch box",
+        "fabric_clock_hz": "the FPGADevice's fabric clock",
+        "config_clock_hz": "the configuration port's and the scrubber's clock",
+        "config_port_width_bytes": "the configuration port's width",
+        "compression_window_bytes": "the ROM images' and migration blobs' compression window",
+        "decompress_cycles_per_byte": "the configuration module's decompression cost",
+        "rom_chunk_bytes": "the configuration module's ROM burst size",
+        "mcu_clock_hz": "the microcontroller's clock",
+        "command_decode_cycles": "the microcontroller's command decode cost",
+        "pci_clock_hz": "the PCI bus clock",
+        "pci_bus_width_bytes": "the PCI bus width",
+        "dma_burst_bytes": "the host driver's DMA burst size",
+        "software_slowdown": "the host-only baseline's cycles per fabric cycle",
+    }.items()
+}
+
 
 def test_no_option_is_set_only_by_tests():
     unset = {f"{key}({name})" for key, names in index()[1][1].items() for name in names}
-    assert unset == set(KEPT_OPTIONS), "set only by tests, or by nothing: make it the constant it always " \
-        "is (a memory bound becomes a module constant), or add it to KEPT_OPTIONS with the reason a user sets it"
+    assert unset == set(KEPT_OPTIONS) | set(KEPT_CONFIG_FIELDS), "set only by tests, or by nothing: make it " \
+        "the constant it always is (a memory bound becomes a module constant), or add it to KEPT_OPTIONS " \
+        "with the reason a user sets it"
 
 
 #: Fields no code outside ``tests/`` reads, kept for the reason given: an

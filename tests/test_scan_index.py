@@ -161,3 +161,24 @@ def test_scan_prints_each_item_then_the_totals():
     *items, totals = result.stdout.splitlines()
     assert items == definitions + options + fields
     assert totals == f"{len(definitions)} definitions (0 *); {len(options)} options (0 *); {len(fields)} fields (0 *)"
+
+
+def test_a_config_field_is_set_by_keyword_or_by_a_splatted_dict_key(tmp_path):
+    """``CoprocessorConfig(...)``, ``with_overrides(...)`` and ``replace(...)``
+    set a field by keyword, or by a key of a dict display or ``dict(...)``
+    passed with ``**`` — built in the call or bound to the name it passes.
+    Another call's keyword, and a dict never splatted into a setter, set nothing."""
+    source = """
+from dataclasses import replace
+
+base = CoprocessorConfig(alpha=1)
+small = base.with_overrides(beta=2)
+other = replace(base, gamma=3)
+knobs = dict(delta=4)
+CoprocessorConfig(**knobs)
+CoprocessorConfig(**{"epsilon": 5})
+unused = {"eta": 7}
+Unrelated(zeta=6)
+"""
+    trees = [(tmp_path / "m.py", ast.parse(source))]
+    assert scans.config_fields_set(trees) == {"alpha", "beta", "gamma", "delta", "epsilon"}

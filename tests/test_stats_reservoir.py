@@ -12,13 +12,13 @@ import pytest
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.core.stats import CoprocessorStatistics, ReservoirSampler, percentile_of
-from repro.mcu.microcontroller import RequestOutcome
+from repro.mcu.microcontroller import ExecutionResult
 from repro.sim.rand import SeededRandom
 
 
-def outcome(latency_ns: float, hit: bool = True) -> RequestOutcome:
-    return RequestOutcome(
-        function="f", output=b"", hit=hit, total_time_ns=latency_ns
+def outcome(latency_ns: float, hit: bool = True) -> ExecutionResult:
+    return ExecutionResult(
+        function="f", output=b"", hit=hit, latency_ns=latency_ns
     )
 
 
