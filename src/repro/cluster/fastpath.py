@@ -6,9 +6,9 @@ interface-bus timing, the fabric run (``tests/test_core_card_host.py::
 TestHostCallWork`` counts its frames; the ``pci`` / ``mcu`` / ``core`` rows of
 ``benchmarks/e2e/run.py --workload fleet_hit_default --trace 1`` are the
 profiler) — all of it a *pure function of (function, payload) and the card's
-resident state*.  Once
-a function is resident and healthy, serving the same payload again takes the
-same time and does the same things at the same offsets from its start.
+resident state*.  Once a function is resident and healthy, serving the same
+payload again takes the same time and does the same things at the same
+offsets from its start.
 
 :class:`ServeMemo` exploits that.  The first resident-hit serve of a
 ``(function, payload)`` pair runs the real path — with ``MiniOs.touch`` and

@@ -523,9 +523,9 @@ def config_fields_set(trees) -> set:
     for _, tree in trees:
         bound = collections.defaultdict(set)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and _dict_keys(node.value) is not None:
+            if isinstance(node, ast.Assign) and (keys := _dict_keys(node.value)) is not None:
                 for target in node.targets:
-                    bound[_name(target)] |= _dict_keys(node.value)
+                    bound[_name(target)] |= keys
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _name(node.func) in _CONFIG_SETTERS:
                 for keyword in node.keywords:
@@ -543,7 +543,8 @@ def index():
     unreached, unset, unread = built.scan()
     fields = [field.name for field in dataclasses.fields(CoprocessorConfig)]
     built.options[_CONFIG_KEY] = ("CoprocessorConfig", None, [(None, name) for name in fields])
-    unset[_CONFIG_KEY] = sorted(set(fields) - config_fields_set(trees), key=fields.index)
+    configured = config_fields_set(trees)
+    unset[_CONFIG_KEY] = [name for name in fields if name not in configured]
     return built, (unreached, unset, unread)
 
 
