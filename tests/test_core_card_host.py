@@ -110,12 +110,9 @@ REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 class TestHostCallWork:
     @staticmethod
-    def _frames(bank, calls):
-        """``{code object: Python frames entered}`` under ``src/repro/`` for
-        *calls* resident hits of ``crc32`` on 16 bytes."""
-        driver = build_host_driver(config=SMALL_CONFIG, bank=bank)
-        payload = bytes(range(16))
-        driver.call("crc32", payload)
+    def _count(driver, script, rounds):
+        """``{code object: Python frames entered}`` under ``src/repro/`` while
+        *driver* runs the ``(name, payload)`` calls of *script* *rounds* times."""
         frames = collections.Counter()
 
         def count_calls(frame, event, _):
@@ -125,11 +122,37 @@ class TestHostCallWork:
         previous = sys.getprofile()
         sys.setprofile(count_calls)
         try:
-            for _ in range(calls):
-                driver.call("crc32", payload)
+            for _ in range(rounds):
+                for name, payload in script:
+                    driver.call(name, payload)
         finally:
             sys.setprofile(previous)
         return frames
+
+    @classmethod
+    def _per_round(cls, make_driver, script, rounds):
+        """``{code object: frames entered per round of script}``:
+        ``(frames(2 rounds) - frames(rounds)) / rounds`` on fresh drivers,
+        each warmed by one round first."""
+        counts = []
+        for total in (rounds, 2 * rounds):
+            driver = make_driver()
+            for name, payload in script:
+                driver.call(name, payload)
+            counts.append(cls._count(driver, script, total))
+        small, large = counts
+        return {
+            code: (large[code] - small[code]) / rounds
+            for code in large
+            if large[code] != small[code]
+        }
+
+    @staticmethod
+    def _by_package(per_code):
+        by_package = collections.Counter()
+        for code, frames in per_code.items():
+            by_package[code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]] += frames
+        return by_package
 
     def test_a_resident_hit_enters_122_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
@@ -175,15 +198,14 @@ class TestHostCallWork:
         landed in a register file whose COMMAND hook ran the card (``pci``
         170, ``sim`` 94, ``core`` 14).
         """
-        small = self._frames(small_bank, 1_000)
-        large = self._frames(small_bank, 2_000)
-        per_call = collections.Counter()
-        for code in large:
-            extra = large[code] - small[code]
-            if extra:
-                assert code.co_name not in ("<listcomp>", "<genexpr>"), code
-                package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
-                per_call[package] += extra / 1_000
+        per_code = self._per_round(
+            lambda: build_host_driver(config=SMALL_CONFIG, bank=small_bank),
+            [("crc32", bytes(range(16)))],
+            1_000,
+        )
+        for code in per_code:
+            assert code.co_name not in ("<listcomp>", "<genexpr>"), code
+        per_call = self._by_package(per_code)
         assert dict(per_call) == {
             "sim": 58,
             "pci": 21,
@@ -196,6 +218,49 @@ class TestHostCallWork:
             "analysis": 1,
         }
         assert sum(per_call.values()) == 122
+
+    def test_a_churn_miss_pair_enters_2838_frames(self, default_bank):
+        """The miss path's work counter: Python frames entered under
+        ``src/repro/`` per pair of misses, by package.  The card is
+        ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
+        64 frames, and the ``lz77`` codec); ``aes128`` on 16 bytes (38
+        frames) alternates with ``modexp512`` on 64 bytes (50 frames), so
+        after the first pair every call is a miss that evicts the other
+        function and loads onto an empty fabric.
+        ``(frames(20 pairs) - frames(10 pairs)) / 10``, an exact integer
+        because every pair takes the same path.
+
+        Comprehension frames are left out: Python 3.12 inlines them (PEP
+        709), so they are not frames on every supported interpreter.
+        Generator expressions and lambdas are frames everywhere and count.
+        """
+        config = CoprocessorConfig(
+            fabric_columns=8, fabric_rows=64, clb_rows_per_frame=8, codec_name="lz77"
+        )
+        per_code = self._per_round(
+            lambda: build_host_driver(config=config, bank=default_bank),
+            [("aes128", bytes(range(16))), ("modexp512", bytes(range(64)))],
+            10,
+        )
+        per_pair = self._by_package(
+            {
+                code: frames
+                for code, frames in per_code.items()
+                if code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>")
+            }
+        )
+        assert dict(per_pair) == {
+            "fpga": 1900,
+            "sim": 385,
+            "bitstream": 266,
+            "mcu": 158,
+            "functions": 42,
+            "pci": 42,
+            "memory": 25,
+            "core": 18,
+            "analysis": 2,
+        }
+        assert sum(per_pair.values()) == 2838
 
 
 class TestCardRegisterInterface:
