@@ -38,13 +38,16 @@ class FunctionExecutor(Protocol):
         ...
 
 
-def _compile_eval(ops: Sequence[Tuple[int, Tuple[int, ...], int]]) -> Callable[[List[int]], None]:
+def _compile_eval(
+    name: str, ops: Sequence[Tuple[int, Tuple[int, ...], int]]
+) -> Callable[[List[int]], None]:
     """Generate one flat function evaluating every LUT op over a values list.
 
     Each op ``(truth_table_int, fanin_slots, out_slot)`` becomes a single
     ``v[out] = (tt >> index) & 1`` statement with the index expression inlined,
     so a whole combinational pass is one function call with no interpretation
-    of per-cell metadata.
+    of per-cell metadata.  The code is compiled under the netlist's *name*, so
+    a profiler keeps each netlist's evaluator on a row of its own.
     """
     lines = ["def _eval(v):"]
     if not ops:
@@ -55,7 +58,7 @@ def _compile_eval(ops: Sequence[Tuple[int, Tuple[int, ...], int]]) -> Callable[[
             parts.append(f"v[{slot}]" if position == 0 else f"(v[{slot}]<<{position})")
         lines.append(f"    v[{out_slot}] = ({truth_table} >> ({'|'.join(parts)})) & 1")
     namespace: Dict[str, object] = {}
-    exec(compile("\n".join(lines), "<netlist-eval>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<netlist-eval:{name}>", "exec"), namespace)
     return namespace["_eval"]  # type: ignore[return-value]
 
 
@@ -93,7 +96,7 @@ class NetlistExecutor:
         self._input_bytes = (len(self._input_slots) + 7) // 8
         self._output_bytes = (len(self._output_slots) + 7) // 8
         self._zeros = [0] * len(slot_of)
-        self._eval = _compile_eval(ops)
+        self._eval = _compile_eval(netlist.name, ops)
 
     def run(self, input_bytes: bytes) -> Tuple[bytes, int]:
         if len(input_bytes) != self._input_bytes:

@@ -61,6 +61,19 @@ class TestNetlistExecutor:
         with pytest.raises(ExecutionError):
             executor.run(b"\x00")
 
+    def test_each_bank_netlist_evaluator_has_its_own_profiler_key(self, default_bank, tiny_geometry):
+        """cProfile and pstats key a function by ``(file, first line, name)``.
+        Two evaluators under one key fold into one row, and which row pstats
+        keeps depends on code-object addresses, so the per-layer call counts
+        would depend on the interpreter's memory layout."""
+        keys = []
+        for function in default_bank:
+            if function.cached_netlist(tiny_geometry) is not None:
+                code = function.executor(tiny_geometry)._eval.__code__
+                keys.append((code.co_filename, code.co_firstlineno, code.co_name))
+        assert len(keys) >= 3
+        assert len(set(keys)) == len(keys), keys
+
 
 class TestBehaviouralExecutor:
     def test_runs_behaviour_and_charges_cycles(self):
