@@ -119,15 +119,8 @@ def receiver_fragmentation(fleet) -> float:
     """Mean fragmentation index of the receiver cards (1..N-1)."""
     values = []
     for card in fleet.cards[1:]:
-        defragmenter = card.driver.coprocessor.defragmenter
-        if defragmenter is not None:
-            values.append(defragmenter.fragmentation())
-        else:
-            free = card.driver.coprocessor.minios.free_frames
-            if free.free_count:
-                values.append(1.0 - free.largest_contiguous_run() / free.free_count)
-            else:
-                values.append(0.0)
+        minios = card.driver.coprocessor.minios
+        values.append(minios.placer.fragmentation(minios.free_frames()))
     return sum(values) / len(values) if values else 0.0
 
 
@@ -178,8 +171,8 @@ def defrag_drill() -> dict:
     defragmenter = copro.defragmenter
     before = {
         "fragmentation": defragmenter.fragmentation(),
-        "largest_run": copro.minios.free_frames.largest_contiguous_run(),
-        "free": copro.minios.free_frames.free_count,
+        "largest_run": copro.minios.placer.largest_free_run(copro.minios.free_frames()),
+        "free": copro.minios.free_count,
     }
     try:
         driver.preload("fir16")
@@ -191,7 +184,7 @@ def defrag_drill() -> dict:
     moved = driver.defrag_card()
     after = {
         "fragmentation": defragmenter.fragmentation(),
-        "largest_run": copro.minios.free_frames.largest_contiguous_run(),
+        "largest_run": copro.minios.placer.largest_free_run(copro.minios.free_frames()),
     }
     driver.preload("fir16")  # must succeed now
     return {

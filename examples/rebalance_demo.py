@@ -83,14 +83,14 @@ def defrag_act(tiny: bool) -> None:
         driver.preload(name)
     for name in names[::2]:
         driver.evict(name)
-    free = copro.minios.free_frames
+    minios = copro.minios
     defragmenter = copro.defragmenter
-    print(f"after load/evict churn: {free.free_count} free frames, "
-          f"largest contiguous run {free.largest_contiguous_run()}, "
+    print(f"after load/evict churn: {minios.free_count} free frames, "
+          f"largest contiguous run {minios.placer.largest_free_run(minios.free_frames())}, "
           f"fragmentation {defragmenter.fragmentation():.3f}")
     moved = driver.defrag_card()
     print(f"DEFRAG: {moved} frames relocated -> largest run "
-          f"{free.largest_contiguous_run()}, fragmentation "
+          f"{minios.placer.largest_free_run(minios.free_frames())}, fragmentation "
           f"{defragmenter.fragmentation():.3f}")
     print(f"  {defragmenter.describe()}")
     print()

@@ -61,13 +61,12 @@ def check_request_conservation(fleet, trace_length: int) -> List[str]:
 
 
 def check_memory_lockstep(fleet) -> List[str]:
-    """Ownership indexes, CRCs and golden images agree on every up card.
+    """The two ownership records, CRCs and golden images agree on every up card.
 
-    Mirrors ``_assert_memory_indexes_consistent`` plus the scrub suite's
-    golden comparison: the O(1) ownership indexes must answer exactly like a
-    naive scan, the mini-OS free list must equal the device's free index,
-    and — with fault protection installed and no injector running — every
-    frame must read back byte-identical to its golden image with a good CRC.
+    The mini OS's plan (its Free Frame List, the replacement table's
+    complement) must equal the configuration memory's unowned frames, and —
+    with fault protection installed and no injector running — every frame
+    must read back byte-identical to its golden image with a good CRC.
     """
     violations: List[str] = []
     for card in fleet.cards:
@@ -75,22 +74,11 @@ def check_memory_lockstep(fleet) -> List[str]:
             continue
         coprocessor = card.driver.coprocessor
         memory = coprocessor.device.memory
-        geometry = coprocessor.geometry
-        frames = geometry.all_frames()
-        naive_unowned = [a for a in frames if memory.owner_of(a) is None]
-        if memory.unowned_frames() != naive_unowned:
-            violations.append(f"{card.name}: free index diverged from naive scan")
-        for name in coprocessor.minios.resident_functions():
-            naive = [a for a in frames if memory.owner_of(a) == name]
-            if memory.owned_frames(name) != naive:
-                violations.append(
-                    f"{card.name}: ownership index for {name!r} diverged"
-                )
-        if coprocessor.minios.free_frames.as_list() != memory.unowned_frames():
-            violations.append(f"{card.name}: mini-OS free list != device free index")
+        if coprocessor.minios.free_frames() != memory.unowned_frames():
+            violations.append(f"{card.name}: mini-OS free list != device free frames")
         golden = coprocessor.device.golden
         if golden is not None:
-            for address in frames:
+            for address in coprocessor.geometry.all_frames():
                 if not memory.frame_crc_ok(address):
                     violations.append(f"{card.name}: bad CRC at {address}")
                 elif memory.read_frame(address) != golden.payload_for(address):

@@ -124,4 +124,4 @@ class CoprocessorCard:
     @property
     def free_frames(self) -> int:
         """Sideband capacity query: unclaimed configuration frames."""
-        return self.coprocessor.mcu.minios.free_frames.free_count
+        return self.coprocessor.mcu.minios.free_count

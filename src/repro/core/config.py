@@ -25,9 +25,6 @@ class CoprocessorConfig:
     luts_per_clb: int = 8
     lut_inputs: int = 4
     switch_bytes_per_clb: int = 16
-    fabric_clock_hz: float = 100e6
-    config_clock_hz: float = 50e6
-    config_port_width_bytes: int = 1
 
     # --- memories ----------------------------------------------------------
     rom_capacity_bytes: int = 4 * 1024 * 1024

@@ -47,14 +47,7 @@ class AgileCoprocessor:
 
         self.rom = ConfigurationRom(config.rom_capacity_bytes, clock=self.clock, trace=self.trace)
         self.ram = LocalRam(config.ram_capacity_bytes)
-        self.device = FPGADevice(
-            geometry,
-            clock=self.clock,
-            fabric_clock_hz=config.fabric_clock_hz,
-            config_clock_hz=config.config_clock_hz,
-            config_port_width_bytes=config.config_port_width_bytes,
-            trace=self.trace,
-        )
+        self.device = FPGADevice(geometry, clock=self.clock, trace=self.trace)
         self.minios = MiniOs(
             geometry,
             policy=build_policy(config.replacement_policy, seed=config.seed),
@@ -254,9 +247,7 @@ class AgileCoprocessor:
             )
         device.golden = golden
         device.hazard_detector = FrameHazardDetector(device.memory)
-        self.scrubber = Scrubber(
-            device, golden, clock=self.clock, scrub_clock_hz=self.config.config_clock_hz
-        )
+        self.scrubber = Scrubber(device, golden, clock=self.clock)
         self.minios.register_service("scrubber", self.scrubber)
         return self.scrubber
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.golden import GoldenImageStore
+from repro.fpga.config_port import CONFIG_CLOCK_HZ
 from repro.fpga.device import FPGADevice
 from repro.sim.clock import Clock, ClockDomain
 
@@ -58,13 +59,12 @@ class Scrubber:
         device: FPGADevice,
         golden: GoldenImageStore,
         clock: Optional[Clock] = None,
-        scrub_clock_hz: float = 50e6,
     ) -> None:
         self.device = device
         self.memory = device.memory
         self.golden = golden
         self.clock = clock if clock is not None else device.clock
-        self.domain = ClockDomain("scrubber", scrub_clock_hz)
+        self.domain = ClockDomain("scrubber", CONFIG_CLOCK_HZ)
         self.stats = ScrubStatistics()
         self._frames = device.geometry.all_frames()
         self._cursor = 0

@@ -4,15 +4,14 @@ The configuration memory owns the :class:`~repro.fpga.frame.FrameArray` and
 provides frame-granular write/readback with ownership bookkeeping so partial
 reconfiguration of one region never disturbs another.
 
-Ownership is indexed three ways — a per-frame owner map, a per-owner frame
-set and a free set — so ``owned_frames`` / ``unowned_frames`` /
-``utilisation`` answer from the index instead of scanning every frame on the
-device.
+Ownership is one map, frame address -> owning function, in raster order.
+The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
+``utilisation``) scan it: a shipped fabric has 64 to 128 frames.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
 from repro.fpga.frame import Frame, FrameArray, FrameRegion
@@ -25,48 +24,16 @@ class ConfigurationMemory:
     def __init__(self, geometry: FabricGeometry) -> None:
         self.geometry = geometry
         self.frames = FrameArray(geometry)
-        all_frames = geometry.all_frames()
         # Frame address -> owning function name (None when unowned/free).
-        # The dict carries every address from construction on, so reporting
-        # paths that depend on raster iteration order keep it.
-        self._owners: Dict[FrameAddress, Optional[str]] = {
-            address: None for address in all_frames
-        }
-        # Derived indexes kept in lockstep with _owners.
-        self._owner_frames: Dict[str, Set[FrameAddress]] = {}
-        self._free: Set[FrameAddress] = set(all_frames)
-        # all_frames() is raster (flat-index) order, so the position in that
-        # list doubles as a cached sort key for the address.
-        self._flat_order: Dict[FrameAddress, int] = {
-            address: index for index, address in enumerate(all_frames)
-        }
+        # The dict carries every address from construction on, in raster
+        # order, so every scan of it answers in raster order.
+        self._owners: Dict[FrameAddress, Optional[str]] = dict.fromkeys(geometry.all_frames())
 
     # ------------------------------------------------------------ ownership
-    def _set_owner(self, address: FrameAddress, owner: Optional[str]) -> None:
-        """Point *address* at *owner*, keeping every index in sync."""
-        previous = self._owners[address]
-        if previous == owner:
-            return
-        if previous is None:
-            self._free.discard(address)
-        else:
-            frames = self._owner_frames[previous]
-            frames.discard(address)
-            if not frames:
-                del self._owner_frames[previous]
-        if owner is None:
-            self._free.add(address)
-        else:
-            self._owner_frames.setdefault(owner, set()).add(address)
-        self._owners[address] = owner
-
     def owner_of(self, address: FrameAddress) -> Optional[str]:
         """Function currently owning *address*, or ``None`` when free."""
         self.geometry.validate(address)
         return self._owners[address]
-
-    def owned_frames(self, owner: str) -> List[FrameAddress]:
-        return sorted(self._owner_frames.get(owner, ()), key=self._flat_order.__getitem__)
 
     def configured_frames(self) -> List[FrameAddress]:
         """Every frame currently owned by some function, in raster order.
@@ -75,13 +42,11 @@ class ConfigurationMemory:
         unowned (erased) frames are harmless, so an experiment stressing the
         hazard window aims at live configuration.
         """
-        return sorted(
-            (address for address, owner in self._owners.items() if owner is not None),
-            key=self._flat_order.__getitem__,
-        )
+        return [address for address, owner in self._owners.items() if owner is not None]
 
     def unowned_frames(self) -> List[FrameAddress]:
-        return sorted(self._free, key=self._flat_order.__getitem__)
+        """Every frame no function owns, in raster order."""
+        return [address for address, owner in self._owners.items() if owner is None]
 
     def claim(self, region: FrameRegion, owner: str) -> None:
         """Mark every frame of *region* as owned by *owner*.
@@ -106,7 +71,7 @@ class ConfigurationMemory:
         if conflicting_owner is not None:
             raise FrameCollisionError(conflicts, conflicting_owner)
         for address in region:
-            self._set_owner(address, owner)
+            owners[address] = owner
 
     def release(self, region: FrameRegion, owner: Optional[str] = None) -> None:
         """Release ownership of *region* (optionally checking the owner)."""
@@ -119,18 +84,15 @@ class ConfigurationMemory:
                     )
         for address in region:
             self.geometry.validate(address)
-            self._set_owner(address, None)
+            self._owners[address] = None
 
     def owners(self) -> Dict[str, List[FrameAddress]]:
         """Map of function name -> frames it currently owns.
 
-        Iterates the per-frame map so both the key order (owner of the lowest
-        owned frame first) and the per-owner frame order (raster) match the
-        original full-scan implementation byte for byte in reports.
+        Keys come in the order of each owner's lowest frame, and each owner's
+        frames in raster order.
         """
         result: Dict[str, List[FrameAddress]] = {}
-        if not self._owner_frames:
-            return result
         for address, owner in self._owners.items():
             if owner is not None:
                 result.setdefault(owner, []).append(address)
@@ -149,13 +111,13 @@ class ConfigurationMemory:
             raise FrameCollisionError([address], current)
         frame.load_config_bytes(data)
         if owner is not None:
-            self._set_owner(address, owner)
+            self._owners[address] = owner
         return frame
 
     def clear_frame(self, address: FrameAddress) -> None:
         """Erase one frame and drop its ownership."""
         self.frames[address].clear()
-        self._set_owner(address, None)
+        self._owners[address] = None
 
     def clear_region(self, region: FrameRegion) -> None:
         for address in region:
@@ -187,5 +149,5 @@ class ConfigurationMemory:
     # ------------------------------------------------------------ statistics
     def utilisation(self) -> float:
         """Fraction of frames currently owned by some function."""
-        owned = self.geometry.frame_count - len(self._free)
+        owned = sum(owner is not None for owner in self._owners.values())
         return owned / self.geometry.frame_count

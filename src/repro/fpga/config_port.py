@@ -25,6 +25,13 @@ FRAME_SETUP_CYCLES = 12
 #: Configuration cycles the closing CRC check spends per frame written.
 CRC_CHECK_CYCLES_PER_FRAME = 4
 
+#: Configuration clock frequency (a 50 MHz SelectMAP interface); the
+#: readback scrubber runs on it too.
+CONFIG_CLOCK_HZ = 50e6
+
+#: Bytes the port accepts per configuration clock cycle (byte-wide).
+CONFIG_PORT_WIDTH_BYTES = 1
+
 
 @dataclass
 class PortStatistics:
@@ -44,25 +51,12 @@ class ConfigurationPort:
         The configuration memory behind the port.
     clock:
         Shared simulation clock; every transfer advances it.
-    config_clock_hz:
-        Configuration clock frequency (e.g. 50 MHz SelectMAP).
-    port_width_bytes:
-        Bytes accepted per configuration clock cycle (1 for a byte-wide port).
     """
 
-    def __init__(
-        self,
-        memory: ConfigurationMemory,
-        clock: Clock,
-        config_clock_hz: float = 50e6,
-        port_width_bytes: int = 1,
-    ) -> None:
-        if port_width_bytes <= 0:
-            raise ValueError("port width must be at least one byte")
+    def __init__(self, memory: ConfigurationMemory, clock: Clock) -> None:
         self.memory = memory
         self.clock = clock
-        self.domain = ClockDomain("config-port", config_clock_hz)
-        self.port_width_bytes = port_width_bytes
+        self.domain = ClockDomain("config-port", CONFIG_CLOCK_HZ)
         self.stats = PortStatistics()
         #: Fault model: a wedged port refuses every transfer until unwedged.
         self.wedged = False
@@ -73,7 +67,7 @@ class ConfigurationPort:
     # --------------------------------------------------------------- timing
     def write_time_ns(self, payload_bytes: int) -> int:
         """Time to push *payload_bytes* through the port, including setup."""
-        cycles = FRAME_SETUP_CYCLES + -(-payload_bytes // self.port_width_bytes)
+        cycles = FRAME_SETUP_CYCLES + -(-payload_bytes // CONFIG_PORT_WIDTH_BYTES)
         return self.domain.cycles_to_ns(cycles)
 
     def transfer_time_ns(self, payloads: Sequence[bytes]) -> int:

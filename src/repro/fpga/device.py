@@ -24,9 +24,12 @@ from repro.fpga.config_port import ConfigurationPort
 from repro.fpga.errors import ConfigurationError, ExecutionError, FrameCollisionError
 from repro.fpga.executor import FunctionExecutor
 from repro.fpga.frame import FrameRegion
-from repro.fpga.geometry import FabricGeometry, FrameAddress
+from repro.fpga.geometry import FabricGeometry
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
+
+#: Fabric clock frequency: one executor cycle is one period of it.
+FABRIC_CLOCK_HZ = 100e6
 
 
 @dataclass
@@ -57,21 +60,13 @@ class FPGADevice:
         self,
         geometry: FabricGeometry,
         clock: Optional[Clock] = None,
-        fabric_clock_hz: float = 100e6,
-        config_clock_hz: float = 50e6,
-        config_port_width_bytes: int = 1,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.geometry = geometry
         self.clock = clock if clock is not None else Clock()
-        self.fabric_domain = ClockDomain("fabric", fabric_clock_hz)
+        self.fabric_domain = ClockDomain("fabric", FABRIC_CLOCK_HZ)
         self.memory = ConfigurationMemory(geometry)
-        self.port = ConfigurationPort(
-            self.memory,
-            self.clock,
-            config_clock_hz=config_clock_hz,
-            port_width_bytes=config_port_width_bytes,
-        )
+        self.port = ConfigurationPort(self.memory, self.clock)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._loaded: Dict[str, LoadedFunction] = {}
         self.total_executions = 0
@@ -96,10 +91,6 @@ class FPGADevice:
             return self._loaded[name].region
         except KeyError:
             raise ExecutionError(f"function {name!r} is not loaded on the fabric") from None
-
-    def free_frames(self) -> List[FrameAddress]:
-        """Frames not owned by any function (candidate placement sites)."""
-        return self.memory.unowned_frames()
 
     # -------------------------------------------------------- configuration
     def _bind(

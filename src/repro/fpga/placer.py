@@ -143,23 +143,23 @@ class Placer:
             )
         return placement
 
+    def largest_free_run(self, free_frames: Sequence[FrameAddress]) -> int:
+        """Length of the longest run of consecutive frames in *free_frames*."""
+        tiles = self.geometry.tiles_per_column
+        longest = current = 0
+        previous = -2
+        for index in sorted([address.flat_index(tiles) for address in free_frames]):
+            current = current + 1 if index == previous + 1 else 1
+            longest = max(longest, current)
+            previous = index
+        return longest
+
     def fragmentation(self, free_frames: Sequence[FrameAddress]) -> float:
         """A fragmentation index in [0, 1]: 0 when the free space is one run.
 
-        Defined as ``1 - largest_free_run / total_free``; used by the frame
-        granularity ablation (E8).
+        Defined as ``1 - largest_free_run / total_free``; the defragmenter
+        reports it after each pass, and E11 compares it across its cells.
         """
         if not free_frames:
             return 0.0
-        ordered = sorted(
-            address.flat_index(self.geometry.tiles_per_column) for address in free_frames
-        )
-        longest = 1
-        current = 1
-        for previous, index in zip(ordered, ordered[1:]):
-            if index == previous + 1:
-                current += 1
-            else:
-                current = 1
-            longest = max(longest, current)
-        return 1.0 - longest / len(ordered)
+        return 1.0 - self.largest_free_run(free_frames) / len(free_frames)

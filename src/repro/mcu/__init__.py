@@ -18,7 +18,6 @@ from repro.mcu.minios import (
     FifoPolicy,
     FrameReplacementEntry,
     FrameReplacementTable,
-    FreeFrameList,
     LfuPolicy,
     LruPolicy,
     MiniOs,
@@ -33,7 +32,6 @@ __all__ = [
     "ReconfigurationReport",
     "Microcontroller",
     "ExecutionResult",
-    "FreeFrameList",
     "FrameReplacementEntry",
     "FrameReplacementTable",
     "ReplacementPolicy",

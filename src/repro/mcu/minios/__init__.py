@@ -8,7 +8,8 @@ here:
   functions currently being executed";
 * the **Frame Replacement Table** — "the list of frames occupied by each
   algorithm present on the FPGA along with a time stamp specifying the last
-  moment at which it was accessed";
+  moment at which it was accessed" (so the Free Frame List is its
+  complement, and :meth:`MiniOs.free_frames` computes it from the table);
 * the **Frame Replacement Policy** — the paper evicts the algorithm with the
   oldest time stamp (least recently used); the policy is pluggable here so
   experiment E3 can compare it with FIFO, LFU, Random and Belady's
@@ -16,7 +17,6 @@ here:
 """
 
 from repro.mcu.minios.defrag import DefragPassResult, Defragmenter, DefragStatistics
-from repro.mcu.minios.free_frames import FreeFrameList
 from repro.mcu.minios.replacement import FrameReplacementEntry, FrameReplacementTable
 from repro.mcu.minios.policies import (
     BeladyPolicy,
@@ -34,7 +34,6 @@ __all__ = [
     "DefragPassResult",
     "DefragStatistics",
     "Defragmenter",
-    "FreeFrameList",
     "FrameReplacementEntry",
     "FrameReplacementTable",
     "ReplacementPolicy",

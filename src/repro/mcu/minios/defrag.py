@@ -12,9 +12,11 @@ functions into holes with :meth:`~repro.fpga.device.FPGADevice.
 relocate_function`.
 
 Every move pays real card time (frame readback plus configuration-port
-writes), keeps the O(1) ownership bookkeeping, the golden image store and the
-per-frame CRC check words in lockstep, and preserves each function's payload
-sequence byte for byte — invariants the property tests pin down.
+writes), moves the device's owner map, the golden image store and the
+per-frame CRC check words together, and preserves each function's payload
+sequence byte for byte — invariants the property tests pin down.  The mini
+OS's side of a move is its table entry's new region: the Free Frame List is
+that table's complement, so it follows with no bookkeeping of its own.
 
 A pass is a fixed-point iteration: compute the ideal packed layout (functions
 in ascending current position, packed from frame 0), relocate every function
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.fpga.device import FPGADevice
-from repro.fpga.errors import ConfigurationError
 from repro.fpga.frame import FrameRegion
 from repro.mcu.minios.minios import MiniOs
 from repro.sim.clock import Clock
@@ -73,11 +74,8 @@ class Defragmenter:
 
     # --------------------------------------------------------------- queries
     def fragmentation(self) -> float:
-        """``1 - largest_free_run / free_count`` (0 when free space is one run)."""
-        free = self.minios.free_frames
-        if free.free_count == 0:
-            return 0.0
-        return 1.0 - free.largest_contiguous_run() / free.free_count
+        """The placer's fragmentation index of the Free Frame List."""
+        return self.minios.placer.fragmentation(self.minios.free_frames())
 
     # ------------------------------------------------------------------ pass
     def _packed_targets(self):
@@ -108,9 +106,7 @@ class Defragmenter:
     def _relocate(self, entry, target: FrameRegion) -> bool:
         """Try to move one function onto its packed target; True on success."""
         name = entry.name
-        current = set(entry.region)
-        target_set = set(target)
-        if target_set == current:
+        if set(target) == set(entry.region):
             return False
         # Writable means free or already ours — never another function's.
         for address in target:
@@ -118,20 +114,9 @@ class Defragmenter:
             if owner is not None and owner != name:
                 self.stats.blocked_moves += 1
                 return False
-        grows_into = [address for address in target if address not in current]
-        vacates = [address for address in entry.region if address not in target_set]
-        if grows_into:
-            self.minios.free_frames.allocate(FrameRegion.from_addresses(grows_into))
-        try:
-            self.device.relocate_function(name, target)
-        except ConfigurationError:
-            # A wedged port mid-pass: hand the reserved frames back and stop
-            # compacting — the functions are all still intact where they were.
-            if grows_into:
-                self.minios.free_frames.release(FrameRegion.from_addresses(grows_into))
-            raise
-        if vacates:
-            self.minios.free_frames.release(FrameRegion.from_addresses(vacates))
+        # A wedged port raises here and stops compacting: the functions are
+        # all still intact where they were.
+        self.device.relocate_function(name, target)
         entry.region = target
         self.minios.table.record_reload(name, self.clock.now)
         self.stats.moves += 1

@@ -1,5 +1,5 @@
-"""The mini OS proper: ties the free frame list, the replacement table and the
-replacement policy together into load/evict decisions."""
+"""The mini OS proper: ties the replacement table, the free frame list it
+implies and the replacement policy together into load/evict decisions."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 from repro.fpga.frame import FrameRegion
-from repro.fpga.geometry import FabricGeometry
+from repro.fpga.geometry import FabricGeometry, FrameAddress
 from repro.fpga.placer import Placer, PlacementStrategy
-from repro.mcu.minios.free_frames import FreeFrameList
 from repro.mcu.minios.policies import CapacityError, LruPolicy, ReplacementPolicy
 from repro.mcu.minios.replacement import FrameReplacementTable
 
@@ -40,6 +39,9 @@ class MiniOs:
     microcontroller executes the plan (evict, configure, bind) and then
     commits the outcome back, which keeps the decision logic easy to test in
     isolation.
+
+    The replacement table is the mini OS's one record of frame ownership;
+    the Free Frame List is its complement (:meth:`free_frames`).
     """
 
     def __init__(
@@ -50,7 +52,7 @@ class MiniOs:
     ) -> None:
         self.geometry = geometry
         self.policy = policy if policy is not None else LruPolicy()
-        self.free_frames = FreeFrameList(geometry)
+        self._frames = geometry.all_frames()
         self.table = FrameReplacementTable()
         self.placer = Placer(geometry, strategy=placement_strategy)
         self.stats = MiniOsStatistics()
@@ -80,6 +82,18 @@ class MiniOs:
         without a reconfiguration (the fleet's affinity policy).
         """
         return sorted(self.table.names())
+
+    def free_frames(self) -> List[FrameAddress]:
+        """The Free Frame List: frames no resident function holds, in raster
+        order."""
+        # Keyed by (column, tile): a tuple hashes in C, while a FrameAddress
+        # hashes through its generated Python __hash__.
+        held = {(address.column, address.tile) for entry in self.table for address in entry.region}
+        return [address for address in self._frames if (address.column, address.tile) not in held]
+
+    @property
+    def free_count(self) -> int:
+        return len(self._frames) - self.table.held_frames
 
     def touch(self, name: str, now_ns: int) -> None:
         """Record that *name* was just used (updates the replacement table)."""
@@ -117,13 +131,13 @@ class MiniOs:
         victims = self.policy.select_victims(
             self.table,
             frames_needed,
-            self.free_frames.free_count,
+            self.free_count,
             now_ns,
             protect=protect,
             future_requests=future_requests,
         )
         # Frames available once the victims are gone.
-        candidate_frames = list(self.free_frames.as_list())
+        candidate_frames = self.free_frames()
         for victim in victims:
             candidate_frames.extend(victim.region)
         region = FrameRegion.from_addresses(
@@ -139,18 +153,15 @@ class MiniOs:
     def commit_eviction(self, name: str) -> FrameRegion:
         """Record that *name* was evicted; returns the frames that became free."""
         entry = self.table.remove(name)
-        self.free_frames.release(entry.region)
         self.stats.evictions += 1
         self.stats.frames_evicted += entry.frame_count
         return entry.region
 
     def commit_load(self, name: str, region: FrameRegion, now_ns: int) -> None:
         """Record that *name* is now resident in *region*."""
-        self.free_frames.allocate(region)
         self.table.insert(name, region, now_ns)
 
     def reset(self) -> None:
         """Forget everything (device reset)."""
-        self.free_frames.clear()
         self.table.clear()
         self.stats = MiniOsStatistics()

@@ -38,6 +38,8 @@ class FrameReplacementTable:
 
     def __init__(self) -> None:
         self._entries: Dict[str, FrameReplacementEntry] = {}
+        #: Frames the entries' regions hold between them.
+        self.held_frames = 0
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -70,14 +72,17 @@ class FrameReplacementTable:
             last_access_ns=now_ns,
         )
         self._entries[name] = entry
+        self.held_frames += len(region)
         return entry
 
     def remove(self, name: str) -> FrameReplacementEntry:
         """Drop an evicted algorithm; returns its entry (for the freed frames)."""
         try:
-            return self._entries.pop(name)
+            entry = self._entries.pop(name)
         except KeyError:
             raise KeyError(f"{name!r} is not resident on the FPGA") from None
+        self.held_frames -= entry.frame_count
+        return entry
 
     def touch(self, name: str, now_ns: int) -> None:
         """Update the access time stamp of *name*."""
@@ -89,3 +94,4 @@ class FrameReplacementTable:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.held_frames = 0

@@ -35,6 +35,8 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.bitstream.format import parse_bitstream
 from repro.bitstream.window import CompressedImage, WindowedDecompressor
+from repro.fpga.config_port import CONFIG_CLOCK_HZ, CONFIG_PORT_WIDTH_BYTES
+from repro.fpga.device import FABRIC_CLOCK_HZ
 
 #: Programmed I/O up to this many bytes; DMA above it.
 PIO_THRESHOLD_BYTES = 64
@@ -94,9 +96,10 @@ def miss_terms(config, blob: bytes) -> MissTerms:
         _ns(config.decompress_cycles_per_byte * (len(compressed) + len(raw)) / 2.0, config.mcu_clock_hz)
         for compressed, raw in zip(image.windows, raw_windows)
     )
-    width = config.config_port_width_bytes
-    port = sum(_ns(12 + _ceil(len(frame), width), config.config_clock_hz) for frame in frames)
-    port += _ns(4 * max(1, len(frames)), config.config_clock_hz)
+    port = sum(
+        _ns(12 + _ceil(len(frame), CONFIG_PORT_WIDTH_BYTES), CONFIG_CLOCK_HZ) for frame in frames
+    )
+    port += _ns(4 * max(1, len(frames)), CONFIG_CLOCK_HZ)
     return MissTerms(rom, decompress, port, len(image.windows))
 
 
@@ -136,7 +139,7 @@ def call_ns(config, input_bytes: int, output_bytes: int, cycles: int, miss_ns: i
         _ns(config.command_decode_cycles, config.mcu_clock_hz)
         + miss_ns
         + 2 * ram_ns(input_bytes) + interface_ns(config, input_bytes)
-        + _ns(cycles, config.fabric_clock_hz)
+        + _ns(cycles, FABRIC_CLOCK_HZ)
         + interface_ns(config, output_bytes) + 2 * ram_ns(output_bytes)
     )
     return host + card

@@ -1,9 +1,9 @@
 """Invariants of the region-level configuration-memory bookkeeping.
 
-The O(1) ownership index (per-owner frame sets + free set) must stay
-consistent with the per-frame owner map under any sequence of claims,
-releases, writes and clears — these tests recompute the naive full-scan
-answers and compare.
+The ownership queries (``owners``, ``unowned_frames``, ``utilisation``) must
+answer like a naive per-frame ``owner_of`` scan under any sequence of claims,
+releases, writes and clears — these tests recompute the naive answers and
+compare.
 """
 
 import random
@@ -56,9 +56,10 @@ class TestIndexConsistency:
                     memory.clear_region(region)
             except (FrameCollisionError, ConfigurationError):
                 pass
-            # The indexed answers must equal a full scan at every step.
+            # The ownership queries must equal a naive scan at every step.
+            report = memory.owners()
             for name in owners:
-                assert memory.owned_frames(name) == _naive_owned(memory, name)
+                assert report.get(name, []) == _naive_owned(memory, name)
             assert memory.unowned_frames() == _naive_unowned(memory)
             expected_util = (frame_count - len(_naive_unowned(memory))) / frame_count
             assert memory.utilisation() == expected_util
@@ -115,14 +116,14 @@ class TestClaim:
         memory.claim(_region([4]), "aes")
         with pytest.raises(FrameCollisionError):
             memory.claim(_region([0, 1, 4]), "fir")
-        assert memory.owned_frames("fir") == []
+        assert "fir" not in memory.owners()
         assert memory.owner_of(TEST_GEOMETRY.frame_at(0)) is None
         assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) == "aes"
 
     def test_reclaim_by_same_owner_is_allowed(self, memory):
         memory.claim(_region([0, 1]), "aes")
         memory.claim(_region([0, 1, 2]), "aes")
-        assert len(memory.owned_frames("aes")) == 3
+        assert len(memory.owners()["aes"]) == 3
 
 
 class TestWriteFrame:
@@ -135,7 +136,7 @@ class TestWriteFrame:
             memory.write_frame(address, payload, owner="fir")
         # Readback preserves region order and returns the bytes written.
         assert memory.read_region(region) == payloads
-        assert memory.owned_frames("fir") == sorted(
+        assert memory.owners()["fir"] == sorted(
             region, key=lambda a: a.flat_index(TEST_GEOMETRY.tiles_per_column)
         )
 

@@ -219,7 +219,7 @@ class TestHostCallWork:
         }
         assert sum(per_call.values()) == 122
 
-    def test_a_churn_miss_pair_enters_2838_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_2314_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -230,8 +230,24 @@ class TestHostCallWork:
         ``(frames(20 pairs) - frames(10 pairs)) / 10``, an exact integer
         because every pair takes the same path.
 
-        Comprehension frames are left out: Python 3.12 inlines them (PEP
-        709), so they are not frames on every supported interpreter.
+        A pair writes 88 frames and erases 88.  ``fpga`` 1 418: seven frames
+        per frame written (the claim's ``validate`` and its
+        ``tiles_per_column``, ``write_frame``, the frame array's
+        ``__getitem__``, ``load_config_bytes``, the port's ``write_time_ns``
+        and its generator step), three per frame erased (``clear_frame``,
+        ``__getitem__``, ``clear``), and placement: 64 candidates sorted by
+        a key lambda (``flat_index`` and ``tiles_per_column`` each) and 88
+        ``flat_index`` in the contiguous-run scan.  ``bitstream`` 266 is
+        three ``crc32`` per frame written; ``sim`` 385 is mostly each
+        write's ``cycles_to_ns`` and ``period_ns``.  ``mcu`` 116 is the
+        microcontroller's load and the mini OS's plan and commits; the Free
+        Frame List it plans from is one scan of the replacement table.
+
+        2 838 while the mini OS kept a separate free frame list (set plus
+        cached sorted view) and the configuration memory three more
+        ownership indexes beside its owner map (``fpga`` 1 900, ``mcu``
+        158).  Comprehension frames are left out: Python 3.12 inlines them
+        (PEP 709), so they are not frames on every supported interpreter.
         Generator expressions and lambdas are frames everywhere and count.
         """
         config = CoprocessorConfig(
@@ -250,17 +266,17 @@ class TestHostCallWork:
             }
         )
         assert dict(per_pair) == {
-            "fpga": 1900,
+            "fpga": 1418,
             "sim": 385,
             "bitstream": 266,
-            "mcu": 158,
+            "mcu": 116,
             "functions": 42,
             "pci": 42,
             "memory": 25,
             "core": 18,
             "analysis": 2,
         }
-        assert sum(per_pair.values()) == 2838
+        assert sum(per_pair.values()) == 2314
 
 
 class TestCardRegisterInterface:

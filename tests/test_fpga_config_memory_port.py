@@ -33,11 +33,11 @@ class TestConfigurationMemory:
         memory = ConfigurationMemory(tiny_geometry)
         region = FrameRegion.from_addresses([tiny_geometry.frame_at(index) for index in (0, 1)])
         memory.claim(region, "sha1")
-        assert memory.owned_frames("sha1") == list(region)
+        assert memory.owners() == {"sha1": list(region)}
         with pytest.raises(FrameCollisionError):
             memory.claim(region, "des")
         memory.release(region, owner="sha1")
-        assert memory.owned_frames("sha1") == []
+        assert memory.owners() == {}
 
     def test_release_with_wrong_owner_rejected(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
@@ -118,7 +118,3 @@ class TestConfigurationPort:
         assert memory.owner_of(tiny_geometry.frame_at(3)) is None
         assert memory.owner_of(tiny_geometry.frame_at(4)) == "des"
 
-    def test_invalid_construction(self, tiny_geometry):
-        memory = ConfigurationMemory(tiny_geometry)
-        with pytest.raises(ValueError):
-            ConfigurationPort(memory, Clock(), port_width_bytes=0)

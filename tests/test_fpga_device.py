@@ -81,7 +81,7 @@ class TestPartialConfiguration:
         assert not device.is_loaded("adder8")
         with pytest.raises(ExecutionError):
             device.execute("adder8", bytes([1, 2]))
-        assert len(device.free_frames()) == tiny_geometry.frame_count
+        assert device.memory.unowned_frames() == tiny_geometry.all_frames()
 
     def test_unload_unknown_function_rejected(self, tiny_geometry):
         device = FPGADevice(tiny_geometry)

@@ -10,6 +10,7 @@ RAM write, and its RAM read — ``call_ns``'s card side with no miss — and
 from oracles.miss_formula import _ns, interface_ns, ram_ns
 from repro.core.builder import build_coprocessor
 from repro.core.config import CoprocessorConfig
+from repro.fpga.device import FABRIC_CLOCK_HZ
 from repro.fpga.errors import ExecutionError
 from repro.functions.bank import build_default_bank
 
@@ -25,7 +26,7 @@ def hit_terms(config, input_bytes: int, output_bytes: int, cycles: int) -> dict:
         "stage_input": ram_ns(input_bytes),
         "reconfigure": 0,
         "feed": ram_ns(input_bytes) + interface_ns(config, input_bytes),
-        "execute": _ns(cycles, config.fabric_clock_hz),
+        "execute": _ns(cycles, FABRIC_CLOCK_HZ),
         "collect": interface_ns(config, output_bytes) + ram_ns(output_bytes),
         "readout": ram_ns(output_bytes),
     }

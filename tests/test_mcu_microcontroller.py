@@ -80,7 +80,7 @@ class TestEnsureLoaded:
         mcu.ensure_loaded("parity32")
         mcu.reset()
         assert copro.loaded_functions() == []
-        assert copro.minios.free_frames.free_count == copro.geometry.frame_count
+        assert copro.minios.free_count == copro.geometry.frame_count
 
 
 class TestHandleExecute:
@@ -150,4 +150,4 @@ class TestEvictionUnderPressure:
         assert copro.stats.evictions > 0
         # The free frame list and the device agree after all that churn.
         owned = sum(len(frames) for frames in copro.device.memory.owners().values())
-        assert owned + copro.minios.free_frames.free_count == copro.geometry.frame_count
+        assert owned + copro.minios.free_count == copro.geometry.frame_count

@@ -8,7 +8,6 @@ from repro.mcu.minios import (
     BeladyPolicy,
     FifoPolicy,
     FrameReplacementTable,
-    FreeFrameList,
     LfuPolicy,
     LruPolicy,
     MiniOs,
@@ -23,46 +22,43 @@ def _region(geometry, indices):
 
 
 class TestFreeFrameList:
+    """The Free Frame List is the replacement table's complement."""
+
+    @staticmethod
+    def _load(minios, geometry, name, indices):
+        minios.commit_load(name, _region(geometry, indices), 0)
+
     def test_starts_with_every_frame_free(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        assert free.free_count == tiny_geometry.frame_count
-        assert free.largest_contiguous_run() == tiny_geometry.frame_count
+        minios = MiniOs(tiny_geometry)
+        assert minios.free_count == tiny_geometry.frame_count
+        assert minios.free_frames() == tiny_geometry.all_frames()
+        assert minios.placer.largest_free_run(minios.free_frames()) == tiny_geometry.frame_count
 
     def test_allocate_and_release(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        region = _region(tiny_geometry, [0, 1, 2])
-        free.allocate(region)
-        assert free.free_count == tiny_geometry.frame_count - 3
-        assert tiny_geometry.frame_at(0) not in free
-        free.release(region)
-        assert free.free_count == tiny_geometry.frame_count
-
-    def test_double_allocation_rejected(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        region = _region(tiny_geometry, [5])
-        free.allocate(region)
-        with pytest.raises(ValueError):
-            free.allocate(region)
+        minios = MiniOs(tiny_geometry)
+        self._load(minios, tiny_geometry, "sha1", [0, 1, 2])
+        assert minios.free_count == tiny_geometry.frame_count - 3
+        assert tiny_geometry.frame_at(0) not in minios.free_frames()
+        minios.commit_eviction("sha1")
+        assert minios.free_count == tiny_geometry.frame_count
+        assert minios.free_frames() == tiny_geometry.all_frames()
 
     def test_largest_contiguous_run_with_fragmentation(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        free.allocate(_region(tiny_geometry, [3, 8]))
+        minios = MiniOs(tiny_geometry)
+        self._load(minios, tiny_geometry, "a", [3])
+        self._load(minios, tiny_geometry, "b", [8])
         # Runs: 0-2 (3), 4-7 (4), 9-15 (7).
-        assert free.largest_contiguous_run() == 7
-
-    def test_can_host_and_clear(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        free.allocate(_region(tiny_geometry, range(10)))
-        assert free.free_count == 6
-        free.clear()
-        assert free.free_count == tiny_geometry.frame_count
+        assert minios.placer.largest_free_run(minios.free_frames()) == 7
 
     def test_as_list_is_sorted(self, tiny_geometry):
-        free = FreeFrameList(tiny_geometry)
-        free.allocate(_region(tiny_geometry, range(tiny_geometry.frame_count)))
-        free.release(_region(tiny_geometry, [9]))
-        free.release(_region(tiny_geometry, [2]))
-        indices = [address.flat_index(tiny_geometry.tiles_per_column) for address in free.as_list()]
+        minios = MiniOs(tiny_geometry)
+        held = [index for index in range(tiny_geometry.frame_count) if index not in (2, 9)]
+        self._load(minios, tiny_geometry, "a", reversed(held[:7]))
+        self._load(minios, tiny_geometry, "b", reversed(held[7:]))
+        indices = [
+            address.flat_index(tiny_geometry.tiles_per_column)
+            for address in minios.free_frames()
+        ]
         assert indices == [2, 9]
 
 
@@ -188,7 +184,7 @@ class TestMiniOs:
         assert decision.evictions == []
         assert len(decision.region) == 3
         minios.commit_load("sha1", decision.region, 0.0)
-        assert minios.free_frames.free_count == tiny_geometry.frame_count - 3
+        assert minios.free_count == tiny_geometry.frame_count - 3
 
     def test_eviction_planned_when_fabric_full(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
@@ -212,7 +208,7 @@ class TestMiniOs:
         minios = MiniOs(tiny_geometry)
         with pytest.raises(CapacityError):
             minios.plan_load("huge", tiny_geometry.frame_count + 1, now_ns=0.0)
-        assert minios.free_frames.free_count == tiny_geometry.frame_count
+        assert minios.free_count == tiny_geometry.frame_count
 
     def test_reset(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
@@ -220,5 +216,5 @@ class TestMiniOs:
         minios.commit_load("x", decision.region, 0.0)
         minios.reset()
         assert not minios.is_resident("x")
-        assert minios.free_frames.free_count == tiny_geometry.frame_count
+        assert minios.free_count == tiny_geometry.frame_count
         assert minios.stats.misses == 0

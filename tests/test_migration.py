@@ -300,18 +300,18 @@ class TestDefragmenter:
         resident = coprocessor.minios.resident_functions()
         readbacks = {name: device.readback(name) for name in resident}
         frag_before = coprocessor.defragmenter.fragmentation()
-        run_before = coprocessor.minios.free_frames.largest_contiguous_run()
+        run_before = coprocessor.minios.placer.largest_free_run(coprocessor.minios.free_frames())
         moved = driver.defrag_card()
         assert moved > 0
         assert coprocessor.defragmenter.fragmentation() <= frag_before
-        assert coprocessor.minios.free_frames.largest_contiguous_run() >= run_before
+        assert coprocessor.minios.placer.largest_free_run(coprocessor.minios.free_frames()) >= run_before
         for name in resident:
             assert device.readback(name) == readbacks[name]
             for address in device.region_of(name):
                 assert device.memory.frame_crc_ok(address)
-        # The mini OS's free list agrees with the device's ownership index.
+        # The mini OS's free list agrees with the device's owner map.
         assert (
-            coprocessor.minios.free_frames.as_list() == device.memory.unowned_frames()
+            coprocessor.minios.free_frames() == device.memory.unowned_frames()
         )
 
     def test_defrag_budget_bounds_moves(self):

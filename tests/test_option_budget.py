@@ -81,7 +81,7 @@ FLEET_CODE_LINE_BUDGET = 642
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 813
-SRC_CODE_LINE_BUDGET = 11_561
+SRC_CODE_LINE_BUDGET = 11_424
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -565,9 +565,6 @@ KEPT_CONFIG_FIELDS = {
         "luts_per_clb": "a FabricGeometry parameter: the CLB's LUT count",
         "lut_inputs": "a FabricGeometry parameter: the LUT's input count",
         "switch_bytes_per_clb": "a FabricGeometry parameter: configuration bytes per switch box",
-        "fabric_clock_hz": "the FPGADevice's fabric clock",
-        "config_clock_hz": "the configuration port's and the scrubber's clock",
-        "config_port_width_bytes": "the configuration port's width",
         "compression_window_bytes": "the ROM images' and migration blobs' compression window",
         "decompress_cycles_per_byte": "the configuration module's decompression cost",
         "rom_chunk_bytes": "the configuration module's ROM burst size",

@@ -49,12 +49,12 @@ class TestMiniOsAccountingInvariant:
             minios.commit_load(name, decision.region, clock_ns)
             minios.touch(name, clock_ns)
             resident = sum(entry.frame_count for entry in minios.table)
-            assert resident + minios.free_frames.free_count == _GEOMETRY.frame_count
+            assert resident + minios.free_count == _GEOMETRY.frame_count
             # No frame is both free and resident.
             resident_addresses = {
                 address for entry in minios.table for address in entry.region
             }
-            assert not (resident_addresses & set(minios.free_frames.as_list()))
+            assert not (resident_addresses & set(minios.free_frames()))
 
 
 class TestWindowedCompressionInvariant:

@@ -57,19 +57,20 @@ def _apply_history(driver, history) -> None:
 
 
 def _assert_memory_indexes_consistent(coprocessor) -> None:
-    """Every O(1) ownership index answers exactly like a naive full scan."""
+    """Every ownership query answers exactly like a naive per-frame scan."""
     memory = coprocessor.device.memory
     geometry = coprocessor.geometry
     frames = geometry.all_frames()
     naive_unowned = [a for a in frames if memory.owner_of(a) is None]
     assert memory.unowned_frames() == naive_unowned
+    report = memory.owners()
     for name in coprocessor.minios.resident_functions():
         naive = [a for a in frames if memory.owner_of(a) == name]
-        assert memory.owned_frames(name) == naive
+        assert report.get(name, []) == naive
     owned = geometry.frame_count - len(naive_unowned)
     assert memory.utilisation() == owned / geometry.frame_count
-    # The mini OS's free list is the same set as the device's free index.
-    assert coprocessor.minios.free_frames.as_list() == memory.unowned_frames()
+    # The mini OS's free list is the device's unowned frames.
+    assert coprocessor.minios.free_frames() == memory.unowned_frames()
 
 
 class TestMigrationByteExactness:
@@ -138,7 +139,7 @@ class TestDefragPermutation:
         resident = coprocessor.minios.resident_functions()
         readbacks = {fn: device.readback(fn) for fn in resident}
         owned_counts = {fn: len(device.region_of(fn)) for fn in resident}
-        run_before = coprocessor.minios.free_frames.largest_contiguous_run()
+        run_before = coprocessor.minios.placer.largest_free_run(coprocessor.minios.free_frames())
 
         coprocessor.defrag(max_moves=budget)
 
@@ -154,7 +155,7 @@ class TestDefragPermutation:
                     address
                 )
         # Compaction never fragments: the largest free run cannot shrink.
-        assert coprocessor.minios.free_frames.largest_contiguous_run() >= run_before
+        assert coprocessor.minios.placer.largest_free_run(coprocessor.minios.free_frames()) >= run_before
         _assert_memory_indexes_consistent(coprocessor)
         # Vacated frames really are erased (a relocation must not leave
         # ghost configuration behind for the scrubber to "repair").
