@@ -1,8 +1,14 @@
-"""The seed's step-by-step AES-128 block functions and SHA-256 compression,
-moved here unchanged from ``repro.functions.crypto`` (where they were private
-``*_reference`` members): the oracles ``tests/test_functions_crypto.py`` holds
-the table-driven / rotation-inlined datapaths bit-identical to.  They share the
-S-box, the GF(2^8) multiply, the key schedule and the round constants with the
+"""The seed's step-by-step crypto models, kept as the oracles the bank's fast
+datapaths are held bit-identical to (``tests/test_functions_crypto.py``):
+
+* AES-128's SubBytes / ShiftRows / MixColumns / AddRoundKey chain, which
+  ``Aes128``'s table-driven rounds match;
+* DES on lists of single bits (``ReferenceDes``), which ``Des``'s SP-box
+  rounds on 32-bit ints match;
+* SHA-1 and SHA-256 from their compression functions (``ReferenceSha1``,
+  ``ReferenceSha256``), which the bank's :mod:`hashlib` digests match.
+
+They share the S-boxes, permutation tables and key schedules' tables with the
 code under test; FIPS / hashlib vectors in the same test file pin those.
 
 The inverse ciphers live here too: the card only encrypts, so AES and DES
@@ -15,8 +21,7 @@ import struct
 from typing import List, Sequence
 
 from repro.functions.crypto.aes import _SBOX, Aes128, _gf_multiply
-from repro.functions.crypto.des import Des
-from repro.functions.crypto.sha256 import _K
+from repro.functions.crypto.des import _FP, _IP, _PBOX, _PC1, _PC2, _SBOXES, _SHIFTS
 
 _INV_SBOX = [0] * 256
 for _index, _value in enumerate(_SBOX):
@@ -141,13 +146,98 @@ class ReferenceAes128(Aes128):
         return bytes(state)
 
 
-class ReferenceDes(Des):
-    """``Des`` plus decryption: the Feistel network with the subkeys reversed."""
+_EXPANSION = [
+    32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, 8, 9, 10, 11,
+    12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18, 19, 20, 21, 20, 21,
+    22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
+]
+
+
+def _bytes_to_bits(data: bytes) -> List[int]:
+    """MSB-first bit list (bit 1 of FIPS numbering is the MSB of byte 0)."""
+    bits = []
+    for byte in data:
+        for position in range(7, -1, -1):
+            bits.append((byte >> position) & 1)
+    return bits
+
+
+def _bits_to_bytes(bits: Sequence[int]) -> bytes:
+    out = bytearray(len(bits) // 8)
+    for index, bit in enumerate(bits):
+        if bit:
+            out[index // 8] |= 1 << (7 - index % 8)
+    return bytes(out)
+
+
+def _permute(bits: Sequence[int], table: Sequence[int]) -> List[int]:
+    return [bits[position - 1] for position in table]
+
+
+def _rotate_bits_left(bits: List[int], amount: int) -> List[int]:
+    return bits[amount:] + bits[:amount]
+
+
+class ReferenceDes:
+    """The seed's single-DES on lists of single bits, every permutation a
+    table walk, plus decryption: the Feistel network with the subkeys
+    reversed."""
+
+    BLOCK_BYTES = 8
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) != 8:
+            raise ValueError("DES needs an 8-byte key")
+        self._subkeys = self._key_schedule(key)
+
+    @staticmethod
+    def _key_schedule(key: bytes) -> List[List[int]]:
+        bits = _permute(_bytes_to_bits(key), _PC1)
+        left, right = bits[:28], bits[28:]
+        subkeys = []
+        for shift in _SHIFTS:
+            left = _rotate_bits_left(left, shift)
+            right = _rotate_bits_left(right, shift)
+            subkeys.append(_permute(left + right, _PC2))
+        return subkeys
+
+    @staticmethod
+    def _feistel(right: List[int], subkey: List[int]) -> List[int]:
+        expanded = _permute(right, _EXPANSION)
+        mixed = [a ^ b for a, b in zip(expanded, subkey)]
+        out: List[int] = []
+        for box in range(8):
+            chunk = mixed[box * 6 : box * 6 + 6]
+            row = (chunk[0] << 1) | chunk[5]
+            column = (chunk[1] << 3) | (chunk[2] << 2) | (chunk[3] << 1) | chunk[4]
+            value = _SBOXES[box][row * 16 + column]
+            out.extend([(value >> position) & 1 for position in (3, 2, 1, 0)])
+        return _permute(out, _PBOX)
+
+    def _crypt_block(self, block: bytes, subkeys: List[List[int]]) -> bytes:
+        bits = _permute(_bytes_to_bits(block), _IP)
+        left, right = bits[:32], bits[32:]
+        for subkey in subkeys:
+            feistel_out = self._feistel(right, subkey)
+            left, right = right, [a ^ b for a, b in zip(left, feistel_out)]
+        return _bits_to_bytes(_permute(right + left, _FP))
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != self.BLOCK_BYTES:
+            raise ValueError("DES blocks are 8 bytes")
+        return self._crypt_block(block, self._subkeys)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != self.BLOCK_BYTES:
             raise ValueError("DES blocks are 8 bytes")
         return self._crypt_block(block, list(reversed(self._subkeys)))
+
+    def encrypt_ecb(self, data: bytes) -> bytes:
+        padded = data + b"\x00" * ((-len(data)) % self.BLOCK_BYTES)
+        out = bytearray()
+        for start in range(0, len(padded), self.BLOCK_BYTES):
+            out.extend(self.encrypt_block(padded[start : start + self.BLOCK_BYTES]))
+        return bytes(out)
 
 
 def decrypt_ecb(cipher, data: bytes) -> bytes:
@@ -156,6 +246,115 @@ def decrypt_ecb(cipher, data: bytes) -> bytes:
     return b"".join(
         cipher.decrypt_block(data[start : start + size]) for start in range(0, len(data), size)
     )
+
+
+def _pad(message: bytes) -> bytes:
+    """FIPS 180-4 padding for SHA-1 and SHA-256: a one bit, zeros, then the
+    message length in bits as a 64-bit big-endian integer."""
+    length_bits = len(message) * 8
+    padded = message + b"\x80"
+    padded += b"\x00" * ((56 - len(padded) % 64) % 64)
+    padded += struct.pack(">Q", length_bits)
+    return padded
+
+
+def _rotate_left(value: int, amount: int) -> int:
+    value &= 0xFFFFFFFF
+    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
+
+
+class ReferenceSha1:
+    """The seed's SHA-1 (FIPS 180-4), one 80-round compression per block."""
+
+    _INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+
+    @staticmethod
+    def _compress(state: List[int], block: bytes) -> List[int]:
+        schedule = list(struct.unpack(">16I", block))
+        for index in range(16, 80):
+            schedule.append(
+                _rotate_left(
+                    schedule[index - 3]
+                    ^ schedule[index - 8]
+                    ^ schedule[index - 14]
+                    ^ schedule[index - 16],
+                    1,
+                )
+            )
+        a, b, c, d, e = state
+        for index in range(80):
+            if index < 20:
+                f = (b & c) | (~b & d)
+                k = 0x5A827999
+            elif index < 40:
+                f = b ^ c ^ d
+                k = 0x6ED9EBA1
+            elif index < 60:
+                f = (b & c) | (b & d) | (c & d)
+                k = 0x8F1BBCDC
+            else:
+                f = b ^ c ^ d
+                k = 0xCA62C1D6
+            temp = (_rotate_left(a, 5) + f + e + k + schedule[index]) & 0xFFFFFFFF
+            e, d, c, b, a = d, c, _rotate_left(b, 30), a, temp
+        return [
+            (state[0] + a) & 0xFFFFFFFF,
+            (state[1] + b) & 0xFFFFFFFF,
+            (state[2] + c) & 0xFFFFFFFF,
+            (state[3] + d) & 0xFFFFFFFF,
+            (state[4] + e) & 0xFFFFFFFF,
+        ]
+
+    @classmethod
+    def digest(cls, message: bytes) -> bytes:
+        state = list(cls._INITIAL_STATE)
+        padded = _pad(message)
+        for start in range(0, len(padded), 64):
+            state = cls._compress(state, padded[start : start + 64])
+        return struct.pack(">5I", *state)
+
+    @classmethod
+    def hexdigest(cls, message: bytes) -> str:
+        return cls.digest(message).hex()
+
+
+def _primes(count: int) -> List[int]:
+    found: List[int] = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % prime for prime in found if prime * prime <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def _integer_nth_root(value: int, n: int) -> int:
+    """Floor of the n-th root of a (possibly huge) integer."""
+    if value == 0:
+        return 0
+    guess = 1 << ((value.bit_length() + n - 1) // n)
+    while True:
+        next_guess = ((n - 1) * guess + value // guess ** (n - 1)) // n
+        if next_guess >= guess:
+            return guess
+        guess = next_guess
+
+
+def _fractional_bits(value: int, root: int) -> int:
+    """First 32 bits of the fractional part of the *root*-th root of *value*:
+    ``floor(value ** (1 / root) * 2**96)`` by integer Newton iteration, so no
+    floating-point rounding reaches the constants."""
+    scale_bits = 96
+    scaled = _integer_nth_root(value << (root * scale_bits), root)
+    return (scaled & ((1 << scale_bits) - 1)) >> (scale_bits - 32)
+
+
+# SHA-256's constants as the standard defines them: the fractional parts of
+# the square roots (initial state) and cube roots (round constants) of the
+# first 64 primes.
+_PRIMES_64 = _primes(64)
+_H0 = [_fractional_bits(prime, 2) for prime in _PRIMES_64[:8]]
+_K = [_fractional_bits(prime, 3) for prime in _PRIMES_64]
 
 
 def _rotate_right(value: int, amount: int) -> int:
@@ -197,3 +396,19 @@ def compress_reference(state: List[int], block: bytes) -> List[int]:
             (temp1 + temp2) & 0xFFFFFFFF,
         )
     return [(value + update) & 0xFFFFFFFF for value, update in zip(state, [a, b, c, d, e, f, g, h])]
+
+
+class ReferenceSha256:
+    """The seed's SHA-256 (FIPS 180-4) on :func:`compress_reference`."""
+
+    @staticmethod
+    def digest(message: bytes) -> bytes:
+        state = list(_H0)
+        padded = _pad(message)
+        for start in range(0, len(padded), 64):
+            state = compress_reference(state, padded[start : start + 64])
+        return struct.pack(">8I", *state)
+
+    @classmethod
+    def hexdigest(cls, message: bytes) -> str:
+        return cls.digest(message).hex()

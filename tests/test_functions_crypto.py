@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.crypto_reference import ReferenceAes128, ReferenceDes, compress_reference, decrypt_ecb
+from oracles.crypto_reference import (
+    ReferenceAes128,
+    ReferenceDes,
+    ReferenceSha1,
+    ReferenceSha256,
+    compress_reference,
+    decrypt_ecb,
+)
 from repro.functions.crypto.aes import Aes128, AesFunction, DEFAULT_AES_KEY
 from repro.functions.crypto.des import Des, DesFunction, DEFAULT_DES_KEY
 from repro.functions.crypto.modexp import (
@@ -98,6 +105,18 @@ class TestDes:
         assert function.spec.input_bytes == 8
         assert function.behaviour(bytes(8)) == Des(DEFAULT_DES_KEY).encrypt_block(bytes(8))
 
+    @given(st.binary(max_size=3 * 8))
+    @settings(max_examples=60, deadline=None)
+    def test_behaviour_equals_reference(self, payload):
+        # Empty, partial, whole and multi-block payloads up to 3x the nominal
+        # 8 bytes: ECB zero-pads the last block in both models.
+        assert DesFunction().behaviour(payload) == ReferenceDes(DEFAULT_DES_KEY).encrypt_ecb(payload)
+
+    @given(st.binary(min_size=8, max_size=8), st.binary(min_size=8, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_any_key_equals_reference(self, key, block):
+        assert Des(key).encrypt_block(block) == ReferenceDes(key).encrypt_block(block)
+
 
 class TestSha1:
     @pytest.mark.parametrize(
@@ -116,6 +135,11 @@ class TestSha1:
         function = Sha1Function()
         assert function.spec.output_bytes == 20
         assert function.behaviour(b"abc") == hashlib.sha1(b"abc").digest()
+
+    @given(st.binary(max_size=3 * 64))
+    @settings(max_examples=40, deadline=None)
+    def test_behaviour_equals_reference(self, payload):
+        assert Sha1Function().behaviour(payload) == ReferenceSha1.digest(payload)
 
 
 class TestSha256:
@@ -142,6 +166,11 @@ class TestSha256:
         function = Sha256Function()
         assert function.spec.output_bytes == 32
         assert function.behaviour(b"abc") == hashlib.sha256(b"abc").digest()
+
+    @given(st.binary(max_size=3 * 64))
+    @settings(max_examples=40, deadline=None)
+    def test_behaviour_equals_reference(self, payload):
+        assert Sha256Function().behaviour(payload) == ReferenceSha256.digest(payload)
 
 
 class TestModExp:

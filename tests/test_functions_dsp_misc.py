@@ -4,15 +4,41 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles.dsp_reference import ReferenceFirFilter, reference_fft256, reference_fft_radix2
 from repro.functions.dsp.fft import FftFunction, fft_radix2
-from repro.functions.dsp.fir import FirFilter, FirFunction
+from repro.functions.dsp.fir import DEFAULT_COEFFICIENTS, FirFilter, FirFunction
 from repro.functions.dsp.matmul import MatMulFunction, matrix_multiply
 from repro.functions.misc.crc import Crc32Function
 from repro.functions.misc.sort import BitonicSortFunction, bitonic_sort
 from repro.functions.misc.strmatch import StringMatchFunction, count_occurrences
+
+#: Alternating rails and runs at one rail: the payloads that drive a Q15 FIR
+#: and a 1/N-scaled FFT into saturation.
+RAILS = [32767, -32768]
+RAIL_PAYLOADS = [
+    struct.pack("<256h", *(RAILS * 128)),
+    struct.pack("<256h", *([-32768] * 256)),
+    struct.pack("<256h", *([32767] * 16 + [-32768] * 16) * 8),
+]
+
+
+def int16_payloads(nominal_bytes):
+    """Payloads of 0 to 3x *nominal_bytes*: raw bytes (odd lengths, partial
+    blocks) or packed int16 samples drawn toward the rails."""
+    sample = st.one_of(st.sampled_from([-32768, -32767, -1, 0, 1, 32767]), st.integers(-32768, 32767))
+    samples = st.lists(sample, max_size=3 * nominal_bytes // 2)
+    return st.one_of(
+        st.binary(max_size=3 * nominal_bytes),
+        samples.map(lambda values: struct.pack(f"<{len(values)}h", *values)),
+    )
+
+
+def float_bits(values):
+    """The IEEE bit patterns of complex *values*: ``-0.0`` differs from ``0.0``."""
+    return struct.pack(f"<{2 * len(values)}d", *[part for value in values for part in (value.real, value.imag)])
 
 
 class TestFir:
@@ -44,6 +70,24 @@ class TestFir:
             FirFilter([])
         with pytest.raises(ValueError):
             FirFilter([40000])
+
+    @given(int16_payloads(256))
+    @example(RAIL_PAYLOADS[0])
+    @example(RAIL_PAYLOADS[1])
+    @example(RAIL_PAYLOADS[2] + b"\x01")
+    @settings(max_examples=60, deadline=None)
+    def test_behaviour_equals_reference(self, payload):
+        assert FirFunction().behaviour(payload) == ReferenceFirFilter(DEFAULT_COEFFICIENTS).filter_bytes(payload)
+
+    @given(
+        st.lists(st.integers(-32768, 32767), min_size=1, max_size=24),
+        int16_payloads(64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_taps_equal_reference(self, coefficients, payload):
+        assert FirFilter(coefficients).filter_bytes(payload) == ReferenceFirFilter(coefficients).filter_bytes(
+            payload
+        )
 
 
 class TestFft:
@@ -78,6 +122,27 @@ class TestFft:
         function = FftFunction()
         output = function.behaviour(b"\x00\x01" * 256)
         assert len(output) == function.spec.output_bytes
+
+    @given(int16_payloads(512))
+    @example(RAIL_PAYLOADS[0])
+    @example(RAIL_PAYLOADS[1])
+    @example(RAIL_PAYLOADS[2] + RAIL_PAYLOADS[0][:7])
+    @settings(max_examples=40, deadline=None)
+    def test_behaviour_equals_reference(self, payload):
+        assert FftFunction().behaviour(payload) == reference_fft256(payload)
+
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda log_length: st.lists(
+                st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                min_size=2**log_length,
+                max_size=2**log_length,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_transform_equals_reference_to_the_bit(self, samples):
+        assert float_bits(fft_radix2(samples)) == float_bits(reference_fft_radix2(samples))
 
 
 class TestMatMul:
