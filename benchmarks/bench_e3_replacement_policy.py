@@ -4,7 +4,9 @@ The paper's mini OS evicts the algorithm with the oldest access time stamp
 (per-algorithm LRU).  This experiment runs the same traces through the same
 card configured with LRU, FIFO, LFU, Random and Belady's farthest-next-use
 heuristic (clairvoyant, but not optimal here: functions span different frame
-counts and placement is contiguous), on a fabric deliberately smaller than the working set, and reports hit rate,
+counts, so evicting the farthest next use can free too many frames or too
+few; where a function is placed does not change which ones stay resident),
+on a fabric deliberately smaller than the working set, and reports hit rate,
 evictions and mean service latency per (policy, trace) pair.
 
 The timed kernel is one full LRU trace run (the steady-state decision loop of

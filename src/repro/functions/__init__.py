@@ -2,9 +2,10 @@
 
 Each function provides three things:
 
-* a **reference behaviour** (a from-scratch Python implementation of the
-  algorithm — AES, DES, SHA, FFT, ... — used both as the "hardware" model and
-  as the oracle in tests),
+* a **behaviour** (what the hardware computes — AES, DES, SHA, FFT, ... —
+  in Python or, for SHA and CRC, the standard library; where a model was made
+  fast, the seed's from-scratch form is a test oracle under
+  ``tests/oracles/`` it is held bit-identical to),
 * a **resource estimate** (LUT count → frame footprint) and a **cycle model**
   (how long the hardware implementation takes per invocation), and
 * a way to produce its **configuration bit-stream**: small functions carry a

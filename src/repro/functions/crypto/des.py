@@ -1,4 +1,10 @@
-"""DES implemented from scratch (FIPS 46-3).
+"""DES (FIPS 46-3) on 32- and 64-bit integers: byte-indexed IP and FP
+tables, SP-box rounds and a key schedule run once per key.
+
+The seed's from-scratch model on lists of single bits is
+``tests/oracles/crypto_reference.py``'s ``ReferenceDes``;
+``tests/test_functions_crypto.py`` holds this datapath equal to it under
+hypothesis, on any key and payload.
 
 Kept in the bank because legacy standards are exactly why algorithm agility
 matters: a fielded card must keep serving DES peers while newer peers use AES,
@@ -7,7 +13,8 @@ and the co-processor swaps between them on demand.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import struct
+from typing import List, Sequence, Tuple
 
 from repro.fpga.executor import CycleModel
 from repro.functions.base import FunctionSpec, HardwareFunction
@@ -24,11 +31,6 @@ _FP = [
     38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
     36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9, 49, 17, 57, 25,
-]
-_EXPANSION = [
-    32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, 8, 9, 10, 11,
-    12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18, 19, 20, 21, 20, 21,
-    22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
 ]
 _PBOX = [
     16, 7, 20, 21, 29, 12, 28, 17, 1, 15, 23, 26, 5, 18, 31, 10,
@@ -99,33 +101,67 @@ _SBOXES = [
 ]
 
 
-def _bytes_to_bits(data: bytes) -> List[int]:
-    """MSB-first bit list (bit 1 of FIPS numbering is the MSB of byte 0)."""
-    bits = []
-    for byte in data:
-        for position in range(7, -1, -1):
-            bits.append((byte >> position) & 1)
-    return bits
+def _permute(value: int, table: Sequence[int], width: int) -> int:
+    """*table*'s permutation of the *width*-bit *value* (FIPS bit 1 is the MSB)."""
+    out = 0
+    for position in table:
+        out = (out << 1) | ((value >> (width - position)) & 1)
+    return out
 
 
-def _bits_to_bytes(bits: Sequence[int]) -> bytes:
-    out = bytearray(len(bits) // 8)
-    for index, bit in enumerate(bits):
-        if bit:
-            out[index // 8] |= 1 << (7 - index % 8)
-    return bytes(out)
+def _bit_masks(table: Sequence[int]) -> List[int]:
+    """``masks[p]``: where *table*'s permutation puts input bit *p* (1-based)."""
+    masks = [0] * (max(table) + 1)
+    for index, position in enumerate(table):
+        masks[position] |= 1 << (len(table) - 1 - index)
+    return masks
 
 
-def _permute(bits: Sequence[int], table: Sequence[int]) -> List[int]:
-    return [bits[position - 1] for position in table]
+def _byte_tables(table: Sequence[int]) -> List[List[int]]:
+    """Eight 256-entry tables, one per byte of a 64-bit block, whose OR is
+    *table*'s permutation of the block.  Each entry is one OR: the entry with
+    its lowest set bit cleared, and that bit's mask."""
+    masks = _bit_masks(table)
+    tables = []
+    for byte_index in range(8):
+        entries = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            entries[value] = entries[value ^ low] | masks[8 * byte_index + 9 - low.bit_length()]
+        tables.append(entries)
+    return tables
 
 
-def _rotate_left(bits: List[int], amount: int) -> List[int]:
-    return bits[amount:] + bits[:amount]
+def _sp_tables() -> List[List[int]]:
+    """``SP[box][six]``: S-box *box*'s output for a six-bit input, already
+    passed through P, so a round's f is the OR of eight lookups."""
+    masks = _bit_masks(_PBOX)
+    tables = []
+    for box, sbox in enumerate(_SBOXES):
+        # P of each four-bit output, which sits at bits 4*box+1 .. 4*box+4.
+        nibbles = [0] * 16
+        for value in range(1, 16):
+            low = value & -value
+            nibbles[value] = nibbles[value ^ low] | masks[4 * box + 5 - low.bit_length()]
+        # Row from the outer bits, column from the inner four.
+        tables.append([nibbles[sbox[(((six >> 4) & 2) | (six & 1)) * 16 + ((six >> 1) & 0xF)]] for six in range(64)])
+    return tables
+
+
+_IP_TABLES = _byte_tables(_IP)
+_FP_TABLES = _byte_tables(_FP)
+_SP = _sp_tables()
 
 
 class Des:
-    """Single-DES block cipher."""
+    """Single-DES block cipher on 32- and 64-bit integers.
+
+    A round expands R by shifts: its 34-bit wrap (bit 32, R, bit 1) holds
+    the eight six-bit windows of the expansion E four bits apart, so the even
+    windows and the odd windows each fit one word without overlapping.  The
+    key schedule lays each round's eight six-bit subkeys over those two words
+    once, and f is eight lookups in the SP tables.
+    """
 
     BLOCK_BYTES = 8
 
@@ -135,48 +171,55 @@ class Des:
         self._subkeys = self._key_schedule(key)
 
     @staticmethod
-    def _key_schedule(key: bytes) -> List[List[int]]:
-        bits = _permute(_bytes_to_bits(key), _PC1)
-        left, right = bits[:28], bits[28:]
+    def _key_schedule(key: bytes) -> List[Tuple[int, int]]:
+        """Sixteen ``(even, odd)`` subkey words: the round's six-bit subkeys
+        1, 3, 5, 7 (counting from 1) at bits 28, 20, 12, 4 and 2, 4, 6, 8 at
+        bits 24, 16, 8, 0, where E's windows sit in R's 34-bit wrap."""
+        bits = _permute(int.from_bytes(key, "big"), _PC1, 64)
+        left, right = bits >> 28, bits & 0xFFFFFFF
         subkeys = []
         for shift in _SHIFTS:
-            left = _rotate_left(left, shift)
-            right = _rotate_left(right, shift)
-            subkeys.append(_permute(left + right, _PC2))
+            left = ((left << shift) | (left >> (28 - shift))) & 0xFFFFFFF
+            right = ((right << shift) | (right >> (28 - shift))) & 0xFFFFFFF
+            subkey = _permute((left << 28) | right, _PC2, 56)
+            chunks = [(subkey >> offset) & 0x3F for offset in range(42, -6, -6)]
+            even = (chunks[0] << 28) | (chunks[2] << 20) | (chunks[4] << 12) | (chunks[6] << 4)
+            odd = (chunks[1] << 24) | (chunks[3] << 16) | (chunks[5] << 8) | chunks[7]
+            subkeys.append((even, odd))
         return subkeys
 
-    @staticmethod
-    def _feistel(right: List[int], subkey: List[int]) -> List[int]:
-        expanded = _permute(right, _EXPANSION)
-        mixed = [a ^ b for a, b in zip(expanded, subkey)]
-        out: List[int] = []
-        for box in range(8):
-            chunk = mixed[box * 6 : box * 6 + 6]
-            row = (chunk[0] << 1) | chunk[5]
-            column = (chunk[1] << 3) | (chunk[2] << 2) | (chunk[3] << 1) | chunk[4]
-            value = _SBOXES[box][row * 16 + column]
-            out.extend([(value >> position) & 1 for position in (3, 2, 1, 0)])
-        return _permute(out, _PBOX)
-
-    def _crypt_block(self, block: bytes, subkeys: List[List[int]]) -> bytes:
-        bits = _permute(_bytes_to_bits(block), _IP)
-        left, right = bits[:32], bits[32:]
-        for subkey in subkeys:
-            feistel_out = self._feistel(right, subkey)
-            left, right = right, [a ^ b for a, b in zip(left, feistel_out)]
-        return _bits_to_bytes(_permute(right + left, _FP))
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != self.BLOCK_BYTES:
-            raise ValueError("DES blocks are 8 bytes")
-        return self._crypt_block(block, self._subkeys)
-
     def encrypt_ecb(self, data: bytes) -> bytes:
+        """Encrypt *data* block by block; the last block is zero-padded."""
         padded = data + b"\x00" * ((-len(data)) % self.BLOCK_BYTES)
-        out = bytearray()
-        for start in range(0, len(padded), self.BLOCK_BYTES):
-            out.extend(self.encrypt_block(padded[start : start + self.BLOCK_BYTES]))
-        return bytes(out)
+        ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TABLES
+        fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_TABLES
+        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
+        subkeys = self._subkeys
+        blocks = []
+        # zip over one iterator eight times: the block's eight bytes.
+        for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[iter(padded)] * 8):
+            block = ip0[b0] | ip1[b1] | ip2[b2] | ip3[b3] | ip4[b4] | ip5[b5] | ip6[b6] | ip7[b7]
+            left, right = block >> 32, block & 0xFFFFFFFF
+            for even_key, odd_key in subkeys:
+                wrap = (right << 1) | (right >> 31) | ((right & 1) << 33)
+                even = wrap ^ even_key
+                odd = wrap ^ odd_key
+                left, right = right, left ^ (
+                    sp0[even >> 28]
+                    | sp1[(odd >> 24) & 0x3F]
+                    | sp2[(even >> 20) & 0x3F]
+                    | sp3[(odd >> 16) & 0x3F]
+                    | sp4[(even >> 12) & 0x3F]
+                    | sp5[(odd >> 8) & 0x3F]
+                    | sp6[(even >> 4) & 0x3F]
+                    | sp7[odd & 0x3F]
+                )
+            # The output is FP(R16 L16): right is the block's high half.
+            blocks.append(
+                fp0[right >> 24] | fp1[(right >> 16) & 0xFF] | fp2[(right >> 8) & 0xFF] | fp3[right & 0xFF]
+                | fp4[left >> 24] | fp5[(left >> 16) & 0xFF] | fp6[(left >> 8) & 0xFF] | fp7[left & 0xFF]
+            )
+        return struct.pack(f">{len(blocks)}Q", *blocks)
 
 
 #: Default key for the bank's DES core (the classic FIPS test key).

@@ -1,16 +1,32 @@
-"""Fixed-point FIR filter hardware function."""
+"""Fixed-point FIR filter hardware function.
+
+The filter is one exact integer convolution: the samples and the taps are
+packed into two Python integers, one 64-bit lane per value (Kronecker
+substitution), so a single big-integer multiply forms every output's
+multiply-accumulate at once.  The seed's direct-form model, one
+multiply-accumulate per tap and a saturation per sample, is
+``tests/oracles/dsp_reference.py``'s ``ReferenceFirFilter``;
+``tests/test_functions_dsp_misc.py`` holds the two equal under hypothesis,
+at the int16 rails and for any taps.
+"""
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.fpga.executor import CycleModel
 from repro.functions.base import FunctionSpec, HardwareFunction
 
+_LANE_BITS = 64
+#: Added to every sample so its lane is non-negative.
+_SAMPLE_BIAS = 1 << 15
+#: Added to every output lane so no lane borrows from the next.
+_LANE_BIAS = 1 << (_LANE_BITS - 1)
+
 
 class FirFilter:
-    """Direct-form FIR filter over signed 16-bit samples.
+    """FIR filter over signed 16-bit samples.
 
     The accumulator uses Q15 coefficient scaling (coefficients are integers
     interpreted as value/32768) and saturates the output to int16, which is
@@ -26,29 +42,49 @@ class FirFilter:
             if not -32768 <= coefficient <= 32767:
                 raise ValueError("coefficients must fit in int16 (Q15)")
         self.coefficients = list(coefficients)
+        # Twice each tap: a lane then holds 2 * accumulator, whose bits 16..47
+        # are accumulator >> 15.
+        self._taps = sum(2 * coefficient << (_LANE_BITS * tap) for tap, coefficient in enumerate(coefficients))
+        self._plans: Dict[int, Tuple[int, int, struct.Struct]] = {}
 
-    @staticmethod
-    def _saturate(value: int) -> int:
-        return max(-32768, min(32767, value))
+    def _plan(self, count: int) -> Tuple[int, int, struct.Struct]:
+        """``(bias, mask, lanes)`` for *count* samples, built once per count.
 
-    def filter_samples(self, samples: Sequence[int]) -> List[int]:
-        """Filter a sample vector (zero initial state)."""
-        out: List[int] = []
-        for index in range(len(samples)):
-            accumulator = 0
-            for tap, coefficient in enumerate(self.coefficients):
-                if index - tap >= 0:
-                    accumulator += coefficient * samples[index - tap]
-            out.append(self._saturate(accumulator >> 15))
-        return out
+        Lane n of ``packed * taps`` is ``2 * (acc_n + 32768 * C_n)``, where
+        ``acc_n`` is output n's accumulator and ``C_n`` the sum of the taps
+        that reach a sample (all of them once n passes the filter length).
+        *bias* turns every lane into ``2 * acc_n + 2**63``, which lies in
+        ``[0, 2**64)``, so the lanes do not carry into each other; *mask*
+        keeps the first *count* lanes; *lanes* reads bytes 2..5 of each lane
+        as a signed int32, which is ``acc_n >> 15``.
+        """
+        plan = self._plans.get(count)
+        if plan is None:
+            bias = 0
+            reached = 0
+            for lane in range(count):
+                if lane < len(self.coefficients):
+                    reached += self.coefficients[lane]
+                bias += (_LANE_BIAS - 2 * _SAMPLE_BIAS * reached) << (_LANE_BITS * lane)
+            mask = (1 << (_LANE_BITS * count)) - 1
+            plan = self._plans[count] = (bias, mask, struct.Struct("<" + "2xi2x" * count))
+        return plan
 
     def filter_bytes(self, data: bytes) -> bytes:
-        """Filter little-endian int16 samples packed in *data*."""
+        """Filter little-endian int16 samples packed in *data* (zero initial
+        state); an odd trailing byte is the low byte of a last sample."""
         padded = data + b"\x00" * (len(data) % self.SAMPLE_BYTES)
         count = len(padded) // self.SAMPLE_BYTES
-        samples = list(struct.unpack(f"<{count}h", padded)) if count else []
-        filtered = self.filter_samples(samples)
-        return struct.pack(f"<{len(filtered)}h", *filtered) if filtered else b""
+        if not count:
+            return b""
+        bias, mask, lanes = self._plan(count)
+        samples = struct.unpack(f"<{count}h", padded)
+        packed = int.from_bytes(struct.pack(f"<{count}Q", *map(_SAMPLE_BIAS.__add__, samples)), "little")
+        filtered = lanes.unpack(((packed * self._taps + bias) & mask).to_bytes(8 * count, "little"))
+        try:
+            return struct.pack(f"<{count}h", *filtered)
+        except struct.error:  # an output beyond int16: saturate
+            return struct.pack(f"<{count}h", *[-32768 if value < -32768 else 32767 if value > 32767 else value for value in filtered])
 
 
 #: A 16-tap symmetric low-pass filter (Q15), deterministic and non-trivial.

@@ -138,10 +138,11 @@ class BeladyPolicy(ReplacementPolicy):
     is farthest away.
 
     Clairvoyant but not optimal here.  Belady's rule is optimal for
-    equal-sized pages, but functions span different frame counts and
-    placement is contiguous, so evicting the farthest use can free the wrong
-    frames: on E3's round-robin trace random eviction beats it (0.7600 vs
-    0.7500 hit rate).
+    equal-sized pages, but functions span different frame counts: evicting
+    the farthest next use can free more frames than the newcomer needs, or
+    too few, so it takes a second victim.  Which functions stay resident
+    does not depend on where they are placed.  On E3's round-robin trace
+    random eviction beats it (0.7600 vs 0.7500 hit rate).
 
     Requires the future request sequence; falls back to LRU ordering when it
     is not provided (which is what a real controller would have to do).

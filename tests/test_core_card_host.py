@@ -2,6 +2,7 @@
 
 import collections
 import os
+import random
 import sys
 
 import pytest
@@ -277,6 +278,80 @@ class TestHostCallWork:
             "analysis": 2,
         }
         assert sum(per_pair.values()) == 2314
+
+
+class TestBehaviourWork:
+    """The bank's work counter: what one ``behaviour`` call of each of
+    ``card_reconfig_churn``'s 13 functions costs on a nominal-size payload
+    (seeded random bytes), as ``(Python frames entered under src/repro/,
+    builtin calls)``.  Builtin calls are ``sys.setprofile``'s ``c_call``
+    events: the calls into C that a model's Python makes, so a model that
+    falls back to a Python loop calling ``min``, ``max``, ``struct.pack`` or
+    ``list.append`` per sample or per bit shows here although it enters no
+    new frame.  Both counts are ``(work(2 calls) - work(1 call))`` after a
+    warm-up call, exact integers.  Comprehension frames are left out (Python
+    3.12 inlines them, PEP 709); no frame outside ``src/repro/`` is entered,
+    so every builtin call is the model's own.
+
+    At the seed's step-by-step models the five rewritten rows were ``des``
+    (56, 197: bit lists), ``sha1`` (453, 135: a rotate helper per round),
+    ``sha256`` (5, 103), ``fir16`` (131, 390: a ``_saturate`` frame and its
+    ``max``/``min`` per sample) and ``fft256`` (515, 2 829: two
+    ``struct.pack`` per output value).  ``aes128`` (a ``list.append`` per
+    round-key byte) and ``strmatch`` (a ``len`` per position) keep their
+    per-byte calls.
+    """
+
+    WORK = {
+        "aes128": (20, 148),
+        "des": (2, 5),
+        "sha1": (1, 2),
+        "sha256": (1, 2),
+        "modexp512": (2, 5),
+        "fir16": (3, 9),
+        "fft256": (2, 12),
+        "crc32": (2, 2),
+        "bitonic64": (2, 6),
+        "strmatch": (2, 255),
+        "parity32": (1, 4),
+        "adder8": (1, 1),
+        "popcount8": (1, 2),
+    }
+
+    @staticmethod
+    def _work(behaviour, payload, calls):
+        """``(frames under src/repro/, builtin calls, frames elsewhere)``
+        while *behaviour* runs on *payload* *calls* times."""
+        counts = collections.Counter()
+
+        def count(frame, event, _):
+            if event == "call" and frame.f_code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"):
+                counts["repro" if frame.f_code.co_filename.startswith(REPRO_ROOT) else "other"] += 1
+            elif event == "c_call":
+                counts["builtin"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for _ in range(calls):
+                behaviour(payload)
+        finally:
+            sys.setprofile(previous)
+        return counts["repro"], counts["builtin"], counts["other"]
+
+    def test_each_churn_function_call_is_its_pinned_work(self, default_bank):
+        work = {}
+        for function in default_bank:
+            if function.name == "matmul8":  # not in the churn bank
+                continue
+            payload = random.Random(function.function_id).randbytes(function.spec.input_bytes)
+            function.behaviour(payload)
+            once = self._work(function.behaviour, payload, 1)
+            twice = self._work(function.behaviour, payload, 2)
+            frames, builtins, elsewhere = (b - a for a, b in zip(once, twice))
+            assert elsewhere == 0, function.name
+            work[function.name] = (frames, builtins)
+        assert work == self.WORK
 
 
 class TestCardRegisterInterface:

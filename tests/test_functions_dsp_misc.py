@@ -41,23 +41,29 @@ def float_bits(values):
     return struct.pack(f"<{2 * len(values)}d", *[part for value in values for part in (value.real, value.imag)])
 
 
+def filter_samples(fir, samples):
+    """*fir*'s output for an int16 sample vector."""
+    output = fir.filter_bytes(struct.pack(f"<{len(samples)}h", *samples))
+    return list(struct.unpack(f"<{len(samples)}h", output))
+
+
 class TestFir:
     def test_impulse_response_recovers_coefficients(self):
         coefficients = [100, -200, 300, 50]
         fir = FirFilter(coefficients)
-        impulse = [1 << 15] + [0] * 7  # unit impulse in Q15
-        response = fir.filter_samples(impulse)
+        impulse = [-(1 << 15)] + [0] * 7  # unit impulse in Q15, negated
+        response = [-value for value in filter_samples(fir, impulse)]
         assert response[: len(coefficients)] == coefficients
         assert all(value == 0 for value in response[len(coefficients):])
 
     def test_saturation(self):
         fir = FirFilter([32767])
-        assert fir.filter_samples([32767]) == [32766]  # (32767*32767)>>15 stays within int16
+        assert filter_samples(fir, [32767]) == [32766]  # (32767*32767)>>15 stays within int16
         # Two max-magnitude taps overflow int16 and must clamp at the rails.
         fir_wide = FirFilter([32767, 32767])
-        assert fir_wide.filter_samples([32767, 32767])[1] == 32767
+        assert filter_samples(fir_wide, [32767, 32767])[1] == 32767
         fir_negative = FirFilter([-32768, -32768])
-        assert fir_negative.filter_samples([32767, 32767])[1] == -32768
+        assert filter_samples(fir_negative, [32767, 32767])[1] == -32768
 
     def test_bytes_interface_round_trip_length(self):
         function = FirFunction()
