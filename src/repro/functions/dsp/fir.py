@@ -13,7 +13,7 @@ at the int16 rails and for any taps.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 from repro.fpga.executor import CycleModel
 from repro.functions.base import FunctionSpec, HardwareFunction
@@ -41,34 +41,23 @@ class FirFilter:
         for coefficient in coefficients:
             if not -32768 <= coefficient <= 32767:
                 raise ValueError("coefficients must fit in int16 (Q15)")
-        self.coefficients = list(coefficients)
-        # Twice each tap: a lane then holds 2 * accumulator, whose bits 16..47
-        # are accumulator >> 15.
+        if len(coefficients) > 65535:
+            raise ValueError("at most 65 535 taps fit the convolution's 64-bit lanes")
+        # Twice each tap: a lane then holds 2 * acc, whose bits 16..47 are
+        # acc >> 15.
         self._taps = sum(2 * coefficient << (_LANE_BITS * tap) for tap, coefficient in enumerate(coefficients))
-        self._plans: Dict[int, Tuple[int, int, struct.Struct]] = {}
-
-    def _plan(self, count: int) -> Tuple[int, int, struct.Struct]:
-        """``(bias, mask, lanes)`` for *count* samples, built once per count.
-
-        Lane n of ``packed * taps`` is ``2 * (acc_n + 32768 * C_n)``, where
-        ``acc_n`` is output n's accumulator and ``C_n`` the sum of the taps
-        that reach a sample (all of them once n passes the filter length).
-        *bias* turns every lane into ``2 * acc_n + 2**63``, which lies in
-        ``[0, 2**64)``, so the lanes do not carry into each other; *mask*
-        keeps the first *count* lanes; *lanes* reads bytes 2..5 of each lane
-        as a signed int32, which is ``acc_n >> 15``.
-        """
-        plan = self._plans.get(count)
-        if plan is None:
-            bias = 0
-            reached = 0
-            for lane in range(count):
-                if lane < len(self.coefficients):
-                    reached += self.coefficients[lane]
-                bias += (_LANE_BIAS - 2 * _SAMPLE_BIAS * reached) << (_LANE_BITS * lane)
-            mask = (1 << (_LANE_BITS * count)) - 1
-            plan = self._plans[count] = (bias, mask, struct.Struct("<" + "2xi2x" * count))
-        return plan
+        # Lane n of packed samples * taps is 2 * acc_n + 2**16 * C_n, where
+        # C_n sums the taps that reach a sample (all of them from lane
+        # len - 1 on).  Adding 2**63 - 2**16 * C_n makes every lane
+        # 2 * acc_n + 2**63, inside [0, 2**64), so no lane borrows from or
+        # carries into the next: _lane_bias is that lane for the full sum,
+        # _head_bias the first lanes' difference from it.
+        total = sum(coefficients)
+        self._lane_bias = (_LANE_BIAS - 2 * _SAMPLE_BIAS * total).to_bytes(8, "little")
+        self._head_bias = sum(
+            2 * _SAMPLE_BIAS * (total - sum(coefficients[: lane + 1])) << (_LANE_BITS * lane)
+            for lane in range(len(coefficients) - 1)
+        )
 
     def filter_bytes(self, data: bytes) -> bytes:
         """Filter little-endian int16 samples packed in *data* (zero initial
@@ -77,10 +66,12 @@ class FirFilter:
         count = len(padded) // self.SAMPLE_BYTES
         if not count:
             return b""
-        bias, mask, lanes = self._plan(count)
         samples = struct.unpack(f"<{count}h", padded)
         packed = int.from_bytes(struct.pack(f"<{count}Q", *map(_SAMPLE_BIAS.__add__, samples)), "little")
-        filtered = lanes.unpack(((packed * self._taps + bias) & mask).to_bytes(8 * count, "little"))
+        bias = int.from_bytes(self._lane_bias * count, "little") + self._head_bias
+        lanes = (packed * self._taps + bias) & ((1 << (_LANE_BITS * count)) - 1)
+        # Bytes 2..5 of each lane, a signed 32-bit integer, are acc >> 15.
+        filtered = struct.unpack("<" + "2xi2x" * count, lanes.to_bytes(8 * count, "little"))
         try:
             return struct.pack(f"<{count}h", *filtered)
         except struct.error:  # an output beyond int16: saturate

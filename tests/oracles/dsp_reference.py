@@ -26,6 +26,10 @@ def _saturate(value: int) -> int:
 class ReferenceFirFilter(FirFilter):
     """``FirFilter`` with the seed's direct-form datapath."""
 
+    def __init__(self, coefficients: Sequence[int]) -> None:
+        super().__init__(coefficients)
+        self.coefficients = list(coefficients)
+
     def filter_samples(self, samples: Sequence[int]) -> List[int]:
         """Filter a sample vector (zero initial state)."""
         out: List[int] = []

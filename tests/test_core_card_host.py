@@ -308,7 +308,7 @@ class TestBehaviourWork:
         "sha1": (1, 2),
         "sha256": (1, 2),
         "modexp512": (2, 5),
-        "fir16": (3, 9),
+        "fir16": (2, 9),
         "fft256": (2, 12),
         "crc32": (2, 2),
         "bitonic64": (2, 6),

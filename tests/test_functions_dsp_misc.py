@@ -76,6 +76,8 @@ class TestFir:
             FirFilter([])
         with pytest.raises(ValueError):
             FirFilter([40000])
+        with pytest.raises(ValueError):
+            FirFilter([1] * 65536)
 
     @given(int16_payloads(256))
     @example(RAIL_PAYLOADS[0])
