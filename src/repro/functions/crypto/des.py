@@ -13,6 +13,7 @@ and the co-processor swaps between them on demand.
 
 from __future__ import annotations
 
+import functools
 import struct
 from array import array
 from typing import List, Sequence, Tuple
@@ -150,9 +151,11 @@ def _sp_tables() -> List[List[int]]:
     return tables
 
 
-_IP_TABLES = _byte_tables(_IP)
-_FP_TABLES = _byte_tables(_FP)
-_SP = _sp_tables()
+@functools.lru_cache(maxsize=None)
+def _tables() -> Tuple[List[array], List[array], List[List[int]]]:
+    """The IP, FP and SP tables, built by the first ``Des`` (about a
+    millisecond), so a process whose bank has no DES never holds them."""
+    return _byte_tables(_IP), _byte_tables(_FP), _sp_tables()
 
 
 class Des:
@@ -171,6 +174,7 @@ class Des:
         if len(key) != 8:
             raise ValueError("DES needs an 8-byte key")
         self._subkeys = self._key_schedule(key)
+        self._ip, self._fp, self._sp = _tables()
 
     @staticmethod
     def _key_schedule(key: bytes) -> List[Tuple[int, int]]:
@@ -193,9 +197,9 @@ class Des:
     def encrypt_ecb(self, data: bytes) -> bytes:
         """Encrypt *data* block by block; the last block is zero-padded."""
         padded = data + b"\x00" * ((-len(data)) % self.BLOCK_BYTES)
-        ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TABLES
-        fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_TABLES
-        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
+        ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = self._ip
+        fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = self._fp
+        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = self._sp
         subkeys = self._subkeys
         blocks = []
         # zip over one iterator eight times: the block's eight bytes.
