@@ -34,8 +34,6 @@ class CoprocessorConfig:
     codec_name: str = "lz77"
     compression_window_bytes: int = 1024
     overlap_decompress: bool = False
-    decompress_cycles_per_byte: float = 2.0
-    rom_chunk_bytes: int = 512
 
     # --- microcontroller / mini OS ------------------------------------------
     mcu_clock_hz: float = 66e6

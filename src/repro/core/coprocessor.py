@@ -58,8 +58,6 @@ class AgileCoprocessor:
             self.device,
             self.clock,
             mcu_clock_hz=config.mcu_clock_hz,
-            decompress_cycles_per_byte=config.decompress_cycles_per_byte,
-            rom_chunk_bytes=config.rom_chunk_bytes,
             overlap_decompress=config.overlap_decompress,
             trace=self.trace,
         )

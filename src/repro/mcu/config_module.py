@@ -7,9 +7,9 @@ A reconfiguration has three timed phases, and each is one advance of the
 shared clock:
 
 1. **ROM fetch** — the compressed image is read from the ROM in
-   ``rom_chunk_bytes`` bursts (:meth:`ConfigurationRom.read`).
+   :data:`ROM_CHUNK_BYTES` bursts (:meth:`ConfigurationRom.read`).
 2. **Decompress** — window by window on the microcontroller clock; a window
-   costs ``decompress_cycles_per_byte`` cycles per byte of the mean of its
+   costs :data:`DECOMPRESS_CYCLES_PER_BYTE` cycles per byte of the mean of its
    compressed and raw lengths, rounded to whole nanoseconds per window.
 3. **Port** — the frame payloads go through the configuration port in one
    CRC-checked transfer (:meth:`ConfigurationPort.configure`).
@@ -38,6 +38,13 @@ from repro.memory.rom import ConfigurationRom
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
 
+#: Microcontroller cycles a window costs per byte of the mean of its
+#: compressed and raw lengths.
+DECOMPRESS_CYCLES_PER_BYTE = 2.0
+
+#: Bytes per ROM burst when the module fetches a compressed image.
+ROM_CHUNK_BYTES = 512
+
 
 @dataclass
 class ReconfigurationReport:
@@ -64,21 +71,13 @@ class ConfigurationModule:
         device: FPGADevice,
         clock: Clock,
         mcu_clock_hz: float = 66e6,
-        decompress_cycles_per_byte: float = 4.0,
-        rom_chunk_bytes: int = 512,
         overlap_decompress: bool = False,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
-        if decompress_cycles_per_byte <= 0:
-            raise ValueError("decompression must cost at least some cycles per byte")
-        if rom_chunk_bytes <= 0:
-            raise ValueError("ROM chunk size must be positive")
         self.rom = rom
         self.device = device
         self.clock = clock
         self.domain = ClockDomain("mcu-config", mcu_clock_hz)
-        self.decompress_cycles_per_byte = decompress_cycles_per_byte
-        self.rom_chunk_bytes = rom_chunk_bytes
         self.overlap_decompress = overlap_decompress
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         # blob -> parsed CompressedImage; repeated reconfigurations of the
@@ -115,7 +114,7 @@ class ConfigurationModule:
     def _window_time_ns(self, compressed_bytes: int, raw_bytes: int) -> int:
         """MCU time to turn one window between its compressed and raw forms:
         the cost covers reading the one and producing the other."""
-        cycles = self.decompress_cycles_per_byte * (compressed_bytes + raw_bytes) / 2.0
+        cycles = DECOMPRESS_CYCLES_PER_BYTE * (compressed_bytes + raw_bytes) / 2.0
         return self.domain.cycles_to_ns(cycles)
 
     # ------------------------------------------------------------- transfer
@@ -212,7 +211,7 @@ class ConfigurationModule:
     ) -> ReconfigurationReport:
         """Full on-demand reconfiguration path: ROM → decompress → config port."""
         started = self.clock.now
-        blob = self.rom.read_bitstream(name, chunk_bytes=self.rom_chunk_bytes)
+        blob = self.rom.read_bitstream(name, chunk_bytes=ROM_CHUNK_BYTES)
         return self._apply_image(name, self._image(blob), started, region, executor)
 
     def _apply_image(

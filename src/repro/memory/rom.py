@@ -147,7 +147,7 @@ class ConfigurationRom:
     def read_bitstream(self, name: str, chunk_bytes: Optional[int] = None) -> bytes:
         """Timed read of *name*'s compressed bit-stream (see :meth:`read`).
 
-        The configuration module reads the image in ``rom_chunk_bytes``
+        The configuration module reads the image in ``ROM_CHUNK_BYTES``
         bursts; ``chunk_bytes=None`` models one burst.
         """
         record = self.record_for(name)

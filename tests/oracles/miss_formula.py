@@ -9,8 +9,8 @@ simulator (``tests/test_miss_formula.py``).
 
 A cold reconfiguration (ROM → decompress → configuration port):
 
-    rom        = Σ over ROM bursts b   round(100 + |b| / 0.05)             bursts of rom_chunk_bytes
-    decompress = Σ over windows w      mcu(cpb · (|compressed_w| + |raw_w|) / 2)
+    rom        = Σ over ROM bursts b   round(100 + |b| / 0.05)             bursts of ROM_CHUNK_BYTES
+    decompress = Σ over windows w      mcu(cpb · (|compressed_w| + |raw_w|) / 2)   cpb = DECOMPRESS_CYCLES_PER_BYTE
     port       = Σ over frames f       cfg(12 + ⌈|f| / port width⌉)
                + cfg(4 · max(1, frames))                                   the closing CRC check
 
@@ -37,6 +37,7 @@ from repro.bitstream.format import parse_bitstream
 from repro.bitstream.window import CompressedImage, WindowedDecompressor
 from repro.fpga.config_port import CONFIG_CLOCK_HZ, CONFIG_PORT_WIDTH_BYTES
 from repro.fpga.device import FABRIC_CLOCK_HZ
+from repro.mcu.config_module import DECOMPRESS_CYCLES_PER_BYTE, ROM_CHUNK_BYTES
 
 #: Programmed I/O up to this many bytes; DMA above it.
 PIO_THRESHOLD_BYTES = 64
@@ -90,10 +91,10 @@ def miss_terms(config, blob: bytes) -> MissTerms:
     image = CompressedImage.from_bytes(blob)
     raw_windows = list(WindowedDecompressor(image).windows())
     frames = parse_bitstream(b"".join(raw_windows)).frames
-    chunk = config.rom_chunk_bytes
+    chunk = ROM_CHUNK_BYTES
     rom = sum(rom_ns(min(chunk, len(blob) - offset)) for offset in range(0, len(blob), chunk))
     decompress = sum(
-        _ns(config.decompress_cycles_per_byte * (len(compressed) + len(raw)) / 2.0, config.mcu_clock_hz)
+        _ns(DECOMPRESS_CYCLES_PER_BYTE * (len(compressed) + len(raw)) / 2.0, config.mcu_clock_hz)
         for compressed, raw in zip(image.windows, raw_windows)
     )
     port = sum(

@@ -11,6 +11,7 @@ from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.device import FPGADevice
 from repro.fpga.placer import Placer
 from repro.functions.misc.logic import AdderFunction
+from repro.mcu import config_module
 from repro.mcu.commands import STATUS_BAD_COMMAND, CommandKind
 from repro.mcu.config_module import ConfigurationModule
 from repro.memory.rom import ConfigurationRom
@@ -82,29 +83,22 @@ class TestConfigurationModule:
         assert cold_sha1_preload(False) == (207_092, 207_092)
         assert cold_sha1_preload(True) == (136_970, 136_970)
 
-    def test_decompression_cost_scales_with_cycles_per_byte(self, tiny_geometry):
+    def test_decompression_cost_scales_with_cycles_per_byte(self, tiny_geometry, monkeypatch):
         _, _, _, cheap_module, function, region = _configured_system(tiny_geometry)
-        cheap_module.decompress_cycles_per_byte = 1.0
+        monkeypatch.setattr(config_module, "DECOMPRESS_CYCLES_PER_BYTE", 1.0)
         cheap = cheap_module.reconfigure(function.name, region, function.executor(tiny_geometry))
         _, _, _, costly_module, function2, region2 = _configured_system(tiny_geometry)
-        costly_module.decompress_cycles_per_byte = 16.0
+        monkeypatch.setattr(config_module, "DECOMPRESS_CYCLES_PER_BYTE", 16.0)
         costly = costly_module.reconfigure(function2.name, region2, function2.executor(tiny_geometry))
         assert costly.total_time_ns > cheap.total_time_ns
 
-    def test_fetch_reads_in_chunks(self, tiny_geometry):
+    def test_fetch_reads_in_chunks(self, tiny_geometry, monkeypatch):
         _, rom, _, module, function, region = _configured_system(tiny_geometry)
-        module.rom_chunk_bytes = 64
+        monkeypatch.setattr(config_module, "ROM_CHUNK_BYTES", 64)
         report = module.reconfigure(function.name, region, function.executor(tiny_geometry))
         size = rom.record_for(function.name).compressed_size
         assert rom.total_reads == -(-size // 64) > 1
         assert report.rom_time_ns > ROM_TIMING.transfer_time_ns(size)
-
-    def test_invalid_construction(self, tiny_geometry):
-        clock, rom, device, _, _, _ = _configured_system(tiny_geometry)
-        with pytest.raises(ValueError):
-            ConfigurationModule(rom, device, clock, decompress_cycles_per_byte=0)
-        with pytest.raises(ValueError):
-            ConfigurationModule(rom, device, clock, rom_chunk_bytes=0)
 
 
 class TestDataModules:

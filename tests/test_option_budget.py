@@ -566,8 +566,6 @@ KEPT_CONFIG_FIELDS = {
         "lut_inputs": "a FabricGeometry parameter: the LUT's input count",
         "switch_bytes_per_clb": "a FabricGeometry parameter: configuration bytes per switch box",
         "compression_window_bytes": "the ROM images' and migration blobs' compression window",
-        "decompress_cycles_per_byte": "the configuration module's decompression cost",
-        "rom_chunk_bytes": "the configuration module's ROM burst size",
         "mcu_clock_hz": "the microcontroller's clock",
         "command_decode_cycles": "the microcontroller's command decode cost",
         "pci_clock_hz": "the PCI bus clock",
