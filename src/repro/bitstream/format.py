@@ -169,10 +169,8 @@ class Bitstream:
     # ------------------------------------------------------------ properties
     @property
     def payload_crc(self) -> int:
-        value = 0
-        for payload in self.frames:
-            value = crc32(payload, value)
-        return value
+        """CRC-32 over every frame payload in slot order."""
+        return crc32(b"".join(self.frames))
 
     @property
     def raw_size(self) -> int:

@@ -84,7 +84,7 @@ class Scrubber:
         owner = self.memory.owner_of(address)
         # Repair through the frame-write path (refreshes the check word) and
         # charge the configuration port's write time for the frame.
-        self.memory.write_frame(address, golden, owner=owner)
+        self.memory.write_region((address,), (golden,), owner=owner)
         self.clock.advance(self.device.port.write_time_ns(len(golden)))
         if frame.crc_ok and frame.to_config_bytes() == golden:
             self.stats.corrected += 1

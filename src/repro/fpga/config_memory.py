@@ -1,8 +1,11 @@
 """Configuration memory: the frame-addressable state behind the config port.
 
 The configuration memory owns the :class:`~repro.fpga.frame.FrameArray` and
-provides frame-granular write/readback with ownership bookkeeping so partial
-reconfiguration of one region never disturbs another.
+provides region-wide write, erase and readback with ownership bookkeeping,
+so partial reconfiguration of one region never disturbs another.  A write
+or an erase is one loop over the region's frames: an address is valid when
+the frame and owner dicts hold it (every address the geometry hands out is
+one of the dicts' own key objects, so a lookup hits by identity).
 
 Ownership is one map, frame address -> owning function, in raster order.
 The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
@@ -11,10 +14,10 @@ The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
-from repro.fpga.frame import Frame, FrameArray, FrameRegion
+from repro.fpga.frame import FrameArray, FrameRegion, no_such_frame
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 
 
@@ -30,9 +33,12 @@ class ConfigurationMemory:
         self._owners: Dict[FrameAddress, Optional[str]] = dict.fromkeys(geometry.all_frames())
 
     # ------------------------------------------------------------ ownership
+    # An address the owner map lacks is off the fabric; geometry.validate
+    # raises the error that says so.
     def owner_of(self, address: FrameAddress) -> Optional[str]:
         """Function currently owning *address*, or ``None`` when free."""
-        self.geometry.validate(address)
+        if address not in self._owners:
+            self.geometry.validate(address)
         return self._owners[address]
 
     def configured_frames(self) -> List[FrameAddress]:
@@ -60,7 +66,8 @@ class ConfigurationMemory:
         conflicting_owner: Optional[str] = None
         conflicts: List[FrameAddress] = []
         for address in region:
-            self.geometry.validate(address)
+            if address not in owners:
+                self.geometry.validate(address)
             current = owners[address]
             if current is None or current == owner:
                 continue
@@ -82,9 +89,11 @@ class ConfigurationMemory:
                     raise ConfigurationError(
                         f"cannot release {address}: owned by {current!r}, not {owner!r}"
                     )
+        owners = self._owners
         for address in region:
-            self.geometry.validate(address)
-            self._owners[address] = None
+            if address not in owners:
+                self.geometry.validate(address)
+            owners[address] = None
 
     def owners(self) -> Dict[str, List[FrameAddress]]:
         """Map of function name -> frames it currently owns.
@@ -99,29 +108,45 @@ class ConfigurationMemory:
         return result
 
     # --------------------------------------------------------------- writes
-    def write_frame(self, address: FrameAddress, data: bytes, owner: Optional[str] = None) -> Frame:
-        """Write one frame's configuration bytes.
+    def write_region(
+        self,
+        addresses: Iterable[FrameAddress],
+        payloads: Sequence[bytes],
+        owner: Optional[str] = None,
+    ) -> List[FrameAddress]:
+        """Write each payload into its address, in order; returns the
+        addresses written.
 
-        When *owner* is given the frame must be free or already owned by that
-        function (this is how partial reconfiguration guarantees isolation).
+        When *owner* is given every frame must be free or already owned by
+        that function (this is how partial reconfiguration guarantees
+        isolation): the first foreign frame erases the frames this call
+        wrote and raises :class:`FrameCollisionError`, leaving the frames it
+        never reached untouched.
         """
-        frame = self.frames[address]
-        current = self._owners[address]
-        if owner is not None and current is not None and current != owner:
-            raise FrameCollisionError([address], current)
-        frame.load_config_bytes(data)
-        if owner is not None:
-            self._owners[address] = owner
-        return frame
+        frames = self.frames.by_address
+        owners = self._owners
+        written: List[FrameAddress] = []
+        for address, payload in zip(addresses, payloads):
+            if address not in frames:
+                raise no_such_frame(address)
+            current = owners[address]
+            if owner is not None and current is not None and current != owner:
+                self.clear_region(written)
+                raise FrameCollisionError([address], current)
+            frames[address].load_config_bytes(payload)
+            if owner is not None:
+                owners[address] = owner
+            written.append(address)
+        return written
 
-    def clear_frame(self, address: FrameAddress) -> None:
-        """Erase one frame and drop its ownership."""
-        self.frames[address].clear()
-        self._owners[address] = None
-
-    def clear_region(self, region: FrameRegion) -> None:
-        for address in region:
-            self.clear_frame(address)
+    def clear_region(self, addresses: Iterable[FrameAddress]) -> None:
+        """Erase each frame of *addresses* and drop its ownership."""
+        frames = self.frames.by_address
+        for address in addresses:
+            if address not in frames:
+                raise no_such_frame(address)
+            frames[address].clear()
+            self._owners[address] = None
 
     # ------------------------------------------------------------ fault model
     def corrupt_bit(self, address: FrameAddress, bit_index: int, bits: int = 1) -> bool:
@@ -143,8 +168,10 @@ class ConfigurationMemory:
         """Configuration readback of a single frame."""
         return self.frames[address].to_config_bytes()
 
-    def read_region(self, region: FrameRegion) -> List[bytes]:
-        return [self.read_frame(address) for address in region]
+    def read_region(self, addresses: Iterable[FrameAddress]) -> List[bytes]:
+        """Configuration readback of each frame of *addresses*, in order."""
+        frames = self.frames
+        return [frames[address].to_config_bytes() for address in addresses]
 
     # ------------------------------------------------------------ statistics
     def utilisation(self) -> float:

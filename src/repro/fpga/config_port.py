@@ -5,6 +5,13 @@ every frame payload through it, each write costing a fixed setup plus the
 payload size divided by the port width at the configuration clock frequency,
 and closes with a CRC check over the payloads before the device commits the
 new configuration.  A transfer is one call, and one advance of the clock.
+
+The port works per transfer, not per frame.  Each frame's write time is
+rounded on its own, and equal lengths round equally, so a transfer's write
+time is one product per distinct payload length; every frame of a geometry
+has the same length.  The CRC of the payloads chained frame by frame is the
+CRC of their concatenation, so a transfer takes one CRC.  The memory writes
+the region in one loop (:meth:`ConfigurationMemory.write_region`).
 """
 
 from __future__ import annotations
@@ -70,11 +77,19 @@ class ConfigurationPort:
         cycles = FRAME_SETUP_CYCLES + -(-payload_bytes // CONFIG_PORT_WIDTH_BYTES)
         return self.domain.cycles_to_ns(cycles)
 
+    def frames_time_ns(self, payloads: Sequence[bytes]) -> int:
+        """Σ :meth:`write_time_ns` over *payloads*: one product per distinct
+        payload length."""
+        lengths = [len(payload) for payload in payloads]
+        total = 0
+        for length in set(lengths):
+            total += self.write_time_ns(length) * lengths.count(length)
+        return total
+
     def transfer_time_ns(self, payloads: Sequence[bytes]) -> int:
         """Port time of one transfer of *payloads*: every frame's write plus
         the closing CRC check (at least one frame's worth)."""
-        writes = sum(self.write_time_ns(len(payload)) for payload in payloads)
-        return writes + self.domain.cycles_to_ns(
+        return self.frames_time_ns(payloads) + self.domain.cycles_to_ns(
             CRC_CHECK_CYCLES_PER_FRAME * max(1, len(payloads))
         )
 
@@ -125,20 +140,12 @@ class ConfigurationPort:
         self.stats.bytes_written += sum(map(len, payloads))
         self.stats.busy_time_ns += elapsed
         self.clock.advance(elapsed)
-        written = []
-        computed = 0
-        try:
-            for address, payload in zip(addresses, payloads):
-                self.memory.write_frame(address, payload, owner=owner)
-                written.append(address)
-                computed = crc32(payload, computed)
-            if computed != expected_crc:
-                raise ConfigurationError(
-                    f"bit-stream CRC mismatch for {owner!r}: "
-                    f"expected 0x{expected_crc:08x}, computed 0x{computed:08x}"
-                )
-        except ConfigurationError:
-            for address in written:
-                self.memory.clear_frame(address)
-            raise
+        written = self.memory.write_region(addresses, payloads, owner=owner)
+        computed = crc32(b"".join(payloads[: len(written)]))
+        if computed != expected_crc:
+            self.memory.clear_region(written)
+            raise ConfigurationError(
+                f"bit-stream CRC mismatch for {owner!r}: "
+                f"expected 0x{expected_crc:08x}, computed 0x{computed:08x}"
+            )
         return elapsed

@@ -109,7 +109,7 @@ class FPGADevice:
             lut_count=header.lut_count,
         )
         if self.golden is not None:
-            self.golden.capture(region, [self.memory.read_frame(a) for a in region])
+            self.golden.capture(region, self.memory.read_region(region))
 
     def configure_partial(
         self,
@@ -199,8 +199,8 @@ class FPGADevice:
     def _timed_readback(self, region: FrameRegion) -> List[bytes]:
         """Read *region*'s frames back, each charged at the configuration
         port's transfer rate (SelectMAP-style readback runs at write speed)."""
-        payloads = [self.memory.read_frame(address) for address in region]
-        self.clock.advance(sum(self.port.write_time_ns(len(payload)) for payload in payloads))
+        payloads = self.memory.read_region(region)
+        self.clock.advance(self.port.frames_time_ns(payloads))
         return payloads
 
     def capture_function(self, name: str) -> Bitstream:
@@ -269,9 +269,7 @@ class FPGADevice:
         payloads = self._timed_readback(old_region)
         from repro.bitstream.crc import crc32
 
-        expected = 0
-        for payload in payloads:
-            expected = crc32(payload, expected)
+        expected = crc32(b"".join(payloads))
         try:
             self.port.configure(name, new_region, payloads, expected)
         except ConfigurationError:
@@ -279,12 +277,10 @@ class FPGADevice:
             # payloads just written and the wedge check ran up front), but a
             # relocation must never leave the function half-moved: restore
             # the old region's contents and ownership before re-raising.
-            for address, payload in zip(old_region, payloads):
-                self.memory.write_frame(address, payload, owner=name)
+            self.memory.write_region(old_region, payloads, owner=name)
             raise
         stale = [address for address in old_region if address not in new_set]
-        for address in stale:
-            self.memory.clear_frame(address)
+        self.memory.clear_region(stale)
         loaded.region = new_region
         if self.golden is not None:
             if stale:

@@ -19,11 +19,11 @@ configuration memories.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bitstream.crc import crc32
 from repro.fpga.clb import ConfigurableLogicBlock
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 
@@ -63,7 +63,7 @@ def _frame_layout(geometry: FabricGeometry) -> Tuple[int, bytes, int]:
     length = geometry.frame_config_bytes
     kept = encode_clbs(decode_clbs(geometry, b"\xff" * length))
     erased = bytes(length)
-    return int.from_bytes(kept, "little"), erased, crc32(erased)
+    return int.from_bytes(kept, "little"), erased, zlib.crc32(erased)
 
 
 class Frame:
@@ -111,7 +111,7 @@ class Frame:
         # a non-canonical write reads back differently and is treated as
         # corrupt by the scrubber, which then restores the canonical golden
         # image — the conservative direction.
-        self.stored_crc = crc32(data)
+        self.stored_crc = zlib.crc32(data)
         value = int.from_bytes(data, "little")
         canonical = value & self._mask
         if canonical == value:
@@ -127,7 +127,7 @@ class Frame:
         """Does the live configuration still match its stored check word?"""
         current = self._crc
         if current is None:
-            current = self._crc = crc32(self._data)
+            current = self._crc = zlib.crc32(self._data)
         return current == self.stored_crc
 
     def inject_upset(self, bit_index: int, bits: int = 1) -> bool:
@@ -184,26 +184,33 @@ class FrameRegion:
         return address in self.addresses
 
 
+def no_such_frame(address: FrameAddress) -> IndexError:
+    """The error for an address the fabric's frame array does not hold."""
+    return IndexError(f"{address} does not exist on this fabric")
+
+
 class FrameArray:
     """The full set of frames on a device, indexed by address."""
 
     def __init__(self, geometry: FabricGeometry) -> None:
         self.geometry = geometry
-        self._frames: Dict[FrameAddress, Frame] = {
+        #: Address -> frame, keyed by the geometry's own address objects in
+        #: raster order; the configuration memory's region loops read it.
+        self.by_address: Dict[FrameAddress, Frame] = {
             address: Frame(geometry, address) for address in geometry.all_frames()
         }
 
     def __getitem__(self, address: FrameAddress) -> Frame:
         try:
-            return self._frames[address]
+            return self.by_address[address]
         except KeyError:
-            raise IndexError(f"{address} does not exist on this fabric") from None
+            raise no_such_frame(address) from None
 
     def __iter__(self) -> Iterator[Frame]:
-        return iter(self._frames.values())
+        return iter(self.by_address.values())
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self.by_address)
 
     def region(self, region: FrameRegion) -> List[Frame]:
         """The frame objects of a region, in region order."""

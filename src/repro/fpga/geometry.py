@@ -10,13 +10,16 @@ of allocation in the mini OS's free frame list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List
+from functools import cached_property, lru_cache
+from typing import List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class FrameAddress:
-    """Address of one frame: (column, tile) with a flat ``index`` view."""
+class FrameAddress(NamedTuple):
+    """Address of one frame: (column, tile) with a flat ``index`` view.
+
+    A named tuple, so addresses hash, compare and sort in C; the order is
+    lexicographic ``(column, tile)``, which on a fabric is raster order.
+    """
 
     column: int
     tile: int
@@ -73,12 +76,15 @@ class FabricGeometry:
             raise ValueError("switch bytes cannot be negative")
 
     # -------------------------------------------------------------- derived
-    @property
+    # The sizes read on every load or frame write are computed once per
+    # instance: cached_property writes the instance dict directly, which a
+    # frozen dataclass allows, and stays out of eq/hash/repr.
+    @cached_property
     def tiles_per_column(self) -> int:
         """Frames stacked in one column."""
         return self.rows // self.clb_rows_per_frame
 
-    @property
+    @cached_property
     def frame_count(self) -> int:
         """Total number of frames on the device."""
         return self.columns * self.tiles_per_column
@@ -92,9 +98,6 @@ class FabricGeometry:
     def luts_per_frame(self) -> int:
         return self.clbs_per_frame * self.luts_per_clb
 
-    # The three byte sizes below are read on every frame write, so each is
-    # computed once per instance: cached_property writes the instance dict
-    # directly, which a frozen dataclass allows, and stays out of eq/hash/repr.
     @cached_property
     def lut_truth_table_bytes(self) -> int:
         """Bytes needed to store one LUT truth table (2**inputs bits)."""
@@ -122,11 +125,7 @@ class FabricGeometry:
     # ----------------------------------------------------------- addressing
     def all_frames(self) -> List[FrameAddress]:
         """Every frame address in raster (column-major) order."""
-        return [
-            FrameAddress(column, tile)
-            for column in range(self.columns)
-            for tile in range(self.tiles_per_column)
-        ]
+        return list(_raster(self))
 
     def frame_at(self, flat_index: int) -> FrameAddress:
         """Inverse of :meth:`FrameAddress.flat_index`."""
@@ -134,8 +133,7 @@ class FabricGeometry:
             raise IndexError(
                 f"frame index {flat_index} out of range 0..{self.frame_count - 1}"
             )
-        column, tile = divmod(flat_index, self.tiles_per_column)
-        return FrameAddress(column, tile)
+        return _raster(self)[flat_index]
 
     def validate(self, address: FrameAddress) -> FrameAddress:
         """Check that *address* exists on this fabric; returns it unchanged."""
@@ -156,6 +154,20 @@ class FabricGeometry:
             f"{self.clbs_per_frame} CLBs ({self.frame_config_bytes} config bytes/frame, "
             f"{self.device_config_bytes} bytes full device)"
         )
+
+
+@lru_cache(maxsize=64)
+def _raster(geometry: FabricGeometry) -> Tuple[FrameAddress, ...]:
+    """The one set of address objects of *geometry*, in raster order.
+
+    Every address the geometry hands out is one of these, so a dict keyed by
+    them (the configuration memory's) finds each key by identity.
+    """
+    return tuple(
+        FrameAddress(column, tile)
+        for column in range(geometry.columns)
+        for tile in range(geometry.tiles_per_column)
+    )
 
 
 #: A small fabric convenient for unit tests (64 frames, 1 KiB frames).

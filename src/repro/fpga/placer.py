@@ -83,9 +83,8 @@ class Placer:
             raise PlacementError(
                 f"need {frames_needed} free frames but only {len(free_frames)} are available"
             )
-        ordered = sorted(
-            free_frames, key=lambda address: address.flat_index(self.geometry.tiles_per_column)
-        )
+        # Lexicographic (column, tile) order is raster order.
+        ordered = sorted(free_frames)
         if self.strategy is PlacementStrategy.SCATTER:
             return ordered[:frames_needed]
         run = self._find_contiguous_run(ordered, frames_needed)
@@ -106,7 +105,7 @@ class Placer:
         run: List[FrameAddress] = []
         previous_index: Optional[int] = None
         for address in ordered:
-            index = address.flat_index(tiles)
+            index = address.column * tiles + address.tile
             if previous_index is not None and index == previous_index + 1:
                 run.append(address)
             else:
@@ -148,7 +147,7 @@ class Placer:
         tiles = self.geometry.tiles_per_column
         longest = current = 0
         previous = -2
-        for index in sorted([address.flat_index(tiles) for address in free_frames]):
+        for index in sorted([address.column * tiles + address.tile for address in free_frames]):
             current = current + 1 if index == previous + 1 else 1
             longest = max(longest, current)
             previous = index

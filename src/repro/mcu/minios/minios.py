@@ -86,10 +86,8 @@ class MiniOs:
     def free_frames(self) -> List[FrameAddress]:
         """The Free Frame List: frames no resident function holds, in raster
         order."""
-        # Keyed by (column, tile): a tuple hashes in C, while a FrameAddress
-        # hashes through its generated Python __hash__.
-        held = {(address.column, address.tile) for entry in self.table for address in entry.region}
-        return [address for address in self._frames if (address.column, address.tile) not in held]
+        held = {address for entry in self.table for address in entry.region}
+        return [address for address in self._frames if address not in held]
 
     @property
     def free_count(self) -> int:

@@ -64,11 +64,8 @@ class ClockDomain:
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0:
             raise ValueError(f"clock domain {self.name!r} needs a positive frequency")
-
-    @property
-    def period_ns(self) -> float:
-        """Length of one cycle in nanoseconds."""
-        return 1e9 / self.frequency_hz
+        #: Length of one cycle in nanoseconds.
+        self.period_ns = 1e9 / self.frequency_hz
 
     def cycles_to_ns(self, cycles: float) -> int:
         """Convert a cycle count in this domain to whole nanoseconds."""

@@ -51,7 +51,7 @@ class TestIndexConsistency:
                     memory.release(region)
                 elif op == 2:
                     for address in region:
-                        memory.write_frame(address, payload, owner=owner)
+                        memory.write_region([address], [payload], owner=owner)
                 else:
                     memory.clear_region(region)
             except (FrameCollisionError, ConfigurationError):
@@ -78,17 +78,17 @@ class TestIndexConsistency:
         # the frame must drop that cache so the next readback is all-zero.
         address = TEST_GEOMETRY.frame_at(2)
         payload = bytes([0x41] * TEST_GEOMETRY.frame_config_bytes)
-        memory.write_frame(address, payload, owner="aes")
+        memory.write_region([address], [payload], owner="aes")
         cached = memory.read_frame(address)
         assert cached.count(0) < len(cached)
-        memory.clear_frame(address)
+        memory.clear_region([address])
         assert memory.read_frame(address) == bytes(TEST_GEOMETRY.frame_config_bytes)
         assert memory.frames[address].is_clear
 
     def test_clear_device_resets_everything(self, memory):
         payload = bytes([1] * TEST_GEOMETRY.frame_config_bytes)
         for address in _region([1, 2, 3]):
-            memory.write_frame(address, payload, owner="aes")
+            memory.write_region([address], [payload], owner="aes")
         memory.claim(_region([10]), "sha1")  # owned but never written
         memory.clear_region(_region(range(TEST_GEOMETRY.frame_count)))
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
@@ -132,8 +132,7 @@ class TestWriteFrame:
             bytes([index + 1] * TEST_GEOMETRY.frame_config_bytes) for index in range(3)
         ]
         region = _region([8, 5, 11])
-        for address, payload in zip(region, payloads):
-            memory.write_frame(address, payload, owner="fir")
+        assert memory.write_region(region, payloads, owner="fir") == list(region)
         # Readback preserves region order and returns the bytes written.
         assert memory.read_region(region) == payloads
         assert memory.owners()["fir"] == sorted(
@@ -144,9 +143,9 @@ class TestWriteFrame:
         address = TEST_GEOMETRY.frame_at(5)
         memory.claim(_region([5]), "aes")
         with pytest.raises(FrameCollisionError):
-            memory.write_frame(address, bytes([9] * TEST_GEOMETRY.frame_config_bytes), owner="fir")
+            memory.write_region([address], [bytes([9] * TEST_GEOMETRY.frame_config_bytes)], owner="fir")
         with pytest.raises(ValueError):
-            memory.write_frame(TEST_GEOMETRY.frame_at(4), b"\x00", owner="fir")
+            memory.write_region([TEST_GEOMETRY.frame_at(4)], [b"\x00"], owner="fir")
         assert memory.frames[address].is_clear
         assert memory.owner_of(address) == "aes"
         assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) is None

@@ -155,7 +155,7 @@ class TestHostCallWork:
             by_package[code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]] += frames
         return by_package
 
-    def test_a_resident_hit_enters_122_frames(self, small_bank):
+    def test_a_resident_hit_enters_116_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
         ``src/repro/`` per resident hit through :meth:`HostDriver.call`
         (``crc32`` on 16 bytes, ``SMALL_CONFIG``), by package —
@@ -182,15 +182,19 @@ class TestHostCallWork:
           ``plan_load``, ``touch`` and the replacement table's
           ``__contains__``, ``entry``, ``touch`` and the entry's ``touch``);
           ``LocalRam.access_ns`` and ``MemoryTiming.transfer_time_ns`` once
-          per buffer (``memory`` 4); the fabric run (``fpga`` 5); ``by_id``,
+          per buffer (``memory`` 4); the fabric run (``fpga`` 3: ``execute``,
+          the executor's ``run`` and ``cycles_for``); ``by_id``,
           two ``name``, the bank's second ``__contains__`` and ``by_name``,
           ``frames_required`` and the behaviour model (``functions`` 7);
           ``bitstream`` 1, ``analysis`` 1 and ``sim`` 28: 8 ``clock.now``,
           4 ``advance`` (decode, staging and feed, fabric, collect and
           readout), 8 ``record`` (a ``ram`` write and read per buffer,
-          ``data-in``, ``fpga``, ``data-out`` and ``mcu``), 4
-          ``cycles_to_ns`` and 4 ``period_ns``.
+          ``data-in``, ``fpga``, ``data-out`` and ``mcu``) and 4
+          ``cycles_to_ns``.
 
+        122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
+        frames) and the mini OS's capacity check read the geometry's
+        ``frame_count`` and ``tiles_per_column`` properties (``fpga`` 5);
         165 while a first-fit allocator with labelled allocations and a byte
         image backed the RAM and two data-module objects moved each buffer
         (``memory`` 15, ``mcu`` 16, ``sim`` 87: 33 ``clock.now`` in the
@@ -208,19 +212,19 @@ class TestHostCallWork:
             assert code.co_name not in ("<listcomp>", "<genexpr>"), code
         per_call = self._by_package(per_code)
         assert dict(per_call) == {
-            "sim": 58,
+            "sim": 54,
             "pci": 21,
             "mcu": 13,
             "functions": 10,
             "core": 9,
-            "fpga": 5,
             "memory": 4,
+            "fpga": 3,
             "bitstream": 1,
             "analysis": 1,
         }
-        assert sum(per_call.values()) == 122
+        assert sum(per_call.values()) == 116
 
-    def test_a_churn_miss_pair_enters_2314_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_667_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -231,23 +235,37 @@ class TestHostCallWork:
         ``(frames(20 pairs) - frames(10 pairs)) / 10``, an exact integer
         because every pair takes the same path.
 
-        A pair writes 88 frames and erases 88.  ``fpga`` 1 418: seven frames
-        per frame written (the claim's ``validate`` and its
-        ``tiles_per_column``, ``write_frame``, the frame array's
-        ``__getitem__``, ``load_config_bytes``, the port's ``write_time_ns``
-        and its generator step), three per frame erased (``clear_frame``,
-        ``__getitem__``, ``clear``), and placement: 64 candidates sorted by
-        a key lambda (``flat_index`` and ``tiles_per_column`` each) and 88
-        ``flat_index`` in the contiguous-run scan.  ``bitstream`` 266 is
-        three ``crc32`` per frame written; ``sim`` 385 is mostly each
-        write's ``cycles_to_ns`` and ``period_ns``.  ``mcu`` 116 is the
-        microcontroller's load and the mini OS's plan and commits; the Free
-        Frame List it plans from is one scan of the replacement table.
+        A pair writes 88 frames and erases 88, and the host work is per load,
+        not per frame, except for each frame's own bytes.  ``fpga`` 240:
+        one ``load_config_bytes`` per frame written (its canonical mask and
+        check word) and one ``Frame.clear`` per frame erased (176); per load
+        the claim, the memory's ``write_region`` and ``clear_region``, the
+        port's ``configure``, ``transfer_time_ns``, ``frames_time_ns`` and
+        one ``write_time_ns`` (every frame has the same length), the
+        device's ``configure_partial``, ``_bind``, ``unload`` and
+        ``execute``, the executor's ``run`` and ``cycles_for``, and
+        placement's ``choose_frames`` and contiguous-run scan, which sort
+        and index the 64 candidates without a call per candidate (30); the
+        ``FrameRegion`` protocol (``__len__`` 18, ``__iter__`` 12, its
+        construction 4).  ``bitstream`` 6 is per load: ``payload_crc`` and
+        its ``crc32``, and the port's one ``crc32`` over the joined
+        payloads.  ``sim`` 176: ``clock.now`` 68, ``record`` 43,
+        ``cycles_to_ns`` 37 (25 of them one per decompression window) and
+        ``advance`` 28.  ``mcu`` 116 is the microcontroller's load and the
+        mini OS's plan and commits; the Free Frame List it plans from is
+        one scan of the replacement table.
 
-        2 838 while the mini OS kept a separate free frame list (set plus
-        cached sorted view) and the configuration memory three more
-        ownership indexes beside its owner map (``fpga`` 1 900, ``mcu``
-        158).  Comprehension frames are left out: Python 3.12 inlines them
+        2 314 while the port, the claim and the erase worked per frame:
+        seven ``fpga`` frames per frame written (the claim's ``validate``
+        and its ``tiles_per_column``, ``write_frame``, the frame array's
+        ``__getitem__``, ``load_config_bytes``, the port's ``write_time_ns``
+        and its generator step), three per frame erased, a key lambda per
+        placement candidate (``fpga`` 1 418); three ``crc32`` per frame
+        written (``bitstream`` 266); a ``cycles_to_ns`` and ``period_ns``
+        per frame written (``sim`` 385).  2 838 while the mini OS kept a
+        separate free frame list (set plus cached sorted view) and the
+        configuration memory three more ownership indexes beside its owner
+        map (``fpga`` 1 900, ``mcu`` 158).  Comprehension frames are left out: Python 3.12 inlines them
         (PEP 709), so they are not frames on every supported interpreter.
         Generator expressions and lambdas are frames everywhere and count.
         """
@@ -267,17 +285,17 @@ class TestHostCallWork:
             }
         )
         assert dict(per_pair) == {
-            "fpga": 1418,
-            "sim": 385,
-            "bitstream": 266,
+            "fpga": 240,
+            "sim": 176,
             "mcu": 116,
             "functions": 42,
             "pci": 42,
             "memory": 25,
             "core": 18,
+            "bitstream": 6,
             "analysis": 2,
         }
-        assert sum(per_pair.values()) == 2314
+        assert sum(per_pair.values()) == 667
 
 
 class TestBehaviourWork:

@@ -18,16 +18,16 @@ class TestConfigurationMemory:
     def test_write_and_read_frame(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.frame_at(0)
-        memory.write_frame(address, _payload(tiny_geometry), owner="aes")
+        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
         assert memory.owner_of(address) == "aes"
         assert memory.read_frame(address) == _payload(tiny_geometry)
 
     def test_write_over_other_owner_rejected(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.frame_at(2)
-        memory.write_frame(address, _payload(tiny_geometry), owner="aes")
+        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
         with pytest.raises(FrameCollisionError):
-            memory.write_frame(address, _payload(tiny_geometry, 0x22), owner="des")
+            memory.write_region([address], [_payload(tiny_geometry, 0x22)], owner="des")
 
     def test_claim_and_release(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
@@ -49,8 +49,8 @@ class TestConfigurationMemory:
     def test_clear_frame_erases_and_frees(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.frame_at(1)
-        memory.write_frame(address, _payload(tiny_geometry), owner="aes")
-        memory.clear_frame(address)
+        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
+        memory.clear_region([address])
         assert memory.owner_of(address) is None
         assert memory.frames[address].is_clear
 
@@ -68,7 +68,7 @@ class TestConfigurationMemory:
 
     def test_clear_device(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
-        memory.write_frame(tiny_geometry.frame_at(0), _payload(tiny_geometry), owner="aes")
+        memory.write_region([tiny_geometry.frame_at(0)], [_payload(tiny_geometry)], owner="aes")
         memory.clear_region(FrameRegion.from_addresses(tiny_geometry.all_frames()))
         assert memory.unowned_frames() == tiny_geometry.all_frames()
         assert memory.frames[tiny_geometry.frame_at(0)].is_clear
@@ -109,7 +109,7 @@ class TestConfigurationPort:
 
     def test_abort_session_rolls_back(self, tiny_geometry):
         port, memory, _ = self._port(tiny_geometry)
-        memory.write_frame(tiny_geometry.frame_at(4), _payload(tiny_geometry), owner="des")
+        memory.write_region([tiny_geometry.frame_at(4)], [_payload(tiny_geometry)], owner="des")
         payloads = [_payload(tiny_geometry)] * 2
         with pytest.raises(FrameCollisionError):
             port.configure(
