@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from repro.bitstream.format import build_bitstream
 from repro.fpga.config_memory import ConfigurationMemory
-from repro.fpga.config_port import CRC_CHECK_CYCLES_PER_FRAME, ConfigurationPort
+from repro.fpga.config_port import CONFIG_CLOCK_HZ, CRC_CHECK_CYCLES_PER_FRAME, ConfigurationPort
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import DEFAULT_GEOMETRY, FabricGeometry, FrameAddress
-from repro.sim.clock import Clock
+from repro.sim.clock import Clock, ClockDomain
 
 #: Four LUTs per CLB leave padding bits in every FF byte, so a write can be
 #: non-canonical: its check word then differs from its readback's CRC.
@@ -57,10 +57,13 @@ _lengths = st.one_of(
 
 
 class TestTransferArithmetic:
-    @given(_lengths)
+    @given(_lengths, st.sampled_from([CONFIG_CLOCK_HZ, 33e6, 66e6, 30e6, 7e6]))
     @settings(max_examples=200, deadline=None)
-    def test_transfer_time_is_the_per_frame_sum(self, lengths):
+    def test_transfer_time_is_the_per_frame_sum(self, lengths, clock_hz):
         port, _, _ = _port()
+        # At 50 MHz a cycle is a whole 20 ns, so no rounding order could
+        # differ; the other clocks make each frame's rounding count.
+        port.domain = ClockDomain("config-port", clock_hz)
         payloads = [bytes(length) for length in lengths]
         assert port.transfer_time_ns(payloads) == per_frame_transfer_ns(port, payloads)
 
