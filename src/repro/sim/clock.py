@@ -64,11 +64,12 @@ class ClockDomain:
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0:
             raise ValueError(f"clock domain {self.name!r} needs a positive frequency")
+        #: Length of one cycle in nanoseconds.
+        self.period_ns = 1e9 / self.frequency_hz
 
     def cycles_to_ns(self, cycles: float) -> int:
-        """Convert a cycle count in this domain to whole nanoseconds: the
-        cycles times the period ``1e9 / frequency_hz``."""
-        return round(cycles * (1e9 / self.frequency_hz))
+        """Convert a cycle count in this domain to whole nanoseconds."""
+        return round(cycles * self.period_ns)
 
 
 class Clock:

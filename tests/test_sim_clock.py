@@ -97,7 +97,7 @@ class TestKernelBoundary:
 class TestClockDomain:
     def test_period_and_conversions(self):
         domain = ClockDomain("fabric", 100e6)
-        assert domain.cycles_to_ns(1) == 10
+        assert domain.period_ns == pytest.approx(10.0)
         assert domain.cycles_to_ns(5) == 50
 
     def test_cycles_round_half_even_to_whole_ns(self):

@@ -207,6 +207,7 @@ class TestNoFloatLeaks:
 NOT_A_TIME = {
     "mttr_ns",  # a mean (time to repair)
     "think_ns",  # the mean of the exponential think time
+    "period_ns",  # ClockDomain: nanoseconds per cycle
     "bandwidth_bytes_per_ns",  # a rate
 }
 
