@@ -141,6 +141,8 @@ class ConfigurationPort:
         self.stats.busy_time_ns += elapsed
         self.clock.advance(elapsed)
         written = self.memory.write_region(addresses, payloads, owner=owner)
+        # The CRC covers the payloads written (the write stops at the
+        # shorter of addresses and payloads).
         computed = crc32(b"".join(payloads[: len(written)]))
         if computed != expected_crc:
             self.memory.clear_region(written)
