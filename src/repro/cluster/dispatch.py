@@ -35,19 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.workloads.multitenant import FleetRequest
 
 
-def request_expired(request: "FleetRequest", now_ns: int) -> bool:
-    """Has *request*'s completion deadline already passed at *now_ns*?
-
-    The single deadline test the dispatch layer shares: the dispatcher checks
-    it at admission and every card re-checks it when starting a queued
-    request, so an expired request fails fast (with its own counter) at
-    whichever point it is first seen late — it is never silently served.
-    Deadline-free requests (``deadline_ns is None``) never expire.
-    """
-    deadline = request.deadline_ns
-    return deadline is not None and now_ns > deadline
-
-
 class DispatchPolicy:
     """Interface: pick a card for one request (or ``None`` to reject)."""
 

@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.arrivals import open_arrivals
 from repro.cluster.card import FleetCard
-from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy, request_expired
+from repro.cluster.dispatch import DispatchPolicy, build_dispatch_policy
 from repro.cluster.orders import DefragOrder, HealOrder, MigrateOrder, Order, ScrubOrder
 from repro.cluster.stats import FleetStatistics
 from repro.core.exceptions import CoprocessorError
@@ -372,7 +372,7 @@ class Fleet:
                     return
                 item = card.queue.popleft()
             request, tried = item, _NO_CARDS_TRIED
-            if item.__class__ is not FleetRequest:  # else: the front door's subclass
+            if item.__class__ is not FleetRequest:  # a GatewayRequest, tuple or order
                 if item.__class__ is tuple:  # failed over: (request, cards tried)
                     request, tried = item
                 elif isinstance(item, Order):
@@ -401,7 +401,8 @@ class Fleet:
                     clock._now,
                     card=card.name,
                 )
-            if request.deadline_ns is not None and request_expired(request, clock._now):
+            deadline = request.deadline_ns
+            if deadline is not None and clock._now > deadline:
                 # Expired in queue: fail fast with its own counter — a late
                 # result would be discarded by every real client anyway, so
                 # serving it would only burn card time and hide the overload.
@@ -588,7 +589,16 @@ class Fleet:
                 ctx.enqueued_ns = self.clock._now
         self._put(card, request if not tried else (request, tried))
 
-    def _dispatch(self, request: FleetRequest) -> None:
+    def submit(self, request: FleetRequest) -> None:
+        """Admit one request at the current instant: count it, fail it fast
+        if its deadline has passed, else route it to a card.
+
+        The arrivals process delivers a run's trace here, and a network
+        front door's gateways deliver requests one at a time as their
+        packets arrive; periodic services are then the front door's
+        responsibility (its ``run`` spawns them before its client
+        populations).
+        """
         # Count the arrival, fleet-wide and per tenant; the first one opens
         # the availability window.
         stats = self.stats
@@ -612,25 +622,13 @@ class Fleet:
                 self._trace_ctx[id(request)] = _ReqTrace(
                     trace_id, tracer.next_span_id(), True, self.clock._now
                 )
-        if request.deadline_ns is not None and request_expired(
-            request, self.clock._now
-        ):
+        deadline = request.deadline_ns
+        if deadline is not None and self.clock._now > deadline:
             # Dead on arrival (e.g. delivered late by a congested front-door
             # link): never admitted, so no card time is spent on it.
             self._terminate(request, "expired")
             return
         self._route(request, self.cards)
-
-    def submit(self, request: FleetRequest) -> None:
-        """Admit one externally-delivered request at the current instant.
-
-        The gateway-facing entry point: a network front door delivers
-        requests one at a time as their packets arrive instead of through a
-        paced arrival trace, so there is no arrivals process, and periodic
-        services are the front door's responsibility (its ``run`` spawns them
-        before its client populations).
-        """
-        self._dispatch(request)
 
     def _failover(
         self, request: FleetRequest, failed: FleetCard, reason: str, tried: frozenset
@@ -675,7 +673,7 @@ class Fleet:
         interrupt-coalescing discipline the million-request scale benchmark
         uses to amortise per-request kernel timer events."""
         return open_arrivals(
-            trace, self.clock, self._dispatch, batch=self.admission_batch
+            trace, self.clock, self.submit, batch=self.admission_batch
         )
 
     def _arrivals_ended(self) -> None:

@@ -2,8 +2,9 @@
 
 Every experiment knob lives here so benchmark sweeps are just "build a config,
 vary one field".  The defaults describe a plausible 2005-era card: a mid-range
-partially reconfigurable FPGA, a 4 MiB configuration flash, 1 MiB of SRAM, a
-33 MHz/32-bit PCI bus and a 66 MHz microcontroller.
+partially reconfigurable FPGA, a 4 MiB configuration flash, 1 MiB of SRAM and
+a 66 MHz microcontroller.  The 33 MHz/32-bit PCI bus and its 256-byte DMA
+bursts are constants of :mod:`repro.pci` and :mod:`repro.core.host`.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class CoprocessorConfig:
     replacement_policy: str = "lru"
     placement_strategy: PlacementStrategy = PlacementStrategy.CONTIGUOUS_FIRST_FIT
 
-    # --- interconnect --------------------------------------------------------
-    pci_clock_hz: float = 33e6
-    pci_bus_width_bytes: int = 4
-    dma_burst_bytes: int = 256
-
     # --- baselines / workloads -----------------------------------------------
     #: Host-CPU cycles per hardware cycle for the software baseline.  With the
     #: default 1 GHz host and 100 MHz fabric this makes software roughly 4x
@@ -65,8 +61,6 @@ class CoprocessorConfig:
             raise ValueError("the compression window must be positive")
         if self.software_slowdown <= 0:
             raise ValueError("the software slowdown factor must be positive")
-        if self.dma_burst_bytes <= 0:
-            raise ValueError("the DMA burst must be positive")
 
     # ------------------------------------------------------------------ views
     def geometry(self) -> FabricGeometry:

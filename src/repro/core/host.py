@@ -31,6 +31,10 @@ from repro.mcu.commands import (
 from repro.pci import READ, REGISTERS, WINDOW, WRITE, PciBus, PciBusTiming
 
 
+#: Bytes per DMA burst transaction.
+DMA_BURST_BYTES = 256
+
+
 @dataclass
 class HostCallResult:
     """Result of one host-visible call."""
@@ -52,7 +56,6 @@ class HostDriver:
         self.card = card
         self.coprocessor: AgileCoprocessor = card.coprocessor
         self.clock = bus.clock
-        self._dma_burst_bytes = self.coprocessor.config.dma_burst_bytes
 
     # ------------------------------------------------------------ plumbing
     def _move(self, action: str, address: int, length: int) -> None:
@@ -62,7 +65,7 @@ class HostDriver:
         if length <= self.PIO_THRESHOLD_BYTES:
             self.bus.transfer(action, address, length)
         else:
-            self.bus.dma(action, address, length, self._dma_burst_bytes)
+            self.bus.dma(action, address, length, DMA_BURST_BYTES)
 
     def _write_input(self, data: bytes) -> None:
         if len(data) > OUTPUT_OFFSET:
@@ -172,7 +175,5 @@ def build_host_system(coprocessor: AgileCoprocessor) -> HostDriver:
     The bus shares the co-processor's clock and trace recorder so card-side
     and host-side times lie on one timeline.
     """
-    config = coprocessor.config
-    timing = PciBusTiming(clock_hz=config.pci_clock_hz, bus_width_bytes=config.pci_bus_width_bytes)
-    bus = PciBus(coprocessor.clock, timing, coprocessor.trace)
+    bus = PciBus(coprocessor.clock, PciBusTiming(), coprocessor.trace)
     return HostDriver(bus, CoprocessorCard(coprocessor))

@@ -13,11 +13,13 @@ Two standard shapes:
   fleet slows its own offered load), which is the latency-probing population.
 
 Both draw their requests from a :class:`~repro.workloads.multitenant.
-FleetTrace` (the deterministic tenant-mix machinery) and stamp them into
-:class:`~repro.net.transport.GatewayRequest` via the front door, which owns
-the request-id counter, priority map and deadline budget.  ``start`` queues a
-population's clients on the kernel and returns how many it started; each
-calls ``frontdoor._client_ended`` once it has nothing left to send.
+FleetTrace` (the deterministic tenant-mix machinery) and hand each to
+:meth:`~repro.net.frontdoor.FrontDoor.launch`, which stamps it into a
+:class:`~repro.net.transport.GatewayRequest` (the front door owns the
+request-id counter, priority map and deadline budget) and submits it.
+``start`` queues a population's clients on the kernel and returns how many it
+started; each calls ``frontdoor._client_ended`` once it has nothing left to
+send.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ class OpenLoopPopulation:
         self.trace = trace
 
     def start(self, frontdoor: "FrontDoor") -> int:
-        transport = frontdoor.transport
-        make_request = frontdoor.make_request
-
-        def launch(request):
-            transport.submit(make_request(request))
-
         fleet = frontdoor.fleet
         fleet.simulator.spawn(
-            open_arrivals(self.trace, fleet.clock, launch), then=frontdoor._client_ended
+            open_arrivals(self.trace, fleet.clock, frontdoor.launch),
+            then=frontdoor._client_ended,
         )
         return 1
 
@@ -112,7 +109,7 @@ class _Client:
         trace = population.trace
         base = trace[(self.index + self.sent * population.clients) % len(trace)]
         self.sent += 1
-        self.frontdoor.transport.submit(self.frontdoor.make_request(base), self.verdict)
+        self.frontdoor.launch(base, self.verdict)
 
     def verdict(self, _outcome: str) -> None:
         self.simulator.schedule_call(self.simulator.clock._now, self.wake)

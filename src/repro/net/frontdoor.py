@@ -21,7 +21,7 @@ default to ``None`` and every pre-network schedule digest is unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.fleet import Fleet
 from repro.net.gateway import AdmissionConfig, Gateway
@@ -132,28 +132,26 @@ class FrontDoor:
         )
 
     # ------------------------------------------------------------- requests
-    def make_request(
-        self, base: FleetRequest, priority: Optional[int] = None
-    ) -> GatewayRequest:
-        """Stamp a workload request into a network request *now*.
+    def launch(self, base: FleetRequest, on_done: Optional[Callable] = None) -> None:
+        """Stamp a workload request into a network request *now* and hand it
+        to the transport; ``on_done(outcome)`` is called at its verdict.
 
         Called by a population at the instant it launches the request: the
-        id comes off the shared counter, the priority from the tenant map
-        (unless forced), the deadline from the budget, and the home-gateway
-        hint round-robins over the gateways.
+        id comes off the shared counter, the priority from the tenant map,
+        the deadline from the budget, and the home-gateway hint round-robins
+        over the gateways.
         """
         request_id = self._next_id
         self._next_id = request_id + 1
         now = self.fleet.clock._now
-        return GatewayRequest(
-            base.tenant,
-            base.function,
-            base.payload,
-            now,
-            None if self.deadline_ns is None else now + self.deadline_ns,
-            request_id,
-            priority if priority is not None else self.priorities.get(base.tenant, 0),
-            request_id % len(self.gateways),
+        deadline = self.deadline_ns
+        self.transport.submit(
+            GatewayRequest(
+                base.tenant, base.function, base.payload, now,
+                None if deadline is None else now + deadline, request_id,
+                self.priorities.get(base.tenant, 0), request_id % len(self.gateways),
+            ),
+            on_done,
         )
 
     def _on_fleet_outcome(self, request, outcome: str, now_ns: int) -> None:

@@ -142,15 +142,13 @@ class Gateway:
         if self.bucket is not None and not self.bucket.admit(request.priority, now):
             self.stats.record_shed(request.tenant, request.priority, now)
             self._obs_admission(trace, "shed")
-            self.downlink.send(Packet("shed", request_id, RESPONSE_BYTES, trace=trace))
+            self.downlink.send(Packet("shed", request_id, RESPONSE_BYTES, None, trace))
             return
         if not self.cards_up:
             # Every probed card is down: answering immediately beats letting
             # the client burn its deadline on a per-hop timeout.
             self._obs_admission(trace, "no_cards")
-            self.downlink.send(
-                Packet("err", request_id, RESPONSE_BYTES, "no-cards", trace=trace)
-            )
+            self.downlink.send(Packet("err", request_id, RESPONSE_BYTES, "no-cards", trace))
             return
         self._entries[request_id] = _IN_FLIGHT
         self.admitted += 1
@@ -188,16 +186,14 @@ class Gateway:
             raise RuntimeError(f"verdict for unknown request {request_id}")
         trace = self._trace_ctx.pop(request_id, None)
         if outcome == "completed":
-            response = Packet("resp", request_id, RESPONSE_BYTES, trace=trace)
+            response = Packet("resp", request_id, RESPONSE_BYTES, None, trace)
             self._entries[request_id] = response
             self.downlink.send(response)
         else:
             # Rejected or expired: retryable, so forget the request — a
             # retransmit re-enters admission as if new.
             del self._entries[request_id]
-            self.downlink.send(
-                Packet("err", request_id, RESPONSE_BYTES, outcome, trace=trace)
-            )
+            self.downlink.send(Packet("err", request_id, RESPONSE_BYTES, outcome, trace))
 
     # ----------------------------------------------------------------- probe
     def probe(self):

@@ -11,13 +11,17 @@ The wire is FIFO and store-and-forward — packets serialise one at a time and
 several can be "in the air" while the next one serialises — so a packet's
 whole trip is known the instant it is sent.  :meth:`Link.send` does that
 arithmetic: no process drains the queue and none is spawned per packet, so
-the only kernel event a packet costs is its arrival.
+the only kernel event a packet costs is its arrival.  That entry is pushed
+straight onto the kernel heap with the ``(time, seq)`` key ``schedule_call``
+would give it — its time is a whole-nanosecond int by construction — and it
+carries the send instant, which the traced transit span starts at.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Deque
 
 from repro.obs import names as _obs_names
@@ -66,7 +70,7 @@ class Packet:
     backpressure, not failure) or ``"err"`` (body: the failure reason).
     """
 
-    __slots__ = ("kind", "request_id", "size_bytes", "body", "trace", "sent_ns")
+    __slots__ = ("kind", "request_id", "size_bytes", "body", "trace")
 
     def __init__(
         self,
@@ -84,8 +88,6 @@ class Packet:
         #: the side channel the links and gateways read; stamped by whoever
         #: sends the packet on a traced request.
         self.trace = trace
-        #: send() instant, for the delivered packet's transit span.
-        self.sent_ns = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Packet({self.kind!r}, id={self.request_id}, {self.size_bytes}B)"
@@ -107,9 +109,10 @@ class Link:
         self.deliver = deliver
         self.name = name
         # Bound once, so a packet costs one clock read, one call per draw
-        # and one call to schedule its arrival.
+        # and one heap push for its arrival.
         self._clock = simulator.clock
-        self._schedule_call = simulator.schedule_call
+        self._heap = simulator._heap
+        self._next_seq = simulator._next_seq
         self._random = rng.random
         self._latency_ns = round(spec.latency_ns)
         #: When the wire finishes serialising the last accepted packet.
@@ -143,8 +146,6 @@ class Link:
             if len(waiting) >= spec.queue_packets:
                 self.dropped += 1
                 return False
-        if self.tracer is not None and packet.trace is not None:
-            packet.sent_ns = now
         start = self._wire_free_ns
         if start > now:
             waiting.append(start)
@@ -161,11 +162,15 @@ class Link:
             return True
         if spec.jitter_ns:
             done += round(spec.jitter_ns * self._random())
-        self._schedule_call(done + self._latency_ns, self._arrive, packet)
+        heappush(self._heap, (done + self._latency_ns, self._next_seq(), self._arrive, packet, now))
         return True
 
-    def _arrive(self, packet: Packet, _) -> None:
-        """Delivery at the far end: serialised, jittered and propagated."""
+    def _arrive(self, packet: Packet, sent_ns: int) -> None:
+        """Delivery at the far end: serialised, jittered and propagated.
+
+        *sent_ns* rides in the queue entry, not on the packet: a gateway
+        replays one cached verdict packet to every retransmit, and two of
+        its sends can be in the air at once."""
         self.delivered += 1
         tracer = self.tracer
         if tracer is not None and packet.trace is not None:
@@ -174,7 +179,7 @@ class Link:
                 _obs_names.SPAN_LINK_TRANSIT,
                 trace_id,
                 parent_id,
-                packet.sent_ns,
+                sent_ns,
                 self._clock._now,
                 link=self.name,
                 kind=packet.kind,

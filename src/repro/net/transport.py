@@ -7,10 +7,13 @@ packet (complete), a shed packet (back off and retry — backpressure is not a
 gateway failure), an error packet or the timeout (count a failure against
 the gateway's circuit breaker, then retry with capped exponential backoff
 and seeded jitter).  A timeout and a backoff are one kernel queue entry each
-(``schedule_call`` on a plain method that first checks it is still the
-current attempt) — there is no process per attempt.  The propagated
-``deadline_ns`` bounds everything: an attempt is never sent, and a backoff
-never scheduled, past the deadline.
+on a plain method that first checks it is still the current attempt — there
+is no process per attempt.  The timeout, armed on every send, is pushed
+straight onto the kernel heap with the ``(time, seq)`` key ``schedule_call``
+would give it (its time is an int by construction: ``now`` plus the rounded
+timeout, or the whole-nanosecond deadline); the rarer backoff goes through
+``schedule_call``.  The propagated ``deadline_ns`` bounds everything: an
+attempt is never sent, and a backoff never scheduled, past the deadline.
 
 Retransmits are *sticky*: once a request has been sent to a gateway, every
 retry returns to that same gateway so its dedup cache can guarantee the
@@ -23,13 +26,13 @@ execution elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.link import Link, Packet
 from repro.obs import names as _obs_names
 from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
-from repro.workloads.multitenant import FleetRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.stats import FleetStatistics
@@ -41,19 +44,38 @@ REQUEST_HEADER_BYTES = 64
 RESPONSE_BYTES = 64
 
 
-@dataclass(frozen=True)
-class GatewayRequest(FleetRequest):
+class GatewayRequest:
     """A fleet request as the network sees it.
 
-    Adds the transport identity (``request_id`` — what dedup and response
-    routing key on), the admission class (``priority`` — higher sheds later)
-    and the serving gateway's index (stamped by the gateway at admission so
-    the fleet's outcome callback can find the right downlink).
+    :class:`~repro.workloads.multitenant.FleetRequest`'s fields, in its
+    order, then the transport identity (``request_id`` — what dedup and
+    response routing key on), the admission class (``priority`` — higher
+    sheds later) and the serving gateway's index (stamped by the gateway at
+    admission so the fleet's outcome callback can find the right downlink).
+    The fleet reads a request by attribute only.  Two are built per request,
+    so this is a ``__slots__`` record with a plain ``__init__``: a frozen
+    dataclass sets each field through ``object.__setattr__``, about five
+    times the cost.  It has no value equality or hash.
     """
 
-    request_id: int = -1
-    priority: int = 0
-    gateway_index: int = 0
+    __slots__ = (
+        "tenant", "function", "payload", "arrival_ns", "deadline_ns",
+        "request_id", "priority", "gateway_index",
+    )
+
+    def __init__(
+        self, tenant: str, function: str, payload: bytes, arrival_ns: int,
+        deadline_ns: Optional[int] = None, request_id: int = -1, priority: int = 0,
+        gateway_index: int = 0,
+    ) -> None:
+        self.tenant = tenant
+        self.function = function
+        self.payload = payload
+        self.arrival_ns = arrival_ns
+        self.deadline_ns = deadline_ns
+        self.request_id = request_id
+        self.priority = priority
+        self.gateway_index = gateway_index
 
 
 @dataclass(frozen=True)
@@ -184,6 +206,8 @@ class Transport:
             raise ValueError("a transport needs at least one gateway uplink")
         self.clock = simulator.clock
         self._schedule_call = simulator.schedule_call
+        self._heap = simulator._heap
+        self._next_seq = simulator._next_seq
         self.stats = stats
         self.uplinks = uplinks
         self.config = config
@@ -264,19 +288,14 @@ class Transport:
             self._retries.value += 1
         if pending.trace is not None:
             pending.attempt_sent_ns = now
+        size_bytes = REQUEST_HEADER_BYTES + len(request.payload)
         self.uplinks[gateway].send(
-            Packet(
-                "req",
-                request.request_id,
-                REQUEST_HEADER_BYTES + len(request.payload),
-                request,
-                trace=pending.trace,
-            )
+            Packet("req", request.request_id, size_bytes, request, pending.trace)
         )
         expiry_ns = now + self._hop_timeout_ns
         if deadline is not None and deadline < expiry_ns:
             expiry_ns = deadline
-        self._schedule_call(expiry_ns, self._on_timeout, pending, attempt)
+        heappush(self._heap, (expiry_ns, self._next_seq(), self._on_timeout, pending, attempt))
 
     def _on_timeout(self, pending: _Pending, attempt: int) -> None:
         if pending.done or pending.attempt != attempt:
@@ -292,19 +311,16 @@ class Transport:
         pending = self._pending.get(packet.request_id)
         if pending is None or pending.done:
             return  # verdict for an attempt that already resolved
-        if packet.kind == "resp":
-            self._complete(pending)
-        elif packet.kind == "shed":
-            # Backpressure, not gateway failure: no breaker debit, just back
-            # off and try again inside the deadline budget.
-            self._obs_attempt_end(pending, "shed")
-            self._retry_or_fail(pending, "shed")
-        else:  # "err"
-            self._obs_attempt_end(pending, str(packet.body))
-            self._count_gateway_failure(pending)
-            self._retry_or_fail(pending, str(packet.body))
-
-    def _complete(self, pending: _Pending) -> None:
+        kind = packet.kind
+        if kind != "resp":
+            # A shed is backpressure, not gateway failure: no breaker debit,
+            # just back off and try again inside the deadline budget.
+            reason = "shed" if kind == "shed" else str(packet.body)
+            self._obs_attempt_end(pending, reason)
+            if kind == "err":
+                self._count_gateway_failure(pending)
+            self._retry_or_fail(pending, reason)
+            return
         pending.done = True
         request = pending.request
         now = self.clock._now

@@ -28,14 +28,17 @@ READ = "memory-read"
 WRITE = "memory-write"
 #: Descriptor fetch and doorbell time charged once per DMA job.
 DMA_SETUP_NS = 500
+#: The card's bus: 33 MHz, 32 bits wide.
+PCI_CLOCK_HZ = 33e6
+PCI_BUS_WIDTH_BYTES = 4
 
 
 @dataclass(frozen=True)
 class PciBusTiming:
     """Cycle costs of a transaction on the bus."""
 
-    clock_hz: float = 33e6
-    bus_width_bytes: int = 4
+    clock_hz: float = PCI_CLOCK_HZ
+    bus_width_bytes: int = PCI_BUS_WIDTH_BYTES
     arbitration_cycles: int = 2
     address_phase_cycles: int = 1
     turnaround_cycles: int = 2
@@ -101,4 +104,7 @@ class PciBus:
             self.transfer(action, address + offset, min(burst_bytes, length - offset))
 
 
-__all__ = ["DMA_SETUP_NS", "READ", "REGISTERS", "WINDOW", "WRITE", "PciBus", "PciBusTiming"]
+__all__ = [
+    "DMA_SETUP_NS", "PCI_BUS_WIDTH_BYTES", "PCI_CLOCK_HZ", "READ", "REGISTERS", "WINDOW", "WRITE",
+    "PciBus", "PciBusTiming",
+]

@@ -183,7 +183,7 @@ def worker(self, card: FleetCard, store: Store):
             continue
         elif item.__class__ is tuple:  # failed over: (request, cards tried)
             request, tried = item
-        else:  # a FleetRequest subclass (the front door's GatewayRequest)
+        else:  # any other request (the front door's GatewayRequest)
             tried = _NO_CARDS_TRIED
             request = item
         if tracer is not None:

@@ -37,7 +37,9 @@ from repro.bitstream.format import parse_bitstream
 from repro.bitstream.window import CompressedImage, WindowedDecompressor
 from repro.fpga.config_port import CONFIG_CLOCK_HZ, CONFIG_PORT_WIDTH_BYTES
 from repro.fpga.device import FABRIC_CLOCK_HZ
+from repro.core.host import DMA_BURST_BYTES
 from repro.mcu.config_module import DECOMPRESS_CYCLES_PER_BYTE, ROM_CHUNK_BYTES
+from repro.pci import PCI_BUS_WIDTH_BYTES, PCI_CLOCK_HZ
 
 #: Programmed I/O up to this many bytes; DMA above it.
 PIO_THRESHOLD_BYTES = 64
@@ -104,22 +106,22 @@ def miss_terms(config, blob: bytes) -> MissTerms:
     return MissTerms(rom, decompress, port, len(image.windows))
 
 
-def pci_ns(config, length: int) -> int:
+def pci_ns(length: int) -> int:
     """One PCI transaction: arbitration 2, address 1, wait states 3, the data
     phases and turnaround 2, in bus cycles."""
-    data_phases = _ceil(length, config.pci_bus_width_bytes)
-    return round((2 + 1 + 3 + data_phases + 2) * 1e9 / config.pci_clock_hz)
+    data_phases = _ceil(length, PCI_BUS_WIDTH_BYTES)
+    return round((2 + 1 + 3 + data_phases + 2) * 1e9 / PCI_CLOCK_HZ)
 
 
-def host_transfer_ns(config, length: int) -> int:
+def host_transfer_ns(length: int) -> int:
     """Moving *length* bytes between host and card window: PIO or DMA bursts."""
     if length == 0:
         return 0
     if length <= PIO_THRESHOLD_BYTES:
-        return pci_ns(config, length)
-    burst = config.dma_burst_bytes
+        return pci_ns(length)
     return DMA_SETUP_NS + sum(
-        pci_ns(config, min(burst, length - offset)) for offset in range(0, length, burst)
+        pci_ns(min(DMA_BURST_BYTES, length - offset))
+        for offset in range(0, length, DMA_BURST_BYTES)
     )
 
 
@@ -131,11 +133,7 @@ def interface_ns(config, length: int) -> int:
 
 def call_ns(config, input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) -> int:
     """One :meth:`HostDriver.call`, end to end."""
-    host = (
-        host_transfer_ns(config, input_bytes)
-        + 5 * pci_ns(config, 4)
-        + host_transfer_ns(config, output_bytes)
-    )
+    host = host_transfer_ns(input_bytes) + 5 * pci_ns(4) + host_transfer_ns(output_bytes)
     card = (
         _ns(config.command_decode_cycles, config.mcu_clock_hz)
         + miss_ns

@@ -77,11 +77,11 @@ from repro.core.config import CoprocessorConfig
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 47
-FLEET_CODE_LINE_BUDGET = 642
+FLEET_CODE_LINE_BUDGET = 640
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
-NET_CODE_LINE_BUDGET = 813
-SRC_CODE_LINE_BUDGET = 11_312
+NET_CODE_LINE_BUDGET = 810
+SRC_CODE_LINE_BUDGET = 11_302
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -568,9 +568,6 @@ KEPT_CONFIG_FIELDS = {
         "compression_window_bytes": "the ROM images' and migration blobs' compression window",
         "mcu_clock_hz": "the microcontroller's clock",
         "command_decode_cycles": "the microcontroller's command decode cost",
-        "pci_clock_hz": "the PCI bus clock",
-        "pci_bus_width_bytes": "the PCI bus width",
-        "dma_burst_bytes": "the host driver's DMA burst size",
         "software_slowdown": "the host-only baseline's cycles per fabric cycle",
     }.items()
 }

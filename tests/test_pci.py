@@ -100,10 +100,6 @@ class TestDma:
         bus.dma(READ, WINDOW, 2000, 256)
         assert bus.transactions_completed == 2 * bursts
 
-    def test_dma_engine_validation(self):
-        with pytest.raises(ValueError):
-            SMALL_CONFIG.with_overrides(dma_burst_bytes=0)
-
     def test_dma_faster_than_pio_for_large_transfers(self):
         # DMA bursts amortise per-transaction overhead compared to 4-byte PIO.
         dma = _bus()
