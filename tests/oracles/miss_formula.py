@@ -35,9 +35,9 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.bitstream.format import parse_bitstream
 from repro.bitstream.window import CompressedImage, WindowedDecompressor
+from repro.core.host import DMA_BURST_BYTES
 from repro.fpga.config_port import CONFIG_CLOCK_HZ, CONFIG_PORT_WIDTH_BYTES
 from repro.fpga.device import FABRIC_CLOCK_HZ
-from repro.core.host import DMA_BURST_BYTES
 from repro.mcu.config_module import DECOMPRESS_CYCLES_PER_BYTE, ROM_CHUNK_BYTES
 from repro.pci import PCI_BUS_WIDTH_BYTES, PCI_CLOCK_HZ
 

@@ -352,7 +352,6 @@ class TestFrontDoorEndToEnd:
         assert stats.net_failed == stats.net_requests == 10
         assert stats.completed == 0
 
-
     def test_every_transit_lasts_at_least_its_link_latency(self, small_bank):
         """A retransmit of a served request replays the gateway's cached
         verdict packet, so two sends of one packet object can be in the air
