@@ -2,12 +2,17 @@
 
 The paper's mini OS evicts the algorithm with the oldest access time stamp
 (per-algorithm LRU).  This experiment runs the same traces through the same
-card configured with LRU, FIFO, LFU, Random and Belady's farthest-next-use
-heuristic (clairvoyant, but not optimal here: functions span different frame
-counts, so evicting the farthest next use can free too many frames or too
-few; where a function is placed does not change which ones stay resident),
-on a fabric deliberately smaller than the working set, and reports hit rate,
-evictions and mean service latency per (policy, trace) pair.
+card configured with LRU, FIFO, LFU and Random — the policies a card can run
+— on a fabric deliberately smaller than the working set, and reports hit
+rate, evictions and mean service latency per (policy, trace) pair.
+
+Its Belady row is a policy of this benchmark, not of the card: the
+farthest-next-use rule reads the requests still to come, which no mini OS
+can, so ``offline_policies.BeladyPolicy`` is built with the whole trace and
+installed on a built card by assignment.  It is clairvoyant but not optimal
+here: functions span different frame counts, so evicting the farthest next
+use can free too many frames or too few; where a function is placed does not
+change which ones stay resident.
 
 The timed kernel is one full LRU trace run (the steady-state decision loop of
 the mini OS).
@@ -17,10 +22,12 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import save_report
+from benchmarks.offline_policies import BeladyPolicy, SteppedEngine
 from repro.analysis.figures import ascii_bar_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.builder import build_coprocessor
+from repro.core.config import CoprocessorConfig
 from repro.core.ondemand import TraceRunner
 from repro.workloads import phased_trace, round_robin_trace, zipf_trace
 
@@ -40,20 +47,21 @@ def _traces(bank, seed=2005):
     }
 
 
-def _run(bank, policy, trace, provide_future):
-    config_small_fabric = dict(
+def _run(bank, policy, trace):
+    """One (policy, trace) cell on E3's 32-frame card: the trace's result and the card."""
+    config = CoprocessorConfig(
         fabric_columns=8, fabric_rows=32, clb_rows_per_frame=8,
-        replacement_policy=policy, seed=2005,
+        replacement_policy="lru" if policy == BeladyPolicy.name else policy, seed=2005,
     )
-    from repro.core.config import CoprocessorConfig
-
-    config = CoprocessorConfig(**config_small_fabric)
     copro = build_coprocessor(config=config, bank=bank.subset(WORKING_SET))
-    result = TraceRunner(copro).run(trace, provide_future=provide_future)
-    return result, copro
+    engine = copro
+    if policy == BeladyPolicy.name:
+        engine = SteppedEngine(copro, BeladyPolicy([request.function for request in trace.requests]))
+    return TraceRunner(engine).run(trace), copro
 
 
-def test_e3_replacement_policies(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
+    """The whole E3 report: every (trace, policy) row, the chart and the metrics."""
     report = ExperimentReport("E3", "Frame replacement policy comparison")
     table = Table(
         "Hit rate / evictions / mean latency per policy and trace",
@@ -62,7 +70,7 @@ def test_e3_replacement_policies(benchmark, bank):
     hit_rates = {}
     for trace_name, trace in _traces(bank).items():
         for policy in POLICIES:
-            result, copro = _run(bank, policy, trace, provide_future=(policy == "belady"))
+            result, copro = _run(bank, policy, trace)
             table.add_row(
                 trace_name,
                 policy,
@@ -88,12 +96,16 @@ def test_e3_replacement_policies(benchmark, bank):
     report.record_metric("lru_mean_hit_rate", lru_mean)
     report.record_metric("random_mean_hit_rate", random_mean)
     report.record_metric("belady_mean_hit_rate", belady_mean)
-    save_report(report)
+    return report
+
+
+def test_e3_replacement_policies(benchmark, bank):
+    save_report(build_report(bank))
 
     trace = _traces(bank)["zipf(1.2)"]
 
     def run_lru_trace():
-        result, _ = _run(bank, "lru", trace, provide_future=False)
+        result, _ = _run(bank, "lru", trace)
         return result
 
     result = benchmark.pedantic(run_lru_trace, rounds=3, iterations=1)

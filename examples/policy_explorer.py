@@ -41,9 +41,7 @@ def sweep_policies(bank, trace_length: int = 250) -> None:
                 replacement_policy=policy, seed=7,
             )
             coprocessor = build_coprocessor(config=config, bank=bank)
-            result = TraceRunner(coprocessor).run(
-                trace, provide_future=(policy == "belady")
-            )
+            result = TraceRunner(coprocessor).run(trace)
             table.add_row(policy, trace_name, result.hit_rate, result.mean_latency_ns / 1e3)
             if trace_name == "zipf":
                 chart[policy] = result.hit_rate

@@ -10,8 +10,6 @@ algorithms.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.baselines.base import BaselineResult
 from repro.core.config import CoprocessorConfig
 from repro.core.coprocessor import AgileCoprocessor
@@ -52,7 +50,7 @@ class FullReconfigEngine:
         return penalty
 
     # ---------------------------------------------------------------- API
-    def execute(self, name: str, data: bytes, future_requests: Optional[Sequence[str]] = None) -> BaselineResult:
+    def execute(self, name: str, data: bytes) -> BaselineResult:
         """Execute *name*, evicting everything else and paying full-device cost."""
         copro = self.coprocessor
         if not copro.bank_downloaded:

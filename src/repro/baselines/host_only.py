@@ -40,7 +40,7 @@ class HostOnlyEngine:
         cycles = function.software_cycles(input_length, self.software_slowdown)
         return round(cycles / HOST_CLOCK_HZ * 1e9)
 
-    def execute(self, name: str, data: bytes, future_requests=None) -> BaselineResult:
+    def execute(self, name: str, data: bytes) -> BaselineResult:
         """Run *name* on *data* in software (the result is bit-exact with the
         hardware because both use the same reference behaviour)."""
         elapsed = self.software_time_ns(name, len(data))

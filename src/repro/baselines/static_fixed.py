@@ -62,7 +62,7 @@ class StaticFixedEngine:
         return self.coprocessor.clock
 
     # ---------------------------------------------------------------- API
-    def execute(self, name: str, data: bytes, future_requests: Optional[Sequence[str]] = None) -> BaselineResult:
+    def execute(self, name: str, data: bytes) -> BaselineResult:
         """Execute on the fabric when resident, otherwise in host software."""
         if name in self.resident:
             result = self.coprocessor.execute(name, data)

@@ -2,9 +2,10 @@
 
 Every experiment knob lives here so benchmark sweeps are just "build a config,
 vary one field".  The defaults describe a plausible 2005-era card: a mid-range
-partially reconfigurable FPGA, a 4 MiB configuration flash, 1 MiB of SRAM and
-a 66 MHz microcontroller.  The 33 MHz/32-bit PCI bus and its 256-byte DMA
-bursts are constants of :mod:`repro.pci` and :mod:`repro.core.host`.
+partially reconfigurable FPGA, a 4 MiB configuration flash and 1 MiB of SRAM.
+The 66 MHz microcontroller and its command decode cost, the 33 MHz/32-bit PCI
+bus and its 256-byte DMA bursts are constants of :mod:`repro.mcu.microcontroller`,
+:mod:`repro.pci` and :mod:`repro.core.host`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ class CoprocessorConfig:
     overlap_decompress: bool = False
 
     # --- microcontroller / mini OS ------------------------------------------
-    mcu_clock_hz: float = 66e6
-    command_decode_cycles: int = 40
     replacement_policy: str = "lru"
     placement_strategy: PlacementStrategy = PlacementStrategy.CONTIGUOUS_FIRST_FIT
 

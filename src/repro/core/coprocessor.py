@@ -12,7 +12,7 @@ directly when an experiment only cares about card-internal behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bitstream.codecs import get_codec
 from repro.bitstream.window import WindowedCompressor
@@ -57,7 +57,6 @@ class AgileCoprocessor:
             self.rom,
             self.device,
             self.clock,
-            mcu_clock_hz=config.mcu_clock_hz,
             overlap_decompress=config.overlap_decompress,
             trace=self.trace,
         )
@@ -68,8 +67,6 @@ class AgileCoprocessor:
             minios=self.minios,
             config_module=self.config_module,
             clock=self.clock,
-            mcu_clock_hz=config.mcu_clock_hz,
-            command_decode_cycles=config.command_decode_cycles,
             trace=self.trace,
         )
         self.stats = CoprocessorStatistics()
@@ -156,18 +153,13 @@ class AgileCoprocessor:
         return self._bank_downloaded
 
     # ---------------------------------------------------------------- execute
-    def execute(
-        self,
-        name: str,
-        data: bytes,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> ExecutionResult:
+    def execute(self, name: str, data: bytes) -> ExecutionResult:
         """Execute function *name* on *data*, loading it on demand if needed."""
         if not self._bank_downloaded:
             self.download_bank()
         if name not in self.bank:
             raise UnknownFunctionError(name)
-        result = self.mcu.handle_execute(name, data, future_requests=future_requests)
+        result = self.mcu.handle_execute(name, data)
         self.stats.record(result)
         return result
 

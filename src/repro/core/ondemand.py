@@ -83,34 +83,16 @@ class TraceRunner:
     def __init__(self, engine: ExecutionEngine) -> None:
         self.engine = engine
 
-    def run(
-        self,
-        trace: Trace,
-        provide_future: bool = False,
-        limit: Optional[int] = None,
-    ) -> TraceResult:
-        """Execute *trace* request by request (closed loop).
-
-        ``provide_future`` passes the remaining request sequence to the engine
-        (only meaningful for the Belady replacement policy); engines that do
-        not accept the keyword are called without it.
-        """
+    def run(self, trace: Trace, limit: Optional[int] = None) -> TraceResult:
+        """Execute *trace* request by request (closed loop)."""
         result = TraceResult()
         requests = trace.requests if limit is None else trace.requests[:limit]
         clock = getattr(self.engine, "clock", None)
         started_ns = clock.now if clock is not None else 0
-        function_sequence = [request.function for request in requests]
-        for index, request in enumerate(requests):
+        for request in requests:
             if clock is not None and request.arrival_offset_ns:
                 clock.advance(request.arrival_offset_ns)
-            if provide_future:
-                outcome = self.engine.execute(
-                    request.function,
-                    request.payload,
-                    future_requests=function_sequence[index + 1 :],
-                )
-            else:
-                outcome = self.engine.execute(request.function, request.payload)
+            outcome = self.engine.execute(request.function, request.payload)
             result.records.append(
                 RequestRecord(
                     latency_ns=getattr(outcome, "latency_ns"),

@@ -14,7 +14,6 @@ from repro.mcu.commands import CommandKind
 from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
 from repro.mcu.microcontroller import ExecutionResult, Microcontroller
 from repro.mcu.minios import (
-    BeladyPolicy,
     FifoPolicy,
     FrameReplacementEntry,
     FrameReplacementTable,
@@ -39,7 +38,6 @@ __all__ = [
     "FifoPolicy",
     "LfuPolicy",
     "RandomPolicy",
-    "BeladyPolicy",
     "MiniOs",
     "build_policy",
 ]

@@ -34,6 +34,7 @@ from repro.fpga.device import FPGADevice
 from repro.fpga.errors import ConfigurationError
 from repro.fpga.executor import FunctionExecutor
 from repro.fpga.frame import FrameRegion
+from repro.mcu.microcontroller import MCU_CLOCK_HZ
 from repro.memory.rom import ConfigurationRom
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
@@ -70,14 +71,13 @@ class ConfigurationModule:
         rom: ConfigurationRom,
         device: FPGADevice,
         clock: Clock,
-        mcu_clock_hz: float = 66e6,
         overlap_decompress: bool = False,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.rom = rom
         self.device = device
         self.clock = clock
-        self.domain = ClockDomain("mcu-config", mcu_clock_hz)
+        self.domain = ClockDomain("mcu-config", MCU_CLOCK_HZ)
         self.overlap_decompress = overlap_decompress
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         # blob -> parsed CompressedImage; repeated reconfigurations of the

@@ -10,16 +10,24 @@ responsibilities Section 2.3 of the paper assigns to the microcontroller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.fpga.device import FPGADevice
 from repro.fpga.errors import ConfigurationError
 from repro.functions.bank import FunctionBank
-from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
 from repro.mcu.minios.minios import MiniOs
 from repro.memory.ram import LocalRam
 from repro.sim.clock import Clock, ClockDomain
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.mcu.config_module import ConfigurationModule, ReconfigurationReport
+
+#: The microcontroller's clock; the configuration module's decompression runs
+#: on it too.
+MCU_CLOCK_HZ = 66e6
+#: Cycles to decode one command from the host.
+COMMAND_DECODE_CYCLES = 40
 
 #: The interface bus between the local RAM and the fabric, on the MCU clock:
 #: "each data transfer is a multiple of the width of the interface bus", and
@@ -76,8 +84,6 @@ class Microcontroller:
         minios: MiniOs,
         config_module: ConfigurationModule,
         clock: Clock,
-        mcu_clock_hz: float = 66e6,
-        command_decode_cycles: int = 40,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.bank = bank
@@ -86,8 +92,7 @@ class Microcontroller:
         self.minios = minios
         self.config_module = config_module
         self.clock = clock
-        self.domain = ClockDomain("mcu", mcu_clock_hz)
-        self.command_decode_cycles = command_decode_cycles
+        self.domain = ClockDomain("mcu", MCU_CLOCK_HZ)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.requests_handled = 0
         #: Demand scrubbing ("readback-before-use"): when True and a scrubber
@@ -107,30 +112,17 @@ class Microcontroller:
         whole beats, so the payload is exact and the time is padded."""
         return self.domain.cycles_to_ns(INTERFACE_SETUP_CYCLES + -(-length // INTERFACE_BUS_WIDTH_BYTES))
 
-    def ensure_loaded(
-        self,
-        name: str,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> ExecutionResult:
+    def ensure_loaded(self, name: str) -> ExecutionResult:
         """Make *name* resident without executing it (the PRELOAD command).
 
         Returns a partial :class:`ExecutionResult` (no output / data phases).
         """
         started = self.clock.now
         function = self.bank.by_name(name)
-        decode_time = self._charge_cycles(self.command_decode_cycles)
-        return self._load(
-            function, started, decode_time, self.config_module.reconfigure, future_requests
-        )
+        decode_time = self._charge_cycles(COMMAND_DECODE_CYCLES)
+        return self._load(function, started, decode_time, self.config_module.reconfigure)
 
-    def _load(
-        self,
-        function,
-        started: int,
-        decode_time: int,
-        configure,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> ExecutionResult:
+    def _load(self, function, started: int, decode_time: int, configure) -> ExecutionResult:
         """The load tail PRELOAD and RESTORE share: plan, evict, configure.
 
         ``configure(name, region, executor)`` is the
@@ -139,12 +131,7 @@ class Microcontroller:
         blob.
         """
         name = function.name
-        decision = self.minios.plan_load(
-            name,
-            function.frames_required(self.device.geometry),
-            self.clock.now,
-            future_requests=future_requests,
-        )
+        decision = self.minios.plan_load(name, function.frames_required(self.device.geometry))
         outcome = ExecutionResult(
             function=name, output=b"", hit=decision.hit, decode_time_ns=decode_time
         )
@@ -182,7 +169,7 @@ class Microcontroller:
 
     def evict(self, name: str) -> None:
         """Explicitly evict *name* (the EVICT command)."""
-        self._charge_cycles(self.command_decode_cycles)
+        self._charge_cycles(COMMAND_DECODE_CYCLES)
         if self.minios.is_resident(name):
             self.device.unload(name)
             self.minios.commit_eviction(name)
@@ -197,7 +184,7 @@ class Microcontroller:
         :class:`~repro.fpga.errors.ExecutionError` when *name* is not
         resident.
         """
-        self._charge_cycles(self.command_decode_cycles)
+        self._charge_cycles(COMMAND_DECODE_CYCLES)
         bitstream = self.device.capture_function(name)
         return self.config_module.compress_for_transfer(bitstream, codec_name, window_bytes)
 
@@ -212,7 +199,7 @@ class Microcontroller:
         """
         started = self.clock.now
         function = self.bank.by_name(name)
-        decode_time = self._charge_cycles(self.command_decode_cycles)
+        decode_time = self._charge_cycles(COMMAND_DECODE_CYCLES)
         # Validate the blob before any planning: a corrupted or mismatched
         # transfer must never cost the destination its resident functions
         # (the eviction loop is irreversible).
@@ -229,7 +216,7 @@ class Microcontroller:
         Returns its ``DefragPassResult``, or ``None`` when no defragmenter
         service is installed.
         """
-        self._charge_cycles(self.command_decode_cycles)
+        self._charge_cycles(COMMAND_DECODE_CYCLES)
         defragmenter = self.minios.service("defrag")
         if defragmenter is None:
             return None
@@ -242,7 +229,7 @@ class Microcontroller:
         :class:`repro.faults.scrubber.Scrubber`); returns its
         ``ScrubPassResult``, or ``None`` when no scrubber is installed.
         """
-        self._charge_cycles(self.command_decode_cycles)
+        self._charge_cycles(COMMAND_DECODE_CYCLES)
         scrubber = self.minios.service("scrubber")
         if scrubber is None:
             return None
@@ -250,17 +237,12 @@ class Microcontroller:
 
     def reset(self) -> None:
         """RESET command: clear the fabric and the mini OS state."""
-        self._charge_cycles(self.command_decode_cycles)
+        self._charge_cycles(COMMAND_DECODE_CYCLES)
         self.device.unload_all()
         self.minios.reset()
 
     # --------------------------------------------------------------- execute
-    def handle_execute(
-        self,
-        name: str,
-        data: bytes,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> ExecutionResult:
+    def handle_execute(self, name: str, data: bytes) -> ExecutionResult:
         """Run *name* on *data*, loading it on demand first if necessary.
 
         The card serves one command at a time, so the local RAM holds just
@@ -274,7 +256,7 @@ class Microcontroller:
         """
         clock = self.clock
         started = clock.now
-        outcome = self.ensure_loaded(name, future_requests=future_requests)
+        outcome = self.ensure_loaded(name)
 
         if self.scrub_on_execute:
             scrubber = self.minios.service("scrubber")

@@ -12,14 +12,16 @@ here:
   complement, and :meth:`MiniOs.free_frames` computes it from the table);
 * the **Frame Replacement Policy** — the paper evicts the algorithm with the
   oldest time stamp (least recently used); the policy is pluggable here so
-  experiment E3 can compare it with FIFO, LFU, Random and Belady's
-  farthest-next-use heuristic.
+  experiment E3 can compare it with FIFO, LFU and Random.  A policy ranks
+  the table's entries and reads nothing else: not the clock, and not the
+  requests still to come, which no controller can know.  E3's clairvoyant
+  row installs its farthest-next-use policy from the benchmark side
+  (``copro.minios.policy = ...``).
 """
 
 from repro.mcu.minios.defrag import DefragPassResult, Defragmenter, DefragStatistics
 from repro.mcu.minios.replacement import FrameReplacementEntry, FrameReplacementTable
 from repro.mcu.minios.policies import (
-    BeladyPolicy,
     FifoPolicy,
     LfuPolicy,
     LruPolicy,
@@ -41,7 +43,6 @@ __all__ = [
     "FifoPolicy",
     "LfuPolicy",
     "RandomPolicy",
-    "BeladyPolicy",
     "build_policy",
     "available_policies",
     "MiniOs",

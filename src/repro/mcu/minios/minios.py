@@ -4,7 +4,7 @@ implies and the replacement policy together into load/evict decisions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import FabricGeometry, FrameAddress
@@ -41,7 +41,9 @@ class MiniOs:
     isolation.
 
     The replacement table is the mini OS's one record of frame ownership;
-    the Free Frame List is its complement (:meth:`free_frames`).
+    the Free Frame List is its complement (:meth:`free_frames`).  ``policy``
+    is read on every miss, so assigning it installs another policy on a
+    built card (E3 installs its clairvoyant one that way).
     """
 
     def __init__(
@@ -99,12 +101,7 @@ class MiniOs:
 
     # -------------------------------------------------------------- planning
     def plan_load(
-        self,
-        name: str,
-        frames_needed: int,
-        now_ns: int,
-        protect: Optional[Set[str]] = None,
-        future_requests: Optional[Sequence[str]] = None,
+        self, name: str, frames_needed: int, protect: Optional[Set[str]] = None
     ) -> EvictionDecision:
         """Plan how to make *name* resident.
 
@@ -126,14 +123,7 @@ class MiniOs:
         self.stats.misses += 1
         protect = set(protect or set())
         protect.add(name)
-        victims = self.policy.select_victims(
-            self.table,
-            frames_needed,
-            self.free_count,
-            now_ns,
-            protect=protect,
-            future_requests=future_requests,
-        )
+        victims = self.policy.select_victims(self.table, frames_needed, self.free_count, protect)
         # Frames available once the victims are gone.
         candidate_frames = self.free_frames()
         for victim in victims:

@@ -3,8 +3,14 @@
 The paper's policy makes "those frames that belong to the frequently least
 used Algorithm potential candidates for replacement", choosing the algorithm
 "which has the oldest time stamp" — i.e. per-algorithm LRU.  Experiment E3
-compares that choice against FIFO, LFU, Random and Belady's farthest-next-use
-heuristic, so every policy implements the same small interface.
+compares that choice against FIFO, LFU and Random, so every policy implements
+the same small interface: rank the resident entries from most to least
+evictable, reading only the replacement table.  A policy sees what a card's
+controller can see and nothing more — not the requests still to come, and
+not the clock, since the table's time stamps already order every access.
+E3's clairvoyant row (farthest next use) is a policy of the benchmark,
+installed on a built card's mini OS (``benchmarks/offline_policies.py``),
+not one a card can run.
 
 Victims are whole algorithms (not individual frames): partial reconfiguration
 erases the evicted algorithm's frames, returning them to the free frame list.
@@ -13,7 +19,7 @@ erases the evicted algorithm's frames, returning them to the free frame list.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.mcu.minios.replacement import FrameReplacementEntry, FrameReplacementTable
 from repro.sim.rand import SeededRandom
@@ -26,12 +32,7 @@ class ReplacementPolicy(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
+    def rank_victims(self, table: FrameReplacementTable) -> List[FrameReplacementEntry]:
         """Resident entries ordered from most to least evictable."""
 
     def select_victims(
@@ -39,9 +40,7 @@ class ReplacementPolicy(abc.ABC):
         table: FrameReplacementTable,
         frames_needed: int,
         free_frames: int,
-        now_ns: int,
         protect: Optional[Set[str]] = None,
-        future_requests: Optional[Sequence[str]] = None,
     ) -> List[FrameReplacementEntry]:
         """Pick victims until ``free_frames`` plus their frames covers the need.
 
@@ -54,7 +53,7 @@ class ReplacementPolicy(abc.ABC):
         available = free_frames
         if available >= frames_needed:
             return victims
-        for entry in self.rank_victims(table, now_ns, future_requests):
+        for entry in self.rank_victims(table):
             if entry.name in protect:
                 continue
             victims.append(entry)
@@ -79,12 +78,7 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
+    def rank_victims(self, table: FrameReplacementTable) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.last_access_ns, entry.name))
 
 
@@ -93,12 +87,7 @@ class FifoPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
+    def rank_victims(self, table: FrameReplacementTable) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.loaded_at_ns, entry.name))
 
 
@@ -107,12 +96,7 @@ class LfuPolicy(ReplacementPolicy):
 
     name = "lfu"
 
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
+    def rank_victims(self, table: FrameReplacementTable) -> List[FrameReplacementEntry]:
         return sorted(table, key=lambda entry: (entry.access_count, entry.last_access_ns, entry.name))
 
 
@@ -124,50 +108,8 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, seed: int = 0) -> None:
         self._rng = SeededRandom(seed)
 
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
+    def rank_victims(self, table: FrameReplacementTable) -> List[FrameReplacementEntry]:
         return self._rng.shuffle(sorted(table, key=lambda entry: entry.name))
-
-
-class BeladyPolicy(ReplacementPolicy):
-    """Belady's farthest-next-use heuristic: evict the algorithm whose next use
-    is farthest away.
-
-    Clairvoyant but not optimal here.  Belady's rule is optimal for
-    equal-sized pages, but functions span different frame counts: evicting
-    the farthest next use can free more frames than the newcomer needs, or
-    too few, so it takes a second victim.  Which functions stay resident
-    does not depend on where they are placed.  On E3's round-robin trace
-    random eviction beats it (0.7600 vs 0.7500 hit rate).
-
-    Requires the future request sequence; falls back to LRU ordering when it
-    is not provided (which is what a real controller would have to do).
-    """
-
-    name = "belady"
-
-    def rank_victims(
-        self,
-        table: FrameReplacementTable,
-        now_ns: int,
-        future_requests: Optional[Sequence[str]] = None,
-    ) -> List[FrameReplacementEntry]:
-        if not future_requests:
-            return LruPolicy().rank_victims(table, now_ns)
-        next_use: Dict[str, int] = {}
-        for entry in table:
-            try:
-                next_use[entry.name] = future_requests.index(entry.name)
-            except ValueError:
-                next_use[entry.name] = len(future_requests) + 1
-        return sorted(
-            table,
-            key=lambda entry: (-next_use[entry.name], entry.last_access_ns, entry.name),
-        )
 
 
 _POLICIES: Dict[str, Callable[[], ReplacementPolicy]] = {
@@ -175,7 +117,6 @@ _POLICIES: Dict[str, Callable[[], ReplacementPolicy]] = {
     FifoPolicy.name: FifoPolicy,
     LfuPolicy.name: LfuPolicy,
     RandomPolicy.name: RandomPolicy,
-    BeladyPolicy.name: BeladyPolicy,
 }
 
 

@@ -39,6 +39,7 @@ from repro.core.host import DMA_BURST_BYTES
 from repro.fpga.config_port import CONFIG_CLOCK_HZ, CONFIG_PORT_WIDTH_BYTES
 from repro.fpga.device import FABRIC_CLOCK_HZ
 from repro.mcu.config_module import DECOMPRESS_CYCLES_PER_BYTE, ROM_CHUNK_BYTES
+from repro.mcu.microcontroller import COMMAND_DECODE_CYCLES, MCU_CLOCK_HZ
 from repro.pci import PCI_BUS_WIDTH_BYTES, PCI_CLOCK_HZ
 
 #: Programmed I/O up to this many bytes; DMA above it.
@@ -88,15 +89,15 @@ class MissTerms:
         )
 
 
-def miss_terms(config, blob: bytes) -> MissTerms:
-    """The formula's terms for loading the stored image *blob* under *config*."""
+def miss_terms(blob: bytes) -> MissTerms:
+    """The formula's terms for loading the stored image *blob*."""
     image = CompressedImage.from_bytes(blob)
     raw_windows = list(WindowedDecompressor(image).windows())
     frames = parse_bitstream(b"".join(raw_windows)).frames
     chunk = ROM_CHUNK_BYTES
     rom = sum(rom_ns(min(chunk, len(blob) - offset)) for offset in range(0, len(blob), chunk))
     decompress = sum(
-        _ns(DECOMPRESS_CYCLES_PER_BYTE * (len(compressed) + len(raw)) / 2.0, config.mcu_clock_hz)
+        _ns(DECOMPRESS_CYCLES_PER_BYTE * (len(compressed) + len(raw)) / 2.0, MCU_CLOCK_HZ)
         for compressed, raw in zip(image.windows, raw_windows)
     )
     port = sum(
@@ -125,51 +126,67 @@ def host_transfer_ns(length: int) -> int:
     )
 
 
-def interface_ns(config, length: int) -> int:
+def interface_ns(length: int) -> int:
     """The interface bus between local RAM and fabric: 4 setup cycles plus
     whole beats, on the microcontroller clock."""
-    return _ns(4 + _ceil(length, INTERFACE_BUS_WIDTH_BYTES), config.mcu_clock_hz)
+    return _ns(4 + _ceil(length, INTERFACE_BUS_WIDTH_BYTES), MCU_CLOCK_HZ)
 
 
-def call_ns(config, input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) -> int:
+def call_ns(input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) -> int:
     """One :meth:`HostDriver.call`, end to end."""
     host = host_transfer_ns(input_bytes) + 5 * pci_ns(4) + host_transfer_ns(output_bytes)
     card = (
-        _ns(config.command_decode_cycles, config.mcu_clock_hz)
+        _ns(COMMAND_DECODE_CYCLES, MCU_CLOCK_HZ)
         + miss_ns
-        + 2 * ram_ns(input_bytes) + interface_ns(config, input_bytes)
+        + 2 * ram_ns(input_bytes) + interface_ns(input_bytes)
         + _ns(cycles, FABRIC_CLOCK_HZ)
-        + interface_ns(config, output_bytes) + 2 * ram_ns(output_bytes)
+        + interface_ns(output_bytes) + 2 * ram_ns(output_bytes)
     )
     return host + card
 
 
-def lru_calls_ns(
+#: Each policy's eviction order (first evicted first) over a residency entry
+#: ``[loaded_at, last_use, count]``, as ``repro.mcu.minios.policies`` ranks the
+#: replacement table.  Stamps are call indexes: every call is a later instant
+#: than the one before, so no two entries tie and names never break a tie.
+RANKS = {
+    "lru": lambda entry: entry[1],
+    "fifo": lambda entry: entry[0],
+    "lfu": lambda entry: (entry[2], entry[1]),
+}
+
+
+def calls_ns(
     config,
     bank,
     blobs: Dict[str, bytes],
     calls: Iterable[Tuple[str, bytes]],
-) -> List[int]:
-    """Each call's ``total_ns`` on a fresh card with the LRU policy.
+    policy: str,
+) -> List[Tuple[int, bool, int]]:
+    """Each call's ``(total_ns, hit, evictions)`` on a fresh card under *policy*.
 
-    Residency is the only state: a miss evicts the least recently used
-    functions until the newcomer's frames fit (any free frames will do, as
-    under contiguous-first-fit placement with its scattered fallback).
+    Residency is the only state: a miss evicts in the policy's order until
+    the newcomer's frames fit (any free frames will do, as under
+    contiguous-first-fit placement with its scattered fallback), and a load
+    counts as the new entry's first use.
     """
     geometry = config.geometry()
-    resident: List[str] = []  # least recently used first
-    totals = []
-    for name, payload in calls:
-        function = bank.by_name(name)
-        output, cycles = function.executor(geometry).run(payload)
-        miss = 0
-        if name in resident:
-            resident.remove(name)
-        else:
-            need = function.frames_required(geometry)
-            while need + sum(bank.by_name(r).frames_required(geometry) for r in resident) > geometry.frame_count:
-                resident.pop(0)
-            miss = miss_terms(config, blobs[name]).serial_ns
-        resident.append(name)
-        totals.append(call_ns(config, len(payload), len(output), cycles, miss))
-    return totals
+    rank = RANKS[policy]
+    frames = {function.name: function.frames_required(geometry) for function in bank}
+    resident: Dict[str, List[int]] = {}
+    results = []
+    for index, (name, payload) in enumerate(calls):
+        output, cycles = bank.by_name(name).executor(geometry).run(payload)
+        hit = name in resident
+        miss = evictions = 0
+        if not hit:
+            while frames[name] + sum(frames[other] for other in resident) > geometry.frame_count:
+                del resident[min(resident, key=lambda other: rank(resident[other]))]
+                evictions += 1
+            miss = miss_terms(blobs[name]).serial_ns
+            resident[name] = [index, index, 0]
+        entry = resident[name]
+        entry[1] = index
+        entry[2] += 1
+        results.append((call_ns(len(payload), len(output), cycles, miss), hit, evictions))
+    return results

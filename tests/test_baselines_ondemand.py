@@ -7,7 +7,7 @@ from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.core.ondemand import TraceRunner
 from repro.functions.bank import build_small_bank
-from repro.workloads import repeated_trace, round_robin_trace, uniform_trace
+from repro.workloads import repeated_trace, uniform_trace
 
 
 @pytest.fixture
@@ -105,15 +105,6 @@ class TestTraceRunner:
         copro = build_coprocessor(config=config, bank=bank)
         result = TraceRunner(copro).run(repeated_trace(bank, "crc32", 20))
         assert result.hits == 19 and result.misses == 1
-
-    def test_provide_future_enables_belady(self, bank):
-        config = SMALL_CONFIG.with_overrides(
-            fabric_columns=2, fabric_rows=16, clb_rows_per_frame=4, replacement_policy="belady"
-        )
-        copro = build_coprocessor(config=config, bank=bank)
-        trace = round_robin_trace(bank, 30, seed=1)
-        result = TraceRunner(copro).run(trace, provide_future=True)
-        assert result.requests == 30
 
     def test_per_function_latency_and_percentiles(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)

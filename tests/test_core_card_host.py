@@ -155,7 +155,7 @@ class TestHostCallWork:
             by_package[code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]] += frames
         return by_package
 
-    def test_a_resident_hit_enters_116_frames(self, small_bank):
+    def test_a_resident_hit_enters_115_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
         ``src/repro/`` per resident hit through :meth:`HostDriver.call`
         (``crc32`` on 16 bytes, ``SMALL_CONFIG``), by package —
@@ -186,13 +186,14 @@ class TestHostCallWork:
           the executor's ``run`` and ``cycles_for``); ``by_id``,
           two ``name``, the bank's second ``__contains__`` and ``by_name``,
           ``frames_required`` and the behaviour model (``functions`` 7);
-          ``bitstream`` 1, ``analysis`` 1 and ``sim`` 28: 8 ``clock.now``,
+          ``bitstream`` 1, ``analysis`` 1 and ``sim`` 23: 7 ``clock.now``,
           4 ``advance`` (decode, staging and feed, fabric, collect and
           readout), 8 ``record`` (a ``ram`` write and read per buffer,
           ``data-in``, ``fpga``, ``data-out`` and ``mcu``) and 4
           ``cycles_to_ns``.
 
-        122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
+        116 while the load's planning read ``clock.now`` for the policy,
+        which no policy used (``sim`` 54); 122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
         frames) and the mini OS's capacity check read the geometry's
         ``frame_count`` and ``tiles_per_column`` properties (``fpga`` 5);
         165 while a first-fit allocator with labelled allocations and a byte
@@ -212,7 +213,7 @@ class TestHostCallWork:
             assert code.co_name not in ("<listcomp>", "<genexpr>"), code
         per_call = self._by_package(per_code)
         assert dict(per_call) == {
-            "sim": 54,
+            "sim": 53,
             "pci": 21,
             "mcu": 13,
             "functions": 10,
@@ -222,9 +223,9 @@ class TestHostCallWork:
             "bitstream": 1,
             "analysis": 1,
         }
-        assert sum(per_call.values()) == 116
+        assert sum(per_call.values()) == 115
 
-    def test_a_churn_miss_pair_enters_667_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_665_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -249,13 +250,14 @@ class TestHostCallWork:
         ``FrameRegion`` protocol (``__len__`` 18, ``__iter__`` 12, its
         construction 4).  ``bitstream`` 6 is per load: ``payload_crc`` and
         its ``crc32``, and the port's one ``crc32`` over the joined
-        payloads.  ``sim`` 176: ``clock.now`` 68, ``record`` 43,
+        payloads.  ``sim`` 174: ``clock.now`` 66, ``record`` 43,
         ``cycles_to_ns`` 37 (25 of them one per decompression window) and
         ``advance`` 28.  ``mcu`` 116 is the microcontroller's load and the
         mini OS's plan and commits; the Free Frame List it plans from is
         one scan of the replacement table.
 
-        2 314 while the port, the claim and the erase worked per frame:
+        667 while each load's planning read ``clock.now`` for the policy
+        (``sim`` 176).  2 314 while the port, the claim and the erase worked per frame:
         seven ``fpga`` frames per frame written (the claim's ``validate``
         and its ``tiles_per_column``, ``write_frame``, the frame array's
         ``__getitem__``, ``load_config_bytes``, the port's ``write_time_ns``
@@ -286,7 +288,7 @@ class TestHostCallWork:
         )
         assert dict(per_pair) == {
             "fpga": 240,
-            "sim": 176,
+            "sim": 174,
             "mcu": 116,
             "functions": 42,
             "pci": 42,
@@ -295,7 +297,7 @@ class TestHostCallWork:
             "bitstream": 6,
             "analysis": 2,
         }
-        assert sum(per_pair.values()) == 667
+        assert sum(per_pair.values()) == 665
 
 
 class TestBehaviourWork:

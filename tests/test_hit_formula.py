@@ -13,21 +13,22 @@ from repro.core.config import CoprocessorConfig
 from repro.fpga.device import FABRIC_CLOCK_HZ
 from repro.fpga.errors import ExecutionError
 from repro.functions.bank import build_default_bank
+from repro.mcu.microcontroller import COMMAND_DECODE_CYCLES, MCU_CLOCK_HZ
 
 #: Input sizes in blocks of the function's ``spec.input_bytes``.
 BLOCKS = (0, 1, 3, 64)
 MAX_INPUT_BYTES = 32 * 1024
 
 
-def hit_terms(config, input_bytes: int, output_bytes: int, cycles: int) -> dict:
+def hit_terms(input_bytes: int, output_bytes: int, cycles: int) -> dict:
     """The formula's ``breakdown`` of one resident hit."""
     return {
-        "decode": _ns(config.command_decode_cycles, config.mcu_clock_hz),
+        "decode": _ns(COMMAND_DECODE_CYCLES, MCU_CLOCK_HZ),
         "stage_input": ram_ns(input_bytes),
         "reconfigure": 0,
-        "feed": ram_ns(input_bytes) + interface_ns(config, input_bytes),
+        "feed": ram_ns(input_bytes) + interface_ns(input_bytes),
         "execute": _ns(cycles, FABRIC_CLOCK_HZ),
-        "collect": interface_ns(config, output_bytes) + ram_ns(output_bytes),
+        "collect": interface_ns(output_bytes) + ram_ns(output_bytes),
         "readout": ram_ns(output_bytes),
     }
 
@@ -49,7 +50,7 @@ def test_every_hit_is_its_formula():
             except ExecutionError:
                 continue  # a gate-level netlist takes exactly one block
             result = copro.execute(function.name, payload)
-            terms = hit_terms(config, size, len(output), cycles)
+            terms = hit_terms(size, len(output), cycles)
             assert (result.hit, result.output) == (True, output), (function.name, blocks)
             assert result.breakdown == terms, (function.name, blocks)
             assert result.latency_ns == sum(terms.values()), (function.name, blocks)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.fpga.frame import FrameRegion
 from repro.mcu.minios import (
-    BeladyPolicy,
     FifoPolicy,
     FrameReplacementTable,
     LfuPolicy,
@@ -106,62 +105,50 @@ class TestPolicies:
 
     def test_lru_evicts_oldest_timestamp(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        ranked = LruPolicy().rank_victims(table, now_ns=200.0)
+        ranked = LruPolicy().rank_victims(table)
         assert [entry.name for entry in ranked] == ["third", "second", "first"]
 
     def test_fifo_evicts_oldest_load(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        ranked = FifoPolicy().rank_victims(table, now_ns=200.0)
+        ranked = FifoPolicy().rank_victims(table)
         assert [entry.name for entry in ranked] == ["first", "second", "third"]
 
     def test_lfu_evicts_least_accessed(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        ranked = LfuPolicy().rank_victims(table, now_ns=200.0)
+        ranked = LfuPolicy().rank_victims(table)
         assert ranked[0].name == "third"
 
     def test_random_is_seed_deterministic(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        first = [entry.name for entry in RandomPolicy(seed=3).rank_victims(table, 0.0)]
-        second = [entry.name for entry in RandomPolicy(seed=3).rank_victims(table, 0.0)]
+        first = [entry.name for entry in RandomPolicy(seed=3).rank_victims(table)]
+        second = [entry.name for entry in RandomPolicy(seed=3).rank_victims(table)]
         assert first == second
         assert sorted(first) == ["first", "second", "third"]
 
-    def test_belady_uses_future_knowledge(self, tiny_geometry):
-        table = self._table(tiny_geometry)
-        future = ["third", "first"]  # "second" is never used again
-        ranked = BeladyPolicy().rank_victims(table, 0.0, future_requests=future)
-        assert ranked[0].name == "second"
-
-    def test_belady_without_future_falls_back_to_lru(self, tiny_geometry):
-        table = self._table(tiny_geometry)
-        assert [entry.name for entry in BeladyPolicy().rank_victims(table, 0.0)] == [
-            entry.name for entry in LruPolicy().rank_victims(table, 0.0)
-        ]
-
     def test_select_victims_frees_enough_frames(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        victims = LruPolicy().select_victims(table, frames_needed=4, free_frames=0, now_ns=200.0)
+        victims = LruPolicy().select_victims(table, frames_needed=4, free_frames=0)
         assert sum(victim.frame_count for victim in victims) >= 4
         assert victims[0].name == "third"
 
     def test_select_victims_respects_protection(self, tiny_geometry):
         table = self._table(tiny_geometry)
         victims = LruPolicy().select_victims(
-            table, frames_needed=1, free_frames=0, now_ns=200.0, protect={"third"}
+            table, frames_needed=1, free_frames=0, protect={"third"}
         )
         assert victims[0].name == "second"
 
     def test_select_victims_no_op_when_enough_free(self, tiny_geometry):
         table = self._table(tiny_geometry)
-        assert LruPolicy().select_victims(table, frames_needed=2, free_frames=5, now_ns=0.0) == []
+        assert LruPolicy().select_victims(table, frames_needed=2, free_frames=5) == []
 
     def test_capacity_error_when_nothing_left_to_evict(self, tiny_geometry):
         table = self._table(tiny_geometry)
         with pytest.raises(CapacityError):
-            LruPolicy().select_victims(table, frames_needed=100, free_frames=0, now_ns=0.0)
+            LruPolicy().select_victims(table, frames_needed=100, free_frames=0)
 
     def test_policy_registry(self):
-        assert set(available_policies()) == {"lru", "fifo", "lfu", "random", "belady"}
+        assert available_policies() == ["fifo", "lfu", "lru", "random"]
         assert build_policy("lru").name == "lru"
         assert build_policy("random", seed=5).name == "random"
         with pytest.raises(KeyError):
@@ -171,16 +158,16 @@ class TestPolicies:
 class TestMiniOs:
     def test_hit_when_already_resident(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
-        decision = minios.plan_load("aes128", 2, now_ns=0.0)
+        decision = minios.plan_load("aes128", 2)
         assert not decision.hit
         minios.commit_load("aes128", decision.region, 0.0)
-        second = minios.plan_load("aes128", 2, now_ns=10.0)
+        second = minios.plan_load("aes128", 2)
         assert second.hit and second.region is None
         assert minios.stats.hits == 1 and minios.stats.misses == 1
 
     def test_miss_without_eviction_uses_free_frames(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
-        decision = minios.plan_load("sha1", 3, now_ns=0.0)
+        decision = minios.plan_load("sha1", 3)
         assert decision.evictions == []
         assert len(decision.region) == 3
         minios.commit_load("sha1", decision.region, 0.0)
@@ -190,10 +177,10 @@ class TestMiniOs:
         minios = MiniOs(tiny_geometry)
         # Fill the fabric with two functions.
         for name, frames in (("a", 10), ("b", 6)):
-            decision = minios.plan_load(name, frames, now_ns=0.0)
+            decision = minios.plan_load(name, frames)
             minios.commit_load(name, decision.region, 0.0)
         minios.touch("a", 50.0)  # make "b" the LRU victim
-        decision = minios.plan_load("c", 4, now_ns=60.0)
+        decision = minios.plan_load("c", 4)
         assert decision.evictions == ["b"]
         # Execute the plan: evict then load.
         for victim in decision.evictions:
@@ -207,12 +194,12 @@ class TestMiniOs:
     def test_capacity_error_for_oversized_function(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
         with pytest.raises(CapacityError):
-            minios.plan_load("huge", tiny_geometry.frame_count + 1, now_ns=0.0)
+            minios.plan_load("huge", tiny_geometry.frame_count + 1)
         assert minios.free_count == tiny_geometry.frame_count
 
     def test_reset(self, tiny_geometry):
         minios = MiniOs(tiny_geometry)
-        decision = minios.plan_load("x", 2, 0.0)
+        decision = minios.plan_load("x", 2)
         minios.commit_load("x", decision.region, 0.0)
         minios.reset()
         assert not minios.is_resident("x")

@@ -81,7 +81,7 @@ FLEET_CODE_LINE_BUDGET = 640
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 810
-SRC_CODE_LINE_BUDGET = 11_302
+SRC_CODE_LINE_BUDGET = 11_191
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -566,8 +566,6 @@ KEPT_CONFIG_FIELDS = {
         "lut_inputs": "a FabricGeometry parameter: the LUT's input count",
         "switch_bytes_per_clb": "a FabricGeometry parameter: configuration bytes per switch box",
         "compression_window_bytes": "the ROM images' and migration blobs' compression window",
-        "mcu_clock_hz": "the microcontroller's clock",
-        "command_decode_cycles": "the microcontroller's command decode cost",
         "software_slowdown": "the host-only baseline's cycles per fabric cycle",
     }.items()
 }

@@ -38,7 +38,7 @@ class TestMiniOsAccountingInvariant:
         for name, frames_needed in requests:
             clock_ns += 10.0
             try:
-                decision = minios.plan_load(name, frames_needed, clock_ns)
+                decision = minios.plan_load(name, frames_needed)
             except Exception:
                 continue
             if decision.hit:
