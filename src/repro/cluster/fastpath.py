@@ -45,10 +45,13 @@ minios statistics and device events are **equal** to a memo-off run.
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
 consulted only while the card is plainly serving — function resident, health
-``up``, no scrubber, no scrub-on-execute, no hazard detector and no
-device recorder enabled outside a bridging fleet.  Any fault
-machinery or an eviction of the function selects the real, fully-modelled
-path for that request.
+``up``, no scrub-on-execute, no frame of the function's region in the
+configuration memory's ``suspect`` set and no device recorder enabled outside
+a bridging fleet.  A fault-protected card replays too: its periodic scrub runs
+in a scrub order, never inside a serve, and its hazard detector counts nothing
+on a region with no suspect frame.  An upset in the region, a degraded port or
+an eviction of the function selects the real, fully-modelled path for that
+request.
 
 The cache is bounded: after :data:`MEMO_ENTRY_CAP` distinct pairs a card
 stops recording and serves unseen pairs by the full path.  The shipped trace
@@ -103,25 +106,28 @@ class ServeMemo:
         self.device = self.copro.device
         self._entries: Dict[Tuple[str, bytes], _MemoEntry] = {}
         # Hot-path bindings (all created once per card, never replaced; the
-        # bound containers — replacement table, loaded-function dict — are
-        # mutated in place, never reassigned).  The two statistics objects
-        # are *not* bound here: a card RESET replaces them.  ``copro.trace``
-        # is the card's one device recorder (bus, MCU, ROM, RAM and fabric).
+        # bound containers — replacement table, loaded-function dict, suspect
+        # frame set — are mutated in place, never reassigned).  The two
+        # statistics objects are *not* bound here: a card RESET replaces
+        # them.  ``copro.trace`` is the card's one device recorder (bus, MCU,
+        # ROM, RAM and fabric).
         self._recorder = self.copro.trace
         self._is_resident = self.minios.table.__contains__
         self._minios_touch = self.minios.table.touch
         self._loaded_get = self.device._loaded.get
+        self._table_entry = self.minios.table.entry
+        self._suspect = self.device.memory.suspect
         self.replays = 0
 
     # ---------------------------------------------------------------- gating
     def _safe(self, function: str) -> bool:
         """True when the card is in the plain regime a memo entry models."""
+        suspect = self._suspect
         return (
             self.fleet_card.health == "up"
-            and self.copro.scrubber is None
             and not self.mcu.scrub_on_execute
-            and self.device.hazard_detector is None
             and self._is_resident(function)
+            and (not suspect or suspect.isdisjoint(self._table_entry(function).region))
             and (not self._recorder.enabled or self.fleet_card._obs_trace is not None)
         )
 

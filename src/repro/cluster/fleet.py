@@ -26,9 +26,10 @@ delta is the same ``int`` wherever on either timeline it is measured.
 
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
-resident, healthy, unprotected card *replays* an earlier identical serve from
-its recorded duration and offsets; anything else — a miss, a degraded or
-fault-protected card — runs the full transaction-level model.  The two are
+resident, healthy card whose function's frames hold no suspect upset
+*replays* an earlier identical serve from its recorded duration and offsets;
+anything else — a miss, a degraded card, an upset in the function's region,
+demand scrubbing — runs the full transaction-level model.  The two are
 equal in schedule, counters, time totals and spans
 (``tests/test_cluster_fastpath.py``).  Either way a traced serve's device
 events reach the tracer as one ``card.device_events`` reference, built into

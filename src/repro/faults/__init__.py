@@ -12,7 +12,8 @@ This package models all three and the machinery that survives them:
 * :class:`GoldenImageStore` — the clean readback of every configured frame,
   captured at configure time, that repair restores from.
 * :class:`Scrubber` — a mini-OS readback scrub service: walk configuration
-  memory, recompute each frame's CRC-32 against its stored check word, and
+  memory, recompute each suspect frame's CRC-32 against its stored check
+  word (a frame no write or upset made suspect matches by construction), and
   rewrite mismatching frames from the golden image.
 * :class:`FrameHazardDetector` — the executor-path instrument counting
   "function executed on corrupted frame" events: the simulation's omniscient

@@ -23,13 +23,17 @@ class FrameHazardDetector:
 
     def __init__(self, memory: ConfigurationMemory) -> None:
         self.memory = memory
+        self._frames = memory.frames.by_address
         self.hazard_executions = 0
 
-    def observe_execution(self, name: str, region: FrameRegion) -> bool:
-        """Record one execution of *name*; True when a frame was corrupt."""
-        frames = self.memory.frames
-        for address in region:
-            if not frames[address].crc_ok:
-                self.hazard_executions += 1
-                return True
-        return False
+    def observe_execution(self, region: FrameRegion) -> None:
+        """Record one execution over *region*, counting it when a frame of
+        the region fails its check word.
+
+        Only a frame in the memory's ``suspect`` set can fail, so a clean
+        memory answers at once and otherwise only the region's suspect
+        frames are hashed.
+        """
+        suspect = self.memory.suspect
+        if suspect and any(not self._frames[a].crc_ok for a in suspect.intersection(region)):
+            self.hazard_executions += 1

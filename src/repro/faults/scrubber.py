@@ -8,12 +8,21 @@ corruption; repair rewrites the frame from the golden image captured at
 configure time and verifies the rewrite (a repaired frame must read back
 byte-identical to golden).
 
+Only a frame in the memory's ``suspect`` set can mismatch (see
+:mod:`repro.fpga.config_memory`), so a window's walk looks at its suspect
+frames alone, in window order, and drops from the set each one it finds
+clean; the others read clean by construction.
+
 Timing: checking a frame charges :data:`CHECK_CYCLES_PER_BYTE` configuration-
 clock cycles per configuration byte (modelling an internal readback port that
 is wider/faster than the external SelectMAP interface), and a repair
-additionally charges the external port's write time for the frame.  Scrub
-work therefore steals real card time — the throughput/reliability trade-off
-the reliability experiment sweeps.
+additionally charges the external port's write time for the frame.  Every
+frame has the same length, so a check costs one whole-nanosecond ``check_ns``:
+the walk advances the clock by ``check_ns`` times the frames up to each
+suspect frame, repairs it at the instant a frame-by-frame walk would, and
+charges the rest of the window in one product.  Scrub work therefore steals
+real card time — the throughput/reliability trade-off the reliability
+experiment sweeps.
 """
 
 from __future__ import annotations
@@ -31,17 +40,6 @@ CHECK_CYCLES_PER_BYTE = 0.25
 
 
 @dataclass
-class ScrubStatistics:
-    """Counters the scrubber accumulates over its lifetime."""
-
-    passes: int = 0
-    frames_checked: int = 0
-    detected: int = 0
-    corrected: int = 0
-    uncorrectable: int = 0
-
-
-@dataclass
 class ScrubPassResult:
     """What one scrub pass (or partial pass) found and fixed."""
 
@@ -49,6 +47,13 @@ class ScrubPassResult:
     detected: int = 0
     corrected: int = 0
     uncorrectable: int = 0
+
+
+@dataclass
+class ScrubStatistics(ScrubPassResult):
+    """The scrubber's lifetime sums of its passes' results, and the passes."""
+
+    passes: int = 0
 
 
 class Scrubber:
@@ -64,54 +69,52 @@ class Scrubber:
         self.memory = device.memory
         self.golden = golden
         self.clock = clock if clock is not None else device.clock
-        self.domain = ClockDomain("scrubber", CONFIG_CLOCK_HZ)
         self.stats = ScrubStatistics()
         self._frames = device.geometry.all_frames()
+        self._raster = {address: index for index, address in enumerate(self._frames)}
         self._cursor = 0
-
-    # ------------------------------------------------------------ one frame
-    def scrub_frame(self, address) -> bool:
-        """Check (and repair if needed) one frame; True when repaired."""
-        frame = self.memory.frames[address]
-        self.clock.advance(
-            self.domain.cycles_to_ns(CHECK_CYCLES_PER_BYTE * frame.config_byte_length)
+        self._check_ns = ClockDomain("scrubber", CONFIG_CLOCK_HZ).cycles_to_ns(
+            CHECK_CYCLES_PER_BYTE * device.geometry.frame_config_bytes
         )
-        self.stats.frames_checked += 1
-        if frame.crc_ok:
-            return False
-        self.stats.detected += 1
-        golden = self.golden.payload_for(address)
-        owner = self.memory.owner_of(address)
-        # Repair through the frame-write path (refreshes the check word) and
-        # charge the configuration port's write time for the frame.
-        self.memory.write_region((address,), (golden,), owner=owner)
-        self.clock.advance(self.device.port.write_time_ns(len(golden)))
-        if frame.crc_ok and frame.to_config_bytes() == golden:
-            self.stats.corrected += 1
-            return True
-        # Only reachable when the golden image itself is non-canonical —
-        # repair converged to the canonical form but cannot match the stored
-        # bytes.  Count it instead of looping forever.
-        self.stats.uncorrectable += 1
-        return False
 
-    def _scrub_addresses(self, addresses) -> ScrubPassResult:
-        """Check-and-repair *addresses*, returning what this pass found and fixed."""
-        result = ScrubPassResult()
-        detected_before = self.stats.detected
-        corrected_before = self.stats.corrected
-        uncorrectable_before = self.stats.uncorrectable
-        for address in addresses:
-            self.scrub_frame(address)
-            result.frames_checked += 1
-        result.detected = self.stats.detected - detected_before
-        result.corrected = self.stats.corrected - corrected_before
-        result.uncorrectable = self.stats.uncorrectable - uncorrectable_before
+    def _walk(self, count: int, suspects) -> ScrubPassResult:
+        """Check a window of *count* frames whose suspect frames are
+        *suspects*, ``(offset in window, address)`` pairs in window order."""
+        clock = self.clock
+        memory = self.memory
+        result = ScrubPassResult(frames_checked=count)
+        done = 0
+        for offset, address in suspects:
+            clock.advance((offset + 1 - done) * self._check_ns)
+            done = offset + 1
+            frame = memory.frames.by_address[address]
+            if frame.crc_ok:
+                memory.suspect.discard(address)
+                continue
+            result.detected += 1
+            golden = self.golden.payload_for(address)
+            # Repair through the frame-write path (refreshes the check word)
+            # and charge the configuration port's write time for the frame.
+            memory.write_region((address,), (golden,), owner=memory.owner_of(address))
+            clock.advance(self.device.port.write_time_ns(len(golden)))
+            if frame.crc_ok and frame.to_config_bytes() == golden:
+                result.corrected += 1
+            else:
+                # Only reachable when the golden image itself is
+                # non-canonical: the frame stays suspect and the next pass
+                # counts it again instead of looping forever.
+                result.uncorrectable += 1
+        clock.advance((count - done) * self._check_ns)
+        stats = self.stats
+        stats.frames_checked += count
+        stats.detected += result.detected
+        stats.corrected += result.corrected
+        stats.uncorrectable += result.uncorrectable
         return result
 
     # -------------------------------------------------------- demand scrub
     def scrub_region(self, region) -> ScrubPassResult:
-        """Check (and repair) exactly the frames of *region*.
+        """Check (and repair) exactly the frames of *region*, in its order.
 
         The demand-scrub ("readback-before-use") mode: the microcontroller
         calls this on a function's region right before executing it, which
@@ -119,7 +122,8 @@ class Scrubber:
         region's check time on every single request.  This is the limiting
         case of the periodic scrub as the period goes to zero.
         """
-        return self._scrub_addresses(region)
+        suspect = self.memory.suspect
+        return self._walk(len(region), [(i, a) for i, a in enumerate(region) if a in suspect])
 
     # ------------------------------------------------------------ full pass
     def scrub_pass(self, max_frames: Optional[int] = None) -> ScrubPassResult:
@@ -131,11 +135,11 @@ class Scrubber:
         """
         total = len(self._frames)
         count = total if max_frames is None else max(0, min(max_frames, total))
-        window = []
-        for _ in range(count):
-            window.append(self._frames[self._cursor])
-            self._cursor = (self._cursor + 1) % total
-        result = self._scrub_addresses(window)
+        cursor = self._cursor
+        offsets = {(self._raster[a] - cursor) % total: a for a in self.memory.suspect}
+        suspects = sorted((offset, a) for offset, a in offsets.items() if offset < count)
+        self._cursor = (cursor + count) % total
+        result = self._walk(count, suspects)
         self.stats.passes += 1
         return result
 

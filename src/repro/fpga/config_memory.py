@@ -10,11 +10,18 @@ one of the dicts' own key objects, so a lookup hits by identity).
 Ownership is one map, frame address -> owning function, in raster order.
 The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
 ``utilisation``) scan it: a shipped fabric has 64 to 128 frames.
+
+A frame's bytes change only here, so the memory also keeps ``suspect``: the
+frames whose readback may not match their check word.  An upset that changed
+a frame or a non-canonical write adds the frame; a canonical write or an
+erase removes it, and so does a scrub that finds it clean.  Every frame that
+is not ``crc_ok`` is in ``suspect``, so a scrub or a hazard check looks at
+those frames alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
 from repro.fpga.frame import FrameArray, FrameRegion, no_such_frame
@@ -31,6 +38,9 @@ class ConfigurationMemory:
         # The dict carries every address from construction on, in raster
         # order, so every scan of it answers in raster order.
         self._owners: Dict[FrameAddress, Optional[str]] = dict.fromkeys(geometry.all_frames())
+        #: Frames whose readback may not match their check word (a superset
+        #: of the frames that are not ``crc_ok``).  Mutated, never replaced.
+        self.suspect: Set[FrameAddress] = set()
 
     # ------------------------------------------------------------ ownership
     # An address the owner map lacks is off the fabric; geometry.validate
@@ -133,7 +143,10 @@ class ConfigurationMemory:
             if owner is not None and current is not None and current != owner:
                 self.clear_region(written)
                 raise FrameCollisionError([address], current)
-            frames[address].load_config_bytes(payload)
+            if frames[address].load_config_bytes(payload):
+                self.suspect.discard(address)
+            else:
+                self.suspect.add(address)
             if owner is not None:
                 owners[address] = owner
             written.append(address)
@@ -147,6 +160,7 @@ class ConfigurationMemory:
                 raise no_such_frame(address)
             frames[address].clear()
             self._owners[address] = None
+            self.suspect.discard(address)
 
     # ------------------------------------------------------------ fault model
     def corrupt_bit(self, address: FrameAddress, bit_index: int, bits: int = 1) -> bool:
@@ -157,7 +171,10 @@ class ConfigurationMemory:
         canonical readback actually changed (see :meth:`Frame.inject_upset`).
         """
         self.geometry.validate(address)
-        return self.frames[address].inject_upset(bit_index, bits=bits)
+        changed = self.frames[address].inject_upset(bit_index, bits=bits)
+        if changed:
+            self.suspect.add(address)
+        return changed
 
     def frame_crc_ok(self, address: FrameAddress) -> bool:
         """Does *address*'s readback still match its stored CRC check word?"""

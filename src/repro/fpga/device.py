@@ -186,7 +186,7 @@ class FPGADevice:
             # The hazard window: a function whose frames were corrupted after
             # configuration is about to execute anyway — the detector counts
             # it (the simulation's omniscient view of silent corruption).
-            detector.observe_execution(name, loaded.region)
+            detector.observe_execution(loaded.region)
         output, cycles = loaded.executor.run(input_bytes)
         elapsed = self.fabric_domain.cycles_to_ns(cycles)
         self.clock.advance(elapsed)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.fpga.clb import ConfigurableLogicBlock
 from repro.fpga.geometry import FabricGeometry, FrameAddress
@@ -81,15 +81,11 @@ class Frame:
         #: Updated only on legitimate writes — never by inject_upset — so a
         #: scrubber can detect corruption by recomputing the CRC on readback.
         self.stored_crc = self._erased_crc
-        # CRC of _data, None until recomputed: the hazard detector checks
-        # crc_ok per frame on every execution, which must not re-hash
-        # unchanged bytes.
-        self._crc: Optional[int] = self._erased_crc
 
     def clear(self) -> None:
         """Erase the frame (the all-zero configuration)."""
         self._data = self._erased
-        self.stored_crc = self._crc = self._erased_crc
+        self.stored_crc = self._erased_crc
 
     @property
     def is_clear(self) -> bool:
@@ -99,8 +95,10 @@ class Frame:
         """Configuration readback: the canonical byte image."""
         return self._data
 
-    def load_config_bytes(self, data: bytes) -> None:
-        """Store a frame-sized slice of configuration data."""
+    def load_config_bytes(self, data: bytes) -> bool:
+        """Store a frame-sized slice of configuration data; True when the
+        write was canonical (its readback is *data* and matches the check
+        word)."""
         expected = self.config_byte_length
         if len(data) != expected:
             raise ValueError(
@@ -116,19 +114,19 @@ class Frame:
         canonical = value & self._mask
         if canonical == value:
             self._data = bytes(data)
-            self._crc = self.stored_crc
-        else:
-            self._data = canonical.to_bytes(expected, "little")
-            self._crc = None
+            return True
+        self._data = canonical.to_bytes(expected, "little")
+        return False
 
     # ------------------------------------------------------------ fault model
     @property
     def crc_ok(self) -> bool:
-        """Does the live configuration still match its stored check word?"""
-        current = self._crc
-        if current is None:
-            current = self._crc = zlib.crc32(self._data)
-        return current == self.stored_crc
+        """Does the live configuration still match its stored check word?
+
+        Hashes the readback on every call: only the configuration memory's
+        ``suspect`` frames are asked, by the scrubber and the hazard detector.
+        """
+        return zlib.crc32(self._data) == self.stored_crc
 
     def inject_upset(self, bit_index: int, bits: int = 1) -> bool:
         """Flip *bits* consecutive configuration bits starting at *bit_index*.
@@ -149,7 +147,6 @@ class Frame:
             value ^= 1 << ((bit_index + offset) % total_bits)
         after = (value & self._mask).to_bytes(self.config_byte_length, "little")
         self._data = after
-        self._crc = None
         return after != before
 
     def __repr__(self) -> str:  # pragma: no cover

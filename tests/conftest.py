@@ -4,11 +4,11 @@ Most tests use deliberately small fabrics, banks and memories so the suite
 stays fast; a handful of integration tests build the full default system.
 
 The fleet-shaped fixtures (``small_trace`` / ``small_fleet`` /
-``protected_fleet`` / ``host_driver_factory``) are *factories*: they return a
-builder function so one test can produce several fleets or traces with
-different knobs while every suite shares a single definition of "a tiny
-deterministic fleet" (previously copy-pasted across the cluster, fault and
-multi-card PCI suites).
+``protected_fleet`` / ``control_plane_fleet`` / ``host_driver_factory``) are
+*factories*: they return a builder function so one test can produce several
+fleets or traces with different knobs while every suite shares a single
+definition of "a tiny deterministic fleet" (previously copy-pasted across the
+cluster, fault and multi-card PCI suites).
 
 Hypothesis runs under registered profiles: both are derandomized (a property
 failure must reproduce on the next run and on every CI machine), CI trades
@@ -27,6 +27,7 @@ from hypothesis import settings as hypothesis_settings
 from repro.check.invariants import check_invariants
 from repro.core.builder import build_coprocessor, build_fleet, build_host_driver
 from repro.core.config import CoprocessorConfig, SMALL_CONFIG
+from repro.faults import FaultSpec
 from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
 from repro.sim.clock import Clock
@@ -156,6 +157,44 @@ def protected_fleet():
             fault_tolerance=True,
             **kwargs,
         )
+
+    return make
+
+
+@pytest.fixture
+def control_plane_fleet():
+    """Factory: ``fleet_control_plane`` in small — four SMALL_CONFIG cards
+    under Poisson upsets and 32-frame scrub orders, card 0 killed at 45 % of
+    the trace, rebalancing and defrag, every function preloaded on card 0.
+    Returns ``(fleet, trace)``."""
+
+    def make(bank, seed, length=600):
+        trace = multi_tenant_trace(
+            bank, default_tenant_mix(bank, tenants=2, skew=1.2), length=length,
+            mean_interarrival_ns=40_000.0, seed=seed,
+        )
+        fleet = build_fleet(
+            cards=4,
+            config=SMALL_CONFIG.with_overrides(seed=seed),
+            bank=bank,
+            policy="affinity",
+            queue_depth=64,
+            fault_tolerance=True,
+            scrub_period_ns=60_000,
+            scrub_frames_per_order=32,
+            fault_spec=FaultSpec(
+                process="poisson",
+                upset_rate_per_s=20_000.0,
+                card_kill_times_ns=((trace.duration_ns * 0.45, 0),),
+                seed=seed,
+            ),
+            rebalance_period_ns=40_000,
+            rebalance_min_queue_skew=2,
+            defrag_period_ns=200_000,
+        )
+        for name in bank.names():
+            fleet.cards[0].driver.preload(name)
+        return fleet, trace
 
     return make
 

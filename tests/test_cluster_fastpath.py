@@ -145,6 +145,29 @@ class TestDifferential:
         assert memo.entries == 8
         assert_same_run(*fleets)
 
+    @pytest.mark.parametrize("seed", [11, 29, 47])
+    def test_fault_protected_cards_replay_bit_identically(
+        self, small_bank, control_plane_fleet, seed
+    ):
+        # Upsets, scrub orders, a card kill, rebalancing and defrag.  Cards
+        # replay while the function's region holds no suspect frame and run
+        # the full model (hazard counted) while it does.
+        fleets = [control_plane_fleet(small_bank, seed) for _ in range(2)]
+        without_memo(fleets[1][0])
+        for fleet, trace in fleets:
+            fleet.run(trace)
+        (memo_fleet, _), (reference_fleet, _) = fleets
+        assert_same_run(memo_fleet, reference_fleet)
+        assert memo_fleet.fault_summary() == reference_fleet.fault_summary()
+        for memo_card, reference_card in zip(memo_fleet.cards, reference_fleet.cards):
+            assert memo_card.hazard_detector.hazard_executions == (
+                reference_card.hazard_detector.hazard_executions
+            )
+            assert memo_card.scrub_stats == reference_card.scrub_stats
+        summary = memo_fleet.fault_summary()
+        assert summary["scrub_corrected"] > 0 and summary["card_failures"] == 1
+        assert replays(memo_fleet) > 0
+
 
 def recorder_state(card):
     recorder = card.driver.coprocessor.trace
@@ -354,12 +377,23 @@ class TestGate:
         assert card.memo.replays == 2
 
     def test_installed_scrubber(self, small_bank, small_fleet):
+        # A fault-protected card replays while its function's region is
+        # clean; an upset there selects the full path, which the hazard
+        # detector counts, until a scrub repairs the frame.
         _, card, request = self._warm_card(small_bank, small_fleet)
-        card.driver.coprocessor.enable_fault_protection()
+        copro = card.driver.coprocessor
+        scrubber = copro.enable_fault_protection()
+        detector = copro.device.hazard_detector
         for _ in range(2):
-            _, hit = card.serve(request)
-            assert hit is True
-        assert (card.memo.entries, card.memo.replays) == (1, 1)
+            assert card.serve(request)[1] is True
+        assert (card.memo.entries, card.memo.replays) == (1, 3)
+        address = copro.device.region_of("crc32").addresses[0]
+        assert copro.device.memory.corrupt_bit(address, 1)
+        assert card.serve(request)[1] is True
+        assert (card.memo.replays, detector.hazard_executions) == (3, 1)
+        assert scrubber.scrub_pass().corrected == 1
+        card.serve(request)
+        assert (card.memo.replays, detector.hazard_executions) == (4, 1)
 
     def test_enabled_device_recorder(self, small_bank, small_fleet):
         # A recorder someone enabled by hand is read as a device log, and a

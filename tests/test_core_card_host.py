@@ -300,6 +300,82 @@ class TestHostCallWork:
         assert sum(per_pair.values()) == 665
 
 
+class TestScrubWork:
+    """The scrubber's work counter: Python frames entered (every code object
+    but comprehensions, which Python 3.12 inlines) per scrub pass on a
+    protected ``SMALL_CONFIG`` card (64 frames, ``crc32`` loaded).  A pass
+    works per *suspect* frame of its window, not per frame checked.
+
+    A clean memory costs 5 frames whatever the window: ``scrub_pass``, one
+    resumption of its suspect scan (an empty set), ``_walk``, the result's
+    dataclass ``__init__`` and one ``clock.advance`` for the whole window.
+    One upset frame adds 12: the scan's second resumption, the advance to
+    the frame, ``crc_ok`` before and after the repair, ``payload_for``,
+    ``owner_of``, ``write_region`` and its ``load_config_bytes``, the port's
+    ``write_time_ns`` and its ``cycles_to_ns``, the repair's advance and
+    ``to_config_bytes``.  The frame-by-frame walk entered 3 + 5 per frame
+    checked (43, 163 and 323 for these windows) and 9 more per repair.
+    """
+
+    CLEAN_PASS = {"scrub_pass": 1, "<genexpr>": 1, "_walk": 1, "__init__": 1, "advance": 1}
+    REPAIR = {
+        "<genexpr>": 1, "advance": 2, "crc_ok": 2, "payload_for": 1, "owner_of": 1,
+        "write_region": 1, "load_config_bytes": 1, "write_time_ns": 1, "cycles_to_ns": 1,
+        "to_config_bytes": 1,
+    }
+
+    @staticmethod
+    def _frames(call, *args):
+        """``{code name: frames entered}`` while ``call(*args)`` runs."""
+        frames = collections.Counter()
+
+        def count(frame, event, _):
+            if event == "call" and frame.f_code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"):
+                frames[frame.f_code] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            call(*args)
+        finally:
+            sys.setprofile(previous)
+        by_name = collections.Counter()
+        for code, entered in frames.items():
+            by_name[code.co_name] += entered
+        return by_name
+
+    @staticmethod
+    def _protected_card(bank):
+        copro = build_coprocessor(config=SMALL_CONFIG, bank=bank)
+        scrubber = copro.enable_fault_protection()
+        copro.preload("crc32")
+        return copro, scrubber
+
+    @pytest.mark.parametrize("window", [8, 32, None])
+    def test_a_clean_pass_enters_5_frames_for_any_window(self, small_bank, window):
+        _, scrubber = self._protected_card(small_bank)
+        assert dict(self._frames(scrubber.scrub_pass, window)) == self.CLEAN_PASS
+
+    def test_one_upset_frame_adds_the_repairs_12_frames(self, small_bank):
+        copro, scrubber = self._protected_card(small_bank)
+        address = copro.device.region_of("crc32").addresses[0]
+        assert copro.device.memory.corrupt_bit(address, 1)
+        dirty = self._frames(scrubber.scrub_pass, None)
+        assert dict(dirty - collections.Counter(self.CLEAN_PASS)) == self.REPAIR
+        assert sum(dirty.values()) == 5 + 12
+        assert scrubber.stats.corrected == 1
+
+    def test_the_small_control_plane_fleet_replays_547_serves(
+        self, small_bank, control_plane_fleet
+    ):
+        """``control_plane_fleet`` at seed 11 (600 requests): the memo
+        replays 547 serves on fault-protected cards.  It replayed none while
+        its gate refused every card with a scrubber or a hazard detector."""
+        fleet, trace = control_plane_fleet(small_bank, 11)
+        fleet.run(trace)
+        assert sum(card.memo.replays for card in fleet.cards) == 547
+
+
 class TestBehaviourWork:
     """The bank's work counter: what one ``behaviour`` call of each of
     ``card_reconfig_churn``'s 13 functions costs on a nominal-size payload

@@ -1,12 +1,17 @@
 """Property-based invariants of the fault/scrub/self-healing layer.
 
-Two guarantees the reliability story rests on:
+Three guarantees the reliability story rests on:
 
 1. **Scrub soundness** — whatever bits an upset flips, the frame afterwards
    is either CRC-detected (and then repaired byte-identically to golden) or
    its canonical readback never changed in the first place (the flip landed
    in padding the CLB parser masks).  There is no third outcome.
-2. **Request conservation under card kills** — however cards die, every
+2. **The suspect-frame walk is the per-frame walk** — the scrubber checks
+   only the configuration memory's ``suspect`` frames, yet agrees with the
+   frame-by-frame reference (``tests/oracles/scrubber.py``) on every result,
+   counter, cursor, clock instant and frame, and every frame that fails its
+   check word is suspect.
+3. **Request conservation under card kills** — however cards die, every
    arrival is eventually completed or rejected; the FleetStatistics counters
    balance exactly and nothing is silently dropped.
 """
@@ -14,9 +19,14 @@ Two guarantees the reliability story rests on:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.scrubber import ReferenceScrubber
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG
-from repro.faults import FaultSpec
+from repro.faults import FaultSpec, GoldenImageStore, Scrubber
+from repro.fpga.device import FPGADevice
+from repro.fpga.errors import FrameCollisionError
+from repro.fpga.frame import Frame, FrameRegion
+from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import build_small_bank
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
@@ -96,6 +106,116 @@ class TestScrubSoundness:
         after = memory.read_frame(address)
         assert changed == (before != after)
         assert memory.frame_crc_ok(address) == (not changed)
+
+
+# Twelve 22-byte frames; four LUTs per CLB leave the upper nibble of each FF
+# byte as padding, so a random payload is usually a non-canonical write.
+_WALK_GEOMETRY = FabricGeometry(
+    columns=3, rows=8, clb_rows_per_frame=2, luts_per_clb=4, switch_bytes_per_clb=2
+)
+_WALK_FRAMES = _WALK_GEOMETRY.all_frames()
+_frame_indices = st.lists(
+    st.integers(min_value=0, max_value=len(_WALK_FRAMES) - 1), unique=True, max_size=5
+)
+_WALK_STEPS = st.one_of(
+    # write: frames, payload seed, owner, canonical?, golden = readback / as written / none
+    st.tuples(
+        st.just("write"), _frame_indices, st.binary(min_size=1, max_size=8),
+        st.sampled_from(["f", "g", None]), st.booleans(),
+        st.sampled_from(["readback", "written", None]),
+    ),
+    st.tuples(st.just("clear"), _frame_indices),
+    # upset: frame, first bit, burst width (1 is a single upset; a flip in
+    # padding is masked)
+    st.tuples(
+        st.just("upset"), st.integers(0, len(_WALK_FRAMES) - 1),
+        st.integers(0, _WALK_GEOMETRY.frame_config_bytes * 8 - 1), st.integers(1, 8),
+    ),
+    st.tuples(st.just("pass"), st.one_of(st.none(), st.integers(0, 2 * len(_WALK_FRAMES)))),
+    st.tuples(st.just("region"), _frame_indices),
+)
+
+
+def _canonical(payload: bytes) -> bytes:
+    """*payload* as a frame reads it back (padding bits cleared)."""
+    scratch = Frame(_WALK_GEOMETRY, _WALK_FRAMES[0])
+    scratch.load_config_bytes(payload)
+    return scratch.to_config_bytes()
+
+
+class _WalkSide:
+    """One device, golden store and scrubber, logging the clock at each write."""
+
+    def __init__(self, scrubber_class) -> None:
+        self.device = FPGADevice(_WALK_GEOMETRY)
+        self.memory = self.device.memory
+        self.golden = GoldenImageStore(_WALK_GEOMETRY.frame_config_bytes)
+        self.scrubber = scrubber_class(self.device, self.golden)
+        self.writes = []
+        write_region = self.memory.write_region
+
+        def logged(addresses, payloads, owner=None):
+            self.writes.append((self.device.clock.now, tuple(addresses)))
+            return write_region(addresses, payloads, owner=owner)
+
+        self.memory.write_region = logged
+
+    def apply(self, step):
+        kind, *args = step
+        if kind == "write":
+            indices, seed, owner, canonical, golden = args
+            region = [_WALK_FRAMES[i] for i in indices]
+            length = _WALK_GEOMETRY.frame_config_bytes
+            payloads = [((seed + bytes([i])) * length)[:length] for i in indices]
+            if canonical:
+                payloads = [_canonical(payload) for payload in payloads]
+            try:
+                self.memory.write_region(region, payloads, owner=owner)
+            except FrameCollisionError as error:
+                return ("collision", error.owner)
+            if golden == "readback":
+                self.golden.capture(region, self.memory.read_region(region))
+            elif golden == "written":
+                self.golden.capture(region, payloads)
+            return None
+        if kind == "clear":
+            region = [_WALK_FRAMES[i] for i in args[0]]
+            self.memory.clear_region(region)
+            self.golden.release(region)
+            return None
+        if kind == "upset":
+            flat, bit, bits = args
+            return self.memory.corrupt_bit(_WALK_FRAMES[flat], bit, bits=bits)
+        if kind == "pass":
+            return self.scrubber.scrub_pass(args[0])
+        return self.scrubber.scrub_region(FrameRegion(tuple(_WALK_FRAMES[i] for i in args[0])))
+
+    def state(self):
+        frames = self.memory.frames
+        return (
+            self.scrubber.stats,
+            self.scrubber._cursor,
+            self.device.clock.now,
+            self.writes,
+            [
+                (frames[a].to_config_bytes(), frames[a].stored_crc, self.memory.owner_of(a))
+                for a in _WALK_FRAMES
+            ],
+        )
+
+
+class TestScrubWalkAgainstReference:
+    @given(steps=st.lists(_WALK_STEPS, min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_suspect_walk_equals_the_per_frame_walk(self, steps):
+        walk, reference = _WalkSide(Scrubber), _WalkSide(ReferenceScrubber)
+        for step in steps:
+            assert walk.apply(step) == reference.apply(step)
+            assert walk.state() == reference.state()
+            for side in (walk, reference):
+                frames = side.memory.frames
+                corrupt = {a for a in _WALK_FRAMES if not frames[a].crc_ok}
+                assert corrupt <= side.memory.suspect
 
 
 class TestKilledCardConservation:

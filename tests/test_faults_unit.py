@@ -252,6 +252,19 @@ class TestScrubber:
         assert passes == -(-total // window)
         assert copro.scrubber.stats.frames_checked == checked
 
+    def test_a_suspect_frame_found_clean_leaves_the_set(self):
+        # Two flips of one bit leave the frame byte-identical but suspect;
+        # the pass finds it clean, counts nothing and drops it, so the
+        # hazard detector and the memo gate see a clean memory again.
+        copro = protected_coprocessor()
+        copro.preload("crc32")
+        memory = copro.device.memory
+        address = copro.device.region_of("crc32").addresses[0]
+        assert memory.corrupt_bit(address, 1) and memory.corrupt_bit(address, 1)
+        assert memory.suspect == {address} and memory.frame_crc_ok(address)
+        assert copro.scrubber.scrub_pass().detected == 0
+        assert memory.suspect == set()
+
     def test_repairs_free_frames_to_zeros(self):
         copro = protected_coprocessor()
         memory = copro.device.memory

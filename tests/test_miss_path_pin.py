@@ -110,7 +110,7 @@ def test_non_canonical_write_is_detected_and_scrubbed_to_golden():
     assert device.golden.payload_for(address) == canonical
     assert not frame.crc_ok
 
-    assert scrubber.scrub_frame(address) is True
+    assert scrubber.scrub_region(FrameRegion((address,))).corrected == 1
     assert scrubber.stats.corrected == 1 and scrubber.stats.uncorrectable == 0
     assert frame.crc_ok
     assert frame.stored_crc == crc32(canonical)
