@@ -196,7 +196,9 @@ def defrag_drill() -> dict:
     }
 
 
-def test_e11_rebalance(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
+    """The whole E11 report: the grid, the acceptance checks, the chart, the
+    defrag drill and the metrics."""
     report = ExperimentReport(
         "E11", "Live migration & config-memory defragmentation under residency skew"
     )
@@ -334,7 +336,11 @@ def test_e11_rebalance(benchmark, bank):
     report.record_metric(
         "drill_largest_run_after", float(drill["after"]["largest_run"])
     )
-    save_report(report)
+    return report
+
+
+def test_e11_rebalance(benchmark, bank):
+    save_report(build_report(bank))
 
     # ---- timed kernel: one skewed fleet run with rebalancing on ------------
     reference_trace = build_trace(bank, 1.2)

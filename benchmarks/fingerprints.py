@@ -330,15 +330,16 @@ def rebalance() -> dict:
         for name in names[::2]:
             copro.evict(name)
         before = copro.defragmenter.fragmentation()
-        cycles.append((before, copro.defrag()))
+        result = copro.defrag()
+        cycles.append((before, result, copro.defragmenter.fragmentation()))
         for name in names[1::2]:
             copro.evict(name)
     defrag_sweep = {
         "defrag_cycles": 3,
-        "moves": sum(result.moves for _, result in cycles),
-        "frames_moved": sum(result.frames_moved for _, result in cycles),
+        "moves": sum(result.moves for _, result, _ in cycles),
+        "frames_moved": sum(result.frames_moved for _, result, _ in cycles),
         "frag_before_first": round(cycles[0][0], 6),
-        "frag_after_last": round(cycles[-1][1].fragmentation_after, 6),
+        "frag_after_last": round(cycles[-1][2], 6),
         "final_time_ns": copro.clock.now,
     }
 

@@ -37,11 +37,14 @@ class FleetCard:
         #: that leaves the queue empty has finished.
         self.busy = False
         self.queue_depth = queue_depth
-        # Dispatch-hot sideband query, bound through to the mini OS frame
-        # replacement table's own membership probe (the table is created once
-        # per card and only ever mutated in place): saves four attribute hops
-        # and a delegation call per residency probe on the affinity path.
-        self._is_resident = driver.card.coprocessor.mcu.minios.table.__contains__
+        #: The mini OS frame replacement table (created once per card and
+        #: only ever mutated in place): the rebalancer reads its
+        #: ``held_frames`` as the card's frames used.
+        self.table = driver.card.coprocessor.mcu.minios.table
+        # Dispatch-hot sideband query, bound through to the table's own
+        # membership probe: saves the attribute hops and a delegation call
+        # per residency probe on the affinity path.
+        self._is_resident = self.table.__contains__
         # More per-request bindings for the fleet's serve path (both objects
         # are constructed once with the driver and never swapped out).
         self._card_clock = driver.clock

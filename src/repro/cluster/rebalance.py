@@ -26,12 +26,12 @@ never leaves a service gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, List
 
 from repro.bitstream.relocate import compatible_fabrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cluster.card import FleetCard
     from repro.cluster.fleet import Fleet
 
 #: Migrations planned per rebalance period at most, so residency moves in
@@ -39,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 MAX_ORDERS_PER_CYCLE = 2
 #: Functions a donor always keeps: its own traffic still needs a working set.
 KEEP_RESIDENT = 1
+#: A load snapshot's (outstanding, frames used): the donor has the most.
+_LOAD = itemgetter(1, 2)
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,6 @@ class Rebalancer:
         self.cooldown_ns = cooldown_ns
         self._last_ordered: dict = {}
 
-    # --------------------------------------------------------------- helpers
-    @staticmethod
-    def _frames_used(card: "FleetCard") -> int:
-        geometry = card.driver.coprocessor.geometry
-        return geometry.frame_count - card.free_frames
-
-    def _skewed(self, donor: "FleetCard", others: List["FleetCard"]) -> bool:
-        min_outstanding = min(card.outstanding for card in others)
-        min_used = min(self._frames_used(card) for card in others)
-        return (
-            donor.outstanding - min_outstanding >= self.min_queue_skew
-            or self._frames_used(donor) - min_used >= self.min_frame_skew
-        )
-
     # ------------------------------------------------------------------ plan
     def plan(self, fleet: "Fleet") -> List[MigrationOrder]:
         """Plan this cycle's migrations (possibly none).
@@ -99,20 +87,34 @@ class Rebalancer:
         the same orders — which is what keeps rebalanced schedules
         byte-reproducible.
         """
-        alive = [card for card in fleet.cards if card.health == "up"]
-        if len(alive) < 2:
+        # Each live card is read once per tick, as (outstanding, frames
+        # used): planning changes no queue and no fabric, so every test below
+        # reads this snapshot.
+        loads = [
+            (card, card.outstanding, card.table.held_frames)
+            for card in fleet.cards
+            if card.health == "up"
+        ]
+        if len(loads) < 2:
             return []
-        donor = min(
-            alive,
-            key=lambda card: (-card.outstanding, -self._frames_used(card), card.index),
-        )
-        others = [card for card in alive if card is not donor]
-        if not self._skewed(donor, others):
+        # The donor has the most work queued, then the fullest fabric; of
+        # equals, max keeps the first: fleet.cards runs in ascending index.
+        donor, donor_outstanding, donor_used = max(loads, key=_LOAD)
+        others = [load for load in loads if load[0] is not donor]
+        least_outstanding = min([outstanding for _, outstanding, _ in others])
+        least_used = min([used for _, _, used in others])
+        if (
+            donor_outstanding - least_outstanding < self.min_queue_skew
+            and donor_used - least_used < self.min_frame_skew
+        ):
+            return []
+        resident = donor.table.names()
+        budget = min(MAX_ORDERS_PER_CYCLE, len(resident) - KEEP_RESIDENT)
+        if budget <= 0:
             return []
         now = fleet.clock.now
         coprocessor = donor.driver.coprocessor
         per_function = coprocessor.stats.per_function_requests
-        resident = donor.resident_functions()
         movable = [
             name
             for name in resident
@@ -122,14 +124,12 @@ class Rebalancer:
         # Hottest first: moving the functions that attract the most traffic
         # moves the most load per migration paid for.
         movable.sort(key=lambda name: (-per_function.get(name, 0), name))
-        budget = min(MAX_ORDERS_PER_CYCLE, max(0, len(resident) - KEEP_RESIDENT))
         orders: List[MigrationOrder] = []
-        donor_used = self._frames_used(donor)
-        planned_frames = {card.index: 0 for card in others}
+        planned_frames = {card.index: 0 for card, _, _ in others}
         for name in movable:
             if len(orders) >= budget:
                 break
-            if any(card.holds(name) for card in others):
+            if any(card.holds(name) for card, _, _ in others):
                 continue  # already covered elsewhere; releasing here suffices
             frames_needed = coprocessor.bank.by_name(name).frames_required(
                 coprocessor.geometry
@@ -141,30 +141,26 @@ class Rebalancer:
             # the donor's queue is long enough that shedding the function's
             # traffic is worth the card time.  Frame-incompatible fabrics
             # (a heterogeneous fleet) are never candidates: a blob's payload
-            # would mean something else there.
-            candidates = [
-                card
-                for card in others
-                if compatible_fabrics(
-                    coprocessor.geometry, card.driver.coprocessor.geometry
-                )
-                and card.free_frames - planned_frames[card.index] >= frames_needed
-                and (
-                    self._frames_used(card) + planned_frames[card.index] + frames_needed
-                    <= donor_used - frames_needed
-                    or donor.outstanding - card.outstanding >= self.min_queue_skew
-                )
-            ]
+            # would mean something else there.  The least key wins: the
+            # least outstanding, then the most frames left free, then the
+            # lowest index.
+            candidates = []
+            for card, outstanding, used in others:
+                geometry = card.driver.coprocessor.geometry
+                held = used + planned_frames[card.index]
+                free = geometry.frame_count - held
+                if (
+                    compatible_fabrics(coprocessor.geometry, geometry)
+                    and free >= frames_needed
+                    and (
+                        held + frames_needed <= donor_used - frames_needed
+                        or donor_outstanding - outstanding >= self.min_queue_skew
+                    )
+                ):
+                    candidates.append((outstanding, -free, card.index, card))
             if not candidates:
                 continue
-            dest = min(
-                candidates,
-                key=lambda card: (
-                    card.outstanding,
-                    -(card.free_frames - planned_frames[card.index]),
-                    card.index,
-                ),
-            )
+            dest = min(candidates)[3]
             planned_frames[dest.index] += frames_needed
             donor_used -= frames_needed
             self._last_ordered[name] = now

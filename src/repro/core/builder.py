@@ -128,10 +128,12 @@ def build_fleet(
     counters and gauges on its metrics registry.  ``None`` (the default)
     keeps the fully uninstrumented, digest-frozen schedule.
 
-    Resident hits on a plainly serving card are replayed from a per-card
-    :class:`~repro.cluster.fastpath.ServeMemo`; fault tolerance or a wedged
-    port put a card on the full transaction-level model instead.  Tracing
-    does not: with ``observability`` on, a replayed hit leaves the same
+    Resident hits are replayed from a per-card
+    :class:`~repro.cluster.fastpath.ServeMemo`, fault-protected cards
+    included: a hit runs the full card model only when the card is not up
+    (a wedged port degrades it), scrubs on execute, or holds a suspect
+    (upset, not yet repaired) frame in the function's region.  Tracing
+    is not a reason: with ``observability`` on, a replayed hit leaves the same
     ``card.*`` device spans the full model leaves.  The card decides per
     request — there is nothing to configure, and schedules, counters and
     spans are identical either way.

@@ -135,6 +135,7 @@ class ConfigurationMemory:
         """
         frames = self.frames.by_address
         owners = self._owners
+        suspect = self.suspect
         written: List[FrameAddress] = []
         for address, payload in zip(addresses, payloads):
             if address not in frames:
@@ -143,10 +144,12 @@ class ConfigurationMemory:
             if owner is not None and current is not None and current != owner:
                 self.clear_region(written)
                 raise FrameCollisionError([address], current)
-            if frames[address].load_config_bytes(payload):
-                self.suspect.discard(address)
-            else:
-                self.suspect.add(address)
+            # A fault-free memory's set is empty: a canonical write then
+            # makes no call into it.
+            if not frames[address].load_config_bytes(payload):
+                suspect.add(address)
+            elif suspect:
+                suspect.discard(address)
             if owner is not None:
                 owners[address] = owner
             written.append(address)
@@ -155,12 +158,14 @@ class ConfigurationMemory:
     def clear_region(self, addresses: Iterable[FrameAddress]) -> None:
         """Erase each frame of *addresses* and drop its ownership."""
         frames = self.frames.by_address
+        suspect = self.suspect
         for address in addresses:
             if address not in frames:
                 raise no_such_frame(address)
             frames[address].clear()
             self._owners[address] = None
-            self.suspect.discard(address)
+            if suspect:
+                suspect.discard(address)
 
     # ------------------------------------------------------------ fault model
     def corrupt_bit(self, address: FrameAddress, bit_index: int, bits: int = 1) -> bool:

@@ -15,18 +15,15 @@ from typing import List, NamedTuple, Tuple
 
 
 class FrameAddress(NamedTuple):
-    """Address of one frame: (column, tile) with a flat ``index`` view.
+    """Address of one frame: (column, tile).
 
     A named tuple, so addresses hash, compare and sort in C; the order is
-    lexicographic ``(column, tile)``, which on a fabric is raster order.
+    lexicographic ``(column, tile)``, which on a fabric is raster order: the
+    frame at flat index *i* is ``geometry.all_frames()[i]``.
     """
 
     column: int
     tile: int
-
-    def flat_index(self, tiles_per_column: int) -> int:
-        """Flattened index used by the free-frame list and bit-stream packets."""
-        return self.column * tiles_per_column + self.tile
 
     def __str__(self) -> str:
         return f"F[{self.column},{self.tile}]"
@@ -126,14 +123,6 @@ class FabricGeometry:
     def all_frames(self) -> List[FrameAddress]:
         """Every frame address in raster (column-major) order."""
         return list(_raster(self))
-
-    def frame_at(self, flat_index: int) -> FrameAddress:
-        """Inverse of :meth:`FrameAddress.flat_index`."""
-        if not 0 <= flat_index < self.frame_count:
-            raise IndexError(
-                f"frame index {flat_index} out of range 0..{self.frame_count - 1}"
-            )
-        return _raster(self)[flat_index]
 
     def validate(self, address: FrameAddress) -> FrameAddress:
         """Check that *address* exists on this fabric; returns it unchanged."""

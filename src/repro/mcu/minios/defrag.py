@@ -25,6 +25,10 @@ repeat until a full round makes no progress or ``max_moves`` is reached.
 Interleaved scattered regions can block each other for one round; moving one
 of them frees the other's target in the next, so the loop converges without
 ever needing a "spill" area.
+
+A pass returns a :class:`DefragPassResult`: the moves it made and the frames
+they rewrote.  It does not measure the Free Frame List; a caller that wants
+the fragmentation index left behind asks :meth:`Defragmenter.fragmentation`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ class DefragPassResult:
 
     moves: int = 0
     frames_moved: int = 0
-    fragmentation_after: float = 0.0
 
 
 class Defragmenter:
@@ -69,7 +72,8 @@ class Defragmenter:
         self.minios = minios
         self.device = device
         self.clock = clock if clock is not None else device.clock
-        self.geometry = device.geometry
+        #: The fabric's frames in raster order: a packed target is a slice.
+        self._frames = tuple(device.geometry.all_frames())
         self.stats = DefragStatistics()
 
     # --------------------------------------------------------------- queries
@@ -82,31 +86,26 @@ class Defragmenter:
         """The ideal compact layout: (entry, target_region) in pack order.
 
         Functions are packed from frame 0 in ascending order of their current
-        lowest frame, each onto a contiguous run, preserving frame count.
+        lowest frame, then name, each onto a contiguous run, preserving frame
+        count.  Addresses order as ``(column, tile)``, which is raster order,
+        so a region's lowest frame is its least address and a run is a slice
+        of the raster.
         """
-        tiles = self.geometry.tiles_per_column
-        entries = sorted(
-            self.minios.table,
-            key=lambda entry: (
-                min(address.flat_index(tiles) for address in entry.region),
-                entry.name,
-            ),
-        )
+        ranked = [(min(entry.region.addresses), entry.name, entry) for entry in self.minios.table]
+        ranked.sort()
+        frames = self._frames
         cursor = 0
         plan = []
-        for entry in entries:
-            count = len(entry.region)
-            target = FrameRegion.from_addresses(
-                self.geometry.frame_at(index) for index in range(cursor, cursor + count)
-            )
+        for _, _, entry in ranked:
+            count = len(entry.region.addresses)
+            plan.append((entry, FrameRegion(frames[cursor : cursor + count])))
             cursor += count
-            plan.append((entry, target))
         return plan
 
     def _relocate(self, entry, target: FrameRegion) -> bool:
         """Try to move one function onto its packed target; True on success."""
         name = entry.name
-        if set(target) == set(entry.region):
+        if set(target.addresses) == set(entry.region.addresses):
             return False
         # Writable means free or already ours — never another function's.
         for address in target:
@@ -137,7 +136,6 @@ class Defragmenter:
                     result.moves += 1
                     result.frames_moved += len(target)
                     progress = True
-        result.fragmentation_after = self.fragmentation()
         self.stats.passes += 1
         return result
 

@@ -46,8 +46,9 @@ def rebase_region(
     if target_start < 0:
         raise RelocationError("target start index cannot be negative")
     source_tiles = source.tiles_per_column
-    indices = [address.flat_index(source_tiles) for address in region]
+    indices = [address.column * source_tiles + address.tile for address in region]
     base = min(indices)
+    raster = target.all_frames()
     rebased: List[FrameAddress] = []
     for index in indices:
         flat = target_start + (index - base)
@@ -56,7 +57,7 @@ def rebase_region(
                 f"rebased frame index {flat} falls off a "
                 f"{target.frame_count}-frame fabric"
             )
-        rebased.append(target.frame_at(flat))
+        rebased.append(raster[flat])
     return FrameRegion.from_addresses(rebased)
 
 

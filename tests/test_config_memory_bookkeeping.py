@@ -22,7 +22,7 @@ def memory():
 
 
 def _region(indices):
-    return FrameRegion.from_addresses([TEST_GEOMETRY.frame_at(i) for i in indices])
+    return FrameRegion.from_addresses([TEST_GEOMETRY.all_frames()[i] for i in indices])
 
 
 def _naive_owned(memory, owner):
@@ -71,12 +71,12 @@ class TestIndexConsistency:
         # Keys in order of first owned frame (raster order), frames in raster
         # order — the order the original full-scan implementation produced.
         assert list(report) == ["a", "b"]
-        assert report["b"] == [TEST_GEOMETRY.frame_at(i) for i in (3, 5, 9)]
+        assert report["b"] == [TEST_GEOMETRY.all_frames()[i] for i in (3, 5, 9)]
 
     def test_clear_frame_invalidates_cached_readback(self, memory):
         # Regression: a readback caches the frame's serialisation; clearing
         # the frame must drop that cache so the next readback is all-zero.
-        address = TEST_GEOMETRY.frame_at(2)
+        address = TEST_GEOMETRY.all_frames()[2]
         payload = bytes([0x41] * TEST_GEOMETRY.frame_config_bytes)
         memory.write_region([address], [payload], owner="aes")
         cached = memory.read_frame(address)
@@ -95,7 +95,7 @@ class TestIndexConsistency:
         assert memory.owners() == {}
         assert memory.utilisation() == 0.0
         for index in (1, 2, 3):
-            assert memory.frames[TEST_GEOMETRY.frame_at(index)].is_clear
+            assert memory.frames[TEST_GEOMETRY.all_frames()[index]].is_clear
 
 
 class TestClaim:
@@ -108,8 +108,8 @@ class TestClaim:
         # 4); every region frame aes holds is reported, later owners are not.
         assert excinfo.value.owner == "aes"
         assert set(excinfo.value.frames) == {
-            TEST_GEOMETRY.frame_at(4),
-            TEST_GEOMETRY.frame_at(2),
+            TEST_GEOMETRY.all_frames()[4],
+            TEST_GEOMETRY.all_frames()[2],
         }
 
     def test_failed_claim_leaves_ownership_untouched(self, memory):
@@ -117,8 +117,8 @@ class TestClaim:
         with pytest.raises(FrameCollisionError):
             memory.claim(_region([0, 1, 4]), "fir")
         assert "fir" not in memory.owners()
-        assert memory.owner_of(TEST_GEOMETRY.frame_at(0)) is None
-        assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) == "aes"
+        assert memory.owner_of(TEST_GEOMETRY.all_frames()[0]) is None
+        assert memory.owner_of(TEST_GEOMETRY.all_frames()[4]) == "aes"
 
     def test_reclaim_by_same_owner_is_allowed(self, memory):
         memory.claim(_region([0, 1]), "aes")
@@ -135,17 +135,15 @@ class TestWriteFrame:
         assert memory.write_region(region, payloads, owner="fir") == list(region)
         # Readback preserves region order and returns the bytes written.
         assert memory.read_region(region) == payloads
-        assert memory.owners()["fir"] == sorted(
-            region, key=lambda a: a.flat_index(TEST_GEOMETRY.tiles_per_column)
-        )
+        assert memory.owners()["fir"] == sorted(region)
 
     def test_refused_write_leaves_frame_owner_and_counters_untouched(self, memory):
-        address = TEST_GEOMETRY.frame_at(5)
+        address = TEST_GEOMETRY.all_frames()[5]
         memory.claim(_region([5]), "aes")
         with pytest.raises(FrameCollisionError):
             memory.write_region([address], [bytes([9] * TEST_GEOMETRY.frame_config_bytes)], owner="fir")
         with pytest.raises(ValueError):
-            memory.write_region([TEST_GEOMETRY.frame_at(4)], [b"\x00"], owner="fir")
+            memory.write_region([TEST_GEOMETRY.all_frames()[4]], [b"\x00"], owner="fir")
         assert memory.frames[address].is_clear
         assert memory.owner_of(address) == "aes"
-        assert memory.owner_of(TEST_GEOMETRY.frame_at(4)) is None
+        assert memory.owner_of(TEST_GEOMETRY.all_frames()[4]) is None

@@ -124,10 +124,10 @@ def _populated():
     """A port and memory where aes holds frames 3 and 4 (frame 4 written
     non-canonically) and des holds frame 6; the rest are erased."""
     port, memory, clock = _port()
-    frame = GEOMETRY.frame_at
-    port.configure("aes", [frame(3)], [_fill(0x3)], zlib.crc32(_fill(0x3)))
-    port.configure("aes", [frame(4)], [_non_canonical()], zlib.crc32(_non_canonical()))
-    port.configure("des", [frame(6)], [_fill(0x6)], zlib.crc32(_fill(0x6)))
+    frames = GEOMETRY.all_frames()
+    port.configure("aes", [frames[3]], [_fill(0x3)], zlib.crc32(_fill(0x3)))
+    port.configure("aes", [frames[4]], [_non_canonical()], zlib.crc32(_non_canonical()))
+    port.configure("des", [frames[6]], [_fill(0x6)], zlib.crc32(_fill(0x6)))
     return port, memory, clock
 
 
@@ -147,12 +147,12 @@ class TestFailedTransfers:
         port, memory, clock = _populated()
         before = _snapshot(memory)
         started = clock.now
-        frame = GEOMETRY.frame_at
-        addresses = [frame(2), frame(3), frame(5), frame(6), frame(7)]
+        frames = GEOMETRY.all_frames()
+        addresses = [frames[2], frames[3], frames[5], frames[6], frames[7]]
         payloads = [_fill(0xA + index) for index in range(5)]
         with pytest.raises(FrameCollisionError) as raised:
             port.configure("aes", addresses, payloads, chained_crc(payloads))
-        assert (raised.value.frames, raised.value.owner) == ((frame(6),), "des")
+        assert (raised.value.frames, raised.value.owner) == ((frames[6],), "des")
         after = _snapshot(memory)
         # Frames 2, 3 and 5 were written, then erased: aes loses frame 3's
         # old configuration too.  Frame 6 (des) and frame 7 (never reached)
@@ -168,8 +168,8 @@ class TestFailedTransfers:
         port, memory, clock = _populated()
         before = _snapshot(memory)
         started = clock.now
-        frame = GEOMETRY.frame_at
-        addresses = [frame(2), frame(3), frame(4), frame(5)]
+        frames = GEOMETRY.all_frames()
+        addresses = [frames[2], frames[3], frames[4], frames[5]]
         payloads = [_fill(0x1), _fill(0x2), _non_canonical(), _fill(0x4)]
         with pytest.raises(ConfigurationError) as raised:
             port.configure("aes", addresses, payloads, chained_crc(payloads) ^ 1)
@@ -184,8 +184,8 @@ class TestFailedTransfers:
     def test_a_good_transfer_over_its_own_frames(self):
         port, memory, _ = _populated()
         before = _snapshot(memory)
-        frame = GEOMETRY.frame_at
-        addresses = [frame(4), frame(3), frame(0)]
+        frames = GEOMETRY.all_frames()
+        addresses = [frames[4], frames[3], frames[0]]
         payloads = [_fill(0x7), _non_canonical(), _fill(0x9)]
         port.configure("aes", addresses, payloads, chained_crc(payloads))
         after = _snapshot(memory)
@@ -204,9 +204,9 @@ class TestAddressErrors:
         port, memory, _ = _port()
         payload = _fill(0x1)
         with pytest.raises(IndexError, match=r"^F\[9,0\] does not exist on this fabric$"):
-            port.configure("aes", [GEOMETRY.frame_at(0), self.FOREIGN], [payload] * 2, 0)
-        assert memory.owner_of(GEOMETRY.frame_at(0)) == "aes"
-        assert memory.read_frame(GEOMETRY.frame_at(0)) == payload
+            port.configure("aes", [GEOMETRY.all_frames()[0], self.FOREIGN], [payload] * 2, 0)
+        assert memory.owner_of(GEOMETRY.all_frames()[0]) == "aes"
+        assert memory.read_frame(GEOMETRY.all_frames()[0]) == payload
 
     def test_claim_and_owner_of_name_the_fabric(self):
         _, memory, _ = _port()
@@ -214,8 +214,8 @@ class TestAddressErrors:
         with pytest.raises(IndexError, match=message):
             memory.owner_of(self.FOREIGN)
         with pytest.raises(IndexError, match=message):
-            memory.claim(FrameRegion((GEOMETRY.frame_at(0), self.FOREIGN)), "aes")
-        assert memory.owner_of(GEOMETRY.frame_at(0)) is None
+            memory.claim(FrameRegion((GEOMETRY.all_frames()[0], self.FOREIGN)), "aes")
+        assert memory.owner_of(GEOMETRY.all_frames()[0]) is None
 
     def test_clear_region_names_a_missing_frame(self):
         _, memory, _ = _port()
@@ -254,6 +254,7 @@ class TestFrameAddress:
                 for tile in range(tiles)
             ]
             for index, address in enumerate(addresses):
-                assert geometry.frame_at(index) == address
-                assert address.flat_index(tiles) == index
-            assert sorted(addresses, key=lambda a: a.flat_index(tiles)) == sorted(addresses)
+                assert address.column * tiles + address.tile == index
+            # Address order is flat-index order: the defragmenter's packed
+            # targets and the placer's runs rely on it.
+            assert sorted(addresses, key=lambda a: a.column * tiles + a.tile) == sorted(addresses)

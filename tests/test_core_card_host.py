@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.core.builder import build_coprocessor, build_host_driver
+from repro.core.builder import build_coprocessor, build_fleet, build_host_driver
 from repro.core.config import SMALL_CONFIG, CoprocessorConfig
 from repro.core.card import CoprocessorCard
 from repro.core.exceptions import CoprocessorError, UnknownFunctionError
@@ -112,13 +112,16 @@ REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
 class TestHostCallWork:
     @staticmethod
     def _count(driver, script, rounds):
-        """``{code object: Python frames entered}`` under ``src/repro/`` while
-        *driver* runs the ``(name, payload)`` calls of *script* *rounds* times."""
-        frames = collections.Counter()
+        """``{code object: Python frames entered}`` under ``src/repro/`` plus
+        ``{"c_call:" + builtin name: calls}`` while *driver* runs the
+        ``(name, payload)`` calls of *script* *rounds* times."""
+        counts = collections.Counter()
 
-        def count_calls(frame, event, _):
+        def count_calls(frame, event, arg):
             if event == "call" and frame.f_code.co_filename.startswith(REPRO_ROOT):
-                frames[frame.f_code] += 1
+                counts[frame.f_code] += 1
+            elif event == "c_call":
+                counts["c_call:" + arg.__qualname__] += 1
 
         previous = sys.getprofile()
         sys.setprofile(count_calls)
@@ -128,13 +131,13 @@ class TestHostCallWork:
                     driver.call(name, payload)
         finally:
             sys.setprofile(previous)
-        return frames
+        return counts
 
     @classmethod
     def _per_round(cls, make_driver, script, rounds):
-        """``{code object: frames entered per round of script}``:
-        ``(frames(2 rounds) - frames(rounds)) / rounds`` on fresh drivers,
-        each warmed by one round first."""
+        """``({code object: frames entered per round of script}, {builtin
+        name: calls per round})``: ``(work(2 rounds) - work(rounds)) /
+        rounds`` on fresh drivers, each warmed by one round first."""
         counts = []
         for total in (rounds, 2 * rounds):
             driver = make_driver()
@@ -142,11 +145,16 @@ class TestHostCallWork:
                 driver.call(name, payload)
             counts.append(cls._count(driver, script, total))
         small, large = counts
-        return {
-            code: (large[code] - small[code]) / rounds
-            for code in large
-            if large[code] != small[code]
+        per_round = {
+            key: (large[key] - small[key]) / rounds
+            for key in large
+            if large[key] != small[key]
         }
+        frames = {key: count for key, count in per_round.items() if not isinstance(key, str)}
+        builtins = {
+            key[len("c_call:"):]: count for key, count in per_round.items() if isinstance(key, str)
+        }
+        return frames, builtins
 
     @staticmethod
     def _by_package(per_code):
@@ -192,6 +200,10 @@ class TestHostCallWork:
           ``data-in``, ``fpga``, ``data-out`` and ``mcu``) and 4
           ``cycles_to_ns``.
 
+        Beside the frames, the builtin calls (``sys.setprofile``'s ``c_call``
+        events, by name) per hit are pinned too: 32, 13 of them the
+        ``round`` of a time computed in nanoseconds.
+
         116 while the load's planning read ``clock.now`` for the policy,
         which no policy used (``sim`` 54); 122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
         frames) and the mini OS's capacity check read the geometry's
@@ -204,7 +216,7 @@ class TestHostCallWork:
         landed in a register file whose COMMAND hook ran the card (``pci``
         170, ``sim`` 94, ``core`` 14).
         """
-        per_code = self._per_round(
+        per_code, builtins = self._per_round(
             lambda: build_host_driver(config=SMALL_CONFIG, bank=small_bank),
             [("crc32", bytes(range(16)))],
             1_000,
@@ -224,6 +236,10 @@ class TestHostCallWork:
             "analysis": 1,
         }
         assert sum(per_call.values()) == 115
+        assert builtins == {
+            "round": 13, "len": 10, "dict.get": 3, "max": 3, "hash": 1, "crc32": 1,
+            "int.to_bytes": 1,
+        }
 
     def test_a_churn_miss_pair_enters_665_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
@@ -270,11 +286,19 @@ class TestHostCallWork:
         map (``fpga`` 1 900, ``mcu`` 158).  Comprehension frames are left out: Python 3.12 inlines them
         (PEP 709), so they are not frames on every supported interpreter.
         Generator expressions and lambdas are frames everywhere and count.
+
+        The pair's builtin calls (``c_call`` events, by name) are pinned
+        beside its frames, because a builtin method call enters no frame:
+        1 009, most of them per frame (``len``, ``list.append``, the check
+        word's ``crc32`` and the canonical mask's ``int.from_bytes``).  A
+        fault-free memory's ``suspect`` set is empty, so a canonical write
+        and an erase call nothing on it; 1 185 while each frame written and
+        each frame erased made a ``set.discard`` (176 per pair).
         """
         config = CoprocessorConfig(
             fabric_columns=8, fabric_rows=64, clb_rows_per_frame=8, codec_name="lz77"
         )
-        per_code = self._per_round(
+        per_code, builtins = self._per_round(
             lambda: build_host_driver(config=config, bank=default_bank),
             [("aes128", bytes(range(16))), ("modexp512", bytes(range(64)))],
             10,
@@ -298,6 +322,14 @@ class TestHostCallWork:
             "analysis": 2,
         }
         assert sum(per_pair.values()) == 665
+        assert builtins == {
+            "len": 364, "list.append": 322, "crc32": 92, "int.from_bytes": 89, "round": 64,
+            "iter": 16, "dict.get": 10, "min": 9, "max": 8, "hash": 4, "sorted": 4,
+            "dict.values": 4, "dict.pop": 4, "sum": 4, "bytes.join": 4, "set.add": 2,
+            "list.extend": 2, "getattr": 2, "list.count": 2, "bytearray.extend": 2,
+            "int.to_bytes": 1,
+        }
+        assert sum(builtins.values()) == 1_009
 
 
 class TestScrubWork:
@@ -374,6 +406,107 @@ class TestScrubWork:
         fleet, trace = control_plane_fleet(small_bank, 11)
         fleet.run(trace)
         assert sum(card.memo.replays for card in fleet.cards) == 547
+
+
+class TestControlTickWork:
+    """The control plane's work counters: what a periodic order that finds
+    nothing to do costs, as ``{code name: Python frames entered}`` (every
+    code object but comprehensions, which Python 3.12 inlines) and
+    ``{builtin: c_call events}``, each ``work(2 calls) - work(1 call)``, so
+    the profiler's own calls cancel.
+
+    A defrag pass on a packed card (``crc32`` and ``parity32`` loaded on a
+    ``SMALL_CONFIG`` card) ranks the table by each region's least address
+    and cuts each target out of the raster, so it makes no call per frame:
+    10 frames and 13 builtin calls, 74 and 92 while it computed a flat index
+    per frame, looked each target frame up by index and measured the Free
+    Frame List's fragmentation index after every pass.  A rebalance tick
+    reads each live card's ``(outstanding, frames used)`` once, and a donor
+    that holds only the function it keeps ends the tick before any function
+    is ranked: without skew 1 frame and 4 builtin calls (35 and 10 while the
+    planner asked the cards through the ``free_frames`` property chain at
+    every test), skewed with a donor keeping its one function 2 and 6 (46
+    and 18), skewed with every function covered on another card 13 and 15
+    (55 and 22).
+    """
+
+    PACKED_PASS = (
+        {"defrag_pass": 1, "_packed_targets": 1, "__iter__": 1, "__init__": 3,
+         "__post_init__": 2, "_relocate": 2},
+        {"len": 6, "min": 2, "list.append": 2, "list.sort": 1, "dict.values": 1, "iter": 1},
+    )
+    CALM_TICK = ({"plan": 1}, {"min": 2, "len": 1, "max": 1})
+    KEEPING_TICK = ({"plan": 1, "names": 1}, {"min": 3, "len": 2, "max": 1})
+    COVERED_TICK = (
+        {"plan": 1, "names": 1, "now": 1, "<lambda>": 2, "<genexpr>": 4, "holds": 2,
+         "__contains__": 2},
+        {"len": 4, "min": 3, "max": 1, "dict.get": 2, "defaultdict.get": 2, "any": 2,
+         "list.sort": 1},
+    )
+
+    @staticmethod
+    def _work(calls, call, *args):
+        """``({code name: frames}, {builtin: calls})`` while ``call(*args)``
+        runs *calls* times."""
+        frames = collections.Counter()
+        builtins = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                if frame.f_code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"):
+                    frames[frame.f_code] += 1
+            elif event == "c_call":
+                builtins[arg.__qualname__] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for _ in range(calls):
+                call(*args)
+        finally:
+            sys.setprofile(previous)
+        by_name = collections.Counter()
+        for code, entered in frames.items():
+            by_name[code.co_name] += entered
+        return by_name, builtins
+
+    @classmethod
+    def _per_call(cls, call, *args):
+        once = cls._work(1, call, *args)
+        twice = cls._work(2, call, *args)
+        return tuple(dict(b - a) for a, b in zip(once, twice))
+
+    @staticmethod
+    def _fleet(bank, *residency):
+        """Three ``SMALL_CONFIG`` cards under a rebalancer; card *i* preloads
+        ``residency[i]``."""
+        fleet = build_fleet(cards=3, config=SMALL_CONFIG, bank=bank, rebalance_period_ns=40_000)
+        for card, names in zip(fleet.cards, residency):
+            for name in names:
+                card.driver.preload(name)
+        return fleet
+
+    def test_a_pass_on_a_packed_card(self, small_bank):
+        copro = build_coprocessor(config=SMALL_CONFIG, bank=small_bank)
+        copro.enable_defrag()
+        copro.preload("crc32")
+        copro.preload("parity32")
+        assert self._per_call(copro.defragmenter.defrag_pass) == self.PACKED_PASS
+        assert copro.defragmenter.stats.moves == 0
+
+    def test_a_tick_without_skew(self, small_bank):
+        fleet = self._fleet(small_bank, ["crc32"], ["crc32"], ["crc32"])
+        assert self._per_call(fleet.rebalancer.plan, fleet) == self.CALM_TICK
+
+    def test_a_skewed_tick_whose_donor_keeps_its_only_function(self, small_bank):
+        fleet = self._fleet(small_bank, ["crc32"])
+        assert self._per_call(fleet.rebalancer.plan, fleet) == self.KEEPING_TICK
+        assert fleet.rebalancer.plan(fleet) == []
+
+    def test_a_skewed_tick_whose_functions_are_covered_elsewhere(self, small_bank):
+        fleet = self._fleet(small_bank, ["crc32", "parity32"], ["crc32", "parity32"])
+        assert self._per_call(fleet.rebalancer.plan, fleet) == self.COVERED_TICK
+        assert fleet.rebalancer.plan(fleet) == []
 
 
 class TestBehaviourWork:

@@ -27,7 +27,7 @@ def _table(geometry):
     and used at 50, ``third`` loaded at 30 and not used since."""
     table = FrameReplacementTable()
     for name, frames, loaded_at in (("first", [0, 1], 10), ("second", [2, 3, 4], 20), ("third", [5], 30)):
-        table.insert(name, FrameRegion.from_addresses([geometry.frame_at(i) for i in frames]), loaded_at)
+        table.insert(name, FrameRegion.from_addresses([geometry.all_frames()[i] for i in frames]), loaded_at)
     table.touch("first", 100)
     table.touch("first", 110)
     table.touch("second", 50)

@@ -17,7 +17,7 @@ def _load(device, function, start_frame=0):
     placer = Placer(geometry)
     frames_needed = function.frames_required(geometry)
     region = FrameRegion.from_addresses(
-        [geometry.frame_at(index) for index in range(start_frame, start_frame + frames_needed)]
+        [geometry.all_frames()[index] for index in range(start_frame, start_frame + frames_needed)]
     )
     placement = placer.place(netlist, list(region), frames_needed=frames_needed)
     # Rebuild the placement on exactly the region's frames, in region order.
@@ -66,9 +66,9 @@ class TestPartialConfiguration:
         adder = AdderFunction()
         bitstream, region, _ = _load(device, adder)
         device.unload("adder8")
-        wrong_region = FrameRegion.from_addresses(list(region)[:-1] or [tiny_geometry.frame_at(0)])
+        wrong_region = FrameRegion.from_addresses(list(region)[:-1] or [tiny_geometry.all_frames()[0]])
         if len(wrong_region) == len(region):
-            wrong_region = FrameRegion.from_addresses(list(region) + [tiny_geometry.frame_at(10)])
+            wrong_region = FrameRegion.from_addresses(list(region) + [tiny_geometry.all_frames()[10]])
         with pytest.raises(ConfigurationError):
             device.configure_partial(bitstream, wrong_region, adder.executor(tiny_geometry))
 
@@ -100,7 +100,7 @@ class TestPartialConfiguration:
         bitstream, region, _ = _load(device, popcount, start_frame=0)
         # Reload the same function at a different region.
         new_region = FrameRegion.from_addresses(
-            [tiny_geometry.frame_at(index + 8) for index in range(len(region))]
+            [tiny_geometry.all_frames()[index + 8] for index in range(len(region))]
         )
         device.configure_partial(bitstream, new_region, popcount.executor(tiny_geometry))
         assert set(device.region_of("popcount8")) == set(new_region)

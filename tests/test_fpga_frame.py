@@ -78,17 +78,17 @@ class TestFrameRegion:
             FrameRegion((FrameAddress(0, 0), FrameAddress(0, 0)))
 
     def test_contains_and_iteration(self, tiny_geometry):
-        region = FrameRegion.from_addresses([tiny_geometry.frame_at(4)])
-        assert tiny_geometry.frame_at(4) in region
-        assert tiny_geometry.frame_at(5) not in region
-        assert [address.flat_index(tiny_geometry.tiles_per_column) for address in region] == [4]
+        region = FrameRegion.from_addresses([tiny_geometry.all_frames()[4]])
+        assert tiny_geometry.all_frames()[4] in region
+        assert tiny_geometry.all_frames()[5] not in region
+        assert list(region) == [tiny_geometry.all_frames()[4]]
 
 
 class TestFrameArray:
     def test_contains_every_frame(self, tiny_geometry):
         array = FrameArray(tiny_geometry)
         assert len(array) == tiny_geometry.frame_count
-        assert array[tiny_geometry.frame_at(3)].address == tiny_geometry.frame_at(3)
+        assert array[tiny_geometry.all_frames()[3]].address == tiny_geometry.all_frames()[3]
 
     def test_unknown_address_rejected(self, tiny_geometry):
         array = FrameArray(tiny_geometry)
@@ -97,13 +97,13 @@ class TestFrameArray:
 
     def test_region_and_clear_region(self, tiny_geometry):
         array = FrameArray(tiny_geometry)
-        region = FrameRegion.from_addresses([tiny_geometry.frame_at(1), tiny_geometry.frame_at(0)])
+        region = FrameRegion.from_addresses([tiny_geometry.all_frames()[1], tiny_geometry.all_frames()[0]])
         frames = array.region(region)
         assert [frame.address for frame in frames] == list(region)
         frames[0].load_config_bytes(
             _one_lut_payload(tiny_geometry, 0, 0, LookUpTable.constant(4, True))
         )
-        assert not array[tiny_geometry.frame_at(1)].is_clear
+        assert not array[tiny_geometry.all_frames()[1]].is_clear
         for frame in frames:
             frame.clear()
-        assert array[tiny_geometry.frame_at(1)].is_clear
+        assert array[tiny_geometry.all_frames()[1]].is_clear

@@ -78,7 +78,7 @@ def frames_with_bytes(draw):
 @given(frames_with_bytes())
 def test_mask_canonicalisation_equals_the_clb_codec_round_trip(case):
     geometry, data = case
-    frame = Frame(geometry, geometry.frame_at(0))
+    frame = Frame(geometry, geometry.all_frames()[0])
     frame.load_config_bytes(data)
     canonical = frame.to_config_bytes()
     assert canonical == reference_round_trip(geometry, data)
@@ -102,7 +102,7 @@ def test_mask_canonicalisation_equals_the_clb_codec_round_trip(case):
 )
 def test_inject_upset_matches_the_per_clb_reparse(case, bit_index, bits):
     geometry, data = case
-    frame = Frame(geometry, geometry.frame_at(0))
+    frame = Frame(geometry, geometry.all_frames()[0])
     frame.load_config_bytes(data)
     before = frame.to_config_bytes()
     stored = frame.stored_crc

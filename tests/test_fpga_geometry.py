@@ -37,15 +37,10 @@ class TestFabricGeometry:
         assert len(set(frames)) == tiny_geometry.frame_count
 
     def test_flat_index_round_trip(self, tiny_geometry):
-        for index in range(tiny_geometry.frame_count):
-            address = tiny_geometry.frame_at(index)
-            assert address.flat_index(tiny_geometry.tiles_per_column) == index
-
-    def test_frame_at_out_of_range(self, tiny_geometry):
-        with pytest.raises(IndexError):
-            tiny_geometry.frame_at(tiny_geometry.frame_count)
-        with pytest.raises(IndexError):
-            tiny_geometry.frame_at(-1)
+        """Frame *i* of the raster sits at flat index ``column * tiles + tile``."""
+        tiles = tiny_geometry.tiles_per_column
+        for index, address in enumerate(tiny_geometry.all_frames()):
+            assert address.column * tiles + address.tile == index
 
     def test_validate_rejects_foreign_address(self, tiny_geometry):
         with pytest.raises(IndexError):

@@ -18,34 +18,34 @@ class TestPlacer:
 
     def test_contiguous_first_fit_prefers_runs(self, tiny_geometry):
         placer = Placer(tiny_geometry, PlacementStrategy.CONTIGUOUS_FIRST_FIT)
-        free = [tiny_geometry.frame_at(index) for index in (0, 2, 3, 4, 9)]
+        free = [tiny_geometry.all_frames()[index] for index in (0, 2, 3, 4, 9)]
         chosen = placer.choose_frames(3, free)
-        assert [address.flat_index(tiny_geometry.tiles_per_column) for address in chosen] == [2, 3, 4]
+        assert chosen == [tiny_geometry.all_frames()[index] for index in (2, 3, 4)]
 
     def test_contiguous_first_fit_falls_back_to_scatter(self, tiny_geometry):
         placer = Placer(tiny_geometry, PlacementStrategy.CONTIGUOUS_FIRST_FIT)
-        free = [tiny_geometry.frame_at(index) for index in (0, 2, 4, 6)]
+        free = [tiny_geometry.all_frames()[index] for index in (0, 2, 4, 6)]
         chosen = placer.choose_frames(3, free)
         assert len(chosen) == 3
 
     def test_contiguous_only_fails_when_fragmented(self, tiny_geometry):
         placer = Placer(tiny_geometry, PlacementStrategy.CONTIGUOUS_ONLY)
-        free = [tiny_geometry.frame_at(index) for index in (0, 2, 4, 6)]
+        free = [tiny_geometry.all_frames()[index] for index in (0, 2, 4, 6)]
         with pytest.raises(PlacementError):
             placer.choose_frames(2, free)
 
     def test_scatter_takes_lowest_indices(self, tiny_geometry):
         placer = Placer(tiny_geometry, PlacementStrategy.SCATTER)
-        free = [tiny_geometry.frame_at(index) for index in (9, 1, 5)]
+        free = [tiny_geometry.all_frames()[index] for index in (9, 1, 5)]
         chosen = placer.choose_frames(2, free)
-        assert [address.flat_index(tiny_geometry.tiles_per_column) for address in chosen] == [1, 5]
+        assert chosen == [tiny_geometry.all_frames()[index] for index in (1, 5)]
 
     def test_insufficient_frames_raises(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         with pytest.raises(PlacementError):
-            placer.choose_frames(4, [tiny_geometry.frame_at(0)])
+            placer.choose_frames(4, [tiny_geometry.all_frames()[0]])
         with pytest.raises(PlacementError):
-            placer.choose_frames(0, [tiny_geometry.frame_at(0)])
+            placer.choose_frames(0, [tiny_geometry.all_frames()[0]])
 
     def test_place_assigns_every_lut_a_unique_site(self, tiny_geometry):
         placer = Placer(tiny_geometry)
@@ -77,9 +77,9 @@ class TestPlacer:
     def test_fragmentation_index(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         assert placer.fragmentation([]) == 0.0
-        contiguous = [tiny_geometry.frame_at(index) for index in range(4)]
+        contiguous = [tiny_geometry.all_frames()[index] for index in range(4)]
         assert placer.fragmentation(contiguous) == 0.0
-        scattered = [tiny_geometry.frame_at(index) for index in (0, 2, 4, 6)]
+        scattered = [tiny_geometry.all_frames()[index] for index in (0, 2, 4, 6)]
         assert placer.fragmentation(scattered) == pytest.approx(0.75)
 
 
@@ -137,7 +137,7 @@ class TestBitstreamGenerator:
         frames = generator.synthetic_frames(frame_count=2, lut_count=10, seed=1)
         configured = 0
         for payload in frames:
-            frame = Frame(tiny_geometry, tiny_geometry.frame_at(0))
+            frame = Frame(tiny_geometry, tiny_geometry.all_frames()[0])
             frame.load_config_bytes(payload)
             configured += sum(
                 1 for clb in decode_clbs(frame.geometry, frame.to_config_bytes()) for lut in clb.luts if lut.as_integer() != 0

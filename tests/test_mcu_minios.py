@@ -17,7 +17,7 @@ from repro.mcu.minios.policies import CapacityError, available_policies
 
 
 def _region(geometry, indices):
-    return FrameRegion.from_addresses([geometry.frame_at(index) for index in indices])
+    return FrameRegion.from_addresses([geometry.all_frames()[index] for index in indices])
 
 
 class TestFreeFrameList:
@@ -37,7 +37,7 @@ class TestFreeFrameList:
         minios = MiniOs(tiny_geometry)
         self._load(minios, tiny_geometry, "sha1", [0, 1, 2])
         assert minios.free_count == tiny_geometry.frame_count - 3
-        assert tiny_geometry.frame_at(0) not in minios.free_frames()
+        assert tiny_geometry.all_frames()[0] not in minios.free_frames()
         minios.commit_eviction("sha1")
         assert minios.free_count == tiny_geometry.frame_count
         assert minios.free_frames() == tiny_geometry.all_frames()
@@ -54,11 +54,8 @@ class TestFreeFrameList:
         held = [index for index in range(tiny_geometry.frame_count) if index not in (2, 9)]
         self._load(minios, tiny_geometry, "a", reversed(held[:7]))
         self._load(minios, tiny_geometry, "b", reversed(held[7:]))
-        indices = [
-            address.flat_index(tiny_geometry.tiles_per_column)
-            for address in minios.free_frames()
-        ]
-        assert indices == [2, 9]
+        frames = tiny_geometry.all_frames()
+        assert minios.free_frames() == [frames[2], frames[9]]
 
 
 class TestFrameReplacementTable:

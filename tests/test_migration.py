@@ -38,23 +38,23 @@ def protected_driver(seed=11, defrag=True, bank=None):
 class TestRebaseRegion:
     def test_preserves_shape_and_order(self):
         region = FrameRegion.from_addresses(
-            [TEST_GEOMETRY.frame_at(i) for i in (7, 5, 10)]
+            [TEST_GEOMETRY.all_frames()[i] for i in (7, 5, 10)]
         )
         rebased = rebase_region(TEST_GEOMETRY, region, TEST_GEOMETRY, 20)
-        indices = [a.flat_index(TEST_GEOMETRY.tiles_per_column) for a in rebased]
+        indices = [TEST_GEOMETRY.all_frames().index(a) for a in rebased]
         # Lowest frame lands at 20; relative offsets (2, 0, 5) and the slot
         # order are both preserved.
         assert indices == [22, 20, 25]
 
     def test_rejects_out_of_range_targets(self):
-        region = FrameRegion.from_addresses([TEST_GEOMETRY.frame_at(0)])
+        region = FrameRegion.from_addresses([TEST_GEOMETRY.all_frames()[0]])
         with pytest.raises(RelocationError):
             rebase_region(TEST_GEOMETRY, region, TEST_GEOMETRY, TEST_GEOMETRY.frame_count)
 
     def test_rejects_incompatible_fabrics(self):
         other = FabricGeometry(columns=8, rows=32, clb_rows_per_frame=8)
         assert not compatible_fabrics(TEST_GEOMETRY, other)
-        region = FrameRegion.from_addresses([TEST_GEOMETRY.frame_at(0)])
+        region = FrameRegion.from_addresses([TEST_GEOMETRY.all_frames()[0]])
         with pytest.raises(RelocationError):
             rebase_region(TEST_GEOMETRY, region, other, 0)
 
@@ -62,10 +62,10 @@ class TestRebaseRegion:
         bigger = FabricGeometry(columns=16, rows=32, clb_rows_per_frame=4)
         assert compatible_fabrics(TEST_GEOMETRY, bigger)
         region = FrameRegion.from_addresses(
-            [TEST_GEOMETRY.frame_at(i) for i in (0, 1)]
+            [TEST_GEOMETRY.all_frames()[i] for i in (0, 1)]
         )
         rebased = rebase_region(TEST_GEOMETRY, region, bigger, 100)
-        assert [a.flat_index(bigger.tiles_per_column) for a in rebased] == [100, 101]
+        assert [bigger.all_frames().index(a) for a in rebased] == [100, 101]
 
 
 class TestDeviceCaptureRelocate:
@@ -91,7 +91,7 @@ class TestDeviceCaptureRelocate:
         old_region = device.region_of("crc32")
         payloads = device.readback("crc32")
         tiles = device.geometry.tiles_per_column
-        base = min(a.flat_index(tiles) for a in old_region)
+        base = min(a.column * tiles + a.tile for a in old_region)
         # Shift up by one frame: the target overlaps the source.
         target = rebase_region(device.geometry, old_region, device.geometry, base + 1)
         elapsed = device.relocate_function("crc32", target)
@@ -143,7 +143,7 @@ class TestDeviceCaptureRelocate:
         region = device.region_of("crc32")
         target = rebase_region(
             device.geometry, region, device.geometry,
-            min(a.flat_index(device.geometry.tiles_per_column) for a in region) + 1,
+            device.geometry.all_frames().index(min(region.addresses)) + 1,
         )
         device.port.wedge()
         with pytest.raises(ConfigurationError):

@@ -89,7 +89,7 @@ def test_non_canonical_write_is_detected_and_scrubbed_to_golden():
     device = FPGADevice(geometry)
     device.golden = GoldenImageStore(geometry.frame_config_bytes)
     scrubber = Scrubber(device, device.golden)
-    address = geometry.frame_at(0)
+    address = geometry.all_frames()[0]
     ff_offset = geometry.luts_per_clb * geometry.lut_truth_table_bytes
     written = bytearray(b"\x5a" * geometry.frame_config_bytes)
     written[ff_offset] = 0xF3

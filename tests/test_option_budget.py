@@ -81,7 +81,7 @@ FLEET_CODE_LINE_BUDGET = 640
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 810
-SRC_CODE_LINE_BUDGET = 11_190
+SRC_CODE_LINE_BUDGET = 11_167
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"

@@ -15,16 +15,27 @@ The two guarantees the rebalance story rests on:
    exact owned-frame multiset sizes, keeps every ``ConfigurationMemory``
    index consistent with a naive full scan, and never decreases the largest
    contiguous free run.
+
+Beside them, the two control-tick planners are held ``==`` the ones they
+replaced (``tests/oracles/``): the rebalancer's orders at every tick of
+stepped fleets, and the defragmenter's packing plan on drawn tables.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import build_coprocessor
+from benchmarks.bench_e11_rebalance import build_trace, run_cell
+from oracles.defrag import reference_packed_targets
+from oracles.rebalance import ReferenceRebalancer
+from repro.cluster.rebalance import Rebalancer
+from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.core.host import build_host_system
 from repro.core.exceptions import CoprocessorError
+from repro.fpga.frame import FrameRegion
 from repro.functions.bank import build_small_bank
+from repro.mcu.minios import Defragmenter, MiniOs
 
 _BANK = build_small_bank()
 _NAMES = _BANK.names()
@@ -172,3 +183,124 @@ class TestDefragPermutation:
         # An unbounded pass over this geometry always converges: every
         # function ends packed and the free space is one contiguous run.
         assert coprocessor.defragmenter.fragmentation() == 0.0
+
+
+@pytest.fixture
+def checked_ticks(monkeypatch):
+    """Every ``Rebalancer.plan`` call also runs :class:`ReferenceRebalancer`
+    on a copy of the planner's ``_last_ordered`` first, and requires the same
+    orders and the same ``_last_ordered`` after.  Returns the list of each
+    tick's orders."""
+    shipped = Rebalancer.plan
+    ticks = []
+
+    def plan(self, fleet):
+        reference = ReferenceRebalancer(self.min_queue_skew, self.min_frame_skew, self.cooldown_ns)
+        reference._last_ordered = dict(self._last_ordered)
+        expected = reference.plan(fleet)
+        orders = shipped(self, fleet)
+        assert orders == expected
+        assert self._last_ordered == reference._last_ordered
+        ticks.append(orders)
+        return orders
+
+    monkeypatch.setattr(Rebalancer, "plan", plan)
+    return ticks
+
+
+class TestPlanAgainstReference:
+    @pytest.mark.parametrize("seed", [11, 29, 47])
+    def test_the_control_plane_fleet_plans_as_the_reference(
+        self, small_bank, control_plane_fleet, checked_ticks, seed
+    ):
+        fleet, trace = control_plane_fleet(small_bank, seed)
+        fleet.run(trace)
+        assert len(checked_ticks) > 100
+        assert any(checked_ticks), "no tick ordered a migration"
+
+    def test_an_e11_skewed_fleet_plans_as_the_reference(self, default_bank, checked_ticks):
+        """E11's heaviest cell: skew 2.0, fragmented receivers, migrate and
+        defrag."""
+        _, stats = run_cell(default_bank, build_trace(default_bank, 2.0), "migrate+defrag", 2)
+        assert stats.migrations_completed > 0
+        assert sum(len(orders) for orders in checked_ticks) == stats.migration_orders
+
+    @given(
+        residency=st.tuples(
+            st.lists(st.sampled_from(_NAMES), min_size=2, max_size=4, unique=True),
+            st.lists(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True), min_size=1, max_size=3),
+        ).map(lambda drawn: [drawn[0]] + drawn[1]),
+        outstanding=st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
+        down=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        skews=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+        migrating=st.sets(st.sampled_from(_NAMES), max_size=2),
+        cooling=st.sets(st.sampled_from(_NAMES), max_size=2),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drawn_fleet_states_plan_as_the_reference(
+        self, residency, outstanding, down, skews, migrating, cooling
+    ):
+        """One tick on drawn state: 8-frame cards (so a destination's free
+        frames meet a function's need exactly), card 0 loaded with two or
+        more functions, the others with up to two, drawn queue lengths, skew
+        thresholds, a dead card, and functions mid-migration or cooling
+        down."""
+        fleet = build_fleet(
+            cards=len(residency),
+            config=SMALL_CONFIG.with_overrides(fabric_columns=1),
+            bank=_BANK,
+            rebalance_period_ns=40_000,
+            rebalance_min_queue_skew=skews[0],
+            rebalance_min_frame_skew=skews[1],
+        )
+        for card, names, queued in zip(fleet.cards, residency, outstanding):
+            _apply_history(card.driver, [(_NAMES.index(name), False) for name in names])
+            card.outstanding = queued
+        if down is not None and down < len(fleet.cards):
+            fleet.cards[down].health = "down"
+        fleet.migrating.update(migrating)
+        shipped = fleet.rebalancer
+        shipped._last_ordered = {name: fleet.clock.now for name in cooling}
+        reference = ReferenceRebalancer(shipped.min_queue_skew, shipped.min_frame_skew, shipped.cooldown_ns)
+        reference._last_ordered = dict(shipped._last_ordered)
+        assert shipped.plan(fleet) == reference.plan(fleet)
+        assert shipped._last_ordered == reference._last_ordered
+
+
+_DEVICE = build_coprocessor(config=SMALL_CONFIG, bank=_BANK).device
+
+
+@st.composite
+def _tables(draw):
+    """A fragmented replacement table on the 64-frame ``SMALL_CONFIG``
+    fabric: up to eight functions, each a contiguous run when one is free at
+    a drawn start, else frames scattered in a drawn order."""
+    frames = _DEVICE.geometry.all_frames()
+    free = list(draw(st.permutations(range(len(frames)))))
+    minios = MiniOs(_DEVICE.geometry)
+    for number in range(draw(st.integers(min_value=0, max_value=8))):
+        size = draw(st.integers(min_value=1, max_value=8))
+        if len(free) < size:
+            break
+        start = draw(st.integers(min_value=0, max_value=len(frames) - size))
+        run = list(range(start, start + size))
+        if draw(st.booleans()) and set(run) <= set(free):
+            chosen = run
+        else:
+            chosen = free[:size]
+        free = [index for index in free if index not in chosen]
+        minios.table.insert(f"f{number}", FrameRegion.from_addresses(frames[i] for i in chosen), number)
+    return minios
+
+
+class TestPackingAgainstReference:
+    @given(minios=_tables())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_the_packing_plan_is_the_reference_plan(self, minios):
+        defragmenter = Defragmenter(minios, _DEVICE)
+        shipped = defragmenter._packed_targets()
+        reference = reference_packed_targets(defragmenter)
+        assert [(entry.name, target) for entry, target in shipped] == [
+            (entry.name, target) for entry, target in reference
+        ]
+        assert all(a is b for (a, _), (b, _) in zip(shipped, reference))
