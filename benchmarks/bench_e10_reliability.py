@@ -23,7 +23,8 @@ throughput/reliability trade-off in one grid.  A second section kills a card
 mid-trace and compares the self-healing recovery policy against no healing.
 
 Everything derives from fixed seeds: the report is byte-identical across
-processes (asserted by the determinism regression test).
+processes, and ``tests/test_e10_reliability.py`` holds :func:`build_report`
+equal to the committed report in tier-1.
 
 The timed kernel is one full affinity fleet run at the reference cell.
 """
@@ -120,7 +121,9 @@ def run_cell(
     return fleet, stats
 
 
-def test_e10_reliability(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
+    """The whole E10 report: the fault grid, its acceptance checks, the chart,
+    the card-kill drill and the metrics."""
     report = ExperimentReport(
         "E10", "Reliability: fault injection, scrubbing and fleet self-healing"
     )
@@ -293,9 +296,15 @@ def test_e10_reliability(benchmark, bank):
     report.record_metric("heal_mttr_us", healed.mttr_ns / 1e3)
     report.record_metric("healed_hit_rate", healed.hit_rate)
     report.record_metric("unhealed_hit_rate", unhealed.hit_rate)
-    save_report(report)
+    return report
+
+
+def test_e10_reliability(benchmark, bank):
+    save_report(build_report(bank))
 
     # ---- timed kernel: one affinity fault-fleet run at the reference cell --
+    trace = build_trace(bank)
+
     def run_reference():
         _, stats = run_cell(bank, trace, "affinity", REFERENCE_RATE, REFERENCE_PERIOD)
         return stats

@@ -72,7 +72,7 @@ def test_e5_offload_speedup(benchmark, default_config, bank):
     subset = bank.subset(FUNCTIONS)
     coprocessor = build_coprocessor(config=default_config, bank=subset)
     driver = build_host_system(coprocessor)
-    host = HostOnlyEngine(subset, software_slowdown=default_config.software_slowdown)
+    host = HostOnlyEngine(subset)
 
     table = Table(
         "Speedup (host time / co-processor time) vs batch size (bulk payloads)",

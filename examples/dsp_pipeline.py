@@ -42,7 +42,9 @@ def main(tiny: bool = False) -> None:
     # whole DSP mix does not fit at once — waveform switches force swapping.
     config = CoprocessorConfig(fabric_columns=10, fabric_rows=64, clb_rows_per_frame=8, seed=3)
     coprocessor = build_coprocessor(config=config, bank=bank)
-    print(coprocessor.describe())
+    geometry = coprocessor.geometry
+    print(f"fabric: {geometry.columns}x{geometry.rows} CLBs in {geometry.frame_count} frames; "
+          f"ROM holds {', '.join(bank.names())}")
     print()
 
     frames = 12 if tiny else 60

@@ -22,6 +22,7 @@ Run with:  python examples/fault_drill.py        (~10 s)
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG, CoprocessorConfig
@@ -48,11 +49,10 @@ def single_card_act(tiny: bool) -> None:
 
     injector = FaultInjector(FaultSpec(process="targeted", seed=4))
     upsets = 4 if tiny else 12
-    for _ in range(upsets):
-        injector.upset_memory(memory)
+    effective = sum(injector.upset_memory(memory)[1] for _ in range(upsets))
     corrupt = [a for a in region if not memory.frame_crc_ok(a)]
     print(f"injected {injector.upsets} targeted upsets "
-          f"({injector.effective_upsets} effective): "
+          f"({effective} effective): "
           f"{len(corrupt)} of crc32's frames now fail their CRC check word")
 
     driver.call("crc32", bytes(4))
@@ -70,7 +70,10 @@ def single_card_act(tiny: bool) -> None:
     )
     print(f"SCRUB command: {corrected} frames repaired from golden images; "
           f"all frames byte-identical to golden again: {identical}")
-    print(f"  {copro.scrubber.describe()}")
+    scrubbed = copro.scrubber.stats
+    print(f"  scrubber: {scrubbed.passes} passes, {scrubbed.frames_checked} frames checked, "
+          f"{scrubbed.detected} detected, {scrubbed.corrected} corrected, "
+          f"{scrubbed.uncorrectable} uncorrectable")
     print()
 
 
@@ -97,7 +100,7 @@ def fleet_act(tiny: bool) -> None:
         card_kill_times_ns=((kill_at, 0),),
         seed=4,
     )
-    obs = Observability(seed=4)
+    obs = Observability()
     fleet = build_fleet(
         cards=cards,
         config=config,
@@ -110,7 +113,10 @@ def fleet_act(tiny: bool) -> None:
         fault_spec=spec,
         observability=obs,
     )
-    print(trace.describe())
+    tenants = Counter(request.tenant for request in trace)
+    print(f"{len(trace)} requests from {len(tenants)} tenants over "
+          f"{len({request.function for request in trace})} functions, "
+          f"{trace.duration_ns / 1e6:.2f} ms of arrivals")
     print(f"card0 scheduled to die at {kill_at / 1e6:.2f} ms; "
           f"scrub period 100 us, targeted upsets at 2000/s/card")
     stats = fleet.run(trace)

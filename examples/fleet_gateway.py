@@ -18,6 +18,7 @@ Run with:  python examples/fleet_gateway.py        (~10 s)
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 from repro.core.builder import build_fleet
 from repro.core.config import CoprocessorConfig
@@ -58,8 +59,11 @@ def main(tiny: bool = False) -> None:
         mean_interarrival_ns=120_000.0,
         seed=7,
     )
+    tenants = Counter(request.tenant for request in trace)
+    mix = ", ".join(f"{tenant}:{count}" for tenant, count in sorted(tenants.items()))
     print("Multi-tenant arrival stream:")
-    print(" ", trace.describe())
+    print(f"  {len(trace)} requests from {len(tenants)} tenants, "
+          f"{trace.duration_ns / 1e6:.2f} ms of arrivals ({mix})")
     print()
 
     print(f"{'policy':<20} {'hit rate':<9} {'p50':<10} {'p95':<10} {'p99':<10} "

@@ -25,8 +25,8 @@ from __future__ import annotations
 import sys
 
 from repro import build_fleet, build_frontdoor
-from repro.core.builder import build_function_bank
 from repro.core.config import SMALL_CONFIG
+from repro.functions.bank import build_small_bank
 from repro.net import LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
@@ -52,7 +52,7 @@ def run_one(trace, bank, loss: float, retries: int):
 
 def main(tiny: bool = False) -> None:
     requests = 150 if tiny else 2_000
-    bank = build_function_bank(small=True)
+    bank = build_small_bank()
     tenants = default_tenant_mix(bank, tenants=3)
     trace = multi_tenant_trace(
         bank, tenants, length=requests, mean_interarrival_ns=40_000.0, seed=SEED

@@ -16,13 +16,12 @@ Two replays, both byte-deterministic:
    failovers, the heal order and the resolution, with the rejected
    requests' traces attached by the tail sampler.
 
-2. **E12 brownout** — the ``trace_explorer`` overload cell, judged from the
-   client's side of the links with ``source="net"`` SLOs installed through
+2. **E12 brownout** — E12's overload cell, judged from the client's side of
+   the links with ``source="net"`` SLOs installed through
    ``build_frontdoor(slos=...)``.
 
-Per replay it renders the burn-rate table (``SloEngine.status()``), each
-incident's correlated timeline, the tail sampler's retention accounting,
-and exports the incidents as JSON.  The run's schedule digest is printed
+Per replay it lists the alerts, each incident's correlated timeline and the
+tail sampler's retention accounting, and exports the incidents as JSON.  The run's schedule digest is printed
 alongside so you can check it against the same run without observability:
 SLO evaluation is passive and never perturbs the schedule.
 
@@ -37,7 +36,6 @@ import tempfile
 from pathlib import Path
 
 from repro import build_fleet, build_frontdoor
-from repro.analysis import Table
 from repro.core.config import CoprocessorConfig
 from repro.faults import FaultSpec
 from repro.functions.bank import build_default_bank
@@ -75,16 +73,11 @@ def drill_slos():
             burn_threshold=4.0,
             min_events=5,
         ),
-        SloSpec.corruption("fleet.corruption", objective=0.999),
     ]
 
 
 def run_kill_drill(tiny: bool = False):
-    """E10 kill drill with SLOs + tail sampling; returns (fleet, obs).
-
-    Also imported by the determinism regression test, which re-runs the
-    drill in a fresh process and compares the incident JSON byte-for-byte.
-    """
+    """E10 kill drill with SLOs + tail sampling; returns (fleet, obs)."""
     cards = 2 if tiny else 3
     requests = 100 if tiny else 400
     interarrival_ns = 20_000.0 if tiny else 15_000.0
@@ -106,7 +99,7 @@ def run_kill_drill(tiny: bool = False):
         card_kill_times_ns=((kill_at, 0),),
         seed=SEED,
     )
-    obs = Observability(seed=SEED, tail=TailSampler(slow_ns=300_000.0))
+    obs = Observability(tail=TailSampler(slow_ns=300_000.0))
     fleet = build_fleet(
         cards=cards,
         config=DRILL_CONFIG,
@@ -139,7 +132,7 @@ def run_brownout(tiny: bool = False):
         mean_interarrival_ns=5_500.0 / overload,
         seed=SEED,
     )
-    obs = Observability(seed=SEED, tail=TailSampler(slow_ns=500_000.0))
+    obs = Observability(tail=TailSampler(slow_ns=500_000.0))
     fleet = build_fleet(
         cards=3,
         config=DRILL_CONFIG,
@@ -191,25 +184,6 @@ def run_brownout(tiny: bool = False):
     frontdoor.add_population(OpenLoopPopulation(trace))
     frontdoor.run()
     return frontdoor, obs
-
-
-def _print_burn_table(engine) -> None:
-    table = Table(
-        "SLO burn rates at end of run",
-        ["slo", "kind", "window", "events", "bad", "burn_fast", "burn_slow", "alerting"],
-    )
-    for row in engine.status():
-        table.add_row(
-            row["slo"],
-            row["kind"],
-            row["window"],
-            row["events"],
-            row["bad"],
-            round(row["burn_fast"], 2),
-            round(row["burn_slow"], 2),
-            "YES" if row["alerting"] else "no",
-        )
-    print(table.render())
 
 
 def _describe_event(event) -> str:
@@ -267,7 +241,6 @@ def _print_tail(tail: TailSampler) -> None:
 def _report(title: str, stats, obs, out_name: str) -> None:
     print(f"=== {title} " + "=" * max(1, 70 - len(title)))
     print(f"schedule digest {stats.schedule_digest()}")
-    _print_burn_table(obs.slo_engine)
     alerts = obs.alerts
     print(f"{len(alerts)} alert(s) fired:")
     for alert in alerts:

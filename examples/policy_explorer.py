@@ -21,17 +21,18 @@ from repro.core.builder import build_coprocessor
 from repro.core.config import CoprocessorConfig
 from repro.core.ondemand import TraceRunner
 from repro.functions.bank import build_default_bank
-from repro.mcu.minios.policies import available_policies
 from repro.workloads import phased_trace, zipf_trace
 
 WORKING_SET = ["sha1", "crc32", "fir16", "strmatch", "bitonic64", "parity32"]
+#: The mini OS's replacement policies (``CoprocessorConfig.replacement_policy``).
+POLICIES = ("fifo", "lfu", "lru", "random")
 
 
 def sweep_policies(bank, trace_length: int = 250) -> None:
     print("=== Replacement policy sweep (fabric: 32 frames, working set needs ~63) ===\n")
     table = Table("Hit rate and mean latency per policy", ["policy", "trace", "hit_rate", "mean_latency_us"])
     chart = {}
-    for policy in available_policies():
+    for policy in POLICIES:
         for trace_name, trace in (
             ("zipf", zipf_trace(bank, trace_length, skew=1.2, seed=7)),
             ("phased", phased_trace(bank, trace_length, phase_length=40, working_set=3, seed=7)),

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import sys
 
-from repro import build_default_coprocessor
+from repro import CoprocessorConfig, build_coprocessor
 from repro.sim.clock import format_time
 
 
 def main(tiny: bool = False) -> None:
     print("Building the default agile algorithm-on-demand co-processor ...")
-    coprocessor = build_default_coprocessor(seed=2005)
-    print(coprocessor.describe())
+    coprocessor = build_coprocessor(config=CoprocessorConfig(seed=2005))
+    geometry, rom = coprocessor.geometry, coprocessor.rom
+    print(f"  fabric : {geometry.columns}x{geometry.rows} CLBs, {geometry.frame_count} frames")
+    print(f"  ROM    : {rom.bitstream_bytes_used}/{rom.capacity_bytes} bytes of bit-streams")
+    print(f"  policy : {coprocessor.minios.policy.name}, codec {coprocessor.config.codec_name}")
     print()
 
     # ----------------------------------------------------------- on demand
@@ -50,12 +53,17 @@ def main(tiny: bool = False) -> None:
 
     # ------------------------------------------------------------ residency
     print("Functions resident on the fabric:", ", ".join(coprocessor.loaded_functions()))
-    print(f"Fabric utilisation: {coprocessor.device.utilisation():.1%}")
+    used = geometry.frame_count - coprocessor.minios.free_count
+    print(f"Fabric utilisation: {used / geometry.frame_count:.1%}")
     print()
 
     # ------------------------------------------------------------ statistics
+    stats = coprocessor.stats
     print("Accumulated statistics")
-    print(coprocessor.stats.describe())
+    print(f"  requests {stats.requests}, hit rate {stats.hit_rate:.3f}, evictions {stats.evictions}")
+    print(f"  mean latency {format_time(stats.mean_latency_ns)}, "
+          f"p95 {format_time(stats.latency_percentile(95))}, "
+          f"mean reconfiguration {format_time(stats.mean_reconfig_ns)}")
     print()
     print("Where did the time go on the last request?")
     for phase, nanoseconds in result.breakdown.items():

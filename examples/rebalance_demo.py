@@ -25,6 +25,7 @@ Run with:  python examples/rebalance_demo.py        (~10 s)
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG, CoprocessorConfig
@@ -59,7 +60,7 @@ def migration_act(tiny: bool) -> None:
     memory = dest.coprocessor.device.memory
     golden = dest.coprocessor.device.golden
     region = dest.coprocessor.device.region_of("crc32")
-    print(f"RESTORE: resident on destination = {dest.card.is_resident('crc32')}, "
+    print(f"RESTORE: resident on destination = {dest.coprocessor.minios.is_resident('crc32')}, "
           f"readback byte-identical = {after == before}")
     print(f"  CRC check words valid: {all(memory.frame_crc_ok(a) for a in region)}; "
           f"golden images captured: {all(memory.read_frame(a) == golden.payload_for(a) for a in region)}")
@@ -67,7 +68,7 @@ def migration_act(tiny: bool) -> None:
     print(f"executed on the restored frames -> output {output.hex()} "
           f"(matches source: {output == source.call('crc32', b'abcd1234').output})")
     source.evict("crc32")
-    print(f"release: source resident = {source.card.is_resident('crc32')}")
+    print(f"release: source resident = {source.coprocessor.minios.is_resident('crc32')}")
     print()
 
 
@@ -92,7 +93,9 @@ def defrag_act(tiny: bool) -> None:
     print(f"DEFRAG: {moved} frames relocated -> largest run "
           f"{minios.placer.largest_free_run(minios.free_frames())}, fragmentation "
           f"{defragmenter.fragmentation():.3f}")
-    print(f"  {defragmenter.describe()}")
+    stats = defragmenter.stats
+    print(f"  defragmenter: {stats.passes} passes, {stats.moves} moves, "
+          f"{stats.frames_moved} frames moved")
     print()
 
 
@@ -117,7 +120,7 @@ def fleet_act(tiny: bool) -> None:
     )
 
     def run(rebalance: bool):
-        obs = Observability(seed=11) if rebalance else None
+        obs = Observability() if rebalance else None
         fleet = build_fleet(
             cards=cards,
             config=config,
@@ -137,7 +140,9 @@ def fleet_act(tiny: bool) -> None:
     skewed_fleet, skewed, _ = run(rebalance=False)
     balanced_fleet, balanced, obs = run(rebalance=True)
     summary = balanced_fleet.rebalance_summary()
-    print(trace.describe())
+    tenants = Counter(request.tenant for request in trace)
+    print(f"{len(trace)} requests from {len(tenants)} tenants over {len(FLEET_SET)} functions, "
+          f"{trace.duration_ns / 1e6:.2f} ms of arrivals")
     print("whole working set warmed onto card0; affinity pins every request there")
     print()
     print(f"rebalance off : p95 {skewed.latency_percentile(95) / 1e3:8.1f} us,  "

@@ -23,8 +23,8 @@ The package models, in pure Python, every block of the paper's architecture:
 Quickstart
 ----------
 
->>> from repro import build_default_coprocessor
->>> copro = build_default_coprocessor(seed=1)
+>>> from repro import build_coprocessor
+>>> copro = build_coprocessor()
 >>> result = copro.execute("crc32", b"hello world")
 >>> len(result.output)
 4
@@ -35,10 +35,8 @@ from repro.core.coprocessor import AgileCoprocessor, ExecutionResult
 from repro.core.host import HostDriver
 from repro.core.builder import (
     build_coprocessor,
-    build_default_coprocessor,
     build_fleet,
     build_frontdoor,
-    build_function_bank,
 )
 
 __version__ = "1.0.0"
@@ -49,9 +47,7 @@ __all__ = [
     "ExecutionResult",
     "HostDriver",
     "build_coprocessor",
-    "build_default_coprocessor",
     "build_fleet",
     "build_frontdoor",
-    "build_function_bank",
     "__version__",
 ]

@@ -10,17 +10,6 @@ from repro.analysis.tables import Table, format_value
 from repro.analysis.figures import ascii_bar_chart, ascii_line_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.sketch import StreamingQuantileSketch, WindowedTimeSeries
-from repro.analysis.critical_path import (
-    STAGE_DEPTHS,
-    Segment,
-    TracePath,
-    critical_path,
-    critical_paths,
-    dominant_stages,
-    stage_breakdown,
-    stage_depth,
-    top_critical_paths,
-)
 
 __all__ = [
     "Table",
@@ -30,13 +19,4 @@ __all__ = [
     "ExperimentReport",
     "StreamingQuantileSketch",
     "WindowedTimeSeries",
-    "STAGE_DEPTHS",
-    "Segment",
-    "TracePath",
-    "critical_path",
-    "critical_paths",
-    "dominant_stages",
-    "stage_breakdown",
-    "stage_depth",
-    "top_critical_paths",
 ]

@@ -182,9 +182,9 @@ class StreamingQuantileSketch:
 class WindowedTimeSeries:
     """Per-window (count, value-sum) over a monotone timestamp stream.
 
-    Keeps at most ``max_windows`` recent windows plus lifetime totals, so a
-    10^6-request run costs the same memory as a 10^2-request run.  Windows
-    are aligned to multiples of ``window_ns`` from time zero.
+    Keeps at most ``max_windows`` recent windows, so a 10^6-request run
+    costs the same memory as a 10^2-request run.  Windows are aligned to
+    multiples of ``window_ns`` from time zero.
     """
 
     def __init__(self, window_ns: int = 1_000_000, max_windows: int = 256) -> None:
@@ -199,8 +199,6 @@ class WindowedTimeSeries:
         # keeping the last (index, row) pair skips the dict probe for them.
         self._last_index: Optional[int] = None
         self._last_window: Optional[List[float]] = None
-        self.total_count = 0
-        self.total_value = 0.0
 
     def record(self, time_ns: int, value: float = 1.0) -> None:
         index = int(time_ns // self.window_ns)
@@ -219,17 +217,11 @@ class WindowedTimeSeries:
                         # the row it just created; don't cache an orphan.
                         self._last_index = None
                         self._last_window = None
-                        window[0] += 1.0
-                        window[1] += value
-                        self.total_count += 1
-                        self.total_value += value
                         return
             self._last_index = index
             self._last_window = window
         window[0] += 1.0
         window[1] += value
-        self.total_count += 1
-        self.total_value += value
 
     def trailing(self, now_ns: int, horizon_ns: int) -> Tuple[int, float]:
         """``(count, value_sum)`` over windows touching ``(now - horizon, now]``.

@@ -1,16 +1,17 @@
 """Static fixed-function baseline.
 
 The traditional co-processor the paper's introduction contrasts with: a fixed
-set of functions is chosen at design time (whatever fits the fabric), loaded
-once, and never changed.  Requests for resident functions are fast; requests
-for anything else fall back to host software.  The agility experiments show
+set of functions is chosen at design time (the bank's functions in order, as
+many as fit the fabric), loaded once, and never changed.  Requests for
+resident functions are fast; requests for anything else fall back to host
+software.  The agility experiments show
 where this design wins (stable workloads) and where it collapses (changing
 algorithm mixes).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.baselines.base import BaselineResult
 from repro.baselines.host_only import HostOnlyEngine
@@ -22,39 +23,26 @@ from repro.functions.bank import FunctionBank
 class StaticFixedEngine:
     """A co-processor whose resident function set never changes."""
 
-    def __init__(
-        self,
-        config: CoprocessorConfig,
-        bank: FunctionBank,
-        resident_functions: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, config: CoprocessorConfig, bank: FunctionBank) -> None:
         self.coprocessor = AgileCoprocessor(config, bank)
         self.bank = bank
-        self.fallback = HostOnlyEngine(
-            bank, software_slowdown=config.software_slowdown, clock=self.coprocessor.clock
-        )
+        self.fallback = HostOnlyEngine(bank, clock=self.coprocessor.clock)
         self.coprocessor.download_bank()
         self.resident: List[str] = []
-        self._load_static_set(resident_functions)
+        self._load_static_set()
 
     # ----------------------------------------------------------- residency
-    def _load_static_set(self, requested: Optional[Sequence[str]]) -> None:
-        """Preload the requested functions (or greedily as many as fit)."""
+    def _load_static_set(self) -> None:
+        """Preload the bank's functions in order, skipping any that no
+        longer fit."""
         geometry = self.coprocessor.geometry
-        candidates = list(requested) if requested is not None else self.bank.names()
         free = geometry.frame_count
-        for name in candidates:
-            function = self.bank.by_name(name)
+        for function in self.bank:
             frames = function.frames_required(geometry)
             if frames > free:
-                if requested is not None:
-                    raise ValueError(
-                        f"static set does not fit: {name!r} needs {frames} frames, "
-                        f"{free} remain"
-                    )
                 continue
-            self.coprocessor.preload(name)
-            self.resident.append(name)
+            self.coprocessor.preload(function.name)
+            self.resident.append(function.name)
             free -= frames
 
     @property

@@ -119,6 +119,11 @@ class CompressedImage:
         return cls(codec_name, window_bytes, original_length, windows)
 
 
+#: The card's compression window: ROM images and migration blobs are
+#: compressed in windows of this many raw bytes.
+COMPRESSION_WINDOW_BYTES = 1024
+
+
 class WindowedCompressor:
     """Splits raw bit-stream bytes into windows and compresses each one."""
 

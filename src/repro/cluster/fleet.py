@@ -323,7 +323,7 @@ class Fleet:
             )
 
     def _obs_order_begin(self):
-        """Open a fresh (sampled) control-plane order trace, or ``None``.
+        """Open a fresh control-plane order trace, or ``None`` untraced.
 
         Returns ``(trace_id, start_ns)`` — each order is its own trace in
         the negative-id namespace, the ROADMAP's order-level trace hook.
@@ -331,10 +331,7 @@ class Fleet:
         tracer = self._tracer
         if tracer is None:
             return None
-        trace_id = tracer.new_trace_id()
-        if not tracer.sampled(trace_id):
-            return None
-        return trace_id, self.clock._now
+        return tracer.new_trace_id(), self.clock._now
 
     # ------------------------------------------------------------ card server
     def _put(self, card: FleetCard, item) -> None:
@@ -615,14 +612,11 @@ class Fleet:
         ):
             # A trace born at the dispatcher: the fleet owns the root span,
             # in the negative-id namespace.  Requests stamped with a
-            # transport request_id came through a gateway — if no context
-            # was registered for one, the transport chose not to sample it,
-            # and inventing a fleet root here would resurrect it.
-            trace_id = tracer.new_trace_id()
-            if tracer.sampled(trace_id):
-                self._trace_ctx[id(request)] = _ReqTrace(
-                    trace_id, tracer.next_span_id(), True, self.clock._now
-                )
+            # transport request_id came through a gateway, whose transport
+            # owns their root.
+            self._trace_ctx[id(request)] = _ReqTrace(
+                tracer.new_trace_id(), tracer.next_span_id(), True, self.clock._now
+            )
         deadline = request.deadline_ns
         if deadline is not None and self.clock._now > deadline:
             # Dead on arrival (e.g. delivered late by a congested front-door

@@ -8,7 +8,7 @@ every order the same life::
                          record or hand-off ``put``; returns the order span's
                          attributes
     card.outstanding -= 1
-    order.<span> span    recorded when the order's trace is sampled
+    order.<span> span    recorded when the fleet is traced
     settle(fleet, card)  bookkeeping after the span: completion records and
                          the next phase's ``put``
 

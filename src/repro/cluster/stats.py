@@ -476,7 +476,7 @@ class FleetStatistics:
         if self.digest_tap is not None:
             self.digest_tap.append((completed_ns, started_ns, line))
         if self.slo_engine is not None:
-            self.slo_engine.on_fleet_completion(completed_ns, sojourn_ns, hazard)
+            self.slo_engine.on_fleet_completion(completed_ns, sojourn_ns)
 
     # -------------------------------------------------------------- derived
     @property

@@ -11,7 +11,7 @@ from repro.core.card import CoprocessorCard
 from repro.core.host import HostCallResult, HostDriver
 from repro.core.stats import CoprocessorStatistics
 from repro.core.ondemand import TraceResult, TraceRunner
-from repro.core.builder import build_coprocessor, build_default_coprocessor, build_function_bank
+from repro.core.builder import build_coprocessor
 from repro.core.exceptions import CoprocessorError, UnknownFunctionError
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "TraceRunner",
     "TraceResult",
     "build_coprocessor",
-    "build_default_coprocessor",
-    "build_function_bank",
     "CoprocessorError",
     "UnknownFunctionError",
 ]

@@ -7,13 +7,8 @@ from typing import Optional, Sequence
 from repro.core.config import CoprocessorConfig
 from repro.core.coprocessor import AgileCoprocessor
 from repro.fpga.bitgen import BitstreamCache, bitstream_cache
-from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
+from repro.functions.bank import FunctionBank, build_default_bank
 from repro.core.host import HostDriver, build_host_system
-
-
-def build_function_bank(small: bool = False) -> FunctionBank:
-    """The default 14-function bank, or the small 4-function test bank."""
-    return build_small_bank() if small else build_default_bank()
 
 
 def clear_bitstream_cache() -> BitstreamCache:
@@ -57,12 +52,6 @@ def build_coprocessor(
     if download:
         coprocessor.download_bank()
     return coprocessor
-
-
-def build_default_coprocessor(seed: int = 0) -> AgileCoprocessor:
-    """A ready-to-use co-processor with default configuration and bank."""
-    config = CoprocessorConfig().with_overrides(seed=seed)
-    return build_coprocessor(config=config, bank=build_default_bank())
 
 
 def build_host_driver(

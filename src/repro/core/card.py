@@ -117,10 +117,6 @@ class CoprocessorCard:
         """
         return self.coprocessor.mcu.resident_functions()
 
-    def is_resident(self, name: str) -> bool:
-        """Sideband point query: does the fabric currently hold *name*?"""
-        return self.coprocessor.mcu.minios.is_resident(name)
-
     @property
     def free_frames(self) -> int:
         """Sideband capacity query: unclaimed configuration frames."""

@@ -34,20 +34,13 @@ class CoprocessorConfig:
 
     # --- bit-stream handling ------------------------------------------------
     codec_name: str = "lz77"
-    compression_window_bytes: int = 1024
     overlap_decompress: bool = False
 
     # --- microcontroller / mini OS ------------------------------------------
     replacement_policy: str = "lru"
     placement_strategy: PlacementStrategy = PlacementStrategy.CONTIGUOUS_FIRST_FIT
 
-    # --- baselines / workloads -----------------------------------------------
-    #: Host-CPU cycles per hardware cycle for the software baseline.  With the
-    #: default 1 GHz host and 100 MHz fabric this makes software roughly 4x
-    #: slower per byte than the hardware datapath, which matches published
-    #: software-vs-FPGA crypto comparisons of the paper's era (e.g. ~25-30
-    #: cycles/byte software AES vs a few cycles/byte for a compact core).
-    software_slowdown: float = 40.0
+    # --- seed -----------------------------------------------------------------
     seed: int = 0
 
     # --- tracing --------------------------------------------------------------
@@ -56,10 +49,6 @@ class CoprocessorConfig:
     def __post_init__(self) -> None:
         if self.rom_capacity_bytes <= 0 or self.ram_capacity_bytes <= 0:
             raise ValueError("memory capacities must be positive")
-        if self.compression_window_bytes <= 0:
-            raise ValueError("the compression window must be positive")
-        if self.software_slowdown <= 0:
-            raise ValueError("the software slowdown factor must be positive")
 
     # ------------------------------------------------------------------ views
     def geometry(self) -> FabricGeometry:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bitstream.codecs import get_codec
-from repro.bitstream.window import WindowedCompressor
+from repro.bitstream.window import COMPRESSION_WINDOW_BYTES, WindowedCompressor
 from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.device import FPGADevice
 from repro.fpga.placer import Placer, PlacementStrategy
@@ -86,7 +86,7 @@ class AgileCoprocessor:
         function name.
         """
         codec = get_codec(self.config.codec_name)
-        compressor = WindowedCompressor(codec, self.config.compression_window_bytes)
+        compressor = WindowedCompressor(codec, COMPRESSION_WINDOW_BYTES)
         cache = self._bitgen.cache
         records: Dict[str, FunctionRecord] = {}
         scratch_placer = Placer(self.geometry, strategy=PlacementStrategy.CONTIGUOUS_FIRST_FIT)
@@ -125,7 +125,7 @@ class AgileCoprocessor:
             # stored image so rebuilding a card (every experiment sweep, every
             # baseline engine) compresses each distinct image once.
             stored = cache.lookup(
-                ("image", codec.name, self.config.compression_window_bytes, raw),
+                ("image", codec.name, COMPRESSION_WINDOW_BYTES, raw),
                 lambda: compressor.compress(raw).to_bytes(),
             )
             record = self.rom.download(
@@ -185,9 +185,7 @@ class AgileCoprocessor:
         """
         if name not in self.bank:
             raise UnknownFunctionError(name)
-        return self.mcu.capture(
-            name, self.config.codec_name, self.config.compression_window_bytes
-        )
+        return self.mcu.capture(name, self.config.codec_name, COMPRESSION_WINDOW_BYTES)
 
     def restore_function(self, name: str, blob: bytes) -> ExecutionResult:
         """Make *name* resident from a migration blob (live migration restore)."""
@@ -259,16 +257,3 @@ class AgileCoprocessor:
 
     def rom_layout(self) -> Dict[str, int]:
         return self.rom.layout_summary()
-
-    def describe(self) -> str:
-        lines = [
-            "Agile Algorithm-On-Demand Co-Processor",
-            f"  fabric : {self.geometry.describe()}",
-            f"  ROM    : {self.rom.bitstream_bytes_used}/{self.rom.capacity_bytes} bytes of bit-streams, "
-            f"{len(self.rom.record_table)} records",
-            f"  RAM    : {self.ram.capacity_bytes} bytes",
-            f"  policy : {self.minios.policy.name}",
-            f"  codec  : {self.config.codec_name}",
-            f"  loaded : {', '.join(self.loaded_functions()) or '(none)'}",
-        ]
-        return "\n".join(lines)

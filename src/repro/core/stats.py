@@ -123,15 +123,3 @@ class CoprocessorStatistics:
     def reset(self) -> None:
         """Zero every counter and drop the latencies."""
         self.__init__()  # type: ignore[misc]
-
-    # ------------------------------------------------------------ reporting
-    def describe(self) -> str:
-        lines = [
-            f"requests           : {self.requests}",
-            f"hit rate           : {self.hit_rate:.3f}",
-            f"evictions          : {self.evictions}",
-            f"mean latency       : {self.mean_latency_ns / 1e3:.2f} us",
-            f"p95 latency        : {self.latency_percentile(95) / 1e3:.2f} us",
-            f"mean reconfig time : {self.mean_reconfig_ns / 1e3:.2f} us",
-        ]
-        return "\n".join(lines)

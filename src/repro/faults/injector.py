@@ -39,7 +39,6 @@ class FaultInjector:
         self._upset_rng = root.fork("upsets")
         self._port_rng = root.fork("port-faults")
         self.upsets = 0
-        self.effective_upsets = 0
 
     # ----------------------------------------------------------- manual face
     def upset_memory(
@@ -65,8 +64,6 @@ class FaultInjector:
         bits = spec.burst_bits if spec.process == "burst" else 1
         changed = memory.corrupt_bit(address, bit_index, bits=bits)
         self.upsets += 1
-        if changed:
-            self.effective_upsets += 1
         return address, changed
 
     # ------------------------------------------------------------ fleet face

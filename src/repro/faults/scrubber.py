@@ -142,12 +142,3 @@ class Scrubber:
         result = self._walk(count, suspects)
         self.stats.passes += 1
         return result
-
-    # ------------------------------------------------------------ reporting
-    def describe(self) -> str:
-        stats = self.stats
-        return (
-            f"Scrubber: {stats.passes} passes, {stats.frames_checked} frames "
-            f"checked, {stats.detected} detected, {stats.corrected} corrected, "
-            f"{stats.uncorrectable} uncorrectable"
-        )

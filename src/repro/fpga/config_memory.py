@@ -194,9 +194,3 @@ class ConfigurationMemory:
         """Configuration readback of each frame of *addresses*, in order."""
         frames = self.frames
         return [frames[address].to_config_bytes() for address in addresses]
-
-    # ------------------------------------------------------------ statistics
-    def utilisation(self) -> float:
-        """Fraction of frames currently owned by some function."""
-        owned = sum(owner is not None for owner in self._owners.values())
-        return owned / self.geometry.frame_count

@@ -305,7 +305,3 @@ class FPGADevice:
     def verify_readback(self, name: str, bitstream: Bitstream) -> bool:
         """Compare the live configuration of *name* against its bit-stream."""
         return self.readback(name) == list(bitstream.frames)
-
-    # ------------------------------------------------------------ reporting
-    def utilisation(self) -> float:
-        return self.memory.utilisation()

@@ -114,11 +114,6 @@ class FabricGeometry:
         """Configuration bytes for one full frame (the reconfiguration quantum)."""
         return self.clbs_per_frame * self.clb_config_bytes
 
-    @property
-    def device_config_bytes(self) -> int:
-        """Size of a full-device configuration image."""
-        return self.frame_count * self.frame_config_bytes
-
     # ----------------------------------------------------------- addressing
     def all_frames(self) -> List[FrameAddress]:
         """Every frame address in raster (column-major) order."""
@@ -135,14 +130,6 @@ class FabricGeometry:
         if lut_count <= 0:
             return 0
         return -(-lut_count // self.luts_per_frame)
-
-    def describe(self) -> str:
-        """One-line human readable summary used in reports."""
-        return (
-            f"{self.columns}x{self.rows} CLBs, {self.frame_count} frames of "
-            f"{self.clbs_per_frame} CLBs ({self.frame_config_bytes} config bytes/frame, "
-            f"{self.device_config_bytes} bytes full device)"
-        )
 
 
 @lru_cache(maxsize=64)

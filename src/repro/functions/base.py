@@ -111,13 +111,13 @@ class HardwareFunction(abc.ABC):
     def function_id(self) -> int:
         return self.spec.function_id
 
-    def software_cycles(self, input_length: int, slowdown: float = 20.0) -> int:
+    def software_cycles(self, input_length: int, slowdown: float) -> int:
         """Estimated host-CPU cycles for the same computation.
 
         The host-only baseline charges the hardware cycle count multiplied by
-        a per-function software *slowdown* factor: hardware implementations of
-        these kernels exploit bit-level and pipeline parallelism a sequential
-        CPU lacks.  The factor is configurable per experiment.
+        a software *slowdown* factor (its ``SOFTWARE_SLOWDOWN``): hardware
+        implementations of these kernels exploit bit-level and pipeline
+        parallelism a sequential CPU lacks.
         """
         return int(self.spec.cycle_model.cycles_for(input_length) * slowdown)
 

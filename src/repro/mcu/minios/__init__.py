@@ -28,7 +28,6 @@ from repro.mcu.minios.policies import (
     RandomPolicy,
     ReplacementPolicy,
     build_policy,
-    available_policies,
 )
 from repro.mcu.minios.minios import EvictionDecision, MiniOs
 
@@ -44,7 +43,6 @@ __all__ = [
     "LfuPolicy",
     "RandomPolicy",
     "build_policy",
-    "available_policies",
     "MiniOs",
     "EvictionDecision",
 ]

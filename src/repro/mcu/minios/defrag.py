@@ -49,7 +49,6 @@ class DefragStatistics:
     passes: int = 0
     moves: int = 0
     frames_moved: int = 0
-    blocked_moves: int = 0
 
 
 @dataclass
@@ -111,7 +110,6 @@ class Defragmenter:
         for address in target:
             owner = self.device.memory.owner_of(address)
             if owner is not None and owner != name:
-                self.stats.blocked_moves += 1
                 return False
         # A wedged port raises here and stops compacting: the functions are
         # all still intact where they were.
@@ -138,11 +136,3 @@ class Defragmenter:
                     progress = True
         self.stats.passes += 1
         return result
-
-    # ------------------------------------------------------------ reporting
-    def describe(self) -> str:
-        stats = self.stats
-        return (
-            f"Defragmenter: {stats.passes} passes, {stats.moves} moves, "
-            f"{stats.frames_moved} frames moved, {stats.blocked_moves} blocked"
-        )

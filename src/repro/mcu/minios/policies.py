@@ -130,7 +130,3 @@ def build_policy(name: str, seed: int = 0) -> ReplacementPolicy:
     if name == RandomPolicy.name:
         return RandomPolicy(seed)
     return factory()
-
-
-def available_policies() -> List[str]:
-    return sorted(_POLICIES)

@@ -205,16 +205,14 @@ class Gateway:
             self.cards_up = any(card.health != "down" for card in cards)
             tracer = self.tracer
             if tracer is not None:
-                trace_id = tracer.new_trace_id()
-                if tracer.sampled(trace_id):
-                    tracer.marker(
-                        _obs_names.SPAN_ORDER_PROBE,
-                        trace_id,
-                        None,
-                        self.clock._now,
-                        gateway=self.name,
-                        cards_up=self.cards_up,
-                    )
+                tracer.marker(
+                    _obs_names.SPAN_ORDER_PROBE,
+                    tracer.new_trace_id(),
+                    None,
+                    self.clock._now,
+                    gateway=self.name,
+                    cards_up=self.cards_up,
+                )
             if fleet.is_idle:
                 return
             yield probe_timeout

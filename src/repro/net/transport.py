@@ -245,7 +245,7 @@ class Transport:
         pending = _Pending(request, on_done)
         pending.first_send_ns = self.clock._now
         tracer = self.tracer
-        if tracer is not None and tracer.sampled(request.request_id):
+        if tracer is not None:
             # The trace id is the request id; the root client.request span is
             # recorded at the terminal verdict with this pre-allocated id.
             pending.trace = (request.request_id, tracer.next_span_id())
@@ -361,7 +361,7 @@ class Transport:
         )
 
     def _obs_root_end(self, pending: _Pending, outcome: str) -> None:
-        """Record the whole-request root span (trace known sampled)."""
+        """Record the whole-request root span (the request is traced)."""
         trace = pending.trace
         request = pending.request
         self.tracer.record(

@@ -4,12 +4,12 @@ One :class:`Observability` object threads three things through every tier
 (client populations → links → gateways → transport → fleet → cards):
 
 * a :class:`~repro.obs.context.Tracer` collecting per-request span trees
-  (and per-control-plane-order traces) with seeded head-based sampling;
+  (and per-control-plane-order traces);
 * a :class:`~repro.obs.registry.MetricsRegistry` that owns every counter
   the layers used to hand-roll, under the canonical names in
   :mod:`repro.obs.names`;
-* exporters (:mod:`repro.obs.export`) emitting Chrome ``trace_event`` JSON
-  and flat metrics snapshots, byte-identical across processes for a fixed
+* exporters (:mod:`repro.obs.export`) emitting a trace fingerprint and
+  flat metrics snapshots, byte-identical across processes for a fixed
   seed.
 
 Determinism contract: with ``enabled=False`` (and with no ``Observability``
@@ -26,10 +26,10 @@ Usage::
     from repro.core.builder import build_fleet, build_frontdoor
     from repro.obs import Observability
 
-    obs = Observability(sample_rate=0.1, seed=7)
+    obs = Observability()
     fleet = build_fleet(cards=2, observability=obs)
     ...
-    export_chrome_trace(obs.spans, "trace.json")
+    trace_fingerprint(obs.spans)
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ from typing import Optional, Sequence
 
 from repro.obs import names
 from repro.obs.context import Span, Tracer
-from repro.obs.export import (
-    chrome_trace_json,
-    export_chrome_trace,
-    metrics_snapshot_json,
-    to_chrome_trace,
-    trace_fingerprint,
-)
+from repro.obs.export import metrics_snapshot_json, trace_fingerprint
 from repro.obs.incident import (
     FlightRecorder,
     Incident,
@@ -68,13 +62,11 @@ class Observability:
     def __init__(
         self,
         enabled: bool = True,
-        sample_rate: float = 1.0,
-        seed: int = 0,
         slos: Optional[Sequence[SloSpec]] = None,
         tail: Optional[TailSampler] = None,
     ) -> None:
         self.enabled = enabled
-        self.tracer = Tracer(sample_rate=sample_rate, seed=seed)
+        self.tracer = Tracer()
         self.registry = MetricsRegistry()
         self.slo_engine: Optional[SloEngine] = None
         self.recorder: Optional[FlightRecorder] = None
@@ -180,13 +172,10 @@ __all__ = [
     "Span",
     "TailSampler",
     "Tracer",
-    "chrome_trace_json",
-    "export_chrome_trace",
     "export_incidents",
     "incidents_fingerprint",
     "incidents_json",
     "metrics_snapshot_json",
     "names",
-    "to_chrome_trace",
     "trace_fingerprint",
 ]

@@ -16,19 +16,16 @@ wall-clock tracing SDK:
   trace id; traces born inside the fleet (direct submissions, control-plane
   orders) draw *negative* ids from :meth:`Tracer.new_trace_id` so the two
   namespaces can never collide.
-* **Seeded head-based sampling.**  Whether a trace is recorded is decided
-  once, at its root, by hashing ``seed | trace_id`` (CRC-32) against the
-  sample rate — no RNG stream is consumed, so enabling tracing can never
-  perturb a workload's randomness, and the same (seed, rate) pair samples
-  the same requests in every process.
+* **Every trace is recorded.**  No RNG stream is consumed, so enabling
+  tracing can never perturb a workload's randomness.  What is *kept* of a
+  recorded trace is the tail sampler's call (:mod:`repro.obs.tail`).
 * **Bounded memory.**  ``capacity`` (:data:`CAPACITY` spans) caps retained
-  spans; later spans are counted in ``dropped`` instead of retained, which
-  with sampling is what keeps 10^6-request runs affordable.
+  spans; later spans are counted in ``dropped`` instead of retained.
 * **Device sub-spans are built where they are read.**  A serve's ``card.*``
   children are a pure function of the card's recorded device events and the
   instant the serve started, so the log keeps them as one
-  :class:`DeviceSpans` reference per serve and a reader — an exporter, the
-  critical-path analyser, a kept tail-sampled tree — gets the spans.
+  :class:`DeviceSpans` reference per serve and a reader — the trace
+  fingerprint, a kept tail-sampled tree — gets the spans.
 
 All timestamps are integer nanoseconds on the shared kernel clock (device
 events carry offsets from their serve's start, and the reference its kernel
@@ -37,7 +34,6 @@ instant).
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.names import device_span_name
@@ -192,24 +188,18 @@ class SpanLog:
 
 
 class Tracer:
-    """Collects spans for every sampled trace of one observed system.
+    """Collects spans for every trace of one observed system.
 
     ``spans`` is a :class:`SpanLog`: plain spans keep their identity in it,
     device sub-spans are values built by each read.
     """
 
-    def __init__(self, sample_rate: float = 1.0, seed: int = 0) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be within [0, 1]")
-        self.sample_rate = sample_rate
-        self.seed = seed
+    def __init__(self) -> None:
         self.capacity = CAPACITY
         self.spans = SpanLog()
         self.dropped = 0
         self._next_span = 1
         self._next_trace = 1
-        #: Inclusive CRC-32 acceptance threshold for head-based sampling.
-        self._threshold = int(sample_rate * 0xFFFFFFFF)
         #: Optional tail-based retention policy (a
         #: :class:`~repro.obs.tail.TailSampler`).  When set, recorded spans
         #: are buffered per trace and only committed to ``spans`` once the
@@ -235,15 +225,6 @@ class Tracer:
         self._next_span += 1
         return span_id
 
-    def sampled(self, trace_id: int) -> bool:
-        """Head-based sampling decision — pure function of (seed, trace_id)."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        key = zlib.crc32(b"%d|%d" % (self.seed, trace_id))
-        return key <= self._threshold
-
     # ------------------------------------------------------------ recording
     def record(
         self,
@@ -268,7 +249,7 @@ class Tracer:
             self._next_span = span_id + 1
         tail = self.tail_sampler
         if tail is None and self._observer is None:
-            # Head sampling only: :meth:`_retain` for one span, inlined.
+            # No tail sampler, no observer: :meth:`_retain` for one span, inlined.
             log = self.spans
             if log._count >= self.capacity:
                 self.dropped += 1

@@ -14,10 +14,10 @@ snapshots them into an :class:`Incident`:
 * **metric deltas** — the registry snapshot at open vs. close, reduced to
   the numeric keys that moved;
 * **retained traces** — summaries of the tail-sampled traces whose extent
-  overlaps the incident window (the evidence head sampling throws away).
+  overlaps the incident window.
 
 Incidents export as canonical JSON (:func:`incidents_json` /
-:func:`export_incidents`) next to the Chrome trace, with a short
+:func:`export_incidents`), with a short
 :func:`incidents_fingerprint` for BENCH files and cross-process tests.
 
 Determinism: the recorder only folds over streams that are already
@@ -298,7 +298,7 @@ def incidents_json(recorder: FlightRecorder) -> str:
 
 
 def export_incidents(recorder: FlightRecorder, path: str) -> str:
-    """Write the incident JSON next to the Chrome trace; returns the JSON."""
+    """Write the incident JSON to *path*; returns the JSON."""
     text = incidents_json(recorder)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -3,8 +3,8 @@
 PR 8 gave the stack senses; this module gives it judgement.  A
 :class:`SloSpec` declares an objective over one of the record streams the
 :class:`~repro.cluster.stats.FleetStatistics` object already sees —
-availability (terminal outcomes), a latency percentile under a threshold, or
-the silent-corruption budget — and a :class:`SloEngine` evaluates it
+availability (terminal outcomes) or a latency percentile under a threshold
+— and a :class:`SloEngine` evaluates it
 passively as those records flow past.  No kernel events, no RNG, no calls
 into the schedule-digest path: the engine is pure arithmetic over a
 :class:`~repro.analysis.sketch.WindowedTimeSeries` on the simulated clock,
@@ -21,9 +21,8 @@ and resolves with hysteresis once the fast burn drops back under it.  A
 ``min_events`` floor on the fast window keeps a single early failure from
 alerting an idle system.
 
-Everything the engine emits — :class:`Alert` records, the burn-rate status
-table — is a deterministic function of (specs, record stream), byte-stable
-across processes.
+Every :class:`Alert` the engine emits is a deterministic function of
+(specs, record stream), byte-stable across processes.
 """
 
 from __future__ import annotations
@@ -35,16 +34,14 @@ from repro.obs import names
 from repro.obs.registry import MetricsRegistry
 
 
-#: The label every alert and status row carries: each SLO has one
-#: fast/slow window pair.
+#: The label every alert carries: each SLO has one fast/slow window pair.
 WINDOW = "burn"
 
 
 #: What the SLO measures.
 KIND_AVAILABILITY = "availability"
 KIND_LATENCY = "latency"
-KIND_CORRUPTION = "corruption"
-_KINDS = (KIND_AVAILABILITY, KIND_LATENCY, KIND_CORRUPTION)
+_KINDS = (KIND_AVAILABILITY, KIND_LATENCY)
 
 #: Which record stream feeds it.
 SOURCE_FLEET = "fleet"
@@ -160,22 +157,6 @@ class SloSpec:
             threshold_ns=threshold_ns,
         )
 
-    @classmethod
-    def corruption(
-        cls,
-        name: str,
-        objective: float = 0.999,
-        fast_ns: int = 500_000,
-        slow_ns: int = 2_000_000,
-        burn_threshold: float = 2.0,
-        min_events: int = 10,
-    ) -> "SloSpec":
-        """Fraction of completions *not* flagged as silent-corruption
-        hazards (fleet source only — the net tier can't see hazards)."""
-        return cls(
-            name, KIND_CORRUPTION, objective, SOURCE_FLEET, fast_ns, slow_ns, burn_threshold, min_events
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SloSpec({self.name!r}, {self.kind}, {self.objective:g}, {self.source})"
 
@@ -219,7 +200,7 @@ class Alert:
 class _SloState:
     """Mutable per-spec evaluation state: one windowed series + alert state."""
 
-    __slots__ = ("spec", "series", "active", "worst_burn", "last_burns")
+    __slots__ = ("spec", "series", "active", "worst_burn")
 
     def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
@@ -233,8 +214,6 @@ class _SloState:
         #: The firing alert, if any (hysteresis state).
         self.active: Optional[Alert] = None
         self.worst_burn = 0.0
-        #: ``(burn_fast, burn_slow)`` from the last evaluation.
-        self.last_burns = (0.0, 0.0)
 
 
 class SloEngine:
@@ -269,23 +248,19 @@ class SloEngine:
         self._worst_burn = registry.gauge(names.GAUGE_SLO_WORST_BURN)
 
     # ----------------------------------------------------------------- feeds
-    def on_fleet_completion(
-        self, now_ns: int, sojourn_ns: int, hazard: bool
-    ) -> None:
+    def on_fleet_completion(self, now_ns: int, sojourn_ns: int) -> None:
         for state in self._fleet_states:
             spec = state.spec
-            if spec.kind == KIND_AVAILABILITY:
-                bad = 0.0
-            elif spec.kind == KIND_LATENCY:
+            if spec.kind == KIND_LATENCY:
                 bad = 1.0 if sojourn_ns > spec.threshold_ns else 0.0
-            else:  # corruption
-                bad = 1.0 if hazard else 0.0
+            else:  # availability
+                bad = 0.0
             state.series.record(now_ns, bad)
             self._evaluate(state, now_ns)
 
     def on_fleet_bad(self, now_ns: int) -> None:
         """A rejection or deadline expiry — bad for availability, invisible
-        to latency/corruption SLOs (they judge completions only)."""
+        to latency SLOs (they judge completions only)."""
         for state in self._fleet_states:
             if state.spec.kind == KIND_AVAILABILITY:
                 state.series.record(now_ns, 1.0)
@@ -296,7 +271,7 @@ class SloEngine:
             spec = state.spec
             if spec.kind == KIND_LATENCY:
                 bad = 1.0 if latency_ns > spec.threshold_ns else 0.0
-            else:  # availability (corruption never has a net source)
+            else:  # availability
                 bad = 0.0
             state.series.record(now_ns, bad)
             self._evaluate(state, now_ns)
@@ -315,7 +290,6 @@ class SloEngine:
         slow_count, slow_bad = state.series.trailing(now_ns, spec.slow_ns)
         burn_fast = (fast_bad / fast_count / budget) if fast_count else 0.0
         burn_slow = (slow_bad / slow_count / budget) if slow_count else 0.0
-        state.last_burns = (burn_fast, burn_slow)
         if burn_fast > state.worst_burn:
             state.worst_burn = burn_fast
             worst = max(s.worst_burn for s in self._states())
@@ -343,30 +317,6 @@ class SloEngine:
 
     def _states(self):
         return self._fleet_states + self._net_states
-
-    # --------------------------------------------------------------- queries
-    def status(self) -> List[dict]:
-        """One burn-rate table row per spec — deterministic order."""
-        rows = []
-        for state in self._states():
-            spec = state.spec
-            burn_fast, burn_slow = state.last_burns
-            rows.append(
-                {
-                    "slo": spec.name,
-                    "kind": spec.kind,
-                    "objective": spec.objective,
-                    "window": WINDOW,
-                    "events": int(state.series.total_count),
-                    "bad": int(state.series.total_value),
-                    "burn_fast": round(burn_fast, 4),
-                    "burn_slow": round(burn_slow, 4),
-                    "threshold": spec.burn_threshold,
-                    "alerting": state.active is not None,
-                    "worst_burn": round(state.worst_burn, 4),
-                }
-            )
-        return rows
 
 
 __all__ = [

@@ -1,11 +1,11 @@
 """Tail-based trace sampling: keep the *interesting* traces, whole.
 
-Head sampling (the :class:`~repro.obs.context.Tracer` default) decides at a
-trace's root whether to record it — a fair random slice, but exactly the
-wrong slice when something breaks: the one slow request in ten thousand is
-sampled at the same rate as the boring ones.  A :class:`TailSampler` defers
-the decision to the *end* of each trace: spans are buffered per trace until
-the root span lands, then the complete tree is judged —
+The :class:`~repro.obs.context.Tracer` records every trace; keeping them
+all is what a long run cannot afford, and a fair random slice is exactly
+the wrong slice when something breaks: the one slow request in ten thousand
+is kept at the same rate as the boring ones.  A :class:`TailSampler` decides
+at the *end* of each trace: spans are buffered per trace until the root
+span lands, then the complete tree is judged —
 
 * **error** — the root's terminal ``outcome`` isn't ``completed``, or the
   trace contains a failure marker span (``fleet.failover`` / ``fleet.
@@ -14,8 +14,8 @@ the root span lands, then the complete tree is judged —
 * **incident** — the trace's time extent overlaps an open/closed incident
   window reported by the flight recorder's ``incident_windows`` hook.
 
-Kept traces are committed to the tracer's span log (so every exporter,
-``critical_path`` included, works unchanged); everything else is discarded
+Kept traces are committed to the tracer's span log (so every reader works
+unchanged); everything else is discarded
 and only counted.  A hard :data:`SPAN_BUDGET` bounds total retained spans —
 whole traces are dropped once it's spent, never truncated mid-tree — and
 :data:`MAX_SPANS_PER_TRACE` bounds any single pathological trace while

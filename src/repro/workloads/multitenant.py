@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, takewhile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.functions.bank import FunctionBank
 from repro.sim.rand import SeededRandom
@@ -85,21 +84,6 @@ class FleetTrace:
     def duration_ns(self) -> int:
         """Arrival time of the last request (0 for an empty trace)."""
         return self._requests[-1].arrival_ns if self._requests else 0
-
-    def function_counts(self) -> Dict[str, int]:
-        return dict(Counter(request.function for request in self._requests))
-
-    def per_tenant_counts(self) -> Dict[str, int]:
-        return dict(Counter(request.tenant for request in self._requests))
-
-    def describe(self) -> str:
-        tenants = self.per_tenant_counts()
-        mix = ", ".join(f"{tenant}:{count}" for tenant, count in sorted(tenants.items()))
-        return (
-            f"FleetTrace {self.name!r}: {len(self)} requests from {len(tenants)} tenants "
-            f"over {len(self.function_counts())} functions, "
-            f"{self.duration_ns / 1e6:.2f} ms of arrivals ({mix})"
-        )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,26 +38,3 @@ class Trace:
     @property
     def requests(self) -> List[Request]:
         return list(self._requests)
-
-    def function_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for request in self._requests:
-            counts[request.function] = counts.get(request.function, 0) + 1
-        return counts
-
-    def switches(self) -> int:
-        """Number of adjacent request pairs that change function — the
-        quantity that stresses on-demand reconfiguration."""
-        return sum(
-            1
-            for previous, current in zip(self._requests, self._requests[1:])
-            if previous.function != current.function
-        )
-
-    def describe(self) -> str:
-        counts = self.function_counts()
-        top = ", ".join(f"{name}:{count}" for name, count in sorted(counts.items(), key=lambda kv: -kv[1])[:5])
-        return (
-            f"Trace {self.name!r}: {len(self)} requests over {len(counts)} functions, "
-            f"{self.switches()} switches ({top})"
-        )

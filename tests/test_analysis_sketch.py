@@ -138,15 +138,12 @@ class TestWindowedTimeSeries:
         for time_ns, value in ((10, 2.0), (20, 3.0), (150, 1.0), (260, 4.0)):
             series.record(time_ns, value)
         assert series._windows == {0: [2.0, 5.0], 1: [1.0, 1.0], 2: [1.0, 4.0]}
-        assert series.total_count == 4
-        assert series.total_value == 10.0
 
-    def test_eviction_keeps_totals_and_bounds_memory(self):
+    def test_eviction_bounds_memory(self):
         series = WindowedTimeSeries(window_ns=10.0, max_windows=4)
         for step in range(100):
             series.record(step * 10.0)
-        assert len(series._windows) == 4
-        assert series.total_count == 100
+        assert sorted(series._windows) == [96, 97, 98, 99]
 
     def test_monotone_cache_matches_dict_path(self):
         cached = WindowedTimeSeries(window_ns=50.0)
@@ -159,17 +156,14 @@ class TestWindowedTimeSeries:
         for time_ns in times:
             shuffled.record(time_ns, 0.5)
         assert cached._windows == shuffled._windows
-        assert cached.total_value == pytest.approx(shuffled.total_value)
 
     def test_backward_jump_does_not_cache_evicted_row(self):
         series = WindowedTimeSeries(window_ns=10.0, max_windows=2)
         series.record(500.0)
         series.record(600.0)
         # Backward jump below every retained window: the new row is evicted
-        # immediately; totals must still count it and the cache must not
-        # point at the orphan.
+        # immediately, and the cache must not point at the orphan.
         series.record(0.0)
-        assert series.total_count == 3
         assert sorted(series._windows) == [50, 60]
         series.record(600.0)  # must not resurrect the orphan row
         assert series._windows[60] == [2.0, 2.0]

@@ -61,8 +61,6 @@ class TestIndexConsistency:
             for name in owners:
                 assert report.get(name, []) == _naive_owned(memory, name)
             assert memory.unowned_frames() == _naive_unowned(memory)
-            expected_util = (frame_count - len(_naive_unowned(memory))) / frame_count
-            assert memory.utilisation() == expected_util
 
     def test_owners_report_matches_scan_order(self, memory):
         memory.claim(_region([5, 3, 9]), "b")
@@ -93,7 +91,6 @@ class TestIndexConsistency:
         memory.clear_region(_region(range(TEST_GEOMETRY.frame_count)))
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
         assert memory.owners() == {}
-        assert memory.utilisation() == 0.0
         for index in (1, 2, 3):
             assert memory.frames[TEST_GEOMETRY.all_frames()[index]].is_clear
 

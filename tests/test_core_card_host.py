@@ -347,23 +347,42 @@ class TestScrubWork:
     ``write_time_ns`` and its ``cycles_to_ns``, the repair's advance and
     ``to_config_bytes``.  The frame-by-frame walk entered 3 + 5 per frame
     checked (43, 163 and 323 for these windows) and 9 more per repair.
+
+    Beside the frames, the builtin calls (``c_call`` events by name, the
+    profiler's own ``sys.setprofile`` aside): a clean pass makes 3 — the
+    suspect offsets' ``dict.items`` and ``sorted``, and ``len`` of the frame
+    list — plus a ``min`` and a ``max`` when a window bounds it.  One upset
+    frame adds 10, three of them ``zlib.crc32`` (the check before, the
+    rewritten frame's check word, the check after) and one ``set.discard``
+    (the repaired frame leaves the suspect set).
     """
 
     CLEAN_PASS = {"scrub_pass": 1, "<genexpr>": 1, "_walk": 1, "__init__": 1, "advance": 1}
+    CLEAN_BUILTINS = {"len": 1, "dict.items": 1, "sorted": 1}
+    WINDOW_BUILTINS = {"min": 1, "max": 1}
     REPAIR = {
         "<genexpr>": 1, "advance": 2, "crc_ok": 2, "payload_for": 1, "owner_of": 1,
         "write_region": 1, "load_config_bytes": 1, "write_time_ns": 1, "cycles_to_ns": 1,
         "to_config_bytes": 1,
     }
+    REPAIR_BUILTINS = {
+        "crc32": 3, "len": 2, "dict.get": 1, "int.from_bytes": 1, "set.discard": 1,
+        "list.append": 1, "round": 1,
+    }
 
     @staticmethod
-    def _frames(call, *args):
-        """``{code name: frames entered}`` while ``call(*args)`` runs."""
+    def _work(call, *args):
+        """``({code name: frames entered}, {builtin: calls})`` while
+        ``call(*args)`` runs."""
         frames = collections.Counter()
+        builtins = collections.Counter()
 
-        def count(frame, event, _):
-            if event == "call" and frame.f_code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"):
-                frames[frame.f_code] += 1
+        def count(frame, event, arg):
+            if event == "call":
+                if frame.f_code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"):
+                    frames[frame.f_code] += 1
+            elif event == "c_call" and arg is not sys.setprofile:
+                builtins[arg.__qualname__] += 1
 
         previous = sys.getprofile()
         sys.setprofile(count)
@@ -374,7 +393,7 @@ class TestScrubWork:
         by_name = collections.Counter()
         for code, entered in frames.items():
             by_name[code.co_name] += entered
-        return by_name
+        return by_name, builtins
 
     @staticmethod
     def _protected_card(bank):
@@ -386,15 +405,20 @@ class TestScrubWork:
     @pytest.mark.parametrize("window", [8, 32, None])
     def test_a_clean_pass_enters_5_frames_for_any_window(self, small_bank, window):
         _, scrubber = self._protected_card(small_bank)
-        assert dict(self._frames(scrubber.scrub_pass, window)) == self.CLEAN_PASS
+        frames, builtins = self._work(scrubber.scrub_pass, window)
+        assert dict(frames) == self.CLEAN_PASS
+        windowed = self.WINDOW_BUILTINS if window is not None else {}
+        assert dict(builtins) == {**self.CLEAN_BUILTINS, **windowed}
 
     def test_one_upset_frame_adds_the_repairs_12_frames(self, small_bank):
         copro, scrubber = self._protected_card(small_bank)
         address = copro.device.region_of("crc32").addresses[0]
         assert copro.device.memory.corrupt_bit(address, 1)
-        dirty = self._frames(scrubber.scrub_pass, None)
+        dirty, builtins = self._work(scrubber.scrub_pass, None)
         assert dict(dirty - collections.Counter(self.CLEAN_PASS)) == self.REPAIR
         assert sum(dirty.values()) == 5 + 12
+        assert dict(builtins - collections.Counter(self.CLEAN_BUILTINS)) == self.REPAIR_BUILTINS
+        assert sum(builtins.values()) == 3 + 10
         assert scrubber.stats.corrected == 1
 
     def test_the_small_control_plane_fleet_replays_547_serves(

@@ -25,10 +25,6 @@ class TestCoprocessorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             CoprocessorConfig(rom_capacity_bytes=0)
-        with pytest.raises(ValueError):
-            CoprocessorConfig(compression_window_bytes=0)
-        with pytest.raises(ValueError):
-            CoprocessorConfig(software_slowdown=0)
 
 
 class TestBankDownload:
@@ -111,11 +107,6 @@ class TestExecution:
         assert times == sorted(times)
         assert times[0] > 0
 
-    def test_describe_mentions_policy_and_codec(self, small_coprocessor):
-        text = small_coprocessor.describe()
-        assert "lru" in text
-        assert small_coprocessor.config.codec_name in text
-
 
 class TestStatistics:
     def test_percentiles_and_summary(self, small_coprocessor):
@@ -125,7 +116,6 @@ class TestStatistics:
         assert stats.latency_percentile(0) <= stats.latency_percentile(50) <= stats.latency_percentile(100)
         assert stats.requests == 10
         assert 0 < stats.hit_rate <= 1.0
-        assert "mean latency" in stats.describe()
 
     def test_invalid_percentile(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ example is covered (or fails loudly) the day it lands.
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -20,6 +21,15 @@ def load_example(path: pathlib.Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_no_other_test_imports_an_example():
+    """A test that imports an example keeps the example's code alive; a cell
+    a test needs lives under ``tests/`` (``obs_cells.py``)."""
+    importing = re.compile(r"\b(from|import)\s+examples\b")
+    here = pathlib.Path(__file__).resolve()
+    tests = [path for path in sorted(here.parent.rglob("*.py")) if path != here]
+    assert [path.name for path in tests if importing.search(path.read_text())] == []
 
 
 def test_examples_directory_is_populated():

@@ -162,7 +162,7 @@ class TestRelocatedFunctionEquivalence:
         for function in self._netlist_functions(source.coprocessor):
             source.preload(function.name)
             migrate(source, dest, function.name)
-            assert dest.card.is_resident(function.name)
+            assert dest.coprocessor.minios.is_resident(function.name)
             self._assert_card_matches_reference(dest.coprocessor, function, rng)
 
     def test_migration_roundtrip_back_to_source_matches_reference(self):
@@ -181,7 +181,7 @@ class TestRelocatedFunctionEquivalence:
         cards[0].preload(function.name)
         migrate(cards[0], cards[1], function.name)
         migrate(cards[1], cards[0], function.name)
-        assert cards[0].card.is_resident(function.name)
+        assert cards[0].coprocessor.minios.is_resident(function.name)
         self._assert_card_matches_reference(cards[0].coprocessor, function, rng)
 
 

@@ -56,9 +56,9 @@ class TestConfigurationMemory:
 
     def test_utilisation_and_describe(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
-        assert memory.utilisation() == 0.0
+        assert memory.unowned_frames() == tiny_geometry.all_frames()
         memory.claim(FrameRegion.from_addresses([tiny_geometry.all_frames()[0]]), "x")
-        assert memory.utilisation() == pytest.approx(1 / tiny_geometry.frame_count)
+        assert memory.unowned_frames() == tiny_geometry.all_frames()[1:]
 
     def test_readback_device(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)

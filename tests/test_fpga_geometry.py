@@ -26,10 +26,6 @@ class TestFabricGeometry:
         per_clb = tiny_geometry.clb_config_bytes
         assert per_clb == 8 * 2 + 1 + 16
         assert tiny_geometry.frame_config_bytes == per_clb * tiny_geometry.clbs_per_frame
-        assert (
-            tiny_geometry.device_config_bytes
-            == tiny_geometry.frame_config_bytes * tiny_geometry.frame_count
-        )
 
     def test_all_frames_enumerates_each_address_once(self, tiny_geometry):
         frames = tiny_geometry.all_frames()
@@ -52,9 +48,6 @@ class TestFabricGeometry:
         assert tiny_geometry.frames_needed_for_luts(1) == 1
         assert tiny_geometry.frames_needed_for_luts(per_frame) == 1
         assert tiny_geometry.frames_needed_for_luts(per_frame + 1) == 2
-
-    def test_describe_mentions_frames(self, tiny_geometry):
-        assert "frames" in tiny_geometry.describe()
 
     def test_default_geometry_is_valid(self):
         assert DEFAULT_GEOMETRY.frame_count == 128

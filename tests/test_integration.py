@@ -103,7 +103,7 @@ class TestOnDemandSwapping:
         engines = {
             "agile": build_coprocessor(config=config, bank=bank),
             "host": HostOnlyEngine(bank),
-            "static": StaticFixedEngine(config, bank, resident_functions=["crc32", "parity32"]),
+            "static": StaticFixedEngine(config, bank),
         }
         data = bytes(range(24))
         outputs = {name: engine.execute("crc32", data).output for name, engine in engines.items()}

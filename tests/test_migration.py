@@ -158,8 +158,8 @@ class TestCaptureRestorePci:
         source.preload("crc32")
         payloads = source.coprocessor.device.readback("crc32")
         blob = migrate(source, dest, "crc32")
-        assert not source.card.is_resident("crc32")
-        assert dest.card.is_resident("crc32")
+        assert not source.coprocessor.minios.is_resident("crc32")
+        assert dest.coprocessor.minios.is_resident("crc32")
         assert dest.coprocessor.device.readback("crc32") == payloads
         assert len(blob) < sum(len(p) for p in payloads)  # it travelled compressed
         # The restored function still computes.
@@ -187,7 +187,7 @@ class TestCaptureRestorePci:
         blob = source.capture_function("crc32")
         with pytest.raises(CoprocessorError):
             dest.restore_function("adder8", blob)
-        assert not dest.card.is_resident("adder8")
+        assert not dest.coprocessor.minios.is_resident("adder8")
 
     def test_restore_refuses_empty_blob_and_garbage(self):
         dest = protected_driver()
@@ -233,7 +233,7 @@ class TestCaptureRestorePci:
             assert dest.card.resident_functions() == residents
         # The intact blob, by contrast, is allowed to evict its way in.
         dest.restore_function("crc32", blob)
-        assert dest.card.is_resident("crc32")
+        assert dest.coprocessor.minios.is_resident("crc32")
 
     def test_migrate_refuses_layout_incompatible_equal_size_fabrics(self):
         """Equal frame bytes is not enough: the CLB layout must match too."""
@@ -280,7 +280,7 @@ class TestCaptureRestorePci:
         dest.coprocessor.device.port.wedge()
         with pytest.raises(CoprocessorError):
             dest.restore_function("crc32", blob)
-        assert not dest.card.is_resident("crc32")
+        assert not dest.coprocessor.minios.is_resident("crc32")
 
 
 class TestDefragmenter:
@@ -532,7 +532,7 @@ class TestMigrationFailureBranches:
         # The refused restore still staged the blob over the destination's bus.
         assert fleet.cards[1].busy_ns > 0
         assert fleet.cards[0].holds(self.FUNCTION)
-        assert not fleet.cards[1].driver.card.is_resident(self.FUNCTION)
+        assert not fleet.cards[1].driver.coprocessor.minios.is_resident(self.FUNCTION)
 
     def test_source_dying_in_flight_completes_at_the_restore(self, small_bank, order_drill):
         fleet = self.two_cards(small_bank)

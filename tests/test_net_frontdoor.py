@@ -18,6 +18,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import collections
+import gc
 import os
 import sys
 from unittest import mock
@@ -382,6 +383,17 @@ class TestFrontDoorEndToEnd:
 
 
 class TestKernelWorkPerRequest:
+    #: Builtin calls a clean request makes, by name.
+    REQUEST_BUILTINS = {
+        "dict.get": 13, "len": 6, "heappush": 5, "heappop": 5, "list.append": 3, "round": 2,
+        "isinstance": 2, "str.encode": 2, "deque.append": 1, "deque.popleft": 1,
+        "generator.send": 1, "list.clear": 1, "dict.pop": 1,
+    }
+    #: Builtin calls the 2 000 extra requests make between them, not each.
+    RUN_BUILTINS = {
+        "bytes.join": 16, "HASH.update": 16, "list.clear": 16, "log": 64, "ceil": 64, "len": 64,
+    }
+
     def test_a_request_costs_six_kernel_events(self, small_bank):
         """The admit path's deterministic work counter (ROADMAP aim 1).
 
@@ -456,13 +468,19 @@ class TestKernelWorkPerRequest:
         frontdoor.add_population(OpenLoopPopulation(trace))
         frames = collections.Counter()
 
-        def count_calls(frame, event, _):
+        def count_calls(frame, event, arg):
             if event == "call":
                 filename = frame.f_code.co_filename
                 if filename.startswith(REPRO_ROOT) or filename == "<string>":
                     frames[frame.f_code] += 1
+            elif event == "c_call":
+                frames["c_call:" + arg.__qualname__] += 1
 
         previous = sys.getprofile()
+        # A suspended generator an earlier test left behind, closed by a
+        # collection inside the run, would enter a frame the run does not own.
+        gc.collect()
+        gc.disable()
         # One probe tick per gateway for the whole run.
         with mock.patch.object(gateway_module, "PROBE_PERIOD_NS", 10**12):
             sys.setprofile(count_calls)
@@ -470,6 +488,7 @@ class TestKernelWorkPerRequest:
                 stats = frontdoor.run()
             finally:
                 sys.setprofile(previous)
+                gc.enable()
         assert stats.net_completed == stats.completed == requests
         assert stats.net_retries == stats.net_timeouts == 0
         return frames
@@ -522,13 +541,25 @@ class TestKernelWorkPerRequest:
         a forwarding ``_on_response`` (``net`` 3), the packet size a
         ``payload_bytes`` property (``workloads`` 1).  Comprehension frames
         would differ across Python versions, so none may be on the path.
+
+        Beside the frames, the builtin calls (``sys.setprofile``'s ``c_call``
+        events, by name) over the 2 000 extra requests are pinned too:
+        :data:`REQUEST_BUILTINS` per request (43, 13 of them ``dict.get`` and
+        10 the kernel heap's ``heappush`` / ``heappop``), and on top the
+        amortised :data:`RUN_BUILTINS` — 16 flushes of the schedule digest's
+        256-line buffer (``bytes.join``, ``HASH.update``, ``list.clear``)
+        and 64 sojourns the sketches' bucket memo had not seen (``log``,
+        ``ceil`` and the memo's ``len``).
         """
         small = self._frames(small_bank, 2_000)
         large = self._frames(small_bank, 4_000)
         per_request = collections.Counter()
+        builtins = collections.Counter()
         for code in large:
             extra = large[code] - small[code]
-            if extra:
+            if extra and isinstance(code, str):
+                builtins[code[len("c_call:"):]] += extra
+            elif extra:
                 assert code.co_name not in ("<listcomp>", "<genexpr>"), code
                 assert code.co_filename != "<string>", code
                 package = code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]
@@ -542,6 +573,9 @@ class TestKernelWorkPerRequest:
             "core": 1,
         }
         assert sum(per_request.values()) == 43
+        expected = collections.Counter({name: 2_000 * n for name, n in self.REQUEST_BUILTINS.items()})
+        assert builtins == expected + collections.Counter(self.RUN_BUILTINS)
+        assert sum(self.REQUEST_BUILTINS.values()) == 43
 
 
 class TestReusedFrontDoor:

@@ -6,13 +6,13 @@ Two halves, matching the acceptance criteria:
   constructed but ``enabled=False``, and with tracing fully on must all
   produce byte-identical schedule digests and front-door fingerprints —
   tracing spawns no kernel events and consumes no RNG.
-* **On is reproducible**: the exported Chrome trace, the trace fingerprint,
-  and the metrics snapshot of a fixed-seed cell are byte-identical across
-  *processes* (same pattern as ``test_net_determinism``: only a fresh
-  interpreter catches salted-hash or dict-order regressions).
+* **On is reproducible**: the trace fingerprint (every span's name, ids,
+  parent, start, end and attributes) and the metrics snapshot of a
+  fixed-seed cell are byte-identical across *processes* (same pattern as
+  ``test_net_determinism``: only a fresh interpreter catches salted-hash or
+  dict-order regressions).
 
-The cross-process snippet drives the E12 trace-explorer cell itself, so the
-example and the regression test can never drift apart.
+The cross-process snippets drive the cells in ``tests/obs_cells.py``.
 """
 
 import pathlib
@@ -25,18 +25,14 @@ _TRACE_SNIPPET = """
 import hashlib
 import sys
 sys.path.insert(0, "src")
-sys.path.insert(0, ".")
-from examples.trace_explorer import run_cell
-from repro.obs import chrome_trace_json, metrics_snapshot_json, trace_fingerprint
+sys.path.insert(0, "tests")
+from obs_cells import traced_frontdoor
+from repro.obs import metrics_snapshot_json, trace_fingerprint
 
-frontdoor, observability = run_cell(
-    "retry+shed", requests=150, overload=3.0, loss=0.02
-)
-chrome = chrome_trace_json(observability.spans)
+frontdoor, observability = traced_frontdoor(requests=150, overload=3.0, loss=0.02)
 print(repr(frontdoor.fingerprint()))
 print(len(observability.spans), observability.tracer.dropped)
 print(trace_fingerprint(observability.spans))
-print(hashlib.sha256(chrome.encode()).hexdigest())
 print(hashlib.sha256(metrics_snapshot_json(observability.registry).encode()).hexdigest())
 """
 
@@ -129,11 +125,11 @@ _KILL_DRILL_SNIPPET = """
 import json
 import sys
 sys.path.insert(0, "src")
-sys.path.insert(0, ".")
-from examples.ops_console import run_kill_drill
+sys.path.insert(0, "tests")
+from obs_cells import kill_drill
 from repro.obs import incidents_fingerprint, incidents_json
 
-fleet, obs = run_kill_drill(tiny=True)
+fleet, obs = kill_drill()
 print(fleet.stats.schedule_digest())
 print(incidents_fingerprint(obs.recorder))
 print(json.dumps([{"slo": a.slo, "fired_ns": a.fired_ns, "resolved_ns": a.resolved_ns} for a in obs.alerts]))

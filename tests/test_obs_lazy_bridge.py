@@ -11,9 +11,9 @@ the spans where they are read.  Four contracts are pinned here:
   ``dropped`` counters, the tail sampler's accounting, the incident JSON and
   the schedule digest are equal, whatever bound bites where;
 * **nothing is built unread** — a replayed run constructs no ``TraceEvent``
-  and no ``card.*`` ``Span`` until the log is read, sampled or not;
+  and no ``card.*`` ``Span`` until the log is read;
 * **exact work** — retained log entries are derived, not measured:
-  seven plain spans and one reference per sampled request;
+  seven plain spans and one reference per request;
 * **a reference outlives its source** — it holds values only.
 """
 
@@ -64,7 +64,6 @@ def build_cell(
     seed,
     frontdoor=True,
     eager=False,
-    sample_rate=1.0,
     capacity=1_000_000,
     device_capacity=None,
     tail=None,
@@ -79,8 +78,6 @@ def build_cell(
     bounds are module constants, which :func:`run_cell` patches for the run.
     """
     observability = Observability(
-        sample_rate=sample_rate,
-        seed=seed,
         tail=TailSampler(tail["slow_ns"]) if tail is not None else None,
     )
     observability.tracer.capacity = capacity
@@ -177,7 +174,6 @@ TAILS = st.one_of(
 @given(
     seed=st.integers(min_value=0, max_value=60),
     frontdoor=st.booleans(),
-    sample_rate=st.sampled_from([0.0, 0.3, 1.0]),
     capacity=st.one_of(st.just(1_000_000), st.integers(min_value=1, max_value=900)),
     device_capacity=st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
     tail=TAILS,
@@ -257,11 +253,8 @@ class Constructions:
         monkeypatch.setattr(TraceEvent, "__init__", counting_event)
 
 
-@pytest.mark.parametrize("sample_rate", [0.0, 1.0])
-def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch, sample_rate):
-    run, fleet, observability, trace = build_cell(
-        small_bank, 11, sample_rate=sample_rate, lossless=True
-    )
+def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch):
+    run, fleet, observability, trace = build_cell(small_bank, 11, lossless=True)
     # Load and record every (function, payload) pair first, straight at the
     # fleet, so the counted front-door run is replays only.
     fleet.run(trace)
@@ -274,15 +267,14 @@ def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch, 
     assert sum(card.memo.entries for card in fleet.cards) == entries
     assert (built.events, built.device_spans) == (0, 0)
     log = observability.spans
-    sampled = REQUESTS if sample_rate == 1.0 else 0
     probes = probe_spans(log)
-    assert len(log.entries) == 8 * sampled + probes  # seven plain spans and a reference
-    assert len(log) == (7 + 15) * sampled + probes and built.device_spans == 0  # len() builds nothing
+    assert len(log.entries) == 8 * REQUESTS + probes  # seven plain spans and a reference
+    assert len(log) == (7 + 15) * REQUESTS + probes and built.device_spans == 0  # len() builds nothing
     # Reading is what builds them, and only then.
     children = sum(
         span.name.startswith("card.") and span.name != "card.service" for span in log
     )
-    assert built.device_spans == children == 15 * sampled
+    assert built.device_spans == children == 15 * REQUESTS
     assert built.events == 0
 
 
@@ -297,20 +289,17 @@ def test_orders_on_a_bridging_fleet_leave_the_device_recorder_empty(small_bank):
 
 
 # ------------------------------------------------------------------ exact work
-@pytest.mark.parametrize("sample_rate", [1.0, 0.3])
-def test_retained_entries_are_seven_spans_and_one_reference_a_request(small_bank, sample_rate):
+def test_retained_entries_are_seven_spans_and_one_reference_a_request(small_bank):
     """The bridge's deterministic work counter (ROADMAP aim 1).
 
-    On a lossless front door a sampled request leaves seven plain spans —
+    On a lossless front door a request leaves seven plain spans —
     ``client.request``, ``net.attempt``, two ``net.link.transit``,
     ``gw.admission``, ``fleet.queue``, ``card.service`` — and one
     device reference standing for as many children as the serve had device
     events: its memo entry's event count when replayed, what the recorder
     held when fully modelled.  An eager per-event record breaks the equality.
     """
-    run, fleet, observability, trace = build_cell(
-        small_bank, 11, sample_rate=sample_rate, lossless=True, requests=400
-    )
+    run, fleet, observability, trace = build_cell(small_bank, 11, lossless=True, requests=400)
     served = []  # (request, device events of its serve), tallied outside the log
 
     def tally(card):
@@ -332,23 +321,19 @@ def test_retained_entries_are_seven_spans_and_one_reference_a_request(small_bank
         tally(card)
     stats = run()
     assert stats.net_completed == len(served) == len(trace) and stats.net_retries == 0
-    tracer = observability.tracer
-    sampled = [events for request, events in served if tracer.sampled(request.request_id)]
-    assert (len(sampled) == len(trace)) == (sample_rate == 1.0) and sampled
+    traced = [events for _, events in served]
     log = observability.spans
     probes = probe_spans(log)
-    assert len(log.entries) == 7 * len(sampled) + len(sampled) + probes
-    assert len(log) == 7 * len(sampled) + sum(len(events) for events in sampled) + probes
-    assert len(log.entries) == len(log) - sum(len(events) - 1 for events in sampled)
-    assert len(log.entries) - probes <= 8 * len(trace)
+    assert len(log.entries) == 8 * len(traced) + probes
+    assert len(log) == 7 * len(traced) + sum(len(events) for events in traced) + probes
+    assert len(log.entries) == len(log) - sum(len(events) - 1 for events in traced)
     # A replay's reference *is* its memo entry's tuple: nothing was copied
     # (the log is in settle order, the tally in serve order).
     references = [entry for entry in log.entries if entry.__class__ is DeviceSpans]
-    assert sorted(id(entry.events) for entry in references) == sorted(map(id, sampled))
+    assert sorted(id(entry.events) for entry in references) == sorted(map(id, traced))
     memo_tuples = {id(entry[2]) for card in fleet.cards for entry in card.memo._entries.values()}
     replays = sum(card.memo.replays for card in fleet.cards)
-    if sample_rate == 1.0:
-        assert sum(id(entry.events) in memo_tuples for entry in references) == replays
+    assert sum(id(entry.events) in memo_tuples for entry in references) == replays
     assert replays > 0.9 * len(trace)
 
 

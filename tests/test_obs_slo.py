@@ -51,8 +51,7 @@ class TestSloSpecValidation:
         assert (spec.fast_ns, spec.slow_ns, spec.burn_threshold) == (200_000, 1_000_000, 4.0)
         latency = SloSpec.latency("fleet.latency.p95", threshold_ns=1_000.0)
         assert latency.threshold_ns == 1_000.0
-        corruption = SloSpec.corruption("fleet.corruption")
-        assert corruption.source == "fleet"
+        assert latency.source == "fleet"
 
     def test_name_must_be_canonical(self):
         with pytest.raises(ValueError, match="naming convention"):
@@ -87,9 +86,9 @@ class TestBurnRateAlerting:
     def test_all_good_never_fires(self):
         engine = engine_for(availability_spec())
         for step in range(50):
-            engine.on_fleet_completion(step * 10.0, 100.0, False)
+            engine.on_fleet_completion(step * 10.0, 100.0)
         assert engine.alerts == []
-        assert engine.status()[0]["alerting"] is False
+        assert engine._fleet_states[0].active is None
 
     def test_fires_when_both_windows_burn_and_resolves_with_recovery(self):
         engine = engine_for(availability_spec())
@@ -105,7 +104,7 @@ class TestBurnRateAlerting:
         # while the slow window still remembers the bad spell (hysteresis
         # is on the fast window only).
         for step in range(60):
-            engine.on_fleet_completion(200.0 + step * 10.0, 100.0, False)
+            engine.on_fleet_completion(200.0 + step * 10.0, 100.0)
         assert not alert.active
         assert alert.resolved_ns is not None
         assert not any(alert.active for alert in engine.alerts)
@@ -126,14 +125,16 @@ class TestBurnRateAlerting:
         # alone must not page.
         engine = engine_for(availability_spec(min_events=2))
         for step in range(90):
-            engine.on_fleet_completion(step * 10.0, 100.0, False)
+            engine.on_fleet_completion(step * 10.0, 100.0)
         for step in range(4):
             engine.on_fleet_bad(900.0 + step * 10.0)
-        row = engine.status()[0]
-        assert row["burn_fast"] > row["burn_slow"]
+        series = engine._fleet_states[0].series
+        fast_count, fast_bad = series.trailing(930.0, 100.0)
+        slow_count, slow_bad = series.trailing(930.0, 1_000.0)
+        assert fast_bad / fast_count > slow_bad / slow_count
         assert engine.alerts == []
 
-    def test_latency_and_corruption_judge_completions(self):
+    def test_latency_judges_completions(self):
         engine = engine_for(
             SloSpec.latency(
                 "fleet.latency.p95",
@@ -144,20 +145,11 @@ class TestBurnRateAlerting:
                 burn_threshold=1.5,
                 min_events=4,
             ),
-            SloSpec.corruption(
-                "fleet.corruption",
-                objective=0.5,
-                fast_ns=100.0,
-                slow_ns=1_000.0,
-                burn_threshold=1.5,
-                min_events=4,
-            ),
         )
-        for step in range(10):  # slow AND hazardous completions
-            engine.on_fleet_completion(step * 10.0, 900.0, True)
-        fired = sorted(alert.slo for alert in engine.alerts)
-        assert fired == ["fleet.corruption", "fleet.latency.p95"]
-        # Rejections are invisible to latency/corruption SLOs.
+        for step in range(10):  # slow completions
+            engine.on_fleet_completion(step * 10.0, 900.0)
+        assert [alert.slo for alert in engine.alerts] == ["fleet.latency.p95"]
+        # Rejections are invisible to latency SLOs.
         before = len(engine.alerts)
         engine.on_fleet_bad(200.0)
         assert len(engine.alerts) == before
@@ -185,7 +177,7 @@ class TestBurnRateAlerting:
         for step in range(10):
             engine.on_fleet_bad(step * 10.0)
         for step in range(60):
-            engine.on_fleet_completion(200.0 + step * 10.0, 100.0, False)
+            engine.on_fleet_completion(200.0 + step * 10.0, 100.0)
         snap = registry.snapshot()
         assert snap["slo.alerts"] == 1
         assert snap["slo.alerts.by_slo"] == {"fleet.availability": 1}

@@ -1,7 +1,7 @@
 """Unit tests for the observability layer: tracer, registry, exporters, names.
 
-The determinism-critical behaviours (no RNG, integer-ns timestamps, seeded
-sampling, capacity accounting, byte-stable exports) each get a direct test
+The determinism-critical behaviours (no RNG, integer-ns timestamps,
+capacity accounting, byte-stable exports) each get a direct test
 here; the end-to-end properties over a live front door live in
 ``test_obs_properties`` and ``test_obs_determinism``.
 """
@@ -15,10 +15,8 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     Tracer,
-    chrome_trace_json,
     metrics_snapshot_json,
     names,
-    to_chrome_trace,
     trace_fingerprint,
 )
 
@@ -63,20 +61,6 @@ class TestTracer:
         ids = [tracer.new_trace_id() for _ in range(4)]
         assert all(trace_id < 0 for trace_id in ids)
         assert len(set(ids)) == 4
-
-    def test_sampling_is_a_pure_function_of_seed_and_id(self):
-        first = Tracer(sample_rate=0.3, seed=7)
-        second = Tracer(sample_rate=0.3, seed=7)
-        decisions = [first.sampled(trace_id) for trace_id in range(200)]
-        assert decisions == [second.sampled(trace_id) for trace_id in range(200)]
-        kept = sum(decisions)
-        assert 0 < kept < 200  # the rate actually thins
-
-    def test_sampling_edge_rates(self):
-        assert Tracer(sample_rate=1.0).sampled(123)
-        assert not Tracer(sample_rate=0.0).sampled(123)
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
 
 
 class TestMetricsRegistry:
@@ -139,22 +123,6 @@ class TestExport:
         tracer.record("client.request", 3, None, 0, 10, span_id=root)
         tracer.record("fleet.request", -1, None, 2, 4)
         return tracer
-
-    def test_chrome_trace_shape(self):
-        events = to_chrome_trace(self._tracer().spans)["traceEvents"]
-        assert [event["ph"] for event in events] == ["X"] * 3
-        # Sorted by (trace_id, start, span_id): the fleet trace (-1) first.
-        assert events[0]["tid"] == -1
-        assert events[1]["name"] == "client.request"
-        assert events[1]["ts"] == 0.0 and events[1]["dur"] == pytest.approx(0.01)
-        assert events[2]["args"] == {"attempt": 0, "parent_id": 1, "span_id": 2}
-
-    def test_chrome_json_is_compact_and_parseable(self):
-        text = chrome_trace_json(self._tracer().spans)
-        assert "\n" not in text and ": " not in text
-        payload = json.loads(text)
-        assert payload["displayTimeUnit"] == "ns"
-        assert len(payload["traceEvents"]) == 3
 
     def test_fingerprint_reacts_to_any_field(self):
         base = trace_fingerprint(self._tracer().spans)
