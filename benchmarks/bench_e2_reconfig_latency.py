@@ -14,7 +14,8 @@ CRC check) — as the simulator reports them, in four variants:
   would pay (the paper's motivation for partial reconfiguration).
 
 The phases add up to the serial latency exactly; ``tests/test_miss_formula.py``
-holds each one equal to its closed form.
+holds each one equal to its closed form, and ``tests/test_e2_reconfig_latency.py``
+holds :func:`build_report` equal to the committed report.
 
 The timed kernel is one complete partial reconfiguration of a mid-sized
 function (sha1).
@@ -42,7 +43,9 @@ def _full_device_time(copro, frames):
     return remaining * port.write_time_ns(copro.geometry.frame_config_bytes)
 
 
-def test_e2_reconfiguration_latency(benchmark, default_config, bank):
+def build_report(default_config, bank) -> ExperimentReport:
+    """The whole E2 report: every function's phases and variants, the chart,
+    the observations and the metrics."""
     report = ExperimentReport("E2", "On-demand swap-in latency per function")
     codec = default_config.codec_name
     table = Table(
@@ -99,7 +102,11 @@ def test_e2_reconfiguration_latency(benchmark, default_config, bank):
     ratios = [float(row[-1].replace(",", "")) for row in table.rows]
     report.record_metric("min_full_over_partial", min(ratios))
     report.record_metric("max_full_over_partial", max(ratios))
-    save_report(report)
+    return report
+
+
+def test_e2_reconfiguration_latency(benchmark, default_config, bank):
+    save_report(build_report(default_config, bank))
 
     # Timed kernel: one partial reconfiguration of sha1 (mid-sized function).
     config = default_config

@@ -24,6 +24,7 @@ from repro.analysis.tables import Table, format_value
 from repro.bitstream.codecs import get_codec, SymmetryAwareCodec
 from repro.bitstream.window import WindowedCompressor, WindowedDecompressor
 from repro.core.builder import build_coprocessor
+from repro.fpga.geometry import CLB_CONFIG_BYTES
 
 CODECS = ["null", "rle", "golomb", "huffman", "lz77", "framediff", "symmetry"]
 WINDOW_BYTES = 1024
@@ -44,14 +45,13 @@ def raw_bitstreams(default_config, bank):
     return raw
 
 
-def _codec_for(name, geometry):
+def _codec_for(name):
     if name == "symmetry":
-        return SymmetryAwareCodec(clb_stride=geometry.clb_config_bytes)
+        return SymmetryAwareCodec(clb_stride=CLB_CONFIG_BYTES)
     return get_codec(name)
 
 
-def test_e4_compression(benchmark, default_config, bank, raw_bitstreams):
-    geometry = default_config.geometry()
+def test_e4_compression(benchmark, bank, raw_bitstreams):
     report = ExperimentReport("E4", "Bit-stream compression ratio")
     table = Table(
         "Mean compression ratio per codec",
@@ -63,11 +63,11 @@ def test_e4_compression(benchmark, default_config, bank, raw_bitstreams):
         ratios = []
         stored_total = 0
         for function_name, raw in raw_bitstreams.items():
-            codec = _codec_for(codec_name, geometry)
+            codec = _codec_for(codec_name)
             image = WindowedCompressor(codec, WINDOW_BYTES).compress(raw)
             ratios.append(image.compression_ratio)
             stored_total += image.stored_length
-            restored = WindowedDecompressor(image, _codec_for(codec_name, geometry)).decompress_all()
+            restored = WindowedDecompressor(image, _codec_for(codec_name)).decompress_all()
             assert restored == raw
         mean_ratio = sum(ratios) / len(ratios)
         ratios_chart[codec_name] = mean_ratio
@@ -89,7 +89,7 @@ def test_e4_compression(benchmark, default_config, bank, raw_bitstreams):
     for function_name, raw in raw_bitstreams.items():
         rle_image = WindowedCompressor(get_codec("rle"), WINDOW_BYTES).compress(raw)
         symmetry_image = WindowedCompressor(
-            SymmetryAwareCodec(clb_stride=geometry.clb_config_bytes), WINDOW_BYTES
+            SymmetryAwareCodec(clb_stride=CLB_CONFIG_BYTES), WINDOW_BYTES
         ).compress(raw)
         lz77_image = WindowedCompressor(get_codec("lz77"), WINDOW_BYTES).compress(raw)
         rle_ratios[function_name] = rle_image.compression_ratio

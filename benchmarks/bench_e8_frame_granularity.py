@@ -11,6 +11,8 @@ measures the trade-off it controls:
   bit-stream and the configuration port.
 
 The report states how far the hit rate follows, from its own table.
+``tests/test_e8_frame_granularity.py`` holds :func:`build_report` equal to the
+committed report.
 
 The timed kernel is a Zipf trace on the finest-granularity configuration.
 """
@@ -48,7 +50,9 @@ def _internal_fragmentation(copro):
     return 1.0 - used / reserved
 
 
-def test_e8_frame_granularity(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
+    """The whole E8 report: the frame-height sweep, the chart, the observation
+    and the metrics."""
     subset = bank.subset(WORKING_SET)
     report = ExperimentReport("E8", "Ablation: frame granularity (CLB rows per frame)")
     table = Table(
@@ -94,8 +98,13 @@ def test_e8_frame_granularity(benchmark, bank):
     report.record_metric("fragmentation_coarsest", fragmentation[-1])
     report.record_metric("hit_rate_finest", hit_rates[0])
     report.record_metric("hit_rate_coarsest", hit_rates[-1])
-    save_report(report)
+    return report
 
+
+def test_e8_frame_granularity(benchmark, bank):
+    save_report(build_report(bank))
+
+    subset = bank.subset(WORKING_SET)
     config = CoprocessorConfig(fabric_columns=8, fabric_rows=32, clb_rows_per_frame=FRAME_HEIGHTS[0], seed=2005)
     trace = zipf_trace(subset, TRACE_LENGTH, skew=1.1, seed=11)
 

@@ -43,7 +43,6 @@ from repro.core.builder import build_coprocessor, build_fleet, build_frontdoor  
 from repro.core.config import SMALL_CONFIG  # noqa: E402
 from repro.faults import FaultInjector, FaultSpec  # noqa: E402
 from repro.fpga.executor import NetlistExecutor  # noqa: E402
-from repro.fpga.geometry import TEST_GEOMETRY  # noqa: E402
 from repro.functions.bank import build_small_bank  # noqa: E402
 from repro.functions.netgen import build_adder_netlist, build_parity_netlist  # noqa: E402
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig  # noqa: E402
@@ -187,8 +186,8 @@ def device() -> dict:
     keeps fuzzing it).
     """
     netlists = {
-        "adder": build_adder_netlist(TEST_GEOMETRY, 16),
-        "parity": build_parity_netlist(TEST_GEOMETRY, 32),
+        "adder": build_adder_netlist(16),
+        "parity": build_parity_netlist(32),
     }
     rng = random.Random(17)
     digest = hashlib.sha256()

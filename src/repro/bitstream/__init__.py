@@ -34,10 +34,6 @@ from repro.bitstream.codecs import (
     get_codec,
     register_codec,
 )
-# NOTE: repro.bitstream.relocate is deliberately not re-exported here: it
-# imports repro.fpga (frame regions, geometries), and repro.fpga.frame in turn
-# imports repro.bitstream.crc — loading it during this package's own init
-# would be a circular import.  Import it as repro.bitstream.relocate.
 from repro.bitstream.window import (
     CompressedImage,
     WindowedCompressor,

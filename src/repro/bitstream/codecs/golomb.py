@@ -50,7 +50,7 @@ class GolombRiceCodec(Codec):
 
     def compress(self, data: bytes) -> bytes:
         k = _choose_k(data)
-        k_mask = (1 << k) - 1
+        low_k = (1 << k) - 1
         out = bytearray()
         acc = 0
         acc_bits = 0
@@ -63,7 +63,7 @@ class GolombRiceCodec(Codec):
             quotient = run >> k
             acc = (acc << (quotient + 1)) | ((1 << (quotient + 1)) - 2)
             if k:
-                acc = (acc << k) | (run & k_mask)
+                acc = (acc << k) | (run & low_k)
             acc = (acc << 9) | 0x100 | data[position]
             acc_bits += quotient + 1 + k + 9
             if acc_bits >= 512:
@@ -77,7 +77,7 @@ class GolombRiceCodec(Codec):
             quotient = tail_run >> k
             acc = (acc << (quotient + 1)) | ((1 << (quotient + 1)) - 2)
             if k:
-                acc = (acc << k) | (tail_run & k_mask)
+                acc = (acc << k) | (tail_run & low_k)
             acc <<= 1  # flag 0: run reaches the end of the data
             acc_bits += quotient + 1 + k + 1
         if acc_bits & 7:

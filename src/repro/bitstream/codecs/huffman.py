@@ -193,7 +193,7 @@ class HuffmanCodec(Codec):
         payload = blob[4 + 256 :]
         multi = table.multi
         width = _TABLE_BITS
-        width_mask = (1 << width) - 1
+        low_width = (1 << width) - 1
 
         out = bytearray()
         buf = 0
@@ -215,7 +215,7 @@ class HuffmanCodec(Codec):
             if buf_bits >= width:
                 window = buf >> (buf_bits - width)
             else:
-                window = (buf << (width - buf_bits)) & width_mask
+                window = (buf << (width - buf_bits)) & low_width
             entry = multi[window]
             if entry is not None:
                 consumed, symbols = entry

@@ -76,10 +76,10 @@ class SymmetryAwareCodec(Codec):
     Parameters
     ----------
     clb_stride:
-        Number of configuration bytes per CLB (``FabricGeometry.clb_config_bytes``).
-        The default matches the library's default geometry but the value used
-        is always written into the compressed header, so decompression never
-        depends on out-of-band knowledge.
+        Number of configuration bytes per CLB (the shipped CLB's is
+        ``repro.fpga.geometry.CLB_CONFIG_BYTES``, 33; the default, 42, is
+        not it).  The value used is always written into the compressed
+        header, so decompression never depends on out-of-band knowledge.
     """
 
     name = "symmetry"

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, List
 
-from repro.bitstream.relocate import compatible_fabrics
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.fleet import Fleet
 
@@ -139,18 +137,18 @@ class Rebalancer:
             # destination ends up no fuller than the donor ends up — the
             # potential argument that guarantees compaction terminates), or
             # the donor's queue is long enough that shedding the function's
-            # traffic is worth the card time.  Frame-incompatible fabrics
-            # (a heterogeneous fleet) are never candidates: a blob's payload
-            # would mean something else there.  The least key wins: the
-            # least outstanding, then the most frames left free, then the
-            # lowest index.
+            # traffic is worth the card time.  A fabric whose frames hold a
+            # different number of bytes (a heterogeneous fleet) is never a
+            # candidate: the blob's frames would not fit there.  The least
+            # key wins: the least outstanding, then the most frames left
+            # free, then the lowest index.
             candidates = []
             for card, outstanding, used in others:
                 geometry = card.driver.coprocessor.geometry
                 held = used + planned_frames[card.index]
                 free = geometry.frame_count - held
                 if (
-                    compatible_fabrics(coprocessor.geometry, geometry)
+                    coprocessor.geometry.frame_config_bytes == geometry.frame_config_bytes
                     and free >= frames_needed
                     and (
                         held + frames_needed <= donor_used - frames_needed

@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional
 
 from repro.analysis.sketch import StreamingQuantileSketch
-from repro.core.stats import ReservoirSampler
+from repro.core.stats import ReservoirSampler, percentile_of
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
 from repro.sim.rand import SeededRandom
@@ -522,7 +522,7 @@ class FleetStatistics:
     def net_latency_percentile(self, percentile: float) -> float:
         """Network-inclusive end-to-end latency percentile (0 when unused)."""
         if self._net_latency is None:
-            return 0.0
+            return percentile_of([], percentile)
         return self._net_latency.percentile(percentile)
 
     @property
@@ -566,7 +566,7 @@ class FleetStatistics:
         if tenant is None:
             return self._fleet_sojourn.percentile(percentile)
         sampler = self._per_tenant_sojourn.get(tenant)
-        return sampler.percentile(percentile) if sampler is not None else 0.0
+        return percentile_of([], percentile) if sampler is None else sampler.percentile(percentile)
 
     def tenants(self) -> List[str]:
         """Every tenant seen — including fully-rejected ones, which are

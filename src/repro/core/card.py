@@ -96,7 +96,7 @@ class CoprocessorCard:
                 # do not fit the card.
                 return STATUS_CAPACITY, None
             except (ConfigurationError, PlacementError):
-                # A wedged port, a CRC mismatch, a frame-incompatible blob,
+                # A wedged port, a CRC mismatch, a blob of another frame size,
                 # or enough free frames but no admissible placement on a
                 # fragmented contiguous-only fabric: the host can DEFRAG
                 # and retry.

@@ -24,9 +24,6 @@ class CoprocessorConfig:
     fabric_columns: int = 16
     fabric_rows: int = 64
     clb_rows_per_frame: int = 8
-    luts_per_clb: int = 8
-    lut_inputs: int = 4
-    switch_bytes_per_clb: int = 16
 
     # --- memories ----------------------------------------------------------
     rom_capacity_bytes: int = 4 * 1024 * 1024
@@ -57,9 +54,6 @@ class CoprocessorConfig:
             columns=self.fabric_columns,
             rows=self.fabric_rows,
             clb_rows_per_frame=self.clb_rows_per_frame,
-            luts_per_clb=self.luts_per_clb,
-            lut_inputs=self.lut_inputs,
-            switch_bytes_per_clb=self.switch_bytes_per_clb,
         )
 
     def with_overrides(self, **overrides) -> "CoprocessorConfig":

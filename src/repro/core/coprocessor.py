@@ -181,7 +181,7 @@ class AgileCoprocessor:
 
         The blob is self-describing (codec, window size, relocatable
         slot-indexed frames, payload CRC): feed it to :meth:`restore_function`
-        on any card whose fabric is frame-compatible.
+        on any card whose frames are the same size.
         """
         if name not in self.bank:
             raise UnknownFunctionError(name)

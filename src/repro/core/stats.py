@@ -12,11 +12,12 @@ from repro.sim.rand import SeededRandom
 
 
 def percentile_of(ordered: List[float], percentile: float) -> float:
-    """Nearest-rank percentile (0..100) of an already-sorted sample."""
-    if not ordered:
-        return 0.0
+    """Nearest-rank percentile (0..100) of an already-sorted sample; 0.0 of
+    an empty one (the range is checked either way)."""
     if not 0 <= percentile <= 100:
         raise ValueError("percentile must be between 0 and 100")
+    if not ordered:
+        return 0.0
     index = min(len(ordered) - 1, int(round(percentile / 100 * (len(ordered) - 1))))
     return ordered[index]
 

@@ -47,8 +47,7 @@ class FaultInjector:
         """Inject one upset event into *memory* per the spec's process.
 
         Returns ``(frame_address, changed)`` where *changed* says whether the
-        canonical readback actually changed (flips into padding bits are
-        masked, like upsets in unused configuration cells).
+        readback actually changed (see :meth:`Frame.inject_upset`).
         """
         rng = rng if rng is not None else self._upset_rng
         spec = self.spec

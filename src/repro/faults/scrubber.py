@@ -100,9 +100,10 @@ class Scrubber:
             if frame.crc_ok and frame.to_config_bytes() == golden:
                 result.corrected += 1
             else:
-                # Only reachable when the golden image itself is
-                # non-canonical: the frame stays suspect and the next pass
-                # counts it again instead of looping forever.
+                # A repair that does not read back as the golden image: the
+                # frame stays suspect and the next pass counts it again
+                # instead of looping forever.  A frame stores every write as
+                # written, so no repair ends here today.
                 result.uncorrectable += 1
         clock.advance((count - done) * self._check_ns)
         stats = self.stats

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from repro.bitstream.format import Bitstream, build_bitstream
 from repro.fpga.clb import ConfigurableLogicBlock
 from repro.fpga.frame import blank_clbs, encode_clbs
-from repro.fpga.geometry import FabricGeometry, FrameAddress
+from repro.fpga.geometry import LUT_INPUTS, SWITCH_BYTES_PER_CLB, FabricGeometry, FrameAddress
 from repro.fpga.lut import LookUpTable
 from repro.fpga.netlist import Netlist
 from repro.fpga.placer import Placement
@@ -147,9 +147,7 @@ class BitstreamGenerator:
             # one byte per fanin pin, placed deterministically so identical
             # logic renders to identical (and therefore compressible) bytes.
             for pin, source in enumerate(cell.fanin):
-                position = (site.lut_index * self.geometry.lut_inputs + pin) % max(
-                    1, clb.switch_box.num_bytes
-                )
+                position = (site.lut_index * LUT_INPUTS + pin) % SWITCH_BYTES_PER_CLB
                 clb.switch_box.state[position] = (_stable_hash(source) & 0x3F) | 0x40
 
     # ------------------------------------------------------------ assembly
@@ -232,12 +230,12 @@ class BitstreamGenerator:
                 if placed < luts_here:
                     # Structured routing: the same byte positions are driven in
                     # every CLB, with the value tied to the slice pattern.
-                    for position in range(0, clb.switch_box.num_bytes, 4):
+                    for position in range(0, SWITCH_BYTES_PER_CLB, 4):
                         clb.switch_box.state[position] = routing_pool[pool_slot]
                 for lut_index in range(len(clb.luts)):
                     if placed >= luts_here:
                         break
-                    clb.luts[lut_index] = LookUpTable(self.geometry.lut_inputs, pattern)
+                    clb.luts[lut_index] = LookUpTable(LUT_INPUTS, pattern)
                     placed += 1
             payloads.append(encode_clbs(scratch))
         return payloads

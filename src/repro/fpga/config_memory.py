@@ -13,8 +13,9 @@ The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
 
 A frame's bytes change only here, so the memory also keeps ``suspect``: the
 frames whose readback may not match their check word.  An upset that changed
-a frame or a non-canonical write adds the frame; a canonical write or an
-erase removes it, and so does a scrub that finds it clean.  Every frame that
+a frame adds the frame; a write or an erase removes it (a frame stores a
+write as written, with its check word), and so does a scrub that finds it
+clean.  Every frame that
 is not ``crc_ok`` is in ``suspect``, so a scrub or a hazard check looks at
 those frames alone.
 """
@@ -144,11 +145,10 @@ class ConfigurationMemory:
             if owner is not None and current is not None and current != owner:
                 self.clear_region(written)
                 raise FrameCollisionError([address], current)
-            # A fault-free memory's set is empty: a canonical write then
-            # makes no call into it.
-            if not frames[address].load_config_bytes(payload):
-                suspect.add(address)
-            elif suspect:
+            frames[address].load_config_bytes(payload)
+            # A fault-free memory's set is empty: a write then makes no call
+            # into it.
+            if suspect:
                 suspect.discard(address)
             if owner is not None:
                 owners[address] = owner
@@ -173,7 +173,7 @@ class ConfigurationMemory:
 
         The entry point the fault injector uses to model radiation-induced
         upsets in live configuration memory.  Returns True when the frame's
-        canonical readback actually changed (see :meth:`Frame.inject_upset`).
+        readback actually changed (see :meth:`Frame.inject_upset`).
         """
         self.geometry.validate(address)
         changed = self.frames[address].inject_upset(bit_index, bits=bits)

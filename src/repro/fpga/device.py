@@ -209,8 +209,9 @@ class FPGADevice:
         The capture is *timed*: each frame's readback is charged at the
         configuration port's transfer rate (SelectMAP-style readback runs at
         write speed).  The resulting bit-stream is slot-indexed — no absolute
-        addresses — so it can be restored onto any frame-compatible fabric
-        region; its payload CRC protects the transfer end to end.
+        addresses — so it can be restored onto any region of a fabric whose
+        frames are the same size; its payload CRC protects the transfer end
+        to end.
         """
         try:
             loaded = self._loaded[name]

@@ -1,12 +1,13 @@
 """Frames and frame regions.
 
 A :class:`Frame` is one frame address worth of configuration SRAM: it stores
-the canonical byte image of the CLBs (and their switch boxes) it covers, and
-nothing else.  The CLB/LUT object model (:mod:`repro.fpga.clb`) defines the
-layout of those bytes; :func:`decode_clbs` gives a decoded copy for
-inspection, and the bit-stream generator renders through the same objects
-into bytes.  A :class:`FrameRegion` is the set of frames assigned to one
-loaded function — the paper explicitly allows the set to be non-contiguous.
+the byte image of the CLBs (and their switch boxes) it covers, and nothing
+else.  The CLB/LUT object model (:mod:`repro.fpga.clb`) defines the layout of
+those bytes, and the bit-stream generator renders through those objects into
+bytes.  Every bit of the image is a configuration cell (the shipped CLB has
+no padding bits), so a frame stores each write exactly as written.  A
+:class:`FrameRegion` is the set of frames assigned to one loaded function —
+the paper explicitly allows the set to be non-contiguous.
 
 Each frame also carries a stored CRC-32 *check word* over its configuration
 bytes, refreshed on every legitimate write (:meth:`Frame.load_config_bytes`,
@@ -30,12 +31,7 @@ from repro.fpga.geometry import FabricGeometry, FrameAddress
 
 def blank_clbs(geometry: FabricGeometry) -> List[ConfigurableLogicBlock]:
     """The erased CLBs of one frame, in frame layout order."""
-    return [
-        ConfigurableLogicBlock(
-            geometry.luts_per_clb, geometry.lut_inputs, geometry.switch_bytes_per_clb
-        )
-        for _ in range(geometry.clbs_per_frame)
-    ]
+    return [ConfigurableLogicBlock() for _ in range(geometry.clbs_per_frame)]
 
 
 def encode_clbs(clbs: Sequence[ConfigurableLogicBlock]) -> bytes:
@@ -43,27 +39,11 @@ def encode_clbs(clbs: Sequence[ConfigurableLogicBlock]) -> bytes:
     return b"".join(clb.to_config_bytes() for clb in clbs)
 
 
-def decode_clbs(geometry: FabricGeometry, data: bytes) -> List[ConfigurableLogicBlock]:
-    """Inverse of :func:`encode_clbs` (padding bits are dropped by the parser)."""
-    clbs = blank_clbs(geometry)
-    per_clb = geometry.clb_config_bytes
-    for index, clb in enumerate(clbs):
-        clb.load_config_bytes(data[index * per_clb : (index + 1) * per_clb])
-    return clbs
-
-
 @lru_cache(maxsize=64)
-def _frame_layout(geometry: FabricGeometry) -> Tuple[int, bytes, int]:
-    """Per-geometry constants: (padding mask, erased image, erased check word).
-
-    The mask is what the CLB parser keeps of an all-ones frame, as a
-    little-endian integer: it clears LUT bits above ``2**lut_inputs`` and FF
-    bits above ``luts_per_clb``, so ``value & mask`` is the codec round trip.
-    """
-    length = geometry.frame_config_bytes
-    kept = encode_clbs(decode_clbs(geometry, b"\xff" * length))
+def _erased(length: int) -> Tuple[bytes, int]:
+    """The erased image of a *length*-byte frame and its check word."""
     erased = bytes(length)
-    return int.from_bytes(kept, "little"), erased, zlib.crc32(erased)
+    return erased, zlib.crc32(erased)
 
 
 class Frame:
@@ -74,8 +54,8 @@ class Frame:
         self.geometry = geometry
         self.address = address
         self.config_byte_length = geometry.frame_config_bytes
-        self._mask, self._erased, self._erased_crc = _frame_layout(geometry)
-        # The canonical byte image: the single source of truth.
+        self._erased, self._erased_crc = _erased(self.config_byte_length)
+        # The byte image: the single source of truth.
         self._data = self._erased
         #: CRC-32 check word over the frame's configuration bytes as written.
         #: Updated only on legitimate writes — never by inject_upset — so a
@@ -92,31 +72,18 @@ class Frame:
         return self._data == self._erased
 
     def to_config_bytes(self) -> bytes:
-        """Configuration readback: the canonical byte image."""
+        """Configuration readback: the byte image."""
         return self._data
 
-    def load_config_bytes(self, data: bytes) -> bool:
-        """Store a frame-sized slice of configuration data; True when the
-        write was canonical (its readback is *data* and matches the check
-        word)."""
+    def load_config_bytes(self, data: bytes) -> None:
+        """Store a frame-sized slice of configuration data and its check word."""
         expected = self.config_byte_length
         if len(data) != expected:
             raise ValueError(
                 f"frame {self.address} expects {expected} config bytes, got {len(data)}"
             )
-        # The check word covers the bytes as written.  Canonical payloads
-        # (everything the bit-stream generator renders) round-trip exactly;
-        # a non-canonical write reads back differently and is treated as
-        # corrupt by the scrubber, which then restores the canonical golden
-        # image — the conservative direction.
         self.stored_crc = zlib.crc32(data)
-        value = int.from_bytes(data, "little")
-        canonical = value & self._mask
-        if canonical == value:
-            self._data = bytes(data)
-            return True
-        self._data = canonical.to_bytes(expected, "little")
-        return False
+        self._data = bytes(data)
 
     # ------------------------------------------------------------ fault model
     @property
@@ -133,10 +100,9 @@ class Frame:
 
         Models a single-event upset (``bits=1``) or a multi-bit burst.  The
         stored check word is deliberately left untouched: detection is the
-        scrubber's job.  Bit positions wrap within the frame.  Returns True
-        when the canonical readback actually changed — flips landing in
-        padding bits are masked, exactly like upsets in unused configuration
-        cells of a real device.
+        scrubber's job.  Bit positions wrap within the frame.  Returns whether
+        the readback changed: it does unless *bits* is an even multiple of
+        the frame's bit count.
         """
         if bits <= 0:
             raise ValueError("an upset flips at least one bit")
@@ -145,7 +111,7 @@ class Frame:
         value = int.from_bytes(before, "little")
         for offset in range(bits):
             value ^= 1 << ((bit_index + offset) % total_bits)
-        after = (value & self._mask).to_bytes(self.config_byte_length, "little")
+        after = value.to_bytes(self.config_byte_length, "little")
         self._data = after
         return after != before
 

@@ -5,6 +5,13 @@ relevant Switch Blocks".  We model the device as a grid of CLB columns; each
 frame covers one column-aligned tile of ``clb_rows_per_frame`` CLBs together
 with their switch boxes.  Frames are the unit of partial reconfiguration and
 of allocation in the mini OS's free frame list.
+
+A CLB has one shape on every card: eight LUT/flip-flop pairs (Virtex-II
+style) of 4-input LUTs and sixteen switch-box bytes.  Its configuration image
+is the eight two-byte truth tables, one byte of flip-flop init bits and the
+switch bytes, so every bit of a frame is a configuration cell, and two
+fabrics whose frames hold the same number of bytes hold interchangeable
+frames.
 """
 
 from __future__ import annotations
@@ -12,6 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Tuple
+
+#: LUT/flip-flop pairs per CLB.
+LUTS_PER_CLB = 8
+#: Inputs per LUT: a truth table is 16 bits, two whole bytes.
+LUT_INPUTS = 4
+#: Configuration bytes modelling the routing (switch box) state of one CLB.
+SWITCH_BYTES_PER_CLB = 16
+#: One CLB's configuration bytes: truth tables, FF init bits, switch bytes.
+CLB_CONFIG_BYTES = LUTS_PER_CLB * (1 << LUT_INPUTS) // 8 + LUTS_PER_CLB // 8 + SWITCH_BYTES_PER_CLB
 
 
 class FrameAddress(NamedTuple):
@@ -42,21 +58,11 @@ class FabricGeometry:
     clb_rows_per_frame:
         CLB rows grouped into one frame (the paper's "prespecified number of
         logic blocks").
-    luts_per_clb:
-        LUT/flip-flop pairs per CLB (Virtex-II style CLBs hold 8 4-input LUTs).
-    lut_inputs:
-        Inputs per LUT.
-    switch_bytes_per_clb:
-        Configuration bytes modelling the routing (switch box) state
-        associated with each CLB.
     """
 
     columns: int = 16
     rows: int = 64
     clb_rows_per_frame: int = 8
-    luts_per_clb: int = 8
-    lut_inputs: int = 4
-    switch_bytes_per_clb: int = 16
 
     def __post_init__(self) -> None:
         if self.columns <= 0 or self.rows <= 0:
@@ -67,10 +73,6 @@ class FabricGeometry:
             raise ValueError(
                 "rows must be a multiple of clb_rows_per_frame so frames tile the column"
             )
-        if self.luts_per_clb <= 0 or self.lut_inputs <= 0:
-            raise ValueError("CLBs must contain at least one LUT with at least one input")
-        if self.switch_bytes_per_clb < 0:
-            raise ValueError("switch bytes cannot be negative")
 
     # -------------------------------------------------------------- derived
     # The sizes read on every load or frame write are computed once per
@@ -93,26 +95,12 @@ class FabricGeometry:
 
     @property
     def luts_per_frame(self) -> int:
-        return self.clbs_per_frame * self.luts_per_clb
-
-    @cached_property
-    def lut_truth_table_bytes(self) -> int:
-        """Bytes needed to store one LUT truth table (2**inputs bits)."""
-        bits = 1 << self.lut_inputs
-        return max(1, bits // 8)
-
-    @cached_property
-    def clb_config_bytes(self) -> int:
-        """Configuration bytes for one CLB: LUT truth tables, FF init bits,
-        and the switch-box routing bytes attributed to the CLB."""
-        lut_bytes = self.luts_per_clb * self.lut_truth_table_bytes
-        ff_bytes = max(1, self.luts_per_clb // 8)
-        return lut_bytes + ff_bytes + self.switch_bytes_per_clb
+        return self.clbs_per_frame * LUTS_PER_CLB
 
     @cached_property
     def frame_config_bytes(self) -> int:
         """Configuration bytes for one full frame (the reconfiguration quantum)."""
-        return self.clbs_per_frame * self.clb_config_bytes
+        return self.clbs_per_frame * CLB_CONFIG_BYTES
 
     # ----------------------------------------------------------- addressing
     def all_frames(self) -> List[FrameAddress]:
@@ -146,7 +134,7 @@ def _raster(geometry: FabricGeometry) -> Tuple[FrameAddress, ...]:
     )
 
 
-#: A small fabric convenient for unit tests (64 frames, 1 KiB frames).
+#: A small fabric convenient for unit tests (64 frames of 132 bytes).
 TEST_GEOMETRY = FabricGeometry(columns=8, rows=32, clb_rows_per_frame=4)
 
 #: Default geometry sized loosely after a mid-range Virtex-II part.

@@ -56,11 +56,6 @@ class LookUpTable:
         length = max(1, self.size // 8)
         return self._tt.to_bytes(length, "little")
 
-    @classmethod
-    def from_bytes(cls, inputs: int, data: bytes) -> "LookUpTable":
-        """Inverse of :meth:`to_bytes`."""
-        return cls(inputs, int.from_bytes(data, "little"))
-
     # ------------------------------------------------------------- builders
     @classmethod
     def constant(cls, inputs: int, value: bool) -> "LookUpTable":

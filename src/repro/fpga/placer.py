@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.fpga.errors import PlacementError
 from repro.fpga.frame import FrameRegion
-from repro.fpga.geometry import FabricGeometry, FrameAddress
+from repro.fpga.geometry import LUTS_PER_CLB, FabricGeometry, FrameAddress
 from repro.fpga.netlist import Netlist
 
 
@@ -136,7 +136,7 @@ class Placer:
             )
         for position, cell in enumerate(lut_cells):
             frame_slot, within_frame = divmod(position, self.geometry.luts_per_frame)
-            clb_index, lut_index = divmod(within_frame, self.geometry.luts_per_clb)
+            clb_index, lut_index = divmod(within_frame, LUTS_PER_CLB)
             placement.sites[cell.name] = CellSite(
                 frame=chosen[frame_slot], clb_index=clb_index, lut_index=lut_index
             )

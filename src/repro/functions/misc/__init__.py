@@ -2,14 +2,13 @@
 small netlist-backed functions the fabric genuinely evaluates gate by gate."""
 
 from repro.functions.misc.crc import Crc32Function
-from repro.functions.misc.sort import BitonicSortFunction, bitonic_sort
+from repro.functions.misc.sort import BitonicSortFunction
 from repro.functions.misc.strmatch import StringMatchFunction, count_occurrences
 from repro.functions.misc.logic import AdderFunction, ParityFunction, PopcountFunction
 
 __all__ = [
     "Crc32Function",
     "BitonicSortFunction",
-    "bitonic_sort",
     "StringMatchFunction",
     "count_occurrences",
     "ParityFunction",

@@ -43,7 +43,7 @@ class ParityFunction(HardwareFunction):
         return bytes([parity])
 
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        return build_parity_netlist(geometry, self.INPUT_BITS)
+        return build_parity_netlist(self.INPUT_BITS)
 
 
 class AdderFunction(HardwareFunction):
@@ -70,7 +70,7 @@ class AdderFunction(HardwareFunction):
         return bytes([total & 0xFF, (total >> 8) & 0x1])
 
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        return build_adder_netlist(geometry, self.WIDTH)
+        return build_adder_netlist(self.WIDTH)
 
 
 class PopcountFunction(HardwareFunction):
@@ -92,4 +92,4 @@ class PopcountFunction(HardwareFunction):
         return bytes([bin(value).count("1")])
 
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        return build_popcount_netlist(geometry, 8)
+        return build_popcount_netlist(8)

@@ -10,23 +10,22 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.fpga.geometry import FabricGeometry
+from repro.fpga.geometry import LUT_INPUTS
 from repro.fpga.lut import LookUpTable
 from repro.fpga.netlist import Netlist
 
 
-def padded_lut(geometry: FabricGeometry, width: int, function: Callable[[Sequence[bool]], bool]) -> LookUpTable:
+def padded_lut(width: int, function: Callable[[Sequence[bool]], bool]) -> LookUpTable:
     """A fabric-width LUT computing *function* of its first *width* inputs."""
-    if width > geometry.lut_inputs:
+    if width > LUT_INPUTS:
         raise ValueError(
-            f"cannot map a {width}-input function onto a {geometry.lut_inputs}-input LUT"
+            f"cannot map a {width}-input function onto a {LUT_INPUTS}-input LUT"
         )
-    return LookUpTable.from_function(geometry.lut_inputs, lambda bits: function(bits[:width]))
+    return LookUpTable.from_function(LUT_INPUTS, lambda bits: function(bits[:width]))
 
 
 def add_padded_lut(
     netlist: Netlist,
-    geometry: FabricGeometry,
     name: str,
     function: Callable[[Sequence[bool]], bool],
     fanin: Sequence[str],
@@ -40,8 +39,8 @@ def add_padded_lut(
     if not fanin:
         raise ValueError("a LUT cell needs at least one fanin net")
     width = len(fanin)
-    lut = padded_lut(geometry, width, function)
-    padded_fanin = list(fanin) + [fanin[0]] * (geometry.lut_inputs - width)
+    lut = padded_lut(width, function)
+    padded_fanin = list(fanin) + [fanin[0]] * (LUT_INPUTS - width)
     return netlist.add_lut(name, lut, padded_fanin, output_net=output_net)
 
 
@@ -49,7 +48,7 @@ def add_padded_lut(
 # Parity (XOR reduction tree)
 # --------------------------------------------------------------------------
 
-def build_parity_netlist(geometry: FabricGeometry, input_bits: int = 32) -> Netlist:
+def build_parity_netlist(input_bits: int = 32) -> Netlist:
     """XOR-reduce *input_bits* primary inputs down to a single parity bit."""
     if input_bits <= 0:
         raise ValueError("parity needs at least one input bit")
@@ -58,15 +57,14 @@ def build_parity_netlist(geometry: FabricGeometry, input_bits: int = 32) -> Netl
     stage = 0
     while len(level) > 1:
         next_level: List[str] = []
-        for group_index in range(0, len(level), geometry.lut_inputs):
-            group = level[group_index : group_index + geometry.lut_inputs]
+        for group_index in range(0, len(level), LUT_INPUTS):
+            group = level[group_index : group_index + LUT_INPUTS]
             if len(group) == 1:
                 next_level.append(group[0])
                 continue
             net = add_padded_lut(
                 netlist,
-                geometry,
-                name=f"xor_s{stage}_g{group_index // geometry.lut_inputs}",
+                name=f"xor_s{stage}_g{group_index // LUT_INPUTS}",
                 function=lambda bits: sum(bits) % 2 == 1,
                 fanin=group,
             )
@@ -81,7 +79,7 @@ def build_parity_netlist(geometry: FabricGeometry, input_bits: int = 32) -> Netl
 # Ripple-carry adder
 # --------------------------------------------------------------------------
 
-def build_adder_netlist(geometry: FabricGeometry, width: int = 8) -> Netlist:
+def build_adder_netlist(width: int = 8) -> Netlist:
     """A *width*-bit ripple-carry adder: inputs a[width], b[width]; outputs
     sum[width] and the final carry."""
     if width <= 0:
@@ -95,14 +93,12 @@ def build_adder_netlist(geometry: FabricGeometry, width: int = 8) -> Netlist:
         if carry is None:
             sum_net = add_padded_lut(
                 netlist,
-                geometry,
                 name=f"sum{index}",
                 function=lambda bits: bits[0] ^ bits[1],
                 fanin=[a_nets[index], b_nets[index]],
             )
             carry = add_padded_lut(
                 netlist,
-                geometry,
                 name=f"carry{index}",
                 function=lambda bits: bits[0] and bits[1],
                 fanin=[a_nets[index], b_nets[index]],
@@ -110,14 +106,12 @@ def build_adder_netlist(geometry: FabricGeometry, width: int = 8) -> Netlist:
         else:
             sum_net = add_padded_lut(
                 netlist,
-                geometry,
                 name=f"sum{index}",
                 function=lambda bits: (bits[0] ^ bits[1]) ^ bits[2],
                 fanin=[a_nets[index], b_nets[index], carry],
             )
             carry = add_padded_lut(
                 netlist,
-                geometry,
                 name=f"carry{index}",
                 function=lambda bits: (bits[0] and bits[1]) or (bits[2] and (bits[0] or bits[1])),
                 fanin=[a_nets[index], b_nets[index], carry],
@@ -133,7 +127,7 @@ def build_adder_netlist(geometry: FabricGeometry, width: int = 8) -> Netlist:
 # Popcount
 # --------------------------------------------------------------------------
 
-def build_popcount_netlist(geometry: FabricGeometry, input_bits: int = 8) -> Netlist:
+def build_popcount_netlist(input_bits: int = 8) -> Netlist:
     """Count the set bits of *input_bits* inputs (output is ceil(log2)+1 bits).
 
     Built from two 4-bit population counts (pure LUT functions of 4 inputs)
@@ -153,10 +147,10 @@ def build_popcount_netlist(geometry: FabricGeometry, input_bits: int = 8) -> Net
     high_counts: List[str] = []
     for bit in range(3):
         low_counts.append(
-            add_padded_lut(netlist, geometry, f"lo_cnt{bit}", count_bit(bit), inputs[:4])
+            add_padded_lut(netlist, f"lo_cnt{bit}", count_bit(bit), inputs[:4])
         )
         high_counts.append(
-            add_padded_lut(netlist, geometry, f"hi_cnt{bit}", count_bit(bit), inputs[4:])
+            add_padded_lut(netlist, f"hi_cnt{bit}", count_bit(bit), inputs[4:])
         )
 
     # 3-bit ripple-carry adder producing the 4-bit total.
@@ -165,23 +159,23 @@ def build_popcount_netlist(geometry: FabricGeometry, input_bits: int = 8) -> Net
     for index in range(3):
         if carry is None:
             sum_net = add_padded_lut(
-                netlist, geometry, f"tot{index}",
+                netlist, f"tot{index}",
                 lambda bits: bits[0] ^ bits[1],
                 [low_counts[index], high_counts[index]],
             )
             carry = add_padded_lut(
-                netlist, geometry, f"totc{index}",
+                netlist, f"totc{index}",
                 lambda bits: bits[0] and bits[1],
                 [low_counts[index], high_counts[index]],
             )
         else:
             sum_net = add_padded_lut(
-                netlist, geometry, f"tot{index}",
+                netlist, f"tot{index}",
                 lambda bits: (bits[0] ^ bits[1]) ^ bits[2],
                 [low_counts[index], high_counts[index], carry],
             )
             carry = add_padded_lut(
-                netlist, geometry, f"totc{index}",
+                netlist, f"totc{index}",
                 lambda bits: (bits[0] and bits[1]) or (bits[2] and (bits[0] or bits[1])),
                 [low_counts[index], high_counts[index], carry],
             )

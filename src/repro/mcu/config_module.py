@@ -145,11 +145,9 @@ class ConfigurationModule:
 
         Raises :class:`ConfigurationError` on a truncated/corrupted transfer,
         a blob for a different function, or a frame-size mismatch.  The
-        frame-size test is the strongest check the wire format allows — the
-        blob does not carry the source fabric's CLB layout; full geometry
-        compatibility is the *planner's* job (the rebalancer and the host
-        driver both gate on :func:`repro.bitstream.relocate.
-        compatible_fabrics`, where both geometries are in hand).
+        frame-size test is the whole compatibility test: every card's CLB has
+        the same shape, so frames of equal size are interchangeable (the
+        rebalancer gates on the same equality when it picks a destination).
         """
         from repro.bitstream.codecs.base import CodecError
         from repro.bitstream.format import BitstreamFormatError

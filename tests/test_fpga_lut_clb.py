@@ -1,9 +1,12 @@
-"""Tests for LUTs, CLBs and switch boxes."""
+"""Tests for LUTs, CLBs and switch boxes, and the CLB-layout reader
+(``tests/oracles/clb_layout.py``) that reads their bytes back."""
 
 import pytest
 
+from oracles.clb_layout import decode_lut, load_clb, load_switch_box
 from oracles.luts import evaluate, logic_and, logic_or, logic_xor, passthrough
 from repro.fpga.clb import ConfigurableLogicBlock, SwitchBox
+from repro.fpga.geometry import CLB_CONFIG_BYTES, SWITCH_BYTES_PER_CLB
 from repro.fpga.lut import LookUpTable
 
 
@@ -36,7 +39,7 @@ class TestLookUpTable:
 
     def test_bytes_round_trip(self):
         lut = logic_xor(4)
-        rebuilt = LookUpTable.from_bytes(4, lut.to_bytes())
+        rebuilt = decode_lut(lut.to_bytes())
         assert rebuilt == lut
         assert hash(rebuilt) == hash(lut)
 
@@ -59,32 +62,28 @@ class TestLookUpTable:
 
 class TestSwitchBox:
     def test_starts_clear(self):
-        box = SwitchBox(8)
-        assert not any(box.state) and len(box.state) == 8
+        box = SwitchBox()
+        assert not any(box.state) and len(box.state) == SWITCH_BYTES_PER_CLB
 
     def test_load_and_clear(self):
-        box = SwitchBox(4)
-        box.load_config_bytes(b"\x01\x02\x03\x04")
-        assert any(box.state)
+        box = SwitchBox()
+        load_switch_box(box, bytes(range(1, SWITCH_BYTES_PER_CLB + 1)))
+        assert box.to_config_bytes() == bytes(range(1, SWITCH_BYTES_PER_CLB + 1))
         box.clear()
         assert not any(box.state)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            SwitchBox(4).load_config_bytes(b"\x01")
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            SwitchBox(-1)
+            load_switch_box(SwitchBox(), b"\x01")
 
 
 class TestConfigurableLogicBlock:
     def _clb(self):
-        return ConfigurableLogicBlock(luts_per_clb=8, lut_inputs=4, switch_bytes=16)
+        return ConfigurableLogicBlock()
 
     def test_config_length_matches_serialisation(self):
         clb = self._clb()
-        assert len(clb.to_config_bytes()) == clb.config_byte_length()
+        assert len(clb.to_config_bytes()) == CLB_CONFIG_BYTES
 
     def test_round_trip_preserves_logic(self):
         clb = self._clb()
@@ -95,7 +94,7 @@ class TestConfigurableLogicBlock:
         data = clb.to_config_bytes()
 
         other = self._clb()
-        other.load_config_bytes(data)
+        load_clb(other, data)
         assert other.luts[0] == logic_xor(4)
         assert other.luts[5] == logic_and(4)
         assert other.ff_init[3] is True
@@ -111,8 +110,4 @@ class TestConfigurableLogicBlock:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            self._clb().load_config_bytes(b"\x00" * 3)
-
-    def test_needs_at_least_one_lut(self):
-        with pytest.raises(ValueError):
-            ConfigurableLogicBlock(0, 4, 16)
+            load_clb(self._clb(), b"\x00" * 3)

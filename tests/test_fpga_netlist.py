@@ -3,6 +3,7 @@
 import pytest
 
 from oracles.luts import evaluate, logic_and, logic_xor
+from repro.fpga.geometry import LUT_INPUTS
 from repro.fpga.netlist import CellKind, Netlist
 from repro.functions.netgen import (
     add_padded_lut,
@@ -85,44 +86,44 @@ class TestNetlistConstruction:
 
 
 class TestNetgenHelpers:
-    def test_padded_lut_ignores_padding_inputs(self, tiny_geometry):
-        lut = padded_lut(tiny_geometry, 2, lambda bits: bits[0] ^ bits[1])
-        assert lut.inputs == tiny_geometry.lut_inputs
+    def test_padded_lut_ignores_padding_inputs(self):
+        lut = padded_lut(2, lambda bits: bits[0] ^ bits[1])
+        assert lut.inputs == LUT_INPUTS
         assert evaluate(lut, [True, False, True, True])
         assert not evaluate(lut, [True, True, False, False])
 
-    def test_padded_lut_width_limit(self, tiny_geometry):
+    def test_padded_lut_width_limit(self):
         with pytest.raises(ValueError):
-            padded_lut(tiny_geometry, tiny_geometry.lut_inputs + 1, all)
+            padded_lut(LUT_INPUTS + 1, all)
 
-    def test_add_padded_lut_requires_fanin(self, tiny_geometry):
+    def test_add_padded_lut_requires_fanin(self):
         netlist = Netlist("x")
         with pytest.raises(ValueError):
-            add_padded_lut(netlist, tiny_geometry, "l0", all, [])
+            add_padded_lut(netlist, "l0", all, [])
 
-    def test_parity_netlist_structure(self, tiny_geometry):
-        netlist = build_parity_netlist(tiny_geometry, 32)
+    def test_parity_netlist_structure(self):
+        netlist = build_parity_netlist(32)
         netlist.validate()
         assert len(netlist.inputs) == 32
         assert len(netlist.outputs) == 1
         assert netlist.lut_count >= 8
 
-    def test_adder_netlist_structure(self, tiny_geometry):
-        netlist = build_adder_netlist(tiny_geometry, 8)
+    def test_adder_netlist_structure(self):
+        netlist = build_adder_netlist(8)
         netlist.validate()
         assert len(netlist.inputs) == 16
         assert len(netlist.outputs) == 9
 
-    def test_popcount_netlist_structure(self, tiny_geometry):
-        netlist = build_popcount_netlist(tiny_geometry, 8)
+    def test_popcount_netlist_structure(self):
+        netlist = build_popcount_netlist(8)
         netlist.validate()
         assert len(netlist.inputs) == 8
         assert len(netlist.outputs) == 4
 
-    def test_popcount_only_supports_eight_bits(self, tiny_geometry):
+    def test_popcount_only_supports_eight_bits(self):
         with pytest.raises(ValueError):
-            build_popcount_netlist(tiny_geometry, 16)
+            build_popcount_netlist(16)
 
-    def test_parity_rejects_nonpositive_width(self, tiny_geometry):
+    def test_parity_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
-            build_parity_netlist(tiny_geometry, 0)
+            build_parity_netlist(0)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from oracles.clb_layout import decode_clbs
 from repro.bitstream.format import parse_bitstream
 from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.errors import PlacementError
-from repro.fpga.frame import Frame, decode_clbs
+from repro.fpga.frame import Frame
+from repro.fpga.geometry import LUTS_PER_CLB
 from repro.fpga.placer import Placer, PlacementStrategy
 from repro.functions.netgen import build_adder_netlist, build_parity_netlist
 
@@ -13,7 +15,7 @@ from repro.functions.netgen import build_adder_netlist, build_parity_netlist
 class TestPlacer:
     def test_frames_required_scales_with_luts(self, tiny_geometry):
         placer = Placer(tiny_geometry)
-        parity = build_parity_netlist(tiny_geometry, 32)
+        parity = build_parity_netlist(32)
         assert placer.frames_required(parity) >= 1
 
     def test_contiguous_first_fit_prefers_runs(self, tiny_geometry):
@@ -49,7 +51,7 @@ class TestPlacer:
 
     def test_place_assigns_every_lut_a_unique_site(self, tiny_geometry):
         placer = Placer(tiny_geometry)
-        netlist = build_adder_netlist(tiny_geometry, 8)
+        netlist = build_adder_netlist(8)
         placement = placer.place(netlist, tiny_geometry.all_frames())
         assert len(placement.sites) == netlist.lut_count
         sites = {(site.frame, site.clb_index, site.lut_index) for site in placement.sites.values()}
@@ -57,19 +59,19 @@ class TestPlacer:
         for site in placement.sites.values():
             assert site.frame in placement.region
             assert 0 <= site.clb_index < tiny_geometry.clbs_per_frame
-            assert 0 <= site.lut_index < tiny_geometry.luts_per_clb
+            assert 0 <= site.lut_index < LUTS_PER_CLB
 
     def test_place_rejects_overfull_region(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         # A 128-input parity tree needs more LUTs than one frame offers.
-        netlist = build_parity_netlist(tiny_geometry, 128)
+        netlist = build_parity_netlist(128)
         assert netlist.lut_count > tiny_geometry.luts_per_frame
         with pytest.raises(PlacementError):
             placer.place(netlist, tiny_geometry.all_frames(), frames_needed=1)
 
     def test_lut_utilisation(self, tiny_geometry):
         placer = Placer(tiny_geometry)
-        netlist = build_adder_netlist(tiny_geometry, 8)
+        netlist = build_adder_netlist(8)
         placement = placer.place(netlist, tiny_geometry.all_frames())
         capacity = placement.frame_count * tiny_geometry.luts_per_frame
         assert 0 < len(placement.sites) <= capacity
@@ -87,7 +89,7 @@ class TestBitstreamGenerator:
     def test_generated_bitstream_parses_and_matches_geometry(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         generator = BitstreamGenerator(tiny_geometry)
-        netlist = build_adder_netlist(tiny_geometry, 8)
+        netlist = build_adder_netlist(8)
         placement = placer.place(netlist, tiny_geometry.all_frames())
         bitstream = generator.generate(netlist, placement, function_id=13, input_bytes=2, output_bytes=2)
         assert bitstream.header.function_name == "adder8"
@@ -99,7 +101,7 @@ class TestBitstreamGenerator:
     def test_rendered_frames_contain_the_netlist_luts(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         generator = BitstreamGenerator(tiny_geometry)
-        netlist = build_adder_netlist(tiny_geometry, 8)
+        netlist = build_adder_netlist(8)
         placement = placer.place(netlist, tiny_geometry.all_frames())
         payloads = generator.render_frames(netlist, placement)
         configured_luts = 0
@@ -116,7 +118,7 @@ class TestBitstreamGenerator:
     def test_generation_is_deterministic(self, tiny_geometry):
         generator = BitstreamGenerator(tiny_geometry)
         placer = Placer(tiny_geometry)
-        netlist = build_parity_netlist(tiny_geometry, 32)
+        netlist = build_parity_netlist(32)
         placement = placer.place(netlist, tiny_geometry.all_frames())
         first = generator.generate(netlist, placement, 12, 4, 1).to_bytes()
         second = generator.generate(netlist, placement, 12, 4, 1).to_bytes()

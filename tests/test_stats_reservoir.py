@@ -9,8 +9,10 @@ are represented and that recording is deterministic.
 
 import pytest
 
+from repro.cluster.stats import FleetStatistics
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
+from repro.core.ondemand import TraceResult
 from repro.core.stats import CoprocessorStatistics, ReservoirSampler, percentile_of
 from repro.mcu.microcontroller import ExecutionResult
 from repro.sim.rand import SeededRandom
@@ -80,6 +82,29 @@ class TestReservoirSampler:
 
     def test_percentile_of_empty(self):
         assert percentile_of([], 95) == 0.0
+
+
+class TestPercentileRange:
+    """An out-of-range percentile raises whatever the mode, the sample or
+    the tenant: an empty sample is no excuse to answer 0.0."""
+
+    @pytest.mark.parametrize("percentile", [150, -1])
+    def test_every_empty_percentile_checks_its_range(self, percentile):
+        with pytest.raises(ValueError):
+            percentile_of([], percentile)
+        with pytest.raises(ValueError):
+            TraceResult().latency_percentile(percentile)
+        for mode in ("reservoir", "sketch"):
+            stats = FleetStatistics(mode=mode)
+            for call in (
+                lambda: stats.latency_percentile(percentile),
+                lambda: stats.latency_percentile(percentile, tenant="nobody"),
+                lambda: stats.net_latency_percentile(percentile),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+            assert stats.latency_percentile(50, tenant="nobody") == 0.0
+            assert stats.net_latency_percentile(50) == 0.0
 
 
 class TestCoprocessorStatisticsSketch:
