@@ -33,8 +33,9 @@ functions, and client-visible availability with retries beats the no-retry
 client on the same schedule (and the 0.85 capacity-availability figure the
 fleet-level E10 drill reports).
 
-Everything derives from fixed seeds; the report is byte-identical across
-processes (asserted by the determinism regression test).
+Everything derives from fixed seeds: the report is byte-identical across
+processes, and ``tests/test_e12_frontdoor.py`` holds :func:`build_report`
+equal to the committed report in tier-1.
 
 The timed kernel is one full retry+shed front-door run at the reference
 overload cell.
@@ -185,7 +186,7 @@ def run_cell(bank, overload: float, loss: float, mode: str, kill: bool = False):
     return frontdoor, stats
 
 
-def test_e12_frontdoor(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
     report = ExperimentReport(
         "E12", "Network front door: loss, deadlines, retry/backoff and brownout"
     )
@@ -388,7 +389,11 @@ def test_e12_frontdoor(benchmark, bank):
     report.record_metric(
         "kill_client_availability_noretry", killed_bare.client_availability
     )
-    save_report(report)
+    return report
+
+
+def test_e12_frontdoor(benchmark, bank):
+    save_report(build_report(bank))
 
     # ---- timed kernel: one retry+shed run at the reference overload cell ---
     def run_reference():

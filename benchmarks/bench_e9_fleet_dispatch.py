@@ -19,6 +19,10 @@ rejections and total reconfigurations; plus the per-card specialisation the
 affinity policy converges to, and the reconfigurations it avoids versus
 round-robin.
 
+Everything derives from fixed seeds: the report is byte-identical across
+processes, and ``tests/test_e9_fleet_dispatch.py`` holds :func:`build_report`
+equal to the committed report in tier-1.
+
 The timed kernel is one full affinity fleet run at the reference point
 (4 cards, skew 1.2).
 """
@@ -77,7 +81,7 @@ def _run(bank, policy, trace, cards):
     return fleet, stats
 
 
-def test_e9_fleet_dispatch(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
     report = ExperimentReport(
         "E9", "Fleet dispatch: configuration affinity vs load balancing"
     )
@@ -219,16 +223,20 @@ def test_e9_fleet_dispatch(benchmark, bank):
         f"{saturation_stats['affinity'].throughput_requests_per_s:.0f} req/s — avoided "
         f"reconfigurations are capacity."
     )
-    save_report(report)
 
     # The acceptance criterion: affinity must beat round-robin on both
     # fleet-wide hit rate and p95 sojourn for the Zipf-skewed trace.
     assert affinity.hit_rate > rr.hit_rate
     assert affinity.latency_percentile(95) < rr.latency_percentile(95)
     assert affinity.reconfigurations < rr.reconfigurations
+    return report
+
+
+def test_e9_fleet_dispatch(benchmark, bank):
+    save_report(build_report(bank))
 
     # ---- timed kernel: one affinity fleet run at the reference point ------
-    reference_trace = traces[REFERENCE_SKEW]
+    reference_trace = _trace(bank, REFERENCE_SKEW)
 
     def run_affinity_fleet():
         _, stats = _run(bank, "affinity", reference_trace, REFERENCE_SIZE)

@@ -7,17 +7,23 @@ through both and require bit-identical schedules and card state; the traced
 differential tests add the spans and the bridged device recorder (a bridging
 fleet does not select the full model: a replay hands its events over
 unbuilt); the gate tests check that the memo steps aside whenever the card leaves the plain
-serving regime, and comes back when the regime does.
+serving regime, and comes back when the regime does.  ``TestReplayKey`` is
+why one entry serves every payload of a function and input length.
 """
 
+import collections
 import dataclasses
 import functools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import fastpath
 from repro.core.builder import build_fleet, build_frontdoor
-from repro.core.config import SMALL_CONFIG
+from repro.core.config import SMALL_CONFIG, CoprocessorConfig
+from repro.fpga.errors import ExecutionError
 from repro.net import AdmissionConfig, LinkSpec, OpenLoopPopulation, TransportConfig
 from repro.obs import Observability, trace_fingerprint
 from repro.obs.context import DeviceSpans
@@ -88,6 +94,66 @@ def assert_same_run(memo_fleet, reference_fleet):
         assert card_state(memo_card) == card_state(reference_card)
 
 
+def unique_payloads(trace):
+    """*trace* with each request's payload replaced by one no other request
+    of its function carries, of the same length: the k-th request of a
+    function carries k, little-endian."""
+    seen = collections.Counter()
+    requests = []
+    for request in trace:
+        index = seen[request.function]
+        seen[request.function] += 1
+        payload = index.to_bytes(len(request.payload), "little")
+        requests.append(dataclasses.replace(request, payload=payload))
+    return FleetTrace(requests)
+
+
+class TestReplayKey:
+    """What licenses one replay for every payload of a length.
+
+    A resident hit's time is a sum over the input length, the output length
+    and the fabric cycles (``tests/oracles/miss_formula.py``'s ``call_ns``),
+    and a fleet serve hands back only ``(service_ns, hit)``.  So a recorded
+    hit replays exactly for any payload of its function and length as long
+    as ``(len(output), cycles)`` reads the input's length and never its
+    bytes.  A function whose timing starts reading its data fails here.
+    """
+
+    GEOMETRIES = (CoprocessorConfig().geometry(), SMALL_CONFIG.geometry())
+
+    @given(
+        blocks=st.integers(min_value=1, max_value=4),
+        seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    )
+    def test_output_length_and_cycles_read_only_the_input_length(
+        self, default_bank, small_bank, blocks, seeds
+    ):
+        # Payloads are drawn as seeds: a whole payload per function would
+        # make hypothesis's smallest example kilobytes long.
+        for bank in (default_bank, small_bank):
+            for name in bank.names():
+                function = bank.by_name(name)
+                length = function.spec.input_bytes * blocks
+                payloads = [
+                    random.Random(seed).getrandbits(8 * length).to_bytes(length, "little")
+                    for seed in seeds
+                ]
+                for geometry in self.GEOMETRIES:
+                    executor = function.executor(geometry)
+                    outcomes = [self._outcome(executor, payload) for payload in payloads]
+                    assert outcomes[0] == outcomes[1], (name, geometry, length)
+
+    @staticmethod
+    def _outcome(executor, payload):
+        """``(len(output), cycles)``, or the error a netlist's fixed input
+        width raises for any payload of a wrong length."""
+        try:
+            output, cycles = executor.run(payload)
+        except ExecutionError:
+            return ExecutionError
+        return len(output), cycles
+
+
 class TestDifferential:
     @pytest.mark.parametrize("policy", ["affinity", "round_robin"])
     def test_resident_hits_replay_bit_identically(self, small_bank, small_fleet, small_trace, policy):
@@ -143,6 +209,15 @@ class TestDifferential:
             fleet.run(FleetTrace(requests))
         memo = fleets[0].cards[0].memo
         assert memo.entries == 8
+        assert_same_run(*fleets)
+
+    def test_payloads_that_never_repeat_stay_bit_identical(self, small_bank, small_fleet, small_trace):
+        trace = unique_payloads(small_trace(small_bank, length=300))
+        assert len({(request.function, request.payload) for request in trace}) == len(trace)
+        fleets = [small_fleet(small_bank, cards=2) for _ in range(2)]
+        without_memo(fleets[1])
+        for fleet in fleets:
+            fleet.run(trace)
         assert_same_run(*fleets)
 
     @pytest.mark.parametrize("seed", [11, 29, 47])
