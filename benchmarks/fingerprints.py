@@ -462,13 +462,13 @@ def net() -> dict:
 
 
 def obs() -> dict:
-    """The ``net`` workload untraced, with tracing off, on, and on with SLOs + tail.
+    """The ``net`` workload untraced, traced, and traced with SLOs + tail.
 
-    All four schedule digests must be equal: the disabled object costs
-    nothing and the enabled stack observes without perturbing (no kernel
-    events, no RNG draws).  ``replays`` and ``span_entries`` are exact:
-    tracing must not push hits back onto the full card model, and a traced
-    serve is one device reference, not one span per device event.
+    All three schedule digests must be equal: the stack observes without
+    perturbing (no kernel events, no RNG draws).  ``replays`` and
+    ``span_entries`` are exact: tracing must not push hits back onto the full
+    card model, and a traced serve is one device reference, not one span per
+    device event.
     """
     baseline_digest = _run_frontdoor()[1].schedule_digest()
 
@@ -478,7 +478,6 @@ def obs() -> dict:
             raise AssertionError(f"{what} perturbed the schedule")
         return same
 
-    _, disabled_stats = _run_frontdoor(Observability(enabled=False))
     tracing = Observability()
     frontdoor, traced_stats = _run_frontdoor(tracing)
     spans = tracing.spans
@@ -498,7 +497,6 @@ def obs() -> dict:
         "tracing": {
             **_FRONTDOOR_SIZE,
             "schedule_digest": baseline_digest[:16],
-            "digest_identical_when_off": unperturbed(disabled_stats, "tracing switched off"),
             "digest_identical_when_on": unperturbed(traced_stats, "enabled tracing"),
             "spans": len(spans),
             "spans_dropped": tracing.tracer.dropped,

@@ -112,7 +112,7 @@ class FleetCard:
         clock = self.driver.clock
         before = clock.now
         try:
-            if memo is not None and memo.can_record(request.function):
+            if memo is not None and memo._safe(request.function):
                 result = memo.record_call(request.function, request.payload)
             else:
                 result = self.driver.call(request.function, request.payload)

@@ -5,20 +5,25 @@ card's work behind the COMMAND write — decode, residency check, RAM and
 interface-bus timing, the fabric run (``tests/test_core_card_host.py::
 TestHostCallWork`` counts its frames; the ``pci`` / ``mcu`` / ``core`` rows of
 ``benchmarks/e2e/run.py --workload fleet_hit_default --trace 1`` are the
-profiler) — all of it a *pure function of (function, payload) and the card's
-resident state*.  Once a function is resident and healthy, serving the same
-payload again takes the same time and does the same things at the same
-offsets from its start.
+profiler) — all of it a *pure function of (function, input length) and the
+card's resident state*.  A hit's time is a sum over the input length, the
+output length and the fabric cycles, and every bank function's output length
+and cycles read its input's length, never its bytes
+(``tests/test_cluster_fastpath.py::TestReplayKey`` fails for a function whose
+timing starts reading its data).  A fleet serve hands back only its time and
+whether it hit.  So once a function is resident and healthy, serving any
+payload of a length it served before takes the same time and does the same
+things at the same offsets from its start.
 
 :class:`ServeMemo` exploits that.  The first resident-hit serve of a
-``(function, payload)`` pair runs the real path — with ``MiniOs.touch`` and
-``TraceRecorder.record`` shadowed for that one call, so the memo sees when
-the replacement table was touched and which device events the card's
+``(function, input length)`` key runs the real path — with ``MiniOs.touch``
+and ``TraceRecorder.record`` shadowed for that one call, so the memo sees
+when the replacement table was touched and which device events the card's
 recorder was handed — and stores the serve as *offsets from its start*: the
 duration, the touch and event offsets, and the deltas of the three bus
 counters someone reads.  Time is whole nanoseconds (:mod:`repro.sim.clock`),
 so ``start + duration_ns`` *is* where the real path's chain of advances
-lands.  Every later serve of the pair *replays* the entry: the card clock
+lands.  Every later serve of the key *replays* the entry: the card clock
 jumps by the duration, the LRU table is touched at ``start + offset``, the
 bus counters move by the recorded deltas, and the card's latency is
 re-recorded through ``CoprocessorStatistics.record_hit_replay``.
@@ -27,7 +32,7 @@ Traced replay: under a fleet that bridges device events into ``card.*``
 spans, a replay builds no event at all — it leaves the entry's own immutable
 ``events`` tuple on ``FleetCard.device_events`` with how many of them the
 device recorder's ``capacity`` admits (the rest charged to ``dropped``) and
-the one thing that is not a function of ``(function, payload)``: the live
+the one thing that is not a function of the key: the live
 ``mcu.requests_handled`` ordinal that completes the RAM staging labels
 ``in:<n>``/``out:<n>``, stored as their prefixes.  The fleet records that as
 one :class:`~repro.obs.context.DeviceSpans` reference, which yields the spans
@@ -53,18 +58,13 @@ on a region with no suspect frame.  An upset in the region, a degraded port or
 an eviction of the function selects the real, fully-modelled path for that
 request.
 
-The cache is bounded: after :data:`MEMO_ENTRY_CAP` distinct pairs a card
-stops recording and serves unseen pairs by the full path.  The shipped trace
-generators pool one payload per tenant and function; the bound is for
-caller-built traces whose payloads never repeat.
+A card's memo holds one entry per (function, input length) the card has
+served as a clean hit, whatever the payloads' bytes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-#: Most ``(function, payload)`` entries one card's memo retains.
-MEMO_ENTRY_CAP = 4096
 
 # A memo entry is a flat tuple, unpacked in one bytecode on the replay hot
 # path (``ServeMemo.replay`` names the fields).  ``touches`` is ``((name,
@@ -92,7 +92,7 @@ def drain_device_events(recorder, start_ns: int) -> tuple:
 
 
 class ServeMemo:
-    """Per-card record/replay cache keyed by ``(function, payload)``."""
+    """Per-card record/replay cache keyed by ``(function, len(payload))``."""
 
     def __init__(self, fleet_card) -> None:
         self.fleet_card = fleet_card
@@ -104,7 +104,7 @@ class ServeMemo:
         self.mcu = self.copro.mcu
         self.minios = self.mcu.minios
         self.device = self.copro.device
-        self._entries: Dict[Tuple[str, bytes], _MemoEntry] = {}
+        self._entries: Dict[Tuple[str, int], _MemoEntry] = {}
         # Hot-path bindings (all created once per card, never replaced; the
         # bound containers — replacement table, loaded-function dict, suspect
         # frame set — are mutated in place, never reassigned).  The two
@@ -130,10 +130,6 @@ class ServeMemo:
             and (not suspect or suspect.isdisjoint(self._table_entry(function).region))
             and (not self._recorder.enabled or self.fleet_card._obs_trace is not None)
         )
-
-    def can_record(self, function: str) -> bool:
-        """True when a serve of *function* now would be a recordable hit."""
-        return len(self._entries) < MEMO_ENTRY_CAP and self._safe(function)
 
     # -------------------------------------------------------------- recording
     def _totals(self) -> tuple:
@@ -184,7 +180,7 @@ class ServeMemo:
 
         card_result = result.card_result
         if card_result.hit and not card_result.evictions:
-            self._entries[(function, payload)] = (
+            self._entries[(function, len(payload))] = (
                 clock.now - start_ns,
                 tuple(touches),
                 tuple(events),
@@ -199,7 +195,7 @@ class ServeMemo:
 
         ``None`` means "no usable memo" — the caller must run the real path.
         """
-        entry = self._entries.get((function, payload))
+        entry = self._entries.get((function, len(payload)))
         if entry is None or not self._safe(function):
             return None
         (
@@ -246,10 +242,5 @@ class ServeMemo:
         self.replays += 1
         return duration_ns
 
-    # ------------------------------------------------------------- reporting
-    @property
-    def entries(self) -> int:
-        return len(self._entries)
 
-
-__all__ = ["MEMO_ENTRY_CAP", "ServeMemo", "drain_device_events"]
+__all__ = ["ServeMemo", "drain_device_events"]

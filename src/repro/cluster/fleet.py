@@ -27,10 +27,10 @@ delta is the same ``int`` wherever on either timeline it is measured.
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
 resident, healthy card whose function's frames hold no suspect upset
-*replays* an earlier identical serve from its recorded duration and offsets;
-anything else — a miss, a degraded card, an upset in the function's region,
-demand scrubbing — runs the full transaction-level model.  The two are
-equal in schedule, counters, time totals and spans
+*replays* an earlier hit of the same function and input length from its
+recorded duration and offsets; anything else — a miss, a degraded card, an
+upset in the function's region, demand scrubbing — runs the full card model.
+The two are equal in schedule, counters, time totals and spans
 (``tests/test_cluster_fastpath.py``).  Either way a traced serve's device
 events reach the tracer as one ``card.device_events`` reference, built into
 ``card.*`` spans only where the span log is read.
@@ -179,11 +179,7 @@ class Fleet:
         # instrumentation site below reduces to one identity check, so the
         # untraced schedule and its digests stay byte-identical.
         self.obs = observability
-        self._tracer = (
-            observability.tracer
-            if observability is not None and observability.enabled
-            else None
-        )
+        self._tracer = observability.tracer if observability is not None else None
         #: id(request) -> _ReqTrace for requests currently inside the fleet.
         self._trace_ctx: Dict[int, _ReqTrace] = {}
         self.stats = FleetStatistics(
@@ -270,7 +266,7 @@ class Fleet:
         sees, so binding them cannot change any schedule digest.
         """
         obs = self.obs
-        if obs is None or not obs.enabled:
+        if obs is None:
             return
         self.stats.slo_engine = obs.slo_engine
         self._recorder = obs.recorder

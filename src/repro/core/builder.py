@@ -214,10 +214,9 @@ def build_frontdoor(
 
     if slos:
         obs = fleet.obs
-        if obs is None or not obs.enabled:
+        if obs is None:
             raise ValueError(
-                "build_frontdoor(slos=...) needs a fleet built with an "
-                "enabled Observability"
+                "build_frontdoor(slos=...) needs a fleet built with an Observability"
             )
         obs.install_slos(slos)
         fleet._bind_obs_watchers()

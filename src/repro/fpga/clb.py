@@ -27,16 +27,13 @@ class SwitchBox:
     def __init__(self) -> None:
         self.state = bytearray(SWITCH_BYTES_PER_CLB)
 
-    def clear(self) -> None:
-        self.state = bytearray(SWITCH_BYTES_PER_CLB)
-
     def to_config_bytes(self) -> bytes:
         return bytes(self.state)
 
 
 #: The erased LUT.  LookUpTable instances are immutable (callers replace,
 #: never mutate, the objects), so every erased LUT position points at it
-#: instead of allocating one table per slot on each clear.
+#: instead of allocating one table per slot.
 _ZERO_LUT = LookUpTable.constant(LUT_INPUTS, False)
 
 
@@ -47,16 +44,6 @@ class ConfigurableLogicBlock:
         self.luts: List[LookUpTable] = [_ZERO_LUT] * LUTS_PER_CLB
         self.ff_init: List[bool] = [False] * LUTS_PER_CLB
         self.switch_box = SwitchBox()
-
-    @property
-    def lut_count(self) -> int:
-        return len(self.luts)
-
-    def clear(self) -> None:
-        """Return the CLB to its erased (all-zero) configuration."""
-        self.luts = [_ZERO_LUT] * LUTS_PER_CLB
-        self.ff_init = [False] * LUTS_PER_CLB
-        self.switch_box.clear()
 
     # --------------------------------------------------------- configuration
     def to_config_bytes(self) -> bytes:

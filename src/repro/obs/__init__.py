@@ -12,14 +12,13 @@ One :class:`Observability` object threads three things through every tier
   flat metrics snapshots, byte-identical across processes for a fixed
   seed.
 
-Determinism contract: with ``enabled=False`` (and with no ``Observability``
-installed at all — the default everywhere) instrumentation sites reduce to
-one ``is None`` check, no RNG is consumed, no kernel event is spawned, and
-every schedule digest and BENCH fingerprint is byte-identical to the
-pre-observability repo.  With it enabled, tracing still spawns no kernel
-work and consumes no randomness, so even *traced* runs keep their schedule
-digests — the property the ``obs`` section of ``benchmarks/fingerprints.py``
-asserts.
+Determinism contract: with no ``Observability`` installed — the default
+everywhere — instrumentation sites reduce to one ``is None`` check, no RNG is
+consumed, no kernel event is spawned, and every schedule digest and BENCH
+fingerprint is byte-identical to the pre-observability repo.  With one
+installed, tracing still spawns no kernel work and consumes no randomness, so
+even *traced* runs keep their schedule digests — the property the ``obs``
+section of ``benchmarks/fingerprints.py`` asserts.
 
 Usage::
 
@@ -61,28 +60,21 @@ class Observability:
 
     def __init__(
         self,
-        enabled: bool = True,
         slos: Optional[Sequence[SloSpec]] = None,
         tail: Optional[TailSampler] = None,
     ) -> None:
-        self.enabled = enabled
         self.tracer = Tracer()
         self.registry = MetricsRegistry()
         self.slo_engine: Optional[SloEngine] = None
         self.recorder: Optional[FlightRecorder] = None
         self.tail: Optional[TailSampler] = None
-        if enabled:
-            tracer = self.tracer
-            self.registry.gauge(
-                names.GAUGE_SPANS_RECORDED, fn=lambda: len(tracer.spans)
-            )
-            self.registry.gauge(
-                names.GAUGE_SPANS_DROPPED, fn=lambda: tracer.dropped
-            )
-            if tail is not None:
-                self._install_tail(tail)
-            if slos:
-                self.install_slos(slos)
+        tracer = self.tracer
+        self.registry.gauge(names.GAUGE_SPANS_RECORDED, fn=lambda: len(tracer.spans))
+        self.registry.gauge(names.GAUGE_SPANS_DROPPED, fn=lambda: tracer.dropped)
+        if tail is not None:
+            self._install_tail(tail)
+        if slos:
+            self.install_slos(slos)
 
     # --------------------------------------------------------- installation
     def install_slos(self, specs: Sequence[SloSpec]) -> "SloEngine":
@@ -92,8 +84,6 @@ class Observability:
         builders when specs arrive after construction
         (``build_frontdoor(fleet, slos=[...])``).
         """
-        if not self.enabled:
-            raise ValueError("cannot install SLOs on a disabled Observability")
         if self.slo_engine is not None:
             raise ValueError("SLOs are already installed on this Observability")
         engine = SloEngine(specs, registry=self.registry)
@@ -128,10 +118,8 @@ class Observability:
     # -------------------------------------------------------------- teardown
     def finish(self, now_ns: int) -> None:
         """End-of-run settlement: flush the tail sampler's rootless traces
-        and close still-open incidents.  No-op without SLOs/tail (or when
-        disabled), and safe to call more than once."""
-        if not self.enabled:
-            return
+        and close still-open incidents.  No-op without SLOs/tail, and safe
+        to call more than once."""
         if self.tail is not None:
             self.tail.flush(self.tracer)
         if self.recorder is not None:

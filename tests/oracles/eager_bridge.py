@@ -62,7 +62,7 @@ class EagerServeMemo(ServeMemo):
 
         ``None`` means "no usable memo" — the caller must run the real path.
         """
-        entry = self._entries.get((function, payload))
+        entry = self._entries.get((function, len(payload)))
         if entry is None or not self._safe(function):
             return None
         (
@@ -136,7 +136,7 @@ def serve(self, request: FleetRequest) -> tuple:
             return service_ns, True
     clock = self.driver.clock
     before = clock.now
-    if memo is not None and memo.can_record(request.function):
+    if memo is not None and memo._safe(request.function):
         result = memo.record_call(request.function, request.payload)
     else:
         result = self.driver.call(request.function, request.payload)

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import fastpath
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG, CoprocessorConfig
 from repro.fpga.errors import ExecutionError
@@ -191,15 +190,14 @@ class TestDifferential:
         assert sum(card.driver.coprocessor.minios.stats.evictions for card in memo_fleet.cards) > 0
         assert replays(memo_fleet) > 0
 
-    def test_unique_payloads_stop_recording_at_the_cap(self, small_bank, small_fleet, monkeypatch):
-        monkeypatch.setattr(fastpath, "MEMO_ENTRY_CAP", 8)
+    def test_unique_same_length_payloads_hold_one_entry(self, small_bank, small_fleet):
         input_bytes = small_bank.by_name("crc32").spec.input_bytes
         requests = [
             FleetRequest(
                 tenant="t0",
                 function="crc32",
                 payload=index.to_bytes(4, "little") * (input_bytes // 4),
-                arrival_ns=index * 50_000.0,
+                arrival_ns=index * 50_000,
             )
             for index in range(60)
         ]
@@ -208,7 +206,8 @@ class TestDifferential:
         for fleet in fleets:
             fleet.run(FleetTrace(requests))
         memo = fleets[0].cards[0].memo
-        assert memo.entries == 8
+        # A miss loads crc32, the first hit records it, every later hit replays.
+        assert (len(memo._entries), memo.replays) == (1, 58)
         assert_same_run(*fleets)
 
     def test_payloads_that_never_repeat_stay_bit_identical(self, small_bank, small_fleet, small_trace):
@@ -219,6 +218,17 @@ class TestDifferential:
         for fleet in fleets:
             fleet.run(trace)
         assert_same_run(*fleets)
+        # Unfaulted and unpressured: every hit is clean, and each card records
+        # one serve per (function, input length) it hit, then replays the
+        # rest.  Each function's payloads have one length here, and a card
+        # that evicts nothing hits a function on every request but its first.
+        memo_fleet, reference_fleet = fleets
+        assert sum(card.driver.coprocessor.stats.evictions for card in reference_fleet.cards) == 0
+        for memo_card, reference_card in zip(memo_fleet.cards, reference_fleet.cards):
+            stats = reference_card.driver.coprocessor.stats
+            recorded = sum(1 for count in stats.per_function_requests.values() if count > 1)
+            assert len(memo_card.memo._entries) == recorded
+            assert memo_card.memo.replays == stats.hits - recorded
 
     @pytest.mark.parametrize("seed", [11, 29, 47])
     def test_fault_protected_cards_replay_bit_identically(
@@ -401,7 +411,7 @@ class TestTracedDifferential:
         # Recorded: crc32, parity32.  Replayed: two crc32 before the
         # eviction, one crc32 and one parity32 after the reload, two crc32
         # after the reset.
-        assert (memo_card.memo.entries, memo_card.memo.replays) == (2, 6)
+        assert (len(memo_card.memo._entries), memo_card.memo.replays) == (2, 6)
 
     def test_recorder_capacity_drops_like_the_full_path(self, small_bank, small_fleet):
         # 10 slots: the capacity runs out in the middle of every serve, the
@@ -429,7 +439,7 @@ class TestGate:
         assert card.serve(request)[1] is False  # miss: loads the function
         card.serve(request)  # first resident hit: recorded
         card.serve(request)  # replayed
-        assert (card.memo.entries, card.memo.replays) == (1, 1)
+        assert (len(card.memo._entries), card.memo.replays) == (1, 1)
         return fleet, card, request
 
     def test_eviction_between_two_serves(self, small_bank, small_fleet):
@@ -461,7 +471,7 @@ class TestGate:
         detector = copro.device.hazard_detector
         for _ in range(2):
             assert card.serve(request)[1] is True
-        assert (card.memo.entries, card.memo.replays) == (1, 3)
+        assert (len(card.memo._entries), card.memo.replays) == (1, 3)
         address = copro.device.region_of("crc32").addresses[0]
         assert copro.device.memory.corrupt_bit(address, 1)
         assert card.serve(request)[1] is True
@@ -482,7 +492,7 @@ class TestGate:
             traced.driver.coprocessor.trace.enabled = True
             results.append(traced.serve(request))
         assert results[0] == results[1] and results[0][1] is True
-        assert (card.memo.entries, card.memo.replays) == (1, 1)
+        assert (len(card.memo._entries), card.memo.replays) == (1, 1)
         events, _ = recorder_state(card)
         assert len(events) == 15
         assert recorder_state(card) == recorder_state(reference)

@@ -423,15 +423,16 @@ class TestScrubWork:
         assert sum(builtins.values()) == 3 + 9
         assert scrubber.stats.corrected == 1
 
-    def test_the_small_control_plane_fleet_replays_547_serves(
+    def test_the_small_control_plane_fleet_replays_554_serves(
         self, small_bank, control_plane_fleet
     ):
         """``control_plane_fleet`` at seed 11 (600 requests): the memo
-        replays 547 serves on fault-protected cards.  It replayed none while
-        its gate refused every card with a scrubber or a hazard detector."""
+        replays 554 serves on fault-protected cards.  It replayed none while
+        its gate refused every card with a scrubber or a hazard detector, and
+        547 while it keyed an entry by the payload's bytes, not its length."""
         fleet, trace = control_plane_fleet(small_bank, 11)
         fleet.run(trace)
-        assert sum(card.memo.replays for card in fleet.cards) == 547
+        assert sum(card.memo.replays for card in fleet.cards) == 554
 
 
 class TestControlTickWork:

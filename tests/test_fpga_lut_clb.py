@@ -69,7 +69,7 @@ class TestSwitchBox:
         box = SwitchBox()
         load_switch_box(box, bytes(range(1, SWITCH_BYTES_PER_CLB + 1)))
         assert box.to_config_bytes() == bytes(range(1, SWITCH_BYTES_PER_CLB + 1))
-        box.clear()
+        load_switch_box(box, bytes(SWITCH_BYTES_PER_CLB))
         assert not any(box.state)
 
     def test_wrong_length_rejected(self):
@@ -100,13 +100,6 @@ class TestConfigurableLogicBlock:
         assert other.ff_init[3] is True
         assert other.switch_box.state[2] == 0x7F
         assert other.to_config_bytes() == data
-
-    def test_clear_resets_everything(self):
-        clb = self._clb()
-        clb.luts[1] = logic_or(4)
-        clb.ff_init[0] = True
-        clb.clear()
-        assert not any(clb.to_config_bytes())
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

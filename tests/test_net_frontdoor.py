@@ -385,7 +385,7 @@ class TestFrontDoorEndToEnd:
 class TestKernelWorkPerRequest:
     #: Builtin calls a clean request makes, by name.
     REQUEST_BUILTINS = {
-        "dict.get": 13, "len": 6, "heappush": 5, "heappop": 5, "list.append": 3, "round": 2,
+        "dict.get": 13, "len": 7, "heappush": 5, "heappop": 5, "list.append": 3, "round": 2,
         "isinstance": 2, "str.encode": 2, "deque.append": 1, "deque.popleft": 1,
         "generator.send": 1, "list.clear": 1, "dict.pop": 1,
     }
@@ -544,8 +544,9 @@ class TestKernelWorkPerRequest:
 
         Beside the frames, the builtin calls (``sys.setprofile``'s ``c_call``
         events, by name) over the 2 000 extra requests are pinned too:
-        :data:`REQUEST_BUILTINS` per request (43, 13 of them ``dict.get`` and
-        10 the kernel heap's ``heappush`` / ``heappop``), and on top the
+        :data:`REQUEST_BUILTINS` per request (44, 13 of them ``dict.get`` and
+        10 the kernel heap's ``heappush`` / ``heappop``; 43 before the memo
+        keyed an entry by the payload's ``len``), and on top the
         amortised :data:`RUN_BUILTINS` — 16 flushes of the schedule digest's
         256-line buffer (``bytes.join``, ``HASH.update``, ``list.clear``)
         and 64 sojourns the sketches' bucket memo had not seen (``log``,
@@ -575,7 +576,7 @@ class TestKernelWorkPerRequest:
         assert sum(per_request.values()) == 43
         expected = collections.Counter({name: 2_000 * n for name, n in self.REQUEST_BUILTINS.items()})
         assert builtins == expected + collections.Counter(self.RUN_BUILTINS)
-        assert sum(self.REQUEST_BUILTINS.values()) == 43
+        assert sum(self.REQUEST_BUILTINS.values()) == 44
 
 
 class TestReusedFrontDoor:

@@ -2,10 +2,10 @@
 
 Two halves, matching the acceptance criteria:
 
-* **Off is free**: running a cell with no observability, with observability
-  constructed but ``enabled=False``, and with tracing fully on must all
-  produce byte-identical schedule digests and front-door fingerprints —
-  tracing spawns no kernel events and consumes no RNG.
+* **Off is free**: running a cell with no observability, with tracing fully
+  on and with tracing, SLOs and tail sampling on must all produce
+  byte-identical schedule digests and front-door fingerprints — tracing
+  spawns no kernel events and consumes no RNG.
 * **On is reproducible**: the trace fingerprint (every span's name, ids,
   parent, start, end and attributes) and the metrics snapshot of a
   fixed-seed cell are byte-identical across *processes* (same pattern as
@@ -87,7 +87,6 @@ class TestObservabilityIsFreeWhenOff:
             return frontdoor.fingerprint()
 
         baseline = run(None)
-        disabled = run(Observability(enabled=False))
         enabled = run(Observability())
         judged = run(
             Observability(tail=TailSampler(slow_ns=300_000.0)),
@@ -104,7 +103,6 @@ class TestObservabilityIsFreeWhenOff:
                 ),
             ],
         )
-        assert disabled == baseline
         assert enabled == baseline
         assert judged == baseline
 

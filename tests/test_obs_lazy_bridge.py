@@ -255,16 +255,16 @@ class Constructions:
 
 def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch):
     run, fleet, observability, trace = build_cell(small_bank, 11, lossless=True)
-    # Load and record every (function, payload) pair first, straight at the
+    # Load and record every (function, input length) key first, straight at the
     # fleet, so the counted front-door run is replays only.
     fleet.run(trace)
-    entries = sum(card.memo.entries for card in fleet.cards)
+    entries = sum(len(card.memo._entries) for card in fleet.cards)
     replays = sum(card.memo.replays for card in fleet.cards)
     observability.tracer.clear()
     built = Constructions(monkeypatch)
     run()
     assert sum(card.memo.replays for card in fleet.cards) == replays + REQUESTS
-    assert sum(card.memo.entries for card in fleet.cards) == entries
+    assert sum(len(card.memo._entries) for card in fleet.cards) == entries
     assert (built.events, built.device_spans) == (0, 0)
     log = observability.spans
     probes = probe_spans(log)
@@ -309,7 +309,7 @@ def test_retained_entries_are_seven_spans_and_one_reference_a_request(small_bank
             replays = card.memo.replays
             result = serve(request)
             if card.memo.replays > replays:
-                events = card.memo._entries[request.function, request.payload][2]
+                events = card.memo._entries[request.function, len(request.payload)][2]
             else:
                 events = card.device_events[0]
             served.append((request, events))

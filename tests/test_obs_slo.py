@@ -417,10 +417,6 @@ class TestObservabilityWiring:
         with pytest.raises(ValueError):
             obs.install_slos([availability_spec()])  # already installed
 
-    def test_disabled_observability_rejects_slos(self):
-        with pytest.raises(ValueError):
-            Observability(enabled=False).install_slos([availability_spec()])
-
     def test_builder_creates_observability_for_bare_slos(self):
         from repro.core.builder import build_fleet
         from repro.core.config import SMALL_CONFIG
@@ -441,7 +437,7 @@ class TestObservabilityWiring:
         from repro.functions.bank import build_small_bank
 
         fleet = build_fleet(cards=1, config=SMALL_CONFIG, bank=build_small_bank())
-        with pytest.raises(ValueError, match="enabled Observability"):
+        with pytest.raises(ValueError, match="built with an Observability"):
             build_frontdoor(
                 fleet,
                 slos=[availability_spec()],

@@ -83,7 +83,7 @@ FLEET_CODE_LINE_BUDGET = 635
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 808
-SRC_CODE_LINE_BUDGET = 10_638
+SRC_CODE_LINE_BUDGET = 10_607
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
