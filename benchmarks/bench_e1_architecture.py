@@ -8,13 +8,15 @@ function in the bank through the host driver, and reports, per function, the
 footprint and the cold (miss) versus warm (hit) latency — demonstrating that
 every block in Figure 1 exists and is on the request path.
 
+The report is byte-identical across processes, and
+``tests/test_e1_architecture.py`` holds :func:`build_report` equal to the
+committed report in tier-1.
+
 The timed kernel is the warm-path host call (the steady-state operation of
 the card).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.conftest import save_report
 from repro.analysis.report import ExperimentReport
@@ -36,14 +38,17 @@ FIGURE_1_BLOCKS = {
 }
 
 
-@pytest.fixture(scope="module")
-def driver(default_config, bank):
-    config = default_config.with_overrides(enable_trace=True)
-    coprocessor = build_coprocessor(config=config, bank=bank)
+def build_traced_driver(config, bank):
+    """A host driver over a card built from *config* with tracing on, so the
+    trace shows which Figure 1 block each event came from."""
+    coprocessor = build_coprocessor(config=config.with_overrides(enable_trace=True), bank=bank)
     return build_host_system(coprocessor)
 
 
-def test_e1_architecture(benchmark, driver, bank):
+def build_report(driver, bank) -> ExperimentReport:
+    """The whole E1 report from one miss and one hit per function through
+    *driver* (a traced card holding *bank*): the footprint table, the block
+    table, the observations and the metrics."""
     copro = driver.coprocessor
     report = ExperimentReport("E1", "Figure 1 — agile co-processor architecture, end to end")
 
@@ -97,7 +102,12 @@ def test_e1_architecture(benchmark, driver, bank):
     report.record_metric("functions", len(bank))
     report.record_metric("resident_at_end", len(resident))
     report.record_metric("fpga_frames", copro.geometry.frame_count)
-    save_report(report)
+    return report
+
+
+def test_e1_architecture(benchmark, default_config, bank):
+    driver = build_traced_driver(default_config, bank)
+    save_report(build_report(driver, bank))
 
     # Timed kernel: the warm (hit) path through the whole stack.
     warm_function = "crc32"

@@ -11,18 +11,18 @@ The report holds simulated and exact values only, so two runs write the same
 bytes.  Host decompression speed is not part of it: the pytest-benchmark
 kernel below times windowed LZ77 decompression of the AES bit-stream, and the
 e2e ledger (``bitstream.lz77_decompress_MBps``) tracks it over time.
+``tests/test_e4_compression.py`` holds :func:`build_report` equal to the
+committed report in tier-1.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.conftest import save_report
 from repro.analysis.figures import ascii_bar_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table, format_value
 from repro.bitstream.codecs import get_codec, SymmetryAwareCodec
-from repro.bitstream.window import WindowedCompressor, WindowedDecompressor
+from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
 from repro.core.builder import build_coprocessor
 from repro.fpga.geometry import CLB_CONFIG_BYTES
 
@@ -30,16 +30,13 @@ CODECS = ["null", "rle", "golomb", "huffman", "lz77", "framediff", "symmetry"]
 WINDOW_BYTES = 1024
 
 
-@pytest.fixture(scope="module")
-def raw_bitstreams(default_config, bank):
+def raw_bitstreams(config, bank):
     """Raw (uncompressed) serialised bit-streams for every function."""
-    copro = build_coprocessor(config=default_config.with_overrides(codec_name="null"), bank=bank)
+    copro = build_coprocessor(config=config.with_overrides(codec_name="null"), bank=bank)
     raw = {}
     for function in bank:
         record = copro.rom.record_table.by_name(function.name)
         image_bytes = copro.rom.read_bitstream(function.name)
-        from repro.bitstream.window import CompressedImage
-
         raw[function.name] = WindowedDecompressor(CompressedImage.from_bytes(image_bytes)).decompress_all()
         assert len(raw[function.name]) == record.uncompressed_size
     return raw
@@ -51,7 +48,9 @@ def _codec_for(name):
     return get_codec(name)
 
 
-def test_e4_compression(benchmark, bank, raw_bitstreams):
+def build_report(raw_bitstreams) -> ExperimentReport:
+    """The whole E4 report from *raw_bitstreams* (function name -> raw
+    bit-stream): both tables, the chart, the observations and the metrics."""
     report = ExperimentReport("E4", "Bit-stream compression ratio")
     table = Table(
         "Mean compression ratio per codec",
@@ -135,9 +134,14 @@ def test_e4_compression(benchmark, bank, raw_bitstreams):
     report.record_metric("lz77_mean_ratio", ratios_chart["lz77"])
     report.record_metric("lz77_best_ratio", max(lz77_ratios.values()))
     report.record_metric("lz77_worst_ratio", min(lz77_ratios.values()))
-    save_report(report)
+    return report
 
-    aes_raw = raw_bitstreams["aes128"]
+
+def test_e4_compression(benchmark, default_config, bank):
+    raw = raw_bitstreams(default_config, bank)
+    save_report(build_report(raw))
+
+    aes_raw = raw["aes128"]
     image = WindowedCompressor(get_codec("lz77"), WINDOW_BYTES).compress(aes_raw)
 
     def decompress_aes():

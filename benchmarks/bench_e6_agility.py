@@ -15,11 +15,14 @@ static design's bullet is computed from the run: on this workload a third of
 the requests fall back to host software, and the fallback still costs less
 than agile's reconfigurations, so static is fastest at every interval.
 
+The report is byte-identical across processes, and
+``tests/test_e6_agility.py`` holds :func:`build_report` equal to the
+committed report in tier-1.
+
 The timed kernel is the agile engine serving one switching trace.
 """
 
 from __future__ import annotations
-
 
 from benchmarks.conftest import save_report
 from repro.analysis.figures import ascii_line_chart
@@ -79,7 +82,9 @@ def _static_claim(subset, resident, fallback, agile_vs_static):
     )
 
 
-def test_e6_agility(benchmark, bank):
+def build_report(bank) -> ExperimentReport:
+    """The whole E6 report: the latency table, the chart, both observations
+    and the metrics."""
     subset = bank.subset(WORKING_SET)
     report = ExperimentReport("E6", "Agility: partial reconfiguration vs full reconfiguration vs static")
     table = Table(
@@ -137,8 +142,13 @@ def test_e6_agility(benchmark, bank):
     report.observe(_static_claim(subset, static.resident, fallback, agile_vs_static))
     report.record_metric("agile_vs_full_at_interval_1", float(table.rows[0][4].replace(",", "")))
     report.record_metric("agile_vs_full_at_interval_64", float(table.rows[-1][4].replace(",", "")))
-    save_report(report)
+    return report
 
+
+def test_e6_agility(benchmark, bank):
+    save_report(build_report(bank))
+
+    subset = bank.subset(WORKING_SET)
     trace = round_robin_trace(subset, TRACE_LENGTH, repeats_per_function=4, seed=7)
 
     def run_agile():

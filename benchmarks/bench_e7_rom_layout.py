@@ -7,6 +7,10 @@ best) and reports the ROM occupancy split (bit-stream area, record area, free
 gap), verifies the two areas never collide, and determines how large a ROM
 each codec requires for the full bank.
 
+The report is byte-identical across processes, and
+``tests/test_e7_rom_layout.py`` holds :func:`build_report` equal to the
+committed report in tier-1.
+
 The timed kernel is a full default-bank download (generate + compress +
 download all 14 bit-streams).
 """
@@ -26,7 +30,9 @@ from repro.memory.errors import RomFullError
 BANK_SIZES = [2, 5, 8, 11, 14]
 
 
-def test_e7_rom_layout(benchmark, default_config, bank):
+def build_report(default_config, bank) -> ExperimentReport:
+    """The whole E7 report: the occupancy table, the chart, the tight-ROM
+    check, the observations and the metrics."""
     report = ExperimentReport("E7", "ROM occupancy: two-ended layout vs bank size and codec")
     names = bank.names()
     table = Table(
@@ -86,7 +92,11 @@ def test_e7_rom_layout(benchmark, default_config, bank):
     )
     for codec_name, used in full_bank_usage.items():
         report.record_metric(f"rom_KiB_{codec_name}", used)
-    save_report(report)
+    return report
+
+
+def test_e7_rom_layout(benchmark, default_config, bank):
+    save_report(build_report(default_config, bank))
 
     def download_full_bank():
         copro = build_coprocessor(config=default_config, bank=bank, download=False)

@@ -509,8 +509,20 @@ class TestKillDrillIntegration:
         # nothing about the schedule.
         assert stats.schedule_digest() == bare_stats.schedule_digest()
         # The availability SLO fired and resolved on the simulated clock.
-        assert [a.slo for a in obs.alerts] == ["fleet.availability"]
-        assert obs.alerts[0].resolved_ns is not None
+        assert [(a.slo, a.fired_ns, a.resolved_ns) for a in obs.alerts] == [
+            ("fleet.availability", 163_619, 2_051_383)
+        ]
+        # The whole incident (timeline, traces, metric deltas) and the tail
+        # sampler's verdicts, pinned exactly.
+        assert incidents_fingerprint(obs.recorder) == "fe8f01a78c81b980"
+        assert obs.tail.summary() == {
+            "retained_traces": 106,
+            "retained_spans": 689,
+            "discarded_traces": 3,
+            "budget_dropped_traces": 0,
+            "truncated_spans": 0,
+            "keep_reasons": {"error": 73, "incident": 23, "slow": 10},
+        }
         # The incident holds the kill, the heal order and failed traces.
         incident = obs.incidents[0]
         assert any(
