@@ -419,7 +419,7 @@ def scale(tiny: bool) -> dict:
 _FRONTDOOR_SIZE = {"cards": 2, "gateways": 2, "requests": 200}
 
 
-def _run_frontdoor(observability=None, slos=None):
+def _run_frontdoor(observability=None):
     """The ``net`` and ``obs`` workload: ``_FRONTDOOR_SIZE`` behind 2% lossy links."""
     bank = build_small_bank()
     specs = default_tenant_mix(bank, tenants=3, skew=1.2)
@@ -434,7 +434,6 @@ def _run_frontdoor(observability=None, slos=None):
         admission=AdmissionConfig(rate_per_s=14_000.0, burst=8.0),
         priorities={specs[0].name: 1},
         deadline_ns=30_000_000.0,
-        slos=slos,
     )
     frontdoor.add_population(OpenLoopPopulation(trace))
     return frontdoor, frontdoor.run()
@@ -490,8 +489,8 @@ def obs() -> dict:
         SloSpec.availability("net.availability", objective=0.95, **burn),
         SloSpec.latency("net.latency.p95", threshold_ns=400_000.0, objective=0.9, **burn),
     ]
-    judged = Observability(tail=TailSampler(slow_ns=400_000.0))
-    _, judged_stats = _run_frontdoor(judged, slos=slos)
+    judged = Observability(slos=slos, tail=TailSampler(slow_ns=400_000.0))
+    _, judged_stats = _run_frontdoor(judged)
     tail = judged.tail.summary()
     return {
         "tracing": {

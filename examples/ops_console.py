@@ -17,8 +17,8 @@ Two replays, both byte-deterministic:
    requests' traces attached by the tail sampler.
 
 2. **E12 brownout** — E12's overload cell, judged from the client's side of
-   the links with ``source="net"`` SLOs installed through
-   ``build_frontdoor(slos=...)``.
+   the links with ``source="net"`` SLOs, handed to the same
+   ``Observability(slos=...)`` as the fleet-source ones.
 
 Per replay it lists the alerts, each incident's correlated timeline and the
 tail sampler's retention accounting, and exports the incidents as JSON.  The run's schedule digest is printed
@@ -99,7 +99,7 @@ def run_kill_drill(tiny: bool = False):
         card_kill_times_ns=((kill_at, 0),),
         seed=SEED,
     )
-    obs = Observability(tail=TailSampler(slow_ns=300_000.0))
+    obs = Observability(slos=drill_slos(), tail=TailSampler(slow_ns=300_000.0))
     fleet = build_fleet(
         cards=cards,
         config=DRILL_CONFIG,
@@ -111,7 +111,6 @@ def run_kill_drill(tiny: bool = False):
         scrub_period_ns=100_000.0,
         fault_spec=spec,
         observability=obs,
-        slos=drill_slos(),
     )
     fleet.run(trace)
     return fleet, obs
@@ -132,7 +131,14 @@ def run_brownout(tiny: bool = False):
         mean_interarrival_ns=5_500.0 / overload,
         seed=SEED,
     )
-    obs = Observability(tail=TailSampler(slow_ns=500_000.0))
+    burn = dict(
+        source="net", fast_ns=500_000.0, slow_ns=2_000_000.0, burn_threshold=3.0, min_events=10
+    )
+    slos = [
+        SloSpec.availability("net.availability", objective=0.95, **burn),
+        SloSpec.latency("net.latency.p95", threshold_ns=400_000.0, objective=0.95, **burn),
+    ]
+    obs = Observability(slos=slos, tail=TailSampler(slow_ns=500_000.0))
     fleet = build_fleet(
         cards=3,
         config=DRILL_CONFIG,
@@ -159,27 +165,6 @@ def run_brownout(tiny: bool = False):
             breaker_open_ns=2_000_000.0,
         ),
         deadline_ns=1_000_000.0,
-        slos=[
-            SloSpec.availability(
-                "net.availability",
-                objective=0.95,
-                source="net",
-                fast_ns=500_000.0,
-                slow_ns=2_000_000.0,
-                burn_threshold=3.0,
-                min_events=10,
-            ),
-            SloSpec.latency(
-                "net.latency.p95",
-                threshold_ns=400_000.0,
-                objective=0.95,
-                source="net",
-                fast_ns=500_000.0,
-                slow_ns=2_000_000.0,
-                burn_threshold=3.0,
-                min_events=10,
-            ),
-        ],
     )
     frontdoor.add_population(OpenLoopPopulation(trace))
     frontdoor.run()

@@ -187,9 +187,12 @@ class Fleet:
             registry=observability.registry if observability is not None else None,
         )
         #: The incident flight recorder's fault-event feed (None without SLOs).
+        #: It and the SLO engine only read what the stats already see, so
+        #: neither can move a schedule digest.
         self._recorder = None
-        self._bind_obs_watchers()
-        if self._tracer is not None:
+        if observability is not None:
+            self.stats.slo_engine = observability.slo_engine
+            self._recorder = observability.recorder
             self._register_fleet_gauges(observability.registry)
             for card in self.cards:
                 recorder = card.driver.coprocessor.trace
@@ -256,20 +259,6 @@ class Fleet:
         registry.gauge(
             names.GAUGE_SOJOURN_P99, fn=lambda: stats.latency_percentile(99)
         )
-
-    def _bind_obs_watchers(self) -> None:
-        """Hook the SLO engine and flight recorder into the record paths.
-
-        Called at construction and again by the builders when SLOs are
-        installed on an already-built fleet (``build_frontdoor(slos=...)``).
-        Both hooks are passive consumers of events the stats object already
-        sees, so binding them cannot change any schedule digest.
-        """
-        obs = self.obs
-        if obs is None:
-            return
-        self.stats.slo_engine = obs.slo_engine
-        self._recorder = obs.recorder
 
     def record_fault_event(self, kind: str, card_name: str, **attrs) -> None:
         """Feed one fault-domain event (kill/wedge/upset/stall/recover) to

@@ -86,7 +86,6 @@ def build_fleet(
     card_indices: Optional[Sequence[int]] = None,
     admission_batch: int = 1,
     observability=None,
-    slos=None,
 ):
     """Wire *cards* identical co-processor cards into a ready :class:`Fleet`.
 
@@ -125,24 +124,15 @@ def build_fleet(
     is not a reason: with ``observability`` on, a replayed hit leaves the same
     ``card.*`` device spans the full model leaves.  The card decides per
     request — there is nothing to configure, and schedules, counters and
-    spans are identical either way.
-
-    ``slos`` accepts a sequence of :class:`repro.obs.SloSpec`: the specs are
-    installed on *observability* (one is created when ``None``), turning on
-    burn-rate alerting and the incident flight recorder.  SLO evaluation is
-    passive — schedule digests stay byte-identical with or without it.
+    spans are identical either way.  SLOs and tail sampling are configured
+    on the :class:`~repro.obs.Observability` itself
+    (``Observability(slos=[...], tail=...)``); SLO evaluation is passive, so
+    schedule digests stay byte-identical with or without it.
     """
     from repro.cluster.fleet import Fleet
 
     if cards <= 0:
         raise ValueError("a fleet needs at least one card")
-    if slos:
-        from repro.obs import Observability
-
-        if observability is None:
-            observability = Observability(slos=slos)
-        else:
-            observability.install_slos(slos)
     drivers = [
         build_host_driver(config=config, bank=bank, functions=functions)
         for _ in range(cards)
@@ -189,7 +179,6 @@ def build_frontdoor(
     admission=None,
     priorities=None,
     deadline_ns: Optional[int] = None,
-    slos=None,
 ):
     """Put *fleet* behind a network front door (see :mod:`repro.net`).
 
@@ -203,23 +192,13 @@ def build_frontdoor(
     admits everything), ``priorities`` a tenant→priority map and
     ``deadline_ns`` the per-request deadline budget from first send.
 
-    ``slos`` installs :class:`repro.obs.SloSpec` objectives (typically
-    ``source="net"`` specs judging the client-visible stream) on the fleet's
-    :class:`~repro.obs.Observability`, which must have been handed to
-    :func:`build_fleet` — SLOs need the registry and record hooks that only
-    an observed fleet has.
+    Net-source :class:`repro.obs.SloSpec` objectives (judging the
+    client-visible stream) go in the same ``Observability(slos=[...])`` the
+    fleet was built with.
     """
     from repro.net import FrontDoor
     from repro.sim.rand import SeededRandom
 
-    if slos:
-        obs = fleet.obs
-        if obs is None:
-            raise ValueError(
-                "build_frontdoor(slos=...) needs a fleet built with an Observability"
-            )
-        obs.install_slos(slos)
-        fleet._bind_obs_watchers()
     return FrontDoor(
         fleet,
         SeededRandom(seed).fork("net"),

@@ -56,64 +56,43 @@ from repro.obs.tail import TailSampler
 
 
 class Observability:
-    """The one knob: tracer + registry + policy, handed to the builders."""
+    """The one knob: tracer + registry + policy, handed to the builders.
+
+    Everything is wired here, once: *slos* (fleet- or net-source
+    :class:`SloSpec` objectives) build the SLO engine and the incident
+    flight recorder, and *tail* installs the tail sampler.  The engine feeds
+    the recorder, the tracer feeds the recorder and the sampler, and the
+    sampler's retained traces feed the recorder's open incidents.
+    """
 
     def __init__(
         self,
         slos: Optional[Sequence[SloSpec]] = None,
         tail: Optional[TailSampler] = None,
     ) -> None:
-        self.tracer = Tracer()
-        self.registry = MetricsRegistry()
+        self.tracer = tracer = Tracer()
+        self.registry = registry = MetricsRegistry()
+        registry.gauge(names.GAUGE_SPANS_RECORDED, fn=lambda: len(tracer.spans))
+        registry.gauge(names.GAUGE_SPANS_DROPPED, fn=lambda: tracer.dropped)
         self.slo_engine: Optional[SloEngine] = None
         self.recorder: Optional[FlightRecorder] = None
-        self.tail: Optional[TailSampler] = None
-        tracer = self.tracer
-        self.registry.gauge(names.GAUGE_SPANS_RECORDED, fn=lambda: len(tracer.spans))
-        self.registry.gauge(names.GAUGE_SPANS_DROPPED, fn=lambda: tracer.dropped)
-        if tail is not None:
-            self._install_tail(tail)
         if slos:
-            self.install_slos(slos)
-
-    # --------------------------------------------------------- installation
-    def install_slos(self, specs: Sequence[SloSpec]) -> "SloEngine":
-        """Build the SLO engine + flight recorder (idempotent per instance).
-
-        Called from ``__init__`` (``Observability(slos=[...])``) or by the
-        builders when specs arrive after construction
-        (``build_frontdoor(fleet, slos=[...])``).
-        """
-        if self.slo_engine is not None:
-            raise ValueError("SLOs are already installed on this Observability")
-        engine = SloEngine(specs, registry=self.registry)
-        recorder = FlightRecorder(registry=self.registry)
-        engine.on_alert = recorder.on_alert
-        engine.on_resolve = recorder.on_resolved
-        self.tracer._observer = recorder.on_span
-        if self.tail is not None:
-            self.tail.incident_windows = recorder.incident_windows
-            self.tail.on_retain = recorder.on_retained_trace
-        self.slo_engine = engine
-        self.recorder = recorder
-        return engine
-
-    def _install_tail(self, sampler: TailSampler) -> None:
-        self.tail = sampler
-        self.tracer.tail_sampler = sampler
-        self.registry.gauge(
-            names.GAUGE_TAIL_RETAINED, fn=lambda: sampler.retained_traces
-        )
-        self.registry.gauge(
-            names.GAUGE_TAIL_DISCARDED, fn=lambda: sampler.discarded_traces
-        )
-        self.registry.gauge(
-            names.GAUGE_TAIL_BUDGET_DROPPED,
-            fn=lambda: sampler.budget_dropped_traces,
-        )
-        if self.recorder is not None:
-            sampler.incident_windows = self.recorder.incident_windows
-            sampler.on_retain = self.recorder.on_retained_trace
+            self.slo_engine = engine = SloEngine(slos, registry=registry)
+            self.recorder = recorder = FlightRecorder(registry=registry)
+            engine.on_alert = recorder.on_alert
+            engine.on_resolve = recorder.on_resolved
+            tracer._observer = recorder.on_span
+        self.tail = tail
+        if tail is not None:
+            tracer.tail_sampler = tail
+            registry.gauge(names.GAUGE_TAIL_RETAINED, fn=lambda: tail.retained_traces)
+            registry.gauge(names.GAUGE_TAIL_DISCARDED, fn=lambda: tail.discarded_traces)
+            registry.gauge(
+                names.GAUGE_TAIL_BUDGET_DROPPED, fn=lambda: tail.budget_dropped_traces
+            )
+            if self.recorder is not None:
+                tail.incident_windows = self.recorder.incident_windows
+                tail.on_retain = self.recorder.on_retained_trace
 
     # -------------------------------------------------------------- teardown
     def finish(self, now_ns: int) -> None:

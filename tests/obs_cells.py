@@ -101,7 +101,7 @@ def kill_drill():
             "fleet.latency.p95", threshold_ns=200_000.0, objective=0.95, burn_threshold=4.0, **windows
         ),
     ]
-    observability = Observability(tail=TailSampler(slow_ns=300_000.0))
+    observability = Observability(slos=slos, tail=TailSampler(slow_ns=300_000.0))
     fleet = build_fleet(
         cards=2,
         config=_config(seed),
@@ -113,7 +113,6 @@ def kill_drill():
         scrub_period_ns=100_000.0,
         fault_spec=spec,
         observability=observability,
-        slos=slos,
     )
     fleet.run(trace)
     return fleet, observability

@@ -50,7 +50,7 @@ def run_snippet(snippet: str) -> str:
 
 
 class TestObservabilityIsFreeWhenOff:
-    def test_digests_identical_across_none_disabled_enabled(self):
+    def test_digests_identical_across_none_traced_judged(self):
         from repro.core.builder import build_fleet, build_frontdoor
         from repro.core.config import SMALL_CONFIG
         from repro.functions.bank import build_small_bank
@@ -63,7 +63,7 @@ class TestObservabilityIsFreeWhenOff:
 
         from repro.obs import SloSpec, TailSampler
 
-        def run(observability, slos=None):
+        def run(observability):
             bank = build_small_bank()
             tenants = default_tenant_mix(bank, tenants=2, skew=1.2)
             trace = multi_tenant_trace(
@@ -80,30 +80,31 @@ class TestObservabilityIsFreeWhenOff:
                 seed=17,
                 gateways=2,
                 uplink=LinkSpec(latency_ns=15_000.0, loss=0.05, jitter_ns=3_000.0),
-                slos=slos,
             )
             frontdoor.add_population(OpenLoopPopulation(trace))
             frontdoor.run()
             return frontdoor.fingerprint()
 
         baseline = run(None)
-        enabled = run(Observability())
+        traced = run(Observability())
         judged = run(
-            Observability(tail=TailSampler(slow_ns=300_000.0)),
-            slos=[
-                SloSpec.availability(
-                    "net.availability", objective=0.95, source="net", min_events=5
-                ),
-                SloSpec.latency(
-                    "net.latency.p95",
-                    threshold_ns=300_000.0,
-                    objective=0.9,
-                    source="net",
-                    min_events=5,
-                ),
-            ],
+            Observability(
+                slos=[
+                    SloSpec.availability(
+                        "net.availability", objective=0.95, source="net", min_events=5
+                    ),
+                    SloSpec.latency(
+                        "net.latency.p95",
+                        threshold_ns=300_000.0,
+                        objective=0.9,
+                        source="net",
+                        min_events=5,
+                    ),
+                ],
+                tail=TailSampler(slow_ns=300_000.0),
+            )
         )
-        assert enabled == baseline
+        assert traced == baseline
         assert judged == baseline
 
 

@@ -78,6 +78,7 @@ def build_cell(
     bounds are module constants, which :func:`run_cell` patches for the run.
     """
     observability = Observability(
+        slos=slo_specs("net" if frontdoor else "fleet") if slos else None,
         tail=TailSampler(tail["slow_ns"]) if tail is not None else None,
     )
     observability.tracer.capacity = capacity
@@ -96,7 +97,6 @@ def build_cell(
         fault_spec=(
             FaultSpec(card_kill_times_ns=((1_500_000.0, 0),), seed=seed) if kill else None
         ),
-        slos=slo_specs("fleet") if slos and not frontdoor else None,
     )
     for card in fleet.cards:
         card.driver.coprocessor.trace.capacity = device_capacity
@@ -112,7 +112,6 @@ def build_cell(
         transport=TransportConfig(),
         admission=None if lossless else AdmissionConfig(rate_per_s=20_000.0, burst=6.0),
         deadline_ns=30_000_000.0,
-        slos=slo_specs("net") if slos else None,
     )
     door.add_population(OpenLoopPopulation(trace))
     return door.run, fleet, observability, trace

@@ -405,43 +405,14 @@ class TestFlightRecorder:
 
 
 class TestObservabilityWiring:
-    def test_install_slos_wires_engine_recorder_and_tail(self):
-        obs = Observability(tail=TailSampler())
-        obs.install_slos([availability_spec()])
-        assert obs.slo_engine is not None
-        assert obs.recorder is not None
-        assert obs.slo_engine.on_alert is not None
+    def test_constructor_wires_engine_recorder_and_tail(self):
+        obs = Observability(slos=[availability_spec()], tail=TailSampler())
+        assert obs.slo_engine.on_alert == obs.recorder.on_alert
+        assert obs.slo_engine.on_resolve == obs.recorder.on_resolved
+        assert obs.tracer._observer == obs.recorder.on_span
         assert obs.tracer.tail_sampler is obs.tail
-        assert obs.tail.incident_windows is not None
-        assert obs.tail.on_retain is not None
-        with pytest.raises(ValueError):
-            obs.install_slos([availability_spec()])  # already installed
-
-    def test_builder_creates_observability_for_bare_slos(self):
-        from repro.core.builder import build_fleet
-        from repro.core.config import SMALL_CONFIG
-        from repro.functions.bank import build_small_bank
-
-        fleet = build_fleet(
-            cards=1,
-            config=SMALL_CONFIG,
-            bank=build_small_bank(),
-            slos=[availability_spec()],
-        )
-        assert fleet.obs is not None
-        assert fleet.stats.slo_engine is fleet.obs.slo_engine
-
-    def test_frontdoor_slos_require_an_enabled_observability(self):
-        from repro.core.builder import build_fleet, build_frontdoor
-        from repro.core.config import SMALL_CONFIG
-        from repro.functions.bank import build_small_bank
-
-        fleet = build_fleet(cards=1, config=SMALL_CONFIG, bank=build_small_bank())
-        with pytest.raises(ValueError, match="built with an Observability"):
-            build_frontdoor(
-                fleet,
-                slos=[availability_spec()],
-            )
+        assert obs.tail.incident_windows == obs.recorder.incident_windows
+        assert obs.tail.on_retain == obs.recorder.on_retained_trace
 
 
 class TestKillDrillIntegration:
@@ -473,7 +444,7 @@ class TestKillDrillIntegration:
         )
         obs = None
         if slos is not None:
-            obs = Observability(tail=TailSampler(slow_ns=300_000.0))
+            obs = Observability(slos=slos, tail=TailSampler(slow_ns=300_000.0))
         fleet = build_fleet(
             cards=2,
             config=CoprocessorConfig(
@@ -487,7 +458,6 @@ class TestKillDrillIntegration:
             scrub_period_ns=100_000.0,
             fault_spec=spec,
             observability=obs,
-            slos=slos,
         )
         stats = fleet.run(trace)
         return fleet, stats, obs

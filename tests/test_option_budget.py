@@ -78,12 +78,12 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import CoprocessorConfig
 from repro.sim.kernel import Simulator
 
-OPTION_BUDGET = 47
-FLEET_CODE_LINE_BUDGET = 635
+OPTION_BUDGET = 45
+FLEET_CODE_LINE_BUDGET = 626
 SIM_CODE_LINE_BUDGET = 318
 STATS_CODE_LINE_BUDGET = 419
 NET_CODE_LINE_BUDGET = 808
-SRC_CODE_LINE_BUDGET = 10_607
+SRC_CODE_LINE_BUDGET = 10_567
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
