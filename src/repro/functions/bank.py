@@ -85,20 +85,20 @@ def build_default_bank() -> FunctionBank:
     """
     return FunctionBank(
         [
-            AesFunction(function_id=1),
-            DesFunction(function_id=2),
-            Sha1Function(function_id=3),
-            Sha256Function(function_id=4),
-            ModExpFunction(function_id=5),
-            FirFunction(function_id=6),
-            FftFunction(function_id=7),
-            MatMulFunction(function_id=8),
-            Crc32Function(function_id=9),
-            BitonicSortFunction(function_id=10),
-            StringMatchFunction(function_id=11),
-            ParityFunction(function_id=12),
-            AdderFunction(function_id=13),
-            PopcountFunction(function_id=14),
+            AesFunction(),
+            DesFunction(),
+            Sha1Function(),
+            Sha256Function(),
+            ModExpFunction(),
+            FirFunction(),
+            FftFunction(),
+            MatMulFunction(),
+            Crc32Function(),
+            BitonicSortFunction(),
+            StringMatchFunction(),
+            ParityFunction(),
+            AdderFunction(),
+            PopcountFunction(),
         ]
     )
 
@@ -107,9 +107,9 @@ def build_small_bank() -> FunctionBank:
     """A small bank (cheap bit-streams) for unit tests and quick experiments."""
     return FunctionBank(
         [
-            Crc32Function(function_id=9),
-            ParityFunction(function_id=12),
-            AdderFunction(function_id=13),
-            PopcountFunction(function_id=14),
+            Crc32Function(),
+            ParityFunction(),
+            AdderFunction(),
+            PopcountFunction(),
         ]
     )

@@ -171,10 +171,10 @@ DEFAULT_AES_KEY = bytes(range(16))
 class AesFunction(HardwareFunction):
     """AES-128 ECB encryption as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 1) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="aes128",
-            function_id=function_id,
+            function_id=1,
             input_bytes=16,
             output_bytes=16,
             lut_estimate=2400,

@@ -235,10 +235,10 @@ DEFAULT_DES_KEY = bytes.fromhex("133457799BBCDFF1")
 class DesFunction(HardwareFunction):
     """DES ECB encryption as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 2) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="des",
-            function_id=function_id,
+            function_id=2,
             input_bytes=8,
             output_bytes=8,
             lut_estimate=900,

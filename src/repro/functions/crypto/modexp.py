@@ -43,10 +43,10 @@ class ModExpFunction(HardwareFunction):
 
     OPERAND_BYTES = 64
 
-    def __init__(self, function_id: int = 5) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="modexp512",
-            function_id=function_id,
+            function_id=5,
             input_bytes=self.OPERAND_BYTES,
             output_bytes=self.OPERAND_BYTES,
             lut_estimate=3200,

@@ -18,10 +18,10 @@ from repro.functions.base import FunctionSpec, HardwareFunction
 class Sha1Function(HardwareFunction):
     """SHA-1 digest as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 3) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="sha1",
-            function_id=function_id,
+            function_id=3,
             input_bytes=64,
             output_bytes=20,
             lut_estimate=1100,

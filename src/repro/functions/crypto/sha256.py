@@ -18,10 +18,10 @@ from repro.functions.base import FunctionSpec, HardwareFunction
 class Sha256Function(HardwareFunction):
     """SHA-256 digest as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 4) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="sha256",
-            function_id=function_id,
+            function_id=4,
             input_bytes=64,
             output_bytes=32,
             lut_estimate=1500,

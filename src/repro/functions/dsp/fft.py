@@ -97,10 +97,10 @@ class FftFunction(HardwareFunction):
     POINTS = 256
     SAMPLE_BYTES = 2
 
-    def __init__(self, function_id: int = 7) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="fft256",
-            function_id=function_id,
+            function_id=7,
             input_bytes=self.POINTS * self.SAMPLE_BYTES,
             output_bytes=self.POINTS * self.SAMPLE_BYTES * 2,
             lut_estimate=2000,

@@ -88,10 +88,10 @@ DEFAULT_COEFFICIENTS = [
 class FirFunction(HardwareFunction):
     """16-tap FIR filter as an on-demand hardware function."""
 
-    def __init__(self, function_id: int = 6) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="fir16",
-            function_id=function_id,
+            function_id=6,
             input_bytes=256,
             output_bytes=256,
             lut_estimate=800,

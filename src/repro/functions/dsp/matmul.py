@@ -42,11 +42,11 @@ class MatMulFunction(HardwareFunction):
     ELEMENT_BYTES = 2
     RESULT_ELEMENT_BYTES = 4
 
-    def __init__(self, function_id: int = 8) -> None:
+    def __init__(self) -> None:
         elements = self.DIMENSION * self.DIMENSION
         spec = FunctionSpec(
             name="matmul8",
-            function_id=function_id,
+            function_id=8,
             input_bytes=2 * elements * self.ELEMENT_BYTES,
             output_bytes=elements * self.RESULT_ELEMENT_BYTES,
             lut_estimate=1800,

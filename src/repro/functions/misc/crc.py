@@ -15,10 +15,10 @@ from repro.functions.base import FunctionSpec, HardwareFunction
 class Crc32Function(HardwareFunction):
     """CRC-32 (IEEE) over the whole input buffer; 4-byte big-endian result."""
 
-    def __init__(self, function_id: int = 9) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="crc32",
-            function_id=function_id,
+            function_id=9,
             input_bytes=64,
             output_bytes=4,
             lut_estimate=220,

@@ -26,10 +26,10 @@ class ParityFunction(HardwareFunction):
 
     INPUT_BITS = 32
 
-    def __init__(self, function_id: int = 12) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="parity32",
-            function_id=function_id,
+            function_id=12,
             input_bytes=self.INPUT_BITS // 8,
             output_bytes=1,
             lut_estimate=16,
@@ -51,10 +51,10 @@ class AdderFunction(HardwareFunction):
 
     WIDTH = 8
 
-    def __init__(self, function_id: int = 13) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="adder8",
-            function_id=function_id,
+            function_id=13,
             input_bytes=2,
             output_bytes=2,
             lut_estimate=16,
@@ -76,10 +76,10 @@ class AdderFunction(HardwareFunction):
 class PopcountFunction(HardwareFunction):
     """8-bit population count: one input byte in, the count (0..8) out."""
 
-    def __init__(self, function_id: int = 14) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="popcount8",
-            function_id=function_id,
+            function_id=14,
             input_bytes=1,
             output_bytes=1,
             lut_estimate=12,

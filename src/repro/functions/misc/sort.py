@@ -22,10 +22,10 @@ class BitonicSortFunction(HardwareFunction):
     KEYS = 64
     KEY_BYTES = 2
 
-    def __init__(self, function_id: int = 10) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="bitonic64",
-            function_id=function_id,
+            function_id=10,
             input_bytes=self.KEYS * self.KEY_BYTES,
             output_bytes=self.KEYS * self.KEY_BYTES,
             lut_estimate=1400,

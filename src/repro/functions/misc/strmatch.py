@@ -33,10 +33,10 @@ DEFAULT_PATTERN = b"AGILE"
 class StringMatchFunction(HardwareFunction):
     """Count occurrences of a fixed pattern; 4-byte big-endian count out."""
 
-    def __init__(self, function_id: int = 11) -> None:
+    def __init__(self) -> None:
         spec = FunctionSpec(
             name="strmatch",
-            function_id=function_id,
+            function_id=11,
             input_bytes=256,
             output_bytes=4,
             lut_estimate=350,

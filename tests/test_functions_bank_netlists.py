@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga.executor import NetlistExecutor
-from repro.functions.base import FunctionSpec
+from repro.functions.base import FunctionSpec, HardwareFunction
 from repro.functions.bank import FunctionBank, build_small_bank
 from repro.functions.misc.logic import AdderFunction, ParityFunction, PopcountFunction
 
@@ -48,11 +48,21 @@ class TestFunctionBank:
             default_bank.by_id(999)
 
     def test_duplicate_names_and_ids_rejected(self):
-        bank = FunctionBank([ParityFunction(function_id=1)])
-        with pytest.raises(ValueError):
-            bank.add(ParityFunction(function_id=2))
-        with pytest.raises(ValueError):
-            bank.add(AdderFunction(function_id=1))
+        bank = FunctionBank([ParityFunction()])
+        with pytest.raises(ValueError, match="named 'parity32'"):
+            bank.add(ParityFunction())
+
+        class ParityTwin(HardwareFunction):
+            """Another name under parity32's id."""
+
+            def __init__(self) -> None:
+                super().__init__(FunctionSpec("twin", ParityFunction().function_id, 4, 1, 16))
+
+            def behaviour(self, data: bytes) -> bytes:
+                return data[:1]
+
+        with pytest.raises(ValueError, match="with id 12"):
+            bank.add(ParityTwin())
 
     def test_subset_preserves_order(self, default_bank):
         subset = default_bank.subset(["sha1", "aes128"])
