@@ -41,6 +41,7 @@ from repro.fpga.device import FABRIC_CLOCK_HZ
 from repro.mcu.config_module import DECOMPRESS_CYCLES_PER_BYTE, ROM_CHUNK_BYTES
 from repro.mcu.microcontroller import COMMAND_DECODE_CYCLES, MCU_CLOCK_HZ
 from repro.pci import PCI_BUS_WIDTH_BYTES, PCI_CLOCK_HZ
+from repro.sim.rand import SeededRandom
 
 #: Programmed I/O up to this many bytes; DMA above it.
 PIO_THRESHOLD_BYTES = 64
@@ -145,15 +146,20 @@ def call_ns(input_bytes: int, output_bytes: int, cycles: int, miss_ns: int = 0) 
     return host + card
 
 
-#: Each policy's eviction order (first evicted first) over a residency entry
-#: ``[loaded_at, last_use, count]``, as ``repro.mcu.minios.policies`` ranks the
-#: replacement table.  Stamps are call indexes: every call is a later instant
-#: than the one before, so no two entries tie and names never break a tie.
+#: Each ranked policy's eviction order (first evicted first) over a residency
+#: entry ``[loaded_at, last_use, count]``, as ``repro.mcu.minios.policies``
+#: ranks the replacement table.  Stamps are call indexes: every call is a
+#: later instant than the one before, so no two entries tie and names never
+#: break a tie.
 RANKS = {
     "lru": lambda entry: entry[1],
     "fifo": lambda entry: entry[0],
     "lfu": lambda entry: (entry[2], entry[1]),
 }
+#: Every policy the card offers: the ranked three and ``random``, which
+#: evicts in the order ``SeededRandom(config.seed)`` shuffles the resident
+#: names into, sorted, and draws only when the free frames do not fit the load.
+POLICIES = sorted([*RANKS, "random"])
 
 
 def calls_ns(
@@ -171,7 +177,7 @@ def calls_ns(
     counts as the new entry's first use.
     """
     geometry = config.geometry()
-    rank = RANKS[policy]
+    rng = SeededRandom(config.seed)
     frames = {function.name: function.frames_required(geometry) for function in bank}
     resident: Dict[str, List[int]] = {}
     results = []
@@ -180,9 +186,18 @@ def calls_ns(
         hit = name in resident
         miss = evictions = 0
         if not hit:
-            while frames[name] + sum(frames[other] for other in resident) > geometry.frame_count:
-                del resident[min(resident, key=lambda other: rank(resident[other]))]
-                evictions += 1
+            free = geometry.frame_count - sum(frames[other] for other in resident)
+            if free < frames[name]:
+                if policy == "random":
+                    order = rng.shuffle(sorted(resident))
+                else:
+                    order = sorted(resident, key=lambda other: RANKS[policy](resident[other]))
+                for victim in order:
+                    if free >= frames[name]:
+                        break
+                    free += frames[victim]
+                    del resident[victim]
+                    evictions += 1
             miss = miss_terms(blobs[name]).serial_ns
             resident[name] = [index, index, 0]
         entry = resident[name]

@@ -4,7 +4,7 @@ Exact integer equality, term by term: for every function, codec and fabric
 the card's reconfiguration report carries the formula's ROM, decompression
 and port times, and the clock advances by the serial or pipelined total.
 The whole-request form predicts every call's time, hit and eviction count
-under LRU, FIFO and LFU on the churn card and on E3's, and reproduces the
+under LRU, FIFO, LFU and random on the churn card and on E3's, and reproduces the
 300-call churn pin without running the card.
 """
 
@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from oracles.miss_formula import RANKS, calls_ns, miss_terms
+from oracles.miss_formula import POLICIES, calls_ns, miss_terms
 from repro.bitstream.codecs import available_codecs
 from repro.core.builder import build_coprocessor, build_host_driver
 from repro.core.config import CoprocessorConfig
@@ -82,7 +82,7 @@ def _calls(trace):
     return [(request.function, request.payload) for request in trace]
 
 
-@pytest.mark.parametrize("policy", sorted(RANKS))
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("trace", TRACES)
 @pytest.mark.parametrize("card", CARDS)
 def test_every_call_is_its_formula(card, trace, policy):
