@@ -59,8 +59,8 @@ def build_report(driver, bank) -> ExperimentReport:
     )
     hit_results = {}
     for function in bank:
-        data = bytes(range(function.spec.input_bytes % 256)) * (function.spec.input_bytes // 256 + 1)
-        data = data[: function.spec.input_bytes]
+        n = function.spec.input_bytes
+        data = (bytes(range(256)) * (n // 256 + 1))[:n]
         miss = driver.call(function.name, data)
         hit = driver.call(function.name, data)
         assert hit.output == function.behaviour(data)

@@ -49,10 +49,10 @@ def single_card_act(tiny: bool) -> None:
 
     injector = FaultInjector(FaultSpec(process="targeted", seed=4))
     upsets = 4 if tiny else 12
-    effective = sum(injector.upset_memory(memory)[1] for _ in range(upsets))
+    for _ in range(upsets):
+        injector.upset_memory(memory)
     corrupt = [a for a in region if not memory.frame_crc_ok(a)]
-    print(f"injected {injector.upsets} targeted upsets "
-          f"({effective} effective): "
+    print(f"injected {injector.upsets} targeted upsets: "
           f"{len(corrupt)} of crc32's frames now fail their CRC check word")
 
     driver.call("crc32", bytes(4))

@@ -30,17 +30,13 @@ GATEWAY_SET = ["sha1", "crc32", "fir16", "strmatch", "bitonic64", "parity32"]
 
 
 def build_tenants(bank):
-    """Four tenants with distinct hot sets (weight = traffic share)."""
+    """Four tenants with distinct hot sets, each sending a quarter of the traffic."""
     names = tuple(GATEWAY_SET)
     return [
-        TenantSpec(name="auth-service", weight=2.0, mix="zipf", skew=1.4,
-                   functions=names, rank_offset=0),
-        TenantSpec(name="storage-tier", weight=1.5, mix="zipf", skew=1.2,
-                   functions=names, rank_offset=1),
-        TenantSpec(name="radio-frontend", weight=1.0, mix="phased",
-                   functions=names, phase_length=40, working_set=2),
-        TenantSpec(name="batch-analytics", weight=0.5, mix="uniform",
-                   functions=names),
+        TenantSpec(name="auth-service", mix="zipf", skew=1.4, functions=names, rank_offset=0),
+        TenantSpec(name="storage-tier", mix="zipf", skew=1.2, functions=names, rank_offset=1),
+        TenantSpec(name="radio-frontend", mix="phased", functions=names),
+        TenantSpec(name="batch-analytics", mix="uniform", functions=names),
     ]
 
 

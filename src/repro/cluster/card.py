@@ -54,11 +54,9 @@ class FleetCard:
         self.outstanding = 0
         self.served = 0
         self.busy_ns = 0
-        #: Health state: "up", "degraded" (configuration port wedged — serves
-        #: hits, cannot reconfigure) or "down" (invisible to dispatch).
+        #: Health state: "up" or "down" (invisible to dispatch).
         self.health = "up"
         self.down_since_ns: Optional[int] = None
-        self.degraded_until_ns = 0
         #: Classes of the periodic orders queued or in service here — a
         #: periodic service keeps at most one order of its kind per card.
         self.pending: set = set()

@@ -115,22 +115,14 @@ class ConfigAffinityPolicy(DispatchPolicy):
     def _spread_fallback(cls, cards: Sequence["FleetCard"]) -> Optional["FleetCard"]:
         """Where a function resident nowhere should load.
 
-        Healthy cards first (a *degraded* card's configuration port is wedged
-        — a cold load routed there is guaranteed to fail and bounce), then
-        least outstanding, then the card with the *most free frames*, then
-        lowest index: cold functions spread onto idle fabric where they are
-        least likely to evict someone else's resident frames, so the fleet's
-        combined fabric fills evenly instead of two hot cards thrashing while
-        the rest sit empty.
+        Least outstanding first, then the card with the *most free frames*,
+        then lowest index: cold functions spread onto idle fabric where they
+        are least likely to evict someone else's resident frames, so the
+        fleet's combined fabric fills evenly instead of two hot cards
+        thrashing while the rest sit empty.
         """
         return cls._pick_admissible(
-            cards,
-            lambda card: (
-                0 if getattr(card, "health", "up") == "up" else 1,
-                card.outstanding,
-                -card.free_frames,
-                card.index,
-            ),
+            cards, lambda card: (card.outstanding, -card.free_frames, card.index)
         )
 
     def choose(

@@ -49,14 +49,14 @@ minios statistics and device events are **equal** to a memo-off run.
 
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
-consulted only while the card is plainly serving — function resident, health
-``up``, no scrub-on-execute, no frame of the function's region in the
-configuration memory's ``suspect`` set and no device recorder enabled outside
-a bridging fleet.  A fault-protected card replays too: its periodic scrub runs
-in a scrub order, never inside a serve, and its hazard detector counts nothing
-on a region with no suspect frame.  An upset in the region, a degraded port or
-an eviction of the function selects the real, fully-modelled path for that
-request.
+consulted only while the card is plainly serving — function resident, no
+scrub-on-execute, no frame of the function's region in the configuration
+memory's ``suspect`` set and no device recorder enabled outside a bridging
+fleet.  (A down card serves nothing: the fleet fails its requests over.)  A
+fault-protected card replays too: its periodic scrub runs in a scrub order,
+never inside a serve, and its hazard detector counts nothing on a region with
+no suspect frame.  An upset in the region or an eviction of the function
+selects the real, fully-modelled path for that request.
 
 A card's memo holds one entry per (function, input length) the card has
 served as a clean hit, whatever the payloads' bytes.
@@ -124,8 +124,7 @@ class ServeMemo:
         """True when the card is in the plain regime a memo entry models."""
         suspect = self._suspect
         return (
-            self.fleet_card.health == "up"
-            and not self.mcu.scrub_on_execute
+            not self.mcu.scrub_on_execute
             and self._is_resident(function)
             and (not suspect or suspect.isdisjoint(self._table_entry(function).region))
             and (not self._recorder.enabled or self.fleet_card._obs_trace is not None)

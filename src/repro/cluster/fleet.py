@@ -26,10 +26,10 @@ delta is the same ``int`` wherever on either timeline it is measured.
 
 A card serves a request one of two ways, chosen per request from the card's
 observable regime (:meth:`~repro.cluster.fastpath.ServeMemo._safe`): a
-resident, healthy card whose function's frames hold no suspect upset
-*replays* an earlier hit of the same function and input length from its
-recorded duration and offsets; anything else — a miss, a degraded card, an
-upset in the function's region, demand scrubbing — runs the full card model.
+resident function whose frames hold no suspect upset *replays* an earlier
+hit of the same function and input length from its recorded duration and
+offsets; anything else — a miss, an upset in the function's region, demand
+scrubbing — runs the full card model.
 The two are equal in schedule, counters, time totals and spans
 (``tests/test_cluster_fastpath.py``).  Either way a traced serve's device
 events reach the tracer as one ``card.device_events`` reference, built into
@@ -42,12 +42,11 @@ unbounded queues would hide overload instead of surfacing it).
 
 Card health and the control plane
 ---------------------------------
-Cards carry a health state (``up`` / ``degraded`` / ``down``).  A *down* card
-is invisible to dispatch; its queued and in-flight requests are failed over —
+Cards carry a health state, ``up`` or ``down``.  A *down* card is invisible
+to dispatch; its queued and in-flight requests are failed over —
 re-dispatched through the policy to a surviving card, or rejected when the
-fleet is full — never silently dropped.  A *degraded* card (wedged
-configuration port) still serves resident functions but cannot reconfigure;
-misses routed there fail and fail over.
+fleet is full — never silently dropped.  A request a card refuses (its
+configuration transfer failed) fails over the same way.
 
 Everything else the fleet does to its cards — scrub windows, heal preloads,
 defragmentation passes, the three phases of a migration — is an
@@ -261,7 +260,7 @@ class Fleet:
         )
 
     def record_fault_event(self, kind: str, card_name: str, **attrs) -> None:
-        """Feed one fault-domain event (kill/wedge/upset/stall/recover) to
+        """Feed one fault-domain event (kill/upset) to
         the incident flight recorder; no-op when none is installed."""
         recorder = self._recorder
         if recorder is not None:
@@ -403,8 +402,8 @@ class Fleet:
             try:
                 service_ns, hit = card.serve(request)
             except CoprocessorError:
-                # The card refused (configuration failed on a degraded port,
-                # or capacity).  The refusal was not free: the input transfer
+                # The card refused (its configuration transfer failed, or
+                # capacity).  The refusal was not free: the input transfer
                 # and register traffic already advanced the card's private
                 # clock, so charge that time on the fleet timeline before
                 # handing the request back to the dispatcher (``_finish``
@@ -619,9 +618,8 @@ class Fleet:
         is offered a request at most once (no healthy card is starved of its
         turn by the retry rotation) and the bounce chain always terminates:
         queue hand-offs happen at a single kernel instant, so an uncapped
-        retry between (say) two wedged ports would spin the event loop
-        forever without simulated time ever advancing past the port-recovery
-        events.
+        retry between two cards that both refuse it would spin the event loop
+        forever without simulated time ever advancing.
         """
         self.stats.record_failover(
             request.tenant, request.function, failed.name, reason, self.clock.now
@@ -827,35 +825,6 @@ class Fleet:
         if self.heal_on_failure:
             self._schedule_heals(card, now)
         return True
-
-    def degrade_card(self, index: int, duration_ns: int) -> bool:
-        """Wedge a card's configuration port for *duration_ns* of fleet time.
-
-        A degraded card keeps serving resident functions; requests that need
-        a reconfiguration fail there and fail over.  Returns False when the
-        card is down (nothing left to degrade).
-        """
-        card = self.cards[index]
-        if card.health == "down":
-            return False
-        card.driver.coprocessor.device.port.wedge()
-        until = self.clock.now + duration_ns
-        card.degraded_until_ns = max(card.degraded_until_ns, until)
-        self.record_fault_event("wedge", card.name, duration_ns=duration_ns)
-        if card.health != "degraded":
-            card.health = "degraded"
-            self.stats.record_card_degraded(card.name, self.clock.now)
-        self.simulator.schedule_call(until, self._port_recovery, card)
-        return True
-
-    def _port_recovery(self, card: FleetCard, _) -> None:
-        if card.health == "down" or self.clock.now < card.degraded_until_ns:
-            return  # dead, or a later fault extended the degradation
-        card.driver.coprocessor.device.port.unwedge()
-        if card.health == "degraded":
-            card.health = "up"
-            self.stats.record_card_recovered(card.name, self.clock.now)
-            self.record_fault_event("recover", card.name)
 
     def _schedule_heals(self, dead: FleetCard, killed_at_ns: int) -> None:
         """Re-resident-ize the dead card's hottest functions on survivors."""

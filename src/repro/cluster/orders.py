@@ -74,8 +74,8 @@ class DefragOrder(Order):
 
     def work(self, fleet, card):
         if card.health != "down":
-            # A port that wedges mid-pass leaves every function intact where
-            # it was; the compaction time already spent is still charged.
+            # A pass that fails mid-way leaves every function intact where it
+            # was; the compaction time already spent is still charged.
             yield from card.spend(card.driver.defrag_card, self.max_moves or 0)
         return {}
 
@@ -173,7 +173,7 @@ class RestoreOrder(Order):
         if card.health == "down":
             failed(function, card.name, "dest-died", fleet.clock.now)
         else:
-            # A wedged port or full fabric here costs time, not service: the
+            # A failed transfer or full fabric here costs time, not service: the
             # function is still resident (and serving) on the source.
             _, error = yield from card.spend(
                 card.driver.restore_function, function, self.blob

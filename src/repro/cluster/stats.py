@@ -48,8 +48,6 @@ class _CounterAttr:
 #: been the statistics object itself.
 _MIGRATED_COUNTERS = (
     ("card_failures", _names.METRIC_CARD_FAILURES),
-    ("card_degradations", _names.METRIC_CARD_DEGRADATIONS),
-    ("card_recoveries", _names.METRIC_CARD_RECOVERIES),
     ("failovers", _names.METRIC_FAILOVERS),
     ("heal_orders", _names.METRIC_HEAL_ORDERS),
     ("heals_completed", _names.METRIC_HEALS_COMPLETED),
@@ -290,14 +288,6 @@ class FleetStatistics:
         self.card_failures += 1
         self.card_down_since.setdefault(card_name, now_ns)
         self._note(f"kill|{card_name}|{now_ns!r}".encode())
-
-    def record_card_degraded(self, card_name: str, now_ns: int) -> None:
-        self.card_degradations += 1
-        self._note(f"degrade|{card_name}|{now_ns!r}".encode())
-
-    def record_card_recovered(self, card_name: str, now_ns: int) -> None:
-        self.card_recoveries += 1
-        self._note(f"recover|{card_name}|{now_ns!r}".encode())
 
     def record_failover(
         self, tenant: str, function: str, card_name: str, reason: str, now_ns: int

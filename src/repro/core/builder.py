@@ -118,9 +118,9 @@ def build_fleet(
 
     Resident hits are replayed from a per-card
     :class:`~repro.cluster.fastpath.ServeMemo`, fault-protected cards
-    included: a hit runs the full card model only when the card is not up
-    (a wedged port degrades it), scrubs on execute, or holds a suspect
-    (upset, not yet repaired) frame in the function's region.  Tracing
+    included: a hit runs the full card model only when the card scrubs on
+    execute or holds a suspect (upset, not yet repaired) frame in the
+    function's region.  Tracing
     is not a reason: with ``observability`` on, a replayed hit leaves the same
     ``card.*`` device spans the full model leaves.  The card decides per
     request — there is nothing to configure, and schedules, counters and

@@ -62,8 +62,8 @@ class CoprocessorCard:
             try:
                 defragged = copro.defrag(max_moves=length or None)
             except ConfigurationError:
-                # A wedged configuration port stops the pass mid-compaction;
-                # the functions are all intact where they were.
+                # A failed transfer stops the pass mid-compaction; the
+                # functions are all intact where they were.
                 return STATUS_CONFIG_FAILED, None
             if defragged is None:  # no defragmenter
                 return STATUS_BAD_COMMAND, None
@@ -96,7 +96,7 @@ class CoprocessorCard:
                 # do not fit the card.
                 return STATUS_CAPACITY, None
             except (ConfigurationError, PlacementError):
-                # A wedged port, a CRC mismatch, a blob of another frame size,
+                # A CRC mismatch, a collision, a blob of another frame size,
                 # or enough free frames but no admissible placement on a
                 # fragmented contiguous-only fabric: the host can DEFRAG
                 # and retry.

@@ -28,7 +28,7 @@ from repro.mcu.commands import (
     STATUS_OK,
     CommandKind,
 )
-from repro.pci import READ, REGISTERS, WINDOW, WRITE, PciBus, PciBusTiming
+from repro.pci import READ, REGISTERS, WINDOW, WRITE, PciBus
 
 
 #: Bytes per DMA burst transaction.
@@ -175,5 +175,5 @@ def build_host_system(coprocessor: AgileCoprocessor) -> HostDriver:
     The bus shares the co-processor's clock and trace recorder so card-side
     and host-side times lie on one timeline.
     """
-    bus = PciBus(coprocessor.clock, PciBusTiming(), coprocessor.trace)
+    bus = PciBus(coprocessor.clock, coprocessor.trace)
     return HostDriver(bus, CoprocessorCard(coprocessor))

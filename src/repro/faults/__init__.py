@@ -2,11 +2,11 @@
 
 The co-processor keeps its entire behaviour in configuration memory — which
 is exactly the part that breaks in deployment: radiation-induced bit upsets
-in frames (SEU/MBU), wedged reconfiguration ports, and whole-card failures.
-This package models all three and the machinery that survives them:
+in frames (SEU) and whole-card failures.  This package models both and the
+machinery that survives them:
 
-* :class:`FaultSpec` / :class:`FaultInjector` — pluggable stochastic fault
-  processes (Poisson per-frame-bit, multi-bit bursts, targeted-frame) driven
+* :class:`FaultSpec` / :class:`FaultInjector` — pluggable stochastic upset
+  processes (Poisson per-frame-bit, targeted-frame) driven
   by :class:`~repro.sim.rand.SeededRandom`, injectable into a single card or
   scheduled as kernel processes across a whole fleet.
 * :class:`GoldenImageStore` — the clean readback of every configured frame,

@@ -5,7 +5,7 @@ The injector has two faces:
 * **Manual** — :meth:`FaultInjector.upset_memory` (and friends) inject one
   fault right now, used by drills and tests.
 * **Scheduled** — :meth:`FaultInjector.processes` returns named kernel
-  generator factories (upsets, port faults, card kills) a
+  generator factories (upsets, card kills) a
   :class:`~repro.cluster.fleet.Fleet` registers as services; events then
   interleave deterministically with the fleet's own schedule.
 
@@ -14,7 +14,7 @@ Every random draw comes from :class:`~repro.sim.rand.SeededRandom` forks of
 processes — faults are part of the experiment, not noise.
 
 The fleet-facing generators are duck-typed against the fleet (cards, clock,
-kill/degrade entry points) so this module never imports :mod:`repro.cluster`.
+the kill entry point) so this module never imports :mod:`repro.cluster`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.faults.spec import FaultSpec
 from repro.fpga.config_memory import ConfigurationMemory
+from repro.fpga.geometry import FrameAddress
 from repro.sim.kernel import Timeout
 from repro.sim.rand import SeededRandom
 
@@ -32,23 +33,16 @@ class FaultInjector:
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
-        root = SeededRandom(spec.seed)
-        # Independent sub-streams per fault class: varying the upset rate in
-        # a sweep must not perturb the stall schedule and vice versa (kills
-        # are scheduled, not drawn).
-        self._upset_rng = root.fork("upsets")
-        self._port_rng = root.fork("port-faults")
+        # Kills are scheduled, not drawn: upsets are the one random stream.
+        self._upset_rng = SeededRandom(spec.seed).fork("upsets")
         self.upsets = 0
 
     # ----------------------------------------------------------- manual face
     def upset_memory(
         self, memory: ConfigurationMemory, rng: Optional[SeededRandom] = None
-    ) -> Tuple[object, bool]:
-        """Inject one upset event into *memory* per the spec's process.
-
-        Returns ``(frame_address, changed)`` where *changed* says whether the
-        readback actually changed (see :meth:`Frame.inject_upset`).
-        """
+    ) -> FrameAddress:
+        """Flip one bit of *memory* per the spec's process; returns the frame
+        it flipped (one flip always changes the frame's readback)."""
         rng = rng if rng is not None else self._upset_rng
         spec = self.spec
         if spec.process == "targeted":
@@ -60,10 +54,9 @@ class FaultInjector:
         address = targets[rng.integer(0, len(targets) - 1)]
         total_bits = memory.geometry.frame_config_bytes * 8
         bit_index = rng.integer(0, total_bits - 1)
-        bits = spec.burst_bits if spec.process == "burst" else 1
-        changed = memory.corrupt_bit(address, bit_index, bits=bits)
+        memory.corrupt_bit(address, bit_index)
         self.upsets += 1
-        return address, changed
+        return address
 
     # ------------------------------------------------------------ fleet face
     def processes(self, fleet) -> List[Tuple[str, object]]:
@@ -78,8 +71,6 @@ class FaultInjector:
         factories: List[Tuple[str, object]] = []
         if self.spec.upset_rate_per_s > 0:
             factories.append(("fault-upsets", lambda: self._upset_process(fleet)))
-        if self.spec.port_fault_rate_per_s > 0:
-            factories.append(("fault-ports", lambda: self._port_fault_process(fleet)))
         if self.spec.card_kill_times_ns:
             factories.append(("fault-kills", lambda: self._kill_process(fleet)))
         return factories
@@ -105,30 +96,8 @@ class FaultInjector:
                 return
             card = cards[rng.integer(0, len(cards) - 1)]
             memory = card.driver.coprocessor.device.memory
-            address, changed = self.upset_memory(memory, rng=rng)
-            fleet.record_fault_event(
-                "upset", card.name, frame=str(address), effective=changed
-            )
-
-    def _port_fault_process(self, fleet):
-        rng = self._port_rng
-        duration = round(self.spec.port_fault_duration_ns)
-        stall = self.spec.port_fault_kind == "stall"
-        while True:
-            yield Timeout(round(rng.exponential(self.spec.mean_port_fault_gap_ns)))
-            if fleet.is_idle:
-                return
-            cards = [card for card in self._alive_cards(fleet) if card.health == "up"]
-            if not cards:
-                continue
-            card = cards[rng.integer(0, len(cards) - 1)]
-            if stall:
-                # Transient: the next configuration transfer on this card
-                # absorbs the delay; no health change, nothing to recover.
-                card.driver.coprocessor.device.port.stall_for(duration)
-                fleet.record_fault_event("stall", card.name, duration_ns=duration)
-            else:
-                fleet.degrade_card(card.index, duration)
+            address = self.upset_memory(memory, rng=rng)
+            fleet.record_fault_event("upset", card.name, frame=str(address), effective=True)
 
     #: How often the kill scheduler wakes to check for fleet idleness while
     #: waiting for a distant kill time.

@@ -12,8 +12,8 @@ The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
 ``utilisation``) scan it: a shipped fabric has 64 to 128 frames.
 
 A frame's bytes change only here, so the memory also keeps ``suspect``: the
-frames whose readback may not match their check word.  An upset that changed
-a frame adds the frame; a write or an erase removes it (a frame stores a
+frames whose readback may not match their check word.  An upset adds its
+frame; a write or an erase removes it (a frame stores a
 write as written, with its check word), and so does a scrub that finds it
 clean.  Every frame that
 is not ``crc_ok`` is in ``suspect``, so a scrub or a hazard check looks at
@@ -168,18 +168,16 @@ class ConfigurationMemory:
                 suspect.discard(address)
 
     # ------------------------------------------------------------ fault model
-    def corrupt_bit(self, address: FrameAddress, bit_index: int, bits: int = 1) -> bool:
-        """Flip configuration bits in one frame without updating its check word.
+    def corrupt_bit(self, address: FrameAddress, bit_index: int) -> None:
+        """Flip one configuration bit in one frame without updating its check
+        word, and mark the frame suspect.
 
         The entry point the fault injector uses to model radiation-induced
-        upsets in live configuration memory.  Returns True when the frame's
-        readback actually changed (see :meth:`Frame.inject_upset`).
+        upsets in live configuration memory (see :meth:`Frame.inject_upset`).
         """
         self.geometry.validate(address)
-        changed = self.frames[address].inject_upset(bit_index, bits=bits)
-        if changed:
-            self.suspect.add(address)
-        return changed
+        self.frames[address].inject_upset(bit_index)
+        self.suspect.add(address)
 
     def frame_crc_ok(self, address: FrameAddress) -> bool:
         """Does *address*'s readback still match its stored CRC check word?"""

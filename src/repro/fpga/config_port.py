@@ -65,11 +65,6 @@ class ConfigurationPort:
         self.clock = clock
         self.domain = ClockDomain("config-port", CONFIG_CLOCK_HZ)
         self.stats = PortStatistics()
-        #: Fault model: a wedged port refuses every transfer until unwedged.
-        self.wedged = False
-        #: Fault model: pending transient stall, consumed (as configuration
-        #: clock time) by the next transfer.
-        self._pending_stall_ns = 0
 
     # --------------------------------------------------------------- timing
     def write_time_ns(self, payload_bytes: int) -> int:
@@ -93,25 +88,6 @@ class ConfigurationPort:
             CRC_CHECK_CYCLES_PER_FRAME * max(1, len(payloads))
         )
 
-    # ---------------------------------------------------------- fault model
-    def wedge(self) -> None:
-        """Hard-fail the port: every transfer raises until :meth:`unwedge`.
-
-        Models a wedged reconfiguration interface (clock glitch, upset in the
-        port's own state machine).  Functions already on the fabric keep
-        executing — only *re*configuration is lost.
-        """
-        self.wedged = True
-
-    def unwedge(self) -> None:
-        self.wedged = False
-
-    def stall_for(self, duration_ns: int) -> None:
-        """Queue a transient stall consumed by the next transfer."""
-        if duration_ns < 0:
-            raise ValueError("a stall cannot run backwards")
-        self._pending_stall_ns += duration_ns
-
     # ------------------------------------------------------------- transfer
     def configure(
         self,
@@ -122,20 +98,13 @@ class ConfigurationPort:
     ) -> int:
         """Write *payloads* into *addresses* on behalf of *owner*; returns Δt.
 
-        The clock advances once, by any pending stall plus
-        :meth:`transfer_time_ns`.  A wedged port raises
-        :class:`ConfigurationError` before anything is written or charged.
-        When a write collides or the payloads' CRC differs from
+        The clock advances once, by :meth:`transfer_time_ns`.  When a write
+        collides or the payloads' CRC differs from
         *expected_crc*, the frames written are cleared and
         :class:`ConfigurationError` is raised: a corrupted configuration is
         never left live on the fabric.
         """
-        if self.wedged:
-            raise ConfigurationError(
-                f"configuration port is wedged; cannot configure {owner!r}"
-            )
-        elapsed = self._pending_stall_ns + self.transfer_time_ns(payloads)
-        self._pending_stall_ns = 0
+        elapsed = self.transfer_time_ns(payloads)
         self.stats.frames_written += len(payloads)
         self.stats.bytes_written += sum(map(len, payloads))
         self.stats.busy_time_ns += elapsed

@@ -262,10 +262,6 @@ class FPGADevice:
             owner = self.memory.owner_of(address)
             if owner is not None and owner != name:
                 raise FrameCollisionError([address], owner)
-        if self.port.wedged:
-            raise ConfigurationError(
-                f"configuration port is wedged; cannot relocate {name!r}"
-            )
         started = self.clock.now
         payloads = self._timed_readback(old_region)
         from repro.bitstream.crc import crc32
@@ -275,8 +271,8 @@ class FPGADevice:
             self.port.configure(name, new_region, payloads, expected)
         except ConfigurationError:
             # Unreachable in practice (the CRC is computed from the very
-            # payloads just written and the wedge check ran up front), but a
-            # relocation must never leave the function half-moved: restore
+            # payloads just written and collisions were checked up front), but
+            # a relocation must never leave the function half-moved: restore
             # the old region's contents and ownership before re-raising.
             self.memory.write_region(old_region, payloads, owner=name)
             raise

@@ -95,25 +95,15 @@ class Frame:
         """
         return zlib.crc32(self._data) == self.stored_crc
 
-    def inject_upset(self, bit_index: int, bits: int = 1) -> bool:
-        """Flip *bits* consecutive configuration bits starting at *bit_index*.
+    def inject_upset(self, bit_index: int) -> None:
+        """Flip the configuration bit at *bit_index* (a single-event upset).
 
-        Models a single-event upset (``bits=1``) or a multi-bit burst.  The
-        stored check word is deliberately left untouched: detection is the
-        scrubber's job.  Bit positions wrap within the frame.  Returns whether
-        the readback changed: it does unless *bits* is an even multiple of
-        the frame's bit count.
+        The stored check word is deliberately left untouched: detection is
+        the scrubber's job.  Bit positions wrap within the frame.
         """
-        if bits <= 0:
-            raise ValueError("an upset flips at least one bit")
         total_bits = self.config_byte_length * 8
-        before = self._data
-        value = int.from_bytes(before, "little")
-        for offset in range(bits):
-            value ^= 1 << ((bit_index + offset) % total_bits)
-        after = value.to_bytes(self.config_byte_length, "little")
-        self._data = after
-        return after != before
+        value = int.from_bytes(self._data, "little") ^ (1 << (bit_index % total_bits))
+        self._data = value.to_bytes(self.config_byte_length, "little")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Frame({self.address}, {'clear' if self.is_clear else 'configured'})"

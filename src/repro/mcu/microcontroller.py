@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.fpga.device import FPGADevice
-from repro.fpga.errors import ConfigurationError
 from repro.functions.bank import FunctionBank
 from repro.mcu.minios.minios import MiniOs
 from repro.memory.ram import LocalRam
@@ -137,14 +136,6 @@ class Microcontroller:
         )
         if not decision.hit:
             assert decision.region is not None
-            # A wedged configuration port (fault model) makes the load
-            # impossible: fail *before* evicting victims, so a degraded card
-            # keeps serving its resident functions instead of stripping its
-            # own fabric on every miss routed to it.
-            if self.device.port.wedged:
-                raise ConfigurationError(
-                    f"configuration port is wedged; cannot load {name!r}"
-                )
             reconfig_started = self.clock.now
             for victim in decision.evictions:
                 self.device.unload(victim)

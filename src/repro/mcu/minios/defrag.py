@@ -111,8 +111,8 @@ class Defragmenter:
             owner = self.device.memory.owner_of(address)
             if owner is not None and owner != name:
                 return False
-        # A wedged port raises here and stops compacting: the functions are
-        # all still intact where they were.
+        # A failed transfer raises here and stops compacting: the functions
+        # are all still intact where they were.
         self.device.relocate_function(name, target)
         entry.region = target
         self.minios.table.record_reload(name, self.clock.now)

@@ -28,6 +28,10 @@ from repro.obs import names as _obs_names
 from repro.sim.kernel import Simulator
 from repro.sim.rand import SeededRandom
 
+#: Egress queue bound in packets; a full queue tail-drops.  The bound is on
+#: packets *waiting*: the one on the wire is not in the queue.
+QUEUE_PACKETS = 64
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -45,9 +49,6 @@ class LinkSpec:
     jitter_ns: int = 0
     #: Per-packet loss probability (a lost packet still occupies the wire).
     loss: float = 0.0
-    #: Egress queue bound in packets; a full queue tail-drops.  The bound is
-    #: on packets *waiting*: the one on the wire is not in the queue.
-    queue_packets: int = 64
 
     def __post_init__(self) -> None:
         if self.latency_ns < 0:
@@ -58,8 +59,6 @@ class LinkSpec:
             raise ValueError("link jitter cannot be negative")
         if not 0.0 <= self.loss < 1.0:
             raise ValueError("link loss must be a probability below 1")
-        if self.queue_packets < 1:
-            raise ValueError("link queue must hold at least one packet")
 
 
 class Packet:
@@ -134,7 +133,7 @@ class Link:
 
         A packet whose serialisation starts at ``t`` has left the queue at
         ``t``: a send at that exact instant does not count it against
-        ``queue_packets``.
+        :data:`QUEUE_PACKETS`.
         """
         self.offered += 1
         spec = self.spec
@@ -143,7 +142,7 @@ class Link:
         if waiting:
             while waiting and waiting[0] <= now:
                 waiting.popleft()
-            if len(waiting) >= spec.queue_packets:
+            if len(waiting) >= QUEUE_PACKETS:
                 self.dropped += 1
                 return False
         start = self._wire_free_ns

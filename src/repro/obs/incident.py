@@ -8,8 +8,8 @@ symptom/control-plane spans and fault events at all times (a flight
 recorder, not a camera you turn on after the crash), and on alert-fire
 snapshots them into an :class:`Incident`:
 
-* a correlated **timeline** — fault events (kills / wedges / upsets /
-  stalls), ``order.*`` control-plane spans, symptom markers and the
+* a correlated **timeline** — fault events (kills / upsets),
+  ``order.*`` control-plane spans, symptom markers and the
   alert/resolve edges, merged in time order on the simulated clock;
 * **metric deltas** — the registry snapshot at open vs. close, reduced to
   the numeric keys that moved;
@@ -153,7 +153,7 @@ class FlightRecorder:
                 self._append_timeline(incident, self._span_event(span))
 
     def on_fault(self, kind: str, card: str, now_ns: int, **attrs: Any) -> None:
-        """A fault-domain event: card kill, wedge, upset, port stall."""
+        """A fault-domain event: a card kill or an upset."""
         event = {"t_ns": now_ns, "kind": "fault", "fault": kind, "card": card}
         for key in sorted(attrs):
             event[key] = _json_safe(attrs[key])

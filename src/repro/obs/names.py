@@ -101,8 +101,6 @@ def device_span_name(component: str, action: str) -> str:
 # ------------------------------------------------------------------- metrics
 # Fleet reliability / control plane.
 METRIC_CARD_FAILURES = "fleet.cards.failures"
-METRIC_CARD_DEGRADATIONS = "fleet.cards.degradations"
-METRIC_CARD_RECOVERIES = "fleet.cards.recoveries"
 METRIC_FAILOVERS = "fleet.failovers"
 METRIC_FAILOVERS_BY_REASON = "fleet.failovers.by_reason"
 METRIC_FAILOVERS_BY_TENANT = "fleet.failovers.by_tenant"

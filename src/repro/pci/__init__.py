@@ -5,16 +5,14 @@ through the PCI".  The bus carries one card, whose 32-bit registers sit at
 :data:`REGISTERS` (BAR0) and whose 128 KiB data window sits at :data:`WINDOW`
 (BAR1), where the host's enumeration put them.  Nothing routes: a
 transaction is what it costs and what it leaves behind — arbitration +
-address phase + wait states + data phases + turnaround at the configured
-bus clock and width, the three counters and one ``pci`` trace event.  A DMA
+address phase + wait states + data phases + turnaround at the bus's
+clock and width, the three counters and one ``pci`` trace event.  A DMA
 job adds a descriptor fetch and doorbell and moves in bursts.  (The
 host↔card transfer time is one of the terms the offload speedup in E5
 depends on.)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
@@ -31,46 +29,23 @@ DMA_SETUP_NS = 500
 #: The card's bus: 33 MHz, 32 bits wide.
 PCI_CLOCK_HZ = 33e6
 PCI_BUS_WIDTH_BYTES = 4
+#: Cycles every transaction spends besides its data phases: 2 arbitration,
+#: 1 address phase, 3 wait states and 2 turnaround.
+TRANSACTION_OVERHEAD_CYCLES = 8
 
 
-@dataclass(frozen=True)
-class PciBusTiming:
-    """Cycle costs of a transaction on the bus."""
-
-    clock_hz: float = PCI_CLOCK_HZ
-    bus_width_bytes: int = PCI_BUS_WIDTH_BYTES
-    arbitration_cycles: int = 2
-    address_phase_cycles: int = 1
-    turnaround_cycles: int = 2
-    wait_states_per_burst: int = 3
-
-    def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError("bus clock must be positive")
-        if self.bus_width_bytes <= 0:
-            raise ValueError("bus width must be positive")
-
-    def cycles_for(self, length_bytes: int) -> int:
-        """Total bus cycles for one burst transaction of *length_bytes*."""
-        data_phases = -(-length_bytes // self.bus_width_bytes) if length_bytes else 0
-        return (
-            self.arbitration_cycles
-            + self.address_phase_cycles
-            + self.wait_states_per_burst
-            + data_phases
-            + self.turnaround_cycles
-        )
-
-    def time_ns(self, length_bytes: int) -> int:
-        return round(self.cycles_for(length_bytes) * 1e9 / self.clock_hz)
+def transaction_ns(length: int) -> int:
+    """Time of one burst transaction of *length* bytes: arbitration, address
+    phase, wait states and turnaround, plus one data phase per bus word."""
+    cycles = TRANSACTION_OVERHEAD_CYCLES + -(-length // PCI_BUS_WIDTH_BYTES)
+    return round(cycles * 1e9 / PCI_CLOCK_HZ)
 
 
 class PciBus:
     """Charges transactions to the shared clock; counts and traces them."""
 
-    def __init__(self, clock: Clock, timing: PciBusTiming, trace: TraceRecorder) -> None:
+    def __init__(self, clock: Clock, trace: TraceRecorder) -> None:
         self.clock = clock
-        self.timing = timing
         self.trace = trace
         self.transactions_completed = 0
         self.bytes_transferred = 0
@@ -87,7 +62,7 @@ class PciBus:
         """
         clock = self.clock
         started = clock.now
-        elapsed = self.timing.time_ns(length)
+        elapsed = transaction_ns(length)
         clock.advance(elapsed)
         delivered = deliver(*args) if deliver is not None else None
         self.transactions_completed += 1
@@ -105,6 +80,6 @@ class PciBus:
 
 
 __all__ = [
-    "DMA_SETUP_NS", "PCI_BUS_WIDTH_BYTES", "PCI_CLOCK_HZ", "READ", "REGISTERS", "WINDOW", "WRITE",
-    "PciBus", "PciBusTiming",
+    "DMA_SETUP_NS", "PCI_BUS_WIDTH_BYTES", "PCI_CLOCK_HZ", "READ", "REGISTERS",
+    "TRANSACTION_OVERHEAD_CYCLES", "WINDOW", "WRITE", "PciBus", "transaction_ns",
 ]

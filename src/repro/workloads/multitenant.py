@@ -9,8 +9,9 @@ finished, queue at the dispatcher and are routed to cards.
 A :class:`FleetRequest` therefore carries an **absolute** arrival time and a
 tenant label on top of the usual function/payload pair, and a
 :class:`FleetTrace` keeps the requests sorted by arrival.  Tenants are
-described by :class:`TenantSpec`: each has a traffic weight, its own function
-mix (Zipf-skewed, phased or uniform over its function subset, drawn by a
+described by :class:`TenantSpec`: each sends an equal share of the traffic
+and has its own function mix (Zipf-skewed, phased or uniform over its
+function subset, drawn by a
 :class:`~repro.workloads.generators.FunctionChooser`) and its own
 deterministic sub-stream of randomness, so the same seed reproduces the same
 trace byte for byte across processes.
@@ -95,32 +96,25 @@ class TenantSpec:
     * ``"zipf"``  — Zipf-skewed popularity with exponent ``skew`` over the
       tenant's function list, rotated by ``rank_offset`` so different tenants
       are hot on different functions;
-    * ``"phased"`` — the tenant's active working set of ``working_set``
-      functions changes every ``phase_length`` of its own requests;
+    * ``"phased"`` — the tenant's active working set of functions changes
+      every so many of its own requests (the chooser's defaults);
     * ``"uniform"`` — every function equally likely.
     """
 
     name: str
-    weight: float = 1.0
     mix: str = "zipf"
     skew: float = 1.2
     functions: Optional[Tuple[str, ...]] = None
     rank_offset: int = 0
-    phase_length: int = 50
-    working_set: int = 3
     payload_blocks: int = 1
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
         if self.functions is not None and not self.functions:
             raise ValueError("a tenant's function list cannot be empty")
         if self.mix not in ("zipf", "phased", "uniform"):
             raise ValueError(f"unknown tenant mix {self.mix!r}")
         if self.payload_blocks <= 0:
             raise ValueError("payload_blocks must be positive")
-        if self.mix == "phased" and (self.phase_length <= 0 or self.working_set <= 0):
-            raise ValueError("phase length and working set size must be positive")
 
 
 def default_tenant_mix(
@@ -192,7 +186,7 @@ def _arrivals(
     """The open-arrival loop: *length* requests from *tenants*.
 
     Per request: one arrival gap, one ``random()`` for the tenant (matched
-    against the weights' running sums), then the tenant's chooser.  Each gap
+    against the equal shares' running sums), then the tenant's chooser.  Each gap
     is ``-log(1 - random()) / lambd``, which is ``expovariate(lambd)`` to the
     bit; the arrival model is only the sequence of ``lambd`` values.  A Zipf
     tenant's draw is inlined rather than a ``next_index()`` call: the
@@ -211,12 +205,12 @@ def _arrivals(
         offset = spec.rank_offset % len(names)
         chooser = FunctionChooser(
             bank, names[offset:] + names[:offset], root.fork(f"tenant:{spec.name}"),
-            spec.mix, spec.skew, spec.phase_length, spec.working_set, spec.payload_blocks,
+            spec.mix, spec.skew, payload_blocks=spec.payload_blocks,
         )
         draws.append((spec.name, chooser.names, chooser.payloads, chooser.cumulative,
                       chooser.total, chooser.random, chooser.next_index))
-    total_weight = sum(spec.weight for spec in tenants)
-    cumulative = list(accumulate(spec.weight / total_weight for spec in tenants))
+    # Every tenant sends an equal share: running sums of 1 / len(tenants).
+    cumulative = list(accumulate(1.0 / len(tenants) for _ in tenants))
     last_tenant = len(cumulative) - 1
     if arrival == "poisson":
         rates = repeat(1.0 / mean_interarrival_ns, length)
@@ -272,8 +266,8 @@ def multi_tenant_trace(
       mean, separated by compensating idle gaps, so the long-run rate matches
       the Poisson model while stressing the fleet's queues.
 
-    Each arrival picks a tenant by weight, then the tenant's own stream picks
-    the function and payload.  Everything derives from *seed* through
+    Each arrival picks a tenant (every one equally likely), then the tenant's
+    own stream picks the function and payload.  Everything derives from *seed* through
     :meth:`SeededRandom.fork`, so traces are byte-reproducible.
 
     ``duration_ns`` switches to duration-bounded generation: arrivals stop at

@@ -28,6 +28,8 @@ from repro.check.invariants import check_invariants
 from repro.core.builder import build_coprocessor, build_fleet, build_host_driver
 from repro.core.config import CoprocessorConfig, SMALL_CONFIG
 from repro.faults import FaultSpec
+from repro.fpga.config_port import ConfigurationPort
+from repro.fpga.errors import ConfigurationError
 from repro.fpga.geometry import FabricGeometry
 from repro.functions.bank import FunctionBank, build_default_bank, build_small_bank
 from repro.sim.clock import Clock
@@ -200,14 +202,41 @@ def control_plane_fleet():
 
 
 @pytest.fixture
+def refuse_configuration(monkeypatch):
+    """``refuse_configuration(*targets)``: from then on, every configuration
+    transfer on each target — an :class:`~repro.fpga.device.FPGADevice` or a
+    fleet card — raises :class:`ConfigurationError` before it writes or
+    charges anything.
+
+    The model's own transfer failures (a CRC mismatch, a collision) need a
+    corrupted bit-stream or a broken placement; this is how a test makes a
+    card refuse every load, restore, heal and relocation instead.
+    """
+    refusing = set()
+    configure = ConfigurationPort.configure
+
+    def refused(port, owner, *args):
+        if port in refusing:
+            raise ConfigurationError(f"configuration port refuses {owner!r}")
+        return configure(port, owner, *args)
+
+    monkeypatch.setattr(ConfigurationPort, "configure", refused)
+    def refuse(*targets):
+        for target in targets:
+            device = getattr(target, "driver", None)
+            refusing.add((device.coprocessor.device if device else target).port)
+
+    return refuse
+
+
+@pytest.fixture
 def order_drill():
     """Run control-plane orders on an otherwise idle fleet.
 
     ``order_drill(fleet, (card_index, order), ...)`` queues each order the
     way the services do and runs the kernel dry.  ``when=(condition, action)``
     polls *condition* every 100 ns of fleet time and fires *action* once it
-    holds — how a test kills or wedges a peer at a chosen point of an
-    order's life.  Returns the invariant pack's violations.
+    holds — how a test kills a peer at a chosen point of an order's life.  Returns the invariant pack's violations.
     """
 
     def run(fleet, *orders, when=None):

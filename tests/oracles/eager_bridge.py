@@ -222,7 +222,7 @@ def worker(self, card: FleetCard, store: Store):
         try:
             service_ns, hit = serve(request)
         except CoprocessorError:
-            # The card refused (configuration failed on a degraded port,
+            # The card refused (its configuration transfer failed,
             # or capacity).  The refusal was not free: the input transfer
             # and register traffic already advanced the card's private
             # clock, so charge that time on the fleet timeline before

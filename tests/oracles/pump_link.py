@@ -5,8 +5,10 @@ arithmetic (``tests/test_net_link_oracle.py``).  It is the old class moved
 here unchanged except for what the kernel no longer offers or the oracle
 does not need: the arrival process sleeps its own propagation delay
 (``Simulator.spawn(delay_ns=)`` is gone), the ``Store`` is the test-side one
-(``tests/oracles/store.py``; the kernel's went in PR 22) and there is no
-tracer.
+(``tests/oracles/store.py``; the kernel's went in PR 22), there is no
+tracer, and the queue bound is ``Link``'s module constant
+:data:`~repro.net.link.QUEUE_PACKETS`, read at each send so a test can patch
+it for both.
 
 Each packet costs a ``Store`` hand-off, a pump wake-up when the wire was
 idle, a serialise ``Timeout`` and a spawned arrival process; the pump drains
@@ -17,6 +19,7 @@ the store, so it runs under the store's stepper and must be started
 from __future__ import annotations
 
 from oracles.store import Store
+from repro.net import link as link_module
 from repro.sim.kernel import Timeout
 
 
@@ -38,7 +41,7 @@ class PumpLink:
     def send(self, packet) -> bool:
         """Enqueue *packet* for transmission; False = tail-dropped."""
         self.offered += 1
-        if len(self._queue) >= self.spec.queue_packets:
+        if len(self._queue) >= link_module.QUEUE_PACKETS:
             self.dropped += 1
             return False
         self._queue.put(packet)

@@ -20,7 +20,7 @@ Four contracts are pinned here:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import eager_bridge
@@ -44,8 +44,10 @@ CELLS = (
 SWEEP_SEEDS = range(40)
 
 
-def build_cell(bank, cell, seed, oracle, requests=60, interarrival_ns=3_000.0):
-    """One cell, not yet run: ``(run, fleet, door)``."""
+def build_cell(bank, cell, seed, oracle, refuse, requests=60, interarrival_ns=3_000.0):
+    """One cell, not yet run: ``(run, fleet, door)``.  In the fault cell card 1
+    refuses every configuration transfer (*refuse* is the
+    ``refuse_configuration`` fixture), so its misses are refused serves."""
     trace = multi_tenant_trace(
         bank,
         default_tenant_mix(bank, tenants=3, skew=1.2),
@@ -65,8 +67,6 @@ def build_cell(bank, cell, seed, oracle, requests=60, interarrival_ns=3_000.0):
             fault_spec=FaultSpec(
                 process="targeted",
                 upset_rate_per_s=3_000.0,
-                port_fault_rate_per_s=4_000.0,
-                port_fault_duration_ns=60_000,
                 card_kill_times_ns=((round(trace.duration_ns * 0.45), 0),),
                 seed=seed,
             ),
@@ -83,6 +83,8 @@ def build_cell(bank, cell, seed, oracle, requests=60, interarrival_ns=3_000.0):
             rebalance_min_frame_skew=2,
         )
     fleet = build_fleet(config=SMALL_CONFIG.with_overrides(seed=seed), bank=bank, **options)
+    if cell == "fault":
+        refuse(fleet.cards[1])
     if cell == "rebalance":
         for name in bank.names():  # maximal residency skew: migrations get ordered
             fleet.cards[0].driver.preload(name)
@@ -131,11 +133,11 @@ def observed(fleet, door):
     }
 
 
-def differs(bank, cell, seed, **shape):
+def differs(bank, cell, seed, refuse, **shape):
     """``None`` when server and oracle agree on *cell*, else what differs."""
     runs = []
     for oracle in (False, True):
-        run, fleet, door = build_cell(bank, cell, seed, oracle, **shape)
+        run, fleet, door = build_cell(bank, cell, seed, oracle, refuse, **shape)
         run()
         runs.append((observed(fleet, door), fleet.simulator.events_dispatched, len(fleet.cards)))
     (server, server_events, cards), (oracle, oracle_events, _) = runs
@@ -150,29 +152,32 @@ def differs(bank, cell, seed, **shape):
 
 # ---------------------------------------------------------------- differential
 @pytest.mark.parametrize("cell", CELLS)
-def test_server_equals_the_worker_process_on_the_sweep(small_bank, cell):
+def test_server_equals_the_worker_process_on_the_sweep(small_bank, cell, refuse_configuration):
     differing = {
         seed: found
         for seed in SWEEP_SEEDS
-        if (found := differs(small_bank, cell, seed)) is not None
+        if (found := differs(small_bank, cell, seed, refuse_configuration)) is not None
     }
     assert differing == {}
 
 
-@settings(max_examples=30, deadline=None)
+# The fixture's patch holds for every example; each builds its own fleets.
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     cell=st.sampled_from(CELLS),
     seed=st.integers(min_value=40, max_value=10_000),
     requests=st.integers(min_value=1, max_value=90),
     interarrival_ns=st.sampled_from([200.0, 1_500.0, 6_000.0, 40_000.0]),
 )
-def test_server_equals_the_worker_process(small_bank, cell, seed, requests, interarrival_ns):
+def test_server_equals_the_worker_process(
+    small_bank, refuse_configuration, cell, seed, requests, interarrival_ns
+):
     assert differs(
-        small_bank, cell, seed, requests=requests, interarrival_ns=interarrival_ns
+        small_bank, cell, seed, refuse_configuration, requests=requests, interarrival_ns=interarrival_ns
     ) is None
 
 
-def test_the_sweep_is_not_vacuous(small_bank):
+def test_the_sweep_is_not_vacuous(small_bank, refuse_configuration):
     """The cells reach what they are named for: queueing and rejection, all
     three failover paths (one of them the refused serve that cost card
     time), migrations, and loss-driven retries through the front door."""
@@ -180,7 +185,7 @@ def test_the_sweep_is_not_vacuous(small_bank):
     for cell in ("affinity", "fault", "rebalance", "frontdoor"):
         stats = seen[cell] = []
         for seed in range(8):
-            run, fleet, _ = build_cell(small_bank, cell, seed, oracle=False)
+            run, fleet, _ = build_cell(small_bank, cell, seed, False, refuse_configuration)
             run()
             stats.append(fleet.stats)
     assert all(stats.total_wait_ns > 0 for stats in seen["affinity"])
@@ -217,7 +222,7 @@ def test_a_cold_start_group_is_routed_against_pre_serve_residency(small_bank):
     request 2 after request 1."""
     dispatched = []
     for oracle in (False, True):
-        run, fleet, _ = build_cell(small_bank, "batched", 11, oracle, requests=32)
+        run, fleet, _ = build_cell(small_bank, "batched", 11, oracle, None, requests=32)
         served_at_choice = []
         choose = fleet.policy.choose
 

@@ -2,7 +2,7 @@
 
 The load-bearing guarantees: requests on a killed card are never silently
 dropped (conservation against the FleetStatistics counters), dead cards are
-invisible to dispatch, degraded cards bounce misses to survivors, heal
+invisible to dispatch, a card that refuses a load bounces it to survivors, heal
 preloads restore residency, and everything — faults included — reproduces
 byte-identically.
 """
@@ -14,8 +14,6 @@ from repro.cluster import DefragOrder, HealOrder, Order
 from repro.core.builder import build_fleet
 from repro.core.config import SMALL_CONFIG
 from repro.faults import FaultSpec
-from repro.fpga.config_port import ConfigurationPort
-from repro.fpga.errors import ConfigurationError
 from repro.sim.kernel import Timeout
 from repro.workloads.multitenant import default_tenant_mix, multi_tenant_trace
 
@@ -38,33 +36,10 @@ class TestCardHealth:
         assert fleet.cards[0].health == "down"
         assert fleet.cards[0].down_since_ns is not None
 
-    def test_degraded_card_still_admissible_but_spread_avoids_it(self, small_bank, small_trace, protected_fleet):
-        fleet = protected_fleet(small_bank)
-        fleet.degrade_card(0, duration_ns=1e9)
-        assert fleet.cards[0].health == "degraded"
-        assert fleet.cards[0].has_room
-        request = small_trace(small_bank)[0]
-        # Nothing resident anywhere: the cold load must avoid the wedged card.
-        chosen = fleet.policy.choose(request, fleet.cards)
-        assert chosen.index != 0
-
-    def test_wedged_port_miss_preserves_resident_functions(self, small_bank, protected_fleet):
-        """A miss on a degraded card must fail *before* evicting residents."""
-        fleet = protected_fleet(small_bank, cards=1)
-        card = fleet.cards[0]
-        card.driver.preload("crc32")
-        resident_before = card.resident_functions()
-        assert resident_before
-        fleet.degrade_card(0, duration_ns=1e9)
-        copro = card.driver.coprocessor
-        with pytest.raises(ConfigurationError):
-            copro.mcu.ensure_loaded("sha1" if "sha1" in copro.bank else "adder8")
-        assert card.resident_functions() == resident_before
-
-    def test_failover_reaches_every_untried_card(self, small_bank, small_trace):
+    def test_failover_reaches_every_untried_card(self, small_bank, small_trace, refuse_configuration):
         """The retry exclusion must be cumulative: with two of three ports
-        wedged, requests end up served by the one healthy card, not rejected
-        after bouncing between the wedged pair."""
+        refusing every load, requests end up served by the one working card,
+        not rejected after bouncing between the refusing pair."""
         trace = small_trace(small_bank, length=30, mean_interarrival_ns=50_000.0)
         fleet = build_fleet(
             cards=3,
@@ -74,63 +49,12 @@ class TestCardHealth:
             queue_depth=8,
             fault_tolerance=True,
         )
-        fleet.degrade_card(0, duration_ns=1e12)
-        fleet.degrade_card(1, duration_ns=1e12)
+        refuse_configuration(*fleet.cards[:2])
         stats = fleet.run(trace)
         assert stats.completed + stats.rejected == stats.arrivals
-        # Misses bounced off the wedged cards but always landed on card2.
+        # Misses bounced off the refusing cards but always landed on card2.
         assert stats.completed == stats.arrivals
         assert stats.per_card_dispatched["card2"] > 0
-
-    def test_stall_port_faults_delay_without_degrading(
-        self, small_bank, small_trace, protected_fleet, monkeypatch
-    ):
-        """port_fault_kind='stall': reconfigs slow down, health never changes."""
-        stalls = []
-        stall_for = ConfigurationPort.stall_for
-        monkeypatch.setattr(
-            ConfigurationPort,
-            "stall_for",
-            lambda port, duration_ns: stalls.append(duration_ns) or stall_for(port, duration_ns),
-        )
-        trace = small_trace(small_bank, length=60, mean_interarrival_ns=10_000.0)
-        fleet = protected_fleet(
-            small_bank,
-            cards=2,
-            fault_spec=FaultSpec(
-                port_fault_rate_per_s=2_000.0,
-                port_fault_duration_ns=20_000.0,
-                port_fault_kind="stall",
-                seed=31,
-            ),
-        )
-        stats = fleet.run(trace)
-        assert stats.completed == stats.arrivals
-        assert stats.card_degradations == 0
-        assert all(card.health == "up" for card in fleet.cards)
-        assert stalls and all(duration == 20_000 for duration in stalls)
-        # A stall is consumed by the next configuration session; pending
-        # stalls on cards that never reconfigured again are drained here.
-        for card in fleet.cards:
-            copro = card.driver.coprocessor
-            if copro.device.port._pending_stall_ns > 0:
-                name = copro.bank.names()[0]
-                if copro.is_loaded(name):
-                    copro.evict(name)
-                before = copro.clock.now
-                copro.preload(name)
-                assert copro.clock.now - before >= 20_000
-            assert copro.device.port._pending_stall_ns == 0
-
-    def test_degrade_then_recover_restores_health(self, small_bank, protected_fleet):
-        fleet = protected_fleet(small_bank)
-        fleet.degrade_card(0, duration_ns=50_000.0)
-        assert fleet.cards[0].driver.coprocessor.device.port.wedged
-        fleet.simulator.run()
-        assert fleet.cards[0].health == "up"
-        assert not fleet.cards[0].driver.coprocessor.device.port.wedged
-        assert fleet.stats.card_recoveries == 1
-
 
 class TestKilledCardConservation:
     @pytest.mark.parametrize("kill_ns", [0.0, 200_000.0, 600_000.0])
@@ -164,18 +88,19 @@ class TestKilledCardConservation:
         assert stats.failovers > 0
         assert stats.card_failures == 1
 
-    def test_all_ports_wedged_terminates_with_rejections(self, small_bank, small_trace, protected_fleet):
-        """Failover must not livelock between wedged cards.
+    def test_all_ports_wedged_terminates_with_rejections(
+        self, small_bank, small_trace, protected_fleet, refuse_configuration
+    ):
+        """Failover must not livelock between cards that refuse every load.
 
-        With every configuration port wedged, a cold request fails on any
+        With every configuration port refusing, a cold request fails on any
         card it reaches; the retry must exclude the failed card and cap the
         bounce count (queue hand-offs cost zero simulated time, so an
         uncapped retry would spin the kernel forever at one instant).
         """
         trace = small_trace(small_bank, length=20)
         fleet = protected_fleet(small_bank, cards=2)
-        for index in range(2):
-            fleet.degrade_card(index, duration_ns=1e12)
+        refuse_configuration(*fleet.cards)
         stats = fleet.run(trace)
         assert stats.completed + stats.rejected == stats.arrivals
         assert stats.rejected > 0
@@ -230,13 +155,15 @@ class TestHealing:
             resident_anywhere.update(card.resident_functions())
         assert resident_anywhere
 
-    def test_refused_heal_still_costs_card_time(self, small_bank, protected_fleet, order_drill):
-        """A wedged port refuses the preload, but the command and its
-        registers crossed the bus first: that time is charged like any
-        other failed operation's (it used to be dropped)."""
+    def test_refused_heal_still_costs_card_time(
+        self, small_bank, protected_fleet, order_drill, refuse_configuration
+    ):
+        """The port refuses the preload, but the command and its registers
+        crossed the bus first: that time is charged like any other failed
+        operation's (it used to be dropped)."""
         fleet = protected_fleet(small_bank, cards=2)
-        fleet.degrade_card(1, 50_000.0)
         card = fleet.cards[1]
+        refuse_configuration(card)
         fleet.stats.record_heal_order("parity32", card.name, 0.0)
         assert order_drill(fleet, (1, HealOrder("parity32", 0.0))) == []
         assert fleet.stats.heals_completed == 0
@@ -353,11 +280,7 @@ class TestFaultDeterminism:
                 small_bank,
                 scrub_period_ns=40_000.0,
                 fault_spec=FaultSpec(
-                    process="burst",
-                    burst_bits=3,
                     upset_rate_per_s=1_500.0,
-                    port_fault_rate_per_s=200.0,
-                    port_fault_duration_ns=100_000.0,
                     card_kill_times_ns=((500_000.0, 2),),
                     seed=17,
                 ),
@@ -382,7 +305,9 @@ class TestFaultDeterminism:
 
 
 class TestOrders:
-    def test_refused_defrag_costs_time_and_moves_nothing(self, small_bank, protected_fleet, order_drill):
+    def test_refused_defrag_costs_time_and_moves_nothing(
+        self, small_bank, protected_fleet, order_drill, refuse_configuration
+    ):
         fleet = protected_fleet(small_bank, cards=2)
         fleet.enable_defrag()
         card = fleet.cards[0]
@@ -395,7 +320,7 @@ class TestOrders:
         fragmentation = defragmenter.fragmentation()
         assert fragmentation > 0
         resident = card.resident_functions()
-        fleet.degrade_card(0, 50_000.0)
+        refuse_configuration(card)
         card.pending.add(DefragOrder)  # as the periodic service marks it
         assert order_drill(fleet, (0, DefragOrder(1))) == []
         assert defragmenter.stats.moves == 0

@@ -1,7 +1,6 @@
 """Unit coverage for the fault-injection / scrub / repair subsystem.
 
-Frame check words, upset injection, golden images, port faults, the fault
-spec/injector, the scrubber's detect-and-repair loop and the SCRUB command
+Frame check words, upset injection, golden images, the fault spec/injector, the scrubber's detect-and-repair loop and the SCRUB command
 threading host → PCI → card → mini-OS service.
 """
 
@@ -17,7 +16,6 @@ from repro.faults import (
     GoldenImageStore,
 )
 from repro.fpga.config_memory import ConfigurationMemory
-from repro.fpga.errors import ConfigurationError
 from repro.fpga.frame import Frame
 from repro.fpga.geometry import TEST_GEOMETRY
 from repro.functions.bank import build_small_bank
@@ -55,16 +53,10 @@ class TestFrameCheckWord:
     def test_upset_breaks_crc_and_clear_restores_it(self):
         frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
         # Flip the LSB of the first LUT byte.
-        changed = frame.inject_upset(0)
-        assert changed
+        frame.inject_upset(0)
         assert not frame.crc_ok
         frame.clear()
         assert frame.crc_ok
-
-    def test_upset_rejects_nonpositive_burst(self):
-        frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
-        with pytest.raises(ValueError):
-            frame.inject_upset(0, bits=0)
 
     def test_double_flip_is_byte_identical_but_interim_detected(self):
         frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
@@ -81,8 +73,9 @@ class TestConfigurationMemoryFaultApi:
         memory = ConfigurationMemory(TEST_GEOMETRY)
         address = TEST_GEOMETRY.all_frames()[2]
         assert memory.frame_crc_ok(address)
-        assert memory.corrupt_bit(address, 0)
+        memory.corrupt_bit(address, 0)
         assert not memory.frame_crc_ok(address)
+        assert memory.suspect == {address}
 
     def test_configured_frames_tracks_ownership(self):
         copro = build_coprocessor(config=SMALL_CONFIG, bank=build_small_bank())
@@ -123,34 +116,6 @@ class TestGoldenImageStore:
         assert all(address not in golden for address in region)
 
 
-class TestConfigurationPortFaults:
-    def test_wedged_port_refuses_sessions_until_unwedged(self):
-        copro = build_coprocessor(config=SMALL_CONFIG, bank=build_small_bank())
-        port = copro.device.port
-        port.wedge()
-        assert port.wedged
-        with pytest.raises(ConfigurationError):
-            copro.preload("crc32")
-        port.unwedge()
-        copro.preload("crc32")
-        assert copro.is_loaded("crc32")
-
-    def test_stall_charges_time_on_next_session(self):
-        copro = build_coprocessor(config=SMALL_CONFIG, bank=build_small_bank())
-        port = copro.device.port
-        port.stall_for(5_000.0)
-        before = copro.clock.now
-        copro.preload("crc32")
-        assert copro.clock.now - before >= 5_000.0
-        # Consumed: a second preload pays no further stall.
-        assert port._pending_stall_ns == 0.0
-
-    def test_stall_rejects_negative_duration(self):
-        copro = build_coprocessor(config=SMALL_CONFIG, bank=build_small_bank())
-        with pytest.raises(ValueError):
-            copro.device.port.stall_for(-1.0)
-
-
 class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,19 +123,11 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(upset_rate_per_s=-1.0)
         with pytest.raises(ValueError):
-            FaultSpec(burst_bits=0)
-        with pytest.raises(ValueError):
             FaultSpec(card_kill_times_ns=((-1.0, 0),))
 
     def test_mean_gaps(self):
         assert FaultSpec().mean_upset_gap_ns == float("inf")
         assert FaultSpec(upset_rate_per_s=1e3).mean_upset_gap_ns == 1e6
-        spec = FaultSpec(port_fault_rate_per_s=2e3)
-        assert spec.mean_port_fault_gap_ns == 5e5
-
-    def test_with_overrides(self):
-        spec = FaultSpec().with_overrides(upset_rate_per_s=7.0)
-        assert spec.upset_rate_per_s == 7.0
 
 
 class TestFaultInjectorManual:
@@ -181,33 +138,13 @@ class TestFaultInjectorManual:
         owned = set(memory.configured_frames())
         injector = FaultInjector(FaultSpec(process="targeted"))
         for _ in range(30):
-            address, _ = injector.upset_memory(memory)
-            assert address in owned
-
-    def test_burst_flips_multiple_bits(self, monkeypatch):
-        memory = ConfigurationMemory(TEST_GEOMETRY)
-        flips = []
-        corrupt_bit = memory.corrupt_bit
-        monkeypatch.setattr(
-            memory, "corrupt_bit", lambda *args, bits: flips.append(bits) or corrupt_bit(*args, bits=bits)
-        )
-        injector = FaultInjector(FaultSpec(process="burst", burst_bits=6))
-        injector.upset_memory(memory)
-        assert flips == [6]
-        assert injector.upsets == 1
-
-    def test_counters_split_effective_and_masked(self):
-        memory = ConfigurationMemory(TEST_GEOMETRY)
-        injector = FaultInjector(FaultSpec(process="poisson"))
-        effective = sum(injector.upset_memory(memory)[1] for _ in range(64))
-        assert injector.upsets == 64
-        assert 0 < effective <= 64
+            assert injector.upset_memory(memory) in owned
 
     def test_injection_is_seed_deterministic(self):
         def run(seed):
             memory = ConfigurationMemory(TEST_GEOMETRY)
             injector = FaultInjector(FaultSpec(process="poisson", seed=seed))
-            return [injector.upset_memory(memory)[0] for _ in range(10)]
+            return [injector.upset_memory(memory) for _ in range(10)]
 
         assert run(1) == run(1)
         assert run(1) != run(2)
@@ -257,7 +194,8 @@ class TestScrubber:
         copro.preload("crc32")
         memory = copro.device.memory
         address = copro.device.region_of("crc32").addresses[0]
-        assert memory.corrupt_bit(address, 1) and memory.corrupt_bit(address, 1)
+        memory.corrupt_bit(address, 1)
+        memory.corrupt_bit(address, 1)
         assert memory.suspect == {address} and memory.frame_crc_ok(address)
         assert copro.scrubber.scrub_pass().detected == 0
         assert memory.suspect == set()
@@ -294,9 +232,9 @@ class TestScrubCommandPath:
         with pytest.raises(CoprocessorError):
             driver.scrub_card()
 
-    def test_preload_on_wedged_port_reports_config_failed(self):
+    def test_preload_on_wedged_port_reports_config_failed(self, refuse_configuration):
         driver = small_driver()
-        driver.coprocessor.device.port.wedge()
+        refuse_configuration(driver.coprocessor.device)
         with pytest.raises(CoprocessorError):
             driver.preload("crc32")
 
@@ -338,11 +276,7 @@ class TestRandomisedRepair:
         frames = copro.geometry.all_frames()
         for _ in range(50):
             address = frames[rng.integer(0, len(frames) - 1)]
-            memory.corrupt_bit(
-                address,
-                rng.integer(0, copro.geometry.frame_config_bytes * 8 - 1),
-                bits=rng.integer(1, 4),
-            )
+            memory.corrupt_bit(address, rng.integer(0, copro.geometry.frame_config_bytes * 8 - 1))
             copro.scrubber.scrub_pass()
             for check in frames:
                 assert memory.read_frame(check) == golden.payload_for(check)

@@ -6,7 +6,8 @@ dispatches, in the order it dispatches them, same-instant ties included —
 and the SHA-256 of that log is held ``==`` for a lossy, jittered,
 deadline-bounded front door with two gateways at overload, where shedding,
 timeouts, retries, dedup replays, breaker opens and fast fails, fleet
-rejections and expiries all fire; then for the same front door traced.  How
+rejections and expiries all fire (its links' egress queues bound to 8
+packets, ``QUEUE_PACKETS`` patched); then for the same front door traced.  How
 an entry reaches the queue (``schedule_call`` or a direct heap push with the
 same ``(time, seq)`` key) is free; which entry runs when is not.
 
@@ -28,6 +29,7 @@ from repro.cluster.fleet import Fleet
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.functions.bank import build_small_bank
+from repro.net import link as link_module
 from repro.net import (
     AdmissionConfig,
     GatewayRequest,
@@ -82,7 +84,7 @@ def build_cell(traced: bool):
         fleet,
         seed=7,
         gateways=2,
-        uplink=LinkSpec(latency_ns=20_000, loss=0.05, jitter_ns=6_000, queue_packets=8),
+        uplink=LinkSpec(latency_ns=20_000, loss=0.05, jitter_ns=6_000),
         transport=TransportConfig(
             per_hop_timeout_ns=45_000,
             backoff_base_ns=20_000,
@@ -122,7 +124,8 @@ def dispatch_log(traced: bool):
 
 
 @pytest.mark.parametrize("cell", ["untraced", "traced"])
-def test_the_overload_cell_dispatches_in_the_pinned_order(cell):
+def test_the_overload_cell_dispatches_in_the_pinned_order(cell, monkeypatch):
+    monkeypatch.setattr(link_module, "QUEUE_PACKETS", 8)
     stats, log = dispatch_log(cell == "traced")
     assert {name: getattr(stats, name) for name in COUNTERS} == COUNTERS
     sha = hashlib.sha256()

@@ -135,20 +135,22 @@ class TestDeviceCaptureRelocate:
         assert device.relocate_function("crc32", device.region_of("crc32")) == 0.0
         assert device.clock.now == before_ns
 
-    def test_relocate_on_wedged_port_refuses(self):
+    def test_relocate_on_wedged_port_refuses(self, refuse_configuration):
         driver = protected_driver()
         driver.preload("crc32")
         device = driver.coprocessor.device
         region = device.region_of("crc32")
+        payloads = device.readback("crc32")
         target = rebase_region(
             device.geometry, region, device.geometry,
             device.geometry.all_frames().index(min(region.addresses)) + 1,
         )
-        device.port.wedge()
+        refuse_configuration(device)
         with pytest.raises(ConfigurationError):
             device.relocate_function("crc32", target)
-        device.port.unwedge()
-        assert device.readback("crc32")  # still intact where it was
+        # Still intact where it was.
+        assert device.region_of("crc32") == region
+        assert device.readback("crc32") == payloads
 
 
 class TestCaptureRestorePci:
@@ -253,11 +255,11 @@ class TestCaptureRestorePci:
         # the size.
         assert rebalancer.plan(fleet) == []
 
-    def test_restore_on_wedged_port_fails_like_a_load(self):
+    def test_restore_on_wedged_port_fails_like_a_load(self, refuse_configuration):
         source, dest = protected_driver(), protected_driver()
         source.preload("crc32")
         blob = source.capture_function("crc32")
-        dest.coprocessor.device.port.wedge()
+        refuse_configuration(dest.coprocessor.device)
         with pytest.raises(CoprocessorError):
             dest.restore_function("crc32", blob)
         assert not dest.coprocessor.minios.is_resident("crc32")
@@ -504,9 +506,9 @@ class TestMigrationFailureBranches:
         self.settled(fleet, violations, "dest-died")
         assert source.holds(self.FUNCTION)
 
-    def test_restore_failed(self, small_bank, order_drill):
+    def test_restore_failed(self, small_bank, order_drill, refuse_configuration):
         fleet = self.two_cards(small_bank)
-        fleet.degrade_card(1, 1e9)
+        refuse_configuration(fleet.cards[1])
         fleet.order_migration(self.FUNCTION, 0, 1)
         self.settled(fleet, order_drill(fleet), "restore-failed")
         # The refused restore still staged the blob over the destination's bus.

@@ -27,6 +27,7 @@ import pytest
 
 import repro
 import repro.net.gateway as gateway_module
+import repro.net.link as link_module
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.net import (
@@ -132,23 +133,25 @@ class TestLink:
         assert arrived == []
         assert link.lost == 32
 
-    def test_bounded_queue_tail_drops(self):
+    def test_bounded_queue_tail_drops(self, monkeypatch):
         # The bound is on packets *waiting*: the first packet goes straight
         # onto the idle wire, three wait behind it, the fifth is dropped.
         # (Three accepted was only ever the answer for a link nothing
         # drained; every running link accepted four.)
-        spec = LinkSpec(queue_packets=3)
+        monkeypatch.setattr(link_module, "QUEUE_PACKETS", 3)
+        spec = LinkSpec()
         simulator = Simulator()
         link = Link(simulator, spec, lambda packet: None, SeededRandom(1))
         results = [link.send(Packet("req", index, 64)) for index in range(5)]
         assert results == [True, True, True, True, False]
         assert link.offered == 5 and link.dropped == 1
 
-    def test_packet_starting_to_serialise_has_left_the_queue(self):
+    def test_packet_starting_to_serialise_has_left_the_queue(self, monkeypatch):
         # 125 B at 1 Gbit/s = 1000 ns: packet 1 waits until t=1000.  A send
         # at exactly t=1000 finds the one-packet queue empty again (<=).
+        monkeypatch.setattr(link_module, "QUEUE_PACKETS", 1)
         simulator = Simulator()
-        link = Link(simulator, LinkSpec(gbps=1.0, queue_packets=1), lambda p: None, SeededRandom(1))
+        link = Link(simulator, LinkSpec(gbps=1.0), lambda p: None, SeededRandom(1))
         assert [link.send(Packet("req", index, 125)) for index in range(3)] == [True, True, False]
         simulator.clock.advance_to(999)
         assert not link.send(Packet("req", 3, 125))

@@ -14,17 +14,22 @@ first.  ``Link`` fixes the rule (the packet has left the queue: ``<=``,
 pinned in ``test_net_frontdoor.py``); here such schedules are detected by
 running the queue arithmetic under both ``<`` and ``<=`` and discarded when
 the two disagree.
+
+The queue bound is the module constant ``QUEUE_PACKETS``; each case patches
+it, and both sides read it at every send.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles.pump_link import PumpLink
+from repro.net import link as link_module
 from repro.net.link import Link, LinkSpec, Packet
 from repro.sim.kernel import Simulator, Timeout
 from repro.sim.rand import SeededRandom
@@ -54,7 +59,7 @@ def drive(link_class, spec, schedule, seed):
     return accepted, arrived, (link.offered, link.delivered, link.lost, link.dropped)
 
 
-def accepted_under(has_left, spec, schedule):
+def accepted_under(has_left, queue_packets, spec, schedule):
     """The queue arithmetic alone, its "has left the queue" rule a parameter."""
     now = wire_free = 0
     waiting = deque()
@@ -63,7 +68,7 @@ def accepted_under(has_left, spec, schedule):
         now += gap_ns
         while waiting and has_left(waiting[0], now):
             waiting.popleft()
-        accepted.append(len(waiting) < spec.queue_packets)
+        accepted.append(len(waiting) < queue_packets)
         if accepted[-1]:
             start = max(now, wire_free)
             if start > now:
@@ -114,21 +119,22 @@ def test_arithmetic_link_equals_the_pump_it_replaced(
         gbps=gbps,
         jitter_ns=jitter_ns,
         loss=loss,
-        queue_packets=queue_packets,
     )
     schedule = resolve(sends, gbps)
     assume(
-        accepted_under(operator.le, spec, schedule)
-        == accepted_under(operator.lt, spec, schedule)
+        accepted_under(operator.le, queue_packets, spec, schedule)
+        == accepted_under(operator.lt, queue_packets, spec, schedule)
     )
-    assert drive(Link, spec, schedule, seed) == drive(PumpLink, spec, schedule, seed)
+    with mock.patch.object(link_module, "QUEUE_PACKETS", queue_packets):
+        assert drive(Link, spec, schedule, seed) == drive(PumpLink, spec, schedule, seed)
 
 
-def test_tail_drops_on_a_running_wire_match_the_pump():
+def test_tail_drops_on_a_running_wire_match_the_pump(monkeypatch):
     # 1000 B at 0.1 Gbit/s = 80 µs on the wire; a send every 30 µs overruns a
     # two-packet queue, so this drops while the wire is busy — the case the
     # un-pumped unit test could never reach.
-    spec = LinkSpec(gbps=0.1, queue_packets=2, loss=0.2, jitter_ns=3_000)
+    monkeypatch.setattr(link_module, "QUEUE_PACKETS", 2)
+    spec = LinkSpec(gbps=0.1, loss=0.2, jitter_ns=3_000)
     schedule = [(30_000, 1000)] * 40
     accepted, arrived, (offered, delivered, lost, dropped) = drive(Link, spec, schedule, 3)
     assert (accepted, arrived, (offered, delivered, lost, dropped)) == drive(

@@ -331,7 +331,7 @@ class TestFlightRecorder:
     def test_open_incident_receives_live_events_and_close_stops_them(self, monkeypatch):
         recorder = recorder_with_lookback(monkeypatch, 100.0)
         alert = fire_alert(recorder, now_ns=1_000)
-        recorder.on_fault("wedge", "card1", 1_100.0, duration_ns=50)
+        recorder.on_fault("upset", "card1", 1_100.0, frame="f(0,1)", effective=True)
         recorder.on_resolved(alert, 1_200)
         recorder.on_fault("kill", "card0", 1_300.0)  # after close: ring only
         incident = recorder.incidents[0]

@@ -24,9 +24,10 @@ its ``KEPT*`` dict names the exception with a reason:
   ``__init__``, ``build_*``, ``enable_*``, ``install_*`` or ``use_*`` that no
   call sets (by keyword, by position or through ``*args`` / ``**kwargs``) is
   a configuration no workload runs: it becomes the constant it always is.
-  So is a field of ``CoprocessorConfig`` that no ``CoprocessorConfig(...)``,
-  ``with_overrides(...)`` or ``replace(...)`` sets by keyword or by a key of
-  a dict passed with ``**`` (:func:`config_fields_set`).
+  So is a defaulted field of a frozen dataclass (a spec or config: non-frozen
+  result and counter dataclasses are not options) that no call of the class,
+  ``with_overrides(...)`` or ``replace(...)`` sets by keyword, by position or
+  by a key of a dict passed with ``**`` (:func:`spec_options`).
 - :func:`test_no_field_is_written_only`: a ``self.x = ...`` store or annotated
   dataclass field nothing reads — a counter only ``+=`` touches, a history
   only ``.append`` grows — is deleted, unless it is an exception's payload, a
@@ -75,15 +76,14 @@ import tokenize
 from repro.cluster.fleet import Fleet
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
 from repro.core.builder import build_fleet, build_frontdoor
-from repro.core.config import CoprocessorConfig
 from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 45
-FLEET_CODE_LINE_BUDGET = 626
+FLEET_CODE_LINE_BUDGET = 605
 SIM_CODE_LINE_BUDGET = 318
-STATS_CODE_LINE_BUDGET = 419
-NET_CODE_LINE_BUDGET = 808
-SRC_CODE_LINE_BUDGET = 10_567
+STATS_CODE_LINE_BUDGET = 411
+NET_CODE_LINE_BUDGET = 806
+SRC_CODE_LINE_BUDGET = 10_420
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -254,10 +254,11 @@ class Index:
         #: ``(class or None, name)`` -> the bindings of a call's result / of an attribute
         self.returns, self.stores = collections.defaultdict(list), collections.defaultdict(list)
         #: ``{"path:Qualified.name": (name, class it is in or None)}``; an option
-        #: definition's is ``(called as, class, [(position, option)])``.  ``uses``
+        #: definition's is ``(called as, class, [(position, option)])``, a frozen
+        #: dataclass's ``specs`` entry ``(name, [init field], [defaulted init field])``.  ``uses``
         #: holds ``(name, receiver, scope, chain, kind)``, ``calls`` ``(called
         #: names, receiver, scope, chain, positional arguments, keywords, starred)``
-        self.definitions, self.fields, self.options = {}, {}, {}
+        self.definitions, self.fields, self.options, self.specs = {}, {}, {}, {}
         for file, tree in trees:
             self._path = file.relative_to(root).as_posix() if root in file.parents else None
             self._copiers = _COPIERS[1] if self._path == _COPIERS[0] else set()
@@ -286,6 +287,8 @@ class Index:
                 for base in map(_name, node.bases):
                     self.subclasses[base].add(node.name)
                 dataclass = key and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                if dataclass and any("frozen=True" in ast.unparse(d) for d in node.decorator_list):
+                    self.specs[key] = (node.name, [], [])
                 inner = _scope(scope, node.name, body=True, dataclass=dataclass)
             else:
                 copying = copying or node.name in self._copiers
@@ -317,6 +320,11 @@ class Index:
             self._bind(scope, node.target, ("class", node.annotation, None))
             if scope.dataclass and "ClassVar" not in ast.unparse(node.annotation):
                 self.fields[f"{self._path}:{scope.owner}.{node.target.id}"] = (node.target.id, scope.owner)
+                spec = self.specs.get(f"{self._path}:{scope.owner}")
+                if spec and "init=False" not in ast.unparse(node.value or ast.Constant(None)):
+                    spec[1].append(node.target.id)
+                    if node.value is not None:
+                        spec[2].append(node.target.id)
         elif isinstance(node, (ast.For, ast.comprehension)):
             self._named.update(map(id, getattr(node.iter, "elts", ())))
             iterated, targets, call = [node.iter], [node.target], _name(getattr(node.iter, "func", None))
@@ -510,52 +518,72 @@ class Index:
         return unreached & self.definitions.keys(), unset, unreached & self.fields.keys()
 
 
-#: The calls that set a ``CoprocessorConfig`` field: the constructor and the
-#: two copy-with-changes helpers.
-_CONFIG_SETTERS = {"CoprocessorConfig", "with_overrides", "replace"}
-_CONFIG_KEY = "core/config.py:CoprocessorConfig"
+#: The calls besides a class's own name that set its fields: the two
+#: copy-with-changes helpers, whose receiver the scan does not resolve.
+_COPY_SETTERS = {"with_overrides", "replace"}
 
 
-def _dict_keys(node):
-    """The keys a dict display or ``dict(...)`` call *node* builds, else None."""
+def _dict_keys(node, bound):
+    """The keys a dict display or ``dict(...)`` call *node* builds, a copy
+    ``dict(NAME)`` taking the keys *bound* to ``NAME``; else None."""
     if isinstance(node, ast.Dict):
         return {key.value for key in node.keys if isinstance(key, ast.Constant)}
     if isinstance(node, ast.Call) and _name(node.func) == "dict":
-        return {keyword.arg for keyword in node.keywords if keyword.arg}
+        copied = bound[_name(node.args[0])] if node.args else set()
+        return copied | {keyword.arg for keyword in node.keywords if keyword.arg}
     return None
 
 
-def config_fields_set(trees) -> set:
-    """The names a :data:`_CONFIG_SETTERS` call in *trees* sets: its keywords,
-    and the keys of a dict it takes with ``**`` — built in the call or bound
-    to the name it passes anywhere in the same module."""
-    found = set()
+def spec_fields_set(trees, fields) -> dict:
+    """``{class: the fields calls in *trees* set}`` for *fields*, ``{class:
+    its init fields in order}``: a call of the class sets its keywords and the
+    fields at the positions it passes, and ``with_overrides(...)`` /
+    ``replace(...)`` set their keywords on every class (under the key
+    ``None``).  A dict passed with ``**`` sets its keys — built in the call,
+    or bound to the name it passes anywhere in the same module (the walk is
+    breadth first, so a module constant is bound before a function copies
+    it)."""
+    found = collections.defaultdict(set)
     for _, tree in trees:
         bound = collections.defaultdict(set)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and (keys := _dict_keys(node.value)) is not None:
+            if isinstance(node, ast.Assign) and (keys := _dict_keys(node.value, bound)) is not None:
                 for target in node.targets:
                     bound[_name(target)] |= keys
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _name(node.func) in _CONFIG_SETTERS:
+            if isinstance(node, ast.Call) and (called := _name(node.func)) in fields.keys() | _COPY_SETTERS:
+                owner = called if called in fields else None
                 for keyword in node.keywords:
-                    found |= {keyword.arg} if keyword.arg else _dict_keys(keyword.value) or bound[_name(keyword.value)]
+                    words = {keyword.arg} if keyword.arg else _dict_keys(keyword.value, bound)
+                    found[owner] |= words or bound[_name(keyword.value)]
+                if owner:
+                    found[owner] |= set(fields[owner][:len(node.args)])
     return found
+
+
+def spec_options(built, trees) -> dict:
+    """``{frozen dataclass: [defaulted field no call in *trees* sets]}`` for
+    each frozen dataclass *built* indexed with a defaulted field
+    (:func:`spec_fields_set`); each also joins ``built.options``."""
+    set_by = spec_fields_set(trees, {name: fields for name, fields, _ in built.specs.values()})
+    unset = {}
+    for key, (name, _, defaulted) in built.specs.items():
+        if defaulted:
+            built.options[key] = (name, None, [(None, field) for field in defaulted])
+            unset[key] = [field for field in defaulted if field not in set_by[name] | set_by[None]]
+    return unset
 
 
 @functools.lru_cache(maxsize=None)
 def index():
     """The :class:`Index` of ``src/`` and ``benchmarks/`` (never ``examples/``
-    or ``tests/``), and its scan, whose options include ``CoprocessorConfig``'s
-    fields."""
+    or ``tests/``), and its scan, whose options include every frozen
+    dataclass's defaulted fields."""
     files = [file for part in ("src", "benchmarks") for file in sorted((REPO / part).rglob("*.py"))]
     trees = [(file, parse(file)[1]) for file in files]
     built = Index(trees)
     unreached, unset, unread = built.scan()
-    fields = [field.name for field in dataclasses.fields(CoprocessorConfig)]
-    built.options[_CONFIG_KEY] = ("CoprocessorConfig", None, [(None, name) for name in fields])
-    configured = config_fields_set(trees)
-    unset[_CONFIG_KEY] = [name for name in fields if name not in configured]
+    unset.update(spec_options(built, trees))
     return built, (unreached, unset, unread)
 
 

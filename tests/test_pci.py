@@ -5,32 +5,26 @@ import pytest
 from repro.core.builder import build_host_driver
 from repro.core.card import WINDOW_BYTES
 from repro.core.config import SMALL_CONFIG
-from repro.pci import DMA_SETUP_NS, READ, REGISTERS, WINDOW, WRITE, PciBus, PciBusTiming
+from repro.pci import DMA_SETUP_NS, READ, REGISTERS, TRANSACTION_OVERHEAD_CYCLES, WINDOW, WRITE, PciBus, transaction_ns
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
 
 
 class TestBusTiming:
     def test_time_scales_with_length(self):
-        timing = PciBusTiming()
-        assert timing.time_ns(4) < timing.time_ns(256)
-        assert timing.cycles_for(0) == timing.arbitration_cycles + timing.address_phase_cycles + timing.wait_states_per_burst + timing.turnaround_cycles
+        assert transaction_ns(4) < transaction_ns(256)
+        # Arbitration 2 + address phase 1 + wait states 3 + turnaround 2.
+        assert TRANSACTION_OVERHEAD_CYCLES == 8
+        assert transaction_ns(0) == round(8 * 1e9 / 33e6)
 
     def test_bandwidth(self):
-        timing = PciBusTiming(clock_hz=33e6, bus_width_bytes=4)
         # A long burst amortises the fixed overhead cycles: 33 MHz x 4 bytes.
-        mbytes_per_s = 1_320_000 / timing.time_ns(1_320_000) * 1e3
+        mbytes_per_s = 1_320_000 / transaction_ns(1_320_000) * 1e3
         assert mbytes_per_s == pytest.approx(132.0, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PciBusTiming(clock_hz=0)
-        with pytest.raises(ValueError):
-            PciBusTiming(bus_width_bytes=0)
 
 
 def _bus():
-    return PciBus(Clock(), PciBusTiming(), TraceRecorder())
+    return PciBus(Clock(), TraceRecorder())
 
 
 def _events(bus):
@@ -44,7 +38,7 @@ class TestBusAndDevice:
     def test_clock_advances_per_transaction(self):
         bus = _bus()
         bus.transfer(WRITE, WINDOW, 64)
-        assert bus.clock.now == bus.timing.time_ns(64) > 0
+        assert bus.clock.now == transaction_ns(64) > 0
         assert (bus.transactions_completed, bus.bytes_transferred, bus.busy_time_ns) == (
             1, 64, bus.clock.now
         )
@@ -53,7 +47,7 @@ class TestBusAndDevice:
         bus = _bus()
         bus.transfer(WRITE, REGISTERS + 0x10, 4)
         bus.transfer(READ, REGISTERS + 0x10, 4)
-        one = bus.timing.time_ns(4)
+        one = transaction_ns(4)
         assert _events(bus) == [
             (WRITE, 0, one, REGISTERS + 0x10, 4),
             (READ, one, 2 * one, REGISTERS + 0x10, 4),
@@ -79,7 +73,7 @@ class TestBusAndDevice:
             return "done"
 
         assert bus.transfer(WRITE, REGISTERS, 4, deliver, 7) == "done"
-        one = bus.timing.time_ns(4)
+        one = transaction_ns(4)
         assert seen == [(7, one)]
         assert [(e.component, e.start_ns, e.end_ns) for e in bus.trace.events] == [
             ("card", one, one + 1_000),
@@ -95,7 +89,7 @@ class TestDma:
         bursts = -(-2000 // 256)
         assert bus.transactions_completed == bursts
         assert bus.bytes_transferred == 2000
-        assert bus.clock.now == DMA_SETUP_NS + 7 * bus.timing.time_ns(256) + bus.timing.time_ns(2000 - 7 * 256)
+        assert bus.clock.now == DMA_SETUP_NS + 7 * transaction_ns(256) + transaction_ns(2000 - 7 * 256)
         assert [event[3] for event in _events(bus)] == [WINDOW + offset for offset in range(0, 2000, 256)]
         bus.dma(READ, WINDOW, 2000, 256)
         assert bus.transactions_completed == 2 * bursts

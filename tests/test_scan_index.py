@@ -181,4 +181,69 @@ unused = {"eta": 7}
 Unrelated(zeta=6)
 """
     trees = [(tmp_path / "m.py", ast.parse(source))]
-    assert scans.config_fields_set(trees) == {"alpha", "beta", "gamma", "delta", "epsilon"}
+    found = scans.spec_fields_set(trees, {"CoprocessorConfig": []})
+    assert found["CoprocessorConfig"] | found[None] == {"alpha", "beta", "gamma", "delta", "epsilon"}
+
+
+SPEC_SOURCE = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class LinkSpec:
+    latency_ns: int
+    gbps: float = 10.0
+    loss: float = 0.0
+    queue_packets: int = 64
+
+
+@dataclass(frozen=True)
+class Transport:
+    retries: int = 3
+    timeout_ns: int = 100
+
+
+@dataclass
+class Counters:
+    sent: int = 0
+
+
+UPLINK = dict(loss=0.1)
+TRANSPORT = dict(retries=5, timeout_ns=50)
+
+
+def build():
+    uplink = LinkSpec(20_000, 1.0, **UPLINK)
+    transport = dict(TRANSPORT)
+    return uplink, Transport(**transport), Counters()
+'''
+
+
+def spec_scan(tmp_path):
+    trees = [(tmp_path / "m.py", ast.parse(SPEC_SOURCE))]
+    index = scans.Index(trees, root=tmp_path)
+    return index, scans.spec_options(index, trees)
+
+
+def test_a_frozen_dataclass_field_nothing_sets_is_flagged(tmp_path):
+    """``LinkSpec(20_000, 1.0, **UPLINK)`` sets its first two fields by
+    position and ``loss`` through a bound dict; ``queue_packets`` is set by
+    nothing."""
+    index, unset = spec_scan(tmp_path)
+    assert unset["m.py:LinkSpec"] == ["queue_packets"]
+    assert index.options["m.py:LinkSpec"] == (
+        "LinkSpec", None, [(None, "gbps"), (None, "loss"), (None, "queue_packets")]
+    )
+
+
+def test_a_field_set_through_a_copied_dict_is_not_flagged(tmp_path):
+    """``transport = dict(TRANSPORT)`` copies the bound dict's keys, so
+    ``Transport(**transport)`` sets both fields."""
+    _, unset = spec_scan(tmp_path)
+    assert unset["m.py:Transport"] == []
+
+
+def test_a_non_frozen_counter_dataclass_is_not_an_option(tmp_path):
+    index, unset = spec_scan(tmp_path)
+    assert "m.py:Counters" not in unset and "m.py:Counters" not in index.options
+    assert set(index.specs) == {"m.py:LinkSpec", "m.py:Transport"}

@@ -31,15 +31,11 @@ def trace_digest(trace):
 
 
 class TestTenantSpec:
-    def test_rejects_bad_weight_and_mix(self):
-        with pytest.raises(ValueError):
-            TenantSpec(name="t", weight=0.0)
+    def test_rejects_an_empty_function_list_and_an_unknown_mix(self):
         with pytest.raises(ValueError):
             TenantSpec(name="t", functions=())
         with pytest.raises(ValueError):
             TenantSpec(name="t", mix="nonsense")
-        with pytest.raises(ValueError):
-            TenantSpec(name="t", mix="phased", phase_length=0)
 
     def test_default_mix_staggers_rank_offsets(self, bank):
         specs = default_tenant_mix(bank, tenants=3, skew=1.0)
@@ -76,12 +72,12 @@ class TestMultiTenantTrace:
         assert all(count > 0 for count in counts.values())
         assert sum(counts.values()) == 300
 
-    def test_weights_shift_traffic_shares(self, bank):
-        heavy = TenantSpec(name="heavy", weight=9.0, functions=tuple(bank.names()))
-        light = TenantSpec(name="light", weight=1.0, functions=tuple(bank.names()))
-        trace = multi_tenant_trace(bank, [heavy, light], length=400, seed=4)
+    def test_tenants_share_traffic_equally(self, bank):
+        tenants = [TenantSpec(name=name, functions=tuple(bank.names())) for name in ("a", "b")]
+        trace = multi_tenant_trace(bank, tenants, length=400, seed=4)
         counts = Counter(request.tenant for request in trace)
-        assert counts["heavy"] > 3 * counts["light"]
+        assert counts["a"] + counts["b"] == 400
+        assert abs(counts["a"] - counts["b"]) < 60  # 3 standard deviations of a fair split
 
     def test_rank_offset_rotates_hot_function(self, bank):
         names = bank.names()
@@ -95,17 +91,14 @@ class TestMultiTenantTrace:
             assert hottest == names[offset]
 
     def test_phased_tenant_changes_working_set(self, bank):
-        spec = TenantSpec(
-            name="t", mix="phased", functions=tuple(bank.names()),
-            phase_length=50, working_set=1,
-        )
+        spec = TenantSpec(name="t", mix="phased", functions=tuple(bank.names()))
         trace = multi_tenant_trace(bank, [spec], length=200, seed=8)
         functions = [request.function for request in trace]
-        # With a working set of one, each 50-request phase is a constant run;
-        # across 4 phases at least two distinct functions must appear.
-        assert len(set(functions)) >= 2
+        # A phased tenant takes the chooser's phases: 50 requests over a
+        # working set of three.  Across 4 phases the set must change.
+        assert len(set(functions)) > 3
         for start in range(0, 200, 50):
-            assert len(set(functions[start : start + 50])) == 1
+            assert len(set(functions[start : start + 50])) <= 3
 
     def test_bursty_arrivals_are_deterministic_and_clustered(self, bank):
         specs = default_tenant_mix(bank, tenants=2)
