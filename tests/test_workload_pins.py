@@ -52,13 +52,13 @@ def trace_digest(trace) -> str:
 
 
 def mixed_tenants(bank):
-    """Every tenant knob: weights, all three mixes, rotation, payload blocks."""
+    """Every tenant knob: all three mixes, rotation, payload blocks."""
     names = tuple(bank.names())
     return [
-        TenantSpec("hot", weight=3.0, skew=0.9, functions=names, rank_offset=2, payload_blocks=2),
-        TenantSpec("phase", weight=1.5, mix="phased", functions=names, phase_length=7, working_set=2),
+        TenantSpec("hot", skew=0.9, functions=names, rank_offset=2, payload_blocks=2),
+        TenantSpec("phase", mix="phased", functions=names),
         TenantSpec("flat", mix="uniform", functions=names[:3], payload_blocks=3),
-        TenantSpec("tail", weight=0.5, skew=1.6, rank_offset=5),
+        TenantSpec("tail", skew=1.6, rank_offset=5),
     ]
 
 
@@ -98,20 +98,20 @@ APPS = {"ipsec": ipsec_gateway_trace, "hash_server": hash_server_trace, "dsp": d
 PINS = {
     "multi_tenant-small-poisson-default-count": "7c0f653822dd747371c710940591e3e61c0c9047731245755d1b327b07bab793",
     "multi_tenant-small-poisson-default-duration": "f4223d5c8b7ed60d66a242ca0e4005644aad0829821edce714f79ecc43d0df75",
-    "multi_tenant-small-poisson-mixed-count": "4bed6726c81683b93bedd4555517760037264a95bcca81114e0d9230ab34ecfe",
-    "multi_tenant-small-poisson-mixed-duration": "7d156cd4347974a3638efd47b9336b703ceb631310679537e120e18c9affd298",
+    "multi_tenant-small-poisson-mixed-count": "8f57d608449c54801727fd9bf5318524e7a8c664c37abd017fa943a5a9328a11",
+    "multi_tenant-small-poisson-mixed-duration": "69b6fff3fff3312cd0c884fd04787e434ccacf0ea306e65cafce43b3adc26d67",
     "multi_tenant-small-bursty-default-count": "37406b0483278b71820222d4ec20f56d290cfb4e97754965fce3e56906f5c480",
     "multi_tenant-small-bursty-default-duration": "7efc14a6a64cbbeaf09c9da78c1479642581812772186e5145122de818837957",
-    "multi_tenant-small-bursty-mixed-count": "a7868a809409a6dde1e5b5a8b20566e41f52379d79cd95ea983c0000fe21da58",
-    "multi_tenant-small-bursty-mixed-duration": "d102cd6f6a8bd37620b49715251872415ca5b1892e8b3fe44e48090065b79a6d",
+    "multi_tenant-small-bursty-mixed-count": "dfd24f30fd6198cddd7359e8e3c92ee6cbeefb75d00cba38afbff69a9b4b333a",
+    "multi_tenant-small-bursty-mixed-duration": "c76b610b3c96feb0038eb563c1f9ef00e74cb8517975bfb1120d62c0d6d52e16",
     "multi_tenant-default-poisson-default-count": "930a0fb6a9fcbb347b6b4058d575f11bd0ed0aaa39af7a62a07d1f4ae9d9df54",
     "multi_tenant-default-poisson-default-duration": "41e6083d7d9ccbd6af6546e378fa90d28dc1c5ad7f323203e50e71612e4b21ac",
-    "multi_tenant-default-poisson-mixed-count": "a003e8189bf9518d56245732ca713de6a3581fc3b177dcfe99a7f6572926ce34",
-    "multi_tenant-default-poisson-mixed-duration": "e639e412c8444a4716392fcc84d300e05819906b52806dad441a6cb5096b2697",
+    "multi_tenant-default-poisson-mixed-count": "52acd663e076022e327c795485f5db30af4123d81d5fe5130ada5300ddfbd6ec",
+    "multi_tenant-default-poisson-mixed-duration": "0743b9a761a1846150eecf255b8ebf28ed319cd823b5fc08ce1a546b8fce7221",
     "multi_tenant-default-bursty-default-count": "6afd63caf80c3a5a49a99c326353fbbaf15b56af4c03ae0735afe1187bc98b4e",
     "multi_tenant-default-bursty-default-duration": "1c4b16242d0d9644030fde117c160a35611451f4ad6cf14cfb1bd2ecd55af406",
-    "multi_tenant-default-bursty-mixed-count": "fabb2bf58fc0cdd3c5a9b2b4d179e0c9912dda9027259bc5dcdcd535e8eb272f",
-    "multi_tenant-default-bursty-mixed-duration": "4519ea6c73668103a4ce99eeb9378c4afc6b398c5f079170d3972948a4a8054c",
+    "multi_tenant-default-bursty-mixed-count": "8408c8bf903502eb30c492f160207fc5030a9a9446cd3a7e3b2841d26fa10734",
+    "multi_tenant-default-bursty-mixed-duration": "b8fafb8cb9a408a7ba601d0116a7965d622cf9db411706ae34e9e3be385d3372",
     "streaming-small-seed11": "55aaa39a6233b7df760b49de2c1de30e60225c20747a98b73ffe726a7ffc5a30",
     "closed-small-uniform": "412adf80c201d9cc649e92ac53f25ebf40efbccc7882b395979eadb47c97b820",
     "closed-small-zipf": "0b4d407fe155085e37b38c6bfbb7f53e29cb6033464bcc925433f20635e61d0a",
