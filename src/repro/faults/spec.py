@@ -27,7 +27,8 @@ FAULT_PROCESSES = ("poisson", "targeted")
 class FaultSpec:
     """All tunable parameters of one fault environment.
 
-    Kill times are whole nanoseconds; a fractional value is tolerated and rounded once, where the injector consumes the spec.
+    Kill times are whole nanoseconds; a fractional value is tolerated and
+    rounded once, where the injector consumes the spec.
     """
 
     # --- configuration-memory upsets ---------------------------------------

@@ -186,8 +186,8 @@ def _arrivals(
     """The open-arrival loop: *length* requests from *tenants*.
 
     Per request: one arrival gap, one ``random()`` for the tenant (matched
-    against the equal shares' running sums), then the tenant's chooser.  Each gap
-    is ``-log(1 - random()) / lambd``, which is ``expovariate(lambd)`` to the
+    against the equal shares' running sums), then the tenant's chooser.  Each
+    gap is ``-log(1 - random()) / lambd``, which is ``expovariate(lambd)`` to the
     bit; the arrival model is only the sequence of ``lambd`` values.  A Zipf
     tenant's draw is inlined rather than a ``next_index()`` call: the
     streaming fleet workloads generate inside their timed run, where a
@@ -267,8 +267,8 @@ def multi_tenant_trace(
       the Poisson model while stressing the fleet's queues.
 
     Each arrival picks a tenant (every one equally likely), then the tenant's
-    own stream picks the function and payload.  Everything derives from *seed* through
-    :meth:`SeededRandom.fork`, so traces are byte-reproducible.
+    own stream picks the function and payload.  Everything derives from
+    *seed* through :meth:`SeededRandom.fork`, so traces are byte-reproducible.
 
     ``duration_ns`` switches to duration-bounded generation: arrivals stop at
     the first one past the horizon instead of after a fixed count (*length*

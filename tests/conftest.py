@@ -221,10 +221,11 @@ def refuse_configuration(monkeypatch):
         return configure(port, owner, *args)
 
     monkeypatch.setattr(ConfigurationPort, "configure", refused)
+
     def refuse(*targets):
         for target in targets:
-            device = getattr(target, "driver", None)
-            refusing.add((device.coprocessor.device if device else target).port)
+            driver = getattr(target, "driver", None)
+            refusing.add((driver.coprocessor.device if driver else target).port)
 
     return refuse
 
@@ -236,7 +237,8 @@ def order_drill():
     ``order_drill(fleet, (card_index, order), ...)`` queues each order the
     way the services do and runs the kernel dry.  ``when=(condition, action)``
     polls *condition* every 100 ns of fleet time and fires *action* once it
-    holds — how a test kills a peer at a chosen point of an order's life.  Returns the invariant pack's violations.
+    holds — how a test kills a peer at a chosen point of an order's life.
+    Returns the invariant pack's violations.
     """
 
     def run(fleet, *orders, when=None):

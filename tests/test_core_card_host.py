@@ -221,7 +221,8 @@ class TestHostCallWork:
         ``round`` of a time computed in nanoseconds.
 
         115 while a transaction's time was ``PciBusTiming.time_ns`` and its
-        ``cycles_for`` (``pci`` 21); 116 while the load's planning read ``clock.now`` for the policy,
+        ``cycles_for`` (``pci`` 21); 116 while the load's planning read
+        ``clock.now`` for the policy,
         which no policy used (``sim`` 54); 122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
         frames) and the mini OS's capacity check read the geometry's
         ``frame_count`` and ``tiles_per_column`` properties (``fpga`` 5);

@@ -1,6 +1,7 @@
 """Unit coverage for the fault-injection / scrub / repair subsystem.
 
-Frame check words, upset injection, golden images, the fault spec/injector, the scrubber's detect-and-repair loop and the SCRUB command
+Frame check words, upset injection, golden images, the fault spec/injector,
+the scrubber's detect-and-repair loop and the SCRUB command
 threading host → PCI → card → mini-OS service.
 """
 

@@ -5,7 +5,9 @@ import pytest
 from repro.core.builder import build_host_driver
 from repro.core.card import WINDOW_BYTES
 from repro.core.config import SMALL_CONFIG
-from repro.pci import DMA_SETUP_NS, READ, REGISTERS, TRANSACTION_OVERHEAD_CYCLES, WINDOW, WRITE, PciBus, transaction_ns
+from repro.pci import (
+    DMA_SETUP_NS, READ, REGISTERS, TRANSACTION_OVERHEAD_CYCLES, WINDOW, WRITE, PciBus, transaction_ns,
+)
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceRecorder
 
