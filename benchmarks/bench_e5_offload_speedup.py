@@ -17,13 +17,13 @@ The timed kernel is one warm bulk AES call through the PCI driver.
 
 from __future__ import annotations
 
-
 from benchmarks.conftest import save_report
 from repro.analysis.figures import ascii_line_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table
 from repro.baselines import HostOnlyEngine
 from repro.core.builder import build_coprocessor
+from repro.core.config import CoprocessorConfig
 from repro.core.host import build_host_system
 
 FUNCTIONS = ["aes128", "sha256", "modexp512", "fir16"]
@@ -67,11 +67,15 @@ def _shape(series, crossover):
     return "; ".join(clauses)
 
 
-def test_e5_offload_speedup(benchmark, default_config, bank):
+def _driver(bank):
+    """The host driver of a default card holding the sweep's functions."""
+    return build_host_system(build_coprocessor(config=CoprocessorConfig(seed=2005), bank=bank.subset(FUNCTIONS)))
+
+
+def build_report(bank) -> ExperimentReport:
     report = ExperimentReport("E5", "Offload speedup over host-only execution")
     subset = bank.subset(FUNCTIONS)
-    coprocessor = build_coprocessor(config=default_config, bank=subset)
-    driver = build_host_system(coprocessor)
+    driver = _driver(bank)
     host = HostOnlyEngine(subset)
 
     table = Table(
@@ -116,10 +120,14 @@ def test_e5_offload_speedup(benchmark, default_config, bank):
     )
     for name, batch in crossover.items():
         report.record_metric(f"crossover_batch_{name}", float(batch) if batch is not None else -1.0)
-    save_report(report)
+    return report
 
-    function = subset.by_name("aes128")
-    bulk = bytes(function.spec.input_bytes * PAYLOAD_BLOCKS)
+
+def test_e5_offload_speedup(benchmark, bank):
+    save_report(build_report(bank))
+
+    driver = _driver(bank)
+    bulk = bytes(bank.by_name("aes128").spec.input_bytes * PAYLOAD_BLOCKS)
     driver.call("aes128", bulk)  # warm
 
     def warm_bulk_call():

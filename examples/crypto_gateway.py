@@ -27,7 +27,6 @@ from repro.core.config import CoprocessorConfig
 from repro.core.ondemand import TraceRunner
 from repro.functions.bank import build_default_bank
 from repro.workloads import ipsec_gateway_trace
-from repro.sim.clock import format_time
 
 
 def main(tiny: bool = False) -> None:
@@ -56,14 +55,13 @@ def main(tiny: bool = False) -> None:
         f"static accelerator ({'+'.join(static.resident)})": static,
     }
 
-    print(f"{'engine':<44} {'mean latency':<14} {'p95':<12} {'hit rate':<9} throughput")
+    print(f"{'engine':<44} {'mean latency':>12}  {'p95':>12} {'hit rate':<9} throughput")
     print("-" * 99)
     for name, engine in engines.items():
         result = TraceRunner(engine).run(trace)
         print(
-            f"{name:<44} {format_time(result.mean_latency_ns):<14} "
-            f"{format_time(result.latency_percentile(95)):<12} "
-            f"{result.hit_rate:<9.2f} {result.throughput_requests_per_s:,.0f} req/s"
+            f"{name:<44} {result.mean_latency_ns / 1e3:>9.3f} us  {result.latency_percentile(95) / 1e3:>9.3f} us "
+            f"{result.hit_rate:<9.2f} {result.requests / (result.total_time_ns / 1e9):,.0f} req/s"
         )
     print()
 
@@ -72,7 +70,7 @@ def main(tiny: bool = False) -> None:
     print("  resident at end :", ", ".join(agile.loaded_functions()))
     print(f"  reconfigurations: {agile.stats.misses} "
           f"(hit rate {agile.stats.hit_rate:.2f}, {agile.stats.evictions} evictions)")
-    print(f"  mean reconfiguration latency: {format_time(agile.stats.mean_reconfig_ns)}")
+    print(f"  mean reconfiguration latency: {agile.stats.mean_reconfig_ns / 1e3:.3f} us")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import sys
 from repro.core.builder import build_coprocessor
 from repro.core.config import CoprocessorConfig
 from repro.functions.bank import build_default_bank
-from repro.sim.clock import format_time
 
 DSP_SET = ["fir16", "fft256", "matmul8", "bitonic64"]
 
@@ -59,7 +58,7 @@ def main(tiny: bool = False) -> None:
             result = coprocessor.execute(operation, data)
             if frame_index < 3 or not result.hit:
                 print(f"{frame_index:<6} {operation:<10} {'y' if result.hit else 'n':<4} "
-                      f"{format_time(result.latency_ns)}")
+                      f"{result.latency_ns / 1e3:.3f} us")
             if not result.hit:
                 stall_time += result.breakdown["reconfigure"]
         about_to_switch = (frame_index + 1) % waveform_switch_every == 0
@@ -72,14 +71,14 @@ def main(tiny: bool = False) -> None:
             peaks = coprocessor.execute("bitonic64", data[:128])
             print(f"{frame_index:<6} {'switch':<10} "
                   f"{'y' if estimation.hit and peaks.hit else 'n':<4} "
-                  f"{format_time(estimation.latency_ns + peaks.latency_ns)} (waveform change)")
+                  f"{(estimation.latency_ns + peaks.latency_ns) / 1e3:.3f} us (waveform change)")
 
     print()
     stats = coprocessor.stats
     print(f"requests: {stats.requests}, hit rate: {stats.hit_rate:.2f}, "
           f"reconfigurations: {stats.misses}, evictions: {stats.evictions}")
-    print(f"time lost to reconfiguration stalls on the datapath: {format_time(stall_time)}")
-    print(f"total simulated time: {format_time(coprocessor.clock.now)}")
+    print(f"time lost to reconfiguration stalls on the datapath: {stall_time / 1e3:.3f} us")
+    print(f"total simulated time: {coprocessor.clock.now / 1e6:.3f} ms")
 
 
 if __name__ == "__main__":

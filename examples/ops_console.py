@@ -40,7 +40,7 @@ from repro.core.config import CoprocessorConfig
 from repro.faults import FaultSpec
 from repro.functions.bank import build_default_bank
 from repro.net import LinkSpec, OpenLoopPopulation, TransportConfig
-from repro.obs import Observability, SloSpec, TailSampler, export_incidents
+from repro.obs import Observability, SloSpec, TailSampler, incidents_json
 from repro.workloads import default_tenant_mix, multi_tenant_trace
 
 SEED = 4
@@ -241,7 +241,7 @@ def _report(title: str, stats, obs, out_name: str) -> None:
     _print_incidents(obs.recorder)
     _print_tail(obs.tail)
     out_path = Path(tempfile.gettempdir()) / out_name
-    export_incidents(obs.recorder, out_path)
+    out_path.write_text(incidents_json(obs.recorder), encoding="utf-8")
     print(f"flight-recorder JSON written to {out_path}\n")
 
 

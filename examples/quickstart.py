@@ -20,7 +20,6 @@ from __future__ import annotations
 import sys
 
 from repro import CoprocessorConfig, build_coprocessor
-from repro.sim.clock import format_time
 
 
 def main(tiny: bool = False) -> None:
@@ -40,14 +39,14 @@ def main(tiny: bool = False) -> None:
         ("crc32", b"hello again"),          # crc32 is still resident: a hit
         ("adder8", bytes([200, 55])),        # a netlist-backed function
     ]
-    print(f"{'function':<10} {'hit':<5} {'latency':<12} output")
+    print(f"{'function':<10} {'hit':<5} {'latency':>12}  output")
     print("-" * 60)
     for name, data in requests:
         result = coprocessor.execute(name, data)
         output_preview = result.output[:8].hex() + ("..." if len(result.output) > 8 else "")
         print(
             f"{name:<10} {'yes' if result.hit else 'no':<5} "
-            f"{format_time(result.latency_ns):<12} {output_preview}"
+            f"{result.latency_ns / 1e3:>9.3f} us  {output_preview}"
         )
     print()
 
@@ -61,13 +60,11 @@ def main(tiny: bool = False) -> None:
     stats = coprocessor.stats
     print("Accumulated statistics")
     print(f"  requests {stats.requests}, hit rate {stats.hit_rate:.3f}, evictions {stats.evictions}")
-    print(f"  mean latency {format_time(stats.mean_latency_ns)}, "
-          f"p95 {format_time(stats.latency_percentile(95))}, "
-          f"mean reconfiguration {format_time(stats.mean_reconfig_ns)}")
+    print(f"  mean reconfiguration {stats.mean_reconfig_ns / 1e3:.3f} us")
     print()
     print("Where did the time go on the last request?")
     for phase, nanoseconds in result.breakdown.items():
-        print(f"  {phase:<12} {format_time(nanoseconds)}")
+        print(f"  {phase:<12} {nanoseconds / 1e3:.3f} us")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from math import ceil as _ceil, log as _log
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class StreamingQuantileSketch:
@@ -174,9 +174,6 @@ class StreamingQuantileSketch:
         if not 0 <= percentile <= 100:
             raise ValueError("percentile must be between 0 and 100")
         return self.quantile(percentile / 100.0)
-
-    def percentiles(self, wanted: Sequence[float]) -> List[float]:
-        return [self.percentile(p) for p in wanted]
 
 
 class WindowedTimeSeries:

@@ -172,13 +172,6 @@ class Bitstream:
         """CRC-32 over every frame payload in slot order."""
         return crc32(b"".join(self.frames))
 
-    @property
-    def raw_size(self) -> int:
-        """Size of the serialised bit-stream in bytes."""
-        per_packet = _PACKET_STRUCT.size + self.header.frame_payload_bytes
-        end_packet = _PACKET_STRUCT.size + 4
-        return BitstreamHeader.packed_size() + len(self.frames) * per_packet + end_packet
-
     # ------------------------------------------------------------- serialise
     def to_bytes(self) -> bytes:
         parts = [self.header.pack()]
@@ -188,9 +181,6 @@ class Bitstream:
         parts.append(_PACKET_STRUCT.pack(PacketType.END, 0, 4))
         parts.append(struct.pack(">I", crc_value))
         return b"".join(parts)
-
-    def __len__(self) -> int:
-        return self.raw_size
 
 
 def build_bitstream(

@@ -43,9 +43,9 @@ that selects the full model, like any other observer of the card.
 Exactness contract (``tests/test_cluster_fastpath.py``, against the same
 fleet with every ``card.memo`` set to ``None``): card clock trajectory,
 service times, fleet schedule digest, every counter the model keeps, every
-time total (``bus.busy_time_ns``, ``copro.stats.total_latency_ns`` /
-``total_reconfig_ns``), the card's latency percentiles, LRU/residency state,
-minios statistics and device events are **equal** to a memo-off run.
+time total (``bus.busy_time_ns``, ``copro.stats.total_reconfig_ns``), the
+card's latency sketch, LRU/residency state, minios statistics and device
+events are **equal** to a memo-off run.
 
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is

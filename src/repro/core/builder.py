@@ -6,21 +6,8 @@ from typing import Optional, Sequence
 
 from repro.core.config import CoprocessorConfig
 from repro.core.coprocessor import AgileCoprocessor
-from repro.fpga.bitgen import BitstreamCache, bitstream_cache
 from repro.functions.bank import FunctionBank, build_default_bank
 from repro.core.host import HostDriver, build_host_system
-
-
-def clear_bitstream_cache() -> BitstreamCache:
-    """Drop the process-wide rendered/compressed bitstream memo.
-
-    Only needed when benchmarking cold-path generation costs; results are
-    unaffected either way because cache hits return byte-identical images.
-    Returns the (now empty) cache so callers can inspect its stats.
-    """
-    cache = bitstream_cache()
-    cache.clear()
-    return cache
 
 
 def build_coprocessor(

@@ -48,10 +48,6 @@ class TraceResult:
         return sum(1 for record in self.records if record.hit)
 
     @property
-    def misses(self) -> int:
-        return self.requests - self.hits
-
-    @property
     def hit_rate(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
 
@@ -61,20 +57,10 @@ class TraceResult:
             return 0.0
         return sum(record.latency_ns for record in self.records) / len(self.records)
 
-    @property
-    def total_latency_ns(self) -> int:
-        return sum(record.latency_ns for record in self.records)
-
     def latency_percentile(self, percentile: float) -> float:
         from repro.core.stats import percentile_of
 
         return percentile_of(sorted(record.latency_ns for record in self.records), percentile)
-
-    @property
-    def throughput_requests_per_s(self) -> float:
-        if self.total_time_ns <= 0:
-            return 0.0
-        return self.requests / (self.total_time_ns / 1e9)
 
 
 class TraceRunner:

@@ -74,7 +74,6 @@ class CoprocessorStatistics:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    total_latency_ns: int = 0
     total_reconfig_ns: int = 0
     per_function_requests: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
@@ -90,7 +89,6 @@ class CoprocessorStatistics:
         else:
             self.misses += 1
         self.evictions += len(result.evictions)
-        self.total_latency_ns += result.latency_ns
         self.total_reconfig_ns += result.reconfig_time_ns
         self.per_function_requests[result.function] += 1
         self._latency_sketch.add(result.latency_ns)
@@ -100,7 +98,6 @@ class CoprocessorStatistics:
         memo fast path.  Equal to :meth:`record` for the same result."""
         self.requests += 1
         self.hits += 1
-        self.total_latency_ns += total_time_ns
         self.per_function_requests[function] += 1
         self._latency_sketch.add(total_time_ns)
 
@@ -110,16 +107,8 @@ class CoprocessorStatistics:
         return self.hits / self.requests if self.requests else 0.0
 
     @property
-    def mean_latency_ns(self) -> float:
-        return self.total_latency_ns / self.requests if self.requests else 0.0
-
-    @property
     def mean_reconfig_ns(self) -> float:
         return self.total_reconfig_ns / self.misses if self.misses else 0.0
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Latency percentile (0..100), within the sketch's relative error."""
-        return self._latency_sketch.percentile(percentile)
 
     def reset(self) -> None:
         """Zero every counter and drop the latencies."""

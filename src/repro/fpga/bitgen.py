@@ -68,9 +68,6 @@ class BitstreamCache:
             entries.popitem(last=False)
         return value
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
 

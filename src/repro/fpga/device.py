@@ -48,10 +48,6 @@ class LoadedFunction:
     output_bytes: int = 0
     lut_count: int = 0
 
-    @property
-    def frame_count(self) -> int:
-        return len(self.region)
-
 
 class FPGADevice:
     """Behavioural model of the partially reconfigurable FPGA chip."""

@@ -67,10 +67,6 @@ class Frame:
         self._data = self._erased
         self.stored_crc = self._erased_crc
 
-    @property
-    def is_clear(self) -> bool:
-        return self._data == self._erased
-
     def to_config_bytes(self) -> bytes:
         """Configuration readback: the byte image."""
         return self._data
@@ -106,7 +102,7 @@ class Frame:
         self._data = value.to_bytes(self.config_byte_length, "little")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Frame({self.address}, {'clear' if self.is_clear else 'configured'})"
+        return f"Frame({self.address}, {'clear' if self._data == self._erased else 'configured'})"
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,3 @@ class FrameArray:
 
     def __len__(self) -> int:
         return len(self.by_address)
-
-    def region(self, region: FrameRegion) -> List[Frame]:
-        """The frame objects of a region, in region order."""
-        return [self[address] for address in region]

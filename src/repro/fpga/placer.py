@@ -50,10 +50,6 @@ class Placement:
     region: FrameRegion
     sites: Dict[str, CellSite] = field(default_factory=dict)
 
-    @property
-    def frame_count(self) -> int:
-        return len(self.region)
-
     def cells_in_frame(self, address: FrameAddress) -> List[str]:
         return [name for name, site in self.sites.items() if site.frame == address]
 
@@ -66,10 +62,6 @@ class Placer:
         self.strategy = strategy
 
     # --------------------------------------------------------------- sizing
-    def frames_required(self, netlist: Netlist) -> int:
-        """Frames needed to host the netlist's LUTs (at least one)."""
-        return max(1, self.geometry.frames_needed_for_luts(netlist.lut_count))
-
     # ------------------------------------------------------------ selection
     def choose_frames(
         self,
@@ -120,15 +112,14 @@ class Placer:
         self,
         netlist: Netlist,
         free_frames: Sequence[FrameAddress],
-        frames_needed: Optional[int] = None,
+        frames_needed: int,
     ) -> Placement:
-        """Place *netlist* onto frames drawn from *free_frames*."""
-        needed = frames_needed if frames_needed is not None else self.frames_required(netlist)
-        chosen = self.choose_frames(needed, free_frames)
+        """Place *netlist* onto *frames_needed* frames drawn from *free_frames*."""
+        chosen = self.choose_frames(frames_needed, free_frames)
         region = FrameRegion.from_addresses(chosen)
         placement = Placement(region=region)
         lut_cells = sorted(netlist.lut_cells, key=lambda cell: cell.name)
-        capacity = needed * self.geometry.luts_per_frame
+        capacity = frames_needed * self.geometry.luts_per_frame
         if len(lut_cells) > capacity:
             raise PlacementError(
                 f"netlist {netlist.name!r} has {len(lut_cells)} LUTs but the region "

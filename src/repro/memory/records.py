@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 _RECORD_STRUCT = struct.Struct(">I16sIIIIHH12s")
 
@@ -64,33 +64,6 @@ class FunctionRecord:
             codec_bytes,
         )
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "FunctionRecord":
-        if len(data) < _RECORD_STRUCT.size:
-            raise ValueError("buffer shorter than a packed function record")
-        (
-            function_id,
-            name_bytes,
-            start_address,
-            compressed_size,
-            uncompressed_size,
-            input_bytes,
-            output_bytes,
-            frame_count,
-            codec_bytes,
-        ) = _RECORD_STRUCT.unpack_from(data)
-        return cls(
-            function_id=function_id,
-            name=name_bytes.rstrip(b"\x00").decode("ascii", errors="replace"),
-            start_address=start_address,
-            compressed_size=compressed_size,
-            uncompressed_size=uncompressed_size,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            frame_count=frame_count,
-            codec_name=codec_bytes.rstrip(b"\x00").decode("ascii", errors="replace"),
-        )
-
 
 class RecordTable:
     """Ordered collection of function records with name / id lookup."""
@@ -102,12 +75,6 @@ class RecordTable:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __iter__(self) -> Iterator[FunctionRecord]:
-        return iter(self._records)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
     def add(self, record: FunctionRecord) -> None:
         if record.name in self._by_name:
@@ -123,17 +90,3 @@ class RecordTable:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"no function record named {name!r}") from None
-
-    def names(self) -> List[str]:
-        return [record.name for record in self._records]
-
-    def pack(self) -> bytes:
-        return b"".join(record.pack() for record in self._records)
-
-    @classmethod
-    def unpack(cls, data: bytes, count: int) -> "RecordTable":
-        table = cls()
-        size = FunctionRecord.packed_size()
-        for index in range(count):
-            table.add(FunctionRecord.unpack(data[index * size : (index + 1) * size]))
-        return table

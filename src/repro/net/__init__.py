@@ -12,8 +12,8 @@ fleet behind the network real clients actually cross:
 * :mod:`repro.net.transport` — the client-side request transport: propagated
   deadlines, per-hop timeouts, capped exponential backoff with seeded
   jitter, and a per-gateway circuit breaker.
-* :mod:`repro.net.clients` — seeded open-loop (trace-paced) and closed-loop
-  (think-time) client populations.
+* :mod:`repro.net.clients` — the seeded open-loop (trace-paced) client
+  population.
 * :mod:`repro.net.frontdoor` — wires all of the above onto one fleet and
   one kernel; the entry point experiments use.
 
@@ -22,7 +22,7 @@ from :class:`repro.sim.rand.SeededRandom` forks, so every schedule — drops,
 retries, backoff jitter and all — is byte-reproducible across processes.
 """
 
-from repro.net.clients import ClosedLoopPopulation, OpenLoopPopulation
+from repro.net.clients import OpenLoopPopulation
 from repro.net.frontdoor import FrontDoor
 from repro.net.gateway import AdmissionConfig, Gateway, TokenBucket
 from repro.net.link import Link, LinkSpec, Packet
@@ -36,7 +36,6 @@ from repro.net.transport import (
 __all__ = [
     "AdmissionConfig",
     "CircuitBreaker",
-    "ClosedLoopPopulation",
     "FrontDoor",
     "Gateway",
     "GatewayRequest",

@@ -200,17 +200,3 @@ class FrontDoor:
             totals["lost"] += link.lost
             totals["dropped"] += link.dropped
         return totals
-
-    def fingerprint(self) -> tuple:
-        """Cross-process comparable run identity (net counters + schedule)."""
-        stats = self.fleet.stats
-        return (
-            stats.net_requests,
-            stats.net_completed,
-            stats.net_failed,
-            stats.net_retries,
-            stats.shed_total,
-            stats.expired,
-            self.fleet.clock.now,
-            stats.schedule_digest(),
-        )

@@ -41,7 +41,6 @@ from repro.obs.export import metrics_snapshot_json, trace_fingerprint
 from repro.obs.incident import (
     FlightRecorder,
     Incident,
-    export_incidents,
     incidents_fingerprint,
     incidents_json,
 )
@@ -119,9 +118,6 @@ class Observability:
     def incidents(self):
         return self.recorder.incidents if self.recorder is not None else []
 
-    def snapshot(self):
-        return self.registry.snapshot()
-
 
 __all__ = [
     "Alert",
@@ -137,7 +133,6 @@ __all__ = [
     "Span",
     "TailSampler",
     "Tracer",
-    "export_incidents",
     "incidents_fingerprint",
     "incidents_json",
     "metrics_snapshot_json",

@@ -34,7 +34,7 @@ instant).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs.names import device_span_name
 
@@ -166,10 +166,6 @@ class SpanLog:
     def append(self, entry) -> None:
         self.entries.append(entry)
         self._count += entry.count
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self._count = 0
 
     def __len__(self) -> int:
         return self._count
@@ -330,10 +326,3 @@ class Tracer:
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
-    def by_name(self, name: str) -> List[Span]:
-        return [span for span in self.spans if span.name == name]

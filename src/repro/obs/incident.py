@@ -16,8 +16,7 @@ snapshots them into an :class:`Incident`:
 * **retained traces** — summaries of the tail-sampled traces whose extent
   overlaps the incident window.
 
-Incidents export as canonical JSON (:func:`incidents_json` /
-:func:`export_incidents`), with a short
+Incidents export as canonical JSON (:func:`incidents_json`), with a short
 :func:`incidents_fingerprint` for BENCH files and cross-process tests.
 
 Determinism: the recorder only folds over streams that are already
@@ -297,14 +296,6 @@ def incidents_json(recorder: FlightRecorder) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def export_incidents(recorder: FlightRecorder, path: str) -> str:
-    """Write the incident JSON to *path*; returns the JSON."""
-    text = incidents_json(recorder)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text
-
-
 def incidents_fingerprint(recorder: FlightRecorder) -> str:
     """Short digest of the canonical incident JSON (BENCH / regression)."""
     return hashlib.sha256(incidents_json(recorder).encode()).hexdigest()[:16]
@@ -313,7 +304,6 @@ def incidents_fingerprint(recorder: FlightRecorder) -> str:
 __all__ = [
     "FlightRecorder",
     "Incident",
-    "export_incidents",
     "incidents_fingerprint",
     "incidents_json",
 ]

@@ -18,7 +18,7 @@ registration-time enforcement of the naming lint.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.names import NAME_RE
 
@@ -76,17 +76,6 @@ class LabeledCounter(defaultdict):
     def inc(self, label: Any, amount: int = 1) -> None:
         self[label] += amount
 
-    def __reduce__(self):
-        # defaultdict's default __reduce__ would replay our __init__ with the
-        # factory as first argument; rebuild from the name + items.
-        return (_rebuild_labeled, (self.name, dict(self)))
-
-
-def _rebuild_labeled(name: str, items: dict) -> "LabeledCounter":
-    counter = LabeledCounter(name)
-    counter.update(items)
-    return counter
-
 
 class MetricsRegistry:
     """One namespace of uniquely-named, pattern-checked instruments."""
@@ -126,9 +115,6 @@ class MetricsRegistry:
 
     def get(self, name: str):
         return self._instruments[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
 
     def snapshot(self) -> Dict[str, object]:
         """A flat, deterministic picture of every instrument.

@@ -188,12 +188,8 @@ class Alert:
         self.burn_fast = burn_fast
         self.burn_slow = burn_slow
 
-    @property
-    def active(self) -> bool:
-        return self.resolved_ns is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self.active else f"resolved@{self.resolved_ns}"
+        state = "active" if self.resolved_ns is None else f"resolved@{self.resolved_ns}"
         return f"Alert({self.slo!r} @{self.fired_ns} x{self.burn_fast:.1f}, {state})"
 
 

@@ -10,14 +10,13 @@ the simulator is used whenever several activities (host requests, DMA,
 reconfiguration) need to be interleaved.
 """
 
-from repro.sim.clock import Clock, format_time
+from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator, Timeout
 from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.rand import SeededRandom
 
 __all__ = [
     "Clock",
-    "format_time",
     "Simulator",
     "Timeout",
     "TraceRecorder",

@@ -37,19 +37,6 @@ def as_ns(value) -> int:
     raise TypeError(f"time is whole nanoseconds; got {value!r}")
 
 
-def format_time(nanoseconds: float) -> str:
-    """Render a duration with a unit that keeps the mantissa readable.
-
-    >>> format_time(1500.0)
-    '1.500us'
-    """
-    value = float(nanoseconds)
-    for scale, suffix in ((1e9, "s"), (1e6, "ms"), (1e3, "us")):
-        if abs(value) >= scale:
-            return f"{value / scale:.3f}{suffix}"
-    return f"{value:.3f}ns"
-
-
 @dataclass
 class ClockDomain:
     """A named clock domain with a frequency, e.g. the FPGA fabric clock.
@@ -101,6 +88,3 @@ class Clock:
         if time_ns > self._now:
             self._now = as_ns(time_ns)
         return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Clock(now={format_time(self._now)})"

@@ -26,10 +26,6 @@ class TraceEvent:
     end_ns: int
     attributes: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 class TraceRecorder:
     """Collects trace events; can be disabled to avoid overhead in benchmarks."""
@@ -67,7 +63,3 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, repeat, takewhile
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.functions.bank import FunctionBank
@@ -76,10 +76,6 @@ class FleetTrace:
 
     def __getitem__(self, index: int) -> FleetRequest:
         return self._requests[index]
-
-    @property
-    def requests(self) -> List[FleetRequest]:
-        return list(self._requests)
 
     @property
     def duration_ns(self) -> int:
@@ -155,47 +151,25 @@ def _check_stream(tenants: Sequence[TenantSpec], length: int, mean_interarrival_
         raise ValueError("the mean inter-arrival time must be positive")
 
 
-def _burst_rates(
-    rng: SeededRandom, mean_interarrival_ns: float, burst_length: int, burst_speedup: float
-) -> Iterator[float]:
-    """The bursty model's rate (``1 / mean``) for each successive arrival gap."""
-    in_burst = 1.0 / (mean_interarrival_ns / burst_speedup)
-    while True:
-        burst = rng.geometric(1.0 / burst_length)
-        # The idle gap between bursts restores the long-run rate the fast
-        # in-burst gaps run ahead of: a burst of L requests must average
-        # L * mean in total, and its L-1 in-burst gaps only consume
-        # (L-1) * mean / speedup, so the leading gap carries the
-        # (L-1) * mean * (1 - 1/speedup) remainder.
-        idle_mean = mean_interarrival_ns * (burst - 1) * (1.0 - 1.0 / burst_speedup)
-        yield 1.0 / (idle_mean + mean_interarrival_ns)
-        for _ in range(burst - 1):
-            yield in_burst
-
-
 def _arrivals(
     bank: FunctionBank,
     tenants: Sequence[TenantSpec],
     length: int,
     mean_interarrival_ns: float,
     seed: int,
-    arrival: str = "poisson",
-    burst_length: int = 8,
-    burst_speedup: float = 8.0,
 ) -> Iterator[FleetRequest]:
     """The open-arrival loop: *length* requests from *tenants*.
 
     Per request: one arrival gap, one ``random()`` for the tenant (matched
     against the equal shares' running sums), then the tenant's chooser.  Each
     gap is ``-log(1 - random()) / lambd``, which is ``expovariate(lambd)`` to the
-    bit; the arrival model is only the sequence of ``lambd`` values.  A Zipf
+    bit, with ``lambd = 1 / mean_interarrival_ns`` throughout.  A Zipf
     tenant's draw is inlined rather than a ``next_index()`` call: the
     streaming fleet workloads generate inside their timed run, where a
     Python call per request is a measurable share of the cost.
     """
     root = SeededRandom(seed)
-    arrivals = root.fork("arrivals")
-    arrival_random = arrivals.random
+    arrival_random = root.fork("arrivals").random
     tenant_random = root.fork("tenant-choice").random
     draws = []
     for spec in tenants:
@@ -212,10 +186,7 @@ def _arrivals(
     # Every tenant sends an equal share: running sums of 1 / len(tenants).
     cumulative = list(accumulate(1.0 / len(tenants) for _ in tenants))
     last_tenant = len(cumulative) - 1
-    if arrival == "poisson":
-        rates = repeat(1.0 / mean_interarrival_ns, length)
-    else:
-        rates = islice(_burst_rates(arrivals, mean_interarrival_ns, burst_length, burst_speedup), length)
+    rates = repeat(1.0 / mean_interarrival_ns, length)
     log = math.log
     # The frozen dataclass's __init__ costs ~2x these four object.__setattr__
     # calls.  Installing one fresh __dict__ instead would be ~0.2 us faster
@@ -248,27 +219,17 @@ def multi_tenant_trace(
     tenants: Sequence[TenantSpec],
     length: int,
     mean_interarrival_ns: float = 50_000.0,
-    arrival: str = "poisson",
-    burst_length: int = 8,
-    burst_speedup: float = 8.0,
     seed: int = 0,
     name: Optional[str] = None,
     duration_ns: Optional[int] = None,
 ) -> FleetTrace:
     """An open-arrival request stream interleaving several tenants.
 
-    Arrival models:
-
-    * ``"poisson"`` — i.i.d. exponential inter-arrival gaps with mean
-      ``mean_interarrival_ns`` (the classic open-system assumption);
-    * ``"bursty"`` — a two-state modulated process: bursts of geometric
-      length ``burst_length`` arrive ``burst_speedup`` times faster than the
-      mean, separated by compensating idle gaps, so the long-run rate matches
-      the Poisson model while stressing the fleet's queues.
-
-    Each arrival picks a tenant (every one equally likely), then the tenant's
-    own stream picks the function and payload.  Everything derives from
-    *seed* through :meth:`SeededRandom.fork`, so traces are byte-reproducible.
+    Arrivals are Poisson: i.i.d. exponential inter-arrival gaps with mean
+    ``mean_interarrival_ns`` (the classic open-system assumption).  Each
+    arrival picks a tenant (every one equally likely), then the tenant's own
+    stream picks the function and payload.  Everything derives from *seed*
+    through :meth:`SeededRandom.fork`, so traces are byte-reproducible.
 
     ``duration_ns`` switches to duration-bounded generation: arrivals stop at
     the first one past the horizon instead of after a fixed count (*length*
@@ -281,26 +242,19 @@ def multi_tenant_trace(
     _check_stream(tenants, length, mean_interarrival_ns)
     if duration_ns is not None and duration_ns < 0:
         raise ValueError("trace duration cannot be negative")
-    if arrival not in ("poisson", "bursty"):
-        raise ValueError(f"unknown arrival model {arrival!r}")
-    if arrival == "bursty" and (burst_length <= 0 or burst_speedup <= 1.0):
-        raise ValueError("bursts need burst_length >= 1 and burst_speedup > 1")
-    requests = _arrivals(
-        bank, tenants, length, mean_interarrival_ns, seed, arrival, burst_length, burst_speedup
-    )
+    requests = _arrivals(bank, tenants, length, mean_interarrival_ns, seed)
     if duration_ns is not None:
         requests = takewhile(lambda request: request.arrival_ns <= duration_ns, requests)
-    label = name or f"multitenant-{arrival}-{len(tenants)}t-{length}"
+    label = name or f"multitenant-poisson-{len(tenants)}t-{length}"
     return FleetTrace(list(requests), name=label)
 
 
 class StreamingFleetTrace:
     """An O(1)-memory, restartable multi-tenant arrival stream.
 
-    The same loop as ``multi_tenant_trace(..., arrival="poisson")`` for the
-    same parameters, so the two yield equal requests
-    (``tests/test_workload_pins.py`` asserts it), with two properties a
-    million-request run needs:
+    The same loop as :func:`multi_tenant_trace` for the same parameters, so
+    the two yield equal requests (``tests/test_workload_pins.py`` asserts
+    it), with two properties a million-request run needs:
 
     * **Streaming** — requests are produced as the fleet consumes them; no
       10^6-element list is ever materialised.  Memory is O(tenants).

@@ -94,8 +94,8 @@ class TestTraceRunner:
         assert result.requests == 40
         assert 0.0 <= result.hit_rate <= 1.0
         assert result.mean_latency_ns > 0
-        assert result.total_time_ns >= result.total_latency_ns * 0.99
-        assert result.throughput_requests_per_s > 0
+        assert result.total_time_ns >= sum(record.latency_ns for record in result.records) * 0.99
+        assert result.total_time_ns > 0
 
     def test_limit_parameter(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)
@@ -106,7 +106,7 @@ class TestTraceRunner:
     def test_repeated_trace_has_high_hit_rate(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)
         result = TraceRunner(copro).run(repeated_trace(bank, "crc32", 20))
-        assert result.hits == 19 and result.misses == 1
+        assert result.hits == 19 and result.requests - result.hits == 1
 
     def test_per_function_latency_and_percentiles(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)
@@ -124,4 +124,4 @@ class TestTraceRunner:
         copro = build_coprocessor(config=config, bank=bank)
         trace = uniform_trace(bank, 10, seed=6, mean_interarrival_ns=10_000.0)
         result = TraceRunner(copro).run(trace)
-        assert result.total_time_ns > result.total_latency_ns
+        assert result.total_time_ns > sum(record.latency_ns for record in result.records)

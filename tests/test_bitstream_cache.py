@@ -7,7 +7,7 @@ timing.
 
 from repro.bitstream.codecs import get_codec
 from repro.bitstream.window import COMPRESSION_WINDOW_BYTES, WindowedCompressor
-from repro.core.builder import build_coprocessor, clear_bitstream_cache
+from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.fpga import bitgen
 from repro.fpga.bitgen import BitstreamCache, BitstreamGenerator, bitstream_cache
@@ -28,7 +28,8 @@ class TestRenderCache:
     def test_cached_render_is_byte_identical_to_cold_render(self):
         netlist = build_adder_netlist(8)
         placer = Placer(TEST_GEOMETRY)
-        placement = placer.place(netlist, TEST_GEOMETRY.all_frames())
+        frames = TEST_GEOMETRY.frames_needed_for_luts(netlist.lut_count)
+        placement = placer.place(netlist, TEST_GEOMETRY.all_frames(), frames)
         cold = generator_with_own_cache()
         cold_payloads = cold.render_frames(netlist, placement)
         warm = generator_with_own_cache()
@@ -58,9 +59,9 @@ class TestRenderCache:
 
 
 class TestDownloadAndReconfigureCaching:
-    def test_rom_images_identical_with_and_without_cache(self):
+    def test_rom_images_identical_with_and_without_cache(self, monkeypatch):
         config = SMALL_CONFIG.with_overrides(seed=3)
-        clear_bitstream_cache()
+        monkeypatch.setattr(bitgen, "_CACHE", BitstreamCache())  # the cold build fills an empty cache
         cold = build_coprocessor(config=config, bank=build_small_bank())
         warm = build_coprocessor(config=config, bank=build_small_bank())
         for name in cold.bank.names():

@@ -63,7 +63,7 @@ class TestBuildAndParse:
         parsed = parse_bitstream(data)
         assert parsed.header.function_name == "sha1"
         assert parsed.frames == frames
-        assert parsed.raw_size == len(data)
+        assert parsed.to_bytes() == data
 
     def test_empty_frame_list_rejected(self):
         with pytest.raises(BitstreamFormatError):

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frontdoor_fingerprint import frontdoor_fingerprint
 from oracles import eager_bridge
 from repro.check.invariants import (
     check_counter_conservation,
@@ -126,7 +127,7 @@ def observed(fleet, door):
         ],
         "faults": fleet.fault_summary(),
         "rebalance": fleet.rebalance_summary(),
-        "net": door.fingerprint() if door is not None else None,
+        "net": frontdoor_fingerprint(door) if door is not None else None,
         # Not the memory lockstep: the fault cell's injector upsets frames.
         "violations": check_request_conservation(fleet, stats.arrivals)
         + check_counter_conservation(fleet),

@@ -64,7 +64,7 @@ def card_state(card):
             for field in dataclasses.fields(stats)
             if field.name.startswith("total_") and field.name.endswith("_ns")
         },
-        "latency_percentiles": [stats.latency_percentile(p) for p in (0, 50, 95, 99, 100)],
+        "latency_percentiles": [stats._latency_sketch.percentile(p) for p in (0, 50, 95, 99, 100)],
     }
 
 
@@ -370,7 +370,8 @@ class TestTracedDifferential:
         cards[1].memo = None
         for card in cards:
             recorder = card.driver.coprocessor.trace
-            recorder.clear()
+            recorder.events.clear()
+            recorder.dropped = 0
             recorder.capacity = capacity
             recorder.enabled = True
             card._obs_trace = recorder

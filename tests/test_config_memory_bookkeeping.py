@@ -81,7 +81,7 @@ class TestIndexConsistency:
         assert cached.count(0) < len(cached)
         memory.clear_region([address])
         assert memory.read_frame(address) == bytes(TEST_GEOMETRY.frame_config_bytes)
-        assert memory.frames[address].is_clear
+        assert not any(memory.frames[address].to_config_bytes())
 
     def test_clear_device_resets_everything(self, memory):
         payload = bytes([1] * TEST_GEOMETRY.frame_config_bytes)
@@ -92,7 +92,7 @@ class TestIndexConsistency:
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
         assert memory.owners() == {}
         for index in (1, 2, 3):
-            assert memory.frames[TEST_GEOMETRY.all_frames()[index]].is_clear
+            assert not any(memory.frames[TEST_GEOMETRY.all_frames()[index]].to_config_bytes())
 
 
 class TestClaim:
@@ -141,6 +141,6 @@ class TestWriteFrame:
             memory.write_region([address], [bytes([9] * TEST_GEOMETRY.frame_config_bytes)], owner="fir")
         with pytest.raises(ValueError):
             memory.write_region([TEST_GEOMETRY.all_frames()[4]], [b"\x00"], owner="fir")
-        assert memory.frames[address].is_clear
+        assert not any(memory.frames[address].to_config_bytes())
         assert memory.owner_of(address) == "aes"
         assert memory.owner_of(TEST_GEOMETRY.all_frames()[4]) is None

@@ -52,7 +52,7 @@ class TestConfigurationMemory:
         memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
         memory.clear_region([address])
         assert memory.owner_of(address) is None
-        assert memory.frames[address].is_clear
+        assert not any(memory.frames[address].to_config_bytes())
 
     def test_utilisation_and_describe(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
@@ -71,7 +71,7 @@ class TestConfigurationMemory:
         memory.write_region([tiny_geometry.all_frames()[0]], [_payload(tiny_geometry)], owner="aes")
         memory.clear_region(FrameRegion.from_addresses(tiny_geometry.all_frames()))
         assert memory.unowned_frames() == tiny_geometry.all_frames()
-        assert memory.frames[tiny_geometry.all_frames()[0]].is_clear
+        assert not any(memory.frames[tiny_geometry.all_frames()[0]].to_config_bytes())
 
 
 class TestConfigurationPort:
@@ -103,7 +103,7 @@ class TestConfigurationPort:
         with pytest.raises(ConfigurationError):
             port.configure("aes", [tiny_geometry.all_frames()[0]], [payload], 0xDEADBEEF)
         assert memory.owner_of(tiny_geometry.all_frames()[0]) is None
-        assert memory.frames[tiny_geometry.all_frames()[0]].is_clear
+        assert not any(memory.frames[tiny_geometry.all_frames()[0]].to_config_bytes())
         # The transfer happened before the check failed: its time is spent.
         assert clock.now == port.transfer_time_ns([payload])
 

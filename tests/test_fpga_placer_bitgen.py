@@ -13,11 +13,6 @@ from repro.functions.netgen import build_adder_netlist, build_parity_netlist
 
 
 class TestPlacer:
-    def test_frames_required_scales_with_luts(self, tiny_geometry):
-        placer = Placer(tiny_geometry)
-        parity = build_parity_netlist(32)
-        assert placer.frames_required(parity) >= 1
-
     def test_contiguous_first_fit_prefers_runs(self, tiny_geometry):
         placer = Placer(tiny_geometry, PlacementStrategy.CONTIGUOUS_FIRST_FIT)
         free = [tiny_geometry.all_frames()[index] for index in (0, 2, 3, 4, 9)]
@@ -52,7 +47,7 @@ class TestPlacer:
     def test_place_assigns_every_lut_a_unique_site(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         netlist = build_adder_netlist(8)
-        placement = placer.place(netlist, tiny_geometry.all_frames())
+        placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         assert len(placement.sites) == netlist.lut_count
         sites = {(site.frame, site.clb_index, site.lut_index) for site in placement.sites.values()}
         assert len(sites) == netlist.lut_count
@@ -72,8 +67,8 @@ class TestPlacer:
     def test_lut_utilisation(self, tiny_geometry):
         placer = Placer(tiny_geometry)
         netlist = build_adder_netlist(8)
-        placement = placer.place(netlist, tiny_geometry.all_frames())
-        capacity = placement.frame_count * tiny_geometry.luts_per_frame
+        placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
+        capacity = len(placement.region) * tiny_geometry.luts_per_frame
         assert 0 < len(placement.sites) <= capacity
 
     def test_fragmentation_index(self, tiny_geometry):
@@ -90,7 +85,7 @@ class TestBitstreamGenerator:
         placer = Placer(tiny_geometry)
         generator = BitstreamGenerator(tiny_geometry)
         netlist = build_adder_netlist(8)
-        placement = placer.place(netlist, tiny_geometry.all_frames())
+        placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         bitstream = generator.generate(netlist, placement, function_id=13, input_bytes=2, output_bytes=2)
         assert bitstream.header.function_name == "adder8"
         assert bitstream.header.frame_count == len(placement.region)
@@ -102,7 +97,7 @@ class TestBitstreamGenerator:
         placer = Placer(tiny_geometry)
         generator = BitstreamGenerator(tiny_geometry)
         netlist = build_adder_netlist(8)
-        placement = placer.place(netlist, tiny_geometry.all_frames())
+        placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         payloads = generator.render_frames(netlist, placement)
         configured_luts = 0
         for slot, address in enumerate(placement.region):
@@ -119,7 +114,7 @@ class TestBitstreamGenerator:
         generator = BitstreamGenerator(tiny_geometry)
         placer = Placer(tiny_geometry)
         netlist = build_parity_netlist(32)
-        placement = placer.place(netlist, tiny_geometry.all_frames())
+        placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         first = generator.generate(netlist, placement, 12, 4, 1).to_bytes()
         second = generator.generate(netlist, placement, 12, 4, 1).to_bytes()
         assert first == second

@@ -38,7 +38,7 @@ def _configured_system(geometry, codec_name="rle", overlap=False):
     function = AdderFunction()
     netlist = function.build_netlist(geometry)
     placer = Placer(geometry)
-    placement = placer.place(netlist, geometry.all_frames())
+    placement = placer.place(netlist, geometry.all_frames(), function.frames_required(geometry))
     bitstream = BitstreamGenerator(geometry).generate(
         netlist, placement, function.function_id, 2, 2
     )

@@ -25,12 +25,6 @@ def _record(name="aes128", function_id=1, start=0, size=128):
 
 
 class TestFunctionRecord:
-    def test_pack_unpack_round_trip(self):
-        record = _record()
-        rebuilt = FunctionRecord.unpack(record.pack())
-        assert rebuilt == record
-        assert len(record.pack()) == FunctionRecord.packed_size()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             _record(name="x" * 17)
@@ -41,10 +35,6 @@ class TestFunctionRecord:
         with pytest.raises(ValueError):
             FunctionRecord(1, "ok", 0, 10, 10, 1, 1, 1, "a-very-long-codec-name")
 
-    def test_unpack_short_buffer(self):
-        with pytest.raises(ValueError):
-            FunctionRecord.unpack(b"\x00" * 4)
-
 
 class TestRecordTable:
     def test_add_and_lookup(self):
@@ -52,8 +42,7 @@ class TestRecordTable:
         table.add(_record("aes128", 1))
         table.add(_record("des", 2, start=128))
         assert table.by_name("des").function_id == 2
-        assert "aes128" in table and "ghost" not in table
-        assert table.names() == ["aes128", "des"]
+        assert [record.name for record in table._records] == ["aes128", "des"]
 
     def test_duplicates_rejected(self):
         table = RecordTable()
@@ -67,14 +56,6 @@ class TestRecordTable:
         table = RecordTable()
         with pytest.raises(KeyError):
             table.by_name("nope")
-
-    def test_pack_unpack_round_trip(self):
-        table = RecordTable()
-        table.add(_record("aes128", 1))
-        table.add(_record("des", 2, start=128))
-        rebuilt = RecordTable.unpack(table.pack(), count=2)
-        assert rebuilt.names() == table.names()
-        assert rebuilt.pack() == table.pack()
 
 
 class TestConfigurationRom:

@@ -23,6 +23,8 @@ _E12_SNIPPET = """
 import sys
 sys.path.insert(0, "src")
 sys.path.insert(0, ".")
+sys.path.insert(0, "tests")
+from frontdoor_fingerprint import frontdoor_fingerprint
 from benchmarks.bench_e12_frontdoor import (
     KILL_LOSS, KILL_OVERLOAD, REFERENCE_LOSS, REFERENCE_OVERLOAD, run_cell,
 )
@@ -30,13 +32,13 @@ from repro.functions.bank import build_default_bank
 
 bank = build_default_bank()
 frontdoor, stats = run_cell(bank, REFERENCE_OVERLOAD, REFERENCE_LOSS, "retry+shed")
-print(repr(frontdoor.fingerprint()))
+print(repr(frontdoor_fingerprint(frontdoor)))
 print(repr(sorted(frontdoor.link_summary().items())))
 print(repr((stats.latency_percentile(95), stats.net_latency_percentile(95),
             stats.net_timeouts, stats.breaker_opens,
             sorted(stats.per_priority_shed.items()))))
 frontdoor, stats = run_cell(bank, KILL_OVERLOAD, KILL_LOSS, "retry", kill=True)
-print(repr(frontdoor.fingerprint()))
+print(repr(frontdoor_fingerprint(frontdoor)))
 print(repr((stats.card_failures, stats.heals_completed, stats.failovers,
             stats.duplicates_served, stats.duplicates_suppressed)))
 """

@@ -26,11 +26,12 @@ import hashlib
 import sys
 sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
+from frontdoor_fingerprint import frontdoor_fingerprint
 from obs_cells import traced_frontdoor
 from repro.obs import metrics_snapshot_json, trace_fingerprint
 
 frontdoor, observability = traced_frontdoor(requests=150, overload=3.0, loss=0.02)
-print(repr(frontdoor.fingerprint()))
+print(repr(frontdoor_fingerprint(frontdoor)))
 print(len(observability.spans), observability.tracer.dropped)
 print(trace_fingerprint(observability.spans))
 print(hashlib.sha256(metrics_snapshot_json(observability.registry).encode()).hexdigest())
@@ -51,6 +52,7 @@ def run_snippet(snippet: str) -> str:
 
 class TestObservabilityIsFreeWhenOff:
     def test_digests_identical_across_none_traced_judged(self):
+        from frontdoor_fingerprint import frontdoor_fingerprint
         from repro.core.builder import build_fleet, build_frontdoor
         from repro.core.config import SMALL_CONFIG
         from repro.functions.bank import build_small_bank
@@ -83,7 +85,7 @@ class TestObservabilityIsFreeWhenOff:
             )
             frontdoor.add_population(OpenLoopPopulation(trace))
             frontdoor.run()
-            return frontdoor.fingerprint()
+            return frontdoor_fingerprint(frontdoor)
 
         baseline = run(None)
         traced = run(Observability())

@@ -98,16 +98,16 @@ class TestBurnRateAlerting:
         assert len(engine.alerts) == 1
         alert = engine.alerts[0]
         assert alert.slo == "fleet.availability"
-        assert alert.active
+        assert alert.resolved_ns is None
         assert alert.burn_fast >= 2.0 and alert.burn_slow >= 2.0
         # Recovery: good events push the fast burn back under threshold
         # while the slow window still remembers the bad spell (hysteresis
         # is on the fast window only).
         for step in range(60):
             engine.on_fleet_completion(200.0 + step * 10.0, 100.0)
-        assert not alert.active
         assert alert.resolved_ns is not None
-        assert not any(alert.active for alert in engine.alerts)
+        assert alert.resolved_ns is not None
+        assert all(alert.resolved_ns is not None for alert in engine.alerts)
         # No re-fire after resolution while healthy.
         assert len(engine.alerts) == 1
 

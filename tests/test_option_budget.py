@@ -1,6 +1,7 @@
 """Ratchets: options, ``src/repro`` and its ``fleet.py``, ``sim/``, ``stats.py`` and
 ``net/`` may only shrink, no definition there is reached only by the tests, no
-option there is set only by the tests, and no field there is only written.
+option there is set only by the tests, no field there is only written, and
+every function there runs under a shipped user (``--runs``).
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budgets below are the counts at the last PR
@@ -50,16 +51,35 @@ used with in its function (attributes no class has aside); if none has them
 all, ``recv.x`` reaches every ``x``.  A bare name reaches a definition outside
 a class.  A string constant where it can name an attribute — a call argument
 (but a ``setattr`` name), an element of an assigned or iterated tuple, list
-or set — reaches anything of its name (``getattr`` dispatch).  A use inside a
-definition that is itself unreached does not count, to a fixed point, nor
-does a definition's use of itself.  ``C(...)`` sets ``C.__init__``'s options,
-``super().__init__`` each base's.
+or set — reaches anything of its name (``getattr`` dispatch); the strings of
+a module's ``__all__`` reach nothing.  Reaching grows from the roots, the
+uses outside every definition (module code under ``src/``, all of
+``benchmarks/``): a use counts once every definition around it is reached,
+to the least fixed point, so two definitions that only name each other stay
+unreached.  A definition's use of itself never counts.  ``C(...)`` sets
+``C.__init__``'s options, ``super().__init__`` each base's.
+
+The static scans see names, not runs: a common method name or a use on a
+path no workload takes keeps a function alive.  So a runtime leg, ``python
+tests/test_option_budget.py --runs`` (~60 s under the tracer, CI's
+``fingerprints`` job), runs every shipped user in this process under a
+call-only ``sys.settrace`` / ``threading.settrace`` hook (:func:`shipped_users`:
+the twelve report builders, ``fingerprints.py --check --tiny``, each ledger
+shape in the worker's traced mode, one shard's worker body) and lists each
+non-dunder function under ``src/repro`` whose code never ran, a body that is
+only a docstring, ``...``, ``pass`` or ``raise NotImplementedError`` (an
+interface) aside.  It exits non-zero unless those are exactly the functions
+``KEPT`` and ``KEPT_RUNS`` name: a safety path, a model path no shipped cell
+reaches, a base default every subclass overrides, or the callee of a ``KEPT``
+entry.
 
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
-files and directories — the counter a PR's before/after table should quote —
-and ``--scan PATH...`` prints the definitions, options and fields under
+files and directories — the counter a PR's before/after table should quote —,
+``--scan PATH...`` prints the definitions, options and fields under
 ``src/repro`` paths, ``*`` marking each one nothing outside ``tests/``
-reaches, sets or reads, then the three totals.
+reaches, sets or reads, then the three totals, and ``--runs`` runs the
+runtime leg, printing each function that never ran and is not kept, each kept
+one that ran, then the totals.
 """
 
 import ast
@@ -68,22 +88,20 @@ import dataclasses
 import functools
 import inspect
 import io
+import multiprocessing
 import pathlib
 import re
 import sys
+import threading
+import time
 import tokenize
-
-from repro.cluster.fleet import Fleet
-from repro.cluster.sharded import ShardedRunConfig, run_sharded
-from repro.core.builder import build_fleet, build_frontdoor
-from repro.sim.kernel import Simulator
 
 OPTION_BUDGET = 45
 FLEET_CODE_LINE_BUDGET = 605
-SIM_CODE_LINE_BUDGET = 318
+SIM_CODE_LINE_BUDGET = 301
 STATS_CODE_LINE_BUDGET = 411
-NET_CODE_LINE_BUDGET = 806
-SRC_CODE_LINE_BUDGET = 10_420
+NET_CODE_LINE_BUDGET = 739
+SRC_CODE_LINE_BUDGET = 10_190
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -93,10 +111,10 @@ KEPT = {
     "check/trace.py:ScheduleTrace.from_seed": "replays a saved schedule from its seed string",
     "check/trace.py:ScheduleTrace.to_json": "saves a schedule for replay",
     "check/trace.py:ScheduleTrace.from_json": "loads a saved schedule for replay",
-    "core/builder.py:clear_bitstream_cache": "lets a benchmark time cold bit-stream generation",
     "bitstream/codecs/base.py:available_codecs": "lists the names CoprocessorConfig.codec_name accepts",
     "workloads/generators.py:uniform_trace": "the uniform-popularity trace, the baseline for a skewed mix",
     "workloads/generators.py:bursty_trace": "the geometric-burst trace of the generator family",
+    "sim/rand.py:SeededRandom.geometric": "draws bursty_trace's burst lengths (KEPT)",
     "workloads/generators.py:repeated_trace": "one function over and over: a pure hit-path trace",
     "workloads/apps.py:hash_server_trace": "one of the three application scenarios apps.py models",
     "workloads/apps.py:dsp_pipeline_trace": "one of the three application scenarios apps.py models",
@@ -147,6 +165,11 @@ def optional_parameters(callable_):
 
 
 def test_option_count_does_not_grow():
+    from repro.cluster.fleet import Fleet
+    from repro.cluster.sharded import ShardedRunConfig, run_sharded
+    from repro.core.builder import build_fleet, build_frontdoor
+    from repro.sim.kernel import Simulator
+
     options = {
         "Simulator": optional_parameters(Simulator.__init__),
         "Fleet": optional_parameters(Fleet.__init__),
@@ -259,7 +282,10 @@ class Index:
         #: holds ``(name, receiver, scope, chain, kind)``, ``calls`` ``(called
         #: names, receiver, scope, chain, positional arguments, keywords, starred)``
         self.definitions, self.fields, self.options, self.specs = {}, {}, {}, {}
+        #: ``{"path:Qualified.name": (file, node)}`` of each function among the definitions
+        self.functions = {}
         for file, tree in trees:
+            self._file = file
             self._path = file.relative_to(root).as_posix() if root in file.parents else None
             self._copiers = _COPIERS[1] if self._path == _COPIERS[0] else set()
             self._reexports = file.name == "__init__.py"
@@ -281,6 +307,8 @@ class Index:
             key = prefix and prefix + node.name
             if key and not node.name.startswith("__"):
                 self.definitions[key] = (node.name, klass)
+                if not isinstance(node, ast.ClassDef):
+                    self.functions[key] = (self._file, node)
             scope.bindings[node.name].append(("class", node.name, None))
             if isinstance(node, ast.ClassDef):
                 self.bases.setdefault(node.name, set()).update(map(_name, node.bases))
@@ -311,7 +339,7 @@ class Index:
             return self._visit(node, inner, chain + (key,), key and key + ".", copying)
         if isinstance(node, ast.Assign):
             targets = set(map(_name, node.targets))
-            if "__slots__" in targets or "__all__" in targets and self._reexports:
+            if targets & {"__slots__", "__all__"}:
                 return
             self._named.update(map(id, getattr(node.value, "elts", ())))
             for target in node.targets:
@@ -505,11 +533,12 @@ class Index:
             for key, owner in (found for target in targets for found in called[target]):
                 if not family or owner in family:
                     sets[key].append((chain, *call))
-        unreached, found = None, set()
-        while found != unreached:
-            unreached = found
-            live = {k for chain, keys in reaches if unreached.isdisjoint(chain) for k in keys if k not in chain}
-            found = (self.definitions.keys() | self.fields.keys()) - live
+        live, grown = None, set()
+        while grown != live:
+            live = grown
+            grown = {k for chain, keys in reaches if live.issuperset(self.definitions.keys() & set(chain))
+                     for k in keys if k not in chain}
+        unreached = (self.definitions.keys() | self.fields.keys()) - live
         unset = {}
         for key, (*_, options) in self.options.items():
             calls = [call for chain, *call in sets[key] if unreached.isdisjoint(chain)]
@@ -668,8 +697,176 @@ def test_the_ledger_applies_the_pinned_opt_ins(monkeypatch):
     assert applied == LEDGER_OPTINS
 
 
+#: Functions the static scan finds a use of that no shipped user runs, kept
+#: for the reason given: a safety path, a model path no shipped cell reaches,
+#: a base default every subclass overrides, or the callee of a ``KEPT`` entry.
+KEPT_RUNS = {
+    "fpga/frame.py:no_such_frame": "the error an unknown frame address raises; no model input names one",
+    "fpga/config_memory.py:ConfigurationMemory.release": (
+        "the rollback after a refused configuration transfer; no shipped cell's transfer fails"
+    ),
+    "cluster/stats.py:FleetStatistics.record_migration_failed": (
+        "counts a migration whose transfer failed; no shipped cell's migration fails"
+    ),
+    "cluster/arrivals.py:_restamp": (
+        "re-stamps a trace onto a reused kernel's clock: a second run of one fleet, which no shipped cell makes"
+    ),
+    "obs/slo.py:SloEngine.on_fleet_bad": (
+        "an availability SLO's bad event (a rejection or an expired deadline); no shipped cell judges "
+        "fleet availability"
+    ),
+    "obs/incident.py:FlightRecorder.on_fault": (
+        "puts a card kill or an upset on the flight recorder's timeline; no shipped cell records faults"
+    ),
+    "obs/context.py:DeviceSpans.first": (
+        "cuts a device-span reference where a tracer's capacity or the tail sampler's per-trace bound "
+        "falls inside it; no shipped cell fills either bound"
+    ),
+    "sim/schedule.py:SchedulePolicy.choose": "the base default (index 0) that every subclass overrides",
+    "core/coprocessor.py:AgileCoprocessor.scrub": "runs under HostDriver.scrub_card (KEPT)",
+    "mcu/microcontroller.py:Microcontroller.scrub": "runs under HostDriver.scrub_card (KEPT)",
+    "check/trace.py:ScheduleTrace.seed": "runs under ScheduleTrace.from_seed (KEPT)",
+}
+
+
+def _interface(node) -> bool:
+    """Whether *node*'s body is only a docstring, ``...``, ``pass`` or
+    ``raise NotImplementedError``: an interface, not code that runs."""
+    return all(
+        isinstance(statement, ast.Pass)
+        or isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+        or isinstance(statement, ast.Raise)
+        and _name(getattr(statement.exc, "func", statement.exc)) == "NotImplementedError"
+        for statement in node.body
+    )
+
+
+def traced_calls(*drivers) -> set:
+    """The code objects of every call *drivers* make, each called in turn
+    under a call-only tracer in this thread and in every thread it starts.
+
+    ``settrace``, not ``setprofile``: the ledger worker's traced mode installs
+    ``cProfile``, which would replace a profile hook."""
+    ran = set()
+
+    def tracer(frame, event, arg):
+        ran.add(frame.f_code)  # and no local tracer: call events only
+
+    # Put back afterwards, so that a coverage run keeps measuring.
+    previous = sys.gettrace(), getattr(threading, "gettrace", lambda: None)()
+    sys.settrace(tracer)
+    threading.settrace(tracer)
+    try:
+        for driver in drivers:
+            started = time.perf_counter()
+            driver()
+            print(f"{driver.__name__}: {time.perf_counter() - started:.1f} s traced", file=sys.stderr)
+    finally:
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    return ran
+
+
+def never_ran(functions, ran) -> set:
+    """The keys of *functions* (:attr:`Index.functions`) that no code object
+    in *ran* is, interface bodies aside.  A code object's first line is its
+    first decorator's."""
+    files = {name: pathlib.Path(name).resolve() for name in {code.co_filename for code in ran}}
+    started = {(files[code.co_filename], code.co_firstlineno, code.co_name) for code in ran}
+    return {
+        key for key, (file, node) in functions.items()
+        if not _interface(node)
+        and (file, min(d.lineno for d in [node, *node.decorator_list]), node.name) not in started
+    }
+
+
+def shipped_users():
+    """What ``--runs`` traces, each a callable that runs in this process and
+    writes nothing: the twelve report builders called as the
+    ``tests/test_e*.py`` render tests call them, ``fingerprints.py --check
+    --tiny``, each ledger shape in the worker's traced mode at its
+    ``min_ops``, and one shard of ``fleet_sharded_2`` through
+    ``_shard_worker`` (``run_sharded`` runs it in a child process the tracer
+    does not follow)."""
+    sys.path[:0] = [str(REPO), str(REPO / "benchmarks" / "e2e")]
+    import shapes
+    import worker
+
+    def reports():
+        from benchmarks import bench_e1_architecture as e1, bench_e2_reconfig_latency as e2
+        from benchmarks import bench_e3_replacement_policy as e3, bench_e4_compression as e4
+        from benchmarks import bench_e5_offload_speedup as e5, bench_e6_agility as e6
+        from benchmarks import bench_e7_rom_layout as e7, bench_e8_frame_granularity as e8
+        from benchmarks import bench_e9_fleet_dispatch as e9, bench_e10_reliability as e10
+        from benchmarks import bench_e11_rebalance as e11, bench_e12_frontdoor as e12
+        from repro.core.config import CoprocessorConfig
+        from repro.functions.bank import build_default_bank
+
+        bank, config = build_default_bank(), CoprocessorConfig(seed=2005)
+        built = [
+            e1.build_report(e1.build_traced_driver(config, bank), bank),
+            e2.build_report(config, bank),
+            e4.build_report(e4.raw_bitstreams(config, bank)),
+            e7.build_report(config, bank),
+            *(module.build_report(bank) for module in (e3, e5, e6, e8, e9, e10, e11, e12)),
+        ]
+        for report in built:
+            report.render()
+
+    def fingerprints():
+        from benchmarks import fingerprints as tool
+
+        assert tool.main(["--check", "--tiny"]) == 0
+
+    def ledger():
+        for shape in shapes.SHAPES:
+            spec = {"workload": shape.name, "seed": 11, "ops": shape.min_ops, "seconds": 0.016, "mode": "traced"}
+            assert not worker.measure(spec)["violations"], shape.name
+
+    def shard():
+        from repro.cluster.sharded import _shard_worker, partition_cards
+
+        shape = shapes.FleetSharded2()
+        config = shape.make_trace(shape.build_bank(), 11, shape.min_ops)
+        receiving, sending = multiprocessing.Pipe(duplex=False)
+        messages = [("lines", None)]
+
+        def drain():
+            try:
+                while messages[-1][0] == "lines":
+                    messages.append(receiving.recv())
+            except EOFError:  # the worker ended without its final message
+                pass
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            _shard_worker(sending, config, partition_cards(config.total_cards, 2)[0])
+        finally:
+            sending.close()
+        reader.join(60)
+        assert not reader.is_alive() and messages[-1][0] == "final", messages[-1]
+
+    return reports, fingerprints, ledger, shard
+
+
+def check_runs() -> int:
+    """Trace every shipped user; 0 if the functions that never ran are exactly
+    the functions ``KEPT`` and ``KEPT_RUNS`` name, else print the difference
+    and return 1."""
+    functions = index()[0].functions
+    missed = never_ran(functions, traced_calls(*shipped_users()))
+    kept = (KEPT.keys() | KEPT_RUNS.keys()) & functions.keys()
+    print("".join(f"never ran: {key}\n" for key in sorted(missed - kept)), end="")
+    print("".join(f"ran, but kept: {key}\n" for key in sorted(kept - missed)), end="")
+    print(f"{len(functions)} functions; {len(missed)} never ran; {len(kept)} kept")
+    return int(missed != kept)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--scan"]:
+    if sys.argv[1:2] == ["--runs"]:
+        sys.exit(check_runs())
+    elif sys.argv[1:2] == ["--scan"]:
         print_scan(sys.argv[2:])
     else:
         for argument in sys.argv[1:]:

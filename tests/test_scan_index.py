@@ -3,6 +3,7 @@
 printer run as a command."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -247,3 +248,94 @@ def test_a_non_frozen_counter_dataclass_is_not_an_option(tmp_path):
     index, unset = spec_scan(tmp_path)
     assert "m.py:Counters" not in unset and "m.py:Counters" not in index.options
     assert set(index.specs) == {"m.py:LinkSpec", "m.py:Transport"}
+
+
+def test_two_dead_definitions_that_name_each_other_are_flagged(tmp_path):
+    """Liveness grows from uses outside every definition: a class whose only
+    user is another unreached class stays unreached, and so does that user."""
+    source = """
+class Population:
+    def start(self):
+        return Client(self)
+
+
+class Client:
+    def __init__(self, population: Population):
+        self.population = population
+
+
+class Used:
+    def start(self):
+        return 1
+
+
+Used().start()
+"""
+    unreached = scans.Index([(tmp_path / "m.py", ast.parse(source))], root=tmp_path).scan()[0]
+    assert unreached == {"m.py:Population", "m.py:Population.start", "m.py:Client"}
+
+
+def test_a_name_in_its_own_modules_all_is_not_a_use(tmp_path):
+    source = "__all__ = ['exported', 'used']\n\n\ndef exported():\n    return 1\n\n\ndef used():\n    return 2\n\n\nused()\n"
+    unreached = scans.Index([(tmp_path / "m.py", ast.parse(source))], root=tmp_path).scan()[0]
+    assert unreached == {"m.py:exported"}
+
+
+RUNTIME_SOURCE = '''
+import functools
+
+
+class Codec:
+    def compress(self, data):
+        """Compress *data*."""
+        raise NotImplementedError
+
+    def name(self):
+        ...
+
+
+class Rle(Codec):
+    def compress(self, data):
+        return data
+
+    @property
+    def ratio(self):
+        return 1.0
+
+    def never(self):
+        return 0
+
+
+@functools.lru_cache(maxsize=None)
+def build():
+    return Rle()
+
+
+def unused():
+    return build().never()
+'''
+
+
+def test_the_runtime_leg_flags_what_never_ran_but_not_an_interface(tmp_path):
+    """A function whose code object no call entered is flagged; a decorated
+    one that ran is not (its code starts at the decorator), and an interface
+    body is exempt by its shape."""
+    path = (tmp_path / "runtime_module.py").resolve()
+    path.write_text(RUNTIME_SOURCE)
+    spec = importlib.util.spec_from_file_location("runtime_module", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def drive():
+        codec = module.build()
+        codec.compress(b"x")
+        return codec.ratio
+
+    index = scans.Index([(path, ast.parse(RUNTIME_SOURCE))], root=path.parent)
+    ran = scans.traced_calls(drive)
+    assert set(index.functions) == {
+        "runtime_module.py:" + name for name in (
+            "Codec.compress", "Codec.name", "Rle.compress", "Rle.ratio", "Rle.never", "build", "unused",
+        )
+    }
+    assert scans.never_ran(index.functions, ran) == {"runtime_module.py:Rle.never", "runtime_module.py:unused"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import Clock, ClockDomain, as_ns, format_time
+from repro.sim.clock import Clock, ClockDomain, as_ns
 from repro.sim.kernel import Simulator, Timeout
 
 
@@ -111,18 +111,3 @@ class TestClockDomain:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             ClockDomain("bad", 0.0)
-
-
-class TestFormatTime:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (1.0, "1.000ns"),
-            (1500.0, "1.500us"),
-            (2_000_000.0, "2.000ms"),
-            (3_500_000_000.0, "3.500s"),
-        ],
-    )
-    def test_uses_readable_units(self, value, expected):
-        assert format_time(value) == expected
-

@@ -117,7 +117,7 @@ class TestCoprocessorStatisticsSketch:
             stats.record(outcome(latency))
         for percentile in (0, 50, 95, 99, 100):
             exact = percentile_of(latencies, percentile)
-            assert abs(stats.latency_percentile(percentile) - exact) <= 0.01 * exact
+            assert abs(stats._latency_sketch.percentile(percentile) - exact) <= 0.01 * exact
         assert stats._latency_sketch.seen == 500
 
     def test_long_trace_tail_is_sampled(self):
@@ -126,7 +126,7 @@ class TestCoprocessorStatisticsSketch:
             stats.record(outcome(float(value)))
         # A head-biased recorder would put p95 near the start of the stream;
         # the sketch's p95 tracks the full stream (~19000).
-        assert stats.latency_percentile(95) > 10_000
+        assert stats._latency_sketch.percentile(95) > 10_000
         assert stats._latency_sketch.bucket_count < 1_000
 
     def test_sampling_is_deterministic_across_instances(self):
@@ -134,7 +134,7 @@ class TestCoprocessorStatisticsSketch:
             stats = CoprocessorStatistics()
             for value in range(5000):
                 stats.record(outcome(float(value)))
-            return [stats.latency_percentile(p) for p in (50, 95, 99)]
+            return [stats._latency_sketch.percentile(p) for p in (50, 95, 99)]
 
         assert fill() == fill()
 
@@ -148,7 +148,7 @@ class TestCoprocessorStatisticsSketch:
         stats.reset()
         assert (stats.requests, stats._latency_sketch.seen) == (0, 0)
         stats.record(outcome(7.0))
-        assert stats.latency_percentile(50) == 7.0
+        assert stats._latency_sketch.percentile(50) == 7.0
 
 
 class TestLatencyModeSurvivesReset:
@@ -166,4 +166,4 @@ class TestLatencyModeSurvivesReset:
         driver.reset_card()
         stats = driver.coprocessor.stats
         driver.call("crc32", b"abc")
-        assert stats._latency_sketch.seen == 1 and stats.latency_percentile(50) > 0
+        assert stats._latency_sketch.seen == 1 and stats._latency_sketch.percentile(50) > 0

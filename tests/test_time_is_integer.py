@@ -19,8 +19,6 @@ import ast
 import dataclasses
 import pathlib
 
-import pytest
-
 import repro
 from repro.cluster.sharded import ShardedRunConfig, run_sharded
 from repro.core.builder import build_coprocessor, build_fleet, build_frontdoor
@@ -82,16 +80,13 @@ def assert_whole_ns(fleet, observability=None, tapped=()):
     assert not leaked, leaked
 
 
-def small_trace(bank, length=150, seed=3, arrival="poisson"):
+def small_trace(bank, length=150, seed=3):
     specs = default_tenant_mix(bank, tenants=3, skew=1.2)
-    return specs, multi_tenant_trace(
-        bank, specs, length=length, mean_interarrival_ns=30_000.0, arrival=arrival, seed=seed
-    )
+    return specs, multi_tenant_trace(bank, specs, length=length, mean_interarrival_ns=30_000.0, seed=seed)
 
 
 class TestNoFloatLeaks:
-    @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
-    def test_fleet_hits_and_misses(self, small_bank, arrival):
+    def test_fleet_hits_and_misses(self, small_bank):
         observability = Observability()
         fleet = build_fleet(
             cards=2,
@@ -100,7 +95,7 @@ class TestNoFloatLeaks:
             observability=observability,
         )
         fleet.stats.digest_tap = []
-        _, trace = small_trace(small_bank, arrival=arrival)
+        _, trace = small_trace(small_bank)
         stats = fleet.run(trace)
         assert stats.hits and stats.misses
         assert sum(card.memo.replays for card in fleet.cards) > 0

@@ -9,7 +9,7 @@ byte fails here by name, before any report or schedule digest moves.
 
 ``test_the_stream_is_the_materialised_trace`` is the check the
 :class:`~repro.workloads.multitenant.StreamingFleetTrace` docstring cites: the
-stream and ``multi_tenant_trace(..., arrival="poisson")`` are one loop.
+stream and :func:`~repro.workloads.multitenant.multi_tenant_trace` are one loop.
 """
 
 import hashlib
@@ -62,20 +62,12 @@ def mixed_tenants(bank):
     ]
 
 
-def fleet_trace(bank, arrival, tenants, bound):
+def fleet_trace(bank, tenants, bound):
     specs = default_tenant_mix(bank, tenants=3) if tenants == "default" else mixed_tenants(bank)
     if bound == "count":
-        return multi_tenant_trace(
-            bank, specs, length=300, mean_interarrival_ns=20_000.0, arrival=arrival, seed=5
-        )
+        return multi_tenant_trace(bank, specs, length=300, mean_interarrival_ns=20_000.0, seed=5)
     return multi_tenant_trace(
-        bank,
-        specs,
-        length=10_000,
-        mean_interarrival_ns=20_000.0,
-        arrival=arrival,
-        seed=5,
-        duration_ns=6_000_000,
+        bank, specs, length=10_000, mean_interarrival_ns=20_000.0, seed=5, duration_ns=6_000_000
     )
 
 
@@ -100,18 +92,10 @@ PINS = {
     "multi_tenant-small-poisson-default-duration": "f4223d5c8b7ed60d66a242ca0e4005644aad0829821edce714f79ecc43d0df75",
     "multi_tenant-small-poisson-mixed-count": "8f57d608449c54801727fd9bf5318524e7a8c664c37abd017fa943a5a9328a11",
     "multi_tenant-small-poisson-mixed-duration": "69b6fff3fff3312cd0c884fd04787e434ccacf0ea306e65cafce43b3adc26d67",
-    "multi_tenant-small-bursty-default-count": "37406b0483278b71820222d4ec20f56d290cfb4e97754965fce3e56906f5c480",
-    "multi_tenant-small-bursty-default-duration": "7efc14a6a64cbbeaf09c9da78c1479642581812772186e5145122de818837957",
-    "multi_tenant-small-bursty-mixed-count": "dfd24f30fd6198cddd7359e8e3c92ee6cbeefb75d00cba38afbff69a9b4b333a",
-    "multi_tenant-small-bursty-mixed-duration": "c76b610b3c96feb0038eb563c1f9ef00e74cb8517975bfb1120d62c0d6d52e16",
     "multi_tenant-default-poisson-default-count": "930a0fb6a9fcbb347b6b4058d575f11bd0ed0aaa39af7a62a07d1f4ae9d9df54",
     "multi_tenant-default-poisson-default-duration": "41e6083d7d9ccbd6af6546e378fa90d28dc1c5ad7f323203e50e71612e4b21ac",
     "multi_tenant-default-poisson-mixed-count": "52acd663e076022e327c795485f5db30af4123d81d5fe5130ada5300ddfbd6ec",
     "multi_tenant-default-poisson-mixed-duration": "0743b9a761a1846150eecf255b8ebf28ed319cd823b5fc08ce1a546b8fce7221",
-    "multi_tenant-default-bursty-default-count": "6afd63caf80c3a5a49a99c326353fbbaf15b56af4c03ae0735afe1187bc98b4e",
-    "multi_tenant-default-bursty-default-duration": "1c4b16242d0d9644030fde117c160a35611451f4ad6cf14cfb1bd2ecd55af406",
-    "multi_tenant-default-bursty-mixed-count": "8408c8bf903502eb30c492f160207fc5030a9a9446cd3a7e3b2841d26fa10734",
-    "multi_tenant-default-bursty-mixed-duration": "b8fafb8cb9a408a7ba601d0116a7965d622cf9db411706ae34e9e3be385d3372",
     "streaming-small-seed11": "55aaa39a6233b7df760b49de2c1de30e60225c20747a98b73ffe726a7ffc5a30",
     "closed-small-uniform": "412adf80c201d9cc649e92ac53f25ebf40efbccc7882b395979eadb47c97b820",
     "closed-small-zipf": "0b4d407fe155085e37b38c6bfbb7f53e29cb6033464bcc925433f20635e61d0a",
@@ -136,7 +120,7 @@ def build_case(case, request):
     kind, bank_name, *rest = case.split("-")
     bank = request.getfixturevalue(f"{bank_name}_bank")
     if kind == "multi_tenant":
-        return fleet_trace(bank, *rest)
+        return fleet_trace(bank, *rest[1:])  # every multi-tenant trace is Poisson
     if kind == "streaming":
         tenants = default_tenant_mix(bank, tenants=4)
         return StreamingFleetTrace(bank, tenants, 2_000, mean_interarrival_ns=40_000.0, seed=11)
@@ -147,9 +131,8 @@ def build_case(case, request):
 
 CASES = (
     [
-        f"multi_tenant-{bank}-{arrival}-{tenants}-{bound}"
+        f"multi_tenant-{bank}-poisson-{tenants}-{bound}"
         for bank in ("small", "default")
-        for arrival in ("poisson", "bursty")
         for tenants in ("default", "mixed")
         for bound in ("count", "duration")
     ]

@@ -100,31 +100,6 @@ class TestMultiTenantTrace:
         for start in range(0, 200, 50):
             assert len(set(functions[start : start + 50])) <= 3
 
-    def test_bursty_arrivals_are_deterministic_and_clustered(self, bank):
-        specs = default_tenant_mix(bank, tenants=2)
-        first = multi_tenant_trace(
-            bank, specs, length=150, arrival="bursty", mean_interarrival_ns=10_000.0, seed=9
-        )
-        second = multi_tenant_trace(
-            bank, specs, length=150, arrival="bursty", mean_interarrival_ns=10_000.0, seed=9
-        )
-        assert trace_digest(first) == trace_digest(second)
-        gaps = [
-            second[i + 1].arrival_ns - second[i].arrival_ns for i in range(len(second) - 1)
-        ]
-        mean_gap = sum(gaps) / len(gaps)
-        # Bursty = high variability: many gaps far below the mean.
-        assert sum(1 for gap in gaps if gap < mean_gap / 2) > len(gaps) / 3
-
-    def test_bursty_long_run_rate_matches_poisson(self, bank):
-        specs = default_tenant_mix(bank, tenants=2)
-        bursty = multi_tenant_trace(
-            bank, specs, length=2000, arrival="bursty", mean_interarrival_ns=10_000.0, seed=9
-        )
-        # The leading idle gap of each burst compensates for the fast
-        # in-burst gaps, so the long-run mean gap stays the configured mean.
-        assert 8_000.0 < bursty.duration_ns / len(bursty) < 12_000.0
-
     def test_payloads_match_function_spec(self, bank):
         spec = TenantSpec(name="t", functions=tuple(bank.names()), payload_blocks=2)
         trace = multi_tenant_trace(bank, [spec], length=40, seed=10)
@@ -140,15 +115,6 @@ class TestMultiTenantTrace:
             multi_tenant_trace(bank, specs, length=-1)
         with pytest.raises(ValueError):
             multi_tenant_trace(bank, specs, length=5, mean_interarrival_ns=0.0)
-        with pytest.raises(ValueError):
-            multi_tenant_trace(bank, specs, length=5, arrival="martian")
-        with pytest.raises(ValueError):
-            multi_tenant_trace(bank, specs, length=5, arrival="bursty", burst_speedup=1.0)
-        # Burst knobs are ignored (and not validated) on the poisson path.
-        assert (
-            len(multi_tenant_trace(bank, specs, length=5, arrival="poisson", burst_speedup=1.0))
-            == 5
-        )
         with pytest.raises(KeyError):
             multi_tenant_trace(
                 bank, [TenantSpec(name="t", functions=("missing",))], length=5
