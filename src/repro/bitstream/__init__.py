@@ -7,7 +7,8 @@ configuration port.  This package provides:
 * the packetised bit-stream container format (:mod:`repro.bitstream.format`),
 * a table-driven CRC-32 used for bit-stream integrity (:mod:`repro.bitstream.crc`),
 * a suite of compression codecs (:mod:`repro.bitstream.codecs`) including the
-  CLB-symmetry-aware codec the paper's conclusion calls for,
+  previous-window LZ77 that answers the paper's call for codecs exploiting
+  CLB symmetry,
 * the windowed streaming compressor/decompressor (:mod:`repro.bitstream.window`).
 """
 
@@ -26,10 +27,10 @@ from repro.bitstream.codecs import (
     NullCodec,
     RunLengthCodec,
     LZ77Codec,
+    ContextLZ77Codec,
     HuffmanCodec,
     GolombRiceCodec,
     FrameDifferentialCodec,
-    SymmetryAwareCodec,
     available_codecs,
     get_codec,
     register_codec,
@@ -53,10 +54,10 @@ __all__ = [
     "NullCodec",
     "RunLengthCodec",
     "LZ77Codec",
+    "ContextLZ77Codec",
     "HuffmanCodec",
     "GolombRiceCodec",
     "FrameDifferentialCodec",
-    "SymmetryAwareCodec",
     "available_codecs",
     "get_codec",
     "register_codec",

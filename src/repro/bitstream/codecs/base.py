@@ -15,8 +15,9 @@ class Codec(abc.ABC):
 
     Subclasses must define :attr:`name`, :meth:`compress` and
     :meth:`decompress`.  ``compress_window`` / ``decompress_window`` add an
-    optional *previous window* context used by differential codecs; the
-    default implementations simply ignore the context, so plain codecs work
+    optional *previous window* context: a differential codec codes against
+    it, and ``lz77ctx`` uses it as a preset dictionary.  The default
+    implementations simply ignore the context, so plain codecs work
     unchanged under the windowed streaming layer.
     """
 

@@ -24,12 +24,19 @@ the per-byte reference encoder:
   candidates before any extension work;
 * *sliced extension*: matches are extended by comparing successively smaller
   slices (256/16/1 bytes) instead of byte-at-a-time.
+
+:class:`ContextLZ77Codec` (``"lz77ctx"``) is the same encoder and decoder
+with the previous raw window as a preset dictionary (zlib's ``FDICT``,
+RFC 1950): a window's matches may reach back into the window before it.  A
+function's bit-stream repeats a handful of distinct CLB images across its
+frames, so most of a window is already in the one the configuration module
+has just streamed.  The first window has no context and is plain LZ77.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.bitstream.codecs.base import Codec, CodecError, register_codec
 
@@ -50,7 +57,11 @@ class LZ77Codec(Codec):
 
     # ------------------------------------------------------------- compress
     def compress(self, data: bytes) -> bytes:
-        data = bytes(data)
+        return self._compress(bytes(data), 0)
+
+    def _compress(self, data: bytes, history_len: int) -> bytes:
+        """Encode ``data[history_len:]``; matches may reach back into the
+        first *history_len* bytes, which are not emitted."""
         length = len(data)
         out = bytearray()
         window = WINDOW
@@ -70,8 +81,6 @@ class LZ77Codec(Codec):
                 out.extend(data[start:chunk_end])
                 start = chunk_end
 
-        index = 0
-        literal_start = 0
         # Rolling 4-byte prefix key for the current index; only meaningful
         # while index < prefix_limit.
         key = (
@@ -79,6 +88,13 @@ class LZ77Codec(Codec):
             if length >= 4
             else 0
         )
+        # The history is dictionary only: chain its positions, emit nothing.
+        for index in range(min(history_len, prefix_limit)):
+            prev[index] = head_get(key, -1)
+            head[key] = index
+            if index + 4 < length:
+                key = ((key << 8) & 0xFFFFFF00) | data[index + 4]
+        index = literal_start = history_len
         while index < length:
             best_length = 0
             best_distance = 0
@@ -175,7 +191,12 @@ class LZ77Codec(Codec):
 
     # ----------------------------------------------------------- decompress
     def decompress(self, blob: bytes) -> bytes:
-        out = bytearray()
+        return self._decompress(blob, b"")
+
+    def _decompress(self, blob: bytes, history: bytes) -> bytes:
+        """Decode *blob* after *history*; back-references may reach into the
+        history but not before it.  Returns only the bytes after it."""
+        out = bytearray(history)
         index = 0
         length = len(blob)
         while index < length:
@@ -208,7 +229,22 @@ class LZ77Codec(Codec):
                     out += (segment * repeats)[:match_length]
             else:
                 raise CodecError(f"unknown LZ77 token tag 0x{tag:02x}")
+        del out[: len(history)]
         return bytes(out)
 
 
+class ContextLZ77Codec(LZ77Codec):
+    """LZ77 whose matches may reach into the previous raw window."""
+
+    name = "lz77ctx"
+
+    def compress_window(self, window: bytes, previous_window: Optional[bytes] = None) -> bytes:
+        history = bytes(previous_window or b"")
+        return self._compress(history + bytes(window), len(history))
+
+    def decompress_window(self, blob: bytes, previous_window: Optional[bytes] = None) -> bytes:
+        return self._decompress(blob, previous_window or b"")
+
+
 register_codec(LZ77Codec.name, LZ77Codec)
+register_codec(ContextLZ77Codec.name, ContextLZ77Codec)

@@ -25,8 +25,8 @@ counters someone reads.  Time is whole nanoseconds (:mod:`repro.sim.clock`),
 so ``start + duration_ns`` *is* where the real path's chain of advances
 lands.  Every later serve of the key *replays* the entry: the card clock
 jumps by the duration, the LRU table is touched at ``start + offset``, the
-bus counters move by the recorded deltas, and the card's latency is
-re-recorded through ``CoprocessorStatistics.record_hit_replay``.
+bus counters move by the recorded deltas, and the card's request counters
+move through ``CoprocessorStatistics.record_hit_replay``.
 
 Traced replay: under a fleet that bridges device events into ``card.*``
 spans, a replay builds no event at all — it leaves the entry's own immutable
@@ -43,9 +43,9 @@ that selects the full model, like any other observer of the card.
 Exactness contract (``tests/test_cluster_fastpath.py``, against the same
 fleet with every ``card.memo`` set to ``None``): card clock trajectory,
 service times, fleet schedule digest, every counter the model keeps, every
-time total (``bus.busy_time_ns``, ``copro.stats.total_reconfig_ns``), the
-card's latency sketch, LRU/residency state, minios statistics and device
-events are **equal** to a memo-off run.
+time total (``bus.busy_time_ns``, ``copro.stats.total_reconfig_ns``),
+LRU/residency state, minios statistics and device events are **equal** to a
+memo-off run.
 
 Every fleet card carries a memo; :meth:`ServeMemo._safe` decides per request,
 from the card's observable regime, which path serves it.  The memo is
@@ -184,7 +184,6 @@ class ServeMemo:
                 tuple(touches),
                 tuple(events),
                 *(now - was for now, was in zip(self._totals(), before)),
-                card_result.latency_ns,
             )
         return result
 
@@ -204,7 +203,6 @@ class ServeMemo:
             busy_ns,
             bus_transactions,
             bus_bytes,
-            total_time_ns,
         ) = entry
 
         clock = self.clock
@@ -236,7 +234,7 @@ class ServeMemo:
         if loaded is not None:
             loaded.executions += 1
 
-        self.copro.stats.record_hit_replay(function, total_time_ns)
+        self.copro.stats.record_hit_replay(function)
 
         self.replays += 1
         return duration_ns

@@ -6,7 +6,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.sketch import StreamingQuantileSketch
 from repro.mcu.microcontroller import ExecutionResult
 from repro.sim.rand import SeededRandom
 
@@ -64,11 +63,7 @@ class ReservoirSampler:
 
 @dataclass
 class CoprocessorStatistics:
-    """Counters and time totals across every request served.
-
-    Latencies go to an O(1)-memory streaming quantile sketch: no retained
-    list, no RNG, the same on a ten-request test and a million-request run.
-    """
+    """Counters and time totals across every request served."""
 
     requests: int = 0
     hits: int = 0
@@ -76,9 +71,6 @@ class CoprocessorStatistics:
     evictions: int = 0
     total_reconfig_ns: int = 0
     per_function_requests: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def __post_init__(self) -> None:
-        self._latency_sketch = StreamingQuantileSketch()
 
     # ------------------------------------------------------------- recording
     def record(self, result: ExecutionResult) -> None:
@@ -91,15 +83,13 @@ class CoprocessorStatistics:
         self.evictions += len(result.evictions)
         self.total_reconfig_ns += result.reconfig_time_ns
         self.per_function_requests[result.function] += 1
-        self._latency_sketch.add(result.latency_ns)
 
-    def record_hit_replay(self, function: str, total_time_ns: int) -> None:
+    def record_hit_replay(self, function: str) -> None:
         """Fold a replayed clean hit (no evictions, no reconfiguration) — the
         memo fast path.  Equal to :meth:`record` for the same result."""
         self.requests += 1
         self.hits += 1
         self.per_function_requests[function] += 1
-        self._latency_sketch.add(total_time_ns)
 
     # -------------------------------------------------------------- derived
     @property
@@ -111,5 +101,5 @@ class CoprocessorStatistics:
         return self.total_reconfig_ns / self.misses if self.misses else 0.0
 
     def reset(self) -> None:
-        """Zero every counter and drop the latencies."""
+        """Zero every counter."""
         self.__init__()  # type: ignore[misc]

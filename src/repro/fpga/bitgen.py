@@ -211,7 +211,8 @@ class BitstreamGenerator:
         # the same slice logic across CLBs, so every CLB uses one pattern from
         # the pool for all of its LUTs and neighbouring CLBs repeat with a
         # short period.  This inter-CLB regularity is exactly what the
-        # symmetry-aware and dictionary codecs exploit (and plain RLE cannot).
+        # dictionary codecs exploit (and plain RLE cannot); ``lz77ctx`` also
+        # finds it across window boundaries.
         pattern_pool = [rng.integer(1, (1 << 16) - 1) for _ in range(4)]
         routing_pool = [0x40 | rng.integer(0, 0x3F) for _ in range(4)]
         for frame_index in range(frame_count):

@@ -21,7 +21,7 @@ default to ``None`` and every pre-network schedule digest is unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.fleet import Fleet
 from repro.net.gateway import AdmissionConfig, Gateway
@@ -132,9 +132,9 @@ class FrontDoor:
         )
 
     # ------------------------------------------------------------- requests
-    def launch(self, base: FleetRequest, on_done: Optional[Callable] = None) -> None:
+    def launch(self, base: FleetRequest) -> None:
         """Stamp a workload request into a network request *now* and hand it
-        to the transport; ``on_done(outcome)`` is called at its verdict.
+        to the transport.
 
         Called by a population at the instant it launches the request: the
         id comes off the shared counter, the priority from the tenant map,
@@ -150,8 +150,7 @@ class FrontDoor:
                 base.tenant, base.function, base.payload, now,
                 None if deadline is None else now + deadline, request_id,
                 self.priorities.get(base.tenant, 0), request_id % len(self.gateways),
-            ),
-            on_done,
+            )
         )
 
     def _on_fleet_outcome(self, request, outcome: str, now_ns: int) -> None:

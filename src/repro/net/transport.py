@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.link import Link, Packet
 from repro.obs import names as _obs_names
@@ -165,13 +165,12 @@ class _Pending:
         "attempt",
         "gateway",
         "done",
-        "on_done",
         "trace",
         "attempt_sent_ns",
         "backoff_from_ns",
     )
 
-    def __init__(self, request: GatewayRequest, on_done: Optional[Callable]) -> None:
+    def __init__(self, request: GatewayRequest) -> None:
         self.request = request
         self.first_send_ns = 0
         #: Attempt counter; bumping it stale-izes every scheduled timeout and
@@ -180,8 +179,6 @@ class _Pending:
         #: Sticky serving gateway (None until the first send chooses one).
         self.gateway: Optional[int] = None
         self.done = False
-        #: Called with the verdict (``"completed"`` or the failure reason).
-        self.on_done = on_done
         #: ``(trace_id, root_span_id)`` when this request is traced, else
         #: None — the trace id *is* the transport request id.
         self.trace = None
@@ -235,14 +232,13 @@ class Transport:
         return len(self._pending)
 
     # ---------------------------------------------------------------- submit
-    def submit(self, request: GatewayRequest, on_done: Optional[Callable] = None) -> None:
-        """Take ownership of one logical request until it completes or dies;
-        ``on_done(outcome)`` is called at that verdict."""
+    def submit(self, request: GatewayRequest) -> None:
+        """Take ownership of one logical request until it completes or dies."""
         if request.request_id in self._pending:
             raise ValueError(f"duplicate request_id {request.request_id}")
         self._requests.value += 1
         self.stats.per_priority_requests[request.priority] += 1
-        pending = _Pending(request, on_done)
+        pending = _Pending(request)
         pending.first_send_ns = self.clock._now
         tracer = self.tracer
         if tracer is not None:
@@ -340,8 +336,6 @@ class Transport:
         if pending.trace is not None:
             self._obs_attempt_end(pending, "resp")
             self._obs_root_end(pending, "completed")
-        if pending.on_done is not None:
-            pending.on_done("completed")
 
     # --------------------------------------------------------- observability
     def _obs_attempt_end(self, pending: _Pending, verdict: str) -> None:
@@ -437,5 +431,3 @@ class Transport:
         del self._pending[request.request_id]
         if pending.trace is not None:
             self._obs_root_end(pending, reason)
-        if pending.on_done is not None:
-            pending.on_done(reason)

@@ -72,7 +72,6 @@ class EagerServeMemo(ServeMemo):
             busy_ns,
             bus_transactions,
             bus_bytes,
-            total_time_ns,
         ) = entry
 
         clock = self.clock
@@ -97,7 +96,7 @@ class EagerServeMemo(ServeMemo):
         if loaded is not None:
             loaded.executions += 1
 
-        self.copro.stats.record_hit_replay(function, total_time_ns)
+        self.copro.stats.record_hit_replay(function)
 
         self.replays += 1
         return duration_ns

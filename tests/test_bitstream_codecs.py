@@ -1,23 +1,27 @@
 """Tests for the compression codecs (including property-based round trips)."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from benchmarks import bench_e4_compression, bench_e7_rom_layout
 from repro.bitstream.codecs import (
     CodecError,
+    ContextLZ77Codec,
     FrameDifferentialCodec,
     GolombRiceCodec,
     HuffmanCodec,
     LZ77Codec,
     NullCodec,
     RunLengthCodec,
-    SymmetryAwareCodec,
     available_codecs,
     get_codec,
     register_codec,
 )
+from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
+from repro.core.config import CoprocessorConfig
 
 ALL_CODECS = [
     NullCodec(),
@@ -26,7 +30,7 @@ ALL_CODECS = [
     HuffmanCodec(),
     GolombRiceCodec(),
     FrameDifferentialCodec(),
-    SymmetryAwareCodec(clb_stride=33),
+    ContextLZ77Codec(),
 ]
 
 SAMPLES = [
@@ -71,20 +75,65 @@ class TestCompressionQuality:
         pattern = bytes([1, 2, 3, 4, 5, 6, 7, 8]) * 100
         assert len(LZ77Codec().compress(pattern)) < len(pattern) // 4
 
-    def test_symmetry_codec_beats_plain_rle_on_strided_data(self):
-        # Byte i of every "CLB" is identical -> transposition creates long runs.
-        stride = 33
-        clb = bytes(range(stride))
-        data = clb * 40
-        symmetric = SymmetryAwareCodec(clb_stride=stride)
-        plain = RunLengthCodec()
-        assert len(symmetric.compress(data)) < len(plain.compress(data))
-
     def test_framediff_collapses_near_identical_frames(self):
         frame = bytes([7, 1, 0, 9] * 256)  # one FRAME_SIZE frame
         data = frame * 20
         codec = FrameDifferentialCodec()
         assert len(codec.compress(data)) < len(RunLengthCodec().compress(data))
+
+
+@pytest.fixture(scope="module")
+def bank_bitstreams(default_bank):
+    """Every default-bank function's raw bit-stream, as E4 compresses it."""
+    return bench_e4_compression.raw_bitstreams(CoprocessorConfig(seed=2005), default_bank)
+
+
+def _windowed_round_trip(data, window):
+    """*data* through a serialised ``lz77ctx`` image of *window*-byte windows."""
+    blob = WindowedCompressor(ContextLZ77Codec(), window).compress(data).to_bytes()
+    return WindowedDecompressor(CompressedImage.from_bytes(blob)).decompress_all()
+
+
+class TestContextLZ77:
+    """``lz77ctx``: LZ77 whose matches may reach into the previous raw window."""
+
+    @given(data=st.binary(max_size=5000), window=st.integers(min_value=1, max_value=1500))
+    @settings(max_examples=40, deadline=None)
+    def test_windowed_round_trip_of_random_bytes(self, data, window):
+        assert _windowed_round_trip(data, window) == data
+
+    @given(draw=st.data(), window=st.integers(min_value=7, max_value=2048))
+    @settings(max_examples=30, deadline=None)
+    def test_windowed_round_trip_of_every_bank_bitstream(self, bank_bitstreams, draw, window):
+        data = bank_bitstreams[draw.draw(st.sampled_from(sorted(bank_bitstreams)))]
+        assume(len(data) % window)
+        assert _windowed_round_trip(data, window) == data
+
+    def test_a_truncated_or_corrupted_window_raises(self, bank_bitstreams):
+        image = WindowedCompressor(ContextLZ77Codec(), 1024).compress(bank_bitstreams["aes128"])
+        second = image.windows[1]
+        for broken in (second[:-1], second[: len(second) // 2], b"\x07" + second[1:]):
+            image.windows[1] = broken
+            with pytest.raises(CodecError):
+                WindowedDecompressor(image).decompress_all()
+        image.windows[1] = second
+        blob = bytearray(image.to_bytes())
+        blob[-3] ^= 0xFF
+        with pytest.raises(CodecError):
+            CompressedImage.from_bytes(bytes(blob))
+
+    def test_a_back_reference_may_not_reach_before_the_previous_window(self):
+        codec = ContextLZ77Codec()
+        previous = bytes(range(64))
+
+        def copy_four_from(distance):
+            return bytes([0x01]) + struct.pack(">HH", distance, 4)
+
+        assert codec.decompress_window(copy_four_from(64), previous) == previous[:4]
+        with pytest.raises(CodecError):
+            codec.decompress_window(copy_four_from(65), previous)
+        with pytest.raises(CodecError):
+            codec.decompress_window(copy_four_from(1))
 
 
 class TestErrorHandling:
@@ -109,19 +158,11 @@ class TestErrorHandling:
         with pytest.raises(CodecError):
             GolombRiceCodec().decompress(blob[:6])
 
-    def test_symmetry_rejects_short_header(self):
-        with pytest.raises(CodecError):
-            SymmetryAwareCodec().decompress(b"\x00")
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SymmetryAwareCodec(clb_stride=0)
-
 
 class TestRegistry:
     def test_all_expected_codecs_registered(self):
         names = available_codecs()
-        for expected in ("null", "rle", "lz77", "huffman", "golomb", "framediff", "symmetry"):
+        for expected in ("null", "rle", "lz77", "huffman", "golomb", "framediff", "lz77ctx"):
             assert expected in names
 
     def test_the_rom_experiment_measures_the_compression_experiments_codecs(self):

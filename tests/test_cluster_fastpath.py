@@ -64,7 +64,6 @@ def card_state(card):
             for field in dataclasses.fields(stats)
             if field.name.startswith("total_") and field.name.endswith("_ns")
         },
-        "latency_percentiles": [stats._latency_sketch.percentile(p) for p in (0, 50, 95, 99, 100)],
     }
 
 

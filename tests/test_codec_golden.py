@@ -4,7 +4,9 @@ The blobs in ``tests/data/golden/`` were produced by the original (per-bit /
 per-byte) seed encoders.  The optimised encoders must reproduce them *byte
 for byte* — compression is part of the stored-image format, so a drifting
 encoder would silently invalidate every ROM image ever written — and the
-optimised decoders must invert them.  Adversarial truncation must never
+optimised decoders must invert them.  ``lz77ctx`` differs from ``lz77`` only
+across windows, so its blobs are whole windowed ROM images (1 024-byte
+windows, as the card stores them), pinned when the codec was added.  Adversarial truncation must never
 crash, hang, or mis-decode: every outcome is either a clean ``CodecError``
 (or the codec-specific subset below) or a successful parse of a shorter
 stream.
@@ -21,18 +23,39 @@ from hypothesis import strategies as st
 
 from repro.bitstream.codecs import (
     CodecError,
+    ContextLZ77Codec,
     FrameDifferentialCodec,
     GolombRiceCodec,
     HuffmanCodec,
     LZ77Codec,
     NullCodec,
     RunLengthCodec,
-    SymmetryAwareCodec,
+)
+from repro.bitstream.window import (
+    COMPRESSION_WINDOW_BYTES,
+    CompressedImage,
+    WindowedCompressor,
+    WindowedDecompressor,
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
 GOLDEN_DIR = DATA_DIR / "golden"
+
+class _WindowedImage:
+    """*codec*'s serialised windowed image as one blob: what the ROM stores."""
+
+    def __init__(self, codec):
+        self.name = codec.name
+        self._codec = codec
+
+    def compress(self, data):
+        image = WindowedCompressor(self._codec, COMPRESSION_WINDOW_BYTES).compress(data)
+        return image.to_bytes()
+
+    def decompress(self, blob):
+        return WindowedDecompressor(CompressedImage.from_bytes(blob)).decompress_all()
+
 
 #: Codec name -> default-constructed instance, matching the golden corpus.
 CODECS = {
@@ -42,7 +65,7 @@ CODECS = {
     "huffman": HuffmanCodec(),
     "golomb": GolombRiceCodec(),
     "framediff": FrameDifferentialCodec(),
-    "symmetry": SymmetryAwareCodec(),
+    "lz77ctx": _WindowedImage(ContextLZ77Codec()),
 }
 
 CORPUS_NAMES = sorted(path.stem for path in CORPUS_DIR.glob("*.bin"))

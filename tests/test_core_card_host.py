@@ -179,7 +179,7 @@ class TestHostCallWork:
             by_package[code.co_filename[len(REPRO_ROOT):].split(os.sep, 1)[0]] += frames
         return by_package
 
-    def test_a_resident_hit_enters_108_frames(self, small_bank):
+    def test_a_resident_hit_enters_107_frames(self, small_bank):
         """The host call's work counter: Python frames entered under
         ``src/repro/`` per resident hit through :meth:`HostDriver.call`
         (``crc32`` on 16 bytes, ``SMALL_CONFIG``), by package —
@@ -210,17 +210,19 @@ class TestHostCallWork:
           the executor's ``run`` and ``cycles_for``); ``by_id``,
           two ``name``, the bank's second ``__contains__`` and ``by_name``,
           ``frames_required`` and the behaviour model (``functions`` 7);
-          ``bitstream`` 1, ``analysis`` 1 and ``sim`` 23: 7 ``clock.now``,
+          ``bitstream`` 1 and ``sim`` 23: 7 ``clock.now``,
           4 ``advance`` (decode, staging and feed, fabric, collect and
           readout), 8 ``record`` (a ``ram`` write and read per buffer,
           ``data-in``, ``fpga``, ``data-out`` and ``mcu``) and 4
           ``cycles_to_ns``.
 
         Beside the frames, the builtin calls (``sys.setprofile``'s ``c_call``
-        events, by name) per hit are pinned too: 32, 13 of them the
+        events, by name) per hit are pinned too: 30, 13 of them the
         ``round`` of a time computed in nanoseconds.
 
-        115 while a transaction's time was ``PciBusTiming.time_ns`` and its
+        108 (32 builtin calls) while ``CoprocessorStatistics.record`` fed
+        every latency to a streaming sketch nothing read (``analysis`` 1,
+        two ``dict.get``); 115 while a transaction's time was ``PciBusTiming.time_ns`` and its
         ``cycles_for`` (``pci`` 21); 116 while the load's planning read
         ``clock.now`` for the policy,
         which no policy used (``sim`` 54); 122 while ``ClockDomain.period_ns`` was a property (4 more ``sim``
@@ -251,15 +253,14 @@ class TestHostCallWork:
             "memory": 4,
             "fpga": 3,
             "bitstream": 1,
-            "analysis": 1,
         }
-        assert sum(per_call.values()) == 108
+        assert sum(per_call.values()) == 107
         assert builtins == {
-            "round": 13, "len": 10, "dict.get": 3, "max": 3, "hash": 1, "crc32": 1,
+            "round": 13, "len": 10, "dict.get": 1, "max": 3, "hash": 1, "crc32": 1,
             "int.to_bytes": 1,
         }
 
-    def test_a_churn_miss_pair_enters_651_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_649_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -290,7 +291,8 @@ class TestHostCallWork:
         mini OS's plan and commits; the Free Frame List it plans from is
         one scan of the replacement table.
 
-        665 while a bus transaction's time took two frames
+        651 while each request's latency went to a streaming sketch nothing
+        read (``analysis`` 2).  665 while a bus transaction's time took two frames
         (``PciBusTiming.time_ns`` and ``cycles_for``; ``pci`` 42).  667 while
         each load's planning read ``clock.now`` for the policy
         (``sim`` 176).  2 314 while the port, the claim and the erase worked per frame:
@@ -309,9 +311,11 @@ class TestHostCallWork:
 
         The pair's builtin calls (``c_call`` events, by name) are pinned
         beside its frames, because a builtin method call enters no frame:
-        921, most of them per frame (``len``, ``list.append`` and the check
+        917, most of them per frame (``len``, ``list.append`` and the check
         word's ``crc32``).  A fault-free memory's ``suspect`` set is empty,
-        so a write and an erase call nothing on it; 1 185 while each frame
+        so a write and an erase call nothing on it; 921 while the latency
+        sketch probed its bucket memo and its bucket per request (four
+        ``dict.get`` per pair); 1 185 while each frame
         written and each frame erased made a ``set.discard`` (176 per pair),
         1 009 while each frame written was tested against a padding mask (an
         ``int.from_bytes`` per frame, 88 per pair).
@@ -340,17 +344,16 @@ class TestHostCallWork:
             "memory": 25,
             "core": 18,
             "bitstream": 6,
-            "analysis": 2,
         }
-        assert sum(per_pair.values()) == 651
+        assert sum(per_pair.values()) == 649
         assert builtins == {
             "len": 364, "list.append": 322, "crc32": 92, "int.from_bytes": 1, "round": 64,
-            "iter": 16, "dict.get": 10, "min": 9, "max": 8, "hash": 4, "sorted": 4,
+            "iter": 16, "dict.get": 6, "min": 9, "max": 8, "hash": 4, "sorted": 4,
             "dict.values": 4, "dict.pop": 4, "sum": 4, "bytes.join": 4, "set.add": 2,
             "list.extend": 2, "getattr": 2, "list.count": 2, "bytearray.extend": 2,
             "int.to_bytes": 1,
         }
-        assert sum(builtins.values()) == 921
+        assert sum(builtins.values()) == 917
 
 
 class TestScrubWork:

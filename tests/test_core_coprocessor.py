@@ -7,7 +7,6 @@ from repro.core.config import CoprocessorConfig, SMALL_CONFIG
 from repro.core.exceptions import UnknownFunctionError
 from repro.core.stats import CoprocessorStatistics
 from repro.functions.bank import build_small_bank
-from repro.mcu.microcontroller import ExecutionResult
 
 
 class TestCoprocessorConfig:
@@ -109,22 +108,12 @@ class TestExecution:
 
 
 class TestStatistics:
-    def test_percentiles_and_summary(self, small_coprocessor):
+    def test_requests_and_hit_rate(self, small_coprocessor):
         for index in range(10):
             small_coprocessor.execute("crc32", bytes([index]) * 16)
         stats = small_coprocessor.stats
-        sketch = stats._latency_sketch
-        assert sketch.percentile(0) <= sketch.percentile(50) <= sketch.percentile(100)
         assert stats.requests == 10
         assert 0 < stats.hit_rate <= 1.0
-
-    def test_invalid_percentile(self):
-        with pytest.raises(ValueError):
-            stats = CoprocessorStatistics()
-            stats.record(
-                ExecutionResult(function="f", output=b"", hit=True, latency_ns=1)
-            )
-            stats._latency_sketch.percentile(150)
 
     def test_per_function_requests(self, small_coprocessor):
         small_coprocessor.execute("crc32", b"abc")
@@ -136,7 +125,6 @@ class TestStatistics:
     def test_empty_statistics_are_zero(self):
         stats = CoprocessorStatistics()
         assert stats.hit_rate == 0.0
-        assert stats._latency_sketch.percentile(95) == 0.0
 
 
 class TestDefaultBuilder:

@@ -178,9 +178,9 @@ def test_the_gateway_re_stamps_arrival_and_gateway_on_the_admitted_copy():
     transport_submit = Transport.submit
     fleet_submit = Fleet.submit
 
-    def launch_spy(transport, request, on_done=None):
+    def launch_spy(transport, request):
         launched[request.request_id] = (transport.clock._now, request)
-        transport_submit(transport, request, on_done)
+        transport_submit(transport, request)
 
     def admit_spy(fleet, request):
         submitted.append((fleet.clock._now, request))

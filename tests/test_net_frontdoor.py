@@ -372,7 +372,7 @@ class TestFrontDoorEndToEnd:
 class TestKernelWorkPerRequest:
     #: Builtin calls a clean request makes, by name.
     REQUEST_BUILTINS = {
-        "dict.get": 13, "len": 7, "heappush": 5, "heappop": 5, "list.append": 3, "round": 2,
+        "dict.get": 11, "len": 7, "heappush": 5, "heappop": 5, "list.append": 3, "round": 2,
         "isinstance": 2, "str.encode": 2, "deque.append": 1, "deque.popleft": 1,
         "generator.send": 1, "list.clear": 1, "dict.pop": 1,
     }
@@ -480,7 +480,7 @@ class TestKernelWorkPerRequest:
         assert stats.net_retries == stats.net_timeouts == 0
         return frames
 
-    def test_a_clean_request_enters_43_frames(self, small_bank):
+    def test_a_clean_request_enters_42_frames(self, small_bank):
         """The admit path's host-side work counter (ROADMAP item 1).
 
         Python frames entered under ``src/repro/`` per request, by package,
@@ -503,8 +503,7 @@ class TestKernelWorkPerRequest:
         * **start of service** — ``_start``, ``card.serve``,
           ``ServeMemo.replay``, ``_safe`` (``cluster`` 4); the replacement
           policy's three ``__contains__``, two ``touch`` and one ``entry``
-          (``mcu`` 6); ``record_hit_replay`` (``core`` 1) and its latency
-          sketch's ``add`` (``analysis`` 1).
+          (``mcu`` 6); ``record_hit_replay`` (``core`` 1).
         * **end of service** — ``_finish``, ``record_completion``
           (``cluster`` 2); ``bucket_index`` once, ``add_with_index`` for the
           tenant and the fleet (``analysis`` 3); ``_on_fleet_outcome``,
@@ -515,7 +514,9 @@ class TestKernelWorkPerRequest:
           (``cluster`` 2); the net latency sketch's ``add`` (``analysis`` 1).
         * **the timeout entry**, superseded — ``_on_timeout`` (``net`` 1).
 
-        49 (without the two uncounted generated ``__init__``) before: a
+        43 while ``record_hit_replay`` fed the card's latency sketch, which
+        nothing read (``analysis`` 1).  49 (without the two uncounted
+        generated ``__init__``) before: a
         ``schedule_call`` per arrival and timeout (``sim`` 3), a ``launch``
         closure around ``make_request``, a ``_complete`` under
         ``on_response`` (``net`` 2), a ``Fleet.submit`` around
@@ -531,9 +532,10 @@ class TestKernelWorkPerRequest:
 
         Beside the frames, the builtin calls (``sys.setprofile``'s ``c_call``
         events, by name) over the 2 000 extra requests are pinned too:
-        :data:`REQUEST_BUILTINS` per request (44, 13 of them ``dict.get`` and
-        10 the kernel heap's ``heappush`` / ``heappop``; 43 before the memo
-        keyed an entry by the payload's ``len``), and on top the
+        :data:`REQUEST_BUILTINS` per request (42, 11 of them ``dict.get`` and
+        10 the kernel heap's ``heappush`` / ``heappop``; 44 while the card's
+        latency sketch probed its bucket memo and its bucket, 43 before the
+        memo keyed an entry by the payload's ``len``), and on top the
         amortised :data:`RUN_BUILTINS` — 16 flushes of the schedule digest's
         256-line buffer (``bytes.join``, ``HASH.update``, ``list.clear``)
         and 64 sojourns the sketches' bucket memo had not seen (``log``,
@@ -556,14 +558,14 @@ class TestKernelWorkPerRequest:
             "net": 17,
             "cluster": 13,
             "mcu": 6,
-            "analysis": 5,
+            "analysis": 4,
             "sim": 1,
             "core": 1,
         }
-        assert sum(per_request.values()) == 43
+        assert sum(per_request.values()) == 42
         expected = collections.Counter({name: 2_000 * n for name, n in self.REQUEST_BUILTINS.items()})
         assert builtins == expected + collections.Counter(self.RUN_BUILTINS)
-        assert sum(self.REQUEST_BUILTINS.values()) == 44
+        assert sum(self.REQUEST_BUILTINS.values()) == 42
 
 
 class TestReusedFrontDoor:

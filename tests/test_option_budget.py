@@ -100,8 +100,8 @@ OPTION_BUDGET = 45
 FLEET_CODE_LINE_BUDGET = 605
 SIM_CODE_LINE_BUDGET = 301
 STATS_CODE_LINE_BUDGET = 411
-NET_CODE_LINE_BUDGET = 739
-SRC_CODE_LINE_BUDGET = 10_190
+NET_CODE_LINE_BUDGET = 732
+SRC_CODE_LINE_BUDGET = 10_134
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"

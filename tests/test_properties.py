@@ -9,7 +9,7 @@ equivalence between the co-processor and the reference behaviours.
 from hypothesis import given, settings, HealthCheck
 from hypothesis import strategies as st
 
-from repro.bitstream.codecs import get_codec
+from repro.bitstream.codecs import available_codecs, get_codec
 from repro.bitstream.window import WindowedCompressor, WindowedDecompressor
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
@@ -60,7 +60,7 @@ class TestMiniOsAccountingInvariant:
 class TestWindowedCompressionInvariant:
     @given(
         data=st.binary(max_size=3000),
-        codec_name=st.sampled_from(["null", "rle", "lz77", "huffman", "golomb", "framediff", "symmetry"]),
+        codec_name=st.sampled_from(available_codecs()),
         window=st.integers(min_value=32, max_value=1024),
     )
     @settings(max_examples=60, deadline=None)

@@ -2,26 +2,16 @@
 
 The old behaviour silently stopped appending latencies after a cap, so
 percentiles on long traces only ever saw the head of the run.  The fleet's
-reservoir keeps a uniform sample of the *whole* stream, and a card's one
-streaming sketch folds every value; these tests pin down that tail samples
-are represented and that recording is deterministic.
+reservoir keeps a uniform sample of the *whole* stream; these tests pin down
+that tail samples are represented and that recording is deterministic.
 """
 
 import pytest
 
 from repro.cluster.stats import FleetStatistics
-from repro.core.builder import build_fleet
-from repro.core.config import SMALL_CONFIG
 from repro.core.ondemand import TraceResult
-from repro.core.stats import CoprocessorStatistics, ReservoirSampler, percentile_of
-from repro.mcu.microcontroller import ExecutionResult
+from repro.core.stats import ReservoirSampler, percentile_of
 from repro.sim.rand import SeededRandom
-
-
-def outcome(latency_ns: float, hit: bool = True) -> ExecutionResult:
-    return ExecutionResult(
-        function="f", output=b"", hit=hit, latency_ns=latency_ns
-    )
 
 
 class TestReservoirSampler:
@@ -105,65 +95,3 @@ class TestPercentileRange:
                     call()
             assert stats.latency_percentile(50, tenant="nobody") == 0.0
             assert stats.net_latency_percentile(50) == 0.0
-
-
-class TestCoprocessorStatisticsSketch:
-    """A card records latencies in one streaming sketch: no retained list."""
-
-    def test_short_traces_match_plain_append_within_relative_error(self):
-        stats = CoprocessorStatistics()
-        latencies = [float(value) for value in range(1, 501)]
-        for latency in latencies:
-            stats.record(outcome(latency))
-        for percentile in (0, 50, 95, 99, 100):
-            exact = percentile_of(latencies, percentile)
-            assert abs(stats._latency_sketch.percentile(percentile) - exact) <= 0.01 * exact
-        assert stats._latency_sketch.seen == 500
-
-    def test_long_trace_tail_is_sampled(self):
-        stats = CoprocessorStatistics()
-        for value in range(20_000):
-            stats.record(outcome(float(value)))
-        # A head-biased recorder would put p95 near the start of the stream;
-        # the sketch's p95 tracks the full stream (~19000).
-        assert stats._latency_sketch.percentile(95) > 10_000
-        assert stats._latency_sketch.bucket_count < 1_000
-
-    def test_sampling_is_deterministic_across_instances(self):
-        def fill():
-            stats = CoprocessorStatistics()
-            for value in range(5000):
-                stats.record(outcome(float(value)))
-            return [stats._latency_sketch.percentile(p) for p in (50, 95, 99)]
-
-        assert fill() == fill()
-
-    def test_fresh_instances_compare_equal(self):
-        assert CoprocessorStatistics() == CoprocessorStatistics()
-
-    def test_reset_restarts_the_stream(self):
-        stats = CoprocessorStatistics()
-        for value in range(100):
-            stats.record(outcome(float(value)))
-        stats.reset()
-        assert (stats.requests, stats._latency_sketch.seen) == (0, 0)
-        stats.record(outcome(7.0))
-        assert stats._latency_sketch.percentile(50) == 7.0
-
-
-class TestLatencyModeSurvivesReset:
-    def test_statistics_reset_keeps_the_sketch(self):
-        stats = CoprocessorStatistics()
-        stats.record(outcome(5.0))
-        stats.reset()
-        assert stats.requests == 0 and stats._latency_sketch.seen == 0
-        stats.record(outcome(7.0))
-        assert stats._latency_sketch.seen == 1
-
-    def test_a_card_reset_keeps_sketch_recording(self, small_bank):
-        fleet = build_fleet(cards=1, config=SMALL_CONFIG, bank=small_bank, stats_mode="sketch")
-        driver = fleet.cards[0].driver
-        driver.reset_card()
-        stats = driver.coprocessor.stats
-        driver.call("crc32", b"abc")
-        assert stats._latency_sketch.seen == 1 and stats._latency_sketch.percentile(50) > 0
