@@ -46,7 +46,7 @@ class _WindowedImage:
     """*codec*'s serialised windowed image as one blob: what the ROM stores."""
 
     def __init__(self, codec):
-        self.name = codec.name
+        self.name = f"windowed_{codec.name}"
         self._codec = codec
 
     def compress(self, data):
@@ -89,7 +89,7 @@ def _clb_structured(total: int, seed: int = 77) -> bytes:
 
 
 class TestGoldenCorpus:
-    @pytest.mark.parametrize("codec_name", sorted(CODECS), ids=str)
+    @pytest.mark.parametrize("codec_name", sorted(CODECS), ids=lambda n: CODECS[n].name)
     @pytest.mark.parametrize("input_name", CORPUS_NAMES, ids=str)
     def test_compress_is_byte_identical_to_seed(self, codec_name, input_name):
         codec = CODECS[codec_name]
@@ -97,7 +97,7 @@ class TestGoldenCorpus:
         golden = (GOLDEN_DIR / f"{codec_name}__{input_name}.bin").read_bytes()
         assert codec.compress(data) == golden
 
-    @pytest.mark.parametrize("codec_name", sorted(CODECS), ids=str)
+    @pytest.mark.parametrize("codec_name", sorted(CODECS), ids=lambda n: CODECS[n].name)
     @pytest.mark.parametrize("input_name", CORPUS_NAMES, ids=str)
     def test_seed_blobs_still_decode(self, codec_name, input_name):
         codec = CODECS[codec_name]
