@@ -44,8 +44,7 @@ def single_card_act(tiny: bool) -> None:
     driver.preload("crc32")
     memory = copro.device.memory
     region = list(copro.device.region_of("crc32"))
-    print(f"crc32 resident on {len(region)} frames; "
-          f"{len(copro.device.golden)} golden frames captured")
+    print(f"crc32 resident on {len(region)} frames, each with its golden image captured")
 
     injector = FaultInjector(FaultSpec(process="targeted", seed=4))
     upsets = 4 if tiny else 12

@@ -57,6 +57,3 @@ class ExperimentReport:
             for name, value in sorted(self.metrics.items()):
                 lines.append(f"  {name} = {value:.6g}")
         return "\n".join(lines).rstrip() + "\n"
-
-    def __str__(self) -> str:
-        return self.render()

@@ -133,11 +133,6 @@ class StreamingQuantileSketch:
             self._max = other._max
 
     # -------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        # Parity with ReservoirSampler.__len__: "how many values back the
-        # percentiles" — for a sketch that is the whole stream.
-        return self.seen
-
     @property
     def bucket_count(self) -> int:
         """Number of occupied buckets — the sketch's actual footprint."""

@@ -68,6 +68,3 @@ class Table:
         for row in self.rows:
             lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()

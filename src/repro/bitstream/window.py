@@ -164,9 +164,6 @@ class WindowedDecompressor:
                 f"was given {self.codec.name!r}"
             )
 
-    def __iter__(self) -> Iterator[bytes]:
-        return self.windows()
-
     def windows(self) -> Iterator[bytes]:
         """Yield each raw window in order."""
         previous: Optional[bytes] = None

@@ -224,9 +224,6 @@ class Fleet:
         self.policy._fleet_bound = True
 
     # ---------------------------------------------------------------- wiring
-    def __len__(self) -> int:
-        return len(self.cards)
-
     # ---------------------------------------------------------- observability
     def _register_fleet_gauges(self, registry) -> None:
         """Expose live fleet state as callback gauges (read at snapshot)."""

@@ -2,8 +2,8 @@
 
 The :class:`TraceRunner` drives a :class:`~repro.workloads.trace.Trace`
 through any *execution engine* — the agile co-processor, one of the baselines
-in :mod:`repro.baselines`, or anything else exposing
-``execute(name, data) -> result`` where the result has ``latency_ns`` and
+in :mod:`repro.baselines`, or anything else exposing a simulated ``clock``
+and ``execute(name, data) -> result`` where the result has ``latency_ns`` and
 ``hit`` attributes.  It produces a :class:`TraceResult` with
 per-request records and the aggregate metrics the experiments report.
 """
@@ -11,13 +11,17 @@ per-request records and the aggregate metrics the experiments report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol
+from typing import Any, List, Protocol
 
+from repro.sim.clock import Clock
 from repro.workloads.trace import Trace
 
 
 class ExecutionEngine(Protocol):
-    """What the trace runner requires of an engine."""
+    """What the trace runner requires of an engine: a simulated clock, and
+    ``execute``."""
+
+    clock: Clock
 
     def execute(self, name: str, data: bytes) -> Any:  # pragma: no cover - protocol
         ...
@@ -69,15 +73,12 @@ class TraceRunner:
     def __init__(self, engine: ExecutionEngine) -> None:
         self.engine = engine
 
-    def run(self, trace: Trace, limit: Optional[int] = None) -> TraceResult:
+    def run(self, trace: Trace) -> TraceResult:
         """Execute *trace* request by request (closed loop)."""
         result = TraceResult()
-        requests = trace.requests if limit is None else trace.requests[:limit]
-        clock = getattr(self.engine, "clock", None)
-        started_ns = clock.now if clock is not None else 0
-        for request in requests:
-            if clock is not None and request.arrival_offset_ns:
-                clock.advance(request.arrival_offset_ns)
+        clock = self.engine.clock
+        started_ns = clock.now
+        for request in trace:
             outcome = self.engine.execute(request.function, request.payload)
             result.records.append(
                 RequestRecord(
@@ -85,8 +86,5 @@ class TraceRunner:
                     hit=bool(getattr(outcome, "hit", True)),
                 )
             )
-        if clock is not None:
-            result.total_time_ns = clock.now - started_ns
-        else:
-            result.total_time_ns = result.total_latency_ns
+        result.total_time_ns = clock.now - started_ns
         return result

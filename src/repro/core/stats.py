@@ -49,9 +49,6 @@ class ReservoirSampler:
         if slot < self.capacity:
             self.values[slot] = value
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def percentile(self, percentile: float) -> float:
         return percentile_of(sorted(self.values), percentile)
 

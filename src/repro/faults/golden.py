@@ -24,12 +24,6 @@ class GoldenImageStore:
         self._images: Dict[FrameAddress, bytes] = {}
         self._erased = bytes(frame_config_bytes)
 
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __contains__(self, address: FrameAddress) -> bool:
-        return address in self._images
-
     def capture(self, region: Iterable[FrameAddress], payloads: List[bytes]) -> None:
         """Record the clean image of every frame in *region* (region order)."""
         addresses = list(region)

@@ -129,9 +129,6 @@ class FrameRegion:
     def __iter__(self) -> Iterator[FrameAddress]:
         return iter(self.addresses)
 
-    def __contains__(self, address: FrameAddress) -> bool:
-        return address in self.addresses
-
 
 def no_such_frame(address: FrameAddress) -> IndexError:
     """The error for an address the fabric's frame array does not hold."""
@@ -155,8 +152,7 @@ class FrameArray:
         except KeyError:
             raise no_such_frame(address) from None
 
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self.by_address.values())
-
-    def __len__(self) -> int:
-        return len(self.by_address)
+    #: Not iterable (iterate ``by_address``): Python's sequence-iteration
+    #: fallback would take the ``IndexError`` of ``self[0]`` for the end and
+    #: yield nothing.
+    __iter__ = None

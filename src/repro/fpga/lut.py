@@ -13,8 +13,6 @@ vector ``i``), so evaluation is one shift-and-mask and serialisation is one
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 class LookUpTable:
     """A k-input LUT with an explicit truth table.
@@ -25,26 +23,14 @@ class LookUpTable:
 
     __slots__ = ("inputs", "size", "_tt")
 
-    def __init__(self, inputs: int, truth_table: Sequence[bool] | int = 0) -> None:
+    def __init__(self, inputs: int, truth_table: int = 0) -> None:
         if inputs <= 0:
             raise ValueError("a LUT needs at least one input")
         if inputs > 8:
             raise ValueError("LUTs wider than 8 inputs are not modelled")
         self.inputs = inputs
         self.size = 1 << inputs
-        if isinstance(truth_table, int):
-            self._tt = truth_table & ((1 << self.size) - 1)
-        else:
-            table = list(truth_table)
-            if len(table) != self.size:
-                raise ValueError(
-                    f"truth table for a {inputs}-input LUT must have {self.size} entries"
-                )
-            value = 0
-            for index, bit in enumerate(table):
-                if bit:
-                    value |= 1 << index
-            self._tt = value
+        self._tt = truth_table & ((1 << self.size) - 1)
 
     # -------------------------------------------------------------- queries
     def as_integer(self) -> int:
@@ -74,14 +60,6 @@ class LookUpTable:
             if function(bits):
                 value |= 1 << index
         return cls(inputs, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LookUpTable):
-            return NotImplemented
-        return self.inputs == other.inputs and self._tt == other._tt
-
-    def __hash__(self) -> int:
-        return hash((self.inputs, self._tt))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"LookUpTable(inputs={self.inputs}, table=0x{self._tt:x})"

@@ -128,6 +128,10 @@ class Microcontroller:
         :class:`ConfigurationModule` method that writes the region — from the
         ROM (:meth:`~ConfigurationModule.reconfigure`) or from a migration
         blob.
+
+        The victims are evicted before the write, so a transfer the port
+        refuses leaves them evicted: their frames were erased before the
+        write began.  The mini OS and the device still agree afterwards.
         """
         name = function.name
         decision = self.minios.plan_load(name, function.frames_required(self.device.geometry))

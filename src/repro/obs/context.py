@@ -177,11 +177,6 @@ class SpanLog:
             else:
                 yield from entry
 
-    def __getitem__(self, index):
-        if len(self.entries) == self._count:  # no device reference to expand
-            return self.entries[index]
-        return list(self)[index]
-
 
 class Tracer:
     """Collects spans for every trace of one observed system.
@@ -319,10 +314,3 @@ class Tracer:
     ) -> int:
         """A zero-duration span (an event that happened *at* an instant)."""
         return self.record(name, trace_id, parent_id, at_ns, at_ns, **attrs)
-
-    # -------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self.spans)

@@ -107,12 +107,6 @@ class MetricsRegistry:
         return self._register(name, LabeledCounter(name))
 
     # --------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
     def get(self, name: str):
         return self._instruments[name]
 

@@ -58,8 +58,5 @@ class TraceRecorder:
         self.events.append(event)
         return event
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

@@ -92,28 +92,15 @@ class FunctionChooser:
 
 
 class TraceGenerator:
-    """Shared machinery: payload synthesis and arrival processes."""
+    """Shared machinery: payload synthesis.  Its traces are closed loop: the
+    host issues each request when the previous one completes."""
 
-    def __init__(
-        self,
-        bank: FunctionBank,
-        seed: int = 0,
-        payload_blocks: int = 1,
-        mean_interarrival_ns: float = 0.0,
-    ) -> None:
+    def __init__(self, bank: FunctionBank, seed: int = 0, payload_blocks: int = 1) -> None:
         if payload_blocks <= 0:
             raise ValueError("payload_blocks must be positive")
-        if mean_interarrival_ns < 0:
-            raise ValueError("the mean inter-arrival time cannot be negative")
         self.bank = bank
         self.rng = SeededRandom(seed)
         self.payload_blocks = payload_blocks
-        self.mean_interarrival_ns = mean_interarrival_ns
-
-    def _arrival(self) -> int:
-        if self.mean_interarrival_ns <= 0:
-            return 0
-        return round(self.rng.exponential(self.mean_interarrival_ns))
 
     def build(self, function_sequence: Sequence[str], name: str) -> Trace:
         """Turn a function-name sequence into a full trace."""
@@ -121,14 +108,14 @@ class TraceGenerator:
             function: synthesize_payload(self.bank, self.rng, function, self.payload_blocks)
             for function in set(function_sequence)
         }
-        requests = [Request(function, payloads[function], self._arrival()) for function in function_sequence]
+        requests = [Request(function, payloads[function]) for function in function_sequence]
         return Trace(requests, name=name)
 
     def choose(self, names: Sequence[str], length: int, name: str, **mix) -> Trace:
         """A *length*-request trace whose functions a :class:`FunctionChooser` draws."""
         chooser = FunctionChooser(self.bank, names, self.rng, payload_blocks=self.payload_blocks, **mix)
         chosen = [chooser.next_index() for _ in range(length)]
-        requests = [Request(chooser.names[i], chooser.payloads[i], self._arrival()) for i in chosen]
+        requests = [Request(chooser.names[i], chooser.payloads[i]) for i in chosen]
         return Trace(requests, name=name)
 
 
@@ -146,10 +133,9 @@ def uniform_trace(
     functions: Optional[Sequence[str]] = None,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Every request picks a function uniformly at random."""
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     return generator.choose(_function_names(bank, functions), length, f"uniform-{length}")
 
 
@@ -160,11 +146,10 @@ def zipf_trace(
     functions: Optional[Sequence[str]] = None,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Zipf-skewed popularity: a few hot functions dominate the request mix."""
     names = _function_names(bank, functions)
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     return generator.choose(names, length, f"zipf{skew:.1f}-{length}", mix="zipf", skew=skew)
 
 
@@ -176,7 +161,6 @@ def phased_trace(
     functions: Optional[Sequence[str]] = None,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Phased behaviour: the active working set of functions changes every phase.
 
@@ -184,7 +168,7 @@ def phased_trace(
     within a phase the working set fits the fabric, across phases it does not.
     """
     names = _function_names(bank, functions)
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     label = f"phased-{min(working_set, len(names))}x{phase_length}-{length}"
     return generator.choose(
         names, length, label, mix="phased", phase_length=phase_length, working_set=working_set
@@ -198,7 +182,6 @@ def round_robin_trace(
     repeats_per_function: int = 1,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Strict rotation through the functions — the worst case for any cache.
 
@@ -208,7 +191,7 @@ def round_robin_trace(
     if repeats_per_function <= 0:
         raise ValueError("repeats_per_function must be positive")
     names = _function_names(bank, functions)
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     sequence = [names[(index // repeats_per_function) % len(names)] for index in range(length)]
     return generator.build(sequence, name=f"roundrobin-r{repeats_per_function}-{length}")
 
@@ -220,13 +203,12 @@ def bursty_trace(
     functions: Optional[Sequence[str]] = None,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """Geometric bursts: a function stays hot for a random run, then switches."""
     if mean_burst <= 0:
         raise ValueError("mean burst length must be positive")
     names = _function_names(bank, functions)
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     sequence: List[str] = []
     while len(sequence) < length:
         name = generator.rng.choice(names)
@@ -240,9 +222,8 @@ def repeated_trace(
     length: int,
     seed: int = 0,
     payload_blocks: int = 1,
-    mean_interarrival_ns: float = 0.0,
 ) -> Trace:
     """The same function over and over (pure hit-path measurement)."""
     bank.by_name(function)
-    generator = TraceGenerator(bank, seed, payload_blocks, mean_interarrival_ns)
+    generator = TraceGenerator(bank, seed, payload_blocks)
     return generator.build([function] * length, name=f"repeat-{function}-{length}")

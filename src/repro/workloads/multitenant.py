@@ -74,9 +74,6 @@ class FleetTrace:
     def __iter__(self) -> Iterator[FleetRequest]:
         return iter(self._requests)
 
-    def __getitem__(self, index: int) -> FleetRequest:
-        return self._requests[index]
-
     @property
     def duration_ns(self) -> int:
         """Arrival time of the last request (0 for an empty trace)."""

@@ -8,15 +8,11 @@ from typing import Iterator, List, Sequence
 
 @dataclass(frozen=True)
 class Request:
-    """One host request: run *function* on *payload*.
-
-    ``arrival_offset_ns`` is the inter-arrival gap before this request (0 for
-    closed-loop traces where the host issues the next request immediately).
-    """
+    """One closed-loop host request: run *function* on *payload* as soon as
+    the previous request completes."""
 
     function: str
     payload: bytes
-    arrival_offset_ns: int = 0
 
 
 class Trace:
@@ -31,9 +27,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self._requests)
-
-    def __getitem__(self, index: int) -> Request:
-        return self._requests[index]
 
     @property
     def requests(self) -> List[Request]:

@@ -106,4 +106,3 @@ class TestExperimentReport:
         assert "aes128" in text
         assert "partial reconfiguration" in text
         assert "speedup = 3.5" in text
-        assert str(report) == text

@@ -183,7 +183,7 @@ class TestWindowedTimeSeries:
 class TestHistogramPercentileEdges:
     def test_empty_histogram_reports_zero(self):
         histogram = StreamingQuantileSketch()
-        assert len(histogram) == 0
+        assert histogram.seen == 0
         assert histogram.percentile(50) == 0.0
 
     def test_single_observation_is_every_percentile(self):

@@ -97,12 +97,6 @@ class TestTraceRunner:
         assert result.total_time_ns >= sum(record.latency_ns for record in result.records) * 0.99
         assert result.total_time_ns > 0
 
-    def test_limit_parameter(self, bank, config):
-        copro = build_coprocessor(config=config, bank=bank)
-        trace = uniform_trace(bank, 40, seed=2)
-        result = TraceRunner(copro).run(trace, limit=10)
-        assert result.requests == 10
-
     def test_repeated_trace_has_high_hit_rate(self, bank, config):
         copro = build_coprocessor(config=config, bank=bank)
         result = TraceRunner(copro).run(repeated_trace(bank, "crc32", 20))
@@ -120,8 +114,17 @@ class TestTraceRunner:
         )
         assert result.latency_percentile(50) <= result.latency_percentile(99)
 
-    def test_arrival_offsets_advance_the_engine_clock(self, bank, config):
-        copro = build_coprocessor(config=config, bank=bank)
-        trace = uniform_trace(bank, 10, seed=6, mean_interarrival_ns=10_000.0)
-        result = TraceRunner(copro).run(trace)
-        assert result.total_time_ns > sum(record.latency_ns for record in result.records)
+    def test_total_time_is_the_engine_clocks_advance(self, bank, config):
+        """Closed loop: each request starts when the previous one completes,
+        for every engine, since every engine has a clock."""
+        engines = [
+            build_coprocessor(config=config, bank=bank),
+            HostOnlyEngine(bank),
+            FullReconfigEngine(config, bank),
+            StaticFixedEngine(config, bank),
+        ]
+        trace = uniform_trace(bank, 10, seed=6)
+        for engine in engines:
+            started_ns = engine.clock.now
+            result = TraceRunner(engine).run(trace)
+            assert result.total_time_ns == engine.clock.now - started_ns > 0

@@ -18,8 +18,8 @@ from repro.bitstream.codecs import (
     RunLengthCodec,
     available_codecs,
     get_codec,
-    register_codec,
 )
+from repro.bitstream.codecs import base as codec_base
 from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
 from repro.core.config import CoprocessorConfig
 
@@ -178,7 +178,7 @@ class TestRegistry:
         with pytest.raises(KeyError, match="rle"):
             get_codec("zstd")
 
-    def test_register_custom_codec(self):
+    def test_register_custom_codec(self, monkeypatch):
         class ReverseCodec(NullCodec):
             name = "reverse-test"
 
@@ -188,6 +188,8 @@ class TestRegistry:
             def decompress(self, blob):
                 return bytes(reversed(blob))
 
-        register_codec("reverse-test", ReverseCodec)
+        # Through monkeypatch, so that the codec leaves the registry again:
+        # test_miss_formula.py iterates available_codecs().
+        monkeypatch.setitem(codec_base._REGISTRY, "reverse-test", ReverseCodec)
         codec = get_codec("reverse-test")
         assert codec.decompress(codec.compress(b"abc")) == b"abc"

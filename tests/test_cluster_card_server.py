@@ -287,7 +287,7 @@ def test_a_zero_time_drain_is_one_dispatch(small_bank, small_fleet):
 def test_invariants_report_a_card_still_in_service(small_bank, small_fleet, small_trace):
     fleet = small_fleet(small_bank, cards=2)
     trace = small_trace(small_bank, length=20, mean_interarrival_ns=2_000.0)
-    fleet.run(trace, until_ns=trace[10].arrival_ns)
+    fleet.run(trace, until_ns=list(trace)[10].arrival_ns)
     busy = [card for card in fleet.cards if card.busy]
     assert busy
     violations = check_request_conservation(fleet, trace_length=20)

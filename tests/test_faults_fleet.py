@@ -25,7 +25,7 @@ class TestCardHealth:
         assert not fleet.cards[1].has_room
         assert not fleet.cards[1].holds("crc32")
         for _ in range(6):
-            card = fleet.policy.choose(small_trace(small_bank)[0], fleet.cards)
+            card = fleet.policy.choose(next(iter(small_trace(small_bank))), fleet.cards)
             assert card.index != 1
 
     def test_kill_is_idempotent_and_recorded(self, small_bank, protected_fleet):

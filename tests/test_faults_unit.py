@@ -93,10 +93,10 @@ class TestGoldenImageStore:
         frames = TEST_GEOMETRY.all_frames()[:2]
         store.capture(frames, [b"\x01" * 8, b"\x02" * 8])
         assert store.payload_for(frames[0]) == b"\x01" * 8
-        assert len(store) == 2
+        assert len(store._images) == 2
         store.release(frames)
         assert store.payload_for(frames[0]) == bytes(8)
-        assert len(store) == 0
+        assert not store._images
 
     def test_capture_validates_shapes(self):
         store = GoldenImageStore(8)
@@ -111,10 +111,10 @@ class TestGoldenImageStore:
         golden = copro.device.golden
         copro.preload("crc32")
         region = copro.device.region_of("crc32")
-        assert all(address in golden for address in region)
+        assert all(address in golden._images for address in region)
         assert [golden.payload_for(a) for a in region] == copro.device.readback("crc32")
         copro.evict("crc32")
-        assert all(address not in golden for address in region)
+        assert all(address not in golden._images for address in region)
 
 
 class TestFaultSpec:

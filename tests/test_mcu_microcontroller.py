@@ -7,6 +7,7 @@ import pytest
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.core.host import build_host_system
+from repro.fpga.errors import ConfigurationError
 from repro.functions.bank import build_small_bank
 
 
@@ -151,3 +152,23 @@ class TestEvictionUnderPressure:
         # The free frame list and the device agree after all that churn.
         owned = sum(len(frames) for frames in copro.device.memory.owners().values())
         assert owned + copro.minios.free_count == copro.geometry.frame_count
+
+    def test_a_refused_transfer_leaves_its_victims_evicted(self, refuse_configuration):
+        """``Microcontroller._load`` erases the victims' frames before it
+        writes the new function, so a transfer the port refuses leaves them
+        evicted; the mini OS's residency and free list and the device's owner
+        map still agree (the lockstep ``check_memory_lockstep`` checks)."""
+        config = SMALL_CONFIG.with_overrides(fabric_columns=2, fabric_rows=16, clb_rows_per_frame=4)
+        copro = build_coprocessor(config=config, bank=build_small_bank())
+        for name in ("parity32", "adder8", "popcount8"):
+            copro.mcu.ensure_loaded(name)
+        before = set(copro.minios.resident_functions())
+        refuse_configuration(copro.device)
+        with pytest.raises(ConfigurationError):
+            copro.mcu.ensure_loaded("crc32")
+        resident, memory = set(copro.minios.resident_functions()), copro.device.memory
+        victims = before - resident
+        assert victims and resident < before
+        assert not any(copro.device.is_loaded(name) for name in victims | {"crc32"})
+        assert set(memory.owners()) == resident
+        assert copro.minios.free_frames() == memory.unowned_frames()

@@ -110,7 +110,7 @@ class TestDeviceCaptureRelocate:
         for address, payload in zip(target, payloads):
             assert golden.payload_for(address) == payload
         for address in vacated:
-            assert address not in golden
+            assert address not in golden._images
 
     def test_relocate_refuses_foreign_frames_and_wrong_sizes(self):
         driver = protected_driver()

@@ -63,7 +63,7 @@ def _observe_churn() -> dict:
         "busy_time_ns": device.port.stats.busy_time_ns,
         "clock_now": driver.coprocessor.clock.now,
         "readback_sha": _sha(device.memory.read_frame(address) for address in device.geometry.all_frames()),
-        "stored_crcs": [frame.stored_crc for frame in device.memory.frames],
+        "stored_crcs": [frame.stored_crc for frame in device.memory.frames.by_address.values()],
     }
 
 

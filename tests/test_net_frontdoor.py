@@ -364,7 +364,7 @@ class TestFrontDoorEndToEnd:
         frontdoor.add_population(OpenLoopPopulation(trace))
         stats = frontdoor.run()
         assert stats.duplicates_served > 0
-        transits = [span for span in fleet.obs.tracer if span.name == obs_names.SPAN_LINK_TRANSIT]
+        transits = [span for span in fleet.obs.tracer.spans if span.name == obs_names.SPAN_LINK_TRANSIT]
         assert len(transits) == frontdoor.link_summary()["delivered"]
         assert min(span.duration_ns for span in transits) >= 20_000
 

@@ -224,7 +224,7 @@ def test_capacity_that_straddles_a_reference(small_bank):
     assert len(bounded.spans) == capacity
     assert bounded.tracer.dropped == len(unbounded.spans) - capacity
     assert [span_tuple(s) for s in bounded.spans] == [
-        span_tuple(s) for s in unbounded.spans[:capacity]
+        span_tuple(s) for s in list(unbounded.spans)[:capacity]
     ]
     _, eager = run_cell(small_bank, 5, capacity=capacity, eager=True)
     assert [span_tuple(s) for s in eager.spans] == [span_tuple(s) for s in bounded.spans]
@@ -281,7 +281,7 @@ def test_a_replayed_run_builds_no_device_event_or_span(small_bank, monkeypatch):
 def test_orders_on_a_bridging_fleet_leave_the_device_recorder_empty(small_bank):
     fleet, observability = run_cell(small_bank, 7, frontdoor=False, kill=True, device_capacity=4)
     assert fleet.fault_summary()["scrub_passes"] > 0  # scrub orders ran ...
-    assert any(span.name == "order.scrub" for span in observability.tracer)
+    assert any(span.name == "order.scrub" for span in observability.tracer.spans)
     for card in fleet.cards:  # ... and what they recorded is gone
         recorder = card.driver.coprocessor.trace
         assert recorder.enabled and recorder.events == []
@@ -353,14 +353,13 @@ def test_a_reference_outlives_its_source(small_bank):
     children[0].end_ns += 1
     assert [span_tuple(span) for span in log] == first  # a value: edits stay local
     # Plain spans keep identity (and so keep edits).
-    service = log[0]
-    assert service.__class__ is Span and log[0] is service
+    service = next(iter(log))
+    assert service.__class__ is Span and next(iter(log)) is service
     # The memo goes, the card is RESET (new statistics objects, empty fabric).
     for card in fleet.cards:
         card.memo = None
         card.driver.reset_card()
     assert [span_tuple(span) for span in log] == first
-    assert span_tuple(log[-1]) == first[-1] and span_tuple(log[len(first) // 2]) == first[len(first) // 2]
     # The same fleet traces on after the reset, behind the first run's spans.
     entries = len(log.entries)
     tenants = default_tenant_mix(small_bank, tenants=3, skew=1.2)

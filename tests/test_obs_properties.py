@@ -143,4 +143,4 @@ def test_capacity_bounds_retained_spans_and_counts_the_rest(capacity, seed):
     assert bounded.tracer._next_span == unbounded.tracer._next_span
     # The retained spans are the first ones the unbounded run recorded,
     # wherever the bound fell — between two spans or inside a reference.
-    assert span_values(bounded.spans) == span_values(unbounded.spans[:capacity])
+    assert span_values(bounded.spans) == span_values(list(unbounded.spans)[:capacity])

@@ -1,7 +1,8 @@
 """Ratchets: options, ``src/repro`` and its ``fleet.py``, ``sim/``, ``stats.py`` and
 ``net/`` may only shrink, no definition there is reached only by the tests, no
-option there is set only by the tests, no field there is only written, and
-every function there runs under a shipped user (``--runs``).
+option there is set only by the tests, no field there is only written, every
+function there runs under a shipped user and the statements that do not may
+only become fewer (``--runs``).
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budgets below are the counts at the last PR
@@ -61,30 +62,43 @@ unreached.  A definition's use of itself never counts.  ``C(...)`` sets
 
 The static scans see names, not runs: a common method name or a use on a
 path no workload takes keeps a function alive.  So a runtime leg, ``python
-tests/test_option_budget.py --runs`` (~60 s under the tracer, CI's
-``fingerprints`` job), runs every shipped user in this process under a
-call-only ``sys.settrace`` / ``threading.settrace`` hook (:func:`shipped_users`:
-the twelve report builders, ``fingerprints.py --check --tiny``, each ledger
-shape in the worker's traced mode, one shard's worker body) and lists each
-non-dunder function under ``src/repro`` whose code never ran, a body that is
-only a docstring, ``...``, ``pass`` or ``raise NotImplementedError`` (an
-interface) aside.  It exits non-zero unless those are exactly the functions
-``KEPT`` and ``KEPT_RUNS`` name: a safety path, a model path no shipped cell
-reaches, a base default every subclass overrides, or the callee of a ``KEPT``
-entry.
+tests/test_option_budget.py --runs`` (~110 s under the tracer on 2 vCPUs,
+CI's ``fingerprints`` job), runs every shipped user once in this process
+under one ``sys.settrace`` / ``threading.settrace`` hook
+(:func:`shipped_users`: the twelve report builders, ``fingerprints.py --check
+--tiny``, each ledger shape in the worker's traced mode, one shard's worker
+body) that sees every call and, for a code object under ``src/repro`` with a
+statement still to run, its lines (:func:`traced_runs`).  It checks two
+levels:
+
+- *Functions.*  It lists each non-dunder function under ``src/repro`` whose
+  code never ran, a body that is only a docstring, ``...``, ``pass`` or
+  ``raise NotImplementedError`` (an interface) aside, and fails unless those
+  are exactly the functions ``KEPT`` and ``KEPT_RUNS`` name: a safety path, a
+  model path no shipped cell reaches, a base default every subclass
+  overrides, or the callee of a ``KEPT`` entry.
+- *Statements.*  A statement in a ``src/repro`` function none of whose own
+  lines ran (a compound statement's own lines are its header) is *residue*
+  (:func:`line_residue`).  A ``raise``, anything in an ``except`` handler, a
+  docstring, and every statement of a ``__repr__``, of an interface or of a
+  function ``KEPT`` / ``KEPT_RUNS`` names are not.  It prints the residue per
+  function and fails when the total exceeds ``LINE_RESIDUE_BUDGET``: what is
+  left is error handling a call can reach, an empty-input return, or a
+  branch of a model no shipped cell takes, and the budget only goes down.
 
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote —,
 ``--scan PATH...`` prints the definitions, options and fields under
 ``src/repro`` paths, ``*`` marking each one nothing outside ``tests/``
 reaches, sets or reads, then the three totals, and ``--runs`` runs the
-runtime leg, printing each function that never ran and is not kept, each kept
-one that ran, then the totals.
+runtime leg, printing each function's residue, each function that never ran
+and is not kept, each kept one that ran, then the totals.
 """
 
 import ast
 import collections
 import dataclasses
+import dis
 import functools
 import inspect
 import io
@@ -97,11 +111,12 @@ import time
 import tokenize
 
 OPTION_BUDGET = 45
-FLEET_CODE_LINE_BUDGET = 605
-SIM_CODE_LINE_BUDGET = 301
+FLEET_CODE_LINE_BUDGET = 603
+SIM_CODE_LINE_BUDGET = 299
 STATS_CODE_LINE_BUDGET = 411
 NET_CODE_LINE_BUDGET = 732
-SRC_CODE_LINE_BUDGET = 10_134
+SRC_CODE_LINE_BUDGET = 10_052
+LINE_RESIDUE_BUDGET = 220
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -741,16 +756,48 @@ def _interface(node) -> bool:
     )
 
 
-def traced_calls(*drivers) -> set:
-    """The code objects of every call *drivers* make, each called in turn
-    under a call-only tracer in this thread and in every thread it starts.
+def traced_runs(*drivers, checked=None):
+    """``(code objects, {file: lines})``: the code object of every call
+    *drivers* make, each driver called in turn under a tracer in this thread
+    and in every thread it starts, and which lines of the *checked*
+    statements (``{resolved file: checked_statements(...)}``) ran.
 
+    A code object gets a local tracer, for its line events, only while one of
+    its checked statements has not run, and a statement is done at its first
+    line; every other call costs one call event.  Code objects are keyed by
+    ``id`` (they stay alive in the result): hashing one reads its constants.
     ``settrace``, not ``setprofile``: the ledger worker's traced mode installs
     ``cProfile``, which would replace a profile hook."""
-    ran = set()
+    #: ``{resolved file: {line: the lines of its statement}}``
+    watched = {
+        file: {line: own for *_, own in statements for line in own} for file, statements in (checked or {}).items()
+    }
+    files, codes, waiting, tracers = {}, {}, {}, {}
+
+    def line_tracer(key, left):
+        def lines(frame, event, arg):
+            statement = left.pop(frame.f_lineno, None)
+            if statement is None:  # a line not watched or already run: the common case
+                return lines
+            for line in statement:
+                left.pop(line, None)
+            if left:
+                return lines
+            tracers[key] = frame.f_trace = None  # every watched line of this code has run
+
+        return lines
 
     def tracer(frame, event, arg):
-        ran.add(frame.f_code)  # and no local tracer: call events only
+        key = id(frame.f_code)
+        local = tracers.get(key, tracer)
+        if local is tracer:
+            code = codes[key] = frame.f_code
+            if code.co_filename not in files:
+                files[code.co_filename] = watched.get(pathlib.Path(code.co_filename).resolve(), {})
+            statement_of = files[code.co_filename]
+            left = waiting[key] = {line: statement_of[line] for line in _lines(code) & statement_of.keys()}
+            local = tracers[key] = line_tracer(key, left) if left else None
+        return local and local(frame, event, arg)
 
     # Put back afterwards, so that a coverage run keeps measuring.
     previous = sys.gettrace(), getattr(threading, "gettrace", lambda: None)()
@@ -764,7 +811,11 @@ def traced_calls(*drivers) -> set:
     finally:
         sys.settrace(previous[0])
         threading.settrace(previous[1])
-    return ran
+    ran = collections.defaultdict(set)
+    for key, code in codes.items():
+        watched_lines = _lines(code) & files[code.co_filename].keys()
+        ran[pathlib.Path(code.co_filename).resolve()] |= watched_lines - waiting[key].keys()
+    return set(codes.values()), ran
 
 
 def never_ran(functions, ran) -> set:
@@ -778,6 +829,83 @@ def never_ran(functions, ran) -> set:
         if not _interface(node)
         and (file, min(d.lineno for d in [node, *node.decorator_list]), node.name) not in started
     }
+
+
+def _lines(code) -> set:
+    """The lines *code* holds instructions for, nested code objects aside."""
+    return {line for _, line in dis.findlinestarts(code) if line is not None}
+
+
+def executable_lines(source, path) -> set:
+    """The lines of *source* any code object compiled from it holds instructions for."""
+    codes, found = [compile(source, str(path), "exec")], set()
+    while codes:
+        code = codes.pop()
+        found |= _lines(code)
+        codes += [const for const in code.co_consts if inspect.iscode(const)]
+    return found
+
+
+def _own_lines(statement) -> range:
+    """The lines of *statement* no statement nested in it holds: all of a
+    simple statement's, a compound one's header (its decorators included)."""
+    nested = [s for field in ("body", "handlers", "orelse", "finalbody") for s in getattr(statement, field, ())]
+    first = min(node.lineno for node in [statement, *getattr(statement, "decorator_list", ())])
+    last = min(s.lineno for s in nested) - 1 if nested else statement.end_lineno
+    return range(first, max(first, last) + 1)
+
+
+def _statements(body, guard=False):
+    """``(statement, guard)`` for each statement in *body* and in the blocks
+    nested in it, a nested definition's body aside; ``guard`` for a ``raise``
+    and for everything in an ``except`` handler."""
+    for statement in body:
+        yield statement, guard or isinstance(statement, ast.Raise)
+        if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody"):
+                yield from _statements(getattr(statement, field, ()), guard)
+            for handler in getattr(statement, "handlers", ()):
+                yield from _statements(handler.body, True)
+
+
+def _functions(node, prefix):
+    """``(key, node)`` of every function in *node*, nested ones and dunders included."""
+    for child in ast.iter_child_nodes(node):
+        key = prefix + getattr(child, "name", "")
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield key, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _functions(child, key + ".")
+
+
+def checked_statements(path, source, kept=()):
+    """``(key, statement, lines)`` of each statement :func:`line_residue`
+    judges in the module *source* at *path* (relative to the package root):
+    each statement in a function, with its own lines that hold instructions.
+
+    Not judged: a ``raise``, anything in an ``except`` handler, a statement
+    that holds no instructions (a docstring), and every statement of a
+    ``__repr__``, of an interface body or of a function *kept* names (and of
+    the functions nested in it)."""
+    executable = executable_lines(source, path)
+    for key, node in _functions(ast.parse(source), f"{path}:"):
+        if node.name == "__repr__" or _interface(node) or any(key == k or key.startswith(k + ".") for k in kept):
+            continue
+        for statement, guard in _statements(node.body):
+            own = set(_own_lines(statement)) & executable
+            if own and not guard:
+                yield key, statement, own
+
+
+def line_residue(checked, ran) -> dict:
+    """``{"path:Qualified.name": [(first, last) line of each residue statement]}``:
+    of the *checked* statements (:func:`checked_statements`), those none of
+    whose lines is in *ran*."""
+    found = collections.defaultdict(list)
+    for key, statement, own in checked:
+        if not own & ran:
+            found[key].append((statement.lineno, statement.end_lineno))
+    return dict(found)
 
 
 def shipped_users():
@@ -851,16 +979,30 @@ def shipped_users():
 
 
 def check_runs() -> int:
-    """Trace every shipped user; 0 if the functions that never ran are exactly
-    the functions ``KEPT`` and ``KEPT_RUNS`` name, else print the difference
-    and return 1."""
+    """Trace every shipped user once; 0 if the functions that never ran are
+    exactly the functions ``KEPT`` and ``KEPT_RUNS`` name and the
+    :func:`line_residue` of ``src/repro`` is at most
+    ``LINE_RESIDUE_BUDGET`` statements, else print the difference and
+    return 1.  Prints each function's residue either way."""
     functions = index()[0].functions
-    missed = never_ran(functions, traced_calls(*shipped_users()))
     kept = (KEPT.keys() | KEPT_RUNS.keys()) & functions.keys()
+    checked = {
+        file: list(checked_statements(file.relative_to(SRC).as_posix(), parse(file)[0], kept))
+        for file in sorted(SRC.rglob("*.py"))
+    }
+    ran, lines = traced_runs(*shipped_users(), checked=checked)
+    missed = never_ran(functions, ran)
+    residue = {}
+    for file, statements in checked.items():
+        residue.update(line_residue(statements, lines[file]))
+    for key, statements in sorted(residue.items()):
+        print(f"residue: {key}: " + ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in statements))
     print("".join(f"never ran: {key}\n" for key in sorted(missed - kept)), end="")
     print("".join(f"ran, but kept: {key}\n" for key in sorted(kept - missed)), end="")
-    print(f"{len(functions)} functions; {len(missed)} never ran; {len(kept)} kept")
-    return int(missed != kept)
+    total = sum(map(len, residue.values()))
+    print(f"{len(functions)} functions; {len(missed)} never ran; {len(kept)} kept; "
+          f"{total} residue statements in {len(residue)} functions (budget {LINE_RESIDUE_BUDGET})")
+    return int(missed != kept or total > LINE_RESIDUE_BUDGET)
 
 
 if __name__ == "__main__":

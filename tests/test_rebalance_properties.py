@@ -125,7 +125,7 @@ class TestMigrationByteExactness:
             assert golden.payload_for(address) == payload
         source_device = source.coprocessor.device
         for address in source_device.memory.unowned_frames():
-            assert address not in source_device.golden or (
+            assert address not in source_device.golden._images or (
                 source_device.golden.payload_for(address)
                 == source_device.memory.read_frame(address)
             )

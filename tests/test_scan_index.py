@@ -332,10 +332,65 @@ def test_the_runtime_leg_flags_what_never_ran_but_not_an_interface(tmp_path):
         return codec.ratio
 
     index = scans.Index([(path, ast.parse(RUNTIME_SOURCE))], root=path.parent)
-    ran = scans.traced_calls(drive)
+    ran, _ = scans.traced_runs(drive)
     assert set(index.functions) == {
         "runtime_module.py:" + name for name in (
             "Codec.compress", "Codec.name", "Rle.compress", "Rle.ratio", "Rle.never", "build", "unused",
         )
     }
     assert scans.never_ran(index.functions, ran) == {"runtime_module.py:Rle.never", "runtime_module.py:unused"}
+
+
+RESIDUE_SOURCE = '''
+class Codec:
+    def compress(self, data):
+        """Compress *data*."""
+        raise NotImplementedError
+
+    def __repr__(self):
+        return "Codec()"
+
+
+class Rle(Codec):
+    def compress(self, data):
+        if not data:
+            return b""
+        if len(data) > 1_000:
+            raise ValueError("too long")
+        try:
+            return bytes(data)
+        except TypeError:
+            data = b"?"
+            return data
+
+    def unused(self):
+        return 0
+
+
+def kept(data):
+    if data:
+        return 1
+    return 0
+'''
+
+
+def test_the_line_leg_flags_a_dead_return_but_no_guard(tmp_path):
+    """The dead ``return b""`` of a live function is residue, and so is the
+    body of a method no call entered; a ``raise``, an ``except`` body, a
+    ``__repr__``, an interface, a kept function's dead ``return`` and a
+    docstring (it holds no instructions) are not."""
+    path = (tmp_path / "residue_module.py").resolve()
+    path.write_text(RESIDUE_SOURCE)
+    spec = importlib.util.spec_from_file_location("residue_module", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    checked = list(scans.checked_statements("residue_module.py", RESIDUE_SOURCE, kept={"residue_module.py:kept"}))
+    _, ran = scans.traced_runs(lambda: module.Rle().compress(b"ab"), lambda: module.kept(b""), checked={path: checked})
+    residue = scans.line_residue(checked, ran[path])
+    dead = RESIDUE_SOURCE.splitlines().index('            return b""') + 1
+    unused = RESIDUE_SOURCE.splitlines().index("        return 0") + 1
+    assert residue == {
+        "residue_module.py:Rle.compress": [(dead, dead)],
+        "residue_module.py:Rle.unused": [(unused, unused)],
+    }

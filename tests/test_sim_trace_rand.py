@@ -12,7 +12,7 @@ class TestTraceRecorder:
         recorder = TraceRecorder()
         recorder.record("rom", "read", 0.0, 10.0, length=4)
         recorder.record("rom", "read", 10.0, 30.0, length=8)
-        assert len(recorder) == 2
+        assert len(recorder.events) == 2
         assert [event.end_ns - event.start_ns for event in recorder] == [10.0, 20.0]
 
     def test_rejects_negative_duration(self):
@@ -23,14 +23,14 @@ class TestTraceRecorder:
     def test_disabled_recorder_drops_everything(self):
         recorder = TraceRecorder(enabled=False)
         assert recorder.record("x", "y", 0.0, 1.0) is None
-        assert len(recorder) == 0
+        assert len(recorder.events) == 0
 
     def test_capacity_limits_retention(self):
         recorder = TraceRecorder()
         recorder.capacity = 2
         for index in range(4):
             recorder.record("c", "a", index, index + 1)
-        assert len(recorder) == 2
+        assert len(recorder.events) == 2
         assert recorder.dropped == 2
 
     def test_clock_readings_are_stored_as_whole_ns(self):

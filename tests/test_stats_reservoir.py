@@ -26,7 +26,7 @@ class TestReservoirSampler:
         sampler = ReservoirSampler(16, SeededRandom(1))
         for value in range(1000):
             sampler.add(float(value))
-        assert len(sampler) == 16
+        assert len(sampler.values) == 16
         assert sampler.seen == 1000
 
     def test_tail_values_are_represented(self):

@@ -2,8 +2,8 @@
 
 Each case below is one generator at fixed arguments.  Its digest is SHA-256
 over one ``repr`` line per request: ``(tenant, function, arrival_ns,
-deadline_ns, payload)`` for a fleet request, ``(function, arrival_offset_ns,
-payload)`` for a closed-loop one.  The values are frozen: a change to
+deadline_ns, payload)`` for a fleet request, ``(function, payload)`` for a
+closed-loop one.  The values are frozen: a change to
 ``repro.workloads`` that moves one draw, one arrival instant or one payload
 byte fails here by name, before any report or schedule digest moves.
 
@@ -46,7 +46,7 @@ def trace_digest(trace) -> str:
                 request.payload,
             )
         else:
-            row = (request.function, request.arrival_offset_ns, request.payload)
+            row = (request.function, request.payload)
         digest.update(repr(row).encode() + b"\n")
     return digest.hexdigest()
 
@@ -73,15 +73,15 @@ def fleet_trace(bank, tenants, bound):
 
 def closed_loop_trace(bank, generator):
     if generator == "uniform":
-        return uniform_trace(bank, 200, seed=3, payload_blocks=2, mean_interarrival_ns=5_000.0)
+        return uniform_trace(bank, 200, seed=3, payload_blocks=2)
     if generator == "zipf":
-        return zipf_trace(bank, 200, skew=0.8, seed=3, mean_interarrival_ns=5_000.0)
+        return zipf_trace(bank, 200, skew=0.8, seed=3)
     if generator == "phased":
         return phased_trace(bank, 200, phase_length=30, working_set=2, seed=3)
     if generator == "round_robin":
         return round_robin_trace(bank, 200, repeats_per_function=3, seed=3)
     if generator == "bursty":
-        return bursty_trace(bank, 200, mean_burst=5, seed=3, mean_interarrival_ns=5_000.0)
+        return bursty_trace(bank, 200, mean_burst=5, seed=3)
     return repeated_trace(bank, bank.names()[-1], 50, seed=3, payload_blocks=4)
 
 
@@ -97,22 +97,22 @@ PINS = {
     "multi_tenant-default-poisson-mixed-count": "52acd663e076022e327c795485f5db30af4123d81d5fe5130ada5300ddfbd6ec",
     "multi_tenant-default-poisson-mixed-duration": "0743b9a761a1846150eecf255b8ebf28ed319cd823b5fc08ce1a546b8fce7221",
     "streaming-small-seed11": "55aaa39a6233b7df760b49de2c1de30e60225c20747a98b73ffe726a7ffc5a30",
-    "closed-small-uniform": "412adf80c201d9cc649e92ac53f25ebf40efbccc7882b395979eadb47c97b820",
-    "closed-small-zipf": "0b4d407fe155085e37b38c6bfbb7f53e29cb6033464bcc925433f20635e61d0a",
-    "closed-small-phased": "bbe9f2c03c3d90d3cf380ac432c7d1b2804e538325144a70115a22d8d87334f6",
-    "closed-small-round_robin": "b0b787a72f0f9d3e770a5e5b79cdf25100e71658a2930e4a8f027a08e73ae32b",
-    "closed-small-bursty": "27da50a3f3a5a5544aad7981f5a51b44af676f24ee606891db38565cc2446ad2",
-    "closed-small-repeated": "5d8251ef03fc3f837a938063c4d29d8a96fe84295533f36cc96b8aaa28558b51",
-    "closed-default-uniform": "dca8fdf19dcbbc7ad135c02d2982c7db431a5c3da872bb3d10a613f4fcb940a5",
-    "closed-default-zipf": "6771208ae7232a7d5dd50e83805f75a8675419f7c91ca79c2a1091dae4a34bdb",
-    "closed-default-phased": "b9bc852762eac93d7899c5dd6c213b90cd286e2757f17035a2fac49e34446429",
-    "closed-default-round_robin": "1143de5dcbb13cd0ff1231a1f189cf76f3002c6d9be06de2a17cbe791df33853",
-    "closed-default-bursty": "73cfa8c94a9d6940bf7cc77cba1b40c2da19afadef5cf852d759299f7142874d",
+    "closed-small-uniform": "07063e5eebd6bde9e83e852a875ccf62f3c6b82c811b159448919c30ad1236d9",
+    "closed-small-zipf": "f4f9d4f755c2c080e35317a48cbc19efe51ba891fd49594d5d71b746964ce1ec",
+    "closed-small-phased": "ff48662938ae8cd5e53cc3d2be3ae15c1744fc03aef57a5b46a28e9f5210a2f7",
+    "closed-small-round_robin": "295dc7ce750d210f1fb7a0e8af4e41cd62b7ea2ff5d6e7b6f09a1f2bd61c8b23",
+    "closed-small-bursty": "03a28e2b8a8a1298d258566a0560fe47d436c4d02689f8a8fcc0bfd2f864b6f9",
+    "closed-small-repeated": "0e3875207408f7ffa10397df2bdce6fb02965cd193975dbe5da53c01e8dfd155",
+    "closed-default-uniform": "ebef5af9d168bb99010041d805614e7a4f22d1b038cdf3b7add2551f2cea7f3d",
+    "closed-default-zipf": "44cc3cab40374c3f1715e30dab782fd753501b0a1f4ee85337f053235b3b08ac",
+    "closed-default-phased": "b7fa3f5fa4d29bd62e3b1838a083e9e2c04d55680aa35b67256fc8f12d1df7e4",
+    "closed-default-round_robin": "0dca1983738b22b0ebedee6d8c23bec1e8f159ce72ab0417baefa80595690798",
+    "closed-default-bursty": "454f657aee233b0fbee07d2a7d90eb53ad0edea0ef727d38dabd31952b72b88a",
     # Both banks end on popcount8, so the two repeated traces are one trace.
-    "closed-default-repeated": "5d8251ef03fc3f837a938063c4d29d8a96fe84295533f36cc96b8aaa28558b51",
-    "app-default-ipsec": "2f639ee72268d8c07fb6de2c7562dd814ba2db4610008765c800d58f8aa77971",
-    "app-default-hash_server": "5fc226ce52eedef16fb556e5cb3d88a5acb3bf81a25f5b5b93004793e069de7e",
-    "app-default-dsp": "8ea332069354940cbd5abf604706cc07416175ea5fc0df35fa88f6ff739a8014",
+    "closed-default-repeated": "0e3875207408f7ffa10397df2bdce6fb02965cd193975dbe5da53c01e8dfd155",
+    "app-default-ipsec": "91b4e0e3040b43c17d225dd3409af1aa76d3b815dc84b6300e7a56a16a3b2276",
+    "app-default-hash_server": "2120ccea2e392616eb1ea5cd9881f98c0ea81dcaeff377de628d93d4af1a7140",
+    "app-default-dsp": "e7f89601dce27aa681d9da114fc85cfd51a50bcd783378cdd597cb08db74ec73",
 }
 
 

@@ -48,7 +48,7 @@ class TestTrace:
 
     def test_indexing(self, small_bank):
         trace = repeated_trace(small_bank, "crc32", 3)
-        assert trace[0].function == "crc32"
+        assert trace.requests[0].function == "crc32"
 
 
 class TestGenerators:
@@ -96,12 +96,6 @@ class TestGenerators:
     def test_unknown_function_rejected(self, small_bank):
         with pytest.raises(KeyError):
             uniform_trace(small_bank, 5, functions=["ghost"])
-
-    def test_interarrival_times(self, small_bank):
-        trace = uniform_trace(small_bank, 20, seed=1, mean_interarrival_ns=1000.0)
-        offsets = [request.arrival_offset_ns for request in trace]
-        assert all(offset >= 0 for offset in offsets)
-        assert any(offset > 0 for offset in offsets)
 
     def test_parameter_validation(self, small_bank):
         with pytest.raises(ValueError):
