@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence
 
 from repro.bitstream.crc import crc32
@@ -167,10 +168,19 @@ class Bitstream:
                 )
 
     # ------------------------------------------------------------ properties
-    @property
+    # Both are worked out on first use and kept: a bit-stream's frames are
+    # never changed after it is built, and a decoded image's bit-stream is
+    # configured on every load of it.
+    @cached_property
     def payload_crc(self) -> int:
         """CRC-32 over every frame payload in slot order."""
         return crc32(b"".join(self.frames))
+
+    @cached_property
+    def check_words(self) -> List[int]:
+        """Each frame payload's CRC-32, in slot order: the check word the
+        configuration memory stores beside the frame."""
+        return [crc32(payload) for payload in self.frames]
 
     # ------------------------------------------------------------- serialise
     def to_bytes(self) -> bytes:

@@ -27,6 +27,7 @@ experiment sweeps.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,9 +94,10 @@ class Scrubber:
                 continue
             result.detected += 1
             golden = self.golden.payload_for(address)
-            # Repair through the frame-write path (refreshes the check word)
-            # and charge the configuration port's write time for the frame.
-            memory.write_region((address,), (golden,), owner=memory.owner_of(address))
+            # Repair through the frame-write path (with the golden image's
+            # check word) and charge the configuration port's write time for
+            # the frame.
+            memory.write_region((address,), (golden,), (zlib.crc32(golden),), owner=memory.owner_of(address))
             clock.advance(self.device.port.write_time_ns(len(golden)))
             if frame.crc_ok and frame.to_config_bytes() == golden:
                 result.corrected += 1

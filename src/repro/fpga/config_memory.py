@@ -11,13 +11,15 @@ Ownership is one map, frame address -> owning function, in raster order.
 The ownership queries (``unowned_frames``, ``configured_frames``, ``owners``,
 ``utilisation``) scan it: a shipped fabric has 64 to 128 frames.
 
-A frame's bytes change only here, so the memory also keeps ``suspect``: the
-frames whose readback may not match their check word.  An upset adds its
-frame; a write or an erase removes it (a frame stores a
-write as written, with its check word), and so does a scrub that finds it
-clean.  Every frame that
-is not ``crc_ok`` is in ``suspect``, so a scrub or a hazard check looks at
-those frames alone.
+A frame's bytes change only here: a write stores each payload and the check
+word its writer worked out (once per image for a configuration, from the
+bit-stream), an erase rebinds the frame to the shared erased image and its
+check word, and neither makes a call per frame.  So the memory also keeps
+``suspect``: the frames whose readback may not match their check word.  An
+upset adds its frame; a write or an erase removes it (a frame stores a write
+as written, with its check word), and so does a scrub that finds it clean.
+Every frame that is not ``crc_ok`` is in ``suspect``, so a scrub or a hazard
+check looks at those frames alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
-from repro.fpga.frame import FrameArray, FrameRegion, no_such_frame
+from repro.fpga.frame import FrameArray, FrameRegion, erased_image, no_such_frame
 from repro.fpga.geometry import FabricGeometry, FrameAddress
 
 
@@ -42,6 +44,9 @@ class ConfigurationMemory:
         #: Frames whose readback may not match their check word (a superset
         #: of the frames that are not ``crc_ok``).  Mutated, never replaced.
         self.suspect: Set[FrameAddress] = set()
+        #: The erased frame image and its check word, which every erased
+        #: frame shares.
+        self._erased = erased_image(geometry.frame_config_bytes)
 
     # ------------------------------------------------------------ ownership
     # An address the owner map lacks is off the fabric; geometry.validate
@@ -120,32 +125,45 @@ class ConfigurationMemory:
 
     # --------------------------------------------------------------- writes
     def write_region(
-        self,
-        addresses: Iterable[FrameAddress],
-        payloads: Sequence[bytes],
+        self, addresses: Iterable[FrameAddress], payloads: Sequence[bytes], check_words: Sequence[int],
         owner: Optional[str] = None,
     ) -> List[FrameAddress]:
-        """Write each payload into its address, in order; returns the
-        addresses written.
+        """Write each payload, with its check word (its CRC-32, which the
+        writer works out), into its address, in order; returns the addresses
+        written.
 
+        A payload that is not frame-sized is refused with ``ValueError``
+        before any frame is written.
         When *owner* is given every frame must be free or already owned by
         that function (this is how partial reconfiguration guarantees
         isolation): the first foreign frame erases the frames this call
         wrote and raises :class:`FrameCollisionError`, leaving the frames it
-        never reached untouched.
+        never reached untouched.  Each frame stores a copy of its payload
+        (``bytes``), so a ``bytearray`` changed afterwards leaves the frame
+        as written.
         """
+        expected = self.geometry.frame_config_bytes
+        wrong = set(map(len, payloads)) - {expected}
+        if wrong:
+            raise ValueError(next(
+                (f"frame {address} expects {expected} config bytes, got {len(payload)}"
+                 for address, payload in zip(addresses, payloads) if len(payload) != expected),
+                f"a payload without an address has {min(wrong)} bytes, not {expected}",
+            ))
         frames = self.frames.by_address
         owners = self._owners
         suspect = self.suspect
         written: List[FrameAddress] = []
-        for address, payload in zip(addresses, payloads):
+        for address, payload, check_word in zip(addresses, payloads, check_words):
             if address not in frames:
                 raise no_such_frame(address)
             current = owners[address]
             if owner is not None and current is not None and current != owner:
                 self.clear_region(written)
                 raise FrameCollisionError([address], current)
-            frames[address].load_config_bytes(payload)
+            frame = frames[address]
+            frame.image = bytes(payload)
+            frame.stored_crc = check_word
             # A fault-free memory's set is empty: a write then makes no call
             # into it.
             if suspect:
@@ -156,14 +174,19 @@ class ConfigurationMemory:
         return written
 
     def clear_region(self, addresses: Iterable[FrameAddress]) -> None:
-        """Erase each frame of *addresses* and drop its ownership."""
+        """Erase each frame of *addresses* (rebind it to the shared erased
+        image and its check word) and drop its ownership."""
         frames = self.frames.by_address
+        owners = self._owners
         suspect = self.suspect
+        erased, erased_crc = self._erased
         for address in addresses:
             if address not in frames:
                 raise no_such_frame(address)
-            frames[address].clear()
-            self._owners[address] = None
+            frame = frames[address]
+            frame.image = erased
+            frame.stored_crc = erased_crc
+            owners[address] = None
             if suspect:
                 suspect.discard(address)
 

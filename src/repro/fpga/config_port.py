@@ -11,11 +11,16 @@ rounded on its own, and equal lengths round equally, so a transfer's write
 time is one product per distinct payload length; every frame of a geometry
 has the same length.  The CRC of the payloads chained frame by frame is the
 CRC of their concatenation, so a transfer takes one CRC.  The memory writes
-the region in one loop (:meth:`ConfigurationMemory.write_region`).
+the region in one loop (:meth:`ConfigurationMemory.write_region`), storing
+each frame's check word as given.  A configuration from a bit-stream brings
+its port time and check words, worked out once per decoded image
+(:meth:`ConfigurationPort.transfer`); a relocation's readback payloads get
+theirs worked out per transfer (:meth:`ConfigurationPort.configure`).
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,10 +81,7 @@ class ConfigurationPort:
         """Σ :meth:`write_time_ns` over *payloads*: one product per distinct
         payload length."""
         lengths = [len(payload) for payload in payloads]
-        total = 0
-        for length in set(lengths):
-            total += self.write_time_ns(length) * lengths.count(length)
-        return total
+        return sum(self.write_time_ns(length) * lengths.count(length) for length in set(lengths))
 
     def transfer_time_ns(self, payloads: Sequence[bytes]) -> int:
         """Port time of one transfer of *payloads*: every frame's write plus
@@ -89,27 +91,36 @@ class ConfigurationPort:
         )
 
     # ------------------------------------------------------------- transfer
-    def configure(
-        self,
-        owner: str,
-        addresses: Iterable[FrameAddress],
-        payloads: Sequence[bytes],
-        expected_crc: int,
-    ) -> int:
+    def configure(self, owner: str, addresses: Iterable[FrameAddress], payloads: Sequence[bytes], expected_crc: int) -> int:
         """Write *payloads* into *addresses* on behalf of *owner*; returns Δt.
 
-        The clock advances once, by :meth:`transfer_time_ns`.  When a write
-        collides or the payloads' CRC differs from
+        :meth:`transfer` with each frame's check word and the port time
+        worked out from *payloads* (any lengths): the form for payloads read
+        back from the fabric, as a relocation moves them.
+        """
+        check_words = [zlib.crc32(payload) for payload in payloads]
+        return self.transfer(owner, addresses, payloads, expected_crc, check_words, self.transfer_time_ns(payloads))
+
+    def transfer(
+        self, owner: str, addresses: Iterable[FrameAddress], payloads: Sequence[bytes], expected_crc: int,
+        check_words: Sequence[int], elapsed: int,
+    ) -> int:
+        """One CRC-checked transfer of *payloads* into *addresses* on behalf
+        of *owner*, each frame stored with its check word; returns *elapsed*,
+        the transfer's :meth:`transfer_time_ns`.
+
+        The caller works out the check words and the port time, once per
+        image for a configuration.  The clock advances once, by *elapsed*.
+        When a write collides or the payloads' CRC differs from
         *expected_crc*, the frames written are cleared and
         :class:`ConfigurationError` is raised: a corrupted configuration is
         never left live on the fabric.
         """
-        elapsed = self.transfer_time_ns(payloads)
         self.stats.frames_written += len(payloads)
         self.stats.bytes_written += sum(map(len, payloads))
         self.stats.busy_time_ns += elapsed
         self.clock.advance(elapsed)
-        written = self.memory.write_region(addresses, payloads, owner=owner)
+        written = self.memory.write_region(addresses, payloads, check_words, owner=owner)
         # The CRC covers the payloads written (the write stops at the
         # shorter of addresses and payloads).
         computed = crc32(b"".join(payloads[: len(written)]))

@@ -112,10 +112,14 @@ class FPGADevice:
         bitstream: Bitstream,
         region: FrameRegion,
         executor: FunctionExecutor,
+        transfer_ns: int,
     ) -> int:
         """Apply a partial bit-stream to *region* and bind *executor* to it.
 
-        Returns the time spent on the configuration port.  Raises
+        *transfer_ns* is the bit-stream's port time,
+        ``port.transfer_time_ns(bitstream.frames)``, which a caller that loads
+        one image many times works out once.  Returns the time spent on the
+        configuration port.  Raises
         :class:`FrameCollisionError` if the region overlaps frames owned by a
         *different* loaded function, and :class:`ConfigurationError` if the
         region size does not match the bit-stream.
@@ -138,7 +142,9 @@ class FPGADevice:
         if name in self._loaded and set(self._loaded[name].region) != set(region):
             self.unload(name)
         try:
-            elapsed = self.port.configure(name, region, bitstream.frames, bitstream.payload_crc)
+            elapsed = self.port.transfer(
+                name, region, bitstream.frames, bitstream.payload_crc, bitstream.check_words, transfer_ns
+            )
         except ConfigurationError:
             self.memory.release(region, owner=name)
             raise
@@ -270,7 +276,7 @@ class FPGADevice:
             # payloads just written and collisions were checked up front), but
             # a relocation must never leave the function half-moved: restore
             # the old region's contents and ownership before re-raising.
-            self.memory.write_region(old_region, payloads, owner=name)
+            self.memory.write_region(old_region, payloads, [crc32(p) for p in payloads], owner=name)
             raise
         stale = [address for address in old_region if address not in new_set]
         self.memory.clear_region(stale)

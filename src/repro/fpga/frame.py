@@ -10,11 +10,14 @@ no padding bits), so a frame stores each write exactly as written.  A
 the paper explicitly allows the set to be non-contiguous.
 
 Each frame also carries a stored CRC-32 *check word* over its configuration
-bytes, refreshed on every legitimate write (:meth:`Frame.load_config_bytes`,
-:meth:`Frame.clear`).  A single-event upset injected through
-:meth:`Frame.inject_upset` deliberately bypasses the check word, so a
-readback scrubber (:mod:`repro.faults`) can detect the corruption by
-recomputing the CRC — exactly the frame-ECC/readback-scrub story of real
+bytes.  Only the configuration memory's region loops write a frame
+(:meth:`~repro.fpga.config_memory.ConfigurationMemory.write_region` stores
+each payload with the check word the writer worked out for it, once per
+image; ``clear_region`` rebinds the frame to the shared erased image and its
+check word), so every legitimate write refreshes both.  A single-event upset
+injected through :meth:`Frame.inject_upset` deliberately bypasses the check
+word, so a readback scrubber (:mod:`repro.faults`) can detect the corruption
+by recomputing the CRC — exactly the frame-ECC/readback-scrub story of real
 configuration memories.
 """
 
@@ -40,7 +43,7 @@ def encode_clbs(clbs: Sequence[ConfigurableLogicBlock]) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _erased(length: int) -> Tuple[bytes, int]:
+def erased_image(length: int) -> Tuple[bytes, int]:
     """The erased image of a *length*-byte frame and its check word."""
     erased = bytes(length)
     return erased, zlib.crc32(erased)
@@ -54,32 +57,15 @@ class Frame:
         self.geometry = geometry
         self.address = address
         self.config_byte_length = geometry.frame_config_bytes
-        self._erased, self._erased_crc = _erased(self.config_byte_length)
-        # The byte image: the single source of truth.
-        self._data = self._erased
-        #: CRC-32 check word over the frame's configuration bytes as written.
-        #: Updated only on legitimate writes — never by inject_upset — so a
-        #: scrubber can detect corruption by recomputing the CRC on readback.
-        self.stored_crc = self._erased_crc
-
-    def clear(self) -> None:
-        """Erase the frame (the all-zero configuration)."""
-        self._data = self._erased
-        self.stored_crc = self._erased_crc
+        #: The byte image, the single source of truth, and the CRC-32 check
+        #: word over it as written.  Only the configuration memory's region
+        #: loops store them, together — never inject_upset — so a scrubber
+        #: can detect corruption by recomputing the CRC on readback.
+        self.image, self.stored_crc = erased_image(self.config_byte_length)
 
     def to_config_bytes(self) -> bytes:
         """Configuration readback: the byte image."""
-        return self._data
-
-    def load_config_bytes(self, data: bytes) -> None:
-        """Store a frame-sized slice of configuration data and its check word."""
-        expected = self.config_byte_length
-        if len(data) != expected:
-            raise ValueError(
-                f"frame {self.address} expects {expected} config bytes, got {len(data)}"
-            )
-        self.stored_crc = zlib.crc32(data)
-        self._data = bytes(data)
+        return self.image
 
     # ------------------------------------------------------------ fault model
     @property
@@ -89,7 +75,7 @@ class Frame:
         Hashes the readback on every call: only the configuration memory's
         ``suspect`` frames are asked, by the scrubber and the hazard detector.
         """
-        return zlib.crc32(self._data) == self.stored_crc
+        return zlib.crc32(self.image) == self.stored_crc
 
     def inject_upset(self, bit_index: int) -> None:
         """Flip the configuration bit at *bit_index* (a single-event upset).
@@ -98,11 +84,11 @@ class Frame:
         the scrubber's job.  Bit positions wrap within the frame.
         """
         total_bits = self.config_byte_length * 8
-        value = int.from_bytes(self._data, "little") ^ (1 << (bit_index % total_bits))
-        self._data = value.to_bytes(self.config_byte_length, "little")
+        value = int.from_bytes(self.image, "little") ^ (1 << (bit_index % total_bits))
+        self.image = value.to_bytes(self.config_byte_length, "little")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Frame({self.address}, {'clear' if self._data == self._erased else 'configured'})"
+        return f"Frame({self.address}, {'configured' if any(self.image) else 'clear'})"
 
 
 @dataclass(frozen=True)

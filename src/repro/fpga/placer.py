@@ -92,19 +92,15 @@ class Placer:
     def _find_contiguous_run(
         self, ordered: List[FrameAddress], frames_needed: int
     ) -> Optional[List[FrameAddress]]:
-        """First run of consecutive flat indices long enough, else ``None``."""
+        """The first *frames_needed* frames of *ordered* (distinct, in raster
+        order) whose flat indices are consecutive, else ``None``: indices that
+        only grow span ``frames_needed - 1`` exactly when they have no gap."""
         tiles = self.geometry.tiles_per_column
-        run: List[FrameAddress] = []
-        previous_index: Optional[int] = None
-        for address in ordered:
-            index = address.column * tiles + address.tile
-            if previous_index is not None and index == previous_index + 1:
-                run.append(address)
-            else:
-                run = [address]
-            previous_index = index
-            if len(run) >= frames_needed:
-                return run[:frames_needed]
+        flat = [address.column * tiles + address.tile for address in ordered]
+        span = frames_needed - 1
+        for start in range(len(flat) - span):
+            if flat[start + span] - flat[start] == span:
+                return ordered[start : start + frames_needed]
         return None
 
     # -------------------------------------------------------------- placing

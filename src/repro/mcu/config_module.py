@@ -94,20 +94,28 @@ class ConfigurationModule:
         return image
 
     def _decode(self, image: CompressedImage) -> tuple:
-        """Decompress and parse *image* once; returns (window lengths, bitstream).
+        """Decompress and parse *image* once; returns (bitstream, decompress
+        time, port time).
 
         The memo rides on the image object itself, so its lifetime (and the
-        cache's) is exactly the image's.  The decompression time is a sum
-        over the recorded window lengths, so simulated time is the same with
-        or without a memo hit; only the host-side byte crunching is skipped.
+        cache's) is exactly the image's, and it is filled on the image's
+        first load.  Neither time depends on the region: the decompression
+        time is the sum of the per-window rounded terms and the port time is
+        :meth:`~repro.fpga.config_port.ConfigurationPort.transfer_time_ns` of
+        the frames, so simulated time is the same with or without a memo hit;
+        only the host-side work is skipped.
         """
         memo = getattr(image, "_decoded_memo", None)
         if memo is not None:
             return memo
         decompressor = WindowedDecompressor(image, get_codec(image.codec_name))
         raw_windows = list(decompressor.windows())
-        lengths = tuple(len(window) for window in raw_windows)
-        memo = (lengths, parse_bitstream(b"".join(raw_windows)))
+        bitstream = parse_bitstream(b"".join(raw_windows))
+        decompress_time = sum(
+            self._window_time_ns(len(compressed), len(raw))
+            for compressed, raw in zip(image.windows, raw_windows)
+        )
+        memo = (bitstream, decompress_time, self.device.port.transfer_time_ns(bitstream.frames))
         image._decoded_memo = memo
         return memo
 
@@ -154,7 +162,7 @@ class ConfigurationModule:
 
         try:
             image = self._image(blob)
-            _, bitstream = self._decode(image)
+            bitstream = self._decode(image)[0]
         except (CodecError, BitstreamFormatError) as error:
             # A truncated or corrupted transfer fails like a bad bit-stream,
             # not like a programming error: the card answers CONFIG_FAILED
@@ -223,21 +231,16 @@ class ConfigurationModule:
         """Shared decompress-and-configure tail of reconfigure/restore; the
         image's fetch (if any) ran from *started* to now."""
         rom_time = self.clock.now - started
-        lengths, bitstream = self._decode(image)
-        decompress_time = sum(
-            self._window_time_ns(len(compressed), raw_length)
-            for compressed, raw_length in zip(image.windows, lengths)
-        )
+        bitstream, decompress_time, transfer = self._decode(image)
         exposed = decompress_time
         if self.overlap_decompress:
             # A pipeline: window i+1 decompresses while window i is written,
             # so the port's transfer hides all but the decompression it
             # cannot cover, and one window of fill latency remains.
-            transfer = self.device.port.transfer_time_ns(bitstream.frames)
             window_fill = round(decompress_time / max(1, image.window_count))
             exposed = min(decompress_time, max(decompress_time - transfer, 0) + window_fill)
         self.clock.advance(exposed)
-        port_time = self.device.configure_partial(bitstream, region, executor)
+        port_time = self.device.configure_partial(bitstream, region, executor, transfer)
         report = ReconfigurationReport(
             frames=len(region),
             rom_time_ns=rom_time,

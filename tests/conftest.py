@@ -213,14 +213,15 @@ def refuse_configuration(monkeypatch):
     card refuse every load, restore, heal and relocation instead.
     """
     refusing = set()
-    configure = ConfigurationPort.configure
+    transfer = ConfigurationPort.transfer
 
     def refused(port, owner, *args):
         if port in refusing:
             raise ConfigurationError(f"configuration port refuses {owner!r}")
-        return configure(port, owner, *args)
+        return transfer(port, owner, *args)
 
-    monkeypatch.setattr(ConfigurationPort, "configure", refused)
+    # Every transfer, a load's or a relocation's, goes through ``transfer``.
+    monkeypatch.setattr(ConfigurationPort, "transfer", refused)
 
     def refuse(*targets):
         for target in targets:

@@ -11,6 +11,7 @@ requires every result, counter, cursor, clock instant and frame to be equal.
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional
 
 from repro.faults.scrubber import CHECK_CYCLES_PER_BYTE, Scrubber, ScrubPassResult
@@ -35,7 +36,7 @@ class ReferenceScrubber(Scrubber):
         self.stats.detected += 1
         golden = self.golden.payload_for(address)
         owner = self.memory.owner_of(address)
-        self.memory.write_region((address,), (golden,), owner=owner)
+        self.memory.write_region((address,), (golden,), (zlib.crc32(golden),), owner=owner)
         self.clock.advance(self.device.port.write_time_ns(len(golden)))
         if frame.crc_ok and frame.to_config_bytes() == golden:
             self.stats.corrected += 1

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from oracles.clb_layout import CLB_BYTES, decode_clbs
 from repro.bitstream.crc import crc32
 from repro.core.config import SMALL_CONFIG, CoprocessorConfig
-from repro.fpga.frame import Frame, encode_clbs
+from repro.fpga.config_memory import ConfigurationMemory
+from repro.fpga.frame import encode_clbs
 from repro.fpga.geometry import FabricGeometry
 
 #: The shipped card, the unit-test card and every frame height E8 sweeps.
@@ -53,8 +54,9 @@ def test_every_frame_image_survives_the_clb_round_trip(case):
 @settings(max_examples=100)
 def test_a_frame_stores_every_write_as_written(case):
     geometry, data = case
-    frame = Frame(geometry, geometry.all_frames()[-1])
-    frame.load_config_bytes(data)
+    memory = ConfigurationMemory(geometry)
+    frame = memory.frames[geometry.all_frames()[-1]]
+    memory.write_region([frame.address], [data], [crc32(data)])
     assert frame.to_config_bytes() == data
     assert frame.stored_crc == crc32(data)
     assert frame.crc_ok

@@ -7,6 +7,7 @@ compare.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -19,6 +20,11 @@ from repro.fpga.geometry import TEST_GEOMETRY
 @pytest.fixture
 def memory():
     return ConfigurationMemory(TEST_GEOMETRY)
+
+
+def _write(memory, addresses, payloads, owner):
+    """``write_region`` with each payload's CRC-32 as its check word."""
+    return memory.write_region(addresses, payloads, [zlib.crc32(payload) for payload in payloads], owner=owner)
 
 
 def _region(indices):
@@ -51,7 +57,7 @@ class TestIndexConsistency:
                     memory.release(region)
                 elif op == 2:
                     for address in region:
-                        memory.write_region([address], [payload], owner=owner)
+                        _write(memory, [address], [payload], owner=owner)
                 else:
                     memory.clear_region(region)
             except (FrameCollisionError, ConfigurationError):
@@ -76,7 +82,7 @@ class TestIndexConsistency:
         # the frame must drop that cache so the next readback is all-zero.
         address = TEST_GEOMETRY.all_frames()[2]
         payload = bytes([0x41] * TEST_GEOMETRY.frame_config_bytes)
-        memory.write_region([address], [payload], owner="aes")
+        _write(memory, [address], [payload], owner="aes")
         cached = memory.read_frame(address)
         assert cached.count(0) < len(cached)
         memory.clear_region([address])
@@ -86,7 +92,7 @@ class TestIndexConsistency:
     def test_clear_device_resets_everything(self, memory):
         payload = bytes([1] * TEST_GEOMETRY.frame_config_bytes)
         for address in _region([1, 2, 3]):
-            memory.write_region([address], [payload], owner="aes")
+            _write(memory, [address], [payload], owner="aes")
         memory.claim(_region([10]), "sha1")  # owned but never written
         memory.clear_region(_region(range(TEST_GEOMETRY.frame_count)))
         assert memory.unowned_frames() == TEST_GEOMETRY.all_frames()
@@ -129,7 +135,7 @@ class TestWriteFrame:
             bytes([index + 1] * TEST_GEOMETRY.frame_config_bytes) for index in range(3)
         ]
         region = _region([8, 5, 11])
-        assert memory.write_region(region, payloads, owner="fir") == list(region)
+        assert _write(memory, region, payloads, owner="fir") == list(region)
         # Readback preserves region order and returns the bytes written.
         assert memory.read_region(region) == payloads
         assert memory.owners()["fir"] == sorted(region)
@@ -138,9 +144,9 @@ class TestWriteFrame:
         address = TEST_GEOMETRY.all_frames()[5]
         memory.claim(_region([5]), "aes")
         with pytest.raises(FrameCollisionError):
-            memory.write_region([address], [bytes([9] * TEST_GEOMETRY.frame_config_bytes)], owner="fir")
+            _write(memory, [address], [bytes([9] * TEST_GEOMETRY.frame_config_bytes)], owner="fir")
         with pytest.raises(ValueError):
-            memory.write_region([TEST_GEOMETRY.all_frames()[4]], [b"\x00"], owner="fir")
+            _write(memory, [TEST_GEOMETRY.all_frames()[4]], [b"\x00"], owner="fir")
         assert not any(memory.frames[address].to_config_bytes())
         assert memory.owner_of(address) == "aes"
         assert memory.owner_of(TEST_GEOMETRY.all_frames()[4]) is None

@@ -260,7 +260,7 @@ class TestHostCallWork:
             "int.to_bytes": 1,
         }
 
-    def test_a_churn_miss_pair_enters_649_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_382_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -272,25 +272,33 @@ class TestHostCallWork:
         because every pair takes the same path.
 
         A pair writes 88 frames and erases 88, and the host work is per load,
-        not per frame, except for each frame's own bytes.  ``fpga`` 240:
-        one ``load_config_bytes`` per frame written (its length check, check
-        word and store) and one ``Frame.clear`` per frame erased (176); per load
-        the claim, the memory's ``write_region`` and ``clear_region``, the
-        port's ``configure``, ``transfer_time_ns``, ``frames_time_ns`` and
-        one ``write_time_ns`` (every frame has the same length), the
+        not per frame: what does not depend on the region (the payload CRC,
+        each frame's check word, the decompression time and the port time)
+        is worked out on an image's first load and kept with the decoded
+        image, and the memory's region loops store each frame's bytes and
+        check word, or rebind it to the shared erased image, without a call
+        per frame.  ``fpga`` 58: per load the claim, the memory's
+        ``write_region`` and ``clear_region``, the port's ``transfer``, the
         device's ``configure_partial``, ``_bind``, ``unload`` and
         ``execute``, the executor's ``run`` and ``cycles_for``, and
-        placement's ``choose_frames`` and contiguous-run scan, which sort
-        and index the 64 candidates without a call per candidate (30); the
-        ``FrameRegion`` protocol (``__len__`` 18, ``__iter__`` 12, its
-        construction 4).  ``bitstream`` 6 is per load: ``payload_crc`` and
-        its ``crc32``, and the port's one ``crc32`` over the joined
-        payloads.  ``sim`` 174: ``clock.now`` 66, ``record`` 43,
-        ``cycles_to_ns`` 37 (25 of them one per decompression window) and
-        ``advance`` 28.  ``mcu`` 116 is the microcontroller's load and the
-        mini OS's plan and commits; the Free Frame List it plans from is
-        one scan of the replacement table.
+        placement's ``choose_frames`` and contiguous-run scan, which tests
+        the span of each window of sorted flat indices without a call per
+        candidate (24); the ``FrameRegion`` protocol (``__len__`` 18,
+        ``__iter__`` 12, its construction 4).  ``bitstream`` 2 is the port's
+        one ``crc32`` over the joined payloads per load.  ``sim`` 145:
+        ``clock.now`` 66, ``record`` 43, ``advance`` 28 and ``cycles_to_ns``
+        8.  ``mcu`` 64 is the microcontroller's load and the mini OS's plan
+        and commits; the Free Frame List it plans from is one scan of the
+        replacement table.
 
+        649 while each load re-derived what its image already fixed: the
+        payload CRC (``payload_crc`` and its ``crc32``, ``bitstream`` 6),
+        the decompression time (a ``_window_time_ns`` and its
+        ``cycles_to_ns`` per window, ``mcu`` 116, ``sim`` 174) and the port
+        time (``configure``, ``transfer_time_ns``, ``frames_time_ns``,
+        ``write_time_ns``), and the memory called ``load_config_bytes`` per
+        frame written (its length check, check word and store) and
+        ``Frame.clear`` per frame erased (``fpga`` 240).
         651 while each request's latency went to a streaming sketch nothing
         read (``analysis`` 2).  665 while a bus transaction's time took two frames
         (``PciBusTiming.time_ns`` and ``cycles_for``; ``pci`` 42).  667 while
@@ -311,9 +319,14 @@ class TestHostCallWork:
 
         The pair's builtin calls (``c_call`` events, by name) are pinned
         beside its frames, because a builtin method call enters no frame:
-        917, most of them per frame (``len``, ``list.append`` and the check
-        word's ``crc32``).  A fault-free memory's ``suspect`` set is empty,
-        so a write and an erase call nothing on it; 921 while the latency
+        415, two of them ``crc32`` (the port's check, one per load).  A
+        fault-free memory's ``suspect`` set is empty, so a write and an erase
+        call nothing on it.  917 while each frame written made a ``len`` (its
+        length check) and a ``crc32`` (its check word), each load a ``len``
+        per payload for its port time, the contiguous-run scan a ``len`` and
+        a ``list.append`` per candidate, and the decompression time a
+        ``len`` and a ``round`` per window (``len`` 364, ``list.append`` 322,
+        ``crc32`` 92, ``round`` 64); 921 while the latency
         sketch probed its bucket memo and its bucket per request (four
         ``dict.get`` per pair); 1 185 while each frame
         written and each frame erased made a ``set.discard`` (176 per pair),
@@ -336,24 +349,23 @@ class TestHostCallWork:
             }
         )
         assert dict(per_pair) == {
-            "fpga": 240,
-            "sim": 174,
-            "mcu": 116,
+            "sim": 145,
+            "mcu": 64,
+            "fpga": 58,
             "functions": 42,
             "pci": 28,
             "memory": 25,
             "core": 18,
-            "bitstream": 6,
+            "bitstream": 2,
         }
-        assert sum(per_pair.values()) == 649
+        assert sum(per_pair.values()) == 382
         assert builtins == {
-            "len": 364, "list.append": 322, "crc32": 92, "int.from_bytes": 1, "round": 64,
-            "iter": 16, "dict.get": 6, "min": 9, "max": 8, "hash": 4, "sorted": 4,
-            "dict.values": 4, "dict.pop": 4, "sum": 4, "bytes.join": 4, "set.add": 2,
-            "list.extend": 2, "getattr": 2, "list.count": 2, "bytearray.extend": 2,
-            "int.to_bytes": 1,
+            "len": 75, "list.append": 236, "crc32": 2, "int.from_bytes": 1, "round": 35,
+            "iter": 16, "dict.get": 6, "min": 9, "max": 6, "hash": 4, "sorted": 4,
+            "dict.values": 4, "dict.pop": 4, "sum": 2, "bytes.join": 2, "set.add": 2,
+            "list.extend": 2, "getattr": 2, "bytearray.extend": 2, "int.to_bytes": 1,
         }
-        assert sum(builtins.values()) == 917
+        assert sum(builtins.values()) == 415
 
 
 class TestScrubWork:
@@ -365,21 +377,24 @@ class TestScrubWork:
     A clean memory costs 5 frames whatever the window: ``scrub_pass``, one
     resumption of its suspect scan (an empty set), ``_walk``, the result's
     dataclass ``__init__`` and one ``clock.advance`` for the whole window.
-    One upset frame adds 12: the scan's second resumption, the advance to
+    One upset frame adds 11: the scan's second resumption, the advance to
     the frame, ``crc_ok`` before and after the repair, ``payload_for``,
-    ``owner_of``, ``write_region`` and its ``load_config_bytes``, the port's
-    ``write_time_ns`` and its ``cycles_to_ns``, the repair's advance and
-    ``to_config_bytes``.  The frame-by-frame walk entered 3 + 5 per frame
-    checked (43, 163 and 323 for these windows) and 9 more per repair.
+    ``owner_of``, ``write_region`` (which stores the golden bytes and their
+    check word itself), the port's ``write_time_ns`` and its
+    ``cycles_to_ns``, the repair's advance and ``to_config_bytes``; 12 while
+    ``write_region`` called the frame's ``load_config_bytes``.  The
+    frame-by-frame walk entered 3 + 5 per frame checked (43, 163 and 323
+    for these windows) and 9 more per repair.
 
     Beside the frames, the builtin calls (``c_call`` events by name, the
     profiler's own ``sys.setprofile`` aside): a clean pass makes 3 — the
     suspect offsets' ``dict.items`` and ``sorted``, and ``len`` of the frame
     list — plus a ``min`` and a ``max`` when a window bounds it.  One upset
-    frame adds 9, three of them ``zlib.crc32`` (the check before, the
-    rewritten frame's check word, the check after) and one ``set.discard``
-    (the repaired frame leaves the suspect set); 10 while the rewrite was
-    tested against a padding mask (an ``int.from_bytes``).
+    frame adds 8, three of them ``zlib.crc32`` (the check before, the
+    golden image's check word, the check after) and one ``set.discard``
+    (the repaired frame leaves the suspect set); 9 while the rewrite's
+    length check was a ``len`` in ``load_config_bytes``, 10 while the
+    rewrite was also tested against a padding mask (an ``int.from_bytes``).
     """
 
     CLEAN_PASS = {"scrub_pass": 1, "<genexpr>": 1, "_walk": 1, "__init__": 1, "advance": 1}
@@ -387,11 +402,11 @@ class TestScrubWork:
     WINDOW_BUILTINS = {"min": 1, "max": 1}
     REPAIR = {
         "<genexpr>": 1, "advance": 2, "crc_ok": 2, "payload_for": 1, "owner_of": 1,
-        "write_region": 1, "load_config_bytes": 1, "write_time_ns": 1, "cycles_to_ns": 1,
+        "write_region": 1, "write_time_ns": 1, "cycles_to_ns": 1,
         "to_config_bytes": 1,
     }
     REPAIR_BUILTINS = {
-        "crc32": 3, "len": 2, "dict.get": 1, "set.discard": 1,
+        "crc32": 3, "len": 1, "dict.get": 1, "set.discard": 1,
         "list.append": 1, "round": 1,
     }
 
@@ -430,15 +445,15 @@ class TestScrubWork:
         windowed = self.WINDOW_BUILTINS if window is not None else {}
         assert dict(builtins) == {**self.CLEAN_BUILTINS, **windowed}
 
-    def test_one_upset_frame_adds_the_repairs_12_frames(self, small_bank):
+    def test_one_upset_frame_adds_the_repairs_11_frames(self, small_bank):
         copro, scrubber = self._protected_card(small_bank)
         address = copro.device.region_of("crc32").addresses[0]
         copro.device.memory.corrupt_bit(address, 1)
         dirty, builtins = self._work(scrubber.scrub_pass, None)
         assert dict(dirty - collections.Counter(self.CLEAN_PASS)) == self.REPAIR
-        assert sum(dirty.values()) == 5 + 12
+        assert sum(dirty.values()) == 5 + 11
         assert dict(builtins - collections.Counter(self.CLEAN_BUILTINS)) == self.REPAIR_BUILTINS
-        assert sum(builtins.values()) == 3 + 9
+        assert sum(builtins.values()) == 3 + 8
         assert scrubber.stats.corrected == 1
 
     def test_the_small_control_plane_fleet_replays_554_serves(

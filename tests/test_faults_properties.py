@@ -1,6 +1,6 @@
 """Property-based invariants of the fault/scrub/self-healing layer.
 
-Three guarantees the reliability story rests on:
+Four guarantees the reliability story rests on:
 
 1. **Scrub soundness** — whatever bits upsets flip, the frame afterwards is
    either CRC-detected (and then repaired byte-identically to golden) or its
@@ -11,10 +11,17 @@ Three guarantees the reliability story rests on:
    frame-by-frame reference (``tests/oracles/scrubber.py``) on every result,
    counter, cursor, clock instant and frame, and every frame that fails its
    check word is suspect.
-3. **Request conservation under card kills** — however cards die, every
+3. **Check words are never stale** — a frame's check word is stored beside
+   its bytes (a load's check words are worked out once per image): under
+   any sequence of loads, evictions, migration restores, defrag passes,
+   upsets and scrubs, every frame outside ``suspect`` matches its check word
+   and every unowned frame holds the erased image and its check word.
+4. **Request conservation under card kills** — however cards die, every
    arrival is eventually completed or rejected; the FleetStatistics counters
    balance exactly and nothing is silently dropped.
 """
+
+import zlib
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -143,9 +150,9 @@ class _WalkSide:
         self.writes = []
         write_region = self.memory.write_region
 
-        def logged(addresses, payloads, owner=None):
+        def logged(addresses, payloads, check_words, owner=None):
             self.writes.append((self.device.clock.now, tuple(addresses)))
-            return write_region(addresses, payloads, owner=owner)
+            return write_region(addresses, payloads, check_words, owner=owner)
 
         self.memory.write_region = logged
 
@@ -157,7 +164,7 @@ class _WalkSide:
             length = _WALK_GEOMETRY.frame_config_bytes
             payloads = [((seed + bytes([i])) * length)[:length] for i in indices]
             try:
-                self.memory.write_region(region, payloads, owner=owner)
+                self.memory.write_region(region, payloads, [zlib.crc32(p) for p in payloads], owner=owner)
             except FrameCollisionError as error:
                 return ("collision", error.owner)
             if golden:
@@ -201,6 +208,66 @@ class TestScrubWalkAgainstReference:
                 frames = side.memory.frames
                 corrupt = {a for a in _WALK_FRAMES if not frames[a].crc_ok}
                 assert corrupt <= side.memory.suspect
+
+
+_NAMES = _BANK.names()
+_CARD_STEPS = st.one_of(
+    # loads twice as often, so the fabric holds something to act on
+    st.tuples(st.just("load"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("load"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("evict"), st.sampled_from(_NAMES)),
+    # capture a resident function, evict it and restore it from the blob
+    st.tuples(st.just("restore"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("defrag"), st.one_of(st.none(), st.integers(1, 3))),
+    # upset: which configured frame (wrapped), which bit (wrapped)
+    st.tuples(st.just("upset"), st.integers(0, 1 << 10), st.integers(0, 1 << 16)),
+    st.tuples(st.just("scrub"), st.one_of(st.none(), st.integers(1, 80))),
+)
+
+
+def _apply_card_step(copro, step):
+    kind, *args = step
+    memory = copro.device.memory
+    if kind == "load":
+        copro.preload(args[0])
+    elif kind == "evict":
+        copro.evict(args[0])
+    elif kind == "restore":
+        if copro.is_loaded(args[0]):
+            blob = copro.capture_function(args[0])
+            copro.evict(args[0])
+            copro.restore_function(args[0], blob)
+    elif kind == "defrag":
+        copro.defrag(max_moves=args[0])
+    elif kind == "upset":
+        configured = memory.configured_frames()
+        if configured:
+            flat, bit = args
+            memory.corrupt_bit(configured[flat % len(configured)], bit % (memory.geometry.frame_config_bytes * 8))
+    else:
+        copro.scrub(max_frames=args[0])
+
+
+class TestCheckWordsNeverStale:
+    @given(steps=st.lists(_CARD_STEPS, min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_frame_outside_suspect_matches_its_check_word(self, steps):
+        """Upsets land on configured frames, as the fault injector's targeted
+        process aims them, so an erase is the only way a frame becomes
+        unowned and every unowned frame is erased."""
+        copro = build_coprocessor(config=SMALL_CONFIG, bank=_BANK)
+        copro.enable_fault_protection()
+        copro.enable_defrag()
+        memory = copro.device.memory
+        erased = bytes(copro.geometry.frame_config_bytes)
+        for step in steps:
+            _apply_card_step(copro, step)
+            for address, frame in memory.frames.by_address.items():
+                readback = memory.read_frame(address)
+                if address not in memory.suspect:
+                    assert frame.stored_crc == zlib.crc32(readback), (step, address)
+                if memory.owner_of(address) is None:
+                    assert (readback, frame.stored_crc) == (erased, zlib.crc32(erased)), (step, address)
 
 
 class TestKilledCardConservation:

@@ -17,9 +17,11 @@ from repro.faults import (
     GoldenImageStore,
 )
 from repro.fpga.config_memory import ConfigurationMemory
+from repro.fpga.config_port import ConfigurationPort
 from repro.fpga.frame import Frame
 from repro.fpga.geometry import TEST_GEOMETRY
 from repro.functions.bank import build_small_bank
+from repro.sim.clock import Clock
 from repro.sim.rand import SeededRandom
 
 
@@ -35,29 +37,34 @@ def protected_coprocessor():
 
 class TestFrameCheckWord:
     def test_fresh_and_cleared_frames_pass_crc(self):
-        frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
+        memory = ConfigurationMemory(TEST_GEOMETRY)
+        frame = memory.frames[TEST_GEOMETRY.all_frames()[0]]
         assert frame.crc_ok
-        frame.clear()
+        memory.clear_region([frame.address])
         assert frame.crc_ok
         assert frame.stored_crc == crc32(bytes(frame.config_byte_length))
 
     def test_legitimate_write_refreshes_check_word(self):
-        frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
+        memory = ConfigurationMemory(TEST_GEOMETRY)
+        frame = memory.frames[TEST_GEOMETRY.all_frames()[0]]
         payload = bytes(range(frame.config_byte_length % 256)).ljust(
             frame.config_byte_length, b"\x00"
         )
-        frame.load_config_bytes(payload)
+        # The port works out the check word of a payload it is handed.
+        ConfigurationPort(memory, Clock()).configure("f", [frame.address], [payload], crc32(payload))
         assert frame.to_config_bytes() == payload
         assert frame.crc_ok
         assert frame.stored_crc == crc32(payload)
 
     def test_upset_breaks_crc_and_clear_restores_it(self):
-        frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])
+        memory = ConfigurationMemory(TEST_GEOMETRY)
+        frame = memory.frames[TEST_GEOMETRY.all_frames()[0]]
         # Flip the LSB of the first LUT byte.
-        frame.inject_upset(0)
+        memory.corrupt_bit(frame.address, 0)
         assert not frame.crc_ok
-        frame.clear()
+        memory.clear_region([frame.address])
         assert frame.crc_ok
+        assert not memory.suspect
 
     def test_double_flip_is_byte_identical_but_interim_detected(self):
         frame = Frame(TEST_GEOMETRY, TEST_GEOMETRY.all_frames()[0])

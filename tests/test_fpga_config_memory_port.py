@@ -1,10 +1,14 @@
 """Tests for the configuration memory and the configuration port."""
 
+import re
+
 import pytest
 
 from repro.bitstream.crc import crc32
+from repro.bitstream.format import build_bitstream
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.config_port import ConfigurationPort
+from repro.fpga.device import FPGADevice
 from repro.fpga.errors import ConfigurationError, FrameCollisionError
 from repro.fpga.frame import FrameRegion
 from repro.sim.clock import Clock
@@ -14,20 +18,25 @@ def _payload(geometry, fill=0x11):
     return bytes([fill]) * geometry.frame_config_bytes
 
 
+def _write(memory, addresses, payloads, owner):
+    """``write_region`` with each payload's CRC-32 as its check word."""
+    return memory.write_region(addresses, payloads, [crc32(payload) for payload in payloads], owner=owner)
+
+
 class TestConfigurationMemory:
     def test_write_and_read_frame(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.all_frames()[0]
-        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
+        _write(memory, [address], [_payload(tiny_geometry)], owner="aes")
         assert memory.owner_of(address) == "aes"
         assert memory.read_frame(address) == _payload(tiny_geometry)
 
     def test_write_over_other_owner_rejected(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.all_frames()[2]
-        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
+        _write(memory, [address], [_payload(tiny_geometry)], owner="aes")
         with pytest.raises(FrameCollisionError):
-            memory.write_region([address], [_payload(tiny_geometry, 0x22)], owner="des")
+            _write(memory, [address], [_payload(tiny_geometry, 0x22)], owner="des")
 
     def test_claim_and_release(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
@@ -49,7 +58,7 @@ class TestConfigurationMemory:
     def test_clear_frame_erases_and_frees(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
         address = tiny_geometry.all_frames()[1]
-        memory.write_region([address], [_payload(tiny_geometry)], owner="aes")
+        _write(memory, [address], [_payload(tiny_geometry)], owner="aes")
         memory.clear_region([address])
         assert memory.owner_of(address) is None
         assert not any(memory.frames[address].to_config_bytes())
@@ -68,7 +77,7 @@ class TestConfigurationMemory:
 
     def test_clear_device(self, tiny_geometry):
         memory = ConfigurationMemory(tiny_geometry)
-        memory.write_region([tiny_geometry.all_frames()[0]], [_payload(tiny_geometry)], owner="aes")
+        _write(memory, [tiny_geometry.all_frames()[0]], [_payload(tiny_geometry)], owner="aes")
         memory.clear_region(FrameRegion.from_addresses(tiny_geometry.all_frames()))
         assert memory.unowned_frames() == tiny_geometry.all_frames()
         assert not any(memory.frames[tiny_geometry.all_frames()[0]].to_config_bytes())
@@ -109,7 +118,7 @@ class TestConfigurationPort:
 
     def test_abort_session_rolls_back(self, tiny_geometry):
         port, memory, _ = self._port(tiny_geometry)
-        memory.write_region([tiny_geometry.all_frames()[4]], [_payload(tiny_geometry)], owner="des")
+        _write(memory, [tiny_geometry.all_frames()[4]], [_payload(tiny_geometry)], owner="des")
         payloads = [_payload(tiny_geometry)] * 2
         with pytest.raises(FrameCollisionError):
             port.configure(
@@ -118,3 +127,55 @@ class TestConfigurationPort:
         assert memory.owner_of(tiny_geometry.all_frames()[3]) is None
         assert memory.owner_of(tiny_geometry.all_frames()[4]) == "des"
 
+
+
+class TestCheckWordWrites:
+    """A frame stores each payload and its check word as handed over, once
+    per image for a load; these are the write path's two failure cases."""
+
+    def test_a_bytearray_changed_after_its_write_leaves_the_frame_as_written(self, tiny_geometry):
+        memory = ConfigurationMemory(tiny_geometry)
+        address = tiny_geometry.all_frames()[3]
+        payload = bytearray(_payload(tiny_geometry, 0x5A))
+        _write(memory, [address], [payload], owner="aes")
+        payload[0] ^= 0xFF
+        frame = memory.frames[address]
+        assert memory.read_frame(address) == _payload(tiny_geometry, 0x5A)
+        assert frame.stored_crc == crc32(_payload(tiny_geometry, 0x5A))
+        assert frame.crc_ok
+
+    def test_a_transfer_whose_payloads_miss_the_expected_crc_clears_what_it_wrote(self, tiny_geometry):
+        """Through the device, with the bit-stream's kept payload CRC wrong:
+        the port writes every frame with its check word, finds the CRC of
+        the joined payloads differs, erases the frames, and the device
+        releases the region."""
+        device = FPGADevice(tiny_geometry)
+        payloads = [_payload(tiny_geometry, fill) for fill in (0x11, 0x22, 0x33)]
+        bitstream = build_bitstream(7, "aes", payloads, 4, 4)
+        bitstream.payload_crc ^= 1
+        region = FrameRegion.from_addresses(tiny_geometry.all_frames()[2:5])
+        transfer_ns = device.port.transfer_time_ns(payloads)
+        with pytest.raises(ConfigurationError, match="CRC mismatch"):
+            device.configure_partial(bitstream, region, None, transfer_ns)
+        erased = bytes(tiny_geometry.frame_config_bytes)
+        for address in tiny_geometry.all_frames():
+            frame = device.memory.frames[address]
+            assert (frame.to_config_bytes(), frame.stored_crc) == (erased, crc32(erased))
+            assert device.memory.owner_of(address) is None
+        assert not device.is_loaded("aes")
+        # The transfer happened before the check failed: its time is spent.
+        assert device.clock.now == transfer_ns
+        assert device.port.stats.frames_written == 3
+
+    def test_a_wrong_length_payload_is_refused_before_any_frame_is_written(self, tiny_geometry):
+        memory = ConfigurationMemory(tiny_geometry)
+        addresses = tiny_geometry.all_frames()[:3]
+        payloads = [_payload(tiny_geometry), b"\x01\x02", _payload(tiny_geometry)]
+        with pytest.raises(ValueError, match=rf"^frame {re.escape(str(addresses[1]))} expects \d+ config bytes, got 2$"):
+            _write(memory, addresses, payloads, owner="aes")
+        assert memory.unowned_frames() == tiny_geometry.all_frames()
+        assert not any(any(memory.read_frame(address)) for address in addresses)
+        # A wrong-length payload past the last address is refused too.
+        with pytest.raises(ValueError, match=r"^a payload without an address has 2 bytes, not \d+$"):
+            _write(memory, addresses[:1], payloads[::-1], owner="aes")
+        assert memory.unowned_frames() == tiny_geometry.all_frames()

@@ -25,7 +25,9 @@ def _load(device, function, start_frame=0):
         netlist, placement, function.function_id, function.spec.input_bytes, function.spec.output_bytes
     )
     executor = function.executor(geometry)
-    elapsed = device.configure_partial(bitstream, placement.region, executor)
+    elapsed = device.configure_partial(
+        bitstream, placement.region, executor, device.port.transfer_time_ns(bitstream.frames)
+    )
     return bitstream, placement.region, elapsed
 
 
@@ -70,7 +72,7 @@ class TestPartialConfiguration:
         if len(wrong_region) == len(region):
             wrong_region = FrameRegion.from_addresses(list(region) + [tiny_geometry.all_frames()[10]])
         with pytest.raises(ConfigurationError):
-            device.configure_partial(bitstream, wrong_region, adder.executor(tiny_geometry))
+            device.configure_partial(bitstream, wrong_region, adder.executor(tiny_geometry), 0)
 
     def test_unload_frees_frames_and_disables_execution(self, tiny_geometry):
         device = FPGADevice(tiny_geometry)
@@ -102,7 +104,9 @@ class TestPartialConfiguration:
         new_region = FrameRegion.from_addresses(
             [tiny_geometry.all_frames()[index + 8] for index in range(len(region))]
         )
-        device.configure_partial(bitstream, new_region, popcount.executor(tiny_geometry))
+        device.configure_partial(
+            bitstream, new_region, popcount.executor(tiny_geometry), device.port.transfer_time_ns(bitstream.frames)
+        )
         assert set(device.region_of("popcount8")) == set(new_region)
         owners = device.memory.owners()
         assert set(owners["popcount8"]) == set(new_region)

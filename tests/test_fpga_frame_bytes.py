@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles.clb_layout import CLB_BYTES, load_clb
 from repro.bitstream.crc import crc32
 from repro.fpga.clb import ConfigurableLogicBlock
-from repro.fpga.frame import Frame
+from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.geometry import FabricGeometry
 
 
@@ -48,8 +48,9 @@ def frames_with_bytes(draw):
 @given(frames_with_bytes(), st.integers(min_value=0, max_value=1 << 14))
 def test_inject_upset_matches_the_per_clb_reparse(case, bit_index):
     geometry, data = case
-    frame = Frame(geometry, geometry.all_frames()[0])
-    frame.load_config_bytes(data)
+    memory = ConfigurationMemory(geometry)
+    frame = memory.frames[geometry.all_frames()[0]]
+    memory.write_region([frame.address], [data], [crc32(data)])
     before = frame.to_config_bytes()
     stored = frame.stored_crc
     expected_after = reference_inject_upset(before, bit_index)

@@ -1,13 +1,15 @@
 """Tests for the placer and the bit-stream generator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.clb_layout import decode_clbs
+from oracles.placement import reference_contiguous_run
 from repro.bitstream.format import parse_bitstream
 from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.errors import PlacementError
-from repro.fpga.frame import Frame
-from repro.fpga.geometry import LUTS_PER_CLB
+from repro.fpga.geometry import LUTS_PER_CLB, FabricGeometry
 from repro.fpga.placer import Placer, PlacementStrategy
 from repro.functions.netgen import build_adder_netlist, build_parity_netlist
 
@@ -80,6 +82,51 @@ class TestPlacer:
         assert placer.fragmentation(scattered) == pytest.approx(0.75)
 
 
+#: Four columns of four tiles (a run may cross a column boundary) and one
+#: column of twelve.
+_GEOMETRIES = (
+    FabricGeometry(columns=4, rows=16, clb_rows_per_frame=4),
+    FabricGeometry(columns=1, rows=24, clb_rows_per_frame=2),
+)
+
+
+@st.composite
+def _free_frames(draw):
+    """A geometry and a set of its frames, in a drawn order."""
+    geometry = draw(st.sampled_from(_GEOMETRIES))
+    frames = geometry.all_frames()
+    indices = draw(st.lists(st.integers(0, len(frames) - 1), unique=True, max_size=len(frames)))
+    return geometry, [frames[index] for index in indices]
+
+
+class TestContiguousRunAgainstReference:
+    @given(_free_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_the_span_scan_is_the_run_building_scan(self, case):
+        """Every ``frames_needed`` from 1 to one more than the free frames:
+        the same frames or ``None``, and ``choose_frames`` under each
+        strategy picks what the reference run implies."""
+        geometry, free = case
+        ordered = sorted(free)
+        tiles = geometry.tiles_per_column
+        placers = {strategy: Placer(geometry, strategy) for strategy in PlacementStrategy}
+        for frames_needed in range(1, len(free) + 2):
+            expected = reference_contiguous_run(ordered, frames_needed, tiles)
+            for strategy, placer in placers.items():
+                assert placer._find_contiguous_run(ordered, frames_needed) == expected
+                if frames_needed > len(free) or (
+                    strategy is PlacementStrategy.CONTIGUOUS_ONLY and expected is None
+                ):
+                    with pytest.raises(PlacementError):
+                        placer.choose_frames(frames_needed, free)
+                    continue
+                if strategy is PlacementStrategy.SCATTER or expected is None:
+                    expected_choice = ordered[:frames_needed]
+                else:
+                    expected_choice = expected
+                assert placer.choose_frames(frames_needed, free) == expected_choice
+
+
 class TestBitstreamGenerator:
     def test_generated_bitstream_parses_and_matches_geometry(self, tiny_geometry):
         placer = Placer(tiny_geometry)
@@ -99,13 +146,10 @@ class TestBitstreamGenerator:
         netlist = build_adder_netlist(8)
         placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         payloads = generator.render_frames(netlist, placement)
-        configured_luts = 0
-        for slot, address in enumerate(placement.region):
-            frame = Frame(tiny_geometry, address)
-            frame.load_config_bytes(payloads[slot])
-            configured_luts += sum(
-                1 for clb in decode_clbs(frame.geometry, frame.to_config_bytes()) for lut in clb.luts if lut.as_integer() != 0
-            )
+        assert len(payloads) == len(placement.region)
+        configured_luts = sum(
+            1 for payload in payloads for clb in decode_clbs(tiny_geometry, payload) for lut in clb.luts if lut.as_integer() != 0
+        )
         # Every non-trivial LUT cell of the netlist appears in the frames.
         nontrivial = sum(1 for cell in netlist.lut_cells if cell.lut.as_integer() != 0)
         assert configured_luts == nontrivial
@@ -134,10 +178,8 @@ class TestBitstreamGenerator:
         frames = generator.synthetic_frames(frame_count=2, lut_count=10, seed=1)
         configured = 0
         for payload in frames:
-            frame = Frame(tiny_geometry, tiny_geometry.all_frames()[0])
-            frame.load_config_bytes(payload)
             configured += sum(
-                1 for clb in decode_clbs(frame.geometry, frame.to_config_bytes()) for lut in clb.luts if lut.as_integer() != 0
+                1 for clb in decode_clbs(tiny_geometry, payload) for lut in clb.luts if lut.as_integer() != 0
             )
         assert configured == 10
 

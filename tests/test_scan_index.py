@@ -295,6 +295,9 @@ class Codec:
 
 
 class Rle(Codec):
+    def __init__(self):
+        self.level = 1
+
     def compress(self, data):
         return data
 
@@ -304,6 +307,12 @@ class Rle(Codec):
 
     def never(self):
         return 0
+
+    def __len__(self):
+        return 0
+
+    def __repr__(self):
+        return "Rle()"
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,9 +326,10 @@ def unused():
 
 
 def test_the_runtime_leg_flags_what_never_ran_but_not_an_interface(tmp_path):
-    """A function whose code object no call entered is flagged; a decorated
-    one that ran is not (its code starts at the decorator), and an interface
-    body is exempt by its shape."""
+    """A function whose code object no call entered is flagged, a dunder
+    too; a decorated one that ran is not (its code starts at the decorator),
+    an interface body is exempt by its shape and a ``__repr__`` by its
+    name."""
     path = (tmp_path / "runtime_module.py").resolve()
     path.write_text(RUNTIME_SOURCE)
     spec = importlib.util.spec_from_file_location("runtime_module", path)
@@ -335,10 +345,13 @@ def test_the_runtime_leg_flags_what_never_ran_but_not_an_interface(tmp_path):
     ran, _ = scans.traced_runs(drive)
     assert set(index.functions) == {
         "runtime_module.py:" + name for name in (
-            "Codec.compress", "Codec.name", "Rle.compress", "Rle.ratio", "Rle.never", "build", "unused",
+            "Codec.compress", "Codec.name", "Rle.__init__", "Rle.compress", "Rle.ratio", "Rle.never",
+            "Rle.__len__", "Rle.__repr__", "build", "unused",
         )
     }
-    assert scans.never_ran(index.functions, ran) == {"runtime_module.py:Rle.never", "runtime_module.py:unused"}
+    assert scans.never_ran(index.functions, ran) == {
+        "runtime_module.py:" + name for name in ("Rle.never", "Rle.__len__", "unused")
+    }
 
 
 RESIDUE_SOURCE = '''
