@@ -23,10 +23,6 @@ class FullReconfigEngine:
         # The underlying card is identical; only the loading discipline changes.
         self.coprocessor = AgileCoprocessor(config, bank)
         self.bank = bank
-        # frame count -> penalty; the port timing parameters never change
-        # after construction, so the per-switch penalty is a pure function of
-        # the incoming function's frame footprint.
-        self._penalty_cache: dict = {}
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -40,14 +36,9 @@ class FullReconfigEngine:
         reconfiguration additionally rewrites every other frame (with blank
         configuration data), through the same port.
         """
-        penalty = self._penalty_cache.get(function_frames)
-        if penalty is None:
-            geometry = self.coprocessor.geometry
-            port = self.coprocessor.device.port
-            remaining = geometry.frame_count - function_frames
-            penalty = remaining * port.write_time_ns(geometry.frame_config_bytes)
-            self._penalty_cache[function_frames] = penalty
-        return penalty
+        geometry = self.coprocessor.geometry
+        remaining = geometry.frame_count - function_frames
+        return remaining * self.coprocessor.device.port.write_time_ns(geometry.frame_config_bytes)
 
     # ---------------------------------------------------------------- API
     def execute(self, name: str, data: bytes) -> BaselineResult:

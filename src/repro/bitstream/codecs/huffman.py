@@ -8,17 +8,19 @@ captures without needing any knowledge of the frame structure.
 Decoding is table driven: a fixed-width lookup table maps the next
 ``_TABLE_BITS`` bits of the stream to *every complete symbol* inside that
 window at once, so the hot loop emits several bytes per table probe instead
-of walking the code tree bit by bit.  Tables are memoised per length-table
-(windows of the same image usually share a histogram), and codes longer than
-the table width fall back to a ``(length, code) -> symbol`` dictionary.  The
-wire format is unchanged from the original per-bit implementation.
+of walking the code tree bit by bit.  Each ``decompress`` builds its own
+table: a card decodes an image once and replays every later load from the
+configuration module's memo, so a table is rarely asked for twice.  Codes
+longer than the table width fall back to a ``(length, code) -> symbol``
+dictionary.  The wire format is unchanged from the original per-bit
+implementation.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.bitstream.codecs.base import Codec, CodecError, register_codec
@@ -29,10 +31,6 @@ _MAX_CODE_LENGTH = 32
 #: construction cheap while letting short (skewed-histogram) codes decode
 #: many symbols per probe.
 _TABLE_BITS = 12
-
-#: Decode tables memoised per 256-byte length table, LRU-evicted.
-_TABLE_CACHE_SIZE = 16
-_TABLE_CACHE: "OrderedDict[bytes, _DecodeTable]" = OrderedDict()
 
 
 def _code_lengths(data: bytes) -> List[int]:
@@ -99,45 +97,28 @@ class _DecodeTable:
         }
         width = _TABLE_BITS
         size = 1 << width
-        # First pass: one symbol per window (packed as length << 8 | symbol).
+        # First pass: one symbol per window (packed as length << 8 | symbol);
+        # a code longer than the table is left to ``long_codes``.
         first: List[int] = [0] * size
-        for symbol, (code, length) in codes.items():
-            if length > width:
-                continue
-            base = code << (width - length)
-            entry = (length << 8) | symbol
-            first[base : base + (1 << (width - length))] = [entry] * (1 << (width - length))
+        for symbol, code, length in [(s, c, n) for s, (c, n) in codes.items() if n <= width]:
+            span = 1 << (width - length)
+            first[code * span : (code + 1) * span] = [(length << 8) | symbol] * span
         # Second pass: greedily chain symbols until the window is exhausted.
         multi: List[Optional[Tuple[int, bytes]]] = [None] * size
-        for window in range(size):
-            entry = first[window]
-            if not entry:
-                multi[window] = None
-                continue
-            consumed = 0
-            symbols = bytearray()
-            while entry:
-                length = entry >> 8
-                if consumed + length > width:
-                    break
-                consumed += length
-                symbols.append(entry & 0xFF)
-                remaining = width - consumed
-                entry = first[((window & ((1 << remaining) - 1)) << consumed)] if remaining else 0
-            multi[window] = (consumed, bytes(symbols))
+        for window, entry in enumerate(first):
+            if entry:
+                consumed = 0
+                symbols = bytearray()
+                while entry:
+                    length = entry >> 8
+                    if consumed + length > width:
+                        break
+                    consumed += length
+                    symbols.append(entry & 0xFF)
+                    remaining = width - consumed
+                    entry = first[((window & ((1 << remaining) - 1)) << consumed)] if remaining else 0
+                multi[window] = (consumed, bytes(symbols))
         self.multi = multi
-
-
-def _decode_table(length_bytes: bytes) -> _DecodeTable:
-    table = _TABLE_CACHE.get(length_bytes)
-    if table is not None:
-        _TABLE_CACHE.move_to_end(length_bytes)
-        return table
-    table = _DecodeTable(list(length_bytes))
-    _TABLE_CACHE[length_bytes] = table
-    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-        _TABLE_CACHE.popitem(last=False)
-    return table
 
 
 class HuffmanCodec(Codec):
@@ -189,7 +170,7 @@ class HuffmanCodec(Codec):
             return blob[4:]
         if len(blob) < 4 + 256:
             raise CodecError("truncated Huffman length table")
-        table = _decode_table(blob[4 : 4 + 256])
+        table = _DecodeTable(list(blob[4 : 4 + 256]))
         payload = blob[4 + 256 :]
         multi = table.multi
         width = _TABLE_BITS

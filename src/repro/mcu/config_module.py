@@ -80,44 +80,32 @@ class ConfigurationModule:
         self.domain = ClockDomain("mcu-config", MCU_CLOCK_HZ)
         self.overlap_decompress = overlap_decompress
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # blob -> parsed CompressedImage; repeated reconfigurations of the
-        # same function re-read the ROM (timed) but skip re-parsing and
-        # re-CRC-checking an image already seen.
-        self._image_cache: dict = {}
+        # blob -> what a load of it needs: (bit-stream, decompression ns, port
+        # ns, window count).  A repeated load of one function re-reads the ROM
+        # (timed) but decodes once; a blob that fails to decode, or that a
+        # migration refuses, is never stored.
+        self._decode_memo: dict = {}
 
     # ------------------------------------------------------------ decompress
-    def _image(self, blob: bytes) -> CompressedImage:
-        """*blob* parsed; a blob seen before skips re-parsing and re-CRC-checking."""
-        image = self._image_cache.get(blob)
-        if image is None:
-            image = self._image_cache[blob] = CompressedImage.from_bytes(blob)
-        return image
+    def _decode(self, blob: bytes) -> tuple:
+        """``(bit-stream, decompression ns, port ns, window count)`` of
+        *blob*, decoded now; the callers keep it in the memo.
 
-    def _decode(self, image: CompressedImage) -> tuple:
-        """Decompress and parse *image* once; returns (bitstream, decompress
-        time, port time).
-
-        The memo rides on the image object itself, so its lifetime (and the
-        cache's) is exactly the image's, and it is filled on the image's
-        first load.  Neither time depends on the region: the decompression
-        time is the sum of the per-window rounded terms and the port time is
+        Neither time depends on the region: the decompression time is the sum
+        of the per-window rounded terms and the port time is
         :meth:`~repro.fpga.config_port.ConfigurationPort.transfer_time_ns` of
         the frames, so simulated time is the same with or without a memo hit;
         only the host-side work is skipped.
         """
-        memo = getattr(image, "_decoded_memo", None)
-        if memo is not None:
-            return memo
-        decompressor = WindowedDecompressor(image, get_codec(image.codec_name))
-        raw_windows = list(decompressor.windows())
+        image = CompressedImage.from_bytes(blob)
+        raw_windows = list(WindowedDecompressor(image, get_codec(image.codec_name)).windows())
         bitstream = parse_bitstream(b"".join(raw_windows))
         decompress_time = sum(
             self._window_time_ns(len(compressed), len(raw))
             for compressed, raw in zip(image.windows, raw_windows)
         )
-        memo = (bitstream, decompress_time, self.device.port.transfer_time_ns(bitstream.frames))
-        image._decoded_memo = memo
-        return memo
+        port_time = self.device.port.transfer_time_ns(bitstream.frames)
+        return bitstream, decompress_time, port_time, image.window_count
 
     def _window_time_ns(self, compressed_bytes: int, raw_bytes: int) -> int:
         """MCU time to turn one window between its compressed and raw forms:
@@ -148,8 +136,9 @@ class ConfigurationModule:
         self.clock.advance(elapsed)
         return image.to_bytes()
 
-    def _decode_blob(self, name: str, blob: bytes) -> CompressedImage:
-        """Parse and sanity-check a migration blob; side-effect free.
+    def _decode_blob(self, name: str, blob: bytes) -> tuple:
+        """Decode and sanity-check a migration blob; stores it in the memo
+        only once it passes, and touches nothing else.
 
         Raises :class:`ConfigurationError` on a truncated/corrupted transfer,
         a blob for a different function, or a frame-size mismatch.  The
@@ -160,26 +149,28 @@ class ConfigurationModule:
         from repro.bitstream.codecs.base import CodecError
         from repro.bitstream.format import BitstreamFormatError
 
-        try:
-            image = self._image(blob)
-            bitstream = self._decode(image)[0]
-        except (CodecError, BitstreamFormatError) as error:
-            # A truncated or corrupted transfer fails like a bad bit-stream,
-            # not like a programming error: the card answers CONFIG_FAILED
-            # and the source copy keeps serving.
-            raise ConfigurationError(f"malformed migration blob: {error}") from None
-        if bitstream.header.function_name != name:
+        decoded = self._decode_memo.get(blob)
+        if decoded is None:
+            try:
+                decoded = self._decode(blob)
+            except (CodecError, BitstreamFormatError) as error:
+                # A truncated or corrupted transfer fails like a bad
+                # bit-stream, not like a programming error: the card answers
+                # CONFIG_FAILED and the source copy keeps serving.
+                raise ConfigurationError(f"malformed migration blob: {error}") from None
+        header = decoded[0].header
+        if header.function_name != name:
             raise ConfigurationError(
-                f"migration blob carries {bitstream.header.function_name!r}, "
-                f"not {name!r}"
+                f"migration blob carries {header.function_name!r}, not {name!r}"
             )
-        if bitstream.header.frame_payload_bytes != self.device.geometry.frame_config_bytes:
+        if header.frame_payload_bytes != self.device.geometry.frame_config_bytes:
             raise ConfigurationError(
-                f"migration blob has {bitstream.header.frame_payload_bytes}-byte "
+                f"migration blob has {header.frame_payload_bytes}-byte "
                 f"frames but this fabric uses "
                 f"{self.device.geometry.frame_config_bytes}-byte frames"
             )
-        return image
+        self._decode_memo[blob] = decoded
+        return decoded
 
     def validate_transfer_blob(self, name: str, blob: bytes) -> None:
         """Check a migration blob without touching the device.
@@ -205,8 +196,8 @@ class ConfigurationModule:
         The only difference from :meth:`reconfigure` is the missing ROM fetch:
         the image arrived over the PCI instead.
         """
-        image = self._decode_blob(name, blob)
-        return self._apply_image(name, image, self.clock.now, region, executor)
+        decoded = self._decode_blob(name, blob)
+        return self._apply(name, decoded, self.clock.now, region, executor)
 
     # -------------------------------------------------------------- configure
     def reconfigure(
@@ -218,26 +209,30 @@ class ConfigurationModule:
         """Full on-demand reconfiguration path: ROM → decompress → config port."""
         started = self.clock.now
         blob = self.rom.read_bitstream(name, chunk_bytes=ROM_CHUNK_BYTES)
-        return self._apply_image(name, self._image(blob), started, region, executor)
+        decoded = self._decode_memo.get(blob)
+        if decoded is None:
+            decoded = self._decode_memo[blob] = self._decode(blob)
+        return self._apply(name, decoded, started, region, executor)
 
-    def _apply_image(
+    def _apply(
         self,
         name: str,
-        image: CompressedImage,
+        decoded: tuple,
         started: int,
         region: FrameRegion,
         executor: FunctionExecutor,
     ) -> ReconfigurationReport:
-        """Shared decompress-and-configure tail of reconfigure/restore; the
-        image's fetch (if any) ran from *started* to now."""
+        """Shared decompress-and-configure tail of reconfigure/restore, for
+        *decoded* (:meth:`_decode`); the image's fetch (if any) ran from
+        *started* to now."""
         rom_time = self.clock.now - started
-        bitstream, decompress_time, transfer = self._decode(image)
+        bitstream, decompress_time, transfer, window_count = decoded
         exposed = decompress_time
         if self.overlap_decompress:
             # A pipeline: window i+1 decompresses while window i is written,
             # so the port's transfer hides all but the decompression it
             # cannot cover, and one window of fill latency remains.
-            window_fill = round(decompress_time / max(1, image.window_count))
+            window_fill = round(decompress_time / max(1, window_count))
             exposed = min(decompress_time, max(decompress_time - transfer, 0) + window_fill)
         self.clock.advance(exposed)
         port_time = self.device.configure_partial(bitstream, region, executor, transfer)

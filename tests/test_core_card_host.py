@@ -260,7 +260,7 @@ class TestHostCallWork:
             "int.to_bytes": 1,
         }
 
-    def test_a_churn_miss_pair_enters_382_frames(self, default_bank):
+    def test_a_churn_miss_pair_enters_378_frames(self, default_bank):
         """The miss path's work counter: Python frames entered under
         ``src/repro/`` per pair of misses, by package.  The card is
         ``card_reconfig_churn``'s (an 8 x 64 fabric at 8 rows per frame, so
@@ -274,10 +274,10 @@ class TestHostCallWork:
         A pair writes 88 frames and erases 88, and the host work is per load,
         not per frame: what does not depend on the region (the payload CRC,
         each frame's check word, the decompression time and the port time)
-        is worked out on an image's first load and kept with the decoded
-        image, and the memory's region loops store each frame's bytes and
-        check word, or rebind it to the shared erased image, without a call
-        per frame.  ``fpga`` 58: per load the claim, the memory's
+        is worked out on an image's first load and kept in the configuration
+        module's one decode memo, keyed by the blob, and the memory's region
+        loops store each frame's bytes and check word, or rebind it to the
+        shared erased image, without a call per frame.  ``fpga`` 58: per load the claim, the memory's
         ``write_region`` and ``clear_region``, the port's ``transfer``, the
         device's ``configure_partial``, ``_bind``, ``unload`` and
         ``execute``, the executor's ``run`` and ``cycles_for``, and
@@ -287,9 +287,13 @@ class TestHostCallWork:
         ``__iter__`` 12, its construction 4).  ``bitstream`` 2 is the port's
         one ``crc32`` over the joined payloads per load.  ``sim`` 145:
         ``clock.now`` 66, ``record`` 43, ``advance`` 28 and ``cycles_to_ns``
-        8.  ``mcu`` 64 is the microcontroller's load and the mini OS's plan
+        8.  ``mcu`` 60 is the microcontroller's load and the mini OS's plan
         and commits; the Free Frame List it plans from is one scan of the
         replacement table.
+
+        382 while the decoded image sat in two memos with one key, the
+        module's blob -> image dict and an attribute on the image, read by
+        an ``_image`` and a ``_decode`` frame per load (``mcu`` 64).
 
         649 while each load re-derived what its image already fixed: the
         payload CRC (``payload_crc`` and its ``crc32``, ``bitstream`` 6),
@@ -319,10 +323,11 @@ class TestHostCallWork:
 
         The pair's builtin calls (``c_call`` events, by name) are pinned
         beside its frames, because a builtin method call enters no frame:
-        415, two of them ``crc32`` (the port's check, one per load).  A
+        413, two of them ``crc32`` (the port's check, one per load).  A
         fault-free memory's ``suspect`` set is empty, so a write and an erase
-        call nothing on it.  917 while each frame written made a ``len`` (its
-        length check) and a ``crc32`` (its check word), each load a ``len``
+        call nothing on it.  415 while each load read the image's memo
+        attribute with a ``getattr``; 917 while each frame written made a
+        ``len`` (its length check) and a ``crc32`` (its check word), each load a ``len``
         per payload for its port time, the contiguous-run scan a ``len`` and
         a ``list.append`` per candidate, and the decompression time a
         ``len`` and a ``round`` per window (``len`` 364, ``list.append`` 322,
@@ -350,7 +355,7 @@ class TestHostCallWork:
         )
         assert dict(per_pair) == {
             "sim": 145,
-            "mcu": 64,
+            "mcu": 60,
             "fpga": 58,
             "functions": 42,
             "pci": 28,
@@ -358,14 +363,14 @@ class TestHostCallWork:
             "core": 18,
             "bitstream": 2,
         }
-        assert sum(per_pair.values()) == 382
+        assert sum(per_pair.values()) == 378
         assert builtins == {
             "len": 75, "list.append": 236, "crc32": 2, "int.from_bytes": 1, "round": 35,
             "iter": 16, "dict.get": 6, "min": 9, "max": 6, "hash": 4, "sorted": 4,
             "dict.values": 4, "dict.pop": 4, "sum": 2, "bytes.join": 2, "set.add": 2,
-            "list.extend": 2, "getattr": 2, "bytearray.extend": 2, "int.to_bytes": 1,
+            "list.extend": 2, "bytearray.extend": 2, "int.to_bytes": 1,
         }
-        assert sum(builtins.values()) == 415
+        assert sum(builtins.values()) == 413
 
 
 class TestScrubWork:

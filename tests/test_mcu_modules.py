@@ -9,6 +9,7 @@ from repro.core.card import CoprocessorCard
 from repro.core.config import CoprocessorConfig
 from repro.fpga.bitgen import BitstreamGenerator
 from repro.fpga.device import FPGADevice
+from repro.fpga.errors import ConfigurationError
 from repro.fpga.placer import Placer
 from repro.functions.misc.logic import AdderFunction
 from repro.mcu import config_module
@@ -99,6 +100,47 @@ class TestConfigurationModule:
         size = rom.record_for(function.name).compressed_size
         assert rom.total_reads == -(-size // 64) > 1
         assert report.rom_time_ns > ROM_TIMING.transfer_time_ns(size)
+
+
+def _transfer_blob(geometry):
+    """adder8 loaded from the ROM, captured and compressed for a migration:
+    ``(its module, the blob, its region)``."""
+    _, _, device, module, function, region = _configured_system(geometry)
+    module.reconfigure(function.name, region, function.executor(geometry))
+    blob = module.compress_for_transfer(device.capture_function(function.name), "rle", 256)
+    return module, blob, region
+
+
+class TestDecodeMemo:
+    """The module decodes a blob once and keeps what a load needs, keyed by
+    the blob; a blob that fails to decode or is refused is never kept."""
+
+    def test_a_refused_blob_is_refused_every_time_and_never_kept(self, tiny_geometry):
+        _, blob, _ = _transfer_blob(tiny_geometry)
+        module = _configured_system(tiny_geometry)[3]
+        for name, refused in (("adder8", blob[: len(blob) // 2]), ("crc32", blob)):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    module.validate_transfer_blob(name, refused)
+            assert refused not in module._decode_memo
+        module.validate_transfer_blob("adder8", blob)
+        assert blob in module._decode_memo
+
+    def test_a_restore_after_a_rom_load_matches_a_fresh_module(self, tiny_geometry):
+        loaded, blob, region = _transfer_blob(tiny_geometry)
+        # The blob is the ROM's image, so the restore below hits the memo
+        # the ROM load filled; the fresh module decodes it.
+        assert blob in loaded._decode_memo
+        fresh = _configured_system(tiny_geometry)[3]
+        assert fresh._decode_memo == {}
+        executor = AdderFunction().executor(tiny_geometry)
+        loaded.device.unload("adder8")
+        reports = [module.restore_from_blob("adder8", blob, region, executor) for module in (loaded, fresh)]
+        assert reports[0] == reports[1]
+        (bitstream, *times), (fresh_bitstream, *fresh_times) = loaded._decode(blob), fresh._decode(blob)
+        assert bitstream.to_bytes() == fresh_bitstream.to_bytes()
+        assert times == fresh_times
+        assert loaded.device.readback("adder8") == fresh.device.readback("adder8")
 
 
 class TestDataModules:

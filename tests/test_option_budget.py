@@ -62,14 +62,14 @@ unreached.  A definition's use of itself never counts.  ``C(...)`` sets
 
 The static scans see names, not runs: a common method name or a use on a
 path no workload takes keeps a function alive.  So a runtime leg, ``python
-tests/test_option_budget.py --runs`` (~110 s under the tracer on 2 vCPUs,
+tests/test_option_budget.py --runs`` (80-100 s under the tracer on 2 vCPUs,
 CI's ``fingerprints`` job), runs every shipped user once in this process
 under one ``sys.settrace`` / ``threading.settrace`` hook
 (:func:`shipped_users`: the twelve report builders, ``fingerprints.py --check
 --tiny``, each ledger shape in the worker's traced mode, one shard's worker
 body) that sees every call and, for a code object under ``src/repro`` with a
 statement still to run, its lines (:func:`traced_runs`).  It checks two
-levels:
+levels, and takes a cache census:
 
 - *Functions.*  It lists each function under ``src/repro`` whose code never
   ran, dunders included (a ``__repr__`` and a body that is only a docstring,
@@ -85,14 +85,22 @@ levels:
   function and fails when the total exceeds ``LINE_RESIDUE_BUDGET``: what is
   left is error handling a call can reach, an empty-input return, or a
   branch of a model no shipped cell takes, and the budget only goes down.
+- *Caches.*  Every cache in ``src/repro`` (:func:`caches`: an ``lru_cache``,
+  a ``cached_property``, a ``*Cache`` / ``*Memo`` class, a dict named
+  ``*_cache``, ``*_memo`` or ``_CACHE``) is named in ``CACHES`` with the
+  shipped user it serves (:func:`test_every_cache_names_its_user`, tier-1).
+  :class:`CacheCensus` wraps each one from here for the run and prints a
+  ``cache:`` row of hits/misses per shipped user; it fails when a cache no
+  shipped user hits: such a cache saves no work, so it goes.
 
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote —,
 ``--scan PATH...`` prints the definitions, options and fields under
 ``src/repro`` paths, ``*`` marking each one nothing outside ``tests/``
 reaches, sets or reads, then the three totals, and ``--runs`` runs the
-runtime leg, printing each function's residue, each function that never ran
-and is not kept, each kept one that ran, then the totals.
+runtime leg, printing each function's residue, each cache's census row, each
+function that never ran and is not kept, each kept one that ran, each cache no
+shipped user hit, then the totals.
 """
 
 import ast
@@ -115,8 +123,8 @@ FLEET_CODE_LINE_BUDGET = 603
 SIM_CODE_LINE_BUDGET = 299
 STATS_CODE_LINE_BUDGET = 411
 NET_CODE_LINE_BUDGET = 732
-SRC_CODE_LINE_BUDGET = 10_050
-LINE_RESIDUE_BUDGET = 217
+SRC_CODE_LINE_BUDGET = 10_022
+LINE_RESIDUE_BUDGET = 214
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -749,6 +757,260 @@ KEPT_RUNS = {
 }
 
 
+#: Every cache in ``src/repro`` (:func:`caches`) and the shipped user it
+#: serves.  ``--runs`` prints each one's hits and misses per shipped user.  A
+#: process-global one (an ``lru_cache``, a module's dict, the
+#: ``BitstreamCache`` singleton) outlives the run that filled it, so its entry
+#: says why a hit cannot change an answer.
+CACHES = {
+    "fpga/geometry.py:FabricGeometry.tiles_per_column": (
+        "the placer's contiguous-run scan and every frame address check, on every load"
+    ),
+    "fpga/geometry.py:FabricGeometry.frame_count": (
+        "the mini OS's capacity check on every load, the rebalancer's free frames and the baselines' device size"
+    ),
+    "fpga/geometry.py:FabricGeometry.frame_config_bytes": (
+        "every frame's byte length: its erased image, the port's time and a migration blob's frame-size check"
+    ),
+    "fpga/geometry.py:_raster": (
+        "FabricGeometry.all_frames, which each card's configuration memory and placer take; "
+        "process-global: a geometry is a frozen value, so a hit returns the addresses a miss builds"
+    ),
+    "fpga/bitgen.py:BitstreamCache": (
+        "each card's ROM download renders and compresses a bank function once per process, and "
+        "benchmarks/e2e/worker.py reads its stats(); process-global: its key holds every input of "
+        "the bytes, so a hit is byte-identical to a fresh render"
+    ),
+    "fpga/frame.py:erased_image": (
+        "every Frame and every configuration memory: the erased image and its check word; "
+        "process-global: a pure function of the frame length"
+    ),
+    "obs/names.py:device_span_name": (
+        "a traced card's device-span bridge, once per device event; process-global: a pure "
+        "function of two strings"
+    ),
+    "bitstream/format.py:Bitstream.payload_crc": "the port's CRC check on every load of a decoded image",
+    "bitstream/format.py:Bitstream.check_words": "the memory's check words on every load of a decoded image",
+    "functions/base.py:HardwareFunction._netlist_cache": "each function's netlist, read for its executor and footprint",
+    "functions/base.py:HardwareFunction._executor_cache": "the executor the fabric binds on every load",
+    "functions/base.py:HardwareFunction._frames_cache": "the footprint the mini OS plans every load from",
+    "functions/crypto/des.py:_tables": (
+        "every Des() the bank's des and 3des build; process-global: the tables are constants "
+        "of the cipher"
+    ),
+    "functions/dsp/fft.py:_plan": (
+        "every fft call's butterfly plan; process-global: a pure function of the length"
+    ),
+    "cluster/fastpath.py:ServeMemo": "the fleet's hit fast path: a resident hit replays its recorded serve",
+    "analysis/sketch.py:StreamingQuantileSketch._bucket_memo": (
+        "the fleet's latency sketches, where a latency repeats: 51-56 % of adds hit on the three "
+        "frontdoor_* ledger workloads (ROADMAP 23), and the front door pins its builtins per request"
+    ),
+    "mcu/config_module.py:ConfigurationModule._decode_memo": (
+        "every load of a function after its first on a card: the miss path decodes an image once"
+    ),
+    "check/scenarios.py:_CACHE": (
+        "the model checker's schedules share one scenario's bank and trace; process-global: "
+        "both are built from the key alone and no run changes them"
+    ),
+}
+
+#: A cache's name: a ``*Cache`` / ``*Memo`` class, or a dict bound to a module
+#: global or a ``self`` attribute named ``*_cache``, ``*_memo`` or ``_CACHE``.
+_CACHE_CLASS, _CACHE_NAME = re.compile(r"(Cache|Memo)$"), re.compile(r"_(cache|memo)$", re.IGNORECASE)
+_CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _dict_built(node) -> bool:
+    return isinstance(node, ast.Dict) or _name(getattr(node, "func", None)) in ("dict", "OrderedDict")
+
+
+def _caches_in(node, prefix, owner=None):
+    """``(key, kind)`` of each cache :func:`caches` finds under *node*, whose
+    definitions have keys *prefix* + name; *owner* is the key prefix of the
+    class ``self`` is an instance of."""
+    for child in ast.iter_child_nodes(node):
+        name = getattr(child, "name", None)
+        if isinstance(child, ast.ClassDef):
+            if _CACHE_CLASS.search(name):
+                yield prefix + name, "class"
+            yield from _caches_in(child, f"{prefix}{name}.", f"{prefix}{name}.")
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators = {_name(getattr(d, "func", d)) for d in child.decorator_list}
+            for kind in decorators & _CACHE_DECORATORS:
+                yield prefix + name, "cached_property" if kind == "cached_property" else "lru_cache"
+            yield from _caches_in(child, f"{prefix}{name}.", owner)
+            continue
+        if isinstance(child, (ast.Assign, ast.AnnAssign)) and _dict_built(child.value):
+            for target in getattr(child, "targets", [getattr(child, "target", None)]):
+                if isinstance(node, ast.Module) and isinstance(target, ast.Name) and _CACHE_NAME.search(target.id):
+                    yield prefix + target.id, "global"
+                elif owner and isinstance(target, ast.Attribute) and _name(target.value) == "self" \
+                        and _CACHE_NAME.search(target.attr):
+                    yield owner + target.attr, "attribute"
+        yield from _caches_in(child, prefix, owner)
+
+
+def caches() -> dict:
+    """``{"path:Qualified.name": kind}`` of every cache in ``src/repro``: an
+    ``lru_cache`` (or ``cache``) function, a ``cached_property``, a ``*Cache``
+    / ``*Memo`` class (``"class"``), and a dict bound to a module global
+    (``"global"``) or a ``self`` attribute (``"attribute"``, keyed by its
+    class) named ``*_cache``, ``*_memo`` or ``_CACHE``."""
+    return {
+        key: kind
+        for file in sorted(SRC.rglob("*.py"))
+        for key, kind in _caches_in(parse(file)[1], f"{file.relative_to(SRC).as_posix()}:")
+    }
+
+
+def test_every_cache_names_its_user():
+    found = caches()
+    assert found.keys() == CACHES.keys(), "a cache CACHES does not name (add it with the shipped user " \
+        f"it serves, or delete it): {sorted(found.keys() - CACHES.keys())}; named but gone: " \
+        f"{sorted(CACHES.keys() - found.keys())}"
+
+
+#: The method the census wraps on each ``*Cache`` / ``*Memo`` class, and the
+#: counter of the instance's own that a hit moves.
+_CLASS_PROBES = {
+    "fpga/bitgen.py:BitstreamCache": ("lookup", "hits"),
+    "cluster/fastpath.py:ServeMemo": ("replay", "replays"),
+}
+
+
+class _CountingDict(dict):
+    """A cache dict that counts its lookups, ``get`` and ``in``, in
+    ``counts``: ``[hits, misses]``, a hit finding the key."""
+
+    def __init__(self, entries, counts):
+        super().__init__(entries)
+        self.counts = counts
+
+    def get(self, key, default=None):
+        found = dict.__contains__(self, key)
+        self.counts[not found] += 1
+        return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        found = dict.__contains__(self, key)
+        self.counts[not found] += 1
+        return found
+
+
+class _CountingProperty:
+    """Stands in for a ``cached_property`` and counts its reads in ``counts``:
+    a hit finds the value in the instance's dict.  It is a data descriptor,
+    so a read reaches it even once the value is stored."""
+
+    def __init__(self, cached, counts):
+        self.cached, self.counts = cached, counts
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self.cached
+        found = self.cached.attrname in instance.__dict__
+        self.counts[not found] += 1
+        return instance.__dict__[self.cached.attrname] if found else self.cached.__get__(instance, owner)
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.cached.attrname] = value
+
+
+class CacheCensus:
+    """Hits and misses of each ``CACHES`` entry per shipped user, counted by
+    wrapping the caches from here, so ``src/`` keeps no counter: an
+    ``lru_cache``'s own ``cache_info``, a counting stand-in for a
+    ``cached_property``, a wrapped probe method on a class
+    (:data:`_CLASS_PROBES`), and a counting dict in place of a module's dict
+    or, through a wrapped ``__init__``, of each new instance's."""
+
+    def __init__(self):
+        #: ``{key: {user: (hits, misses)}}``
+        self.rows = collections.defaultdict(dict)
+        self._read, self._undo, self._last = {}, [], {}
+
+    def _swap(self, holder, attribute, value):
+        self._undo.append((holder, attribute, holder.__dict__[attribute]))
+        setattr(holder, attribute, value)
+
+    def install(self):
+        import importlib
+
+        for key, kind in caches().items():
+            path, qualified = key.split(":")
+            module = importlib.import_module("repro." + path[:-3].replace("/", "."))
+            owner, _, name = qualified.rpartition(".")
+            holder = getattr(module, owner) if owner else module
+            counts = [0, 0]
+            self._read[key] = counts.copy
+            if kind == "lru_cache":
+                info = getattr(holder, name).cache_info
+                self._read[key] = lambda info=info: list(info()[:2])
+            elif kind == "cached_property":
+                self._swap(holder, name, _CountingProperty(holder.__dict__[name], counts))
+            elif kind == "class":
+                cls, (method, counter) = getattr(holder, name), _CLASS_PROBES[key]
+                self._swap(cls, method, self._probe(getattr(cls, method), counter, counts))
+            elif kind == "attribute":
+                self._swap(holder, "__init__", self._counting_init(holder.__init__, name, counts))
+            elif kind == "global":
+                self._swap(module, name, _CountingDict(getattr(module, name), counts))
+        self._last = {key: read() for key, read in self._read.items()}
+
+    @staticmethod
+    def _probe(original, counter, counts):
+        @functools.wraps(original)
+        def probe(self, *args, **kwargs):
+            before = getattr(self, counter)
+            result = original(self, *args, **kwargs)
+            counts[getattr(self, counter) == before] += 1
+            return result
+
+        return probe
+
+    @staticmethod
+    def _counting_init(init, attribute, counts):
+        @functools.wraps(init)
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            setattr(self, attribute, _CountingDict(getattr(self, attribute), counts))
+
+        return counting_init
+
+    def restore(self):
+        while self._undo:
+            setattr(*self._undo.pop())
+
+    def counted(self, drivers):
+        """*drivers*, each recording its counts under its name when it
+        returns; the first installs the census, so the modules it imports are
+        imported under the tracer."""
+
+        def wrap(driver):
+            @functools.wraps(driver)
+            def run():
+                if not self._read:
+                    self.install()
+                driver()
+                for key, read in self._read.items():
+                    now = read()
+                    self.rows[key][driver.__name__] = tuple(n - was for n, was in zip(now, self._last[key]))
+                    self._last[key] = now
+
+            return run
+
+        return [wrap(driver) for driver in drivers]
+
+    def lines(self):
+        """One ``cache: key: user hits/misses, ...`` line per cache."""
+        return [
+            f"cache: {key}: " + ", ".join(f"{user} {hits}/{misses}" for user, (hits, misses) in users.items())
+            for key, users in sorted(self.rows.items())
+        ]
+
+
 def _interface(node) -> bool:
     """Whether *node*'s body is only a docstring, ``...``, ``pass`` or
     ``raise NotImplementedError``: an interface, not code that runs."""
@@ -984,30 +1246,39 @@ def shipped_users():
 
 
 def check_runs() -> int:
-    """Trace every shipped user once; 0 if the functions that never ran are
-    exactly the functions ``KEPT`` and ``KEPT_RUNS`` name and the
-    :func:`line_residue` of ``src/repro`` is at most
-    ``LINE_RESIDUE_BUDGET`` statements, else print the difference and
-    return 1.  Prints each function's residue either way."""
+    """Trace every shipped user once under the :class:`CacheCensus`; 0 if
+    the functions that never ran are exactly the functions ``KEPT`` and
+    ``KEPT_RUNS`` name, the :func:`line_residue` of ``src/repro`` is at most
+    ``LINE_RESIDUE_BUDGET`` statements and every cache has a hit, else print
+    the difference and return 1.  Prints each function's residue and each
+    cache's row either way."""
     functions = index()[0].functions
     kept = (KEPT.keys() | KEPT_RUNS.keys()) & functions.keys()
     checked = {
         file: list(checked_statements(file.relative_to(SRC).as_posix(), parse(file)[0], kept))
         for file in sorted(SRC.rglob("*.py"))
     }
-    ran, lines = traced_runs(*shipped_users(), checked=checked)
+    census = CacheCensus()
+    try:
+        ran, lines = traced_runs(*census.counted(shipped_users()), checked=checked)
+    finally:
+        census.restore()
     missed = never_ran(functions, ran)
     residue = {}
     for file, statements in checked.items():
         residue.update(line_residue(statements, lines[file]))
     for key, statements in sorted(residue.items()):
         print(f"residue: {key}: " + ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in statements))
+    print("".join(f"{line}\n" for line in census.lines()), end="")
     print("".join(f"never ran: {key}\n" for key in sorted(missed - kept)), end="")
     print("".join(f"ran, but kept: {key}\n" for key in sorted(kept - missed)), end="")
+    unhit = sorted(key for key, users in census.rows.items() if not any(hits for hits, _ in users.values()))
+    print("".join(f"no hit: {key}\n" for key in unhit), end="")
     total = sum(map(len, residue.values()))
     print(f"{len(functions)} functions; {len(missed)} never ran; {len(kept)} kept; "
-          f"{total} residue statements in {len(residue)} functions (budget {LINE_RESIDUE_BUDGET})")
-    return int(missed != kept or total > LINE_RESIDUE_BUDGET)
+          f"{total} residue statements in {len(residue)} functions (budget {LINE_RESIDUE_BUDGET}); "
+          f"{len(census.rows)} caches, {len(unhit)} hit by no shipped user")
+    return int(missed != kept or total > LINE_RESIDUE_BUDGET or bool(unhit))
 
 
 if __name__ == "__main__":
