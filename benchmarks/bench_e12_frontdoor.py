@@ -75,12 +75,10 @@ REQUESTS_PER_CELL = 2_400
 
 #: Every request's deadline budget from first send.
 DEADLINE_NS = 4_000_000.0
-UPLINK = dict(latency_ns=20_000.0, gbps=10.0, jitter_ns=4_000.0)
+UPLINK = dict(latency_ns=20_000.0, jitter_ns=4_000.0)
 TRANSPORT = dict(
     per_hop_timeout_ns=1_200_000.0,
-    backoff_base_ns=100_000.0,
     backoff_cap_ns=1_000_000.0,
-    backoff_jitter=0.5,
     breaker_threshold=12,
     breaker_open_ns=2_000_000.0,
 )
@@ -88,7 +86,7 @@ TRANSPORT = dict(
 #: two gateways share the ~180k req/s fleet): brownout means running the
 #: cards at a utilisation where queues stay shallow, not at 100%.  A fifth
 #: of each bucket is reserved for priority traffic.
-ADMISSION = AdmissionConfig(rate_per_s=80_000.0, burst=12.0, reserve_fraction=0.2)
+ADMISSION = AdmissionConfig(rate_per_s=80_000.0, burst=12.0)
 
 REFERENCE_LOSS = 0.02
 REFERENCE_OVERLOAD = 2.0

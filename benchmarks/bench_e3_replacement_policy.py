@@ -42,7 +42,7 @@ def _traces(bank, seed=2005):
     subset = bank.subset(WORKING_SET)
     return {
         "zipf(1.2)": zipf_trace(subset, TRACE_LENGTH, skew=1.2, seed=seed),
-        "phased": phased_trace(subset, TRACE_LENGTH, phase_length=40, working_set=3, seed=seed),
+        "phased": phased_trace(subset, TRACE_LENGTH, phase_length=40, seed=seed),
         "round-robin": round_robin_trace(subset, TRACE_LENGTH, repeats_per_function=4, seed=seed),
     }
 

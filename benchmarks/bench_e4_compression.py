@@ -23,11 +23,15 @@ from repro.analysis.figures import ascii_bar_chart
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import Table, format_value
 from repro.bitstream.codecs import get_codec
-from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
+from repro.bitstream.window import (
+    COMPRESSION_WINDOW_BYTES,
+    CompressedImage,
+    WindowedCompressor,
+    WindowedDecompressor,
+)
 from repro.core.builder import build_coprocessor
 
 CODECS = ["null", "rle", "golomb", "huffman", "lz77", "framediff", "lz77ctx"]
-WINDOW_BYTES = 1024
 
 
 def raw_bitstreams(config, bank):
@@ -58,7 +62,7 @@ def build_report(raw_bitstreams) -> ExperimentReport:
         stored_total = 0
         for function_name, raw in raw_bitstreams.items():
             codec = get_codec(codec_name)
-            image = WindowedCompressor(codec, WINDOW_BYTES).compress(raw)
+            image = WindowedCompressor(codec).compress(raw)
             ratios.append(image.compression_ratio)
             stored_total += image.stored_length
             restored = WindowedDecompressor(image, get_codec(codec_name)).decompress_all()
@@ -83,7 +87,7 @@ def build_report(raw_bitstreams) -> ExperimentReport:
     rle_ratios, ctx_ratios, lz77_ratios = {}, {}, {}
     for function_name, raw in raw_bitstreams.items():
         for ratios, codec_name in ((rle_ratios, "rle"), (ctx_ratios, "lz77ctx"), (lz77_ratios, "lz77")):
-            image = WindowedCompressor(get_codec(codec_name), WINDOW_BYTES).compress(raw)
+            image = WindowedCompressor(get_codec(codec_name)).compress(raw)
             ratios[function_name] = image.compression_ratio
         per_function.add_row(
             function_name,
@@ -117,7 +121,7 @@ def build_report(raw_bitstreams) -> ExperimentReport:
 
     # Only a bit-stream longer than one window has a previous window to reach
     # into; a one-window bit-stream is plain LZ77, byte for byte.
-    multi = [name for name, raw in raw_bitstreams.items() if len(raw) > WINDOW_BYTES]
+    multi = [name for name, raw in raw_bitstreams.items() if len(raw) > COMPRESSION_WINDOW_BYTES]
     single = [name for name in raw_bitstreams if name not in multi]
     assert multi and single
     assert all(ctx_ratios[name] > lz77_ratios[name] for name in multi)
@@ -129,7 +133,7 @@ def build_report(raw_bitstreams) -> ExperimentReport:
         f"in {format_value(rom_KiB['lz77ctx'])} KiB against {format_value(rom_KiB['lz77'])} KiB "
         f"with lz77 ({format_value(rom_KiB['lz77'] / rom_KiB['lz77ctx'])}x less; mean ratio "
         f"{format_value(ratios_chart['lz77ctx'])}x). It gains on the {len(multi)} bit-streams "
-        f"longer than one {WINDOW_BYTES}-byte window ({span(multi, ctx_ratios)}) and keeps "
+        f"longer than one {COMPRESSION_WINDOW_BYTES}-byte window ({span(multi, ctx_ratios)}) and keeps "
         f"lz77's ratio exactly on {', '.join(single)}, which fit in one."
     )
     report.record_metric("total_raw_KiB", total_raw / 1024.0)
@@ -146,7 +150,7 @@ def test_e4_compression(benchmark, default_config, bank):
     save_report(build_report(raw))
 
     aes_raw = raw["aes128"]
-    image = WindowedCompressor(get_codec("lz77"), WINDOW_BYTES).compress(aes_raw)
+    image = WindowedCompressor(get_codec("lz77")).compress(aes_raw)
 
     def decompress_aes():
         return WindowedDecompressor(image, get_codec("lz77")).decompress_all()

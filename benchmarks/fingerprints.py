@@ -175,7 +175,7 @@ def codecs() -> dict:
     for name, payload in corpus.items():
         codec = get_codec(name)
         if name == "lz77ctx":
-            blob = WindowedCompressor(codec, 1024).compress(payload).to_bytes()
+            blob = WindowedCompressor(codec).compress(payload).to_bytes()
             restored = WindowedDecompressor(CompressedImage.from_bytes(blob)).decompress_all()
         else:
             blob = codec.compress(payload)
@@ -196,7 +196,7 @@ def device() -> dict:
     """
     netlists = {
         "adder": build_adder_netlist(16),
-        "parity": build_parity_netlist(32),
+        "parity": build_parity_netlist(),
     }
     rng = random.Random(17)
     digest = hashlib.sha256()
@@ -539,7 +539,7 @@ def check() -> dict:
     shape, a digest over every outcome — so a change to kernel tie-breaks or
     control-plane ordering shows as a changed exploration.
     """
-    explorer = Explorer(tiny_scenario_factory(), max_depth=24, max_branch=3, max_schedules=110)
+    explorer = Explorer(tiny_scenario_factory())
     report = explorer.explore()
     sample = explorer.sample(schedules=10, seed=1)
     if report.violations or sample.violations:

@@ -154,13 +154,11 @@ def run_brownout(tiny: bool = False):
         fleet,
         seed=SEED,
         gateways=2,
-        uplink=LinkSpec(latency_ns=20_000.0, loss=0.05, gbps=10.0, jitter_ns=4_000.0),
+        uplink=LinkSpec(latency_ns=20_000.0, loss=0.05, jitter_ns=4_000.0),
         transport=TransportConfig(
             max_retries=3,
             per_hop_timeout_ns=300_000.0,
-            backoff_base_ns=100_000.0,
             backoff_cap_ns=1_000_000.0,
-            backoff_jitter=0.5,
             breaker_threshold=12,
             breaker_open_ns=2_000_000.0,
         ),

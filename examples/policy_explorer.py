@@ -35,7 +35,7 @@ def sweep_policies(bank, trace_length: int = 250) -> None:
     for policy in POLICIES:
         for trace_name, trace in (
             ("zipf", zipf_trace(bank, trace_length, skew=1.2, seed=7)),
-            ("phased", phased_trace(bank, trace_length, phase_length=40, working_set=3, seed=7)),
+            ("phased", phased_trace(bank, trace_length, phase_length=40, seed=7)),
         ):
             config = CoprocessorConfig(
                 fabric_columns=8, fabric_rows=32, clb_rows_per_frame=8,

@@ -10,11 +10,11 @@ only latency recorder a card has (:mod:`repro.core.stats`):
   sketch (DDSketch-style).  Values are counted in geometrically spaced
   buckets ``gamma**i``; a quantile query walks the cumulative counts and
   returns the bucket midpoint, which is within a relative **value** error of
-  ``relative_error`` of the true quantile of the stream.  Unlike a reservoir
-  there is no sampling noise and no RNG: the sketch is a pure fold over the
-  stream, so it is bit-reproducible and two sketches merge by adding bucket
-  counts — exactly what the sharded fleet runner needs to combine per-shard
-  latency distributions into the fleet-wide percentiles.
+  :data:`RELATIVE_ERROR` of the true quantile of the stream.  Unlike a
+  reservoir there is no sampling noise and no RNG: the sketch is a pure fold
+  over the stream, so it is bit-reproducible and two sketches merge by adding
+  bucket counts — exactly what the sharded fleet runner needs to combine
+  per-shard latency distributions into the fleet-wide percentiles.
 
 * :class:`WindowedTimeSeries` — fixed-width time windows over a monotone
   timestamp stream with a bounded ring of recent windows plus lifetime
@@ -23,11 +23,12 @@ only latency recorder a card has (:mod:`repro.core.stats`):
 
 Error model (documented for the property tests): for a positive value ``v``
 the sketch stores bucket ``ceil(log(v) / log(gamma))`` with
-``gamma = (1 + e) / (1 - e)``; reporting the bucket's geometric midpoint
-guarantees ``|estimate - v| <= e * v``.  Rank behaviour follows from value
-behaviour: the estimate returned for quantile ``q`` is the bucket containing
-the true nearest-rank quantile, so the estimate is within relative value
-error ``e`` of the exact-mode (full-retention reservoir) answer.
+``gamma = (1 + e) / (1 - e)`` and ``e`` = :data:`RELATIVE_ERROR`; reporting
+the bucket's geometric midpoint guarantees ``|estimate - v| <= e * v``.
+Rank behaviour follows from value behaviour: the estimate returned for
+quantile ``q`` is the bucket containing the true nearest-rank quantile, so
+the estimate is within relative value error ``e`` of the exact-mode
+(full-retention reservoir) answer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from __future__ import annotations
 import math
 from math import ceil as _ceil, log as _log
 from typing import Dict, List, Optional, Tuple
+
+#: Relative value error of every quantile estimate, and the bucket geometry
+#: it gives: every sketch has the same, so any two merge.
+RELATIVE_ERROR = 0.01
+GAMMA = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
+_LOG_GAMMA = math.log(GAMMA)
 
 
 class StreamingQuantileSketch:
@@ -49,11 +56,7 @@ class StreamingQuantileSketch:
     #: it — latencies that small are noise here.
     min_value = 1.0
 
-    def __init__(self, relative_error: float = 0.01) -> None:
-        if not 0.0 < relative_error < 1.0:
-            raise ValueError("relative_error must be in (0, 1)")
-        self.gamma = (1.0 + relative_error) / (1.0 - relative_error)
-        self._log_gamma = math.log(self.gamma)
+    def __init__(self) -> None:
         #: bucket index -> count; sparse because latency streams are clumpy.
         self._buckets: Dict[int, int] = {}
         #: Values below ``min_value``, counted but not bucketed.
@@ -83,7 +86,7 @@ class StreamingQuantileSketch:
         memo = self._bucket_memo
         index = memo.get(value)
         if index is None:
-            index = _ceil(_log(value) / self._log_gamma)
+            index = _ceil(_log(value) / _LOG_GAMMA)
             if len(memo) < 1024:
                 memo[value] = index
         buckets = self._buckets
@@ -92,14 +95,14 @@ class StreamingQuantileSketch:
     def bucket_index(self, value: float) -> int:
         """Bucket index for *value* (must be ``>= min_value``).
 
-        Exposed so callers recording one value into several same-geometry
-        sketches (fleet-wide + per-tenant sojourns) pay the ``log()`` once
-        and feed :meth:`add_with_index` with the result.
+        Exposed so callers recording one value into several sketches
+        (fleet-wide + per-tenant sojourns) pay the ``log()`` once and feed
+        :meth:`add_with_index` with the result.
         """
         memo = self._bucket_memo
         index = memo.get(value)
         if index is None:
-            index = _ceil(_log(value) / self._log_gamma)
+            index = _ceil(_log(value) / _LOG_GAMMA)
             if len(memo) < 1024:
                 memo[value] = index
         return index
@@ -107,8 +110,7 @@ class StreamingQuantileSketch:
     def add_with_index(self, value: float, index: int) -> None:
         """Record *value* (``>= min_value``) into a precomputed bucket.
 
-        Equivalent to :meth:`add` when *index* came from :meth:`bucket_index`
-        on a sketch with identical geometry.
+        Equivalent to :meth:`add` when *index* came from :meth:`bucket_index`.
         """
         self.seen += 1
         if value < self._min:
@@ -120,8 +122,6 @@ class StreamingQuantileSketch:
 
     def merge(self, other: "StreamingQuantileSketch") -> None:
         """Fold *other* into this sketch (bucket-count addition)."""
-        if other.gamma != self.gamma or other.min_value != self.min_value:
-            raise ValueError("can only merge sketches with identical geometry")
         buckets = self._buckets
         for index, count in other._buckets.items():
             buckets[index] = buckets.get(index, 0) + count
@@ -141,8 +141,8 @@ class StreamingQuantileSketch:
     def _bucket_value(self, index: int) -> float:
         # Geometric midpoint of (gamma**(i-1), gamma**i]: the point whose
         # worst-case relative distance to either edge is exactly
-        # ``relative_error``.
-        return 2.0 * self.gamma ** index / (self.gamma + 1.0)
+        # :data:`RELATIVE_ERROR`.
+        return 2.0 * GAMMA ** index / (GAMMA + 1.0)
 
     def quantile(self, q: float) -> float:
         """Value estimate at quantile ``q`` in [0, 1] (nearest rank)."""
@@ -179,7 +179,7 @@ class WindowedTimeSeries:
     multiples of ``window_ns`` from time zero.
     """
 
-    def __init__(self, window_ns: int = 1_000_000, max_windows: int = 256) -> None:
+    def __init__(self, window_ns: int, max_windows: int) -> None:
         if window_ns <= 0:
             raise ValueError("window width must be positive")
         if max_windows < 1:

@@ -68,9 +68,8 @@ class BitstreamHeader:
     lut_count: int = 0
     flags: int = 0
 
-    #: Flag bit set on partial (frame-relocatable) bit-streams; in this
-    #: reproduction every generated bit-stream is partial unless it covers the
-    #: whole device.
+    #: Flag bit set on partial (frame-relocatable) bit-streams; every one
+    #: :func:`build_bitstream` assembles is partial.
     FLAG_PARTIAL = 0x01
 
     def __post_init__(self) -> None:
@@ -200,9 +199,9 @@ def build_bitstream(
     input_bytes: int,
     output_bytes: int,
     lut_count: int = 0,
-    partial: bool = True,
 ) -> Bitstream:
-    """Assemble a :class:`Bitstream` from per-frame configuration payloads."""
+    """Assemble a partial (frame-relocatable) :class:`Bitstream` from
+    per-frame configuration payloads."""
     if not frame_payloads:
         raise BitstreamFormatError("a bit-stream needs at least one frame payload")
     payload_sizes = {len(payload) for payload in frame_payloads}
@@ -216,7 +215,7 @@ def build_bitstream(
         input_bytes=input_bytes,
         output_bytes=output_bytes,
         lut_count=lut_count,
-        flags=BitstreamHeader.FLAG_PARTIAL if partial else 0,
+        flags=BitstreamHeader.FLAG_PARTIAL,
     )
     return Bitstream(header=header, frames=list(frame_payloads))
 

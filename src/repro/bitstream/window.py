@@ -125,24 +125,23 @@ COMPRESSION_WINDOW_BYTES = 1024
 
 
 class WindowedCompressor:
-    """Splits raw bit-stream bytes into windows and compresses each one."""
+    """Splits raw bit-stream bytes into :data:`COMPRESSION_WINDOW_BYTES`
+    windows and compresses each one."""
 
-    def __init__(self, codec: Codec, window_bytes: int = 1024) -> None:
-        if window_bytes <= 0:
-            raise ValueError("window size must be positive")
+    def __init__(self, codec: Codec) -> None:
         self.codec = codec
-        self.window_bytes = window_bytes
 
     def compress(self, data: bytes) -> CompressedImage:
+        window_bytes = COMPRESSION_WINDOW_BYTES
         windows: List[bytes] = []
         previous: Optional[bytes] = None
-        for start in range(0, len(data), self.window_bytes):
-            window = data[start : start + self.window_bytes]
+        for start in range(0, len(data), window_bytes):
+            window = data[start : start + window_bytes]
             windows.append(self.codec.compress_window(window, previous))
             previous = window
         return CompressedImage(
             codec_name=self.codec.name,
-            window_bytes=self.window_bytes,
+            window_bytes=window_bytes,
             original_length=len(data),
             windows=windows,
         )

@@ -14,10 +14,10 @@ same-time ready sets.
 
 Exploration is bounded three ways (schedule trees are exponential):
 
-* ``max_schedules`` — total scenario executions,
-* ``max_depth`` — choice points past this index are never branched
+* :data:`MAX_SCHEDULES` — total scenario executions,
+* :data:`MAX_DEPTH` — choice points past this index are never branched
   (only replayed),
-* ``max_branch`` — at most this many alternatives per choice point.
+* :data:`MAX_BRANCH` — at most this many alternatives per choice point.
 
 Seeded random *sampling* (:meth:`Explorer.sample`) complements DFS: DFS is
 exhaustive near the root, sampling reaches deep interleavings DFS would
@@ -40,6 +40,12 @@ from repro.sim.schedule import RandomTieBreakPolicy, ScriptedPolicy
 #: ScenarioRun` out.  Must be deterministic given the policy's choices.
 Scenario = Callable
 
+#: The exploration bounds (module docstring): what the ``check`` fingerprint
+#: section explores the tiny control plane with.
+MAX_SCHEDULES = 110
+MAX_DEPTH = 24
+MAX_BRANCH = 3
+
 
 @dataclass
 class ExplorationReport:
@@ -50,7 +56,7 @@ class ExplorationReport:
     #: The subset of traces whose invariant check failed.
     violations: List[ScheduleTrace] = field(default_factory=list)
     #: True when the frontier still held unexplored prefixes at the
-    #: ``max_schedules`` bound (coverage is partial, not exhausted).
+    #: :data:`MAX_SCHEDULES` bound (coverage is partial, not exhausted).
     truncated: bool = False
 
     @property
@@ -73,19 +79,8 @@ class ExplorationReport:
 class Explorer:
     """Bounded DFS + seeded sampling over a scenario's schedule space."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        max_depth: int = 64,
-        max_branch: int = 4,
-        max_schedules: int = 200,
-    ) -> None:
-        if max_depth < 0 or max_branch < 1 or max_schedules < 1:
-            raise ValueError("exploration bounds must be positive")
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.max_depth = max_depth
-        self.max_branch = max_branch
-        self.max_schedules = max_schedules
 
     # ------------------------------------------------------------ primitives
     def run_prefix(self, prefix: Tuple[int, ...] = ()) -> ScheduleTrace:
@@ -122,7 +117,7 @@ class Explorer:
         report = ExplorationReport()
         stack: List[Tuple[int, ...]] = [()]
         while stack:
-            if len(report.traces) >= self.max_schedules:
+            if len(report.traces) >= MAX_SCHEDULES:
                 report.truncated = True
                 break
             prefix = stack.pop()
@@ -134,9 +129,9 @@ class Explorer:
             # (points before len(prefix) were expanded by an ancestor run).
             # Pushed deepest-first so the LIFO frontier explores near the
             # current schedule before backtracking — proper DFS order.
-            for point in range(len(prefix), min(trace.depth, self.max_depth)):
+            for point in range(len(prefix), min(trace.depth, MAX_DEPTH)):
                 chosen = trace.choices[point]
-                width = min(trace.branching[point], self.max_branch)
+                width = min(trace.branching[point], MAX_BRANCH)
                 for alternative in range(width - 1, chosen, -1):
                     stack.append(trace.choices[:point] + (alternative,))
         return report

@@ -90,8 +90,6 @@ _MIGRATED_LABELED = (
 #: Sojourns each reservoir keeps (exact below it), and the seed of their forks.
 RESERVOIR_CAPACITY = 50_000
 RESERVOIR_SEED = 0x0F1EE7
-#: Relative value error of the sketch-mode percentiles.
-SKETCH_RELATIVE_ERROR = 0.01
 
 #: What :meth:`FleetStatistics.totals` carries and ``absorb`` adds: the plain
 #: integer attributes, and the per-tenant / per-card ``defaultdict(int)``s.
@@ -115,8 +113,8 @@ class FleetStatistics:
       pre-existing digest and report is produced in this mode.
     * ``"sketch"`` — O(1)-memory streaming quantile sketches
       (:class:`~repro.analysis.sketch.StreamingQuantileSketch`).  No RNG is
-      consumed, percentiles are within :data:`SKETCH_RELATIVE_ERROR` relative
-      value error of exact mode, and per-shard instances merge
+      consumed, percentiles are within the sketch's ``RELATIVE_ERROR``
+      relative value error of exact mode, and per-shard instances merge
       (:meth:`totals` / :meth:`absorb`) — the mode the 10^6-request scale
       runs use and the only one the sharded runner can.
 
@@ -226,7 +224,7 @@ class FleetStatistics:
     def _new_sojourn(self, label: str):
         """One sojourn recorder — a reservoir or a sketch, same `.add` API."""
         if self.mode == "sketch":
-            return StreamingQuantileSketch(relative_error=SKETCH_RELATIVE_ERROR)
+            return StreamingQuantileSketch()
         return ReservoirSampler(RESERVOIR_CAPACITY, self._rng.fork(label))
 
     def totals(self) -> dict:

@@ -82,8 +82,9 @@ def build_fleet(
     generation work through the process-wide cache, so a fleet costs little
     more to build than a single card.
 
-    ``policy`` is a dispatch policy name (``round_robin``,
-    ``least_outstanding`` or ``affinity``).
+    ``policy`` is a dispatch policy name, a key of
+    :data:`~repro.cluster.dispatch.POLICIES` (``round_robin``,
+    ``least_outstanding``, ``affinity`` or ``hashed``).
 
     ``fault_tolerance`` installs the :mod:`repro.faults` stack on every card
     (golden images, hazard detection, healing), with ``scrub_period_ns``

@@ -86,7 +86,7 @@ class AgileCoprocessor:
         function name.
         """
         codec = get_codec(self.config.codec_name)
-        compressor = WindowedCompressor(codec, COMPRESSION_WINDOW_BYTES)
+        compressor = WindowedCompressor(codec)
         cache = self._bitgen.cache
         records: Dict[str, FunctionRecord] = {}
         scratch_placer = Placer(self.geometry, strategy=PlacementStrategy.CONTIGUOUS_FIRST_FIT)
@@ -185,7 +185,7 @@ class AgileCoprocessor:
         """
         if name not in self.bank:
             raise UnknownFunctionError(name)
-        return self.mcu.capture(name, self.config.codec_name, COMPRESSION_WINDOW_BYTES)
+        return self.mcu.capture(name, self.config.codec_name)
 
     def restore_function(self, name: str, blob: bytes) -> ExecutionResult:
         """Make *name* resident from a migration blob (live migration restore)."""

@@ -165,7 +165,6 @@ class BitstreamGenerator:
             input_bytes=input_bytes,
             output_bytes=output_bytes,
             lut_count=netlist.lut_count,
-            partial=True,
         )
 
     # ----------------------------------------------- synthetic frame payloads

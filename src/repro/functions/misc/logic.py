@@ -15,6 +15,7 @@ from repro.fpga.geometry import FabricGeometry
 from repro.fpga.netlist import Netlist
 from repro.functions.base import FunctionSpec, HardwareFunction
 from repro.functions.netgen import (
+    PARITY_INPUT_BITS,
     build_adder_netlist,
     build_parity_netlist,
     build_popcount_netlist,
@@ -24,7 +25,7 @@ from repro.functions.netgen import (
 class ParityFunction(HardwareFunction):
     """32-bit parity: one output byte that is 0x01 when the parity is odd."""
 
-    INPUT_BITS = 32
+    INPUT_BITS = PARITY_INPUT_BITS
 
     def __init__(self) -> None:
         spec = FunctionSpec(
@@ -43,7 +44,7 @@ class ParityFunction(HardwareFunction):
         return bytes([parity])
 
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        return build_parity_netlist(self.INPUT_BITS)
+        return build_parity_netlist()
 
 
 class AdderFunction(HardwareFunction):
@@ -92,4 +93,4 @@ class PopcountFunction(HardwareFunction):
         return bytes([bin(value).count("1")])
 
     def build_netlist(self, geometry: FabricGeometry) -> Optional[Netlist]:
-        return build_popcount_netlist(8)
+        return build_popcount_netlist()

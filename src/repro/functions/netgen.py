@@ -48,12 +48,14 @@ def add_padded_lut(
 # Parity (XOR reduction tree)
 # --------------------------------------------------------------------------
 
-def build_parity_netlist(input_bits: int = 32) -> Netlist:
-    """XOR-reduce *input_bits* primary inputs down to a single parity bit."""
-    if input_bits <= 0:
-        raise ValueError("parity needs at least one input bit")
-    netlist = Netlist(f"parity{input_bits}")
-    level = [netlist.add_input(f"d{index}") for index in range(input_bits)]
+#: Primary inputs of the parity tree: the bank's ``parity32``.
+PARITY_INPUT_BITS = 32
+
+
+def build_parity_netlist() -> Netlist:
+    """XOR-reduce :data:`PARITY_INPUT_BITS` primary inputs down to a single parity bit."""
+    netlist = Netlist(f"parity{PARITY_INPUT_BITS}")
+    level = [netlist.add_input(f"d{index}") for index in range(PARITY_INPUT_BITS)]
     stage = 0
     while len(level) > 1:
         next_level: List[str] = []
@@ -127,17 +129,15 @@ def build_adder_netlist(width: int = 8) -> Netlist:
 # Popcount
 # --------------------------------------------------------------------------
 
-def build_popcount_netlist(input_bits: int = 8) -> Netlist:
-    """Count the set bits of *input_bits* inputs (output is ceil(log2)+1 bits).
+def build_popcount_netlist() -> Netlist:
+    """Count the set bits of 8 inputs (a 4-bit output): the bank's ``popcount8``.
 
     Built from two 4-bit population counts (pure LUT functions of 4 inputs)
     followed by a small ripple-carry adder, which keeps every cell within the
     fabric's LUT width.
     """
-    if input_bits != 8:
-        raise ValueError("the popcount netlist is built for exactly 8 inputs")
     netlist = Netlist("popcount8")
-    inputs = [netlist.add_input(f"d{index}") for index in range(input_bits)]
+    inputs = [netlist.add_input(f"d{index}") for index in range(8)]
 
     def count_bit(bit: int) -> Callable[[Sequence[bool]], bool]:
         return lambda bits: (sum(bits) >> bit) & 1 == 1

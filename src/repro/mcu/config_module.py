@@ -114,9 +114,7 @@ class ConfigurationModule:
         return self.domain.cycles_to_ns(cycles)
 
     # ------------------------------------------------------------- transfer
-    def compress_for_transfer(
-        self, bitstream: Bitstream, codec_name: str, window_bytes: int
-    ) -> bytes:
+    def compress_for_transfer(self, bitstream: Bitstream, codec_name: str) -> bytes:
         """Compress a captured bit-stream for a host-side migration transfer.
 
         The mirror image of the decompression path: the serialised bit-stream
@@ -127,8 +125,8 @@ class ConfigurationModule:
         :meth:`restore_from_blob` consumes on the destination.
         """
         raw = bitstream.to_bytes()
-        compressor = WindowedCompressor(get_codec(codec_name), window_bytes)
-        image = compressor.compress(raw)
+        image = WindowedCompressor(get_codec(codec_name)).compress(raw)
+        window_bytes = image.window_bytes
         elapsed = sum(
             self._window_time_ns(len(compressed), min(window_bytes, len(raw) - index * window_bytes))
             for index, compressed in enumerate(image.windows)

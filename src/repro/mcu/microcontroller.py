@@ -170,7 +170,7 @@ class Microcontroller:
             self.minios.commit_eviction(name)
 
     # ------------------------------------------------------------ migration
-    def capture(self, name: str, codec_name: str, window_bytes: int) -> bytes:
+    def capture(self, name: str, codec_name: str) -> bytes:
         """CAPTURE command: readback *name* into a compressed migration blob.
 
         The device charges the frame readback at configuration-port speed and
@@ -181,7 +181,7 @@ class Microcontroller:
         """
         self._charge_cycles(COMMAND_DECODE_CYCLES)
         bitstream = self.device.capture_function(name)
-        return self.config_module.compress_for_transfer(bitstream, codec_name, window_bytes)
+        return self.config_module.compress_for_transfer(bitstream, codec_name)
 
     def restore(self, name: str, blob: bytes) -> ExecutionResult:
         """RESTORE command: make *name* resident from a migration blob.

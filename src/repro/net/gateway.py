@@ -27,6 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.fleet import Fleet
 
 
+#: Fraction of the bucket only priority (>0) requests may dip into.  Bulk
+#: requests need ``1 + RESERVE_FRACTION * burst`` tokens, so as the bucket
+#: drains under overload bulk traffic sheds first and priority traffic
+#: browns out last.
+RESERVE_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Token-bucket admission with a reserved slice for priority traffic."""
@@ -35,19 +42,12 @@ class AdmissionConfig:
     rate_per_s: float
     #: Bucket depth: how much burst is absorbed before shedding starts.
     burst: float
-    #: Fraction of the bucket only priority (>0) requests may dip into.
-    #: Bulk requests need ``1 + reserve_fraction * burst`` tokens, so as the
-    #: bucket drains under overload bulk traffic sheds first and priority
-    #: traffic browns out last.
-    reserve_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.rate_per_s <= 0:
             raise ValueError("admission rate must be positive")
         if self.burst < 1:
             raise ValueError("admission burst must be at least one token")
-        if not 0.0 <= self.reserve_fraction < 1.0:
-            raise ValueError("reserve fraction must be in [0, 1)")
 
 
 class TokenBucket:
@@ -58,7 +58,7 @@ class TokenBucket:
     def __init__(self, config: AdmissionConfig) -> None:
         self.rate_per_ns = config.rate_per_s / 1e9
         self.burst = float(config.burst)
-        self.reserve = config.reserve_fraction * config.burst
+        self.reserve = RESERVE_FRACTION * config.burst
         self.tokens = self.burst
         self.refilled_ns = 0
 

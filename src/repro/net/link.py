@@ -31,6 +31,8 @@ from repro.sim.rand import SeededRandom
 #: Egress queue bound in packets; a full queue tail-drops.  The bound is on
 #: packets *waiting*: the one on the wire is not in the queue.
 QUEUE_PACKETS = 64
+#: Serialisation bandwidth in Gbit/s (= bits per nanosecond).
+GBPS = 10.0
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,6 @@ class LinkSpec:
 
     #: One-way propagation delay (ns).
     latency_ns: int = 20_000
-    #: Serialisation bandwidth in Gbit/s (= bits per nanosecond).
-    gbps: float = 10.0
     #: Maximum extra per-packet delay, drawn uniformly in [0, jitter_ns].
     jitter_ns: int = 0
     #: Per-packet loss probability (a lost packet still occupies the wire).
@@ -53,8 +53,6 @@ class LinkSpec:
     def __post_init__(self) -> None:
         if self.latency_ns < 0:
             raise ValueError("link latency cannot be negative")
-        if self.gbps <= 0:
-            raise ValueError("link bandwidth must be positive")
         if self.jitter_ns < 0:
             raise ValueError("link jitter cannot be negative")
         if not 0.0 <= self.loss < 1.0:
@@ -150,7 +148,7 @@ class Link:
             waiting.append(start)
         else:
             start = now
-        done = self._wire_free_ns = start + round(packet.size_bytes * 8.0 / spec.gbps)
+        done = self._wire_free_ns = start + round(packet.size_bytes * 8.0 / GBPS)
         # Draw order is fixed (loss then jitter, only when enabled) so a
         # spec change toggles exactly one draw per packet; per link, send
         # order is serialise order, so drawing here draws in wire order.

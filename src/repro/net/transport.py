@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: name, deadline); response/shed/err packets are header-sized.
 REQUEST_HEADER_BYTES = 64
 RESPONSE_BYTES = 64
+#: First backoff (ns); doubles per retry up to ``backoff_cap_ns``.
+BACKOFF_BASE_NS = 100_000
+#: Jitter fraction: each backoff is scaled by 1 + jitter * U[0, 1).
+BACKOFF_JITTER = 0.5
 
 
 class GatewayRequest:
@@ -90,11 +94,8 @@ class TransportConfig:
     per_hop_timeout_ns: int = 2_000_000
     #: Retransmit budget after the first attempt; 0 = fail on first loss.
     max_retries: int = 3
-    #: First backoff (ns); doubles per retry up to ``backoff_cap_ns``.
-    backoff_base_ns: int = 100_000
+    #: Longest backoff (ns): the one :data:`BACKOFF_BASE_NS` doubles up to.
     backoff_cap_ns: int = 2_000_000
-    #: Jitter fraction: each backoff is scaled by 1 + jitter * U[0, 1).
-    backoff_jitter: float = 0.5
     #: Consecutive failures that open a gateway's circuit breaker.
     breaker_threshold: int = 8
     #: How long an open breaker rejects before probing again (ns).
@@ -105,10 +106,8 @@ class TransportConfig:
             raise ValueError("per-hop timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.backoff_base_ns <= 0 or self.backoff_cap_ns < self.backoff_base_ns:
+        if self.backoff_cap_ns < BACKOFF_BASE_NS:
             raise ValueError("backoff cap must be at least the base")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff jitter cannot be negative")
         if self.breaker_threshold < 1:
             raise ValueError("breaker threshold must be at least 1")
         if self.breaker_open_ns <= 0:
@@ -385,14 +384,8 @@ class Transport:
         if pending.attempt > self.config.max_retries:
             self._fail(pending, reason)
             return
-        config = self.config
-        backoff_ns = min(
-            config.backoff_cap_ns,
-            config.backoff_base_ns * (2.0 ** (pending.attempt - 1)),
-        )
-        if config.backoff_jitter:
-            backoff_ns *= 1.0 + config.backoff_jitter * self.rng.uniform()
-        backoff_ns = round(backoff_ns)
+        backoff_ns = min(self.config.backoff_cap_ns, BACKOFF_BASE_NS * (2.0 ** (pending.attempt - 1)))
+        backoff_ns = round(backoff_ns * (1.0 + BACKOFF_JITTER * self.rng.uniform()))
         now = self.clock._now
         deadline = pending.request.deadline_ns
         if deadline is not None and now + backoff_ns >= deadline:

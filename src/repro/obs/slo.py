@@ -194,19 +194,21 @@ class Alert:
 
 
 class _SloState:
-    """Mutable per-spec evaluation state: one windowed series + alert state."""
+    """Mutable per-spec evaluation state: one windowed series + alert state.
 
-    __slots__ = ("spec", "series", "active", "worst_burn")
+    The spec's two windows are whole nanoseconds here: a fractional one is
+    tolerated and rounded once, as a link or transport config is."""
+
+    __slots__ = ("spec", "fast_ns", "slow_ns", "series", "active", "worst_burn")
 
     def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
+        self.fast_ns, self.slow_ns = round(spec.fast_ns), round(spec.slow_ns)
         # Quarter-fast grain gives the fast burn four samples of resolution;
         # the ring must retain the whole slow horizon (plus slack for the
         # window straddling `now`).
-        grain = max(1, spec.fast_ns // 4)
-        self.series = WindowedTimeSeries(
-            window_ns=grain, max_windows=spec.slow_ns // grain + 8
-        )
+        grain = max(1, self.fast_ns // 4)
+        self.series = WindowedTimeSeries(grain, self.slow_ns // grain + 8)
         #: The firing alert, if any (hysteresis state).
         self.active: Optional[Alert] = None
         self.worst_burn = 0.0
@@ -282,8 +284,8 @@ class SloEngine:
     def _evaluate(self, state: _SloState, now_ns: int) -> None:
         spec = state.spec
         budget = spec.error_budget
-        fast_count, fast_bad = state.series.trailing(now_ns, spec.fast_ns)
-        slow_count, slow_bad = state.series.trailing(now_ns, spec.slow_ns)
+        fast_count, fast_bad = state.series.trailing(now_ns, state.fast_ns)
+        slow_count, slow_bad = state.series.trailing(now_ns, state.slow_ns)
         burn_fast = (fast_bad / fast_count / budget) if fast_count else 0.0
         burn_slow = (slow_bad / slow_count / budget) if slow_count else 0.0
         if burn_fast > state.worst_burn:

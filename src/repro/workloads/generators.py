@@ -20,6 +20,9 @@ from repro.functions.bank import FunctionBank
 from repro.sim.rand import SeededRandom
 from repro.workloads.trace import Request, Trace
 
+#: Functions in a phased mix's working set, each phase.
+WORKING_SET = 3
+
 
 def synthesize_payload(bank: FunctionBank, rng: SeededRandom, function_name: str, blocks: int) -> bytes:
     """*blocks* inputs' worth of bytes for *function_name*, from ``rng.fork("payload:<name>")``.
@@ -41,8 +44,8 @@ class FunctionChooser:
       running-sum ``cumulative`` table (a small set of hot functions takes most
       requests: the regime where frame replacement matters);
     * ``"phased"`` — every ``phase_length`` draws, ``rng.fork("phase:<i>")``
-      samples a working set of ``working_set`` functions, and each draw picks
-      one of them;
+      samples a working set of :data:`WORKING_SET` functions, and each draw
+      picks one of them;
     * ``"uniform"`` — every function equally likely.
     """
 
@@ -54,15 +57,14 @@ class FunctionChooser:
         mix: str = "uniform",
         skew: float = 1.0,
         phase_length: int = 50,
-        working_set: int = 3,
         payload_blocks: int = 1,
     ) -> None:
         if not names:
             raise ValueError("cannot choose from an empty function list")
         if mix == "zipf" and skew < 0:
             raise ValueError("zipf skew must be non-negative")
-        if mix == "phased" and (phase_length <= 0 or working_set <= 0):
-            raise ValueError("phase length and working set size must be positive")
+        if mix == "phased" and phase_length <= 0:
+            raise ValueError("phase length must be positive")
         self.names = list(names)
         self.payloads = [synthesize_payload(bank, rng, name, payload_blocks) for name in self.names]
         self.rng = rng
@@ -76,7 +78,7 @@ class FunctionChooser:
             self.total = self.cumulative[-1]
             self.next_index = self._zipf
         elif mix == "phased":
-            self.next_index = self._phases(phase_length, min(working_set, len(self.names))).__next__
+            self.next_index = self._phases(phase_length, min(WORKING_SET, len(self.names))).__next__
         else:
             self.next_index = partial(rng.choice, self.indices)
 
@@ -157,7 +159,6 @@ def phased_trace(
     bank: FunctionBank,
     length: int,
     phase_length: int = 100,
-    working_set: int = 3,
     functions: Optional[Sequence[str]] = None,
     seed: int = 0,
     payload_blocks: int = 1,
@@ -169,10 +170,8 @@ def phased_trace(
     """
     names = _function_names(bank, functions)
     generator = TraceGenerator(bank, seed, payload_blocks)
-    label = f"phased-{min(working_set, len(names))}x{phase_length}-{length}"
-    return generator.choose(
-        names, length, label, mix="phased", phase_length=phase_length, working_set=working_set
-    )
+    label = f"phased-{min(WORKING_SET, len(names))}x{phase_length}-{length}"
+    return generator.choose(names, length, label, mix="phased", phase_length=phase_length)
 
 
 def round_robin_trace(

@@ -99,15 +99,12 @@ class TenantSpec:
     skew: float = 1.2
     functions: Optional[Tuple[str, ...]] = None
     rank_offset: int = 0
-    payload_blocks: int = 1
 
     def __post_init__(self) -> None:
         if self.functions is not None and not self.functions:
             raise ValueError("a tenant's function list cannot be empty")
         if self.mix not in ("zipf", "phased", "uniform"):
             raise ValueError(f"unknown tenant mix {self.mix!r}")
-        if self.payload_blocks <= 0:
-            raise ValueError("payload_blocks must be positive")
 
 
 def default_tenant_mix(
@@ -115,7 +112,6 @@ def default_tenant_mix(
     tenants: int = 4,
     skew: float = 1.2,
     functions: Optional[Sequence[str]] = None,
-    payload_blocks: int = 1,
 ) -> List[TenantSpec]:
     """*tenants* equally-weighted Zipf tenants, each hot on a different function.
 
@@ -133,7 +129,6 @@ def default_tenant_mix(
             skew=skew,
             functions=names,
             rank_offset=index % max(1, len(names)),
-            payload_blocks=payload_blocks,
         )
         for index in range(tenants)
     ]
@@ -175,8 +170,7 @@ def _arrivals(
         # this tenant hammers hardest.
         offset = spec.rank_offset % len(names)
         chooser = FunctionChooser(
-            bank, names[offset:] + names[:offset], root.fork(f"tenant:{spec.name}"),
-            spec.mix, spec.skew, payload_blocks=spec.payload_blocks,
+            bank, names[offset:] + names[:offset], root.fork(f"tenant:{spec.name}"), spec.mix, spec.skew
         )
         draws.append((spec.name, chooser.names, chooser.payloads, chooser.cumulative,
                       chooser.total, chooser.random, chooser.next_index))

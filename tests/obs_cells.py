@@ -57,17 +57,15 @@ def traced_frontdoor(requests: int, overload: float, loss: float):
         fleet,
         seed=seed,
         gateways=2,
-        uplink=LinkSpec(latency_ns=20_000.0, loss=loss, gbps=10.0, jitter_ns=4_000.0),
+        uplink=LinkSpec(latency_ns=20_000.0, loss=loss, jitter_ns=4_000.0),
         transport=TransportConfig(
             max_retries=3,
             per_hop_timeout_ns=1_200_000.0,
-            backoff_base_ns=100_000.0,
             backoff_cap_ns=1_000_000.0,
-            backoff_jitter=0.5,
             breaker_threshold=12,
             breaker_open_ns=2_000_000.0,
         ),
-        admission=AdmissionConfig(rate_per_s=80_000.0, burst=12.0, reserve_fraction=0.2),
+        admission=AdmissionConfig(rate_per_s=80_000.0, burst=12.0),
         priorities={tenants[0].name: 1},
         deadline_ns=4_000_000.0,
     )

@@ -6,9 +6,10 @@ here unchanged except for what the kernel no longer offers or the oracle
 does not need: the arrival process sleeps its own propagation delay
 (``Simulator.spawn(delay_ns=)`` is gone), the ``Store`` is the test-side one
 (``tests/oracles/store.py``; the kernel's went in PR 22), there is no
-tracer, and the queue bound is ``Link``'s module constant
-:data:`~repro.net.link.QUEUE_PACKETS`, read at each send so a test can patch
-it for both.
+tracer, and the queue bound and the bandwidth are ``Link``'s module
+constants :data:`~repro.net.link.QUEUE_PACKETS` and
+:data:`~repro.net.link.GBPS`, read at each send so a test can patch them for
+both.
 
 Each packet costs a ``Store`` hand-off, a pump wake-up when the wire was
 idle, a serialise ``Timeout`` and a spawned arrival process; the pump drains
@@ -53,7 +54,7 @@ class PumpLink:
         latency_ns = round(spec.latency_ns)
         while True:
             packet = yield from self._queue.get()
-            yield Timeout(round(packet.size_bytes * 8.0 / spec.gbps))
+            yield Timeout(round(packet.size_bytes * 8.0 / link_module.GBPS))
             # Draw order is fixed (loss then jitter, only when enabled).
             if spec.loss and self.rng.uniform() < spec.loss:
                 self.lost += 1

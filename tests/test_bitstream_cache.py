@@ -6,7 +6,7 @@ timing.
 """
 
 from repro.bitstream.codecs import get_codec
-from repro.bitstream.window import COMPRESSION_WINDOW_BYTES, WindowedCompressor
+from repro.bitstream.window import WindowedCompressor
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.fpga import bitgen
@@ -75,7 +75,7 @@ class TestDownloadAndReconfigureCaching:
         config = SMALL_CONFIG.with_overrides(seed=3)
         copro = build_coprocessor(config=config, bank=build_small_bank())
         codec = get_codec(config.codec_name)
-        compressor = WindowedCompressor(codec, COMPRESSION_WINDOW_BYTES)
+        compressor = WindowedCompressor(codec)
         for name in copro.bank.names():
             blob = copro.rom.read_bitstream(name)
             record = copro.rom.record_for(name)

@@ -22,6 +22,7 @@ from repro.bitstream.codecs import (
 from repro.bitstream.codecs import base as codec_base
 from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
 from repro.core.config import CoprocessorConfig
+from test_bitstream_window import compress
 
 ALL_CODECS = [
     NullCodec(),
@@ -90,7 +91,7 @@ def bank_bitstreams(default_bank):
 
 def _windowed_round_trip(data, window):
     """*data* through a serialised ``lz77ctx`` image of *window*-byte windows."""
-    blob = WindowedCompressor(ContextLZ77Codec(), window).compress(data).to_bytes()
+    blob = compress(ContextLZ77Codec(), data, window).to_bytes()
     return WindowedDecompressor(CompressedImage.from_bytes(blob)).decompress_all()
 
 
@@ -110,7 +111,7 @@ class TestContextLZ77:
         assert _windowed_round_trip(data, window) == data
 
     def test_a_truncated_or_corrupted_window_raises(self, bank_bitstreams):
-        image = WindowedCompressor(ContextLZ77Codec(), 1024).compress(bank_bitstreams["aes128"])
+        image = WindowedCompressor(ContextLZ77Codec()).compress(bank_bitstreams["aes128"])
         second = image.windows[1]
         for broken in (second[:-1], second[: len(second) // 2], b"\x07" + second[1:]):
             image.windows[1] = broken

@@ -1,16 +1,28 @@
-"""Tests for windowed compression and streaming decompression."""
+"""Tests for windowed compression and streaming decompression.
+
+The window is the module constant ``COMPRESSION_WINDOW_BYTES``; a case that
+needs another width patches it (:func:`compress`).
+"""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitstream.codecs import CodecError, FrameDifferentialCodec, RunLengthCodec, get_codec
+from repro.bitstream import window as window_module
 from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
 
 
+def compress(codec, data, window):
+    """*data* compressed by *codec* in *window*-byte windows."""
+    with mock.patch.object(window_module, "COMPRESSION_WINDOW_BYTES", window):
+        return WindowedCompressor(codec).compress(data)
+
+
 def _image(data=b"\x00" * 4000, window=256, codec=None):
-    codec = codec or RunLengthCodec()
-    return WindowedCompressor(codec, window).compress(data), data
+    return compress(codec or RunLengthCodec(), data, window), data
 
 
 class TestWindowedCompressor:
@@ -24,10 +36,6 @@ class TestWindowedCompressor:
         image, _ = _image(b"", window=128)
         assert image.window_count == 0
         assert WindowedDecompressor(image).decompress_all() == b""
-
-    def test_invalid_window_size(self):
-        with pytest.raises(ValueError):
-            WindowedCompressor(RunLengthCodec(), 0)
 
     def test_compression_ratio_reported(self):
         image, data = _image(b"\x00" * 8000, window=512)
@@ -48,7 +56,7 @@ class TestWindowedDecompressor:
         frame = bytes([3, 1, 4, 1, 5, 9, 2, 6] * 128)  # one FRAME_SIZE frame
         data = frame * 10
         codec = FrameDifferentialCodec()
-        image = WindowedCompressor(codec, window_bytes=len(frame)).compress(data)
+        image = compress(codec, data, len(frame))
         assert WindowedDecompressor(image, codec).decompress_all() == data
 
     def test_codec_mismatch_rejected(self):
@@ -59,7 +67,7 @@ class TestWindowedDecompressor:
     @given(data=st.binary(max_size=2000), window=st.integers(min_value=16, max_value=512))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, data, window):
-        image = WindowedCompressor(RunLengthCodec(), window).compress(data)
+        image = compress(RunLengthCodec(), data, window)
         assert WindowedDecompressor(image).decompress_all() == data
 
 

@@ -21,6 +21,7 @@ from repro.check import (
     tiny_control_plane,
     tiny_scenario_factory,
 )
+from repro.check import explorer as explorer_module
 from repro.check.scenarios import ScenarioRun
 from repro.sim.kernel import Simulator, Timeout
 from repro.sim.schedule import RandomTieBreakPolicy, ScriptedPolicy
@@ -117,7 +118,7 @@ class _KernelRun:
 
 class TestExplorerOnDivergentModel:
     def test_dfs_finds_both_consumption_orders(self):
-        explorer = Explorer(_conflict_scenario, max_schedules=40)
+        explorer = Explorer(_conflict_scenario)
         report = explorer.explore()
         digests = {trace.digest for trace in report.traces}
         assert repr(("a", "b")) in digests
@@ -126,13 +127,13 @@ class TestExplorerOnDivergentModel:
         assert not report.truncated
 
     def test_replay_reproduces_recorded_digests(self):
-        explorer = Explorer(_conflict_scenario, max_schedules=40)
+        explorer = Explorer(_conflict_scenario)
         report = explorer.explore()
         for trace in report.traces:
             assert explorer.replay(trace).digest == trace.digest
 
     def test_replay_raises_on_digest_mismatch(self):
-        explorer = Explorer(_conflict_scenario, max_schedules=4)
+        explorer = Explorer(_conflict_scenario)
         trace = explorer.run_prefix(())
         forged = ScheduleTrace(
             choices=trace.choices, branching=trace.branching, digest="forged"
@@ -156,7 +157,7 @@ class TestExplorerOnDivergentModel:
                 run.trace_length = -1  # trips request conservation
             return run
 
-        report = Explorer(buggy, max_schedules=40).explore()
+        report = Explorer(buggy).explore()
         assert report.violations
         found = report.violations[0]
         assert found.violations
@@ -164,14 +165,9 @@ class TestExplorerOnDivergentModel:
         replayed = Explorer(_conflict_scenario).run_prefix(found.choices)
         assert replayed.digest == repr(("b", "a"))
 
-    def test_exploration_bounds_are_validated(self):
-        with pytest.raises(ValueError):
-            Explorer(_conflict_scenario, max_schedules=0)
-        with pytest.raises(ValueError):
-            Explorer(_conflict_scenario, max_branch=0)
-
-    def test_truncation_is_reported(self):
-        explorer = Explorer(_conflict_scenario, max_schedules=2)
+    def test_truncation_is_reported(self, monkeypatch):
+        monkeypatch.setattr(explorer_module, "MAX_SCHEDULES", 2)
+        explorer = Explorer(_conflict_scenario)
         report = explorer.explore()
         assert report.schedules_run == 2
         assert report.truncated
@@ -181,10 +177,7 @@ class TestExplorerOnDivergentModel:
 @pytest.fixture(scope="module")
 def control_plane_exploration() -> ExplorationReport:
     """One bounded DFS over the tiny migrate+scrub+defrag fleet (shared)."""
-    explorer = Explorer(
-        tiny_scenario_factory(), max_depth=24, max_branch=3, max_schedules=110
-    )
-    return explorer.explore()
+    return Explorer(tiny_scenario_factory()).explore()
 
 
 class TestControlPlaneExploration:

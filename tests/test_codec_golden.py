@@ -31,12 +31,7 @@ from repro.bitstream.codecs import (
     NullCodec,
     RunLengthCodec,
 )
-from repro.bitstream.window import (
-    COMPRESSION_WINDOW_BYTES,
-    CompressedImage,
-    WindowedCompressor,
-    WindowedDecompressor,
-)
+from repro.bitstream.window import CompressedImage, WindowedCompressor, WindowedDecompressor
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
@@ -50,7 +45,7 @@ class _WindowedImage:
         self._codec = codec
 
     def compress(self, data):
-        image = WindowedCompressor(self._codec, COMPRESSION_WINDOW_BYTES).compress(data)
+        image = WindowedCompressor(self._codec).compress(data)
         return image.to_bytes()
 
     def decompress(self, blob):

@@ -65,16 +65,16 @@ class TestRandomizedEquivalence:
 
 class TestGeneratorNetlistEquivalence:
     @pytest.mark.parametrize(
-        "builder,arg",
+        "builder,args",
         [
-            (build_adder_netlist, 8),
-            (build_adder_netlist, 16),
-            (build_parity_netlist, 32),
-            (build_popcount_netlist, 8),
+            (build_adder_netlist, (8,)),
+            (build_adder_netlist, (16,)),
+            (build_parity_netlist, ()),
+            (build_popcount_netlist, ()),
         ],
     )
-    def test_exhaustive_small_inputs(self, builder, arg):
-        netlist = builder(arg)
+    def test_exhaustive_small_inputs(self, builder, args):
+        netlist = builder(*args)
         compiled = NetlistExecutor(netlist)
         reference = ReferenceNetlistExecutor(netlist)
         rng = random.Random(7)

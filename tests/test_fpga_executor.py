@@ -45,13 +45,13 @@ class TestNetlistExecutor:
             assert output[1] == (total >> 8) & 1
 
     def test_parity_netlist_matches_popcount(self):
-        executor = NetlistExecutor(build_parity_netlist(32))
+        executor = NetlistExecutor(build_parity_netlist())
         for word in (0, 1, 0xFFFFFFFF, 0x12345678, 0x80000001):
             output, _ = executor.run(word.to_bytes(4, "little"))
             assert output[0] == bin(word).count("1") % 2
 
     def test_popcount_netlist(self):
-        executor = NetlistExecutor(build_popcount_netlist(8))
+        executor = NetlistExecutor(build_popcount_netlist())
         for value in range(0, 256, 17):
             output, _ = executor.run(bytes([value]))
             assert output[0] == bin(value).count("1")

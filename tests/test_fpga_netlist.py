@@ -102,7 +102,7 @@ class TestNetgenHelpers:
             add_padded_lut(netlist, "l0", all, [])
 
     def test_parity_netlist_structure(self):
-        netlist = build_parity_netlist(32)
+        netlist = build_parity_netlist()
         netlist.validate()
         assert len(netlist.inputs) == 32
         assert len(netlist.outputs) == 1
@@ -115,15 +115,7 @@ class TestNetgenHelpers:
         assert len(netlist.outputs) == 9
 
     def test_popcount_netlist_structure(self):
-        netlist = build_popcount_netlist(8)
+        netlist = build_popcount_netlist()
         netlist.validate()
         assert len(netlist.inputs) == 8
         assert len(netlist.outputs) == 4
-
-    def test_popcount_only_supports_eight_bits(self):
-        with pytest.raises(ValueError):
-            build_popcount_netlist(16)
-
-    def test_parity_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            build_parity_netlist(0)

@@ -60,8 +60,8 @@ class TestPlacer:
 
     def test_place_rejects_overfull_region(self, tiny_geometry):
         placer = Placer(tiny_geometry)
-        # A 128-input parity tree needs more LUTs than one frame offers.
-        netlist = build_parity_netlist(128)
+        # A 32-bit adder needs more LUTs than one frame offers.
+        netlist = build_adder_netlist(32)
         assert netlist.lut_count > tiny_geometry.luts_per_frame
         with pytest.raises(PlacementError):
             placer.place(netlist, tiny_geometry.all_frames(), frames_needed=1)
@@ -157,7 +157,7 @@ class TestBitstreamGenerator:
     def test_generation_is_deterministic(self, tiny_geometry):
         generator = BitstreamGenerator(tiny_geometry)
         placer = Placer(tiny_geometry)
-        netlist = build_parity_netlist(32)
+        netlist = build_parity_netlist()
         placement = placer.place(netlist, tiny_geometry.all_frames(), tiny_geometry.frames_needed_for_luts(netlist.lut_count))
         first = generator.generate(netlist, placement, 12, 4, 1).to_bytes()
         second = generator.generate(netlist, placement, 12, 4, 1).to_bytes()

@@ -7,7 +7,8 @@ and the SHA-256 of that log is held ``==`` for a lossy, jittered,
 deadline-bounded front door with two gateways at overload, where shedding,
 timeouts, retries, dedup replays, breaker opens and fast fails, fleet
 rejections and expiries all fire (its links' egress queues bound to 8
-packets, ``QUEUE_PACKETS`` patched); then for the same front door traced.  How
+packets and its first backoff 20 µs, ``QUEUE_PACKETS`` and
+``BACKOFF_BASE_NS`` patched); then for the same front door traced.  How
 an entry reaches the queue (``schedule_call`` or a direct heap push with the
 same ``(time, seq)`` key) is free; which entry runs when is not.
 
@@ -30,6 +31,7 @@ from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.functions.bank import build_small_bank
 from repro.net import link as link_module
+from repro.net import transport as transport_module
 from repro.net import (
     AdmissionConfig,
     GatewayRequest,
@@ -87,7 +89,6 @@ def build_cell(traced: bool):
         uplink=LinkSpec(latency_ns=20_000, loss=0.05, jitter_ns=6_000),
         transport=TransportConfig(
             per_hop_timeout_ns=45_000,
-            backoff_base_ns=20_000,
             backoff_cap_ns=200_000,
             breaker_threshold=3,
             breaker_open_ns=300_000,
@@ -126,6 +127,7 @@ def dispatch_log(traced: bool):
 @pytest.mark.parametrize("cell", ["untraced", "traced"])
 def test_the_overload_cell_dispatches_in_the_pinned_order(cell, monkeypatch):
     monkeypatch.setattr(link_module, "QUEUE_PACKETS", 8)
+    monkeypatch.setattr(transport_module, "BACKOFF_BASE_NS", 20_000)
     stats, log = dispatch_log(cell == "traced")
     assert {name: getattr(stats, name) for name in COUNTERS} == COUNTERS
     sha = hashlib.sha256()

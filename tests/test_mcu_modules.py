@@ -44,7 +44,7 @@ def _configured_system(geometry, codec_name="rle", overlap=False):
         netlist, placement, function.function_id, 2, 2
     )
     raw = bitstream.to_bytes()
-    image = WindowedCompressor(get_codec(codec_name), 256).compress(raw)
+    image = WindowedCompressor(get_codec(codec_name)).compress(raw)
     rom.download(
         function.function_id, function.name, image.to_bytes(), len(raw), 2, 2,
         bitstream.header.frame_count, codec_name,
@@ -107,7 +107,7 @@ def _transfer_blob(geometry):
     ``(its module, the blob, its region)``."""
     _, _, device, module, function, region = _configured_system(geometry)
     module.reconfigure(function.name, region, function.executor(geometry))
-    blob = module.compress_for_transfer(device.capture_function(function.name), "rle", 256)
+    blob = module.compress_for_transfer(device.capture_function(function.name), "rle")
     return module, blob, region
 
 

@@ -73,7 +73,7 @@ def e3_card():
 CARDS = {"churn": churn_config, "e3": e3_card}
 TRACES = {
     "zipf": lambda bank: zipf_trace(bank, 300, skew=1.2, seed=2005),
-    "phased": lambda bank: phased_trace(bank, 300, phase_length=40, working_set=3, seed=2005),
+    "phased": lambda bank: phased_trace(bank, 300, phase_length=40, seed=2005),
     "round-robin": lambda bank: round_robin_trace(bank, 300, repeats_per_function=4, seed=2005),
 }
 

@@ -29,6 +29,7 @@ from frontdoor_fingerprint import frontdoor_fingerprint
 import repro
 import repro.net.gateway as gateway_module
 import repro.net.link as link_module
+import repro.net.transport as transport_module
 from repro.core.builder import build_fleet, build_frontdoor
 from repro.core.config import SMALL_CONFIG
 from repro.net import (
@@ -112,8 +113,9 @@ class TestLink:
         simulator.run(until_ns=1e9)
         return link, arrived
 
-    def test_clean_link_delivers_in_order_with_wire_time(self):
-        spec = LinkSpec(latency_ns=10_000.0, gbps=1.0, jitter_ns=0.0, loss=0.0)
+    def test_clean_link_delivers_in_order_with_wire_time(self, monkeypatch):
+        monkeypatch.setattr(link_module, "GBPS", 1.0)
+        spec = LinkSpec(latency_ns=10_000.0, jitter_ns=0.0, loss=0.0)
         packets = [Packet("req", index, 125) for index in range(4)]
         link, arrived = self.send_through(spec, packets)
         assert [packet.request_id for _, packet in arrived] == [0, 1, 2, 3]
@@ -150,8 +152,9 @@ class TestLink:
         # 125 B at 1 Gbit/s = 1000 ns: packet 1 waits until t=1000.  A send
         # at exactly t=1000 finds the one-packet queue empty again (<=).
         monkeypatch.setattr(link_module, "QUEUE_PACKETS", 1)
+        monkeypatch.setattr(link_module, "GBPS", 1.0)
         simulator = Simulator()
-        link = Link(simulator, LinkSpec(gbps=1.0), lambda p: None, SeededRandom(1))
+        link = Link(simulator, LinkSpec(), lambda p: None, SeededRandom(1))
         assert [link.send(Packet("req", index, 125)) for index in range(3)] == [True, True, False]
         simulator.clock.advance_to(999)
         assert not link.send(Packet("req", 3, 125))
@@ -166,7 +169,7 @@ class TestLink:
 # --------------------------------------------------------------- token bucket
 class TestTokenBucket:
     def test_priority_reserve_sheds_bulk_first(self):
-        bucket = TokenBucket(AdmissionConfig(rate_per_s=1.0, burst=10.0, reserve_fraction=0.2))
+        bucket = TokenBucket(AdmissionConfig(rate_per_s=1.0, burst=10.0))
         # Drain to below the bulk threshold (1 + 0.2*10 = 3 tokens) without
         # letting the (negligible) refill rate matter.
         for _ in range(8):
@@ -340,10 +343,11 @@ class TestFrontDoorEndToEnd:
         assert stats.net_failed == stats.net_requests == 10
         assert stats.completed == 0
 
-    def test_every_transit_lasts_at_least_its_link_latency(self, small_bank):
+    def test_every_transit_lasts_at_least_its_link_latency(self, small_bank, monkeypatch):
         """A retransmit of a served request replays the gateway's cached
         verdict packet, so two sends of one packet object can be in the air
         at once; each transit span starts at its own send."""
+        monkeypatch.setattr(transport_module, "BACKOFF_BASE_NS", 1_000)
         fleet = build_fleet(
             cards=2,
             config=SMALL_CONFIG.with_overrides(seed=5),
@@ -356,9 +360,7 @@ class TestFrontDoorEndToEnd:
             seed=5,
             gateways=1,
             uplink=LinkSpec(latency_ns=20_000),
-            transport=TransportConfig(
-                per_hop_timeout_ns=30_000, backoff_base_ns=1_000, backoff_cap_ns=4_000
-            ),
+            transport=TransportConfig(per_hop_timeout_ns=30_000, backoff_cap_ns=4_000),
         )
         _, trace = make_trace(small_bank, length=300)
         frontdoor.add_population(OpenLoopPopulation(trace))
@@ -422,7 +424,7 @@ class TestKernelWorkPerRequest:
         # last response delivered.
         last_response_ns = (
             stats.last_completion_ns
-            + round(RESPONSE_BYTES * 8.0 / spec.gbps)
+            + round(RESPONSE_BYTES * 8.0 / link_module.GBPS)
             + spec.latency_ns
         )
         period_ns = gateway_module.PROBE_PERIOD_NS

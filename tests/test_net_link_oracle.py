@@ -15,8 +15,9 @@ pinned in ``test_net_frontdoor.py``); here such schedules are detected by
 running the queue arithmetic under both ``<`` and ``<=`` and discarded when
 the two disagree.
 
-The queue bound is the module constant ``QUEUE_PACKETS``; each case patches
-it, and both sides read it at every send.
+The queue bound and the bandwidth are the module constants ``QUEUE_PACKETS``
+and ``GBPS``; each case patches them, and both sides read them at every
+send.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def drive(link_class, spec, schedule, seed):
     return accepted, arrived, (link.offered, link.delivered, link.lost, link.dropped)
 
 
-def accepted_under(has_left, queue_packets, spec, schedule):
+def accepted_under(has_left, queue_packets, gbps, schedule):
     """The queue arithmetic alone, its "has left the queue" rule a parameter."""
     now = wire_free = 0
     waiting = deque()
@@ -73,7 +74,7 @@ def accepted_under(has_left, queue_packets, spec, schedule):
             start = max(now, wire_free)
             if start > now:
                 waiting.append(start)
-            wire_free = start + round(size_bytes * 8.0 / spec.gbps)
+            wire_free = start + round(size_bytes * 8.0 / gbps)
     return accepted
 
 
@@ -114,18 +115,14 @@ def resolve(sends, gbps):
 def test_arithmetic_link_equals_the_pump_it_replaced(
     sends, gbps, queue_packets, latency_ns, loss, jitter_ns, seed
 ):
-    spec = LinkSpec(
-        latency_ns=latency_ns,
-        gbps=gbps,
-        jitter_ns=jitter_ns,
-        loss=loss,
-    )
+    spec = LinkSpec(latency_ns=latency_ns, jitter_ns=jitter_ns, loss=loss)
     schedule = resolve(sends, gbps)
     assume(
-        accepted_under(operator.le, queue_packets, spec, schedule)
-        == accepted_under(operator.lt, queue_packets, spec, schedule)
+        accepted_under(operator.le, queue_packets, gbps, schedule)
+        == accepted_under(operator.lt, queue_packets, gbps, schedule)
     )
-    with mock.patch.object(link_module, "QUEUE_PACKETS", queue_packets):
+    with mock.patch.object(link_module, "QUEUE_PACKETS", queue_packets), \
+            mock.patch.object(link_module, "GBPS", gbps):
         assert drive(Link, spec, schedule, seed) == drive(PumpLink, spec, schedule, seed)
 
 
@@ -134,7 +131,8 @@ def test_tail_drops_on_a_running_wire_match_the_pump(monkeypatch):
     # two-packet queue, so this drops while the wire is busy — the case the
     # un-pumped unit test could never reach.
     monkeypatch.setattr(link_module, "QUEUE_PACKETS", 2)
-    spec = LinkSpec(gbps=0.1, loss=0.2, jitter_ns=3_000)
+    monkeypatch.setattr(link_module, "GBPS", 0.1)
+    spec = LinkSpec(loss=0.2, jitter_ns=3_000)
     schedule = [(30_000, 1000)] * 40
     accepted, arrived, (offered, delivered, lost, dropped) = drive(Link, spec, schedule, 3)
     assert (accepted, arrived, (offered, delivered, lost, dropped)) == drive(

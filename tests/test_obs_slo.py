@@ -82,6 +82,14 @@ class TestSloSpecValidation:
             engine_for(availability_spec(), availability_spec())
 
 
+    def test_fractional_windows_become_a_whole_nanosecond_grain(self):
+        state = engine_for(availability_spec(fast_ns=500_000.5, slow_ns=2_000_000.0))._fleet_states[0]
+        assert (state.fast_ns, state.slow_ns) == (500_000, 2_000_000)
+        series = state.series
+        assert (series.window_ns, series.max_windows) == (125_000, 24)
+        assert type(series.window_ns) is int and type(series.max_windows) is int
+
+
 class TestBurnRateAlerting:
     def test_all_good_never_fires(self):
         engine = engine_for(availability_spec())

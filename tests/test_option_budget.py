@@ -2,7 +2,8 @@
 ``net/`` may only shrink, no definition there is reached only by the tests, no
 option there is set only by the tests, no field there is only written, every
 function there runs under a shipped user and the statements that do not may
-only become fewer (``--runs``).
+only become fewer, and every option there takes two values under the shipped
+users or is kept for a listed reason (``--runs``).
 
 Every independently settable option doubles the configurations the tests and
 benchmarks have to cover.  The budgets below are the counts at the last PR
@@ -62,14 +63,14 @@ unreached.  A definition's use of itself never counts.  ``C(...)`` sets
 
 The static scans see names, not runs: a common method name or a use on a
 path no workload takes keeps a function alive.  So a runtime leg, ``python
-tests/test_option_budget.py --runs`` (80-100 s under the tracer on 2 vCPUs,
+tests/test_option_budget.py --runs`` (60-100 s under the tracer on 2 vCPUs,
 CI's ``fingerprints`` job), runs every shipped user once in this process
 under one ``sys.settrace`` / ``threading.settrace`` hook
 (:func:`shipped_users`: the twelve report builders, ``fingerprints.py --check
 --tiny``, each ledger shape in the worker's traced mode, one shard's worker
 body) that sees every call and, for a code object under ``src/repro`` with a
 statement still to run, its lines (:func:`traced_runs`).  It checks two
-levels, and takes a cache census:
+levels, and takes a cache census and an option census:
 
 - *Functions.*  It lists each function under ``src/repro`` whose code never
   ran, dunders included (a ``__repr__`` and a body that is only a docstring,
@@ -92,6 +93,19 @@ levels, and takes a cache census:
   :class:`CacheCensus` wraps each one from here for the run and prints a
   ``cache:`` row of hits/misses per shipped user; it fails when a cache no
   shipped user hits: such a cache saves no work, so it goes.
+- *Options.*  :class:`OptionCensus` records the distinct values the shipped
+  users pass each option the scan lists, a frozen dataclass's fields
+  included, defaults counted: a primitive by value, any other object by
+  identity, so two injected clocks, recorders or RNGs are two values.  It
+  prints an ``option:`` row (the one value, or ``no call``) for each option
+  with fewer than two values, and fails unless those are exactly the options
+  ``KEPT_VALUES`` names, each for one of four reasons: ``benchmarks/e2e``
+  passes it, a seed, a record or format field, or its second value comes
+  only from an example or a ``bench_e*.py`` timing test.  Any other such
+  option is the constant it always is: it becomes its module's constant,
+  with its validation and any branch on it
+  (:func:`test_every_kept_value_is_an_option_the_scan_lists`, tier-1, keeps
+  the dict's keys and reasons honest).
 
 ``python tests/test_option_budget.py PATH...`` prints :func:`code_lines` for
 files and directories — the counter a PR's before/after table should quote —,
@@ -99,8 +113,9 @@ files and directories — the counter a PR's before/after table should quote —
 ``src/repro`` paths, ``*`` marking each one nothing outside ``tests/``
 reaches, sets or reads, then the three totals, and ``--runs`` runs the
 runtime leg, printing each function's residue, each cache's census row, each
-function that never ran and is not kept, each kept one that ran, each cache no
-shipped user hit, then the totals.
+option's row, each function that never ran and is not kept, each kept one that
+ran, each cache no shipped user hit, each option with fewer than two values
+that is not kept, each kept one that took two, then the totals.
 """
 
 import ast
@@ -121,10 +136,10 @@ import tokenize
 OPTION_BUDGET = 45
 FLEET_CODE_LINE_BUDGET = 603
 SIM_CODE_LINE_BUDGET = 299
-STATS_CODE_LINE_BUDGET = 411
-NET_CODE_LINE_BUDGET = 732
-SRC_CODE_LINE_BUDGET = 10_022
-LINE_RESIDUE_BUDGET = 214
+STATS_CODE_LINE_BUDGET = 410
+NET_CODE_LINE_BUDGET = 720
+SRC_CODE_LINE_BUDGET = 9_980
+LINE_RESIDUE_BUDGET = 210
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -1011,6 +1026,148 @@ class CacheCensus:
         ]
 
 
+#: Why an option the shipped users pass one value is kept (``KEPT_VALUES``),
+#: the only reasons there are: otherwise it is the constant it always is.
+E2E = "benchmarks/e2e passes it, so it waits for ROADMAP item 2 Step B"
+SEED = "a seed"
+RECORD = "a record or format field"
+ELSEWHERE = "its second value comes only from an example or a bench_e*.py timing test"
+
+#: Options (``path:Qualified.name(option)``, as ``--scan`` lists them) that
+#: the shipped users pass fewer than two values, each kept for one of the
+#: reasons above.
+KEPT_VALUES = {
+    "bitstream/format.py:BitstreamHeader(flags)": RECORD,
+    "check/trace.py:ScheduleTrace(digest)": RECORD,
+    "check/trace.py:ScheduleTrace(violations)": RECORD,
+    "workloads/multitenant.py:FleetRequest(deadline_ns)": RECORD,
+    "cluster/sharded.py:ShardedRunConfig(config_seed)": SEED,
+    "cluster/sharded.py:ShardedRunConfig(trace_seed)": SEED,
+    "mcu/minios/policies.py:RandomPolicy.__init__(seed)": SEED,
+    "workloads/multitenant.py:StreamingFleetTrace.__init__(seed)": SEED,
+    "cluster/dispatch.py:StaticHashPolicy.__init__(total_cards)": E2E,
+    "cluster/sharded.py:ShardedRunConfig(mean_interarrival_ns)": E2E,
+    "cluster/sharded.py:ShardedRunConfig(queue_depth)": E2E,
+    "cluster/sharded.py:ShardedRunConfig(skew)": E2E,
+    "cluster/sharded.py:ShardedRunConfig(tenants)": E2E,
+    "cluster/sharded.py:ShardedRunConfig(total_cards)": E2E,
+    "core/builder.py:build_frontdoor(gateways)": E2E,
+    "net/frontdoor.py:FrontDoor.__init__(gateways)": E2E,
+    "net/link.py:LinkSpec(jitter_ns)": E2E,
+    "net/link.py:LinkSpec(latency_ns)": E2E,
+    "workloads/multitenant.py:StreamingFleetTrace.__init__(mean_interarrival_ns)": E2E,
+    "core/builder.py:build_coprocessor(download)": ELSEWHERE,
+    "obs/tail.py:TailSampler.__init__(slow_ns)": ELSEWHERE,
+    "workloads/generators.py:FunctionChooser.__init__(payload_blocks)": ELSEWHERE,
+    "workloads/generators.py:TraceGenerator.__init__(payload_blocks)": ELSEWHERE,
+    "workloads/multitenant.py:TenantSpec(mix)": ELSEWHERE,
+}
+
+
+def test_every_kept_value_is_an_option_the_scan_lists():
+    listed = {f"{key}({name})" for key, (*_, options) in index()[0].options.items() for _, name in options}
+    assert KEPT_VALUES.keys() <= listed, "KEPT_VALUES names an option the scan no longer lists (delete " \
+        f"the entry): {sorted(KEPT_VALUES.keys() - listed)}"
+    assert set(KEPT_VALUES.values()) <= {E2E, SEED, RECORD, ELSEWHERE}, "a KEPT_VALUES reason outside the list"
+
+
+def _by_value(value) -> bool:
+    """Whether *value* is compared by value (a number, a string, ``None`` or a
+    tuple of those), not by identity."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_by_value, value))
+    return value is None or isinstance(value, (bool, int, float, str, bytes))
+
+
+class OptionCensus:
+    """The values each option of ``src/repro`` takes under the shipped users:
+    the first value of each, until a second distinct one makes the option
+    *varied* (a value is compared by value when :func:`_by_value`, else by
+    identity, so two injected clocks are two values).  ``--runs`` fails on
+    an option with fewer than two values that ``KEPT_VALUES`` does not name.
+
+    :meth:`recorder` is asked once per code object the tracer sees: an
+    option definition's function (found by file, first line and name) or a
+    frozen dataclass's generated ``__init__`` (found by the module file and
+    qualified name of the class in ``self``'s MRO that defines it, under
+    *root*) gets a recorder that reads the options from the call's
+    arguments, defaults included."""
+
+    def __init__(self, built, root=SRC):
+        self._root = root
+        #: ``{(resolved file, first line, name): (key, [option])}``
+        self._functions = {}
+        #: ``{key: [option]}`` of each frozen dataclass with defaulted fields
+        self._specs = {}
+        self.options = []
+        for key, (_, _, options) in built.options.items():
+            names = [name for _, name in options]
+            self.options += [f"{key}({name})" for name in names]
+            if key in built.functions:
+                file, node = built.functions[key]
+                line = min(d.lineno for d in [node, *node.decorator_list])
+                self._functions[(file.resolve(), line, node.name)] = key, names
+            else:
+                self._specs[key] = names
+        #: ``{option: its one value so far}`` and the options with two values
+        self.first, self.varied = {}, set()
+
+    def recorder(self, frame):
+        """A callable that records the options of a call of *frame*'s code,
+        or None if the code has none (a generator's resumption would re-read
+        its locals, so a generator has none)."""
+        code = frame.f_code
+        if code.co_flags & (inspect.CO_GENERATOR | inspect.CO_COROUTINE):
+            return None
+        if code.co_filename == "<string>" and code.co_name == "__init__":
+            cls = next((c for c in type(frame.f_locals.get("self")).__mro__
+                        if getattr(c.__dict__.get("__init__"), "__code__", None) is code), object)
+            file = getattr(sys.modules.get(cls.__module__), "__file__", None)
+            path = file and pathlib.Path(file).resolve()
+            root = self._root
+            found = path and root in path.parents and f"{path.relative_to(root).as_posix()}:{cls.__qualname__}"
+            key, names = found, self._specs.get(found)
+        else:
+            key, names = self._functions.get((pathlib.Path(code.co_filename).resolve(), code.co_firstlineno,
+                                              code.co_name), (None, None))
+        if not names:
+            return None
+        watched = [(name, f"{key}({name})") for name in names]
+        first, varied = self.first, self.varied
+
+        def record(frame):
+            values = frame.f_locals
+            for name, option in watched:
+                if option in varied:
+                    continue
+                value = values[name]
+                if option not in first:
+                    first[option] = value
+                    continue
+                seen = first[option]
+                if seen is value or _by_value(seen) and _by_value(value) and seen == value:
+                    continue
+                varied.add(option)
+                del first[option]  # do not keep a model object alive for the rest of the run
+
+        return record
+
+    def lonely(self) -> dict:
+        """``{option: its one value, or None with no call}`` of each option
+        with fewer than two values."""
+        return {option: self.first.get(option) for option in self.options if option not in self.varied}
+
+    def lines(self):
+        """One ``option: key(option): value`` line per option with fewer than
+        two values (``no call`` for none)."""
+        lonely = self.lonely()
+        return [
+            f"option: {option}: " + ("no call" if option not in self.first else
+                                     repr(value) if _by_value(value) else f"one {type(value).__name__}")
+            for option, value in sorted(lonely.items())
+        ]
+
+
 def _interface(node) -> bool:
     """Whether *node*'s body is only a docstring, ``...``, ``pass`` or
     ``raise NotImplementedError``: an interface, not code that runs."""
@@ -1023,11 +1180,12 @@ def _interface(node) -> bool:
     )
 
 
-def traced_runs(*drivers, checked=None):
+def traced_runs(*drivers, checked=None, census=None):
     """``(code objects, {file: lines})``: the code object of every call
     *drivers* make, each driver called in turn under a tracer in this thread
     and in every thread it starts, and which lines of the *checked*
-    statements (``{resolved file: checked_statements(...)}``) ran.
+    statements (``{resolved file: checked_statements(...)}``) ran.  An
+    :class:`OptionCensus` *census* records the options of every call.
 
     A code object gets a local tracer, for its line events, only while one of
     its checked statements has not run, and a statement is done at its first
@@ -1039,7 +1197,7 @@ def traced_runs(*drivers, checked=None):
     watched = {
         file: {line: own for *_, own in statements for line in own} for file, statements in (checked or {}).items()
     }
-    files, codes, waiting, tracers = {}, {}, {}, {}
+    files, codes, waiting, tracers, recorders = {}, {}, {}, {}, {}
 
     def line_tracer(key, left):
         def lines(frame, event, arg):
@@ -1064,6 +1222,11 @@ def traced_runs(*drivers, checked=None):
             statement_of = files[code.co_filename]
             left = waiting[key] = {line: statement_of[line] for line in _lines(code) & statement_of.keys()}
             local = tracers[key] = line_tracer(key, left) if left else None
+            if census and (record := census.recorder(frame)):
+                recorders[key] = record
+        record = recorders.get(key)
+        if record:
+            record(frame)
         return local and local(frame, event, arg)
 
     # Put back afterwards, so that a coverage run keeps measuring.
@@ -1175,14 +1338,22 @@ def line_residue(checked, ran) -> dict:
     return dict(found)
 
 
+#: The shard user's epoch: the ledger's 100 ms epoch holds all of
+#: ``min_ops``, so the worker's epoch loop and the kernel's horizon return
+#: would not run; the full-size ledger runs about 120 epochs.
+SHARD_EPOCH_NS = 4_000_000
+
+
 def shipped_users():
     """What ``--runs`` traces, each a callable that runs in this process and
-    writes nothing: the twelve report builders called as the
-    ``tests/test_e*.py`` render tests call them, ``fingerprints.py --check
-    --tiny``, each ledger shape in the worker's traced mode at its
-    ``min_ops``, and one shard of ``fleet_sharded_2`` through
-    ``_shard_worker`` (``run_sharded`` runs it in a child process the tracer
-    does not follow)."""
+    writes nothing: one shard of ``fleet_sharded_2`` through ``_shard_worker``
+    (``run_sharded`` runs it in a child process the tracer does not follow)
+    in :data:`SHARD_EPOCH_NS` epochs, the twelve report builders called as
+    the ``tests/test_e*.py`` render tests call them, ``fingerprints.py
+    --check --tiny``, and each ledger shape in the worker's traced mode at
+    its ``min_ops``.  The shard goes first: its epochs run
+    ``Simulator.run``'s horizon return, and from then on no call of
+    ``Simulator.run`` is line-traced."""
     sys.path[:0] = [str(REPO), str(REPO / "benchmarks" / "e2e")]
     import shapes
     import worker
@@ -1222,7 +1393,7 @@ def shipped_users():
         from repro.cluster.sharded import _shard_worker, partition_cards
 
         shape = shapes.FleetSharded2()
-        config = shape.make_trace(shape.build_bank(), 11, shape.min_ops)
+        config = dataclasses.replace(shape.make_trace(shape.build_bank(), 11, shape.min_ops), epoch_ns=SHARD_EPOCH_NS)
         receiving, sending = multiprocessing.Pipe(duplex=False)
         messages = [("lines", None)]
 
@@ -1242,25 +1413,27 @@ def shipped_users():
         reader.join(60)
         assert not reader.is_alive() and messages[-1][0] == "final", messages[-1]
 
-    return reports, fingerprints, ledger, shard
+    return shard, reports, fingerprints, ledger
 
 
 def check_runs() -> int:
-    """Trace every shipped user once under the :class:`CacheCensus`; 0 if
-    the functions that never ran are exactly the functions ``KEPT`` and
-    ``KEPT_RUNS`` name, the :func:`line_residue` of ``src/repro`` is at most
-    ``LINE_RESIDUE_BUDGET`` statements and every cache has a hit, else print
-    the difference and return 1.  Prints each function's residue and each
-    cache's row either way."""
+    """Trace every shipped user once under the :class:`CacheCensus` and the
+    :class:`OptionCensus`; 0 if the functions that never ran are exactly the
+    functions ``KEPT`` and ``KEPT_RUNS`` name, the :func:`line_residue` of
+    ``src/repro`` is at most ``LINE_RESIDUE_BUDGET`` statements, every cache
+    has a hit and the options with fewer than two values are exactly those
+    ``KEPT_VALUES`` names, else print the difference and return 1.  Prints
+    each function's residue, each cache's row and each such option's row
+    either way."""
     functions = index()[0].functions
     kept = (KEPT.keys() | KEPT_RUNS.keys()) & functions.keys()
     checked = {
         file: list(checked_statements(file.relative_to(SRC).as_posix(), parse(file)[0], kept))
         for file in sorted(SRC.rglob("*.py"))
     }
-    census = CacheCensus()
+    census, options = CacheCensus(), OptionCensus(index()[0])
     try:
-        ran, lines = traced_runs(*census.counted(shipped_users()), checked=checked)
+        ran, lines = traced_runs(*census.counted(shipped_users()), checked=checked, census=options)
     finally:
         census.restore()
     missed = never_ran(functions, ran)
@@ -1269,16 +1442,20 @@ def check_runs() -> int:
         residue.update(line_residue(statements, lines[file]))
     for key, statements in sorted(residue.items()):
         print(f"residue: {key}: " + ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in statements))
-    print("".join(f"{line}\n" for line in census.lines()), end="")
+    print("".join(f"{line}\n" for line in census.lines() + options.lines()), end="")
     print("".join(f"never ran: {key}\n" for key in sorted(missed - kept)), end="")
     print("".join(f"ran, but kept: {key}\n" for key in sorted(kept - missed)), end="")
     unhit = sorted(key for key, users in census.rows.items() if not any(hits for hits, _ in users.values()))
     print("".join(f"no hit: {key}\n" for key in unhit), end="")
+    lonely = options.lonely().keys()
+    print("".join(f"one value, not kept: {key}\n" for key in sorted(lonely - KEPT_VALUES.keys())), end="")
+    print("".join(f"two values, but kept: {key}\n" for key in sorted(KEPT_VALUES.keys() - lonely)), end="")
     total = sum(map(len, residue.values()))
     print(f"{len(functions)} functions; {len(missed)} never ran; {len(kept)} kept; "
           f"{total} residue statements in {len(residue)} functions (budget {LINE_RESIDUE_BUDGET}); "
-          f"{len(census.rows)} caches, {len(unhit)} hit by no shipped user")
-    return int(missed != kept or total > LINE_RESIDUE_BUDGET or bool(unhit))
+          f"{len(census.rows)} caches, {len(unhit)} hit by no shipped user; "
+          f"{len(options.options)} options, {len(lonely)} with fewer than two values, {len(KEPT_VALUES)} kept")
+    return int(missed != kept or total > LINE_RESIDUE_BUDGET or bool(unhit) or lonely != KEPT_VALUES.keys())
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ from hypothesis import given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from repro.bitstream.codecs import available_codecs, get_codec
-from repro.bitstream.window import WindowedCompressor, WindowedDecompressor
+from repro.bitstream.window import WindowedDecompressor
 from repro.core.builder import build_coprocessor
 from repro.core.config import SMALL_CONFIG
 from repro.functions.bank import build_small_bank
 from repro.mcu.minios import MiniOs
 from repro.fpga.geometry import FabricGeometry
+from test_bitstream_window import compress
 
 _GEOMETRY = FabricGeometry(columns=4, rows=16, clb_rows_per_frame=4)
 _BANK_NAMES = ["crc32", "parity32", "adder8", "popcount8"]
@@ -66,7 +67,7 @@ class TestWindowedCompressionInvariant:
     @settings(max_examples=60, deadline=None)
     def test_any_codec_any_window_round_trips(self, data, codec_name, window):
         codec = get_codec(codec_name)
-        image = WindowedCompressor(codec, window).compress(data)
+        image = compress(codec, data, window)
         restored = WindowedDecompressor(image, get_codec(codec_name)).decompress_all()
         assert restored == data
         assert image.original_length == len(data)

@@ -407,3 +407,75 @@ def test_the_line_leg_flags_a_dead_return_but_no_guard(tmp_path):
         "residue_module.py:Rle.compress": [(dead, dead)],
         "residue_module.py:Rle.unused": [(unused, unused)],
     }
+
+
+CENSUS_SOURCE = '''
+from dataclasses import dataclass
+
+
+class Clock:
+    pass
+
+
+class Card:
+    def __init__(self, frames=4, clock=None, name="card"):
+        self.frames, self.clock, self.name = frames, clock, name
+
+
+@dataclass(frozen=True)
+class LinkSpec:
+    latency_ns: int = 20_000
+    loss: float = 0.0
+
+
+def build_card(frames=4):
+    return Card(frames)
+'''
+
+
+def census_module(tmp_path, monkeypatch):
+    """``(the imported CENSUS_SOURCE module, an OptionCensus of its options)``."""
+    path = (tmp_path / "census_module.py").resolve()
+    path.write_text(CENSUS_SOURCE)
+    spec = importlib.util.spec_from_file_location("census_module", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "census_module", module)
+    spec.loader.exec_module(module)
+    trees = [(path, ast.parse(CENSUS_SOURCE))]
+    index = scans.Index(trees, root=path.parent)
+    scans.spec_options(index, trees)
+    return module, scans.OptionCensus(index, root=path.parent)
+
+
+def test_the_option_census_flags_an_option_passed_one_value(tmp_path, monkeypatch):
+    """``frames`` takes two values, ``clock`` two distinct objects and a
+    spec's ``loss`` two values: none is flagged.  ``name`` takes one value
+    twice, a spec's ``latency_ns`` only its default and ``build_card``'s
+    ``frames`` no call: each is flagged."""
+    module, census = census_module(tmp_path, monkeypatch)
+
+    def drive():
+        module.Card(4, module.Clock(), "a")
+        module.Card(frames=8, clock=module.Clock(), name="a")
+        module.LinkSpec(loss=0.1)
+        module.LinkSpec()
+
+    scans.traced_runs(drive, census=census)
+    assert census.lonely() == {
+        "census_module.py:Card.__init__(name)": "a",
+        "census_module.py:LinkSpec(latency_ns)": 20_000,
+        "census_module.py:build_card(frames)": None,
+    }
+    assert census.lines() == [
+        "option: census_module.py:Card.__init__(name): 'a'",
+        "option: census_module.py:LinkSpec(latency_ns): 20000",
+        "option: census_module.py:build_card(frames): no call",
+    ]
+
+
+def test_one_object_passed_twice_is_one_value(tmp_path, monkeypatch):
+    module, census = census_module(tmp_path, monkeypatch)
+    clock = module.Clock()
+    scans.traced_runs(lambda: [module.Card(frames, clock) for frames in (4, 8)], census=census)
+    assert "census_module.py:Card.__init__(clock)" in census.lonely()
+    assert census.lines()[0] == "option: census_module.py:Card.__init__(clock): one Clock"

@@ -115,8 +115,8 @@ class TestNoFloatLeaks:
             fleet,
             seed=5,
             gateways=2,
-            uplink=LinkSpec(latency_ns=20_000.5, loss=0.05, jitter_ns=4_000.25, gbps=3.0),
-            transport=TransportConfig(per_hop_timeout_ns=400_000.5, backoff_base_ns=50_000.5),
+            uplink=LinkSpec(latency_ns=20_000.5, loss=0.05, jitter_ns=4_000.25),
+            transport=TransportConfig(per_hop_timeout_ns=400_000.5),
             admission=AdmissionConfig(rate_per_s=14_000.0, burst=8.0),
             priorities={specs[0].name: 1},
             deadline_ns=30_000_000.0,

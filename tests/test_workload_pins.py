@@ -31,6 +31,7 @@ from repro.workloads import (
     uniform_trace,
     zipf_trace,
 )
+from repro.workloads import generators
 from repro.workloads.multitenant import StreamingFleetTrace
 
 
@@ -52,12 +53,12 @@ def trace_digest(trace) -> str:
 
 
 def mixed_tenants(bank):
-    """Every tenant knob: all three mixes, rotation, payload blocks."""
+    """Every tenant knob: all three mixes, rotation and a function subset."""
     names = tuple(bank.names())
     return [
-        TenantSpec("hot", skew=0.9, functions=names, rank_offset=2, payload_blocks=2),
+        TenantSpec("hot", skew=0.9, functions=names, rank_offset=2),
         TenantSpec("phase", mix="phased", functions=names),
-        TenantSpec("flat", mix="uniform", functions=names[:3], payload_blocks=3),
+        TenantSpec("flat", mix="uniform", functions=names[:3]),
         TenantSpec("tail", skew=1.6, rank_offset=5),
     ]
 
@@ -71,13 +72,14 @@ def fleet_trace(bank, tenants, bound):
     )
 
 
-def closed_loop_trace(bank, generator):
+def closed_loop_trace(bank, generator, monkeypatch):
     if generator == "uniform":
         return uniform_trace(bank, 200, seed=3, payload_blocks=2)
     if generator == "zipf":
         return zipf_trace(bank, 200, skew=0.8, seed=3)
     if generator == "phased":
-        return phased_trace(bank, 200, phase_length=30, working_set=2, seed=3)
+        monkeypatch.setattr(generators, "WORKING_SET", 2)
+        return phased_trace(bank, 200, phase_length=30, seed=3)
     if generator == "round_robin":
         return round_robin_trace(bank, 200, repeats_per_function=3, seed=3)
     if generator == "bursty":
@@ -90,12 +92,12 @@ APPS = {"ipsec": ipsec_gateway_trace, "hash_server": hash_server_trace, "dsp": d
 PINS = {
     "multi_tenant-small-poisson-default-count": "7c0f653822dd747371c710940591e3e61c0c9047731245755d1b327b07bab793",
     "multi_tenant-small-poisson-default-duration": "f4223d5c8b7ed60d66a242ca0e4005644aad0829821edce714f79ecc43d0df75",
-    "multi_tenant-small-poisson-mixed-count": "8f57d608449c54801727fd9bf5318524e7a8c664c37abd017fa943a5a9328a11",
-    "multi_tenant-small-poisson-mixed-duration": "69b6fff3fff3312cd0c884fd04787e434ccacf0ea306e65cafce43b3adc26d67",
+    "multi_tenant-small-poisson-mixed-count": "bf1422ac1cab1748f970ccd8eb4502f7b5be7de8b5f871a09dc32d403a9973a4",
+    "multi_tenant-small-poisson-mixed-duration": "e79a5b0487e7e6a6445b9a1b2f17647111c4ac94c23efb843de675a4a686ef8a",
     "multi_tenant-default-poisson-default-count": "930a0fb6a9fcbb347b6b4058d575f11bd0ed0aaa39af7a62a07d1f4ae9d9df54",
     "multi_tenant-default-poisson-default-duration": "41e6083d7d9ccbd6af6546e378fa90d28dc1c5ad7f323203e50e71612e4b21ac",
-    "multi_tenant-default-poisson-mixed-count": "52acd663e076022e327c795485f5db30af4123d81d5fe5130ada5300ddfbd6ec",
-    "multi_tenant-default-poisson-mixed-duration": "0743b9a761a1846150eecf255b8ebf28ed319cd823b5fc08ce1a546b8fce7221",
+    "multi_tenant-default-poisson-mixed-count": "b5ba1e6e512afecc0dc6eea91923e4262a1c2bade27c895abb0a758049895048",
+    "multi_tenant-default-poisson-mixed-duration": "c964aaf3b92bdcff418bc0fc8dc65bb2a681ff92009fd91603f1737b7b4e241d",
     "streaming-small-seed11": "55aaa39a6233b7df760b49de2c1de30e60225c20747a98b73ffe726a7ffc5a30",
     "closed-small-uniform": "07063e5eebd6bde9e83e852a875ccf62f3c6b82c811b159448919c30ad1236d9",
     "closed-small-zipf": "f4f9d4f755c2c080e35317a48cbc19efe51ba891fd49594d5d71b746964ce1ec",
@@ -126,7 +128,7 @@ def build_case(case, request):
         return StreamingFleetTrace(bank, tenants, 2_000, mean_interarrival_ns=40_000.0, seed=11)
     if kind == "app":
         return APPS[rest[0]](bank, seed=2)
-    return closed_loop_trace(bank, rest[0])
+    return closed_loop_trace(bank, rest[0], request.getfixturevalue("monkeypatch"))
 
 
 CASES = (

@@ -18,7 +18,7 @@ from repro.workloads import (
     zipf_trace,
 )
 from repro.sim.rand import SeededRandom
-from repro.workloads.generators import FunctionChooser
+from repro.workloads.generators import WORKING_SET, FunctionChooser
 
 
 def function_counts(trace) -> Counter:
@@ -56,7 +56,7 @@ class TestGenerators:
         for trace in (
             uniform_trace(small_bank, 50, seed=1),
             zipf_trace(small_bank, 50, seed=1),
-            phased_trace(small_bank, 50, phase_length=10, working_set=2, seed=1),
+            phased_trace(small_bank, 50, phase_length=10, seed=1),
             round_robin_trace(small_bank, 50, seed=1),
             bursty_trace(small_bank, 50, seed=1),
         ):
@@ -88,10 +88,10 @@ class TestGenerators:
         assert switches(batched) < switches(trace)
 
     def test_phased_trace_limits_working_set_per_phase(self, default_bank):
-        trace = phased_trace(default_bank, 200, phase_length=50, working_set=3, seed=4)
+        trace = phased_trace(default_bank, 200, phase_length=50, seed=4)
         for start in range(0, 200, 50):
             phase_functions = {request.function for request in trace.requests[start : start + 50]}
-            assert len(phase_functions) <= 3
+            assert len(phase_functions) <= WORKING_SET
 
     def test_unknown_function_rejected(self, small_bank):
         with pytest.raises(KeyError):

@@ -101,11 +101,10 @@ class TestMultiTenantTrace:
             assert len(set(functions[start : start + 50])) <= 3
 
     def test_payloads_match_function_spec(self, bank):
-        spec = TenantSpec(name="t", functions=tuple(bank.names()), payload_blocks=2)
+        spec = TenantSpec(name="t", functions=tuple(bank.names()))
         trace = multi_tenant_trace(bank, [spec], length=40, seed=10)
         for request in trace:
-            expected = bank.by_name(request.function).spec.input_bytes * 2
-            assert len(request.payload) == expected
+            assert len(request.payload) == bank.by_name(request.function).spec.input_bytes
 
     def test_validation_errors(self, bank):
         specs = default_tenant_mix(bank, tenants=1)
